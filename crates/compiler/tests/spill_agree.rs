@@ -12,6 +12,9 @@ use trance_compiler::{
     RunResult, Strategy,
 };
 use trance_dist::{ClusterConfig, DistContext};
+use trance_nrc::builder::{
+    and, cmp_eq, forin, group_by, ifthen, mul, proj, singleton, sum_by, tuple, var,
+};
 use trance_nrc::{eval, Bag, Env, Value};
 use trance_shred::ShreddedInputDecl;
 
@@ -119,6 +122,97 @@ fn capped_spill_runs_match_uncapped_on_every_strategy() {
             !dir.exists(),
             "dropping the context must remove the scoped spill directory"
         );
+    }
+}
+
+#[test]
+fn capped_string_and_two_column_keys_match_uncapped() {
+    // Grace salting and the spilling Γ read the same key-hash vector as the
+    // resident operators. Every other cell here keys on one integer column;
+    // this one joins on a two-column string key (sku, region), sums by a
+    // two-column key (store, region) and groups by a string key (store), so
+    // the per-dictionary-entry hashes and the threaded multi-column hasher
+    // both go out-of-core.
+    let sales: Vec<Value> = (0..600)
+        .map(|i| {
+            Value::tuple([
+                ("store", Value::str(format!("store-{:02}", i % 13))),
+                ("sku", Value::str(format!("sku-{:03}", i % 41))),
+                ("region", Value::str(["north", "south", "east"][i % 3])),
+                ("qty", Value::Int((i % 7) as i64 + 1)),
+            ])
+        })
+        .collect();
+    let prices: Vec<Value> = (0..41 * 3)
+        .map(|i| {
+            Value::tuple([
+                ("sku", Value::str(format!("sku-{:03}", i % 41))),
+                ("region", Value::str(["north", "south", "east"][i / 41])),
+                ("price", Value::Real(1.0 + (i % 17) as f64 * 0.25)),
+            ])
+        })
+        .collect();
+    let query = group_by(
+        sum_by(
+            forin(
+                "s",
+                var("Sales"),
+                forin(
+                    "p",
+                    var("Prices"),
+                    ifthen(
+                        and(
+                            cmp_eq(proj(var("s"), "sku"), proj(var("p"), "sku")),
+                            cmp_eq(proj(var("s"), "region"), proj(var("p"), "region")),
+                        ),
+                        singleton(tuple([
+                            ("store", proj(var("s"), "store")),
+                            ("region", proj(var("s"), "region")),
+                            ("total", mul(proj(var("s"), "qty"), proj(var("p"), "price"))),
+                        ])),
+                    ),
+                ),
+            ),
+            &["store", "region"],
+            &["total"],
+        ),
+        &["store"],
+        "regions",
+    );
+    let values = [
+        ("Sales", Value::bag(sales), false),
+        ("Prices", Value::bag(prices), false),
+    ];
+    let env = Env::from_bindings(values.iter().map(|(n, v, _)| (*n, v.clone())));
+    let expected = eval(&query, &env).unwrap().into_bag().unwrap();
+    assert_eq!(expected.len(), 13);
+
+    let spec = QuerySpec::new("string-keys", query, vec![]);
+    let uncapped = input_set(uncapped_ctx(), &values);
+    let capped = input_set(capped_ctx(4 * 1024), &values);
+    for strategy in [Strategy::Standard, Strategy::Baseline] {
+        let context = format!("string keys under {}", strategy.label());
+        let resident = run_query_spill(&spec, &uncapped, strategy, true);
+        let resident_bag = outcome_bag(&resident.result, &format!("uncapped {context}"));
+        assert_bags_approx_eq(&expected, &resident_bag, &format!("uncapped {context}"));
+        assert!(
+            resident.stats.shuffle_joins > 0,
+            "{context}: the two-column join is meant to shuffle"
+        );
+
+        let spilled = run_query_spill(&spec, &capped, strategy, true);
+        let spilled_bag = outcome_bag(&spilled.result, &format!("capped {context}"));
+        assert!(
+            spilled.stats.spilled_bytes > 0,
+            "{context}: the cap is meant to force the run out-of-core"
+        );
+        assert_bags_approx_eq(&resident_bag, &spilled_bag, &format!("capped {context}"));
+        // Same hash, same partition assignment, same shuffled rows.
+        assert_eq!(
+            spilled.stats.shuffled_tuples, resident.stats.shuffled_tuples,
+            "{context}: spilling must not change what is shuffled"
+        );
+        assert_eq!(spilled.stats.shuffled_bytes, resident.stats.shuffled_bytes);
     }
 }
 

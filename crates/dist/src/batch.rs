@@ -22,6 +22,27 @@
 //! just not vector-typed. Rows that are not tuples at all are kept verbatim
 //! in an *opaque* batch ([`Schema::is_opaque`]), mirroring how the row engine
 //! passes non-tuple values through untouched.
+//!
+//! ## Data movement
+//!
+//! Everything that moves rows is one of two primitives, both a single pass
+//! per column:
+//!
+//! * **gather** ([`Batch::take`] / [`Batch::take_opt`], [`Column::gather`]) —
+//!   generic over [`GatherIndex`], so a dense index list (`&[usize]`: shuffle
+//!   pieces, morsel slices, join sides without misses) runs a loop with no
+//!   `Option` in it and skips the validity bitmaps of an all-valid source,
+//!   while outer joins pass `&[Option<usize>]`. A string gather renumbers the
+//!   surviving codes in first-use order and copies their bytes once, exactly
+//!   sized, so dictionaries stay shrunk to what a batch uses and the physical
+//!   byte accounting stays exact;
+//! * **concat** ([`Batch::concat`]) — n-way: exact reserves, word-wise bitmap
+//!   appends, and for strings one lookup table built once across all pieces
+//!   (not once per appended piece over the accumulated dictionary).
+//!
+//! Key hashing and key equality read the same buffers in place; see
+//! `keys.rs` for the key-hash / validity contract the breakers rely on and
+//! for where [`Column::Other`] is compared by reference instead.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -90,6 +111,29 @@ impl Bitmap {
         }
     }
 
+    /// Appends every bit of `src`, a word at a time (an all-zero `src` — the
+    /// common validity bitmap — only grows the length).
+    pub(crate) fn extend_from(&mut self, src: &Bitmap) {
+        let shift = self.len % 64;
+        let len = self.len + src.len;
+        if src.ones == 0 {
+            self.bits.resize(len.div_ceil(64), 0);
+        } else if shift == 0 {
+            self.bits.extend_from_slice(&src.bits);
+        } else {
+            // Bits past `len` in the last word are zero (every constructor
+            // keeps that), so or-ing the shifted words in is exact.
+            for &word in &src.bits {
+                let last = self.bits.len() - 1;
+                self.bits[last] |= word << shift;
+                self.bits.push(word >> (64 - shift));
+            }
+            self.bits.truncate(len.div_ceil(64));
+        }
+        self.len = len;
+        self.ones += src.ones;
+    }
+
     /// Number of one bits.
     pub fn count_ones(&self) -> usize {
         self.ones
@@ -111,9 +155,15 @@ impl Bitmap {
     }
 
     /// Rebuilds a bitmap from raw words and a bit length (spill
-    /// deserialization); the ones count is recomputed.
-    pub(crate) fn from_words(bits: Vec<u64>, len: usize) -> Bitmap {
+    /// deserialization); the ones count is recomputed and stray bits past
+    /// `len` are cleared.
+    pub(crate) fn from_words(mut bits: Vec<u64>, len: usize) -> Bitmap {
         debug_assert_eq!(bits.len(), len.div_ceil(64));
+        if !len.is_multiple_of(64) {
+            if let Some(last) = bits.last_mut() {
+                *last &= (1u64 << (len % 64)) - 1;
+            }
+        }
         let ones = bits.iter().map(|w| w.count_ones() as usize).sum();
         Bitmap { bits, len, ones }
     }
@@ -260,6 +310,21 @@ impl StrDict {
             .expect("string dictionary exceeds the u32 offset space of one batch");
         self.offsets.push(end);
         (self.offsets.len() - 2) as u32
+    }
+
+    /// The dictionary of the given (distinct) entries, in the given order,
+    /// allocated exactly once.
+    fn select(&self, entries: &[u32]) -> StrDict {
+        let total: usize = entries.iter().map(|e| self.entry_len(*e as usize)).sum();
+        let mut bytes = String::with_capacity(total);
+        let mut offsets: Vec<u32> = Vec::with_capacity(entries.len() + 1);
+        offsets.push(0);
+        for e in entries {
+            bytes.push_str(self.get(*e as usize));
+            // A subset of this dictionary's bytes: within its u32 space.
+            offsets.push(bytes.len() as u32);
+        }
+        StrDict { bytes, offsets }
     }
 
     /// Byte length of entry `i`.
@@ -531,6 +596,29 @@ pub(crate) fn build_column(slots: &[Option<&Value>]) -> Column {
     }
 }
 
+/// A row index of a gather: a dense row number, or an optional one whose
+/// `None` stands for a NULL/absent output row. Generic so the dense case
+/// (`take`, shuffle pieces, join sides without misses) compiles to a loop
+/// with no `Option` in it.
+pub trait GatherIndex: Copy {
+    /// The source row, if any.
+    fn row(self) -> Option<usize>;
+}
+
+impl GatherIndex for usize {
+    #[inline]
+    fn row(self) -> Option<usize> {
+        Some(self)
+    }
+}
+
+impl GatherIndex for Option<usize> {
+    #[inline]
+    fn row(self) -> Option<usize> {
+        self
+    }
+}
+
 fn build_column_owned(slots: &[Option<Value>]) -> Column {
     let refs: Vec<Option<&Value>> = slots.iter().map(Option::as_ref).collect();
     build_column(&refs)
@@ -687,6 +775,21 @@ impl Column {
         self.absent().any()
     }
 
+    /// True when no row is NULL or absent.
+    pub(crate) fn all_valid(&self) -> bool {
+        match self {
+            Column::Int { nulls, absent, .. }
+            | Column::Real { nulls, absent, .. }
+            | Column::Bool { nulls, absent, .. }
+            | Column::Date { nulls, absent, .. }
+            | Column::Str { nulls, absent, .. }
+            | Column::Bag { nulls, absent, .. } => !nulls.any() && !absent.any(),
+            Column::Other { values, absent } => {
+                !absent.any() && !values.iter().any(|v| matches!(v, Value::Null))
+            }
+        }
+    }
+
     /// Number of rows whose tuple carries the attribute (present, possibly
     /// NULL).
     pub fn present_count(&self) -> usize {
@@ -786,10 +889,11 @@ impl Column {
         out
     }
 
-    /// Gathers rows by index. `None` entries produce an absent row when
-    /// `none_absent` is set, else an explicit NULL row — the two
-    /// null-extension flavours of outer joins.
-    pub fn gather(&self, idx: &[Option<usize>], none_absent: bool) -> Column {
+    /// Gathers rows by index. Indices are dense row numbers (`usize`) or
+    /// optional ones (`Option<usize>`), whose `None` entries produce an
+    /// absent row when `none_absent` is set, else an explicit NULL row — the
+    /// two null-extension flavours of outer joins.
+    pub fn gather<I: GatherIndex>(&self, idx: &[I], none_absent: bool) -> Column {
         let n = idx.len();
         let mut out_nulls = Bitmap::zeros(n);
         let mut out_absent = Bitmap::zeros(n);
@@ -801,19 +905,22 @@ impl Column {
             }
         };
         // One loop body serves every primitive vector; only the variant and
-        // the placeholder differ.
+        // the placeholder differ. An all-valid source skips the bitmap reads.
         macro_rules! gather_prim {
             ($variant:ident, $data:expr, $nulls:expr, $absent:expr, $default:expr) => {{
+                let masked = $nulls.any() || $absent.any();
                 let mut out = Vec::with_capacity(n);
                 for (slot, ix) in idx.iter().enumerate() {
-                    match ix {
+                    match ix.row() {
                         Some(i) => {
-                            out.push($data[*i]);
-                            if $nulls.get(*i) {
-                                out_nulls.set(slot);
-                            }
-                            if $absent.get(*i) {
-                                out_absent.set(slot);
+                            out.push($data[i]);
+                            if masked {
+                                if $nulls.get(i) {
+                                    out_nulls.set(slot);
+                                }
+                                if $absent.get(i) {
+                                    out_absent.set(slot);
+                                }
                             }
                         }
                         None => {
@@ -857,26 +964,30 @@ impl Column {
                 absent,
             } => {
                 // Shrink the dictionary to the codes that survive the gather
-                // so the physical accounting stays exact after filters.
+                // so the physical accounting stays exact after filters:
+                // codes are renumbered in first-use order here, the entries'
+                // bytes are copied once, exactly sized, at the end.
+                let masked = nulls.any() || absent.any();
                 let mut remap: Vec<u32> = vec![u32::MAX; dict.len()];
-                let mut out_dict = StrDict::new();
+                let mut kept: Vec<u32> = Vec::new();
                 let mut out_codes: Vec<u32> = Vec::with_capacity(n);
                 for (slot, ix) in idx.iter().enumerate() {
-                    match ix {
+                    match ix.row() {
+                        Some(i) if masked && nulls.get(i) => {
+                            out_nulls.set(slot);
+                            out_codes.push(0);
+                        }
+                        Some(i) if masked && absent.get(i) => {
+                            out_absent.set(slot);
+                            out_codes.push(0);
+                        }
                         Some(i) => {
-                            if nulls.get(*i) {
-                                out_nulls.set(slot);
-                                out_codes.push(0);
-                            } else if absent.get(*i) {
-                                out_absent.set(slot);
-                                out_codes.push(0);
-                            } else {
-                                let old = codes[*i] as usize;
-                                if remap[old] == u32::MAX {
-                                    remap[old] = out_dict.push(dict.get(old));
-                                }
-                                out_codes.push(remap[old]);
+                            let old = codes[i] as usize;
+                            if remap[old] == u32::MAX {
+                                remap[old] = kept.len() as u32;
+                                kept.push(old as u32);
                             }
+                            out_codes.push(remap[old]);
                         }
                         None => {
                             out_codes.push(0);
@@ -885,7 +996,7 @@ impl Column {
                     }
                 }
                 Column::Str {
-                    dict: out_dict,
+                    dict: dict.select(&kept),
                     codes: out_codes,
                     nulls: out_nulls,
                     absent: out_absent,
@@ -899,18 +1010,16 @@ impl Column {
             } => {
                 let mut out_offsets: Vec<u32> = Vec::with_capacity(n + 1);
                 out_offsets.push(0);
-                let mut elem_idx: Vec<Option<usize>> = Vec::new();
+                let mut elem_idx: Vec<usize> = Vec::new();
                 for (slot, ix) in idx.iter().enumerate() {
-                    match ix {
+                    match ix.row() {
                         Some(i) => {
-                            if nulls.get(*i) {
+                            if nulls.get(i) {
                                 out_nulls.set(slot);
-                            } else if absent.get(*i) {
+                            } else if absent.get(i) {
                                 out_absent.set(slot);
                             } else {
-                                for j in offsets[*i] as usize..offsets[*i + 1] as usize {
-                                    elem_idx.push(Some(j));
-                                }
+                                elem_idx.extend(offsets[i] as usize..offsets[i + 1] as usize);
                             }
                         }
                         None => fill_missing(slot, &mut out_nulls, &mut out_absent),
@@ -918,13 +1027,10 @@ impl Column {
                     out_offsets.push(elem_idx.len() as u32);
                 }
                 let out_elems = match elems {
-                    BagElems::Rows(b) => BagElems::Rows(Box::new(b.take_opt(&elem_idx, true))),
-                    BagElems::Values(v) => BagElems::Values(
-                        elem_idx
-                            .iter()
-                            .map(|j| v[j.expect("bag element gathers are dense")].clone())
-                            .collect(),
-                    ),
+                    BagElems::Rows(b) => BagElems::Rows(Box::new(b.take(&elem_idx))),
+                    BagElems::Values(v) => {
+                        BagElems::Values(elem_idx.iter().map(|j| v[*j].clone()).collect())
+                    }
                 };
                 Column::Bag {
                     offsets: out_offsets,
@@ -936,10 +1042,10 @@ impl Column {
             Column::Other { values, absent } => {
                 let mut out = Vec::with_capacity(n);
                 for (slot, ix) in idx.iter().enumerate() {
-                    match ix {
+                    match ix.row() {
                         Some(i) => {
-                            out.push(values[*i].clone());
-                            if absent.get(*i) {
+                            out.push(values[i].clone());
+                            if absent.get(i) {
                                 out_absent.set(slot);
                             }
                         }
@@ -959,162 +1065,148 @@ impl Column {
         }
     }
 
-    /// Appends `other` in place when the variants are compatible; returns
-    /// `false` (leaving `self` unspecified-but-valid) when the caller must
-    /// rebuild from values instead.
-    fn append(&mut self, other: &Column) -> bool {
-        fn extend_bitmap(dst: &mut Bitmap, src: &Bitmap) {
-            for i in 0..src.len() {
-                dst.push(src.get(i));
-            }
-        }
-        // The four primitive vectors share one append body.
-        macro_rules! append_prim {
-            ($data:ident, $nulls:ident, $absent:ident, $d2:ident, $n2:ident, $a2:ident) => {{
-                $data.extend_from_slice($d2);
-                extend_bitmap($nulls, $n2);
-                extend_bitmap($absent, $a2);
-                true
+    /// Concatenates same-variant columns in one pass: exact `reserve`, one
+    /// dictionary lookup table built once across all string pieces, word-wise
+    /// bitmap appends. `None` when the variants differ (the caller rebuilds
+    /// from values instead).
+    fn concat(cols: &[&Column]) -> Option<Column> {
+        let rows: usize = cols.iter().map(|c| c.len()).sum();
+        // The four primitive vectors share one body.
+        macro_rules! concat_prim {
+            ($variant:ident, $t:ty) => {{
+                let mut out: Vec<$t> = Vec::with_capacity(rows);
+                let mut out_nulls = Bitmap::zeros(0);
+                let mut out_absent = Bitmap::zeros(0);
+                for col in cols {
+                    let Column::$variant {
+                        data,
+                        nulls,
+                        absent,
+                    } = col
+                    else {
+                        return None;
+                    };
+                    out.extend_from_slice(data);
+                    out_nulls.extend_from(nulls);
+                    out_absent.extend_from(absent);
+                }
+                Some(Column::$variant {
+                    data: out,
+                    nulls: out_nulls,
+                    absent: out_absent,
+                })
             }};
         }
-        match (self, other) {
-            (
-                Column::Int {
-                    data,
-                    nulls,
-                    absent,
-                },
-                Column::Int {
-                    data: d2,
-                    nulls: n2,
-                    absent: a2,
-                },
-            ) => append_prim!(data, nulls, absent, d2, n2, a2),
-            (
-                Column::Date {
-                    data,
-                    nulls,
-                    absent,
-                },
-                Column::Date {
-                    data: d2,
-                    nulls: n2,
-                    absent: a2,
-                },
-            ) => append_prim!(data, nulls, absent, d2, n2, a2),
-            (
-                Column::Real {
-                    data,
-                    nulls,
-                    absent,
-                },
-                Column::Real {
-                    data: d2,
-                    nulls: n2,
-                    absent: a2,
-                },
-            ) => append_prim!(data, nulls, absent, d2, n2, a2),
-            (
-                Column::Bool {
-                    data,
-                    nulls,
-                    absent,
-                },
-                Column::Bool {
-                    data: d2,
-                    nulls: n2,
-                    absent: a2,
-                },
-            ) => append_prim!(data, nulls, absent, d2, n2, a2),
-            (
-                Column::Str {
-                    dict,
-                    codes,
-                    nulls,
-                    absent,
-                },
-                Column::Str {
-                    dict: dict2,
-                    codes: codes2,
-                    nulls: n2,
-                    absent: a2,
-                },
-            ) => {
-                let lookup: HashMap<&str, u32> = dict
-                    .iter()
-                    .enumerate()
-                    .map(|(i, s)| (s, i as u32))
-                    .collect();
-                // Entries of `dict2` are distinct among themselves, so a
-                // fresh (unseen) entry never needs to be looked up again.
-                let mut remap: Vec<u32> = Vec::with_capacity(dict2.len());
-                let mut fresh: Vec<String> = Vec::new();
-                for s in dict2.iter() {
-                    match lookup.get(s) {
-                        Some(code) => remap.push(*code),
-                        None => {
-                            remap.push((dict.len() + fresh.len()) as u32);
-                            fresh.push(s.to_string());
-                        }
-                    }
-                }
-                drop(lookup);
-                for s in fresh {
-                    dict.push(&s);
-                }
-                for (i, c) in codes2.iter().enumerate() {
-                    if n2.get(i) || a2.get(i) {
-                        codes.push(0);
+        match cols.first()? {
+            Column::Int { .. } => concat_prim!(Int, i64),
+            Column::Date { .. } => concat_prim!(Date, i64),
+            Column::Real { .. } => concat_prim!(Real, f64),
+            Column::Bool { .. } => concat_prim!(Bool, bool),
+            Column::Str { .. } => {
+                let entries = |c: &&Column| match c {
+                    Column::Str { dict, .. } => dict.len(),
+                    _ => 0,
+                };
+                let mut out_dict = StrDict::new();
+                let mut lookup: HashMap<&str, u32> =
+                    HashMap::with_capacity(cols.iter().map(entries).sum());
+                let mut out_codes: Vec<u32> = Vec::with_capacity(rows);
+                let mut out_nulls = Bitmap::zeros(0);
+                let mut out_absent = Bitmap::zeros(0);
+                let mut remap: Vec<u32> = Vec::new();
+                for col in cols {
+                    let Column::Str {
+                        dict,
+                        codes,
+                        nulls,
+                        absent,
+                    } = col
+                    else {
+                        return None;
+                    };
+                    remap.clear();
+                    remap.extend(
+                        dict.iter()
+                            .map(|s| *lookup.entry(s).or_insert_with(|| out_dict.push(s))),
+                    );
+                    if nulls.any() || absent.any() {
+                        // NULL/absent lanes hold placeholder codes that need
+                        // not index the (possibly empty) dictionary.
+                        out_codes.extend(codes.iter().enumerate().map(|(i, c)| {
+                            if nulls.get(i) || absent.get(i) {
+                                0
+                            } else {
+                                remap[*c as usize]
+                            }
+                        }));
                     } else {
-                        codes.push(remap[*c as usize]);
+                        out_codes.extend(codes.iter().map(|c| remap[*c as usize]));
                     }
+                    out_nulls.extend_from(nulls);
+                    out_absent.extend_from(absent);
                 }
-                extend_bitmap(nulls, n2);
-                extend_bitmap(absent, a2);
-                true
+                Some(Column::Str {
+                    dict: out_dict,
+                    codes: out_codes,
+                    nulls: out_nulls,
+                    absent: out_absent,
+                })
             }
-            (
-                Column::Bag {
-                    offsets,
+            Column::Bag { elems: first, .. } => {
+                let mut out_offsets: Vec<u32> = Vec::with_capacity(rows + 1);
+                out_offsets.push(0);
+                let mut out_nulls = Bitmap::zeros(0);
+                let mut out_absent = Bitmap::zeros(0);
+                let mut child_rows: Vec<&Batch> = Vec::new();
+                let mut child_values: Vec<Value> = Vec::new();
+                for col in cols {
+                    let Column::Bag {
+                        offsets,
+                        elems,
+                        nulls,
+                        absent,
+                    } = col
+                    else {
+                        return None;
+                    };
+                    match (first, elems) {
+                        (BagElems::Rows(_), BagElems::Rows(b)) => child_rows.push(b),
+                        (BagElems::Values(_), BagElems::Values(v)) => {
+                            child_values.extend(v.iter().cloned())
+                        }
+                        _ => return None,
+                    }
+                    let base = *out_offsets.last().expect("offsets start at 0");
+                    out_offsets.extend(offsets.iter().skip(1).map(|o| o + base));
+                    out_nulls.extend_from(nulls);
+                    out_absent.extend_from(absent);
+                }
+                let elems = match first {
+                    BagElems::Rows(_) => BagElems::Rows(Box::new(Batch::concat_refs(&child_rows))),
+                    BagElems::Values(_) => BagElems::Values(child_values),
+                };
+                Some(Column::Bag {
+                    offsets: out_offsets,
                     elems,
-                    nulls,
-                    absent,
-                },
-                Column::Bag {
-                    offsets: o2,
-                    elems: e2,
-                    nulls: n2,
-                    absent: a2,
-                },
-            ) => {
-                match (elems, e2) {
-                    (BagElems::Rows(b1), BagElems::Rows(b2)) => {
-                        let merged = Batch::concat(&[std::mem::take(b1.as_mut()), (**b2).clone()]);
-                        **b1 = merged;
-                    }
-                    (BagElems::Values(v1), BagElems::Values(v2)) => {
-                        v1.extend(v2.iter().cloned());
-                    }
-                    _ => return false,
+                    nulls: out_nulls,
+                    absent: out_absent,
+                })
+            }
+            Column::Other { .. } => {
+                let mut out: Vec<Value> = Vec::with_capacity(rows);
+                let mut out_absent = Bitmap::zeros(0);
+                for col in cols {
+                    let Column::Other { values, absent } = col else {
+                        return None;
+                    };
+                    out.extend(values.iter().cloned());
+                    out_absent.extend_from(absent);
                 }
-                let base = *offsets.last().expect("offsets start at 0");
-                offsets.extend(o2.iter().skip(1).map(|o| o + base));
-                extend_bitmap(nulls, n2);
-                extend_bitmap(absent, a2);
-                true
+                Some(Column::Other {
+                    values: out,
+                    absent: out_absent,
+                })
             }
-            (
-                Column::Other { values, absent },
-                Column::Other {
-                    values: v2,
-                    absent: a2,
-                },
-            ) => {
-                values.extend(v2.iter().cloned());
-                extend_bitmap(absent, a2);
-                true
-            }
-            _ => false,
         }
     }
 
@@ -1428,14 +1520,24 @@ impl Batch {
 
     /// Gathers the given rows into a new batch.
     pub fn take(&self, idx: &[usize]) -> Batch {
-        let opt: Vec<Option<usize>> = idx.iter().map(|i| Some(*i)).collect();
-        self.take_opt(&opt, true)
+        self.gather(idx, true)
     }
 
     /// Gathers rows with optional indices: `None` rows come out all-absent
     /// (`none_absent`) or all-NULL — the right-side null extension of outer
     /// joins.
     pub fn take_opt(&self, idx: &[Option<usize>], none_absent: bool) -> Batch {
+        self.gather(idx, none_absent)
+    }
+
+    fn gather<I: GatherIndex>(&self, idx: &[I], none_absent: bool) -> Batch {
+        // Every row, in order (an all-true filter, the probe side of a
+        // foreign-key join): share the columns instead of copying them.
+        // Gathers and concats keep dictionaries shrunk to what a batch uses,
+        // so the copy would come out identical.
+        if idx.len() == self.rows && idx.iter().enumerate().all(|(i, ix)| ix.row() == Some(i)) {
+            return self.clone();
+        }
         let columns: Vec<Arc<Column>> = self
             .columns
             .iter()
@@ -1460,10 +1562,16 @@ impl Batch {
     }
 
     /// Concatenates batches into one. Batches with identical schemas append
-    /// column buffers directly; mixed schemas fall back to a value-level
-    /// rebuild (the row engine's union cost).
+    /// column buffers directly — a single n-way pass per column, see
+    /// `Column::concat`; mixed schemas fall back to a value-level rebuild
+    /// (the row engine's union cost).
     pub fn concat(batches: &[Batch]) -> Batch {
-        let nonempty: Vec<&Batch> = batches.iter().filter(|b| !b.is_empty()).collect();
+        Batch::concat_refs(&batches.iter().collect::<Vec<_>>())
+    }
+
+    /// [`Batch::concat`] over borrowed batches.
+    pub(crate) fn concat_refs(batches: &[&Batch]) -> Batch {
+        let nonempty: Vec<&Batch> = batches.iter().copied().filter(|b| !b.is_empty()).collect();
         match nonempty.len() {
             0 => {
                 // Preserve a schema if any input has one.
@@ -1471,7 +1579,7 @@ impl Batch {
                     .iter()
                     .find(|b| !b.schema.fields().is_empty())
                     .or(batches.first())
-                    .cloned()
+                    .map(|b| (*b).clone())
                     .unwrap_or_default();
             }
             1 => return nonempty[0].clone(),
@@ -1483,23 +1591,18 @@ impl Batch {
                 .iter()
                 .all(|b| !b.schema.is_opaque() && b.schema.fields() == first.schema.fields())
         {
-            let mut columns = first.columns.clone();
-            let mut rows = first.rows;
-            let mut ok = true;
-            'append: for b in &nonempty[1..] {
-                for (c, col) in columns.iter_mut().enumerate() {
-                    if !Arc::make_mut(col).append(&b.columns[c]) {
-                        ok = false;
-                        break 'append;
-                    }
-                }
-                rows += b.rows;
-            }
-            if ok {
+            let columns: Option<Vec<Arc<Column>>> = (0..first.columns.len())
+                .map(|c| {
+                    let pieces: Vec<&Column> =
+                        nonempty.iter().map(|b| b.columns[c].as_ref()).collect();
+                    Column::concat(&pieces).map(Arc::new)
+                })
+                .collect();
+            if let Some(columns) = columns {
                 return Batch {
                     schema: first.schema.clone(),
                     columns,
-                    rows,
+                    rows: nonempty.iter().map(|b| b.rows).sum(),
                 };
             }
         }

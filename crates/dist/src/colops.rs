@@ -18,6 +18,31 @@
 //!   the row-equivalent logical estimate, so row-vs-columnar byte cells are
 //!   directly comparable.
 //!
+//! ## Keys
+//!
+//! The breakers never box a key per row. Shuffle routing, Grace salting,
+//! join build/probe, `Γ+`, `Γ⊎` and heavy-key detection/split all go through
+//! `keys.rs`: the key columns are resolved once per batch and hashed
+//! into one `Vec<u64>` plus a validity mask, and chained index tables over
+//! row numbers do the matching and grouping with typed, column-wise equality
+//! on collision. That module states the contract — the hash **is** the
+//! partition hash of the boxed key, a row is valid when no key lane is NULL
+//! or absent, equality is `Value::cmp`'s — and where the by-reference
+//! fallback applies (`Other` key columns such as labels; sum columns that
+//! are not `Int`/`Real`). What follows from it here:
+//!
+//! * a join's shuffle ships only valid rows — nothing is filtered into a
+//!   copy first — while a grouping's shuffle ships every row, NULL standing
+//!   in for a NULL or absent lane;
+//! * shuffle pieces are dense `take(&[usize])` gathers, one per source chunk
+//!   × target, and each target merges what it received on the worker pool
+//!   ([`Batch::concat`] is one n-way pass);
+//! * `Γ+` accumulates into typed `i64`/`f64` slots with `numeric_add`'s
+//!   semantics and, like `Γ⊎`, emits `take(first row of each group)` for the
+//!   key columns next to directly built sum / bag columns;
+//! * partition assignment, logical and physical shuffle bytes and output
+//!   row order are exactly those of the boxed definition.
+//!
 //! Broadcast planning and the simulated per-worker memory cap use the
 //! *logical* (row-equivalent) sizes on purpose: both representations make
 //! identical planning decisions and fail the same FAIL runs; only the
@@ -47,9 +72,9 @@
 //!   to disk once they outgrow the partition budget.
 
 use std::borrow::Cow;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 use trance_nrc::{Bag, Tuple, Value};
@@ -60,8 +85,9 @@ use crate::error::{ExecError, Result};
 use crate::exchange::{allgather_u64, global_sum, owned_range, owner_of_partition, Exchange};
 use crate::fault::{with_retry, FaultSite};
 use crate::join::{JoinKind, JoinSpec};
+use crate::keys::{group_rows, KeyCols, KeyCounts, KeyHashes, RowTable};
 use crate::ops::DistCollection;
-use crate::partition::{hash_key, hash_value, run_partitioned, PartRows};
+use crate::partition::{hash_value, run_partitioned, PartRows};
 use crate::scheduler::MorselCtx;
 use crate::spill::{batch_frames, read_batches, spill_batch, SpillChunkWriter, SpilledBatches};
 use crate::stats::JoinStrategy;
@@ -555,8 +581,11 @@ impl ColCollection {
     /// in one partition, then deduplicates per partition.
     pub fn distinct(&self) -> Result<ColCollection> {
         self.timed("distinct", || {
-            let shuffled = shuffle_batches(&self.ctx, &self.parts, |b, i| {
-                Ok(hash_value(&b.row_value(i)))
+            let shuffled = shuffle_batches(&self.ctx, &self.parts, |b| {
+                Ok(KeyHashes {
+                    hashes: (0..b.rows()).map(|i| hash_value(&b.row_value(i))).collect(),
+                    valid: None,
+                })
             })?;
             let parts = run_partitioned(&self.ctx, &shuffled, |_, part| {
                 let b = part.batch(&self.ctx)?;
@@ -621,15 +650,13 @@ impl ColCollection {
     }
 
     fn nest_sum_untimed(&self, key: &[String], values: &[String]) -> Result<ColCollection> {
-        // Map-side partials stream chunk by chunk into one accumulator per
-        // partition (algebraic aggregation: chunk order cannot matter).
+        // Map-side partials: one typed accumulation per chunk, re-aggregated
+        // across chunks (algebraic aggregation: chunk order cannot matter).
         let partials = run_partitioned(&self.ctx, &self.parts, |_, part| {
-            sum_chunks(part.chunks(&self.ctx)?, key, values, false)
+            sum_chunks(part.chunks(&self.ctx)?, key, values)
         })?;
         let partials: Vec<ColPart> = partials.into_iter().map(ColPart::Mem).collect();
-        let shuffled = shuffle_batches(&self.ctx, &partials, |b, i| {
-            Ok(hash_key(&routing_key(b, i, key)))
-        })?;
+        let shuffled = shuffle_batches(&self.ctx, &partials, route_all_rows(key))?;
         let parts = run_partitioned(&self.ctx, &shuffled, |_, part| {
             self.grouped_part(part, key, |b| sum_batch(b, key, values, true))
         })?;
@@ -646,9 +673,7 @@ impl ColCollection {
         out_attr: &str,
     ) -> Result<ColCollection> {
         self.timed("nest_bag", || {
-            let shuffled = shuffle_batches(&self.ctx, &self.parts, |b, i| {
-                Ok(hash_key(&routing_key(b, i, key)))
-            })?;
+            let shuffled = shuffle_batches(&self.ctx, &self.parts, route_all_rows(key))?;
             let parts = run_partitioned(&self.ctx, &shuffled, |_, part| {
                 self.grouped_part(part, key, |b| nest_bag_batch(b, key, value_attrs, out_attr))
             })?;
@@ -667,12 +692,12 @@ impl ColCollection {
         finalize: impl Fn(&Batch) -> Result<Batch>,
     ) -> Result<ColPart> {
         let ctx = &self.ctx;
-        if !ctx.spill_active() || part.logical_bytes() <= op_budget(ctx) {
+        let budget = op_budget(ctx);
+        if !ctx.spill_active() || part.logical_bytes() <= budget {
             return Ok(ColPart::Mem(finalize(part.batch(ctx)?.as_ref())?));
         }
-        let buckets = spill_split(ctx, part, op_budget(ctx), |b, i| {
-            Ok(salted(hash_key(&routing_key(b, i, key))))
-        })?;
+        let fanout = grace_fanout(part.logical_bytes(), budget);
+        let buckets = spill_split(ctx, part, fanout, key)?;
         let mut builder = PartBuilder::new(ctx);
         for bucket in &buckets {
             let b = read_batches(ctx, bucket)?;
@@ -702,9 +727,8 @@ impl ColCollection {
             if heavy.is_empty() {
                 return self.join(right, spec);
             }
-            let keys = Arc::new(heavy);
-            let (left_light, left_heavy) = split_by_keys_col(self, spec.left_keys(), &keys)?;
-            let (right_light, right_heavy) = split_by_keys_col(right, spec.right_keys(), &keys)?;
+            let (left_light, left_heavy) = split_by_keys_col(self, spec.left_keys(), &heavy)?;
+            let (right_light, right_heavy) = split_by_keys_col(right, spec.right_keys(), &heavy)?;
             let light = left_light.join(&right_light, spec)?;
             let limit = self.ctx.config().broadcast_limit;
             let heavy = if planning_logical_bytes(&right_heavy)? <= limit {
@@ -734,8 +758,7 @@ impl ColCollection {
             if heavy.is_empty() {
                 return self.nest_sum(key, values);
             }
-            let keys = Arc::new(heavy);
-            let (light, heavy) = split_by_keys_col(self, key, &keys)?;
+            let (light, heavy) = split_by_keys_col(self, key, &heavy)?;
             light
                 .nest_sum(key, values)?
                 .union(&heavy.nest_sum(key, values)?)
@@ -804,13 +827,13 @@ impl ColCollection {
                         for chunk in part.chunks(ctx)? {
                             morsels.fetch_add(1, Ordering::Relaxed);
                             let out = run_morsel(ctx, &step, &chunk?, &mut cx)?;
-                            sink.lock().unwrap().push(next, out);
+                            lock_sink(sink).push(next, out);
                             next += 1;
                         }
                         Ok(())
                     };
                     if let Err(e) = run() {
-                        sink.lock().unwrap().fail(e);
+                        lock_sink(sink).fail(e);
                     }
                 })),
                 ColPart::Mem(batch) if sequential || !split || batch.rows() <= MORSEL_ROWS => tasks
@@ -818,8 +841,8 @@ impl ColCollection {
                         let mut cx = MorselCtx::new(p, stride);
                         morsels.fetch_add(1, Ordering::Relaxed);
                         match run_morsel(ctx, &step, batch, &mut cx) {
-                            Ok(out) => sink.lock().unwrap().push(0, out),
-                            Err(e) => sink.lock().unwrap().fail(e),
+                            Ok(out) => lock_sink(sink).push(0, out),
+                            Err(e) => lock_sink(sink).fail(e),
                         }
                     })),
                 // Large resident partition: independent row-range morsels,
@@ -835,8 +858,8 @@ impl ColCollection {
                             let mut cx = MorselCtx::new(p, stride);
                             morsels.fetch_add(1, Ordering::Relaxed);
                             match run_morsel(ctx, &step, &morsel, &mut cx) {
-                                Ok(out) => sink.lock().unwrap().push(m, out),
-                                Err(e) => sink.lock().unwrap().fail(e),
+                                Ok(out) => lock_sink(sink).push(m, out),
+                                Err(e) => lock_sink(sink).fail(e),
                             }
                         }));
                     }
@@ -856,7 +879,12 @@ impl ColCollection {
 
         let mut parts = Vec::with_capacity(self.parts.len());
         for (p, sink) in sinks.into_iter().enumerate() {
-            match sink.into_inner().unwrap().finish() {
+            // A sink poisoned by a panicking morsel holds unknown state; the
+            // scope above re-raises that panic, so this is belt and braces.
+            let sink = sink.into_inner().map_err(|_| {
+                ExecError::Other(format!("pipeline sink of partition {p} was poisoned"))
+            })?;
+            match sink.finish() {
                 Ok(part) => parts.push(part),
                 // Lineage recovery: a partition whose morsel outputs were
                 // lost to a retry-exhausted transient fault re-runs the
@@ -881,6 +909,14 @@ impl ColCollection {
             .record_pipeline(label, ops, morsels.load(Ordering::Relaxed), start.elapsed());
         ColCollection::materialize_parts(self.ctx.clone(), parts)
     }
+}
+
+/// Locks a pipeline sink, recovering the guard when a sibling morsel panicked
+/// while holding it: the scope re-raises that *first* panic once every task
+/// settled, and a second panic here would only mask it (the scheduler's
+/// deques recover the same way).
+fn lock_sink<'s, 'a>(sink: &'s Mutex<ColMorselSink<'a>>) -> MutexGuard<'s, ColMorselSink<'a>> {
+    sink.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// Executes one morsel of a fused pipeline with the fault-tolerance
@@ -997,34 +1033,38 @@ fn enforce_memory_col(ctx: &DistContext, parts: &[ColPart]) -> Result<()> {
     Ok(())
 }
 
-/// The equi-join / grouping key of one batch row: `None` when any key column
-/// is NULL or absent (such rows can never satisfy an equality).
-fn key_at(b: &Batch, i: usize, cols: &[String]) -> Option<Vec<Value>> {
-    let mut key = Vec::with_capacity(cols.len());
-    for c in cols {
-        match b.value_at(i, c) {
-            None | Some(Value::Null) => return None,
-            Some(v) => key.push(v),
+/// Shuffle routing of a join side: rows hash by key, and only rows whose key
+/// is valid (no NULL or absent lane — such rows can never satisfy an
+/// equality) are shipped.
+fn route_valid_keys(cols: &[String]) -> impl Fn(&Batch) -> Result<KeyHashes> + Send + Sync + '_ {
+    move |b| {
+        tuple_rows_required(b)?;
+        Ok(KeyCols::resolve(b, cols).hashes())
+    }
+}
+
+/// Shuffle routing of a grouping: every row ships, NULL standing in for a
+/// NULL or absent key lane (a stable stand-in is enough to route).
+fn route_all_rows(cols: &[String]) -> impl Fn(&Batch) -> Result<KeyHashes> + Send + Sync + '_ {
+    move |b| {
+        Ok(KeyHashes {
+            valid: None,
+            ..KeyCols::resolve(b, cols).hashes()
+        })
+    }
+}
+
+/// Row indices of `keys`' valid rows, bucketed by `target(hash)`.
+fn bucket_rows(keys: &KeyHashes, targets: usize, target: impl Fn(u64) -> u64) -> Vec<Vec<usize>> {
+    // Sized for an even spread, so the pushes rarely regrow.
+    let expected = keys.hashes.len() / targets.max(1) + 8;
+    let mut buckets: Vec<Vec<usize>> = (0..targets).map(|_| Vec::with_capacity(expected)).collect();
+    for (i, h) in keys.hashes.iter().enumerate() {
+        if keys.is_valid(i) {
+            buckets[(target(*h) % targets as u64) as usize].push(i);
         }
     }
-    Some(key)
-}
-
-/// Routing key for grouping shuffles: NULL stands in for missing columns
-/// (a stable stand-in is enough to route).
-fn routing_key(b: &Batch, i: usize, cols: &[String]) -> Vec<Value> {
-    cols.iter()
-        .map(|c| b.value_at(i, c).unwrap_or(Value::Null))
-        .collect()
-}
-
-/// The grouping key tuple of a row: key columns in `key` order, missing
-/// columns skipped (mirrors the row engine's `project_tuple`).
-fn group_key_tuple(b: &Batch, i: usize, key: &[String]) -> Tuple {
-    Tuple::new(
-        key.iter()
-            .filter_map(|c| b.value_at(i, c).map(|v| (c.clone(), v))),
-    )
+    buckets
 }
 
 /// Salts a routing hash so Grace sub-partitioning decorrelates from the
@@ -1038,35 +1078,65 @@ fn salted(h: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Sub-partitions one partition into on-disk buckets by a per-row hash —
-/// the Grace fan-out shared by the external hash join and the spilling
-/// grouping. The fan-out is sized so each bucket fits the operator budget.
-fn spill_split<F>(
-    ctx: &DistContext,
-    part: &ColPart,
-    budget: usize,
-    route: F,
-) -> Result<Vec<SpilledBatches>>
-where
-    F: Fn(&Batch, usize) -> Result<u64>,
-{
-    let fanout = (part.logical_bytes() / budget.max(1) + 1)
-        .next_power_of_two()
-        .clamp(2, 32);
-    spill_split_fanout(ctx, part, fanout, route)
+/// The Grace fan-out for `bytes` of input under an operator `budget`: sized
+/// so each bucket fits the budget.
+fn grace_fanout(bytes: usize, budget: usize) -> usize {
+    (bytes / budget.max(1) + 1).next_power_of_two().clamp(2, 32)
 }
 
-/// Repartitions batch rows by a per-row hash, metering the move as a shuffle
-/// with both logical (row-equivalent) and exact physical buffer bytes.
+/// Sub-partitions one partition into `fanout` on-disk buckets by the salted
+/// hash of its `cols` key — the Grace fan-out shared by the external hash
+/// join (both sides take the same `fanout`, so bucket pairs align) and the
+/// spilling grouping.
+fn spill_split(
+    ctx: &DistContext,
+    part: &ColPart,
+    fanout: usize,
+    cols: &[String],
+) -> Result<Vec<SpilledBatches>> {
+    let mut writers: Vec<SpillChunkWriter> = (0..fanout)
+        .map(|_| SpillChunkWriter::new(ctx))
+        .collect::<Result<_>>()?;
+    for chunk in part.chunks(ctx)? {
+        let b = chunk?;
+        let keys = route_all_rows(cols)(&b)?;
+        for (f, idx) in bucket_rows(&keys, fanout, salted).iter().enumerate() {
+            if !idx.is_empty() {
+                writers[f].push(ctx, &b.take(idx))?;
+            }
+        }
+    }
+    writers.into_iter().map(|w| w.finish(ctx)).collect()
+}
+
+/// The shuffle pieces one target partition received. The target's merge task
+/// frees them on its worker once merged — a shuffle ships thousands of small
+/// pieces, and dropping them all on the calling thread afterwards would
+/// serialize that — but only then, so a recovery re-run still finds them.
+struct Received {
+    rows: usize,
+    pieces: Mutex<Vec<Batch>>,
+}
+
+impl PartRows for Received {
+    fn part_rows(&self) -> usize {
+        self.rows
+    }
+}
+
+/// Repartitions batch rows by `route`'s hash vector (rows its validity mask
+/// clears are not shipped), metering the move as a shuffle with both logical
+/// (row-equivalent) and exact physical buffer bytes.
 ///
 /// This is the **spilling shuffle writer**: resident source partitions ship
 /// one piece per target exactly as before, spilled sources stream chunk by
 /// chunk, and a receiving partition whose accumulated pieces exceed its
 /// budget is written to disk frame by frame instead of concatenated in
-/// memory.
+/// memory. Both sides run on the worker pool: sources route and gather their
+/// pieces in parallel, and so do the targets merging what they received.
 fn shuffle_batches<F>(ctx: &DistContext, parts: &[ColPart], route: F) -> Result<Vec<ColPart>>
 where
-    F: Fn(&Batch, usize) -> Result<u64> + Send + Sync,
+    F: Fn(&Batch) -> Result<KeyHashes> + Send + Sync,
 {
     let nparts = ctx.config().partitions.max(1);
     let bucketed = run_partitioned(ctx, parts, |_, part| {
@@ -1081,17 +1151,13 @@ where
             let mut physical = 0u64;
             for chunk in part.chunks(ctx)? {
                 let b = chunk?;
-                rows += b.rows() as u64;
-                let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); nparts];
-                for i in 0..b.rows() {
-                    let target = (route(&b, i)? % nparts as u64) as usize;
-                    buckets[target].push(i);
-                }
-                for (target, idx) in buckets.iter().enumerate() {
+                let keys = route(&b)?;
+                for (target, idx) in bucket_rows(&keys, nparts, |h| h).iter().enumerate() {
                     if idx.is_empty() {
                         continue;
                     }
                     let piece = b.take(idx);
+                    rows += idx.len() as u64;
                     logical += piece.logical_bytes() as u64;
                     physical += piece.physical_bytes() as u64;
                     shipped[target].push(piece);
@@ -1125,21 +1191,28 @@ where
     // Per-rank metering: each rank counts the rows/bytes its own sources
     // routed, so the rank-summed counters equal the single-process totals.
     ctx.stats().record_shuffle(tuples, logical, physical);
-    received
+    let received: Vec<Received> = received
         .into_iter()
-        .map(|pieces| {
-            let total: usize = pieces.iter().map(Batch::logical_bytes).sum();
-            if ctx.spill_active() && total > part_budget(ctx) {
-                let mut builder = PartBuilder::new(ctx);
-                for piece in pieces {
-                    builder.push(piece)?;
-                }
-                builder.finish()
-            } else {
-                Ok(ColPart::Mem(Batch::concat(&pieces)))
-            }
+        .map(|pieces| Received {
+            rows: pieces.iter().map(Batch::rows).sum(),
+            pieces: Mutex::new(pieces),
         })
-        .collect()
+        .collect();
+    run_partitioned(ctx, &received, |_, target| {
+        let mut pieces = target.pieces.lock().unwrap_or_else(|e| e.into_inner());
+        let total: usize = pieces.iter().map(Batch::logical_bytes).sum();
+        let merged = if ctx.spill_active() && total > part_budget(ctx) {
+            let mut builder = PartBuilder::new(ctx);
+            for piece in pieces.iter() {
+                builder.push(piece.clone())?;
+            }
+            builder.finish()?
+        } else {
+            ColPart::Mem(Batch::concat(&pieces))
+        };
+        pieces.clear();
+        Ok(merged)
+    })
 }
 
 /// Routes one local shuffle pass through the cluster [`Exchange`]: pieces
@@ -1340,51 +1413,197 @@ fn merge_element_row(row: &mut Tuple, elem: &Value, alias: Option<&str>) {
 // grouping
 // ---------------------------------------------------------------------------
 
-/// Streaming `Γ+` over a partition's chunks: one accumulation map across all
-/// chunks (see [`ColCollection::nest_sum`]). Aggregation is algebraic, so
-/// feeding chunks sequentially is exactly the whole-batch result.
-fn sum_chunks(
-    chunks: ColChunks<'_>,
-    key: &[String],
-    values: &[String],
-    finalize: bool,
-) -> Result<Batch> {
-    let mut groups: HashMap<Tuple, Vec<Value>> = HashMap::new();
-    let mut order: Vec<Tuple> = Vec::new();
-    for chunk in chunks {
-        let b = chunk?;
-        tuple_rows_required(&b)?;
-        for i in 0..b.rows() {
-            let k = group_key_tuple(&b, i, key);
-            let sums = groups.entry(k.clone()).or_insert_with(|| {
-                order.push(k);
-                vec![Value::Null; values.len()]
-            });
-            for (slot, name) in sums.iter_mut().zip(values) {
-                let v = b.value_at(i, name).unwrap_or(Value::Null);
-                *slot = slot.numeric_add(&v)?;
-            }
-        }
-    }
-    let mut out_rows = Vec::with_capacity(order.len());
-    for k in order {
-        let sums = groups.remove(&k).expect("group recorded in order");
-        let mut row = k;
-        for (name, sum) in values.iter().zip(sums) {
-            let sum = match (&sum, finalize) {
-                (Value::Null, true) => Value::Int(0),
-                _ => sum,
-            };
-            row.set(name.clone(), sum);
-        }
-        out_rows.push(Value::Tuple(row));
-    }
-    Ok(Batch::from_rows(&out_rows))
+/// A running `Γ+` sum with [`Value::numeric_add`]'s semantics over unboxed
+/// lanes: integer sums stay integral (and checked), an integer meeting a real
+/// widens to real, NULL adds nothing.
+#[derive(Debug, Clone, Copy)]
+enum Sum {
+    /// No non-NULL contribution yet.
+    Null,
+    Int(i64),
+    Real(f64),
 }
 
-/// One local `Γ+` pass over a single batch.
+impl Sum {
+    fn add_int(&mut self, x: i64) -> Result<()> {
+        *self = match *self {
+            Sum::Null => Sum::Int(x),
+            Sum::Int(a) => Sum::Int(trance_nrc::value::checked_int_add(a, x)?),
+            Sum::Real(a) => Sum::Real(a + x as f64),
+        };
+        Ok(())
+    }
+
+    fn add_real(&mut self, x: f64) -> Result<()> {
+        *self = Sum::Real(match *self {
+            Sum::Null => x,
+            Sum::Int(a) => a as f64 + x,
+            Sum::Real(a) => a + x,
+        });
+        Ok(())
+    }
+}
+
+/// Sums one value column per group. `Int` and `Real` columns accumulate into
+/// typed slots straight from their buffers; any other variant (mixed numeric
+/// kinds in an `Other` column, or a column `numeric_add` must reject) folds
+/// `numeric_add` over the stored values, by reference where the column holds
+/// values. A column the batch lacks contributes nothing. With `finalize`, an
+/// all-NULL group sums to `0`.
+fn sum_column(
+    col: Option<&Column>,
+    group_of: &[u32],
+    groups: usize,
+    finalize: bool,
+) -> Result<Column> {
+    let mut sums = vec![Sum::Null; groups];
+    // Adds the non-NULL, present lanes of a typed buffer.
+    macro_rules! add_lanes {
+        ($data:expr, $nulls:expr, $absent:expr, $add:expr) => {
+            if $nulls.any() || $absent.any() {
+                for (i, (x, g)) in $data.iter().zip(group_of).enumerate() {
+                    if !$nulls.get(i) && !$absent.get(i) {
+                        $add(&mut sums[*g as usize], *x)?;
+                    }
+                }
+            } else {
+                for (x, g) in $data.iter().zip(group_of) {
+                    $add(&mut sums[*g as usize], *x)?;
+                }
+            }
+        };
+    }
+    match col {
+        None => {}
+        Some(Column::Int {
+            data,
+            nulls,
+            absent,
+        }) => add_lanes!(data, nulls, absent, Sum::add_int),
+        Some(Column::Real {
+            data,
+            nulls,
+            absent,
+        }) => add_lanes!(data, nulls, absent, Sum::add_real),
+        Some(other) => {
+            let mut slots = vec![Value::Null; groups];
+            for (i, g) in group_of.iter().enumerate() {
+                let slot = &mut slots[*g as usize];
+                *slot = match other {
+                    Column::Other { values, .. } => slot.numeric_add(&values[i])?,
+                    _ => slot.numeric_add(&other.value_at(i).unwrap_or(Value::Null))?,
+                };
+            }
+            if finalize {
+                for slot in slots.iter_mut().filter(|s| matches!(s, Value::Null)) {
+                    *slot = Value::Int(0);
+                }
+            }
+            return Ok(Column::from_values(slots));
+        }
+    }
+    if finalize {
+        for s in sums.iter_mut().filter(|s| matches!(s, Sum::Null)) {
+            *s = Sum::Int(0);
+        }
+    }
+    // Same column layouts `Column::from_values` picks for these sums.
+    let ints = sums.iter().filter(|s| matches!(s, Sum::Int(_))).count();
+    let reals = sums.iter().filter(|s| matches!(s, Sum::Real(_))).count();
+    let mut nulls = Bitmap::zeros(groups);
+    for (g, s) in sums.iter().enumerate() {
+        if matches!(s, Sum::Null) {
+            nulls.set(g);
+        }
+    }
+    let absent = Bitmap::zeros(groups);
+    Ok(if ints > 0 && reals == 0 {
+        let data = sums
+            .iter()
+            .map(|s| if let Sum::Int(x) = s { *x } else { 0 });
+        Column::Int {
+            data: data.collect(),
+            nulls,
+            absent,
+        }
+    } else if reals > 0 && ints == 0 {
+        let data = sums
+            .iter()
+            .map(|s| if let Sum::Real(x) = s { *x } else { 0.0 });
+        Column::Real {
+            data: data.collect(),
+            nulls,
+            absent,
+        }
+    } else {
+        // All-NULL partials, or groups that disagree on Int vs Real.
+        Column::from_values(
+            sums.iter()
+                .map(|s| match s {
+                    Sum::Null => Value::Null,
+                    Sum::Int(x) => Value::Int(*x),
+                    Sum::Real(x) => Value::Real(*x),
+                })
+                .collect(),
+        )
+    })
+}
+
+/// The key columns of a grouping's output: the first row of each group, key
+/// columns in `key` order. A key column no group carries is dropped, as
+/// tuples that lack an attribute do not name it.
+fn group_keys_batch(b: &Batch, key: &[String], first_row: &[usize]) -> Batch {
+    let taken = b.project_fields(key).take(first_row);
+    let carried: Vec<String> = taken
+        .schema()
+        .fields()
+        .iter()
+        .zip(taken.columns())
+        .filter(|(_, col)| col.present_count() > 0)
+        .map(|(name, _)| name.clone())
+        .collect();
+    if carried.len() == taken.columns().len() {
+        taken
+    } else {
+        taken.project_fields(&carried)
+    }
+}
+
+/// One local `Γ+` pass over a single batch: group rows by key hash and typed
+/// equality, sum each value column per group (see [`sum_column`]), and emit
+/// the groups in first-occurrence order.
 fn sum_batch(b: &Batch, key: &[String], values: &[String], finalize: bool) -> Result<Batch> {
-    sum_chunks(ColChunks::Mem(Some(b)), key, values, finalize)
+    tuple_rows_required(b)?;
+    let keys = KeyCols::resolve(b, key);
+    let groups = group_rows(&keys, &keys.hashes().hashes)?;
+    if groups.first_row.is_empty() {
+        return Ok(Batch::empty());
+    }
+    let mut out = group_keys_batch(b, key, &groups.first_row);
+    for name in values {
+        let sums = sum_column(
+            b.column(name),
+            &groups.group_of,
+            groups.first_row.len(),
+            finalize,
+        )?;
+        out = out.with_column(name, Arc::new(sums));
+    }
+    Ok(out)
+}
+
+/// Map-side `Γ+` partials of one partition: one [`sum_batch`] pass per chunk
+/// and, for a partition that streams several chunks, one more over their
+/// concatenated partials (aggregation is algebraic).
+fn sum_chunks(chunks: ColChunks<'_>, key: &[String], values: &[String]) -> Result<Batch> {
+    let mut partials: Vec<Batch> = Vec::new();
+    for chunk in chunks {
+        partials.push(sum_batch(&chunk?, key, values, false)?);
+    }
+    if partials.len() == 1 {
+        return Ok(partials.remove(0));
+    }
+    sum_batch(&Batch::concat(&partials), key, values, false)
 }
 
 /// One partition's `Γ⊎`: group rows, emit key columns plus an offset-encoded
@@ -1396,38 +1615,33 @@ fn nest_bag_batch(
     out_attr: &str,
 ) -> Result<Batch> {
     tuple_rows_required(b)?;
-    let mut groups: HashMap<Tuple, Vec<usize>> = HashMap::new();
-    let mut order: Vec<Tuple> = Vec::new();
-    for i in 0..b.rows() {
-        let k = group_key_tuple(b, i, key);
-        groups
-            .entry(k.clone())
-            .or_insert_with(|| {
-                order.push(k);
-                Vec::new()
-            })
-            .push(i);
+    let keys = KeyCols::resolve(b, key);
+    let groups = group_rows(&keys, &keys.hashes().hashes)?;
+    let n = groups.first_row.len();
+    // Counting sort of the rows by group: `offsets` delimits each group's
+    // members, which stay in row order.
+    let mut offsets: Vec<u32> = vec![0; n + 1];
+    for g in &groups.group_of {
+        offsets[*g as usize + 1] += 1;
     }
-    let mut key_rows: Vec<Value> = Vec::with_capacity(order.len());
-    let mut offsets: Vec<u32> = Vec::with_capacity(order.len() + 1);
-    offsets.push(0);
-    let mut elem_idx: Vec<usize> = Vec::new();
-    for k in &order {
-        let members = &groups[k];
-        elem_idx.extend_from_slice(members);
-        offsets.push(elem_idx.len() as u32);
-        key_rows.push(Value::Tuple(k.clone()));
+    for g in 0..n {
+        offsets[g + 1] += offsets[g];
     }
-    let projected = b.project_fields(value_attrs);
-    let child = projected.take(&elem_idx);
-    let n = key_rows.len();
+    let mut cursor: Vec<u32> = offsets[..n].to_vec();
+    let mut elem_idx: Vec<usize> = vec![0; b.rows()];
+    for (i, g) in groups.group_of.iter().enumerate() {
+        let at = &mut cursor[*g as usize];
+        elem_idx[*at as usize] = i;
+        *at += 1;
+    }
+    let child = b.project_fields(value_attrs).take(&elem_idx);
     let bag_col = Column::Bag {
         offsets,
         elems: crate::batch::BagElems::Rows(Box::new(child)),
         nulls: Bitmap::zeros(n),
         absent: Bitmap::zeros(n),
     };
-    Ok(Batch::from_rows(&key_rows).with_column(out_attr, Arc::new(bag_col)))
+    Ok(group_keys_batch(b, key, &groups.first_row).with_column(out_attr, Arc::new(bag_col)))
 }
 
 // ---------------------------------------------------------------------------
@@ -1521,8 +1735,7 @@ fn planning_logical_bytes(coll: &ColCollection) -> Result<usize> {
 /// single-process engine builds, so probe outputs stay row-identical.
 fn gather_side_batch(ctx: &DistContext, side: &ColCollection) -> Result<Batch> {
     let batches: Vec<Cow<'_, Batch>> = side.batches()?;
-    let owned: Vec<Batch> = batches.iter().map(|b| b.as_ref().clone()).collect();
-    let local = Batch::concat(&owned);
+    let local = Batch::concat_refs(&batches.iter().map(|b| b.as_ref()).collect::<Vec<_>>());
     match ctx.exchange() {
         Some(ex) => {
             let mut w = ByteWriter::new();
@@ -1552,16 +1765,46 @@ fn meter_broadcast_col(ctx: &DistContext, side: &ColCollection, skew: bool) {
     });
 }
 
-/// Build-side hash table over a single (concatenated) batch.
-fn build_table(b: &Batch, cols: &[String]) -> Result<HashMap<Vec<Value>, Vec<usize>>> {
-    tuple_rows_required(b)?;
-    let mut table: HashMap<Vec<Value>, Vec<usize>> = HashMap::with_capacity(b.rows());
-    for i in 0..b.rows() {
-        if let Some(k) = key_at(b, i, cols) {
-            table.entry(k).or_default().push(i);
+/// The build side of a hash join: the build batch's key columns, their hash
+/// vector, and the row table over it.
+struct BuildSide<'a> {
+    keys: KeyCols<'a>,
+    hashes: KeyHashes,
+    table: RowTable,
+}
+
+impl<'a> BuildSide<'a> {
+    fn new(b: &'a Batch, cols: &[String]) -> Result<BuildSide<'a>> {
+        tuple_rows_required(b)?;
+        let keys = KeyCols::resolve(b, cols);
+        let hashes = keys.hashes();
+        let table = RowTable::build(&hashes)?;
+        Ok(BuildSide {
+            keys,
+            hashes,
+            table,
+        })
+    }
+
+    /// Calls `emit` with each build row whose key equals probe row `i`'s, in
+    /// build-row order.
+    fn matches(
+        &self,
+        probe: &KeyCols<'_>,
+        hashes: &KeyHashes,
+        i: usize,
+        mut emit: impl FnMut(usize),
+    ) {
+        if !hashes.is_valid(i) {
+            return;
+        }
+        let h = hashes.hashes[i];
+        for r in self.table.chain(h) {
+            if self.hashes.hashes[r] == h && probe.lanes_equal(i, &self.keys, r) {
+                emit(r);
+            }
         }
     }
-    Ok(table)
 }
 
 /// Gathers one joined partition: matched pairs (and, for left-outer joins,
@@ -1569,26 +1812,24 @@ fn build_table(b: &Batch, cols: &[String]) -> Result<HashMap<Vec<Value>, Vec<usi
 fn gather_joined(
     lbatch: &Batch,
     rproj: &Batch,
-    table: &HashMap<Vec<Value>, Vec<usize>>,
+    build: &BuildSide<'_>,
     spec: &JoinSpec,
 ) -> Result<Batch> {
     tuple_rows_required(lbatch)?;
+    let lkeys = KeyCols::resolve(lbatch, spec.left_keys());
+    let lhashes = lkeys.hashes();
+    let outer = spec.kind() == JoinKind::LeftOuter;
     let mut lidx: Vec<usize> = Vec::new();
     let mut ridx: Vec<Option<usize>> = Vec::new();
     for i in 0..lbatch.rows() {
-        match key_at(lbatch, i, spec.left_keys()).and_then(|k| table.get(&k)) {
-            Some(matches) => {
-                for r in matches {
-                    lidx.push(i);
-                    ridx.push(Some(*r));
-                }
-            }
-            None => {
-                if spec.kind() == JoinKind::LeftOuter {
-                    lidx.push(i);
-                    ridx.push(None);
-                }
-            }
+        let before = ridx.len();
+        build.matches(&lkeys, &lhashes, i, |r| {
+            lidx.push(i);
+            ridx.push(Some(r));
+        });
+        if outer && ridx.len() == before {
+            lidx.push(i);
+            ridx.push(None);
         }
     }
     let left_side = lbatch.take(&lidx);
@@ -1609,11 +1850,11 @@ fn broadcast_right_col(
     let rbatch = gather_side_batch(&ctx, right)?;
     tuple_rows_required(&rbatch)?;
     let rproj = project_right_batch(&rbatch, spec);
-    let table = build_table(&rbatch, spec.right_keys())?;
+    let build = BuildSide::new(&rbatch, spec.right_keys())?;
     let parts = run_partitioned(&ctx, &left.parts, |_, part| {
         let mut builder = PartBuilder::new(&ctx);
         for chunk in part.chunks(&ctx)? {
-            builder.push(gather_joined(&chunk?, &rproj, &table, spec)?)?;
+            builder.push(gather_joined(&chunk?, &rproj, &build, spec)?)?;
         }
         builder.finish()
     })?;
@@ -1630,28 +1871,25 @@ fn broadcast_left_col(
     let ctx = left.ctx.clone();
     meter_broadcast_col(&ctx, left, false);
     let lbatch = gather_side_batch(&ctx, left)?;
-    tuple_rows_required(&lbatch)?;
-    let table = build_table(&lbatch, spec.left_keys())?;
+    let build = BuildSide::new(&lbatch, spec.left_keys())?;
     let parts = run_partitioned(&ctx, &right.parts, |_, part| {
         let mut builder = PartBuilder::new(&ctx);
         for chunk in part.chunks(&ctx)? {
             let rbatch = chunk?;
             tuple_rows_required(&rbatch)?;
             let rproj = project_right_batch(&rbatch, spec);
+            let rkeys = KeyCols::resolve(&rbatch, spec.right_keys());
+            let rhashes = rkeys.hashes();
             let mut lidx: Vec<usize> = Vec::new();
-            let mut ridx: Vec<Option<usize>> = Vec::new();
+            let mut ridx: Vec<usize> = Vec::new();
             for i in 0..rbatch.rows() {
-                if let Some(matches) =
-                    key_at(&rbatch, i, spec.right_keys()).and_then(|k| table.get(&k))
-                {
-                    for l in matches {
-                        lidx.push(*l);
-                        ridx.push(Some(i));
-                    }
-                }
+                build.matches(&rkeys, &rhashes, i, |l| {
+                    lidx.push(l);
+                    ridx.push(i);
+                });
             }
             let left_side = lbatch.take(&lidx);
-            let right_side = rproj.take_opt(&ridx, none_is_absent(spec));
+            let right_side = rproj.take(&ridx);
             builder.push(left_side.merge_overwrite(&right_side))?;
         }
         builder.finish()
@@ -1670,21 +1908,12 @@ fn grace_join_partition(
     rpart: &ColPart,
     spec: &JoinSpec,
 ) -> Result<ColPart> {
-    let budget = op_budget(ctx);
-    let route = |cols: &[String]| {
-        let cols = cols.to_vec();
-        move |b: &Batch, i: usize| -> Result<u64> {
-            Ok(salted(hash_key(
-                &key_at(b, i, &cols).expect("grace inputs are keyed"),
-            )))
-        }
-    };
     // Both sides must use the same fan-out for bucket pairs to align; size
     // it from the larger side.
     let joint = lpart.logical_bytes().max(rpart.logical_bytes());
-    let fanout = (joint / budget.max(1) + 1).next_power_of_two().clamp(2, 32);
-    let lbuckets = spill_split_fanout(ctx, lpart, fanout, route(spec.left_keys()))?;
-    let rbuckets = spill_split_fanout(ctx, rpart, fanout, route(spec.right_keys()))?;
+    let fanout = grace_fanout(joint, op_budget(ctx));
+    let lbuckets = spill_split(ctx, lpart, fanout, spec.left_keys())?;
+    let rbuckets = spill_split(ctx, rpart, fanout, spec.right_keys())?;
     let mut builder = PartBuilder::new(ctx);
     for (lb, rb) in lbuckets.iter().zip(&rbuckets) {
         if lb.rows() == 0 {
@@ -1692,41 +1921,12 @@ fn grace_join_partition(
         }
         let rbatch = read_batches(ctx, rb)?;
         let rproj = project_right_batch(&rbatch, spec);
-        let table = build_table(&rbatch, spec.right_keys())?;
+        let build = BuildSide::new(&rbatch, spec.right_keys())?;
         for chunk in batch_frames(ctx, lb)? {
-            builder.push(gather_joined(&chunk?, &rproj, &table, spec)?)?;
+            builder.push(gather_joined(&chunk?, &rproj, &build, spec)?)?;
         }
     }
     builder.finish()
-}
-
-/// [`spill_split`] with a caller-fixed fan-out (Grace bucket pairs must
-/// align across the two join sides).
-fn spill_split_fanout<F>(
-    ctx: &DistContext,
-    part: &ColPart,
-    fanout: usize,
-    route: F,
-) -> Result<Vec<SpilledBatches>>
-where
-    F: Fn(&Batch, usize) -> Result<u64>,
-{
-    let mut writers: Vec<SpillChunkWriter> = (0..fanout)
-        .map(|_| SpillChunkWriter::new(ctx))
-        .collect::<Result<_>>()?;
-    for chunk in part.chunks(ctx)? {
-        let b = chunk?;
-        let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); fanout];
-        for i in 0..b.rows() {
-            buckets[(route(&b, i)? % fanout as u64) as usize].push(i);
-        }
-        for (f, idx) in buckets.iter().enumerate() {
-            if !idx.is_empty() {
-                writers[f].push(ctx, &b.take(idx))?;
-            }
-        }
-    }
-    writers.into_iter().map(|w| w.finish(ctx)).collect()
 }
 
 fn shuffle_join_col(
@@ -1750,41 +1950,24 @@ fn shuffle_join_col(
             for chunk in part.chunks(&ctx)? {
                 let b = chunk?;
                 tuple_rows_required(&b)?;
-                let mask: Vec<bool> = (0..b.rows())
-                    .map(|i| key_at(&b, i, spec.left_keys()).is_none())
-                    .collect();
-                if mask.iter().any(|m| *m) {
-                    let kept = b.filter(&mask);
-                    let n = kept.rows();
-                    let nulls = project_right_batch(&Batch::empty(), spec)
-                        .take_opt(&vec![None; n], none_is_absent(spec));
-                    unmatched.push(kept.merge_overwrite(&nulls));
-                }
+                // All keys valid (the planned case): nothing to emit,
+                // nothing to scan.
+                let Some(mask) = KeyCols::resolve(&b, spec.left_keys()).invalid_rows() else {
+                    continue;
+                };
+                let kept = b.filter(&mask);
+                let n = kept.rows();
+                let nulls = project_right_batch(&Batch::empty(), spec)
+                    .take_opt(&vec![None; n], none_is_absent(spec));
+                unmatched.push(kept.merge_overwrite(&nulls));
             }
         }
         if !unmatched.is_empty() {
             local_unmatched = Some(Batch::concat(&unmatched));
         }
     }
-    let keyed = |coll: &ColCollection, cols: &[String]| -> Result<ColCollection> {
-        let cols = cols.to_vec();
-        coll.filter_mask_untimed(&|b: &Batch| {
-            tuple_rows_required(b)?;
-            Ok((0..b.rows())
-                .map(|i| key_at(b, i, &cols).is_some())
-                .collect())
-        })
-    };
-    let keyed_left = keyed(left, spec.left_keys())?;
-    let keyed_right = keyed(right, spec.right_keys())?;
-    let lparts = shuffle_batches(&ctx, &keyed_left.parts, |b, i| {
-        Ok(hash_key(&key_at(b, i, spec.left_keys()).expect("filtered")))
-    })?;
-    let rparts = shuffle_batches(&ctx, &keyed_right.parts, |b, i| {
-        Ok(hash_key(
-            &key_at(b, i, spec.right_keys()).expect("filtered"),
-        ))
-    })?;
+    let lparts = shuffle_batches(&ctx, &left.parts, route_valid_keys(spec.left_keys()))?;
+    let rparts = shuffle_batches(&ctx, &right.parts, route_valid_keys(spec.right_keys()))?;
     let mut parts = run_partitioned(&ctx, &lparts, |p, lpart| {
         let rpart = &rparts[p];
         if ctx.spill_active() && lpart.logical_bytes() + rpart.logical_bytes() > op_budget(&ctx) {
@@ -1792,10 +1975,10 @@ fn shuffle_join_col(
         }
         let rbatch = rpart.batch(&ctx)?;
         let rproj = project_right_batch(&rbatch, spec);
-        let table = build_table(&rbatch, spec.right_keys())?;
+        let build = BuildSide::new(&rbatch, spec.right_keys())?;
         let mut builder = PartBuilder::new(&ctx);
         for chunk in lpart.chunks(&ctx)? {
-            builder.push(gather_joined(&chunk?, &rproj, &table, spec)?)?;
+            builder.push(gather_joined(&chunk?, &rproj, &build, spec)?)?;
         }
         builder.finish()
     })?;
@@ -1824,8 +2007,9 @@ fn shuffle_join_col(
 
 /// Samples key frequencies over batches and returns the keys whose sampled
 /// share reaches the cluster's heavy-key threshold (the columnar counterpart
-/// of [`crate::skew::detect_heavy_keys`], same deterministic stride).
-fn detect_heavy_keys_col(data: &ColCollection, key_cols: &[String]) -> Result<HashSet<Vec<Value>>> {
+/// of [`crate::skew::detect_heavy_keys`], same deterministic stride). Only
+/// the sampled rows are hashed; a key is boxed once, when first sampled.
+fn detect_heavy_keys_col(data: &ColCollection, key_cols: &[String]) -> Result<KeyCounts> {
     let config = data.ctx.config();
     let ex = data.ctx.exchange();
     // Under an exchange, the sample must be the *cluster-wide* one the
@@ -1845,43 +2029,38 @@ fn detect_heavy_keys_col(data: &ColCollection, key_cols: &[String]) -> Result<Ha
         None => (local_rows, 0u64),
     };
     if total == 0 {
-        return Ok(HashSet::new());
+        return Ok(KeyCounts::default());
     }
     let sample_target = config.skew_sample.max(1) as u64;
     let stride = (total / sample_target).max(1);
-    let mut counts: HashMap<Vec<Value>, usize> = HashMap::new();
+    let mut counts = KeyCounts::default();
     let mut sampled = 0u64;
     let mut global = start;
     for part in data.parts.iter() {
         for chunk in part.chunks(&data.ctx)? {
             let b = chunk?;
             tuple_rows_required(&b)?;
-            for i in 0..b.rows() {
-                let pick = global.is_multiple_of(stride);
-                global += 1;
-                if !pick {
-                    continue;
-                }
+            let keys = KeyCols::resolve(&b, key_cols);
+            // First row of this chunk on the global sampling stride.
+            let first = (stride - global % stride) % stride;
+            for i in (first as usize..b.rows()).step_by(stride as usize) {
                 sampled += 1;
-                if let Some(key) = key_at(&b, i, key_cols) {
-                    *counts.entry(key).or_insert(0) += 1;
+                if keys.row_valid(i) {
+                    counts.count_row(&keys, i);
                 }
             }
+            global += b.rows() as u64;
         }
     }
     if let Some(ex) = &ex {
         (sampled, counts) = merge_sampled_counts(ex.as_ref(), sampled, counts)?;
     }
     if sampled == 0 {
-        return Ok(HashSet::new());
+        return Ok(KeyCounts::default());
     }
     let threshold = config.heavy_key_threshold();
     let min_count = (threshold * sampled as f64).max(2.0);
-    Ok(counts
-        .into_iter()
-        .filter(|(_, c)| *c as f64 >= min_count)
-        .map(|(k, _)| k)
-        .collect())
+    Ok(counts.at_least(min_count))
 }
 
 /// Allgathers each rank's `(sampled, key → count)` partial sample and merges
@@ -1889,13 +2068,13 @@ fn detect_heavy_keys_col(data: &ColCollection, key_cols: &[String]) -> Result<Ha
 fn merge_sampled_counts(
     ex: &dyn Exchange,
     sampled: u64,
-    counts: HashMap<Vec<Value>, usize>,
-) -> Result<(u64, HashMap<Vec<Value>, usize>)> {
+    counts: KeyCounts,
+) -> Result<(u64, KeyCounts)> {
     let mut w = ByteWriter::new();
     w.u64(sampled);
     w.len_u32(counts.len(), "sampled keys")?;
-    for (key, count) in &counts {
-        w.u64(*count as u64);
+    for (key, count) in counts.iter() {
+        w.u64(count as u64);
         w.len_u32(key.len(), "sampled key values")?;
         for v in key {
             trance_store::encode_value(v, &mut w)?;
@@ -1903,7 +2082,7 @@ fn merge_sampled_counts(
     }
     let gathered = ex.allgather(w.into_bytes())?;
     let mut total_sampled = 0u64;
-    let mut merged: HashMap<Vec<Value>, usize> = HashMap::new();
+    let mut merged = KeyCounts::default();
     for bytes in &gathered {
         let mut r = ByteReader::new(bytes);
         total_sampled += r.u64()?;
@@ -1915,30 +2094,27 @@ fn merge_sampled_counts(
             for _ in 0..klen {
                 key.push(trance_store::decode_value(&mut r)?);
             }
-            *merged.entry(key).or_insert(0) += count;
+            merged.count_key(key, count);
         }
     }
     Ok((total_sampled, merged))
 }
 
-/// Splits a collection into (keys not in `keys`, keys in `keys`) without
+/// Splits a collection into (keys not in `heavy`, keys in `heavy`) without
 /// moving rows between partitions.
 fn split_by_keys_col(
     data: &ColCollection,
     key_cols: &[String],
-    keys: &Arc<HashSet<Vec<Value>>>,
+    heavy: &KeyCounts,
 ) -> Result<(ColCollection, ColCollection)> {
     let masks = |invert: bool| {
-        let keys = Arc::clone(keys);
-        let key_cols = key_cols.to_vec();
         move |b: &Batch| -> Result<Vec<bool>> {
             tuple_rows_required(b)?;
+            let keys = KeyCols::resolve(b, key_cols);
+            let hashes = keys.hashes();
             Ok((0..b.rows())
                 .map(|i| {
-                    let hit = match key_at(b, i, &key_cols) {
-                        Some(k) => keys.contains(&k),
-                        None => false,
-                    };
+                    let hit = hashes.is_valid(i) && heavy.contains_row(&keys, i, hashes.hashes[i]);
                     hit != invert
                 })
                 .collect())

@@ -68,6 +68,7 @@ pub mod error;
 pub mod exchange;
 pub mod fault;
 pub mod join;
+mod keys;
 pub mod ops;
 mod partition;
 pub mod scheduler;
@@ -75,7 +76,7 @@ pub mod skew;
 pub mod spill;
 pub mod stats;
 
-pub use batch::{Batch, Bitmap, Column, FieldHint, Schema, StrDict};
+pub use batch::{Batch, Bitmap, Column, FieldHint, GatherIndex, Schema, StrDict};
 pub use colops::ColCollection;
 pub use error::{EngineError, ExecError, Result};
 pub use exchange::{allgather_u64, global_sum, owned_range, owner_of_partition, Exchange, MemMesh};

@@ -111,14 +111,17 @@ where
             let slots = &slots;
             let f = &f;
             Box::new(move || {
-                *slots[i].lock().unwrap() = Some(f(i, part));
+                // Poison recovery as in the scheduler: the slot is written
+                // whole, so a recovered guard never exposes a torn value.
+                let result = f(i, part);
+                *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(result);
             }) as Box<dyn FnOnce() + Send + '_>
         })
         .collect();
     ctx.run_tasks(tasks);
     let mut out = Vec::with_capacity(parts.len());
     for (i, slot) in slots.into_iter().enumerate() {
-        match slot.into_inner().unwrap() {
+        match slot.into_inner().unwrap_or_else(|e| e.into_inner()) {
             Some(Ok(v)) => out.push(v),
             Some(Err(e)) => out.push(recover(i, &parts[i], e)?),
             None => return Err(ExecError::Other("partition task did not run".into())),

@@ -287,8 +287,22 @@ fn pipeline_stats_attribute_time_to_the_pipeline_with_member_ops() {
 #[test]
 fn uneven_morsels_get_stolen_and_counted() {
     // Two workers over three partitions (scarce relative to the pool, so
-    // resident partitions split into 4096-row morsels): the idle
-    // participant must steal morsels and the steal shows up in the stats.
+    // resident partitions split into 4096-row morsels): 12 morsels, dealt
+    // round-robin, six to each participant's deque. The participant that
+    // runs the first morsel is held on a latch until the *other* one has
+    // started seven — one more than its own deque held — so a steal is
+    // forced, not hoped for, and it must show up in the stats.
+    const DEALT_PER_PARTICIPANT: usize = 6;
+    struct Latch {
+        holder: Option<std::thread::ThreadId>,
+        started_by_other: usize,
+    }
+    let latch = Mutex::new(Latch {
+        holder: None,
+        started_by_other: 0,
+    });
+    let released = std::sync::Condvar::new();
+
     let ctx = DistContext::new(ClusterConfig::new(2, 3));
     let data = col_ingest(&ctx, (0..40_000).map(|i| row(i % 4, i)).collect());
     ctx.stats().reset();
@@ -297,31 +311,38 @@ fn uneven_morsels_get_stolen_and_counted() {
         &["extend".to_string()],
         false,
         |b, _| {
-            // Non-trivial per-morsel work so stealing has a window.
-            let vals: Vec<Value> = (0..b.rows())
-                .map(|i| match b.value_at(i, "v") {
-                    Some(Value::Int(v)) => Value::Int(v.wrapping_mul(31).wrapping_add(7)),
-                    other => other.unwrap_or(Value::Null),
-                })
-                .collect();
+            let me = std::thread::current().id();
+            let mut state = latch.lock().unwrap();
+            match state.holder {
+                None => {
+                    state.holder = Some(me);
+                    while state.started_by_other <= DEALT_PER_PARTICIPANT {
+                        state = released.wait(state).unwrap();
+                    }
+                }
+                Some(holder) if holder != me => {
+                    state.started_by_other += 1;
+                    released.notify_all();
+                }
+                Some(_) => {}
+            }
+            drop(state);
             Ok(b.with_column(
                 "h",
-                std::sync::Arc::new(trance_dist::Column::from_values(vals)),
+                std::sync::Arc::new(trance_dist::Column::from_const(&Value::Int(7), b.rows())),
             ))
         },
     )
     .unwrap();
     let snap = ctx.stats().snapshot();
-    assert!(
-        snap.total_morsels() >= 10,
-        "morsels: {}",
-        snap.total_morsels()
+    assert_eq!(
+        snap.total_morsels(),
+        2 * DEALT_PER_PARTICIPANT as u64,
+        "the latch arithmetic assumes six morsels per participant"
     );
-    // Steal counts are timing-dependent; across this many morsels on two
-    // participants at least one steal is effectively certain.
     assert!(
         snap.steal_count > 0,
-        "expected work stealing on imbalanced morsels, stats: {snap:?}"
+        "the held participant's morsels must have been stolen, stats: {snap:?}"
     );
 }
 

@@ -1,0 +1,415 @@
+//! Key edge semantics of the columnar breakers, pinned three ways: the typed
+//! path (`ColCollection`) must equal the `Value` definition written out here
+//! and the row engine (`DistCollection`) on join keys that are equal only
+//! under `Value::cmp` (Int vs Real, NaN, signed zero), on `i64` keys whose
+//! hashes collide, on NULL vs absent grouping keys, on empty and all-absent
+//! key columns, on mixed Int/Real sums, and on `sumBy` overflow.
+
+use trance_dist::{
+    ClusterConfig, ColCollection, DistCollection, DistContext, ExecError, JoinHint, JoinSpec,
+};
+use trance_nrc::builder::{sum_by, var};
+use trance_nrc::{eval, Env, Label, NrcError, Tuple, Value};
+
+const BIG: i64 = 1 << 53;
+
+fn ctx() -> DistContext {
+    // Below the parallel threshold and above it behave alike; keep a small
+    // broadcast limit so `Auto` would shuffle too.
+    DistContext::new(ClusterConfig::new(2, 4).with_broadcast_limit(64))
+}
+
+fn rows_of(field: &str, keys: &[Option<Value>]) -> Vec<Value> {
+    keys.iter()
+        .enumerate()
+        .map(|(i, k)| {
+            let mut t = Tuple::new([(format!("{field}_id"), Value::Int(i as i64))]);
+            if let Some(k) = k {
+                t.set(field, k.clone());
+            }
+            Value::Tuple(t)
+        })
+        .collect()
+}
+
+fn sorted(mut rows: Vec<Value>) -> Vec<Value> {
+    rows.sort();
+    rows
+}
+
+fn columnar(ctx: &DistContext, rows: &[Value]) -> ColCollection {
+    ColCollection::ingest(&ctx.parallelize(rows.to_vec()), &[]).unwrap()
+}
+
+/// The `Value` definition of an equi-join on `k = dk`: NULL and absent keys
+/// never match, everything else matches under `Value`'s equality.
+fn join_definition(left: &[Value], right: &[Value], outer: bool) -> Vec<Value> {
+    let mut out = Vec::new();
+    for l in left {
+        let lt = l.as_tuple().unwrap();
+        let mut matched = false;
+        for r in right {
+            let rt = r.as_tuple().unwrap();
+            if let (Some(a), Some(b)) = (lt.get("k"), rt.get("dk")) {
+                if *a != Value::Null && a == b {
+                    out.push(Value::Tuple(lt.concat(rt)));
+                    matched = true;
+                }
+            }
+        }
+        if outer && !matched {
+            out.push(l.clone());
+        }
+    }
+    sorted(out)
+}
+
+fn assert_joins_agree(name: &str, left_keys: &[Option<Value>], right_keys: &[Option<Value>]) {
+    let ctx = ctx();
+    let left = rows_of("k", left_keys);
+    let right = rows_of("dk", right_keys);
+    for outer in [false, true] {
+        let want = join_definition(&left, &right, outer);
+        for hint in [JoinHint::Shuffle, JoinHint::BroadcastRight] {
+            let spec = if outer {
+                JoinSpec::left_outer(&["k"], &["dk"])
+            } else {
+                JoinSpec::inner(&["k"], &["dk"])
+            }
+            .with_hint(hint);
+            let typed = columnar(&ctx, &left)
+                .join(&columnar(&ctx, &right), &spec)
+                .unwrap()
+                .collect_bag()
+                .unwrap();
+            let row = ctx
+                .parallelize(left.clone())
+                .join(&ctx.parallelize(right.clone()), &spec)
+                .unwrap()
+                .collect_bag();
+            let case = format!("{name}, outer={outer}, {hint:?}");
+            assert_eq!(sorted(typed.into_items()), want, "typed path, {case}");
+            assert_eq!(sorted(row.into_items()), want, "row engine, {case}");
+        }
+    }
+}
+
+fn int(i: i64) -> Option<Value> {
+    Some(Value::Int(i))
+}
+
+fn real(r: f64) -> Option<Value> {
+    Some(Value::Real(r))
+}
+
+#[test]
+fn join_keys_follow_value_equality_not_hash_equality() {
+    // Two i64 above 2^53 share their f64 image, hence their hash: they must
+    // land in one chain and still not join each other.
+    assert_joins_agree(
+        "int x int with colliding hashes",
+        &[
+            int(1),
+            int(BIG),
+            int(BIG + 1),
+            Some(Value::Null),
+            None,
+            int(BIG + 1),
+        ],
+        &[
+            int(BIG + 1),
+            int(1),
+            int(1),
+            int(BIG + 2),
+            Some(Value::Null),
+        ],
+    );
+    assert_joins_agree(
+        "int x real",
+        &[int(1), int(2), int(0), int(BIG)],
+        &[
+            real(1.0),
+            real(2.5),
+            real(-0.0),
+            real(f64::NAN),
+            real(BIG as f64),
+        ],
+    );
+    assert_joins_agree(
+        "real x real: NaN joins NaN, -0.0 joins 0.0",
+        &[real(f64::NAN), real(-0.0), real(0.0), real(1.5), None],
+        &[real(-f64::NAN), real(0.0), real(1.5), real(2.5)],
+    );
+    assert_joins_agree(
+        "mixed kinds in one column: a date never equals an int",
+        &[
+            int(3),
+            real(3.0),
+            Some(Value::Date(3)),
+            Some(Value::str("3")),
+            Some(Value::Bool(true)),
+        ],
+        &[int(3), Some(Value::Date(3)), Some(Value::str("3")), int(1)],
+    );
+    let label = |site, v| Some(Value::Label(Label::new(site, vec![Value::Int(v)])));
+    assert_joins_agree(
+        "labels, the SHRED join keys",
+        &[label(1, 7), label(1, 8), label(2, 7), None],
+        &[label(1, 7), label(1, 7), label(2, 8)],
+    );
+    assert_joins_agree(
+        "strings and dates",
+        &[
+            Some(Value::str("a")),
+            Some(Value::str("b")),
+            Some(Value::Null),
+        ],
+        &[
+            Some(Value::str("b")),
+            Some(Value::str("b")),
+            Some(Value::str("c")),
+        ],
+    );
+    assert_joins_agree("empty sides", &[], &[int(1)]);
+    assert_joins_agree("all-absent key column", &[None, None], &[int(1), None]);
+}
+
+/// The `Value` definition of `Γ+`: group by the projected key tuple (a NULL
+/// key and an absent key are different tuples), fold `numeric_add`.
+fn sum_definition(rows: &[Value], key: &[&str], values: &[&str]) -> Vec<Value> {
+    let mut groups: Vec<(Tuple, Vec<Value>)> = Vec::new();
+    for row in rows {
+        let t = row.as_tuple().unwrap();
+        let k = t.project(key);
+        let at = match groups.iter().position(|(g, _)| *g == k) {
+            Some(at) => at,
+            None => {
+                groups.push((k, vec![Value::Null; values.len()]));
+                groups.len() - 1
+            }
+        };
+        for (slot, name) in groups[at].1.iter_mut().zip(values) {
+            *slot = slot
+                .numeric_add(t.get(name).unwrap_or(&Value::Null))
+                .unwrap();
+        }
+    }
+    sorted(
+        groups
+            .into_iter()
+            .map(|(mut k, sums)| {
+                for (name, sum) in values.iter().zip(sums) {
+                    k.set(
+                        *name,
+                        if sum == Value::Null {
+                            Value::Int(0)
+                        } else {
+                            sum
+                        },
+                    );
+                }
+                Value::Tuple(k)
+            })
+            .collect(),
+    )
+}
+
+fn bag_definition(rows: &[Value], key: &[&str], values: &[&str], out: &str) -> Vec<Value> {
+    let mut groups: Vec<(Tuple, Vec<Value>)> = Vec::new();
+    for row in rows {
+        let t = row.as_tuple().unwrap();
+        let k = t.project(key);
+        let elem = Value::Tuple(t.project(values));
+        match groups.iter_mut().find(|(g, _)| *g == k) {
+            Some((_, elems)) => elems.push(elem),
+            None => groups.push((k, vec![elem])),
+        }
+    }
+    sorted(
+        groups
+            .into_iter()
+            .map(|(mut k, elems)| {
+                k.set(out, Value::bag(sorted(elems)));
+                Value::Tuple(k)
+            })
+            .collect(),
+    )
+}
+
+/// Sorts the inner bag of every group row, then the rows.
+fn canonical_groups(rows: Vec<Value>, out: &str) -> Vec<Value> {
+    sorted(
+        rows.into_iter()
+            .map(|row| {
+                let mut t = row.as_tuple().unwrap().clone();
+                let elems = t.get(out).unwrap().as_bag().unwrap().items().to_vec();
+                t.set(out, Value::bag(sorted(elems)));
+                Value::Tuple(t)
+            })
+            .collect(),
+    )
+}
+
+fn strings(names: &[&str]) -> Vec<String> {
+    names.iter().map(|n| n.to_string()).collect()
+}
+
+fn assert_groupings_agree(name: &str, rows: &[Value], key: &[&str], values: &[&str]) {
+    let ctx = ctx();
+    let (k, v) = (strings(key), strings(values));
+    let typed = columnar(&ctx, rows);
+    let row: DistCollection = ctx.parallelize(rows.to_vec());
+
+    let want = sum_definition(rows, key, values);
+    let got = typed.nest_sum(&k, &v).unwrap().collect_bag().unwrap();
+    assert_eq!(sorted(got.into_items()), want, "typed Γ+, {name}");
+    let got = typed.nest_sum_skew(&k, &v).unwrap().collect_bag().unwrap();
+    assert_eq!(sorted(got.into_items()), want, "typed skew Γ+, {name}");
+    let got = row.nest_sum(&k, &v).unwrap().collect_bag();
+    assert_eq!(sorted(got.into_items()), want, "row Γ+, {name}");
+
+    let want = bag_definition(rows, key, values, "grp");
+    let got = typed
+        .nest_bag(&k, &v, "grp")
+        .unwrap()
+        .collect_bag()
+        .unwrap();
+    assert_eq!(
+        canonical_groups(got.into_items(), "grp"),
+        want,
+        "typed Γ⊎, {name}"
+    );
+    let got = row.nest_bag(&k, &v, "grp").unwrap().collect_bag();
+    assert_eq!(
+        canonical_groups(got.into_items(), "grp"),
+        want,
+        "row Γ⊎, {name}"
+    );
+}
+
+#[test]
+fn grouping_keys_keep_null_and_absent_apart_and_sums_keep_their_kind() {
+    let t = |fields: &[(&str, Value)]| Value::tuple(fields.iter().cloned());
+    // NULL key, absent key and a value key are three groups; the `1` group
+    // sums an Int and a Real (→ Real) while the others stay Int, so the sum
+    // column is mixed across groups.
+    let rows = vec![
+        t(&[("k", Value::Int(1)), ("v", Value::Int(10))]),
+        t(&[("k", Value::Null), ("v", Value::Int(1))]),
+        t(&[("v", Value::Int(2))]),
+        t(&[("k", Value::Null), ("v", Value::Int(3))]),
+        t(&[("v", Value::Int(4))]),
+        t(&[("k", Value::Int(1)), ("v", Value::Real(0.5))]),
+        t(&[("k", Value::Int(2)), ("v", Value::Null)]),
+        t(&[("k", Value::Int(2))]),
+    ];
+    assert_groupings_agree("NULL vs absent, mixed sums", &rows, &["k"], &["v"]);
+    assert_groupings_agree("all-absent key column", &rows, &["nokey"], &["v"]);
+    assert_groupings_agree("empty key", &rows, &[], &["v"]);
+    assert_groupings_agree("absent value column", &rows, &["k"], &["nov"]);
+    assert_groupings_agree("empty input", &[], &["k"], &["v"]);
+
+    // Two-column keys over a string and an int, with NULL/absent lanes in
+    // either position.
+    let rows = vec![
+        t(&[
+            ("a", Value::str("x")),
+            ("b", Value::Int(1)),
+            ("v", Value::Real(1.0)),
+        ]),
+        t(&[
+            ("a", Value::str("x")),
+            ("b", Value::Int(2)),
+            ("v", Value::Real(2.0)),
+        ]),
+        t(&[
+            ("a", Value::str("x")),
+            ("b", Value::Int(1)),
+            ("v", Value::Real(4.0)),
+        ]),
+        t(&[("a", Value::str("y")), ("v", Value::Real(8.0))]),
+        t(&[
+            ("a", Value::str("y")),
+            ("b", Value::Null),
+            ("v", Value::Real(16.0)),
+        ]),
+        t(&[("b", Value::Int(1)), ("v", Value::Real(32.0))]),
+        t(&[
+            ("a", Value::Null),
+            ("b", Value::Int(1)),
+            ("v", Value::Real(64.0)),
+        ]),
+        t(&[("a", Value::str("y")), ("v", Value::Real(128.0))]),
+    ];
+    assert_groupings_agree("two-column key", &rows, &["a", "b"], &["v"]);
+    // Keys that are equal only under `Value::cmp` land in one group.
+    let rows = vec![
+        t(&[("k", Value::Real(f64::NAN)), ("v", Value::Int(1))]),
+        t(&[("k", Value::Real(-f64::NAN)), ("v", Value::Int(2))]),
+        t(&[("k", Value::Int(BIG)), ("v", Value::Int(4))]),
+        t(&[("k", Value::Int(BIG + 1)), ("v", Value::Int(8))]),
+    ];
+    let ctx = ctx();
+    let got = columnar(&ctx, &rows)
+        .nest_sum(&strings(&["k"]), &strings(&["v"]))
+        .unwrap()
+        .collect_bag()
+        .unwrap();
+    let mut sums: Vec<i64> = got
+        .iter()
+        .map(|r| r.as_tuple().unwrap().get("v").unwrap().as_int().unwrap())
+        .collect();
+    sums.sort();
+    assert_eq!(
+        sums,
+        vec![3, 4, 8],
+        "NaNs group together, colliding ints do not"
+    );
+}
+
+#[test]
+fn sum_by_overflow_is_a_typed_error_on_every_route() {
+    let rows = vec![
+        Value::tuple([("k", Value::Int(1)), ("v", Value::Int(i64::MAX))]),
+        Value::tuple([("k", Value::Int(2)), ("v", Value::Int(5))]),
+        Value::tuple([("k", Value::Int(1)), ("v", Value::Int(1))]),
+    ];
+    let overflow = NrcError::IntegerOverflow("sumBy");
+
+    let env = Env::from_bindings([("R", Value::bag(rows.clone()))]);
+    let reference = eval(&sum_by(var("R"), &["k"], &["v"]), &env);
+    assert_eq!(reference, Err(overflow.clone()), "nrc::eval");
+
+    let ctx = ctx();
+    let (key, values) = (strings(&["k"]), strings(&["v"]));
+    let row = ctx.parallelize(rows.clone()).nest_sum(&key, &values);
+    assert_eq!(
+        row.err(),
+        Some(ExecError::Nrc(overflow.clone())),
+        "row route"
+    );
+    let typed = columnar(&ctx, &rows).nest_sum(&key, &values);
+    assert_eq!(
+        typed.err(),
+        Some(ExecError::Nrc(overflow)),
+        "columnar route"
+    );
+
+    // One short of overflow still sums exactly, as an Int.
+    let rows = vec![
+        Value::tuple([("k", Value::Int(1)), ("v", Value::Int(i64::MAX - 1))]),
+        Value::tuple([("k", Value::Int(1)), ("v", Value::Int(1))]),
+    ];
+    let got = columnar(&ctx, &rows)
+        .nest_sum(&key, &values)
+        .unwrap()
+        .collect_bag()
+        .unwrap();
+    assert_eq!(
+        got.into_items(),
+        vec![Value::tuple([
+            ("k", Value::Int(1)),
+            ("v", Value::Int(i64::MAX))
+        ])]
+    );
+}

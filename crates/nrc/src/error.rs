@@ -38,6 +38,8 @@ pub enum NrcError {
     },
     /// Division by zero during evaluation.
     DivisionByZero,
+    /// An integer result left the `i64` range (named by the operation).
+    IntegerOverflow(&'static str),
     /// A construct that only exists in the symbolic shredding phase
     /// (λ-abstractions, symbolic `Lookup`) reached the evaluator.
     SymbolicConstruct(&'static str),
@@ -67,6 +69,7 @@ impl fmt::Display for NrcError {
                 write!(f, "label site mismatch: expected {expected}, found {found}")
             }
             NrcError::DivisionByZero => write!(f, "division by zero"),
+            NrcError::IntegerOverflow(op) => write!(f, "integer overflow in {op}"),
             NrcError::SymbolicConstruct(c) => {
                 write!(f, "symbolic construct `{c}` cannot be evaluated directly")
             }

@@ -535,13 +535,21 @@ impl Value {
     }
 
     /// Adds two numeric values, widening to real when either side is real.
+    /// An integer sum that leaves `i64` is a typed
+    /// [`NrcError::IntegerOverflow`], never a wrap or a panic.
     pub fn numeric_add(&self, other: &Value) -> Result<Value> {
         match (self, other) {
             (Value::Null, v) | (v, Value::Null) => Ok(v.clone()),
-            (Value::Int(a), Value::Int(b)) => Ok(Value::Int(a + b)),
+            (Value::Int(a), Value::Int(b)) => checked_int_add(*a, *b).map(Value::Int),
             _ => Ok(Value::Real(self.as_real()? + other.as_real()?)),
         }
     }
+}
+
+/// The integer case of [`Value::numeric_add`], shared with typed (unboxed)
+/// `sumBy` accumulators so every route reports overflow the same way.
+pub fn checked_int_add(a: i64, b: i64) -> Result<i64> {
+    a.checked_add(b).ok_or(NrcError::IntegerOverflow("sumBy"))
 }
 
 impl PartialEq for Value {
@@ -571,9 +579,11 @@ fn kind_rank(v: &Value) -> u8 {
     }
 }
 
-fn normalize_real(r: f64) -> u64 {
-    // Total order on reals via bit pattern; normalise NaN and -0.0 so that
-    // equal keys hash equally.
+/// The order- and hash-normalised bit pattern of a real: a total order on
+/// reals via the bit pattern, with NaN and `-0.0` normalised so that equal
+/// keys hash equally. `Value`'s `Ord` and `Hash` are defined through it, and
+/// typed (columnar) key code uses it to stay equal to them.
+pub fn normalize_real(r: f64) -> u64 {
     if r.is_nan() {
         f64::NAN.to_bits()
     } else if r == 0.0 {
@@ -606,33 +616,59 @@ impl Ord for Value {
     }
 }
 
+/// The scalar pieces of `impl Hash for Value`: what each flat kind writes
+/// into a hasher. Exposed so typed key code can hash an `i64`/`f64`/`&str`
+/// lane without boxing it into a [`Value`] and still produce, by
+/// construction, the hash the boxed value would.
+pub mod hash_scalar {
+    use super::normalize_real;
+    use std::hash::{Hash, Hasher};
+
+    /// `Value::Null`.
+    pub fn null<H: Hasher>(state: &mut H) {
+        0u8.hash(state);
+    }
+
+    /// `Value::Bool`.
+    pub fn bool<H: Hasher>(b: bool, state: &mut H) {
+        1u8.hash(state);
+        b.hash(state);
+    }
+
+    /// `Value::Int`. Ints and reals that compare equal must hash equally, so
+    /// both hash through the normalised real representation.
+    pub fn int<H: Hasher>(i: i64, state: &mut H) {
+        real(i as f64, state);
+    }
+
+    /// `Value::Real`.
+    pub fn real<H: Hasher>(r: f64, state: &mut H) {
+        2u8.hash(state);
+        normalize_real(r).hash(state);
+    }
+
+    /// `Value::Str`.
+    pub fn str<H: Hasher>(s: &str, state: &mut H) {
+        4u8.hash(state);
+        s.hash(state);
+    }
+
+    /// `Value::Date`.
+    pub fn date<H: Hasher>(d: i64, state: &mut H) {
+        5u8.hash(state);
+        d.hash(state);
+    }
+}
+
 impl Hash for Value {
     fn hash<H: Hasher>(&self, state: &mut H) {
         match self {
-            Value::Null => 0u8.hash(state),
-            Value::Bool(b) => {
-                1u8.hash(state);
-                b.hash(state);
-            }
-            // Ints and reals that compare equal must hash equally; hash both
-            // through the normalised real representation when the value is
-            // numeric.
-            Value::Int(i) => {
-                2u8.hash(state);
-                normalize_real(*i as f64).hash(state);
-            }
-            Value::Real(r) => {
-                2u8.hash(state);
-                normalize_real(*r).hash(state);
-            }
-            Value::Str(s) => {
-                4u8.hash(state);
-                s.hash(state);
-            }
-            Value::Date(d) => {
-                5u8.hash(state);
-                d.hash(state);
-            }
+            Value::Null => hash_scalar::null(state),
+            Value::Bool(b) => hash_scalar::bool(*b, state),
+            Value::Int(i) => hash_scalar::int(*i, state),
+            Value::Real(r) => hash_scalar::real(*r, state),
+            Value::Str(s) => hash_scalar::str(s, state),
+            Value::Date(d) => hash_scalar::date(*d, state),
             Value::Label(l) => {
                 6u8.hash(state);
                 l.hash(state);
