@@ -3,16 +3,15 @@
 //! The plan layer of **trance-rs** — the middle of the live compilation
 //! pipeline **NRC → Plan → optimize → execute** (Figure 2 of the paper):
 //!
-//! 1. [`lower`] implements the unnesting algorithm (Figure 3): it translates
+//! 1. [`lower()`] implements the unnesting algorithm (Figure 3): it translates
 //!    an NRC bag expression into a [`PlanProgram`] — materialized assignments
 //!    plus a root [`Plan`] built from selections, projections/extensions,
 //!    (cross/equi/outer) joins, unnests, nest operators `Γ⊎`/`Γ+`, duplicate
 //!    elimination, unions, and the dictionary-specific `BagToDict` /
 //!    `DictLookup` operators reserved for shredded plans. The shredded route
 //!    lowers each of its flat assignments through the same entry point.
-//! 2. [`optimize`] is the single place optimization lives: selection
-//!    pushdown, column pruning above scans *and* unnests (replacing the
-//!    ad-hoc field pruning the fused executor used to do), aggregation
+//! 2. [`optimize()`] is the single place optimization lives: selection
+//!    pushdown, column pruning above scans *and* unnests, aggregation
 //!    pushdown, and broadcast-vs-shuffle-vs-skew join strategy selection
 //!    annotated on [`Plan::Join`] nodes. Running a lowered program without
 //!    this step *is* the SparkSQL-like baseline.

@@ -23,7 +23,7 @@
 //! The result is a [`PlanProgram`]: zero or more named assignments
 //! (materialization points for `let` bindings and nesting levels) followed by
 //! the root plan. Optimization happens **after** lowering, in
-//! [`crate::optimize`] — the lowering itself performs no pruning or pushdown,
+//! [`crate::optimize()`] — the lowering itself performs no pruning or pushdown,
 //! so a program lowered here and executed without optimization reproduces the
 //! SparkSQL-like baseline.
 

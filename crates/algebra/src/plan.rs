@@ -2,7 +2,7 @@
 //! algorithm targets, variants of the intermediate object algebra of
 //! Fegaras & Maier used by the paper.
 //!
-//! Plans are produced by [`crate::lower`], rewritten by [`crate::optimize`],
+//! Plans are produced by [`crate::lower()`], rewritten by [`crate::optimize()`],
 //! and interpreted on the distributed engine by `trance-compiler`'s physical
 //! executor. Attribute names in a lowered plan follow the flattened-stream
 //! convention of the unnesting algorithm: a [`Plan::Scan`] or [`Plan::Unnest`]

@@ -12,9 +12,7 @@
 //! With `--explain` the binary prints, instead of the timing table, the
 //! optimized plans each strategy executes at `--depth` (default 2).
 
-use trance_bench::{
-    cli_arg, cli_flag, cli_tuning, run_tpch_query_tuned, tpch_input_set_tuned, Family,
-};
+use trance_bench::{cli_arg, cli_flag, cli_tuning, run_strategies, tpch_input_set_tuned, Family};
 use trance_compiler::{explain_query, Strategy};
 use trance_tpch::{QueryVariant, TpchConfig};
 
@@ -66,15 +64,9 @@ fn main() {
         println!();
         for depth in 0..=4usize {
             let cfg = TpchConfig::new(scale, 0);
-            let rows = run_tpch_query_tuned(
-                &cfg,
-                family,
-                depth,
-                variant,
-                &strategies,
-                memory_factor,
-                &tuning,
-            );
+            let (inputs, spec) =
+                tpch_input_set_tuned(&cfg, family, depth, variant, memory_factor, &tuning);
+            let rows = run_strategies(&spec, &inputs, &strategies, |s| tuning.options(s));
             print!("{depth:>6}");
             for r in &rows {
                 print!(" | {} {}", r.time_cell(), r.shuffle_cell());

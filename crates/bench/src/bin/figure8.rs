@@ -9,9 +9,7 @@
 //! optimized plans each strategy executes at skew factor `--skew` (default 3)
 //! — including the `[skew]` join annotations the skew-aware strategies get.
 
-use trance_bench::{
-    cli_arg, cli_flag, cli_tuning, run_tpch_query_tuned, tpch_input_set_tuned, Family,
-};
+use trance_bench::{cli_arg, cli_flag, cli_tuning, run_strategies, tpch_input_set_tuned, Family};
 use trance_compiler::{explain_query, Strategy};
 use trance_tpch::{QueryVariant, TpchConfig};
 
@@ -56,15 +54,15 @@ fn main() {
     println!();
     for skew in 0..=4u32 {
         let cfg = TpchConfig::new(scale, skew);
-        let rows = run_tpch_query_tuned(
+        let (inputs, spec) = tpch_input_set_tuned(
             &cfg,
             Family::NestedToNested,
             2,
             QueryVariant::Narrow,
-            &strategies,
             memory_factor,
             &tuning,
         );
+        let rows = run_strategies(&spec, &inputs, &strategies, |s| tuning.options(s));
         print!("{skew:>5}");
         for r in &rows {
             print!(" | {:>18} {}", r.time_cell(), r.shuffle_cell());

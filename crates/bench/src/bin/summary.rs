@@ -25,10 +25,10 @@ use std::fmt::Write as _;
 
 use trance_bench::{
     best_of, cli_flag, parse_typecheck_us, run_capped_cells, run_closed_loop, run_cold_warm_pair,
-    run_tpch_query_exec, run_tpch_query_expr, serve_engine, serve_query_set, tpch_type_env,
+    run_strategies, serve_engine, serve_query_set, tpch_input_set, tpch_type_env,
     wide_standard_case, BenchRow, Family, ServeRow,
 };
-use trance_compiler::Strategy;
+use trance_compiler::{strategy_options, ExecOptions, Strategy};
 use trance_net::{run_smoke, spawn_self_cluster, ClusterParams, DropSpec, SmokeOutcome};
 use trance_tpch::{flat_to_nested, nested_to_flat, nested_to_nested, QueryVariant, TpchConfig};
 
@@ -70,7 +70,7 @@ impl JsonCell {
             query,
             repr,
             exec: "pipelined",
-            expr: ambient_expr(),
+            expr: "compiled",
             spill: "off",
             results_match: None,
             parse_typecheck_us,
@@ -79,14 +79,18 @@ impl JsonCell {
     }
 }
 
-/// The expression engine ambient runs use (`compiled` unless
-/// `TRANCE_EXPR=interp` overrides the session default).
-fn ambient_expr() -> &'static str {
-    if trance_compiler::compiled_exprs_default() {
-        "compiled"
-    } else {
-        "interp"
-    }
+/// Runs one TPC-H cell per strategy under explicit options.
+fn run_cell(
+    cfg: &TpchConfig,
+    family: Family,
+    depth: usize,
+    variant: QueryVariant,
+    strategies: &[Strategy],
+    memory_factor: f64,
+    options_for: impl Fn(Strategy) -> ExecOptions,
+) -> Vec<BenchRow> {
+    let (inputs, spec) = tpch_input_set(cfg, family, depth, variant, memory_factor);
+    run_strategies(&spec, &inputs, strategies, options_for)
 }
 
 /// Renders the collected cells as a JSON document (the workspace builds
@@ -291,6 +295,10 @@ fn main() {
     // pipelined-vs-staged A/B pair below always runs both).
     let pipelined = !cli_flag("--staged");
     let exec_label = if pipelined { "pipelined" } else { "staged" };
+    let headline = |s: Strategy| ExecOptions {
+        pipelined,
+        ..strategy_options(s, false)
+    };
     let cfg = TpchConfig::new(0.3, 0);
     // Front-end cost per distinct query text: a tiny generated sample gives
     // the table types, then the cell's query is pretty-printed, re-parsed and
@@ -322,15 +330,14 @@ fn main() {
         (Family::NestedToNested, 2),
         (Family::NestedToFlat, 2),
     ] {
-        let rows = run_tpch_query_exec(
+        let rows = run_cell(
             &cfg,
             family,
             depth,
             QueryVariant::Wide,
             &strategies,
             3.0,
-            true,
-            pipelined,
+            headline,
         );
         let shred = &rows[0];
         let standard = &rows[2];
@@ -348,7 +355,7 @@ fn main() {
             query: query.clone(),
             repr: "columnar",
             exec: exec_label,
-            expr: ambient_expr(),
+            expr: "compiled",
             spill: "off",
             results_match: None,
             parse_typecheck_us: fe_us,
@@ -358,15 +365,14 @@ fn main() {
     // Optimizer-on vs optimizer-off at a scale where both runs complete: the
     // plan optimizer (column pruning + pushdown) must strictly reduce the
     // shuffled volume of the standard route vs the SparkSQL-like baseline.
-    let rows = run_tpch_query_exec(
+    let rows = run_cell(
         &cfg,
         Family::NestedToNested,
         2,
         QueryVariant::Narrow,
         &[Strategy::Standard, Strategy::Baseline],
         3.0,
-        true,
-        pipelined,
+        headline,
     );
     println!(
         "NestedToNested     depth 2 (narrow): standard shuffle / baseline shuffle = {:.2}x",
@@ -377,7 +383,7 @@ fn main() {
         query: "NestedToNested-depth2-Narrow-scale0.3".to_string(),
         repr: "columnar",
         exec: exec_label,
-        expr: ambient_expr(),
+        expr: "compiled",
         spill: "off",
         results_match: None,
         parse_typecheck_us: narrow_fe_us,
@@ -401,15 +407,18 @@ fn main() {
             let row = best_of(
                 3,
                 || {
-                    run_tpch_query_exec(
+                    run_cell(
                         &cfg,
                         Family::NestedToNested,
                         2,
                         QueryVariant::Wide,
                         &[Strategy::Standard],
                         0.0,
-                        columnar,
-                        pipelined,
+                        |s| ExecOptions {
+                            columnar,
+                            pipelined,
+                            ..strategy_options(s, false)
+                        },
                     )
                     .remove(0)
                 },
@@ -429,7 +438,7 @@ fn main() {
                 query: "NestedToNested-depth2-Wide-scale0.3-repr".to_string(),
                 repr: label,
                 exec,
-                expr: ambient_expr(),
+                expr: "compiled",
                 spill: "off",
                 results_match: None,
                 parse_typecheck_us: wide_n2n_fe_us,
@@ -457,19 +466,21 @@ fn main() {
     // three per side (`best_of`), selected on pipeline time (the metric the
     // pair compares; wall clock includes input loading noise).
     let mut expr_walls: Vec<(&str, Option<std::time::Duration>)> = Vec::new();
-    for (expr_label, compiled) in [("compiled", true), ("interp", false)] {
+    for (expr_label, compiled_exprs) in [("compiled", true), ("interp", false)] {
         let row = best_of(
             3,
             || {
-                run_tpch_query_expr(
+                run_cell(
                     &cfg,
                     Family::NestedToNested,
                     2,
                     QueryVariant::Wide,
                     &[Strategy::Standard],
                     0.0,
-                    true,
-                    compiled,
+                    |s| ExecOptions {
+                        compiled_exprs,
+                        ..strategy_options(s, false)
+                    },
                 )
                 .remove(0)
             },
@@ -508,15 +519,14 @@ fn main() {
 
     // Skew: shuffle reduction of the skew-aware shredded join (Figure 8 claim).
     let skew_cfg = TpchConfig::new(0.3, 3);
-    let rows = run_tpch_query_exec(
+    let rows = run_cell(
         &skew_cfg,
         Family::NestedToNested,
         2,
         QueryVariant::Narrow,
         &[Strategy::Shred, Strategy::ShredSkew],
         3.0,
-        true,
-        pipelined,
+        headline,
     );
     println!(
         "skew factor 3      depth 2: shred shuffle / shred-skew shuffle = {:.1}x",
@@ -526,7 +536,7 @@ fn main() {
         query: "NestedToNested-depth2-Narrow-scale0.3-skew3".to_string(),
         repr: "columnar",
         exec: exec_label,
-        expr: ambient_expr(),
+        expr: "compiled",
         spill: "off",
         results_match: None,
         parse_typecheck_us: narrow_fe_us,
@@ -562,7 +572,7 @@ fn main() {
             query,
             repr: "columnar",
             exec: "pipelined",
-            expr: ambient_expr(),
+            expr: "compiled",
             spill: "on",
             results_match: Some(cell.results_match_uncapped),
             parse_typecheck_us: fe_us,

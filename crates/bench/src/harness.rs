@@ -5,8 +5,8 @@ use std::time::{Duration, Instant};
 
 use trance_biomed::{BiomedConfig, BiomedData};
 use trance_compiler::{
-    run_query, run_query_configured, run_query_expr, run_query_repr, run_query_spill, InputSet,
-    QuerySpec, RunOutcome, RunResult, Strategy,
+    run_query, run_query_with, strategy_options, ExecOptions, InputSet, QuerySpec, RunOutcome,
+    RunResult, Strategy,
 };
 use trance_dist::{ClusterConfig, DistContext, FaultPlan, StatsSnapshot};
 use trance_nrc::{eval, infer, Bag, Env, Expr, MemSize, Type, TypeEnv, Value};
@@ -147,6 +147,17 @@ pub struct ClusterTuning {
     pub faults: Option<String>,
 }
 
+impl ClusterTuning {
+    /// The execution options `strategy` runs under with this tuning: its
+    /// defaults, on the staged executor when `staged` is set.
+    pub fn options(&self, strategy: Strategy) -> ExecOptions {
+        ExecOptions {
+            pipelined: !self.staged,
+            ..strategy_options(strategy, false)
+        }
+    }
+}
+
 /// The default simulated cluster used by every figure: 4 workers, 16 shuffle
 /// partitions, a small broadcast threshold (so joins actually shuffle), and a
 /// per-worker memory cap proportional to the input size so that strategies
@@ -216,7 +227,7 @@ fn tpch_env(config: &TpchConfig) -> (Env, usize) {
     (env, bytes)
 }
 
-/// Typing environment mirroring [`tpch_env`]'s bindings, for driving the
+/// Typing environment mirroring `tpch_env`'s bindings, for driving the
 /// textual front-end path: flat table types are inferred from a generated
 /// sample and, when `depth > 0`, the nested input's type (the flat-to-nested
 /// output type at `depth`) is bound as `Nested`.
@@ -344,8 +355,24 @@ pub fn tpch_input_set_tuned(
     (inputs, spec)
 }
 
-/// Runs one TPC-H experiment cell for each requested strategy (columnar
-/// representation, the default).
+/// Runs `spec` once per strategy, each under the options `options_for`
+/// returns for it — how the A/B pairs in `BENCH_summary.json` pick their
+/// sides, e.g. `|s| ExecOptions { pipelined: false, ..strategy_options(s,
+/// false) }` for the staged executor.
+pub fn run_strategies(
+    spec: &QuerySpec,
+    inputs: &InputSet,
+    strategies: &[Strategy],
+    options_for: impl Fn(Strategy) -> ExecOptions,
+) -> Vec<BenchRow> {
+    strategies
+        .iter()
+        .map(|&s| outcome_to_row(run_query_with(spec, inputs, s, &options_for(s))))
+        .collect()
+}
+
+/// Runs one TPC-H experiment cell for each requested strategy under the
+/// strategy's default options.
 pub fn run_tpch_query(
     config: &TpchConfig,
     family: Family,
@@ -354,110 +381,8 @@ pub fn run_tpch_query(
     strategies: &[Strategy],
     memory_factor: f64,
 ) -> Vec<BenchRow> {
-    run_tpch_query_repr(
-        config,
-        family,
-        depth,
-        variant,
-        strategies,
-        memory_factor,
-        true,
-    )
-}
-
-/// Runs one TPC-H experiment cell in an explicit physical representation
-/// (`columnar = false` selects the row oracle) — the pair the
-/// row-vs-columnar byte comparisons in `BENCH_summary.json` are built from.
-#[allow(clippy::too_many_arguments)]
-pub fn run_tpch_query_repr(
-    config: &TpchConfig,
-    family: Family,
-    depth: usize,
-    variant: QueryVariant,
-    strategies: &[Strategy],
-    memory_factor: f64,
-    columnar: bool,
-) -> Vec<BenchRow> {
     let (inputs, spec) = tpch_input_set(config, family, depth, variant, memory_factor);
-    strategies
-        .iter()
-        .map(|s| outcome_to_row(run_query_repr(&spec, &inputs, *s, columnar)))
-        .collect()
-}
-
-/// Runs one TPC-H experiment cell with the physical representation **and**
-/// the executor mode spelled out (`pipelined = false` selects the staged
-/// executor) — the pipelined-vs-staged A/B pairs in `BENCH_summary.json`
-/// are built from this.
-#[allow(clippy::too_many_arguments)]
-pub fn run_tpch_query_exec(
-    config: &TpchConfig,
-    family: Family,
-    depth: usize,
-    variant: QueryVariant,
-    strategies: &[Strategy],
-    memory_factor: f64,
-    columnar: bool,
-    pipelined: bool,
-) -> Vec<BenchRow> {
-    let (inputs, spec) = tpch_input_set(config, family, depth, variant, memory_factor);
-    strategies
-        .iter()
-        .map(|s| {
-            outcome_to_row(run_query_configured(
-                &spec, &inputs, *s, columnar, pipelined,
-            ))
-        })
-        .collect()
-}
-
-/// Runs one TPC-H experiment cell with the **expression engine** spelled out
-/// (`compiled = false` forces the tree interpreter instead of the register
-/// kernels) — the compiled-vs-interpreted A/B pairs in `BENCH_summary.json`
-/// are built from this.
-#[allow(clippy::too_many_arguments)]
-pub fn run_tpch_query_expr(
-    config: &TpchConfig,
-    family: Family,
-    depth: usize,
-    variant: QueryVariant,
-    strategies: &[Strategy],
-    memory_factor: f64,
-    columnar: bool,
-    compiled: bool,
-) -> Vec<BenchRow> {
-    let (inputs, spec) = tpch_input_set(config, family, depth, variant, memory_factor);
-    strategies
-        .iter()
-        .map(|s| outcome_to_row(run_query_expr(&spec, &inputs, *s, columnar, compiled)))
-        .collect()
-}
-
-/// [`run_tpch_query`] on a CLI-tuned cluster (partitions / absolute memory
-/// cap / spill subsystem / staged executor).
-pub fn run_tpch_query_tuned(
-    config: &TpchConfig,
-    family: Family,
-    depth: usize,
-    variant: QueryVariant,
-    strategies: &[Strategy],
-    memory_factor: f64,
-    tuning: &ClusterTuning,
-) -> Vec<BenchRow> {
-    let (inputs, spec) =
-        tpch_input_set_tuned(config, family, depth, variant, memory_factor, tuning);
-    strategies
-        .iter()
-        .map(|s| {
-            outcome_to_row(run_query_configured(
-                &spec,
-                &inputs,
-                *s,
-                true,
-                !tuning.staged,
-            ))
-        })
-        .collect()
+    run_strategies(&spec, &inputs, strategies, |s| strategy_options(s, false))
 }
 
 /// One memory-capped cell run both ways on a spill-capable cluster: spill
@@ -515,8 +440,12 @@ pub fn run_capped_cells(config: &TpchConfig, memory_factor: f64) -> Vec<CappedCe
             memory_factor,
             &tuning,
         );
-        let off = run_query_spill(&spec, &inputs, strategy, false);
-        let on = run_query_spill(&spec, &inputs, strategy, true);
+        let spill_off = ExecOptions {
+            spill: false,
+            ..strategy_options(strategy, false)
+        };
+        let off = run_query_with(&spec, &inputs, strategy, &spill_off);
+        let on = run_query(&spec, &inputs, strategy);
         let results_match_uncapped = match (&oracle_bag, &on.result) {
             (Some(expected), RunResult::Nested(d)) => {
                 trance_nrc::bags_approx_equal(expected, &d.collect_bag())
@@ -679,7 +608,7 @@ fn run_biomed_pipeline_impl(
                 explains.push((step_name.to_string(), text));
                 outcome
             }
-            None => run_query_configured(&spec, &inputs, strategy, true, !tuning.staged),
+            None => run_query_with(&spec, &inputs, strategy, &tuning.options(strategy)),
         };
         shuffled += outcome.stats.shuffled_bytes;
         match &outcome.result {

@@ -30,9 +30,9 @@ use trance_dist::{
 };
 use trance_nrc::{Expr, Value};
 
-use crate::exec::ExecOptions;
 use crate::kernel::{compile_mask, compile_ops, KernelCache, KernelOp};
-use crate::physical::{optimizer_config, CapturedPlans};
+use crate::options::ExecOptions;
+use crate::physical::optimizer_config;
 
 /// Converts the plan layer's physical fields into engine field hints.
 fn field_hints(fields: &[PhysField]) -> Vec<FieldHint> {
@@ -172,75 +172,51 @@ pub fn infer_catalog_col(inputs: &HashMap<String, ColCollection>) -> Result<Cata
     Ok(catalog)
 }
 
+/// Optimized plans captured during one execution, in execution order. The
+/// last entry is the root plan (named by the caller); earlier entries are the
+/// program's materialized assignments.
+pub type CapturedPlans = Vec<(String, Plan)>;
+
 /// Lowers an NRC bag expression to a plan program and executes it over
-/// columnar inputs — the columnar counterpart of
-/// [`crate::physical::execute_via_plans`].
+/// columnar inputs: each assignment is optimized against the catalog known
+/// so far, evaluated to a columnar intermediate, and registered with its
+/// exact batch schema and logical size; then the root plan runs.
+///
+/// When `capture` is provided, every optimized plan is recorded (for EXPLAIN
+/// output and prepared-query replay) with the root plan stored under
+/// `root_label`.
 pub fn execute_via_plans_col(
     expr: &Expr,
     inputs: &HashMap<String, ColCollection>,
     ctx: &DistContext,
     options: &ExecOptions,
     root_label: &str,
-    capture: Option<&mut CapturedPlans>,
-) -> Result<ColCollection> {
-    let catalog = infer_catalog_col(inputs)?;
-    let program = lower(expr, &catalog).map_err(|e| ExecError::Other(e.to_string()))?;
-    execute_program_col_impl(&program, inputs, catalog, ctx, options, root_label, capture)
-}
-
-/// Executes a lowered plan program over columnar inputs: each assignment is
-/// optimized against the catalog known so far, evaluated to a columnar
-/// intermediate, and registered with its exact batch schema and logical
-/// size; then the root plan runs.
-pub fn execute_program_col(
-    program: &trance_algebra::PlanProgram,
-    inputs: &HashMap<String, ColCollection>,
-    ctx: &DistContext,
-    options: &ExecOptions,
-    root_label: &str,
-    capture: Option<&mut CapturedPlans>,
-) -> Result<ColCollection> {
-    let catalog = infer_catalog_col(inputs)?;
-    execute_program_col_impl(program, inputs, catalog, ctx, options, root_label, capture)
-}
-
-/// [`execute_program_col`] with the input catalog already computed — the
-/// lowering entry point reuses the catalog it lowered against instead of
-/// walking every input's bytes a second time.
-#[allow(clippy::too_many_arguments)]
-fn execute_program_col_impl(
-    program: &trance_algebra::PlanProgram,
-    inputs: &HashMap<String, ColCollection>,
-    mut catalog: Catalog,
-    ctx: &DistContext,
-    options: &ExecOptions,
-    root_label: &str,
     mut capture: Option<&mut CapturedPlans>,
 ) -> Result<ColCollection> {
+    let mut catalog = infer_catalog_col(inputs)?;
+    let program = lower(expr, &catalog).map_err(|e| ExecError::Other(e.to_string()))?;
     let mut env = inputs.clone();
     let opt_config = optimizer_config(options, ctx);
-    for assignment in &program.assignments {
+    // Optimizes one plan, checks every rank agrees on it, records it.
+    let mut prepare = |name: &str, plan: &Plan, catalog: &Catalog| -> Result<Plan> {
         let plan = match &opt_config {
-            Some(cfg) => optimize(&assignment.plan, &catalog, cfg),
-            None => assignment.plan.clone(),
+            Some(cfg) => optimize(plan, catalog, cfg),
+            None => plan.clone(),
         };
-        check_plan_agreement(ctx, &assignment.name, &plan)?;
+        check_plan_agreement(ctx, name, &plan)?;
         if let Some(capture) = capture.as_deref_mut() {
-            capture.push((assignment.name.clone(), plan.clone()));
+            capture.push((name.to_string(), plan.clone()));
         }
+        Ok(plan)
+    };
+    for assignment in &program.assignments {
+        let plan = prepare(&assignment.name, &assignment.plan, &catalog)?;
         let out = eval_plan_col(&plan, &env, ctx, options)?;
         catalog.register(assignment.name.clone(), exact_schema_col(&out)?);
         catalog.set_size(assignment.name.clone(), out.planning_bytes()?);
         env.insert(assignment.name.clone(), out);
     }
-    let root = match &opt_config {
-        Some(cfg) => optimize(&program.root, &catalog, cfg),
-        None => program.root.clone(),
-    };
-    check_plan_agreement(ctx, root_label, &root)?;
-    if let Some(capture) = capture {
-        capture.push((root_label.to_string(), root.clone()));
-    }
+    let root = prepare(root_label, &program.root, &catalog)?;
     eval_plan_col(&root, &env, ctx, options)
 }
 

@@ -6,16 +6,15 @@
 //! numbered column registers, compiled **once per pipeline** at plan time
 //! and executed per morsel by type-specialized vectorized kernels. The tree
 //! interpreter ([`crate::vector::eval_scalar_batch`]) stays selectable as
-//! the differential oracle (`ExecOptions::compiled_exprs = false`,
-//! `TRANCE_EXPR=interp`), and every kernel mirrors the interpreter's column
-//! construction exactly, so the two routes produce **byte-identical**
-//! batches — the expr_agree suite asserts identical logical *and* physical
-//! shuffle volumes.
+//! the differential oracle (`ExecOptions::compiled_exprs = false`), and
+//! every kernel mirrors the interpreter's column construction exactly, so
+//! the two routes produce **byte-identical** batches — the expr_agree suite
+//! asserts identical logical *and* physical shuffle volumes.
 //!
 //! The executor's cost model:
 //!
 //! * `Lit` constants and absent-column loads are **lazy** registers
-//!   ([`RegVal::Const`]) — O(1) per batch instead of `vec![v.clone(); n]`;
+//!   (`RegVal::Const`) — O(1) per batch instead of `vec![v.clone(); n]`;
 //! * arithmetic and comparisons run over dense `i64`/`f64`/`bool` buffers
 //!   (constants splatted at read, never materialized);
 //! * string predicates against a constant are **dictionary-aware**: one

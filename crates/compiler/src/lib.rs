@@ -10,48 +10,47 @@
 //! * `trance_algebra::optimize` applies column pruning, selection/aggregation
 //!   pushdown and broadcast-vs-shuffle-vs-skew join strategy selection — the
 //!   SparkSQL-like baseline is this same route with the optimizer off;
-//! * the physical executor ([`physical`]) interprets the optimized plans on
-//!   `DistCollection`s, materializing assignment intermediates so later plans
-//!   optimize against their inferred schemas and sizes.
+//! * the physical executor ([`columnar`]) interprets the optimized plans over
+//!   typed batches, materializing assignment intermediates so later plans
+//!   optimize against their exact schemas and sizes; the row interpreter
+//!   ([`physical`]) runs the same plans over `DistCollection`s as the
+//!   differential reference.
 //!
 //! The **shredded route** ([`pipeline`]) first applies query shredding
 //! (`trance-shred`), then lowers and executes each resulting flat assignment
 //! — one per output dictionary — through the same plan layer, optionally
 //! unshredding the output with distributed label joins.
 //!
-//! The original fused executor ([`exec`]) is retained behind
-//! [`ExecOptions::legacy_fused`] purely as a differential-testing oracle.
-//!
 //! The strategies compared in the paper's experiments are exposed as
-//! [`pipeline::Strategy`] and driven by [`pipeline::run_query`];
+//! [`pipeline::Strategy`] and driven by [`pipeline::run_query`] (the
+//! strategy's default options) or [`pipeline::run_query_with`] (explicit
+//! [`ExecOptions`] — how the differential suites select the row route, the
+//! staged executor or the expression interpreter as references);
 //! [`pipeline::explain_query`] renders the optimized plans a strategy
-//! actually executes.
+//! actually executes. All of them — and the serving layer's
+//! [`prepared::prepare_and_run`] / [`prepared::run_prepared`] — execute
+//! columnar programs through one driver in [`prepared`].
 
 #![warn(missing_docs)]
 
 pub mod columnar;
-pub mod exec;
 pub mod kernel;
+pub mod options;
 pub mod physical;
 pub mod pipeline;
 pub mod prepared;
 pub mod vector;
 
 pub use columnar::{
-    eval_plan_col, exact_schema_col, execute_program_col, execute_via_plans_col, infer_catalog_col,
-    ingest_env,
-};
-pub use exec::{compiled_exprs_default, execute, ExecOptions};
-pub use kernel::{compile_mask, compile_ops, Instr, KernelCache, KernelOp, KernelProgram};
-pub use physical::{
-    eval_plan, exact_schema, execute_program, execute_via_plans, infer_catalog, infer_schema,
+    eval_plan_col, exact_schema_col, execute_via_plans_col, infer_catalog_col, ingest_env,
     CapturedPlans,
 };
+pub use kernel::{compile_mask, compile_ops, Instr, KernelCache, KernelOp, KernelProgram};
+pub use options::ExecOptions;
 pub use pipeline::{
-    collect_unshredded, explain_query, run_query, run_query_bounded, run_query_configured,
-    run_query_explained, run_query_expr, run_query_legacy, run_query_repr, run_query_spill,
-    run_shredded, strategy_options, unshred_distributed, unshred_distributed_col, InputSet,
-    QuerySpec, RunOutcome, RunResult, ShreddedOutput, Strategy,
+    collect_unshredded, explain_query, run_query, run_query_explained, run_query_with,
+    strategy_options, unshred_distributed, unshred_distributed_col, InputSet, QuerySpec,
+    RunOutcome, RunResult, ShreddedOutput, Strategy,
 };
 pub use prepared::{plan_cache_key, prepare_and_run, run_prepared, PreparedQuery};
 pub use vector::{eval_mask, eval_scalar_batch};

@@ -1,0 +1,88 @@
+//! [`ExecOptions`]: everything a caller can set about how one query executes.
+
+use std::sync::Arc;
+use std::time::Duration;
+
+use crate::kernel::KernelCache;
+
+/// Compilation options for one query execution.
+///
+/// [`crate::strategy_options`] gives a strategy's defaults; callers that need
+/// a reference route override single fields, e.g.
+/// `ExecOptions { columnar: false, ..strategy_options(s, false) }`.
+#[derive(Debug, Clone)]
+pub struct ExecOptions {
+    /// Run the plan optimizer (column pruning, selection pushdown, join
+    /// strategy selection). Disabled for the SparkSQL-like baseline — the
+    /// baseline is the same compilation route with the optimizer off, not a
+    /// separate code path.
+    pub optimize: bool,
+    /// Use skew-aware joins (Section 5).
+    pub skew_aware: bool,
+    /// Execute plans over the columnar representation (typed batches, the
+    /// default): inputs convert to `trance_dist::Batch`es at scan ingest and
+    /// back to rows only at the collect boundary. With this off the plan
+    /// route interprets over row `DistCollection`s — kept selectable as the
+    /// row-representation differential oracle.
+    pub columnar: bool,
+    /// Allow out-of-core execution: on clusters with the spill subsystem
+    /// enabled (`ClusterConfig::with_spill`) and a worker memory cap set,
+    /// memory pressure spills victim partitions to disk instead of failing
+    /// with `MemoryExceeded`. **Default on when a memory cap is set** — a
+    /// capped run only reproduces the paper's FAIL cells when this is turned
+    /// off (or the cluster has no spill support, the default).
+    pub spill: bool,
+    /// Execute maximal chains of row-local plan operators as **fused
+    /// pipelines**, morsel-by-morsel on the context's persistent worker pool
+    /// (the default). With this off, every plan operator materializes its
+    /// output before the next one runs — the **staged** executor, kept
+    /// selectable as the differential oracle the scheduler-stress suite
+    /// compares against.
+    pub pipelined: bool,
+    /// Let the cluster's [`trance_dist::FaultInjector`] fire during this run
+    /// (the default). Only bites on clusters configured with a
+    /// [`trance_dist::FaultPlan`]; turning it off runs fault-free on the same
+    /// cluster — the oracle side of the chaos differential suite.
+    pub faults: bool,
+    /// Compile scalar expressions to register-based vectorized kernel
+    /// programs ([`crate::kernel`], the default): the expressions of each
+    /// fused `select`/`extend`/`project` run are flattened — common
+    /// subexpressions shared — into one SSA program per pipeline, compiled
+    /// once at plan time and executed per morsel as type-specialized
+    /// kernels over a selection vector. With this off the columnar route
+    /// evaluates `ScalarExpr` trees per batch through
+    /// [`crate::vector::eval_scalar_batch`] — kept selectable as the
+    /// expression-level differential oracle. Ignored by the row route, which
+    /// is row-at-a-time.
+    pub compiled_exprs: bool,
+    /// A shared [`KernelCache`] to reuse compiled kernel programs across
+    /// runs (`None` by default: every run compiles its own). The serving
+    /// layer threads the engine's cache through here so a warm query's fused
+    /// pipelines replay the cold run's `Arc`'d programs — a hit skips both
+    /// the SSA compiler and its compile-time accounting, which is how a warm
+    /// query reports zero expression-compile time. Only consulted by the
+    /// columnar route when `compiled_exprs` is on.
+    pub kernel_cache: Option<Arc<KernelCache>>,
+    /// Wall-clock budget of the run (`None` by default: unbounded). Arms the
+    /// context's [`trance_dist::CancelToken`] for the duration of the run,
+    /// so the query is cooperatively cancelled — returning
+    /// [`trance_dist::ExecError::Cancelled`] — once the budget expires, even
+    /// mid-spill.
+    pub deadline: Option<Duration>,
+}
+
+impl Default for ExecOptions {
+    fn default() -> Self {
+        ExecOptions {
+            optimize: true,
+            skew_aware: false,
+            columnar: true,
+            spill: true,
+            pipelined: true,
+            faults: true,
+            compiled_exprs: true,
+            kernel_cache: None,
+            deadline: None,
+        }
+    }
+}

@@ -4,15 +4,15 @@
 //! This is the last stage of the live compilation pipeline
 //! **NRC → Plan → optimize → execute**:
 //!
-//! 1. [`infer_catalog`] samples the distributed inputs to build the
+//! 1. `infer_catalog` samples the distributed inputs to build the
 //!    attribute-level [`Catalog`] (schemas plus materialized sizes) that
 //!    drives lowering and optimization;
-//! 2. `trance_algebra::lower` produces a [`PlanProgram`];
+//! 2. `trance_algebra::lower` produces a `PlanProgram`;
 //! 3. each assignment and the root are run through
 //!    `trance_algebra::optimize` **immediately before execution**, so plans
 //!    over intermediates benefit from the schemas and sizes of the
 //!    materializations that precede them;
-//! 4. [`eval_plan`] maps every plan operator onto the engine: scans with
+//! 4. `eval_plan` maps every plan operator onto the engine: scans with
 //!    `var.field` renaming, selections/projections/extensions as
 //!    partition-parallel maps, joins as distributed hash joins honouring the
 //!    optimizer's strategy annotation (broadcast / shuffle / skew-aware),
@@ -25,83 +25,42 @@
 //! the tree-walking interpreter ([`crate::vector`]): register-based kernel
 //! compilation ([`crate::kernel`]) is a columnar-route concern — its
 //! vectorized instructions operate on typed column buffers, which row
-//! batches do not have — so [`crate::exec::ExecOptions::compiled_exprs`]
+//! batches do not have — so [`crate::ExecOptions::compiled_exprs`]
 //! has no effect here.
 
 use std::collections::HashMap;
 
 use trance_algebra::{
     fuse_chain, lower, needs_sequential, optimize, pipeline_label, pipeline_op_name, AttrSchema,
-    Catalog, JoinStrategy, NestOp, OptimizerConfig, Plan, PlanJoinKind, PlanProgram,
+    Catalog, JoinStrategy, NestOp, OptimizerConfig, Plan, PlanJoinKind,
 };
 use trance_dist::{
     DistCollection, DistContext, ExecError, JoinHint, JoinSpec, MorselCtx, Result, SkewTriple,
 };
 use trance_nrc::{Expr, NrcError, Tuple, Value};
 
-use crate::exec::ExecOptions;
-
-/// Optimized plans captured during one execution, in execution order. The
-/// last entry is the root plan (named by the caller); earlier entries are the
-/// program's materialized assignments.
-pub type CapturedPlans = Vec<(String, Plan)>;
+use crate::options::ExecOptions;
 
 /// Lowers an NRC bag expression to a plan program and executes it over the
-/// distributed inputs — the plan-route counterpart of [`crate::execute`].
-///
-/// When `capture` is provided, every optimized plan is recorded (for EXPLAIN
-/// output) with the root plan stored under `root_label`.
-pub fn execute_via_plans(
+/// distributed row inputs: materializes each assignment in order (optimizing
+/// it against the catalog known so far, then registering its inferred schema
+/// and size), then evaluates the root plan.
+pub(crate) fn execute_via_plans(
     expr: &Expr,
     inputs: &HashMap<String, DistCollection>,
     ctx: &DistContext,
     options: &ExecOptions,
-    root_label: &str,
-    capture: Option<&mut CapturedPlans>,
 ) -> Result<DistCollection> {
-    let catalog = infer_catalog(inputs)?;
+    let mut catalog = infer_catalog(inputs)?;
     let program = lower(expr, &catalog).map_err(|e| ExecError::Other(e.to_string()))?;
-    execute_program_impl(&program, inputs, catalog, ctx, options, root_label, capture)
-}
-
-/// Executes a lowered [`PlanProgram`]: materializes each assignment in order
-/// (optimizing it against the catalog known so far, then registering its
-/// inferred schema and size), then evaluates the root plan.
-pub fn execute_program(
-    program: &PlanProgram,
-    inputs: &HashMap<String, DistCollection>,
-    ctx: &DistContext,
-    options: &ExecOptions,
-    root_label: &str,
-    capture: Option<&mut CapturedPlans>,
-) -> Result<DistCollection> {
-    let catalog = infer_catalog(inputs)?;
-    execute_program_impl(program, inputs, catalog, ctx, options, root_label, capture)
-}
-
-/// [`execute_program`] with the input catalog already computed (the lowering
-/// entry point reuses the catalog it lowered against).
-#[allow(clippy::too_many_arguments)]
-fn execute_program_impl(
-    program: &PlanProgram,
-    inputs: &HashMap<String, DistCollection>,
-    mut catalog: Catalog,
-    ctx: &DistContext,
-    options: &ExecOptions,
-    root_label: &str,
-    mut capture: Option<&mut CapturedPlans>,
-) -> Result<DistCollection> {
     let mut env = inputs.clone();
     let opt_config = optimizer_config(options, ctx);
+    let optimized = |plan: &Plan, catalog: &Catalog| match &opt_config {
+        Some(cfg) => optimize(plan, catalog, cfg),
+        None => plan.clone(),
+    };
     for assignment in &program.assignments {
-        let plan = match &opt_config {
-            Some(cfg) => optimize(&assignment.plan, &catalog, cfg),
-            None => assignment.plan.clone(),
-        };
-        if let Some(capture) = capture.as_deref_mut() {
-            capture.push((assignment.name.clone(), plan.clone()));
-        }
-        let out = eval_plan(&plan, &env, ctx, options)?;
+        let out = eval_plan(&optimized(&assignment.plan, &catalog), &env, ctx, options)?;
         // Intermediates are registered with their *exact* top-level
         // attribute set: their scans carry no alias, so the pruning pass has
         // no prefix fallback and a sampled schema could silently drop an
@@ -110,14 +69,7 @@ fn execute_program_impl(
         catalog.set_size(assignment.name.clone(), out.total_bytes());
         env.insert(assignment.name.clone(), out);
     }
-    let root = match &opt_config {
-        Some(cfg) => optimize(&program.root, &catalog, cfg),
-        None => program.root.clone(),
-    };
-    if let Some(capture) = capture {
-        capture.push((root_label.to_string(), root.clone()));
-    }
-    eval_plan(&root, &env, ctx, options)
+    eval_plan(&optimized(&program.root, &catalog), &env, ctx, options)
 }
 
 /// The optimizer configuration for one run; `None` when optimization is off
@@ -144,7 +96,7 @@ pub(crate) fn optimizer_config(
 /// Builds a [`Catalog`] from distributed inputs by sampling rows for the
 /// attribute schemas (recursively into bag-valued attributes) and recording
 /// materialized sizes for join strategy selection.
-pub fn infer_catalog(inputs: &HashMap<String, DistCollection>) -> Result<Catalog> {
+fn infer_catalog(inputs: &HashMap<String, DistCollection>) -> Result<Catalog> {
     let mut catalog = Catalog::new();
     for (name, coll) in inputs {
         catalog.register(name.clone(), infer_schema(coll)?);
@@ -157,7 +109,7 @@ pub fn infer_catalog(inputs: &HashMap<String, DistCollection>) -> Result<Catalog
 /// Empty collections (or non-tuple rows) yield the empty schema, which the
 /// optimizer treats as "unknown — don't touch". Partitions stream one at a
 /// time, so spilled collections are never re-materialized wholesale.
-pub fn infer_schema(coll: &DistCollection) -> Result<AttrSchema> {
+pub(crate) fn infer_schema(coll: &DistCollection) -> Result<AttrSchema> {
     if let Some(ex) = coll.context().exchange() {
         return infer_schema_global(coll, ex.as_ref());
     }
@@ -233,7 +185,7 @@ fn infer_schema_global(
 /// pruning below an aliased unnest keeps every required `alias.`-prefixed
 /// attribute regardless of what the sample saw. Partitions stream one at a
 /// time, like [`infer_schema`].
-pub fn exact_schema(coll: &DistCollection) -> Result<AttrSchema> {
+fn exact_schema(coll: &DistCollection) -> Result<AttrSchema> {
     let mut out = AttrSchema::default();
     coll.for_each_partition(|rows| {
         for row in rows {
@@ -281,7 +233,7 @@ fn schema_of_rows(rows: &[&Value]) -> AttrSchema {
 // ---------------------------------------------------------------------------
 
 /// Evaluates one plan tree against the environment of named collections.
-pub fn eval_plan(
+fn eval_plan(
     plan: &Plan,
     env: &HashMap<String, DistCollection>,
     ctx: &DistContext,

@@ -19,10 +19,10 @@
 //! * `*Skew` variants run every join with the skew-aware operators of
 //!   Section 5 (the optimizer annotates every `Plan::Join` with `Skew`).
 //!
-//! The legacy fused executor survives behind
-//! [`ExecOptions::legacy_fused`] / [`run_query_legacy`] as a differential-
-//! testing oracle, and [`explain_query`] renders the optimized plans a
-//! strategy actually executes.
+//! [`run_query`] runs a strategy with its default options and
+//! [`run_query_with`] with explicit [`ExecOptions`] — which executor runs a
+//! query is decided here and nowhere else. [`explain_query`] renders the
+//! optimized plans a strategy actually executes.
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
@@ -31,17 +31,17 @@ use std::time::{Duration, Instant};
 use trance_dist::{DistCollection, DistContext, ExecError, JoinSpec, StatsSnapshot};
 use trance_nrc::{Bag, Expr, Tuple, Value};
 use trance_shred::{
-    flat_input_name, input_dict_name, output_dict_name, shred_query, shred_value, NestingStructure,
-    ShreddedInputDecl, ShreddedQuery, TOP_BAG,
+    flat_input_name, input_dict_name, shred_query, shred_value, NestingStructure, ShreddedInputDecl,
 };
 
 use std::sync::Arc;
 
 use trance_dist::{ColCollection, Column};
 
-use crate::columnar::{execute_via_plans_col, ingest_env};
-use crate::exec::{execute, ExecOptions};
-use crate::physical::{execute_via_plans, CapturedPlans};
+use crate::columnar::ingest_env;
+use crate::options::ExecOptions;
+use crate::physical::execute_via_plans;
+use crate::prepared::{dict_sources, run_spec, shredded_pieces, CapturedUnits};
 
 /// The evaluation strategies of the paper's experiments.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -319,125 +319,47 @@ impl RunOutcome {
     }
 }
 
-/// The options a strategy runs under (plan route over columnar batches,
-/// morsel-driven fused pipelines by default; set `legacy_fused` to execute
-/// through the legacy oracle instead).
-pub fn strategy_options(strategy: Strategy, legacy_fused: bool) -> ExecOptions {
+/// The options a strategy runs under by default: the plan route over
+/// columnar batches, morsel-driven fused pipelines, compiled expression
+/// kernels. The second parameter is ignored; it is retained only because the
+/// frozen benchmark (`benchmark/src/probes.rs`) calls
+/// `strategy_options(strategy, false)`.
+pub fn strategy_options(strategy: Strategy, _retained: bool) -> ExecOptions {
     ExecOptions {
         optimize: strategy != Strategy::Baseline,
         skew_aware: strategy.skew_aware(),
-        legacy_fused,
-        columnar: true,
-        spill: true,
-        pipelined: true,
-        faults: true,
-        compiled_exprs: crate::exec::compiled_exprs_default(),
-        kernel_cache: None,
+        ..ExecOptions::default()
     }
 }
 
-/// Runs `spec` under `strategy` over the given inputs — through the plan
-/// route (NRC → Plan → optimize → columnar physical execution).
+/// Runs `spec` under `strategy` over the given inputs with the strategy's
+/// default options ([`strategy_options`]) — the plan route, NRC → Plan →
+/// optimize → columnar physical execution.
 pub fn run_query(spec: &QuerySpec, inputs: &InputSet, strategy: Strategy) -> RunOutcome {
-    run_query_impl(
-        spec, inputs, strategy, false, true, true, true, true, true, None, None,
-    )
+    run_query_with(spec, inputs, strategy, &strategy_options(strategy, false))
 }
 
-/// Runs `spec` under `strategy` with an explicit **fault-tolerance
-/// envelope**: `faults = false` suppresses the cluster's fault injector for
-/// this run (the fault-free oracle side of the chaos differential suite),
-/// and `deadline` arms the context's [`trance_dist::CancelToken`] so the run
-/// is cooperatively cancelled — returning
-/// [`trance_dist::ExecError::Cancelled`] — once the wall-clock budget
-/// expires, even mid-spill. Both knobs are no-ops on clusters without a
-/// [`trance_dist::FaultPlan`] / with no deadline set.
-pub fn run_query_bounded(
+/// Runs `spec` under `strategy` with every execution choice spelled out in
+/// `options` — the one entry point the differential suites select their
+/// reference routes through (`columnar: false` the row representation,
+/// `pipelined: false` the staged executor, `compiled_exprs: false` the
+/// expression interpreter, `faults: false` the fault-free twin, `spill:
+/// false` the paper's FAIL behaviour on a capped spill-capable cluster,
+/// `deadline` a wall-clock budget). Start from [`strategy_options`] and
+/// override single fields.
+pub fn run_query_with(
     spec: &QuerySpec,
     inputs: &InputSet,
     strategy: Strategy,
-    faults: bool,
-    deadline: Option<Duration>,
+    options: &ExecOptions,
 ) -> RunOutcome {
-    run_query_impl(
-        spec, inputs, strategy, false, true, true, true, faults, true, deadline, None,
-    )
-}
-
-/// Runs `spec` under `strategy` with an explicit spill switch: `spill =
-/// false` reproduces the paper's FAIL behaviour on a spill-capable capped
-/// cluster, `spill = true` (the [`run_query`] default) lets memory pressure
-/// go out-of-core instead. The switch only matters on clusters built with
-/// `ClusterConfig::with_spill` and a worker memory cap.
-pub fn run_query_spill(
-    spec: &QuerySpec,
-    inputs: &InputSet,
-    strategy: Strategy,
-    spill: bool,
-) -> RunOutcome {
-    run_query_impl(
-        spec, inputs, strategy, false, true, spill, true, true, true, None, None,
-    )
-}
-
-/// Runs `spec` under `strategy` through the **legacy fused** executor — the
-/// differential-testing oracle the plan route must agree with.
-pub fn run_query_legacy(spec: &QuerySpec, inputs: &InputSet, strategy: Strategy) -> RunOutcome {
-    run_query_impl(
-        spec, inputs, strategy, true, true, true, true, true, true, None, None,
-    )
-}
-
-/// Runs `spec` under `strategy` through the plan route in an explicit
-/// physical representation: `columnar = true` executes over typed batches
-/// (the default), `columnar = false` over row collections — the
-/// row-vs-columnar differential pair the byte-accounting benchmarks compare.
-pub fn run_query_repr(
-    spec: &QuerySpec,
-    inputs: &InputSet,
-    strategy: Strategy,
-    columnar: bool,
-) -> RunOutcome {
-    run_query_impl(
-        spec, inputs, strategy, false, columnar, true, true, true, true, None, None,
-    )
-}
-
-/// Runs `spec` under `strategy` with the physical representation **and** the
-/// executor mode spelled out: `pipelined = true` (the default elsewhere)
-/// fuses row-local operator chains into morsel-driven pipelines on the
-/// persistent worker pool, `pipelined = false` is the **staged** executor
-/// (one materialization per plan operator) — the oracle the
-/// scheduler-stress suite differentials against.
-pub fn run_query_configured(
-    spec: &QuerySpec,
-    inputs: &InputSet,
-    strategy: Strategy,
-    columnar: bool,
-    pipelined: bool,
-) -> RunOutcome {
-    run_query_impl(
-        spec, inputs, strategy, false, columnar, true, pipelined, true, true, None, None,
-    )
-}
-
-/// Runs `spec` under `strategy` with the **expression engine** spelled out:
-/// `compiled = true` evaluates row-local operator chains through compiled
-/// register kernels ([`crate::kernel`]), `compiled = false` forces the tree
-/// interpreter ([`crate::vector::eval_scalar_batch`]) — the differential
-/// oracle the expr_agree suite compares against. Both sides run the same
-/// plans on the same shuffles, so their logical *and* physical byte
-/// accounting must agree exactly.
-pub fn run_query_expr(
-    spec: &QuerySpec,
-    inputs: &InputSet,
-    strategy: Strategy,
-    columnar: bool,
-    compiled: bool,
-) -> RunOutcome {
-    run_query_impl(
-        spec, inputs, strategy, false, columnar, true, true, true, compiled, None, None,
-    )
+    run_outcome(inputs, strategy, options, || {
+        if options.columnar {
+            run_columnar(spec, inputs, strategy, options, None)
+        } else {
+            run_rows(spec, inputs, strategy, options)
+        }
+    })
 }
 
 /// Runs `spec` under `strategy` while capturing the optimized plans it
@@ -449,23 +371,14 @@ pub fn run_query_explained(
     inputs: &InputSet,
     strategy: Strategy,
 ) -> (RunOutcome, String) {
-    let mut capture: CapturedPlans = Vec::new();
-    let outcome = run_query_impl(
-        spec,
-        inputs,
-        strategy,
-        false,
-        true,
-        true,
-        true,
-        true,
-        true,
-        None,
-        Some(&mut capture),
-    );
+    let options = strategy_options(strategy, false);
+    let mut capture = CapturedUnits::new();
+    let outcome = run_outcome(inputs, strategy, &options, || {
+        run_columnar(spec, inputs, strategy, &options, Some(&mut capture))
+    });
     let mut out = String::new();
     let _ = writeln!(out, "== {} · {} ==", spec.name, strategy.label());
-    for (name, plan) in &capture {
+    for (name, plan) in capture.iter().flat_map(|(_, plans)| plans) {
         let _ = writeln!(out, "-- {name} --");
         // Each operator is annotated with the fused pipeline it executes in
         // (`·p0`, `·p1`, …); breakers carry no marker.
@@ -551,50 +464,22 @@ pub fn explain_query(
     Ok(text)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_query_impl(
-    spec: &QuerySpec,
+/// Wraps one run on `inputs`' context into a [`RunOutcome`]: fresh stats and
+/// a fresh cancellation scope going in (a stale flag from an earlier run on
+/// the same context must not leak in), `options`' session state around the
+/// run, wall clock and stats snapshot coming out, errors folded into
+/// [`RunResult::Failed`].
+fn run_outcome(
     inputs: &InputSet,
     strategy: Strategy,
-    legacy_fused: bool,
-    columnar: bool,
-    spill: bool,
-    pipelined: bool,
-    faults: bool,
-    compiled_exprs: bool,
-    deadline: Option<Duration>,
-    capture: Option<&mut CapturedPlans>,
+    options: &ExecOptions,
+    run: impl FnOnce() -> trance_dist::Result<RunResult>,
 ) -> RunOutcome {
     let ctx = inputs.context();
     ctx.stats().reset();
-    // Every run starts with a fresh cancellation scope: a stale flag or
-    // deadline from an earlier run on the same context must not leak in.
-    let cancel = ctx.cancel_token();
-    cancel.reset();
-    cancel.set_timeout(deadline);
+    ctx.cancel_token().reset();
     let start = Instant::now();
-    let result = match dispatch(
-        spec,
-        inputs,
-        strategy,
-        legacy_fused,
-        columnar,
-        spill,
-        pipelined,
-        faults,
-        compiled_exprs,
-        capture,
-    ) {
-        Ok(r) => r,
-        Err(e) => RunResult::Failed(e),
-    };
-    if let RunResult::Failed(e) = &result {
-        if e.is_cancelled() {
-            ctx.stats().record_cancelled();
-        }
-    }
-    // Disarm the deadline so it cannot fire into a later run.
-    cancel.set_timeout(None);
+    let result = with_session(ctx, options, run).unwrap_or_else(RunResult::Failed);
     RunOutcome {
         strategy,
         elapsed: start.elapsed(),
@@ -603,222 +488,79 @@ fn run_query_impl(
     }
 }
 
-/// Runs one NRC bag expression through the configured route.
-fn execute_query(
-    expr: &Expr,
-    env: &HashMap<String, DistCollection>,
+/// Applies the per-run session state `options` asks for to `ctx`, runs
+/// `run`, and disarms the deadline so it cannot fire into a later run.
+///
+/// `spill` only bites on clusters built with `ClusterConfig::with_spill` and
+/// a memory cap (everywhere else capped runs FAIL as in the paper); `faults`
+/// only on clusters configured with a `FaultPlan`.
+pub(crate) fn with_session<T>(
     ctx: &DistContext,
     options: &ExecOptions,
-    root_label: &str,
-    capture: Option<&mut CapturedPlans>,
-) -> trance_dist::Result<DistCollection> {
-    if options.legacy_fused {
-        execute(expr, env, ctx, options)
-    } else {
-        execute_via_plans(expr, env, ctx, options, root_label, capture)
+    run: impl FnOnce() -> trance_dist::Result<T>,
+) -> trance_dist::Result<T> {
+    ctx.set_spill_session(options.spill);
+    ctx.set_fault_session(options.faults);
+    let cancel = ctx.cancel_token();
+    cancel.set_timeout(options.deadline);
+    let result = run();
+    cancel.set_timeout(None);
+    if matches!(&result, Err(e) if e.is_cancelled()) {
+        ctx.stats().record_cancelled();
     }
+    result
 }
 
-#[allow(clippy::too_many_arguments)]
-fn dispatch(
+/// The columnar route: rows cross into batches once at scan ingest, the
+/// program driver ([`crate::prepared`]) runs everything — unshredding
+/// included — over batches, and rows come back once at the collect boundary.
+fn run_columnar(
     spec: &QuerySpec,
     inputs: &InputSet,
     strategy: Strategy,
-    legacy_fused: bool,
-    columnar: bool,
-    spill: bool,
-    pipelined: bool,
-    faults: bool,
-    compiled_exprs: bool,
-    capture: Option<&mut CapturedPlans>,
+    options: &ExecOptions,
+    capture: Option<&mut CapturedUnits>,
+) -> trance_dist::Result<RunResult> {
+    let rows = if strategy.is_shredded() {
+        inputs.shredded_inputs()
+    } else {
+        inputs.nested_inputs()
+    };
+    let env = ingest_env(rows)?;
+    let (result, _) = run_spec(spec, &env, inputs.context(), strategy, options, capture)?;
+    Ok(result)
+}
+
+/// The row route (`columnar: false`): the same plans interpreted over row
+/// collections — the row-representation differential oracle.
+fn run_rows(
+    spec: &QuerySpec,
+    inputs: &InputSet,
+    strategy: Strategy,
+    options: &ExecOptions,
 ) -> trance_dist::Result<RunResult> {
     let ctx = inputs.context();
-    let mut options = strategy_options(strategy, legacy_fused);
-    options.columnar = columnar;
-    options.spill = spill;
-    options.pipelined = pipelined;
-    options.faults = faults;
-    // The caller's switch composes with the session default: an explicit
-    // `TRANCE_EXPR=interp` escape hatch wins over a `true` here.
-    options.compiled_exprs = compiled_exprs && options.compiled_exprs;
-    // `ExecOptions::spill` only bites on clusters built with
-    // `ClusterConfig::with_spill` and a memory cap; everywhere else the
-    // session toggle is a no-op and capped runs FAIL as in the paper.
-    ctx.set_spill_session(options.spill);
-    // Likewise `ExecOptions::faults` only bites on clusters configured with
-    // a `FaultPlan`: turning it off runs the same query fault-free on the
-    // same cluster (the chaos suite's oracle side).
-    ctx.set_fault_session(options.faults);
-    match strategy {
-        Strategy::Standard | Strategy::StandardSkew | Strategy::Baseline => {
-            let out = if options.columnar && !options.legacy_fused {
-                // Columnar route: rows cross into batches once at scan
-                // ingest, back out once at the collect boundary.
-                let env = ingest_env(inputs.nested_inputs())?;
-                execute_via_plans_col(&spec.query, &env, ctx, &options, "result", capture)?
-                    .to_rows()?
-            } else {
-                execute_query(
-                    &spec.query,
-                    inputs.nested_inputs(),
-                    ctx,
-                    &options,
-                    "result",
-                    capture,
-                )?
-            };
-            Ok(RunResult::Nested(out))
-        }
-        Strategy::Shred
-        | Strategy::ShredUnshred
-        | Strategy::ShredSkew
-        | Strategy::ShredUnshredSkew => {
-            let shredded =
-                shred_query(&spec.query, &spec.nested_inputs).map_err(ExecError::from)?;
-            if options.columnar && !options.legacy_fused {
-                // Columnar route end to end: the flat assignments stay in
-                // batches, and unshredding runs over columnar operators too,
-                // so its shuffles meter exact physical buffer bytes instead
-                // of falling back to the row engine's logical estimate.
-                let (top, dicts) = run_shredded_col(&shredded, inputs, &options, capture)?;
-                if strategy.unshreds() {
-                    let nested =
-                        unshred_distributed_col(&top, &dicts, &shredded.structure, &options)?;
-                    return Ok(RunResult::Nested(nested.to_rows()?));
-                }
-                let mut row_dicts = BTreeMap::new();
-                for (path, d) in dicts {
-                    row_dicts.insert(path, d.to_rows()?);
-                }
-                return Ok(RunResult::Shredded(ShreddedOutput {
-                    top: top.to_rows()?,
-                    dicts: row_dicts,
-                    structure: shredded.structure.clone(),
-                }));
-            }
-            let output = run_shredded_impl(&shredded, inputs, &options, capture)?;
-            if strategy.unshreds() {
-                let nested = unshred_distributed(&output, ctx, &options)?;
-                Ok(RunResult::Nested(nested))
-            } else {
-                Ok(RunResult::Shredded(output))
-            }
-        }
+    if !strategy.is_shredded() {
+        let out = execute_via_plans(&spec.query, inputs.nested_inputs(), ctx, options)?;
+        return Ok(RunResult::Nested(out));
     }
-}
-
-/// Executes the flat assignments of a shredded program in order, returning the
-/// shredded output. Each assignment goes through the plan layer (lowered,
-/// optimized and interpreted) unless `options.legacy_fused` is set.
-pub fn run_shredded(
-    shredded: &ShreddedQuery,
-    inputs: &InputSet,
-    options: &ExecOptions,
-) -> trance_dist::Result<ShreddedOutput> {
-    run_shredded_impl(shredded, inputs, options, None)
-}
-
-fn run_shredded_impl(
-    shredded: &ShreddedQuery,
-    inputs: &InputSet,
-    options: &ExecOptions,
-    mut capture: Option<&mut CapturedPlans>,
-) -> trance_dist::Result<ShreddedOutput> {
-    let ctx = inputs.context();
-    if options.columnar && !options.legacy_fused {
-        let (top, dicts) = run_shredded_col(shredded, inputs, options, capture)?;
-        let mut row_dicts = BTreeMap::new();
-        for (path, d) in dicts {
-            row_dicts.insert(path, d.to_rows()?);
-        }
-        return Ok(ShreddedOutput {
-            top: top.to_rows()?,
-            dicts: row_dicts,
-            structure: shredded.structure.clone(),
-        });
-    }
+    let shredded = shred_query(&spec.query, &spec.nested_inputs).map_err(ExecError::from)?;
     let mut env = inputs.shredded_inputs().clone();
     for assignment in &shredded.program.assignments {
-        let out = execute_query(
-            &assignment.expr,
-            &env,
-            ctx,
-            options,
-            &assignment.name,
-            capture.as_deref_mut(),
-        )?;
+        let out = execute_via_plans(&assignment.expr, &env, ctx, options)?;
         env.insert(assignment.name.clone(), out);
     }
-    assemble_shredded_output(shredded, |name| env.get(name).cloned())
-}
-
-/// Columnar execution of a shredded program: the environment of materialized
-/// flat assignments stays in batches across the whole program; the result is
-/// the columnar top bag plus one columnar collection per dictionary path
-/// (ready for columnar unshredding — nothing crosses back to rows here).
-fn run_shredded_col(
-    shredded: &ShreddedQuery,
-    inputs: &InputSet,
-    options: &ExecOptions,
-    mut capture: Option<&mut CapturedPlans>,
-) -> trance_dist::Result<(ColCollection, BTreeMap<String, ColCollection>)> {
-    let ctx = inputs.context();
-    let mut env = ingest_env(inputs.shredded_inputs())?;
-    for assignment in &shredded.program.assignments {
-        let out = execute_via_plans_col(
-            &assignment.expr,
-            &env,
-            ctx,
-            options,
-            &assignment.name,
-            capture.as_deref_mut(),
-        )?;
-        env.insert(assignment.name.clone(), out);
-    }
-    let top = env
-        .get(TOP_BAG)
-        .cloned()
-        .ok_or_else(|| ExecError::Other("shredded program produced no TopBag".into()))?;
-    let mut dicts = BTreeMap::new();
-    for path in shredded.structure.paths() {
-        let name = shredded
-            .dict_names
-            .get(&path)
-            .cloned()
-            .unwrap_or_else(|| output_dict_name(&path));
-        if let Some(d) = env.get(&name) {
-            dicts.insert(path, d.clone());
-        }
-    }
-    Ok((top, dicts))
-}
-
-/// Collects a shredded program's outputs (the top bag plus one collection
-/// per dictionary path) out of an executed environment — shared by both
-/// physical representations so dictionary naming and error handling cannot
-/// diverge between them.
-fn assemble_shredded_output(
-    shredded: &ShreddedQuery,
-    lookup: impl Fn(&str) -> Option<DistCollection>,
-) -> trance_dist::Result<ShreddedOutput> {
-    let top = lookup(TOP_BAG)
-        .ok_or_else(|| ExecError::Other("shredded program produced no TopBag".into()))?;
-    let mut dicts = BTreeMap::new();
-    for path in shredded.structure.paths() {
-        let name = shredded
-            .dict_names
-            .get(&path)
-            .cloned()
-            .unwrap_or_else(|| output_dict_name(&path));
-        if let Some(d) = lookup(&name) {
-            dicts.insert(path, d);
-        }
-    }
-    Ok(ShreddedOutput {
+    let (top, dicts) = shredded_pieces(&env, &dict_sources(&shredded))?;
+    let output = ShreddedOutput {
         top,
         dicts,
-        structure: shredded.structure.clone(),
-    })
+        structure: shredded.structure,
+    };
+    if strategy.unshreds() {
+        Ok(RunResult::Nested(unshred_distributed(&output, options)?))
+    } else {
+        Ok(RunResult::Shredded(output))
+    }
 }
 
 /// Distributed unshredding: reassembles the nested output by grouping each
@@ -826,7 +568,6 @@ fn assemble_shredded_output(
 /// level first.
 pub fn unshred_distributed(
     output: &ShreddedOutput,
-    _ctx: &DistContext,
     options: &ExecOptions,
 ) -> trance_dist::Result<DistCollection> {
     // Work on a mutable copy of the dictionaries; children are folded into
@@ -848,7 +589,8 @@ pub fn unshred_distributed(
             .filter(|p| dicts.contains_key(p));
 
         // Group the child dictionary rows by label into a single bag column.
-        let value_attrs: Vec<String> = first_attrs(&child)?
+        let value_attrs: Vec<String> = child
+            .first_fields()?
             .into_iter()
             .filter(|a| a != "label")
             .collect();
@@ -991,12 +733,6 @@ pub fn unshred_distributed_col(
         }
     }
     Ok(top)
-}
-
-/// Attribute names of the first available row (early exit: at most one
-/// spilled partition is read back).
-fn first_attrs(d: &DistCollection) -> trance_dist::Result<Vec<String>> {
-    d.first_fields()
 }
 
 /// Collects a shredded output and reassembles the nested value locally (used

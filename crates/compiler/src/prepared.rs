@@ -22,16 +22,34 @@
 //! under `broadcast_limit`. Staleness is bounded by the serving layer's
 //! cache key, which includes the table catalog's epoch: any re-registration
 //! invalidates the entry and the next submission re-prepares.
+//!
+//! This module also holds the one **columnar program driver**
+//! (`run_program`): a one-shot [`crate::run_query`], an explained run, a cold
+//! [`prepare_and_run`] and a warm [`run_prepared`] are the same loop over
+//! program units — they differ only in whether a unit is compiled from NRC
+//! or replayed from captured plans, and in whether the plans are recorded.
 
 use std::collections::{BTreeMap, HashMap};
 
 use trance_dist::{ColCollection, DistContext, ExecError};
-use trance_shred::{output_dict_name, shred_query, NestingStructure, TOP_BAG};
+use trance_nrc::Expr;
+use trance_shred::{output_dict_name, shred_query, NestingStructure, ShreddedQuery, TOP_BAG};
 
-use crate::columnar::{eval_plan_col, execute_via_plans_col};
-use crate::exec::ExecOptions;
-use crate::physical::CapturedPlans;
-use crate::pipeline::{unshred_distributed_col, QuerySpec, RunResult, ShreddedOutput, Strategy};
+use crate::columnar::{eval_plan_col, execute_via_plans_col, CapturedPlans};
+use crate::options::ExecOptions;
+use crate::pipeline::{
+    unshred_distributed_col, with_session, QuerySpec, RunResult, ShreddedOutput, Strategy,
+};
+
+/// Name of a standard-family program's single unit (and of its root plan in
+/// EXPLAIN output).
+const RESULT: &str = "result";
+
+/// The optimized plans one run executed, grouped by program unit in
+/// execution order: `(unit name, the unit's captured plans)`. Each unit's
+/// intermediate plans are call-local; its root plan's output enters the
+/// shared environment under the unit name.
+pub(crate) type CapturedUnits = Vec<(String, CapturedPlans)>;
 
 /// A query compiled down to its optimized plans, ready for verbatim replay.
 ///
@@ -40,27 +58,23 @@ use crate::pipeline::{unshred_distributed_col, QuerySpec, RunResult, ShreddedOut
 #[derive(Debug, Clone)]
 pub struct PreparedQuery {
     strategy: Strategy,
-    kind: PreparedKind,
+    /// Standard family: one unit, [`RESULT`]. Shredded family: one unit per
+    /// flat assignment of the shredded query.
+    units: CapturedUnits,
+    output: Output,
 }
 
+/// How a program's executed environment becomes the run's result.
 #[derive(Debug, Clone)]
-enum PreparedKind {
-    /// Standard-family: one captured program (assignment plans in order,
-    /// root plan last under the `"result"` label).
-    Standard { plans: CapturedPlans },
-    /// Shredded-family: one captured program per flat assignment of the
-    /// shredded query, executed in order over an accumulating environment.
+pub(crate) enum Output {
+    /// Standard family: the rows of the [`RESULT`] unit.
+    Nested,
+    /// Shredded family: the top bag plus one dictionary per output path.
     Shredded {
-        /// `(assignment name, its captured plans)` in execution order. Each
-        /// unit's intermediate plans are call-local; its root plan's output
-        /// enters the shared environment under the assignment name.
-        units: Vec<(String, CapturedPlans)>,
         /// The output's nesting structure (for dictionaries / unshredding).
         structure: NestingStructure,
-        /// `(dictionary path, environment name)` resolved at prepare time.
+        /// `(dictionary path, environment name)`, resolved once per program.
         dict_sources: Vec<(String, String)>,
-        /// Whether the strategy unshreds the final output to nested form.
-        unshred: bool,
     },
 }
 
@@ -72,11 +86,153 @@ impl PreparedQuery {
 
     /// Total number of captured (optimized) plans across all units.
     pub fn plan_count(&self) -> usize {
-        match &self.kind {
-            PreparedKind::Standard { plans } => plans.len(),
-            PreparedKind::Shredded { units, .. } => units.iter().map(|(_, p)| p.len()).sum(),
+        self.units.iter().map(|(_, p)| p.len()).sum()
+    }
+}
+
+/// Where one unit of a columnar program gets its plans from.
+enum Step<'a> {
+    /// Lower the NRC expression, optimize each plan against the catalog
+    /// known so far, execute.
+    Compile(&'a Expr),
+    /// Replay already-optimized plans verbatim.
+    Replay(&'a CapturedPlans),
+}
+
+/// `(dictionary path, environment name)` of every output dictionary of a
+/// shredded query.
+pub(crate) fn dict_sources(shredded: &ShreddedQuery) -> Vec<(String, String)> {
+    shredded
+        .structure
+        .paths()
+        .into_iter()
+        .map(|path| {
+            let name = shredded
+                .dict_names
+                .get(&path)
+                .cloned()
+                .unwrap_or_else(|| output_dict_name(&path));
+            (path, name)
+        })
+        .collect()
+}
+
+/// Picks a shredded program's outputs — the top bag plus one collection per
+/// dictionary path — out of its executed environment. Shared by both
+/// physical representations so dictionary naming and error handling cannot
+/// diverge between them.
+pub(crate) fn shredded_pieces<C: Clone>(
+    env: &HashMap<String, C>,
+    dict_sources: &[(String, String)],
+) -> trance_dist::Result<(C, BTreeMap<String, C>)> {
+    let top = env
+        .get(TOP_BAG)
+        .cloned()
+        .ok_or_else(|| ExecError::Other("shredded program produced no TopBag".into()))?;
+    let dicts = dict_sources
+        .iter()
+        .filter_map(|(path, name)| Some((path.clone(), env.get(name)?.clone())))
+        .collect();
+    Ok((top, dicts))
+}
+
+/// **The** columnar program driver: executes the units in order over an
+/// accumulating environment (recording each compiled unit's optimized plans
+/// when `capture` is given), then finishes the way the strategy asks —
+/// standard family: the [`RESULT`] unit back to rows; shredded family:
+/// unshred to nested rows, or cross the shredded collections back to rows.
+/// Every columnar run — one-shot, explained, prepared cold, prepared warm —
+/// goes through here.
+fn run_program<'a>(
+    steps: impl IntoIterator<Item = (&'a str, Step<'a>)>,
+    inputs: &HashMap<String, ColCollection>,
+    output: &Output,
+    strategy: Strategy,
+    ctx: &DistContext,
+    options: &ExecOptions,
+    mut capture: Option<&mut CapturedUnits>,
+) -> trance_dist::Result<RunResult> {
+    let mut env = inputs.clone();
+    for (name, step) in steps {
+        let out = match step {
+            Step::Compile(expr) => {
+                let mut plans = CapturedPlans::new();
+                let sink = capture.is_some().then_some(&mut plans);
+                let out = execute_via_plans_col(expr, &env, ctx, options, name, sink)?;
+                if let Some(capture) = capture.as_deref_mut() {
+                    capture.push((name.to_string(), plans));
+                }
+                out
+            }
+            Step::Replay(plans) => replay_plans(plans, &env, ctx, options)?,
+        };
+        env.insert(name.to_string(), out);
+    }
+    match output {
+        Output::Nested => {
+            let out = env
+                .get(RESULT)
+                .ok_or_else(|| ExecError::Other("program produced no result".into()))?;
+            Ok(RunResult::Nested(out.to_rows()?))
+        }
+        Output::Shredded {
+            structure,
+            dict_sources,
+        } => {
+            let (top, dicts) = shredded_pieces(&env, dict_sources)?;
+            if strategy.unshreds() {
+                // Unshredding runs over columnar operators too, so its
+                // shuffles meter exact physical buffer bytes.
+                let nested = unshred_distributed_col(&top, &dicts, structure, options)?;
+                return Ok(RunResult::Nested(nested.to_rows()?));
+            }
+            let mut row_dicts = BTreeMap::new();
+            for (path, d) in dicts {
+                row_dicts.insert(path, d.to_rows()?);
+            }
+            Ok(RunResult::Shredded(ShreddedOutput {
+                top: top.to_rows()?,
+                dicts: row_dicts,
+                structure: structure.clone(),
+            }))
         }
     }
+}
+
+/// Compiles and runs `spec` under `strategy` over already-ingested inputs
+/// (nested form for the standard family, shredded form for the shredded
+/// family) through [`run_program`], returning the result together with the
+/// program's [`Output`] shape.
+pub(crate) fn run_spec(
+    spec: &QuerySpec,
+    inputs: &HashMap<String, ColCollection>,
+    ctx: &DistContext,
+    strategy: Strategy,
+    options: &ExecOptions,
+    capture: Option<&mut CapturedUnits>,
+) -> trance_dist::Result<(RunResult, Output)> {
+    let shredded = strategy
+        .is_shredded()
+        .then(|| shred_query(&spec.query, &spec.nested_inputs))
+        .transpose()
+        .map_err(ExecError::from)?;
+    let (steps, output): (Vec<_>, _) = match &shredded {
+        Some(shredded) => (
+            shredded
+                .program
+                .assignments
+                .iter()
+                .map(|a| (a.name.as_str(), Step::Compile(&a.expr)))
+                .collect(),
+            Output::Shredded {
+                dict_sources: dict_sources(shredded),
+                structure: shredded.structure.clone(),
+            },
+        ),
+        None => (vec![(RESULT, Step::Compile(&spec.query))], Output::Nested),
+    };
+    let result = run_program(steps, inputs, &output, strategy, ctx, options, capture)?;
+    Ok((result, output))
 }
 
 /// Cold path: runs `spec` under `strategy` over columnar inputs through the
@@ -93,57 +249,19 @@ pub fn prepare_and_run(
     strategy: Strategy,
     options: &ExecOptions,
 ) -> trance_dist::Result<(RunResult, PreparedQuery)> {
-    ctx.set_spill_session(options.spill);
-    ctx.set_fault_session(options.faults);
-    if !strategy.is_shredded() {
-        let mut plans: CapturedPlans = Vec::new();
-        let out =
-            execute_via_plans_col(&spec.query, env, ctx, options, "result", Some(&mut plans))?;
-        let prepared = PreparedQuery {
-            strategy,
-            kind: PreparedKind::Standard { plans },
-        };
-        return Ok((RunResult::Nested(out.to_rows()?), prepared));
-    }
-    let shredded = shred_query(&spec.query, &spec.nested_inputs).map_err(ExecError::from)?;
-    let mut acc = shredded_env.clone();
-    let mut units: Vec<(String, CapturedPlans)> = Vec::new();
-    for assignment in &shredded.program.assignments {
-        let mut plans: CapturedPlans = Vec::new();
-        let out = execute_via_plans_col(
-            &assignment.expr,
-            &acc,
-            ctx,
-            options,
-            &assignment.name,
-            Some(&mut plans),
-        )?;
-        acc.insert(assignment.name.clone(), out);
-        units.push((assignment.name.clone(), plans));
-    }
-    let dict_sources: Vec<(String, String)> = shredded
-        .structure
-        .paths()
-        .into_iter()
-        .map(|path| {
-            let name = shredded
-                .dict_names
-                .get(&path)
-                .cloned()
-                .unwrap_or_else(|| output_dict_name(&path));
-            (path, name)
-        })
-        .collect();
-    let unshred = strategy.unshreds();
-    let result = assemble_from_env(&acc, &dict_sources, &shredded.structure, unshred, options)?;
+    let inputs = if strategy.is_shredded() {
+        shredded_env
+    } else {
+        env
+    };
+    let mut units = CapturedUnits::new();
+    let (result, output) = with_session(ctx, options, || {
+        run_spec(spec, inputs, ctx, strategy, options, Some(&mut units))
+    })?;
     let prepared = PreparedQuery {
         strategy,
-        kind: PreparedKind::Shredded {
-            units,
-            structure: shredded.structure.clone(),
-            dict_sources,
-            unshred,
-        },
+        units,
+        output,
     };
     Ok((result, prepared))
 }
@@ -160,27 +278,26 @@ pub fn run_prepared(
     ctx: &DistContext,
     options: &ExecOptions,
 ) -> trance_dist::Result<RunResult> {
-    ctx.set_spill_session(options.spill);
-    ctx.set_fault_session(options.faults);
-    match &prepared.kind {
-        PreparedKind::Standard { plans } => {
-            let out = replay_plans(plans, env, ctx, options)?;
-            Ok(RunResult::Nested(out.to_rows()?))
-        }
-        PreparedKind::Shredded {
-            units,
-            structure,
-            dict_sources,
-            unshred,
-        } => {
-            let mut acc = shredded_env.clone();
-            for (name, plans) in units {
-                let out = replay_plans(plans, &acc, ctx, options)?;
-                acc.insert(name.clone(), out);
-            }
-            assemble_from_env(&acc, dict_sources, structure, *unshred, options)
-        }
-    }
+    let inputs = if prepared.strategy.is_shredded() {
+        shredded_env
+    } else {
+        env
+    };
+    let steps = prepared
+        .units
+        .iter()
+        .map(|(name, plans)| (name.as_str(), Step::Replay(plans)));
+    with_session(ctx, options, || {
+        run_program(
+            steps,
+            inputs,
+            &prepared.output,
+            prepared.strategy,
+            ctx,
+            options,
+            None,
+        )
+    })
 }
 
 /// Replays one captured program: every plan but the last materializes an
@@ -201,41 +318,6 @@ fn replay_plans(
         env.insert(name.clone(), out);
     }
     eval_plan_col(&root.1, &env, ctx, options)
-}
-
-/// Extracts the shredded outputs (top bag + dictionaries) out of an executed
-/// environment and finishes them the way the strategy asks: unshred to
-/// nested rows, or cross the shredded collections back to rows.
-fn assemble_from_env(
-    env: &HashMap<String, ColCollection>,
-    dict_sources: &[(String, String)],
-    structure: &NestingStructure,
-    unshred: bool,
-    options: &ExecOptions,
-) -> trance_dist::Result<RunResult> {
-    let top = env
-        .get(TOP_BAG)
-        .cloned()
-        .ok_or_else(|| ExecError::Other("shredded program produced no TopBag".into()))?;
-    let mut dicts = BTreeMap::new();
-    for (path, name) in dict_sources {
-        if let Some(d) = env.get(name) {
-            dicts.insert(path.clone(), d.clone());
-        }
-    }
-    if unshred {
-        let nested = unshred_distributed_col(&top, &dicts, structure, options)?;
-        return Ok(RunResult::Nested(nested.to_rows()?));
-    }
-    let mut row_dicts = BTreeMap::new();
-    for (path, d) in dicts {
-        row_dicts.insert(path, d.to_rows()?);
-    }
-    Ok(RunResult::Shredded(ShreddedOutput {
-        top: top.to_rows()?,
-        dicts: row_dicts,
-        structure: structure.clone(),
-    }))
 }
 
 /// The serving layer's plan-cache key for `spec` under `strategy` at a

@@ -11,8 +11,8 @@ use std::time::Duration;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use trance_compiler::{
-    collect_unshredded, run_query_bounded, run_query_repr, InputSet, QuerySpec, RunOutcome,
-    RunResult, Strategy,
+    collect_unshredded, run_query_with, strategy_options, ExecOptions, InputSet, QuerySpec,
+    RunOutcome, RunResult, Strategy,
 };
 use trance_dist::{ClusterConfig, DistContext, FaultPlan, FaultSite};
 use trance_nrc::{eval, Bag, Env, Value};
@@ -109,7 +109,7 @@ fn seeded_fault_schedules_recover_or_fail_typed_on_every_strategy_and_repr() {
 
         // The fault-free oracle side: same cluster, injector suppressed for
         // the run. It must match the sequential reference and inject nothing.
-        let oracle = run_query_bounded(&spec, &inputs, Strategy::Standard, false, None);
+        let oracle = run_enveloped(&spec, &inputs, Strategy::Standard, false, None);
         assert_eq!(
             oracle.stats.faults_injected, 0,
             "seed {seed}: a faults-off run must not inject"
@@ -194,21 +194,37 @@ fn seeded_fault_schedules_recover_or_fail_typed_on_every_strategy_and_repr() {
     );
 }
 
-/// One faulted run under the chaos deadline. The bounded entry runs the
-/// columnar representation; row-representation runs go through the repr
-/// entry (faults on by default) with the process watchdog as their hang
-/// guard instead of a per-run deadline.
+/// One columnar run with the fault-tolerance envelope spelled out:
+/// `faults = false` is the fault-free oracle side on the same cluster,
+/// `deadline` the cooperative wall-clock budget.
+fn run_enveloped(
+    spec: &QuerySpec,
+    inputs: &InputSet,
+    strategy: Strategy,
+    faults: bool,
+    deadline: Option<Duration>,
+) -> RunOutcome {
+    let options = ExecOptions {
+        faults,
+        deadline,
+        ..strategy_options(strategy, false)
+    };
+    run_query_with(spec, inputs, strategy, &options)
+}
+
+/// One faulted run under the chaos deadline, in either representation.
 fn run_faulted(
     spec: &QuerySpec,
     inputs: &InputSet,
     strategy: Strategy,
     columnar: bool,
 ) -> RunOutcome {
-    if columnar {
-        run_query_bounded(spec, inputs, strategy, true, Some(RUN_DEADLINE))
-    } else {
-        run_query_repr(spec, inputs, strategy, false)
-    }
+    let options = ExecOptions {
+        columnar,
+        deadline: Some(RUN_DEADLINE),
+        ..strategy_options(strategy, false)
+    };
+    run_query_with(spec, inputs, strategy, &options)
 }
 
 #[test]
@@ -222,7 +238,7 @@ fn targeted_one_shot_bursts_force_lineage_recovery_deterministically() {
     let plan = FaultPlan::quiet(7).with_burst(FaultSite::Morsel, 0, 1 + 3);
     let inputs = input_set(chaos_ctx(plan, false), &values);
     for strategy in [Strategy::Standard, Strategy::Shred] {
-        let outcome = run_query_bounded(&spec, &inputs, strategy, true, Some(RUN_DEADLINE));
+        let outcome = run_faulted(&spec, &inputs, strategy, true);
         let produced = outcome_bag(&outcome.result, &format!("one-shot {}", strategy.label()));
         assert_bags_approx_eq(
             &expected,
@@ -248,7 +264,7 @@ fn deadline_cancellation_races_mid_spill_without_leaks_and_oracle_unaffected() {
 
     // A zero deadline fires at the first morsel/frame boundary check:
     // deterministic cancellation, typed error, `cancelled` stat set.
-    let outcome = run_query_bounded(
+    let outcome = run_enveloped(
         &spec,
         &inputs,
         Strategy::Standard,
@@ -275,7 +291,7 @@ fn deadline_cancellation_races_mid_spill_without_leaks_and_oracle_unaffected() {
             std::thread::sleep(Duration::from_micros(delay_us));
             token.cancel("chaos test canceller");
         });
-        let outcome = run_query_bounded(&spec, &inputs, Strategy::Baseline, false, None);
+        let outcome = run_enveloped(&spec, &inputs, Strategy::Baseline, false, None);
         canceller.join().unwrap();
         match &outcome.result {
             RunResult::Failed(e) => assert!(
@@ -304,7 +320,7 @@ fn deadline_cancellation_races_mid_spill_without_leaks_and_oracle_unaffected() {
 
     // The same context stays healthy after cancellations: a fresh staged
     // oracle run completes and matches the reference.
-    let oracle = run_query_bounded(&spec, &inputs, Strategy::Standard, false, None);
+    let oracle = run_enveloped(&spec, &inputs, Strategy::Standard, false, None);
     let oracle_bag = outcome_bag(&oracle.result, "post-cancel oracle");
     assert_bags_approx_eq(&expected, &oracle_bag, "post-cancel oracle vs reference");
     assert_eq!(oracle.stats.cancelled, 0);

@@ -12,7 +12,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Duration;
 use trance_compiler::{
-    collect_unshredded, run_query_expr, InputSet, QuerySpec, RunResult, Strategy,
+    collect_unshredded, run_query, run_query_with, strategy_options, ExecOptions, InputSet,
+    QuerySpec, RunResult, Strategy,
 };
 use trance_dist::{ClusterConfig, DistContext};
 use trance_nrc::{Bag, Value};
@@ -92,8 +93,13 @@ fn compiled_kernels_agree_with_interpreter_on_seeded_corpus() {
             for columnar in [true, false] {
                 let repr = if columnar { "columnar" } else { "row" };
                 let tag = format!("seed {seed} {} {repr}", strategy.label());
-                let compiled = run_query_expr(&spec, &inputs, strategy, columnar, true);
-                let interp = run_query_expr(&spec, &inputs, strategy, columnar, false);
+                let options = |compiled_exprs| ExecOptions {
+                    columnar,
+                    compiled_exprs,
+                    ..strategy_options(strategy, false)
+                };
+                let compiled = run_query_with(&spec, &inputs, strategy, &options(true));
+                let interp = run_query_with(&spec, &inputs, strategy, &options(false));
                 let compiled_bag = outcome_bag(&compiled.result, &format!("{tag} compiled"));
                 let interp_bag = outcome_bag(&interp.result, &format!("{tag} interpreted"));
                 assert_eq!(
@@ -137,15 +143,11 @@ fn compiled_runs_record_kernel_programs() {
     // A fixed, unmistakably expression-heavy case.
     let (spec, values) = random_case(1);
     let inputs = input_set(&values);
-    let compiled = run_query_expr(&spec, &inputs, Strategy::Standard, true, true);
+    let compiled = run_query(&spec, &inputs, Strategy::Standard);
     assert!(
         !compiled.result.is_failure(),
         "compiled standard run must succeed"
     );
-    if std::env::var("TRANCE_EXPR").as_deref() == Ok("interp") {
-        // The env escape hatch overrides the caller — nothing to assert.
-        return;
-    }
     assert!(
         compiled.stats.expr_compiles() > 0,
         "columnar compiled run must compile at least one kernel program"
@@ -160,7 +162,11 @@ fn compiled_runs_record_kernel_programs() {
             "program {label} must record its rendered listing"
         );
     }
-    let row = run_query_expr(&spec, &inputs, Strategy::Standard, false, true);
+    let row_route = ExecOptions {
+        columnar: false,
+        ..strategy_options(Strategy::Standard, false)
+    };
+    let row = run_query_with(&spec, &inputs, Strategy::Standard, &row_route);
     assert!(!row.result.is_failure(), "row run must succeed");
     assert_eq!(
         row.stats.expr_compiles(),

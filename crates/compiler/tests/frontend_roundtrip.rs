@@ -19,7 +19,8 @@ use std::time::Duration;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use trance_compiler::{
-    collect_unshredded, run_query_repr, InputSet, QuerySpec, RunResult, Strategy,
+    collect_unshredded, run_query_with, strategy_options, ExecOptions, InputSet, QuerySpec,
+    RunResult, Strategy,
 };
 use trance_dist::{ClusterConfig, DistContext};
 use trance_nrc::{Bag, Program};
@@ -117,8 +118,12 @@ fn parsed_text_runs_identically_across_all_strategies_and_representations() {
 
         for strategy in Strategy::all() {
             for columnar in [true, false] {
-                let direct = run_query_repr(&direct_spec, &inputs, strategy, columnar);
-                let parsed = run_query_repr(&parsed_spec, &inputs, strategy, columnar);
+                let options = ExecOptions {
+                    columnar,
+                    ..strategy_options(strategy, false)
+                };
+                let direct = run_query_with(&direct_spec, &inputs, strategy, &options);
+                let parsed = run_query_with(&parsed_spec, &inputs, strategy, &options);
                 let label = format!(
                     "seed {base}+{i} strategy {} ({})",
                     strategy.label(),

@@ -9,7 +9,8 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use trance_compiler::{
-    collect_unshredded, run_query_configured, InputSet, QuerySpec, RunResult, Strategy,
+    collect_unshredded, run_query, run_query_with, strategy_options, ExecOptions, InputSet,
+    QuerySpec, RunResult, Strategy,
 };
 use trance_dist::{ClusterConfig, DistContext};
 use trance_nrc::{Bag, Value};
@@ -48,10 +49,15 @@ fn check_pipelined_vs_staged(
     repeats: usize,
     context: &str,
 ) {
-    let staged = run_query_configured(spec, inputs, strategy, columnar, false);
+    let options = |pipelined| ExecOptions {
+        columnar,
+        pipelined,
+        ..strategy_options(strategy, false)
+    };
+    let staged = run_query_with(spec, inputs, strategy, &options(false));
     let staged_bag = outcome_bag(&staged.result, &format!("{context} staged"));
     for rep in 0..=repeats {
-        let pipelined = run_query_configured(spec, inputs, strategy, columnar, true);
+        let pipelined = run_query_with(spec, inputs, strategy, &options(true));
         let pipelined_bag =
             outcome_bag(&pipelined.result, &format!("{context} pipelined rep{rep}"));
         assert_bags_approx_eq(
@@ -180,7 +186,7 @@ fn pipelined_runs_report_morsels_and_truthful_op_attribution() {
         .add_flat("Part", part_value().as_bag().unwrap().clone())
         .unwrap();
 
-    let pipelined = run_query_configured(&spec, &inputs, Strategy::Standard, true, true);
+    let pipelined = run_query(&spec, &inputs, Strategy::Standard);
     assert!(!pipelined.result.is_failure());
     assert!(
         !pipelined.stats.pipeline_timings.is_empty(),
@@ -213,27 +219,29 @@ fn pipelined_runs_report_morsels_and_truthful_op_attribution() {
     // Expression kernels are compiled once per pipeline execution — at plan
     // time, before the first morsel — never once per morsel: across many
     // morsels the compile count stays bounded by the pipeline run count.
-    if std::env::var("TRANCE_EXPR").as_deref() != Ok("interp") {
-        let pipeline_runs: u64 = pipelined
-            .stats
-            .pipeline_timings
-            .values()
-            .map(|t| t.calls)
-            .sum();
-        let compiles = pipelined.stats.expr_compiles();
-        assert!(
-            compiles > 0,
-            "a pipelined compiled run over expression chains must compile kernels"
-        );
-        assert!(
-            compiles <= pipeline_runs * 4,
-            "kernel compiles ({compiles}) must be bounded by pipeline executions \
-             ({pipeline_runs}), not morsel count ({})",
-            pipelined.stats.total_morsels()
-        );
-    }
+    let pipeline_runs: u64 = pipelined
+        .stats
+        .pipeline_timings
+        .values()
+        .map(|t| t.calls)
+        .sum();
+    let compiles = pipelined.stats.expr_compiles();
+    assert!(
+        compiles > 0,
+        "a pipelined compiled run over expression chains must compile kernels"
+    );
+    assert!(
+        compiles <= pipeline_runs * 4,
+        "kernel compiles ({compiles}) must be bounded by pipeline executions \
+         ({pipeline_runs}), not morsel count ({})",
+        pipelined.stats.total_morsels()
+    );
 
-    let staged = run_query_configured(&spec, &inputs, Strategy::Standard, true, false);
+    let staged_options = ExecOptions {
+        pipelined: false,
+        ..strategy_options(Strategy::Standard, false)
+    };
+    let staged = run_query_with(&spec, &inputs, Strategy::Standard, &staged_options);
     assert!(!staged.result.is_failure());
     assert!(
         staged.stats.pipeline_timings.is_empty(),

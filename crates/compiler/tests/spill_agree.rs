@@ -8,8 +8,8 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use trance_compiler::{
-    collect_unshredded, run_query_configured, run_query_repr, run_query_spill, InputSet, QuerySpec,
-    RunResult, Strategy,
+    collect_unshredded, run_query, run_query_with, strategy_options, ExecOptions, InputSet,
+    QuerySpec, RunResult, Strategy,
 };
 use trance_dist::{ClusterConfig, DistContext};
 use trance_nrc::builder::{
@@ -82,10 +82,10 @@ fn capped_spill_runs_match_uncapped_on_every_strategy() {
     let mut spilled_somewhere = false;
     for strategy in Strategy::all() {
         let expected = outcome_bag(
-            &run_query_spill(&spec, &uncapped, strategy, true).result,
+            &run_query(&spec, &uncapped, strategy).result,
             &format!("uncapped {}", strategy.label()),
         );
-        let outcome = run_query_spill(&spec, &capped, strategy, true);
+        let outcome = run_query(&spec, &capped, strategy);
         let produced = outcome_bag(
             &outcome.result,
             &format!("capped+spill {}", strategy.label()),
@@ -108,7 +108,11 @@ fn capped_spill_runs_match_uncapped_on_every_strategy() {
     // The same cap with spilling off must still reproduce the paper's FAIL
     // for the flattening strategy (SPARKSQL-LIKE drags wide rows through
     // every shuffle).
-    let outcome = run_query_spill(&spec, &capped, Strategy::Baseline, false);
+    let spill_off = ExecOptions {
+        spill: false,
+        ..strategy_options(Strategy::Baseline, false)
+    };
+    let outcome = run_query_with(&spec, &capped, Strategy::Baseline, &spill_off);
     assert!(
         outcome.result.is_failure(),
         "spill off on the capped cluster must FAIL like the paper"
@@ -192,7 +196,7 @@ fn capped_string_and_two_column_keys_match_uncapped() {
     let capped = input_set(capped_ctx(4 * 1024), &values);
     for strategy in [Strategy::Standard, Strategy::Baseline] {
         let context = format!("string keys under {}", strategy.label());
-        let resident = run_query_spill(&spec, &uncapped, strategy, true);
+        let resident = run_query(&spec, &uncapped, strategy);
         let resident_bag = outcome_bag(&resident.result, &format!("uncapped {context}"));
         assert_bags_approx_eq(&expected, &resident_bag, &format!("uncapped {context}"));
         assert!(
@@ -200,7 +204,7 @@ fn capped_string_and_two_column_keys_match_uncapped() {
             "{context}: the two-column join is meant to shuffle"
         );
 
-        let spilled = run_query_spill(&spec, &capped, strategy, true);
+        let spilled = run_query(&spec, &capped, strategy);
         let spilled_bag = outcome_bag(&spilled.result, &format!("capped {context}"));
         assert!(
             spilled.stats.spilled_bytes > 0,
@@ -238,13 +242,22 @@ fn capped_pipelined_fail_cells_match_their_uncapped_oracles() {
         for columnar in [true, false] {
             let repr = if columnar { "columnar" } else { "row" };
             // Staged, uncapped: the oracle.
-            let oracle = run_query_configured(&spec, &uncapped, strategy, columnar, false);
+            let staged = ExecOptions {
+                columnar,
+                pipelined: false,
+                ..strategy_options(strategy, false)
+            };
+            let oracle = run_query_with(&spec, &uncapped, strategy, &staged);
             let oracle_bag = outcome_bag(
                 &oracle.result,
                 &format!("uncapped staged {} {repr}", strategy.label()),
             );
             // Pipelined, capped, spilling: must complete and agree.
-            let capped_run = run_query_configured(&spec, &capped, strategy, columnar, true);
+            let pipelined = ExecOptions {
+                columnar,
+                ..strategy_options(strategy, false)
+            };
+            let capped_run = run_query_with(&spec, &capped, strategy, &pipelined);
             spilled_somewhere |= capped_run.stats.spilled_bytes > 0;
             let capped_bag = outcome_bag(
                 &capped_run.result,
@@ -306,7 +319,7 @@ fn randomized_capped_spill_runs_match_uncapped_in_both_representations() {
 
         for strategy in [Strategy::Standard, Strategy::Baseline] {
             // Columnar (default) representation under the cap.
-            let col = run_query_spill(&spec, &capped, strategy, true);
+            let col = run_query(&spec, &capped, strategy);
             spilled_somewhere |= col.stats.spilled_bytes > 0;
             let col_bag = outcome_bag(
                 &col.result,
@@ -322,7 +335,11 @@ fn randomized_capped_spill_runs_match_uncapped_in_both_representations() {
             );
             // Row-representation oracle under the same cap: the row engine
             // spills through the same machinery and must agree too.
-            let row = run_query_repr(&spec, &capped, strategy, false);
+            let row_route = ExecOptions {
+                columnar: false,
+                ..strategy_options(strategy, false)
+            };
+            let row = run_query_with(&spec, &capped, strategy, &row_route);
             let row_bag = outcome_bag(
                 &row.result,
                 &format!("seed {seed} capped row {}", strategy.label()),

@@ -2,21 +2,22 @@
 //! SparkSQL-like baseline, shredded, shredded+unshredded, and their skew-aware
 //! variants) must produce the same result as the local reference evaluator on
 //! the paper's query families — **through the columnar plan route (the
-//! default), the row plan route, and the legacy fused executor**, which serve
-//! as differential oracles for one another. A seeded random NRC program
-//! generator widens the net beyond the hand-written queries; the
-//! row-vs-columnar comparison runs on every query/strategy pair and on all
-//! seeded random programs.
+//! default) and the row plan route**, which serve as differential oracles
+//! for one another; the serving layer's prepared cold and warm paths are
+//! held to the one-shot run on every query/strategy pair too. A seeded
+//! random NRC program generator widens the net beyond the hand-written
+//! queries; the row-vs-columnar comparison runs on every query/strategy pair
+//! and on all seeded random programs.
 
 use std::collections::BTreeMap;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use trance_compiler::{
-    collect_unshredded, run_query, run_query_legacy, run_query_repr, InputSet, QuerySpec,
-    RunResult, Strategy,
+    collect_unshredded, ingest_env, prepare_and_run, run_prepared, run_query, run_query_with,
+    strategy_options, ExecOptions, InputSet, QuerySpec, RunOutcome, RunResult, Strategy,
 };
-use trance_dist::{ClusterConfig, DistContext};
+use trance_dist::{ClusterConfig, DistContext, StatsSnapshot};
 use trance_nrc::builder::*;
 use trance_nrc::{eval, Bag, Env, Value};
 use trance_shred::ShreddedInputDecl;
@@ -43,6 +44,39 @@ fn reference_result(query: &trance_nrc::Expr, inputs: &[(&str, Value)]) -> Bag {
     eval(query, &env).unwrap().into_bag().unwrap()
 }
 
+/// The row representation of the plan route — the differential reference
+/// for the (default) columnar representation.
+fn run_row_route(spec: &QuerySpec, inputs: &InputSet, strategy: Strategy) -> RunOutcome {
+    let options = ExecOptions {
+        columnar: false,
+        ..strategy_options(strategy, false)
+    };
+    run_query_with(spec, inputs, strategy, &options)
+}
+
+/// The bag a run produced (shredded outputs reassembled locally); panics,
+/// naming `what`, when the run failed.
+fn result_bag(result: &RunResult, what: &str) -> Bag {
+    match result {
+        RunResult::Nested(d) => d.collect_bag(),
+        RunResult::Shredded(out) => collect_unshredded(out).unwrap(),
+        RunResult::Failed(e) => panic!("{what} failed: {e}"),
+    }
+}
+
+/// The counters that depend only on which plans ran over which partitions.
+fn deterministic_counters(s: &StatsSnapshot) -> [u64; 7] {
+    [
+        s.shuffled_tuples,
+        s.shuffled_bytes,
+        s.shuffled_bytes_phys,
+        s.shuffle_joins,
+        s.broadcast_joins,
+        s.skew_broadcast_joins,
+        s.skew_fallback_joins,
+    ]
+}
+
 fn check_all_strategies(spec: &QuerySpec, values: &[(&str, Value, bool)]) {
     let expected = reference_result(
         &spec.query,
@@ -62,14 +96,14 @@ fn check_all_strategies(spec: &QuerySpec, values: &[(&str, Value, bool)]) {
             inputs.add_flat(name, v.as_bag().unwrap().clone()).unwrap();
         }
     }
+    // The serving path's resident form of the same inputs.
+    let ctx = inputs.context();
+    let nested = ingest_env(inputs.nested_inputs()).unwrap();
+    let shredded = ingest_env(inputs.shredded_inputs()).unwrap();
     for strategy in Strategy::all() {
         // Plan route (NRC → Plan → optimize → physical execution).
         let outcome = run_query(spec, &inputs, strategy);
-        let produced: Bag = match &outcome.result {
-            RunResult::Nested(d) => d.collect_bag(),
-            RunResult::Shredded(out) => collect_unshredded(out).unwrap(),
-            RunResult::Failed(e) => panic!("{} failed: {e}", strategy.label()),
-        };
+        let produced = result_bag(&outcome.result, strategy.label());
         assert_eq!(
             canonical(&expected),
             canonical(&produced),
@@ -80,12 +114,8 @@ fn check_all_strategies(spec: &QuerySpec, values: &[(&str, Value, bool)]) {
         // Differential: the row representation of the plan route must agree
         // with the (default) columnar representation on every query/strategy
         // pair.
-        let row_repr = run_query_repr(spec, &inputs, strategy, false);
-        let row_bag: Bag = match &row_repr.result {
-            RunResult::Nested(d) => d.collect_bag(),
-            RunResult::Shredded(out) => collect_unshredded(out).unwrap(),
-            RunResult::Failed(e) => panic!("row-repr {} failed: {e}", strategy.label()),
-        };
+        let row_repr = run_row_route(spec, &inputs, strategy);
+        let row_bag = result_bag(&row_repr.result, &format!("row-repr {}", strategy.label()));
         assert_eq!(
             canonical(&produced),
             canonical(&row_bag),
@@ -93,21 +123,34 @@ fn check_all_strategies(spec: &QuerySpec, values: &[(&str, Value, bool)]) {
             strategy.label(),
             spec.name
         );
-        // Differential: the legacy fused executor must agree with the plan
-        // route on every query/strategy pair.
-        let legacy = run_query_legacy(spec, &inputs, strategy);
-        let legacy_bag: Bag = match &legacy.result {
-            RunResult::Nested(d) => d.collect_bag(),
-            RunResult::Shredded(out) => collect_unshredded(out).unwrap(),
-            RunResult::Failed(e) => panic!("legacy {} failed: {e}", strategy.label()),
-        };
-        assert_eq!(
-            canonical(&produced),
-            canonical(&legacy_bag),
-            "plan route and legacy fused executor disagree under {} for query {}",
-            strategy.label(),
-            spec.name
-        );
+        // The serving path is the same driver: a cold `prepare_and_run` and
+        // a warm `run_prepared` over the same (pre-ingested) inputs must
+        // reproduce the one-shot run — same bag, same deterministic counters.
+        let options = strategy_options(strategy, false);
+        ctx.stats().reset();
+        let (cold, prepared) =
+            prepare_and_run(spec, &nested, &shredded, ctx, strategy, &options).unwrap();
+        let cold_stats = ctx.stats().snapshot();
+        ctx.stats().reset();
+        let warm = run_prepared(&prepared, &nested, &shredded, ctx, &options).unwrap();
+        let warm_stats = ctx.stats().snapshot();
+        for (path, result, stats) in [("cold", cold, cold_stats), ("warm", warm, warm_stats)] {
+            let bag = result_bag(&result, &format!("prepared {path} {}", strategy.label()));
+            assert_eq!(
+                canonical(&produced),
+                canonical(&bag),
+                "run_query and the prepared {path} path disagree under {} for query {}",
+                strategy.label(),
+                spec.name
+            );
+            assert_eq!(
+                deterministic_counters(&outcome.stats),
+                deterministic_counters(&stats),
+                "run_query and the prepared {path} path count differently under {} for query {}",
+                strategy.label(),
+                spec.name
+            );
+        }
     }
 }
 
@@ -333,11 +376,11 @@ fn shredded_strategy_reports_lower_shuffle_than_baseline_for_wide_rows() {
 }
 
 // ---------------------------------------------------------------------------
-// seeded randomized NRC programs: plan route vs legacy oracle vs reference
+// seeded randomized NRC programs: columnar route vs row route vs reference
 // ---------------------------------------------------------------------------
 
 #[test]
-fn randomized_programs_plan_route_matches_legacy_and_reference() {
+fn randomized_programs_plan_route_matches_row_route_and_reference() {
     for seed in 0..24u64 {
         let mut rng = StdRng::seed_from_u64(0xC0FFEE + seed);
         let r_rows = rng.gen_range(5..40usize);
@@ -367,11 +410,7 @@ fn randomized_programs_plan_route_matches_legacy_and_reference() {
                 RunResult::Nested(d) => d.collect_bag(),
                 other => panic!("seed {seed} {}: {other:?}", strategy.label()),
             };
-            let legacy_out = match &run_query_legacy(&spec, &inputs, strategy).result {
-                RunResult::Nested(d) => d.collect_bag(),
-                other => panic!("seed {seed} legacy {}: {other:?}", strategy.label()),
-            };
-            let row_out = match &run_query_repr(&spec, &inputs, strategy, false).result {
+            let row_out = match &run_row_route(&spec, &inputs, strategy).result {
                 RunResult::Nested(d) => d.collect_bag(),
                 other => panic!("seed {seed} row-repr {}: {other:?}", strategy.label()),
             };
@@ -391,14 +430,6 @@ fn randomized_programs_plan_route_matches_legacy_and_reference() {
                     strategy.label()
                 ),
             );
-            assert_bags_approx_eq(
-                &plan_out,
-                &legacy_out,
-                &format!(
-                    "seed {seed}: plan route vs legacy oracle under {}",
-                    strategy.label()
-                ),
-            );
         }
     }
 }
@@ -406,9 +437,8 @@ fn randomized_programs_plan_route_matches_legacy_and_reference() {
 #[test]
 fn shadowed_let_bindings_execute_lexically_on_the_plan_route() {
     // let X = {pids} in (let X = {pids+100} in scan X) ∪ (scan X): the second
-    // branch must read the OUTER binding. (The legacy fused executor resolves
-    // let-bindings through a mutable input map and gets this wrong, which is
-    // one reason the plan route freshens assignment names.)
+    // branch must read the OUTER binding (the plan route freshens assignment
+    // names so a shared environment cannot confuse the two).
     let inner = trance_nrc::Expr::Let {
         var: "X".into(),
         value: Box::new(forin(
@@ -561,8 +591,8 @@ fn columnar_representation_ships_fewer_physical_bytes_than_rows() {
         running_example(),
         vec![ShreddedInputDecl::new("COP", cop_structure())],
     );
-    let col = run_query_repr(&spec, &inputs, Strategy::Standard, true);
-    let row = run_query_repr(&spec, &inputs, Strategy::Standard, false);
+    let col = run_query(&spec, &inputs, Strategy::Standard);
+    let row = run_row_route(&spec, &inputs, Strategy::Standard);
     assert!(!col.result.is_failure() && !row.result.is_failure());
     assert_eq!(
         col.stats.shuffled_bytes, row.stats.shuffled_bytes,

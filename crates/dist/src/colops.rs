@@ -770,7 +770,7 @@ impl ColCollection {
     /// compiler fused out of a chain of row-local plan operators
     /// (scan-rename / select / project / extend / unnest / id assignment).
     ///
-    /// Each partition feeds its own spill-aware [`PartBuilder`] sink, so
+    /// Each partition feeds its own spill-aware `PartBuilder` sink, so
     /// partition alignment is preserved for downstream breakers and
     /// oversized outputs overflow to disk exactly like the staged operators.
     /// When the partition count is too small to keep every worker busy

@@ -2,7 +2,7 @@
 //! partition-parallel operators.
 //!
 //! Every operator executes per-partition on the worker threads of the owning
-//! [`DistContext`] (see [`crate::partition`]), meters shuffles/broadcasts in
+//! [`DistContext`] (see `crate::partition`), meters shuffles/broadcasts in
 //! the context's [`crate::Stats`], enforces the simulated per-worker memory
 //! cap on its output, and records its wall-clock time under its operator
 //! name. Grouping operators pre-aggregate map-side before shuffling, so a

@@ -10,8 +10,17 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
+
+/// Locks one of the label-keyed maps, recovering the guard when a worker
+/// panicked while holding it: every update is a few independent counter
+/// additions on one entry, so the map is valid at every step, and a resident
+/// engine must survive one query's panic instead of panicking again at the
+/// next query's [`Stats::reset`].
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Which physical strategy a join execution took.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -129,9 +138,9 @@ impl Stats {
         self.cancelled.store(0, Ordering::Relaxed);
         self.expr_compile_micros.store(0, Ordering::Relaxed);
         self.expr_kernel_instrs.store(0, Ordering::Relaxed);
-        self.timings.lock().unwrap().clear();
-        self.pipelines.lock().unwrap().clear();
-        self.expr_programs.lock().unwrap().clear();
+        lock(&self.timings).clear();
+        lock(&self.pipelines).clear();
+        lock(&self.expr_programs).clear();
     }
 
     /// Meters rows moving through a shuffle (repartition-by-key).
@@ -185,7 +194,7 @@ impl Stats {
 
     /// Adds one execution of operator `op` taking `elapsed`.
     pub fn record_op(&self, op: &str, elapsed: Duration) {
-        let mut timings = self.timings.lock().unwrap();
+        let mut timings = lock(&self.timings);
         let entry = timings.entry(op.to_string()).or_default();
         entry.calls += 1;
         entry.micros += elapsed.as_micros() as u64;
@@ -226,7 +235,7 @@ impl Stats {
     pub fn record_pipeline(&self, label: &str, ops: &[String], morsels: u64, elapsed: Duration) {
         let micros = elapsed.as_micros() as u64;
         {
-            let mut pipelines = self.pipelines.lock().unwrap();
+            let mut pipelines = lock(&self.pipelines);
             let entry = pipelines.entry(label.to_string()).or_default();
             entry.calls += 1;
             entry.morsels += morsels;
@@ -235,7 +244,7 @@ impl Stats {
                 entry.ops = ops.to_vec();
             }
         }
-        let mut timings = self.timings.lock().unwrap();
+        let mut timings = lock(&self.timings);
         let entry = timings.entry(label.to_string()).or_default();
         entry.calls += 1;
         entry.micros += micros;
@@ -251,7 +260,7 @@ impl Stats {
         self.expr_compile_micros
             .fetch_add(micros, Ordering::Relaxed);
         self.expr_kernel_instrs.fetch_add(instrs, Ordering::Relaxed);
-        let mut programs = self.expr_programs.lock().unwrap();
+        let mut programs = lock(&self.expr_programs);
         let entry = programs.entry(label.to_string()).or_default();
         entry.compiles += 1;
         entry.instrs += instrs;
@@ -284,9 +293,9 @@ impl Stats {
             cancelled: self.cancelled.load(Ordering::Relaxed),
             expr_compile_micros: self.expr_compile_micros.load(Ordering::Relaxed),
             expr_kernel_instrs: self.expr_kernel_instrs.load(Ordering::Relaxed),
-            op_timings: self.timings.lock().unwrap().clone(),
-            pipeline_timings: self.pipelines.lock().unwrap().clone(),
-            expr_programs: self.expr_programs.lock().unwrap().clone(),
+            op_timings: lock(&self.timings).clone(),
+            pipeline_timings: lock(&self.pipelines).clone(),
+            expr_programs: lock(&self.expr_programs).clone(),
         }
     }
 }
@@ -411,6 +420,31 @@ impl StatsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_panic_under_a_stats_lock_does_not_poison_later_queries() {
+        let stats = Stats::new();
+        stats.record_op("map", Duration::from_micros(42));
+        std::thread::scope(|s| {
+            let worker = s.spawn(|| {
+                let _timings = stats.timings.lock().unwrap();
+                let _pipelines = stats.pipelines.lock().unwrap();
+                let _programs = stats.expr_programs.lock().unwrap();
+                panic!("worker panics while recording");
+            });
+            assert!(worker.join().is_err());
+        });
+        assert!(stats.timings.is_poisoned());
+        stats.record_op("map", Duration::from_micros(8));
+        stats.record_pipeline("p", &["select".to_string()], 1, Duration::from_micros(5));
+        stats.record_expr_compile("p", 3, Duration::from_micros(2), "r0 = col a");
+        let snap = stats.snapshot();
+        assert_eq!(snap.op_timings["map"].calls, 2);
+        assert_eq!(snap.pipeline_timings["p"].morsels, 1);
+        assert_eq!(snap.expr_programs["p"].instrs, 3);
+        stats.reset();
+        assert!(stats.snapshot().op_timings.is_empty());
+    }
 
     #[test]
     fn counters_accumulate_and_reset() {

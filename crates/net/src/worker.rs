@@ -17,7 +17,9 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::Duration;
 
-use trance_compiler::{run_query_bounded, InputSet, QuerySpec, RunResult, Strategy};
+use trance_compiler::{
+    run_query_with, strategy_options, ExecOptions, InputSet, QuerySpec, RunResult, Strategy,
+};
 use trance_dist::{CancelToken, ClusterConfig, DistContext};
 use trance_frontend::parse_expr;
 use trance_shred::ShreddedInputDecl;
@@ -230,13 +232,11 @@ fn run_one(
     *lock(cancel_slot) = Some(token);
     ctx.set_exchange(Some(mesh.clone()));
 
-    let outcome = run_query_bounded(
-        &spec,
-        inputs,
-        strategy,
-        true,
-        run.deadline_ms.map(Duration::from_millis),
-    );
+    let options = ExecOptions {
+        deadline: run.deadline_ms.map(Duration::from_millis),
+        ..strategy_options(strategy, false)
+    };
+    let outcome = run_query_with(&spec, inputs, strategy, &options);
 
     ctx.set_exchange(None);
     *lock(cancel_slot) = None;

@@ -12,7 +12,7 @@
 //!   compilation route,
 //! * an ergonomic [`builder`] DSL for writing queries,
 //! * a structural type checker ([`typecheck`]),
-//! * a single-node reference evaluator ([`eval`]) defining the semantics that
+//! * a single-node reference evaluator ([`mod@eval`]) defining the semantics that
 //!   the distributed pipelines must reproduce, and
 //! * programs as sequences of assignments ([`program::Program`]).
 //!

@@ -10,7 +10,7 @@ use trance_algebra::Catalog;
 use trance_compiler::columnar::exact_schema_col;
 use trance_compiler::{
     collect_unshredded, ingest_env, plan_cache_key, prepare_and_run, run_prepared,
-    strategy_options, KernelCache, QuerySpec, RunResult, Strategy,
+    strategy_options, ExecOptions, KernelCache, QuerySpec, RunResult, Strategy,
 };
 use trance_dist::{ClusterConfig, ColCollection, DistContext, ExecError, StatsSnapshot};
 use trance_nrc::{Bag, Type, TypeEnv};
@@ -524,11 +524,11 @@ impl Engine {
             .map(|(k, v)| (k.clone(), v.with_context(&session)))
             .collect();
 
-        let mut options = strategy_options(req.strategy, false);
-        options.kernel_cache = Some(self.inner.kernels.clone());
-
-        let deadline = req.deadline.or(self.inner.config.default_deadline);
-        session.cancel_token().set_timeout(deadline);
+        let options = ExecOptions {
+            kernel_cache: Some(self.inner.kernels.clone()),
+            deadline: req.deadline.or(self.inner.config.default_deadline),
+            ..strategy_options(req.strategy, false)
+        };
 
         let key = plan_cache_key(&req.spec, req.strategy, epoch);
         let cached = self.inner.plans.lock().unwrap().get(key);
@@ -557,7 +557,6 @@ impl Engine {
             }),
         };
         let elapsed = t0.elapsed();
-        session.cancel_token().set_timeout(None);
         let (result, plans_compiled) = result.map_err(ServeError::Exec)?;
         let rows = collect_rows(result).map_err(ServeError::Exec)?;
         let stats = session.stats().snapshot();

@@ -1,6 +1,6 @@
 //! Seeded TPC-H-like data generator with controllable skew.
 //!
-//! The paper uses the skewed TPC-H generator of [43] at scale factor 100 with
+//! The paper uses the skewed TPC-H generator of \[43\] at scale factor 100 with
 //! Zipfian skew factors 0–4 (0 = uniform, 4 = a few keys at very high
 //! frequency). This generator reproduces the same knobs at laptop scale: the
 //! foreign keys of Orders and Lineitem are drawn from a Zipf-like distribution
