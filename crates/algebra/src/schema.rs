@@ -163,6 +163,19 @@ impl Catalog {
         self
     }
 
+    /// Registers every input and recorded size of `other`, replacing
+    /// same-named entries (bumps the epoch once per entry, like registering
+    /// them one by one).
+    pub fn merge(&mut self, other: &Catalog) -> &mut Self {
+        for (name, schema) in &other.inputs {
+            self.register(name.clone(), schema.clone());
+        }
+        for (name, bytes) in &other.sizes {
+            self.set_size(name.clone(), *bytes);
+        }
+        self
+    }
+
     /// Removes an input and its recorded size (bumps the epoch when the
     /// input existed).
     pub fn remove(&mut self, name: &str) -> &mut Self {

@@ -2,9 +2,10 @@
 //! [`ColCollection`]s — typed batches end to end.
 //!
 //! This is the default route of **NRC → Plan → optimize → execute** since the
-//! columnar refactor: inputs cross the row/column boundary exactly once at
-//! **scan ingest** ([`ingest_env`], where batches are typed from the
-//! plan-layer schemas via `trance_algebra::physical_fields`), every operator
+//! columnar refactor: a stored table crosses the row/column boundary exactly
+//! once, at **scan ingest** — on its first use, into the table store's
+//! write-once cell ([`crate::store`]; batches are typed from the plan-layer
+//! schemas via `trance_algebra::physical_fields`). Every operator
 //! — including materialized assignment intermediates — runs over batches,
 //! and rows are only rebuilt at the **collect** boundary
 //! (`ColCollection::to_rows` / `collect_bag`). The row interpreter in
@@ -45,10 +46,21 @@ fn field_hints(fields: &[PhysField]) -> Vec<FieldHint> {
         .collect()
 }
 
-/// Ingests row inputs into columnar collections — the scan-ingest boundary.
-/// Each input's batches are typed from its (sampled) attribute schema, so
-/// bag-valued attributes become offset-encoded bag columns even when the
-/// sampled rows hold only empty bags.
+/// The field hints one input's batches are typed from: its (sampled)
+/// attribute schema, so bag-valued attributes become offset-encoded bag
+/// columns even when the sampled rows hold only empty bags. Under a
+/// multi-process exchange the sample is a cluster collective.
+pub(crate) fn scan_hints(coll: &DistCollection) -> Result<Vec<FieldHint>> {
+    let schema = crate::physical::infer_schema(coll)?;
+    Ok(field_hints(&physical_fields(&schema)))
+}
+
+/// Ingests row inputs into columnar collections — the scan-ingest boundary,
+/// as a standalone conversion. No query path calls this: `run_query`, the
+/// TCP worker and the serving engine read the resident batches of the table
+/// store ([`crate::store`]), which converts each stored table once. It stays
+/// public for callers that hold bare row collections (and as the
+/// benchmark's ingest probe).
 pub fn ingest_env(
     inputs: &HashMap<String, DistCollection>,
 ) -> Result<HashMap<String, ColCollection>> {
@@ -61,9 +73,10 @@ pub fn ingest_env(
         .into_iter()
         .map(|name| {
             let coll = &inputs[name];
-            let schema = crate::physical::infer_schema(coll)?;
-            let hints = field_hints(&physical_fields(&schema));
-            Ok((name.clone(), ColCollection::ingest(coll, &hints)?))
+            Ok((
+                name.clone(),
+                ColCollection::ingest(coll, &scan_hints(coll)?)?,
+            ))
         })
         .collect()
 }
@@ -73,21 +86,33 @@ pub fn ingest_env(
 /// partitions stream chunk by chunk (schema merge is associative), so
 /// inspection never re-materializes what the memory cap evicted.
 pub fn exact_schema_col(coll: &ColCollection) -> Result<AttrSchema> {
+    global_schema(coll.context(), &local_schema_col(coll)?)
+}
+
+/// The rank-local half of [`exact_schema_col`]: the merged schema of the
+/// batches this process holds.
+pub(crate) fn local_schema_col(coll: &ColCollection) -> Result<AttrSchema> {
     let mut out = AttrSchema::default();
     coll.for_each_batch(|batch| {
         out = out.merge(&schema_of_batch(batch));
         Ok(())
     })?;
-    // Under a cluster exchange each rank only saw its owned partitions:
-    // allgather the partial schemas and merge them in rank order — with
-    // contiguous partition ownership that folds the partitions in exactly
-    // the single-process order, and the merge keeps first-occurrence
-    // attribute order, so every rank lands on the identical schema.
-    let Some(ex) = coll.context().exchange() else {
-        return Ok(out);
+    Ok(out)
+}
+
+/// The cluster half of [`exact_schema_col`]: under a cluster exchange each
+/// rank only saw its owned partitions, so the partial schemas are
+/// allgathered and merged in rank order — with contiguous partition
+/// ownership that folds the partitions in exactly the single-process order,
+/// and the merge keeps first-occurrence attribute order, so every rank lands
+/// on the identical schema. Without an exchange `local` already is the
+/// answer.
+pub(crate) fn global_schema(ctx: &DistContext, local: &AttrSchema) -> Result<AttrSchema> {
+    let Some(ex) = ctx.exchange() else {
+        return Ok(local.clone());
     };
     let mut w = trance_store::ByteWriter::new();
-    encode_attr_schema(&out, &mut w)?;
+    encode_attr_schema(local, &mut w)?;
     let mut merged = AttrSchema::default();
     for bytes in &ex.allgather(w.into_bytes())? {
         let mut r = trance_store::ByteReader::new(bytes);
@@ -191,9 +216,26 @@ pub fn execute_via_plans_col(
     ctx: &DistContext,
     options: &ExecOptions,
     root_label: &str,
+    capture: Option<&mut CapturedPlans>,
+) -> Result<ColCollection> {
+    let catalog = infer_catalog_col(inputs)?;
+    execute_in_catalog(expr, inputs, catalog, ctx, options, root_label, capture)
+}
+
+/// [`execute_via_plans_col`] against a catalog the caller already holds —
+/// the program driver's entry, which seeds the catalog from the table
+/// store's memoised schemas and sizes instead of re-deriving them from the
+/// inputs' bytes for every unit. `catalog` must describe `inputs`; the
+/// program's own intermediates are registered into this call's copy only.
+pub(crate) fn execute_in_catalog(
+    expr: &Expr,
+    inputs: &HashMap<String, ColCollection>,
+    mut catalog: Catalog,
+    ctx: &DistContext,
+    options: &ExecOptions,
+    root_label: &str,
     mut capture: Option<&mut CapturedPlans>,
 ) -> Result<ColCollection> {
-    let mut catalog = infer_catalog_col(inputs)?;
     let program = lower(expr, &catalog).map_err(|e| ExecError::Other(e.to_string()))?;
     let mut env = inputs.clone();
     let opt_config = optimizer_config(options, ctx);

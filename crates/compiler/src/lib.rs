@@ -21,6 +21,11 @@
 //! — one per output dictionary — through the same plan layer, optionally
 //! unshredding the output with distributed label joins.
 //!
+//! Registered inputs live in the **table store** ([`store`], owned through
+//! [`pipeline::InputSet`]): rows plus a write-once cell of resident batches
+//! per table, converted on first use and shared by every clone — the one
+//! catalog behind `run_query`, the TCP worker and the serving engine.
+//!
 //! The strategies compared in the paper's experiments are exposed as
 //! [`pipeline::Strategy`] and driven by [`pipeline::run_query`] (the
 //! strategy's default options) or [`pipeline::run_query_with`] (explicit
@@ -39,6 +44,7 @@ pub mod options;
 pub mod physical;
 pub mod pipeline;
 pub mod prepared;
+pub mod store;
 pub mod vector;
 
 pub use columnar::{
@@ -53,4 +59,5 @@ pub use pipeline::{
     RunOutcome, RunResult, ShreddedOutput, Strategy,
 };
 pub use prepared::{plan_cache_key, prepare_and_run, run_prepared, PreparedQuery};
+pub use store::ResidentTables;
 pub use vector::{eval_mask, eval_scalar_batch};

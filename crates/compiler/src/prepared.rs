@@ -9,10 +9,10 @@
 //! plans of every assignment (for the shredded strategies: of every flat
 //! assignment of the shredded program, each with its own call-local
 //! intermediates) — so a warm submission replays them **verbatim** through
-//! [`eval_plan_col`]: no lowering, no catalog inference over the inputs'
-//! bytes, no optimizer pass. Kernel programs are reused through the shared
-//! [`crate::KernelCache`] threaded through `ExecOptions::kernel_cache`,
-//! which is what makes a warm run report *zero* expression-compile time.
+//! [`eval_plan_col`]: no lowering, no catalog work, no optimizer pass.
+//! Kernel programs are reused through the shared [`crate::KernelCache`]
+//! threaded through `ExecOptions::kernel_cache`, which is what makes a warm
+//! run report *zero* expression-compile time.
 //!
 //! Replaying a plan optimized against yesterday's statistics is safe:
 //! optimizer choices only affect *how* a plan runs, and the one
@@ -28,6 +28,9 @@
 //! [`prepare_and_run`] and a warm [`run_prepared`] are the same loop over
 //! program units — they differ only in whether a unit is compiled from NRC
 //! or replayed from captured plans, and in whether the plans are recorded.
+//! All of them start from the table store's resident batches
+//! ([`crate::store`]); no run converts an input it (or an earlier run)
+//! already converted.
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -35,11 +38,12 @@ use trance_dist::{ColCollection, DistContext, ExecError};
 use trance_nrc::Expr;
 use trance_shred::{output_dict_name, shred_query, NestingStructure, ShreddedQuery, TOP_BAG};
 
-use crate::columnar::{eval_plan_col, execute_via_plans_col, CapturedPlans};
+use crate::columnar::{eval_plan_col, exact_schema_col, execute_in_catalog, CapturedPlans};
 use crate::options::ExecOptions;
 use crate::pipeline::{
-    unshred_distributed_col, with_session, QuerySpec, RunResult, ShreddedOutput, Strategy,
+    unshred_distributed_col, with_session, InputSet, QuerySpec, RunResult, ShreddedOutput, Strategy,
 };
+use crate::store::ResidentTables;
 
 /// Name of a standard-family program's single unit (and of its root plan in
 /// EXPLAIN output).
@@ -137,28 +141,47 @@ pub(crate) fn shredded_pieces<C: Clone>(
 }
 
 /// **The** columnar program driver: executes the units in order over an
-/// accumulating environment (recording each compiled unit's optimized plans
-/// when `capture` is given), then finishes the way the strategy asks —
-/// standard family: the [`RESULT`] unit back to rows; shredded family:
-/// unshred to nested rows, or cross the shredded collections back to rows.
-/// Every columnar run — one-shot, explained, prepared cold, prepared warm —
-/// goes through here.
+/// accumulating environment that starts as the resident batches of `tables`
+/// (recording each compiled unit's optimized plans when `capture` is given),
+/// then finishes the way the strategy asks — standard family: the
+/// [`RESULT`] unit back to rows; shredded family: unshred to nested rows, or
+/// cross the shredded collections back to rows. Every columnar run —
+/// one-shot, explained, prepared cold, prepared warm — goes through here.
+///
+/// Compiled units optimize against one catalog carried across the program:
+/// seeded from the store's memoised schemas and sizes at the first compiled
+/// unit, extended with each earlier unit's output (exact batch schema,
+/// logical size) before the next one compiles. A replayed program never
+/// builds it.
 fn run_program<'a>(
     steps: impl IntoIterator<Item = (&'a str, Step<'a>)>,
-    inputs: &HashMap<String, ColCollection>,
+    tables: &ResidentTables,
     output: &Output,
     strategy: Strategy,
     ctx: &DistContext,
     options: &ExecOptions,
     mut capture: Option<&mut CapturedUnits>,
 ) -> trance_dist::Result<RunResult> {
-    let mut env = inputs.clone();
+    let mut env = tables.batches(ctx);
+    let mut catalog = None;
+    // Unit outputs the catalog does not describe yet.
+    let mut unregistered: Vec<&str> = Vec::new();
     for (name, step) in steps {
         let out = match step {
             Step::Compile(expr) => {
+                let catalog = match &mut catalog {
+                    Some(catalog) => catalog,
+                    None => catalog.insert(tables.catalog(ctx)?),
+                };
+                for unit in unregistered.drain(..) {
+                    let out = &env[unit];
+                    catalog.register(unit, exact_schema_col(out)?);
+                    catalog.set_size(unit, out.planning_bytes()?);
+                }
                 let mut plans = CapturedPlans::new();
                 let sink = capture.is_some().then_some(&mut plans);
-                let out = execute_via_plans_col(expr, &env, ctx, options, name, sink)?;
+                let out =
+                    execute_in_catalog(expr, &env, catalog.clone(), ctx, options, name, sink)?;
                 if let Some(capture) = capture.as_deref_mut() {
                     capture.push((name.to_string(), plans));
                 }
@@ -167,6 +190,7 @@ fn run_program<'a>(
             Step::Replay(plans) => replay_plans(plans, &env, ctx, options)?,
         };
         env.insert(name.to_string(), out);
+        unregistered.push(name);
     }
     match output {
         Output::Nested => {
@@ -199,13 +223,13 @@ fn run_program<'a>(
     }
 }
 
-/// Compiles and runs `spec` under `strategy` over already-ingested inputs
-/// (nested form for the standard family, shredded form for the shredded
-/// family) through [`run_program`], returning the result together with the
+/// Compiles and runs `spec` under `strategy` over the resident tables of its
+/// form (nested for the standard family, shredded for the shredded family)
+/// through [`run_program`], returning the result together with the
 /// program's [`Output`] shape.
 pub(crate) fn run_spec(
     spec: &QuerySpec,
-    inputs: &HashMap<String, ColCollection>,
+    tables: &ResidentTables,
     ctx: &DistContext,
     strategy: Strategy,
     options: &ExecOptions,
@@ -231,32 +255,27 @@ pub(crate) fn run_spec(
         ),
         None => (vec![(RESULT, Step::Compile(&spec.query))], Output::Nested),
     };
-    let result = run_program(steps, inputs, &output, strategy, ctx, options, capture)?;
+    let result = run_program(steps, tables, &output, strategy, ctx, options, capture)?;
     Ok((result, output))
 }
 
-/// Cold path: runs `spec` under `strategy` over columnar inputs through the
-/// full compile pipeline, capturing the optimized plans of everything it
-/// executes. Returns the result together with the [`PreparedQuery`] to
-/// cache. `env` holds the nested-form inputs (standard strategies), and
-/// `shredded_env` the shredded-form inputs (shredded strategies) — both
-/// already ingested to batches, as the serving layer keeps them resident.
+/// Cold path: runs `spec` under `strategy` over `inputs`' resident batches
+/// through the full compile pipeline, capturing the optimized plans of
+/// everything it executes. Returns the result together with the
+/// [`PreparedQuery`] to cache. `ctx` is the context the run is metered,
+/// budgeted and cancelled under — `inputs`' own, or a session of it, as the
+/// serving layer passes.
 pub fn prepare_and_run(
     spec: &QuerySpec,
-    env: &HashMap<String, ColCollection>,
-    shredded_env: &HashMap<String, ColCollection>,
+    inputs: &InputSet,
     ctx: &DistContext,
     strategy: Strategy,
     options: &ExecOptions,
 ) -> trance_dist::Result<(RunResult, PreparedQuery)> {
-    let inputs = if strategy.is_shredded() {
-        shredded_env
-    } else {
-        env
-    };
     let mut units = CapturedUnits::new();
     let (result, output) = with_session(ctx, options, || {
-        run_spec(spec, inputs, ctx, strategy, options, Some(&mut units))
+        let tables = inputs.resident(strategy.is_shredded())?;
+        run_spec(spec, &tables, ctx, strategy, options, Some(&mut units))
     })?;
     let prepared = PreparedQuery {
         strategy,
@@ -267,30 +286,25 @@ pub fn prepare_and_run(
 }
 
 /// Warm path: replays a [`PreparedQuery`]'s captured plans **verbatim** —
-/// no lowering, no catalog work, no optimizer pass — over the current
-/// inputs. With the shared kernel cache threaded through
+/// no lowering, no catalog work, no optimizer pass — over `inputs`' current
+/// resident batches. With the shared kernel cache threaded through
 /// `options.kernel_cache`, the fused pipelines reuse their compiled
 /// programs too, so the run books zero plan- and expression-compile time.
 pub fn run_prepared(
     prepared: &PreparedQuery,
-    env: &HashMap<String, ColCollection>,
-    shredded_env: &HashMap<String, ColCollection>,
+    inputs: &InputSet,
     ctx: &DistContext,
     options: &ExecOptions,
 ) -> trance_dist::Result<RunResult> {
-    let inputs = if prepared.strategy.is_shredded() {
-        shredded_env
-    } else {
-        env
-    };
     let steps = prepared
         .units
         .iter()
         .map(|(name, plans)| (name.as_str(), Step::Replay(plans)));
     with_session(ctx, options, || {
+        let tables = inputs.resident(prepared.strategy.is_shredded())?;
         run_program(
             steps,
-            inputs,
+            &tables,
             &prepared.output,
             prepared.strategy,
             ctx,

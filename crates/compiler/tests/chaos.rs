@@ -337,3 +337,61 @@ fn deadline_cancellation_races_mid_spill_without_leaks_and_oracle_unaffected() {
         assert!(!dir.exists());
     }
 }
+
+/// Filling the table store's cells draws no faults and books no retries:
+/// a run that has to convert its inputs first (cold cells) replays exactly
+/// the fault schedule of a run that finds them resident (warm cells).
+#[test]
+fn cold_and_warm_cell_runs_replay_the_same_fault_schedule() {
+    let _watchdog = Watchdog::arm("chaos::cold_vs_warm_cells", Duration::from_secs(600));
+    let (spec, values, expected) = random_case(3);
+    // Morsel and shuffle faults at ten times the default rate, so a run this
+    // small still draws failures. One worker: the schedule is then a pure
+    // function of the seed, draw for draw (see `trance_dist::fault`).
+    let plan = FaultPlan {
+        rates: [0.2, 0.0, 0.0, 0.2, 0.0],
+        ..FaultPlan::quiet(11)
+    };
+    for strategy in [Strategy::Standard, Strategy::ShredUnshred] {
+        let run = |warm_cells: bool| {
+            let cfg = ClusterConfig::new(1, 8)
+                .with_broadcast_limit(64)
+                .with_faults(plan.clone());
+            let inputs = input_set(DistContext::new(cfg), &values);
+            if warm_cells {
+                // A faults-off run draws nothing and leaves the cells filled.
+                let warmup = run_enveloped(&spec, &inputs, strategy, false, None);
+                assert_eq!(warmup.stats.faults_injected, 0);
+                assert!(!warmup.result.is_failure());
+            }
+            run_faulted(&spec, &inputs, strategy, true)
+        };
+        let (cold, warm) = (run(false), run(true));
+        let schedule = |o: &RunOutcome| {
+            (
+                o.stats.faults_injected,
+                o.stats.retries,
+                o.stats.recovered_partitions,
+            )
+        };
+        assert!(
+            cold.stats.faults_injected > 0,
+            "{}: the plan never fired — the comparison is vacuous",
+            strategy.label()
+        );
+        assert_eq!(
+            schedule(&cold),
+            schedule(&warm),
+            "{}: cold-cell and warm-cell runs drew different fault schedules",
+            strategy.label()
+        );
+        for (cells, outcome) in [("cold", &cold), ("warm", &warm)] {
+            let produced = outcome_bag(&outcome.result, &format!("{cells} {}", strategy.label()));
+            assert_bags_approx_eq(
+                &expected,
+                &produced,
+                &format!("{cells}-cell {} after recovery", strategy.label()),
+            );
+        }
+    }
+}

@@ -14,8 +14,8 @@ use std::collections::BTreeMap;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use trance_compiler::{
-    collect_unshredded, ingest_env, prepare_and_run, run_prepared, run_query, run_query_with,
-    strategy_options, ExecOptions, InputSet, QuerySpec, RunOutcome, RunResult, Strategy,
+    collect_unshredded, prepare_and_run, run_prepared, run_query, run_query_with, strategy_options,
+    ExecOptions, InputSet, QuerySpec, RunOutcome, RunResult, Strategy,
 };
 use trance_dist::{ClusterConfig, DistContext, StatsSnapshot};
 use trance_nrc::builder::*;
@@ -96,10 +96,7 @@ fn check_all_strategies(spec: &QuerySpec, values: &[(&str, Value, bool)]) {
             inputs.add_flat(name, v.as_bag().unwrap().clone()).unwrap();
         }
     }
-    // The serving path's resident form of the same inputs.
     let ctx = inputs.context();
-    let nested = ingest_env(inputs.nested_inputs()).unwrap();
-    let shredded = ingest_env(inputs.shredded_inputs()).unwrap();
     for strategy in Strategy::all() {
         // Plan route (NRC → Plan → optimize → physical execution).
         let outcome = run_query(spec, &inputs, strategy);
@@ -124,15 +121,14 @@ fn check_all_strategies(spec: &QuerySpec, values: &[(&str, Value, bool)]) {
             spec.name
         );
         // The serving path is the same driver: a cold `prepare_and_run` and
-        // a warm `run_prepared` over the same (pre-ingested) inputs must
-        // reproduce the one-shot run — same bag, same deterministic counters.
+        // a warm `run_prepared` over the same table store must reproduce
+        // the one-shot run — same bag, same deterministic counters.
         let options = strategy_options(strategy, false);
         ctx.stats().reset();
-        let (cold, prepared) =
-            prepare_and_run(spec, &nested, &shredded, ctx, strategy, &options).unwrap();
+        let (cold, prepared) = prepare_and_run(spec, &inputs, ctx, strategy, &options).unwrap();
         let cold_stats = ctx.stats().snapshot();
         ctx.stats().reset();
-        let warm = run_prepared(&prepared, &nested, &shredded, ctx, &options).unwrap();
+        let warm = run_prepared(&prepared, &inputs, ctx, &options).unwrap();
         let warm_stats = ctx.stats().snapshot();
         for (path, result, stats) in [("cold", cold, cold_stats), ("warm", warm, warm_stats)] {
             let bag = result_bag(&result, &format!("prepared {path} {}", strategy.label()));
@@ -637,5 +633,155 @@ fn shredded_output_dictionaries_are_exposed() {
             assert!(sizes["corders"] > 0);
         }
         other => panic!("expected shredded output, got {other:?}"),
+    }
+}
+
+/// `part_value` with every price doubled and one part withdrawn — a changed
+/// table to re-register under the same name.
+fn repriced_parts() -> Value {
+    Value::bag(
+        (0..6)
+            .map(|p| {
+                Value::tuple([
+                    ("pid", Value::Int(p)),
+                    ("pname", Value::str(format!("part{p}"))),
+                    ("price", Value::Real(1.0 + 2.0 * p as f64)),
+                ])
+            })
+            .collect(),
+    )
+}
+
+/// The table store's write-once rule, end to end: the first run over a form
+/// fills its cells and counts exactly like the warm run after it; re-adding
+/// a name (`add_flat` and `add_nested`) replaces the table, so every
+/// strategy answers over the new rows; a clone taken before the replacement
+/// keeps answering over the old ones.
+#[test]
+fn replaced_tables_are_seen_by_every_strategy_and_earlier_clones_keep_the_old_ones() {
+    let spec = QuerySpec::new(
+        "running-example",
+        running_example(),
+        vec![ShreddedInputDecl::new("COP", cop_structure())],
+    );
+    let (old_cop, old_part) = (cop_value(12), part_value());
+    let (new_cop, new_part) = (cop_value(17), repriced_parts());
+    let expected_old = reference_result(
+        &spec.query,
+        &[("COP", old_cop.clone()), ("Part", old_part.clone())],
+    );
+    let expected_new = reference_result(
+        &spec.query,
+        &[("COP", new_cop.clone()), ("Part", new_part.clone())],
+    );
+    assert_ne!(canonical(&expected_old), canonical(&expected_new));
+
+    let load = |inputs: &mut InputSet, cop: &Value, part: &Value| {
+        inputs
+            .add_nested("COP", cop.as_bag().unwrap().clone())
+            .unwrap();
+        inputs
+            .add_flat("Part", part.as_bag().unwrap().clone())
+            .unwrap();
+    };
+    let mut inputs = InputSet::new(ctx());
+    load(&mut inputs, &old_cop, &old_part);
+
+    for strategy in Strategy::all() {
+        // A fresh set per strategy, so each strategy gets a cold-cell run:
+        // conversion is unmetered, so cold and warm count identically.
+        let mut fresh = InputSet::new(ctx());
+        load(&mut fresh, &old_cop, &old_part);
+        let cold = run_query(&spec, &fresh, strategy);
+        let warm = run_query(&spec, &fresh, strategy);
+        assert_eq!(
+            deterministic_counters(&cold.stats),
+            deterministic_counters(&warm.stats),
+            "{}: the cold-cell and the warm-cell run count differently",
+            strategy.label()
+        );
+        for (cells, outcome) in [("cold", &cold), ("warm", &warm)] {
+            assert_eq!(
+                canonical(&expected_old),
+                canonical(&result_bag(&outcome.result, strategy.label())),
+                "{} ({cells} cells) disagrees with the reference evaluator",
+                strategy.label()
+            );
+        }
+        // Warm the shared set's cells too, so the replacement below has
+        // resident batches of the old tables to get wrong.
+        let first = run_query(&spec, &inputs, strategy);
+        assert_eq!(
+            canonical(&expected_old),
+            canonical(&result_bag(&first.result, strategy.label()))
+        );
+    }
+
+    let before = inputs.clone();
+    load(&mut inputs, &new_cop, &new_part);
+    for strategy in Strategy::all() {
+        let replaced = run_query(&spec, &inputs, strategy);
+        assert_eq!(
+            canonical(&expected_new),
+            canonical(&result_bag(&replaced.result, strategy.label())),
+            "{} does not see the re-registered tables",
+            strategy.label()
+        );
+        let kept = run_query(&spec, &before, strategy);
+        assert_eq!(
+            canonical(&expected_old),
+            canonical(&result_bag(&kept.result, strategy.label())),
+            "{}: a clone taken before the replacement must keep the old tables",
+            strategy.label()
+        );
+    }
+}
+
+/// A sealed set holds each table once, as batches: the rows are gone, every
+/// strategy still answers, and a name re-added afterwards is an ordinary
+/// (row-backed, cold) table again.
+#[test]
+fn a_sealed_set_answers_from_its_resident_batches_alone() {
+    let spec = QuerySpec::new(
+        "running-example",
+        running_example(),
+        vec![ShreddedInputDecl::new("COP", cop_structure())],
+    );
+    let (cop, part) = (cop_value(12), part_value());
+    let mut inputs = InputSet::new(ctx());
+    inputs
+        .add_nested("COP", cop.as_bag().unwrap().clone())
+        .unwrap();
+    inputs
+        .add_flat("Part", part.as_bag().unwrap().clone())
+        .unwrap();
+    inputs.seal().unwrap();
+    assert!(inputs.nested_inputs().is_empty() && inputs.shredded_inputs().is_empty());
+
+    let expected = reference_result(&spec.query, &[("COP", cop.clone()), ("Part", part)]);
+    for strategy in Strategy::all() {
+        let sealed = run_query(&spec, &inputs, strategy);
+        assert_eq!(
+            canonical(&expected),
+            canonical(&result_bag(&sealed.result, strategy.label())),
+            "{} over a sealed set disagrees with the reference evaluator",
+            strategy.label()
+        );
+    }
+
+    let repriced = repriced_parts();
+    inputs
+        .add_flat("Part", repriced.as_bag().unwrap().clone())
+        .unwrap();
+    assert_eq!(inputs.nested_inputs().len(), 1);
+    let expected = reference_result(&spec.query, &[("COP", cop), ("Part", repriced)]);
+    for strategy in Strategy::all() {
+        let mixed = run_query(&spec, &inputs, strategy);
+        assert_eq!(
+            canonical(&expected),
+            canonical(&result_bag(&mixed.result, strategy.label())),
+            "{} over a sealed set with one re-added table disagrees with the reference",
+            strategy.label()
+        );
     }
 }

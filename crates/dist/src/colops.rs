@@ -82,12 +82,12 @@ use trance_store::{ByteReader, ByteWriter, MemoryGovernor, Spillable};
 
 use crate::batch::{Batch, Bitmap, Column, FieldHint};
 use crate::error::{ExecError, Result};
-use crate::exchange::{allgather_u64, global_sum, owned_range, owner_of_partition, Exchange};
+use crate::exchange::{allgather_u64, owned_range, owner_of_partition, Exchange};
 use crate::fault::{with_retry, FaultSite};
 use crate::join::{JoinKind, JoinSpec};
 use crate::keys::{group_rows, KeyCols, KeyCounts, KeyHashes, RowTable};
 use crate::ops::DistCollection;
-use crate::partition::{hash_value, run_partitioned, PartRows};
+use crate::partition::{hash_value, run_partitioned, run_partitioned_unmetered, PartRows};
 use crate::scheduler::MorselCtx;
 use crate::spill::{batch_frames, read_batches, spill_batch, SpillChunkWriter, SpilledBatches};
 use crate::stats::JoinStrategy;
@@ -313,20 +313,24 @@ impl ColCollection {
         Ok(ColCollection::from_col_parts(ctx, parts))
     }
 
-    /// Converts a row collection into batches, partition by partition — the
-    /// **scan ingest** boundary, the only place (besides
-    /// [`ColCollection::to_rows`]) where the columnar route touches
-    /// row values. `hints` come from the plan-layer schema and type columns
-    /// the sampled values alone could not; ingest is not metered, matching
-    /// the paper's exclusion of input loading.
+    /// Converts a row collection into batches, partition-parallel on the
+    /// worker pool — the **scan ingest** boundary, one of the two places
+    /// (with [`ColCollection::to_rows`]) where the columnar route touches row
+    /// values. The compiler's table store calls it **once per stored table**
+    /// and keeps the result resident in a write-once cell; no query path
+    /// re-runs it. `hints` come from the plan-layer schema and type columns
+    /// the sampled values alone could not. Ingest is unmetered — no operator
+    /// timing, steal count, retry or fault draw — matching the paper's
+    /// exclusion of input loading, so a run's counters do not depend on
+    /// whether it found its inputs already converted.
     pub fn ingest(coll: &DistCollection, hints: &[FieldHint]) -> Result<ColCollection> {
-        let mut parts: Vec<Batch> = Vec::with_capacity(coll.num_partitions());
-        coll.for_each_partition(|rows| {
+        let ctx = coll.context();
+        let parts = run_partitioned_unmetered(ctx, coll.parts(), |_, part| {
+            let rows = part.rows(ctx)?;
             let refs: Vec<&Value> = rows.iter().collect();
-            parts.push(Batch::from_row_refs_hinted(&refs, hints));
-            Ok(())
+            Ok(Batch::from_row_refs_hinted(&refs, hints))
         })?;
-        Ok(ColCollection::from_parts(coll.context().clone(), parts))
+        Ok(ColCollection::from_parts(ctx.clone(), parts))
     }
 
     /// An empty columnar collection over this context's partitions.
@@ -462,7 +466,7 @@ impl ColCollection {
     /// when a multi-process exchange is installed (every rank has to pick
     /// the same plan), [`ColCollection::logical_bytes`] otherwise.
     pub fn planning_bytes(&self) -> Result<usize> {
-        planning_logical_bytes(self)
+        self.ctx.planning_bytes(self.logical_bytes())
     }
 
     /// Exact physical buffer bytes across all partitions.
@@ -471,12 +475,12 @@ impl ColCollection {
     }
 
     /// Materializes every partition back into the row representation — the
-    /// **collect** boundary. Not metered.
+    /// **collect** boundary, through the same unmetered partition-parallel
+    /// helper as [`ColCollection::ingest`].
     pub fn to_rows(&self) -> Result<DistCollection> {
-        let mut parts = Vec::with_capacity(self.parts.len());
-        for part in self.parts.iter() {
-            parts.push(part.batch(&self.ctx)?.to_rows());
-        }
+        let parts = run_partitioned_unmetered(&self.ctx, &self.parts, |_, part| {
+            Ok(part.batch(&self.ctx)?.to_rows())
+        })?;
         Ok(DistCollection::from_parts(self.ctx.clone(), parts))
     }
 
@@ -731,7 +735,7 @@ impl ColCollection {
             let (right_light, right_heavy) = split_by_keys_col(right, spec.right_keys(), &heavy)?;
             let light = left_light.join(&right_light, spec)?;
             let limit = self.ctx.config().broadcast_limit;
-            let heavy = if planning_logical_bytes(&right_heavy)? <= limit {
+            let heavy = if right_heavy.planning_bytes()? <= limit {
                 join_impl_col(
                     &left_heavy,
                     &right_heavy,
@@ -1668,9 +1672,9 @@ fn join_impl_col(
         ColJoinPath::BroadcastRight { skew } => broadcast_right_col(left, right, spec, skew),
         ColJoinPath::Shuffle { skew } => shuffle_join_col(left, right, spec, skew),
         ColJoinPath::Auto => {
-            if planning_logical_bytes(right)? <= limit {
+            if right.planning_bytes()? <= limit {
                 broadcast_right_col(left, right, spec, false)
-            } else if spec.kind() == JoinKind::Inner && planning_logical_bytes(left)? <= limit {
+            } else if spec.kind() == JoinKind::Inner && left.planning_bytes()? <= limit {
                 broadcast_left_col(left, right, spec)
             } else {
                 shuffle_join_col(left, right, spec, false)
@@ -1712,20 +1716,6 @@ fn project_right_batch(b: &Batch, spec: &JoinSpec) -> Batch {
 /// projection configured → empty null extension) or explicit NULLs.
 fn none_is_absent(spec: &JoinSpec) -> bool {
     spec.right_fields().is_none()
-}
-
-/// A collection's logical size for planning decisions: the cluster-wide sum
-/// when a multi-process exchange is installed (every rank must take the
-/// same join plan), the local size otherwise. Saturates at `usize::MAX` so
-/// a huge cluster-wide sum can only make the planner *more* conservative.
-fn planning_logical_bytes(coll: &ColCollection) -> Result<usize> {
-    match coll.ctx.exchange() {
-        Some(ex) => {
-            let total = global_sum(ex.as_ref(), coll.logical_bytes() as u64)?;
-            Ok(usize::try_from(total).unwrap_or(usize::MAX))
-        }
-        None => Ok(coll.logical_bytes()),
-    }
 }
 
 /// Concatenates a (small) broadcast side into one resident batch. Under an

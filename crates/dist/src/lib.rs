@@ -473,6 +473,21 @@ impl DistContext {
             .clone()
     }
 
+    /// A rank-local logical size as planning decisions must see it: the
+    /// cluster-wide sum when a multi-process exchange is installed (every
+    /// rank has to take the same plan), `local` itself otherwise. Saturates
+    /// at `usize::MAX`, so a huge cluster-wide sum can only make the planner
+    /// *more* conservative.
+    pub fn planning_bytes(&self, local: usize) -> error::Result<usize> {
+        match self.exchange() {
+            Some(ex) => {
+                let total = exchange::global_sum(ex.as_ref(), local as u64)?;
+                Ok(usize::try_from(total).unwrap_or(usize::MAX))
+            }
+            None => Ok(local),
+        }
+    }
+
     /// The run's scoped spill directory, if any spill has happened yet.
     /// Tests assert it drains back to empty once spilled collections drop.
     pub fn spill_dir(&self) -> Option<PathBuf> {

@@ -81,8 +81,37 @@ where
     F: Fn(usize, &P) -> Result<T> + Send + Sync,
     T: Send,
 {
+    run_parts(ctx, parts, f, true)
+}
+
+/// [`run_partitioned`] for the two `Value`↔`Batch` boundaries (scan ingest
+/// and collect), which the paper's measurements exclude: the same
+/// placement and fan-out, but **unmetered** — no steal counts, no retry and
+/// no lineage recovery (so nothing is booked under `retries` /
+/// `recovered_partitions`), and the closures passed here draw no faults.
+/// A run's deterministic counters are therefore the same whether or not it
+/// had to convert its inputs first. Cancellation is still observed.
+pub(crate) fn run_partitioned_unmetered<P, T, F>(
+    ctx: &DistContext,
+    parts: &[P],
+    f: F,
+) -> Result<Vec<T>>
+where
+    P: PartRows + Sync,
+    F: Fn(usize, &P) -> Result<T> + Send + Sync,
+    T: Send,
+{
+    run_parts(ctx, parts, f, false)
+}
+
+fn run_parts<P, T, F>(ctx: &DistContext, parts: &[P], f: F, metered: bool) -> Result<Vec<T>>
+where
+    P: PartRows + Sync,
+    F: Fn(usize, &P) -> Result<T> + Send + Sync,
+    T: Send,
+{
     let recover = |i: usize, part: &P, e: ExecError| -> Result<T> {
-        if !e.is_retryable() {
+        if !metered || !e.is_retryable() {
             return Err(e);
         }
         ctx.check_cancel()?;
@@ -118,7 +147,11 @@ where
             }) as Box<dyn FnOnce() + Send + '_>
         })
         .collect();
-    ctx.run_tasks(tasks);
+    if metered {
+        ctx.run_tasks(tasks);
+    } else {
+        ctx.pool().run(tasks);
+    }
     let mut out = Vec::with_capacity(parts.len());
     for (i, slot) in slots.into_iter().enumerate() {
         match slot.into_inner().unwrap_or_else(|e| e.into_inner()) {

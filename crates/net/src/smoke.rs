@@ -6,8 +6,9 @@
 //! bag-identical (up to float tolerance — distributed `Real` sums reorder)
 //! **and** move exactly the same logical shuffle bytes, because every rank
 //! drives the same deterministic plan over the same partition layout. The
-//! optional chaos cell severs a data link mid-run and must still converge
-//! to the oracle bag through the coordinator's global retry.
+//! optional chaos cells sever a data link mid-run — once before any
+//! successful run over the freshly loaded tables, once after — and must
+//! still converge to the oracle bag through the coordinator's global retry.
 
 use std::time::Instant;
 
@@ -140,7 +141,8 @@ pub fn smoke_strategies() -> Vec<Strategy> {
 /// One verified smoke cell.
 #[derive(Debug, Clone)]
 pub struct SmokeOutcome {
-    /// Cell label (strategy, or `"chaos(<strategy>)"`).
+    /// Cell label (strategy, `"chaos-cold(<strategy>)"` or
+    /// `"chaos(<strategy>)"`).
     pub label: String,
     /// Result rows (equal to the oracle's cardinality).
     pub rows: usize,
@@ -157,8 +159,9 @@ pub struct SmokeOutcome {
 
 /// Runs the running example on the connected cluster, differentially
 /// checking every cell against the in-process oracle. With `chaos` set, a
-/// final cell injects the connection drop and must recover to the oracle
-/// result with `attempts > 1`.
+/// first cell (cold table-store cells) and a final cell (warm cells) inject
+/// the connection drop and must recover to the oracle result with
+/// `attempts > 1`.
 pub fn run_smoke(
     coord: &mut Coordinator,
     params: ClusterParams,
@@ -195,10 +198,24 @@ pub fn run_smoke(
         .map_err(|e| format!("loading Part: {e}"))?;
 
     let mut outcomes = Vec::new();
-    let mut cells: Vec<(String, Strategy, Option<DropSpec>)> = smoke_strategies()
-        .into_iter()
-        .map(|s| (s.label().to_string(), s, None))
-        .collect();
+    let mut cells: Vec<(String, Strategy, Option<DropSpec>)> = Vec::new();
+    // The chaos drop runs twice: as the very first job over the freshly
+    // loaded tables, when every rank's table-store cells are still cold and
+    // the drop lands among the collectives that fill them, and again at the
+    // end over warm cells. A rank that skipped or added a collective
+    // because of what its cells hold shows up as a mismatch or a timeout.
+    if let Some(drop) = chaos {
+        cells.push((
+            "chaos-cold(STANDARD)".to_string(),
+            Strategy::Standard,
+            Some(drop),
+        ));
+    }
+    cells.extend(
+        smoke_strategies()
+            .into_iter()
+            .map(|s| (s.label().to_string(), s, None)),
+    );
     if let Some(drop) = chaos {
         cells.push((
             "chaos(STANDARD)".to_string(),

@@ -205,6 +205,115 @@ fn deadline_cancels(coord: &mut Coordinator) {
     }
 }
 
+/// Cold-cell rank divergence. Every rank memoises the columnar form of a
+/// loaded table in a write-once cell, filled by the first run that reads it —
+/// and under the exchange filling is interleaved with collectives (schema
+/// sample, schema merge, size sum). A first run that dies there leaves the
+/// ranks' cells in different states; the next run must still reach every
+/// collective in the same order on every rank, whatever its own cells hold.
+fn cold_cell_failures_do_not_desync_the_ranks(coord: &mut Coordinator, seed: u64) {
+    let spec = QuerySpec::new(
+        "running-example",
+        running_example(),
+        vec![ShreddedInputDecl::new("COP", cop_structure())],
+    );
+    let plain = |strategy| {
+        JobSpec::new(
+            running_example(),
+            vec![("COP".to_string(), cop_structure())],
+            strategy,
+        )
+    };
+    let part = part_value().as_bag().unwrap().clone();
+
+    // The worker's store also holds the random programs' R, S and N, so a
+    // standard-family run makes 5 sample allgathers (2 frames each per
+    // rank) before anything else: all three cut points land inside ingest.
+    for (i, after_frames) in [1u64, 4, 7].into_iter().enumerate() {
+        // Loading replaces the entries on every rank: fresh, cold cells.
+        let cop = cop_value(30 + i).as_bag().unwrap().clone();
+        coord.load_nested("COP", cop.clone()).unwrap();
+        coord.load_flat("Part", part.items().to_vec()).unwrap();
+        let mut inputs = InputSet::new(oracle_ctx());
+        inputs.add_nested("COP", cop).unwrap();
+        inputs.add_flat("Part", part.clone()).unwrap();
+
+        // The first run over the cold cells is cancelled by a zero deadline …
+        let mut job = plain(Strategy::Standard);
+        job.deadline_ms = Some(0);
+        match coord.run(&job) {
+            Err(ExecError::Cancelled { .. }) => {}
+            other => panic!("cold cells: expected Cancelled from a zero deadline, got {other:?}"),
+        }
+        // … the next loses a data link mid-ingest; its retry — the same job,
+        // run normally — and a clean run after it must match the oracle.
+        let (oracle_bag, oracle_shuffled) = oracle_run(&spec, &inputs, Strategy::Standard);
+        let mut job = plain(Strategy::Standard);
+        job.chaos = Some(DropSpec {
+            victim: ((seed + i as u64) % RANKS as u64) as u32,
+            after_frames,
+        });
+        let label = format!("cold-cell drop after {after_frames} frames");
+        let attempts = check_job(coord, &label, &job, &oracle_bag, oracle_shuffled);
+        assert!(attempts > 1, "{label}: the drop did not force a retry");
+        let attempts = check_job(
+            coord,
+            &label,
+            &plain(Strategy::Standard),
+            &oracle_bag,
+            oracle_shuffled,
+        );
+        assert_eq!(attempts, 1, "{label}: the clean rerun needed retries");
+        // The shredded form's cells are still cold on every rank.
+        let (oracle_bag, oracle_shuffled) = oracle_run(&spec, &inputs, Strategy::ShredUnshred);
+        let mut job = plain(Strategy::ShredUnshred);
+        job.chaos = Some(DropSpec {
+            victim: ((seed + i as u64 + 1) % RANKS as u64) as u32,
+            after_frames,
+        });
+        let label = format!("cold-cell shredded drop after {after_frames} frames");
+        let attempts = check_job(coord, &label, &job, &oracle_bag, oracle_shuffled);
+        assert!(attempts > 1, "{label}: the drop did not force a retry");
+        println!("ok cold cells: zero deadline, then a drop after {after_frames} frames");
+    }
+
+    // Re-loading a table under an existing name replaces warm cells: the next
+    // run answers over the new rows on every strategy family.
+    let repriced: Vec<_> = part
+        .items()
+        .iter()
+        .take(5)
+        .map(|row| {
+            let mut t = row.as_tuple().unwrap().clone();
+            t.set("price", trance_nrc::Value::Real(100.0));
+            trance_nrc::Value::Tuple(t)
+        })
+        .collect();
+    coord.load_flat("Part", repriced.clone()).unwrap();
+    let cop = cop_value(32).as_bag().unwrap().clone();
+    let mut inputs = InputSet::new(oracle_ctx());
+    inputs.add_nested("COP", cop).unwrap();
+    inputs.add_flat("Part", part).unwrap();
+    let (stale_bag, _) = oracle_run(&spec, &inputs, Strategy::Standard);
+    inputs.add_flat("Part", Bag::new(repriced)).unwrap();
+    for strategy in [Strategy::Standard, Strategy::ShredUnshred] {
+        let (oracle_bag, oracle_shuffled) = oracle_run(&spec, &inputs, strategy);
+        assert_ne!(
+            common::canonical(&stale_bag),
+            common::canonical(&oracle_bag)
+        );
+        let label = format!("re-loaded Part/{}", strategy.label());
+        check_job(
+            coord,
+            &label,
+            &plain(strategy),
+            &oracle_bag,
+            oracle_shuffled,
+        );
+    }
+    println!("ok re-load: the next run sees the new rows");
+}
+
 fn shredded_result_rejected(coord: &mut Coordinator) {
     let job = JobSpec::new(
         running_example(),
@@ -246,6 +355,7 @@ fn main() {
     random_programs_agree(coord, seed, programs);
     chaos_drop_recovers(coord, seed);
     deadline_cancels(coord);
+    cold_cell_failures_do_not_desync_the_ranks(coord, seed);
     shredded_result_rejected(coord);
 
     cluster.shutdown();

@@ -3,21 +3,17 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
 
 use trance_algebra::Catalog;
-use trance_compiler::columnar::exact_schema_col;
 use trance_compiler::{
-    collect_unshredded, ingest_env, plan_cache_key, prepare_and_run, run_prepared,
-    strategy_options, ExecOptions, KernelCache, QuerySpec, RunResult, Strategy,
+    collect_unshredded, plan_cache_key, prepare_and_run, run_prepared, strategy_options,
+    ExecOptions, InputSet, KernelCache, QuerySpec, RunResult, Strategy,
 };
-use trance_dist::{ClusterConfig, ColCollection, DistContext, ExecError, StatsSnapshot};
+use trance_dist::{ClusterConfig, DistContext, ExecError, StatsSnapshot};
 use trance_nrc::{Bag, Type, TypeEnv};
-use trance_shred::{
-    flat_input_name, input_dict_name, nesting_structure, shred_value, NestingStructure,
-    ShreddedInputDecl,
-};
+use trance_shred::{nesting_structure, NestingStructure, ShreddedInputDecl};
 
 use crate::admission::AdmissionQueue;
 use crate::cache::PlanCache;
@@ -203,13 +199,13 @@ impl EngineStats {
     }
 }
 
-/// The registered tables: every logical table in nested form (standard
-/// strategies) and shredded form (shredded strategies), both resident as
-/// columnar collections, plus the catalog whose **epoch** keys the plan
-/// cache.
+/// The registered tables: the table store (every logical table in nested
+/// and shredded form, rows plus resident batches — the same [`InputSet`] a
+/// one-shot `run_query` or a TCP worker holds), plus what only a serving
+/// catalog needs: the types textual submissions check against and the
+/// catalog whose **epoch** keys the plan cache.
 struct TableRegistry {
-    nested: HashMap<String, ColCollection>,
-    shredded: HashMap<String, ColCollection>,
+    inputs: InputSet,
     /// Logical table → every physical name it registered (nested name,
     /// flat top bag, input dictionaries), so unregistering removes all.
     physical: HashMap<String, Vec<String>>,
@@ -220,6 +216,19 @@ struct TableRegistry {
     /// the shredded-input declarations of textual submissions.
     structures: HashMap<String, NestingStructure>,
     catalog: Catalog,
+}
+
+impl TableRegistry {
+    fn unregister(&mut self, name: &str) {
+        if let Some(physical) = self.physical.remove(name) {
+            for phys in physical {
+                self.inputs.remove(&phys);
+                self.catalog.remove(&phys);
+            }
+            self.types.remove(name);
+            self.structures.remove(name);
+        }
+    }
 }
 
 struct EngineInner {
@@ -256,16 +265,15 @@ impl Engine {
         let plans = Mutex::new(PlanCache::new(config.plan_cache_capacity));
         Engine {
             inner: Arc::new(EngineInner {
-                ctx,
                 config,
                 tables: RwLock::new(TableRegistry {
-                    nested: HashMap::new(),
-                    shredded: HashMap::new(),
+                    inputs: InputSet::new(ctx.clone()),
                     physical: HashMap::new(),
                     types: HashMap::new(),
                     structures: HashMap::new(),
                     catalog: Catalog::new(),
                 }),
+                ctx,
                 plans,
                 kernels: Arc::new(KernelCache::new()),
                 admission,
@@ -282,27 +290,14 @@ impl Engine {
         &self.inner.ctx
     }
 
-    /// Registers (or replaces) a **flat** table. Ingests to columnar form
-    /// once, resident for every later query; bumps the catalog epoch, so
+    /// Registers (or replaces) a **flat** table. Converts it to columnar
+    /// form once, resident for every later query; bumps the catalog epoch, so
     /// every cached plan compiled against the old catalog stops matching.
     pub fn register_flat(&self, name: &str, rows: Bag) -> trance_dist::Result<()> {
         let ty = table_type(&rows);
-        let mut staged = HashMap::new();
-        staged.insert(
-            name.to_string(),
-            self.inner.ctx.parallelize(rows.into_items()),
-        );
-        let cols = ingest_env(&staged)?;
-        let col = cols.into_values().next().expect("one staged input");
-        let mut t = self.inner.tables.write().unwrap();
-        self.unregister_locked(&mut t, name);
-        register_physical(&mut t, name, name.to_string(), &col)?;
-        t.types.insert(name.to_string(), ty);
-        t.structures
-            .insert(name.to_string(), NestingStructure::flat());
-        t.nested.insert(name.to_string(), col.clone());
-        t.shredded.insert(name.to_string(), col);
-        Ok(())
+        let mut staged = InputSet::new(self.inner.ctx.clone());
+        staged.add_flat(name, rows)?;
+        self.install(name, ty, NestingStructure::flat(), staged)
     }
 
     /// Registers (or replaces) a **nested** table: loads both its nested
@@ -311,71 +306,66 @@ impl Engine {
     pub fn register_nested(&self, name: &str, rows: Bag) -> trance_dist::Result<()> {
         let ty = table_type(&rows);
         let structure = nesting_structure(&ty).map_err(ExecError::from)?;
-        let shredded = shred_value(&rows).map_err(ExecError::from)?;
-        let mut staged = HashMap::new();
-        staged.insert(
+        let mut staged = InputSet::new(self.inner.ctx.clone());
+        staged.add_nested(name, rows)?;
+        self.install(name, ty, structure, staged)
+    }
+
+    /// Installs the one logical table `staged` holds. It is sealed here,
+    /// outside the registry lock: unlike a one-shot `InputSet`, which
+    /// converts on first use and keeps its rows for the row route, the
+    /// engine's catalog needs every schema now and nothing here ever reads
+    /// rows again, so only the resident batches move into the registry.
+    fn install(
+        &self,
+        name: &str,
+        ty: Type,
+        structure: NestingStructure,
+        mut staged: InputSet,
+    ) -> trance_dist::Result<()> {
+        let ctx = &self.inner.ctx;
+        staged.seal()?;
+        let nested = staged.resident(false)?.catalog(ctx)?;
+        let shredded = staged.resident(true)?.catalog(ctx)?;
+        let mut t = write_lock(&self.inner.tables);
+        t.unregister(name);
+        t.inputs.extend(staged);
+        // A flat table is one physical table present in both forms.
+        let mut physical = nested.input_names();
+        physical.extend(shredded.input_names());
+        physical.sort_unstable();
+        physical.dedup();
+        t.physical.insert(
             name.to_string(),
-            self.inner.ctx.parallelize(rows.into_items()),
+            physical.into_iter().map(String::from).collect(),
         );
-        staged.insert(
-            flat_input_name(name),
-            self.inner.ctx.parallelize(shredded.top.into_items()),
-        );
-        for (path, bag) in shredded.dicts {
-            staged.insert(
-                input_dict_name(name, &path),
-                self.inner.ctx.parallelize(bag.into_items()),
-            );
-        }
-        let mut cols = ingest_env(&staged)?;
-        let mut t = self.inner.tables.write().unwrap();
-        self.unregister_locked(&mut t, name);
-        let nested_col = cols.remove(name).expect("nested form staged");
-        register_physical(&mut t, name, name.to_string(), &nested_col)?;
+        t.catalog.merge(&nested).merge(&shredded);
         t.types.insert(name.to_string(), ty);
         t.structures.insert(name.to_string(), structure);
-        t.nested.insert(name.to_string(), nested_col);
-        for (phys_name, col) in cols {
-            register_physical(&mut t, name, phys_name.clone(), &col)?;
-            t.shredded.insert(phys_name, col);
-        }
         Ok(())
     }
 
     /// Drops a table (both forms). Bumps the epoch when it existed.
     pub fn unregister(&self, name: &str) {
-        let mut t = self.inner.tables.write().unwrap();
-        self.unregister_locked(&mut t, name);
-    }
-
-    fn unregister_locked(&self, t: &mut TableRegistry, name: &str) {
-        if let Some(physical) = t.physical.remove(name) {
-            for phys in physical {
-                t.nested.remove(&phys);
-                t.shredded.remove(&phys);
-                t.catalog.remove(&phys);
-            }
-            t.types.remove(name);
-            t.structures.remove(name);
-        }
+        write_lock(&self.inner.tables).unregister(name);
     }
 
     /// The table catalog's current epoch (every registration bumps it).
     pub fn epoch(&self) -> u64 {
-        self.inner.tables.read().unwrap().catalog.epoch()
+        read_lock(&self.inner.tables).catalog.epoch()
     }
 
     /// Empties the compiled-plan cache *and* the kernel-program cache —
     /// the cold-start switch the cold-vs-warm benchmark flips between
     /// samples.
     pub fn clear_plan_cache(&self) {
-        self.inner.plans.lock().unwrap().clear();
+        lock_plans(&self.inner.plans).clear();
         self.inner.kernels.clear();
     }
 
     /// Serving counters so far.
     pub fn stats(&self) -> EngineStats {
-        let plans = self.inner.plans.lock().unwrap();
+        let plans = lock_plans(&self.inner.plans);
         EngineStats {
             cache_hits: plans.hits(),
             cache_misses: plans.misses(),
@@ -387,7 +377,7 @@ impl Engine {
             rejected: self.inner.rejected.load(Ordering::Relaxed),
             completed: self.inner.completed.load(Ordering::Relaxed),
             failed: self.inner.failed.load(Ordering::Relaxed),
-            epoch: self.inner.tables.read().unwrap().catalog.epoch(),
+            epoch: read_lock(&self.inner.tables).catalog.epoch(),
         }
     }
 
@@ -452,7 +442,7 @@ impl Engine {
         let program =
             trance_frontend::parse_program(text).map_err(|e| ServeError::Compile(e.to_string()))?;
         let (env, structures) = {
-            let t = self.inner.tables.read().unwrap();
+            let t = read_lock(&self.inner.tables);
             let mut env = TypeEnv::new();
             for (name, ty) in &t.types {
                 env.bind(name.clone(), ty.clone());
@@ -499,30 +489,23 @@ impl Engine {
         req: &QueryRequest,
         queue_wait: Duration,
     ) -> Result<QueryResponse, ServeError> {
-        // Snapshot the registry under the read lock: clones are O(#tables)
-        // Arc bumps, and the epoch read here is the one the cache key uses,
-        // so a concurrent re-registration either fully precedes this query
-        // (new tables, new epoch) or fully follows it.
-        let (nested, shredded, epoch) = {
-            let t = self.inner.tables.read().unwrap();
-            (t.nested.clone(), t.shredded.clone(), t.catalog.epoch())
+        // Snapshot the store under the read lock: the clone is O(#tables)
+        // Arc bumps (rows and resident cells are shared, not copied), and
+        // the epoch read here is the one the cache key uses, so a concurrent
+        // re-registration either fully precedes this query (new tables, new
+        // epoch) or fully follows it.
+        let (inputs, epoch) = {
+            let t = read_lock(&self.inner.tables);
+            (t.inputs.clone(), t.catalog.epoch())
         };
         // A fresh session on the shared pool: per-query stats, cancellation
         // scope, and (when budgeted) worker-memory cap with spill forced on.
+        // The run binds the resident batches into it (O(1) each: the
+        // partitions are Arc-shared, only the context handle changes).
         let session = match req.memory_budget {
             Some(budget) => self.inner.ctx.session_with_memory(Some(budget)),
             None => self.inner.ctx.session(),
         };
-        // Rebind the resident collections into the session (O(1) each: the
-        // partitions are Arc-shared, only the context handle changes).
-        let nested: HashMap<String, ColCollection> = nested
-            .iter()
-            .map(|(k, v)| (k.clone(), v.with_context(&session)))
-            .collect();
-        let shredded: HashMap<String, ColCollection> = shredded
-            .iter()
-            .map(|(k, v)| (k.clone(), v.with_context(&session)))
-            .collect();
 
         let options = ExecOptions {
             kernel_cache: Some(self.inner.kernels.clone()),
@@ -531,30 +514,18 @@ impl Engine {
         };
 
         let key = plan_cache_key(&req.spec, req.strategy, epoch);
-        let cached = self.inner.plans.lock().unwrap().get(key);
+        let cached = lock_plans(&self.inner.plans).get(key);
         let cache_hit = cached.is_some();
         let t0 = Instant::now();
         let result = match cached {
-            Some(prepared) => {
-                run_prepared(&prepared, &nested, &shredded, &session, &options).map(|r| (r, 0))
-            }
-            None => prepare_and_run(
-                &req.spec,
-                &nested,
-                &shredded,
-                &session,
-                req.strategy,
-                &options,
-            )
-            .map(|(result, prepared)| {
-                let plans = prepared.plan_count();
-                self.inner
-                    .plans
-                    .lock()
-                    .unwrap()
-                    .insert(key, Arc::new(prepared));
-                (result, plans)
-            }),
+            Some(prepared) => run_prepared(&prepared, &inputs, &session, &options).map(|r| (r, 0)),
+            None => prepare_and_run(&req.spec, &inputs, &session, req.strategy, &options).map(
+                |(result, prepared)| {
+                    let plans = prepared.plan_count();
+                    lock_plans(&self.inner.plans).insert(key, Arc::new(prepared));
+                    (result, plans)
+                },
+            ),
         };
         let elapsed = t0.elapsed();
         let (result, plans_compiled) = result.map_err(ServeError::Exec)?;
@@ -584,22 +555,20 @@ fn table_type(rows: &Bag) -> Type {
     )
 }
 
-/// Registers one physical collection in the catalog (schema + size — the
-/// epoch bump is the cache-invalidation signal) and records it under its
-/// logical table for later unregistration.
-fn register_physical(
-    t: &mut TableRegistry,
-    logical: &str,
-    physical: String,
-    col: &ColCollection,
-) -> trance_dist::Result<()> {
-    t.catalog.register(physical.clone(), exact_schema_col(col)?);
-    t.catalog.set_size(physical.clone(), col.logical_bytes());
-    t.physical
-        .entry(logical.to_string())
-        .or_default()
-        .push(physical);
-    Ok(())
+/// The registry and plan-cache guards recover from poison: every critical
+/// section leaves both structures consistent at each step (whole-entry
+/// inserts and removes), so a query or registration that panicked must not
+/// turn every later call on a resident engine into a panic.
+fn read_lock(tables: &RwLock<TableRegistry>) -> RwLockReadGuard<'_, TableRegistry> {
+    tables.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn write_lock(tables: &RwLock<TableRegistry>) -> RwLockWriteGuard<'_, TableRegistry> {
+    tables.write().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn lock_plans(plans: &Mutex<PlanCache>) -> MutexGuard<'_, PlanCache> {
+    plans.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Collects any strategy's output down to one nested row bag, so clients
@@ -609,5 +578,65 @@ fn collect_rows(result: RunResult) -> trance_dist::Result<Bag> {
         RunResult::Nested(d) => Ok(d.collect_bag()),
         RunResult::Shredded(out) => collect_unshredded(&out).map_err(ExecError::from),
         RunResult::Failed(e) => Err(e),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use trance_nrc::builder::{forin, proj, singleton, tuple, var};
+    use trance_nrc::Value;
+
+    fn table(rows: i64) -> Bag {
+        Bag::new(
+            (0..rows)
+                .map(|i| Value::tuple([("a", Value::Int(i)), ("b", Value::Int(i * i))]))
+                .collect(),
+        )
+    }
+
+    /// Panics on another thread while holding `lock`'s guard — what a
+    /// panicking registration or query leaves behind.
+    fn poison<T: Send + Sync>(lock: &T, hold: impl FnOnce(&T) + Send) {
+        std::thread::scope(|scope| {
+            let _ = scope.spawn(|| hold(lock)).join();
+        });
+    }
+
+    #[test]
+    fn poisoned_registry_and_plan_cache_keep_serving() {
+        let engine = Engine::new(EngineConfig::with_cluster(ClusterConfig::new(2, 4)));
+        engine.register_flat("R", table(40)).unwrap();
+        poison(&engine.inner.tables, |tables| {
+            let _guard = tables.write().unwrap();
+            panic!("poisoning the table registry");
+        });
+        poison(&engine.inner.plans, |plans| {
+            let _guard = plans.lock().unwrap();
+            panic!("poisoning the plan cache");
+        });
+        assert!(engine.inner.tables.is_poisoned() && engine.inner.plans.is_poisoned());
+
+        // Every entry point that takes one of the locks still answers.
+        let before = engine.epoch();
+        engine.register_flat("S", table(7)).unwrap();
+        engine.register_nested("N", table(3)).unwrap();
+        engine.unregister("N");
+        assert!(engine.epoch() > before);
+        let query = forin(
+            "s",
+            var("S"),
+            singleton(tuple([("b", proj(var("s"), "b"))])),
+        );
+        let req = QueryRequest::new("t", QuerySpec::new("q", query, vec![]), Strategy::Standard);
+        for cache_hit in [false, true] {
+            let resp = engine.submit(&req).unwrap();
+            assert_eq!(resp.rows.len(), 7);
+            assert_eq!(resp.cache_hit, cache_hit);
+        }
+        let text = engine.submit_text("t", "for r in R union { <a := r.a> }", Strategy::Shred);
+        assert_eq!(text.unwrap().rows.len(), 40);
+        engine.clear_plan_cache();
+        assert_eq!(engine.stats().cache_len, 0);
     }
 }
