@@ -45,7 +45,6 @@ fn ratio(a: Option<std::time::Duration>, b: Option<std::time::Duration>) -> Stri
 /// One measured cell destined for `BENCH_summary.json`.
 struct JsonCell {
     query: String,
-    repr: &'static str,
     /// Which executor drove the run: morsel-driven fused pipelines
     /// (`pipelined`, the default) or one materialization per operator
     /// (`staged`).
@@ -65,10 +64,9 @@ struct JsonCell {
 }
 
 impl JsonCell {
-    fn new(query: String, repr: &'static str, parse_typecheck_us: f64, row: BenchRow) -> JsonCell {
+    fn new(query: String, parse_typecheck_us: f64, row: BenchRow) -> JsonCell {
         JsonCell {
             query,
-            repr,
             exec: "pipelined",
             expr: "compiled",
             spill: "off",
@@ -116,8 +114,8 @@ fn render_json(cells: &[JsonCell], serve: &[ServeRow], net: &[SmokeOutcome]) -> 
             .map(|(op, t)| format!("\"{}\": {:.3}", escape(op), t.micros as f64 / 1000.0))
             .collect::<Vec<_>>()
             .join(", ");
-        // Per-row shuffled bytes (physical): the representation win the perf
-        // trajectory tracks next to wall time.
+        // Per-row shuffled bytes (physical): what the batch encoding ships,
+        // tracked next to wall time.
         let bytes_per_tuple = if s.shuffled_tuples > 0 {
             s.shuffled_bytes_phys as f64 / s.shuffled_tuples as f64
         } else {
@@ -129,7 +127,7 @@ fn render_json(cells: &[JsonCell], serve: &[ServeRow], net: &[SmokeOutcome]) -> 
         };
         let _ = writeln!(
             out,
-            "    {{\"query\": \"{}\", \"strategy\": \"{}\", \"repr\": \"{}\", \
+            "    {{\"query\": \"{}\", \"strategy\": \"{}\", \
              \"exec\": \"{}\", \"expr\": \"{}\", \"status\": \"{}\", \"wall_ms\": {}, \
              \"shuffled_tuples\": {}, \"shuffled_bytes\": {}, \
              \"shuffled_bytes_phys\": {}, \"bytes_per_tuple\": {:.3}, \
@@ -147,7 +145,6 @@ fn render_json(cells: &[JsonCell], serve: &[ServeRow], net: &[SmokeOutcome]) -> 
              \"op_ms\": {{{}}}}}{}",
             escape(&cell.query),
             escape(cell.row.strategy.label()),
-            cell.repr,
             cell.exec,
             cell.expr,
             status,
@@ -353,7 +350,6 @@ fn main() {
         let fe_us = front_end_us(family, QueryVariant::Wide);
         cells.extend(rows.into_iter().map(|row| JsonCell {
             query: query.clone(),
-            repr: "columnar",
             exec: exec_label,
             expr: "compiled",
             spill: "off",
@@ -381,7 +377,6 @@ fn main() {
     let narrow_fe_us = front_end_us(Family::NestedToNested, QueryVariant::Narrow);
     cells.extend(rows.into_iter().map(|row| JsonCell {
         query: "NestedToNested-depth2-Narrow-scale0.3".to_string(),
-        repr: "columnar",
         exec: exec_label,
         expr: "compiled",
         spill: "off",
@@ -390,74 +385,64 @@ fn main() {
         row,
     }));
 
-    // Row-vs-columnar representation pair × pipelined-vs-staged executor
-    // pair: the same Wide STANDARD cell run over typed batches and row
-    // collections (no memory cap so all complete), each both through the
-    // morsel-driven fused pipelines and through the staged
-    // one-materialization-per-operator oracle. Columnar must ship strictly
-    // fewer *physical* bytes; the pipelined executor must beat the staged
-    // wall clock at identical logical shuffle volume (fusion moves no extra
-    // byte — it only removes barriers and intermediate materializations).
-    // Each cell reports the best of three runs (`best_of`, keyed on wall
-    // clock — the metric this pair compares).
+    // Pipelined-vs-staged executor pair: the Wide STANDARD cell (no memory
+    // cap so both complete) through the morsel-driven fused pipelines and
+    // through the staged one-materialization-per-operator oracle. The
+    // pipelined executor must beat the staged wall clock at identical
+    // logical shuffle volume (fusion moves no extra byte — it only removes
+    // barriers and intermediate materializations), and typed batches must
+    // ship at most half their row-equivalent logical bytes. Each cell
+    // reports the best of three runs (`best_of`, keyed on wall clock — the
+    // metric this pair compares).
     let wide_n2n_fe_us = front_end_us(Family::NestedToNested, QueryVariant::Wide);
-    let mut exec_walls: Vec<(String, Option<std::time::Duration>)> = Vec::new();
-    for (label, columnar) in [("columnar", true), ("row", false)] {
-        for (exec, pipelined) in [("pipelined", true), ("staged", false)] {
-            let row = best_of(
-                3,
-                || {
-                    run_cell(
-                        &cfg,
-                        Family::NestedToNested,
-                        2,
-                        QueryVariant::Wide,
-                        &[Strategy::Standard],
-                        0.0,
-                        |s| ExecOptions {
-                            columnar,
-                            pipelined,
-                            ..strategy_options(s, false)
-                        },
-                    )
-                    .remove(0)
-                },
-                |r| r.elapsed.map(|d| d.as_secs_f64()),
-            );
-            println!(
-                "representation {label:>8} ({exec:>9}): STANDARD wide wall {} ms, \
-                 {} physical bytes ({} logical), {} morsels, {} steals",
-                row.time_cell().trim(),
-                row.stats.shuffled_bytes_phys,
-                row.stats.shuffled_bytes,
-                row.stats.total_morsels(),
-                row.stats.steal_count,
-            );
-            exec_walls.push((format!("{label}-{exec}"), row.elapsed));
-            cells.push(JsonCell {
-                query: "NestedToNested-depth2-Wide-scale0.3-repr".to_string(),
-                repr: label,
-                exec,
-                expr: "compiled",
-                spill: "off",
-                results_match: None,
-                parse_typecheck_us: wide_n2n_fe_us,
-                row,
-            });
-        }
-    }
-    if let (Some((_, pipelined)), Some((_, staged))) = (
-        exec_walls.iter().find(|(k, _)| k == "columnar-pipelined"),
-        exec_walls.iter().find(|(k, _)| k == "columnar-staged"),
-    ) {
-        println!(
-            "executor           wide STANDARD: staged / pipelined wall = {}",
-            ratio(*staged, *pipelined)
+    let mut exec_walls: Vec<Option<std::time::Duration>> = Vec::new();
+    for (exec, pipelined) in [("pipelined", true), ("staged", false)] {
+        let row = best_of(
+            3,
+            || {
+                run_cell(
+                    &cfg,
+                    Family::NestedToNested,
+                    2,
+                    QueryVariant::Wide,
+                    &[Strategy::Standard],
+                    0.0,
+                    |s| ExecOptions {
+                        pipelined,
+                        ..strategy_options(s, false)
+                    },
+                )
+                .remove(0)
+            },
+            |r| r.elapsed.map(|d| d.as_secs_f64()),
         );
+        println!(
+            "executor {exec:>9}: STANDARD wide wall {} ms, \
+             {} physical bytes ({} logical), {} morsels, {} steals",
+            row.time_cell().trim(),
+            row.stats.shuffled_bytes_phys,
+            row.stats.shuffled_bytes,
+            row.stats.total_morsels(),
+            row.stats.steal_count,
+        );
+        exec_walls.push(row.elapsed);
+        cells.push(JsonCell {
+            query: "NestedToNested-depth2-Wide-scale0.3-exec".to_string(),
+            exec,
+            expr: "compiled",
+            spill: "off",
+            results_match: None,
+            parse_typecheck_us: wide_n2n_fe_us,
+            row,
+        });
     }
+    println!(
+        "executor           wide STANDARD: staged / pipelined wall = {}",
+        ratio(exec_walls[1], exec_walls[0])
+    );
 
     // Compiled-kernel vs interpreted expression engine pair: the same Wide
-    // STANDARD columnar pipelined cell with scalar operators evaluated by
+    // STANDARD pipelined cell with scalar operators evaluated by
     // register-based vectorized kernel programs (the default) and by the
     // tree-walking interpreter. Both evaluate identical plans over identical
     // shuffles — the expr_agree suite proves byte-identical results — so the
@@ -498,7 +483,6 @@ fn main() {
         expr_walls.push((expr_label, row.elapsed));
         cells.push(JsonCell {
             query: "NestedToNested-depth2-Wide-scale0.3-expr".to_string(),
-            repr: "columnar",
             exec: "pipelined",
             expr: expr_label,
             spill: "off",
@@ -534,7 +518,6 @@ fn main() {
     );
     cells.extend(rows.into_iter().map(|row| JsonCell {
         query: "NestedToNested-depth2-Narrow-scale0.3-skew3".to_string(),
-        repr: "columnar",
         exec: exec_label,
         expr: "compiled",
         spill: "off",
@@ -562,15 +545,9 @@ fn main() {
             cell.results_match_uncapped,
         );
         let fe_us = front_end_us(cell.family, QueryVariant::Wide);
-        cells.push(JsonCell::new(
-            query.clone(),
-            "columnar",
-            fe_us,
-            cell.spill_off,
-        ));
+        cells.push(JsonCell::new(query.clone(), fe_us, cell.spill_off));
         cells.push(JsonCell {
             query,
-            repr: "columnar",
             exec: "pipelined",
             expr: "compiled",
             spill: "on",

@@ -1,28 +1,29 @@
 //! The columnar physical executor: interprets optimized [`Plan`] trees over
 //! [`ColCollection`]s — typed batches end to end.
 //!
-//! This is the default route of **NRC → Plan → optimize → execute** since the
-//! columnar refactor: a stored table crosses the row/column boundary exactly
+//! This is the last stage of **NRC → Plan → optimize → execute**, and the
+//! only executor: a stored table crosses the row/column boundary exactly
 //! once, at **scan ingest** — on its first use, into the table store's
 //! write-once cell ([`crate::store`]; batches are typed from the plan-layer
 //! schemas via `trance_algebra::physical_fields`). Every operator
 //! — including materialized assignment intermediates — runs over batches,
 //! and rows are only rebuilt at the **collect** boundary
-//! (`ColCollection::to_rows` / `collect_bag`). The row interpreter in
-//! [`crate::physical`] stays selectable through
-//! [`ExecOptions::columnar`]`= false` as a differential oracle.
+//! (`ColCollection::to_rows` / `collect_bag`). With optimization disabled
+//! the same interpreter reproduces the SparkSQL-like baseline: wide rows
+//! travel through every shuffle.
 //!
 //! Catalog inference is *exact and free* here: a batch already carries its
 //! attribute schema (nested bag columns included), so intermediates register
-//! their true schemas without scanning a single row.
+//! their true schemas without scanning a single row. Only a row input's
+//! scan hints are sampled, once, when its cell is filled.
 
 use std::collections::HashMap;
 use std::time::Instant;
 
 use trance_algebra::{
     fuse_chain, lower, needs_sequential, optimize, physical_fields, pipeline_label,
-    pipeline_op_name, AttrSchema, Catalog, JoinStrategy, NestOp, PhysField, PhysType, Plan,
-    PlanJoinKind,
+    pipeline_op_name, AttrSchema, Catalog, JoinStrategy, NestOp, OptimizerConfig, PhysField,
+    PhysType, Plan, PlanJoinKind,
 };
 use trance_dist::batch::BagElems;
 use trance_dist::{
@@ -33,7 +34,6 @@ use trance_nrc::{Expr, Value};
 
 use crate::kernel::{compile_mask, compile_ops, KernelCache, KernelOp};
 use crate::options::ExecOptions;
-use crate::physical::optimizer_config;
 
 /// Converts the plan layer's physical fields into engine field hints.
 fn field_hints(fields: &[PhysField]) -> Vec<FieldHint> {
@@ -51,8 +51,88 @@ fn field_hints(fields: &[PhysField]) -> Vec<FieldHint> {
 /// columns even when the sampled rows hold only empty bags. Under a
 /// multi-process exchange the sample is a cluster collective.
 pub(crate) fn scan_hints(coll: &DistCollection) -> Result<Vec<FieldHint>> {
-    let schema = crate::physical::infer_schema(coll)?;
+    let schema = infer_schema(coll)?;
     Ok(field_hints(&physical_fields(&schema)))
+}
+
+/// Infers the attribute schema of a row collection from a small row sample
+/// (recursively into bag-valued attributes). Empty collections (or non-tuple
+/// rows) yield the empty schema, which the optimizer treats as "unknown —
+/// don't touch".
+fn infer_schema(coll: &DistCollection) -> Result<AttrSchema> {
+    if let Some(ex) = coll.context().exchange() {
+        return infer_schema_global(coll, ex.as_ref());
+    }
+    let sample: Vec<&Value> = coll
+        .partitions()
+        .iter()
+        .flat_map(|rows| rows.iter().take(8))
+        .take(64)
+        .collect();
+    Ok(schema_of_rows(&sample))
+}
+
+/// [`infer_schema`] under a cluster exchange: reconstructs the exact sample
+/// the single-process engine draws. Each rank gathers the first ≤8 rows of
+/// every partition slot (non-owned slots are empty), the per-partition
+/// samples are merged element-wise across ranks (only the owner contributes
+/// to a slot), and the partition-ordered row sequence is truncated at the
+/// same 64-row budget — so every rank derives the identical schema, and it
+/// is the schema the in-process oracle infers.
+fn infer_schema_global(
+    coll: &DistCollection,
+    ex: &dyn trance_dist::Exchange,
+) -> Result<AttrSchema> {
+    let parts = coll.partitions();
+    let mut w = trance_store::ByteWriter::new();
+    w.len_u32(parts.len(), "sampled partitions")?;
+    for rows in parts {
+        let sampled = &rows[..rows.len().min(8)];
+        w.len_u32(sampled.len(), "sampled rows")?;
+        for row in sampled {
+            trance_store::encode_value(row, &mut w)?;
+        }
+    }
+    let gathered = ex.allgather(w.into_bytes())?;
+    let mut merged: Vec<Vec<Value>> = vec![Vec::new(); parts.len()];
+    for bytes in &gathered {
+        let mut r = trance_store::ByteReader::new(bytes);
+        let nparts = r.u32()? as usize;
+        if nparts != merged.len() {
+            return Err(ExecError::Other(format!(
+                "schema sample partition count mismatch across ranks ({nparts} vs {})",
+                merged.len()
+            )));
+        }
+        for slot in merged.iter_mut() {
+            let nrows = r.u32()? as usize;
+            for _ in 0..nrows {
+                slot.push(trance_store::decode_value(&mut r)?);
+            }
+        }
+    }
+    let sample: Vec<&Value> = merged.iter().flatten().take(64).collect();
+    Ok(schema_of_rows(&sample))
+}
+
+fn schema_of_rows(rows: &[&Value]) -> AttrSchema {
+    let mut out = AttrSchema::default();
+    for row in rows {
+        if let Value::Tuple(t) = row {
+            for (name, value) in t.iter() {
+                if !out.contains(name) {
+                    out.attrs.push(name.to_string());
+                }
+                if let Value::Bag(bag) = value {
+                    let inner_rows: Vec<&Value> = bag.iter().take(8).collect();
+                    let inner = schema_of_rows(&inner_rows);
+                    let entry = out.nested.entry(name.to_string()).or_default();
+                    *entry = entry.merge(&inner);
+                }
+            }
+        }
+    }
+    out
 }
 
 /// Ingests row inputs into columnar collections — the scan-ingest boundary,
@@ -181,8 +261,8 @@ fn schema_of_batch(batch: &Batch) -> AttrSchema {
 }
 
 /// Builds a [`Catalog`] from columnar inputs: exact batch schemas plus
-/// logical (row-equivalent) sizes, so the optimizer makes the same join
-/// strategy decisions as on the row route.
+/// logical (row-equivalent) sizes, which drive lowering and join strategy
+/// selection.
 pub fn infer_catalog_col(inputs: &HashMap<String, ColCollection>) -> Result<Catalog> {
     let mut catalog = Catalog::new();
     // Sorted for the same reason as ingest_env: schema and size inference
@@ -262,6 +342,19 @@ pub(crate) fn execute_in_catalog(
     eval_plan_col(&root, &env, ctx, options)
 }
 
+/// The optimizer configuration for one run; `None` when optimization is off
+/// (the SparkSQL-like baseline executes lowered plans verbatim).
+fn optimizer_config(options: &ExecOptions, ctx: &DistContext) -> Option<OptimizerConfig> {
+    if !options.optimize {
+        return None;
+    }
+    Some(OptimizerConfig {
+        skew_joins: options.skew_aware,
+        broadcast_limit: Some(ctx.config().broadcast_limit),
+        ..OptimizerConfig::default()
+    })
+}
+
 /// Distributed-plan guardrail: every rank optimizes plans independently
 /// from globally agreed catalogs, so the optimized plans must be identical
 /// — a divergence would desynchronize the cluster collectives and corrupt
@@ -288,7 +381,7 @@ fn check_plan_agreement(ctx: &DistContext, name: &str, plan: &Plan) -> Result<()
 
 /// Evaluates an expression into a column ready to be *set* on a batch:
 /// projection/extension outputs always carry the attribute, so absence
-/// collapses to an explicit NULL (the row engine's `Tuple::set` of a NULL).
+/// collapses to an explicit NULL (a `Tuple::set` of a NULL).
 fn set_column(batch: &Batch, expr: &trance_algebra::ScalarExpr) -> Result<std::sync::Arc<Column>> {
     let col = crate::vector::eval_scalar_batch(expr, batch)?;
     Ok(if col.has_absent() {
@@ -309,9 +402,9 @@ fn project_batch(b: &Batch, columns: &[(String, trance_algebra::ScalarExpr)]) ->
     Ok(out)
 }
 
-/// Extension kernel: each extension sees the columns set before it, exactly
-/// like the row engine's in-order `Tuple::set` loop; untouched columns are
-/// Arc-shared, not copied. Shared by the staged arm and the fused step.
+/// Extension kernel: each extension sees the columns set before it, like an
+/// in-order `Tuple::set` loop; untouched columns are Arc-shared, not copied.
+/// Shared by the staged arm and the fused step.
 fn extend_batch(b: &Batch, columns: &[(String, trance_algebra::ScalarExpr)]) -> Result<Batch> {
     let mut out = b.clone();
     for (name, expr) in columns {
@@ -697,9 +790,11 @@ pub fn eval_plan_col(
                 l.skew_join(&r, &spec)
             } else {
                 let spec = match strategy {
-                    // Same guard as the row route: force the broadcast only
-                    // when the materialized side really fits (cluster-wide
-                    // under a multi-process exchange).
+                    // The planner's size bound predates the `var.field`
+                    // renaming, which inflates per-row bytes; force the
+                    // broadcast only when the materialized side really fits
+                    // (cluster-wide under a multi-process exchange),
+                    // otherwise fall back to the runtime decision.
                     JoinStrategy::Broadcast
                         if r.planning_bytes()? <= ctx.config().broadcast_limit =>
                     {

@@ -1088,7 +1088,7 @@ fn exec_cmp(op: CmpOp, l: &RegVal, r: &RegVal, n: usize) -> RegVal {
     }
     // Dictionary-aware string predicate: one `Value::cmp` per *distinct*
     // string, then a u32 code scan — NULL/absent lanes compare false, as in
-    // the row engine.
+    // `ScalarExpr::eval`.
     let dict_path = |c: &Column, v: &Value, const_left: bool| -> Option<RegVal> {
         if matches!(v, Value::Null) {
             return None;

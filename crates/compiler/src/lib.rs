@@ -10,11 +10,12 @@
 //! * `trance_algebra::optimize` applies column pruning, selection/aggregation
 //!   pushdown and broadcast-vs-shuffle-vs-skew join strategy selection — the
 //!   SparkSQL-like baseline is this same route with the optimizer off;
-//! * the physical executor ([`columnar`]) interprets the optimized plans over
-//!   typed batches, materializing assignment intermediates so later plans
-//!   optimize against their exact schemas and sizes; the row interpreter
-//!   ([`physical`]) runs the same plans over `DistCollection`s as the
-//!   differential reference.
+//! * the physical executor ([`columnar`]) — the only one — interprets the
+//!   optimized plans over typed batches, materializing assignment
+//!   intermediates so later plans optimize against their exact schemas and
+//!   sizes. Every strategy runs on it, so any difference between strategies
+//!   comes from the compilation route; `nrc::eval` is the reference every
+//!   result is held to.
 //!
 //! The **shredded route** ([`pipeline`]) first applies query shredding
 //! (`trance-shred`), then lowers and executes each resulting flat assignment
@@ -22,26 +23,26 @@
 //! unshredding the output with distributed label joins.
 //!
 //! Registered inputs live in the **table store** ([`store`], owned through
-//! [`pipeline::InputSet`]): rows plus a write-once cell of resident batches
-//! per table, converted on first use and shared by every clone — the one
-//! catalog behind `run_query`, the TCP worker and the serving engine.
+//! [`pipeline::InputSet`]): rows (a plain `DistCollection` container) plus a
+//! write-once cell of resident batches per table, converted on first use and
+//! shared by every clone — the one catalog behind `run_query`, the TCP
+//! worker and the serving engine.
 //!
 //! The strategies compared in the paper's experiments are exposed as
 //! [`pipeline::Strategy`] and driven by [`pipeline::run_query`] (the
 //! strategy's default options) or [`pipeline::run_query_with`] (explicit
-//! [`ExecOptions`] — how the differential suites select the row route, the
-//! staged executor or the expression interpreter as references);
+//! [`ExecOptions`] — how the differential suites select the staged executor
+//! or the expression interpreter as references);
 //! [`pipeline::explain_query`] renders the optimized plans a strategy
 //! actually executes. All of them — and the serving layer's
 //! [`prepared::prepare_and_run`] / [`prepared::run_prepared`] — execute
-//! columnar programs through one driver in [`prepared`].
+//! through one program driver in [`prepared`].
 
 #![warn(missing_docs)]
 
 pub mod columnar;
 pub mod kernel;
 pub mod options;
-pub mod physical;
 pub mod pipeline;
 pub mod prepared;
 pub mod store;
@@ -55,8 +56,8 @@ pub use kernel::{compile_mask, compile_ops, Instr, KernelCache, KernelOp, Kernel
 pub use options::ExecOptions;
 pub use pipeline::{
     collect_unshredded, explain_query, run_query, run_query_explained, run_query_with,
-    strategy_options, unshred_distributed, unshred_distributed_col, InputSet, QuerySpec,
-    RunOutcome, RunResult, ShreddedOutput, Strategy,
+    strategy_options, unshred_distributed_col, InputSet, QuerySpec, RunOutcome, RunResult,
+    ShreddedOutput, Strategy,
 };
 pub use prepared::{plan_cache_key, prepare_and_run, run_prepared, PreparedQuery};
 pub use store::ResidentTables;

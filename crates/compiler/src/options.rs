@@ -8,8 +8,8 @@ use crate::kernel::KernelCache;
 /// Compilation options for one query execution.
 ///
 /// [`crate::strategy_options`] gives a strategy's defaults; callers that need
-/// a reference route override single fields, e.g.
-/// `ExecOptions { columnar: false, ..strategy_options(s, false) }`.
+/// a reference mode override single fields, e.g.
+/// `ExecOptions { pipelined: false, ..strategy_options(s, false) }`.
 #[derive(Debug, Clone)]
 pub struct ExecOptions {
     /// Run the plan optimizer (column pruning, selection pushdown, join
@@ -19,12 +19,6 @@ pub struct ExecOptions {
     pub optimize: bool,
     /// Use skew-aware joins (Section 5).
     pub skew_aware: bool,
-    /// Execute plans over the columnar representation (typed batches, the
-    /// default): inputs convert to `trance_dist::Batch`es at scan ingest and
-    /// back to rows only at the collect boundary. With this off the plan
-    /// route interprets over row `DistCollection`s — kept selectable as the
-    /// row-representation differential oracle.
-    pub columnar: bool,
     /// Allow out-of-core execution: on clusters with the spill subsystem
     /// enabled (`ClusterConfig::with_spill`) and a worker memory cap set,
     /// memory pressure spills victim partitions to disk instead of failing
@@ -49,19 +43,18 @@ pub struct ExecOptions {
     /// fused `select`/`extend`/`project` run are flattened — common
     /// subexpressions shared — into one SSA program per pipeline, compiled
     /// once at plan time and executed per morsel as type-specialized
-    /// kernels over a selection vector. With this off the columnar route
+    /// kernels over a selection vector. With this off the executor
     /// evaluates `ScalarExpr` trees per batch through
     /// [`crate::vector::eval_scalar_batch`] — kept selectable as the
-    /// expression-level differential oracle. Ignored by the row route, which
-    /// is row-at-a-time.
+    /// expression-level differential oracle.
     pub compiled_exprs: bool,
     /// A shared [`KernelCache`] to reuse compiled kernel programs across
     /// runs (`None` by default: every run compiles its own). The serving
     /// layer threads the engine's cache through here so a warm query's fused
     /// pipelines replay the cold run's `Arc`'d programs — a hit skips both
     /// the SSA compiler and its compile-time accounting, which is how a warm
-    /// query reports zero expression-compile time. Only consulted by the
-    /// columnar route when `compiled_exprs` is on.
+    /// query reports zero expression-compile time. Only consulted when
+    /// `compiled_exprs` is on.
     pub kernel_cache: Option<Arc<KernelCache>>,
     /// Wall-clock budget of the run (`None` by default: unbounded). Arms the
     /// context's [`trance_dist::CancelToken`] for the duration of the run,
@@ -76,7 +69,6 @@ impl Default for ExecOptions {
         ExecOptions {
             optimize: true,
             skew_aware: false,
-            columnar: true,
             spill: true,
             pipelined: true,
             faults: true,

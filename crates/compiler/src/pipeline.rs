@@ -3,7 +3,7 @@
 //!
 //! Every strategy compiles through the plan layer — NRC is lowered to a
 //! `trance_algebra::PlanProgram`, optimized, and interpreted by the physical
-//! executor ([`crate::physical`]); the shredded strategies lower each flat
+//! executor ([`crate::columnar`]); the shredded strategies lower each flat
 //! assignment of the shredded program the same way:
 //!
 //! * **Standard** — the standard compilation route: flattening execution over
@@ -27,27 +27,25 @@
 //! paper's Section 6.
 //!
 //! [`run_query`] runs a strategy with its default options and
-//! [`run_query_with`] with explicit [`ExecOptions`] — which executor runs a
-//! query is decided here and nowhere else. [`explain_query`] renders the
+//! [`run_query_with`] with explicit [`ExecOptions`]; both go through the one
+//! program driver in [`crate::prepared`]. [`explain_query`] renders the
 //! optimized plans a strategy actually executes.
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use trance_dist::{DistCollection, DistContext, ExecError, JoinSpec, StatsSnapshot};
-use trance_nrc::{Bag, Expr, Tuple, Value};
+use trance_dist::{
+    ColCollection, Column, DistCollection, DistContext, ExecError, JoinSpec, StatsSnapshot,
+};
+use trance_nrc::{Bag, Expr, Value};
 use trance_shred::{
-    flat_input_name, input_dict_name, shred_query, shred_value, NestingStructure, ShreddedInputDecl,
+    flat_input_name, input_dict_name, shred_value, NestingStructure, ShreddedInputDecl,
 };
 
-use std::sync::Arc;
-
-use trance_dist::{ColCollection, Column};
-
 use crate::options::ExecOptions;
-use crate::physical::execute_via_plans;
-use crate::prepared::{dict_sources, run_spec, shredded_pieces, CapturedUnits};
+use crate::prepared::{run_spec, CapturedUnits};
 use crate::store::{ResidentTables, Table, TableStore};
 
 /// The evaluation strategies of the paper's experiments.
@@ -274,11 +272,9 @@ impl InputSet {
 
     /// Converts whatever is not resident yet and then drops the row
     /// collections, so every table is held once, as batches — what a
-    /// long-lived owner that only ever runs the columnar route (the serving
-    /// engine) wants. The set keeps answering queries;
-    /// [`InputSet::nested_inputs`] / [`InputSet::shredded_inputs`] come back
-    /// empty, so the row route (`ExecOptions::columnar = false`) finds no
-    /// inputs in a sealed set.
+    /// long-lived owner (the serving engine) wants. The set keeps answering
+    /// queries; [`InputSet::nested_inputs`] / [`InputSet::shredded_inputs`]
+    /// come back empty.
     pub fn seal(&mut self) -> trance_dist::Result<()> {
         self.nested.seal()?;
         self.shredded.seal()
@@ -373,10 +369,10 @@ impl RunOutcome {
     }
 }
 
-/// The options a strategy runs under by default: the plan route over
-/// columnar batches, morsel-driven fused pipelines, compiled expression
-/// kernels. The second parameter is ignored; it is retained only because the
-/// frozen benchmark (`benchmark/src/probes.rs`) calls
+/// The options a strategy runs under by default: morsel-driven fused
+/// pipelines, compiled expression kernels, the optimizer on for everything
+/// but the baseline. The second parameter is ignored; it is retained only
+/// because the frozen benchmark (`benchmark/src/probes.rs`) calls
 /// `strategy_options(strategy, false)`.
 pub fn strategy_options(strategy: Strategy, _retained: bool) -> ExecOptions {
     ExecOptions {
@@ -395,12 +391,11 @@ pub fn run_query(spec: &QuerySpec, inputs: &InputSet, strategy: Strategy) -> Run
 
 /// Runs `spec` under `strategy` with every execution choice spelled out in
 /// `options` — the one entry point the differential suites select their
-/// reference routes through (`columnar: false` the row representation,
-/// `pipelined: false` the staged executor, `compiled_exprs: false` the
-/// expression interpreter, `faults: false` the fault-free twin, `spill:
-/// false` the paper's FAIL behaviour on a capped spill-capable cluster,
-/// `deadline` a wall-clock budget). Start from [`strategy_options`] and
-/// override single fields.
+/// reference modes through (`pipelined: false` the staged executor,
+/// `compiled_exprs: false` the expression interpreter, `faults: false` the
+/// fault-free twin, `spill: false` the paper's FAIL behaviour on a capped
+/// spill-capable cluster, `deadline` a wall-clock budget). Start from
+/// [`strategy_options`] and override single fields.
 pub fn run_query_with(
     spec: &QuerySpec,
     inputs: &InputSet,
@@ -408,11 +403,7 @@ pub fn run_query_with(
     options: &ExecOptions,
 ) -> RunOutcome {
     run_outcome(inputs, strategy, options, || {
-        if options.columnar {
-            run_columnar(spec, inputs, strategy, options, None)
-        } else {
-            run_rows(spec, inputs, strategy, options)
-        }
+        run_strategy(spec, inputs, strategy, options, None)
     })
 }
 
@@ -428,7 +419,7 @@ pub fn run_query_explained(
     let options = strategy_options(strategy, false);
     let mut capture = CapturedUnits::new();
     let outcome = run_outcome(inputs, strategy, &options, || {
-        run_columnar(spec, inputs, strategy, &options, Some(&mut capture))
+        run_strategy(spec, inputs, strategy, &options, Some(&mut capture))
     });
     let mut out = String::new();
     let _ = writeln!(out, "== {} · {} ==", spec.name, strategy.label());
@@ -565,11 +556,11 @@ pub(crate) fn with_session<T>(
     result
 }
 
-/// The columnar route: look the strategy's resident batches up in the table
-/// store (the first query over a form fills them), run the program driver
+/// One run: look the strategy's resident batches up in the table store (the
+/// first query over a form fills them), run the program driver
 /// ([`crate::prepared`]) — unshredding included — over batches, and cross
 /// back to rows once at the collect boundary.
-fn run_columnar(
+fn run_strategy(
     spec: &QuerySpec,
     inputs: &InputSet,
     strategy: Strategy,
@@ -581,146 +572,63 @@ fn run_columnar(
     Ok(result)
 }
 
-/// The row route (`columnar: false`): the same plans interpreted over row
-/// collections — the row-representation differential oracle.
-fn run_rows(
-    spec: &QuerySpec,
-    inputs: &InputSet,
-    strategy: Strategy,
-    options: &ExecOptions,
-) -> trance_dist::Result<RunResult> {
-    let ctx = inputs.context();
-    if !strategy.is_shredded() {
-        let out = execute_via_plans(&spec.query, inputs.nested_inputs(), ctx, options)?;
-        return Ok(RunResult::Nested(out));
+/// One dictionary of a [`NestingStructure`]: the bag attribute it re-nests
+/// and where that attribute lives.
+struct DictLevel {
+    /// The dictionary's path — its key in a shredded output's `dicts`.
+    path: String,
+    /// The bag-valued attribute this dictionary holds the contents of.
+    attr: String,
+    /// Path of the dictionary whose rows carry `attr`; `None` for the top
+    /// bag.
+    parent: Option<String>,
+}
+
+/// Every dictionary of `structure`, each after all the dictionaries nested
+/// below it. Attribute and parent come from the walk itself: a path (built
+/// as [`NestingStructure::paths`] builds it) is only a dictionary key, and
+/// splitting it at `_` would misread any attribute whose own name contains
+/// one (`c_orders`).
+fn dict_levels(structure: &NestingStructure) -> Vec<DictLevel> {
+    fn go(s: &NestingStructure, parent: Option<&str>, out: &mut Vec<DictLevel>) {
+        for (attr, child) in &s.children {
+            let path = match parent {
+                Some(p) => format!("{p}_{attr}"),
+                None => attr.clone(),
+            };
+            go(child, Some(&path), out);
+            out.push(DictLevel {
+                path,
+                attr: attr.clone(),
+                parent: parent.map(str::to_string),
+            });
+        }
     }
-    let shredded = shred_query(&spec.query, &spec.nested_inputs).map_err(ExecError::from)?;
-    let mut env = inputs.shredded_inputs().clone();
-    for assignment in &shredded.program.assignments {
-        let out = execute_via_plans(&assignment.expr, &env, ctx, options)?;
-        env.insert(assignment.name.clone(), out);
-    }
-    let (top, dicts) = shredded_pieces(&env, &dict_sources(&shredded))?;
-    let output = ShreddedOutput {
-        top,
-        dicts,
-        structure: shredded.structure,
-    };
-    if strategy.unshreds() {
-        Ok(RunResult::Nested(unshred_distributed(&output, options)?))
-    } else {
-        Ok(RunResult::Shredded(output))
-    }
+    let mut out = Vec::new();
+    go(structure, None, &mut out);
+    out
 }
 
 /// Distributed unshredding: reassembles the nested output by grouping each
-/// dictionary by label (`Γ⊎`) and joining it back into its parent, deepest
-/// level first.
-pub fn unshred_distributed(
-    output: &ShreddedOutput,
-    options: &ExecOptions,
-) -> trance_dist::Result<DistCollection> {
-    // Work on a mutable copy of the dictionaries; children are folded into
-    // their parents bottom-up.
-    let mut dicts: BTreeMap<String, DistCollection> = output.dicts.clone();
-    let mut paths: Vec<String> = output.structure.paths();
-    paths.sort_by_key(|p| std::cmp::Reverse(p.matches('_').count()));
-
-    let mut top = output.top.clone();
-    for path in paths {
-        let child = match dicts.get(&path) {
-            Some(c) => c.clone(),
-            None => continue,
-        };
-        let attr = path.rsplit('_').next().unwrap_or(&path).to_string();
-        let parent_path: Option<String> = path
-            .rfind('_')
-            .map(|i| path[..i].to_string())
-            .filter(|p| dicts.contains_key(p));
-
-        // Group the child dictionary rows by label into a single bag column.
-        let value_attrs: Vec<String> = child
-            .first_fields()?
-            .into_iter()
-            .filter(|a| a != "label")
-            .collect();
-        let grouped = child.nest_bag(&["label".to_string()], &value_attrs, "__grp")?;
-        let grouped = grouped.map(|row| {
-            let t = row.as_tuple()?;
-            let mut out = Tuple::empty();
-            out.set("__jk", t.get("label").cloned().unwrap_or(Value::Null));
-            out.set(
-                "__grp",
-                t.get("__grp").cloned().unwrap_or(Value::empty_bag()),
-            );
-            Ok(Value::Tuple(out))
-        })?;
-
-        let attach = |parent: &DistCollection| -> trance_dist::Result<DistCollection> {
-            let spec =
-                JoinSpec::left_outer(&[attr.as_str()], &["__jk"]).with_right_fields(&["__grp"]);
-            let joined = if options.skew_aware {
-                trance_dist::SkewTriple::unknown(parent.clone())
-                    .join(&grouped, &spec)?
-                    .merged()?
-            } else {
-                parent.join(&grouped, &spec)?
-            };
-            let attr = attr.clone();
-            joined.map(move |row| {
-                let mut t = row.as_tuple()?.clone();
-                let grp = match t.remove("__grp") {
-                    Some(Value::Bag(b)) => Value::Bag(b),
-                    _ => Value::empty_bag(),
-                };
-                t.remove("__jk");
-                t.set(attr.clone(), grp);
-                Ok(Value::Tuple(t))
-            })
-        };
-
-        match parent_path {
-            Some(pp) => {
-                let parent = dicts
-                    .get(&pp)
-                    .cloned()
-                    .ok_or_else(|| ExecError::Other(format!("missing parent dictionary `{pp}`")))?;
-                dicts.insert(pp, attach(&parent)?);
-            }
-            None => {
-                top = attach(&top)?;
-            }
-        }
-    }
-    Ok(top)
-}
-
-/// Distributed unshredding over the **columnar** representation: the same
-/// label-grouping and label-join cascade as [`unshred_distributed`], executed
-/// on [`ColCollection`]s — so the unshred phase's shuffles ship batches and
-/// meter exact physical buffer bytes instead of falling back to the row
-/// engine's logical estimate.
+/// dictionary by label (`Γ⊎`) and left-outer-joining it back into its
+/// parent, children before their parent — over [`ColCollection`]s, so the
+/// unshred phase's shuffles ship batches and meter exact physical buffer
+/// bytes.
 pub fn unshred_distributed_col(
     top: &ColCollection,
     dicts: &BTreeMap<String, ColCollection>,
     structure: &NestingStructure,
     options: &ExecOptions,
 ) -> trance_dist::Result<ColCollection> {
+    // Work on a mutable copy of the dictionaries; children are folded into
+    // their parents bottom-up.
     let mut dicts: BTreeMap<String, ColCollection> = dicts.clone();
-    let mut paths: Vec<String> = structure.paths();
-    paths.sort_by_key(|p| std::cmp::Reverse(p.matches('_').count()));
-
     let mut top = top.clone();
-    for path in paths {
+    for DictLevel { path, attr, parent } in dict_levels(structure) {
         let child = match dicts.get(&path) {
             Some(c) => c.clone(),
             None => continue,
         };
-        let attr = path.rsplit('_').next().unwrap_or(&path).to_string();
-        let parent_path: Option<String> = path
-            .rfind('_')
-            .map(|i| path[..i].to_string())
-            .filter(|p| dicts.contains_key(p));
 
         // Group the child dictionary rows by label into a single bag column,
         // then keep only the join key (renamed label) and the group — a
@@ -756,8 +664,8 @@ pub fn unshred_distributed_col(
             let attr = attr.clone();
             joined.map_batches("map", move |b| {
                 // NULL-extended rows (labels with no child entries) become
-                // empty bags, exactly like the row route's final map; the
-                // group replaces the label at the attribute's position.
+                // empty bags; the group replaces the label at the
+                // attribute's position.
                 let grp: Vec<Value> = (0..b.rows())
                     .map(|i| match b.value_at(i, "__grp") {
                         Some(Value::Bag(bag)) => Value::Bag(bag),
@@ -769,7 +677,7 @@ pub fn unshred_distributed_col(
             })
         };
 
-        match parent_path {
+        match parent {
             Some(pp) => {
                 let parent = dicts
                     .get(&pp)

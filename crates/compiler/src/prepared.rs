@@ -23,7 +23,7 @@
 //! cache key, which includes the table catalog's epoch: any re-registration
 //! invalidates the entry and the next submission re-prepares.
 //!
-//! This module also holds the one **columnar program driver**
+//! This module also holds the one **program driver**
 //! (`run_program`): a one-shot [`crate::run_query`], an explained run, a cold
 //! [`prepare_and_run`] and a warm [`run_prepared`] are the same loop over
 //! program units — they differ only in whether a unit is compiled from NRC
@@ -105,7 +105,7 @@ enum Step<'a> {
 
 /// `(dictionary path, environment name)` of every output dictionary of a
 /// shredded query.
-pub(crate) fn dict_sources(shredded: &ShreddedQuery) -> Vec<(String, String)> {
+fn dict_sources(shredded: &ShreddedQuery) -> Vec<(String, String)> {
     shredded
         .structure
         .paths()
@@ -122,13 +122,11 @@ pub(crate) fn dict_sources(shredded: &ShreddedQuery) -> Vec<(String, String)> {
 }
 
 /// Picks a shredded program's outputs — the top bag plus one collection per
-/// dictionary path — out of its executed environment. Shared by both
-/// physical representations so dictionary naming and error handling cannot
-/// diverge between them.
-pub(crate) fn shredded_pieces<C: Clone>(
-    env: &HashMap<String, C>,
+/// dictionary path — out of its executed environment.
+fn shredded_pieces(
+    env: &HashMap<String, ColCollection>,
     dict_sources: &[(String, String)],
-) -> trance_dist::Result<(C, BTreeMap<String, C>)> {
+) -> trance_dist::Result<(ColCollection, BTreeMap<String, ColCollection>)> {
     let top = env
         .get(TOP_BAG)
         .cloned()
@@ -140,13 +138,13 @@ pub(crate) fn shredded_pieces<C: Clone>(
     Ok((top, dicts))
 }
 
-/// **The** columnar program driver: executes the units in order over an
+/// **The** program driver: executes the units in order over an
 /// accumulating environment that starts as the resident batches of `tables`
 /// (recording each compiled unit's optimized plans when `capture` is given),
 /// then finishes the way the strategy asks — standard family: the
 /// [`RESULT`] unit back to rows; shredded family: unshred to nested rows, or
-/// cross the shredded collections back to rows. Every columnar run —
-/// one-shot, explained, prepared cold, prepared warm — goes through here.
+/// cross the shredded collections back to rows. Every run — one-shot,
+/// explained, prepared cold, prepared warm — goes through here.
 ///
 /// Compiled units optimize against one catalog carried across the program:
 /// seeded from the store's memoised schemas and sizes at the first compiled
@@ -205,8 +203,6 @@ fn run_program<'a>(
         } => {
             let (top, dicts) = shredded_pieces(&env, dict_sources)?;
             if strategy.unshreds() {
-                // Unshredding runs over columnar operators too, so its
-                // shuffles meter exact physical buffer bytes.
                 let nested = unshred_distributed_col(&top, &dicts, structure, options)?;
                 return Ok(RunResult::Nested(nested.to_rows()?));
             }

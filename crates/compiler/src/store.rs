@@ -2,8 +2,8 @@
 //! representation.
 //!
 //! A stored table is its row [`DistCollection`] (what the frozen
-//! `InputSet::nested_inputs` / `shredded_inputs` accessors, the row oracle
-//! route and the benchmark's ingest probe read) plus a **write-once cell**
+//! `InputSet::nested_inputs` / `shredded_inputs` accessors and the
+//! benchmark's ingest probe read) plus a **write-once cell**
 //! holding its columnar form: the ingested [`ColCollection`], the exact
 //! schema of those batches and their logical size. The cell is filled on the
 //! first query that needs the table's form and is never modified afterwards

@@ -5,7 +5,7 @@
 //! dense `i64`/`f64`/`bool` buffers when the operands allow it, and fall back
 //! to row-at-a-time value semantics (identical to `ScalarExpr::eval` over
 //! tuples) whenever nulls, absent attributes or mixed kinds are involved —
-//! so the columnar route can never disagree with the row route on a single
+//! so a batch can never disagree with `ScalarExpr::eval` on a single
 //! expression.
 
 use std::sync::Arc;
@@ -40,7 +40,7 @@ pub fn eval_scalar_batch(expr: &ScalarExpr, batch: &Batch) -> Result<Arc<Column>
         // right operand is evaluated only over the rows that need it (as a
         // gathered sub-batch, so it stays vectorized). Evaluating it over
         // every row would surface errors — a guarded division, a
-        // type-guarded operand — that the row route never hits.
+        // type-guarded operand — that `ScalarExpr::eval` never hits.
         ScalarExpr::And(a, b) => {
             let a = eval_scalar_batch(a, batch)?;
             let mut out = if let Some(x) = a.dense_bools() {

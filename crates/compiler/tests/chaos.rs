@@ -8,18 +8,14 @@
 
 use std::time::Duration;
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use trance_compiler::{
-    collect_unshredded, run_query_with, strategy_options, ExecOptions, InputSet, QuerySpec,
-    RunOutcome, RunResult, Strategy,
+    run_query_with, strategy_options, ExecOptions, InputSet, QuerySpec, RunOutcome, RunResult,
+    Strategy,
 };
 use trance_dist::{ClusterConfig, DistContext, FaultPlan, FaultSite};
-use trance_nrc::{eval, Bag, Env, Value};
-use trance_shred::{NestingStructure, ShreddedInputDecl};
 
 mod common;
-use common::{assert_bags_approx_eq, random_flat, random_nested, random_query, Watchdog};
+use common::{assert_bags_approx_eq, input_set, outcome_bag, random_case, Watchdog};
 
 /// Generous per-run deadline: the contract is "typed result before this
 /// fires", so it only bites when recovery livelocks — which is exactly the
@@ -40,55 +36,6 @@ fn chaos_ctx(plan: FaultPlan, capped: bool) -> DistContext {
         cfg = cfg.with_worker_memory(2 * 1024).with_spill();
     }
     DistContext::new(cfg)
-}
-
-fn outcome_bag(result: &RunResult, context: &str) -> Bag {
-    match result {
-        RunResult::Nested(d) => d.collect_bag(),
-        RunResult::Shredded(out) => collect_unshredded(out).unwrap(),
-        RunResult::Failed(e) => panic!("{context}: run failed: {e}"),
-    }
-}
-
-/// Builds the seeded random program `seed` together with its sequential
-/// reference result (the same generator and seeds as the other differential
-/// suites, so a chaos failure cross-references directly).
-fn random_case(seed: u64) -> (QuerySpec, Vec<(&'static str, Value, bool)>, Bag) {
-    let mut rng = StdRng::seed_from_u64(0xC0FFEE + seed);
-    let r_rows = rng.gen_range(5..40usize);
-    let s_rows = rng.gen_range(5..30usize);
-    let n_rows = rng.gen_range(3..20usize);
-    let r = random_flat(&mut rng, r_rows, 8);
-    let s = random_flat(&mut rng, s_rows, 8);
-    let n = random_nested(&mut rng, n_rows, 8);
-    let query = random_query(&mut rng);
-    let env = Env::from_bindings([("R", r.clone()), ("S", s.clone()), ("N", n.clone())]);
-    let expected = eval(&query, &env).unwrap().into_bag().unwrap();
-    let n_structure = NestingStructure::flat().with_child("items", NestingStructure::flat());
-    let spec = QuerySpec::new(
-        format!("chaos-{seed}"),
-        query,
-        vec![ShreddedInputDecl::new("N", n_structure)],
-    );
-    (
-        spec,
-        vec![("R", r, false), ("S", s, false), ("N", n, true)],
-        expected,
-    )
-}
-
-fn input_set(ctx: DistContext, values: &[(&'static str, Value, bool)]) -> InputSet {
-    let mut inputs = InputSet::new(ctx);
-    for (name, v, nested) in values {
-        if *nested {
-            inputs
-                .add_nested(name, v.as_bag().unwrap().clone())
-                .unwrap();
-        } else {
-            inputs.add_flat(name, v.as_bag().unwrap().clone()).unwrap();
-        }
-    }
-    inputs
 }
 
 #[test]
@@ -122,36 +69,32 @@ fn seeded_fault_schedules_recover_or_fail_typed_on_every_strategy_and_repr() {
         );
 
         for strategy in Strategy::all() {
-            for columnar in [true, false] {
-                let repr = if columnar { "columnar" } else { "row" };
-                let outcome = run_faulted(&spec, &inputs, strategy, columnar);
-                recovered_runs +=
-                    u64::from(outcome.stats.retries > 0 || outcome.stats.recovered_partitions > 0);
-                match &outcome.result {
-                    RunResult::Failed(e) => {
-                        // A surviving failure must be typed — retry
-                        // exhaustion, memory, or cancellation — and the
-                        // injector must actually have been the cause class
-                        // the taxonomy claims.
-                        assert!(
-                            e.is_retryable() || e.is_fatal() || e.is_cancelled(),
-                            "seed {seed} {} {repr}: untyped failure {e}",
+            let outcome = run_faulted(&spec, &inputs, strategy);
+            recovered_runs +=
+                u64::from(outcome.stats.retries > 0 || outcome.stats.recovered_partitions > 0);
+            match &outcome.result {
+                RunResult::Failed(e) => {
+                    // A surviving failure must be typed — retry
+                    // exhaustion, memory, or cancellation — and the
+                    // injector must actually have been the cause class
+                    // the taxonomy claims.
+                    assert!(
+                        e.is_retryable() || e.is_fatal() || e.is_cancelled(),
+                        "seed {seed} {}: untyped failure {e}",
+                        strategy.label()
+                    );
+                    typed_failures += 1;
+                }
+                other => {
+                    let produced = outcome_bag(other, &format!("seed {seed} {}", strategy.label()));
+                    assert_bags_approx_eq(
+                        &expected,
+                        &produced,
+                        &format!(
+                            "seed {seed} {}: faulted run after recovery vs reference",
                             strategy.label()
-                        );
-                        typed_failures += 1;
-                    }
-                    other => {
-                        let produced =
-                            outcome_bag(other, &format!("seed {seed} {} {repr}", strategy.label()));
-                        assert_bags_approx_eq(
-                            &expected,
-                            &produced,
-                            &format!(
-                                "seed {seed} {} {repr}: faulted run after recovery vs reference",
-                                strategy.label()
-                            ),
-                        );
-                    }
+                        ),
+                    );
                 }
             }
         }
@@ -187,14 +130,14 @@ fn seeded_fault_schedules_recover_or_fail_typed_on_every_strategy_and_repr() {
     );
     // Typed failures are allowed but must stay the exception: recovery is
     // supposed to absorb the default fault rates almost always.
-    let total_runs = 24 * Strategy::all().len() as u64 * 2;
+    let total_runs = 24 * Strategy::all().len() as u64;
     assert!(
         typed_failures < total_runs / 4,
         "{typed_failures}/{total_runs} faulted runs failed — recovery is not absorbing faults"
     );
 }
 
-/// One columnar run with the fault-tolerance envelope spelled out:
+/// One run with the fault-tolerance envelope spelled out:
 /// `faults = false` is the fault-free oracle side on the same cluster,
 /// `deadline` the cooperative wall-clock budget.
 fn run_enveloped(
@@ -212,19 +155,9 @@ fn run_enveloped(
     run_query_with(spec, inputs, strategy, &options)
 }
 
-/// One faulted run under the chaos deadline, in either representation.
-fn run_faulted(
-    spec: &QuerySpec,
-    inputs: &InputSet,
-    strategy: Strategy,
-    columnar: bool,
-) -> RunOutcome {
-    let options = ExecOptions {
-        columnar,
-        deadline: Some(RUN_DEADLINE),
-        ..strategy_options(strategy, false)
-    };
-    run_query_with(spec, inputs, strategy, &options)
+/// One faulted run under the chaos deadline.
+fn run_faulted(spec: &QuerySpec, inputs: &InputSet, strategy: Strategy) -> RunOutcome {
+    run_enveloped(spec, inputs, strategy, true, Some(RUN_DEADLINE))
 }
 
 #[test]
@@ -238,7 +171,7 @@ fn targeted_one_shot_bursts_force_lineage_recovery_deterministically() {
     let plan = FaultPlan::quiet(7).with_burst(FaultSite::Morsel, 0, 1 + 3);
     let inputs = input_set(chaos_ctx(plan, false), &values);
     for strategy in [Strategy::Standard, Strategy::Shred] {
-        let outcome = run_faulted(&spec, &inputs, strategy, true);
+        let outcome = run_faulted(&spec, &inputs, strategy);
         let produced = outcome_bag(&outcome.result, &format!("one-shot {}", strategy.label()));
         assert_bags_approx_eq(
             &expected,
@@ -364,7 +297,7 @@ fn cold_and_warm_cell_runs_replay_the_same_fault_schedule() {
                 assert_eq!(warmup.stats.faults_injected, 0);
                 assert!(!warmup.result.is_failure());
             }
-            run_faulted(&spec, &inputs, strategy, true)
+            run_faulted(&spec, &inputs, strategy)
         };
         let (cold, warm) = (run(false), run(true));
         let schedule = |o: &RunOutcome| {

@@ -1,8 +1,10 @@
 //! Helpers shared by the differential test suites (`strategies_agree.rs`,
-//! `spill_agree.rs`, `scheduler_stress.rs` and `chaos.rs`): the paper's
-//! running example, the seeded-random NRC program generator, the
-//! (float-tolerant) canonical bag comparison, and the wall-clock watchdog
-//! that turns a hung differential suite into a loud abort.
+//! `spill_agree.rs`, `scheduler_stress.rs`, `chaos.rs`, `expr_agree.rs` and
+//! `frontend_roundtrip.rs`): the paper's running example, the seeded-random
+//! NRC program generators and the cases built from them — each with its
+//! `nrc::eval` reference bag, the one oracle every suite holds the engine
+//! to — the (float-tolerant) canonical bag comparison, and the wall-clock
+//! watchdog that turns a hung differential suite into a loud abort.
 
 // Each test binary compiles this module separately and uses the subset of
 // helpers it needs.
@@ -13,10 +15,12 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
-use rand::Rng;
+use rand::{Rng, SeedableRng};
+use trance_compiler::{collect_unshredded, InputSet, QuerySpec, RunResult};
+use trance_dist::DistContext;
 use trance_nrc::builder::*;
-use trance_nrc::{Bag, Expr, Value};
-use trance_shred::NestingStructure;
+use trance_nrc::{eval, Bag, Env, Expr, Value};
+use trance_shred::{NestingStructure, ShreddedInputDecl};
 
 /// A wall-clock watchdog for the long differential suites: if the owning
 /// test has not disarmed it (by dropping it) within `limit`, the process
@@ -114,20 +118,26 @@ pub fn cop_structure() -> NestingStructure {
 /// The paper's running example query (nested output, join + aggregation at
 /// the innermost level).
 pub fn running_example() -> Expr {
+    running_example_as("corders", "oparts")
+}
+
+/// [`running_example`] with its two output bag attributes named `orders` and
+/// `parts` — output dictionary paths are these names joined by `_`.
+pub fn running_example_as(orders: &str, parts: &str) -> Expr {
     forin(
         "cop",
         var("COP"),
         singleton(tuple([
             ("cname", proj(var("cop"), "cname")),
             (
-                "corders",
+                orders,
                 forin(
                     "co",
                     proj(var("cop"), "corders"),
                     singleton(tuple([
                         ("odate", proj(var("co"), "odate")),
                         (
-                            "oparts",
+                            parts,
                             sum_by(
                                 forin(
                                     "op",
@@ -159,6 +169,45 @@ pub fn running_example() -> Expr {
             ),
         ])),
     )
+}
+
+/// One input of a differential case: `(name, value, is it nested?)`.
+pub type CaseInput = (&'static str, Value, bool);
+
+/// What the reference evaluator (`nrc::eval`, the ground truth) computes for
+/// `query` over `values`, when it defines a result at all.
+fn try_reference_bag(query: &Expr, values: &[CaseInput]) -> trance_nrc::Result<Bag> {
+    let env = Env::from_bindings(values.iter().map(|(n, v, _)| (*n, v.clone())));
+    eval(query, &env)?.into_bag()
+}
+
+/// The reference evaluator's result for `query` over `values`.
+pub fn reference_bag(query: &Expr, values: &[CaseInput]) -> Bag {
+    try_reference_bag(query, values).unwrap()
+}
+
+/// Registers `values` in a fresh input set on `ctx`.
+pub fn input_set(ctx: DistContext, values: &[CaseInput]) -> InputSet {
+    let mut inputs = InputSet::new(ctx);
+    for (name, v, nested) in values {
+        let rows = v.as_bag().unwrap().clone();
+        if *nested {
+            inputs.add_nested(name, rows).unwrap();
+        } else {
+            inputs.add_flat(name, rows).unwrap();
+        }
+    }
+    inputs
+}
+
+/// The bag a run produced (shredded outputs reassembled locally); panics,
+/// naming `context`, when the run failed.
+pub fn outcome_bag(result: &RunResult, context: &str) -> Bag {
+    match result {
+        RunResult::Nested(d) => d.collect_bag(),
+        RunResult::Shredded(out) => collect_unshredded(out).unwrap(),
+        RunResult::Failed(e) => panic!("{context}: run failed: {e}"),
+    }
 }
 
 /// Canonicalizes nested rows for comparison — the shared
@@ -209,6 +258,11 @@ pub fn random_flat(rng: &mut StdRng, rows: usize, key_space: i64) -> Value {
     )
 }
 
+/// The nesting structure of [`random_nested`].
+pub fn items_structure() -> NestingStructure {
+    NestingStructure::flat().with_child("items", NestingStructure::flat())
+}
+
 /// Random nested relation `N(key, name, items: {(ik, iv)})`, some item bags
 /// empty so outer-regrouping paths are exercised.
 pub fn random_nested(rng: &mut StdRng, rows: usize, key_space: i64) -> Value {
@@ -237,9 +291,11 @@ pub fn random_nested(rng: &mut StdRng, rows: usize, key_space: i64) -> Value {
 /// Random flat relation `RN(a, b, c, s, m)` with **awkward operands**: `b`
 /// is sometimes NULL, `s` is sometimes absent (the tuple lacks the
 /// attribute), and `m` mixes integer and real lanes so its column falls off
-/// every dense fast path. Used by the expression-differential suite, whose
-/// oracle is the *interpreted plan route* — not the sequential reference,
-/// whose comparison semantics on NULL differ by design.
+/// every dense fast path. Programs that read it have no `nrc::eval`
+/// reference (see [`random_expr_case`]): the reference evaluator rejects a
+/// projection of an absent attribute and orders NULL below every value,
+/// where plans follow the outer-join convention (absent reads as NULL, a
+/// comparison with NULL is false).
 pub fn random_flat_nullable(rng: &mut StdRng, rows: usize, key_space: i64) -> Value {
     Value::bag(
         (0..rows)
@@ -356,14 +412,16 @@ pub fn random_query(rng: &mut StdRng) -> Expr {
             &["total"],
         ),
         // Nested output: navigate the nested input, join the flat side at the
-        // inner level, regroup.
+        // inner level, regroup. The output bag attribute carries an
+        // underscore: dictionary paths are `_`-joined, and nothing may take
+        // one apart to find an attribute.
         3 => forin(
             "n",
             var("N"),
             singleton(tuple([
                 ("name", proj(var("n"), "name")),
                 (
-                    "stuff",
+                    "n_stuff",
                     forin(
                         "i",
                         proj(var("n"), "items"),
@@ -418,6 +476,29 @@ pub fn random_query(rng: &mut StdRng) -> Expr {
             )),
         ),
     }
+}
+
+/// The seeded random program `seed` over fresh `R`, `S` (flat) and `N`
+/// (nested) inputs, with its reference result — one generator and one seed
+/// space for every suite, so a failure in one cross-references directly in
+/// the others.
+pub fn random_case(seed: u64) -> (QuerySpec, Vec<CaseInput>, Bag) {
+    let mut rng = StdRng::seed_from_u64(0xC0FFEE + seed);
+    let r_rows = rng.gen_range(5..40usize);
+    let s_rows = rng.gen_range(5..30usize);
+    let n_rows = rng.gen_range(3..20usize);
+    let r = random_flat(&mut rng, r_rows, 8);
+    let s = random_flat(&mut rng, s_rows, 8);
+    let n = random_nested(&mut rng, n_rows, 8);
+    let query = random_query(&mut rng);
+    let values = vec![("R", r, false), ("S", s, false), ("N", n, true)];
+    let expected = reference_bag(&query, &values);
+    let spec = QuerySpec::new(
+        format!("random-{seed}"),
+        query,
+        vec![ShreddedInputDecl::new("N", items_structure())],
+    );
+    (spec, values, expected)
 }
 
 // ---------------------------------------------------------------------------
@@ -573,6 +654,34 @@ pub fn random_expr_query(rng: &mut StdRng) -> Expr {
             ),
         ),
     }
+}
+
+/// The seeded expression-heavy program `seed` over fresh `RN` (awkward
+/// flat), `S` (clean flat) and `N` (nested) inputs. The reference result is
+/// `Some` when the reference evaluator defines one (it rejects the programs
+/// that project `m`, which `S` lacks) and the program does not read `RN`:
+/// on NULL and absent operands the reference evaluator and the plan layer
+/// differ by design (see [`random_flat_nullable`]), so those programs are
+/// held to the expression interpreter alone.
+pub fn random_expr_case(seed: u64) -> (QuerySpec, Vec<CaseInput>, Option<Bag>) {
+    let mut rng = StdRng::seed_from_u64(0xE1_0000 + seed);
+    let rn_rows = rng.gen_range(15..40usize);
+    let s_rows = rng.gen_range(10..30usize);
+    let n_rows = rng.gen_range(3..15usize);
+    let rn = random_flat_nullable(&mut rng, rn_rows, 8);
+    let s = random_flat(&mut rng, s_rows, 8);
+    let n = random_nested(&mut rng, n_rows, 8);
+    let query = random_expr_query(&mut rng);
+    let values = vec![("RN", rn, false), ("S", s, false), ("N", n, true)];
+    let expected = try_reference_bag(&query, &values)
+        .ok()
+        .filter(|_| !query.free_vars().contains("RN"));
+    let spec = QuerySpec::new(
+        format!("expr-{seed}"),
+        query,
+        vec![ShreddedInputDecl::new("N", items_structure())],
+    );
+    (spec, values, expected)
 }
 
 // ---------------------------------------------------------------------------

@@ -7,8 +7,9 @@
 //! 1. **Round-trip law**: `parse(pretty(e)) == e`, structurally.
 //! 2. **Differential execution**: the re-parsed program must behave
 //!    *identically* to the directly-built AST on every compilation
-//!    strategy × both shuffle representations — bag-equal results and
-//!    identical logical shuffle volume (or the same failure).
+//!    strategy — bag-equal results and identical logical shuffle volume (or
+//!    the same failure) — and, wherever the reference evaluator defines the
+//!    program's result, both must equal `nrc::eval`.
 //!
 //! Seeds come from `TRANCE_FUZZ_SEED` (default `0xF0D`) and the corpus
 //! size from `TRANCE_FUZZ_PROGRAMS` / `TRANCE_FUZZ_DIFF_PROGRAMS`, so CI
@@ -18,18 +19,16 @@ use std::time::Duration;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use trance_compiler::{
-    collect_unshredded, run_query_with, strategy_options, ExecOptions, InputSet, QuerySpec,
-    RunResult, Strategy,
-};
+use trance_compiler::{run_query, QuerySpec, RunResult, Strategy};
 use trance_dist::{ClusterConfig, DistContext};
-use trance_nrc::{Bag, Program};
-use trance_shred::{NestingStructure, ShreddedInputDecl};
+use trance_nrc::Program;
+use trance_shred::ShreddedInputDecl;
 
 mod common;
 use common::{
-    assert_round_trips, canonical, env_u64, random_expr_query, random_flat, random_flat_nullable,
-    random_nested, random_query, running_example, Watchdog,
+    assert_bags_approx_eq, assert_round_trips, canonical, env_u64, input_set, items_structure,
+    outcome_bag, random_expr_query, random_flat, random_flat_nullable, random_nested, random_query,
+    reference_bag, running_example, Watchdog,
 };
 
 fn ctx() -> DistContext {
@@ -38,10 +37,6 @@ fn ctx() -> DistContext {
             .with_broadcast_limit(64)
             .with_env_workers(),
     )
-}
-
-fn n_structure() -> NestingStructure {
-    NestingStructure::flat().with_child("items", NestingStructure::flat())
 }
 
 #[test]
@@ -105,68 +100,66 @@ fn parsed_text_runs_identically_across_all_strategies_and_representations() {
         };
         let parsed = assert_round_trips(&query, &format!("diff seed {base}+{i}"));
 
-        let mut inputs = InputSet::new(ctx());
-        inputs.add_flat("R", r.as_bag().unwrap().clone()).unwrap();
-        inputs.add_flat("RN", rn.as_bag().unwrap().clone()).unwrap();
-        inputs.add_flat("S", s.as_bag().unwrap().clone()).unwrap();
-        inputs
-            .add_nested("N", nv.as_bag().unwrap().clone())
-            .unwrap();
-        let decls = vec![ShreddedInputDecl::new("N", n_structure())];
+        let values = [
+            ("R", r, false),
+            ("RN", rn, false),
+            ("S", s, false),
+            ("N", nv, true),
+        ];
+        // `random_query` programs read only the clean relations, where the
+        // reference evaluator and the plan layer agree; `random_expr_query`
+        // programs have no `nrc::eval` reference (see
+        // `common::random_expr_case`).
+        let expected = (i % 2 == 0).then(|| reference_bag(&query, &values));
+        let inputs = input_set(ctx(), &values);
+        let decls = vec![ShreddedInputDecl::new("N", items_structure())];
         let direct_spec = QuerySpec::new(format!("fuzz-{i}"), query, decls.clone());
         let parsed_spec = QuerySpec::new(format!("fuzz-{i}"), parsed, decls);
 
         for strategy in Strategy::all() {
-            for columnar in [true, false] {
-                let options = ExecOptions {
-                    columnar,
-                    ..strategy_options(strategy, false)
-                };
-                let direct = run_query_with(&direct_spec, &inputs, strategy, &options);
-                let parsed = run_query_with(&parsed_spec, &inputs, strategy, &options);
-                let label = format!(
-                    "seed {base}+{i} strategy {} ({})",
-                    strategy.label(),
-                    if columnar { "columnar" } else { "rows" }
-                );
-                match (&direct.result, &parsed.result) {
-                    (RunResult::Failed(de), RunResult::Failed(pe)) => {
-                        // Typed failures (e.g. memory caps) must at least
-                        // agree in kind; the message carries sizes that can
-                        // legitimately differ run-to-run.
-                        assert_eq!(
-                            std::mem::discriminant(de),
-                            std::mem::discriminant(pe),
-                            "{label}: direct and parsed failed differently: {de} vs {pe}"
+            let direct = run_query(&direct_spec, &inputs, strategy);
+            let parsed = run_query(&parsed_spec, &inputs, strategy);
+            let label = format!("seed {base}+{i} strategy {}", strategy.label());
+            match (&direct.result, &parsed.result) {
+                (RunResult::Failed(de), RunResult::Failed(pe)) => {
+                    // Typed failures (e.g. memory caps) must at least
+                    // agree in kind; the message carries sizes that can
+                    // legitimately differ run-to-run.
+                    assert_eq!(
+                        std::mem::discriminant(de),
+                        std::mem::discriminant(pe),
+                        "{label}: direct and parsed failed differently: {de} vs {pe}"
+                    );
+                    assert!(
+                        expected.is_none(),
+                        "{label}: failed ({de}) where the reference evaluator has a result"
+                    );
+                }
+                (RunResult::Failed(de), _) => {
+                    panic!("{label}: direct AST failed ({de}) but parsed text succeeded")
+                }
+                (_, RunResult::Failed(pe)) => {
+                    panic!("{label}: parsed text failed ({pe}) but direct AST succeeded")
+                }
+                (dr, pr) => {
+                    let db = outcome_bag(dr, &label);
+                    let pb = outcome_bag(pr, &label);
+                    assert_eq!(
+                        canonical(&db),
+                        canonical(&pb),
+                        "{label}: parsed text and direct AST disagree on results"
+                    );
+                    if let Some(expected) = &expected {
+                        assert_bags_approx_eq(
+                            expected,
+                            &db,
+                            &format!("{label}: direct AST vs reference evaluator"),
                         );
                     }
-                    (RunResult::Failed(de), _) => {
-                        panic!("{label}: direct AST failed ({de}) but parsed text succeeded")
-                    }
-                    (_, RunResult::Failed(pe)) => {
-                        panic!("{label}: parsed text failed ({pe}) but direct AST succeeded")
-                    }
-                    (dr, pr) => {
-                        let db: Bag = match dr {
-                            RunResult::Nested(d) => d.collect_bag(),
-                            RunResult::Shredded(out) => collect_unshredded(out).unwrap(),
-                            RunResult::Failed(_) => unreachable!(),
-                        };
-                        let pb: Bag = match pr {
-                            RunResult::Nested(d) => d.collect_bag(),
-                            RunResult::Shredded(out) => collect_unshredded(out).unwrap(),
-                            RunResult::Failed(_) => unreachable!(),
-                        };
-                        assert_eq!(
-                            canonical(&db),
-                            canonical(&pb),
-                            "{label}: parsed text and direct AST disagree on results"
-                        );
-                        assert_eq!(
-                            direct.stats.shuffled_bytes, parsed.stats.shuffled_bytes,
-                            "{label}: parsed text shuffled a different logical volume"
-                        );
-                    }
+                    assert_eq!(
+                        direct.stats.shuffled_bytes, parsed.stats.shuffled_bytes,
+                        "{label}: parsed text shuffled a different logical volume"
+                    );
                 }
             }
         }

@@ -1,25 +1,32 @@
 //! Scheduler-stress differential suite: morsel-driven **pipelined** execution
-//! must agree with the **staged** executor — bag-equal results and identical
-//! logical shuffle volume — on every strategy, both physical
-//! representations, and the seeded random NRC program suite, at worker
-//! counts {1, 2, 7}. Odd worker counts and repeated pipelined runs shake out
-//! ordering and work-stealing races: stolen morsels are re-assembled in
-//! source order, so not a byte may move differently.
+//! must agree with the **staged** executor — bag-equal results, both equal
+//! to `nrc::eval`, and identical logical shuffle volume — on every strategy
+//! and the seeded random NRC program suite, at worker counts {1, 2, 7}. Odd
+//! worker counts and repeated pipelined runs shake out ordering and
+//! work-stealing races: stolen morsels are re-assembled in source order, so
+//! not a byte may move differently.
+//!
+//! This suite is what keeps `ExecOptions::pipelined = false` alive. The
+//! guarantee nothing else checks: fusing row-local operators into morsel
+//! pipelines changes *when* rows are materialized and nothing else — the
+//! staged executor, one materialization per plan operator, is the only
+//! fusion-free execution of the same plans, so it alone can show that a
+//! pipelined run shuffles the same tuples and bytes (a fused chain that
+//! dropped or duplicated work could still return the right bag) and, with
+//! `dist/tests/scheduler.rs`, that it yields the same rows in the same
+//! partition order.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use trance_compiler::{
-    collect_unshredded, run_query, run_query_with, strategy_options, ExecOptions, InputSet,
-    QuerySpec, RunResult, Strategy,
+    run_query, run_query_with, strategy_options, ExecOptions, InputSet, QuerySpec, Strategy,
 };
 use trance_dist::{ClusterConfig, DistContext};
-use trance_nrc::{Bag, Value};
-use trance_shred::{NestingStructure, ShreddedInputDecl};
+use trance_nrc::Bag;
+use trance_shred::ShreddedInputDecl;
 
 mod common;
 use common::{
-    assert_bags_approx_eq, cop_structure, cop_value, part_value, random_flat, random_nested,
-    random_query, running_example, Watchdog,
+    assert_bags_approx_eq, cop_structure, cop_value, input_set, outcome_bag, part_value,
+    random_case, reference_bag, running_example, Watchdog,
 };
 
 /// The stress suite pins its worker counts explicitly (it *is* the matrix),
@@ -30,32 +37,29 @@ fn ctx(workers: usize) -> DistContext {
 
 const WORKER_COUNTS: [usize; 3] = [1, 2, 7];
 
-fn outcome_bag(result: &RunResult, context: &str) -> Bag {
-    match result {
-        RunResult::Nested(d) => d.collect_bag(),
-        RunResult::Shredded(out) => collect_unshredded(out).unwrap(),
-        RunResult::Failed(e) => panic!("{context}: run failed: {e}"),
-    }
-}
-
-/// Runs `spec` pipelined and staged in one representation and asserts
-/// bag-equal results and identical logical shuffle bytes; `repeats` extra
-/// pipelined runs guard against steal-order nondeterminism.
+/// Runs `spec` pipelined and staged and asserts results bag-equal to each
+/// other and to the reference `expected`, and identical logical shuffle
+/// bytes; `repeats` extra pipelined runs guard against steal-order
+/// nondeterminism.
 fn check_pipelined_vs_staged(
     spec: &QuerySpec,
     inputs: &InputSet,
     strategy: Strategy,
-    columnar: bool,
+    expected: &Bag,
     repeats: usize,
     context: &str,
 ) {
     let options = |pipelined| ExecOptions {
-        columnar,
         pipelined,
         ..strategy_options(strategy, false)
     };
     let staged = run_query_with(spec, inputs, strategy, &options(false));
     let staged_bag = outcome_bag(&staged.result, &format!("{context} staged"));
+    assert_bags_approx_eq(
+        expected,
+        &staged_bag,
+        &format!("{context}: staged run vs reference evaluator"),
+    );
     for rep in 0..=repeats {
         let pipelined = run_query_with(spec, inputs, strategy, &options(true));
         let pipelined_bag =
@@ -87,29 +91,19 @@ fn running_example_pipelined_matches_staged_all_strategies_reprs_and_workers() {
         running_example(),
         vec![ShreddedInputDecl::new("COP", cop_structure())],
     );
+    let values = [("COP", cop_value(30), true), ("Part", part_value(), false)];
+    let expected = reference_bag(&spec.query, &values);
     for workers in WORKER_COUNTS {
-        let mut inputs = InputSet::new(ctx(workers));
-        inputs
-            .add_nested("COP", cop_value(30).as_bag().unwrap().clone())
-            .unwrap();
-        inputs
-            .add_flat("Part", part_value().as_bag().unwrap().clone())
-            .unwrap();
+        let inputs = input_set(ctx(workers), &values);
         for strategy in Strategy::all() {
-            for columnar in [true, false] {
-                check_pipelined_vs_staged(
-                    &spec,
-                    &inputs,
-                    strategy,
-                    columnar,
-                    0,
-                    &format!(
-                        "running-example workers={workers} {} {}",
-                        strategy.label(),
-                        if columnar { "columnar" } else { "row" }
-                    ),
-                );
-            }
+            check_pipelined_vs_staged(
+                &spec,
+                &inputs,
+                strategy,
+                &expected,
+                0,
+                &format!("running-example workers={workers} {}", strategy.label()),
+            );
         }
     }
 }
@@ -120,48 +114,22 @@ fn random_programs_pipelined_matches_staged_all_strategies_reprs_and_workers() {
         "scheduler_stress::random_programs",
         std::time::Duration::from_secs(600),
     );
-    // The nested input's structure, declared so the shredded strategies can
-    // run the random programs too.
-    let n_structure = NestingStructure::flat().with_child("items", NestingStructure::flat());
     for workers in WORKER_COUNTS {
         // Repeated pipelined runs only at the odd worker count, where steal
         // interleavings are most adversarial (keeps suite runtime sane).
         let repeats = if workers == 7 { 1 } else { 0 };
         for seed in 0..24u64 {
-            let mut rng = StdRng::seed_from_u64(0xC0FFEE + seed);
-            let r_rows = rng.gen_range(5..40usize);
-            let s_rows = rng.gen_range(5..30usize);
-            let n_rows = rng.gen_range(3..20usize);
-            let r = random_flat(&mut rng, r_rows, 8);
-            let s = random_flat(&mut rng, s_rows, 8);
-            let n = random_nested(&mut rng, n_rows, 8);
-            let query = random_query(&mut rng);
-
-            let mut inputs = InputSet::new(ctx(workers));
-            inputs.add_flat("R", r.as_bag().unwrap().clone()).unwrap();
-            inputs.add_flat("S", s.as_bag().unwrap().clone()).unwrap();
-            inputs.add_nested("N", n.as_bag().unwrap().clone()).unwrap();
-            let spec = QuerySpec::new(
-                format!("random-{seed}"),
-                query,
-                vec![ShreddedInputDecl::new("N", n_structure.clone())],
-            );
-
+            let (spec, values, expected) = random_case(seed);
+            let inputs = input_set(ctx(workers), &values);
             for strategy in Strategy::all() {
-                for columnar in [true, false] {
-                    check_pipelined_vs_staged(
-                        &spec,
-                        &inputs,
-                        strategy,
-                        columnar,
-                        repeats,
-                        &format!(
-                            "seed {seed} workers={workers} {} {}",
-                            strategy.label(),
-                            if columnar { "columnar" } else { "row" }
-                        ),
-                    );
-                }
+                check_pipelined_vs_staged(
+                    &spec,
+                    &inputs,
+                    strategy,
+                    &expected,
+                    repeats,
+                    &format!("seed {seed} workers={workers} {}", strategy.label()),
+                );
             }
         }
     }
@@ -178,13 +146,10 @@ fn pipelined_runs_report_morsels_and_truthful_op_attribution() {
         running_example(),
         vec![ShreddedInputDecl::new("COP", cop_structure())],
     );
-    let mut inputs = InputSet::new(ctx(3));
-    inputs
-        .add_nested("COP", cop_value(40).as_bag().unwrap().clone())
-        .unwrap();
-    inputs
-        .add_flat("Part", part_value().as_bag().unwrap().clone())
-        .unwrap();
+    let inputs = input_set(
+        ctx(3),
+        &[("COP", cop_value(40), true), ("Part", part_value(), false)],
+    );
 
     let pipelined = run_query(&spec, &inputs, Strategy::Standard);
     assert!(!pipelined.result.is_failure());
@@ -248,5 +213,4 @@ fn pipelined_runs_report_morsels_and_truthful_op_attribution() {
         "a staged run must not report pipelines"
     );
     assert_eq!(staged.stats.total_morsels(), 0);
-    let _ = Value::Null;
 }

@@ -1,27 +1,24 @@
 //! Out-of-core correctness: with the spill subsystem enabled, memory-capped
-//! runs must produce results **identical** to uncapped in-memory runs — on
-//! every strategy, on both physical representations, and across the seeded
-//! random NRC program suite — while the same cap with spilling disabled
+//! runs must produce results **identical** to uncapped in-memory runs and to
+//! `nrc::eval` — on every strategy and across the seeded random NRC program
+//! suite — while the same cap with spilling disabled
 //! still reproduces the paper's FAIL. Spill files must drain back to zero
 //! once the runs' collections are gone.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use trance_compiler::{
-    collect_unshredded, run_query, run_query_with, strategy_options, ExecOptions, InputSet,
-    QuerySpec, RunResult, Strategy,
+    run_query, run_query_with, strategy_options, ExecOptions, QuerySpec, Strategy,
 };
 use trance_dist::{ClusterConfig, DistContext};
 use trance_nrc::builder::{
     and, cmp_eq, forin, group_by, ifthen, mul, proj, singleton, sum_by, tuple, var,
 };
-use trance_nrc::{eval, Bag, Env, Value};
+use trance_nrc::Value;
 use trance_shred::ShreddedInputDecl;
 
 mod common;
 use common::{
-    assert_bags_approx_eq, cop_structure, cop_value, part_value, random_flat, random_nested,
-    random_query, running_example, Watchdog,
+    assert_bags_approx_eq, cop_structure, cop_value, input_set, outcome_bag, part_value,
+    random_case, reference_bag, running_example, Watchdog,
 };
 
 /// A spill-capable cluster with a cap small enough that the flattening
@@ -46,28 +43,6 @@ fn uncapped_ctx() -> DistContext {
     )
 }
 
-fn input_set(ctx: DistContext, values: &[(&str, Value, bool)]) -> InputSet {
-    let mut inputs = InputSet::new(ctx);
-    for (name, v, nested) in values {
-        if *nested {
-            inputs
-                .add_nested(name, v.as_bag().unwrap().clone())
-                .unwrap();
-        } else {
-            inputs.add_flat(name, v.as_bag().unwrap().clone()).unwrap();
-        }
-    }
-    inputs
-}
-
-fn outcome_bag(result: &RunResult, context: &str) -> Bag {
-    match result {
-        RunResult::Nested(d) => d.collect_bag(),
-        RunResult::Shredded(out) => collect_unshredded(out).unwrap(),
-        RunResult::Failed(e) => panic!("{context}: run failed: {e}"),
-    }
-}
-
 #[test]
 fn capped_spill_runs_match_uncapped_on_every_strategy() {
     let values = [("COP", cop_value(120), true), ("Part", part_value(), false)];
@@ -77,6 +52,7 @@ fn capped_spill_runs_match_uncapped_on_every_strategy() {
         vec![ShreddedInputDecl::new("COP", cop_structure())],
     );
 
+    let reference = reference_bag(&spec.query, &values);
     let uncapped = input_set(uncapped_ctx(), &values);
     let capped = input_set(capped_ctx(12 * 1024), &values);
     let mut spilled_somewhere = false;
@@ -84,6 +60,14 @@ fn capped_spill_runs_match_uncapped_on_every_strategy() {
         let expected = outcome_bag(
             &run_query(&spec, &uncapped, strategy).result,
             &format!("uncapped {}", strategy.label()),
+        );
+        assert_bags_approx_eq(
+            &reference,
+            &expected,
+            &format!(
+                "strategy {}: uncapped oracle vs reference",
+                strategy.label()
+            ),
         );
         let outcome = run_query(&spec, &capped, strategy);
         let produced = outcome_bag(
@@ -187,8 +171,7 @@ fn capped_string_and_two_column_keys_match_uncapped() {
         ("Sales", Value::bag(sales), false),
         ("Prices", Value::bag(prices), false),
     ];
-    let env = Env::from_bindings(values.iter().map(|(n, v, _)| (*n, v.clone())));
-    let expected = eval(&query, &env).unwrap().into_bag().unwrap();
+    let expected = reference_bag(&query, &values);
     assert_eq!(expected.len(), 13);
 
     let spec = QuerySpec::new("string-keys", query, vec![]);
@@ -225,10 +208,9 @@ fn capped_pipelined_fail_cells_match_their_uncapped_oracles() {
     // The spill × pipeline interaction the capped benchmark cells rely on:
     // on the FAIL-cell strategies (the flattening routes that exceed the
     // cap), a memory-capped **pipelined** run with spilling on must match
-    // the uncapped staged oracle exactly — on both physical
-    // representations. Fused pipelines stream through the same spill-aware
-    // PartBuilder sinks as the staged operators, so going out-of-core
-    // mid-pipeline must not change a single row.
+    // the uncapped staged oracle exactly. Fused pipelines stream through
+    // the same spill-aware PartBuilder sinks as the staged operators, so
+    // going out-of-core mid-pipeline must not change a single row.
     let values = [("COP", cop_value(120), true), ("Part", part_value(), false)];
     let spec = QuerySpec::new(
         "running-example",
@@ -239,39 +221,31 @@ fn capped_pipelined_fail_cells_match_their_uncapped_oracles() {
     let capped = input_set(capped_ctx(12 * 1024), &values);
     let mut spilled_somewhere = false;
     for strategy in [Strategy::Standard, Strategy::Baseline] {
-        for columnar in [true, false] {
-            let repr = if columnar { "columnar" } else { "row" };
-            // Staged, uncapped: the oracle.
-            let staged = ExecOptions {
-                columnar,
-                pipelined: false,
-                ..strategy_options(strategy, false)
-            };
-            let oracle = run_query_with(&spec, &uncapped, strategy, &staged);
-            let oracle_bag = outcome_bag(
-                &oracle.result,
-                &format!("uncapped staged {} {repr}", strategy.label()),
-            );
-            // Pipelined, capped, spilling: must complete and agree.
-            let pipelined = ExecOptions {
-                columnar,
-                ..strategy_options(strategy, false)
-            };
-            let capped_run = run_query_with(&spec, &capped, strategy, &pipelined);
-            spilled_somewhere |= capped_run.stats.spilled_bytes > 0;
-            let capped_bag = outcome_bag(
-                &capped_run.result,
-                &format!("capped pipelined {} {repr}", strategy.label()),
-            );
-            assert_bags_approx_eq(
-                &oracle_bag,
-                &capped_bag,
-                &format!(
-                    "{} {repr}: capped pipelined run vs uncapped staged oracle",
-                    strategy.label()
-                ),
-            );
-        }
+        // Staged, uncapped: the oracle.
+        let staged = ExecOptions {
+            pipelined: false,
+            ..strategy_options(strategy, false)
+        };
+        let oracle = run_query_with(&spec, &uncapped, strategy, &staged);
+        let oracle_bag = outcome_bag(
+            &oracle.result,
+            &format!("uncapped staged {}", strategy.label()),
+        );
+        // Pipelined, capped, spilling: must complete and agree.
+        let capped_run = run_query(&spec, &capped, strategy);
+        spilled_somewhere |= capped_run.stats.spilled_bytes > 0;
+        let capped_bag = outcome_bag(
+            &capped_run.result,
+            &format!("capped pipelined {}", strategy.label()),
+        );
+        assert_bags_approx_eq(
+            &oracle_bag,
+            &capped_bag,
+            &format!(
+                "{}: capped pipelined run vs uncapped staged oracle",
+                strategy.label()
+            ),
+        );
     }
     assert!(
         spilled_somewhere,
@@ -299,56 +273,23 @@ fn randomized_capped_spill_runs_match_uncapped_in_both_representations() {
     );
     let mut spilled_somewhere = false;
     for seed in 0..24u64 {
-        let mut rng = StdRng::seed_from_u64(0xC0FFEE + seed);
-        let r_rows = rng.gen_range(5..40usize);
-        let s_rows = rng.gen_range(5..30usize);
-        let n_rows = rng.gen_range(3..20usize);
-        let r = random_flat(&mut rng, r_rows, 8);
-        let s = random_flat(&mut rng, s_rows, 8);
-        let n = random_nested(&mut rng, n_rows, 8);
-        let query = random_query(&mut rng);
-
-        let env = Env::from_bindings([("R", r.clone()), ("S", s.clone()), ("N", n.clone())]);
-        let expected = eval(&query, &env).unwrap().into_bag().unwrap();
-
-        let values = [("R", r, false), ("S", s, false), ("N", n, true)];
+        let (spec, values, expected) = random_case(seed);
         // A cap this small forces even the random programs' joins and
         // groupings out-of-core; spilling must keep them correct anyway.
         let capped = input_set(capped_ctx(2 * 1024), &values);
-        let spec = QuerySpec::new(format!("random-{seed}"), query, vec![]);
 
         for strategy in [Strategy::Standard, Strategy::Baseline] {
-            // Columnar (default) representation under the cap.
-            let col = run_query(&spec, &capped, strategy);
-            spilled_somewhere |= col.stats.spilled_bytes > 0;
-            let col_bag = outcome_bag(
-                &col.result,
-                &format!("seed {seed} capped columnar {}", strategy.label()),
+            let run = run_query(&spec, &capped, strategy);
+            spilled_somewhere |= run.stats.spilled_bytes > 0;
+            let bag = outcome_bag(
+                &run.result,
+                &format!("seed {seed} capped {}", strategy.label()),
             );
             assert_bags_approx_eq(
                 &expected,
-                &col_bag,
+                &bag,
                 &format!(
-                    "seed {seed}: capped columnar spill run vs reference under {}",
-                    strategy.label()
-                ),
-            );
-            // Row-representation oracle under the same cap: the row engine
-            // spills through the same machinery and must agree too.
-            let row_route = ExecOptions {
-                columnar: false,
-                ..strategy_options(strategy, false)
-            };
-            let row = run_query_with(&spec, &capped, strategy, &row_route);
-            let row_bag = outcome_bag(
-                &row.result,
-                &format!("seed {seed} capped row {}", strategy.label()),
-            );
-            assert_bags_approx_eq(
-                &expected,
-                &row_bag,
-                &format!(
-                    "seed {seed}: capped row spill run vs reference under {}",
+                    "seed {seed}: capped spill run vs reference under {}",
                     strategy.label()
                 ),
             );

@@ -7,7 +7,7 @@
 //! themselves a child `Batch`. Row-wise, every tuple of a
 //! [`trance_nrc::Value`] collection repeats its attribute names as heap
 //! strings; batch-wise those bytes are paid once per batch, which is what
-//! makes the columnar route's shuffle volume so much smaller.
+//! makes a batch's shuffle volume so much smaller.
 //!
 //! Validity is tracked with two [`Bitmap`]s per column:
 //!
@@ -20,8 +20,8 @@
 //! Values a typed column cannot hold (labels, mixed numeric kinds, nested
 //! tuples) fall back to a [`Column::Other`] value vector — still schema-once,
 //! just not vector-typed. Rows that are not tuples at all are kept verbatim
-//! in an *opaque* batch ([`Schema::is_opaque`]), mirroring how the row engine
-//! passes non-tuple values through untouched.
+//! in an *opaque* batch ([`Schema::is_opaque`]), so non-tuple values pass
+//! through untouched.
 //!
 //! ## Data movement
 //!
@@ -1563,8 +1563,7 @@ impl Batch {
 
     /// Concatenates batches into one. Batches with identical schemas append
     /// column buffers directly — a single n-way pass per column, see
-    /// `Column::concat`; mixed schemas fall back to a value-level rebuild
-    /// (the row engine's union cost).
+    /// `Column::concat`; mixed schemas fall back to a value-level rebuild.
     pub fn concat(batches: &[Batch]) -> Batch {
         Batch::concat_refs(&batches.iter().collect::<Vec<_>>())
     }
@@ -1614,8 +1613,8 @@ impl Batch {
         Batch::from_rows(&rows)
     }
 
-    /// Left-to-right tuple concatenation of two same-length batches with the
-    /// row engine's overwrite semantics: the output keeps `self`'s attribute
+    /// Left-to-right tuple concatenation of two same-length batches with
+    /// `Tuple::concat`'s overwrite semantics: the output keeps `self`'s attribute
     /// order; where `other` carries the same attribute and the row is
     /// present on the right, the right value wins; `other`-only attributes
     /// are appended.
@@ -1656,9 +1655,8 @@ impl Batch {
         }
     }
 
-    /// Renames every attribute through `f` — a schema-only operation, the
-    /// columnar counterpart of the row engine's per-row `alias.field`
-    /// rewrite. Opaque batches become a single column named `value_name`
+    /// Renames every attribute through `f` — a schema-only operation, where
+    /// rows would need a per-tuple `alias.field` rewrite. Opaque batches become a single column named `value_name`
     /// (the `alias.__value` convention).
     pub fn rename_fields(&self, f: impl Fn(&str) -> String, value_name: &str) -> Batch {
         if self.schema.is_opaque() {
@@ -1767,10 +1765,10 @@ impl Batch {
                 .sum::<usize>()
     }
 
-    /// Row-equivalent bytes: what the same rows would occupy (and be metered
-    /// at) in the row representation, i.e. `Σ Value::mem_size`. Used for the
-    /// legacy logical counters, broadcast planning and the simulated memory
-    /// cap, so both representations make identical planning decisions.
+    /// Row-equivalent bytes: what the same rows would occupy as heap values,
+    /// i.e. `Σ Value::mem_size`. Used for the logical counters, broadcast
+    /// planning and the simulated memory cap, so plans and FAIL cells depend
+    /// on the data and not on how a batch encodes it.
     pub fn logical_bytes(&self) -> usize {
         if self.schema.is_opaque() {
             if let Column::Other { values, .. } = self.columns[0].as_ref() {

@@ -1,10 +1,9 @@
-//! [`ColCollection`]: the columnar counterpart of [`DistCollection`] — a
-//! hash-partitioned collection whose partitions are typed [`Batch`]es instead
-//! of `Vec<Value>` rows.
+//! [`ColCollection`]: a hash-partitioned collection whose partitions are
+//! typed [`Batch`]es, and the engine's whole operator suite over it.
 //!
-//! Every operator mirrors the semantics of its row-engine twin (the
-//! differential suites in `trance-compiler` hold the two representations to
-//! multiset-identical outputs) while executing over column buffers:
+//! Every operator computes what the reference evaluator defines on the
+//! equivalent `Value` rows (the differential suites in `trance-compiler`
+//! hold every plan to `nrc::eval`) while executing over column buffers:
 //!
 //! * projections/extensions/selections run as whole-batch transforms
 //!   ([`ColCollection::map_batches`] / [`ColCollection::filter_mask`]) whose
@@ -15,8 +14,8 @@
 //! * joins gather matched rows from both sides by index lists;
 //! * shuffles ship whole batches and meter **exact physical buffer bytes**
 //!   (schema and string dictionaries counted once per shipped batch) next to
-//!   the row-equivalent logical estimate, so row-vs-columnar byte cells are
-//!   directly comparable.
+//!   the row-equivalent logical estimate (`Σ Value::mem_size` of the same
+//!   rows).
 //!
 //! ## Keys
 //!
@@ -44,9 +43,8 @@
 //!   row order are exactly those of the boxed definition.
 //!
 //! Broadcast planning and the simulated per-worker memory cap use the
-//! *logical* (row-equivalent) sizes on purpose: both representations make
-//! identical planning decisions and fail the same FAIL runs; only the
-//! shipped bytes differ.
+//! *logical* (row-equivalent) sizes on purpose: plans and the paper's FAIL
+//! runs depend on the data, not on how compactly a batch encodes it.
 //!
 //! ## Out-of-core execution
 //!
@@ -196,15 +194,20 @@ fn part_budget(ctx: &DistContext) -> usize {
     (limit / per_worker.max(1)).max(1)
 }
 
-/// The working-set budget of one operator execution (a worker processes one
-/// partition at a time) — the governor's policy, defined once in
-/// [`MemoryGovernor::operator_budget`].
-fn op_budget(ctx: &DistContext) -> usize {
+/// The memory governor of `ctx`'s cluster shape (uncapped clusters get an
+/// unbounded one).
+fn governor(ctx: &DistContext) -> MemoryGovernor {
     MemoryGovernor::new(
         ctx.config().worker_memory.unwrap_or(usize::MAX),
         ctx.config().workers,
     )
-    .operator_budget()
+}
+
+/// The working-set budget of one operator execution (a worker processes one
+/// partition at a time) — the governor's policy, defined once in
+/// [`MemoryGovernor::operator_budget`].
+fn op_budget(ctx: &DistContext) -> usize {
+    governor(ctx).operator_budget()
 }
 
 /// Accumulates operator output chunks for one partition: stays in memory
@@ -292,21 +295,21 @@ impl ColCollection {
     }
 
     /// Wraps freshly produced operator output, enforcing the per-worker
-    /// memory cap (on row-equivalent bytes, exactly like the row engine).
-    /// With spilling enabled, the memory governor spills victim partitions
-    /// instead of failing.
+    /// memory cap (on row-equivalent bytes). With spilling enabled, the
+    /// memory governor picks victim partitions and they go to disk instead
+    /// of the run failing.
     fn materialize(ctx: DistContext, parts: Vec<Batch>) -> Result<Self> {
         ColCollection::materialize_parts(ctx, parts.into_iter().map(ColPart::Mem).collect())
     }
 
     fn materialize_parts(ctx: DistContext, mut parts: Vec<ColPart>) -> Result<Self> {
         if ctx.spill_active() {
-            crate::spill::govern_materialized(&ctx, &mut parts, ColPart::resident_bytes, |part| {
-                Ok(match part {
-                    ColPart::Mem(batch) => ColPart::Spilled(Arc::new(spill_batch(&ctx, batch)?)),
-                    ColPart::Spilled(s) => ColPart::Spilled(s.clone()),
-                })
-            })?;
+            let sizes: Vec<usize> = parts.iter().map(ColPart::resident_bytes).collect();
+            for victim in governor(&ctx).plan_spills(&sizes) {
+                if let ColPart::Mem(batch) = &parts[victim] {
+                    parts[victim] = ColPart::Spilled(Arc::new(spill_batch(&ctx, batch)?));
+                }
+            }
         } else {
             enforce_memory_col(&ctx, &parts)?;
         }
@@ -325,8 +328,7 @@ impl ColCollection {
     /// whether it found its inputs already converted.
     pub fn ingest(coll: &DistCollection, hints: &[FieldHint]) -> Result<ColCollection> {
         let ctx = coll.context();
-        let parts = run_partitioned_unmetered(ctx, coll.parts(), |_, part| {
-            let rows = part.rows(ctx)?;
+        let parts = run_partitioned_unmetered(ctx, coll.partitions(), |_, rows| {
             let refs: Vec<&Value> = rows.iter().collect();
             Ok(Batch::from_row_refs_hinted(&refs, hints))
         })?;
@@ -481,7 +483,10 @@ impl ColCollection {
         let parts = run_partitioned_unmetered(&self.ctx, &self.parts, |_, part| {
             Ok(part.batch(&self.ctx)?.to_rows())
         })?;
-        Ok(DistCollection::from_parts(self.ctx.clone(), parts))
+        Ok(DistCollection::from_partitioned_rows(
+            self.ctx.clone(),
+            parts,
+        ))
     }
 
     /// Gathers every row into a [`Bag`].
@@ -646,9 +651,9 @@ impl ColCollection {
 
     /// The `Γ+` aggregation over columns: map-side partial aggregation, a
     /// shuffle of the (small) partial batches by key hash, and a final
-    /// reduce. Semantics mirror [`DistCollection::nest_sum`] exactly
-    /// (integer sums stay integral, NULL contributes nothing, an all-NULL
-    /// group finalizes to 0).
+    /// reduce. Semantics mirror the reference evaluator's `sumBy` (integer
+    /// sums stay integral, NULL contributes nothing, an all-NULL group
+    /// finalizes to 0).
     pub fn nest_sum(&self, key: &[String], values: &[String]) -> Result<ColCollection> {
         self.timed("nest_sum", || self.nest_sum_untimed(key, values))
     }
@@ -710,8 +715,12 @@ impl ColCollection {
         builder.finish()
     }
 
-    /// Distributed equi-join following `spec` (broadcast / shuffle chosen
-    /// from the hint or from logical sizes, exactly like the row engine).
+    /// Distributed equi-join following `spec`. Planning: a hinted strategy
+    /// is taken as given; otherwise a side that fits under the cluster
+    /// broadcast limit (by logical size) is replicated to every worker and
+    /// joined in place — the right side for outer joins, since only the
+    /// probe side may stay partitioned — and failing that both sides
+    /// shuffle by key hash and each partition pair hash-joins.
     pub fn join(&self, right: &ColCollection, spec: &JoinSpec) -> Result<ColCollection> {
         let path = match spec.hint() {
             JoinHint::Auto => ColJoinPath::Auto,
@@ -755,7 +764,9 @@ impl ColCollection {
     }
 
     /// Skew-aware `Γ+`: heavy grouping keys aggregate separately from the
-    /// light ones, mirroring `SkewTriple::nest_sum`.
+    /// light ones, so a dominant key cannot overload the partition its hash
+    /// lands on. Both parts pre-aggregate map-side, so the heavy shuffle
+    /// moves at most one partial row per source partition per heavy key.
     pub fn nest_sum_skew(&self, key: &[String], values: &[String]) -> Result<ColCollection> {
         self.timed("skew_nest_sum", || {
             let heavy = detect_heavy_keys_col(self, key)?;
@@ -1012,8 +1023,8 @@ fn tuple_rows_required(b: &Batch) -> Result<()> {
 }
 
 /// Enforces the simulated per-worker memory cap on freshly materialized
-/// batches, charged in row-equivalent bytes so FAIL behaviour matches the
-/// row engine. Only reached with spilling off; spilled partitions (left over
+/// batches, charged in row-equivalent bytes (partition `i` to worker
+/// `i % workers`). Only reached with spilling off; spilled partitions (left over
 /// from a spill-enabled producer) still charge their logical size — turning
 /// spilling off mid-pipeline does not grant free memory.
 fn enforce_memory_col(ctx: &DistContext, parts: &[ColPart]) -> Result<()> {
@@ -1322,7 +1333,7 @@ pub fn unnest_batch(b: &Batch, bag_attr: &str, alias: Option<&str>, outer: bool)
                 }
                 crate::batch::BagElems::Values(values) => {
                     // Mixed / non-tuple elements: fall back to per-element
-                    // row merging (the row engine's merge_element).
+                    // row merging.
                     let rows: Vec<Value> = child_idx
                         .iter()
                         .map(|j| match j {
@@ -1337,7 +1348,7 @@ pub fn unnest_batch(b: &Batch, bag_attr: &str, alias: Option<&str>, outer: bool)
         }
         other => {
             // Row-wise fallback for bags stored in a value column; scalars
-            // raise the same type error as the row engine.
+            // are a type error.
             let mut out_rows: Vec<Value> = Vec::new();
             for i in 0..b.rows() {
                 let parent = parent_shape.row_value(i);
@@ -1395,7 +1406,7 @@ fn element_rows_to_batch(
 }
 
 /// Merges one flattened bag element into a row, renaming its fields to
-/// `alias.field` when an alias is present (the row engine's `merge_element`).
+/// `alias.field` when an alias is present.
 fn merge_element_row(row: &mut Tuple, elem: &Value, alias: Option<&str>) {
     match (elem, alias) {
         (Value::Tuple(et), Some(alias)) => {
@@ -1652,8 +1663,7 @@ fn nest_bag_batch(
 // joins
 // ---------------------------------------------------------------------------
 
-/// Which physical plan the columnar join takes (mirrors the row engine's
-/// `JoinPath`).
+/// Which physical plan a join takes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ColJoinPath {
     Auto,
@@ -1996,9 +2006,11 @@ fn shuffle_join_col(
 // ---------------------------------------------------------------------------
 
 /// Samples key frequencies over batches and returns the keys whose sampled
-/// share reaches the cluster's heavy-key threshold (the columnar counterpart
-/// of [`crate::skew::detect_heavy_keys`], same deterministic stride). Only
-/// the sampled rows are hashed; a key is boxed once, when first sampled.
+/// share reaches the cluster's heavy-key threshold (by default
+/// `1 / partitions`: the share at which one partition would hold more than
+/// its fair slice). Sampling is deterministic — every `stride`-th row up to
+/// `ClusterConfig::skew_sample` rows — so repeated runs agree on the split.
+/// Only the sampled rows are hashed; a key is boxed once, when first sampled.
 fn detect_heavy_keys_col(data: &ColCollection, key_cols: &[String]) -> Result<KeyCounts> {
     let config = data.ctx.config();
     let ex = data.ctx.exchange();

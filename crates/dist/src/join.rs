@@ -1,13 +1,6 @@
-//! Distributed equi-joins: partitioned shuffle hash joins (build on the
-//! smaller side) with automatic broadcast of a small side under the cluster's
-//! broadcast limit.
-
-use trance_nrc::{Tuple, Value};
-
-use crate::error::Result;
-use crate::ops::DistCollection;
-use crate::partition::{hash_key_ref, key_of_ref, run_partitioned, shuffle, RefKeyTable};
-use crate::stats::JoinStrategy;
+//! Equi-join specifications: what [`crate::ColCollection::join`] and
+//! [`crate::ColCollection::skew_join`] are asked to compute — key columns,
+//! join kind, surviving right-side fields and the planner's strategy hint.
 
 /// Inner or left-outer equi-join.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -108,277 +101,4 @@ impl JoinSpec {
     pub fn hint(&self) -> JoinHint {
         self.hint
     }
-
-    /// The right-side output projection of one right row.
-    fn project_right(&self, t: &Tuple) -> Tuple {
-        match &self.right_fields {
-            Some(fields) => {
-                let refs: Vec<&str> = fields.iter().map(String::as_str).collect();
-                t.project(&refs)
-            }
-            None => t.clone(),
-        }
-    }
-
-    /// The NULL extension appended to unmatched left rows.
-    fn null_right(&self) -> Tuple {
-        match &self.right_fields {
-            Some(fields) => Tuple::new(fields.iter().map(|f| (f.clone(), Value::Null))),
-            None => Tuple::empty(),
-        }
-    }
-}
-
-/// Which physical plan [`join_impl`] must take.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum JoinPath {
-    /// Pick broadcast vs. shuffle from the side sizes and broadcast limit.
-    Auto,
-    /// Shuffle both sides (skew fallback).
-    ForceShuffle { skew: bool },
-    /// Broadcast the right side regardless of the limit (skew heavy part;
-    /// the caller has already checked the size).
-    ForceBroadcastRight { skew: bool },
-}
-
-impl DistCollection {
-    /// Distributed equi-join with `right` following `spec`.
-    ///
-    /// Planning: if either side fits under the cluster broadcast limit it is
-    /// replicated to every worker and joined in place (the right side for
-    /// outer joins — only the probe side may stay partitioned); otherwise
-    /// both sides shuffle by key hash and each partition runs a hash join
-    /// built on its smaller side.
-    pub fn join(&self, right: &DistCollection, spec: &JoinSpec) -> Result<DistCollection> {
-        let path = match spec.hint() {
-            JoinHint::Auto => JoinPath::Auto,
-            JoinHint::BroadcastRight => JoinPath::ForceBroadcastRight { skew: false },
-            JoinHint::Shuffle => JoinPath::ForceShuffle { skew: false },
-        };
-        self.timed("join", || join_impl(self, right, spec, path))
-    }
-}
-
-pub(crate) fn join_impl(
-    left: &DistCollection,
-    right: &DistCollection,
-    spec: &JoinSpec,
-    path: JoinPath,
-) -> Result<DistCollection> {
-    let ctx = left.context().clone();
-    let limit = ctx.config().broadcast_limit;
-    match path {
-        JoinPath::ForceBroadcastRight { skew } => broadcast_right(left, right, spec, skew),
-        JoinPath::ForceShuffle { skew } => shuffle_join(left, right, spec, skew),
-        JoinPath::Auto => {
-            if right.total_bytes() <= limit {
-                broadcast_right(left, right, spec, false)
-            } else if spec.kind() == JoinKind::Inner && left.total_bytes() <= limit {
-                broadcast_left(left, right, spec)
-            } else {
-                shuffle_join(left, right, spec, false)
-            }
-        }
-    }
-}
-
-/// Replicates the right side to every worker and probes it from the left
-/// partitions in place.
-fn broadcast_right(
-    left: &DistCollection,
-    right: &DistCollection,
-    spec: &JoinSpec,
-    skew: bool,
-) -> Result<DistCollection> {
-    let ctx = left.context().clone();
-    meter_broadcast(&ctx, right, skew);
-    // Build and probe with *borrowed* keys: no key value is cloned per row.
-    // The replicated side is materialized once (it fits under the broadcast
-    // limit by construction, spilled partitions included).
-    let rstore = right.partitions()?;
-    let mut table: RefKeyTable<'_, Vec<Tuple>> = RefKeyTable::with_capacity(right.len());
-    for row in rstore.iter().flat_map(|p| p.iter()) {
-        let t = row.as_tuple()?;
-        if let Some(key) = key_of_ref(t, spec.right_keys()) {
-            table
-                .entry_or_insert_with(key, Vec::new)
-                .push(spec.project_right(t));
-        }
-    }
-    let null_right = spec.null_right();
-    let parts = run_partitioned(&ctx, left.parts(), |_, part| {
-        let rows = part.rows(&ctx)?;
-        let mut out = Vec::with_capacity(rows.len());
-        for row in rows.iter() {
-            let t = row.as_tuple()?;
-            match key_of_ref(t, spec.left_keys()).and_then(|k| table.get(&k)) {
-                Some(matches) => {
-                    for r in matches {
-                        out.push(Value::Tuple(t.concat(r)));
-                    }
-                }
-                None => {
-                    if spec.kind() == JoinKind::LeftOuter {
-                        out.push(Value::Tuple(t.concat(&null_right)));
-                    }
-                }
-            }
-        }
-        Ok(out)
-    })?;
-    DistCollection::materialize(ctx, parts)
-}
-
-/// Inner-join variant that replicates the (small) left side and probes it
-/// from the right partitions.
-fn broadcast_left(
-    left: &DistCollection,
-    right: &DistCollection,
-    spec: &JoinSpec,
-) -> Result<DistCollection> {
-    let ctx = left.context().clone();
-    meter_broadcast(&ctx, left, false);
-    let lstore = left.partitions()?;
-    let mut table: RefKeyTable<'_, Vec<&Value>> = RefKeyTable::with_capacity(left.len());
-    for row in lstore.iter().flat_map(|p| p.iter()) {
-        let t = row.as_tuple()?;
-        if let Some(key) = key_of_ref(t, spec.left_keys()) {
-            table.entry_or_insert_with(key, Vec::new).push(row);
-        }
-    }
-    let parts = run_partitioned(&ctx, right.parts(), |_, part| {
-        let mut out = Vec::new();
-        for row in part.rows(&ctx)?.iter() {
-            let t = row.as_tuple()?;
-            if let Some(matches) = key_of_ref(t, spec.right_keys()).and_then(|k| table.get(&k)) {
-                let projected = spec.project_right(t);
-                for l in matches {
-                    out.push(Value::Tuple(l.as_tuple()?.concat(&projected)));
-                }
-            }
-        }
-        Ok(out)
-    })?;
-    DistCollection::materialize(ctx, parts)
-}
-
-/// Shuffles both sides by key hash and hash-joins each partition pair,
-/// building on the smaller side.
-fn shuffle_join(
-    left: &DistCollection,
-    right: &DistCollection,
-    spec: &JoinSpec,
-    skew: bool,
-) -> Result<DistCollection> {
-    let ctx = left.context().clone();
-    ctx.stats().record_join(if skew {
-        JoinStrategy::SkewFallback
-    } else {
-        JoinStrategy::Shuffle
-    });
-    // Left rows with NULL/missing keys can never match: inner joins drop
-    // them, outer joins emit them unmatched without shuffling them at all.
-    let mut local_unmatched: Vec<Value> = Vec::new();
-    if spec.kind() == JoinKind::LeftOuter {
-        let null_right = spec.null_right();
-        for part in left.parts() {
-            for row in part.rows(&ctx)?.iter() {
-                let t = row.as_tuple()?;
-                if key_of_ref(t, spec.left_keys()).is_none() {
-                    local_unmatched.push(Value::Tuple(t.concat(&null_right)));
-                }
-            }
-        }
-    }
-    let keyed_left =
-        left.filter(|row| Ok(key_of_ref(row.as_tuple()?, spec.left_keys()).is_some()))?;
-    let keyed_right =
-        right.filter(|row| Ok(key_of_ref(row.as_tuple()?, spec.right_keys()).is_some()))?;
-    let lparts = shuffle(&ctx, keyed_left.parts(), |row| {
-        Ok(hash_key_ref(
-            &key_of_ref(row.as_tuple()?, spec.left_keys()).expect("filtered"),
-        ))
-    })?;
-    let rparts = shuffle(&ctx, keyed_right.parts(), |row| {
-        Ok(hash_key_ref(
-            &key_of_ref(row.as_tuple()?, spec.right_keys()).expect("filtered"),
-        ))
-    })?;
-    let mut parts = run_partitioned(&ctx, &lparts, |p, lrows| {
-        join_partition(lrows, &rparts[p], spec)
-    })?;
-    if let Some(first) = parts.first_mut() {
-        first.extend(local_unmatched);
-    } else {
-        parts.push(local_unmatched);
-    }
-    DistCollection::materialize(ctx, parts)
-}
-
-/// Joins one co-partitioned pair, building the hash table on the smaller
-/// input.
-fn join_partition(lrows: &[Value], rrows: &[Value], spec: &JoinSpec) -> Result<Vec<Value>> {
-    let mut out = Vec::new();
-    let null_right = spec.null_right();
-    if lrows.len() <= rrows.len() && spec.kind() == JoinKind::Inner {
-        // Build on the left, probe with the right; keys stay borrowed on
-        // both sides.
-        let mut table: RefKeyTable<'_, Vec<&Value>> = RefKeyTable::with_capacity(lrows.len());
-        for row in lrows {
-            if let Some(key) = key_of_ref(row.as_tuple()?, spec.left_keys()) {
-                table.entry_or_insert_with(key, Vec::new).push(row);
-            }
-        }
-        for row in rrows {
-            let t = row.as_tuple()?;
-            if let Some(matches) = key_of_ref(t, spec.right_keys()).and_then(|k| table.get(&k)) {
-                let projected = spec.project_right(t);
-                for l in matches {
-                    out.push(Value::Tuple(l.as_tuple()?.concat(&projected)));
-                }
-            }
-        }
-    } else {
-        // Build on the right (always correct for left-outer), probe with the
-        // left.
-        let mut table: RefKeyTable<'_, Vec<Tuple>> = RefKeyTable::with_capacity(rrows.len());
-        for row in rrows {
-            let t = row.as_tuple()?;
-            if let Some(key) = key_of_ref(t, spec.right_keys()) {
-                table
-                    .entry_or_insert_with(key, Vec::new)
-                    .push(spec.project_right(t));
-            }
-        }
-        for row in lrows {
-            let t = row.as_tuple()?;
-            match key_of_ref(t, spec.left_keys()).and_then(|k| table.get(&k)) {
-                Some(matches) => {
-                    for r in matches {
-                        out.push(Value::Tuple(t.concat(r)));
-                    }
-                }
-                None => {
-                    if spec.kind() == JoinKind::LeftOuter {
-                        out.push(Value::Tuple(t.concat(&null_right)));
-                    }
-                }
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// Meters the replication of `side` to every worker and counts the strategy.
-fn meter_broadcast(ctx: &crate::DistContext, side: &DistCollection, skew: bool) {
-    let workers = ctx.config().workers.max(1) as u64;
-    // Rows broadcast as heap values: logical estimate == physical bytes.
-    let bytes = side.total_bytes() as u64 * workers;
-    ctx.stats()
-        .record_broadcast(side.len() as u64 * workers, bytes, bytes);
-    ctx.stats().record_join(if skew {
-        JoinStrategy::SkewBroadcast
-    } else {
-        JoinStrategy::Broadcast
-    });
 }

@@ -27,7 +27,7 @@
 //! build and probe valid rows (a NULL key can never satisfy an equality);
 //! grouping ignores validity and uses [`KeyCols::lanes_equal`], under which
 //! NULL and absent lanes are distinct from each other and from every value —
-//! the row engine's `project_tuple` grouping.
+//! grouping by the projected key *tuple*, as the reference evaluator does.
 //!
 //! Equality follows `Value::cmp`: `Int` against `Real` compares through the
 //! normalised real, NaN equals NaN, `-0.0` equals `0.0`, and two distinct

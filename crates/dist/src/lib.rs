@@ -5,39 +5,37 @@
 //! `trance-compiler` execute on (the role Spark plays for the paper's
 //! implementation).
 //!
-//! * [`DistCollection`] — rows hash-partitioned into
-//!   [`ClusterConfig::partitions`] slices; every operator (`map`, `filter`,
-//!   `flat_map`, `union`, `distinct`, `join`, `nest_sum`, `nest_bag`) runs
-//!   partition-parallel on the context's **persistent worker pool**
-//!   ([`scheduler::WorkerPool`], [`ClusterConfig::workers`] participants
-//!   with work-stealing deques — no per-operator thread spawn). Fused
-//!   operator pipelines compiled by `trance-compiler` execute
-//!   **morsel-by-morsel** through [`DistCollection::run_pipeline`] /
-//!   [`ColCollection::run_pipeline`] on the same pool.
-//! * [`DistContext`] — owns the cluster configuration and the shared
-//!   [`Stats`] counters (shuffled rows/bytes, broadcast volume, join
-//!   strategies taken, per-operator timings).
-//! * [`JoinSpec`] — equi-join specs executed as partitioned hash joins
-//!   (build on the smaller side) with automatic small-side broadcast.
-//! * [`SkewTriple`] — Section 5's skew handling: sampled heavy-key
-//!   detection, light/heavy splitting, shuffle joins for the light part and
-//!   heavy-key broadcast joins under [`ClusterConfig::with_broadcast_limit`],
-//!   re-merged with [`SkewTriple::merged`].
-//! * [`Batch`] / [`ColCollection`] — the **columnar representation**, the
-//!   default physical layer since the columnar refactor. A batch holds one
+//! * [`DistContext`] — owns the cluster configuration, the **persistent
+//!   worker pool** ([`scheduler::WorkerPool`], [`ClusterConfig::workers`]
+//!   participants with work-stealing deques — no per-operator thread spawn)
+//!   and the shared [`Stats`] counters (shuffled rows/bytes, broadcast
+//!   volume, join strategies taken, per-operator timings).
+//! * [`DistCollection`] — a plain partitioned container of `Value` rows:
+//!   how rows are loaded into the engine and handed back at the collect
+//!   boundary. Nothing executes on it.
+//! * [`Batch`] / [`ColCollection`] — the **columnar representation** every
+//!   operator runs on. A batch holds one
 //!   partition's rows as `Arc<Schema>` (attribute names once per batch) plus
 //!   typed columns: `i64`/`f64`/`bool`/date vectors, dictionary-encoded
 //!   strings (one concatenated byte buffer + `u32` offsets and codes), and
 //!   offset-encoded nested-bag columns whose elements form a child batch.
 //!   Validity is two bitmaps per column — `nulls` for explicit NULLs and
 //!   `absent` for attributes a row's tuple never carried, which keeps the
-//!   `Value` ↔ `Batch` round trip lossless. [`ColCollection`] mirrors the
-//!   whole operator suite over batches; its shuffles meter **exact physical
-//!   buffer bytes** ([`StatsSnapshot::shuffled_bytes_phys`]) next to the
-//!   row-equivalent logical estimate, while broadcast planning and the
-//!   memory cap use logical sizes so both representations take identical
-//!   plans. Batch schemas are the attribute sets of the optimized plan
-//!   operators that produce them — the same plans `--explain` renders.
+//!   `Value` ↔ `Batch` round trip lossless. [`ColCollection`] carries the
+//!   operator suite (row-local transforms, `union`, `distinct`, `unnest`,
+//!   `join`, `nest_sum`, `nest_bag`), each partition-parallel on the pool;
+//!   fused operator pipelines compiled by `trance-compiler` execute
+//!   **morsel-by-morsel** through [`ColCollection::run_pipeline`]. Shuffles
+//!   meter **exact physical buffer bytes**
+//!   ([`StatsSnapshot::shuffled_bytes_phys`]) next to the row-equivalent
+//!   logical estimate, while broadcast planning and the memory cap use
+//!   logical sizes. Batch schemas are the attribute sets of the optimized
+//!   plan operators that produce them — the same plans `--explain` renders.
+//! * [`JoinSpec`] — equi-join specs executed as partitioned hash joins with
+//!   automatic small-side broadcast ([`ColCollection::join`]), or skew-aware
+//!   as in Section 5 ([`ColCollection::skew_join`]): sampled heavy-key
+//!   detection, light/heavy splitting, a shuffle join for the light part and
+//!   a heavy-key broadcast join under [`ClusterConfig::with_broadcast_limit`].
 //!
 //! The engine also simulates the paper's FAIL runs: when a per-worker memory
 //! cap is configured ([`ClusterConfig::with_worker_memory`]), operators whose
@@ -72,7 +70,6 @@ mod keys;
 pub mod ops;
 mod partition;
 pub mod scheduler;
-pub mod skew;
 pub mod spill;
 pub mod stats;
 
@@ -84,7 +81,6 @@ pub use fault::{CancelToken, FaultInjector, FaultPlan, FaultSite};
 pub use join::{JoinHint, JoinKind, JoinSpec};
 pub use ops::DistCollection;
 pub use scheduler::{MorselCtx, WorkerPool};
-pub use skew::{detect_heavy_keys, SkewTriple};
 pub use stats::{ExprProgramStat, JoinStrategy, OpTiming, PipelineTiming, Stats, StatsSnapshot};
 
 /// Shape and limits of the simulated cluster.
@@ -515,13 +511,5 @@ impl DistContext {
     /// exclusion of input caching from measured runs.
     pub fn parallelize(&self, rows: Vec<Value>) -> DistCollection {
         DistCollection::parallelize(self.clone(), rows)
-    }
-
-    /// An empty collection over this context's partitions.
-    pub fn empty(&self) -> DistCollection {
-        DistCollection::from_parts(
-            self.clone(),
-            vec![Vec::new(); self.config().partitions.max(1)],
-        )
     }
 }

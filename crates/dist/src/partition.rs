@@ -1,23 +1,21 @@
-//! Partitioning primitives: the scoped-thread partition-parallel runner, the
-//! hash shuffle, worker memory accounting and key hashing.
+//! Partitioning primitives: the partition-parallel runner, round-robin
+//! loading and the `Value` definition of key hashing.
 //!
 //! The engine models a cluster of `workers` executors over `partitions` hash
 //! partitions (`partitions >= workers`, as on a real cluster where each
 //! executor owns several shuffle partitions). Partition `i` lives on worker
-//! `i % workers`; every operator runs its partitions on `workers` OS threads
-//! via [`std::thread::scope`], so operator closures only need `Send + Sync`,
-//! not `'static`.
+//! `i % workers`; every operator runs its partitions on the context's
+//! persistent worker pool, whose scoped task batches let operator closures
+//! borrow (`Send + Sync`, not `'static`).
 
 use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::Mutex;
 
-use trance_nrc::{Tuple, Value};
+use trance_nrc::Value;
 
 use crate::error::{ExecError, Result};
-use crate::fault::{with_retry, FaultSite};
-use crate::ops::RowPart;
+use crate::fault::with_retry;
 use crate::DistContext;
 
 /// Below this many total rows an operator runs on the calling thread: the
@@ -163,32 +161,6 @@ where
     Ok(out)
 }
 
-/// Enforces the simulated per-worker memory cap on a freshly materialized
-/// partition set. Partition `i` is charged to worker `i % workers`. Only
-/// reached with spilling off; partitions already on disk (left over from a
-/// spill-enabled producer) still charge their logical size — turning
-/// spilling off mid-pipeline does not grant free memory.
-pub(crate) fn enforce_memory(ctx: &DistContext, parts: &[RowPart]) -> Result<()> {
-    let Some(limit) = ctx.config().worker_memory else {
-        return Ok(());
-    };
-    let workers = ctx.config().workers.max(1);
-    let mut used = vec![0usize; workers];
-    for (i, part) in parts.iter().enumerate() {
-        used[i % workers] += part.logical_bytes();
-    }
-    for (worker, used_bytes) in used.into_iter().enumerate() {
-        if used_bytes > limit {
-            return Err(ExecError::MemoryExceeded {
-                worker,
-                used_bytes,
-                limit_bytes: limit,
-            });
-        }
-    }
-    Ok(())
-}
-
 /// Hash of an arbitrary value, stable within a process run.
 pub(crate) fn hash_value(v: &Value) -> u64 {
     let mut h = DefaultHasher::new();
@@ -196,127 +168,12 @@ pub(crate) fn hash_value(v: &Value) -> u64 {
     h.finish()
 }
 
-/// Hash of a multi-column key.
+/// Hash of a multi-column key — the definition the typed key hashes of
+/// `keys.rs` are proven equal to.
 pub(crate) fn hash_key(key: &[Value]) -> u64 {
     let mut h = DefaultHasher::new();
     for v in key {
         v.hash(&mut h);
     }
     h.finish()
-}
-
-/// Hash of a borrowed multi-column key; agrees with [`hash_key`] for equal
-/// values, so probe-side keys never need cloning.
-pub(crate) fn hash_key_ref(key: &[&Value]) -> u64 {
-    let mut h = DefaultHasher::new();
-    for v in key {
-        (*v).hash(&mut h);
-    }
-    h.finish()
-}
-
-/// Extracts the values of `cols` from a row as a join/grouping key.
-///
-/// Returns `None` when any key column is missing or NULL: such rows can never
-/// satisfy an equality predicate (`NULL = x` is false in the compiled
-/// predicates), so inner joins drop them and outer joins emit them unmatched.
-pub(crate) fn key_of(t: &Tuple, cols: &[String]) -> Option<Vec<Value>> {
-    key_of_ref(t, cols).map(|key| key.into_iter().cloned().collect())
-}
-
-/// Borrowing variant of [`key_of`]: the hash-join build and probe loops use
-/// this so no key value is cloned per row.
-pub(crate) fn key_of_ref<'a>(t: &'a Tuple, cols: &[String]) -> Option<Vec<&'a Value>> {
-    let slots = t.project_values(cols);
-    let mut key = Vec::with_capacity(cols.len());
-    for slot in slots {
-        match slot {
-            Some(Value::Null) | None => return None,
-            Some(v) => key.push(v),
-        }
-    }
-    Some(key)
-}
-
-/// A hash table keyed by borrowed multi-column keys, probe-able with keys of
-/// a *different* lifetime (the scoped-thread closures' reborrowed rows):
-/// entries bucket by [`hash_key_ref`] and compare by value. This is what lets
-/// the hash joins build and probe without cloning a single key value.
-pub(crate) struct RefKeyTable<'a, V> {
-    buckets: HashMap<u64, Vec<(Vec<&'a Value>, V)>>,
-}
-
-impl<'a, V> RefKeyTable<'a, V> {
-    pub(crate) fn with_capacity(n: usize) -> Self {
-        RefKeyTable {
-            buckets: HashMap::with_capacity(n),
-        }
-    }
-
-    /// Returns the slot for `key`, inserting `default()` when absent.
-    pub(crate) fn entry_or_insert_with(
-        &mut self,
-        key: Vec<&'a Value>,
-        default: impl FnOnce() -> V,
-    ) -> &mut V {
-        let bucket = self.buckets.entry(hash_key_ref(&key)).or_default();
-        match bucket.iter().position(|(k, _)| k == &key) {
-            Some(i) => &mut bucket[i].1,
-            None => {
-                bucket.push((key, default()));
-                &mut bucket.last_mut().expect("just pushed").1
-            }
-        }
-    }
-
-    /// Looks up a probe key of any lifetime.
-    pub(crate) fn get(&self, key: &[&Value]) -> Option<&V> {
-        self.buckets.get(&hash_key_ref(key)).and_then(|bucket| {
-            bucket
-                .iter()
-                .find(|(k, _)| k.len() == key.len() && k.iter().zip(key).all(|(a, b)| *a == *b))
-                .map(|(_, v)| v)
-        })
-    }
-}
-
-/// Repartitions rows by `route` (a hash per row), metering the move as a
-/// shuffle under `op`. Returns the new partition set (same partition count).
-pub(crate) fn shuffle<F>(ctx: &DistContext, parts: &[RowPart], route: F) -> Result<Vec<Vec<Value>>>
-where
-    F: Fn(&Value) -> Result<u64> + Send + Sync,
-{
-    let nparts = ctx.config().partitions.max(1);
-    let bucketed = run_partitioned(ctx, parts, |_, part| {
-        // The shuffle-delivery injection point: a fault fails this source
-        // partition's whole routing pass before any bucket ships, so a
-        // retry rebuilds the delivery from scratch (no partial double
-        // send).
-        with_retry(ctx, || {
-            ctx.fault_check(FaultSite::Shuffle)?;
-            let rows = part.rows(ctx)?;
-            let mut buckets: Vec<Vec<Value>> = (0..nparts).map(|_| Vec::new()).collect();
-            let mut bytes = 0u64;
-            for row in rows.iter() {
-                bytes += trance_nrc::MemSize::mem_size(row) as u64;
-                let target = (route(row)? % nparts as u64) as usize;
-                buckets[target].push(row.clone());
-            }
-            Ok((buckets, rows.len() as u64, bytes))
-        })
-    })?;
-    let mut out: Vec<Vec<Value>> = (0..nparts).map(|_| Vec::new()).collect();
-    let mut tuples = 0u64;
-    let mut bytes = 0u64;
-    for (buckets, t, b) in bucketed {
-        tuples += t;
-        bytes += b;
-        for (target, bucket) in buckets.into_iter().enumerate() {
-            out[target].extend(bucket);
-        }
-    }
-    // Rows ship as heap values: the logical estimate *is* the physical
-    // representation, so both counters advance by the same amount.
-    ctx.stats().record_shuffle(tuples, bytes, bytes);
-    Ok(out)
 }

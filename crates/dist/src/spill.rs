@@ -1,8 +1,8 @@
 //! The engine side of the out-of-core subsystem: the compact on-disk
-//! serialization of [`Batch`] and of row partitions, plus the spilled-part
-//! bookkeeping the operators use.
+//! serialization of [`Batch`], plus the spilled-part bookkeeping the
+//! operators use.
 //!
-//! A spilled **columnar** partition is a `trance-store` spill file whose
+//! A spilled partition is a `trance-store` spill file whose
 //! frames are encoded batch chunks (at most [`SPILL_CHUNK_ROWS`] rows each):
 //! schema header (field names + opaque flag), then one typed column per
 //! attribute — `i64`/`f64`/`bool`/date vectors, string dictionaries
@@ -12,17 +12,12 @@
 //! in-memory `Value` ↔ `Batch` path; `dist/tests/spill_roundtrip.rs` holds it
 //! to strict equality on random nested batches.
 //!
-//! A spilled **row** partition stores frames of encoded `Vec<Value>` chunks
-//! (the `trance-store` value codec), so the row-representation differential
-//! oracle spills through the same machinery.
-//!
 //! All writes and reads are metered into the context [`crate::Stats`]
 //! (`spilled_bytes`, `spill_files`, `spill_micros`).
 
 use std::sync::Arc;
 use std::time::Instant;
 
-use trance_nrc::{MemSize, Value};
 use trance_store::{
     decode_value, encode_value, ByteReader, ByteWriter, SpillHandle, SpillReader, Spillable,
 };
@@ -343,56 +338,12 @@ impl SpilledBatches {
     }
 }
 
-/// A row partition resident on disk.
-#[derive(Debug)]
-pub struct SpilledRows {
-    handle: SpillHandle,
-    rows: usize,
-    bytes: usize,
-}
-
-impl SpilledRows {
-    /// Number of rows on disk.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// `Value::mem_size` bytes the partition had in memory.
-    pub fn bytes(&self) -> usize {
-        self.bytes
-    }
-}
-
 /// True for a batch carrying no information at all — no rows *and* no
 /// schema. Such batches are skipped by both the resident accumulation path
 /// and the spill writer (one shared predicate, so whether a partition
 /// spilled cannot change which batches survive).
 pub(crate) fn batch_is_void(batch: &Batch) -> bool {
     batch.is_empty() && batch.schema().fields().is_empty()
-}
-
-/// The memory governor pass every materialization runs under spilling: maps
-/// each partition to its resident bytes, asks the governor for victims, and
-/// replaces each victim with its spilled form — one definition serving both
-/// the row and the columnar engine, so victim policy cannot drift between
-/// the differential twins.
-pub(crate) fn govern_materialized<P>(
-    ctx: &DistContext,
-    parts: &mut [P],
-    resident_bytes: impl Fn(&P) -> usize,
-    spill_part: impl Fn(&P) -> Result<P>,
-) -> Result<()> {
-    let gov = trance_store::MemoryGovernor::new(
-        ctx.config()
-            .worker_memory
-            .expect("spill_active implies a worker memory cap"),
-        ctx.config().workers,
-    );
-    let sizes: Vec<usize> = parts.iter().map(&resident_bytes).collect();
-    for victim in gov.plan_spills(&sizes) {
-        parts[victim] = spill_part(&parts[victim])?;
-    }
-    Ok(())
 }
 
 /// Splits a batch into row-range chunks of at most [`SPILL_CHUNK_ROWS`] rows
@@ -546,52 +497,4 @@ pub(crate) fn batch_frames<'a>(
 pub(crate) fn read_batches(ctx: &DistContext, spilled: &SpilledBatches) -> Result<Batch> {
     let chunks: Vec<Batch> = batch_frames(ctx, spilled)?.collect::<Result<_>>()?;
     Ok(Batch::concat(&chunks))
-}
-
-/// Spills one row partition (chunked into frames of [`SPILL_CHUNK_ROWS`]).
-pub(crate) fn spill_rows(ctx: &DistContext, rows: &[Value]) -> Result<SpilledRows> {
-    let start = Instant::now();
-    let manager = ctx.spill_manager()?;
-    let mut file = manager.create()?;
-    let mut bytes = 0usize;
-    for chunk in rows.chunks(SPILL_CHUNK_ROWS.max(1)) {
-        ctx.check_cancel()?;
-        with_retry(ctx, || ctx.fault_check(FaultSite::SpillWrite))?;
-        bytes += chunk.iter().map(MemSize::mem_size).sum::<usize>();
-        let mut w = ByteWriter::new();
-        w.len_u32(chunk.len(), "row chunk")?;
-        for v in chunk {
-            encode_value(v, &mut w)?;
-        }
-        file.append(&w.into_bytes())?;
-    }
-    let file_bytes = file.bytes();
-    let handle = file.finish()?;
-    ctx.stats().record_spill(file_bytes, 1, start.elapsed());
-    Ok(SpilledRows {
-        handle,
-        rows: rows.len(),
-        bytes,
-    })
-}
-
-/// Reads a whole spilled row partition back.
-pub(crate) fn read_rows(ctx: &DistContext, spilled: &SpilledRows) -> Result<Vec<Value>> {
-    let start = Instant::now();
-    let mut reader = spilled.handle.open()?;
-    let mut out = Vec::with_capacity(spilled.rows);
-    loop {
-        ctx.check_cancel()?;
-        with_retry(ctx, || ctx.fault_check(FaultSite::SpillRead))?;
-        let Some(frame) = reader.next_frame()? else {
-            break;
-        };
-        let mut r = ByteReader::new(&frame);
-        let n = r.u32().map_err(crate::error::ExecError::from)? as usize;
-        for _ in 0..n {
-            out.push(decode_value(&mut r).map_err(crate::error::ExecError::from)?);
-        }
-    }
-    ctx.stats().record_spill(0, 0, start.elapsed());
-    Ok(out)
 }

@@ -145,13 +145,11 @@ impl Stats {
 
     /// Meters rows moving through a shuffle (repartition-by-key).
     ///
-    /// `bytes` is the *logical* volume — the row-equivalent
-    /// `Value::mem_size` estimate both representations report so their cells
-    /// stay comparable. `phys_bytes` is the *exact physical* buffer volume
-    /// actually shipped: for the row representation the two coincide (rows
-    /// ship as heap values), for the columnar representation it is the batch
-    /// buffer size with the schema and string dictionaries counted once per
-    /// batch.
+    /// `bytes` is the *logical* volume — `Σ Value::mem_size` of the rows,
+    /// what they would ship as heap values, independent of how a batch
+    /// encodes them. `phys_bytes` is the *exact physical* buffer volume
+    /// actually shipped: the batch buffer size with the schema and string
+    /// dictionaries counted once per batch.
     pub fn record_shuffle(&self, tuples: u64, bytes: u64, phys_bytes: u64) {
         self.shuffled_tuples.fetch_add(tuples, Ordering::Relaxed);
         self.shuffled_bytes.fetch_add(bytes, Ordering::Relaxed);

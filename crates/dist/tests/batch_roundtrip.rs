@@ -174,4 +174,33 @@ fn physical_accounting_beats_logical_on_typed_data() {
         batch.physical_bytes(),
         row_bytes
     );
+
+    // The logical law holds through offset-encoded bag columns too — empty
+    // and NULL bags included — which is what lets a shuffle of nested rows
+    // report the bytes those rows would occupy as heap values.
+    let nested: Vec<Value> = (0..200)
+        .map(|i| {
+            let items = match i % 5 {
+                0 => Value::Null,
+                n => Value::bag(
+                    (0..n - 1)
+                        .map(|j| {
+                            Value::tuple([
+                                ("pid", Value::Int(j)),
+                                ("note", Value::str(format!("item {j} of {i}"))),
+                            ])
+                        })
+                        .collect(),
+                ),
+            };
+            Value::tuple([("id", Value::Int(i)), ("items", items)])
+        })
+        .collect();
+    let batch = Batch::from_rows(&nested);
+    assert_eq!(
+        batch.logical_bytes(),
+        nested.iter().map(MemSize::mem_size).sum::<usize>(),
+        "logical accounting must equal mem_size on nested-bag batches"
+    );
+    assert!(batch.physical_bytes() < batch.logical_bytes());
 }

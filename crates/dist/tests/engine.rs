@@ -1,17 +1,36 @@
-//! Engine-level tests: partition parallelism, operator semantics, the
-//! skew-aware join path (heavy-key detection, light ∪ heavy correctness on a
-//! Zipf-skewed input, broadcast-limit fallback) and the memory-cap FAIL
-//! behaviour.
+//! Engine-level tests of the operator suite ([`ColCollection`]): partition
+//! parallelism, operator semantics, the skew-aware join path (heavy-key
+//! detection, light ∪ heavy correctness on a Zipf-skewed input,
+//! broadcast-limit fallback) and the memory-cap FAIL behaviour — each
+//! against a nested-loop or sequential oracle written out here.
 
 use std::collections::HashSet;
 use std::sync::Mutex;
 use std::thread::ThreadId;
 
-use trance_dist::{detect_heavy_keys, ClusterConfig, DistContext, ExecError, JoinSpec, SkewTriple};
+use trance_dist::{
+    Batch, ClusterConfig, ColCollection, DistContext, ExecError, JoinHint, JoinSpec,
+};
 use trance_nrc::{Bag, Tuple, Value};
 
 fn row(k: i64, v: i64) -> Value {
     Value::tuple([("k", Value::Int(k)), ("v", Value::Int(v))])
+}
+
+/// Loads `rows` round-robin and converts them to batches (unmetered and
+/// uncapped, like every input load).
+fn load(ctx: &DistContext, rows: Vec<Value>) -> ColCollection {
+    ColCollection::ingest(&ctx.parallelize(rows), &[]).unwrap()
+}
+
+/// Applies `f` to every row of a batch.
+fn map_rows(b: &Batch, f: impl Fn(&Tuple) -> Value) -> Batch {
+    let rows: Vec<Value> = b
+        .to_rows()
+        .iter()
+        .map(|v| f(v.as_tuple().unwrap()))
+        .collect();
+    Batch::from_rows(&rows)
 }
 
 /// A deterministic Zipf-flavoured fact table: key 0 owns `heavy_share` of the
@@ -83,13 +102,13 @@ fn operators_run_partition_parallel_across_workers() {
     // threads — not that every participant won a task.
     let ctx = DistContext::new(ClusterConfig::new(4, 8));
     assert_eq!(ctx.pool().participants(), 4);
-    let data = ctx.parallelize((0..800).map(|i| row(i, i)).collect());
+    let data = load(&ctx, (0..800).map(|i| row(i, i)).collect());
     let threads: Mutex<HashSet<ThreadId>> = Mutex::new(HashSet::new());
     let out = data
-        .map(|v| {
+        .map_batches("map", |b| {
             threads.lock().unwrap().insert(std::thread::current().id());
-            std::thread::sleep(std::time::Duration::from_micros(100));
-            Ok(v.clone())
+            std::thread::sleep(std::time::Duration::from_millis(10));
+            Ok(b.clone())
         })
         .unwrap();
     assert_eq!(out.len(), 800);
@@ -104,14 +123,17 @@ fn operators_run_partition_parallel_across_workers() {
 #[test]
 fn single_worker_runs_inline() {
     let ctx = DistContext::new(ClusterConfig::new(1, 4));
-    let data = ctx.parallelize((0..1000).map(|i| row(i, i)).collect());
+    let data = load(&ctx, (0..1000).map(|i| row(i, i)).collect());
     let threads: Mutex<HashSet<ThreadId>> = Mutex::new(HashSet::new());
-    data.map(|v| {
+    data.map_batches("map", |b| {
         threads.lock().unwrap().insert(std::thread::current().id());
-        Ok(v.clone())
+        Ok(b.clone())
     })
     .unwrap();
-    assert_eq!(threads.lock().unwrap().len(), 1);
+    assert_eq!(
+        *threads.lock().unwrap(),
+        HashSet::from([std::thread::current().id()])
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -121,23 +143,40 @@ fn single_worker_runs_inline() {
 #[test]
 fn map_filter_union_distinct_roundtrip() {
     let ctx = DistContext::new(ClusterConfig::new(3, 6));
-    let a = ctx.parallelize((0..50).map(|i| row(i % 5, i)).collect());
+    let a = load(&ctx, (0..50).map(|i| row(i % 5, i)).collect());
     let evens = a
-        .filter(|v| Ok(v.as_tuple()?.get("v").unwrap().as_int()? % 2 == 0))
+        .filter_mask(|b| {
+            Ok((0..b.rows())
+                .map(|i| matches!(b.value_at(i, "v"), Some(Value::Int(v)) if v % 2 == 0))
+                .collect())
+        })
         .unwrap();
     assert_eq!(evens.len(), 25);
     let doubled = evens
-        .map(|v| {
-            let mut t = v.as_tuple()?.clone();
-            let x = t.get("v").unwrap().as_int()?;
-            t.set("v", Value::Int(x * 2));
-            Ok(Value::Tuple(t))
+        .map_batches("map", |b| {
+            Ok(map_rows(b, |t| {
+                let mut t = t.clone();
+                let x = t.get("v").unwrap().as_int().unwrap();
+                t.set("v", Value::Int(x * 2));
+                Value::Tuple(t)
+            }))
         })
         .unwrap();
     let unioned = doubled.union(&evens).unwrap();
     assert_eq!(unioned.len(), 50);
+    // Every even `v` appears once as itself; doubling maps 0 to 0 as well.
+    let mut vs: Vec<i64> = unioned
+        .collect_bag()
+        .unwrap()
+        .iter()
+        .map(|r| r.as_tuple().unwrap().get("v").unwrap().as_int().unwrap())
+        .collect();
+    vs.sort();
+    let mut want: Vec<i64> = (0..50).step_by(2).flat_map(|v| [v, v * 2]).collect();
+    want.sort();
+    assert_eq!(vs, want);
     let keys = unioned
-        .map(|v| Ok(v.as_tuple()?.get("k").unwrap().clone()))
+        .map_batches("map", |b| Ok(b.project_fields(&["k".to_string()])))
         .unwrap()
         .distinct()
         .unwrap();
@@ -152,12 +191,11 @@ fn nest_sum_matches_sequential_aggregation() {
     for i in 0..1000i64 {
         expected[(i % 7) as usize] += i;
     }
-    let data = ctx.parallelize(rows);
-    let summed = data
+    let summed = load(&ctx, rows)
         .nest_sum(&["k".to_string()], &["v".to_string()])
         .unwrap();
     assert_eq!(summed.len(), 7);
-    for v in summed.collect() {
+    for v in summed.collect_bag().unwrap() {
         let t = v.as_tuple().unwrap();
         let k = t.get("k").unwrap().as_int().unwrap();
         assert_eq!(t.get("v").unwrap().as_int().unwrap(), expected[k as usize]);
@@ -167,10 +205,11 @@ fn nest_sum_matches_sequential_aggregation() {
 #[test]
 fn with_unique_id_assigns_distinct_ids() {
     let ctx = DistContext::new(ClusterConfig::new(4, 8));
-    let data = ctx.parallelize((0..500).map(|i| row(i % 3, i)).collect());
+    let data = load(&ctx, (0..500).map(|i| row(i % 3, i)).collect());
     let tagged = data.with_unique_id("__id").unwrap();
     let ids: HashSet<i64> = tagged
-        .collect()
+        .collect_bag()
+        .unwrap()
         .iter()
         .map(|v| v.as_tuple().unwrap().get("__id").unwrap().as_int().unwrap())
         .collect();
@@ -181,9 +220,9 @@ fn with_unique_id_assigns_distinct_ids() {
 fn memory_cap_fails_operators_but_not_loading() {
     let ctx = DistContext::new(ClusterConfig::new(2, 4).with_worker_memory(500));
     // Loading is not capped (the paper excludes input caching)...
-    let data = ctx.parallelize((0..200).map(|i| row(i, i)).collect());
+    let data = load(&ctx, (0..200).map(|i| row(i, i)).collect());
     // ...but the first operator that materializes output is.
-    let result = data.map(|v| Ok(v.clone()));
+    let result = data.map_batches("map", |b| Ok(b.clone()));
     match result {
         Err(ExecError::MemoryExceeded { limit_bytes, .. }) => assert_eq!(limit_bytes, 500),
         other => panic!("expected MemoryExceeded, got {other:?}"),
@@ -194,24 +233,45 @@ fn memory_cap_fails_operators_but_not_loading() {
 // skew handling (Section 5)
 // ---------------------------------------------------------------------------
 
+/// How many keys a skew join over `facts ⋈ dim_rows(keys)` treated as heavy,
+/// read off the engine's own counters: the dimension holds one row per key,
+/// the light part is forced through a shuffle, so the only rows broadcast
+/// are the heavy keys' dimension rows — once per worker.
+fn heavy_keys_joined(config: ClusterConfig, facts: Vec<Value>, keys: i64) -> u64 {
+    let workers = config.workers as u64;
+    let ctx = DistContext::new(config);
+    let spec = JoinSpec::inner(&["k"], &["dk"]).with_hint(JoinHint::Shuffle);
+    let joined = load(&ctx, facts.clone())
+        .skew_join(&load(&ctx, dim_rows(keys)), &spec)
+        .unwrap();
+    assert_eq!(joined.len(), facts.len());
+    let snap = ctx.stats().snapshot();
+    assert_eq!(snap.skew_fallback_joins, 0);
+    assert_eq!(snap.broadcast_joins, 0);
+    assert_eq!(
+        snap.skew_broadcast_joins > 0,
+        snap.broadcast_tuples > 0,
+        "heavy keys are joined by exactly one skew broadcast: {snap:?}"
+    );
+    snap.broadcast_tuples / workers
+}
+
 #[test]
 fn heavy_key_detection_respects_threshold() {
-    let ctx = DistContext::new(ClusterConfig::new(2, 4).with_skew_threshold(0.25));
-    // Key 0: 50% of rows; key 1: ~5% — only key 0 crosses the 25% threshold.
-    let data = ctx.parallelize(skewed_rows(2000, 11, 0.5));
-    let heavy = detect_heavy_keys(&data, &["k".to_string()], ctx.config()).unwrap();
-    assert_eq!(heavy, HashSet::from([vec![Value::Int(0)]]));
+    // Key 0: 50% of rows; keys 1–10: 5% each — only key 0 crosses the 25%
+    // threshold.
+    let facts = skewed_rows(2000, 11, 0.5);
+    let quarter = ClusterConfig::new(2, 4).with_skew_threshold(0.25);
+    assert_eq!(heavy_keys_joined(quarter, facts.clone(), 11), 1);
 
     // With a 1% threshold every key (each ≥ 5% of rows) is heavy.
-    let low = ctx.config().clone().with_skew_threshold(0.01);
-    let heavy = detect_heavy_keys(&data, &["k".to_string()], &low).unwrap();
-    assert_eq!(heavy.len(), 11);
+    let low = ClusterConfig::new(2, 4).with_skew_threshold(0.01);
+    assert_eq!(heavy_keys_joined(low, facts, 11), 11);
 
     // A uniform distribution over many keys has no heavy keys at the default
     // (1/partitions) threshold.
-    let uniform = ctx.parallelize((0..2000).map(|i| row(i % 100, i)).collect());
-    let heavy = detect_heavy_keys(&uniform, &["k".to_string()], &ClusterConfig::new(2, 4)).unwrap();
-    assert!(heavy.is_empty(), "uniform keys misdetected: {heavy:?}");
+    let uniform: Vec<Value> = (0..2000).map(|i| row(i % 100, i)).collect();
+    assert_eq!(heavy_keys_joined(ClusterConfig::new(2, 4), uniform, 100), 0);
 }
 
 #[test]
@@ -221,24 +281,25 @@ fn skew_join_on_zipf_input_equals_nested_loop_join() {
     let expected = nested_loop_join(&facts, &dims);
 
     let ctx = DistContext::new(ClusterConfig::new(4, 16).with_broadcast_limit(16 * 1024));
-    let left = ctx.parallelize(facts);
-    let right = ctx.parallelize(dims);
+    let left = load(&ctx, facts);
+    let right = load(&ctx, dims);
     let spec = JoinSpec::inner(&["k"], &["dk"]);
 
     let standard = left.join(&right, &spec).unwrap();
-    let skewed = SkewTriple::unknown(left.clone())
-        .join(&right, &spec)
-        .unwrap();
-    assert!(
-        skewed.heavy_key_count() >= 1,
-        "key 0 must be detected heavy"
+    assert_eq!(ctx.stats().snapshot().skew_broadcast_joins, 0);
+    let skewed = left.skew_join(&right, &spec).unwrap();
+
+    assert_eq!(
+        canonical(&expected),
+        canonical(&standard.collect_bag().unwrap())
     );
-    let merged = skewed.merged().unwrap();
+    assert_eq!(
+        canonical(&expected),
+        canonical(&skewed.collect_bag().unwrap())
+    );
 
-    assert_eq!(canonical(&expected), canonical(&standard.collect_bag()));
-    assert_eq!(canonical(&expected), canonical(&merged.collect_bag()));
-
-    // The skew path must have taken the heavy-key broadcast strategy.
+    // Key 0 must have been detected heavy and joined by the heavy-key
+    // broadcast strategy.
     let snap = ctx.stats().snapshot();
     assert!(
         snap.skew_broadcast_joins >= 1,
@@ -252,21 +313,35 @@ fn skew_left_outer_join_preserves_unmatched_rows() {
     // NULL-extended right fields, identically on both paths.
     let facts = skewed_rows(2000, 20, 0.5);
     let dims = dim_rows(10);
+    let expected: Bag = facts
+        .iter()
+        .map(|f| {
+            let mut t = f.as_tuple().unwrap().clone();
+            let k = t.get("k").unwrap().as_int().unwrap();
+            let name = if k < 10 {
+                Value::str(format!("key{k}"))
+            } else {
+                Value::Null
+            };
+            t.set("name", name);
+            Value::Tuple(t)
+        })
+        .collect();
     let ctx = DistContext::new(ClusterConfig::new(3, 8).with_broadcast_limit(8 * 1024));
-    let left = ctx.parallelize(facts);
-    let right = ctx.parallelize(dims);
+    let left = load(&ctx, facts);
+    let right = load(&ctx, dims);
     let spec = JoinSpec::left_outer(&["k"], &["dk"]).with_right_fields(&["name"]);
     let standard = left.join(&right, &spec).unwrap();
-    let skewed = SkewTriple::unknown(left.clone())
-        .join(&right, &spec)
-        .unwrap()
-        .merged()
-        .unwrap();
+    let skewed = left.skew_join(&right, &spec).unwrap();
+    assert!(ctx.stats().snapshot().skew_broadcast_joins >= 1);
     assert_eq!(
-        canonical(&standard.collect_bag()),
-        canonical(&skewed.collect_bag())
+        canonical(&expected),
+        canonical(&standard.collect_bag().unwrap())
     );
-    assert_eq!(standard.len(), 2000);
+    assert_eq!(
+        canonical(&expected),
+        canonical(&skewed.collect_bag().unwrap())
+    );
 }
 
 #[test]
@@ -276,30 +351,17 @@ fn skew_join_falls_back_to_shuffle_over_broadcast_limit() {
     let dims: Vec<Value> = (0..30)
         .map(|k| Value::tuple([("dk", Value::Int(k)), ("pad", Value::str("x".repeat(256)))]))
         .collect();
-    let expected = {
-        let mut out = Bag::empty();
-        for l in &facts {
-            let lt = l.as_tuple().unwrap();
-            for r in &dims {
-                let rt = r.as_tuple().unwrap();
-                if lt.get("k") == rt.get("dk") {
-                    out.push(Value::Tuple(lt.concat(rt)));
-                }
-            }
-        }
-        out
-    };
+    let expected = nested_loop_join(&facts, &dims);
     // Broadcast limit smaller than a single padded dimension row.
     let ctx = DistContext::new(ClusterConfig::new(4, 8).with_broadcast_limit(128));
-    let left = ctx.parallelize(facts);
-    let right = ctx.parallelize(dims);
     let spec = JoinSpec::inner(&["k"], &["dk"]);
-    let merged = SkewTriple::unknown(left)
-        .join(&right, &spec)
-        .unwrap()
-        .merged()
+    let merged = load(&ctx, facts)
+        .skew_join(&load(&ctx, dims), &spec)
         .unwrap();
-    assert_eq!(canonical(&expected), canonical(&merged.collect_bag()));
+    assert_eq!(
+        canonical(&expected),
+        canonical(&merged.collect_bag().unwrap())
+    );
     let snap = ctx.stats().snapshot();
     assert!(
         snap.skew_fallback_joins >= 1,
@@ -311,19 +373,26 @@ fn skew_join_falls_back_to_shuffle_over_broadcast_limit() {
 #[test]
 fn skew_nest_sum_equals_standard_nest_sum() {
     let rows = skewed_rows(3000, 25, 0.7);
+    let mut expected = [0i64; 25];
+    for r in &rows {
+        let t = r.as_tuple().unwrap();
+        let k = t.get("k").unwrap().as_int().unwrap();
+        expected[k as usize] += t.get("v").unwrap().as_int().unwrap();
+    }
+    let expected: Bag = (0..25).map(|k| row(k, expected[k as usize])).collect();
     let ctx = DistContext::new(ClusterConfig::new(4, 8));
-    let data = ctx.parallelize(rows);
+    let data = load(&ctx, rows);
     let key = vec!["k".to_string()];
     let values = vec!["v".to_string()];
     let standard = data.nest_sum(&key, &values).unwrap();
-    let skewed = SkewTriple::unknown(data.clone())
-        .nest_sum(&key, &values)
-        .unwrap()
-        .merged()
-        .unwrap();
+    let skewed = data.nest_sum_skew(&key, &values).unwrap();
     assert_eq!(
-        canonical(&standard.collect_bag()),
-        canonical(&skewed.collect_bag())
+        canonical(&expected),
+        canonical(&standard.collect_bag().unwrap())
+    );
+    assert_eq!(
+        canonical(&expected),
+        canonical(&skewed.collect_bag().unwrap())
     );
 }
 
@@ -339,15 +408,15 @@ fn skew_join_shuffles_less_than_standard_on_heavy_input() {
     // dimension over the broadcast limit, but leave room to broadcast the
     // heavy-matching rows.
     let standard_ctx = DistContext::new(ClusterConfig::new(4, 16).with_broadcast_limit(512));
-    let l = standard_ctx.parallelize(facts.clone());
-    let r = standard_ctx.parallelize(dims.clone());
+    let l = load(&standard_ctx, facts.clone());
+    let r = load(&standard_ctx, dims.clone());
     l.join(&r, &spec).unwrap();
     let standard_shuffled = standard_ctx.stats().snapshot().shuffled_tuples;
 
     let skew_ctx = DistContext::new(ClusterConfig::new(4, 16).with_broadcast_limit(512));
-    let l = skew_ctx.parallelize(facts);
-    let r = skew_ctx.parallelize(dims);
-    SkewTriple::unknown(l).join(&r, &spec).unwrap();
+    let l = load(&skew_ctx, facts);
+    let r = load(&skew_ctx, dims);
+    l.skew_join(&r, &spec).unwrap();
     let skew_shuffled = skew_ctx.stats().snapshot().shuffled_tuples;
 
     assert!(

@@ -114,58 +114,6 @@ fn columnar_pipeline_matches_staged_chain_rows_and_order() {
 }
 
 #[test]
-fn row_pipeline_matches_staged_chain_rows_and_order() {
-    for workers in [1, 2, 7] {
-        let ctx = DistContext::new(ClusterConfig::new(workers, 8));
-        let data = ctx.parallelize((0..20_000).map(|i| row(i % 50, i)).collect());
-        let staged = data
-            .filter(|v| Ok(v.as_tuple()?.get("v").unwrap().as_int()? % 3 == 0))
-            .unwrap()
-            .map(|v| {
-                let mut t = v.as_tuple()?.clone();
-                let x = t.get("v").unwrap().as_int()?;
-                t.set("v2", Value::Int(x * 2));
-                Ok(Value::Tuple(t))
-            })
-            .unwrap();
-        let fused = data
-            .run_pipeline(
-                "pipeline[select+extend]",
-                &["select".to_string(), "extend".to_string()],
-                false,
-                |rows, _| {
-                    let mut out = Vec::new();
-                    for v in rows {
-                        let t = v.as_tuple()?;
-                        if t.get("v").unwrap().as_int()? % 3 != 0 {
-                            continue;
-                        }
-                        let mut t = t.clone();
-                        let x = t.get("v").unwrap().as_int()?;
-                        t.set("v2", Value::Int(x * 2));
-                        out.push(Value::Tuple(t));
-                    }
-                    Ok(out)
-                },
-            )
-            .unwrap();
-        let staged_parts: Vec<Vec<Value>> = staged
-            .partitions()
-            .unwrap()
-            .iter()
-            .map(|p| p.to_vec())
-            .collect();
-        let fused_parts: Vec<Vec<Value>> = fused
-            .partitions()
-            .unwrap()
-            .iter()
-            .map(|p| p.to_vec())
-            .collect();
-        assert_eq!(staged_parts, fused_parts, "workers={workers}");
-    }
-}
-
-#[test]
 fn sequential_pipeline_reproduces_staged_unique_ids_exactly() {
     let ctx = DistContext::new(ClusterConfig::new(4, 8));
     let data = col_ingest(&ctx, (0..9_000).map(|i| row(i % 10, i)).collect());

@@ -1,13 +1,10 @@
-//! Key edge semantics of the columnar breakers, pinned three ways: the typed
-//! path (`ColCollection`) must equal the `Value` definition written out here
-//! and the row engine (`DistCollection`) on join keys that are equal only
-//! under `Value::cmp` (Int vs Real, NaN, signed zero), on `i64` keys whose
+//! Key edge semantics of the breakers, pinned two ways: the typed path
+//! (`ColCollection`) must equal the `Value` definition written out here on
+//! join keys that are equal only under `Value::cmp` (Int vs Real, NaN, signed zero), on `i64` keys whose
 //! hashes collide, on NULL vs absent grouping keys, on empty and all-absent
 //! key columns, on mixed Int/Real sums, and on `sumBy` overflow.
 
-use trance_dist::{
-    ClusterConfig, ColCollection, DistCollection, DistContext, ExecError, JoinHint, JoinSpec,
-};
+use trance_dist::{ClusterConfig, ColCollection, DistContext, ExecError, JoinHint, JoinSpec};
 use trance_nrc::builder::{sum_by, var};
 use trance_nrc::{eval, Env, Label, NrcError, Tuple, Value};
 
@@ -82,14 +79,8 @@ fn assert_joins_agree(name: &str, left_keys: &[Option<Value>], right_keys: &[Opt
                 .unwrap()
                 .collect_bag()
                 .unwrap();
-            let row = ctx
-                .parallelize(left.clone())
-                .join(&ctx.parallelize(right.clone()), &spec)
-                .unwrap()
-                .collect_bag();
             let case = format!("{name}, outer={outer}, {hint:?}");
             assert_eq!(sorted(typed.into_items()), want, "typed path, {case}");
-            assert_eq!(sorted(row.into_items()), want, "row engine, {case}");
         }
     }
 }
@@ -258,15 +249,12 @@ fn assert_groupings_agree(name: &str, rows: &[Value], key: &[&str], values: &[&s
     let ctx = ctx();
     let (k, v) = (strings(key), strings(values));
     let typed = columnar(&ctx, rows);
-    let row: DistCollection = ctx.parallelize(rows.to_vec());
 
     let want = sum_definition(rows, key, values);
     let got = typed.nest_sum(&k, &v).unwrap().collect_bag().unwrap();
     assert_eq!(sorted(got.into_items()), want, "typed Γ+, {name}");
     let got = typed.nest_sum_skew(&k, &v).unwrap().collect_bag().unwrap();
     assert_eq!(sorted(got.into_items()), want, "typed skew Γ+, {name}");
-    let got = row.nest_sum(&k, &v).unwrap().collect_bag();
-    assert_eq!(sorted(got.into_items()), want, "row Γ+, {name}");
 
     let want = bag_definition(rows, key, values, "grp");
     let got = typed
@@ -278,12 +266,6 @@ fn assert_groupings_agree(name: &str, rows: &[Value], key: &[&str], values: &[&s
         canonical_groups(got.into_items(), "grp"),
         want,
         "typed Γ⊎, {name}"
-    );
-    let got = row.nest_bag(&k, &v, "grp").unwrap().collect_bag();
-    assert_eq!(
-        canonical_groups(got.into_items(), "grp"),
-        want,
-        "row Γ⊎, {name}"
     );
 }
 
@@ -382,17 +364,16 @@ fn sum_by_overflow_is_a_typed_error_on_every_route() {
 
     let ctx = ctx();
     let (key, values) = (strings(&["k"]), strings(&["v"]));
-    let row = ctx.parallelize(rows.clone()).nest_sum(&key, &values);
+    let typed = columnar(&ctx, &rows);
     assert_eq!(
-        row.err(),
+        typed.nest_sum(&key, &values).err(),
         Some(ExecError::Nrc(overflow.clone())),
-        "row route"
+        "Γ+"
     );
-    let typed = columnar(&ctx, &rows).nest_sum(&key, &values);
     assert_eq!(
-        typed.err(),
+        typed.nest_sum_skew(&key, &values).err(),
         Some(ExecError::Nrc(overflow)),
-        "columnar route"
+        "skew Γ+"
     );
 
     // One short of overflow still sums exactly, as an Int.

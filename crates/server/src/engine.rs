@@ -313,8 +313,7 @@ impl Engine {
 
     /// Installs the one logical table `staged` holds. It is sealed here,
     /// outside the registry lock: unlike a one-shot `InputSet`, which
-    /// converts on first use and keeps its rows for the row route, the
-    /// engine's catalog needs every schema now and nothing here ever reads
+    /// converts on first use and keeps its rows, the engine's catalog needs every schema now and nothing here ever reads
     /// rows again, so only the resident batches move into the registry.
     fn install(
         &self,
