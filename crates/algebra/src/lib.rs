@@ -11,7 +11,8 @@
 //!    `DictLookup` operators reserved for shredded plans. The shredded route
 //!    lowers each of its flat assignments through the same entry point.
 //! 2. [`optimize()`] is the single place optimization lives: selection
-//!    pushdown, column pruning above scans *and* unnests, aggregation
+//!    pushdown, liveness-based column pruning (above scans and unnests and
+//!    below every join and `Γ` input), aggregation
 //!    pushdown, and broadcast-vs-shuffle-vs-skew join strategy selection
 //!    annotated on [`Plan::Join`] nodes. Running a lowered program without
 //!    this step *is* the SparkSQL-like baseline.
@@ -44,6 +45,6 @@ pub use pipelines::{
     fuse_chain, is_row_local, needs_sequential, pipeline_label, pipeline_op_name,
     pretty_plan_pipelines,
 };
-pub use plan::{pretty_plan, JoinStrategy, NestOp, Plan, PlanJoinKind};
+pub use plan::{is_passthrough, pretty_plan, JoinStrategy, NestOp, Plan, PlanJoinKind};
 pub use scalar::ScalarExpr;
 pub use schema::{output_schema, physical_fields, AttrSchema, Catalog, PhysField, PhysType};

@@ -744,7 +744,7 @@ fn split_join_condition(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::schema::AttrSchema;
     use trance_nrc::builder::*;
@@ -762,7 +762,7 @@ mod tests {
         c
     }
 
-    fn running_example() -> Expr {
+    pub(crate) fn running_example() -> Expr {
         forin(
             "cop",
             var("COP"),

@@ -8,10 +8,21 @@
 //!
 //! 1. **Selection pushdown** — `σ` moves below projections, extensions and
 //!    into the join side that supplies all of the predicate's columns.
-//! 2. **Column pruning** — projections are inserted directly above scans
-//!    *and unnests* so unused attributes never enter a shuffle. (This is the
-//!    "narrow" benefit the benchmark's narrow/wide split measures; pruning
-//!    above unnests is what drops unused attributes of nested bag elements.)
+//! 2. **Column pruning** — a top-down liveness pass: every node is handed
+//!    the attributes its ancestors read and derives what it reads of its
+//!    children from its own operands (a `Γ` reads its key and values, a join
+//!    side what is read above plus its key, `Dedup`/`Union` whole rows).
+//!    Pass-through projections (`Prune` in EXPLAIN) keep the live attributes
+//!    where attributes enter the stream — above scans and above unnests,
+//!    which drops unused attributes of nested bag elements — and directly
+//!    below every breaker input that still carries a dead one, so a join or
+//!    `Γ` ships only what is read afterwards; extension and projection
+//!    outputs nobody reads are dropped with their operands. (This is the
+//!    "narrow" benefit the benchmark's narrow/wide split measures: without
+//!    it the flattening route drags every parent attribute through the
+//!    joins and nests of the levels below.) Liveness stops at plan roots
+//!    that do not name their output: a materialized assignment keeps every
+//!    attribute, whatever its consumers scan.
 //! 3. **Aggregation pushdown** — a summing nest `Γ+` above a join computes
 //!    partial sums below the join when all summed attributes come from the
 //!    left input and the grouping key covers the join key (the partial-sum
@@ -23,16 +34,17 @@
 
 use std::collections::BTreeSet;
 
-use crate::plan::{JoinStrategy, NestOp, Plan, PlanJoinKind};
+use crate::plan::{is_passthrough, JoinStrategy, NestOp, Plan, PlanJoinKind};
 use crate::scalar::ScalarExpr;
-use crate::schema::{output_schema, Catalog};
+use crate::schema::{node_schema, output_schema, AttrSchema, Catalog};
 
 /// Which rewrites [`optimize`] applies.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OptimizerConfig {
     /// Enable selection pushdown.
     pub pushdown_selections: bool,
-    /// Enable column pruning above scans and unnests.
+    /// Enable column pruning: only live attributes leave a scan or an
+    /// unnest or enter a join or `Γ`.
     pub prune_columns: bool,
     /// Enable pushing `Γ+` below joins.
     pub pushdown_aggregation: bool,
@@ -202,141 +214,199 @@ fn push_selections(plan: &Plan, catalog: &Catalog) -> Plan {
 // column pruning
 // ---------------------------------------------------------------------------
 
+/// What a node's ancestors read of its output: `None` means every attribute
+/// (the root's consumer is unknown, or an operator above compares whole
+/// rows).
+type Need = Option<BTreeSet<String>>;
+
+/// `need` plus the attributes an operator reads itself.
+fn need_with(need: &Need, attrs: impl IntoIterator<Item = String>) -> Need {
+    need.as_ref().map(|n| {
+        let mut n = n.clone();
+        n.extend(attrs);
+        n
+    })
+}
+
+/// Top-down liveness: every node is handed what its ancestors read and
+/// derives what it reads of its children from its own operands, so an
+/// attribute lives exactly from the operator that introduces it to the last
+/// one that reads it.
 fn prune_columns(plan: &Plan, catalog: &Catalog) -> Plan {
-    // Collect the set of attributes referenced anywhere in the plan. `all`
-    // means "everything" (e.g. some operator needs the full row, or the root
-    // does not name its output columns).
-    let required = collect_required(plan);
-    insert_pruning_projections(plan, catalog, &required)
+    prune_node(plan, &None, catalog).0
 }
 
-#[derive(Debug, Default, Clone)]
-struct Required {
-    /// Attributes referenced by operators (selection predicates, projection
-    /// and extension expressions, join/nest keys, unnest attributes).
-    attrs: BTreeSet<String>,
-    /// True when some operator needs the full row (no pruning possible).
-    all: bool,
+/// Wraps `plan` (whose output schema is `schema`) in a pass-through
+/// projection onto the attributes of `need` when that drops something.
+/// Conservative on purpose: an unknown (empty) schema is left alone, and so
+/// is a node nothing is read of.
+///
+/// Catalog schemas may be sampled from the data, so for an aliased source
+/// every needed `alias.`-prefixed attribute counts as part of its schema
+/// even when the sample missed it: an attribute present only in unsampled
+/// rows then flows through every projection above instead of being silently
+/// dropped (absent ones evaluate to NULL either way).
+fn keep_needed(
+    plan: Plan,
+    mut schema: AttrSchema,
+    need: &Need,
+    alias: Option<&str>,
+) -> (Plan, AttrSchema) {
+    let Some(need) = need else {
+        return (plan, schema);
+    };
+    if schema.attrs.is_empty() {
+        return (plan, schema);
+    }
+    if let Some(alias) = alias {
+        let prefix = format!("{alias}.");
+        let unsampled: Vec<String> = need
+            .iter()
+            .filter(|a| a.starts_with(&prefix) && !schema.contains(a))
+            .cloned()
+            .collect();
+        schema.attrs.extend(unsampled);
+    }
+    let keep: Vec<String> = schema
+        .attrs
+        .iter()
+        .filter(|a| need.contains(*a))
+        .cloned()
+        .collect();
+    if keep.is_empty() || keep.len() == schema.attrs.len() {
+        return (plan, schema);
+    }
+    let schema = schema.restrict(&keep);
+    let pruned = Plan::Project {
+        input: Box::new(plan),
+        columns: keep
+            .into_iter()
+            .map(|a| (a.clone(), ScalarExpr::col(a)))
+            .collect(),
+    };
+    (pruned, schema)
 }
 
-fn collect_required(plan: &Plan) -> Required {
-    let mut req = Required::default();
-    plan.visit(&mut |p| match p {
-        Plan::Select { predicate, .. } => {
-            req.attrs.extend(predicate.referenced_columns());
-        }
-        Plan::Project { columns, .. } | Plan::Extend { columns, .. } => {
-            for (_, e) in columns {
-                req.attrs.extend(e.referenced_columns());
+/// An operator's own liveness rule: what it reads of each child (in
+/// [`Plan::children`] order) when its ancestors read `need` of it, and — for
+/// a projection or an extension — the outputs it still has to compute.
+fn child_needs(plan: &Plan, need: &Need) -> (Vec<Need>, Option<Vec<(String, ScalarExpr)>>) {
+    let needs = match plan {
+        Plan::Scan { .. } | Plan::Unit | Plan::Empty => vec![],
+        Plan::Select { predicate, .. } => vec![need_with(need, predicate.referenced_columns())],
+        Plan::Project { columns, .. } => {
+            let mut kept: Vec<(String, ScalarExpr)> = columns
+                .iter()
+                .filter(|(n, _)| need.as_ref().is_none_or(|need| need.contains(n)))
+                .cloned()
+                .collect();
+            if kept.is_empty() {
+                kept = columns.clone();
             }
+            let reads = kept.iter().flat_map(|(_, e)| e.referenced_columns());
+            return (vec![Some(reads.collect())], Some(kept));
         }
+        Plan::Extend { columns, .. } => {
+            // Backwards over the in-order sets: an output nobody above reads
+            // is dropped, a kept one makes its operands live below it.
+            let mut live = need.clone();
+            let mut kept: Vec<(String, ScalarExpr)> = Vec::with_capacity(columns.len());
+            for (name, expr) in columns.iter().rev() {
+                if let Some(live) = &mut live {
+                    if !live.remove(name) {
+                        continue;
+                    }
+                    live.extend(expr.referenced_columns());
+                }
+                kept.push((name.clone(), expr.clone()));
+            }
+            kept.reverse();
+            return (vec![live], Some(kept));
+        }
+        Plan::AddIndex { .. } => vec![need.clone()],
+        // Both sides get the whole need: where they share an attribute name
+        // the join's merge decides which one surfaces, and that must not
+        // depend on pruning.
         Plan::Join {
             left_key,
             right_key,
             ..
-        } => {
-            req.attrs.extend(left_key.iter().cloned());
-            req.attrs.extend(right_key.iter().cloned());
-        }
-        Plan::Unnest {
-            bag_attr, id_attr, ..
-        } => {
-            req.attrs.insert(bag_attr.clone());
-            if let Some(id) = id_attr {
-                req.attrs.insert(id.clone());
-            }
-        }
-        Plan::Nest { key, values, .. } => {
-            req.attrs.extend(key.iter().cloned());
-            req.attrs.extend(values.iter().cloned());
-        }
-        Plan::DictLookup { label_attr, .. } => {
-            req.attrs.insert(label_attr.clone());
-        }
-        Plan::AddIndex { id_attr, .. } => {
-            req.attrs.insert(id_attr.clone());
-        }
-        Plan::Dedup { .. } | Plan::Union { .. } => {
-            req.all = true;
-        }
-        Plan::Scan { .. } | Plan::Unit | Plan::Empty | Plan::BagToDict { .. } => {}
-    });
-    // The root's output attributes are also required: without full projection
-    // tracking we conservatively keep whatever the top projection names, and
-    // if the root is not a projection we give up on pruning.
-    match plan {
-        Plan::Project { .. } | Plan::Nest { .. } => {}
-        _ => req.all = true,
-    }
-    req
+        } => vec![
+            need_with(need, left_key.iter().cloned()),
+            need_with(need, right_key.iter().cloned()),
+        ],
+        Plan::Unnest { bag_attr, .. } => vec![need_with(need, [bag_attr.clone()])],
+        Plan::Nest { key, values, .. } => vec![Some(key.iter().chain(values).cloned().collect())],
+        // Whole rows are compared, concatenated or looked up: everything
+        // below stays.
+        Plan::Dedup { .. } | Plan::BagToDict { .. } => vec![None],
+        Plan::Union { .. } | Plan::DictLookup { .. } => vec![None, None],
+    };
+    (needs, None)
 }
 
-/// Inserts pass-through projections above the operators that introduce
-/// attributes — scans and unnests — keeping only the required ones.
+/// Rewrites `plan` to produce no more than `need` plus what its own
+/// operators read, returning the rewritten node together with its output
+/// schema (each node's schema is derived once, from its children's).
 ///
-/// Catalog schemas may be sampled from the data, so for an aliased source
-/// every required `alias.`-prefixed attribute is kept even when the sampled
-/// schema missed it: an attribute present only in unsampled rows then flows
-/// through instead of being silently dropped (absent ones evaluate to NULL
-/// either way).
-fn insert_pruning_projections(plan: &Plan, catalog: &Catalog, required: &Required) -> Plan {
-    if required.all {
-        return plan.clone();
+/// Pruning projections go where attributes enter the stream (above scans
+/// and above unnests whose inner schema is known) and directly below every
+/// breaker input (both join sides, the nest input) that still carries an
+/// attribute nobody reads, so a shuffle ships live columns only. Extension
+/// and projection outputs nobody reads are dropped with their operands.
+fn prune_node(plan: &Plan, need: &Need, catalog: &Catalog) -> (Plan, AttrSchema) {
+    let (needs, kept) = child_needs(plan, need);
+    let breaker = matches!(plan, Plan::Join { .. } | Plan::Nest { .. });
+    let mut needs = needs.iter();
+    let mut inputs: Vec<AttrSchema> = Vec::new();
+    let mut pruned_child = |child: &Plan| {
+        let need = needs.next().expect("one need per child");
+        let (mut child, mut schema) = prune_node(child, need, catalog);
+        if breaker {
+            (child, schema) = keep_needed(child, schema, need, None);
+        }
+        inputs.push(schema);
+        child
+    };
+    let rebuilt = match (plan, kept) {
+        (Plan::Project { input, .. }, Some(columns)) => Plan::Project {
+            input: Box::new(pruned_child(input)),
+            columns,
+        },
+        // Every output was dead: the extension is gone.
+        (Plan::Extend { input, .. }, Some(columns)) if columns.is_empty() => {
+            let input = pruned_child(input);
+            return (input, inputs.remove(0));
+        }
+        (Plan::Extend { input, .. }, Some(columns)) => Plan::Extend {
+            input: Box::new(pruned_child(input)),
+            columns,
+        },
+        _ => map_children(plan, pruned_child),
+    };
+    // A schema that may miss attributes of the output is no basis for a
+    // projection above: a node over an unknown input (a projection names its
+    // own output) or an unnest of a bag of unknown element schema hands
+    // "unknown" up, however much `node_schema` could still list.
+    let known = match plan {
+        Plan::Project { .. } => true,
+        Plan::Unnest { bag_attr, .. } => inputs[0]
+            .nested_schema(bag_attr)
+            .is_some_and(|s| !s.attrs.is_empty()),
+        _ => inputs.iter().all(|s| !s.attrs.is_empty()),
+    };
+    if !known {
+        return (rebuilt, AttrSchema::default());
     }
-    map_plan(plan, &|p| {
-        let (prunable, alias) = match p {
-            Plan::Scan { alias, .. } => (true, alias.clone()),
-            // An unnest can only be pruned when the inner schema of the
-            // flattened bag is known — otherwise the projection would drop
-            // the (unknown) element attributes.
-            Plan::Unnest {
-                input,
-                bag_attr,
-                alias,
-                ..
-            } => {
-                let in_schema = output_schema(input, catalog);
-                let inner_known = in_schema
-                    .nested_schema(bag_attr)
-                    .map(|s| !s.attrs.is_empty())
-                    .unwrap_or(false);
-                (inner_known, alias.clone())
-            }
-            _ => (false, None),
-        };
-        if !prunable {
-            return None;
+    let schema = node_schema(&rebuilt, inputs, catalog);
+    // Attributes enter the stream at scans and unnests: keep the needed ones
+    // right there.
+    match plan {
+        Plan::Scan { alias, .. } | Plan::Unnest { alias, .. } => {
+            keep_needed(rebuilt, schema, need, alias.as_deref())
         }
-        let schema = output_schema(p, catalog);
-        if schema.attrs.is_empty() {
-            return None;
-        }
-        let mut keep: Vec<String> = schema
-            .attrs
-            .iter()
-            .filter(|a| required.attrs.contains(*a))
-            .cloned()
-            .collect();
-        let drops_something = schema.attrs.iter().any(|a| !required.attrs.contains(a));
-        if let Some(alias) = alias {
-            let prefix = format!("{alias}.");
-            for a in &required.attrs {
-                if a.starts_with(&prefix) && !keep.contains(a) {
-                    keep.push(a.clone());
-                }
-            }
-        }
-        if !keep.is_empty() && drops_something {
-            return Some(Plan::Project {
-                input: Box::new(p.clone()),
-                columns: keep
-                    .into_iter()
-                    .map(|a| (a.clone(), ScalarExpr::col(a)))
-                    .collect(),
-            });
-        }
-        None
-    })
+        _ => (rebuilt, schema),
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -478,15 +548,8 @@ fn size_upper_bound(plan: &Plan, catalog: &Catalog) -> Option<usize> {
         Plan::Unit | Plan::Empty => Some(0),
         Plan::Select { input, .. } | Plan::Dedup { input } => size_upper_bound(input, catalog),
         // A pass-through projection keeps a subset of each row.
-        Plan::Project { input, columns } => {
-            let passthrough = columns
-                .iter()
-                .all(|(n, e)| matches!(e, ScalarExpr::Col(c) if c == n));
-            if passthrough {
-                size_upper_bound(input, catalog)
-            } else {
-                None
-            }
+        Plan::Project { input, columns } if is_passthrough(columns) => {
+            size_upper_bound(input, catalog)
         }
         // Γ+ emits at most one row per input row, each a subset of key/value
         // columns.
@@ -594,7 +657,7 @@ fn collapse_projections(plan: &Plan) -> Plan {
 // ---------------------------------------------------------------------------
 
 /// Rebuilds a node with its children transformed by `f`.
-fn map_children(plan: &Plan, f: impl Fn(&Plan) -> Plan) -> Plan {
+fn map_children(plan: &Plan, mut f: impl FnMut(&Plan) -> Plan) -> Plan {
     match plan {
         Plan::Scan { .. } | Plan::Unit | Plan::Empty => plan.clone(),
         Plan::Select { input, predicate } => Plan::Select {
@@ -955,6 +1018,211 @@ mod tests {
             }
         });
         assert_eq!(strategy3, Some(JoinStrategy::Skew));
+    }
+
+    /// The paper's running example (nested-to-nested: navigate `COP`, join
+    /// `Part` at the innermost level, regroup) lowered and optimized over a
+    /// *wide* catalog — every level carries a comment attribute the query
+    /// never reads. Returns the final catalog and the optimized plans in
+    /// execution order, the root last.
+    fn optimized_running_example() -> (Catalog, Vec<(String, Plan)>) {
+        let mut catalog = Catalog::new();
+        catalog.register(
+            "COP",
+            AttrSchema::flat(["cname", "ccomment"]).with_nested(
+                "corders",
+                AttrSchema::flat(["odate", "ocomment"])
+                    .with_nested("oparts", AttrSchema::flat(["pid", "qty", "pcomment"])),
+            ),
+        );
+        catalog.register(
+            "Part",
+            AttrSchema::flat(["pid", "pname", "price", "comment"]),
+        );
+        let program = crate::lower(&crate::lower::tests::running_example(), &catalog).unwrap();
+        let mut plans = Vec::new();
+        for a in &program.assignments {
+            let plan = optimize_default(&a.plan, &catalog);
+            catalog.register(a.name.clone(), output_schema(&plan, &catalog));
+            plans.push((a.name.clone(), plan));
+        }
+        plans.push((
+            "result".to_string(),
+            optimize_default(&program.root, &catalog),
+        ));
+        (catalog, plans)
+    }
+
+    /// The attributes a pruning projection keeps; panics on anything else.
+    fn pruned(plan: &Plan) -> Vec<&str> {
+        match plan {
+            Plan::Project { columns, .. } if is_passthrough(columns) => {
+                columns.iter().map(|(n, _)| n.as_str()).collect()
+            }
+            other => panic!(
+                "expected a pruning projection, got\n{}",
+                crate::plan::pretty_plan(other)
+            ),
+        }
+    }
+
+    /// The first node of `plan` (pre-order) that `pred` accepts.
+    fn find(plan: &Plan, pred: impl Fn(&Plan) -> bool) -> &Plan {
+        let mut stack = vec![plan];
+        while let Some(p) = stack.pop() {
+            if pred(p) {
+                return p;
+            }
+            stack.extend(p.children().into_iter().rev());
+        }
+        panic!("no such node in\n{}", crate::plan::pretty_plan(plan));
+    }
+
+    #[test]
+    fn dead_parent_columns_are_dropped_on_the_probe_side_of_a_join_under_a_nest() {
+        let (_, plans) = optimized_running_example();
+        let root = &plans.last().unwrap().1;
+        // The lineitem-level join reads two ids and two element attributes;
+        // the customer and order columns riding along are dead below the Γs.
+        let Plan::Join { left, right, .. } = find(
+            root,
+            |p| matches!(p, Plan::Join { left_key, .. } if left_key[0] == "op.pid"),
+        ) else {
+            unreachable!()
+        };
+        assert_eq!(pruned(left), ["__id1", "__id3", "op.pid", "op.qty"]);
+        assert_eq!(pruned(right), ["p.pid", "p.pname", "p.price"]);
+        // One level up the parent side ships neither the customer's columns
+        // nor the raw bag the unnest below consumed.
+        let Plan::Join { left, .. } = find(
+            root,
+            |p| matches!(p, Plan::Join { left_key, .. } if left_key[0] == "__id3"),
+        ) else {
+            unreachable!()
+        };
+        assert_eq!(pruned(left), ["__id1", "odate", "__id3"]);
+    }
+
+    #[test]
+    fn nest_inputs_are_pruned_to_key_and_values() {
+        let (catalog, plans) = optimized_running_example();
+        let root = &plans.last().unwrap().1;
+        let mut nests = 0;
+        root.visit(&mut |p| {
+            if let Plan::Nest {
+                input, key, values, ..
+            } = p
+            {
+                nests += 1;
+                let mut shipped = output_schema(input, &catalog).attrs;
+                let mut read: Vec<String> = key.iter().chain(values).cloned().collect();
+                shipped.sort();
+                read.sort();
+                assert_eq!(shipped, read, "{}", crate::plan::pretty_plan(p));
+            }
+        });
+        assert_eq!(nests, 3);
+    }
+
+    #[test]
+    fn a_materialized_scan_consumed_twice_gets_two_prunes() {
+        let (_, plans) = optimized_running_example();
+        let mut prunes: Vec<Vec<String>> = Vec::new();
+        plans.last().unwrap().1.visit(&mut |p| {
+            if let Plan::Project { input, .. } = p {
+                if matches!(input.as_ref(), Plan::Scan { name, .. } if name == "__mat4") {
+                    prunes.push(pruned(p).into_iter().map(String::from).collect());
+                }
+            }
+        });
+        // The order level reads its scalars, the lineitem level the bag.
+        assert_eq!(
+            prunes,
+            [
+                vec!["__id1", "odate", "__id3"],
+                vec!["__id1", "co.oparts", "__id3"]
+            ]
+        );
+    }
+
+    #[test]
+    fn dedup_and_union_block_pruning_below_them() {
+        let c = catalog();
+        let joined = Plan::scan("Lineitem").join(
+            Plan::scan("Part"),
+            &["l_partkey"],
+            &["p_partkey"],
+            PlanJoinKind::Inner,
+        );
+        // Whole rows are compared / concatenated: every column stays live.
+        let dedup = joined.clone().dedup().project_columns(&["l_orderkey"]);
+        let union = Plan::Union {
+            left: Box::new(joined.clone()),
+            right: Box::new(joined),
+        }
+        .project_columns(&["l_orderkey"]);
+        for plan in [dedup, union] {
+            let opt = optimize_default(&plan, &c);
+            assert_eq!(
+                opt.count(|p| matches!(p, Plan::Project { .. })),
+                1,
+                "only the root projection may remain:\n{}",
+                crate::plan::pretty_plan(&opt)
+            );
+        }
+    }
+
+    #[test]
+    fn an_unknown_schema_is_left_untouched() {
+        let c = catalog();
+        // `Mystery` is not in the catalog: nothing may be projected out of
+        // it, neither above the scan nor below the breakers it feeds.
+        let plan = Plan::scan("Mystery")
+            .extend(vec![("k".into(), ScalarExpr::col("m_key"))])
+            .join(
+                Plan::scan("Part"),
+                &["k"],
+                &["p_partkey"],
+                PlanJoinKind::Inner,
+            )
+            .nest_sum(&["k"], &["p_retailprice"]);
+        let opt = optimize_default(&plan, &c);
+        let Plan::Nest { input, .. } = &opt else {
+            panic!("{}", crate::plan::pretty_plan(&opt));
+        };
+        let Plan::Join { left, right, .. } = input.as_ref() else {
+            panic!("{}", crate::plan::pretty_plan(&opt));
+        };
+        assert_eq!(
+            **left,
+            Plan::scan("Mystery").extend(vec![("k".into(), ScalarExpr::col("m_key"))])
+        );
+        assert_eq!(pruned(right), ["p_partkey", "p_retailprice"]);
+    }
+
+    #[test]
+    fn an_alias_attribute_missing_from_a_sampled_schema_is_kept() {
+        let mut c = Catalog::new();
+        // The sample saw `cname` and `ccomment` but no row carrying `ccity`.
+        c.register("COP", AttrSchema::flat(["cname", "ccomment"]));
+        let plan = Plan::scan_as("COP", "cop").nest_bag(&["cop.ccity"], &["cop.cname"], "names");
+        let opt = optimize_default(&plan, &c);
+        let Plan::Nest { input, .. } = &opt else {
+            unreachable!()
+        };
+        assert_eq!(pruned(input), ["cop.cname", "cop.ccity"]);
+    }
+
+    #[test]
+    fn the_optimized_nested_to_nested_program_is_a_fixpoint() {
+        let (catalog, plans) = optimized_running_example();
+        for (name, plan) in &plans {
+            assert_eq!(
+                &optimize_default(plan, &catalog),
+                plan,
+                "optimize ∘ optimize != optimize on {name}"
+            );
+        }
     }
 
     #[test]

@@ -102,7 +102,14 @@ pub fn pipeline_label(ops: &[String]) -> String {
 /// rename); breakers carry no marker — they are where the plan
 /// materializes.
 pub fn pretty_plan_pipelines(plan: &Plan) -> String {
-    fn go(plan: &Plan, depth: usize, inherited: Option<usize>, next: &mut usize, out: &mut String) {
+    fn go(
+        plan: &Plan,
+        parent: Option<&Plan>,
+        depth: usize,
+        inherited: Option<usize>,
+        next: &mut usize,
+        out: &mut String,
+    ) {
         let member = is_row_local(plan) || matches!(plan, Plan::Scan { .. });
         let pid = if member {
             Some(inherited.unwrap_or_else(|| {
@@ -114,7 +121,7 @@ pub fn pretty_plan_pipelines(plan: &Plan) -> String {
             None
         };
         out.push_str(&"  ".repeat(depth));
-        out.push_str(&node_line(plan));
+        out.push_str(&node_line(plan, parent));
         if let Some(pid) = pid {
             out.push_str(&format!("  ·p{pid}"));
         }
@@ -129,11 +136,11 @@ pub fn pretty_plan_pipelines(plan: &Plan) -> String {
                 }
                 _ => None,
             };
-            go(child, depth + 1, pass, next, out);
+            go(child, Some(plan), depth + 1, pass, next, out);
         }
     }
     let mut out = String::new();
-    go(plan, 0, None, &mut 0, &mut out);
+    go(plan, None, 0, None, &mut 0, &mut out);
     out
 }
 

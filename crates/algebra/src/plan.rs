@@ -391,8 +391,18 @@ impl Plan {
     }
 }
 
-/// One line of the rendered operator tree for `plan` (without children).
-pub(crate) fn node_line(plan: &Plan) -> String {
+/// True when a projection keeps columns under their own names and computes
+/// nothing (`π` over `[a := a, b := b]`) — the shape of the optimizer's
+/// pruning projections.
+pub fn is_passthrough(columns: &[(String, ScalarExpr)]) -> bool {
+    columns
+        .iter()
+        .all(|(n, e)| matches!(e, ScalarExpr::Col(c) if c == n))
+}
+
+/// One line of the rendered operator tree for `plan` (without children),
+/// given the node's `parent`.
+pub(crate) fn node_line(plan: &Plan, parent: Option<&Plan>) -> String {
     match plan {
         Plan::Scan { name, alias } => match alias {
             Some(a) => format!("Scan {name} as {a}"),
@@ -413,12 +423,12 @@ pub(crate) fn node_line(plan: &Plan) -> String {
                 })
                 .collect::<Vec<_>>()
                 .join(", ");
-            // A pass-through projection directly above a source operator is a
-            // pruning projection inserted by the optimizer: say so.
-            let pruning = columns
-                .iter()
-                .all(|(n, e)| e == &ScalarExpr::col(n.clone()))
-                && matches!(input.as_ref(), Plan::Scan { .. } | Plan::Unnest { .. });
+            // A pass-through projection where the optimizer puts its pruning
+            // projections — directly above a source operator or directly
+            // below a breaker input — is one: say so.
+            let pruning = is_passthrough(columns)
+                && (matches!(input.as_ref(), Plan::Scan { .. } | Plan::Unnest { .. })
+                    || matches!(parent, Some(Plan::Join { .. } | Plan::Nest { .. })));
             if pruning {
                 format!("Prune [{cols}]")
             } else {
@@ -497,16 +507,16 @@ pub(crate) fn node_line(plan: &Plan) -> String {
 /// the spirit of Figure 3. Pruning projections and chosen join strategies are
 /// called out inline, which makes this the EXPLAIN rendering as well.
 pub fn pretty_plan(plan: &Plan) -> String {
-    fn go(plan: &Plan, depth: usize, out: &mut String) {
+    fn go(plan: &Plan, parent: Option<&Plan>, depth: usize, out: &mut String) {
         out.push_str(&"  ".repeat(depth));
-        out.push_str(&node_line(plan));
+        out.push_str(&node_line(plan, parent));
         out.push('\n');
         for c in plan.children() {
-            go(c, depth + 1, out);
+            go(c, Some(plan), depth + 1, out);
         }
     }
     let mut out = String::new();
-    go(plan, 0, &mut out);
+    go(plan, None, 0, &mut out);
     out
 }
 

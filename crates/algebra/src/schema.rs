@@ -236,6 +236,20 @@ fn prefix_schema(schema: &AttrSchema, alias: &str) -> AttrSchema {
 /// Computes the output schema of a plan. Unknown inputs produce an empty
 /// schema, which downstream rules treat as "don't know — don't touch".
 pub fn output_schema(plan: &Plan, catalog: &Catalog) -> AttrSchema {
+    let inputs = plan
+        .children()
+        .into_iter()
+        .map(|c| output_schema(c, catalog))
+        .collect();
+    node_schema(plan, inputs, catalog)
+}
+
+/// The output schema of one node given its children's output schemas (in
+/// [`Plan::children`] order) — one level of [`output_schema`], for passes
+/// that already hold the children's schemas.
+pub(crate) fn node_schema(plan: &Plan, inputs: Vec<AttrSchema>, catalog: &Catalog) -> AttrSchema {
+    let mut inputs = inputs.into_iter();
+    let mut next = || inputs.next().unwrap_or_default();
     match plan {
         Plan::Scan { name, alias } => {
             let base = catalog.get(name).cloned().unwrap_or_default();
@@ -245,11 +259,9 @@ pub fn output_schema(plan: &Plan, catalog: &Catalog) -> AttrSchema {
             }
         }
         Plan::Unit | Plan::Empty => AttrSchema::default(),
-        Plan::Select { input, .. } | Plan::Dedup { input } | Plan::BagToDict { input } => {
-            output_schema(input, catalog)
-        }
-        Plan::Extend { input, columns } => {
-            let mut out = output_schema(input, catalog);
+        Plan::Select { .. } | Plan::Dedup { .. } | Plan::BagToDict { .. } => next(),
+        Plan::Extend { columns, .. } => {
+            let mut out = next();
             if out.attrs.is_empty() {
                 // Unknown input schema: the extension alone is known.
                 return AttrSchema::default();
@@ -279,8 +291,8 @@ pub fn output_schema(plan: &Plan, catalog: &Catalog) -> AttrSchema {
             }
             out
         }
-        Plan::AddIndex { input, id_attr } => {
-            let mut out = output_schema(input, catalog);
+        Plan::AddIndex { id_attr, .. } => {
+            let mut out = next();
             if out.attrs.is_empty() {
                 return AttrSchema::default();
             }
@@ -289,8 +301,8 @@ pub fn output_schema(plan: &Plan, catalog: &Catalog) -> AttrSchema {
             }
             out
         }
-        Plan::Project { input, columns } => {
-            let in_schema = output_schema(input, catalog);
+        Plan::Project { columns, .. } => {
+            let in_schema = next();
             let mut out = AttrSchema::default();
             for (name, expr) in columns {
                 out.attrs.push(name.clone());
@@ -303,19 +315,18 @@ pub fn output_schema(plan: &Plan, catalog: &Catalog) -> AttrSchema {
             }
             out
         }
-        Plan::Join { left, right, .. } => {
-            let l = output_schema(left, catalog);
-            let r = output_schema(right, catalog);
-            l.merge(&r)
+        Plan::Join { .. } => {
+            let l = next();
+            l.merge(&next())
         }
         Plan::Unnest {
-            input,
             bag_attr,
             alias,
             outer,
             id_attr,
+            ..
         } => {
-            let in_schema = output_schema(input, catalog);
+            let in_schema = next();
             let inner = in_schema
                 .nested_schema(bag_attr)
                 .cloned()
@@ -347,12 +358,9 @@ pub fn output_schema(plan: &Plan, catalog: &Catalog) -> AttrSchema {
             out
         }
         Plan::Nest {
-            input,
-            key,
-            values,
-            op,
+            key, values, op, ..
         } => {
-            let in_schema = output_schema(input, catalog);
+            let in_schema = next();
             let mut out = in_schema.restrict(key);
             match op {
                 NestOp::Bag { group_attr } => {
@@ -368,10 +376,10 @@ pub fn output_schema(plan: &Plan, catalog: &Catalog) -> AttrSchema {
             }
             out
         }
-        Plan::Union { left, .. } => output_schema(left, catalog),
-        Plan::DictLookup { input, dict, .. } => {
-            let in_schema = output_schema(input, catalog);
-            let dict_schema = output_schema(dict, catalog);
+        Plan::Union { .. } => next(),
+        Plan::DictLookup { .. } => {
+            let in_schema = next();
+            let dict_schema = next();
             let value_inner = dict_schema
                 .nested_schema("value")
                 .cloned()

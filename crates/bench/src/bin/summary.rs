@@ -8,8 +8,9 @@
 //! paper's FAIL cells, whose shuffle counters still reflect the work done
 //! before the memory cap hit). `op_ms` breaks the run down per engine
 //! operator. `spill` / `spilled_bytes` / `spill_files` / `spill_ms` describe
-//! the out-of-core subsystem: the `-capped` rows re-run the three FAIL cells
-//! on a spill-capable cluster at the same cap, spill off (still FAIL) and
+//! the out-of-core subsystem: the `-capped` rows re-run the paper's three
+//! FAIL cells on a spill-capable cluster at half the headline cap (where all
+//! three flattening cells exhaust memory), spill off (FAIL) and
 //! spill on (ok, differentially checked against an uncapped oracle via
 //! `results_match_uncapped`). `faults_injected` / `retries` /
 //! `recovered_partitions` / `cancelled` report the fault-tolerance layer —
@@ -24,9 +25,9 @@
 use std::fmt::Write as _;
 
 use trance_bench::{
-    best_of, cli_flag, parse_typecheck_us, run_capped_cells, run_closed_loop, run_cold_warm_pair,
-    run_strategies, serve_engine, serve_query_set, tpch_input_set, tpch_type_env,
-    wide_standard_case, BenchRow, Family, ServeRow,
+    best_of_interleaved, cli_flag, parse_typecheck_us, run_capped_cells, run_closed_loop,
+    run_cold_warm_pair, run_strategies, serve_engine, serve_query_set, tpch_input_set,
+    tpch_type_env, wide_standard_case, BenchRow, Family, ServeRow,
 };
 use trance_compiler::{strategy_options, ExecOptions, Strategy};
 use trance_net::{run_smoke, spawn_self_cluster, ClusterParams, DropSpec, SmokeOutcome};
@@ -391,31 +392,38 @@ fn main() {
     // pipelined executor must beat the staged wall clock at identical
     // logical shuffle volume (fusion moves no extra byte — it only removes
     // barriers and intermediate materializations), and typed batches must
-    // ship at most half their row-equivalent logical bytes. Each cell
-    // reports the best of three runs (`best_of`, keyed on wall clock — the
-    // metric this pair compares).
+    // ship at most half their row-equivalent logical bytes. Each side
+    // reports its best of `PAIR_ROUNDS` interleaved runs
+    // (`best_of_interleaved`, keyed on wall clock — the metric this pair
+    // compares) over one input set both pairs share, its table-store cells
+    // filled by an untimed run: with the dead columns pruned out of the
+    // breakers, the row-local work the two pairs compare is ~1 ms of a
+    // ~10 ms op, which three runs per side that each regenerate and
+    // re-ingest their inputs cannot resolve.
+    const PAIR_ROUNDS: usize = 60;
+    let (pair_inputs, pair_spec) =
+        tpch_input_set(&cfg, Family::NestedToNested, 2, QueryVariant::Wide, 0.0);
+    let pair_run = |options: ExecOptions| {
+        run_strategies(&pair_spec, &pair_inputs, &[Strategy::Standard], |_| {
+            options.clone()
+        })
+        .remove(0)
+    };
+    pair_run(strategy_options(Strategy::Standard, false));
     let wide_n2n_fe_us = front_end_us(Family::NestedToNested, QueryVariant::Wide);
     let mut exec_walls: Vec<Option<std::time::Duration>> = Vec::new();
-    for (exec, pipelined) in [("pipelined", true), ("staged", false)] {
-        let row = best_of(
-            3,
-            || {
-                run_cell(
-                    &cfg,
-                    Family::NestedToNested,
-                    2,
-                    QueryVariant::Wide,
-                    &[Strategy::Standard],
-                    0.0,
-                    |s| ExecOptions {
-                        pipelined,
-                        ..strategy_options(s, false)
-                    },
-                )
-                .remove(0)
-            },
-            |r| r.elapsed.map(|d| d.as_secs_f64()),
-        );
+    let exec_sides = [("pipelined", true), ("staged", false)];
+    let rows = best_of_interleaved(
+        PAIR_ROUNDS,
+        |side| {
+            pair_run(ExecOptions {
+                pipelined: exec_sides[side].1,
+                ..strategy_options(Strategy::Standard, false)
+            })
+        },
+        |r| r.elapsed.map_or(f64::INFINITY, |d| d.as_secs_f64()),
+    );
+    for ((exec, _), row) in exec_sides.into_iter().zip(rows) {
         println!(
             "executor {exec:>9}: STANDARD wide wall {} ms, \
              {} physical bytes ({} logical), {} morsels, {} steals",
@@ -448,29 +456,21 @@ fn main() {
     // shuffles — the expr_agree suite proves byte-identical results — so the
     // pair isolates pure expression-evaluation time; the compiled side's
     // fused pipeline time must not regress past the interpreter's. Best of
-    // three per side (`best_of`), selected on pipeline time (the metric the
-    // pair compares; wall clock includes input loading noise).
+    // `PAIR_ROUNDS` interleaved runs per side, selected on pipeline time
+    // (the metric the pair compares).
     let mut expr_walls: Vec<(&str, Option<std::time::Duration>)> = Vec::new();
-    for (expr_label, compiled_exprs) in [("compiled", true), ("interp", false)] {
-        let row = best_of(
-            3,
-            || {
-                run_cell(
-                    &cfg,
-                    Family::NestedToNested,
-                    2,
-                    QueryVariant::Wide,
-                    &[Strategy::Standard],
-                    0.0,
-                    |s| ExecOptions {
-                        compiled_exprs,
-                        ..strategy_options(s, false)
-                    },
-                )
-                .remove(0)
-            },
-            |r| Some(r.stats.pipeline_ms()),
-        );
+    let expr_sides = [("compiled", true), ("interp", false)];
+    let rows = best_of_interleaved(
+        PAIR_ROUNDS,
+        |side| {
+            pair_run(ExecOptions {
+                compiled_exprs: expr_sides[side].1,
+                ..strategy_options(Strategy::Standard, false)
+            })
+        },
+        |r| r.stats.pipeline_ms(),
+    );
+    for ((expr_label, _), row) in expr_sides.into_iter().zip(rows) {
         println!(
             "expressions {expr_label:>9}: STANDARD wide wall {} ms, pipeline {:.1} ms, \
              {} kernel instrs over {} programs, {:.2} ms compile",
@@ -526,11 +526,14 @@ fn main() {
         row,
     }));
 
-    // Capped mode: the three FAIL cells re-run on a spill-capable cluster at
-    // the same cap — FAIL (spill off) next to ok-with-spill (spill on), the
+    // Capped mode: the paper's three FAIL cells re-run on a spill-capable
+    // cluster — FAIL (spill off) next to ok-with-spill (spill on), the
     // paper's story plus the engineering answer to it. The spill-on result is
-    // differentially checked against an uncapped in-memory oracle.
-    for cell in run_capped_cells(&cfg, 3.0) {
+    // differentially checked against an uncapped in-memory oracle. The cap
+    // is half the headline cells': since the optimizer prunes dead parent
+    // columns below every breaker, Wide flat-to-nested STANDARD fits under
+    // the headline cap and only exhausts memory from factor ~2 down.
+    for cell in run_capped_cells(&cfg, 1.5) {
         let query = format!("{:?}-depth2-Wide-scale0.3-capped", cell.family);
         println!(
             "capped {:<15} {:>13}: spill off = {}, spill on = {} ms \

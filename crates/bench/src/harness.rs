@@ -95,34 +95,25 @@ fn outcome_to_row(outcome: RunOutcome) -> BenchRow {
     }
 }
 
-/// Runs `run` `n` times and keeps the row with the smallest `key` — the
-/// best-of-N selection every timing A/B pair in `BENCH_summary.json` uses:
-/// single-shot walls on a shared CI machine are noisy enough to invert a
-/// 10–20% margin, and the byte/morsel counters are identical across
-/// repetitions anyway. A `None` key marks a failed run; any completed row
-/// beats it, so a failed row survives only when every repetition failed.
-pub fn best_of(
-    n: usize,
-    mut run: impl FnMut() -> BenchRow,
-    key: impl Fn(&BenchRow) -> Option<f64>,
-) -> BenchRow {
-    assert!(n > 0, "best_of needs at least one run");
-    let mut best: Option<BenchRow> = None;
-    for _ in 0..n {
-        let row = run();
-        let better = match &best {
-            None => true,
-            Some(b) => match (key(&row), key(b)) {
-                (Some(r), Some(k)) => r < k,
-                (Some(_), None) => true,
-                _ => false,
-            },
-        };
-        if better {
-            best = Some(row);
+/// Runs the two sides of an A/B pair `rounds` times, back to back within
+/// every round — a slow phase of the shared box then hits both sides — and
+/// returns each side's best row by `key` (lower is better). One noisy run
+/// must not decide a comparison whose sides differ by a few percent.
+pub fn best_of_interleaved(
+    rounds: usize,
+    mut run: impl FnMut(usize) -> BenchRow,
+    key: impl Fn(&BenchRow) -> f64,
+) -> [BenchRow; 2] {
+    let mut best: [Option<BenchRow>; 2] = [None, None];
+    for _ in 0..rounds {
+        for (side, slot) in best.iter_mut().enumerate() {
+            let row = run(side);
+            if slot.as_ref().is_none_or(|b| key(&row) < key(b)) {
+                *slot = Some(row);
+            }
         }
     }
-    best.expect("n > 0 produces a row")
+    best.map(|row| row.expect("an A/B pair runs at least one round"))
 }
 
 /// Command-line overrides of the simulated cluster shape shared by the
@@ -404,11 +395,10 @@ pub struct CappedCell {
     pub results_match_uncapped: bool,
 }
 
-/// Re-runs the three cells that FAIL under the default memory cap
-/// (FlatToNested-Wide STANDARD + SPARKSQL-LIKE, NestedToNested-Wide
-/// SPARKSQL-LIKE) on a spill-capable cluster at the **same cap**: spill off
-/// must still FAIL, spill on must complete with results identical to an
-/// uncapped oracle run.
+/// Re-runs the paper's three FAIL cells (FlatToNested-Wide STANDARD +
+/// SPARKSQL-LIKE, NestedToNested-Wide SPARKSQL-LIKE) on a spill-capable
+/// cluster capped at `memory_factor`: spill off must FAIL, spill on must
+/// complete with results identical to an uncapped oracle run.
 pub fn run_capped_cells(config: &TpchConfig, memory_factor: f64) -> Vec<CappedCell> {
     let cells = [
         (Family::FlatToNested, Strategy::Standard),
@@ -426,8 +416,7 @@ pub fn run_capped_cells(config: &TpchConfig, memory_factor: f64) -> Vec<CappedCe
             _ => None,
         };
 
-        // The capped, spill-capable cluster (same memory factor as the
-        // figure runs that FAIL).
+        // The capped, spill-capable cluster.
         let tuning = ClusterTuning {
             spill: true,
             ..ClusterTuning::default()

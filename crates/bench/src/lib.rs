@@ -25,10 +25,11 @@ pub mod harness;
 pub mod serve;
 
 pub use harness::{
-    best_of, biomed_input_set, biomed_input_set_tuned, default_cluster, default_cluster_tuned,
-    explain_biomed_pipeline, materialize_nested_input, parse_typecheck_us, run_biomed_pipeline,
-    run_biomed_pipeline_tuned, run_capped_cells, run_strategies, run_tpch_query, tpch_input_set,
-    tpch_input_set_tuned, tpch_type_env, BenchRow, CappedCell, ClusterTuning, Family, PipelineRow,
+    best_of_interleaved, biomed_input_set, biomed_input_set_tuned, default_cluster,
+    default_cluster_tuned, explain_biomed_pipeline, materialize_nested_input, parse_typecheck_us,
+    run_biomed_pipeline, run_biomed_pipeline_tuned, run_capped_cells, run_strategies,
+    run_tpch_query, tpch_input_set, tpch_input_set_tuned, tpch_type_env, BenchRow, CappedCell,
+    ClusterTuning, Family, PipelineRow,
 };
 pub use serve::{
     run_closed_loop, run_cold_warm_pair, serve_engine, serve_query_set, wide_standard_case,

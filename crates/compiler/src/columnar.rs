@@ -21,7 +21,7 @@ use std::collections::HashMap;
 use std::time::Instant;
 
 use trance_algebra::{
-    fuse_chain, lower, needs_sequential, optimize, physical_fields, pipeline_label,
+    fuse_chain, is_passthrough, lower, needs_sequential, optimize, physical_fields, pipeline_label,
     pipeline_op_name, AttrSchema, Catalog, JoinStrategy, NestOp, OptimizerConfig, PhysField,
     PhysType, Plan, PlanJoinKind,
 };
@@ -402,6 +402,16 @@ fn project_batch(b: &Batch, columns: &[(String, trance_algebra::ScalarExpr)]) ->
     Ok(out)
 }
 
+/// The names a pruning projection keeps (`π` over `[a := a, …]`, each name
+/// once). Such a projection computes nothing, so the compiled route runs it
+/// as the schema-only [`Batch::prune_fields`] instead of a kernel program;
+/// the interpreted route's [`project_batch`] is its differential oracle.
+fn pruned_names(columns: &[(String, trance_algebra::ScalarExpr)]) -> Option<Vec<String>> {
+    let names: Vec<String> = columns.iter().map(|(n, _)| n.clone()).collect();
+    let distinct = (1..names.len()).all(|i| !names[..i].contains(&names[i]));
+    (is_passthrough(columns) && distinct).then_some(names)
+}
+
 /// Extension kernel: each extension sees the columns set before it, like an
 /// in-order `Tuple::set` loop; untouched columns are Arc-shared, not copied.
 /// Shared by the staged arm and the fused step.
@@ -536,7 +546,13 @@ fn compile_chain_col(
                     continue;
                 }
                 Plan::Project { columns, .. } => {
-                    pending.push(KernelOp::Project(columns.clone()));
+                    // A pruning projection with no kernel run open ahead of
+                    // it needs no program; behind one it fuses into that
+                    // run's output script.
+                    match pruned_names(columns).filter(|_| pending.is_empty()) {
+                        Some(names) => steps.push(Box::new(move |b, _| Ok(b.prune_fields(&names)))),
+                        None => pending.push(KernelOp::Project(columns.clone())),
+                    }
                     continue;
                 }
                 Plan::Extend { columns, .. } => {
@@ -739,7 +755,12 @@ pub fn eval_plan_col(
         }
         Plan::Project { input, columns } => {
             let rows = eval_plan_col(input, env, ctx, options)?;
-            if options.compiled_exprs {
+            if !options.compiled_exprs {
+                let columns = columns.clone();
+                rows.map_batches("map", move |b| project_batch(b, &columns))
+            } else if let Some(names) = pruned_names(columns) {
+                rows.map_batches("map", move |b| Ok(b.prune_fields(&names)))
+            } else {
                 let prog = staged_kernel(
                     "staged:project",
                     &[KernelOp::Project(columns.clone())],
@@ -747,9 +768,6 @@ pub fn eval_plan_col(
                     options,
                 );
                 rows.map_batches("map", move |b| prog.run(b))
-            } else {
-                let columns = columns.clone();
-                rows.map_batches("map", move |b| project_batch(b, &columns))
             }
         }
         Plan::Extend { input, columns } => {

@@ -612,25 +612,11 @@ impl RegVal {
     /// NULL test without cloning values (bag lanes stay untouched).
     fn is_null_at(&self, i: usize) -> bool {
         match self {
-            RegVal::Col(c) => col_is_null_at(c, i),
+            RegVal::Col(c) => c.is_null_at(i),
             RegVal::Const(v) => matches!(v, Value::Null),
             RegVal::Ints(_) | RegVal::Reals(_) | RegVal::Bools(_) => false,
             RegVal::Values(x) => matches!(x[i], Value::Null),
         }
-    }
-}
-
-/// NULL-or-absent test reading the column's bitmaps directly — no value
-/// cloning, unlike `value_at` (a bag lane would clone the whole bag).
-fn col_is_null_at(c: &Column, i: usize) -> bool {
-    match c {
-        Column::Int { nulls, absent, .. }
-        | Column::Real { nulls, absent, .. }
-        | Column::Bool { nulls, absent, .. }
-        | Column::Date { nulls, absent, .. }
-        | Column::Str { nulls, absent, .. }
-        | Column::Bag { nulls, absent, .. } => nulls.get(i) || absent.get(i),
-        Column::Other { values, absent } => absent.get(i) || matches!(values[i], Value::Null),
     }
 }
 
@@ -820,12 +806,14 @@ impl<'a> State<'a> {
                     .reg(*taken)
                     .dense_bools()
                     .expect("masks are dense boolean");
+                let (av, bv) = (self.reg(*a), self.reg(*b));
                 if !t.iter().any(|&x| x) {
                     // No lane needed the fallback: the interpreter returns
                     // the first operand unchanged.
-                    Some(self.reg(*a).clone())
+                    Some(av.clone())
+                } else if let Some(col) = coalesce_unboxed(av, bv, t) {
+                    Some(RegVal::Col(Arc::new(col)))
                 } else {
-                    let (av, bv) = (self.reg(*a), self.reg(*b));
                     Some(RegVal::Values(
                         (0..self.len)
                             .map(|i| if t[i] { bv.value_at(i) } else { av.value_at(i) })
@@ -952,6 +940,95 @@ impl<'a> State<'a> {
         }
         Ok(())
     }
+}
+
+/// One operand of a typed coalesce: lane `i` is `Some(x)`, or `None` where
+/// NULL or absent.
+enum Lanes<'a, T> {
+    Col(&'a [T], &'a Column),
+    Dense(&'a [T]),
+    Splat(Option<T>),
+}
+
+impl<T: Copy> Lanes<'_, T> {
+    fn get(&self, i: usize) -> Option<T> {
+        match self {
+            Lanes::Col(data, col) => (!col.is_null_at(i)).then(|| data[i]),
+            Lanes::Dense(data) => Some(data[i]),
+            Lanes::Splat(x) => *x,
+        }
+    }
+}
+
+/// The coalesce merges that need no boxed lane, each building the very
+/// column the interpreter builds:
+///
+/// * `coalesce(bag column, {})` is the interpreter's own primitive,
+///   [`Column::coalesce_empty_bag`];
+/// * two operands of one primitive kind (a NULL literal fits any) merge lane
+///   by lane into the typed column `Column::from_values` would build from
+///   the boxed lanes — data where a lane holds a value, the kind's
+///   placeholder under a set `nulls` bit where it does not — provided some
+///   lane holds a value: an all-NULL result is a value column there, not a
+///   typed one.
+///
+/// `None` for everything else; the caller boxes.
+fn coalesce_unboxed(a: &RegVal, b: &RegVal, taken: &[bool]) -> Option<Column> {
+    if let (RegVal::Col(col), RegVal::Const(Value::Bag(bag))) = (a, b) {
+        if bag.is_empty() {
+            return col.coalesce_empty_bag(taken);
+        }
+    }
+    fn merge<T: Copy>(
+        a: Lanes<'_, T>,
+        b: Lanes<'_, T>,
+        taken: &[bool],
+        placeholder: T,
+    ) -> Option<(Vec<T>, Bitmap)> {
+        let mut data = Vec::with_capacity(taken.len());
+        let mut nulls = Bitmap::zeros(taken.len());
+        for (i, taken) in taken.iter().enumerate() {
+            match if *taken { b.get(i) } else { a.get(i) } {
+                Some(x) => data.push(x),
+                None => {
+                    data.push(placeholder);
+                    nulls.set(i);
+                }
+            }
+        }
+        (nulls.count_ones() < taken.len()).then_some((data, nulls))
+    }
+    // One arm per kind: how a register of that kind shows up (a dense
+    // computed buffer, a typed column, a literal) and what its column is.
+    macro_rules! kind {
+        ($variant:ident, $t:ty, $placeholder:expr, $($dense:ident)?) => {{
+            fn lanes(rv: &RegVal) -> Option<Lanes<'_, $t>> {
+                match rv {
+                    $(RegVal::$dense(x) => Some(Lanes::Dense(x)),)?
+                    RegVal::Col(col) => match col.as_ref() {
+                        Column::$variant { data, .. } => Some(Lanes::Col(data, col)),
+                        _ => None,
+                    },
+                    RegVal::Const(Value::$variant(x)) => Some(Lanes::Splat(Some(*x))),
+                    RegVal::Const(Value::Null) => Some(Lanes::Splat(None)),
+                    _ => None,
+                }
+            }
+            if let (Some(a), Some(b)) = (lanes(a), lanes(b)) {
+                let absent = Bitmap::zeros(taken.len());
+                return merge(a, b, taken, $placeholder).map(|(data, nulls)| Column::$variant {
+                    data,
+                    nulls,
+                    absent,
+                });
+            }
+        }};
+    }
+    kind!(Int, i64, 0, Ints);
+    kind!(Real, f64, 0.0, Reals);
+    kind!(Bool, bool, false, Bools);
+    kind!(Date, i64, 0,);
+    None
 }
 
 /// Positional compaction of a scratch register (values only ever read
@@ -1397,6 +1474,11 @@ mod tests {
                 ("r", Value::Real(1.5)),
                 ("s", Value::str("red")),
                 ("lb", Value::Label(Label::new(7, vec![Value::Int(1)]))),
+                ("x", Value::Real(0.25)),
+                ("d", Value::Date(100)),
+                ("f", Value::Bool(true)),
+                ("k", Value::Int(11)),
+                ("w", Value::Real(0.5)),
             ]),
             Value::tuple([
                 ("a", Value::Int(-2)),
@@ -1404,15 +1486,32 @@ mod tests {
                 ("r", Value::Real(0.0)),
                 ("s", Value::str("blue")),
                 ("lb", Value::Label(Label::new(7, vec![Value::Int(2)]))),
+                ("x", Value::Null),
+                ("d", Value::Null),
+                ("f", Value::Null),
+                ("k", Value::Int(12)),
+                ("w", Value::Real(1.5)),
             ]),
-            // `b`, `s` and `lb` absent; `r` holds an int (mixed-kind column).
-            Value::tuple([("a", Value::Int(5)), ("r", Value::Int(4))]),
+            // `b`, `s`, `lb`, `d` and `f` absent; `r` holds an int
+            // (mixed-kind column); `k` and `w` are dense.
+            Value::tuple([
+                ("a", Value::Int(5)),
+                ("r", Value::Int(4)),
+                ("x", Value::Real(8.0)),
+                ("k", Value::Int(13)),
+                ("w", Value::Real(2.5)),
+            ]),
             Value::tuple([
                 ("a", Value::Null),
                 ("b", Value::Int(0)),
                 ("r", Value::Real(-2.5)),
                 ("s", Value::str("red")),
                 ("lb", Value::Null),
+                ("x", Value::Real(-1.0)),
+                ("d", Value::Date(7)),
+                ("f", Value::Bool(false)),
+                ("k", Value::Int(14)),
+                ("w", Value::Real(3.5)),
             ]),
         ])
     }
@@ -1469,6 +1568,37 @@ mod tests {
                 Box::new(E::col("missing")),
                 Box::new(E::constant(Value::Int(-1))),
             ),
+            // Typed coalesce merges: one kind on both sides, from a column,
+            // a literal or a computed buffer — NULL where both are NULL.
+            E::Coalesce(Box::new(E::col("b")), Box::new(E::constant(Value::Int(7)))),
+            E::Coalesce(Box::new(E::col("b")), Box::new(E::constant(Value::Null))),
+            E::Coalesce(
+                Box::new(E::col("b")),
+                Box::new(prim(PrimOp::Add, E::col("k"), E::constant(Value::Int(1)))),
+            ),
+            E::Coalesce(
+                Box::new(E::col("x")),
+                Box::new(prim(
+                    PrimOp::Mul,
+                    E::col("w"),
+                    E::constant(Value::Real(2.0)),
+                )),
+            ),
+            E::Coalesce(Box::new(E::col("d")), Box::new(E::constant(Value::Date(1)))),
+            E::Coalesce(
+                Box::new(E::col("f")),
+                Box::new(cmp(CmpOp::Gt, E::col("a"), E::constant(Value::Int(0)))),
+            ),
+            // Kinds that do not agree (or no lane holding a value) box.
+            E::Coalesce(Box::new(E::col("b")), Box::new(E::col("x"))),
+            E::Coalesce(
+                Box::new(E::col("missing")),
+                Box::new(E::constant(Value::Null)),
+            ),
+            E::Coalesce(
+                Box::new(E::col("s")),
+                Box::new(E::constant(Value::str("none"))),
+            ),
             E::NewLabel {
                 site: 9,
                 captures: vec![
@@ -1503,6 +1633,44 @@ mod tests {
             let want = oracle_extend(&b, "out", &e);
             assert_batches_eq(&got, &want, &format!("expr #{i} {e:?}"));
         }
+    }
+
+    #[test]
+    fn typed_coalesce_builds_the_column_from_values_would() {
+        use Value::{Int, Null, Real};
+        let same = |got: Option<Column>, want: Vec<Value>| {
+            let got = got.expect("operands of one kind merge typed");
+            assert_eq!(
+                format!("{got:?}"),
+                format!("{:?}", Column::from_values(want))
+            );
+        };
+        let a = RegVal::Col(Arc::new(Column::from_values(vec![Int(1), Null, Null])));
+        let taken = [false, true, true];
+        // A computed buffer, a literal, another column, the NULL literal.
+        same(
+            coalesce_unboxed(&a, &RegVal::Ints(vec![10, 20, 30]), &taken),
+            vec![Int(1), Int(20), Int(30)],
+        );
+        same(
+            coalesce_unboxed(&a, &RegVal::Const(Int(7)), &taken),
+            vec![Int(1), Int(7), Int(7)],
+        );
+        let b = RegVal::Col(Arc::new(Column::from_values(vec![Int(4), Null, Int(6)])));
+        same(coalesce_unboxed(&a, &b, &taken), vec![Int(1), Null, Int(6)]);
+        same(
+            coalesce_unboxed(&a, &RegVal::Const(Null), &taken),
+            vec![Int(1), Null, Null],
+        );
+        // A guard can leave a NULL lane untaken: it stays NULL.
+        same(
+            coalesce_unboxed(&a, &RegVal::Const(Int(7)), &[false, true, false]),
+            vec![Int(1), Int(7), Null],
+        );
+        // Two kinds, or no lane holding a value, are not a typed column.
+        assert!(coalesce_unboxed(&a, &RegVal::Reals(vec![0.5; 3]), &taken).is_none());
+        assert!(coalesce_unboxed(&a, &RegVal::Const(Real(0.5)), &taken).is_none());
+        assert!(coalesce_unboxed(&a, &RegVal::Const(Null), &[true; 3]).is_none());
     }
 
     #[test]

@@ -409,8 +409,8 @@ pub fn run_query_with(
 
 /// Runs `spec` under `strategy` while capturing the optimized plans it
 /// executes, returning the outcome together with the rendered EXPLAIN text.
-/// Runs that went out-of-core report their spill volume and I/O time after
-/// the plans.
+/// After the plans come the run's shuffle volume and join counts, and for
+/// runs that went out-of-core their spill volume and I/O time.
 pub fn run_query_explained(
     spec: &QuerySpec,
     inputs: &InputSet,
@@ -466,6 +466,23 @@ pub fn run_query_explained(
                 let _ = writeln!(out, "      {line}");
             }
         }
+    }
+    // What the breakers shipped — where column pruning shows. The heavy-key
+    // halves of skew joins count with the strategy they ran as.
+    let stats = &outcome.stats;
+    let shuffle_joins = stats.shuffle_joins + stats.skew_fallback_joins;
+    let broadcast_joins = stats.broadcast_joins + stats.skew_broadcast_joins;
+    if stats.shuffled_tuples + shuffle_joins + broadcast_joins > 0 {
+        let _ = writeln!(
+            out,
+            "-- shuffle: {} tuples, {} logical / {} physical bytes, {} shuffle + {} broadcast \
+             joins --",
+            stats.shuffled_tuples,
+            stats.shuffled_bytes,
+            stats.shuffled_bytes_phys,
+            shuffle_joins,
+            broadcast_joins,
+        );
     }
     if outcome.stats.spilled_bytes > 0 {
         let _ = writeln!(
@@ -664,15 +681,24 @@ pub fn unshred_distributed_col(
             let attr = attr.clone();
             joined.map_batches("map", move |b| {
                 // NULL-extended rows (labels with no child entries) become
-                // empty bags; the group replaces the label at the
-                // attribute's position.
-                let grp: Vec<Value> = (0..b.rows())
-                    .map(|i| match b.value_at(i, "__grp") {
-                        Some(Value::Bag(bag)) => Value::Bag(bag),
-                        _ => Value::empty_bag(),
-                    })
-                    .collect();
-                let out = b.with_column(&attr, Arc::new(Column::from_values(grp)));
+                // empty bags — a validity flip on the gathered bag column —
+                // and the group replaces the label at the attribute's
+                // position. Only a group column that is not bag-typed (an
+                // empty dictionary) is rebuilt row by row.
+                let grp = b
+                    .column("__grp")
+                    .and_then(|col| col.coalesce_empty_bag(&col.null_lanes()))
+                    .unwrap_or_else(|| {
+                        Column::from_values(
+                            (0..b.rows())
+                                .map(|i| match b.value_at(i, "__grp") {
+                                    Some(Value::Bag(bag)) => Value::Bag(bag),
+                                    _ => Value::empty_bag(),
+                                })
+                                .collect(),
+                        )
+                    });
+                let out = b.with_column(&attr, Arc::new(grp));
                 Ok(out.without_column("__jk").without_column("__grp"))
             })
         };

@@ -101,19 +101,23 @@ pub fn eval_scalar_batch(expr: &ScalarExpr, batch: &Batch) -> Result<Arc<Column>
         }
         ScalarExpr::Coalesce(a, b) => {
             let a = eval_scalar_batch(a, batch)?;
-            let need: Vec<usize> = (0..n)
-                .filter(|i| matches!(value_at_arc(&a, *i), Value::Null))
-                .collect();
-            if need.is_empty() {
-                a
-            } else {
-                let sub = eval_scalar_batch(b, &gather_for(b, batch, &need))?;
-                let mut values: Vec<Value> = (0..n).map(|i| value_at_arc(&a, i)).collect();
-                for (k, i) in need.iter().enumerate() {
-                    values[*i] = value_at_arc(&sub, k);
-                }
-                Arc::new(Column::from_values(values))
+            let taken = a.null_lanes();
+            if !taken.contains(&true) {
+                return Ok(a);
             }
+            // `coalesce(bag, {})` clears validity bits; no bag is boxed.
+            if is_empty_bag(b) {
+                if let Some(col) = a.coalesce_empty_bag(&taken) {
+                    return Ok(Arc::new(col));
+                }
+            }
+            let need: Vec<usize> = (0..n).filter(|i| taken[*i]).collect();
+            let sub = eval_scalar_batch(b, &gather_for(b, batch, &need))?;
+            let mut values: Vec<Value> = (0..n).map(|i| value_at_arc(&a, i)).collect();
+            for (k, i) in need.iter().enumerate() {
+                values[*i] = value_at_arc(&sub, k);
+            }
+            Arc::new(Column::from_values(values))
         }
         ScalarExpr::NewLabel { site, captures } => {
             let cols = captures
@@ -161,6 +165,14 @@ pub fn eval_mask(expr: &ScalarExpr, batch: &Batch) -> Result<Vec<bool>> {
         return Ok(b.to_vec());
     }
     (0..batch.rows()).map(|i| bool_at_arc(&col, i)).collect()
+}
+
+/// True for the literal `{}` — the fallback of the lowering's
+/// `coalesce(bag, {})`, which the interpreter and the compiled kernels both
+/// answer with [`Column::coalesce_empty_bag`] (one primitive, so the two
+/// routes keep producing byte-identical columns).
+fn is_empty_bag(expr: &ScalarExpr) -> bool {
+    matches!(expr, ScalarExpr::Const(Value::Bag(bag)) if bag.is_empty())
 }
 
 /// The value of row `i` with absence collapsed to NULL (expression

@@ -18,12 +18,17 @@
 //! relation is held to `nrc::eval` as well.
 
 use std::time::Duration;
-use trance_compiler::{run_query, run_query_with, strategy_options, ExecOptions, Strategy};
+use trance_compiler::{
+    run_query, run_query_with, strategy_options, ExecOptions, InputSet, QuerySpec, Strategy,
+};
 use trance_dist::{ClusterConfig, DistContext};
+use trance_nrc::Bag;
+use trance_shred::ShreddedInputDecl;
 
 mod common;
 use common::{
-    assert_bags_approx_eq, canonical, input_set, outcome_bag, random_expr_case, Watchdog,
+    assert_bags_approx_eq, canonical, cop_structure, cop_value, input_set, outcome_bag, part_value,
+    random_expr_case, reference_bag, running_example, Watchdog,
 };
 
 fn ctx() -> DistContext {
@@ -36,12 +41,62 @@ fn ctx() -> DistContext {
     )
 }
 
-/// The core differential: for every seeded query and strategy, the compiled
-/// run and the interpreted run must produce identical bags (exact equality —
+/// Runs `spec` under every strategy with compiled kernels and with the
+/// interpreter: the two runs must produce identical bags (exact equality —
 /// same floats bit for bit, since both modes execute the same arithmetic per
 /// surviving lane in the same order) and move identical logical and physical
-/// byte volumes through their shuffles; where the reference evaluator defines
-/// the program's result, both must equal it.
+/// byte volumes through their shuffles; where `expected` holds the reference
+/// evaluator's result, both must equal it.
+fn assert_engines_agree(spec: &QuerySpec, inputs: &InputSet, expected: Option<&Bag>, case: &str) {
+    for strategy in Strategy::all() {
+        let tag = format!("{case} {}", strategy.label());
+        let options = |compiled_exprs| ExecOptions {
+            compiled_exprs,
+            ..strategy_options(strategy, false)
+        };
+        let compiled = run_query_with(spec, inputs, strategy, &options(true));
+        let interp = run_query_with(spec, inputs, strategy, &options(false));
+        let compiled_bag = outcome_bag(&compiled.result, &format!("{tag} compiled"));
+        let interp_bag = outcome_bag(&interp.result, &format!("{tag} interpreted"));
+        assert_eq!(
+            canonical(&interp_bag),
+            canonical(&compiled_bag),
+            "{tag}: compiled kernels disagree with the interpreter"
+        );
+        if let Some(expected) = expected {
+            assert_bags_approx_eq(
+                expected,
+                &compiled_bag,
+                &format!("{tag}: compiled run vs reference evaluator"),
+            );
+        }
+        // Identical plans over identical partitions: a diverging
+        // byte count means the kernels changed WHAT was computed,
+        // not just how.
+        assert_eq!(
+            interp.stats.shuffled_tuples, compiled.stats.shuffled_tuples,
+            "{tag}: shuffled tuple counts diverge"
+        );
+        assert_eq!(
+            interp.stats.shuffled_bytes, compiled.stats.shuffled_bytes,
+            "{tag}: logical shuffle bytes diverge"
+        );
+        assert_eq!(
+            interp.stats.shuffled_bytes_phys, compiled.stats.shuffled_bytes_phys,
+            "{tag}: physical shuffle bytes diverge"
+        );
+        // The interpreter side must not have compiled anything — the
+        // switch actually selects the engine.
+        assert_eq!(
+            interp.stats.expr_compiles(),
+            0,
+            "{tag}: interpreted run recorded kernel compiles"
+        );
+    }
+}
+
+/// The core differential: every seeded query of the corpus, under every
+/// strategy, on both expression engines ([`assert_engines_agree`]).
 #[test]
 fn compiled_kernels_agree_with_interpreter_on_seeded_corpus() {
     let _watchdog = Watchdog::arm("expr_agree::seeded_corpus", Duration::from_secs(600));
@@ -50,56 +105,54 @@ fn compiled_kernels_agree_with_interpreter_on_seeded_corpus() {
         let (spec, values, expected) = random_expr_case(seed);
         let inputs = input_set(ctx(), &values);
         referenced += usize::from(expected.is_some());
-        for strategy in Strategy::all() {
-            let tag = format!("seed {seed} {}", strategy.label());
-            let options = |compiled_exprs| ExecOptions {
-                compiled_exprs,
-                ..strategy_options(strategy, false)
-            };
-            let compiled = run_query_with(&spec, &inputs, strategy, &options(true));
-            let interp = run_query_with(&spec, &inputs, strategy, &options(false));
-            let compiled_bag = outcome_bag(&compiled.result, &format!("{tag} compiled"));
-            let interp_bag = outcome_bag(&interp.result, &format!("{tag} interpreted"));
-            assert_eq!(
-                canonical(&interp_bag),
-                canonical(&compiled_bag),
-                "{tag}: compiled kernels disagree with the interpreter"
-            );
-            if let Some(expected) = &expected {
-                assert_bags_approx_eq(
-                    expected,
-                    &compiled_bag,
-                    &format!("{tag}: compiled run vs reference evaluator"),
-                );
-            }
-            // Identical plans over identical partitions: a diverging
-            // byte count means the kernels changed WHAT was computed,
-            // not just how.
-            assert_eq!(
-                interp.stats.shuffled_tuples, compiled.stats.shuffled_tuples,
-                "{tag}: shuffled tuple counts diverge"
-            );
-            assert_eq!(
-                interp.stats.shuffled_bytes, compiled.stats.shuffled_bytes,
-                "{tag}: logical shuffle bytes diverge"
-            );
-            assert_eq!(
-                interp.stats.shuffled_bytes_phys, compiled.stats.shuffled_bytes_phys,
-                "{tag}: physical shuffle bytes diverge"
-            );
-            // The interpreter side must not have compiled anything — the
-            // switch actually selects the engine.
-            assert_eq!(
-                interp.stats.expr_compiles(),
-                0,
-                "{tag}: interpreted run recorded kernel compiles"
-            );
-        }
+        assert_engines_agree(&spec, &inputs, expected.as_ref(), &format!("seed {seed}"));
     }
     assert!(
         referenced > 0,
         "no program of the corpus was held to the reference evaluator"
     );
+}
+
+/// `coalesce(bag, {})` over a bag column with NULL lanes — what the lowering
+/// puts above every outer join that re-attaches a nesting level: orders
+/// without parts leave `oparts` NULL-extended, the coalesced column is then
+/// grouped into `corders`, so the next `Γ⊎` ships it. Both engines answer
+/// with `Column::coalesce_empty_bag`; a column built any other way on one
+/// side would show in the physical bytes of that shuffle.
+#[test]
+fn coalesced_bag_columns_ship_identical_bytes_on_both_engines() {
+    let _watchdog = Watchdog::arm("expr_agree::coalesced_bags", Duration::from_secs(120));
+    let spec = QuerySpec::new(
+        "running-example",
+        running_example(),
+        vec![ShreddedInputDecl::new("COP", cop_structure())],
+    );
+    let values = [("COP", cop_value(24), true), ("Part", part_value(), false)];
+    let expected = reference_bag(&spec.query, &values);
+    let empty_parts = expected
+        .iter()
+        .flat_map(|c| {
+            c.as_tuple()
+                .unwrap()
+                .get("corders")
+                .unwrap()
+                .as_bag()
+                .unwrap()
+                .iter()
+        })
+        .filter(|o| {
+            o.as_tuple()
+                .unwrap()
+                .get("oparts")
+                .unwrap()
+                .as_bag()
+                .unwrap()
+                .is_empty()
+        })
+        .count();
+    assert!(empty_parts > 0, "the case needs orders without parts");
+    let inputs = input_set(ctx(), &values);
+    assert_engines_agree(&spec, &inputs, Some(&expected), "running example");
 }
 
 /// A default run actually engages the kernels: programs are compiled,

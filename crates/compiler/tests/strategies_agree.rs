@@ -123,6 +123,58 @@ fn underscored_bag_attributes_unshred_like_any_other() {
     );
 }
 
+/// Where a parent has no children the regrouped level is NULL-extended and
+/// must come back as the empty bag: `coalesce(bag, {})` on the standard
+/// route, the `attach` step of distributed unshredding on SHRED+UNSHRED and
+/// SHRED+UNSHRED-SKEW — both a validity flip on a typed bag column, and a
+/// row-wise rebuild when the dictionary below is empty and its group column
+/// is not bag-typed at all.
+#[test]
+fn childless_parents_come_back_with_empty_bags() {
+    let spec = QuerySpec::new(
+        "running-example-childless",
+        running_example(),
+        vec![ShreddedInputDecl::new("COP", cop_structure())],
+    );
+    let bags = |row: &Value, attr: &str| -> Vec<Value> {
+        let bag = row.as_tuple().unwrap().get(attr).unwrap().as_bag().unwrap();
+        bag.iter().cloned().collect()
+    };
+
+    // Customers without orders and orders without parts, next to ones that
+    // have them.
+    let some = [("COP", cop_value(12), true), ("Part", part_value(), false)];
+    let expected = reference_bag(&spec.query, &some);
+    let orders: Vec<Value> = expected.iter().flat_map(|c| bags(c, "corders")).collect();
+    assert!(expected.iter().any(|c| bags(c, "corders").is_empty()));
+    assert!(orders.iter().any(|o| bags(o, "oparts").is_empty()));
+    assert!(orders.iter().any(|o| !bags(o, "oparts").is_empty()));
+    check_all_strategies(&spec, &some);
+
+    // No order has a part: the innermost input dictionary is empty.
+    let no_parts = Value::bag(
+        (0..9)
+            .map(|c| {
+                let orders = (0..c % 3).map(|o| {
+                    Value::tuple([
+                        ("odate", Value::Date(100 + o)),
+                        ("oparts", Value::bag(vec![])),
+                    ])
+                });
+                Value::tuple([
+                    ("cname", Value::str(format!("c{c}"))),
+                    ("corders", Value::bag(orders.collect())),
+                ])
+            })
+            .collect(),
+    );
+    let none = [("COP", no_parts, true), ("Part", part_value(), false)];
+    let expected = reference_bag(&spec.query, &none);
+    let orders: Vec<Value> = expected.iter().flat_map(|c| bags(c, "corders")).collect();
+    assert!(!orders.is_empty() && orders.iter().all(|o| bags(o, "oparts").is_empty()));
+    check_all_strategies(&spec, &none);
+}
+
 #[test]
 fn flat_to_nested_all_strategies_agree() {
     let query = forin(

@@ -775,6 +775,67 @@ impl Column {
         self.absent().any()
     }
 
+    /// True when row `i` is NULL or absent — what expressions read as NULL.
+    /// Reads the validity bitmaps only; [`Column::value_at`] would clone a
+    /// whole bag to answer the same question.
+    pub fn is_null_at(&self, i: usize) -> bool {
+        match self {
+            Column::Int { nulls, absent, .. }
+            | Column::Real { nulls, absent, .. }
+            | Column::Bool { nulls, absent, .. }
+            | Column::Date { nulls, absent, .. }
+            | Column::Str { nulls, absent, .. }
+            | Column::Bag { nulls, absent, .. } => nulls.get(i) || absent.get(i),
+            Column::Other { values, absent } => absent.get(i) || matches!(values[i], Value::Null),
+        }
+    }
+
+    /// One flag per row: is it NULL or absent ([`Column::is_null_at`])?
+    pub fn null_lanes(&self) -> Vec<bool> {
+        (0..self.len()).map(|i| self.is_null_at(i)).collect()
+    }
+
+    /// `coalesce(bag, {})` without touching an element: the `taken` lanes
+    /// (NULL or absent bags) become valid empty bags. A NULL or absent row
+    /// of a bag column spans an empty element range — by construction in
+    /// `build_column`, `gather` and `concat`, and checked when a frame is
+    /// decoded — so the result shares `offsets` and `elems` with `self` and
+    /// differs in validity only. Untaken absent lanes read as NULL, like
+    /// every expression output.
+    ///
+    /// `None` when this is not a bag column or a taken lane spans elements;
+    /// the caller then coalesces row by row.
+    pub fn coalesce_empty_bag(&self, taken: &[bool]) -> Option<Column> {
+        let Column::Bag {
+            offsets,
+            elems,
+            nulls,
+            absent,
+        } = self
+        else {
+            return None;
+        };
+        if taken.len() != self.len() {
+            return None;
+        }
+        let mut out_nulls = Bitmap::zeros(taken.len());
+        for (i, taken) in taken.iter().enumerate() {
+            if *taken {
+                if offsets[i] != offsets[i + 1] {
+                    return None;
+                }
+            } else if nulls.get(i) || absent.get(i) {
+                out_nulls.set(i);
+            }
+        }
+        Some(Column::Bag {
+            offsets: offsets.clone(),
+            elems: elems.clone(),
+            nulls: out_nulls,
+            absent: Bitmap::zeros(taken.len()),
+        })
+    }
+
     /// True when no row is NULL or absent.
     pub(crate) fn all_valid(&self) -> bool {
         match self {
@@ -1688,6 +1749,28 @@ impl Batch {
         }
         Batch {
             schema: Arc::new(Schema::new(fields)),
+            columns,
+            rows: self.rows,
+        }
+    }
+
+    /// The pruning projection `π[names]`: exactly the attributes in `names`,
+    /// in `names` order, with the columns shared rather than copied. Like
+    /// every projection output, each named attribute is set on every row: a
+    /// name the schema lacks comes out all-NULL and absent rows become NULL
+    /// — where [`Batch::project_fields`] skips the former and keeps the
+    /// latter.
+    pub fn prune_fields(&self, names: &[String]) -> Batch {
+        let columns = names
+            .iter()
+            .map(|name| match self.column_arc(name) {
+                Some(col) if col.has_absent() => Arc::new(col.absent_as_null()),
+                Some(col) => col,
+                None => Arc::new(Column::null_column(self.rows)),
+            })
+            .collect();
+        Batch {
+            schema: Arc::new(Schema::new(names.to_vec())),
             columns,
             rows: self.rows,
         }

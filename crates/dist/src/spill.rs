@@ -55,11 +55,53 @@ fn encode_bitmap(bm: &Bitmap, w: &mut ByteWriter) -> std::io::Result<()> {
 
 fn decode_bitmap(r: &mut ByteReader<'_>) -> std::io::Result<Bitmap> {
     let len = r.u32()? as usize;
-    let mut words = Vec::with_capacity(len.div_ceil(64));
+    let mut words = Vec::with_capacity(r.bounded_capacity(len.div_ceil(64)));
     for _ in 0..len.div_ceil(64) {
         words.push(r.u64()?);
     }
     Ok(Bitmap::from_words(words, len))
+}
+
+fn invalid(what: impl Into<String>) -> std::io::Error {
+    std::io::Error::new(std::io::ErrorKind::InvalidData, what.into())
+}
+
+/// Reads a column's `nulls` and `absent` bitmaps, which must cover exactly
+/// its `rows` rows.
+fn decode_validity(r: &mut ByteReader<'_>, rows: usize) -> std::io::Result<(Bitmap, Bitmap)> {
+    let nulls = decode_bitmap(r)?;
+    let absent = decode_bitmap(r)?;
+    if nulls.len() != rows || absent.len() != rows {
+        return Err(invalid(format!(
+            "validity bitmaps of {} and {} bits on a column of {rows} rows",
+            nulls.len(),
+            absent.len()
+        )));
+    }
+    Ok((nulls, absent))
+}
+
+/// Reads a `u32` offset vector; the caller validates it with
+/// [`check_offsets`] once it has read what the offsets point into.
+fn decode_offsets(r: &mut ByteReader<'_>) -> std::io::Result<Vec<u32>> {
+    let n = r.u32()? as usize;
+    let mut offsets = Vec::with_capacity(r.bounded_capacity(n));
+    for _ in 0..n {
+        offsets.push(r.u32()?);
+    }
+    Ok(offsets)
+}
+
+/// Offsets must start at 0, never decrease and end at `end`.
+fn check_offsets(offsets: &[u32], end: usize, what: &str) -> std::io::Result<()> {
+    let monotone = offsets.windows(2).all(|w| w[0] <= w[1]);
+    if offsets.first() != Some(&0) || !monotone || offsets.last().map(|o| *o as usize) != Some(end)
+    {
+        return Err(invalid(format!(
+            "{what} offsets do not run monotonically from 0 to {end}"
+        )));
+    }
+    Ok(())
 }
 
 fn encode_column(col: &Column, w: &mut ByteWriter) -> std::io::Result<()> {
@@ -165,17 +207,19 @@ fn encode_column(col: &Column, w: &mut ByteWriter) -> std::io::Result<()> {
     Ok(())
 }
 
+/// Decodes one column and checks every invariant the engine later indexes
+/// by: a frame comes off a socket or a disk, so a violated one is a typed
+/// `InvalidData`, never a panic three operators downstream.
 fn decode_column(r: &mut ByteReader<'_>) -> std::io::Result<Column> {
     let tag = r.u8()?;
     macro_rules! prim {
-        ($variant:ident, $read:ident) => {{
+        ($variant:ident, $read:expr) => {{
             let n = r.u32()? as usize;
-            let mut data = Vec::with_capacity(n);
+            let mut data = Vec::with_capacity(r.bounded_capacity(n));
             for _ in 0..n {
-                data.push(r.$read()?);
+                data.push($read(r)?);
             }
-            let nulls = decode_bitmap(r)?;
-            let absent = decode_bitmap(r)?;
+            let (nulls, absent) = decode_validity(r, n)?;
             Column::$variant {
                 data,
                 nulls,
@@ -184,37 +228,34 @@ fn decode_column(r: &mut ByteReader<'_>) -> std::io::Result<Column> {
         }};
     }
     Ok(match tag {
-        COL_INT => prim!(Int, i64),
-        COL_REAL => prim!(Real, f64),
-        COL_DATE => prim!(Date, i64),
-        COL_BOOL => {
-            let n = r.u32()? as usize;
-            let mut data = Vec::with_capacity(n);
-            for _ in 0..n {
-                data.push(r.u8()? != 0);
-            }
-            let nulls = decode_bitmap(r)?;
-            let absent = decode_bitmap(r)?;
-            Column::Bool {
-                data,
-                nulls,
-                absent,
-            }
-        }
+        COL_INT => prim!(Int, ByteReader::i64),
+        COL_REAL => prim!(Real, ByteReader::f64),
+        COL_DATE => prim!(Date, ByteReader::i64),
+        COL_BOOL => prim!(Bool, |r: &mut ByteReader<'_>| r.u8().map(|b| b != 0)),
         COL_STR => {
             let bytes = r.str()?;
-            let n_offsets = r.u32()? as usize;
-            let mut offsets = Vec::with_capacity(n_offsets);
-            for _ in 0..n_offsets {
-                offsets.push(r.u32()?);
+            let offsets = decode_offsets(r)?;
+            check_offsets(&offsets, bytes.len(), "dictionary")?;
+            if !offsets.iter().all(|o| bytes.is_char_boundary(*o as usize)) {
+                return Err(invalid("dictionary offset inside a UTF-8 sequence"));
             }
             let n_codes = r.u32()? as usize;
-            let mut codes = Vec::with_capacity(n_codes);
+            let mut codes = Vec::with_capacity(r.bounded_capacity(n_codes));
             for _ in 0..n_codes {
                 codes.push(r.u32()?);
             }
-            let nulls = decode_bitmap(r)?;
-            let absent = decode_bitmap(r)?;
+            let (nulls, absent) = decode_validity(r, n_codes)?;
+            // NULL/absent lanes hold placeholder codes that need not index
+            // the (possibly empty) dictionary; every other lane must.
+            let entries = offsets.len() - 1;
+            let bad = (0..n_codes)
+                .find(|&i| codes[i] as usize >= entries && !nulls.get(i) && !absent.get(i));
+            if let Some(i) = bad {
+                return Err(invalid(format!(
+                    "string code {} of row {i} outside a dictionary of {entries} entries",
+                    codes[i]
+                )));
+            }
             Column::Str {
                 dict: StrDict::from_raw(bytes, offsets),
                 codes,
@@ -223,23 +264,29 @@ fn decode_column(r: &mut ByteReader<'_>) -> std::io::Result<Column> {
             }
         }
         COL_BAG_ROWS | COL_BAG_VALUES => {
-            let n_offsets = r.u32()? as usize;
-            let mut offsets = Vec::with_capacity(n_offsets);
-            for _ in 0..n_offsets {
-                offsets.push(r.u32()?);
-            }
+            let offsets = decode_offsets(r)?;
             let elems = if tag == COL_BAG_ROWS {
                 BagElems::Rows(Box::new(Batch::decode(r)?))
             } else {
                 let n = r.u32()? as usize;
-                let mut values = Vec::with_capacity(n);
+                let mut values = Vec::with_capacity(r.bounded_capacity(n));
                 for _ in 0..n {
                     values.push(decode_value(r)?);
                 }
                 BagElems::Values(values)
             };
-            let nulls = decode_bitmap(r)?;
-            let absent = decode_bitmap(r)?;
+            let elem_count = match &elems {
+                BagElems::Rows(child) => child.rows(),
+                BagElems::Values(values) => values.len(),
+            };
+            check_offsets(&offsets, elem_count, "bag")?;
+            let rows = offsets.len() - 1;
+            let (nulls, absent) = decode_validity(r, rows)?;
+            // `Column::coalesce_empty_bag` relies on this one.
+            let spans = |i: usize| offsets[i] != offsets[i + 1];
+            if (0..rows).any(|i| spans(i) && (nulls.get(i) || absent.get(i))) {
+                return Err(invalid("NULL or absent bag row spans elements"));
+            }
             Column::Bag {
                 offsets,
                 elems,
@@ -249,18 +296,23 @@ fn decode_column(r: &mut ByteReader<'_>) -> std::io::Result<Column> {
         }
         COL_OTHER => {
             let n = r.u32()? as usize;
-            let mut values = Vec::with_capacity(n);
+            let mut values = Vec::with_capacity(r.bounded_capacity(n));
             for _ in 0..n {
                 values.push(decode_value(r)?);
             }
             let absent = decode_bitmap(r)?;
+            if absent.len() != n {
+                return Err(invalid(format!(
+                    "absent bitmap of {} bits on a column of {n} rows",
+                    absent.len()
+                )));
+            }
             Column::Other { values, absent }
         }
         other => {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("unknown column tag {other} in spill frame"),
-            ))
+            return Err(invalid(format!(
+                "unknown column tag {other} in spill frame"
+            )))
         }
     })
 }
@@ -286,20 +338,34 @@ impl Spillable for Batch {
         let rows = r.u32()? as usize;
         let opaque = r.u8()? != 0;
         let n_fields = r.u32()? as usize;
-        let mut fields = Vec::with_capacity(n_fields);
+        let mut fields = Vec::with_capacity(r.bounded_capacity(n_fields));
         for _ in 0..n_fields {
             fields.push(r.str()?);
+        }
+        let n_cols = r.u32()? as usize;
+        let mut columns = Vec::with_capacity(r.bounded_capacity(n_cols));
+        for _ in 0..n_cols {
+            columns.push(Arc::new(decode_column(r)?));
+        }
+        // An opaque batch is one value column; a tuple batch one column per
+        // field. Either way every column covers every row.
+        let shaped = if opaque {
+            matches!(columns.as_slice(), [col] if matches!(col.as_ref(), Column::Other { .. }))
+        } else {
+            columns.len() == fields.len()
+        };
+        if !shaped || columns.iter().any(|c| c.len() != rows) {
+            return Err(invalid(format!(
+                "batch of {rows} rows and {} fields carries columns of {:?} rows",
+                fields.len(),
+                columns.iter().map(|c| c.len()).collect::<Vec<_>>()
+            )));
         }
         let schema = if opaque {
             Schema::opaque()
         } else {
             Schema::new(fields)
         };
-        let n_cols = r.u32()? as usize;
-        let mut columns = Vec::with_capacity(n_cols);
-        for _ in 0..n_cols {
-            columns.push(Arc::new(decode_column(r)?));
-        }
         Ok(Batch::from_raw(Arc::new(schema), columns, rows))
     }
 }

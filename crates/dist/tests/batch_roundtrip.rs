@@ -6,7 +6,8 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use trance_dist::{Batch, ClusterConfig, ColCollection, DistContext};
+use trance_dist::batch::BagElems;
+use trance_dist::{Batch, ClusterConfig, ColCollection, Column, DistContext};
 use trance_nrc::{Label, MemSize, Value};
 
 /// Strict structural equality: unlike `Value::eq` (where `Int(3) == Real(3.0)`),
@@ -203,4 +204,96 @@ fn physical_accounting_beats_logical_on_typed_data() {
         "logical accounting must equal mem_size on nested-bag batches"
     );
     assert!(batch.physical_bytes() < batch.logical_bytes());
+}
+
+/// The law of [`Column::coalesce_empty_bag`]: a taken lane reads `{}`, every
+/// other lane reads what the source reads (absence as NULL, the expression
+/// convention) — so an untaken NULL lane stays NULL.
+fn assert_coalesce_law(col: &Column, taken: &[bool], context: &str) {
+    let out = col
+        .coalesce_empty_bag(taken)
+        .unwrap_or_else(|| panic!("{context}: NULL and absent bag rows span no elements"));
+    assert_eq!(out.len(), col.len(), "{context}: length changed");
+    for (i, taken) in taken.iter().enumerate() {
+        let want = if *taken {
+            Value::empty_bag()
+        } else {
+            col.value_at(i).unwrap_or(Value::Null)
+        };
+        let got = out.value_at(i).expect("no lane of the result is absent");
+        assert!(
+            strict_eq(&want, &got),
+            "{context}: lane {i} (taken = {taken}) reads {got:?}, want {want:?}"
+        );
+    }
+}
+
+#[test]
+fn coalescing_null_bags_to_empty_only_flips_validity() {
+    use trance_store::{ByteReader, ByteWriter, Spillable};
+    let (mut rows_elems, mut values_elems, mut nulls, mut absents) = (0, 0, 0, 0);
+    for seed in 0..48u64 {
+        let mut rng = StdRng::seed_from_u64(0xC0A1 + seed);
+        let n = rng.gen_range(4..60usize);
+        let rows: Vec<Value> = (0..n).map(|_| random_row(&mut rng, 2, false)).collect();
+        let batch = Batch::from_rows(&rows);
+        // The same column as built, gathered, concatenated and decoded.
+        let idx: Vec<usize> = (0..n).rev().filter(|_| rng.gen_bool(0.7)).collect();
+        let mut w = ByteWriter::new();
+        batch.encode(&mut w).unwrap();
+        let forms = [
+            ("built", batch.clone()),
+            ("gathered", batch.take(&idx)),
+            (
+                "concatenated",
+                Batch::concat(&[batch.take(&idx), batch.clone()]),
+            ),
+            (
+                "decoded",
+                Batch::decode(&mut ByteReader::new(&w.into_bytes())).unwrap(),
+            ),
+        ];
+        for (form, b) in &forms {
+            let Some(col @ Column::Bag { elems, .. }) = b.column("items") else {
+                continue;
+            };
+            match elems {
+                BagElems::Rows(_) => rows_elems += 1,
+                BagElems::Values(_) => values_elems += 1,
+            }
+            let context = format!("seed {seed}, {form}");
+            let all = col.null_lanes();
+            nulls += (0..col.len())
+                .filter(|&i| all[i] && !col.is_absent(i))
+                .count();
+            absents += (0..col.len()).filter(|&i| col.is_absent(i)).count();
+            assert_coalesce_law(col, &all, &context);
+            // Under a guard only some NULL lanes take the fallback.
+            let some: Vec<bool> = all.iter().map(|t| *t && rng.gen_bool(0.5)).collect();
+            assert_coalesce_law(col, &some, &context);
+            assert_coalesce_law(col, &vec![false; col.len()], &context);
+        }
+    }
+    assert!(
+        rows_elems > 0 && values_elems > 0 && nulls > 0 && absents > 0,
+        "the corpus must cover both element layouts and both kinds of missing lane"
+    );
+
+    // Anything else is the caller's row-wise path: a taken lane that holds
+    // elements, a column that is not bag-typed.
+    let batch = Batch::from_rows(&[
+        Value::tuple([
+            ("k", Value::Int(1)),
+            ("items", Value::bag(vec![Value::Int(3)])),
+        ]),
+        Value::tuple([("k", Value::Int(2)), ("items", Value::Null)]),
+    ]);
+    let items = batch.column("items").unwrap();
+    assert!(items.coalesce_empty_bag(&[true, true]).is_none());
+    assert!(items.coalesce_empty_bag(&[false, true]).is_some());
+    assert!(batch
+        .column("k")
+        .unwrap()
+        .coalesce_empty_bag(&[false, true])
+        .is_none());
 }

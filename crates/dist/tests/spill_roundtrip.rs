@@ -12,66 +12,11 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use trance_dist::{Batch, ClusterConfig, ColCollection, DistContext, ExecError, JoinSpec};
-use trance_nrc::{Label, Value};
+use trance_nrc::Value;
 use trance_store::{ByteReader, ByteWriter, SpillManager, Spillable};
 
-fn strict_eq(a: &Value, b: &Value) -> bool {
-    match (a, b) {
-        (Value::Int(x), Value::Int(y)) => x == y,
-        (Value::Real(x), Value::Real(y)) => x.to_bits() == y.to_bits(),
-        (Value::Tuple(x), Value::Tuple(y)) => {
-            x.len() == y.len()
-                && x.iter()
-                    .zip(y.iter())
-                    .all(|((nx, vx), (ny, vy))| nx == ny && strict_eq(vx, vy))
-        }
-        (Value::Bag(x), Value::Bag(y)) => {
-            x.len() == y.len() && x.iter().zip(y.iter()).all(|(vx, vy)| strict_eq(vx, vy))
-        }
-        _ => a == b,
-    }
-}
-
-fn random_scalar(rng: &mut StdRng, flavour: u32) -> Value {
-    if rng.gen_bool(0.1) {
-        return Value::Null;
-    }
-    match flavour % 6 {
-        0 => Value::Int(rng.gen_range(-50..50)),
-        1 => Value::Real(rng.gen_range(0.0..100.0)),
-        2 => Value::Bool(rng.gen_bool(0.5)),
-        3 => Value::Date(rng.gen_range(0..20_000)),
-        4 => Value::str(format!("tag-{}", rng.gen_range(0..6u32))),
-        _ => Value::Label(Label::new(
-            rng.gen_range(0..3u32),
-            vec![Value::Int(rng.gen_range(0..10))],
-        )),
-    }
-}
-
-fn random_row(rng: &mut StdRng, depth: usize) -> Value {
-    let mut fields: Vec<(String, Value)> = Vec::new();
-    for f in 0..4u32 {
-        if rng.gen_bool(0.12) {
-            continue; // absent attribute (≠ NULL)
-        }
-        fields.push((format!("f{f}"), random_scalar(rng, f)));
-    }
-    if depth > 0 && !rng.gen_bool(0.1) {
-        let bag = if rng.gen_bool(0.08) {
-            Value::Null
-        } else {
-            let n = rng.gen_range(0..4usize);
-            if rng.gen_bool(0.1) {
-                Value::bag((0..n).map(|_| random_scalar(rng, 0)).collect())
-            } else {
-                Value::bag((0..n).map(|_| random_row(rng, depth - 1)).collect())
-            }
-        };
-        fields.push(("items".to_string(), bag));
-    }
-    Value::Tuple(trance_nrc::Tuple::new(fields))
-}
+mod common;
+use common::{random_row, strict_eq};
 
 #[test]
 fn spill_frames_round_trip_random_nested_batches_losslessly() {
@@ -79,7 +24,7 @@ fn spill_frames_round_trip_random_nested_batches_losslessly() {
     for seed in 0..32u64 {
         let mut rng = StdRng::seed_from_u64(0x5B111 + seed);
         let n = rng.gen_range(1..80usize);
-        let rows: Vec<Value> = (0..n).map(|_| random_row(&mut rng, 2)).collect();
+        let rows: Vec<Value> = (0..n).map(|_| random_row(&mut rng, 2, 4)).collect();
         let batch = Batch::from_rows(&rows);
 
         // Chunked framing: split the batch into several frames like the
