@@ -25,26 +25,48 @@
 //!
 //! ## Data movement
 //!
-//! Everything that moves rows is one of two primitives, both a single pass
-//! per column:
+//! The unit of data movement is the **selection**: a batch plus a
+//! [`RowSel`] — a row list, or `None` for every row in order. A selection
+//! stands for the batch [`Batch::take`] would gather from it, and two things
+//! can be done with one without building that batch:
 //!
-//! * **gather** ([`Batch::take`] / [`Batch::take_opt`], [`Column::gather`]) —
-//!   generic over [`GatherIndex`], so a dense index list (`&[usize]`: shuffle
-//!   pieces, morsel slices, join sides without misses) runs a loop with no
-//!   `Option` in it and skips the validity bitmaps of an all-valid source,
-//!   while outer joins pass `&[Option<usize>]`. A string gather renumbers the
-//!   surviving codes in first-use order and copies their bytes once, exactly
-//!   sized, so dictionaries stay shrunk to what a batch uses and the physical
-//!   byte accounting stays exact;
-//! * **concat** ([`Batch::concat`]) — n-way: exact reserves, word-wise bitmap
-//!   appends, and for strings one lookup table built once across all pieces
-//!   (not once per appended piece over the accumulated dictionary).
+//! * **meter** it — [`Batch::logical_bytes_of`] and
+//!   [`Batch::physical_bytes_of`] are the byte accountings of the gathered
+//!   batch computed in place (the law, held by `tests/batch_roundtrip.rs`:
+//!   `b.physical_bytes_of(rows) == b.take(rows).physical_bytes()`). The schema
+//!   counts once, a validity bitmap counts when a selected row sets it, a
+//!   dictionary counts the distinct entries the selected rows use (found with
+//!   a stamp vector a [`SelScratch`] reuses from one selection to the next),
+//!   a bag column recurses on the selected element ranges.
+//!   [`Batch::logical_bytes`] and [`Batch::physical_bytes`] are the
+//!   every-row case of the same code, so each quantity has one definition;
+//! * **merge** it with others — [`Batch::merge`] builds one batch from
+//!   `[(batch, rows)]` in a single pass per column: one exactly sized
+//!   allocation per output buffer, every value copied once, strings
+//!   deduplicated through one lookup across all sources with a per-source
+//!   remap filled on first use. The result is, buffer for buffer, the
+//!   concatenation of the gathered selections (same law suite), so a shuffle
+//!   can hand its targets selections instead of gathered pieces and nothing
+//!   downstream — least of all the next shuffle's physical bytes — can tell.
+//!   [`Batch::concat`] is the merge of every row of each batch.
+//!
+//! **gather** ([`Batch::take`] / [`Batch::take_opt`], [`Column::gather`])
+//! materializes a single selection, and is the only form that null-extends:
+//! it is generic over [`GatherIndex`], so a dense index list (`&[usize]`:
+//! morsel slices, join sides without misses) runs a loop with no `Option` in
+//! it and skips the validity bitmaps of an all-valid source, while outer
+//! joins pass `&[Option<usize>]`. A string gather renumbers the surviving
+//! codes in first-use order and copies their bytes once, exactly sized, so
+//! dictionaries stay shrunk to what a batch uses and the physical byte
+//! accounting stays exact. A gather that names every row in order shares the
+//! source's columns, and so does the merge of one such selection.
 //!
 //! Key hashing and key equality read the same buffers in place; see
 //! `keys.rs` for the key-hash / validity contract the breakers rely on and
 //! for where [`Column::Other`] is compared by reference instead.
 
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 use trance_nrc::{Bag, MemSize, Tuple, Value};
@@ -134,14 +156,53 @@ impl Bitmap {
         self.ones += src.ones;
     }
 
+    /// Appends the bits of `src` that `rows` selects, in selection order.
+    fn extend_selected(&mut self, src: &Bitmap, rows: RowSel<'_>) {
+        match rows {
+            None => self.extend_from(src),
+            Some(idx) if src.ones == 0 => {
+                self.len += idx.len();
+                self.bits.resize(self.len.div_ceil(64), 0);
+            }
+            Some(idx) => idx.iter().for_each(|i| self.push(src.get(*i))),
+        }
+    }
+
+    /// An empty bitmap with room for `bits` bits (and the word an unaligned
+    /// [`Bitmap::extend_from`] pushes past the end before it truncates).
+    fn with_capacity(bits: usize) -> Bitmap {
+        Bitmap {
+            bits: Vec::with_capacity(bits.div_ceil(64) + 1),
+            len: 0,
+            ones: 0,
+        }
+    }
+
     /// Number of one bits.
     pub fn count_ones(&self) -> usize {
         self.ones
     }
 
+    /// Number of one bits among the rows `rows` selects.
+    fn count_among(&self, rows: RowSel<'_>) -> usize {
+        match rows {
+            Some(idx) if self.ones > 0 => idx.iter().filter(|i| self.get(**i)).count(),
+            Some(_) => 0,
+            None => self.ones,
+        }
+    }
+
     /// True when at least one bit is set.
     pub fn any(&self) -> bool {
         self.ones > 0
+    }
+
+    /// True when a row `rows` selects has its bit set.
+    fn any_among(&self, rows: RowSel<'_>) -> bool {
+        match rows {
+            Some(idx) => self.ones > 0 && idx.iter().any(|i| self.get(*i)),
+            None => self.ones > 0,
+        }
     }
 
     /// Physical size of the bit buffer in bytes.
@@ -251,6 +312,113 @@ impl FieldHint {
             name: name.into(),
             nested: Some(inner),
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// selections
+// ---------------------------------------------------------------------------
+
+/// Which rows of a batch an operation reads, in which order: a row list
+/// (rows may repeat), or `None` for every row in order. A selection stands
+/// for the batch [`Batch::take`] would gather from it, without building it.
+pub type RowSel<'a> = Option<&'a [usize]>;
+
+/// Number of rows `rows` selects out of `n`.
+fn sel_len(rows: RowSel<'_>, n: usize) -> usize {
+    rows.map_or(n, <[usize]>::len)
+}
+
+/// `rows`, with a list that names every one of `n` rows in order read as
+/// `None`: [`Batch::take`] shares the source's columns for such a list
+/// instead of re-gathering them, so that is the batch the selection stands
+/// for.
+fn proper(rows: RowSel<'_>, n: usize) -> RowSel<'_> {
+    rows.filter(|idx| idx.len() != n || idx.iter().enumerate().any(|(i, r)| *r != i))
+}
+
+/// Calls `f` with each row `rows` selects out of `n`, in selection order.
+fn for_rows(rows: RowSel<'_>, n: usize, f: impl FnMut(usize)) {
+    match rows {
+        Some(idx) => idx.iter().copied().for_each(f),
+        None => (0..n).for_each(f),
+    }
+}
+
+/// Reusable working memory of [`Batch::logical_bytes_of`] and
+/// [`Batch::physical_bytes_of`]: metering the selections one batch is routed
+/// into (one per shuffle target) allocates once per string and bag column,
+/// not once per selection. Metering every row (`None`) never touches it.
+#[derive(Debug, Default)]
+pub struct SelScratch {
+    cols: Vec<ColScratch>,
+}
+
+impl SelScratch {
+    fn col(&mut self, c: usize) -> &mut ColScratch {
+        if self.cols.len() <= c {
+            self.cols.resize_with(c + 1, ColScratch::default);
+        }
+        &mut self.cols[c]
+    }
+}
+
+/// One column's share of a [`SelScratch`].
+#[derive(Debug, Default)]
+struct ColScratch {
+    /// String columns: `stamps[code] == epoch` once the selection being
+    /// metered has counted dictionary entry `code`.
+    stamps: Vec<u32>,
+    epoch: u32,
+    /// Bag columns: the element indices of the selected rows' bags.
+    elems: Vec<usize>,
+    /// Bag columns: the child batch's scratch.
+    child: SelScratch,
+}
+
+impl ColScratch {
+    /// Starts a selection over a dictionary of `entries` entries: no entry
+    /// carries the returned stamp yet.
+    fn next_epoch(&mut self, entries: usize) -> u32 {
+        if self.stamps.len() < entries {
+            self.stamps.resize(entries, 0);
+        }
+        if self.epoch == u32::MAX {
+            self.stamps.fill(0);
+            self.epoch = 0;
+        }
+        self.epoch += 1;
+        self.epoch
+    }
+}
+
+impl ColScratch {
+    /// The elements of the bags `rows` selects out of a bag column, as a
+    /// selection of the column's child batch, next to the child's scratch.
+    fn bag_elems(
+        &mut self,
+        rows: RowSel<'_>,
+        offsets: &[u32],
+        nulls: &Bitmap,
+        absent: &Bitmap,
+    ) -> (RowSel<'_>, &mut SelScratch) {
+        let elems = rows.map(|idx| {
+            self.elems.clear();
+            for i in idx {
+                self.elems.extend(bag_range(offsets, nulls, absent, *i));
+            }
+            self.elems.as_slice()
+        });
+        (elems, &mut self.child)
+    }
+}
+
+/// The element range of row `i`'s bag; a NULL or absent row spans none.
+fn bag_range(offsets: &[u32], nulls: &Bitmap, absent: &Bitmap, i: usize) -> Range<usize> {
+    if nulls.get(i) || absent.get(i) {
+        0..0
+    } else {
+        offsets[i] as usize..offsets[i + 1] as usize
     }
 }
 
@@ -1126,19 +1294,26 @@ impl Column {
         }
     }
 
-    /// Concatenates same-variant columns in one pass: exact `reserve`, one
-    /// dictionary lookup table built once across all string pieces, word-wise
-    /// bitmap appends. `None` when the variants differ (the caller rebuilds
-    /// from values instead).
-    fn concat(cols: &[&Column]) -> Option<Column> {
-        let rows: usize = cols.iter().map(|c| c.len()).sum();
+    /// The n-way merge of same-variant columns: the rows each part selects,
+    /// part after part, in one pass — one exactly sized allocation per output
+    /// buffer, every value copied once. `None` when the variants differ (the
+    /// caller rebuilds from values instead).
+    ///
+    /// The result is what gathering each part ([`Column::gather`]) and then
+    /// appending the gathered columns would build, buffer for buffer: string
+    /// entries are numbered in first-use order within a part and deduplicated
+    /// through one lookup across parts, NULL and absent lanes carry
+    /// placeholder code 0, bags gather their element ranges part by part and
+    /// merge the child batches through [`Batch::merge`].
+    fn merge(parts: &[(&Column, RowSel<'_>)]) -> Option<Column> {
+        let rows: usize = parts.iter().map(|(c, sel)| sel_len(*sel, c.len())).sum();
+        let mut out_nulls = Bitmap::with_capacity(rows);
+        let mut out_absent = Bitmap::with_capacity(rows);
         // The four primitive vectors share one body.
-        macro_rules! concat_prim {
+        macro_rules! merge_prim {
             ($variant:ident, $t:ty) => {{
                 let mut out: Vec<$t> = Vec::with_capacity(rows);
-                let mut out_nulls = Bitmap::zeros(0);
-                let mut out_absent = Bitmap::zeros(0);
-                for col in cols {
+                for (col, sel) in parts {
                     let Column::$variant {
                         data,
                         nulls,
@@ -1147,9 +1322,12 @@ impl Column {
                     else {
                         return None;
                     };
-                    out.extend_from_slice(data);
-                    out_nulls.extend_from(nulls);
-                    out_absent.extend_from(absent);
+                    match sel {
+                        None => out.extend_from_slice(data),
+                        Some(idx) => out.extend(idx.iter().map(|i| data[*i])),
+                    }
+                    out_nulls.extend_selected(nulls, *sel);
+                    out_absent.extend_selected(absent, *sel);
                 }
                 Some(Column::$variant {
                     data: out,
@@ -1158,24 +1336,23 @@ impl Column {
                 })
             }};
         }
-        match cols.first()? {
-            Column::Int { .. } => concat_prim!(Int, i64),
-            Column::Date { .. } => concat_prim!(Date, i64),
-            Column::Real { .. } => concat_prim!(Real, f64),
-            Column::Bool { .. } => concat_prim!(Bool, bool),
+        match parts.first()?.0 {
+            Column::Int { .. } => merge_prim!(Int, i64),
+            Column::Date { .. } => merge_prim!(Date, i64),
+            Column::Real { .. } => merge_prim!(Real, f64),
+            Column::Bool { .. } => merge_prim!(Bool, bool),
             Column::Str { .. } => {
-                let entries = |c: &&Column| match c {
-                    Column::Str { dict, .. } => dict.len(),
+                let entries = |(c, sel): &(&Column, RowSel<'_>)| match c {
+                    Column::Str { dict, .. } => dict.len().min(sel_len(*sel, c.len())),
                     _ => 0,
                 };
                 let mut out_dict = StrDict::new();
                 let mut lookup: HashMap<&str, u32> =
-                    HashMap::with_capacity(cols.iter().map(entries).sum());
+                    HashMap::with_capacity(parts.iter().map(entries).sum());
                 let mut out_codes: Vec<u32> = Vec::with_capacity(rows);
-                let mut out_nulls = Bitmap::zeros(0);
-                let mut out_absent = Bitmap::zeros(0);
+                // This part's codes in the output dictionary.
                 let mut remap: Vec<u32> = Vec::new();
-                for col in cols {
+                for (col, sel) in parts {
                     let Column::Str {
                         dict,
                         codes,
@@ -1185,26 +1362,48 @@ impl Column {
                     else {
                         return None;
                     };
+                    let mut intern = |code: usize| {
+                        let s = dict.get(code);
+                        *lookup.entry(s).or_insert_with(|| out_dict.push(s))
+                    };
+                    // NULL/absent lanes hold placeholder codes that need not
+                    // index the (possibly empty) dictionary.
+                    let masked = nulls.any() || absent.any();
                     remap.clear();
-                    remap.extend(
-                        dict.iter()
-                            .map(|s| *lookup.entry(s).or_insert_with(|| out_dict.push(s))),
-                    );
-                    if nulls.any() || absent.any() {
-                        // NULL/absent lanes hold placeholder codes that need
-                        // not index the (possibly empty) dictionary.
-                        out_codes.extend(codes.iter().enumerate().map(|(i, c)| {
-                            if nulls.get(i) || absent.get(i) {
-                                0
+                    match sel {
+                        // Every row: every entry, in dictionary order.
+                        None => {
+                            remap.extend((0..dict.len()).map(&mut intern));
+                            if masked {
+                                out_codes.extend(codes.iter().enumerate().map(|(i, c)| {
+                                    if nulls.get(i) || absent.get(i) {
+                                        0
+                                    } else {
+                                        remap[*c as usize]
+                                    }
+                                }));
                             } else {
-                                remap[*c as usize]
+                                out_codes.extend(codes.iter().map(|c| remap[*c as usize]));
                             }
-                        }));
-                    } else {
-                        out_codes.extend(codes.iter().map(|c| remap[*c as usize]));
+                        }
+                        // A row list: the entries it uses, in first-use order.
+                        Some(idx) => {
+                            remap.resize(dict.len(), u32::MAX);
+                            for &i in *idx {
+                                if masked && (nulls.get(i) || absent.get(i)) {
+                                    out_codes.push(0);
+                                    continue;
+                                }
+                                let old = codes[i] as usize;
+                                if remap[old] == u32::MAX {
+                                    remap[old] = intern(old);
+                                }
+                                out_codes.push(remap[old]);
+                            }
+                        }
                     }
-                    out_nulls.extend_from(nulls);
-                    out_absent.extend_from(absent);
+                    out_nulls.extend_selected(nulls, *sel);
+                    out_absent.extend_selected(absent, *sel);
                 }
                 Some(Column::Str {
                     dict: out_dict,
@@ -1216,11 +1415,16 @@ impl Column {
             Column::Bag { elems: first, .. } => {
                 let mut out_offsets: Vec<u32> = Vec::with_capacity(rows + 1);
                 out_offsets.push(0);
-                let mut out_nulls = Bitmap::zeros(0);
-                let mut out_absent = Bitmap::zeros(0);
-                let mut child_rows: Vec<&Batch> = Vec::new();
-                let mut child_values: Vec<Value> = Vec::new();
-                for col in cols {
+                // Elements merged so far. Offsets are cast as they are
+                // pushed and the (monotone) total is checked once at the end.
+                let mut total = 0usize;
+                // The element indices the row lists select, back to back;
+                // each part's child comes with its run of them (`None`: the
+                // whole child).
+                let mut elem_idx: Vec<usize> = Vec::new();
+                let mut child_rows: Vec<(&Batch, Option<Range<usize>>)> = Vec::new();
+                let mut child_values: Vec<(&[Value], Option<Range<usize>>)> = Vec::new();
+                for (col, sel) in parts {
                     let Column::Bag {
                         offsets,
                         elems,
@@ -1230,21 +1434,52 @@ impl Column {
                     else {
                         return None;
                     };
-                    match (first, elems) {
-                        (BagElems::Rows(_), BagElems::Rows(b)) => child_rows.push(b),
-                        (BagElems::Values(_), BagElems::Values(v)) => {
-                            child_values.extend(v.iter().cloned())
+                    let run = sel.map(|idx| {
+                        let lo = elem_idx.len();
+                        for i in idx {
+                            elem_idx.extend(bag_range(offsets, nulls, absent, *i));
+                            out_offsets.push((total + elem_idx.len() - lo) as u32);
                         }
+                        lo..elem_idx.len()
+                    });
+                    match &run {
+                        Some(run) => total += run.len(),
+                        None => {
+                            let base = total;
+                            let shifted =
+                                offsets.iter().skip(1).map(|o| (base + *o as usize) as u32);
+                            out_offsets.extend(shifted);
+                            total += offsets.last().map_or(0, |o| *o as usize);
+                        }
+                    }
+                    match (first, elems) {
+                        (BagElems::Rows(_), BagElems::Rows(b)) => child_rows.push((b, run)),
+                        (BagElems::Values(_), BagElems::Values(v)) => child_values.push((v, run)),
                         _ => return None,
                     }
-                    let base = *out_offsets.last().expect("offsets start at 0");
-                    out_offsets.extend(offsets.iter().skip(1).map(|o| o + base));
-                    out_nulls.extend_from(nulls);
-                    out_absent.extend_from(absent);
+                    out_nulls.extend_selected(nulls, *sel);
+                    out_absent.extend_selected(absent, *sel);
                 }
+                assert!(
+                    u32::try_from(total).is_ok(),
+                    "bag column exceeds the u32 offset space of one batch"
+                );
+                let selected = |run: &Option<Range<usize>>| run.clone().map(|r| &elem_idx[r]);
                 let elems = match first {
-                    BagElems::Rows(_) => BagElems::Rows(Box::new(Batch::concat_refs(&child_rows))),
-                    BagElems::Values(_) => BagElems::Values(child_values),
+                    BagElems::Rows(_) => {
+                        let children: Vec<(&Batch, RowSel<'_>)> = child_rows
+                            .iter()
+                            .map(|(b, run)| (*b, selected(run)))
+                            .collect();
+                        BagElems::Rows(Box::new(Batch::merge(&children)))
+                    }
+                    BagElems::Values(_) => {
+                        let mut out: Vec<Value> = Vec::with_capacity(total);
+                        for (v, run) in &child_values {
+                            for_rows(selected(run), v.len(), |j| out.push(v[j].clone()));
+                        }
+                        BagElems::Values(out)
+                    }
                 };
                 Some(Column::Bag {
                     offsets: out_offsets,
@@ -1255,13 +1490,12 @@ impl Column {
             }
             Column::Other { .. } => {
                 let mut out: Vec<Value> = Vec::with_capacity(rows);
-                let mut out_absent = Bitmap::zeros(0);
-                for col in cols {
+                for (col, sel) in parts {
                     let Column::Other { values, absent } = col else {
                         return None;
                     };
-                    out.extend(values.iter().cloned());
-                    out_absent.extend_from(absent);
+                    for_rows(*sel, values.len(), |i| out.push(values[i].clone()));
+                    out_absent.extend_selected(absent, *sel);
                 }
                 Some(Column::Other {
                     values: out,
@@ -1275,72 +1509,94 @@ impl Column {
     /// charged only when they carry a set bit — an all-valid column ships
     /// without them, as in real columnar wire formats.
     pub fn physical_bytes(&self) -> usize {
-        fn bitmaps(nulls: &Bitmap, absent: &Bitmap) -> usize {
-            let mut total = 0;
-            if nulls.any() {
-                total += nulls.byte_size();
+        self.physical_bytes_of(None, &mut ColScratch::default())
+    }
+
+    /// [`Column::physical_bytes`] of the column [`Column::gather`] would
+    /// build from `rows`, with nothing gathered: a bitmap counts when a
+    /// selected row sets it, a dictionary by the distinct entries the
+    /// selected rows use, a bag column by its selected element ranges.
+    fn physical_bytes_of(&self, rows: RowSel<'_>, scratch: &mut ColScratch) -> usize {
+        let n = sel_len(rows, self.len());
+        let bitmap = |bm: &Bitmap| {
+            if bm.any_among(rows) {
+                n.div_ceil(64) * 8
+            } else {
+                0
             }
-            if absent.any() {
-                total += absent.byte_size();
-            }
-            total
-        }
+        };
         match self {
-            Column::Int {
-                data,
-                nulls,
-                absent,
-            }
-            | Column::Date {
-                data,
-                nulls,
-                absent,
-            } => data.len() * 8 + bitmaps(nulls, absent),
-            Column::Real {
-                data,
-                nulls,
-                absent,
-            } => data.len() * 8 + bitmaps(nulls, absent),
-            Column::Bool {
-                data,
-                nulls,
-                absent,
-            } => data.len() + bitmaps(nulls, absent),
+            Column::Int { nulls, absent, .. }
+            | Column::Date { nulls, absent, .. }
+            | Column::Real { nulls, absent, .. } => n * 8 + bitmap(nulls) + bitmap(absent),
+            Column::Bool { nulls, absent, .. } => n + bitmap(nulls) + bitmap(absent),
             Column::Str {
                 dict,
                 codes,
                 nulls,
                 absent,
-            } => codes.len() * 4 + dict.byte_size() + bitmaps(nulls, absent),
+            } => {
+                let dict_bytes = match rows {
+                    None => dict.byte_size(),
+                    Some(idx) => {
+                        let masked = nulls.any() || absent.any();
+                        let epoch = scratch.next_epoch(dict.len());
+                        let (mut entries, mut bytes) = (0, 0);
+                        for &i in idx {
+                            if masked && (nulls.get(i) || absent.get(i)) {
+                                continue;
+                            }
+                            let code = codes[i] as usize;
+                            if scratch.stamps[code] != epoch {
+                                scratch.stamps[code] = epoch;
+                                entries += 1;
+                                bytes += dict.entry_len(code);
+                            }
+                        }
+                        bytes + (entries + 1) * 4
+                    }
+                };
+                n * 4 + dict_bytes + bitmap(nulls) + bitmap(absent)
+            }
             Column::Bag {
                 offsets,
                 elems,
                 nulls,
                 absent,
             } => {
+                let (elem_rows, child) = scratch.bag_elems(rows, offsets, nulls, absent);
                 let elem_bytes = match elems {
-                    BagElems::Rows(b) => b.physical_bytes(),
-                    BagElems::Values(v) => v.iter().map(MemSize::mem_size).sum(),
+                    BagElems::Rows(b) => b.physical_bytes_of(elem_rows, child),
+                    BagElems::Values(v) => {
+                        let mut total = 0;
+                        for_rows(elem_rows, v.len(), |j| total += v[j].mem_size());
+                        total
+                    }
                 };
-                offsets.len() * 4 + elem_bytes + bitmaps(nulls, absent)
+                rows.map_or(offsets.len(), |idx| idx.len() + 1) * 4
+                    + elem_bytes
+                    + bitmap(nulls)
+                    + bitmap(absent)
             }
             Column::Other { values, absent } => {
-                values.iter().map(MemSize::mem_size).sum::<usize>()
-                    + if absent.any() { absent.byte_size() } else { 0 }
+                let mut total = bitmap(absent);
+                for_rows(rows, values.len(), |i| total += values[i].mem_size());
+                total
             }
         }
     }
 
-    /// Row-equivalent bytes of the column's *values* (the contribution the
-    /// same data would make to `Value::mem_size` as tuple fields), excluding
-    /// the per-field name/slot overhead, which the batch accounts from the
-    /// schema and the present counts.
-    fn logical_value_bytes(&self) -> usize {
+    /// Row-equivalent bytes of the *values* of the rows `rows` selects (the
+    /// contribution the same data would make to `Value::mem_size` as tuple
+    /// fields), excluding the per-field name/slot overhead, which the batch
+    /// accounts from the schema and the present counts.
+    fn logical_value_bytes_of(&self, rows: RowSel<'_>, scratch: &mut ColScratch) -> usize {
+        let n = sel_len(rows, self.len());
         match self {
             Column::Int { absent, .. }
             | Column::Date { absent, .. }
             | Column::Real { absent, .. }
-            | Column::Bool { absent, .. } => (self.len() - absent.count_ones()) * 8,
+            | Column::Bool { absent, .. } => (n - absent.count_among(rows)) * 8,
             Column::Str {
                 dict,
                 codes,
@@ -1348,16 +1604,15 @@ impl Column {
                 absent,
             } => {
                 let mut total = 0usize;
-                for (i, c) in codes.iter().enumerate() {
-                    if absent.get(i) {
-                        continue;
+                for_rows(rows, codes.len(), |i| {
+                    if !absent.get(i) {
+                        total += if nulls.get(i) {
+                            8
+                        } else {
+                            24 + dict.entry_len(codes[i] as usize)
+                        };
                     }
-                    total += if nulls.get(i) {
-                        8
-                    } else {
-                        24 + dict.entry_len(*c as usize)
-                    };
-                }
+                });
                 total
             }
             Column::Bag {
@@ -1366,21 +1621,28 @@ impl Column {
                 nulls,
                 absent,
             } => {
-                let n = offsets.len().saturating_sub(1);
-                let present = n - absent.count_ones();
-                let null_rows = nulls.count_ones();
+                let present = n - absent.count_among(rows);
+                let null_rows = nulls.count_among(rows);
+                let (elem_rows, child) = scratch.bag_elems(rows, offsets, nulls, absent);
                 let elem_bytes = match elems {
-                    BagElems::Rows(b) => b.logical_bytes(),
-                    BagElems::Values(v) => v.iter().map(MemSize::mem_size).sum(),
+                    BagElems::Rows(b) => b.logical_bytes_of(elem_rows, child),
+                    BagElems::Values(v) => {
+                        let mut total = 0;
+                        for_rows(elem_rows, v.len(), |j| total += v[j].mem_size());
+                        total
+                    }
                 };
-                (present - null_rows) * 24 + null_rows * 8 + elem_bytes
+                present.saturating_sub(null_rows) * 24 + null_rows * 8 + elem_bytes
             }
-            Column::Other { values, absent } => values
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| !absent.get(*i))
-                .map(|(_, v)| v.mem_size())
-                .sum(),
+            Column::Other { values, absent } => {
+                let mut total = 0;
+                for_rows(rows, values.len(), |i| {
+                    if !absent.get(i) {
+                        total += values[i].mem_size();
+                    }
+                });
+                total
+            }
         }
     }
 }
@@ -1622,56 +1884,79 @@ impl Batch {
         self.take(&idx)
     }
 
-    /// Concatenates batches into one. Batches with identical schemas append
-    /// column buffers directly — a single n-way pass per column, see
-    /// `Column::concat`; mixed schemas fall back to a value-level rebuild.
+    /// Concatenates batches into one: [`Batch::merge`] of every row of each.
     pub fn concat(batches: &[Batch]) -> Batch {
-        Batch::concat_refs(&batches.iter().collect::<Vec<_>>())
+        Batch::merge(&batches.iter().map(|b| (b, None)).collect::<Vec<_>>())
     }
 
-    /// [`Batch::concat`] over borrowed batches.
-    pub(crate) fn concat_refs(batches: &[&Batch]) -> Batch {
-        let nonempty: Vec<&Batch> = batches.iter().copied().filter(|b| !b.is_empty()).collect();
-        match nonempty.len() {
-            0 => {
-                // Preserve a schema if any input has one.
-                return batches
+    /// The batch a selection stands for: [`Batch::take`] of a row list, the
+    /// batch itself (columns shared) for every row.
+    pub fn select(&self, rows: RowSel<'_>) -> Batch {
+        match rows {
+            Some(idx) => self.take(idx),
+            None => self.clone(),
+        }
+    }
+
+    /// The n-way merge: one batch holding the rows each source selects,
+    /// source after source — what [`Batch::concat`] builds from the
+    /// [`Batch::take`] of every selection, buffer for buffer (row order,
+    /// dictionary entry order, placeholder codes, validity), without
+    /// building the takes. Sources with identical schemas merge column-wise
+    /// in a single pass (`Column::merge`); mixed schemas or column variants
+    /// fall back to a value-level rebuild.
+    ///
+    /// Empty selections are skipped. When no source contributes a row the
+    /// result is the (empty) selection of the first source that carries a
+    /// schema, and a single contributing source is gathered on its own — so
+    /// a lone every-row selection shares its source's columns.
+    pub fn merge(sources: &[(&Batch, RowSel<'_>)]) -> Batch {
+        let nonempty: Vec<(&Batch, RowSel<'_>)> = sources
+            .iter()
+            .filter(|(b, rows)| sel_len(*rows, b.rows) > 0)
+            .map(|(b, rows)| (*b, proper(*rows, b.rows)))
+            .collect();
+        match nonempty.as_slice() {
+            [] => {
+                return sources
                     .iter()
-                    .find(|b| !b.schema.fields().is_empty())
-                    .or(batches.first())
-                    .map(|b| (*b).clone())
+                    .find(|(b, _)| !b.schema.fields().is_empty())
+                    .or(sources.first())
+                    .map(|(b, rows)| b.select(*rows))
                     .unwrap_or_default();
             }
-            1 => return nonempty[0].clone(),
+            [(b, rows)] => return b.select(*rows),
             _ => {}
         }
-        let first = nonempty[0];
-        if nonempty.iter().all(|b| b.schema == first.schema)
-            || nonempty
-                .iter()
-                .all(|b| !b.schema.is_opaque() && b.schema.fields() == first.schema.fields())
+        let first = nonempty[0].0;
+        let rows: usize = nonempty.iter().map(|(b, sel)| sel_len(*sel, b.rows)).sum();
+        if nonempty
+            .iter()
+            .all(|(b, _)| Arc::ptr_eq(&b.schema, &first.schema) || b.schema == first.schema)
         {
             let columns: Option<Vec<Arc<Column>>> = (0..first.columns.len())
                 .map(|c| {
-                    let pieces: Vec<&Column> =
-                        nonempty.iter().map(|b| b.columns[c].as_ref()).collect();
-                    Column::concat(&pieces).map(Arc::new)
+                    let parts: Vec<(&Column, RowSel<'_>)> = nonempty
+                        .iter()
+                        .map(|(b, sel)| (b.columns[c].as_ref(), *sel))
+                        .collect();
+                    Column::merge(&parts).map(Arc::new)
                 })
                 .collect();
             if let Some(columns) = columns {
                 return Batch {
                     schema: first.schema.clone(),
                     columns,
-                    rows: nonempty.iter().map(|b| b.rows).sum(),
+                    rows,
                 };
             }
         }
         // Heterogeneous fallback: rebuild from materialized rows.
-        let mut rows: Vec<Value> = Vec::with_capacity(nonempty.iter().map(|b| b.rows).sum());
-        for b in &nonempty {
-            rows.extend(b.to_rows());
+        let mut values: Vec<Value> = Vec::with_capacity(rows);
+        for (b, sel) in &nonempty {
+            for_rows(*sel, b.rows, |i| values.push(b.row_value(i)));
         }
-        Batch::from_rows(&rows)
+        Batch::from_rows(&values)
     }
 
     /// Left-to-right tuple concatenation of two same-length batches with
@@ -1840,12 +2125,16 @@ impl Batch {
     /// Exact physical bytes of the batch: the column buffers plus the schema
     /// (and each string dictionary) counted **once per batch**.
     pub fn physical_bytes(&self) -> usize {
+        self.physical_bytes_of(None, &mut SelScratch::default())
+    }
+
+    /// [`Batch::physical_bytes`] of the batch [`Batch::take`] would gather
+    /// from `rows`, computed in place: no buffer is built or copied.
+    pub fn physical_bytes_of(&self, rows: RowSel<'_>, scratch: &mut SelScratch) -> usize {
         self.schema.byte_size()
-            + self
-                .columns
-                .iter()
-                .map(|c| c.physical_bytes())
-                .sum::<usize>()
+            + self.sum_columns(rows, scratch, |_, col, rows, scratch| {
+                col.physical_bytes_of(rows, scratch)
+            })
     }
 
     /// Row-equivalent bytes: what the same rows would occupy as heap values,
@@ -1853,16 +2142,47 @@ impl Batch {
     /// planning and the simulated memory cap, so plans and FAIL cells depend
     /// on the data and not on how a batch encodes it.
     pub fn logical_bytes(&self) -> usize {
+        self.logical_bytes_of(None, &mut SelScratch::default())
+    }
+
+    /// [`Batch::logical_bytes`] of the rows `rows` selects.
+    pub fn logical_bytes_of(&self, rows: RowSel<'_>, scratch: &mut SelScratch) -> usize {
         if self.schema.is_opaque() {
             if let Column::Other { values, .. } = self.columns[0].as_ref() {
-                return values.iter().map(MemSize::mem_size).sum();
+                let mut total = 0;
+                for_rows(rows, values.len(), |i| total += values[i].mem_size());
+                return total;
             }
         }
-        let mut total = self.rows * 16;
-        for (name, col) in self.schema.fields().iter().zip(&self.columns) {
-            total += col.present_count() * (name.len() + 8) + col.logical_value_bytes();
+        let n = sel_len(rows, self.rows);
+        n * 16
+            + self.sum_columns(rows, scratch, |name, col, rows, scratch| {
+                (n - col.absent().count_among(rows)) * (name.len() + 8)
+                    + col.logical_value_bytes_of(rows, scratch)
+            })
+    }
+
+    /// Sums `f` over the columns for the selection `rows`, handing each
+    /// column its own scratch.
+    fn sum_columns(
+        &self,
+        rows: RowSel<'_>,
+        scratch: &mut SelScratch,
+        f: impl Fn(&str, &Column, RowSel<'_>, &mut ColScratch) -> usize,
+    ) -> usize {
+        // An opaque batch's one column has no name.
+        let name = |c: usize| self.schema.fields().get(c).map_or("", String::as_str);
+        let columns = self.columns.iter().enumerate();
+        match proper(rows, self.rows) {
+            // Metering every row reads no scratch, so none is grown.
+            None => {
+                let unused = &mut ColScratch::default();
+                columns.map(|(c, col)| f(name(c), col, None, unused)).sum()
+            }
+            rows => columns
+                .map(|(c, col)| f(name(c), col, rows, scratch.col(c)))
+                .sum(),
         }
-        total
     }
 }
 

@@ -12,10 +12,10 @@
 //! * unnest gathers parent columns by fan-out index and splices the bag
 //!   column's child batch in, all offset arithmetic;
 //! * joins gather matched rows from both sides by index lists;
-//! * shuffles ship whole batches and meter **exact physical buffer bytes**
-//!   (schema and string dictionaries counted once per shipped batch) next to
-//!   the row-equivalent logical estimate (`Σ Value::mem_size` of the same
-//!   rows).
+//! * shuffles meter **exact physical buffer bytes** — what each (source
+//!   chunk, target) batch weighs on the wire, schema and string dictionary
+//!   counted once per such batch — next to the row-equivalent logical
+//!   estimate (`Σ Value::mem_size` of the same rows).
 //!
 //! ## Keys
 //!
@@ -33,9 +33,13 @@
 //! * a join's shuffle ships only valid rows — nothing is filtered into a
 //!   copy first — while a grouping's shuffle ships every row, NULL standing
 //!   in for a NULL or absent lane;
-//! * shuffle pieces are dense `take(&[usize])` gathers, one per source chunk
-//!   × target, and each target merges what it received on the worker pool
-//!   ([`Batch::concat`] is one n-way pass);
+//! * a shuffle builds no (source, target) piece: a source routes each chunk
+//!   into per-target row lists with one counting sort over its hash vector
+//!   and meters those *selections* in place, and each target builds its
+//!   partition on the worker pool with one n-way [`Batch::merge`] of the
+//!   selections addressed to it (see `batch.rs`, "Data movement"); a
+//!   selection is gathered only where a batch has to exist — a frame for
+//!   another rank, a chunk for a spill file;
 //! * `Γ+` accumulates into typed `i64`/`f64` slots with `numeric_add`'s
 //!   semantics and, like `Γ⊎`, emits `take(first row of each group)` for the
 //!   key columns next to directly built sum / bag columns;
@@ -57,8 +61,8 @@
 //!   [`trance_store::MemoryGovernor`] picks victim partitions (largest first
 //!   per overloaded worker) and writes them to disk;
 //! * **spilling shuffle writers** — a receiving shuffle partition whose
-//!   accumulated pieces exceed its share of worker memory is written frame
-//!   by frame instead of concatenated in memory;
+//!   selections exceed its share of worker memory is gathered and written
+//!   frame by frame instead of merged in memory;
 //! * **external (Grace-style) hash join** — a co-partitioned join whose
 //!   inputs exceed the operator budget sub-partitions both sides by a salted
 //!   key hash into on-disk buckets and joins the bucket pairs one at a time;
@@ -78,7 +82,7 @@ use std::time::Instant;
 use trance_nrc::{Bag, Tuple, Value};
 use trance_store::{ByteReader, ByteWriter, MemoryGovernor, Spillable};
 
-use crate::batch::{Batch, Bitmap, Column, FieldHint};
+use crate::batch::{Batch, Bitmap, Column, FieldHint, RowSel, SelScratch};
 use crate::error::{ExecError, Result};
 use crate::exchange::{allgather_u64, owned_range, owner_of_partition, Exchange};
 use crate::fault::{with_retry, FaultSite};
@@ -526,16 +530,11 @@ impl ColCollection {
     where
         F: Fn(&Batch) -> Result<Vec<bool>> + Send + Sync,
     {
-        self.timed("filter", || self.filter_mask_untimed(&f))
-    }
-
-    fn filter_mask_untimed<F>(&self, f: &F) -> Result<ColCollection>
-    where
-        F: Fn(&Batch) -> Result<Vec<bool>> + Send + Sync,
-    {
-        self.transform_streamed(&|b: &Batch| {
-            let mask = f(b)?;
-            Ok(b.filter(&mask))
+        self.timed("filter", || {
+            self.transform_streamed(&|b: &Batch| {
+                let mask = f(b)?;
+                Ok(b.filter(&mask))
+            })
         })
     }
 
@@ -1069,17 +1068,46 @@ fn route_all_rows(cols: &[String]) -> impl Fn(&Batch) -> Result<KeyHashes> + Sen
     }
 }
 
-/// Row indices of `keys`' valid rows, bucketed by `target(hash)`.
-fn bucket_rows(keys: &KeyHashes, targets: usize, target: impl Fn(u64) -> u64) -> Vec<Vec<usize>> {
-    // Sized for an even spread, so the pushes rarely regrow.
-    let expected = keys.hashes.len() / targets.max(1) + 8;
-    let mut buckets: Vec<Vec<usize>> = (0..targets).map(|_| Vec::with_capacity(expected)).collect();
-    for (i, h) in keys.hashes.iter().enumerate() {
-        if keys.is_valid(i) {
-            buckets[(target(*h) % targets as u64) as usize].push(i);
+/// The valid rows of one batch, listed per target: one counting sort over
+/// the batch's hash vector, so routing allocates a fixed number of blocks
+/// however many targets there are. Within a target, rows keep batch order.
+struct RowLists {
+    rows: Vec<usize>,
+    /// Target `t`'s rows are `rows[bounds[t]..bounds[t + 1]]`.
+    bounds: Vec<usize>,
+}
+
+impl RowLists {
+    /// Lists row `i` of `keys`' valid rows under `target(hash) % targets`.
+    fn route(keys: &KeyHashes, targets: usize, target: impl Fn(u64) -> u64) -> RowLists {
+        let targets = targets.max(1);
+        let of: Vec<u32> = keys
+            .hashes
+            .iter()
+            .map(|h| (target(*h) % targets as u64) as u32)
+            .collect();
+        let valid = |i: &usize| keys.is_valid(*i);
+        let mut bounds = vec![0usize; targets + 1];
+        for i in (0..of.len()).filter(valid) {
+            bounds[of[i] as usize + 1] += 1;
         }
+        for t in 0..targets {
+            bounds[t + 1] += bounds[t];
+        }
+        let mut next = bounds[..targets].to_vec();
+        let mut rows = vec![0usize; bounds[targets]];
+        for i in (0..of.len()).filter(valid) {
+            let at = &mut next[of[i] as usize];
+            rows[*at] = i;
+            *at += 1;
+        }
+        RowLists { rows, bounds }
     }
-    buckets
+
+    /// The rows routed to target `t`.
+    fn of(&self, t: usize) -> &[usize] {
+        &self.rows[self.bounds[t]..self.bounds[t + 1]]
+    }
 }
 
 /// Salts a routing hash so Grace sub-partitioning decorrelates from the
@@ -1114,177 +1142,224 @@ fn spill_split(
         .collect::<Result<_>>()?;
     for chunk in part.chunks(ctx)? {
         let b = chunk?;
-        let keys = route_all_rows(cols)(&b)?;
-        for (f, idx) in bucket_rows(&keys, fanout, salted).iter().enumerate() {
-            if !idx.is_empty() {
-                writers[f].push(ctx, &b.take(idx))?;
+        let lists = RowLists::route(&route_all_rows(cols)(&b)?, fanout, salted);
+        for (f, writer) in writers.iter_mut().enumerate() {
+            if !lists.of(f).is_empty() {
+                writer.push(ctx, &b.take(lists.of(f)))?;
             }
         }
     }
     writers.into_iter().map(|w| w.finish(ctx)).collect()
 }
 
-/// The shuffle pieces one target partition received. The target's merge task
-/// frees them on its worker once merged — a shuffle ships thousands of small
-/// pieces, and dropping them all on the calling thread afterwards would
-/// serialize that — but only then, so a recovery re-run still finds them.
-struct Received {
-    rows: usize,
-    pieces: Mutex<Vec<Batch>>,
-}
-
-impl PartRows for Received {
-    fn part_rows(&self) -> usize {
-        self.rows
-    }
+/// One routed chunk of a shuffle's source partition: the chunk itself (its
+/// columns `Arc`-shared with the source), the rows it sends to each target,
+/// and what each of those selections weighs in row-equivalent bytes.
+struct Routed {
+    chunk: Batch,
+    lists: RowLists,
+    logical: Vec<usize>,
 }
 
 /// Repartitions batch rows by `route`'s hash vector (rows its validity mask
 /// clears are not shipped), metering the move as a shuffle with both logical
 /// (row-equivalent) and exact physical buffer bytes.
 ///
-/// This is the **spilling shuffle writer**: resident source partitions ship
-/// one piece per target exactly as before, spilled sources stream chunk by
-/// chunk, and a receiving partition whose accumulated pieces exceed its
-/// budget is written to disk frame by frame instead of concatenated in
-/// memory. Both sides run on the worker pool: sources route and gather their
-/// pieces in parallel, and so do the targets merging what they received.
+/// No (source, target) piece is built for a target this process holds. A
+/// source task routes each of its chunks into per-target row lists and meters
+/// every such *selection* in place — the bytes its [`Batch::take`] would
+/// weigh, which is what a piece on the wire weighs; a target task then builds
+/// its partition straight from the selections addressed to it, in (source
+/// partition, chunk) order, with one n-way [`Batch::merge`]. Both sides run
+/// on the worker pool.
+///
+/// This is also the **spilling shuffle writer**: spilled sources stream chunk
+/// by chunk, and a receiving partition whose selections exceed its budget
+/// gathers them one at a time into a spill file instead of merging them in
+/// memory. Under a cluster [`Exchange`] only the selections bound for other
+/// ranks are gathered, when they are encoded; see [`exchange_remote`].
 fn shuffle_batches<F>(ctx: &DistContext, parts: &[ColPart], route: F) -> Result<Vec<ColPart>>
 where
     F: Fn(&Batch) -> Result<KeyHashes> + Send + Sync,
 {
     let nparts = ctx.config().partitions.max(1);
-    let bucketed = run_partitioned(ctx, parts, |_, part| {
+    let sources = run_partitioned(ctx, parts, |_, part| {
         // The shuffle-delivery injection point: a fault fails this source
-        // partition's whole routing pass before any piece ships, so a retry
-        // rebuilds the delivery from scratch (no partial double send).
+        // partition's whole routing pass before anything is handed on, so a
+        // retry rebuilds the delivery from scratch (no partial double send).
         with_retry(ctx, || {
             ctx.fault_check(FaultSite::Shuffle)?;
-            let mut shipped: Vec<Vec<Batch>> = vec![Vec::new(); nparts];
-            let mut rows = 0u64;
-            let mut logical = 0u64;
-            let mut physical = 0u64;
+            let mut routed: Vec<Routed> = Vec::new();
+            let mut scratch = SelScratch::default();
+            let (mut rows, mut logical, mut physical) = (0u64, 0u64, 0u64);
             for chunk in part.chunks(ctx)? {
-                let b = chunk?;
-                let keys = route(&b)?;
-                for (target, idx) in bucket_rows(&keys, nparts, |h| h).iter().enumerate() {
-                    if idx.is_empty() {
+                let chunk = chunk?;
+                let lists = RowLists::route(&route(&chunk)?, nparts, |h| h);
+                let mut logical_of = vec![0usize; nparts];
+                for (target, weight) in logical_of.iter_mut().enumerate() {
+                    let sel = lists.of(target);
+                    if sel.is_empty() {
                         continue;
                     }
-                    let piece = b.take(idx);
-                    rows += idx.len() as u64;
-                    logical += piece.logical_bytes() as u64;
-                    physical += piece.physical_bytes() as u64;
-                    shipped[target].push(piece);
+                    *weight = chunk.logical_bytes_of(Some(sel), &mut scratch);
+                    rows += sel.len() as u64;
+                    logical += *weight as u64;
+                    physical += chunk.physical_bytes_of(Some(sel), &mut scratch) as u64;
                 }
+                routed.push(Routed {
+                    chunk,
+                    lists,
+                    logical: logical_of,
+                });
             }
-            Ok((shipped, rows, logical, physical))
+            Ok((routed, rows, logical, physical))
         })
     })?;
-    let mut tuples = 0u64;
-    let mut logical = 0u64;
-    let mut physical = 0u64;
-    let mut shipped_by_source: Vec<Vec<Vec<Batch>>> = Vec::with_capacity(bucketed.len());
-    for (shipped, t, l, p) in bucketed {
+    let (mut tuples, mut logical, mut physical) = (0u64, 0u64, 0u64);
+    let mut routed: Vec<Vec<Routed>> = Vec::with_capacity(sources.len());
+    for (chunks, t, l, p) in sources {
         tuples += t;
         logical += l;
         physical += p;
-        shipped_by_source.push(shipped);
+        routed.push(chunks);
     }
-    let received: Vec<Vec<Batch>> = match ctx.exchange() {
-        Some(ex) => exchange_shuffle_pieces(ctx, ex.as_ref(), shipped_by_source)?,
-        None => {
-            let mut received: Vec<Vec<Batch>> = (0..nparts).map(|_| Vec::new()).collect();
-            for shipped in shipped_by_source {
-                for (target, pieces) in shipped.into_iter().enumerate() {
-                    received[target].extend(pieces);
-                }
-            }
-            received
-        }
+    let (owned, remote) = match ctx.exchange() {
+        Some(ex) => (
+            owned_range(ex.rank(), nparts, ex.ranks()),
+            exchange_remote(ctx, ex.as_ref(), &routed)?,
+        ),
+        None => (0..nparts, (0..nparts).map(|_| Vec::new()).collect()),
     };
     // Per-rank metering: each rank counts the rows/bytes its own sources
     // routed, so the rank-summed counters equal the single-process totals.
     ctx.stats().record_shuffle(tuples, logical, physical);
-    let received: Vec<Received> = received
-        .into_iter()
-        .map(|pieces| Received {
-            rows: pieces.iter().map(Batch::rows).sum(),
-            pieces: Mutex::new(pieces),
+    // What each target merges: the local selections addressed to it and the
+    // batches other ranks sent it, in the single-process merge order. Network
+    // delivery is unordered, and ranks own contiguous blocks of source
+    // partitions.
+    let arrivals: Vec<Vec<Arrival<'_>>> = (0..nparts)
+        .map(|t| {
+            let mut arrivals = Vec::new();
+            if owned.contains(&t) {
+                for (s, chunks) in routed.iter().enumerate() {
+                    arrivals.extend(sent_to(chunks, t).map(|(i, r)| Arrival {
+                        order: (s as u32, i),
+                        batch: &r.chunk,
+                        rows: Some(r.lists.of(t)),
+                        logical: Some(r.logical[t]),
+                    }));
+                }
+            }
+            arrivals.extend(remote[t].iter().map(|sent| Arrival {
+                order: sent.order,
+                batch: &sent.batch,
+                rows: None,
+                logical: None,
+            }));
+            arrivals.sort_by_key(|a| a.order);
+            arrivals
         })
         .collect();
-    run_partitioned(ctx, &received, |_, target| {
-        let mut pieces = target.pieces.lock().unwrap_or_else(|e| e.into_inner());
-        let total: usize = pieces.iter().map(Batch::logical_bytes).sum();
-        let merged = if ctx.spill_active() && total > part_budget(ctx) {
+    run_partitioned(ctx, &arrivals, |_, arrivals| {
+        let total = || -> usize { arrivals.iter().map(Arrival::logical_bytes).sum() };
+        if ctx.spill_active() && total() > part_budget(ctx) {
             let mut builder = PartBuilder::new(ctx);
-            for piece in pieces.iter() {
-                builder.push(piece.clone())?;
+            for a in arrivals {
+                builder.push(a.batch.select(a.rows))?;
             }
-            builder.finish()?
-        } else {
-            ColPart::Mem(Batch::concat(&pieces))
-        };
-        pieces.clear();
-        Ok(merged)
+            return builder.finish();
+        }
+        let selections: Vec<(&Batch, RowSel<'_>)> =
+            arrivals.iter().map(|a| (a.batch, a.rows)).collect();
+        Ok(ColPart::Mem(Batch::merge(&selections)))
     })
 }
 
-/// Routes one local shuffle pass through the cluster [`Exchange`]: pieces
-/// addressed to partitions this rank owns stay local, the rest ship to the
-/// owning rank as `(source, target, index, batch)` frames, and incoming
-/// frames from other ranks land in the same per-target lists. Each owned
-/// target's pieces are then sorted by `(source partition, piece index)` —
-/// exactly the order the single-process merge produces — so the reorder
-/// buffer absorbs out-of-order network delivery and downstream results stay
-/// bag-identical to the in-process oracle.
-fn exchange_shuffle_pieces(
+/// The chunks of one source partition that send rows to target `t`, numbered
+/// in chunk order: the number is the index half of a selection's merge order,
+/// on this rank and on the wire alike.
+fn sent_to(chunks: &[Routed], t: usize) -> impl Iterator<Item = (u32, &Routed)> {
+    let sent = chunks.iter().filter(move |r| !r.lists.of(t).is_empty());
+    sent.enumerate().map(|(i, r)| (i as u32, r))
+}
+
+/// One selection a shuffle target merges.
+struct Arrival<'a> {
+    /// (source partition, index among that source's selections for the
+    /// target, see [`sent_to`]).
+    order: (u32, u32),
+    batch: &'a Batch,
+    rows: RowSel<'a>,
+    /// Row-equivalent bytes of the selection, where its source task metered
+    /// them (every local selection).
+    logical: Option<usize>,
+}
+
+impl Arrival<'_> {
+    fn logical_bytes(&self) -> usize {
+        self.logical.unwrap_or_else(|| {
+            self.batch
+                .logical_bytes_of(self.rows, &mut SelScratch::default())
+        })
+    }
+}
+
+impl PartRows for Vec<Arrival<'_>> {
+    fn part_rows(&self) -> usize {
+        let len = |a: &Arrival<'_>| a.rows.map_or(a.batch.rows(), <[usize]>::len);
+        self.iter().map(len).sum()
+    }
+}
+
+/// A batch another rank sent to a target this rank owns, tagged with its
+/// place in the target's merge order (see [`Arrival`]).
+struct Sent {
+    order: (u32, u32),
+    batch: Batch,
+}
+
+/// The cross-rank half of a shuffle pass through the cluster [`Exchange`].
+/// Selections addressed to partitions this rank owns stay selections; the
+/// rest are gathered here and ship to the owning rank as `(source, target,
+/// index, batch)` frames — the frames, and the bytes, a piece-per-target
+/// shuffle put on the wire. Returns, per target, the batches other ranks
+/// sent.
+fn exchange_remote(
     ctx: &DistContext,
     ex: &dyn Exchange,
-    shipped_by_source: Vec<Vec<Vec<Batch>>>,
-) -> Result<Vec<Vec<Batch>>> {
+    routed: &[Vec<Routed>],
+) -> Result<Vec<Vec<Sent>>> {
     let nparts = ctx.config().partitions.max(1);
     let (rank, ranks) = (ex.rank(), ex.ranks());
     let owned = owned_range(rank, nparts, ranks);
-    let mut tagged: Vec<Vec<(u32, u32, Batch)>> = (0..nparts).map(|_| Vec::new()).collect();
     let mut outgoing: Vec<(usize, Vec<u8>)> = Vec::new();
-    for (s, shipped) in shipped_by_source.into_iter().enumerate() {
-        for (t, pieces) in shipped.into_iter().enumerate() {
-            let owner = owner_of_partition(t, nparts, ranks);
-            for (i, piece) in pieces.into_iter().enumerate() {
-                if owner == rank {
-                    tagged[t].push((s as u32, i as u32, piece));
-                } else {
-                    let mut w = ByteWriter::new();
-                    w.u32(s as u32);
-                    w.u32(t as u32);
-                    w.u32(i as u32);
-                    piece.encode(&mut w)?;
-                    outgoing.push((owner, w.into_bytes()));
-                }
+    for (s, chunks) in routed.iter().enumerate() {
+        for t in (0..nparts).filter(|t| !owned.contains(t)) {
+            for (i, r) in sent_to(chunks, t) {
+                let mut w = ByteWriter::new();
+                w.u32(s as u32);
+                w.u32(t as u32);
+                w.u32(i);
+                r.chunk.take(r.lists.of(t)).encode(&mut w)?;
+                outgoing.push((owner_of_partition(t, nparts, ranks), w.into_bytes()));
             }
         }
     }
+    let mut incoming: Vec<Vec<Sent>> = (0..nparts).map(|_| Vec::new()).collect();
     for payload in ex.shuffle(outgoing)? {
         let mut r = ByteReader::new(&payload);
         let s = r.u32()?;
         let t = r.u32()? as usize;
-        let i = r.u32()?;
-        let piece = Batch::decode(&mut r)?;
+        let order = (s, r.u32()?);
+        let batch = Batch::decode(&mut r)?;
         if !owned.contains(&t) {
             return Err(ExecError::Other(format!(
                 "rank {rank} received a shuffle piece for partition {t} it does not own"
             )));
         }
-        tagged[t].push((s, i, piece));
+        incoming[t].push(Sent { order, batch });
     }
-    Ok(tagged
-        .into_iter()
-        .map(|mut pieces| {
-            pieces.sort_by_key(|(s, i, _)| (*s, *i));
-            pieces.into_iter().map(|(_, _, b)| b).collect()
-        })
-        .collect())
+    Ok(incoming)
 }
 
 // ---------------------------------------------------------------------------
@@ -1735,7 +1810,12 @@ fn none_is_absent(spec: &JoinSpec) -> bool {
 /// single-process engine builds, so probe outputs stay row-identical.
 fn gather_side_batch(ctx: &DistContext, side: &ColCollection) -> Result<Batch> {
     let batches: Vec<Cow<'_, Batch>> = side.batches()?;
-    let local = Batch::concat_refs(&batches.iter().map(|b| b.as_ref()).collect::<Vec<_>>());
+    let local = Batch::merge(
+        &batches
+            .iter()
+            .map(|b| (b.as_ref(), None))
+            .collect::<Vec<_>>(),
+    );
     match ctx.exchange() {
         Some(ex) => {
             let mut w = ByteWriter::new();
@@ -2103,26 +2183,260 @@ fn merge_sampled_counts(
 }
 
 /// Splits a collection into (keys not in `heavy`, keys in `heavy`) without
-/// moving rows between partitions.
+/// moving rows between partitions: each chunk is hashed and looked up once,
+/// and both sides are gathered from that one pass.
 fn split_by_keys_col(
     data: &ColCollection,
     key_cols: &[String],
     heavy: &KeyCounts,
 ) -> Result<(ColCollection, ColCollection)> {
-    let masks = |invert: bool| {
-        move |b: &Batch| -> Result<Vec<bool>> {
-            tuple_rows_required(b)?;
-            let keys = KeyCols::resolve(b, key_cols);
+    let ctx = &data.ctx;
+    let split = run_partitioned(ctx, &data.parts, |_, part| {
+        let mut light = PartBuilder::new(ctx);
+        let mut hit = PartBuilder::new(ctx);
+        for chunk in part.chunks(ctx)? {
+            let b = chunk?;
+            tuple_rows_required(&b)?;
+            let keys = KeyCols::resolve(&b, key_cols);
             let hashes = keys.hashes();
-            Ok((0..b.rows())
-                .map(|i| {
-                    let hit = hashes.is_valid(i) && heavy.contains_row(&keys, i, hashes.hashes[i]);
-                    hit != invert
-                })
-                .collect())
+            let (hit_rows, light_rows): (Vec<usize>, Vec<usize>) = (0..b.rows()).partition(|&i| {
+                hashes.is_valid(i) && heavy.contains_row(&keys, i, hashes.hashes[i])
+            });
+            light.push(b.take(&light_rows))?;
+            hit.push(b.take(&hit_rows))?;
         }
-    };
-    let light = data.filter_mask_untimed(&masks(true))?;
-    let heavy = data.filter_mask_untimed(&masks(false))?;
-    Ok((light, heavy))
+        Ok((light.finish()?, hit.finish()?))
+    })?;
+    let (light, hit) = split.into_iter().unzip();
+    Ok((
+        ColCollection::materialize_parts(ctx.clone(), light)?,
+        ColCollection::materialize_parts(ctx.clone(), hit)?,
+    ))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{ClusterConfig, MemMesh};
+
+    type Metered = (u64, u64, u64);
+
+    /// The shuffle as it is defined: every (source chunk, target) piece is
+    /// gathered and metered as the batch it is, and every target
+    /// concatenates — or, over budget, spills — the pieces it received.
+    fn shuffle_by_pieces(
+        ctx: &DistContext,
+        parts: &[ColPart],
+        route: &(impl Fn(&Batch) -> Result<KeyHashes> + Send + Sync),
+    ) -> Result<(Vec<ColPart>, Metered)> {
+        let nparts = ctx.config().partitions;
+        let mut received: Vec<Vec<Batch>> = vec![Vec::new(); nparts];
+        let mut metered = (0u64, 0u64, 0u64);
+        for part in parts {
+            for chunk in part.chunks(ctx)? {
+                let b = chunk?;
+                let keys = route(&b)?;
+                let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); nparts];
+                for (i, h) in keys.hashes.iter().enumerate() {
+                    if keys.is_valid(i) {
+                        buckets[(h % nparts as u64) as usize].push(i);
+                    }
+                }
+                for (t, idx) in buckets.iter().enumerate().filter(|(_, i)| !i.is_empty()) {
+                    let piece = b.take(idx);
+                    metered.0 += piece.rows() as u64;
+                    metered.1 += piece.logical_bytes() as u64;
+                    metered.2 += piece.physical_bytes() as u64;
+                    received[t].push(piece);
+                }
+            }
+        }
+        let merged = received.into_iter().map(|pieces| {
+            let total: usize = pieces.iter().map(Batch::logical_bytes).sum();
+            if ctx.spill_active() && total > part_budget(ctx) {
+                let mut builder = PartBuilder::new(ctx);
+                for piece in pieces {
+                    builder.push(piece)?;
+                }
+                builder.finish()
+            } else {
+                Ok(ColPart::Mem(Batch::concat(&pieces)))
+            }
+        });
+        Ok((merged.collect::<Result<_>>()?, metered))
+    }
+
+    /// A partition as a comparable value: where it lives, its sizes and the
+    /// exact bytes of each of its chunks.
+    fn image(ctx: &DistContext, part: &ColPart) -> (bool, [usize; 3], Vec<Vec<u8>>) {
+        let chunks = part.chunks(ctx).unwrap().map(|chunk| {
+            let mut w = ByteWriter::new();
+            chunk.unwrap().encode(&mut w).unwrap();
+            w.into_bytes()
+        });
+        (
+            matches!(part, ColPart::Spilled(_)),
+            [part.rows(), part.logical_bytes(), part.physical_bytes()],
+            chunks.collect(),
+        )
+    }
+
+    fn metered(ctx: &DistContext) -> Metered {
+        let s = ctx.stats().snapshot();
+        (s.shuffled_tuples, s.shuffled_bytes, s.shuffled_bytes_phys)
+    }
+
+    /// Six source partitions of keyed nested rows: a fifth of the keys NULL
+    /// or absent, a third of the rows on one key (so one target outweighs the
+    /// others), strings that repeat across partitions.
+    fn keyed_sources(rows_per_part: usize) -> Vec<Batch> {
+        let row = |i: usize| {
+            let mut fields = vec![
+                ("s", Value::str(format!("name-{}", i % 37))),
+                ("v", Value::Real(i as f64 * 0.25)),
+                (
+                    "items",
+                    Value::bag(
+                        (0..i % 3)
+                            .map(|j| {
+                                Value::tuple([("t", Value::str(format!("tag-{}", (i + j) % 5)))])
+                            })
+                            .collect(),
+                    ),
+                ),
+            ];
+            match i % 10 {
+                0 => fields.push(("k", Value::Null)),
+                1 => {}
+                2..=4 => fields.push(("k", Value::Int(7))),
+                _ => fields.push(("k", Value::Int((i % 101) as i64))),
+            }
+            Value::tuple(fields)
+        };
+        (0..6)
+            .map(|p| {
+                let rows: Vec<Value> = (0..rows_per_part).map(|i| row(p * 1000 + i)).collect();
+                Batch::from_rows(&rows)
+            })
+            .collect()
+    }
+
+    /// More rows than one spill frame holds.
+    const SOURCE_ROWS: usize = crate::spill::SPILL_CHUNK_ROWS + 500;
+
+    /// The capped cluster of the comparison, its sources (partition 2 on
+    /// disk, streaming two chunks) and the reference result.
+    fn capped_case() -> (
+        ClusterConfig,
+        Vec<ColPart>,
+        Vec<ColPart>,
+        Metered,
+        DistContext,
+    ) {
+        let sources = keyed_sources(SOURCE_ROWS);
+        // Size the receivers' budget between the lightest and the heaviest
+        // target, so some merge in memory and some overflow.
+        let open = DistContext::new(ClusterConfig::new(2, 6));
+        let resident: Vec<ColPart> = sources.iter().cloned().map(ColPart::Mem).collect();
+        let key = vec!["k".to_string()];
+        let (uncapped, _) = shuffle_by_pieces(&open, &resident, &route_valid_keys(&key)).unwrap();
+        let sizes: Vec<usize> = uncapped.iter().map(ColPart::logical_bytes).collect();
+        let budget = (sizes.iter().min().unwrap() + sizes.iter().max().unwrap()) / 2;
+        let config = ClusterConfig::new(2, 6)
+            .with_worker_memory(budget * 3)
+            .with_spill();
+        let ctx = DistContext::new(config.clone());
+        assert_eq!(part_budget(&ctx), budget);
+        let mut parts = resident;
+        parts[2] = ColPart::Spilled(Arc::new(spill_batch(&ctx, &sources[2]).unwrap()));
+        let (expect, expect_metered) =
+            shuffle_by_pieces(&ctx, &parts, &route_valid_keys(&key)).unwrap();
+        let spilled = expect
+            .iter()
+            .filter(|p| matches!(p, ColPart::Spilled(_)))
+            .count();
+        assert!(
+            0 < spilled && spilled < expect.len(),
+            "the case must have receivers on both sides of the budget ({spilled} spilled)"
+        );
+        let shipped: usize = expect.iter().map(ColPart::rows).sum();
+        let held: usize = parts.iter().map(ColPart::rows).sum();
+        assert!(shipped < held, "rows with an invalid key are not shipped");
+        (config, parts, expect, expect_metered, ctx)
+    }
+
+    #[test]
+    fn the_shuffle_equals_its_definition_by_pieces() {
+        let (config, parts, expect, expect_metered, reference) = capped_case();
+        let key = vec!["k".to_string()];
+        let ctx = DistContext::new(config);
+        let got = shuffle_batches(&ctx, &parts, route_valid_keys(&key)).unwrap();
+        assert_eq!(metered(&ctx), expect_metered);
+        assert_eq!(got.len(), expect.len());
+        for (t, (got, want)) in got.iter().zip(&expect).enumerate() {
+            assert_eq!(image(&ctx, got), image(&reference, want), "target {t}");
+        }
+        // A grouping's shuffle ships every row, and the uncapped, all-resident
+        // shape is the common one.
+        let open = DistContext::new(ClusterConfig::new(2, 6));
+        let resident: Vec<ColPart> = keyed_sources(300).into_iter().map(ColPart::Mem).collect();
+        let (expect, expect_metered) =
+            shuffle_by_pieces(&open, &resident, &route_all_rows(&key)).unwrap();
+        let ctx = DistContext::new(ClusterConfig::new(2, 6));
+        let got = shuffle_batches(&ctx, &resident, route_all_rows(&key)).unwrap();
+        assert_eq!(metered(&ctx), expect_metered);
+        assert_eq!(expect_metered.0, 6 * 300);
+        for (t, (got, want)) in got.iter().zip(&expect).enumerate() {
+            assert_eq!(image(&ctx, got), image(&open, want), "target {t}");
+        }
+    }
+
+    #[test]
+    fn the_exchange_shuffle_equals_the_single_process_one() {
+        let (config, parts, expect, expect_metered, reference) = capped_case();
+        let key = vec!["k".to_string()];
+        for ranks in [2usize, 3] {
+            let per_rank: Vec<(Vec<ColPart>, Metered, DistContext)> = std::thread::scope(|s| {
+                let handles: Vec<_> = MemMesh::cluster(ranks)
+                    .into_iter()
+                    .map(|mesh| {
+                        let (config, parts, key) = (&config, &parts, &key);
+                        s.spawn(move || {
+                            let owned = owned_range(mesh.rank(), parts.len(), ranks);
+                            let ctx = DistContext::new(config.clone());
+                            ctx.set_exchange(Some(Arc::new(mesh)));
+                            let local: Vec<ColPart> = (0..parts.len())
+                                .map(|p| match owned.contains(&p) {
+                                    true => parts[p].clone(),
+                                    false => ColPart::Mem(Batch::empty()),
+                                })
+                                .collect();
+                            let got = shuffle_batches(&ctx, &local, route_valid_keys(key)).unwrap();
+                            let metered = metered(&ctx);
+                            (got, metered, ctx)
+                        })
+                    })
+                    .collect();
+                handles.into_iter().map(|h| h.join().unwrap()).collect()
+            });
+            let mut summed = (0u64, 0u64, 0u64);
+            for (rank, (got, metered, ctx)) in per_rank.iter().enumerate() {
+                summed = (
+                    summed.0 + metered.0,
+                    summed.1 + metered.1,
+                    summed.2 + metered.2,
+                );
+                let owned = owned_range(rank, parts.len(), ranks);
+                for (t, got) in got.iter().enumerate() {
+                    if owned.contains(&t) {
+                        let want = image(&reference, &expect[t]);
+                        assert_eq!(image(ctx, got), want, "{ranks} ranks, target {t}");
+                    } else {
+                        assert_eq!(got.rows(), 0, "rank {rank} does not own target {t}");
+                    }
+                }
+            }
+            assert_eq!(summed, expect_metered, "{ranks} ranks");
+        }
+    }
 }

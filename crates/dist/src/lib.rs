@@ -73,7 +73,9 @@ pub mod scheduler;
 pub mod spill;
 pub mod stats;
 
-pub use batch::{Batch, Bitmap, Column, FieldHint, GatherIndex, Schema, StrDict};
+pub use batch::{
+    Batch, Bitmap, Column, FieldHint, GatherIndex, RowSel, Schema, SelScratch, StrDict,
+};
 pub use colops::ColCollection;
 pub use error::{EngineError, ExecError, Result};
 pub use exchange::{allgather_u64, global_sum, owned_range, owner_of_partition, Exchange, MemMesh};

@@ -2,13 +2,19 @@
 //! columnar representation **losslessly** — field order, explicit NULLs vs
 //! absent attributes, Int vs Real flavour, labels, empty and NULL bags,
 //! non-tuple bag elements, opaque (non-tuple) rows — plus the byte-accounting
-//! invariants the benchmarks rely on.
+//! invariants the benchmarks rely on, and the laws that let a shuffle meter
+//! and merge *selections* of batches instead of gathered copies of them.
+
+use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use trance_dist::batch::BagElems;
-use trance_dist::{Batch, ClusterConfig, ColCollection, Column, DistContext};
+use trance_dist::{Batch, ClusterConfig, ColCollection, Column, DistContext, RowSel, SelScratch};
 use trance_nrc::{Label, MemSize, Value};
+use trance_store::{ByteWriter, Spillable};
+
+mod common;
 
 /// Strict structural equality: unlike `Value::eq` (where `Int(3) == Real(3.0)`),
 /// the round trip must preserve the exact variant of every scalar.
@@ -296,4 +302,272 @@ fn coalescing_null_bags_to_empty_only_flips_validity() {
         .unwrap()
         .coalesce_empty_bag(&[false, true])
         .is_none());
+}
+
+// ---------------------------------------------------------------------------
+// selections: metering and merging rows of a batch without gathering them
+// ---------------------------------------------------------------------------
+
+/// The exact bytes of a batch — its spill/wire frame. Equal frames mean equal
+/// buffers: column variants, dictionary entry order, placeholder codes,
+/// offsets and validity bitmaps.
+fn frame(b: &Batch) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    b.encode(&mut w).unwrap();
+    w.into_bytes()
+}
+
+/// Row lists over an `n`-row batch: empty, every row in order, one row, rows
+/// drawn with repetition, every row backwards, an ordered subset.
+fn row_lists(rng: &mut StdRng, n: usize) -> Vec<Vec<usize>> {
+    let mut lists = vec![Vec::new(), (0..n).collect(), (0..n).rev().collect()];
+    if n > 0 {
+        lists.push(vec![rng.gen_range(0..n)]);
+        lists.push((0..2 * n).map(|_| rng.gen_range(0..n)).collect());
+        lists.push((0..n).filter(|_| rng.gen_bool(0.5)).collect());
+    }
+    lists
+}
+
+/// `bytes(b, rows) == b.take(rows).bytes()`, for both byte accountings.
+fn assert_metering_law(b: &Batch, rows: RowSel<'_>, scratch: &mut SelScratch, context: &str) {
+    let taken = b.select(rows);
+    assert_eq!(
+        b.logical_bytes_of(rows, scratch),
+        taken.logical_bytes(),
+        "{context}: logical bytes of {rows:?}"
+    );
+    assert_eq!(
+        b.physical_bytes_of(rows, scratch),
+        taken.physical_bytes(),
+        "{context}: physical bytes of {rows:?}"
+    );
+}
+
+/// `merge(selections) == concat(take of each selection)`, buffer for buffer,
+/// and the merged rows are the selected rows in order.
+fn assert_merge_law(sources: &[(&Batch, RowSel<'_>)], context: &str) -> Batch {
+    let takes: Vec<Batch> = sources.iter().map(|(b, rows)| b.select(*rows)).collect();
+    let want = Batch::concat(&takes);
+    let got = Batch::merge(sources);
+    assert_eq!(got.rows(), want.rows(), "{context}: rows");
+    assert_eq!(got.schema(), want.schema(), "{context}: schema");
+    assert!(frame(&got) == frame(&want), "{context}: buffers differ");
+    assert_eq!(got.physical_bytes(), want.physical_bytes(), "{context}");
+    assert_eq!(got.logical_bytes(), want.logical_bytes(), "{context}");
+    let selected: Vec<Value> = takes.iter().flat_map(Batch::to_rows).collect();
+    let merged = got.to_rows();
+    assert_eq!(merged.len(), selected.len());
+    for (i, (a, b)) in selected.iter().zip(&merged).enumerate() {
+        assert!(
+            strict_eq(a, b),
+            "{context}: row {i} reads {b:?}, want {a:?}"
+        );
+    }
+    got
+}
+
+/// What a corpus of batches covers, counted over every nesting level.
+#[derive(Debug, Default)]
+struct Coverage {
+    strs: usize,
+    others: usize,
+    rows_bags: usize,
+    values_bags: usize,
+    null_lanes: usize,
+    absent_lanes: usize,
+    /// Deepest chain of bag columns whose elements are child batches.
+    depth: usize,
+}
+
+impl Coverage {
+    fn walk(&mut self, b: &Batch, depth: usize) {
+        self.depth = self.depth.max(depth);
+        for col in b.columns() {
+            self.absent_lanes += (0..col.len()).filter(|&i| col.is_absent(i)).count();
+            self.null_lanes += (0..col.len())
+                .filter(|&i| col.is_null_at(i) && !col.is_absent(i))
+                .count();
+            match col.as_ref() {
+                Column::Str { .. } => self.strs += 1,
+                Column::Other { .. } => self.others += 1,
+                Column::Bag { elems, .. } => match elems {
+                    BagElems::Rows(child) => {
+                        self.rows_bags += 1;
+                        self.walk(child, depth + 1);
+                    }
+                    BagElems::Values(_) => self.values_bags += 1,
+                },
+                _ => {}
+            }
+        }
+    }
+}
+
+#[test]
+fn selections_meter_and_merge_like_the_batches_they_stand_for() {
+    let mut covered = Coverage::default();
+    let (mut columnwise, mut rebuilt) = (0, 0);
+    for seed in 0..48u64 {
+        let mut rng = StdRng::seed_from_u64(0x5E1EC7 + seed);
+        // Two to five sources over one row shape: every scalar kind (strings
+        // and labels included) and bags three levels deep. Small sources now
+        // and then miss an attribute altogether, so their schemas differ.
+        let sources: Vec<Batch> = (0..rng.gen_range(2..6usize))
+            .map(|_| {
+                let n = rng.gen_range(0..24usize);
+                let rows: Vec<Value> = (0..n).map(|_| common::random_row(&mut rng, 3, 6)).collect();
+                Batch::from_rows(&rows)
+            })
+            .collect();
+        let mut scratch = SelScratch::default();
+        let mut lists: Vec<Vec<Vec<usize>>> = Vec::new();
+        for (s, b) in sources.iter().enumerate() {
+            covered.walk(b, 0);
+            let context = format!("seed {seed}, source {s}");
+            // One scratch serves every list of every source, as it serves
+            // every target of a shuffle.
+            assert_metering_law(b, None, &mut scratch, &context);
+            let of_source = row_lists(&mut rng, b.rows());
+            for idx in &of_source {
+                assert_metering_law(b, Some(idx), &mut scratch, &context);
+            }
+            lists.push(of_source);
+        }
+        for round in 0..8 {
+            let selections: Vec<(&Batch, RowSel<'_>)> = sources
+                .iter()
+                .zip(&lists)
+                .map(|(b, lists)| match rng.gen_range(0..lists.len() + 1) {
+                    0 => (b, None),
+                    l => (b, Some(lists[l - 1].as_slice())),
+                })
+                .collect();
+            let contributing: Vec<&Batch> = selections
+                .iter()
+                .filter(|(b, rows)| rows.map_or(b.rows(), <[usize]>::len) > 0)
+                .map(|(b, _)| *b)
+                .collect();
+            if contributing.len() > 1 {
+                match contributing
+                    .iter()
+                    .all(|b| b.schema() == contributing[0].schema())
+                {
+                    true => columnwise += 1,
+                    false => rebuilt += 1,
+                }
+            }
+            let merged = assert_merge_law(&selections, &format!("seed {seed}, round {round}"));
+            // A merged batch is a source of the next shuffle.
+            for idx in row_lists(&mut rng, merged.rows()) {
+                assert_metering_law(&merged, Some(&idx), &mut scratch, "merged");
+            }
+        }
+    }
+    assert!(
+        covered.strs > 0
+            && covered.others > 0
+            && covered.rows_bags > 0
+            && covered.values_bags > 0
+            && covered.null_lanes > 0
+            && covered.absent_lanes > 0
+            && covered.depth >= 3,
+        "the corpus must cover every column layout: {covered:?}"
+    );
+    assert!(
+        columnwise > 50 && rebuilt > 10,
+        "both merge paths must run ({columnwise} column-wise, {rebuilt} rebuilt)"
+    );
+}
+
+#[test]
+fn merge_edge_rules_are_those_of_concat() {
+    let mut rng = StdRng::seed_from_u64(0xED6E);
+    let tuples = |rng: &mut StdRng, n: usize, width: u32| {
+        let rows: Vec<Value> = (0..n).map(|_| common::random_row(rng, 1, width)).collect();
+        Batch::from_rows(&rows)
+    };
+    let wide = tuples(&mut rng, 40, 6);
+    let narrow = tuples(&mut rng, 40, 3);
+    let opaque = Batch::from_rows(&[
+        Value::Int(1),
+        Value::str("two"),
+        Value::Null,
+        Value::bag(vec![Value::Int(3)]),
+    ]);
+    assert!(opaque.schema().is_opaque());
+    let mut scratch = SelScratch::default();
+
+    // Opaque batches meter and merge like any other.
+    for idx in row_lists(&mut rng, opaque.rows()) {
+        assert_metering_law(&opaque, Some(&idx), &mut scratch, "opaque");
+        let merged = assert_merge_law(&[(&opaque, Some(&idx)), (&opaque, None)], "opaque");
+        assert!(merged.schema().is_opaque());
+    }
+
+    // Sources whose schemas differ are rebuilt from the selected rows.
+    assert_ne!(wide.schema(), narrow.schema());
+    for idx in row_lists(&mut rng, 40) {
+        assert_merge_law(&[(&wide, Some(&idx)), (&narrow, None)], "schemas");
+        assert_merge_law(&[(&narrow, Some(&idx)), (&opaque, None)], "opaque + tuples");
+    }
+
+    // One schema, two column variants: an `Int` column against the `Other`
+    // column an all-NULL attribute is stored as.
+    let ints = Batch::from_rows(&[
+        Value::tuple([("x", Value::Int(1)), ("s", Value::str("a"))]),
+        Value::tuple([("x", Value::Int(2)), ("s", Value::str("b"))]),
+    ]);
+    let nulls = Batch::from_rows(&[
+        Value::tuple([("x", Value::Null), ("s", Value::str("b"))]),
+        Value::tuple([("x", Value::Null), ("s", Value::str("c"))]),
+    ]);
+    assert_eq!(ints.schema(), nulls.schema());
+    assert!(matches!(ints.column("x"), Some(Column::Int { .. })));
+    assert!(matches!(nulls.column("x"), Some(Column::Other { .. })));
+    let merged = assert_merge_law(&[(&ints, Some(&[1, 0])), (&nulls, Some(&[1]))], "variants");
+    assert!(matches!(merged.column("x"), Some(Column::Int { .. })));
+
+    // No source contributes a row: the schema of the first source that has
+    // one survives; nothing at all merges to the empty batch.
+    let void = Batch::empty();
+    for sources in [
+        vec![(&wide, Some(&[][..])), (&narrow, Some(&[][..]))],
+        vec![
+            (&void, None),
+            (&narrow, Some(&[][..])),
+            (&wide, Some(&[][..])),
+        ],
+        vec![(&void, None), (&void, Some(&[][..]))],
+        vec![],
+    ] {
+        let merged = assert_merge_law(&sources, "nothing selected");
+        assert_eq!(merged.rows(), 0);
+        let schema = sources
+            .iter()
+            .map(|(b, _)| b.schema())
+            .find(|s| !s.fields().is_empty());
+        assert_eq!(Some(merged.schema()), schema.or(Some(void.schema())));
+    }
+
+    // A single contributing source that selects every row in order shares
+    // its columns — named as a row list or not, next to empty selections or
+    // not. This is what keeps an already co-partitioned shuffle free.
+    let every: Vec<usize> = (0..wide.rows()).collect();
+    for sources in [
+        vec![(&wide, Some(every.as_slice()))],
+        vec![(&narrow, Some(&[][..])), (&wide, None), (&void, None)],
+    ] {
+        let merged = assert_merge_law(&sources, "identity");
+        for (got, want) in merged.columns().iter().zip(wide.columns()) {
+            assert!(
+                Arc::ptr_eq(got, want),
+                "an identity selection copies nothing"
+            );
+        }
+    }
+    assert_eq!(
+        wide.physical_bytes_of(Some(&every), &mut scratch),
+        wide.physical_bytes()
+    );
 }

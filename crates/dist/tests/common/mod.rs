@@ -1,5 +1,6 @@
-//! Helpers shared by the frame-level suites (`spill_roundtrip.rs`,
-//! `decode_fuzz.rs`): seeded-random nested rows and strict value equality.
+//! Helpers shared by the batch-level suites (`spill_roundtrip.rs`,
+//! `decode_fuzz.rs`, the selection laws of `batch_roundtrip.rs`):
+//! seeded-random nested rows and strict value equality.
 
 // Each test binary compiles this module separately and uses the subset of
 // helpers it needs.

@@ -6,7 +6,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use trance_dist::Batch;
+use trance_dist::{Batch, SelScratch};
 use trance_nrc::Value;
 use trance_store::{ByteReader, ByteWriter, Spillable};
 
@@ -217,18 +217,36 @@ fn columns_must_cover_the_batch_and_codes_the_dictionary() {
 }
 
 /// Drives a decoded batch through what the operators do with one — row
-/// materialization, both byte accountings, a gather, a concat, a re-encode.
-fn exercise(batch: &Batch) {
+/// materialization, both byte accountings, a gather, a concat, a re-encode —
+/// and what a shuffle does with a random selection of one: metering it in
+/// place and merging it with others.
+fn exercise(batch: &Batch, rng: &mut StdRng) {
     let rows = batch.to_rows();
     assert_eq!(rows.len(), batch.rows());
     let _ = (batch.logical_bytes(), batch.physical_bytes());
     let reversed: Vec<usize> = (0..batch.rows()).rev().collect();
     let taken = batch.take(&reversed);
     assert_eq!(
-        Batch::concat(&[taken, batch.clone()]).rows(),
+        Batch::concat(&[taken.clone(), batch.clone()]).rows(),
         2 * batch.rows()
     );
     batch.encode(&mut ByteWriter::new()).unwrap();
+
+    let n = batch.rows();
+    let list: Vec<usize> = (0..rng.gen_range(0..2 * n + 1))
+        .map(|_| rng.gen_range(0..n))
+        .collect();
+    let mut scratch = SelScratch::default();
+    for rows in [Some(list.as_slice()), Some(reversed.as_slice()), None] {
+        let _ = batch.logical_bytes_of(rows, &mut scratch);
+        let _ = batch.physical_bytes_of(rows, &mut scratch);
+    }
+    let merged = Batch::merge(&[
+        (batch, Some(&list)),
+        (&taken, None),
+        (batch, Some(&reversed)),
+    ]);
+    assert_eq!(merged.rows(), list.len() + 2 * n);
 }
 
 #[test]
@@ -243,7 +261,7 @@ fn flipped_and_truncated_frames_never_panic() {
         let mut w = ByteWriter::new();
         Batch::from_rows(&rows).encode(&mut w).unwrap();
         let frame = w.into_bytes();
-        exercise(&decode(&frame).expect("clean frame"));
+        exercise(&decode(&frame).expect("clean frame"), &mut rng);
         for _ in 0..600 {
             let mut bytes = frame.clone();
             let at = rng.gen_range(0..bytes.len());
@@ -261,7 +279,7 @@ fn flipped_and_truncated_frames_never_panic() {
             }
             match decode(&bytes) {
                 Ok(batch) => {
-                    exercise(&batch);
+                    exercise(&batch, &mut rng);
                     survived += 1;
                 }
                 Err(e) => {
