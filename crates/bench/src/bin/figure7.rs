@@ -1,9 +1,6 @@
 //! Reproduces Figure 7 (a: narrow, b: wide): TPC-H query families at nesting
 //! depths 0–4 under each strategy.
 //!
-//! Usage: `figure7 [--schema narrow|wide] [--family <name>|all] [--scale F] [--memory-factor F]
-//! [--partitions N] [--memory BYTES] [--spill] [--staged] [--explain [--depth N]]`
-//!
 //! `--memory` sets an absolute per-worker cap (overriding the
 //! input-proportional `--memory-factor`), `--partitions` the shuffle
 //! partition count, and `--spill` enables the out-of-core subsystem so
@@ -12,34 +9,43 @@
 //! With `--explain` the binary prints, instead of the timing table, the
 //! optimized plans each strategy executes at `--depth` (default 2).
 
-use trance_bench::{cli_arg, cli_flag, cli_tuning, run_strategies, tpch_input_set_tuned, Family};
+use trance_bench::{run_strategies, tpch_input_set_tuned, Cli, Family};
 use trance_compiler::{explain_query, Strategy};
 use trance_tpch::{QueryVariant, TpchConfig};
 
+const USAGE: &str = "figure7 [--schema narrow|wide] \
+    [--family flat-to-nested|nested-to-nested|nested-to-flat|all] [--scale F] \
+    [--memory-factor F] [--partitions N] [--memory BYTES] [--spill] [--staged] [--faults SPEC] \
+    [--explain [--depth N]]";
+
 fn main() {
-    let schema = cli_arg("--schema", "narrow");
-    let family_arg = cli_arg("--family", "all");
-    let scale: f64 = cli_arg("--scale", "0.3").parse().unwrap();
-    let memory_factor: f64 = cli_arg("--memory-factor", "3.0").parse().unwrap();
-    let tuning = cli_tuning();
-    let variant = if schema == "wide" {
-        QueryVariant::Wide
-    } else {
-        QueryVariant::Narrow
-    };
-    let families: Vec<Family> = if family_arg == "all" {
-        Family::all().to_vec()
-    } else {
-        vec![Family::parse(&family_arg).expect("unknown family")]
-    };
+    let cli = Cli::from_env(USAGE);
+    let (schema, variant) = cli
+        .value_with("--schema", |raw| match raw {
+            "narrow" => Ok(("narrow", QueryVariant::Narrow)),
+            "wide" => Ok(("wide", QueryVariant::Wide)),
+            _ => Err("expected `narrow` or `wide`".to_string()),
+        })
+        .unwrap_or(("narrow", QueryVariant::Narrow));
+    let families = cli
+        .value_with("--family", |raw| match raw {
+            "all" => Ok(Family::all().to_vec()),
+            name => Family::parse(name)
+                .map(|family| vec![family])
+                .ok_or_else(|| "unknown family".to_string()),
+        })
+        .unwrap_or_else(|| Family::all().to_vec());
+    let scale: f64 = cli.value("--scale", 0.3);
+    let memory_factor: f64 = cli.value("--memory-factor", 3.0);
+    let tuning = cli.tuning();
     let strategies = [
         Strategy::ShredUnshred,
         Strategy::Shred,
         Strategy::Standard,
         Strategy::Baseline,
     ];
-    if cli_flag("--explain") {
-        let depth: usize = cli_arg("--depth", "2").parse().unwrap();
+    if cli.flag("--explain") {
+        let depth: usize = cli.value("--depth", 2);
         let cfg = TpchConfig::new(scale, 0);
         for family in families {
             let (inputs, spec) =

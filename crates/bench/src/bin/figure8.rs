@@ -2,21 +2,22 @@
 //! nesting on increasingly skewed datasets (skew factor 0–4), with and without
 //! skew-aware processing.
 //!
-//! Usage: `figure8 [--scale F] [--memory-factor F] [--partitions N] [--memory BYTES]
-//! [--spill] [--staged] [--explain [--skew N]]`
-//!
 //! With `--explain` the binary prints, instead of the timing table, the
 //! optimized plans each strategy executes at skew factor `--skew` (default 3)
 //! — including the `[skew]` join annotations the skew-aware strategies get.
 
-use trance_bench::{cli_arg, cli_flag, cli_tuning, run_strategies, tpch_input_set_tuned, Family};
+use trance_bench::{run_strategies, tpch_input_set_tuned, Cli, Family};
 use trance_compiler::{explain_query, Strategy};
 use trance_tpch::{QueryVariant, TpchConfig};
 
+const USAGE: &str = "figure8 [--scale F] [--memory-factor F] [--partitions N] [--memory BYTES] \
+    [--spill] [--staged] [--faults SPEC] [--explain [--skew N]]";
+
 fn main() {
-    let scale: f64 = cli_arg("--scale", "0.3").parse().unwrap();
-    let memory_factor: f64 = cli_arg("--memory-factor", "3.0").parse().unwrap();
-    let tuning = cli_tuning();
+    let cli = Cli::from_env(USAGE);
+    let scale: f64 = cli.value("--scale", 0.3);
+    let memory_factor: f64 = cli.value("--memory-factor", 3.0);
+    let tuning = cli.tuning();
     let strategies = [
         Strategy::ShredUnshred,
         Strategy::Shred,
@@ -26,8 +27,8 @@ fn main() {
         Strategy::ShredSkew,
         Strategy::StandardSkew,
     ];
-    if cli_flag("--explain") {
-        let skew: u32 = cli_arg("--skew", "3").parse().unwrap();
+    if cli.flag("--explain") {
+        let skew: u32 = cli.value("--skew", 3);
         let cfg = TpchConfig::new(scale, skew);
         let (inputs, spec) = tpch_input_set_tuned(
             &cfg,

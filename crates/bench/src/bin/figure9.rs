@@ -1,24 +1,23 @@
 //! Reproduces Figure 9: the five-step biomedical end-to-end pipeline on the
 //! small and full datasets, per strategy and per step.
 //!
-//! Usage: `figure9 [--memory-factor F] [--scale F] [--partitions N] [--memory BYTES]
-//! [--spill] [--staged] [--explain]`
-//!
 //! With `--explain` the binary prints, instead of the timing table, the
 //! optimized plans each pipeline step executes per strategy (small dataset).
 
-use trance_bench::{
-    cli_arg, cli_flag, cli_tuning, explain_biomed_pipeline, run_biomed_pipeline_tuned,
-};
+use trance_bench::{explain_biomed_pipeline, run_biomed_pipeline_tuned, Cli};
 use trance_biomed::BiomedConfig;
 use trance_compiler::Strategy;
 
+const USAGE: &str = "figure9 [--memory-factor F] [--scale F] [--partitions N] [--memory BYTES] \
+    [--spill] [--staged] [--faults SPEC] [--explain]";
+
 fn main() {
-    let memory_factor: f64 = cli_arg("--memory-factor", "12.0").parse().unwrap();
-    let scale: f64 = cli_arg("--scale", "1.0").parse().unwrap();
-    let tuning = cli_tuning();
+    let cli = Cli::from_env(USAGE);
+    let memory_factor: f64 = cli.value("--memory-factor", 12.0);
+    let scale: f64 = cli.value("--scale", 1.0);
+    let tuning = cli.tuning();
     let strategies = [Strategy::Shred, Strategy::Standard, Strategy::Baseline];
-    if cli_flag("--explain") {
+    if cli.flag("--explain") {
         let cfg = BiomedConfig::small().scaled(scale);
         for strategy in strategies {
             for (step, text) in explain_biomed_pipeline(&cfg, strategy, memory_factor) {

@@ -82,65 +82,115 @@ pub struct ExprProgramStat {
     pub text: String,
 }
 
-/// Shared, thread-safe metric accumulators of one [`crate::DistContext`].
-#[derive(Default)]
-pub struct Stats {
-    shuffled_tuples: AtomicU64,
-    shuffled_bytes: AtomicU64,
-    shuffled_bytes_phys: AtomicU64,
-    broadcast_tuples: AtomicU64,
-    broadcast_bytes: AtomicU64,
-    broadcast_bytes_phys: AtomicU64,
-    shuffle_joins: AtomicU64,
-    broadcast_joins: AtomicU64,
-    skew_broadcast_joins: AtomicU64,
-    skew_fallback_joins: AtomicU64,
-    spilled_bytes: AtomicU64,
-    spill_files: AtomicU64,
-    spill_micros: AtomicU64,
-    steals: AtomicU64,
-    faults_injected: AtomicU64,
-    retries: AtomicU64,
-    recovered_partitions: AtomicU64,
-    cancelled: AtomicU64,
-    expr_compile_micros: AtomicU64,
-    expr_kernel_instrs: AtomicU64,
-    timings: Mutex<BTreeMap<String, OpTiming>>,
-    pipelines: Mutex<BTreeMap<String, PipelineTiming>>,
-    expr_programs: Mutex<BTreeMap<String, ExprProgramStat>>,
+/// Declares the scalar counters, once: the atomic behind each, its line in
+/// [`Stats::reset`] and [`Stats::snapshot`] and its documented public
+/// [`StatsSnapshot`] field all expand from this table, so a new counter is one
+/// entry here (plus the `record_*` that feeds it) and cannot miss its reset.
+macro_rules! counters {
+    ($($(#[$doc:meta])* $name:ident,)*) => {
+        /// Shared, thread-safe metric accumulators of one [`crate::DistContext`].
+        #[derive(Default)]
+        pub struct Stats {
+            $($name: AtomicU64,)*
+            timings: Mutex<BTreeMap<String, OpTiming>>,
+            pipelines: Mutex<BTreeMap<String, PipelineTiming>>,
+            expr_programs: Mutex<BTreeMap<String, ExprProgramStat>>,
+        }
+
+        /// A point-in-time copy of the engine metrics.
+        #[derive(Debug, Clone, Default, PartialEq, Eq)]
+        pub struct StatsSnapshot {
+            $($(#[$doc])* pub $name: u64,)*
+            /// Per-operator call counts and wall-clock time. Fused pipelines appear
+            /// here under their `pipeline[...]` label, never under a member
+            /// operator's name.
+            pub op_timings: BTreeMap<String, OpTiming>,
+            /// Per-pipeline executions: morsel counts, wall-clock time and the
+            /// member operators each fused shape ran.
+            pub pipeline_timings: BTreeMap<String, PipelineTiming>,
+            /// Per-pipeline compiled expression kernel programs: compile counts,
+            /// instruction counts and the rendered instruction listing (shown by
+            /// `--explain`).
+            pub expr_programs: BTreeMap<String, ExprProgramStat>,
+        }
+
+        impl Stats {
+            /// Zeroes every counter and timing.
+            pub fn reset(&self) {
+                $(self.$name.store(0, Ordering::Relaxed);)*
+                lock(&self.timings).clear();
+                lock(&self.pipelines).clear();
+                lock(&self.expr_programs).clear();
+            }
+
+            /// Copies the current counters into a plain value.
+            pub fn snapshot(&self) -> StatsSnapshot {
+                StatsSnapshot {
+                    $($name: self.$name.load(Ordering::Relaxed),)*
+                    op_timings: lock(&self.timings).clone(),
+                    pipeline_timings: lock(&self.pipelines).clone(),
+                    expr_programs: lock(&self.expr_programs).clone(),
+                }
+            }
+        }
+    };
+}
+
+counters! {
+    /// Rows moved through shuffles.
+    shuffled_tuples,
+    /// Logical (row-equivalent `Value::mem_size`) bytes moved through
+    /// shuffles — comparable across representations.
+    shuffled_bytes,
+    /// Exact physical buffer bytes moved through shuffles (schema and string
+    /// dictionaries counted once per batch on the columnar path; equal to
+    /// `shuffled_bytes` on the row path).
+    shuffled_bytes_phys,
+    /// Rows replicated by broadcasts (counted once per receiving worker).
+    broadcast_tuples,
+    /// Logical (row-equivalent) bytes replicated by broadcasts.
+    broadcast_bytes,
+    /// Exact physical buffer bytes replicated by broadcasts.
+    broadcast_bytes_phys,
+    /// Joins executed as partitioned shuffle hash joins.
+    shuffle_joins,
+    /// Joins executed by broadcasting the small side.
+    broadcast_joins,
+    /// Skew-aware joins whose heavy part used the broadcast strategy.
+    skew_broadcast_joins,
+    /// Skew-aware joins whose heavy part fell back to a shuffle.
+    skew_fallback_joins,
+    /// Bytes written to spill files (frame payloads plus prefixes).
+    spilled_bytes,
+    /// Spill files created during the run.
+    spill_files,
+    /// Wall-clock microseconds spent on spill encode/write/read/decode.
+    spill_micros,
+    /// Tasks executed by a pool participant other than the one they were
+    /// assigned to (work-stealing events).
+    steal_count,
+    /// Faults fired by the run's [`crate::FaultInjector`] (0 without a
+    /// [`crate::FaultPlan`]).
+    faults_injected,
+    /// Bounded-retry attempts that absorbed retryable failures.
+    retries,
+    /// Partitions whose lost outputs were recomputed from their sources
+    /// (lineage recovery).
+    recovered_partitions,
+    /// 1 when the run was cancelled (explicitly or by deadline), else 0.
+    cancelled,
+    /// Wall-clock microseconds spent compiling expression kernel programs
+    /// (once per pipeline, never per morsel).
+    expr_compile_micros,
+    /// Total SSA instructions across all compiled expression kernel
+    /// programs.
+    expr_kernel_instrs,
 }
 
 impl Stats {
     /// Creates a zeroed metric set.
     pub fn new() -> Self {
         Stats::default()
-    }
-
-    /// Zeroes every counter and timing.
-    pub fn reset(&self) {
-        self.shuffled_tuples.store(0, Ordering::Relaxed);
-        self.shuffled_bytes.store(0, Ordering::Relaxed);
-        self.shuffled_bytes_phys.store(0, Ordering::Relaxed);
-        self.broadcast_tuples.store(0, Ordering::Relaxed);
-        self.broadcast_bytes.store(0, Ordering::Relaxed);
-        self.broadcast_bytes_phys.store(0, Ordering::Relaxed);
-        self.shuffle_joins.store(0, Ordering::Relaxed);
-        self.broadcast_joins.store(0, Ordering::Relaxed);
-        self.skew_broadcast_joins.store(0, Ordering::Relaxed);
-        self.skew_fallback_joins.store(0, Ordering::Relaxed);
-        self.spilled_bytes.store(0, Ordering::Relaxed);
-        self.spill_files.store(0, Ordering::Relaxed);
-        self.spill_micros.store(0, Ordering::Relaxed);
-        self.steals.store(0, Ordering::Relaxed);
-        self.faults_injected.store(0, Ordering::Relaxed);
-        self.retries.store(0, Ordering::Relaxed);
-        self.recovered_partitions.store(0, Ordering::Relaxed);
-        self.cancelled.store(0, Ordering::Relaxed);
-        self.expr_compile_micros.store(0, Ordering::Relaxed);
-        self.expr_kernel_instrs.store(0, Ordering::Relaxed);
-        lock(&self.timings).clear();
-        lock(&self.pipelines).clear();
-        lock(&self.expr_programs).clear();
     }
 
     /// Meters rows moving through a shuffle (repartition-by-key).
@@ -200,7 +250,7 @@ impl Stats {
 
     /// Counts work-stealing events of the persistent worker pool.
     pub fn record_steals(&self, steals: u64) {
-        self.steals.fetch_add(steals, Ordering::Relaxed);
+        self.steal_count.fetch_add(steals, Ordering::Relaxed);
     }
 
     /// Counts one fault fired by the run's [`crate::FaultInjector`].
@@ -267,35 +317,6 @@ impl Stats {
             entry.text = text.to_string();
         }
     }
-
-    /// Copies the current counters into a plain value.
-    pub fn snapshot(&self) -> StatsSnapshot {
-        StatsSnapshot {
-            shuffled_tuples: self.shuffled_tuples.load(Ordering::Relaxed),
-            shuffled_bytes: self.shuffled_bytes.load(Ordering::Relaxed),
-            shuffled_bytes_phys: self.shuffled_bytes_phys.load(Ordering::Relaxed),
-            broadcast_tuples: self.broadcast_tuples.load(Ordering::Relaxed),
-            broadcast_bytes: self.broadcast_bytes.load(Ordering::Relaxed),
-            broadcast_bytes_phys: self.broadcast_bytes_phys.load(Ordering::Relaxed),
-            shuffle_joins: self.shuffle_joins.load(Ordering::Relaxed),
-            broadcast_joins: self.broadcast_joins.load(Ordering::Relaxed),
-            skew_broadcast_joins: self.skew_broadcast_joins.load(Ordering::Relaxed),
-            skew_fallback_joins: self.skew_fallback_joins.load(Ordering::Relaxed),
-            spilled_bytes: self.spilled_bytes.load(Ordering::Relaxed),
-            spill_files: self.spill_files.load(Ordering::Relaxed),
-            spill_micros: self.spill_micros.load(Ordering::Relaxed),
-            steal_count: self.steals.load(Ordering::Relaxed),
-            faults_injected: self.faults_injected.load(Ordering::Relaxed),
-            retries: self.retries.load(Ordering::Relaxed),
-            recovered_partitions: self.recovered_partitions.load(Ordering::Relaxed),
-            cancelled: self.cancelled.load(Ordering::Relaxed),
-            expr_compile_micros: self.expr_compile_micros.load(Ordering::Relaxed),
-            expr_kernel_instrs: self.expr_kernel_instrs.load(Ordering::Relaxed),
-            op_timings: lock(&self.timings).clone(),
-            pipeline_timings: lock(&self.pipelines).clone(),
-            expr_programs: lock(&self.expr_programs).clone(),
-        }
-    }
 }
 
 impl fmt::Debug for Stats {
@@ -304,85 +325,10 @@ impl fmt::Debug for Stats {
     }
 }
 
-/// A point-in-time copy of the engine metrics.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct StatsSnapshot {
-    /// Rows moved through shuffles.
-    pub shuffled_tuples: u64,
-    /// Logical (row-equivalent `Value::mem_size`) bytes moved through
-    /// shuffles — comparable across representations.
-    pub shuffled_bytes: u64,
-    /// Exact physical buffer bytes moved through shuffles (schema and string
-    /// dictionaries counted once per batch on the columnar path; equal to
-    /// `shuffled_bytes` on the row path).
-    pub shuffled_bytes_phys: u64,
-    /// Rows replicated by broadcasts (counted once per receiving worker).
-    pub broadcast_tuples: u64,
-    /// Logical (row-equivalent) bytes replicated by broadcasts.
-    pub broadcast_bytes: u64,
-    /// Exact physical buffer bytes replicated by broadcasts.
-    pub broadcast_bytes_phys: u64,
-    /// Joins executed as partitioned shuffle hash joins.
-    pub shuffle_joins: u64,
-    /// Joins executed by broadcasting the small side.
-    pub broadcast_joins: u64,
-    /// Skew-aware joins whose heavy part used the broadcast strategy.
-    pub skew_broadcast_joins: u64,
-    /// Skew-aware joins whose heavy part fell back to a shuffle.
-    pub skew_fallback_joins: u64,
-    /// Bytes written to spill files (frame payloads plus prefixes).
-    pub spilled_bytes: u64,
-    /// Spill files created during the run.
-    pub spill_files: u64,
-    /// Wall-clock microseconds spent on spill encode/write/read/decode.
-    pub spill_micros: u64,
-    /// Tasks executed by a pool participant other than the one they were
-    /// assigned to (work-stealing events).
-    pub steal_count: u64,
-    /// Faults fired by the run's [`crate::FaultInjector`] (0 without a
-    /// [`crate::FaultPlan`]).
-    pub faults_injected: u64,
-    /// Bounded-retry attempts that absorbed retryable failures.
-    pub retries: u64,
-    /// Partitions whose lost outputs were recomputed from their sources
-    /// (lineage recovery).
-    pub recovered_partitions: u64,
-    /// 1 when the run was cancelled (explicitly or by deadline), else 0.
-    pub cancelled: u64,
-    /// Wall-clock microseconds spent compiling expression kernel programs
-    /// (once per pipeline, never per morsel).
-    pub expr_compile_micros: u64,
-    /// Total SSA instructions across all compiled expression kernel
-    /// programs.
-    pub expr_kernel_instrs: u64,
-    /// Per-operator call counts and wall-clock time. Fused pipelines appear
-    /// here under their `pipeline[...]` label, never under a member
-    /// operator's name.
-    pub op_timings: BTreeMap<String, OpTiming>,
-    /// Per-pipeline executions: morsel counts, wall-clock time and the
-    /// member operators each fused shape ran.
-    pub pipeline_timings: BTreeMap<String, PipelineTiming>,
-    /// Per-pipeline compiled expression kernel programs: compile counts,
-    /// instruction counts and the rendered instruction listing (shown by
-    /// `--explain`).
-    pub expr_programs: BTreeMap<String, ExprProgramStat>,
-}
-
 impl StatsSnapshot {
     /// Shuffled volume in mebibytes.
     pub fn shuffled_mib(&self) -> f64 {
         self.shuffled_bytes as f64 / (1024.0 * 1024.0)
-    }
-
-    /// Broadcast volume in mebibytes.
-    pub fn broadcast_mib(&self) -> f64 {
-        self.broadcast_bytes as f64 / (1024.0 * 1024.0)
-    }
-
-    /// True when at least one join took a broadcast strategy (standard or
-    /// skew-aware heavy part).
-    pub fn used_broadcast(&self) -> bool {
-        self.broadcast_joins > 0 || self.skew_broadcast_joins > 0
     }
 
     /// Spill I/O time in milliseconds.
@@ -461,7 +407,6 @@ mod tests {
         assert_eq!(snap.broadcast_bytes_phys, 120);
         assert_eq!(snap.shuffle_joins, 1);
         assert_eq!(snap.skew_broadcast_joins, 1);
-        assert!(snap.used_broadcast());
         assert_eq!(snap.op_timings["map"].calls, 1);
         stats.reset();
         assert_eq!(stats.snapshot(), StatsSnapshot::default());

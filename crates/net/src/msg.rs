@@ -91,122 +91,64 @@ pub enum ErrKind {
     Fatal,
 }
 
-/// The per-rank counters a worker ships with its result; the coordinator
-/// sums them across ranks, and the `dist_agree` suite asserts the summed
-/// logical shuffle bytes equal the single-process oracle's.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NetStats {
-    /// Rows moved through shuffles.
-    pub shuffled_tuples: u64,
-    /// Logical (row-equivalent) shuffle bytes.
-    pub shuffled_bytes: u64,
-    /// Exact physical shuffle buffer bytes.
-    pub shuffled_bytes_phys: u64,
-    /// Rows replicated by broadcasts.
-    pub broadcast_tuples: u64,
-    /// Logical broadcast bytes.
-    pub broadcast_bytes: u64,
-    /// Physical broadcast bytes.
-    pub broadcast_bytes_phys: u64,
-    /// Partitioned shuffle hash joins taken.
-    pub shuffle_joins: u64,
-    /// Broadcast joins taken.
-    pub broadcast_joins: u64,
-    /// Skew-aware joins whose heavy part broadcast.
-    pub skew_broadcast_joins: u64,
-    /// Skew-aware joins whose heavy part fell back to a shuffle.
-    pub skew_fallback_joins: u64,
-    /// Bytes written to spill files.
-    pub spilled_bytes: u64,
-    /// Spill files created.
-    pub spill_files: u64,
-    /// Faults fired by the rank's injector.
-    pub faults_injected: u64,
-    /// Bounded-retry attempts that absorbed retryable failures.
-    pub retries: u64,
-    /// Partitions recovered through lineage recomputation.
-    pub recovered_partitions: u64,
-    /// 1 when the rank's run was cancelled.
-    pub cancelled: u64,
+/// Declares [`NetStats`], once: each name is a [`StatsSnapshot`] counter a
+/// rank reports. The public field (documented by a link to that counter), its
+/// saturating sum and its slot on the wire all expand from this table, whose
+/// order *is* the `Ctrl::Result` wire order — append, never reorder.
+macro_rules! net_stats {
+    ($($name:ident,)*) => {
+        /// The per-rank counters a worker ships with its result; the coordinator
+        /// sums them across ranks, and the `dist_agree` suite asserts the summed
+        /// logical shuffle bytes equal the single-process oracle's.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct NetStats {
+            $(
+                #[doc = concat!("This rank's [`StatsSnapshot::", stringify!($name), "`].")]
+                pub $name: u64,
+            )*
+        }
+
+        impl NetStats {
+            /// Adds another rank's counters into this one (saturating: a sum of
+            /// per-rank meters must never wrap into a *smaller* report).
+            pub fn absorb(&mut self, other: &NetStats) {
+                $(self.$name = self.$name.saturating_add(other.$name);)*
+            }
+
+            fn encode(&self, w: &mut ByteWriter) {
+                $(w.u64(self.$name);)*
+            }
+
+            fn decode(r: &mut ByteReader<'_>) -> io::Result<NetStats> {
+                Ok(NetStats { $($name: r.u64()?,)* })
+            }
+        }
+
+        impl From<&StatsSnapshot> for NetStats {
+            fn from(s: &StatsSnapshot) -> NetStats {
+                NetStats { $($name: s.$name,)* }
+            }
+        }
+    };
 }
 
-impl NetStats {
-    fn as_array(&self) -> [u64; 16] {
-        [
-            self.shuffled_tuples,
-            self.shuffled_bytes,
-            self.shuffled_bytes_phys,
-            self.broadcast_tuples,
-            self.broadcast_bytes,
-            self.broadcast_bytes_phys,
-            self.shuffle_joins,
-            self.broadcast_joins,
-            self.skew_broadcast_joins,
-            self.skew_fallback_joins,
-            self.spilled_bytes,
-            self.spill_files,
-            self.faults_injected,
-            self.retries,
-            self.recovered_partitions,
-            self.cancelled,
-        ]
-    }
-
-    fn from_array(a: [u64; 16]) -> NetStats {
-        NetStats {
-            shuffled_tuples: a[0],
-            shuffled_bytes: a[1],
-            shuffled_bytes_phys: a[2],
-            broadcast_tuples: a[3],
-            broadcast_bytes: a[4],
-            broadcast_bytes_phys: a[5],
-            shuffle_joins: a[6],
-            broadcast_joins: a[7],
-            skew_broadcast_joins: a[8],
-            skew_fallback_joins: a[9],
-            spilled_bytes: a[10],
-            spill_files: a[11],
-            faults_injected: a[12],
-            retries: a[13],
-            recovered_partitions: a[14],
-            cancelled: a[15],
-        }
-    }
-
-    /// Adds another rank's counters into this one (saturating: a sum of
-    /// per-rank meters must never wrap into a *smaller* report).
-    pub fn absorb(&mut self, other: &NetStats) {
-        let mine = self.as_array();
-        let theirs = other.as_array();
-        let mut out = [0u64; 16];
-        for (slot, (m, t)) in out.iter_mut().zip(mine.iter().zip(theirs.iter())) {
-            *slot = m.saturating_add(*t);
-        }
-        *self = NetStats::from_array(out);
-    }
-}
-
-impl From<&StatsSnapshot> for NetStats {
-    fn from(s: &StatsSnapshot) -> NetStats {
-        NetStats {
-            shuffled_tuples: s.shuffled_tuples,
-            shuffled_bytes: s.shuffled_bytes,
-            shuffled_bytes_phys: s.shuffled_bytes_phys,
-            broadcast_tuples: s.broadcast_tuples,
-            broadcast_bytes: s.broadcast_bytes,
-            broadcast_bytes_phys: s.broadcast_bytes_phys,
-            shuffle_joins: s.shuffle_joins,
-            broadcast_joins: s.broadcast_joins,
-            skew_broadcast_joins: s.skew_broadcast_joins,
-            skew_fallback_joins: s.skew_fallback_joins,
-            spilled_bytes: s.spilled_bytes,
-            spill_files: s.spill_files,
-            faults_injected: s.faults_injected,
-            retries: s.retries,
-            recovered_partitions: s.recovered_partitions,
-            cancelled: s.cancelled,
-        }
-    }
+net_stats! {
+    shuffled_tuples,
+    shuffled_bytes,
+    shuffled_bytes_phys,
+    broadcast_tuples,
+    broadcast_bytes,
+    broadcast_bytes_phys,
+    shuffle_joins,
+    broadcast_joins,
+    skew_broadcast_joins,
+    skew_fallback_joins,
+    spilled_bytes,
+    spill_files,
+    faults_injected,
+    retries,
+    recovered_partitions,
+    cancelled,
 }
 
 /// How a worker's run ended: the counters on success, a classified error
@@ -468,9 +410,7 @@ impl Ctrl {
                 match outcome {
                     Outcome::Ok(stats) => {
                         w.u8(0);
-                        for v in stats.as_array() {
-                            w.u64(v);
-                        }
+                        stats.encode(&mut w);
                     }
                     Outcome::Err { kind, detail } => {
                         w.u8(match kind {
@@ -572,13 +512,7 @@ impl Ctrl {
                 let job = r.u64()?;
                 let attempt = r.u32()?;
                 let outcome = match r.u8()? {
-                    0 => {
-                        let mut a = [0u64; 16];
-                        for slot in &mut a {
-                            *slot = r.u64()?;
-                        }
-                        Outcome::Ok(NetStats::from_array(a))
-                    }
+                    0 => Outcome::Ok(NetStats::decode(&mut r)?),
                     kind @ 1..=3 => Outcome::Err {
                         kind: match kind {
                             1 => ErrKind::Retryable,
@@ -717,6 +651,41 @@ mod tests {
         forged.extend_from_slice(&0u32.to_le_bytes());
         forged.extend_from_slice(&u32::MAX.to_le_bytes()); // "4 billion rows"
         assert!(Ctrl::decode(&forged).is_err());
+    }
+
+    /// The sixteen counters ride `Ctrl::Result` as little-endian `u64`s in
+    /// this order; a rank of another build decodes them by position.
+    #[test]
+    fn stats_wire_order_is_pinned() {
+        let stats = NetStats {
+            shuffled_tuples: 1,
+            shuffled_bytes: 2,
+            shuffled_bytes_phys: 3,
+            broadcast_tuples: 4,
+            broadcast_bytes: 5,
+            broadcast_bytes_phys: 6,
+            shuffle_joins: 7,
+            broadcast_joins: 8,
+            skew_broadcast_joins: 9,
+            skew_fallback_joins: 10,
+            spilled_bytes: 11,
+            spill_files: 12,
+            faults_injected: 13,
+            retries: 14,
+            recovered_partitions: 15,
+            cancelled: 16,
+        };
+        let bytes = Ctrl::Result {
+            job: 0,
+            attempt: 0,
+            outcome: Outcome::Ok(stats),
+        }
+        .encode()
+        .unwrap();
+        // tag, job, attempt and the outcome tag precede the counters.
+        let counters = &bytes[1 + 8 + 4 + 1..];
+        let expected: Vec<u8> = (1..=16u64).flat_map(u64::to_le_bytes).collect();
+        assert_eq!(counters, expected);
     }
 
     #[test]
