@@ -7,15 +7,16 @@
 //!    an NRC bag expression into a [`PlanProgram`] — materialized assignments
 //!    plus a root [`Plan`] built from selections, projections/extensions,
 //!    (cross/equi/outer) joins, unnests, nest operators `Γ⊎`/`Γ+`, duplicate
-//!    elimination, unions, and the dictionary-specific `BagToDict` /
-//!    `DictLookup` operators reserved for shredded plans. The shredded route
-//!    lowers each of its flat assignments through the same entry point.
+//!    elimination and unions. The shredded route lowers each of its flat
+//!    assignments through the same entry point.
 //! 2. [`optimize()`] is the single place optimization lives: selection
 //!    pushdown, liveness-based column pruning (above scans and unnests and
 //!    below every join and `Γ` input), aggregation
-//!    pushdown, and broadcast-vs-shuffle-vs-skew join strategy selection
-//!    annotated on [`Plan::Join`] nodes. Running a lowered program without
-//!    this step *is* the SparkSQL-like baseline.
+//!    pushdown, broadcast-vs-shuffle-vs-skew join strategy selection
+//!    annotated on [`Plan::Join`] nodes, and the `place_by` of every
+//!    [`Plan::Nest`] — the subset of its key that hashes its output to where
+//!    the next breaker up needs it. Running a lowered program without this
+//!    step *is* the SparkSQL-like baseline.
 //! 3. `trance-compiler`'s physical executor interprets the optimized plans
 //!    on `trance-dist` collections; [`pretty_plan`] renders them (pruned
 //!    columns and chosen join strategies included) for EXPLAIN output.
@@ -26,7 +27,10 @@
 //! it groups each plan's maximal chains of row-local operators into the
 //! fused pipelines the executors drive morsel-by-morsel
 //! ([`fuse_chain`]), and [`pretty_plan_pipelines`] renders plans with their
-//! pipeline groupings for EXPLAIN.
+//! pipeline groupings for EXPLAIN. [`placement`] is hash placement as a plan
+//! property: the one per-node rule for which columns a row-local operator
+//! carries through unchanged ([`carried_column`]), shared by the executor,
+//! the optimizer and EXPLAIN's `[in place: hashed by …]` marks.
 
 #![warn(missing_docs)]
 
@@ -34,6 +38,7 @@ pub mod fingerprint;
 pub mod lower;
 pub mod optimize;
 pub mod pipelines;
+pub mod placement;
 pub mod plan;
 pub mod scalar;
 pub mod schema;
@@ -44,6 +49,9 @@ pub use optimize::{optimize, optimize_default, OptimizerConfig};
 pub use pipelines::{
     fuse_chain, is_row_local, needs_sequential, pipeline_label, pipeline_op_name,
     pretty_plan_pipelines,
+};
+pub use placement::{
+    carried_column, plan_placement, served_in_place, PlanPlacement, ScanPlacements,
 };
 pub use plan::{is_passthrough, pretty_plan, JoinStrategy, NestOp, Plan, PlanJoinKind};
 pub use scalar::ScalarExpr;

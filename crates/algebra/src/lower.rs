@@ -316,6 +316,7 @@ impl Lowerer<'_> {
                     key: full_key,
                     values: values.clone(),
                     op: NestOp::Sum,
+                    place_by: Vec::new(),
                 };
                 let mut attrs = key.clone();
                 attrs.extend(values.iter().cloned());
@@ -344,6 +345,7 @@ impl Lowerer<'_> {
                     op: NestOp::Bag {
                         group_attr: group_attr.clone(),
                     },
+                    place_by: Vec::new(),
                 };
                 let mut out_attrs = key.clone();
                 out_attrs.push(group_attr.clone());
@@ -542,6 +544,7 @@ impl Lowerer<'_> {
                             op: NestOp::Bag {
                                 group_attr: name.clone(),
                             },
+                            place_by: Vec::new(),
                         };
                         let joined = base.join(
                             nested,

@@ -31,9 +31,18 @@
 //!    physical strategy: `Skew` when the pipeline requests skew-aware
 //!    execution, `Broadcast`/`Shuffle` when the catalog's size information
 //!    proves the choice, and `Auto` (runtime size check) otherwise.
+//! 5. **Grouping placement** — a `Γ` may hash its shuffle by any non-empty
+//!    subset of its key, so every [`Plan::Nest`] is annotated with the
+//!    `place_by` that puts its output where the next breaker up needs it:
+//!    the join key of the side it feeds, or what the grouping above is
+//!    itself placed by. The engine then finds that breaker's input in place
+//!    and does not shuffle it ([`crate::placement`]). This is an annotation,
+//!    not a rewrite, and has no switch: no plan wants the second shuffle.
 
 use std::collections::BTreeSet;
 
+use crate::pipelines::is_row_local;
+use crate::placement::carried_column;
 use crate::plan::{is_passthrough, JoinStrategy, NestOp, Plan, PlanJoinKind};
 use crate::scalar::ScalarExpr;
 use crate::schema::{node_schema, output_schema, AttrSchema, Catalog};
@@ -94,7 +103,7 @@ pub fn optimize(plan: &Plan, catalog: &Catalog, config: &OptimizerConfig) -> Pla
     if config.select_join_strategies {
         current = select_join_strategies(&current, catalog, config);
     }
-    current
+    place_groupings(&current, &Wanted::dictionary_output())
 }
 
 /// Applies [`optimize`] with the default configuration.
@@ -337,10 +346,9 @@ fn child_needs(plan: &Plan, need: &Need) -> (Vec<Need>, Option<Vec<(String, Scal
         ],
         Plan::Unnest { bag_attr, .. } => vec![need_with(need, [bag_attr.clone()])],
         Plan::Nest { key, values, .. } => vec![Some(key.iter().chain(values).cloned().collect())],
-        // Whole rows are compared, concatenated or looked up: everything
-        // below stays.
-        Plan::Dedup { .. } | Plan::BagToDict { .. } => vec![None],
-        Plan::Union { .. } | Plan::DictLookup { .. } => vec![None, None],
+        // Whole rows are compared or concatenated: everything below stays.
+        Plan::Dedup { .. } => vec![None],
+        Plan::Union { .. } => vec![None, None],
     };
     (needs, None)
 }
@@ -420,6 +428,7 @@ fn push_aggregation(plan: &Plan, catalog: &Catalog) -> Plan {
         key,
         values,
         op: NestOp::Sum,
+        ..
     } = &rebuilt
     {
         if let Plan::Join {
@@ -458,6 +467,7 @@ fn push_aggregation(plan: &Plan, catalog: &Catalog) -> Plan {
                     key: partial_key,
                     values: values.clone(),
                     op: NestOp::Sum,
+                    place_by: Vec::new(),
                 };
                 return Plan::Nest {
                     input: Box::new(Plan::Join {
@@ -471,6 +481,7 @@ fn push_aggregation(plan: &Plan, catalog: &Catalog) -> Plan {
                     key: key.clone(),
                     values: values.clone(),
                     op: NestOp::Sum,
+                    place_by: Vec::new(),
                 };
             }
         }
@@ -568,6 +579,154 @@ fn scan_exact_size(plan: &Plan, catalog: &Catalog) -> Option<usize> {
     match plan {
         Plan::Scan { name, .. } => catalog.size_of(name),
         _ => None,
+    }
+}
+
+// ---------------------------------------------------------------------------
+// grouping placement
+// ---------------------------------------------------------------------------
+
+/// The attribute a dictionary's rows carry their label under. Whatever reads
+/// a materialized dictionary — unshredding's `Γ⊎` and label join, a label
+/// join of the next query — is keyed by it alone.
+const DICT_LABEL: &str = "label";
+
+/// What the nearest breaker above routes a stream by, in the stream's own
+/// column names.
+#[derive(Debug, Clone)]
+enum Wanted {
+    /// Nothing to aim at: a broadcast join, a whole-row operator, or a key
+    /// column computed above this point.
+    Nothing,
+    /// A join side: exactly these columns, in this order.
+    Exactly(Vec<String>),
+    /// A grouping: any non-empty subset of `key` serves it, and `prefer` —
+    /// what that grouping is itself placed by — also serves what it feeds.
+    AnyOf {
+        /// The subset that keeps the chain above in place too.
+        prefer: Vec<String>,
+        /// The consuming grouping's key.
+        key: Vec<String>,
+    },
+}
+
+impl Wanted {
+    /// A unit's output has no breaker above it in its plan. If it is a
+    /// dictionary its consumers group and join by the label — the paper's
+    /// label-partitioning guarantee; any other output has no `label` to
+    /// place by and stays as it is.
+    fn dictionary_output() -> Wanted {
+        Wanted::AnyOf {
+            prefer: vec![DICT_LABEL.to_string()],
+            key: vec![DICT_LABEL.to_string()],
+        }
+    }
+
+    /// The same demand below the row-local operator `node`, in the names of
+    /// `node`'s input.
+    fn below(&self, node: &Plan) -> Wanted {
+        let all = |cols: &[String]| -> Option<Vec<String>> {
+            cols.iter().map(|c| column_below(node, c)).collect()
+        };
+        match self {
+            Wanted::Nothing => Wanted::Nothing,
+            Wanted::Exactly(cols) => all(cols).map_or(Wanted::Nothing, Wanted::Exactly),
+            Wanted::AnyOf { prefer, key } => {
+                let key: Vec<String> = key.iter().filter_map(|c| column_below(node, c)).collect();
+                if key.is_empty() {
+                    return Wanted::Nothing;
+                }
+                Wanted::AnyOf {
+                    prefer: all(prefer).unwrap_or_else(|| key.clone()),
+                    key,
+                }
+            }
+        }
+    }
+
+    /// The `place_by` of a grouping by `key` under this demand; empty when
+    /// the whole key is as good as anything.
+    fn place_by(&self, key: &[String]) -> Vec<String> {
+        let within = |cols: &[String]| cols.iter().all(|c| key.contains(c));
+        let chosen = match self {
+            Wanted::Exactly(cols) if within(cols) => cols.clone(),
+            Wanted::AnyOf { prefer, .. } if within(prefer) => prefer.clone(),
+            Wanted::AnyOf { key: theirs, .. } => {
+                key.iter().filter(|c| theirs.contains(c)).cloned().collect()
+            }
+            _ => Vec::new(),
+        };
+        if chosen == key {
+            Vec::new()
+        } else {
+            chosen
+        }
+    }
+}
+
+/// The input column of the row-local `node` that its output carries as
+/// `col` — the inverse of [`carried_column`], which stays the one rule: a
+/// projection is searched for the column it passes through under that name,
+/// every other operator keeps names.
+fn column_below(node: &Plan, col: &str) -> Option<String> {
+    let carries = |c: &str| carried_column(node, c).as_deref() == Some(col);
+    match node {
+        Plan::Project { columns, .. } => columns.iter().find_map(|(_, e)| match e {
+            ScalarExpr::Col(c) if carries(c) => Some(c.clone()),
+            _ => None,
+        }),
+        _ => carries(col).then(|| col.to_string()),
+    }
+}
+
+/// Annotates every `Γ` with the columns its shuffle hashes by (see the
+/// module docs, item 5), walking down from `wanted` — what the consumer of
+/// `plan`'s output routes by.
+fn place_groupings(plan: &Plan, wanted: &Wanted) -> Plan {
+    match plan {
+        Plan::Nest {
+            input,
+            key,
+            values,
+            op,
+            ..
+        } => {
+            let place_by = wanted.place_by(key);
+            let prefer = if place_by.is_empty() { key } else { &place_by }.clone();
+            let below = Wanted::AnyOf {
+                prefer,
+                key: key.clone(),
+            };
+            Plan::Nest {
+                input: Box::new(place_groupings(input, &below)),
+                key: key.clone(),
+                values: values.clone(),
+                op: op.clone(),
+                place_by,
+            }
+        }
+        Plan::Join {
+            left_key,
+            right_key,
+            strategy,
+            ..
+        } => {
+            // A broadcast join moves nothing by key.
+            let side = |key: &Vec<String>| match strategy {
+                JoinStrategy::Broadcast => Wanted::Nothing,
+                _ if key.is_empty() => Wanted::Nothing,
+                _ => Wanted::Exactly(key.clone()),
+            };
+            let mut sides = [side(left_key), side(right_key)].into_iter();
+            map_children(plan, |c| {
+                place_groupings(c, &sides.next().expect("a join has two children"))
+            })
+        }
+        _ if is_row_local(plan) => {
+            let below = wanted.below(plan);
+            map_children(plan, |c| place_groupings(c, &below))
+        }
+        _ => map_children(plan, |c| place_groupings(c, &Wanted::Nothing)),
     }
 }
 
@@ -709,11 +868,13 @@ fn map_children(plan: &Plan, mut f: impl FnMut(&Plan) -> Plan) -> Plan {
             key,
             values,
             op,
+            place_by,
         } => Plan::Nest {
             input: Box::new(f(input)),
             key: key.clone(),
             values: values.clone(),
             op: op.clone(),
+            place_by: place_by.clone(),
         },
         Plan::Dedup { input } => Plan::Dedup {
             input: Box::new(f(input)),
@@ -721,20 +882,6 @@ fn map_children(plan: &Plan, mut f: impl FnMut(&Plan) -> Plan) -> Plan {
         Plan::Union { left, right } => Plan::Union {
             left: Box::new(f(left)),
             right: Box::new(f(right)),
-        },
-        Plan::BagToDict { input } => Plan::BagToDict {
-            input: Box::new(f(input)),
-        },
-        Plan::DictLookup {
-            input,
-            dict,
-            label_attr,
-            outer,
-        } => Plan::DictLookup {
-            input: Box::new(f(input)),
-            dict: Box::new(f(dict)),
-            label_attr: label_attr.clone(),
-            outer: *outer,
         },
     }
 }
@@ -1211,6 +1358,120 @@ mod tests {
             unreachable!()
         };
         assert_eq!(pruned(input), ["cop.cname", "cop.ccity"]);
+    }
+
+    /// Every `Γ` of `plan` with what it is placed by, in pre-order.
+    fn placed_by(plan: &Plan) -> Vec<(Vec<String>, Vec<String>)> {
+        let mut out = Vec::new();
+        plan.visit(&mut |p| {
+            if let Plan::Nest { key, place_by, .. } = p {
+                out.push((key.clone(), place_by.clone()));
+            }
+        });
+        out
+    }
+
+    fn strs(names: &[&str]) -> Vec<String> {
+        names.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn a_grouping_is_placed_for_the_breaker_that_consumes_it() {
+        let (_, plans) = optimized_running_example();
+        // Γ⊎ by the customer id feeds the outer join on it, Γ⊎ by the order
+        // id the join on that: each already hashes by what its join wants.
+        // The Γ+ below hashes by the order id alone, so the Γ⊎ above it and
+        // that Γ⊎'s join side both find their rows in place.
+        assert_eq!(
+            placed_by(&plans.last().unwrap().1),
+            [
+                (strs(&["__id1"]), strs(&[])),
+                (strs(&["__id3"]), strs(&[])),
+                (strs(&["__id1", "__id3", "pname"]), strs(&["__id3"])),
+            ]
+        );
+    }
+
+    #[test]
+    fn a_dictionary_units_output_is_placed_by_its_label() {
+        let c = catalog();
+        // Nothing in the unit's own plan consumes the grouping: what reads a
+        // dictionary groups and joins by the label.
+        let dict = Plan::scan("Lineitem")
+            .extend(vec![("label".into(), ScalarExpr::col("l_orderkey"))])
+            .nest_sum(&["label", "l_partkey"], &["l_quantity"])
+            .project_columns(&["label", "l_partkey", "l_quantity"]);
+        let placed = placed_by(&optimize_default(&dict, &c));
+        assert_eq!(placed, [(strs(&["label", "l_partkey"]), strs(&["label"]))]);
+        // The rule follows the label through a rename — and finds nothing to
+        // follow when the output's `label` is computed above the grouping, or
+        // when there is none.
+        let renamed = Plan::scan("Lineitem")
+            .nest_sum(&["l_orderkey", "l_partkey"], &["l_quantity"])
+            .project(vec![
+                ("label".into(), ScalarExpr::col("l_orderkey")),
+                ("qty".into(), ScalarExpr::col("l_quantity")),
+            ]);
+        assert_eq!(
+            placed_by(&optimize_default(&renamed, &c))[0].1,
+            ["l_orderkey"]
+        );
+        let computed = Plan::scan("Lineitem")
+            .nest_sum(&["l_orderkey", "l_partkey"], &["l_quantity"])
+            .extend(vec![("label".into(), ScalarExpr::col("l_partkey"))])
+            .extend(vec![("label".into(), ScalarExpr::constant(Value::Int(0)))]);
+        assert_eq!(placed_by(&optimize_default(&computed, &c))[0].1, strs(&[]));
+        let flat = Plan::scan("Lineitem").nest_sum(&["l_orderkey", "l_partkey"], &["l_quantity"]);
+        assert_eq!(placed_by(&optimize_default(&flat, &c))[0].1, strs(&[]));
+    }
+
+    #[test]
+    fn a_grouping_aims_at_a_join_side_exactly_and_at_a_grouping_by_any_shared_column() {
+        let mut c = catalog();
+        c.set_size("Lineitem", 1_000_000);
+        c.set_size("Part", 1_000_000);
+        let cfg = OptimizerConfig {
+            broadcast_limit: Some(4096),
+            ..OptimizerConfig::default()
+        };
+        let sums =
+            || Plan::scan("Lineitem").nest_sum(&["l_partkey", "l_orderkey"], &["l_quantity"]);
+        let join_on = |right_key: &[&str]| {
+            let left_key: Vec<&str> = right_key.iter().map(|_| "p_partkey").collect();
+            let joined = Plan::scan("Part").join(
+                sums(),
+                &left_key[..right_key.len()],
+                right_key,
+                PlanJoinKind::Inner,
+            );
+            placed_by(&optimize(&joined, &c, &cfg))[0].1.clone()
+        };
+        // The join's key list, in the join's order — or, when the grouping
+        // cannot supply it, nothing.
+        assert_eq!(join_on(&["l_orderkey"]), ["l_orderkey"]);
+        assert_eq!(join_on(&["l_quantity"]), strs(&[]));
+        // A grouping above with another key: the columns the two share.
+        let regrouped = sums().nest_sum(&["l_orderkey", "l_quantity"], &["l_partkey"]);
+        assert_eq!(
+            placed_by(&optimize(&regrouped, &c, &cfg)),
+            [
+                (strs(&["l_orderkey", "l_quantity"]), strs(&[])),
+                (strs(&["l_partkey", "l_orderkey"]), strs(&["l_orderkey"])),
+            ]
+        );
+        // A broadcast join moves nothing by key: there is nothing to aim at.
+        c.set_size("Lineitem", 64);
+        let broadcast =
+            Plan::scan("Part").join(sums(), &["p_partkey"], &["l_orderkey"], PlanJoinKind::Inner);
+        let opt = optimize(&broadcast, &c, &cfg);
+        assert!(matches!(
+            &opt,
+            Plan::Join {
+                strategy: JoinStrategy::Broadcast,
+                ..
+            }
+        ));
+        assert_eq!(placed_by(&opt)[0].1, strs(&[]));
     }
 
     #[test]

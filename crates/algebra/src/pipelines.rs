@@ -6,16 +6,17 @@
 //! a chain of them needs no shuffle and no barrier, so the physical
 //! executors fuse every maximal chain into one batch-at-a-time closure and
 //! drive it morsel-by-morsel over the source partitions (HyPer-style
-//! pipelining). **Pipeline breakers** — joins, `Γ` groupings, dedup, union
-//! and the shredded dictionary casts — end a chain: they repartition or need
-//! all rows of a group before emitting.
+//! pipelining). **Pipeline breakers** — joins, `Γ` groupings, dedup and union
+//! — end a chain: they repartition or need all rows of a group before
+//! emitting.
 //!
 //! [`fuse_chain`] performs the split; [`pretty_plan_pipelines`] is the
 //! EXPLAIN rendering that marks each operator with the pipeline it belongs
 //! to (`·p0`, `·p1`, …), so the plan output stays truthful about what
 //! actually runs fused.
 
-use crate::plan::{node_line, Plan};
+use crate::placement::{served_in_place, ScanPlacements};
+use crate::plan::{node_line, JoinStrategy, Plan};
 
 /// True for operators that process rows locally (no shuffle, no barrier) —
 /// the members of fused pipelines.
@@ -85,8 +86,6 @@ pub fn pipeline_op_name(plan: &Plan) -> &'static str {
         Plan::Nest { .. } => "nest",
         Plan::Dedup { .. } => "dedup",
         Plan::Union { .. } => "union",
-        Plan::BagToDict { .. } => "bag_to_dict",
-        Plan::DictLookup { .. } => "dict_lookup",
     }
 }
 
@@ -100,14 +99,19 @@ pub fn pipeline_label(ops: &[String]) -> String {
 /// order of the chains' *top* operators). An aliased or bare scan under a
 /// chain belongs to that chain's pipeline (the executors fuse the scan
 /// rename); breakers carry no marker — they are where the plan
-/// materializes.
-pub fn pretty_plan_pipelines(plan: &Plan) -> String {
+/// materializes. A breaker input the plan already puts where the breaker
+/// needs it — so that its shuffle does not run — is marked `[in place:
+/// hashed by …]` ([`served_in_place`], given the placements `scans` of the
+/// units computed before this one); under a join that may still decide to
+/// broadcast, `[in place unless broadcast: …]`.
+pub fn pretty_plan_pipelines(plan: &Plan, scans: &ScanPlacements) -> String {
     fn go(
         plan: &Plan,
         parent: Option<&Plan>,
         depth: usize,
         inherited: Option<usize>,
         next: &mut usize,
+        scans: &ScanPlacements,
         out: &mut String,
     ) {
         let member = is_row_local(plan) || matches!(plan, Plan::Scan { .. });
@@ -125,6 +129,20 @@ pub fn pretty_plan_pipelines(plan: &Plan) -> String {
         if let Some(pid) = pid {
             out.push_str(&format!("  ·p{pid}"));
         }
+        if let Some(cols) = parent.and_then(|p| served_in_place(p, plan, scans)) {
+            // A grouping always shuffles what is not in place; a join whose
+            // strategy is settled at run time may broadcast instead.
+            let hedge = match parent {
+                Some(Plan::Join { strategy, .. }) if *strategy != JoinStrategy::Shuffle => {
+                    " unless broadcast"
+                }
+                _ => "",
+            };
+            out.push_str(&format!(
+                "  [in place{hedge}: hashed by {}]",
+                cols.join(",")
+            ));
+        }
         out.push('\n');
         for child in plan.children() {
             // A row-local operator extends its pipeline into its single
@@ -136,11 +154,11 @@ pub fn pretty_plan_pipelines(plan: &Plan) -> String {
                 }
                 _ => None,
             };
-            go(child, Some(plan), depth + 1, pass, next, out);
+            go(child, Some(plan), depth + 1, pass, next, scans, out);
         }
     }
     let mut out = String::new();
-    go(plan, None, 0, None, &mut 0, &mut out);
+    go(plan, None, 0, None, &mut 0, scans, &mut out);
     out
 }
 
@@ -213,7 +231,7 @@ mod tests {
                 PlanJoinKind::Inner,
             )
             .project_columns(&["x.a"]);
-        let s = pretty_plan_pipelines(&plan);
+        let s = pretty_plan_pipelines(&plan, &ScanPlacements::new());
         // The projection above the join is one pipeline; each join input is
         // its own; the join itself carries no marker.
         assert!(s.contains("Project [x.a]  ·p0"), "{s}");

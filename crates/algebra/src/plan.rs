@@ -159,6 +159,11 @@ pub enum Plan {
         values: Vec<String>,
         /// Bag-collecting or summing flavour.
         op: NestOp,
+        /// The columns the grouping's shuffle hashes by — an ordered,
+        /// non-empty subset of `key` the optimizer picks so that the output
+        /// already sits where the next breaker up needs it (see
+        /// [`crate::placement`]). Empty means the whole key.
+        place_by: Vec<String>,
     },
     /// Duplicate elimination.
     Dedup {
@@ -171,26 +176,6 @@ pub enum Plan {
         left: Box<Plan>,
         /// Right input.
         right: Box<Plan>,
-    },
-    /// Casts a bag of `⟨label, value⟩` rows into a dictionary with a
-    /// label-based partitioning guarantee (shredded pipeline only).
-    BagToDict {
-        /// Input plan.
-        input: Box<Plan>,
-    },
-    /// Looks up every row's `label_attr` in a materialized dictionary and
-    /// pairs the row with each element of the found `value` bag. Translated
-    /// to an outer join on `label` followed by a flatten — the shredded
-    /// pipeline's workhorse.
-    DictLookup {
-        /// The plan producing rows containing `label_attr`.
-        input: Box<Plan>,
-        /// The plan producing the materialized dictionary.
-        dict: Box<Plan>,
-        /// The label-valued attribute of `input` rows.
-        label_attr: String,
-        /// Whether rows whose label finds no entry survive (outer semantics).
-        outer: bool,
     },
 }
 
@@ -316,6 +301,7 @@ impl Plan {
             op: NestOp::Bag {
                 group_attr: group_attr.into(),
             },
+            place_by: Vec::new(),
         }
     }
 
@@ -326,6 +312,7 @@ impl Plan {
             key: key.iter().map(|s| s.to_string()).collect(),
             values: values.iter().map(|s| s.to_string()).collect(),
             op: NestOp::Sum,
+            place_by: Vec::new(),
         }
     }
 
@@ -346,10 +333,8 @@ impl Plan {
             | Plan::AddIndex { input, .. }
             | Plan::Unnest { input, .. }
             | Plan::Nest { input, .. }
-            | Plan::Dedup { input }
-            | Plan::BagToDict { input } => vec![input],
+            | Plan::Dedup { input } => vec![input],
             Plan::Join { left, right, .. } | Plan::Union { left, right } => vec![left, right],
-            Plan::DictLookup { input, dict, .. } => vec![input, dict],
         }
     }
 
@@ -478,28 +463,32 @@ pub(crate) fn node_line(plan: &Plan, parent: Option<&Plan>) -> String {
             }
         }
         Plan::Nest {
-            key, values, op, ..
-        } => match op {
-            NestOp::Bag { group_attr } => format!(
-                "NestBag key=[{}] values=[{}] as {group_attr}",
-                key.join(","),
-                values.join(",")
-            ),
-            NestOp::Sum => format!(
-                "NestSum key=[{}] values=[{}]",
-                key.join(","),
-                values.join(",")
-            ),
-        },
+            key,
+            values,
+            op,
+            place_by,
+            ..
+        } => {
+            let head = match op {
+                NestOp::Bag { group_attr } => format!(
+                    "NestBag key=[{}] values=[{}] as {group_attr}",
+                    key.join(","),
+                    values.join(",")
+                ),
+                NestOp::Sum => format!(
+                    "NestSum key=[{}] values=[{}]",
+                    key.join(","),
+                    values.join(",")
+                ),
+            };
+            if place_by.is_empty() {
+                head
+            } else {
+                format!("{head} place by [{}]", place_by.join(","))
+            }
+        }
         Plan::Dedup { .. } => "Dedup".to_string(),
         Plan::Union { .. } => "Union".to_string(),
-        Plan::BagToDict { .. } => "BagToDict".to_string(),
-        Plan::DictLookup {
-            label_attr, outer, ..
-        } => format!(
-            "DictLookup on {label_attr}{}",
-            if *outer { " (outer)" } else { "" }
-        ),
     }
 }
 

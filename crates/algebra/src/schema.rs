@@ -259,7 +259,7 @@ pub(crate) fn node_schema(plan: &Plan, inputs: Vec<AttrSchema>, catalog: &Catalo
             }
         }
         Plan::Unit | Plan::Empty => AttrSchema::default(),
-        Plan::Select { .. } | Plan::Dedup { .. } | Plan::BagToDict { .. } => next(),
+        Plan::Select { .. } | Plan::Dedup { .. } => next(),
         Plan::Extend { columns, .. } => {
             let mut out = next();
             if out.attrs.is_empty() {
@@ -377,15 +377,6 @@ pub(crate) fn node_schema(plan: &Plan, inputs: Vec<AttrSchema>, catalog: &Catalo
             out
         }
         Plan::Union { .. } => next(),
-        Plan::DictLookup { .. } => {
-            let in_schema = next();
-            let dict_schema = next();
-            let value_inner = dict_schema
-                .nested_schema("value")
-                .cloned()
-                .unwrap_or_default();
-            in_schema.merge(&value_inner)
-        }
     }
 }
 

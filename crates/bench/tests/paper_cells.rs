@@ -247,3 +247,44 @@ fn skew_aware_shredding_ships_fewer_bytes_on_skewed_data() {
         shred.stats.shuffled_bytes
     );
 }
+
+/// Which shuffles run on the headline cell. The optimizer places each `Γ`
+/// for the breaker that consumes it, so STANDARD answers three of its seven
+/// shuffles in place (the `Γ⊎` above the `Γ+` and the grouped side of both
+/// outer joins) and SHRED+UNSHRED three of its seven (the first `Γ⊎` by
+/// label and the grouped side of both label joins). SHRED alone has nothing
+/// downstream to be placed for: every one of its shuffles runs.
+#[test]
+fn groupings_are_placed_for_their_consumers_and_those_shuffles_do_not_run() {
+    let (inputs, spec) = uncapped(figure7_data(), Family::NestedToNested, Wide);
+    let standard = run_query(&spec, &inputs, Strategy::Standard);
+    let shred = run_query(&spec, &inputs, Strategy::Shred);
+    let unshred = run_query(&spec, &inputs, Strategy::ShredUnshred);
+    completed(&standard, "STANDARD");
+    completed(&unshred, "SHRED+UNSHRED");
+    let in_place = |o: &RunOutcome| o.stats.shuffles_in_place;
+    assert_eq!(
+        (in_place(&standard), in_place(&shred), in_place(&unshred)),
+        (3, 0, 3),
+        "shuffles answered in place by STANDARD, SHRED, SHRED+UNSHRED"
+    );
+    // Both joins of each route still run as shuffle joins: what dropped is
+    // rows moved, not work reclassified.
+    assert_eq!(standard.stats.shuffle_joins, 2);
+    assert_eq!(unshred.stats.shuffle_joins, 2);
+
+    // A label join of unshredding books a shuffle for at most one side.
+    // What unshredding moves is then exactly: the order dictionary into the
+    // first label join, its rows again into the `Γ⊎` by their own label,
+    // and the top bag into the second join — never a grouped side.
+    let RunResult::Shredded(shredded) = &shred.result else {
+        panic!("SHRED must produce a shredded result");
+    };
+    let orders = shredded.dicts["orders"].len() as u64;
+    let top = shredded.top.len() as u64;
+    assert_eq!(
+        unshred.stats.shuffled_tuples - shred.stats.shuffled_tuples,
+        2 * orders + top,
+        "unshredding moved a grouped join side ({orders} order rows, {top} top rows)"
+    );
+}

@@ -21,9 +21,9 @@ use std::collections::HashMap;
 use std::time::Instant;
 
 use trance_algebra::{
-    fuse_chain, is_passthrough, lower, needs_sequential, optimize, physical_fields, pipeline_label,
-    pipeline_op_name, AttrSchema, Catalog, JoinStrategy, NestOp, OptimizerConfig, PhysField,
-    PhysType, Plan, PlanJoinKind,
+    carried_column, fuse_chain, is_passthrough, lower, needs_sequential, optimize, physical_fields,
+    pipeline_label, pipeline_op_name, AttrSchema, Catalog, JoinStrategy, NestOp, OptimizerConfig,
+    PhysField, PhysType, Plan, PlanJoinKind,
 };
 use trance_dist::batch::BagElems;
 use trance_dist::{
@@ -654,6 +654,23 @@ fn compile_chain_col(
     })
 }
 
+/// Hands `out` — what the row-local `nodes` (source side first) made of
+/// `input`, partition for partition — the placement of `input` that survives
+/// them: each placed column followed through [`carried_column`], the one
+/// carry rule the fused chains and the staged arms share. The engine clears
+/// the placement of anything a batch closure produced; this is where the
+/// plan says what the closure did.
+fn carry_placement(input: &ColCollection, nodes: &[&Plan], out: ColCollection) -> ColCollection {
+    let carried = input.placement().and_then(|placed| {
+        placed.carried(|col| {
+            nodes
+                .iter()
+                .try_fold(col.to_string(), |col, node| carried_column(node, &col))
+        })
+    });
+    out.with_placement(carried)
+}
+
 /// Attempts morsel-driven execution of `plan`'s topmost fused pipeline:
 /// splits the plan at its first breaker, evaluates the source recursively,
 /// compiles the row-local chain (and a fused scan rename) into one
@@ -697,7 +714,10 @@ fn eval_pipelined_col(
             Ok(cur)
         },
     )?;
-    Ok(Some(out))
+    // The fused scan rename is the first member of the chain.
+    let renamed = matches!(source, Plan::Scan { .. }).then_some(source);
+    let nodes: Vec<&Plan> = renamed.into_iter().chain(chain).collect();
+    Ok(Some(carry_placement(&src, &nodes, out)))
 }
 
 /// Evaluates one plan tree against an environment of columnar collections.
@@ -712,33 +732,28 @@ pub fn eval_plan_col(
             return Ok(out);
         }
     }
+    // Every row-local arm ends in `carry_placement`: its output sits as its
+    // input did, as far as the plan node's carry rule lets the columns through.
     match plan {
         Plan::Scan { name, alias } => {
             let coll = env
                 .get(name)
                 .ok_or_else(|| ExecError::Other(format!("unknown input relation `{name}`")))?;
-            match alias {
-                None => Ok(coll.clone()),
-                Some(alias) => {
-                    // `alias.field` renaming is a schema rewrite per batch —
-                    // no per-row work at all.
-                    let alias = alias.clone();
-                    coll.map_batches("map", move |b| {
-                        Ok(
-                            b.rename_fields(
-                                |f| format!("{alias}.{f}"),
-                                &format!("{alias}.__value"),
-                            ),
-                        )
-                    })
-                }
-            }
+            let Some(alias) = alias.clone() else {
+                return Ok(coll.clone());
+            };
+            // `alias.field` renaming is a schema rewrite per batch — no
+            // per-row work at all.
+            let out = coll.map_batches("map", move |b| {
+                Ok(b.rename_fields(|f| format!("{alias}.{f}"), &format!("{alias}.__value")))
+            })?;
+            Ok(carry_placement(coll, &[plan], out))
         }
         Plan::Unit => Ok(ColCollection::single(ctx, Batch::unit(1))),
         Plan::Empty => Ok(ColCollection::empty(ctx)),
         Plan::Select { input, predicate } => {
             let rows = eval_plan_col(input, env, ctx, options)?;
-            if options.compiled_exprs {
+            let out = if options.compiled_exprs {
                 let t0 = Instant::now();
                 let prog = compile_mask(predicate);
                 ctx.stats().record_expr_compile(
@@ -747,19 +762,20 @@ pub fn eval_plan_col(
                     t0.elapsed(),
                     &prog.render(),
                 );
-                rows.filter_mask(move |b| prog.mask(b))
+                rows.filter_mask(move |b| prog.mask(b))?
             } else {
                 let predicate = predicate.clone();
-                rows.filter_mask(move |b| crate::vector::eval_mask(&predicate, b))
-            }
+                rows.filter_mask(move |b| crate::vector::eval_mask(&predicate, b))?
+            };
+            Ok(carry_placement(&rows, &[plan], out))
         }
         Plan::Project { input, columns } => {
             let rows = eval_plan_col(input, env, ctx, options)?;
-            if !options.compiled_exprs {
+            let out = if !options.compiled_exprs {
                 let columns = columns.clone();
-                rows.map_batches("map", move |b| project_batch(b, &columns))
+                rows.map_batches("map", move |b| project_batch(b, &columns))?
             } else if let Some(names) = pruned_names(columns) {
-                rows.map_batches("map", move |b| Ok(b.prune_fields(&names)))
+                rows.map_batches("map", move |b| Ok(b.prune_fields(&names)))?
             } else {
                 let prog = staged_kernel(
                     "staged:project",
@@ -767,26 +783,45 @@ pub fn eval_plan_col(
                     ctx,
                     options,
                 );
-                rows.map_batches("map", move |b| prog.run(b))
-            }
+                rows.map_batches("map", move |b| prog.run(b))?
+            };
+            Ok(carry_placement(&rows, &[plan], out))
         }
         Plan::Extend { input, columns } => {
             let rows = eval_plan_col(input, env, ctx, options)?;
-            if options.compiled_exprs {
+            let out = if options.compiled_exprs {
                 let prog = staged_kernel(
                     "staged:extend",
                     &[KernelOp::Extend(columns.clone())],
                     ctx,
                     options,
                 );
-                rows.map_batches("map", move |b| prog.run(b))
+                rows.map_batches("map", move |b| prog.run(b))?
             } else {
                 let columns = columns.clone();
-                rows.map_batches("map", move |b| extend_batch(b, &columns))
-            }
+                rows.map_batches("map", move |b| extend_batch(b, &columns))?
+            };
+            Ok(carry_placement(&rows, &[plan], out))
         }
         Plan::AddIndex { input, id_attr } => {
-            eval_plan_col(input, env, ctx, options)?.with_unique_id(id_attr)
+            let rows = eval_plan_col(input, env, ctx, options)?;
+            let out = rows.with_unique_id(id_attr)?;
+            Ok(carry_placement(&rows, &[plan], out))
+        }
+        Plan::Unnest {
+            input,
+            bag_attr,
+            alias,
+            outer,
+            id_attr,
+        } => {
+            let rows = eval_plan_col(input, env, ctx, options)?;
+            let with_ids = match (outer, id_attr) {
+                (true, Some(id)) => rows.with_unique_id(id)?,
+                _ => rows.clone(),
+            };
+            let out = with_ids.unnest(bag_attr, alias.as_deref(), *outer)?;
+            Ok(carry_placement(&rows, &[plan], out))
         }
         Plan::Join {
             left,
@@ -824,36 +859,23 @@ pub fn eval_plan_col(
                 l.join(&r, &spec)
             }
         }
-        Plan::Unnest {
-            input,
-            bag_attr,
-            alias,
-            outer,
-            id_attr,
-        } => {
-            let rows = eval_plan_col(input, env, ctx, options)?;
-            let rows = match (outer, id_attr) {
-                (true, Some(id)) => rows.with_unique_id(id)?,
-                _ => rows,
-            };
-            rows.unnest(bag_attr, alias.as_deref(), *outer)
-        }
         Plan::Nest {
             input,
             key,
             values,
             op,
+            place_by,
         } => {
             let rows = eval_plan_col(input, env, ctx, options)?;
+            let place_by = if place_by.is_empty() { key } else { place_by };
             match op {
-                NestOp::Sum => {
-                    if options.skew_aware {
-                        rows.nest_sum_skew(key, values)
-                    } else {
-                        rows.nest_sum(key, values)
-                    }
+                NestOp::Sum if options.skew_aware => {
+                    rows.nest_sum_skew_placed(key, values, place_by)
                 }
-                NestOp::Bag { group_attr } => rows.nest_bag(key, values, group_attr),
+                NestOp::Sum => rows.nest_sum_placed(key, values, place_by),
+                NestOp::Bag { group_attr } => {
+                    rows.nest_bag_placed(key, values, group_attr, place_by)
+                }
             }
         }
         Plan::Dedup { input } => eval_plan_col(input, env, ctx, options)?.distinct(),
@@ -862,11 +884,5 @@ pub fn eval_plan_col(
             let r = eval_plan_col(right, env, ctx, options)?;
             l.union(&r)
         }
-        Plan::BagToDict { input } => eval_plan_col(input, env, ctx, options),
-        Plan::DictLookup { .. } => Err(ExecError::Other(
-            "DictLookup is not produced by the lowering (shredded plans are flat); \
-             reserved for hand-written plans"
-                .into(),
-        )),
     }
 }

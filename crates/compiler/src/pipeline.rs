@@ -423,11 +423,23 @@ pub fn run_query_explained(
     });
     let mut out = String::new();
     let _ = writeln!(out, "== {} · {} ==", spec.name, strategy.label());
+    // What each unit's plan says about where its output sits, for the units
+    // that scan it.
+    let mut placed = trance_algebra::ScanPlacements::new();
     for (name, plan) in capture.iter().flat_map(|(_, plans)| plans) {
         let _ = writeln!(out, "-- {name} --");
         // Each operator is annotated with the fused pipeline it executes in
-        // (`·p0`, `·p1`, …); breakers carry no marker.
-        out.push_str(&trance_algebra::pretty_plan_pipelines(plan));
+        // (`·p0`, `·p1`, …); breakers carry no marker. A `Γ` says what its
+        // shuffle hashes by when that is less than its key (`place by`), and
+        // a breaker input the plan leaves where the breaker needs it is
+        // marked `[in place: hashed by …]` (`[in place unless broadcast: …]`
+        // under a join that settles its strategy at run time). The marks are
+        // read off the plans; the `-- shuffle` line below counts the
+        // shuffles the run answered in place.
+        out.push_str(&trance_algebra::pretty_plan_pipelines(plan, &placed));
+        if let Some(placement) = trance_algebra::plan_placement(plan, &placed) {
+            placed.insert(name.clone(), placement);
+        }
     }
     if !outcome.stats.pipeline_timings.is_empty() {
         let _ = writeln!(
@@ -472,14 +484,15 @@ pub fn run_query_explained(
     let stats = &outcome.stats;
     let shuffle_joins = stats.shuffle_joins + stats.skew_fallback_joins;
     let broadcast_joins = stats.broadcast_joins + stats.skew_broadcast_joins;
-    if stats.shuffled_tuples + shuffle_joins + broadcast_joins > 0 {
+    if stats.shuffled_tuples + stats.shuffles_in_place + shuffle_joins + broadcast_joins > 0 {
         let _ = writeln!(
             out,
-            "-- shuffle: {} tuples, {} logical / {} physical bytes, {} shuffle + {} broadcast \
-             joins --",
+            "-- shuffle: {} tuples, {} logical / {} physical bytes, {} shuffles in place, \
+             {} shuffle + {} broadcast joins --",
             stats.shuffled_tuples,
             stats.shuffled_bytes,
             stats.shuffled_bytes_phys,
+            stats.shuffles_in_place,
             shuffle_joins,
             broadcast_joins,
         );
@@ -657,18 +670,17 @@ pub fn unshred_distributed_col(
             .collect();
         let grouped = child.nest_bag(&["label".to_string()], &value_attrs, "__grp")?;
         let keep = vec!["label".to_string(), "__grp".to_string()];
-        let grouped = grouped.map_batches("map", move |b| {
-            Ok(b.project_fields(&keep).rename_fields(
-                |f| {
-                    if f == "label" {
-                        "__jk".to_string()
-                    } else {
-                        f.to_string()
-                    }
-                },
-                "__value",
-            ))
-        })?;
+        let rename = |f: &str| if f == "label" { "__jk" } else { f }.to_string();
+        // The rows stay where the grouping put them — hashed by the label,
+        // now named `__jk`: the join below finds this side in place.
+        let placement = grouped.placement().and_then(|placed| {
+            placed.carried(|col| keep.iter().any(|k| k == col).then(|| rename(col)))
+        });
+        let grouped = grouped
+            .map_batches("map", move |b| {
+                Ok(b.project_fields(&keep).rename_fields(rename, "__value"))
+            })?
+            .with_placement(placement);
 
         let attach = |parent: &ColCollection| -> trance_dist::Result<ColCollection> {
             let spec =

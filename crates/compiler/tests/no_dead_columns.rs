@@ -142,11 +142,8 @@ fn find_dead_columns(
             }
             find_dead_columns(input, Some(&live), catalog, found);
         }
-        // Whole rows are compared, concatenated or looked up.
-        Plan::Dedup { .. }
-        | Plan::Union { .. }
-        | Plan::BagToDict { .. }
-        | Plan::DictLookup { .. } => {
+        // Whole rows are compared or concatenated.
+        Plan::Dedup { .. } | Plan::Union { .. } => {
             for child in plan.children() {
                 find_dead_columns(child, None, catalog, found);
             }

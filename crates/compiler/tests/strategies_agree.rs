@@ -777,3 +777,44 @@ fn a_sealed_set_answers_from_its_resident_batches_alone() {
         );
     }
 }
+
+/// A grouping attribute that is overwritten between two groupings. The
+/// inner `Γ+` is materialized and scanned as `t`, so its rows arrive hashed
+/// by `[t.a, t.b]`; the tuple constructor then stores `t.b` under the name
+/// `t.a` — an output attribute may be called what a stream column is called
+/// — and the outer `Γ+` by `[t.a, t.b]` must move the rows: they sit where
+/// the *old* `t.a` put them. (A carry rule under which a placement survives
+/// the overwriting `Extend` fails here.)
+#[test]
+fn regrouping_by_an_overwritten_key_attribute_moves_the_rows() {
+    let inner = sum_by(
+        forin(
+            "r",
+            var("R"),
+            singleton(tuple([
+                ("a", proj(var("r"), "a")),
+                ("b", proj(var("r"), "b")),
+                ("n", int(1)),
+            ])),
+        ),
+        &["a", "b"],
+        &["n"],
+    );
+    let query = sum_by(
+        forin(
+            "t",
+            inner,
+            singleton(tuple([
+                ("t.a", proj(var("t"), "b")),
+                ("t.b", proj(var("t"), "b")),
+                ("n", proj(var("t"), "n")),
+            ])),
+        ),
+        &["t.a", "t.b"],
+        &["n"],
+    );
+    let spec = QuerySpec::new("overwritten-key", query, vec![]);
+    let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(7);
+    let values = [("R", common::random_flat(&mut rng, 400, 9), false)];
+    check_all_strategies(&spec, &values);
+}

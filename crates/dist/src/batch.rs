@@ -61,6 +61,11 @@
 //! accounting stays exact. A gather that names every row in order shares the
 //! source's columns, and so does the merge of one such selection.
 //!
+//! The cheapest selection to move is the one that does not: a collection
+//! that knows which columns its rows are hashed by (`colops.rs`,
+//! "Placement") hands a breaker keyed that way its partitions as they are —
+//! no routing, no metering, no merge; such a shuffle books nothing.
+//!
 //! Key hashing and key equality read the same buffers in place; see
 //! `keys.rs` for the key-hash / validity contract the breakers rely on and
 //! for where [`Column::Other`] is compared by reference instead.

@@ -50,6 +50,56 @@
 //! *logical* (row-equivalent) sizes on purpose: plans and the paper's FAIL
 //! runs depend on the data, not on how compactly a batch encodes it.
 //!
+//! ## Placement
+//!
+//! A collection may carry a [`Placement`] — *the rows it covers of partition
+//! `p` hash to `p`*: `hash(columns) mod partitions == p` under the one
+//! key-hash law of `keys.rs` (`Value::Null` standing in for a NULL or absent
+//! lane) and the context's partition count. A breaker whose input is already
+//! placed the way it would route it **does not shuffle that input**: a join
+//! side placed by exactly its key list, a grouping placed by any subset of
+//! its key (rows that agree on the key agree on the subset, so every group
+//! already sits in one partition). A shuffle that does not run books nothing
+//! in the shuffle counters; it is counted in `shuffles_in_place`.
+//!
+//! * **Set** by what shuffles: [`ColCollection::nest_sum`] /
+//!   [`ColCollection::nest_bag`] (by the columns the shuffle hashed by — the
+//!   key, or the `place_by` subset of the `*_placed` variants; a grouping
+//!   that found its input in place passes that placement on) and the shuffle
+//!   join (by its left key, unless a right attribute of the same name could
+//!   overwrite a key column with another value).
+//! * **Kept** across [`ColCollection::with_context`], spilling (a partition
+//!   is the same rows in memory or on disk), [`ColCollection::filter_mask`],
+//!   the skew split, and [`ColCollection::with_unique_id`] on another
+//!   attribute. A caller that knows what a batch transform did to the placed
+//!   columns — the compiler's per-plan-node carry rule, unshredding's
+//!   `label → __jk` — re-attaches the carried placement with
+//!   [`ColCollection::with_placement`]; a rename rewrites the names.
+//! * **Cleared** by everything else: [`ColCollection::map_batches`],
+//!   [`ColCollection::run_pipeline`] and [`ColCollection::unnest`] (an
+//!   unknown transform may overwrite a placed column),
+//!   [`ColCollection::union`], a broadcast join, [`ColCollection::distinct`],
+//!   [`ColCollection::with_unique_id`] on a placed column.
+//!
+//! **Rows with a NULL or absent key lane.** A grouping's shuffle ships them
+//! to the stand-in's partition, so a grouping's output is placed *totally*:
+//! every row is covered. A join's shuffle does not ship them at all — an
+//! inner join drops them, and the left-outer join emits its left rows with an
+//! invalid key unmatched from wherever they were, parked in the first
+//! partition this process holds. So an inner shuffle join's output is total
+//! (every output row matched on a valid key) while a left-outer one's covers
+//! *valid rows only*. A join side may consume either strength, because it
+//! never routes an invalid-key row anyway: the in-place pass drops those
+//! rows (or hands them to the outer join as unmatched) exactly as the
+//! shuffle's routing pass does. A grouping requires a total placement.
+//!
+//! **Rank safety.** Skipping a shuffle skips a cluster collective, so every
+//! rank must skip the same ones. A placement therefore derives only from the
+//! plan (operator kinds, key lists, the [`JoinSpec`]) and from facts every
+//! rank agrees on (the cluster-wide broadcast decision, the merged heavy-key
+//! sample) — never from rank-local data such as an empty partition, a schema
+//! only this rank saw, or "no NULL key arrived here".
+//!
 //! ## Out-of-core execution
 //!
 //! With the spill subsystem enabled ([`crate::ClusterConfig::with_spill`] +
@@ -270,11 +320,57 @@ impl<'a> PartBuilder<'a> {
     }
 }
 
+/// How a collection's rows sit in its partitions: hashed by `columns` (see
+/// the module docs, "Placement").
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Placement {
+    columns: Vec<String>,
+    total: bool,
+}
+
+impl Placement {
+    /// Rows hashed by `columns`; `None` for an empty list (one partition
+    /// holds everything, which no breaker is planned around).
+    fn hashed_by(columns: &[String], total: bool) -> Option<Placement> {
+        (!columns.is_empty()).then(|| Placement {
+            columns: columns.to_vec(),
+            total,
+        })
+    }
+
+    /// The columns the rows are hashed by, in hash order.
+    pub fn columns(&self) -> &[String] {
+        &self.columns
+    }
+
+    /// False when only rows whose placed lanes are all valid are covered
+    /// (the output of a left-outer shuffle join).
+    pub fn is_total(&self) -> bool {
+        self.total
+    }
+
+    /// The placement after a row-local transform under which input column
+    /// `c` is output column `carry(c)`, unchanged in value. A column the
+    /// transform dropped or overwrote (`None`) voids the placement.
+    pub fn carried(&self, carry: impl Fn(&str) -> Option<String>) -> Option<Placement> {
+        let columns = self
+            .columns
+            .iter()
+            .map(|c| carry(c))
+            .collect::<Option<_>>()?;
+        Some(Placement {
+            columns,
+            total: self.total,
+        })
+    }
+}
+
 /// A distributed collection of columnar [`Batch`]es, one per hash partition.
 #[derive(Clone)]
 pub struct ColCollection {
     ctx: DistContext,
     parts: Arc<Vec<ColPart>>,
+    placement: Option<Placement>,
 }
 
 impl std::fmt::Debug for ColCollection {
@@ -282,6 +378,7 @@ impl std::fmt::Debug for ColCollection {
         f.debug_struct("ColCollection")
             .field("partitions", &self.parts.len())
             .field("rows", &self.len())
+            .field("placement", &self.placement)
             .finish()
     }
 }
@@ -295,6 +392,7 @@ impl ColCollection {
         ColCollection {
             ctx,
             parts: Arc::new(parts),
+            placement: None,
         }
     }
 
@@ -370,7 +468,67 @@ impl ColCollection {
         ColCollection {
             ctx: ctx.clone(),
             parts: self.parts.clone(),
+            placement: self.placement.clone(),
         }
+    }
+
+    /// How the rows are placed, when that is known (module docs,
+    /// "Placement").
+    pub fn placement(&self) -> Option<&Placement> {
+        self.placement.as_ref()
+    }
+
+    /// The same partitions under `placement`. The caller vouches for it: the
+    /// rows were produced partition for partition from a collection placed
+    /// that way, by a transform that left the placed columns' values alone
+    /// ([`Placement::carried`]). Debug builds check the claim at the shuffle
+    /// it saves.
+    pub fn with_placement(mut self, placement: Option<Placement>) -> ColCollection {
+        self.placement = placement;
+        self
+    }
+
+    /// The placement, when it is one a breaker can rely on: it speaks of
+    /// this context's partition count.
+    fn usable_placement(&self) -> Option<&Placement> {
+        let nparts = self.ctx.config().partitions.max(1);
+        self.placement
+            .as_ref()
+            .filter(|_| self.parts.len() == nparts)
+    }
+
+    /// Books one shuffle answered in place under the operator's context
+    /// `ctx` — rows hashed by `columns` stay where they are — and, in debug
+    /// builds, checks every row the claim covers (`every_row`: a grouping's;
+    /// otherwise rows with a valid key).
+    fn stays_in_place(&self, ctx: &DistContext, columns: &[String], every_row: bool) -> Result<()> {
+        ctx.stats().record_shuffle_in_place();
+        if cfg!(debug_assertions) {
+            self.assert_placed(columns, every_row)?;
+        }
+        Ok(())
+    }
+
+    /// Panics unless `hash(columns) mod partitions == p` for every covered
+    /// row of every partition `p`.
+    fn assert_placed(&self, columns: &[String], every_row: bool) -> Result<()> {
+        let nparts = self.parts.len() as u64;
+        for (p, part) in self.parts.iter().enumerate() {
+            for chunk in part.chunks(&self.ctx)? {
+                let chunk = chunk?;
+                let keys = KeyCols::resolve(&chunk, columns).hashes();
+                for (i, h) in keys.hashes.iter().enumerate() {
+                    assert!(
+                        h % nparts == p as u64 || !(every_row || keys.is_valid(i)),
+                        "a shuffle was skipped for rows claimed to be hashed by {columns:?}, \
+                         but row {i} of partition {p} hashes to partition {}: {:?}",
+                        h % nparts,
+                        chunk.row_value(i),
+                    );
+                }
+            }
+        }
+        Ok(())
     }
 
     /// The partitions loaded as batches (spilled partitions are read back;
@@ -531,10 +689,11 @@ impl ColCollection {
         F: Fn(&Batch) -> Result<Vec<bool>> + Send + Sync,
     {
         self.timed("filter", || {
-            self.transform_streamed(&|b: &Batch| {
+            let kept = self.transform_streamed(&|b: &Batch| {
                 let mask = f(b)?;
                 Ok(b.filter(&mask))
-            })
+            })?;
+            Ok(kept.with_placement(self.placement.clone()))
         })
     }
 
@@ -627,7 +786,12 @@ impl ColCollection {
                 }
                 builder.finish()
             })?;
-            ColCollection::materialize_parts(self.ctx.clone(), parts)
+            let minted = |p: &Placement| p.columns.iter().any(|c| c == attr);
+            let placement = self.placement.clone().filter(|p| !minted(p));
+            Ok(
+                ColCollection::materialize_parts(self.ctx.clone(), parts)?
+                    .with_placement(placement),
+            )
         })
     }
 
@@ -652,41 +816,103 @@ impl ColCollection {
     /// shuffle of the (small) partial batches by key hash, and a final
     /// reduce. Semantics mirror the reference evaluator's `sumBy` (integer
     /// sums stay integral, NULL contributes nothing, an all-NULL group
-    /// finalizes to 0).
+    /// finalizes to 0). An input already placed by a subset of `key` is
+    /// aggregated where it is.
     pub fn nest_sum(&self, key: &[String], values: &[String]) -> Result<ColCollection> {
-        self.timed("nest_sum", || self.nest_sum_untimed(key, values))
+        self.nest_sum_placed(key, values, key)
     }
 
-    fn nest_sum_untimed(&self, key: &[String], values: &[String]) -> Result<ColCollection> {
-        // Map-side partials: one typed accumulation per chunk, re-aggregated
-        // across chunks (algebraic aggregation: chunk order cannot matter).
-        let partials = run_partitioned(&self.ctx, &self.parts, |_, part| {
-            sum_chunks(part.chunks(&self.ctx)?, key, values)
-        })?;
-        let partials: Vec<ColPart> = partials.into_iter().map(ColPart::Mem).collect();
-        let shuffled = shuffle_batches(&self.ctx, &partials, route_all_rows(key))?;
-        let parts = run_partitioned(&self.ctx, &shuffled, |_, part| {
-            self.grouped_part(part, key, |b| sum_batch(b, key, values, true))
-        })?;
-        ColCollection::materialize_parts(self.ctx.clone(), parts)
+    /// [`ColCollection::nest_sum`] whose shuffle hashes by `place_by`, a
+    /// non-empty subset of `key`: the groups are the same, and the output is
+    /// placed for a consumer keyed by `place_by` (module docs, "Placement").
+    pub fn nest_sum_placed(
+        &self,
+        key: &[String],
+        values: &[String],
+        place_by: &[String],
+    ) -> Result<ColCollection> {
+        self.timed("nest_sum", || {
+            // Map-side partials: one typed accumulation per chunk,
+            // re-aggregated across chunks (algebraic aggregation: chunk order
+            // cannot matter).
+            let partials = run_partitioned(&self.ctx, &self.parts, |_, part| {
+                sum_chunks(part.chunks(&self.ctx)?, key, values)
+            })?;
+            let partials = partials.into_iter().map(ColPart::Mem).collect();
+            self.grouped(Cow::Owned(partials), key, place_by, |b| {
+                sum_batch(b, key, values, true)
+            })
+        })
     }
 
     /// The `Γ⊎` grouping over columns: rows shuffle by key hash, then each
     /// partition groups and emits one row per group whose `out_attr` is an
-    /// offset-encoded bag column over the projected value columns.
+    /// offset-encoded bag column over the projected value columns. An input
+    /// already placed by a subset of `key` is grouped where it is.
     pub fn nest_bag(
         &self,
         key: &[String],
         value_attrs: &[String],
         out_attr: &str,
     ) -> Result<ColCollection> {
+        self.nest_bag_placed(key, value_attrs, out_attr, key)
+    }
+
+    /// [`ColCollection::nest_bag`] whose shuffle hashes by `place_by`, a
+    /// non-empty subset of `key` (see [`ColCollection::nest_sum_placed`]).
+    pub fn nest_bag_placed(
+        &self,
+        key: &[String],
+        value_attrs: &[String],
+        out_attr: &str,
+        place_by: &[String],
+    ) -> Result<ColCollection> {
         self.timed("nest_bag", || {
-            let shuffled = shuffle_batches(&self.ctx, &self.parts, route_all_rows(key))?;
-            let parts = run_partitioned(&self.ctx, &shuffled, |_, part| {
-                self.grouped_part(part, key, |b| nest_bag_batch(b, key, value_attrs, out_attr))
-            })?;
-            ColCollection::materialize_parts(self.ctx.clone(), parts)
+            self.grouped(Cow::Borrowed(&self.parts[..]), key, place_by, |b| {
+                nest_bag_batch(b, key, value_attrs, out_attr)
+            })
         })
+    }
+
+    /// The shared body of the groupings over `parts` — this collection's
+    /// partitions, or what a map-side pass made of them one for one. They
+    /// stay where they are when the collection's placement already keeps
+    /// every group in one partition, and shuffle by the hash of `place_by`
+    /// otherwise; then `finalize` groups each partition. The output is placed
+    /// by what its rows were routed by, either way.
+    fn grouped(
+        &self,
+        parts: Cow<'_, [ColPart]>,
+        key: &[String],
+        place_by: &[String],
+        finalize: impl Fn(&Batch) -> Result<Batch> + Send + Sync,
+    ) -> Result<ColCollection> {
+        if place_by.is_empty() != key.is_empty() || place_by.iter().any(|c| !key.contains(c)) {
+            return Err(ExecError::Other(format!(
+                "a grouping by {key:?} cannot be placed by {place_by:?}: not a subset of its key"
+            )));
+        }
+        let in_place = self
+            .usable_placement()
+            .filter(|p| p.total && p.columns.iter().all(|c| key.contains(c)));
+        let (parts, placement) = match in_place {
+            Some(p) => {
+                self.stays_in_place(&self.ctx, &p.columns, true)?;
+                (parts, Some(p.clone()))
+            }
+            None => (
+                Cow::Owned(shuffle_batches(
+                    &self.ctx,
+                    &parts,
+                    route_all_rows(place_by),
+                )?),
+                Placement::hashed_by(place_by, true),
+            ),
+        };
+        let parts = run_partitioned(&self.ctx, &parts, |_, part| {
+            self.grouped_part(part, key, &finalize)
+        })?;
+        Ok(ColCollection::materialize_parts(self.ctx.clone(), parts)?.with_placement(placement))
     }
 
     /// Runs a grouping finalizer over one co-partitioned-by-key partition.
@@ -767,15 +993,27 @@ impl ColCollection {
     /// lands on. Both parts pre-aggregate map-side, so the heavy shuffle
     /// moves at most one partial row per source partition per heavy key.
     pub fn nest_sum_skew(&self, key: &[String], values: &[String]) -> Result<ColCollection> {
+        self.nest_sum_skew_placed(key, values, key)
+    }
+
+    /// [`ColCollection::nest_sum_skew`] whose shuffles hash by `place_by`
+    /// (see [`ColCollection::nest_sum_placed`]). The output is placed when
+    /// no key is heavy; the union of a light and a heavy aggregation is not.
+    pub fn nest_sum_skew_placed(
+        &self,
+        key: &[String],
+        values: &[String],
+        place_by: &[String],
+    ) -> Result<ColCollection> {
         self.timed("skew_nest_sum", || {
             let heavy = detect_heavy_keys_col(self, key)?;
             if heavy.is_empty() {
-                return self.nest_sum(key, values);
+                return self.nest_sum_placed(key, values, place_by);
             }
             let (light, heavy) = split_by_keys_col(self, key, &heavy)?;
             light
-                .nest_sum(key, values)?
-                .union(&heavy.nest_sum(key, values)?)
+                .nest_sum_placed(key, values, place_by)?
+                .union(&heavy.nest_sum_placed(key, values, place_by)?)
         })
     }
 
@@ -1182,6 +1420,22 @@ fn shuffle_batches<F>(ctx: &DistContext, parts: &[ColPart], route: F) -> Result<
 where
     F: Fn(&Batch) -> Result<KeyHashes> + Send + Sync,
 {
+    Ok(shuffle_keeping(ctx, parts, route, false)?.0)
+}
+
+/// [`shuffle_batches`] that, with `keep_unrouted`, also hands back the rows
+/// `route`'s validity mask cleared — gathered by the routing pass that finds
+/// them, in (source partition, chunk, row) order — instead of dropping them:
+/// the left-outer join's unmatched rows.
+fn shuffle_keeping<F>(
+    ctx: &DistContext,
+    parts: &[ColPart],
+    route: F,
+    keep_unrouted: bool,
+) -> Result<(Vec<ColPart>, Vec<Batch>)>
+where
+    F: Fn(&Batch) -> Result<KeyHashes> + Send + Sync,
+{
     let nparts = ctx.config().partitions.max(1);
     let sources = run_partitioned(ctx, parts, |_, part| {
         // The shuffle-delivery injection point: a fault fails this source
@@ -1190,11 +1444,16 @@ where
         with_retry(ctx, || {
             ctx.fault_check(FaultSite::Shuffle)?;
             let mut routed: Vec<Routed> = Vec::new();
+            let mut unrouted: Vec<Batch> = Vec::new();
             let mut scratch = SelScratch::default();
             let (mut rows, mut logical, mut physical) = (0u64, 0u64, 0u64);
             for chunk in part.chunks(ctx)? {
                 let chunk = chunk?;
-                let lists = RowLists::route(&route(&chunk)?, nparts, |h| h);
+                let keys = route(&chunk)?;
+                if let Some(valid) = keys.valid.as_ref().filter(|_| keep_unrouted) {
+                    unrouted.push(chunk.filter(&inverted(valid)));
+                }
+                let lists = RowLists::route(&keys, nparts, |h| h);
                 let mut logical_of = vec![0usize; nparts];
                 for (target, weight) in logical_of.iter_mut().enumerate() {
                     let sel = lists.of(target);
@@ -1212,16 +1471,18 @@ where
                     logical: logical_of,
                 });
             }
-            Ok((routed, rows, logical, physical))
+            Ok((routed, unrouted, rows, logical, physical))
         })
     })?;
     let (mut tuples, mut logical, mut physical) = (0u64, 0u64, 0u64);
     let mut routed: Vec<Vec<Routed>> = Vec::with_capacity(sources.len());
-    for (chunks, t, l, p) in sources {
+    let mut unrouted: Vec<Batch> = Vec::new();
+    for (chunks, kept, t, l, p) in sources {
         tuples += t;
         logical += l;
         physical += p;
         routed.push(chunks);
+        unrouted.extend(kept);
     }
     let (owned, remote) = match ctx.exchange() {
         Some(ex) => (
@@ -1260,7 +1521,7 @@ where
             arrivals
         })
         .collect();
-    run_partitioned(ctx, &arrivals, |_, arrivals| {
+    let merged = run_partitioned(ctx, &arrivals, |_, arrivals| {
         let total = || -> usize { arrivals.iter().map(Arrival::logical_bytes).sum() };
         if ctx.spill_active() && total() > part_budget(ctx) {
             let mut builder = PartBuilder::new(ctx);
@@ -1272,7 +1533,12 @@ where
         let selections: Vec<(&Batch, RowSel<'_>)> =
             arrivals.iter().map(|a| (a.batch, a.rows)).collect();
         Ok(ColPart::Mem(Batch::merge(&selections)))
-    })
+    })?;
+    Ok((merged, unrouted))
+}
+
+fn inverted(mask: &[bool]) -> Vec<bool> {
+    mask.iter().map(|b| !b).collect()
 }
 
 /// The chunks of one source partition that send rows to target `t`, numbered
@@ -2023,31 +2289,9 @@ fn shuffle_join_col(
     });
     // Left rows with NULL/missing keys can never match: inner joins drop
     // them, outer joins emit them unmatched without shuffling them at all.
-    let mut local_unmatched: Option<Batch> = None;
-    if spec.kind() == JoinKind::LeftOuter {
-        let mut unmatched: Vec<Batch> = Vec::new();
-        for part in left.parts.iter() {
-            for chunk in part.chunks(&ctx)? {
-                let b = chunk?;
-                tuple_rows_required(&b)?;
-                // All keys valid (the planned case): nothing to emit,
-                // nothing to scan.
-                let Some(mask) = KeyCols::resolve(&b, spec.left_keys()).invalid_rows() else {
-                    continue;
-                };
-                let kept = b.filter(&mask);
-                let n = kept.rows();
-                let nulls = project_right_batch(&Batch::empty(), spec)
-                    .take_opt(&vec![None; n], none_is_absent(spec));
-                unmatched.push(kept.merge_overwrite(&nulls));
-            }
-        }
-        if !unmatched.is_empty() {
-            local_unmatched = Some(Batch::concat(&unmatched));
-        }
-    }
-    let lparts = shuffle_batches(&ctx, &left.parts, route_valid_keys(spec.left_keys()))?;
-    let rparts = shuffle_batches(&ctx, &right.parts, route_valid_keys(spec.right_keys()))?;
+    let outer = spec.kind() == JoinKind::LeftOuter;
+    let (lparts, unmatched) = join_side(&ctx, left, spec.left_keys(), outer)?;
+    let (rparts, _) = join_side(&ctx, right, spec.right_keys(), false)?;
     let mut parts = run_partitioned(&ctx, &lparts, |p, lpart| {
         let rpart = &rparts[p];
         if ctx.spill_active() && lpart.logical_bytes() + rpart.logical_bytes() > op_budget(&ctx) {
@@ -2062,7 +2306,16 @@ fn shuffle_join_col(
         }
         builder.finish()
     })?;
-    if let Some(unmatched) = local_unmatched {
+    if !unmatched.is_empty() {
+        let no_match = project_right_batch(&Batch::empty(), spec);
+        let extended: Vec<Batch> = unmatched
+            .iter()
+            .map(|kept| {
+                let nulls = no_match.take_opt(&vec![None; kept.rows()], none_is_absent(spec));
+                kept.merge_overwrite(&nulls)
+            })
+            .collect();
+        let unmatched = Batch::concat(&extended);
         match parts.first_mut() {
             Some(ColPart::Mem(first)) => {
                 *first = Batch::concat(&[std::mem::take(first), unmatched]);
@@ -2078,7 +2331,78 @@ fn shuffle_join_col(
             None => parts.push(ColPart::Mem(unmatched)),
         }
     }
-    ColCollection::materialize_parts(ctx, parts)
+    Ok(ColCollection::materialize_parts(ctx, parts)?.with_placement(joined_placement(spec)))
+}
+
+/// Where a shuffle join leaves its output: hashed by the left key — for
+/// valid rows only when it is left-outer, whose invalid-key rows are parked.
+/// The right side's attributes overwrite the left's of the same name, so the
+/// claim stands only where no right attribute can change a key column: with
+/// whole right rows riding along, a key column's namesake must be the
+/// matching right key (equal on a match, absent otherwise); under a right
+/// projection, which pads a miss with NULLs, it must not be projected.
+/// Decided from the spec alone, never from the schemas a rank happens to see.
+fn joined_placement(spec: &JoinSpec) -> Option<Placement> {
+    let shadowed = |(left, right): (&String, &String)| match spec.right_fields() {
+        None => left != right,
+        Some(fields) => fields.contains(left),
+    };
+    if spec.left_keys().iter().zip(spec.right_keys()).any(shadowed) {
+        return None;
+    }
+    Placement::hashed_by(spec.left_keys(), spec.kind() == JoinKind::Inner)
+}
+
+/// One side of a shuffle join where the join needs it: partitioned by the
+/// hash of `keys`, without the rows whose key has a NULL or absent lane —
+/// which come back separately, in (partition, chunk, row) order, when
+/// `keep_invalid` asks for them. A side already placed by `keys` is not
+/// shuffled: its partitions pass through as they are, and one whose bitmaps
+/// show an invalid key is filtered the way the routing pass would have.
+fn join_side(
+    ctx: &DistContext,
+    side: &ColCollection,
+    keys: &[String],
+    keep_invalid: bool,
+) -> Result<(Vec<ColPart>, Vec<Batch>)> {
+    let in_place = side.usable_placement().is_some_and(|p| p.columns == keys);
+    if !in_place {
+        return shuffle_keeping(ctx, &side.parts, route_valid_keys(keys), keep_invalid);
+    }
+    side.stays_in_place(ctx, keys, false)?;
+    let invalid_rows = |b: &Batch| -> Result<Option<Vec<bool>>> {
+        tuple_rows_required(b)?;
+        Ok(KeyCols::resolve(b, keys).invalid_rows())
+    };
+    let passed = run_partitioned(ctx, &side.parts, |_, part| {
+        let mut clean = true;
+        for chunk in part.chunks(ctx)? {
+            if invalid_rows(&chunk?)?.is_some() {
+                clean = false;
+                break;
+            }
+        }
+        if clean {
+            return Ok((part.clone(), Vec::new()));
+        }
+        let mut builder = PartBuilder::new(ctx);
+        let mut invalid: Vec<Batch> = Vec::new();
+        for chunk in part.chunks(ctx)? {
+            let b = chunk?;
+            match invalid_rows(&b)? {
+                None => builder.push(b)?,
+                Some(mask) => {
+                    builder.push(b.filter(&inverted(&mask)))?;
+                    if keep_invalid {
+                        invalid.push(b.filter(&mask));
+                    }
+                }
+            }
+        }
+        Ok((builder.finish()?, invalid))
+    })?;
+    let (parts, invalid): (Vec<ColPart>, Vec<Vec<Batch>>) = passed.into_iter().unzip();
+    Ok((parts, invalid.into_iter().flatten().collect()))
 }
 
 // ---------------------------------------------------------------------------
@@ -2208,10 +2532,12 @@ fn split_by_keys_col(
         Ok((light.finish()?, hit.finish()?))
     })?;
     let (light, hit) = split.into_iter().unzip();
-    Ok((
-        ColCollection::materialize_parts(ctx.clone(), light)?,
-        ColCollection::materialize_parts(ctx.clone(), hit)?,
-    ))
+    // Rows only leave: both halves sit as the whole did.
+    let placed = |parts| -> Result<ColCollection> {
+        Ok(ColCollection::materialize_parts(ctx.clone(), parts)?
+            .with_placement(data.placement.clone()))
+    };
+    Ok((placed(light)?, placed(hit)?))
 }
 
 #[cfg(test)]
@@ -2438,5 +2764,367 @@ mod tests {
             }
             assert_eq!(summed, expect_metered, "{ranks} ranks");
         }
+    }
+
+    // -----------------------------------------------------------------
+    // placement: a shuffle that is skipped changes nothing but the meters
+    // -----------------------------------------------------------------
+
+    fn names(cols: &[&str]) -> Vec<String> {
+        cols.iter().map(|c| c.to_string()).collect()
+    }
+
+    /// A cluster that can spill but never has to.
+    fn roomy() -> DistContext {
+        DistContext::new(
+            ClusterConfig::new(2, 6)
+                .with_worker_memory(usize::MAX / 4)
+                .with_spill(),
+        )
+    }
+
+    /// [`keyed_sources`] hashed by `placed` (every row routed, so NULL and
+    /// absent keys sit in the stand-in's partition), partition 2 on disk,
+    /// with and without the placement that says so.
+    fn placed_and_not(
+        ctx: &DistContext,
+        sources: Vec<Batch>,
+        placed: &[&str],
+    ) -> (ColCollection, ColCollection) {
+        let placed = names(placed);
+        let sources: Vec<ColPart> = sources.into_iter().map(ColPart::Mem).collect();
+        let mut parts = shuffle_batches(ctx, &sources, route_all_rows(&placed)).unwrap();
+        let resident = parts[2].batch(ctx).unwrap().into_owned();
+        assert!(resident.rows() > 0);
+        parts[2] = ColPart::Spilled(Arc::new(spill_batch(ctx, &resident).unwrap()));
+        let plain = ColCollection::from_col_parts(ctx.clone(), parts);
+        let known = plain
+            .clone()
+            .with_placement(Placement::hashed_by(&placed, true));
+        ctx.stats().reset();
+        (known, plain)
+    }
+
+    /// The right side of the test joins: one row per key — as a grouping
+    /// leaves it — plus a NULL and an absent key per partition, the key under
+    /// the name the left side has it under (the shape of the plan's id
+    /// joins, and the one whose output stays placed).
+    fn right_sources() -> Vec<Batch> {
+        (0..6)
+            .map(|p| {
+                let mut rows: Vec<Value> = (0..101)
+                    .filter(|k| k % 6 == p)
+                    .map(|k| {
+                        Value::tuple([("k", Value::Int(k)), ("rs", Value::str(format!("r-{k}")))])
+                    })
+                    .collect();
+                rows.push(Value::tuple([
+                    ("k", Value::Null),
+                    ("rs", Value::str("null")),
+                ]));
+                rows.push(Value::tuple([("rs", Value::str("absent"))]));
+                Batch::from_rows(&rows)
+            })
+            .collect()
+    }
+
+    fn rows_per_partition(c: &ColCollection) -> Vec<Vec<Value>> {
+        let parts = c.batches().unwrap();
+        parts.iter().map(|b| b.to_rows()).collect()
+    }
+
+    /// Runs `op` over the collection with and without its placement: the
+    /// outputs must agree row for row and partition for partition, the
+    /// placed run books `in_place` skipped shuffles and exactly the bytes of
+    /// the shuffles it still ran (`moved` says whether there are any).
+    fn assert_same_in_place(
+        ctx: &DistContext,
+        what: &str,
+        in_place: u64,
+        moved: bool,
+        op: impl Fn(bool) -> Result<ColCollection>,
+    ) -> ColCollection {
+        ctx.stats().reset();
+        let reference = op(false).unwrap();
+        let shuffled = ctx.stats().snapshot();
+        assert_eq!(shuffled.shuffles_in_place, 0, "{what}: the reference run");
+        ctx.stats().reset();
+        let got = op(true).unwrap();
+        let stats = ctx.stats().snapshot();
+        assert_eq!(stats.shuffles_in_place, in_place, "{what}");
+        assert_eq!(stats.shuffled_bytes > 0, moved, "{what}: {stats:?}");
+        assert!(stats.shuffled_bytes < shuffled.shuffled_bytes, "{what}");
+        let (got_rows, want_rows) = (rows_per_partition(&got), rows_per_partition(&reference));
+        for (p, (g, w)) in got_rows.iter().zip(&want_rows).enumerate() {
+            assert_eq!(g.len(), w.len(), "{what}: rows of partition {p}");
+            for (i, (g, w)) in g.iter().zip(w).enumerate() {
+                assert_eq!(g, w, "{what}: row {i} of partition {p}");
+            }
+        }
+        assert_eq!(got_rows.len(), want_rows.len(), "{what}");
+        assert!(!got.is_empty(), "{what}: an empty result proves nothing");
+        got
+    }
+
+    #[test]
+    fn groupings_in_place_equal_the_shuffled_result_and_book_nothing() {
+        let ctx = roomy();
+        // Placed by a subset of the key: `k` of `[k, s]`.
+        let (known, plain) = placed_and_not(&ctx, keyed_sources(700), &["k"]);
+        assert_eq!(known.spilled_partitions(), 1);
+        let pick = |placed: bool| if placed { &known } else { &plain };
+        // The reference shuffles by the same subset, so that its rows land in
+        // the partitions the placed input's rows already sit in.
+        let (key, by_k) = (names(&["k", "s"]), names(&["k"]));
+        let bags = assert_same_in_place(&ctx, "nest_bag", 1, false, |placed| {
+            pick(placed).nest_bag_placed(&key, &names(&["v", "items"]), "g", &by_k)
+        });
+        assert_same_in_place(&ctx, "nest_sum", 1, false, |placed| {
+            pick(placed).nest_sum_placed(&key, &names(&["v"]), &by_k)
+        });
+        // The grouping passes its input's placement on — the next one up, by
+        // `k` alone, is local as well — and `place_by` is not consulted when
+        // nothing moves.
+        assert_eq!(bags.placement().unwrap().columns(), names(&["k"]));
+        ctx.stats().reset();
+        let again = bags
+            .nest_bag_placed(&key, &names(&["g"]), "gs", &names(&["s"]))
+            .unwrap();
+        assert_eq!(again.placement(), bags.placement());
+        let stats = ctx.stats().snapshot();
+        assert_eq!((stats.shuffles_in_place, stats.shuffled_bytes), (1, 0));
+    }
+
+    #[test]
+    fn a_placement_that_is_not_within_the_key_is_shuffled() {
+        // Rows that agree on `k` may differ on `s`: hashed by `[k, s]` they
+        // sit in different partitions, and a grouping by `k` must move them.
+        // (Relaxing `placed ⊆ key` to `placed ∩ key ≠ ∅` fails here: the
+        // groups come out split.)
+        let ctx = roomy();
+        let (known, plain) = placed_and_not(&ctx, keyed_sources(700), &["k", "s"]);
+        let key = names(&["k"]);
+        let reference = plain.nest_sum(&key, &names(&["v"])).unwrap();
+        ctx.stats().reset();
+        let got = known.nest_sum(&key, &names(&["v"])).unwrap();
+        let stats = ctx.stats().snapshot();
+        assert_eq!(stats.shuffles_in_place, 0);
+        assert!(stats.shuffled_bytes > 0);
+        assert_eq!(rows_per_partition(&got), rows_per_partition(&reference));
+        assert_eq!(got.placement().unwrap().columns(), key);
+        // Nor does a placement serve a join keyed by more, fewer or
+        // reordered columns.
+        let (right, _) = placed_and_not(&ctx, right_sources(), &["k"]);
+        for left_keys in [&["k"][..], &["s", "k"]] {
+            ctx.stats().reset();
+            let right_keys = if left_keys.len() == 1 {
+                &["k"][..]
+            } else {
+                &["rs", "k"]
+            };
+            let spec = JoinSpec::inner(left_keys, right_keys).with_hint(JoinHint::Shuffle);
+            known.join(&right, &spec).unwrap();
+            let in_place = ctx.stats().snapshot().shuffles_in_place;
+            assert_eq!(in_place, u64::from(left_keys.len() == 1), "{left_keys:?}");
+        }
+        // A subset that is not one: the grouping refuses to split its groups.
+        let err = plain.nest_sum_placed(&key, &names(&["v"]), &names(&["s"]));
+        assert!(err.unwrap_err().to_string().contains("not a subset"));
+    }
+
+    #[test]
+    fn join_sides_in_place_equal_the_shuffled_result_and_drop_invalid_keys() {
+        let ctx = roomy();
+        let (left, left_plain) = placed_and_not(&ctx, keyed_sources(700), &["k"]);
+        let (right, right_plain) = placed_and_not(&ctx, right_sources(), &["k"]);
+        let invalid = |c: &ColCollection, col: &str| -> usize {
+            rows_per_partition(c)
+                .iter()
+                .flatten()
+                .filter(|r| matches!(r.as_tuple().unwrap().get(col), None | Some(Value::Null)))
+                .count()
+        };
+        assert!(invalid(&left, "k") > 0 && invalid(&right, "k") > 0);
+        for kind in [JoinKind::Inner, JoinKind::LeftOuter] {
+            let spec = match kind {
+                JoinKind::Inner => JoinSpec::inner(&["k"], &["k"]),
+                JoinKind::LeftOuter => JoinSpec::left_outer(&["k"], &["k"]),
+            }
+            .with_hint(JoinHint::Shuffle);
+            let both = assert_same_in_place(&ctx, "both sides", 2, false, |placed| {
+                if placed {
+                    left.join(&right, &spec)
+                } else {
+                    left_plain.join(&right_plain, &spec)
+                }
+            });
+            assert_same_in_place(&ctx, "left side", 1, true, |placed| {
+                let l = if placed { &left } else { &left_plain };
+                l.join(&right_plain, &spec)
+            });
+            assert_same_in_place(&ctx, "right side", 1, true, |placed| {
+                let r = if placed { &right } else { &right_plain };
+                left_plain.join(r, &spec)
+            });
+            // The output sits by the left key: every row for the inner join,
+            // rows with a valid key for the outer one — whose invalid-key
+            // left rows are parked, unmatched, in the first partition.
+            let placed = both.placement().unwrap();
+            assert_eq!(placed.columns(), names(&["k"]));
+            assert_eq!(placed.is_total(), kind == JoinKind::Inner);
+            let parked = if kind == JoinKind::Inner {
+                0
+            } else {
+                invalid(&left, "k")
+            };
+            assert_eq!(invalid(&both, "k"), parked);
+            let first = &rows_per_partition(&both)[0];
+            let tail = &first[first.len() - parked..];
+            assert!(tail
+                .iter()
+                .all(|r| matches!(r.as_tuple().unwrap().get("k"), None | Some(Value::Null))));
+            // A join side may consume the outer join's valid-rows-only
+            // placement, a grouping may not.
+            let again = assert_same_in_place(&ctx, "joined again", 2, false, |placed| {
+                let l = if placed {
+                    both.clone()
+                } else {
+                    both.clone().with_placement(None)
+                };
+                let r = if placed { &right } else { &right_plain };
+                l.join(r, &spec)
+            });
+            assert_eq!(invalid(&again, "k"), parked);
+            ctx.stats().reset();
+            both.nest_bag(&names(&["k"]), &names(&["s"]), "g").unwrap();
+            let in_place = ctx.stats().snapshot().shuffles_in_place;
+            assert_eq!(in_place, u64::from(kind == JoinKind::Inner));
+        }
+    }
+
+    #[test]
+    fn a_right_attribute_that_can_overwrite_a_key_column_voids_the_joins_placement() {
+        let placed = |spec: JoinSpec| joined_placement(&spec).map(|p| p.columns().to_vec());
+        // Whole right rows ride along: only the matching right key may share
+        // a left key's name.
+        assert_eq!(
+            placed(JoinSpec::inner(&["id"], &["id"])),
+            Some(names(&["id"]))
+        );
+        assert_eq!(placed(JoinSpec::inner(&["a"], &["b"])), None);
+        assert_eq!(placed(JoinSpec::inner(&["a", "b"], &["a", "c"])), None);
+        // A right projection says what arrives; a miss pads it with NULLs.
+        let attach = JoinSpec::left_outer(&["attr"], &["__jk"]).with_right_fields(&["__grp"]);
+        assert_eq!(placed(attach), Some(names(&["attr"])));
+        let padded = JoinSpec::left_outer(&["id"], &["id"]).with_right_fields(&["id", "v"]);
+        assert_eq!(placed(padded), None);
+        assert_eq!(placed(JoinSpec::inner(&[], &[])), None);
+    }
+
+    #[test]
+    fn row_local_operators_keep_or_clear_the_placement() {
+        let ctx = roomy();
+        let (known, _) = placed_and_not(&ctx, keyed_sources(50), &["k"]);
+        let by_k = known.placement().cloned();
+        assert!(by_k.is_some());
+        let kept = known.filter_mask(|b| Ok(vec![true; b.rows()])).unwrap();
+        assert_eq!(kept.placement().cloned(), by_k);
+        assert_eq!(known.with_context(&ctx).placement().cloned(), by_k);
+        assert_eq!(
+            known.with_unique_id("id").unwrap().placement().cloned(),
+            by_k
+        );
+        assert_eq!(known.with_unique_id("k").unwrap().placement(), None);
+        assert_eq!(
+            known
+                .map_batches("map", |b| Ok(b.clone()))
+                .unwrap()
+                .placement(),
+            None
+        );
+        assert_eq!(
+            known.unnest("items", Some("i"), true).unwrap().placement(),
+            None
+        );
+        assert_eq!(known.union(&known).unwrap().placement(), None);
+        assert_eq!(known.distinct().unwrap().placement(), None);
+        // A rename rewrites the names; a dropped column voids the claim.
+        let renamed = by_k.as_ref().unwrap().carried(|c| Some(format!("x.{c}")));
+        assert_eq!(renamed.unwrap().columns(), names(&["x.k"]));
+        assert_eq!(by_k.as_ref().unwrap().carried(|_| None), None);
+        // A broadcast join replicates one side and claims nothing.
+        let small = ColCollection::from_parts(ctx.clone(), right_sources());
+        let spec = JoinSpec::inner(&["k"], &["k"]).with_hint(JoinHint::BroadcastRight);
+        assert_eq!(known.join(&small, &spec).unwrap().placement(), None);
+    }
+
+    /// A grouping placed for its consumer, regrouped in place, joined in
+    /// place twice and regrouped again — on one process and on 3 ranks, over
+    /// keys a fifth of which are NULL or absent. Every rank must skip the
+    /// same shuffles (or the collectives desynchronize) and the rank-summed
+    /// result and meters must be the single process's.
+    #[test]
+    fn ranks_agree_on_what_stays_in_place_with_null_and_absent_keys() {
+        let sources = keyed_sources(300);
+        let rights = right_sources();
+        let run = |ctx: &DistContext, owned: std::ops::Range<usize>| {
+            let local = |all: &[Batch]| {
+                let parts = (0..all.len()).map(|p| match owned.contains(&p) {
+                    true => all[p].clone(),
+                    false => Batch::empty(),
+                });
+                ColCollection::from_parts(ctx.clone(), parts.collect())
+            };
+            let spec = JoinSpec::left_outer(&["k"], &["k"]).with_hint(JoinHint::Shuffle);
+            let grouped = local(&rights)
+                .nest_bag_placed(&names(&["k", "rs"]), &[], "none", &names(&["k"]))
+                .unwrap()
+                .nest_bag(&names(&["k"]), &names(&["rs"]), "rss")
+                .unwrap();
+            let joined = local(&sources).join(&grouped, &spec).unwrap();
+            // Left side in place (valid rows only), right side in place.
+            let twice = joined.join(&grouped, &spec).unwrap();
+            // The outer join's output covers valid keys only: this shuffles.
+            let regrouped = twice
+                .nest_bag(&names(&["k"]), &names(&["s", "v"]), "g")
+                .unwrap();
+            let mut rows: Vec<Value> = rows_per_partition(&regrouped).concat();
+            rows.extend(rows_per_partition(&twice).concat());
+            (rows, ctx.stats().snapshot())
+        };
+        // Bags compare as multisets: a group's members arrive in rank order.
+        let canonical = |rows: Vec<Value>| trance_nrc::canonical_rows(&Bag::new(rows));
+        let config = ClusterConfig::new(2, 6);
+        let (want, single) = run(&DistContext::new(config.clone()), 0..6);
+        // nest_bag, right side of both joins, left side of the second.
+        assert_eq!(single.shuffles_in_place, 4);
+        let ranks = 3;
+        let per_rank: Vec<(Vec<Value>, crate::StatsSnapshot)> = std::thread::scope(|s| {
+            let handles: Vec<_> = MemMesh::cluster(ranks)
+                .into_iter()
+                .map(|mesh| {
+                    let (config, run) = (&config, &run);
+                    s.spawn(move || {
+                        let owned = owned_range(mesh.rank(), 6, ranks);
+                        let ctx = DistContext::new(config.clone());
+                        ctx.set_exchange(Some(Arc::new(mesh)));
+                        run(&ctx, owned)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        let mut got: Vec<Value> = Vec::new();
+        let mut shuffled = (0u64, 0u64);
+        for (rows, stats) in per_rank {
+            got.extend(rows);
+            shuffled = (
+                shuffled.0 + stats.shuffled_tuples,
+                shuffled.1 + stats.shuffled_bytes,
+            );
+            assert_eq!(stats.shuffles_in_place, single.shuffles_in_place);
+        }
+        assert_eq!(canonical(got), canonical(want));
+        assert_eq!(shuffled, (single.shuffled_tuples, single.shuffled_bytes));
     }
 }

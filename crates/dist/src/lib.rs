@@ -76,7 +76,7 @@ pub mod stats;
 pub use batch::{
     Batch, Bitmap, Column, FieldHint, GatherIndex, RowSel, Schema, SelScratch, StrDict,
 };
-pub use colops::ColCollection;
+pub use colops::{ColCollection, Placement};
 pub use error::{EngineError, ExecError, Result};
 pub use exchange::{allgather_u64, global_sum, owned_range, owner_of_partition, Exchange, MemMesh};
 pub use fault::{CancelToken, FaultInjector, FaultPlan, FaultSite};

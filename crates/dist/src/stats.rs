@@ -146,6 +146,10 @@ counters! {
     /// dictionaries counted once per batch on the columnar path; equal to
     /// `shuffled_bytes` on the row path).
     shuffled_bytes_phys,
+    /// Breaker inputs that were already hashed the way the breaker would
+    /// have routed them, so their shuffle did not run (and booked nothing
+    /// above).
+    shuffles_in_place,
     /// Rows replicated by broadcasts (counted once per receiving worker).
     broadcast_tuples,
     /// Logical (row-equivalent) bytes replicated by broadcasts.
@@ -205,6 +209,11 @@ impl Stats {
         self.shuffled_bytes.fetch_add(bytes, Ordering::Relaxed);
         self.shuffled_bytes_phys
             .fetch_add(phys_bytes, Ordering::Relaxed);
+    }
+
+    /// Counts one shuffle that did not run because its input was in place.
+    pub fn record_shuffle_in_place(&self) {
+        self.shuffles_in_place.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Meters a dataset replicated to every worker. `bytes` / `phys_bytes`

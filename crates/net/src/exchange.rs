@@ -21,11 +21,12 @@
 //! link** broken. Brokenness is deliberately per-link, not mesh-global: a
 //! rank that finishes the job closes its mesh, and the resulting EOF is
 //! benign — its frames for every round were already delivered in order, and
-//! nothing is ever sent *to* a finished rank again (a rank can only finish
-//! once every peer's final contributions are in). So a send fails only when
-//! the *target* link is broken, and a collective wait fails only when a
-//! broken-link peer's contribution to *that round* is still missing — in
-//! which case it returns a typed [`ExecError::Retryable`] (shuffle site),
+//! no *data* is ever sent to a finished rank again (a rank can only finish
+//! once every peer's final contributions are in; the credit grants still
+//! owed to it are why [`NetExchange::close`] keeps reading). So a send fails
+//! only when the *target* link is broken, and a collective wait fails only
+//! when a broken-link peer's contribution to *that round* is still missing —
+//! in which case it returns a typed [`ExecError::Retryable`] (shuffle site),
 //! the same error class the engine's retry and lineage-recovery layers
 //! already handle and the signal the coordinator's global retry acts on.
 //! Out-of-order deliveries are fine by construction: shuffle payloads carry
@@ -37,7 +38,7 @@ use std::io::{self, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::thread::{self, JoinHandle};
+use std::thread;
 use std::time::{Duration, Instant};
 
 use trance_dist::{CancelToken, Exchange, ExecError, FaultSite};
@@ -53,6 +54,10 @@ pub const CREDIT_WINDOW: u32 = 32;
 /// How often blocked senders/collectives wake to check cancellation and
 /// link failure.
 const WAIT_TICK: Duration = Duration::from_millis(100);
+
+/// How long a closed mesh's readers keep a silent link open for the peer's
+/// own close before giving up on it.
+const LINGER: Duration = Duration::from_secs(10);
 
 /// How long mesh formation retries dialing a peer's listener.
 const DIAL_TIMEOUT: Duration = Duration::from_secs(10);
@@ -160,7 +165,6 @@ pub struct NetExchange {
     sent_frames: AtomicU64,
     /// Sever a link after this many sent frames (`u64::MAX` = never).
     drop_after: AtomicU64,
-    readers: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl NetExchange {
@@ -172,7 +176,6 @@ impl NetExchange {
             cond: Condvar::new(),
         });
         let mut links: Vec<Option<Arc<Link>>> = Vec::with_capacity(ranks);
-        let mut readers = Vec::new();
         for (peer, slot) in streams.into_iter().enumerate() {
             let Some(stream) = slot else {
                 links.push(None);
@@ -191,11 +194,10 @@ impl NetExchange {
             });
             let reader_link = link.clone();
             let reader_shared = shared.clone();
-            readers.push(
-                thread::Builder::new()
-                    .name(format!("trance-net-rx-{peer}"))
-                    .spawn(move || reader_loop(read_half, reader_link, reader_shared))?,
-            );
+            // Detached: the reader ends with its link (see `close`).
+            thread::Builder::new()
+                .name(format!("trance-net-rx-{peer}"))
+                .spawn(move || reader_loop(read_half, reader_link, reader_shared))?;
             links.push(Some(link));
         }
         Ok(NetExchange {
@@ -206,7 +208,6 @@ impl NetExchange {
             cancel: Mutex::new(None),
             sent_frames: AtomicU64::new(0),
             drop_after: AtomicU64::new(u64::MAX),
-            readers: Mutex::new(readers),
         })
     }
 
@@ -343,15 +344,25 @@ impl NetExchange {
         self.seq.load(Ordering::Relaxed)
     }
 
-    /// Tears the mesh down: severs every link and joins the reader threads.
-    /// Called by the worker after each attempt — on failure this is what
-    /// cascades EOF to peers so nobody waits on a rank that already gave up.
+    /// Tears the mesh down: half-closes every link. Called by the worker
+    /// after each attempt — on failure the EOF
+    /// this sends is what cascades to peers so nobody waits on a rank that
+    /// already gave up.
+    ///
+    /// Only the write side shuts: our FIN follows every frame we sent. The
+    /// read side stays open because peers still owe a credit grant for each
+    /// of those frames they have yet to ingest, and a segment arriving on a
+    /// socket shut for reading is answered with a reset — which discards
+    /// what the peer has received but not read, the very frames it was
+    /// about to acknowledge. (A job whose last collective is small enough
+    /// to fit the credit window finishes without ever waiting for the peer
+    /// to read, so the window is real.) The readers keep draining until
+    /// each peer half-closes in turn — or says nothing for `LINGER` — and
+    /// then drop their sockets; nobody waits for them.
     pub fn close(&self) {
         for link in self.links.iter().flatten() {
-            link.stream.shutdown(Shutdown::Both).ok();
-        }
-        for handle in lock(&self.readers).drain(..) {
-            handle.join().ok();
+            link.stream.set_read_timeout(Some(LINGER)).ok();
+            link.stream.shutdown(Shutdown::Write).ok();
         }
     }
 }
