@@ -8,7 +8,10 @@
 //!    plus a root [`Plan`] built from selections, projections/extensions,
 //!    (cross/equi/outer) joins, unnests, nest operators `Γ⊎`/`Γ+`, duplicate
 //!    elimination and unions. The shredded route lowers each of its flat
-//!    assignments through the same entry point.
+//!    assignments through the same entry point. Putting a flat child stream
+//!    back under its parent is one shape, built in one place
+//!    ([`Plan::renest`]): the lowering uses it for every nesting level, the
+//!    compiler's unshredding unit for every dictionary.
 //! 2. [`optimize()`] is the single place optimization lives: selection
 //!    pushdown, liveness-based column pruning (above scans and unnests and
 //!    below every join and `Γ` input), aggregation

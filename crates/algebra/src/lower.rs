@@ -537,29 +537,10 @@ impl Lowerer<'_> {
                         };
                         let child = self.compile_bag(fe, Some(parent))?;
                         let (child_plan, child_attrs, _) = self.expect_flattened(child)?;
-                        let nested = Plan::Nest {
-                            input: Box::new(child_plan),
-                            key: vec![id_attr.clone()],
-                            values: child_attrs,
-                            op: NestOp::Bag {
-                                group_attr: name.clone(),
-                            },
-                            place_by: Vec::new(),
-                        };
-                        let joined = base.join(
-                            nested,
-                            &[id_attr.as_str()],
-                            &[id_attr.as_str()],
-                            PlanJoinKind::LeftOuter,
-                        );
-                        // NULL (no child rows) becomes the empty bag.
-                        stream.plan = joined.extend(vec![(
-                            name.clone(),
-                            ScalarExpr::Coalesce(
-                                Box::new(ScalarExpr::col(name.clone())),
-                                Box::new(ScalarExpr::constant(Value::empty_bag())),
-                            ),
-                        )]);
+                        // Group the child rows by the parent id and hang
+                        // each group under its parent as `name`.
+                        stream.plan =
+                            base.renest(child_plan, &id_attr, &id_attr, child_attrs, name);
                         attrs.push(name.clone());
                     } else {
                         let scalar = translate_scalar(fe, &stream.bound)?;

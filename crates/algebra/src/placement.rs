@@ -134,7 +134,7 @@ pub fn plan_placement(plan: &Plan, scans: &ScanPlacements) -> Option<PlanPlaceme
         // A shuffle join's output sits by its left key. The right side's
         // attributes overwrite the left's of the same name, which is harmless
         // only where that name is the matching right key (equal values on a
-        // match, absent otherwise) — plan joins carry no right projection.
+        // match, absent otherwise).
         Plan::Join {
             left_key,
             right_key,

@@ -10,6 +10,8 @@
 
 use std::collections::BTreeSet;
 
+use trance_nrc::Value;
+
 use crate::scalar::ScalarExpr;
 
 /// Join flavour at the plan level.
@@ -314,6 +316,59 @@ impl Plan {
             op: NestOp::Sum,
             place_by: Vec::new(),
         }
+    }
+
+    /// The **re-nesting triple** `Extend [attr := coalesce(g, {})] ← OuterJoin
+    /// ← NestBag`: groups `child` by `child_key` into one bag of `values` per
+    /// key (`Γ⊎`), left-outer-joins the groups to this plan (the parent) on
+    /// `parent_key`, and sets `attr` to the group — the empty bag where a
+    /// parent row found none. Every place a flat child stream goes back
+    /// under its parent is this one shape: each nesting level the unnesting
+    /// algorithm compiles (both sides keyed by the minted parent id) and each
+    /// dictionary unshredding folds into the rows that hold its labels
+    /// (`attr` is the parent's key, the child's is `label`).
+    ///
+    /// The join lays the right row over the left one, so a name is replaced
+    /// by a helper exactly where it would collide: a child key that is not
+    /// the parent's joins as `__jk` (a dictionary's `label` must not
+    /// overwrite its parent's), and a group headed for the key attribute
+    /// itself travels as `__grp`. The helpers stay in the output; a caller
+    /// that introduced them projects them away.
+    pub fn renest(
+        self,
+        child: Plan,
+        parent_key: &str,
+        child_key: &str,
+        values: Vec<String>,
+        attr: &str,
+    ) -> Plan {
+        let join_key = if child_key == parent_key {
+            child_key
+        } else {
+            "__jk"
+        };
+        let group = if attr == parent_key { "__grp" } else { attr };
+        let mut grouped = Plan::Nest {
+            input: Box::new(child),
+            key: vec![child_key.to_string()],
+            values,
+            op: NestOp::Bag {
+                group_attr: group.to_string(),
+            },
+            place_by: Vec::new(),
+        };
+        if join_key != child_key {
+            grouped = grouped.project(vec![
+                (join_key.to_string(), ScalarExpr::col(child_key)),
+                (group.to_string(), ScalarExpr::col(group)),
+            ]);
+        }
+        let no_group = ScalarExpr::constant(Value::empty_bag());
+        self.join(grouped, &[parent_key], &[join_key], PlanJoinKind::LeftOuter)
+            .extend(vec![(
+                attr.to_string(),
+                ScalarExpr::Coalesce(Box::new(ScalarExpr::col(group)), Box::new(no_group)),
+            )])
     }
 
     /// Wraps this plan in duplicate elimination.

@@ -331,51 +331,61 @@ fn biomed_input_set(config: &BiomedConfig, memory_factor: f64, tuning: &ClusterT
     inputs
 }
 
-/// Runs the five-step E2E pipeline under one strategy, feeding each step's
-/// output to the next (shredded outputs stay shredded between steps for the
-/// shredded strategies; nested outputs stay distributed for the others).
-pub fn run_biomed_pipeline(
-    config: &BiomedConfig,
-    strategy: Strategy,
-    memory_factor: f64,
-) -> PipelineRow {
-    run_biomed_pipeline_tuned(config, strategy, memory_factor, &ClusterTuning::default())
-}
-
-/// [`run_biomed_pipeline`] on a CLI-tuned cluster.
+/// Runs the five-step E2E pipeline under one strategy on a CLI-tuned
+/// cluster, feeding each step's output to the next in the form it was
+/// produced (see [`observe_biomed_pipeline`]).
 pub fn run_biomed_pipeline_tuned(
     config: &BiomedConfig,
     strategy: Strategy,
     memory_factor: f64,
     tuning: &ClusterTuning,
 ) -> PipelineRow {
-    run_biomed_pipeline_impl(config, strategy, memory_factor, tuning, None)
+    let options = tuning.options(strategy);
+    observe_biomed_pipeline(config, strategy, memory_factor, tuning, |spec, inputs| {
+        run_query_with(spec, inputs, strategy, &options)
+    })
 }
 
-/// Runs the pipeline like [`run_biomed_pipeline`] while capturing, per step,
-/// the EXPLAIN rendering of the optimized plans the step executed.
+/// Runs the pipeline like [`run_biomed_pipeline_tuned`] on the untuned
+/// cluster while capturing, per step, the EXPLAIN rendering of the optimized
+/// plans the step executed.
 pub fn explain_biomed_pipeline(
     config: &BiomedConfig,
     strategy: Strategy,
     memory_factor: f64,
 ) -> Vec<(String, String)> {
     let mut explains = Vec::new();
-    run_biomed_pipeline_impl(
-        config,
-        strategy,
-        memory_factor,
-        &ClusterTuning::default(),
-        Some(&mut explains),
-    );
+    let tuning = ClusterTuning::default();
+    observe_biomed_pipeline(config, strategy, memory_factor, &tuning, |spec, inputs| {
+        let (outcome, text) = trance_compiler::run_query_explained(spec, inputs, strategy);
+        explains.push((spec.name.clone(), text));
+        outcome
+    });
     explains
 }
 
-fn run_biomed_pipeline_impl(
+/// The pipeline driver: runs each step through `run_step` (which sees the
+/// step's query and the inputs as they stand, and may keep what it likes of
+/// the outcome) and registers the step's output for the next one **once, in
+/// the form it was produced**:
+///
+/// * a shredded output (SHRED, SHRED-SKEW) as its shredded pieces, so the
+///   next step consumes the dictionaries this one wrote — the point of the
+///   figure;
+/// * a standard-family output as the distributed nested collection it is;
+/// * an unshredded output (SHRED+UNSHRED) is nested rows where the shredded
+///   family's next step reads shredded ones, so this arm alone converts: the
+///   rows are registered as a nested input, which shreds them.
+///
+/// The table-store cells of the form the strategy reads are filled before
+/// each step runs, untimed, as [`run_strategies`] does. A step after a
+/// failed one is not attempted and reported failed, as in the paper.
+pub fn observe_biomed_pipeline(
     config: &BiomedConfig,
     strategy: Strategy,
     memory_factor: f64,
     tuning: &ClusterTuning,
-    mut explains: Option<&mut Vec<(String, String)>>,
+    mut run_step: impl FnMut(&QuerySpec, &InputSet) -> RunOutcome,
 ) -> PipelineRow {
     let mut inputs = biomed_input_set(config, memory_factor, tuning);
     let structures: HashMap<&str, trance_shred::NestingStructure> = HashMap::from([
@@ -403,47 +413,28 @@ fn run_biomed_pipeline_impl(
             })
             .collect();
         let spec = QuerySpec::new(step_name, expr, decls);
-        let outcome = match explains.as_deref_mut() {
-            Some(explains) => {
-                let (outcome, text) =
-                    trance_compiler::run_query_explained(&spec, &inputs, strategy);
-                explains.push((step_name.to_string(), text));
-                outcome
-            }
-            None => run_query_with(&spec, &inputs, strategy, &tuning.options(strategy)),
-        };
+        // A conversion that fails here fails again inside the timed run,
+        // which reports it as this step's FAIL.
+        let _ = inputs.resident(strategy.is_shredded());
+        let outcome = run_step(&spec, &inputs);
         shuffled += outcome.stats.shuffled_bytes;
         match &outcome.result {
-            RunResult::Failed(_) => {
-                steps.push((step_name.to_string(), None));
-                failed = true;
+            RunResult::Failed(_) => failed = true,
+            RunResult::Shredded(out) => inputs.add_shredded(output_name, out),
+            RunResult::Nested(d) if !strategy.is_shredded() => {
+                inputs.add_nested_collection(output_name, d.clone());
             }
             RunResult::Nested(d) => {
-                steps.push((step_name.to_string(), Some(outcome.elapsed)));
-                inputs.add_nested_collection(output_name, d.clone());
-                // Also make it available to a shredded next step.
-                if structures.contains_key(output_name) {
-                    inputs
-                        .add_nested(output_name, d.collect_bag())
-                        .expect("a step's nested output shreds");
-                } else {
-                    inputs.add_flat(output_name, d.collect_bag()).unwrap();
-                }
-            }
-            RunResult::Shredded(out) => {
-                steps.push((step_name.to_string(), Some(outcome.elapsed)));
-                inputs.add_shredded(output_name, out);
-                // The standard route of a later step (if mixed) would need the
-                // nested form too; reconstruct it cheaply at this scale.
-                if let Ok(bag) = trance_compiler::collect_unshredded(out) {
-                    if structures.contains_key(output_name) {
-                        inputs.add_nested(output_name, bag).unwrap();
-                    } else {
-                        inputs.add_flat(output_name, bag).unwrap();
-                    }
-                }
+                let rows = d.collect_bag();
+                let loaded = match structures.contains_key(output_name) {
+                    true => inputs.add_nested(output_name, rows),
+                    false => inputs.add_flat(output_name, rows),
+                };
+                loaded.expect("a step's output loads as the next step's input");
             }
         }
+        let elapsed = (!failed).then_some(outcome.elapsed);
+        steps.push((step_name.to_string(), elapsed));
     }
     PipelineRow {
         strategy,

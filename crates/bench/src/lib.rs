@@ -32,7 +32,7 @@ use trance_dist::FaultPlan;
 pub mod harness;
 
 pub use harness::{
-    explain_biomed_pipeline, run_biomed_pipeline, run_biomed_pipeline_tuned, run_strategies,
+    explain_biomed_pipeline, observe_biomed_pipeline, run_biomed_pipeline_tuned, run_strategies,
     run_tpch_query, tpch_input_set_tuned, BenchRow, ClusterTuning, Family, PipelineRow,
 };
 

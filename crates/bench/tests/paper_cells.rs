@@ -1,7 +1,8 @@
 //! What the figure tables must show, as assertions: the paper's FAIL cells
 //! (and their completion once spilling is on), physical against logical
-//! shuffle bytes, the optimizer against the SparkSQL-like baseline, and the
-//! skew-aware shredded route against the skew-unaware one.
+//! shuffle bytes, the optimizer against the SparkSQL-like baseline, the
+//! skew-aware shredded route against the skew-unaware one, and every step of
+//! Figure 9's pipeline against `nrc::eval`.
 //!
 //! The cells are the depth-2 cells of `figure7` at scale 0.1 — the smallest
 //! scale whose capped Wide row reads like the one at the figures' default 0.3
@@ -9,13 +10,14 @@
 //! `figure8` at 0.2, the smallest at which a key is heavy enough for the
 //! skew-aware joins to treat it apart.
 
-use trance_bench::{tpch_input_set_tuned, ClusterTuning, Family};
+use trance_bench::{observe_biomed_pipeline, tpch_input_set_tuned, ClusterTuning, Family};
+use trance_biomed::BiomedConfig;
 use trance_compiler::{
-    run_query, run_query_with, strategy_options, ExecOptions, InputSet, QuerySpec, RunOutcome,
-    RunResult, Strategy,
+    collect_unshredded, run_query, run_query_explained, run_query_with, strategy_options,
+    ExecOptions, InputSet, QuerySpec, RunOutcome, RunResult, Strategy,
 };
 use trance_dist::ExecError;
-use trance_nrc::bags_approx_equal;
+use trance_nrc::{bags_approx_equal, eval, Bag, Env, Value};
 use trance_tpch::{
     QueryVariant::{self, Narrow, Wide},
     TpchConfig,
@@ -287,4 +289,75 @@ fn groupings_are_placed_for_their_consumers_and_those_shuffles_do_not_run() {
         2 * orders + top,
         "unshredding moved a grouped join side ({orders} order rows, {top} top rows)"
     );
+
+    // The same reading off the plan: unshredding is the run's last unit, and
+    // its `-- unshred --` section shows two label joins, each with the
+    // grouped side — never the scanned parent — marked in place, over a
+    // first `Γ⊎` that finds its dictionary hashed by label.
+    let (explained, text) = run_query_explained(&spec, &inputs, Strategy::ShredUnshred);
+    assert_eq!(in_place(&explained), 3);
+    let unit = text
+        .split_once("-- unshred --\n")
+        .expect("SHRED+UNSHRED explains its unshredding unit")
+        .1;
+    let unit = unit.split_once("\n-- ").map_or(unit, |(plan, _)| plan);
+    let lines = |what: &str| -> Vec<&str> { unit.lines().filter(|l| l.contains(what)).collect() };
+    assert_eq!(lines("OuterJoin on ").len(), 2, "{unit}");
+    assert_eq!(lines("NestBag key=[label]").len(), 2, "{unit}");
+    let marked = lines("[in place");
+    assert_eq!(marked.len(), 3, "{unit}");
+    assert_eq!(lines("hashed by __jk]").len(), 2, "{unit}");
+    assert!(marked.iter().all(|l| !l.contains("Scan TopBag")), "{unit}");
+    assert!(
+        lines("Scan MatDict_orders_lineitems")[0].contains("[in place: hashed by label]"),
+        "{unit}"
+    );
+}
+
+/// Figure 9 on the small dataset: every step of the biomedical pipeline, fed
+/// the previous step's output in the form that step produced it, equals
+/// `nrc::eval` of the step over the reference's own intermediate — under
+/// STANDARD (nested collections handed on), SHRED (each step reads the
+/// dictionaries the previous one wrote) and SHRED+UNSHRED.
+#[test]
+fn every_step_of_the_biomedical_pipeline_equals_its_reference() {
+    let config = BiomedConfig::small().scaled(0.3);
+    let data = trance_biomed::generate(&config);
+    let mut env = Env::from_bindings([
+        ("Occurrences", Value::Bag(data.occurrences)),
+        ("Network", Value::Bag(data.network)),
+        ("GeneInfo", Value::Bag(data.gene_info)),
+        ("ImpactWeights", Value::Bag(data.impact_weights)),
+        ("ConseqWeights", Value::Bag(data.conseq_weights)),
+    ]);
+    let mut reference: Vec<(&str, Bag)> = Vec::new();
+    for (step, output, expr) in trance_biomed::pipeline_steps() {
+        let out = eval(&expr, &env).expect("the reference evaluates the step");
+        reference.push((step, out.as_bag().expect("a step yields a bag").clone()));
+        env.bind(output, out);
+    }
+    for strategy in [Strategy::Standard, Strategy::Shred, Strategy::ShredUnshred] {
+        let mut step = 0;
+        let tuning = ClusterTuning::default();
+        let row = observe_biomed_pipeline(&config, strategy, 0.0, &tuning, |spec, inputs| {
+            let outcome = run_query(spec, inputs, strategy);
+            let (name, want) = &reference[step];
+            let case = format!("{} {name}", strategy.label());
+            assert_eq!(spec.name, *name);
+            completed(&outcome, &case);
+            let got = match &outcome.result {
+                RunResult::Shredded(out) => collect_unshredded(out).expect("the output unshreds"),
+                other => other.nested_bag().expect("a nested result"),
+            };
+            assert!(!want.is_empty(), "{case}: the reference is empty");
+            assert!(
+                bags_approx_equal(&got, want),
+                "{case} differs from nrc::eval"
+            );
+            step += 1;
+            outcome
+        });
+        assert_eq!(step, 5, "{}: five steps ran", strategy.label());
+        assert!(!row.failed());
+    }
 }

@@ -23,7 +23,7 @@ use std::time::Instant;
 use trance_algebra::{
     carried_column, fuse_chain, is_passthrough, lower, needs_sequential, optimize, physical_fields,
     pipeline_label, pipeline_op_name, AttrSchema, Catalog, JoinStrategy, NestOp, OptimizerConfig,
-    PhysField, PhysType, Plan, PlanJoinKind,
+    PhysField, PhysType, Plan, PlanJoinKind, PlanProgram,
 };
 use trance_dist::batch::BagElems;
 use trance_dist::{
@@ -299,16 +299,25 @@ pub fn execute_via_plans_col(
     capture: Option<&mut CapturedPlans>,
 ) -> Result<ColCollection> {
     let catalog = infer_catalog_col(inputs)?;
-    execute_in_catalog(expr, inputs, catalog, ctx, options, root_label, capture)
+    let program = lower_in_catalog(expr, &catalog)?;
+    execute_program(&program, inputs, catalog, ctx, options, root_label, capture)
 }
 
-/// [`execute_via_plans_col`] against a catalog the caller already holds —
-/// the program driver's entry, which seeds the catalog from the table
-/// store's memoised schemas and sizes instead of re-deriving them from the
-/// inputs' bytes for every unit. `catalog` must describe `inputs`; the
-/// program's own intermediates are registered into this call's copy only.
-pub(crate) fn execute_in_catalog(
-    expr: &Expr,
+/// The first half of compiling a unit: the unnesting algorithm.
+pub(crate) fn lower_in_catalog(expr: &Expr, catalog: &Catalog) -> Result<PlanProgram> {
+    lower(expr, catalog).map_err(|e| ExecError::Other(e.to_string()))
+}
+
+/// The second half, and the one way a plan program runs for the first time:
+/// every plan is optimized against the catalog known so far, checked for
+/// agreement across ranks, recorded into `capture` (the root under
+/// `root_label`) and evaluated, each assignment's output registered with its
+/// exact batch schema and logical size before the next plan is optimized. A
+/// unit lowered from NRC and one that starts from a ready plan (unshredding,
+/// [`crate::unshred`]) both enter here. `catalog` must describe `inputs`;
+/// intermediates are registered into this call's copy only.
+pub(crate) fn execute_program(
+    program: &PlanProgram,
     inputs: &HashMap<String, ColCollection>,
     mut catalog: Catalog,
     ctx: &DistContext,
@@ -316,7 +325,6 @@ pub(crate) fn execute_in_catalog(
     root_label: &str,
     mut capture: Option<&mut CapturedPlans>,
 ) -> Result<ColCollection> {
-    let program = lower(expr, &catalog).map_err(|e| ExecError::Other(e.to_string()))?;
     let mut env = inputs.clone();
     let opt_config = optimizer_config(options, ctx);
     // Optimizes one plan, checks every rank agrees on it, records it.

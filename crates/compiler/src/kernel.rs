@@ -711,7 +711,7 @@ impl<'a> State<'a> {
                     None => RegVal::Col(col),
                     Some(s) => {
                         let idx: Vec<Option<usize>> = s.iter().map(|&i| Some(i as usize)).collect();
-                        RegVal::Col(Arc::new(col.gather(&idx, true)))
+                        RegVal::Col(Arc::new(col.gather(&idx)))
                     }
                 },
             }),
@@ -1038,7 +1038,7 @@ fn compact_positional(rv: RegVal, keep: &[usize]) -> RegVal {
         RegVal::Const(v) => RegVal::Const(v),
         RegVal::Col(c) => {
             let idx: Vec<Option<usize>> = keep.iter().map(|&i| Some(i)).collect();
-            RegVal::Col(Arc::new(c.gather(&idx, true)))
+            RegVal::Col(Arc::new(c.gather(&idx)))
         }
         RegVal::Ints(x) => RegVal::Ints(keep.iter().map(|&i| x[i]).collect()),
         RegVal::Reals(x) => RegVal::Reals(keep.iter().map(|&i| x[i]).collect()),
@@ -1065,7 +1065,7 @@ fn compact_as_column(rv: RegVal, keep: &[usize], _pre_len: usize) -> RegVal {
         RegVal::Values(x) => {
             let col = Column::from_values(x);
             let idx: Vec<Option<usize>> = keep.iter().map(|&i| Some(i)).collect();
-            RegVal::Col(Arc::new(col.gather(&idx, true)))
+            RegVal::Col(Arc::new(col.gather(&idx)))
         }
         other => compact_positional(other, keep),
     }
@@ -1280,7 +1280,7 @@ impl KernelProgram {
         for (idx, instr) in self.instrs.iter().enumerate() {
             st.step(idx, instr)?;
         }
-        let mut out = if self.from_input {
+        let out = if self.from_input {
             match &st.sel {
                 None => batch.clone(),
                 Some(s) => {
@@ -1295,18 +1295,13 @@ impl KernelProgram {
         // or append), memoizing per register so a register set under two
         // names shares one column — as the interpreter's Arc sharing does.
         let mut cache: HashMap<Reg, Arc<Column>> = HashMap::new();
-        for (name, r) in &self.sets {
-            let col = match cache.get(r) {
-                Some(c) => c.clone(),
-                None => {
-                    let c = materialize(st.regs[*r].take().expect("set register"), st.len);
-                    cache.insert(*r, c.clone());
-                    c
-                }
-            };
-            out = out.with_column(name, col);
-        }
-        Ok(out)
+        let sets = self.sets.iter().map(|(name, r)| {
+            let col = cache
+                .entry(*r)
+                .or_insert_with(|| materialize(st.regs[*r].take().expect("set register"), st.len));
+            (name.as_str(), col.clone())
+        });
+        Ok(out.with_columns(sets))
     }
 
     /// Evaluates a predicate-only program into a selection mask (the staged

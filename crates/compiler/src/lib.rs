@@ -19,8 +19,12 @@
 //!
 //! The **shredded route** ([`pipeline`]) first applies query shredding
 //! (`trance-shred`), then lowers and executes each resulting flat assignment
-//! — one per output dictionary — through the same plan layer, optionally
-//! unshredding the output with distributed label joins.
+//! — one per output dictionary — through the same plan layer. Unshredding the
+//! output is one more unit of that program ([`unshred`]): a plan that folds
+//! each dictionary into the rows holding its labels with the re-nesting
+//! triple `Extend ← OuterJoin ← NestBag key=[label]`, optimized, captured,
+//! explained and replayed like every other unit. Nothing a query executes
+//! is outside the plan layer.
 //!
 //! Registered inputs live in the **table store** ([`store`], owned through
 //! [`pipeline::InputSet`]): rows (a plain `DistCollection` container) plus a
@@ -46,6 +50,7 @@ pub mod options;
 pub mod pipeline;
 pub mod prepared;
 pub mod store;
+pub mod unshred;
 pub mod vector;
 
 pub use columnar::{
@@ -56,9 +61,9 @@ pub use kernel::{compile_mask, compile_ops, Instr, KernelCache, KernelOp, Kernel
 pub use options::ExecOptions;
 pub use pipeline::{
     collect_unshredded, explain_query, run_query, run_query_explained, run_query_with,
-    strategy_options, unshred_distributed_col, InputSet, QuerySpec, RunOutcome, RunResult,
-    ShreddedOutput, Strategy,
+    strategy_options, InputSet, QuerySpec, RunOutcome, RunResult, ShreddedOutput, Strategy,
 };
 pub use prepared::{plan_cache_key, prepare_and_run, run_prepared, PreparedQuery};
 pub use store::ResidentTables;
+pub use unshred::unshred_distributed_col;
 pub use vector::{eval_mask, eval_scalar_batch};

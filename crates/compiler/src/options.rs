@@ -10,6 +10,18 @@ use crate::kernel::KernelCache;
 /// [`crate::strategy_options`] gives a strategy's defaults; callers that need
 /// a reference mode override single fields, e.g.
 /// `ExecOptions { pipelined: false, ..strategy_options(s, false) }`.
+///
+/// `pipelined` × `compiled_exprs` fork `eval_plan_col` and the row-local
+/// arms of `columnar.rs`; three of the four combinations are held by a suite:
+/// on/on is the default everywhere; off/on is `scheduler_stress.rs`
+/// (byte-equal to the default), `spill_agree.rs`'s oracle and the figure
+/// bins' `--staged`; on/off is `expr_agree.rs` (compiles nothing). **Off/off
+/// is run by no test**: the `!compiled_exprs` branches of the staged
+/// `Select` / `Project` / `Extend` arms are covered only through the batch
+/// functions they share with the fused steps. `skew_aware` is read by
+/// `optimizer_config` and by the `Plan::Join` / `Plan::Nest` arms of
+/// `eval_plan_col` (an unoptimized plan has no `Skew` annotation to read,
+/// `Γ+` never has one) — unshredding is a plan and gets it there.
 #[derive(Debug, Clone)]
 pub struct ExecOptions {
     /// Run the plan optimizer (column pruning, selection pushdown, join

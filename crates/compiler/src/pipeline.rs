@@ -15,9 +15,11 @@
 //! * **Shred** — the shredded compilation route, leaving the output in
 //!   shredded (dictionary) form for downstream consumers.
 //! * **ShredUnshred** — shredded route plus distributed unshredding of the
-//!   final nested output.
+//!   final nested output: the program's last unit, a plan of label joins
+//!   built by [`crate::unshred`].
 //! * `*Skew` variants run every join with the skew-aware operators of
-//!   Section 5 (the optimizer annotates every `Plan::Join` with `Skew`).
+//!   Section 5 (the optimizer annotates every `Plan::Join` with `Skew` —
+//!   unshredding's label joins included).
 //!
 //! Inputs are registered in an [`InputSet`], a view of the table store
 //! ([`crate::store`]): each table is kept as rows plus a write-once cell of
@@ -29,16 +31,15 @@
 //! [`run_query`] runs a strategy with its default options and
 //! [`run_query_with`] with explicit [`ExecOptions`]; both go through the one
 //! program driver in [`crate::prepared`]. [`explain_query`] renders the
-//! optimized plans a strategy actually executes.
+//! optimized plans a strategy actually executes — for the strategies that
+//! unshred, ending in an `-- unshred --` unit whose joins and `Γ⊎`s are the
+//! difference between their `-- shuffle --` line and SHRED's.
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use trance_dist::{
-    ColCollection, Column, DistCollection, DistContext, ExecError, JoinSpec, StatsSnapshot,
-};
+use trance_dist::{DistCollection, DistContext, ExecError, StatsSnapshot};
 use trance_nrc::{Bag, Expr, Value};
 use trance_shred::{
     flat_input_name, input_dict_name, shred_value, NestingStructure, ShreddedInputDecl,
@@ -246,8 +247,14 @@ impl InputSet {
     }
 
     /// Registers an already-shredded input under its shredded names. Useful
-    /// when a shredded query output feeds the next query of a pipeline.
+    /// when a shredded query output feeds the next query of a pipeline. An
+    /// output without dictionaries is a flat relation — its own shredded
+    /// form — and is registered as one, under `name` itself.
     pub fn add_shredded(&mut self, name: &str, output: &ShreddedOutput) {
+        if output.structure.children.is_empty() {
+            self.insert_flat(name, output.top.clone());
+            return;
+        }
         self.shredded
             .insert(&flat_input_name(name), Table::new(output.top.clone()));
         for (path, coll) in &output.dicts {
@@ -600,135 +607,6 @@ fn run_strategy(
     let tables = inputs.resident(strategy.is_shredded())?;
     let (result, _) = run_spec(spec, &tables, inputs.context(), strategy, options, capture)?;
     Ok(result)
-}
-
-/// One dictionary of a [`NestingStructure`]: the bag attribute it re-nests
-/// and where that attribute lives.
-struct DictLevel {
-    /// The dictionary's path — its key in a shredded output's `dicts`.
-    path: String,
-    /// The bag-valued attribute this dictionary holds the contents of.
-    attr: String,
-    /// Path of the dictionary whose rows carry `attr`; `None` for the top
-    /// bag.
-    parent: Option<String>,
-}
-
-/// Every dictionary of `structure`, each after all the dictionaries nested
-/// below it. Attribute and parent come from the walk itself: a path (built
-/// as [`NestingStructure::paths`] builds it) is only a dictionary key, and
-/// splitting it at `_` would misread any attribute whose own name contains
-/// one (`c_orders`).
-fn dict_levels(structure: &NestingStructure) -> Vec<DictLevel> {
-    fn go(s: &NestingStructure, parent: Option<&str>, out: &mut Vec<DictLevel>) {
-        for (attr, child) in &s.children {
-            let path = match parent {
-                Some(p) => format!("{p}_{attr}"),
-                None => attr.clone(),
-            };
-            go(child, Some(&path), out);
-            out.push(DictLevel {
-                path,
-                attr: attr.clone(),
-                parent: parent.map(str::to_string),
-            });
-        }
-    }
-    let mut out = Vec::new();
-    go(structure, None, &mut out);
-    out
-}
-
-/// Distributed unshredding: reassembles the nested output by grouping each
-/// dictionary by label (`Γ⊎`) and left-outer-joining it back into its
-/// parent, children before their parent — over [`ColCollection`]s, so the
-/// unshred phase's shuffles ship batches and meter exact physical buffer
-/// bytes.
-pub fn unshred_distributed_col(
-    top: &ColCollection,
-    dicts: &BTreeMap<String, ColCollection>,
-    structure: &NestingStructure,
-    options: &ExecOptions,
-) -> trance_dist::Result<ColCollection> {
-    // Work on a mutable copy of the dictionaries; children are folded into
-    // their parents bottom-up.
-    let mut dicts: BTreeMap<String, ColCollection> = dicts.clone();
-    let mut top = top.clone();
-    for DictLevel { path, attr, parent } in dict_levels(structure) {
-        let child = match dicts.get(&path) {
-            Some(c) => c.clone(),
-            None => continue,
-        };
-
-        // Group the child dictionary rows by label into a single bag column,
-        // then keep only the join key (renamed label) and the group — a
-        // schema-only rewrite on batches.
-        let value_attrs: Vec<String> = child
-            .first_fields()?
-            .into_iter()
-            .filter(|a| a != "label")
-            .collect();
-        let grouped = child.nest_bag(&["label".to_string()], &value_attrs, "__grp")?;
-        let keep = vec!["label".to_string(), "__grp".to_string()];
-        let rename = |f: &str| if f == "label" { "__jk" } else { f }.to_string();
-        // The rows stay where the grouping put them — hashed by the label,
-        // now named `__jk`: the join below finds this side in place.
-        let placement = grouped.placement().and_then(|placed| {
-            placed.carried(|col| keep.iter().any(|k| k == col).then(|| rename(col)))
-        });
-        let grouped = grouped
-            .map_batches("map", move |b| {
-                Ok(b.project_fields(&keep).rename_fields(rename, "__value"))
-            })?
-            .with_placement(placement);
-
-        let attach = |parent: &ColCollection| -> trance_dist::Result<ColCollection> {
-            let spec =
-                JoinSpec::left_outer(&[attr.as_str()], &["__jk"]).with_right_fields(&["__grp"]);
-            let joined = if options.skew_aware {
-                parent.skew_join(&grouped, &spec)?
-            } else {
-                parent.join(&grouped, &spec)?
-            };
-            let attr = attr.clone();
-            joined.map_batches("map", move |b| {
-                // NULL-extended rows (labels with no child entries) become
-                // empty bags — a validity flip on the gathered bag column —
-                // and the group replaces the label at the attribute's
-                // position. Only a group column that is not bag-typed (an
-                // empty dictionary) is rebuilt row by row.
-                let grp = b
-                    .column("__grp")
-                    .and_then(|col| col.coalesce_empty_bag(&col.null_lanes()))
-                    .unwrap_or_else(|| {
-                        Column::from_values(
-                            (0..b.rows())
-                                .map(|i| match b.value_at(i, "__grp") {
-                                    Some(Value::Bag(bag)) => Value::Bag(bag),
-                                    _ => Value::empty_bag(),
-                                })
-                                .collect(),
-                        )
-                    });
-                let out = b.with_column(&attr, Arc::new(grp));
-                Ok(out.without_column("__jk").without_column("__grp"))
-            })
-        };
-
-        match parent {
-            Some(pp) => {
-                let parent = dicts
-                    .get(&pp)
-                    .cloned()
-                    .ok_or_else(|| ExecError::Other(format!("missing parent dictionary `{pp}`")))?;
-                dicts.insert(pp, attach(&parent)?);
-            }
-            None => {
-                top = attach(&top)?;
-            }
-        }
-    }
-    Ok(top)
 }
 
 /// Collects a shredded output and reassembles the nested value locally (used

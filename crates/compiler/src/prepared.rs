@@ -38,12 +38,13 @@ use trance_dist::{ColCollection, DistContext, ExecError};
 use trance_nrc::Expr;
 use trance_shred::{output_dict_name, shred_query, NestingStructure, ShreddedQuery, TOP_BAG};
 
-use crate::columnar::{eval_plan_col, exact_schema_col, execute_in_catalog, CapturedPlans};
-use crate::options::ExecOptions;
-use crate::pipeline::{
-    unshred_distributed_col, with_session, InputSet, QuerySpec, RunResult, ShreddedOutput, Strategy,
+use crate::columnar::{
+    eval_plan_col, exact_schema_col, execute_program, lower_in_catalog, CapturedPlans,
 };
+use crate::options::ExecOptions;
+use crate::pipeline::{with_session, InputSet, QuerySpec, RunResult, ShreddedOutput, Strategy};
 use crate::store::ResidentTables;
+use crate::unshred::{unshred_program, UNSHRED};
 
 /// Name of a standard-family program's single unit (and of its root plan in
 /// EXPLAIN output).
@@ -63,7 +64,8 @@ pub(crate) type CapturedUnits = Vec<(String, CapturedPlans)>;
 pub struct PreparedQuery {
     strategy: Strategy,
     /// Standard family: one unit, [`RESULT`]. Shredded family: one unit per
-    /// flat assignment of the shredded query.
+    /// flat assignment of the shredded query, then [`UNSHRED`] for the
+    /// strategies that unshred.
     units: CapturedUnits,
     output: Output,
 }
@@ -71,11 +73,13 @@ pub struct PreparedQuery {
 /// How a program's executed environment becomes the run's result.
 #[derive(Debug, Clone)]
 pub(crate) enum Output {
-    /// Standard family: the rows of the [`RESULT`] unit.
+    /// The rows of the program's last unit: [`RESULT`] for the standard
+    /// family, [`UNSHRED`] for the shredded strategies that unshred.
     Nested,
-    /// Shredded family: the top bag plus one dictionary per output path.
+    /// SHRED / SHRED-SKEW: the top bag plus one dictionary per output path,
+    /// left shredded.
     Shredded {
-        /// The output's nesting structure (for dictionaries / unshredding).
+        /// The output's nesting structure.
         structure: NestingStructure,
         /// `(dictionary path, environment name)`, resolved once per program.
         dict_sources: Vec<(String, String)>,
@@ -88,7 +92,8 @@ impl PreparedQuery {
         self.strategy
     }
 
-    /// Total number of captured (optimized) plans across all units.
+    /// Total number of captured (optimized) plans across all units, the
+    /// unshredding plan included.
     pub fn plan_count(&self) -> usize {
         self.units.iter().map(|(_, p)| p.len()).sum()
     }
@@ -96,11 +101,23 @@ impl PreparedQuery {
 
 /// Where one unit of a columnar program gets its plans from.
 enum Step<'a> {
-    /// Lower the NRC expression, optimize each plan against the catalog
-    /// known so far, execute.
-    Compile(&'a Expr),
+    /// Build the unit's plan program against the catalog known so far,
+    /// optimize each plan, execute.
+    Compile(Source<'a>),
     /// Replay already-optimized plans verbatim.
     Replay(&'a CapturedPlans),
+}
+
+/// What a compiled unit's plan program is built from.
+enum Source<'a> {
+    /// An NRC expression, through the unnesting algorithm.
+    Nrc(&'a Expr),
+    /// The dictionaries the earlier units produced: the unit starts from a
+    /// ready plan, the one that re-nests them ([`unshred_program`]).
+    Dicts {
+        structure: &'a NestingStructure,
+        dict_sources: &'a [(String, String)],
+    },
 }
 
 /// `(dictionary path, environment name)` of every output dictionary of a
@@ -121,30 +138,13 @@ fn dict_sources(shredded: &ShreddedQuery) -> Vec<(String, String)> {
         .collect()
 }
 
-/// Picks a shredded program's outputs — the top bag plus one collection per
-/// dictionary path — out of its executed environment.
-fn shredded_pieces(
-    env: &HashMap<String, ColCollection>,
-    dict_sources: &[(String, String)],
-) -> trance_dist::Result<(ColCollection, BTreeMap<String, ColCollection>)> {
-    let top = env
-        .get(TOP_BAG)
-        .cloned()
-        .ok_or_else(|| ExecError::Other("shredded program produced no TopBag".into()))?;
-    let dicts = dict_sources
-        .iter()
-        .filter_map(|(path, name)| Some((path.clone(), env.get(name)?.clone())))
-        .collect();
-    Ok((top, dicts))
-}
-
 /// **The** program driver: executes the units in order over an
 /// accumulating environment that starts as the resident batches of `tables`
 /// (recording each compiled unit's optimized plans when `capture` is given),
-/// then finishes the way the strategy asks — standard family: the
-/// [`RESULT`] unit back to rows; shredded family: unshred to nested rows, or
-/// cross the shredded collections back to rows. Every run — one-shot,
-/// explained, prepared cold, prepared warm — goes through here.
+/// then crosses back to rows the way `output` asks — the last unit's rows
+/// ([`RESULT`], or [`UNSHRED`]: unshredding is a unit like any other), or
+/// the shredded collections as they are. Every run — one-shot, explained,
+/// prepared cold, prepared warm — goes through here.
 ///
 /// Compiled units optimize against one catalog carried across the program:
 /// seeded from the store's memoised schemas and sizes at the first compiled
@@ -155,7 +155,6 @@ fn run_program<'a>(
     steps: impl IntoIterator<Item = (&'a str, Step<'a>)>,
     tables: &ResidentTables,
     output: &Output,
-    strategy: Strategy,
     ctx: &DistContext,
     options: &ExecOptions,
     mut capture: Option<&mut CapturedUnits>,
@@ -164,9 +163,10 @@ fn run_program<'a>(
     let mut catalog = None;
     // Unit outputs the catalog does not describe yet.
     let mut unregistered: Vec<&str> = Vec::new();
+    let mut last = None;
     for (name, step) in steps {
         let out = match step {
-            Step::Compile(expr) => {
+            Step::Compile(source) => {
                 let catalog = match &mut catalog {
                     Some(catalog) => catalog,
                     None => catalog.insert(tables.catalog(ctx)?),
@@ -176,10 +176,17 @@ fn run_program<'a>(
                     catalog.register(unit, exact_schema_col(out)?);
                     catalog.set_size(unit, out.planning_bytes()?);
                 }
+                let program = match source {
+                    Source::Nrc(expr) => lower_in_catalog(expr, catalog)?,
+                    Source::Dicts {
+                        structure,
+                        dict_sources,
+                    } => unshred_program(structure, TOP_BAG, dict_sources, catalog),
+                };
                 let mut plans = CapturedPlans::new();
                 let sink = capture.is_some().then_some(&mut plans);
                 let out =
-                    execute_in_catalog(expr, &env, catalog.clone(), ctx, options, name, sink)?;
+                    execute_program(&program, &env, catalog.clone(), ctx, options, name, sink)?;
                 if let Some(capture) = capture.as_deref_mut() {
                     capture.push((name.to_string(), plans));
                 }
@@ -189,11 +196,12 @@ fn run_program<'a>(
         };
         env.insert(name.to_string(), out);
         unregistered.push(name);
+        last = Some(name);
     }
     match output {
         Output::Nested => {
-            let out = env
-                .get(RESULT)
+            let out = last
+                .and_then(|last| env.get(last))
                 .ok_or_else(|| ExecError::Other("program produced no result".into()))?;
             Ok(RunResult::Nested(out.to_rows()?))
         }
@@ -201,14 +209,14 @@ fn run_program<'a>(
             structure,
             dict_sources,
         } => {
-            let (top, dicts) = shredded_pieces(&env, dict_sources)?;
-            if strategy.unshreds() {
-                let nested = unshred_distributed_col(&top, &dicts, structure, options)?;
-                return Ok(RunResult::Nested(nested.to_rows()?));
-            }
+            let top = env
+                .get(TOP_BAG)
+                .ok_or_else(|| ExecError::Other("shredded program produced no TopBag".into()))?;
             let mut row_dicts = BTreeMap::new();
-            for (path, d) in dicts {
-                row_dicts.insert(path, d.to_rows()?);
+            for (path, name) in dict_sources {
+                if let Some(dict) = env.get(name) {
+                    row_dicts.insert(path.clone(), dict.to_rows()?);
+                }
             }
             Ok(RunResult::Shredded(ShreddedOutput {
                 top: top.to_rows()?,
@@ -236,22 +244,38 @@ pub(crate) fn run_spec(
         .then(|| shred_query(&spec.query, &spec.nested_inputs))
         .transpose()
         .map_err(ExecError::from)?;
-    let (steps, output): (Vec<_>, _) = match &shredded {
-        Some(shredded) => (
-            shredded
-                .program
-                .assignments
-                .iter()
-                .map(|a| (a.name.as_str(), Step::Compile(&a.expr)))
-                .collect(),
-            Output::Shredded {
-                dict_sources: dict_sources(shredded),
-                structure: shredded.structure.clone(),
-            },
-        ),
-        None => (vec![(RESULT, Step::Compile(&spec.query))], Output::Nested),
+    // Declared ahead of the steps that may borrow it.
+    let dict_names;
+    let mut steps = Vec::new();
+    let output = match &shredded {
+        None => {
+            steps.push((RESULT, Step::Compile(Source::Nrc(&spec.query))));
+            Output::Nested
+        }
+        Some(shredded) => {
+            let assignments = &shredded.program.assignments;
+            steps.extend(
+                assignments
+                    .iter()
+                    .map(|a| (a.name.as_str(), Step::Compile(Source::Nrc(&a.expr)))),
+            );
+            dict_names = dict_sources(shredded);
+            if strategy.unshreds() {
+                let dicts = Source::Dicts {
+                    structure: &shredded.structure,
+                    dict_sources: &dict_names,
+                };
+                steps.push((UNSHRED, Step::Compile(dicts)));
+                Output::Nested
+            } else {
+                Output::Shredded {
+                    structure: shredded.structure.clone(),
+                    dict_sources: dict_names,
+                }
+            }
+        }
     };
-    let result = run_program(steps, tables, &output, strategy, ctx, options, capture)?;
+    let result = run_program(steps, tables, &output, ctx, options, capture)?;
     Ok((result, output))
 }
 
@@ -298,15 +322,7 @@ pub fn run_prepared(
         .map(|(name, plans)| (name.as_str(), Step::Replay(plans)));
     with_session(ctx, options, || {
         let tables = inputs.resident(prepared.strategy.is_shredded())?;
-        run_program(
-            steps,
-            &tables,
-            &prepared.output,
-            prepared.strategy,
-            ctx,
-            options,
-            None,
-        )
+        run_program(steps, &tables, &prepared.output, ctx, options, None)
     })
 }
 

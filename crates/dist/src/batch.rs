@@ -55,11 +55,13 @@
 //! it is generic over [`GatherIndex`], so a dense index list (`&[usize]`:
 //! morsel slices, join sides without misses) runs a loop with no `Option` in
 //! it and skips the validity bitmaps of an all-valid source, while outer
-//! joins pass `&[Option<usize>]`. A string gather renumbers the surviving
-//! codes in first-use order and copies their bytes once, exactly sized, so
-//! dictionaries stay shrunk to what a batch uses and the physical byte
-//! accounting stays exact. A gather that names every row in order shares the
-//! source's columns, and so does the merge of one such selection.
+//! joins and outer unnests pass `&[Option<usize>]`, whose `None` rows come
+//! out *absent* in every column — there is one flavour of null extension. A
+//! string gather renumbers the surviving codes in first-use order and copies
+//! their bytes once, exactly sized, so dictionaries stay shrunk to what a
+//! batch uses and the physical byte accounting stays exact. A gather that
+//! names every row in order shares the source's columns, and so does the
+//! merge of one such selection.
 //!
 //! The cheapest selection to move is the one that does not: a collection
 //! that knows which columns its rows are hashed by (`colops.rs`,
@@ -1125,19 +1127,11 @@ impl Column {
 
     /// Gathers rows by index. Indices are dense row numbers (`usize`) or
     /// optional ones (`Option<usize>`), whose `None` entries produce an
-    /// absent row when `none_absent` is set, else an explicit NULL row — the
-    /// two null-extension flavours of outer joins.
-    pub fn gather<I: GatherIndex>(&self, idx: &[I], none_absent: bool) -> Column {
+    /// absent row — the null extension of outer joins and outer unnests.
+    pub fn gather<I: GatherIndex>(&self, idx: &[I]) -> Column {
         let n = idx.len();
         let mut out_nulls = Bitmap::zeros(n);
         let mut out_absent = Bitmap::zeros(n);
-        let fill_missing = |slot: usize, bm_nulls: &mut Bitmap, bm_absent: &mut Bitmap| {
-            if none_absent {
-                bm_absent.set(slot);
-            } else {
-                bm_nulls.set(slot);
-            }
-        };
         // One loop body serves every primitive vector; only the variant and
         // the placeholder differ. An all-valid source skips the bitmap reads.
         macro_rules! gather_prim {
@@ -1159,7 +1153,7 @@ impl Column {
                         }
                         None => {
                             out.push($default);
-                            fill_missing(slot, &mut out_nulls, &mut out_absent);
+                            out_absent.set(slot);
                         }
                     }
                 }
@@ -1225,7 +1219,7 @@ impl Column {
                         }
                         None => {
                             out_codes.push(0);
-                            fill_missing(slot, &mut out_nulls, &mut out_absent);
+                            out_absent.set(slot);
                         }
                     }
                 }
@@ -1256,7 +1250,7 @@ impl Column {
                                 elem_idx.extend(offsets[i] as usize..offsets[i + 1] as usize);
                             }
                         }
-                        None => fill_missing(slot, &mut out_nulls, &mut out_absent),
+                        None => out_absent.set(slot),
                     }
                     out_offsets.push(elem_idx.len() as u32);
                 }
@@ -1285,12 +1279,12 @@ impl Column {
                         }
                         None => {
                             out.push(Value::Null);
-                            fill_missing(slot, &mut out_nulls, &mut out_absent);
+                            out_absent.set(slot);
                         }
                     }
                 }
-                // `Other` has no separate null bitmap: a NULL extension keeps
-                // the explicit `Value::Null` entry.
+                // `Other` has no separate null bitmap: an absent slot holds a
+                // `Value::Null` placeholder.
                 Column::Other {
                     values: out,
                     absent: out_absent,
@@ -1848,17 +1842,16 @@ impl Batch {
 
     /// Gathers the given rows into a new batch.
     pub fn take(&self, idx: &[usize]) -> Batch {
-        self.gather(idx, true)
+        self.gather(idx)
     }
 
-    /// Gathers rows with optional indices: `None` rows come out all-absent
-    /// (`none_absent`) or all-NULL — the right-side null extension of outer
-    /// joins.
-    pub fn take_opt(&self, idx: &[Option<usize>], none_absent: bool) -> Batch {
-        self.gather(idx, none_absent)
+    /// Gathers rows with optional indices: `None` rows come out all-absent —
+    /// the right-side null extension of outer joins.
+    pub fn take_opt(&self, idx: &[Option<usize>]) -> Batch {
+        self.gather(idx)
     }
 
-    fn gather<I: GatherIndex>(&self, idx: &[I], none_absent: bool) -> Batch {
+    fn gather<I: GatherIndex>(&self, idx: &[I]) -> Batch {
         // Every row, in order (an all-true filter, the probe side of a
         // foreign-key join): share the columns instead of copying them.
         // Gathers and concats keep dictionaries shrunk to what a batch uses,
@@ -1869,7 +1862,7 @@ impl Batch {
         let columns: Vec<Arc<Column>> = self
             .columns
             .iter()
-            .map(|c| Arc::new(c.gather(idx, none_absent)))
+            .map(|c| Arc::new(c.gather(idx)))
             .collect();
         Batch {
             schema: self.schema.clone(),
@@ -2088,14 +2081,25 @@ impl Batch {
     /// attribute keeps its position, a new one is appended. The untouched
     /// columns are shared, so repeated extension is linear, not quadratic.
     pub fn with_column(&self, name: &str, column: Arc<Column>) -> Batch {
-        debug_assert_eq!(column.len(), self.rows);
+        self.with_columns([(name, column)])
+    }
+
+    /// [`Batch::with_column`] for a run of sets, applied in order, building
+    /// the output's schema once — what a kernel program's output script is.
+    pub fn with_columns<'a>(
+        &self,
+        sets: impl IntoIterator<Item = (&'a str, Arc<Column>)>,
+    ) -> Batch {
         let mut fields = self.schema.fields().to_vec();
         let mut columns = self.columns.clone();
-        match self.schema.index_of(name) {
-            Some(i) => columns[i] = column,
-            None => {
-                fields.push(name.to_string());
-                columns.push(column);
+        for (name, column) in sets {
+            debug_assert_eq!(column.len(), self.rows);
+            match fields.iter().position(|f| f == name) {
+                Some(i) => columns[i] = column,
+                None => {
+                    fields.push(name.to_string());
+                    columns.push(column);
+                }
             }
         }
         Batch {

@@ -11,7 +11,12 @@
 //! * scan renaming (`alias.field`) is a schema rewrite — zero data movement;
 //! * unnest gathers parent columns by fan-out index and splices the bag
 //!   column's child batch in, all offset arithmetic;
-//! * joins gather matched rows from both sides by index lists;
+//! * joins gather matched rows from both sides by index lists; the output
+//!   row is the left row with the whole right row laid over it, and a
+//!   left-outer row without a match is the left row alone — the right
+//!   side's attributes are *absent* from it, the one flavour of null
+//!   extension (what reads them afterwards, `coalesce(bag, {})` first of
+//!   all, reads absent as NULL);
 //! * shuffles meter **exact physical buffer bytes** — what each (source
 //!   chunk, target) batch weighs on the wire, schema and string dictionary
 //!   counted once per such batch — next to the row-equivalent logical
@@ -72,8 +77,8 @@
 //!   is the same rows in memory or on disk), [`ColCollection::filter_mask`],
 //!   the skew split, and [`ColCollection::with_unique_id`] on another
 //!   attribute. A caller that knows what a batch transform did to the placed
-//!   columns — the compiler's per-plan-node carry rule, unshredding's
-//!   `label → __jk` — re-attaches the carried placement with
+//!   columns — the compiler's per-plan-node carry rule, the only one —
+//!   re-attaches the carried placement with
 //!   [`ColCollection::with_placement`]; a rename rewrites the names.
 //! * **Cleared** by everything else: [`ColCollection::map_batches`],
 //!   [`ColCollection::run_pipeline`] and [`ColCollection::unnest`] (an
@@ -562,51 +567,6 @@ impl ColCollection {
             .iter()
             .filter(|p| matches!(p, ColPart::Spilled(_)))
             .count()
-    }
-
-    /// The attribute names of the first non-empty partition's schema (used
-    /// by schema-directed consumers such as distributed unshredding). Under
-    /// a cluster exchange the first non-empty partition may live on another
-    /// rank: every rank gathers the per-rank answers and takes the first
-    /// non-empty one in rank order — with contiguous partition ownership
-    /// that is exactly the single-process scan order.
-    pub fn first_fields(&self) -> Result<Vec<String>> {
-        let local = self.local_first_fields()?;
-        let Some(ex) = self.ctx.exchange() else {
-            return Ok(local);
-        };
-        let mut w = ByteWriter::new();
-        w.len_u32(local.len(), "schema fields")?;
-        for f in &local {
-            w.str(f)?;
-        }
-        for bytes in ex.allgather(w.into_bytes())? {
-            let mut r = ByteReader::new(&bytes);
-            let n = r.u32()? as usize;
-            if n > 0 {
-                let mut fields = Vec::with_capacity(r.bounded_capacity(n));
-                for _ in 0..n {
-                    fields.push(r.str()?);
-                }
-                return Ok(fields);
-            }
-        }
-        Ok(Vec::new())
-    }
-
-    fn local_first_fields(&self) -> Result<Vec<String>> {
-        for part in self.parts.iter() {
-            if part.rows() == 0 {
-                continue;
-            }
-            for chunk in part.chunks(&self.ctx)? {
-                let chunk = chunk?;
-                if !chunk.schema().fields().is_empty() {
-                    return Ok(chunk.schema().fields().to_vec());
-                }
-            }
-        }
-        Ok(Vec::new())
     }
 
     /// Total number of rows.
@@ -1670,7 +1630,7 @@ pub fn unnest_batch(b: &Batch, bag_attr: &str, alias: Option<&str>, outer: bool)
             let parents = parent_shape.take(&parent_idx);
             let child = match elems {
                 crate::batch::BagElems::Rows(elem_batch) => {
-                    rename_child(elem_batch, alias).take_opt(&child_idx, true)
+                    rename_child(elem_batch, alias).take_opt(&child_idx)
                 }
                 crate::batch::BagElems::Values(values) => {
                     // Mixed / non-tuple elements: fall back to per-element
@@ -2034,41 +1994,6 @@ fn join_impl_col(
     }
 }
 
-/// The right side's output projection: the spec'd fields (existing columns
-/// only, like `Tuple::project`) padded with all-absent columns for spec'd
-/// fields the data lacks, so a NULL extension can still name them.
-fn project_right_batch(b: &Batch, spec: &JoinSpec) -> Batch {
-    match spec.right_fields() {
-        None => b.clone(),
-        Some(fields) => {
-            let mut out = b.project_fields(fields);
-            for f in fields {
-                if out.schema().index_of(f).is_none() {
-                    let n = out.rows();
-                    let mut absent = Bitmap::zeros(n);
-                    for i in 0..n {
-                        absent.set(i);
-                    }
-                    out = out.with_column(
-                        f,
-                        Arc::new(Column::Other {
-                            values: vec![Value::Null; n],
-                            absent,
-                        }),
-                    );
-                }
-            }
-            out
-        }
-    }
-}
-
-/// Whether a missing right match leaves the right fields absent (no
-/// projection configured → empty null extension) or explicit NULLs.
-fn none_is_absent(spec: &JoinSpec) -> bool {
-    spec.right_fields().is_none()
-}
-
 /// Concatenates a (small) broadcast side into one resident batch. Under an
 /// exchange, every rank contributes its local concatenation and the
 /// rank-ordered gather is concatenated again — with contiguous partition
@@ -2111,9 +2036,10 @@ fn meter_broadcast_col(ctx: &DistContext, side: &ColCollection, skew: bool) {
     });
 }
 
-/// The build side of a hash join: the build batch's key columns, their hash
-/// vector, and the row table over it.
+/// The build side of a hash join: the build batch, its key columns, their
+/// hash vector, and the row table over it.
 struct BuildSide<'a> {
+    batch: &'a Batch,
     keys: KeyCols<'a>,
     hashes: KeyHashes,
     table: RowTable,
@@ -2126,6 +2052,7 @@ impl<'a> BuildSide<'a> {
         let hashes = keys.hashes();
         let table = RowTable::build(&hashes)?;
         Ok(BuildSide {
+            batch: b,
             keys,
             hashes,
             table,
@@ -2154,13 +2081,9 @@ impl<'a> BuildSide<'a> {
 }
 
 /// Gathers one joined partition: matched pairs (and, for left-outer joins,
-/// unmatched left rows) in left-row order.
-fn gather_joined(
-    lbatch: &Batch,
-    rproj: &Batch,
-    build: &BuildSide<'_>,
-    spec: &JoinSpec,
-) -> Result<Batch> {
+/// unmatched left rows, the right side's attributes absent from them) in
+/// left-row order.
+fn gather_joined(lbatch: &Batch, build: &BuildSide<'_>, spec: &JoinSpec) -> Result<Batch> {
     tuple_rows_required(lbatch)?;
     let lkeys = KeyCols::resolve(lbatch, spec.left_keys());
     let lhashes = lkeys.hashes();
@@ -2179,7 +2102,7 @@ fn gather_joined(
         }
     }
     let left_side = lbatch.take(&lidx);
-    let right_side = rproj.take_opt(&ridx, none_is_absent(spec));
+    let right_side = build.batch.take_opt(&ridx);
     Ok(left_side.merge_overwrite(&right_side))
 }
 
@@ -2195,12 +2118,11 @@ fn broadcast_right_col(
     // concatenate it resident (cluster-wide under an exchange).
     let rbatch = gather_side_batch(&ctx, right)?;
     tuple_rows_required(&rbatch)?;
-    let rproj = project_right_batch(&rbatch, spec);
     let build = BuildSide::new(&rbatch, spec.right_keys())?;
     let parts = run_partitioned(&ctx, &left.parts, |_, part| {
         let mut builder = PartBuilder::new(&ctx);
         for chunk in part.chunks(&ctx)? {
-            builder.push(gather_joined(&chunk?, &rproj, &build, spec)?)?;
+            builder.push(gather_joined(&chunk?, &build, spec)?)?;
         }
         builder.finish()
     })?;
@@ -2223,7 +2145,6 @@ fn broadcast_left_col(
         for chunk in part.chunks(&ctx)? {
             let rbatch = chunk?;
             tuple_rows_required(&rbatch)?;
-            let rproj = project_right_batch(&rbatch, spec);
             let rkeys = KeyCols::resolve(&rbatch, spec.right_keys());
             let rhashes = rkeys.hashes();
             let mut lidx: Vec<usize> = Vec::new();
@@ -2235,7 +2156,7 @@ fn broadcast_left_col(
                 });
             }
             let left_side = lbatch.take(&lidx);
-            let right_side = rproj.take(&ridx);
+            let right_side = rbatch.take(&ridx);
             builder.push(left_side.merge_overwrite(&right_side))?;
         }
         builder.finish()
@@ -2266,10 +2187,9 @@ fn grace_join_partition(
             continue;
         }
         let rbatch = read_batches(ctx, rb)?;
-        let rproj = project_right_batch(&rbatch, spec);
         let build = BuildSide::new(&rbatch, spec.right_keys())?;
         for chunk in batch_frames(ctx, lb)? {
-            builder.push(gather_joined(&chunk?, &rproj, &build, spec)?)?;
+            builder.push(gather_joined(&chunk?, &build, spec)?)?;
         }
     }
     builder.finish()
@@ -2298,24 +2218,16 @@ fn shuffle_join_col(
             return grace_join_partition(&ctx, lpart, rpart, spec);
         }
         let rbatch = rpart.batch(&ctx)?;
-        let rproj = project_right_batch(&rbatch, spec);
         let build = BuildSide::new(&rbatch, spec.right_keys())?;
         let mut builder = PartBuilder::new(&ctx);
         for chunk in lpart.chunks(&ctx)? {
-            builder.push(gather_joined(&chunk?, &rproj, &build, spec)?)?;
+            builder.push(gather_joined(&chunk?, &build, spec)?)?;
         }
         builder.finish()
     })?;
     if !unmatched.is_empty() {
-        let no_match = project_right_batch(&Batch::empty(), spec);
-        let extended: Vec<Batch> = unmatched
-            .iter()
-            .map(|kept| {
-                let nulls = no_match.take_opt(&vec![None; kept.rows()], none_is_absent(spec));
-                kept.merge_overwrite(&nulls)
-            })
-            .collect();
-        let unmatched = Batch::concat(&extended);
+        // Unmatched as they are: the right side's attributes are absent.
+        let unmatched = Batch::concat(&unmatched);
         match parts.first_mut() {
             Some(ColPart::Mem(first)) => {
                 *first = Batch::concat(&[std::mem::take(first), unmatched]);
@@ -2337,17 +2249,12 @@ fn shuffle_join_col(
 /// Where a shuffle join leaves its output: hashed by the left key — for
 /// valid rows only when it is left-outer, whose invalid-key rows are parked.
 /// The right side's attributes overwrite the left's of the same name, so the
-/// claim stands only where no right attribute can change a key column: with
-/// whole right rows riding along, a key column's namesake must be the
-/// matching right key (equal on a match, absent otherwise); under a right
-/// projection, which pads a miss with NULLs, it must not be projected.
-/// Decided from the spec alone, never from the schemas a rank happens to see.
+/// claim stands only where no right attribute can change a key column: a key
+/// column's namesake must be the matching right key (equal on a match, absent
+/// otherwise). Decided from the spec alone, never from the schemas a rank
+/// happens to see.
 fn joined_placement(spec: &JoinSpec) -> Option<Placement> {
-    let shadowed = |(left, right): (&String, &String)| match spec.right_fields() {
-        None => left != right,
-        Some(fields) => fields.contains(left),
-    };
-    if spec.left_keys().iter().zip(spec.right_keys()).any(shadowed) {
+    if spec.left_keys() != spec.right_keys() {
         return None;
     }
     Placement::hashed_by(spec.left_keys(), spec.kind() == JoinKind::Inner)
@@ -2409,11 +2316,14 @@ fn join_side(
 // skew helpers
 // ---------------------------------------------------------------------------
 
+/// Rows sampled per collection for heavy-key detection.
+const SKEW_SAMPLE: u64 = 1024;
+
 /// Samples key frequencies over batches and returns the keys whose sampled
 /// share reaches the cluster's heavy-key threshold (by default
 /// `1 / partitions`: the share at which one partition would hold more than
 /// its fair slice). Sampling is deterministic — every `stride`-th row up to
-/// `ClusterConfig::skew_sample` rows — so repeated runs agree on the split.
+/// [`SKEW_SAMPLE`] rows — so repeated runs agree on the split.
 /// Only the sampled rows are hashed; a key is boxed once, when first sampled.
 fn detect_heavy_keys_col(data: &ColCollection, key_cols: &[String]) -> Result<KeyCounts> {
     let config = data.ctx.config();
@@ -2437,8 +2347,7 @@ fn detect_heavy_keys_col(data: &ColCollection, key_cols: &[String]) -> Result<Ke
     if total == 0 {
         return Ok(KeyCounts::default());
     }
-    let sample_target = config.skew_sample.max(1) as u64;
-    let stride = (total / sample_target).max(1);
+    let stride = (total / SKEW_SAMPLE).max(1);
     let mut counts = KeyCounts::default();
     let mut sampled = 0u64;
     let mut global = start;
@@ -3013,11 +2922,6 @@ mod tests {
         );
         assert_eq!(placed(JoinSpec::inner(&["a"], &["b"])), None);
         assert_eq!(placed(JoinSpec::inner(&["a", "b"], &["a", "c"])), None);
-        // A right projection says what arrives; a miss pads it with NULLs.
-        let attach = JoinSpec::left_outer(&["attr"], &["__jk"]).with_right_fields(&["__grp"]);
-        assert_eq!(placed(attach), Some(names(&["attr"])));
-        let padded = JoinSpec::left_outer(&["id"], &["id"]).with_right_fields(&["id", "v"]);
-        assert_eq!(placed(padded), None);
         assert_eq!(placed(JoinSpec::inner(&[], &[])), None);
     }
 

@@ -1,14 +1,14 @@
 //! Equi-join specifications: what [`crate::ColCollection::join`] and
 //! [`crate::ColCollection::skew_join`] are asked to compute — key columns,
-//! join kind, surviving right-side fields and the planner's strategy hint.
+//! join kind and the planner's strategy hint.
 
 /// Inner or left-outer equi-join.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JoinKind {
     /// Emit only matching pairs.
     Inner,
-    /// Additionally emit unmatched left rows, NULL-extended on the right
-    /// fields.
+    /// Additionally emit unmatched left rows; the right side's attributes
+    /// are absent from them.
     LeftOuter,
 }
 
@@ -31,14 +31,13 @@ pub enum JoinHint {
 }
 
 /// Specification of a distributed equi-join: key columns on each side, the
-/// join kind, (optionally) which right-side fields survive into the output,
-/// and the planner's strategy hint.
+/// join kind and the planner's strategy hint. The output row is the left row
+/// with the whole right row laid over it.
 #[derive(Debug, Clone)]
 pub struct JoinSpec {
     left_keys: Vec<String>,
     right_keys: Vec<String>,
     kind: JoinKind,
-    right_fields: Option<Vec<String>>,
     hint: JoinHint,
 }
 
@@ -49,7 +48,6 @@ impl JoinSpec {
             left_keys: left_keys.iter().map(|s| s.to_string()).collect(),
             right_keys: right_keys.iter().map(|s| s.to_string()).collect(),
             kind: JoinKind::Inner,
-            right_fields: None,
             hint: JoinHint::Auto,
         }
     }
@@ -60,14 +58,6 @@ impl JoinSpec {
             kind: JoinKind::LeftOuter,
             ..JoinSpec::inner(left_keys, right_keys)
         }
-    }
-
-    /// Restricts the right-side contribution of each output row to `fields`
-    /// (these are also the columns NULL-extended for unmatched left rows in a
-    /// left-outer join). Without this, the whole right row is concatenated.
-    pub fn with_right_fields(mut self, fields: &[&str]) -> JoinSpec {
-        self.right_fields = Some(fields.iter().map(|s| s.to_string()).collect());
-        self
     }
 
     /// The left-side key columns.
@@ -83,11 +73,6 @@ impl JoinSpec {
     /// The join kind.
     pub fn kind(&self) -> JoinKind {
         self.kind
-    }
-
-    /// The configured right-side output fields, if restricted.
-    pub fn right_fields(&self) -> Option<&[String]> {
-        self.right_fields.as_deref()
     }
 
     /// Requests a physical strategy chosen by the planner instead of the

@@ -98,8 +98,6 @@ pub struct ClusterConfig {
     /// Simulated per-worker memory cap in bytes; operators fail with
     /// [`ExecError::MemoryExceeded`] when an output overloads a worker.
     pub worker_memory: Option<usize>,
-    /// Number of rows sampled per collection for heavy-key detection.
-    pub skew_sample: usize,
     /// Sampled frequency share at which a key counts as heavy; defaults to
     /// `1 / partitions` when unset.
     pub skew_threshold: Option<f64>,
@@ -120,14 +118,14 @@ pub struct ClusterConfig {
 
 impl ClusterConfig {
     /// A cluster of `workers` workers over `partitions` hash partitions, with
-    /// an 8 MiB broadcast limit, no memory cap, and default skew sampling.
+    /// an 8 MiB broadcast limit, no memory cap, and the default heavy-key
+    /// threshold.
     pub fn new(workers: usize, partitions: usize) -> ClusterConfig {
         ClusterConfig {
             workers: workers.max(1),
             partitions: partitions.max(1),
             broadcast_limit: 8 * 1024 * 1024,
             worker_memory: None,
-            skew_sample: 1024,
             skew_threshold: None,
             spill: false,
             spill_dir: None,
@@ -160,12 +158,6 @@ impl ClusterConfig {
     pub fn with_spill_dir(mut self, dir: impl Into<PathBuf>) -> ClusterConfig {
         self.spill = true;
         self.spill_dir = Some(dir.into());
-        self
-    }
-
-    /// Sets the heavy-key sample size.
-    pub fn with_skew_sample(mut self, rows: usize) -> ClusterConfig {
-        self.skew_sample = rows;
         self
     }
 

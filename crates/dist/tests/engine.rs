@@ -309,8 +309,9 @@ fn skew_join_on_zipf_input_equals_nested_loop_join() {
 
 #[test]
 fn skew_left_outer_join_preserves_unmatched_rows() {
-    // Dimension covers only half the keys; unmatched facts must survive with
-    // NULL-extended right fields, identically on both paths.
+    // Dimension covers only half the keys; unmatched facts must survive as
+    // they are — the right side's attributes absent — identically on both
+    // paths.
     let facts = skewed_rows(2000, 20, 0.5);
     let dims = dim_rows(10);
     let expected: Bag = facts
@@ -318,19 +319,17 @@ fn skew_left_outer_join_preserves_unmatched_rows() {
         .map(|f| {
             let mut t = f.as_tuple().unwrap().clone();
             let k = t.get("k").unwrap().as_int().unwrap();
-            let name = if k < 10 {
-                Value::str(format!("key{k}"))
-            } else {
-                Value::Null
-            };
-            t.set("name", name);
+            if k < 10 {
+                t.set("dk", Value::Int(k));
+                t.set("name", Value::str(format!("key{k}")));
+            }
             Value::Tuple(t)
         })
         .collect();
     let ctx = DistContext::new(ClusterConfig::new(3, 8).with_broadcast_limit(8 * 1024));
     let left = load(&ctx, facts);
     let right = load(&ctx, dims);
-    let spec = JoinSpec::left_outer(&["k"], &["dk"]).with_right_fields(&["name"]);
+    let spec = JoinSpec::left_outer(&["k"], &["dk"]);
     let standard = left.join(&right, &spec).unwrap();
     let skewed = left.skew_join(&right, &spec).unwrap();
     assert!(ctx.stats().snapshot().skew_broadcast_joins >= 1);

@@ -430,9 +430,14 @@ fn empty_partitions_preserve_schema_through_pipelines() {
         .unwrap();
     assert_eq!(out.len(), 0);
     let staged = data.filter_mask(|b| Ok(vec![false; b.rows()])).unwrap();
-    let fused_fields = out.first_fields().unwrap();
-    let staged_fields = staged.first_fields().unwrap();
-    assert_eq!(fused_fields, staged_fields);
+    let fields = |c: &ColCollection| -> Vec<Vec<String>> {
+        let batches = c.batches().unwrap();
+        batches
+            .iter()
+            .map(|b| b.schema().fields().to_vec())
+            .collect()
+    };
+    assert_eq!(fields(&out), fields(&staged));
     let _ = Tuple::empty();
     let _ = Batch::empty();
 }

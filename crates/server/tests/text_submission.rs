@@ -161,6 +161,39 @@ fn repeated_text_submission_is_a_plan_cache_hit_on_every_strategy() {
     assert_eq!(stats.cache_hits, 14, "warm + reformatted per strategy");
 }
 
+/// Unshredding is a unit of the prepared program: the cold SHRED+UNSHRED run
+/// compiles one plan more than SHRED does — the unshredding plan — and a
+/// warm hit replays it from the cache, compiling no plan and no kernel.
+#[test]
+fn a_warm_unshredding_hit_replays_the_unshred_plan() {
+    let _wd = Watchdog::arm("text_submission", Duration::from_secs(600));
+    let engine = engine_with_tables();
+    let shred = engine
+        .submit_text("tenant", QUERY, Strategy::Shred)
+        .unwrap();
+    let cold = engine
+        .submit_text("tenant", QUERY, Strategy::ShredUnshred)
+        .unwrap();
+    assert!(!cold.cache_hit);
+    assert_eq!(cold.plans_compiled, shred.plans_compiled + 1);
+    // SHRED left its kernels in the shared cache: what is compiled now is
+    // the unshredding unit's own.
+    assert!(cold.stats.expr_compiles() > 0);
+
+    let warm = engine
+        .submit_text("tenant", QUERY, Strategy::ShredUnshred)
+        .unwrap();
+    assert!(warm.cache_hit);
+    assert_eq!(warm.plans_compiled, 0);
+    assert_eq!(warm.stats.expr_compiles(), 0, "a hit compiles no kernel");
+    assert_eq!(warm.compile_ms, 0.0);
+    assert!(warm.rows.multiset_eq(&expected()));
+    // The replayed unit does the work the compiled one did.
+    assert_eq!(warm.stats.shuffled_bytes, cold.stats.shuffled_bytes);
+    assert_eq!(warm.stats.shuffle_joins, cold.stats.shuffle_joins);
+    assert_eq!(warm.stats.shuffles_in_place, cold.stats.shuffles_in_place);
+}
+
 #[test]
 fn compile_errors_are_typed_and_never_reach_the_pool() {
     let engine = engine_with_tables();

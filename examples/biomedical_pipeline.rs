@@ -6,12 +6,12 @@
 
 use trance::biomed::BiomedConfig;
 use trance::compiler::Strategy;
-use trance_bench::run_biomed_pipeline;
+use trance_bench::{run_biomed_pipeline_tuned, ClusterTuning};
 
 fn main() {
     let cfg = BiomedConfig::small();
     for strategy in [Strategy::Shred, Strategy::Standard] {
-        let row = run_biomed_pipeline(&cfg, strategy, 0.0);
+        let row = run_biomed_pipeline_tuned(&cfg, strategy, 0.0, &ClusterTuning::default());
         println!("== {} ==", strategy.label());
         for (step, d) in &row.steps {
             match d {
