@@ -3,6 +3,7 @@
 
 use std::collections::BTreeSet;
 
+use trance_nrc::value::prim_op;
 use trance_nrc::{CmpOp, Label, NrcError, PrimOp, Result, Tuple, Value};
 
 /// A scalar expression evaluated against a single row (tuple).
@@ -80,10 +81,18 @@ impl ScalarExpr {
         }
     }
 
-    /// Evaluates the expression against `row`.
+    /// Evaluates the expression against `row` — **the definition** of what a
+    /// plan expression means. The executor's compiled kernels are held to it
+    /// batch for batch (`trance_compiler::kernel::apply_by_definition` is
+    /// this function applied row by row), and nothing else evaluates a
+    /// `ScalarExpr`.
     ///
     /// A column absent from the row evaluates to NULL — plan streams follow
-    /// the outer-join convention where missing attributes stand for NULL.
+    /// the outer-join convention where missing attributes stand for NULL;
+    /// NULL propagates through arithmetic and compares false; `And`, `Or`
+    /// and `Coalesce` evaluate their right operand only where the left one
+    /// does not decide. Arithmetic over two non-NULL values is
+    /// [`trance_nrc::value::prim_op`], the reference evaluator's own.
     pub fn eval(&self, row: &Tuple) -> Result<Value> {
         match self {
             ScalarExpr::Col(name) => Ok(row.get(name).cloned().unwrap_or(Value::Null)),
@@ -94,27 +103,7 @@ impl ScalarExpr {
                 if matches!(l, Value::Null) || matches!(r, Value::Null) {
                     return Ok(Value::Null);
                 }
-                match op {
-                    PrimOp::Add if matches!((&l, &r), (Value::Int(_), Value::Int(_))) => {
-                        Ok(Value::Int(l.as_int()? + r.as_int()?))
-                    }
-                    PrimOp::Sub if matches!((&l, &r), (Value::Int(_), Value::Int(_))) => {
-                        Ok(Value::Int(l.as_int()? - r.as_int()?))
-                    }
-                    PrimOp::Mul if matches!((&l, &r), (Value::Int(_), Value::Int(_))) => {
-                        Ok(Value::Int(l.as_int()? * r.as_int()?))
-                    }
-                    PrimOp::Add => Ok(Value::Real(l.as_real()? + r.as_real()?)),
-                    PrimOp::Sub => Ok(Value::Real(l.as_real()? - r.as_real()?)),
-                    PrimOp::Mul => Ok(Value::Real(l.as_real()? * r.as_real()?)),
-                    PrimOp::Div => {
-                        let d = r.as_real()?;
-                        if d == 0.0 {
-                            return Err(NrcError::DivisionByZero);
-                        }
-                        Ok(Value::Real(l.as_real()? / d))
-                    }
-                }
+                prim_op(*op, &l, &r)
             }
             ScalarExpr::Cmp { op, left, right } => {
                 let l = left.eval(row)?;

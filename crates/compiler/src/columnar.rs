@@ -32,7 +32,7 @@ use trance_dist::{
 };
 use trance_nrc::{Expr, Value};
 
-use crate::kernel::{compile_mask, compile_ops, KernelCache, KernelOp};
+use crate::kernel::{apply_by_definition, compile_ops, KernelOp};
 use crate::options::ExecOptions;
 
 /// Converts the plan layer's physical fields into engine field hints.
@@ -387,49 +387,14 @@ fn check_plan_agreement(ctx: &DistContext, name: &str, plan: &Plan) -> Result<()
     Ok(())
 }
 
-/// Evaluates an expression into a column ready to be *set* on a batch:
-/// projection/extension outputs always carry the attribute, so absence
-/// collapses to an explicit NULL (a `Tuple::set` of a NULL).
-fn set_column(batch: &Batch, expr: &trance_algebra::ScalarExpr) -> Result<std::sync::Arc<Column>> {
-    let col = crate::vector::eval_scalar_batch(expr, batch)?;
-    Ok(if col.has_absent() {
-        std::sync::Arc::new(col.absent_as_null())
-    } else {
-        col
-    })
-}
-
-/// Projection kernel (`π`): a fresh batch holding only the evaluated
-/// columns — one definition shared by the staged operator arm and the fused
-/// pipeline step, so the two executors cannot drift.
-fn project_batch(b: &Batch, columns: &[(String, trance_algebra::ScalarExpr)]) -> Result<Batch> {
-    let mut out = Batch::unit(b.rows());
-    for (name, expr) in columns {
-        out = out.with_column(name, set_column(b, expr)?);
-    }
-    Ok(out)
-}
-
 /// The names a pruning projection keeps (`π` over `[a := a, …]`, each name
 /// once). Such a projection computes nothing, so the compiled route runs it
 /// as the schema-only [`Batch::prune_fields`] instead of a kernel program;
-/// the interpreted route's [`project_batch`] is its differential oracle.
+/// the by-definition route's `Project` is its differential oracle.
 fn pruned_names(columns: &[(String, trance_algebra::ScalarExpr)]) -> Option<Vec<String>> {
     let names: Vec<String> = columns.iter().map(|(n, _)| n.clone()).collect();
     let distinct = (1..names.len()).all(|i| !names[..i].contains(&names[i]));
     (is_passthrough(columns) && distinct).then_some(names)
-}
-
-/// Extension kernel: each extension sees the columns set before it, like an
-/// in-order `Tuple::set` loop; untouched columns are Arc-shared, not copied.
-/// Shared by the staged arm and the fused step.
-fn extend_batch(b: &Batch, columns: &[(String, trance_algebra::ScalarExpr)]) -> Result<Batch> {
-    let mut out = b.clone();
-    for (name, expr) in columns {
-        let col = set_column(&out, expr)?;
-        out = out.with_column(name, col);
-    }
-    Ok(out)
 }
 
 /// The opaque-batch guard every staged structural operator applies (the
@@ -459,65 +424,70 @@ struct CompiledColChain {
     sequential: bool,
 }
 
-/// Compiles the accumulated run of expression operators into one register
-/// kernel step, recording the program for the engine stats. With a shared
-/// [`KernelCache`] threaded through the options, a structurally identical
-/// run reuses the `Arc`'d program compiled earlier and records *nothing* —
-/// a warm replay reports zero expression-compile time.
+/// What compiling one kernel program cost — instruction count, elapsed time,
+/// rendered listing — for the caller to book under its own label.
+type Compiled = (u64, std::time::Duration, String);
+
+/// A row-local run of expression operators as one batch→batch step.
+type ExprStep = Box<dyn Fn(&Batch) -> Result<Batch> + Send + Sync>;
+
+/// Turns a run of `select`/`project`/`extend` operators into one step — the
+/// one place the expression engine is chosen, and the only reader of
+/// `options.compiled_exprs`.
+///
+/// Compiled (the default): one kernel program for the whole run, taken from
+/// the shared [`KernelCache`] when one is threaded through the options. The
+/// second component is what the compilation cost; it is `None` on a cache hit
+/// — a warm replay reports zero expression-compile time — and for a lone
+/// pruning projection, which needs no program. By definition (the reference
+/// the kernels are held to): [`apply_by_definition`], compiling and booking
+/// nothing.
+fn expr_step(ops: Vec<KernelOp>, options: &ExecOptions) -> (ExprStep, Option<Compiled>) {
+    if !options.compiled_exprs {
+        return (Box::new(move |b| apply_by_definition(&ops, b)), None);
+    }
+    if let [KernelOp::Project(columns)] = ops.as_slice() {
+        if let Some(names) = pruned_names(columns) {
+            return (Box::new(move |b| Ok(b.prune_fields(&names))), None);
+        }
+    }
+    let (prog, elapsed) = match &options.kernel_cache {
+        Some(cache) => cache.get_or_compile(&ops),
+        None => {
+            let t0 = Instant::now();
+            let prog = std::sync::Arc::new(compile_ops(&ops));
+            (prog, Some(t0.elapsed()))
+        }
+    };
+    let compiled = elapsed.map(|dt| (prog.instr_count() as u64, dt, prog.render()));
+    (Box::new(move |b| prog.run(b)), compiled)
+}
+
+/// The expression payload of a `Select`/`Project`/`Extend` node; `None` for
+/// every other operator.
+fn kernel_op(node: &Plan) -> Option<KernelOp> {
+    match node {
+        Plan::Select { predicate, .. } => Some(KernelOp::Select(predicate.clone())),
+        Plan::Project { columns, .. } => Some(KernelOp::Project(columns.clone())),
+        Plan::Extend { columns, .. } => Some(KernelOp::Extend(columns.clone())),
+        _ => None,
+    }
+}
+
+/// Closes the accumulated run of expression operators into one step of the
+/// pipeline, keeping what its compilation cost for the chain's stats.
 fn flush_kernel(
     pending: &mut Vec<KernelOp>,
     steps: &mut Vec<ColStep>,
-    kernels: &mut Vec<(u64, std::time::Duration, String)>,
-    cache: Option<&std::sync::Arc<KernelCache>>,
+    kernels: &mut Vec<Compiled>,
+    options: &ExecOptions,
 ) {
     if pending.is_empty() {
         return;
     }
-    let kops = std::mem::take(pending);
-    if let Some(cache) = cache {
-        let (prog, compiled) = cache.get_or_compile(&kops);
-        if let Some(dt) = compiled {
-            kernels.push((prog.instr_count() as u64, dt, prog.render()));
-        }
-        steps.push(Box::new(move |b, _| prog.run(b)));
-        return;
-    }
-    let t0 = Instant::now();
-    let prog = compile_ops(&kops);
-    kernels.push((prog.instr_count() as u64, t0.elapsed(), prog.render()));
-    steps.push(Box::new(move |b, _| prog.run(b)));
-}
-
-/// Compiles the single-op kernel of a staged `Project`/`Extend` arm, going
-/// through the shared [`KernelCache`] when one is threaded through the
-/// options. A hit reuses the `Arc`'d program and records no compile stats;
-/// a miss (or no cache) compiles and books the elapsed time as before. The
-/// staged `Select` mask program stays uncached: it is compiled through
-/// [`compile_mask`], a different entry point, and never runs on the warm
-/// pipelined serving path.
-fn staged_kernel(
-    label: &str,
-    ops: &[KernelOp],
-    ctx: &DistContext,
-    options: &ExecOptions,
-) -> std::sync::Arc<crate::kernel::KernelProgram> {
-    if let Some(cache) = options.kernel_cache.as_ref() {
-        let (prog, compiled) = cache.get_or_compile(ops);
-        if let Some(dt) = compiled {
-            ctx.stats()
-                .record_expr_compile(label, prog.instr_count() as u64, dt, &prog.render());
-        }
-        return prog;
-    }
-    let t0 = Instant::now();
-    let prog = compile_ops(ops);
-    ctx.stats().record_expr_compile(
-        label,
-        prog.instr_count() as u64,
-        t0.elapsed(),
-        &prog.render(),
-    );
-    std::sync::Arc::new(prog)
+    let (step, compiled) = expr_step(std::mem::take(pending), options);
+    kernels.extend(compiled);
+    steps.push(Box::new(move |b, _| step(b)));
 }
 
 fn compile_chain_col(
@@ -530,12 +500,12 @@ fn compile_chain_col(
     let mut ops: Vec<String> = Vec::new();
     let mut id_slots = 0usize;
     let mut sequential = false;
-    // Consecutive select/project/extend operators accumulate here and fuse
-    // into ONE kernel program (sharing subexpressions, with the selection
-    // vector carried across operator boundaries) — compiled once per
-    // pipeline, before any morsel runs.
+    // Consecutive select/project/extend operators accumulate here and become
+    // ONE step — compiled, one kernel program (sharing subexpressions, with
+    // the selection vector carried across operator boundaries) built once
+    // per pipeline, before any morsel runs.
     let mut pending: Vec<KernelOp> = Vec::new();
-    let mut kernels: Vec<(u64, std::time::Duration, String)> = Vec::new();
+    let mut kernels: Vec<Compiled> = Vec::new();
     if let Some(alias) = scan_alias {
         ops.push("scan".to_string());
         steps.push(Box::new(move |b, _| {
@@ -547,50 +517,20 @@ fn compile_chain_col(
         if needs_sequential(node) {
             sequential = true;
         }
-        if options.compiled_exprs {
-            match node {
-                Plan::Select { predicate, .. } => {
-                    pending.push(KernelOp::Select(predicate.clone()));
-                    continue;
-                }
-                Plan::Project { columns, .. } => {
-                    // A pruning projection with no kernel run open ahead of
-                    // it needs no program; behind one it fuses into that
-                    // run's output script.
-                    match pruned_names(columns).filter(|_| pending.is_empty()) {
-                        Some(names) => steps.push(Box::new(move |b, _| Ok(b.prune_fields(&names)))),
-                        None => pending.push(KernelOp::Project(columns.clone())),
-                    }
-                    continue;
-                }
-                Plan::Extend { columns, .. } => {
-                    pending.push(KernelOp::Extend(columns.clone()));
-                    continue;
-                }
-                _ => flush_kernel(
-                    &mut pending,
-                    &mut steps,
-                    &mut kernels,
-                    options.kernel_cache.as_ref(),
-                ),
+        if let Some(op) = kernel_op(node) {
+            // A pruning projection with no run open ahead of it is a run of
+            // its own (it needs no program); behind one it fuses into that
+            // run's output script.
+            let lone_prune = pending.is_empty()
+                && matches!(&op, KernelOp::Project(columns) if pruned_names(columns).is_some());
+            pending.push(op);
+            if lone_prune {
+                flush_kernel(&mut pending, &mut steps, &mut kernels, options);
             }
+            continue;
         }
+        flush_kernel(&mut pending, &mut steps, &mut kernels, options);
         match node {
-            Plan::Select { predicate, .. } => {
-                let predicate = predicate.clone();
-                steps.push(Box::new(move |b, _| {
-                    let mask = crate::vector::eval_mask(&predicate, b)?;
-                    Ok(b.filter(&mask))
-                }));
-            }
-            Plan::Project { columns, .. } => {
-                let columns = columns.clone();
-                steps.push(Box::new(move |b, _| project_batch(b, &columns)));
-            }
-            Plan::Extend { columns, .. } => {
-                let columns = columns.clone();
-                steps.push(Box::new(move |b, _| extend_batch(b, &columns)));
-            }
             Plan::AddIndex { id_attr, .. } => {
                 let attr = id_attr.clone();
                 let slot = id_slots;
@@ -643,12 +583,7 @@ fn compile_chain_col(
             }
         }
     }
-    flush_kernel(
-        &mut pending,
-        &mut steps,
-        &mut kernels,
-        options.kernel_cache.as_ref(),
-    );
+    flush_kernel(&mut pending, &mut steps, &mut kernels, options);
     let label = pipeline_label(&ops);
     for (i, (instrs, dt, text)) in kernels.iter().enumerate() {
         ctx.stats()
@@ -759,56 +694,20 @@ pub fn eval_plan_col(
         }
         Plan::Unit => Ok(ColCollection::single(ctx, Batch::unit(1))),
         Plan::Empty => Ok(ColCollection::empty(ctx)),
-        Plan::Select { input, predicate } => {
+        Plan::Select { input, .. } | Plan::Project { input, .. } | Plan::Extend { input, .. } => {
             let rows = eval_plan_col(input, env, ctx, options)?;
-            let out = if options.compiled_exprs {
-                let t0 = Instant::now();
-                let prog = compile_mask(predicate);
-                ctx.stats().record_expr_compile(
-                    "staged:select",
-                    prog.instr_count() as u64,
-                    t0.elapsed(),
-                    &prog.render(),
-                );
-                rows.filter_mask(move |b| prog.mask(b))?
-            } else {
-                let predicate = predicate.clone();
-                rows.filter_mask(move |b| crate::vector::eval_mask(&predicate, b))?
+            let op = kernel_op(plan).expect("an expression operator");
+            let (step, compiled) = expr_step(vec![op], options);
+            let name = pipeline_op_name(plan);
+            if let Some((instrs, dt, text)) = compiled {
+                ctx.stats()
+                    .record_expr_compile(&format!("staged:{name}"), instrs, dt, &text);
+            }
+            let timed_as = match plan {
+                Plan::Select { .. } => "filter",
+                _ => "map",
             };
-            Ok(carry_placement(&rows, &[plan], out))
-        }
-        Plan::Project { input, columns } => {
-            let rows = eval_plan_col(input, env, ctx, options)?;
-            let out = if !options.compiled_exprs {
-                let columns = columns.clone();
-                rows.map_batches("map", move |b| project_batch(b, &columns))?
-            } else if let Some(names) = pruned_names(columns) {
-                rows.map_batches("map", move |b| Ok(b.prune_fields(&names)))?
-            } else {
-                let prog = staged_kernel(
-                    "staged:project",
-                    &[KernelOp::Project(columns.clone())],
-                    ctx,
-                    options,
-                );
-                rows.map_batches("map", move |b| prog.run(b))?
-            };
-            Ok(carry_placement(&rows, &[plan], out))
-        }
-        Plan::Extend { input, columns } => {
-            let rows = eval_plan_col(input, env, ctx, options)?;
-            let out = if options.compiled_exprs {
-                let prog = staged_kernel(
-                    "staged:extend",
-                    &[KernelOp::Extend(columns.clone())],
-                    ctx,
-                    options,
-                );
-                rows.map_batches("map", move |b| prog.run(b))?
-            } else {
-                let columns = columns.clone();
-                rows.map_batches("map", move |b| extend_batch(b, &columns))?
-            };
+            let out = rows.map_batches(timed_as, move |b| step(b))?;
             Ok(carry_placement(&rows, &[plan], out))
         }
         Plan::AddIndex { input, id_attr } => {

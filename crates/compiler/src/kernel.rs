@@ -4,12 +4,20 @@
 //! `select`/`extend`/`project` plan operators — sharing common
 //! subexpressions — into one SSA [`KernelProgram`]: a `Vec<Instr>` over
 //! numbered column registers, compiled **once per pipeline** at plan time
-//! and executed per morsel by type-specialized vectorized kernels. The tree
-//! interpreter ([`crate::vector::eval_scalar_batch`]) stays selectable as
-//! the differential oracle (`ExecOptions::compiled_exprs = false`), and
-//! every kernel mirrors the interpreter's column construction exactly, so
-//! the two routes produce **byte-identical** batches — the expr_agree suite
-//! asserts identical logical *and* physical shuffle volumes.
+//! and executed per morsel by type-specialized vectorized kernels.
+//!
+//! What a run of operators computes is **defined** here too, by
+//! [`apply_by_definition`]: every expression evaluated row by row through
+//! `ScalarExpr::eval`, the plan layer's one written rule, every set column
+//! built by `Column::from_values`. That is the reference the kernels are
+//! held to — selectable with `ExecOptions::compiled_exprs = false` — and
+//! every kernel builds the column the definition builds, so the two routes
+//! produce **byte-identical** batches: the unit tests below compare whole
+//! batches, the expr_agree suite asserts identical logical *and* physical
+//! shuffle volumes. Arithmetic over two non-NULL values is
+//! `trance_nrc::value::prim_op` on every route; the dense `i64` / `f64`
+//! loops below are the only other place it is written, and they raise the
+//! same typed errors (integer overflow, division by zero).
 //!
 //! The executor's cost model:
 //!
@@ -25,8 +33,8 @@
 //!   and each input column is gathered at most once per morsel;
 //! * short-circuit semantics (`And`/`Or`/`Coalesce`) compile to **guard
 //!   registers**: the right operand's instructions evaluate under a lane
-//!   mask, and raise errors only on guarded lanes — exactly the rows the
-//!   interpreter's gathered sub-batch evaluation would touch.
+//!   mask, and raise errors only on guarded lanes — exactly the rows on
+//!   which `ScalarExpr::eval` evaluates that operand.
 
 use std::collections::{BTreeSet, HashMap};
 use std::fmt::Write as _;
@@ -35,6 +43,7 @@ use std::time::{Duration, Instant};
 
 use trance_algebra::ScalarExpr;
 use trance_dist::{Batch, Bitmap, Column, Result};
+use trance_nrc::value::prim_op;
 use trance_nrc::{CmpOp, Label, NrcError, PrimOp, Value};
 
 /// A register: the index of the instruction that defines it.
@@ -45,9 +54,10 @@ pub type Reg = usize;
 /// Instructions that can raise runtime errors (`Prim` division / numeric
 /// coercion, `IsTrue` / `Not` boolean coercion, `LabelCapture`) carry an
 /// optional **guard** register: errors are raised only on lanes where the
-/// guard is true, reproducing the interpreter's short-circuit contract that
-/// a guarded operand's errors never surface. Error-free instructions carry
-/// no guard and may compute every lane (unguarded lanes are never read).
+/// guard is true, reproducing `ScalarExpr::eval`'s short-circuit contract
+/// that a guarded operand's errors never surface. Error-free instructions
+/// carry no guard and may compute every lane (unguarded lanes are never
+/// read).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Instr {
     /// Load an input column by name (a missing column is a lazy NULL
@@ -62,7 +72,8 @@ pub enum Instr {
         value: Value,
     },
     /// Binary arithmetic with `ScalarExpr::eval` semantics (NULL propagates,
-    /// Int stays Int except division, division by zero errors).
+    /// Int stays Int except division; integer overflow and division by zero
+    /// error).
     Prim {
         /// The operator.
         op: PrimOp,
@@ -127,8 +138,8 @@ pub enum Instr {
         b: Reg,
     },
     /// `Coalesce` merge: lanes where `taken` read `b`, the rest read `a`.
-    /// When no lane takes the fallback the register is `a` itself — the
-    /// interpreter's pass-through. Never errors.
+    /// When no lane takes the fallback the register is `a` itself. Never
+    /// errors.
     CoalesceMerge {
         /// The first operand register.
         a: Reg,
@@ -167,9 +178,10 @@ pub enum Instr {
         guard: Option<Reg>,
     },
     /// Narrow the selection vector to the lanes where `pred` is true
-    /// (`as_bool` errors surface, as in `eval_mask`), then compact the
+    /// (`as_bool` errors surface, as in the definition's `Select`), then
+    /// compact the
     /// still-live registers: `live_sets` are output columns (materialized
-    /// and gathered as columns, preserving the interpreter's
+    /// and gathered as columns, preserving the definition's
     /// build-then-filter bytes), `live` are scratch registers (compacted
     /// positionally).
     Filter {
@@ -182,18 +194,99 @@ pub enum Instr {
     },
 }
 
-/// One row-local plan operator handed to [`compile_ops`] — the expression
-/// payload of a `Select`/`Project`/`Extend` plan node.
+/// One row-local plan operator — the expression payload of a
+/// `Select`/`Project`/`Extend` plan node. [`apply_by_definition`] says what a
+/// run of them computes; [`compile_ops`] compiles the run.
 #[derive(Debug, Clone)]
 pub enum KernelOp {
-    /// Keep the rows satisfying the predicate.
+    /// Keep the rows whose predicate evaluates to `true` (a non-bool is a
+    /// type error).
     Select(ScalarExpr),
     /// Replace the row with the evaluated columns (all expressions see the
-    /// *input* of the project, as in `project_batch`).
+    /// *input* of the project).
     Project(Vec<(String, ScalarExpr)>),
     /// Set columns in order, each seeing the columns set before it (the
-    /// `extend_batch` / `Tuple::set` contract).
+    /// `Tuple::set` contract).
     Extend(Vec<(String, ScalarExpr)>),
+}
+
+/// Runs `ops` over `batch` **by definition**: every expression is evaluated
+/// row by row through [`ScalarExpr::eval`] — the plan layer's written rule
+/// (absent reads as NULL, NULL compares false, `And`/`Or`/`Coalesce`
+/// short-circuit) — and every set column is built by
+/// [`Column::from_values`]. A [`KernelProgram`] compiled from the same run
+/// must produce this batch byte for byte; it is what
+/// `ExecOptions::compiled_exprs = false` executes.
+pub fn apply_by_definition(ops: &[KernelOp], batch: &Batch) -> Result<Batch> {
+    let mut cur = batch.clone();
+    for op in ops {
+        cur = match op {
+            KernelOp::Select(pred) => {
+                let mask = eval_rows(pred, &cur)?
+                    .iter()
+                    .map(|v| Ok(v.as_bool()?))
+                    .collect::<Result<Vec<bool>>>()?;
+                cur.filter(&mask)
+            }
+            KernelOp::Project(cols) => {
+                let sets = cols
+                    .iter()
+                    .map(|(name, e)| Ok((name.as_str(), defined_column(e, &cur)?)))
+                    .collect::<Result<Vec<_>>>()?;
+                Batch::unit(cur.rows()).with_columns(sets)
+            }
+            KernelOp::Extend(cols) => {
+                for (name, e) in cols {
+                    cur = cur.with_column(name, defined_column(e, &cur)?);
+                }
+                cur
+            }
+        };
+    }
+    Ok(cur)
+}
+
+/// `expr` evaluated on each row of `batch` (rows of the columns it reads).
+fn eval_rows(expr: &ScalarExpr, batch: &Batch) -> Result<Vec<Value>> {
+    let cols: Vec<String> = expr.referenced_columns().into_iter().collect();
+    let rows = batch.project_fields(&cols).to_rows();
+    rows.iter()
+        .map(|row| Ok(expr.eval(row.as_tuple()?)?))
+        .collect()
+}
+
+/// The column setting `expr` puts on `batch`. Two results are shared by
+/// pointer rather than rebuilt from values, because a rebuilt
+/// column holds the same values in other bytes: a bare column reference is
+/// the input column, and `coalesce(bag column, {})` is
+/// [`Column::coalesce_empty_bag`] — validity bits cleared over the shared
+/// offsets and elements, the primitive the kernels answer it with too.
+fn defined_column(expr: &ScalarExpr, batch: &Batch) -> Result<Arc<Column>> {
+    let shared = match expr {
+        ScalarExpr::Col(name) => batch.column_arc(name),
+        ScalarExpr::Coalesce(a, b) => match (a.as_ref(), b.as_ref()) {
+            (ScalarExpr::Col(name), ScalarExpr::Const(Value::Bag(bag))) if bag.is_empty() => batch
+                .column(name)
+                .and_then(|col| col.coalesce_empty_bag(&col.null_lanes()))
+                .map(Arc::new),
+            _ => None,
+        },
+        _ => None,
+    };
+    Ok(absent_to_null(match shared {
+        Some(col) => col,
+        None => Arc::new(Column::from_values(eval_rows(expr, batch)?)),
+    }))
+}
+
+/// A column as a *set* attribute: every row carries it, so absence collapses
+/// to an explicit NULL (a `Tuple::set` of a NULL).
+fn absent_to_null(col: Arc<Column>) -> Arc<Column> {
+    if col.has_absent() {
+        Arc::new(col.absent_as_null())
+    } else {
+        col
+    }
 }
 
 /// A compiled expression kernel program: SSA instructions plus the output
@@ -207,9 +300,6 @@ pub struct KernelProgram {
     from_input: bool,
     /// Ordered `with_column` sets applied to the base.
     sets: Vec<(String, Reg)>,
-    /// For predicate-only programs: the register to read as the selection
-    /// mask.
-    mask_reg: Option<Reg>,
 }
 
 // ---------------------------------------------------------------------------
@@ -389,12 +479,9 @@ impl Compiler {
     /// Fills every `Filter`'s liveness lists: a register is live at a filter
     /// when a later instruction or the output script reads it. Output-set
     /// registers compact as columns, scratch registers positionally.
-    fn finish(mut self, mask_reg: Option<Reg>) -> KernelProgram {
+    fn finish(mut self) -> KernelProgram {
         let set_regs: BTreeSet<Reg> = self.sets.iter().map(|(_, r)| *r).collect();
         let mut read_later: BTreeSet<Reg> = set_regs.clone();
-        if let Some(r) = mask_reg {
-            read_later.insert(r);
-        }
         for p in (0..self.instrs.len()).rev() {
             if matches!(self.instrs[p], Instr::Filter { .. }) {
                 let live: Vec<Reg> = read_later
@@ -423,7 +510,6 @@ impl Compiler {
             instrs: self.instrs,
             from_input: self.from_input,
             sets: self.sets,
-            mask_reg,
         }
     }
 }
@@ -464,15 +550,7 @@ pub fn compile_ops(ops: &[KernelOp]) -> KernelProgram {
     for op in ops {
         c.compile_op(op);
     }
-    c.finish(None)
-}
-
-/// Compiles a bare predicate into a mask program for the staged `Select`
-/// operator ([`KernelProgram::mask`]).
-pub fn compile_mask(pred: &ScalarExpr) -> KernelProgram {
-    let mut c = Compiler::new();
-    let r = c.compile_expr(pred, None);
-    c.finish(Some(r))
+    c.finish()
 }
 
 /// A shared cache of compiled kernel programs, keyed by the structural
@@ -487,6 +565,8 @@ pub fn compile_mask(pred: &ScalarExpr) -> KernelProgram {
 /// under contention would cost more than it saves) and record the elapsed
 /// compile time for the caller to book against its stats.
 pub struct KernelCache {
+    /// Only ever sees whole-entry inserts and `clear`, so a guard recovered
+    /// from a poisoned lock (a query that panicked mid-compile) is valid.
     programs: std::sync::Mutex<HashMap<u64, Arc<KernelProgram>>>,
     hits: std::sync::atomic::AtomicU64,
     misses: std::sync::atomic::AtomicU64,
@@ -502,6 +582,18 @@ impl KernelCache {
         }
     }
 
+    fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<u64, Arc<KernelProgram>>> {
+        self.programs.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Runs `f` holding the cache's lock — how a test stands in for a query
+    /// that panics mid-compile.
+    #[doc(hidden)]
+    pub fn under_lock(&self, f: impl FnOnce()) {
+        let _guard = self.lock();
+        f()
+    }
+
     /// Returns the program compiled from `ops`, compiling and inserting it
     /// on first sight. The second component is `None` on a hit and the
     /// measured compile time on a miss, so callers only book compile stats
@@ -509,7 +601,7 @@ impl KernelCache {
     pub fn get_or_compile(&self, ops: &[KernelOp]) -> (Arc<KernelProgram>, Option<Duration>) {
         use std::sync::atomic::Ordering;
         let key = trance_algebra::fingerprint(ops);
-        let mut map = self.programs.lock().unwrap();
+        let mut map = self.lock();
         if let Some(prog) = map.get(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return (prog.clone(), None);
@@ -534,7 +626,7 @@ impl KernelCache {
 
     /// Number of distinct programs held.
     pub fn len(&self) -> usize {
-        self.programs.lock().unwrap().len()
+        self.lock().len()
     }
 
     /// True when no program has been cached yet.
@@ -546,7 +638,7 @@ impl KernelCache {
     /// serving layer's cold-start switch for cold-vs-warm A/B measurement.
     pub fn clear(&self) {
         use std::sync::atomic::Ordering;
-        self.programs.lock().unwrap().clear();
+        self.lock().clear();
         self.hits.store(0, Ordering::Relaxed);
         self.misses.store(0, Ordering::Relaxed);
     }
@@ -808,8 +900,8 @@ impl<'a> State<'a> {
                     .expect("masks are dense boolean");
                 let (av, bv) = (self.reg(*a), self.reg(*b));
                 if !t.iter().any(|&x| x) {
-                    // No lane needed the fallback: the interpreter returns
-                    // the first operand unchanged.
+                    // No lane needed the fallback: the result is the first
+                    // operand.
                     Some(av.clone())
                 } else if let Some(col) = coalesce_unboxed(av, bv, t) {
                     Some(RegVal::Col(Arc::new(col)))
@@ -961,9 +1053,9 @@ impl<T: Copy> Lanes<'_, T> {
 }
 
 /// The coalesce merges that need no boxed lane, each building the very
-/// column the interpreter builds:
+/// column the definition builds:
 ///
-/// * `coalesce(bag column, {})` is the interpreter's own primitive,
+/// * `coalesce(bag column, {})` is the definition's own primitive,
 ///   [`Column::coalesce_empty_bag`];
 /// * two operands of one primitive kind (a NULL literal fits any) merge lane
 ///   by lane into the typed column `Column::from_values` would build from
@@ -1055,7 +1147,7 @@ fn compact_positional(rv: RegVal, keep: &[usize]) -> RegVal {
 }
 
 /// Compaction of an output-set register. `Values` registers are built into
-/// a column **before** gathering — exactly what the interpreter route does
+/// a column **before** gathering — exactly what the definition does
 /// (the extend materializes, a later select filters) — because
 /// `Column::from_values` infers the column kind from *all* values: building
 /// from the surviving subset could infer a different (narrower) kind and
@@ -1078,20 +1170,24 @@ fn exec_prim(
     guard: Option<&[bool]>,
     n: usize,
 ) -> Result<RegVal> {
-    // Dense integer kernel (Div always widens to real, like the
-    // interpreter). Add/Sub/Mul cannot error, so the guard is irrelevant:
-    // unguarded lanes compute a harmless value no one reads.
+    // Dense integer kernel (Div always widens to real, as in `prim_op`). A
+    // result that leaves `i64` raises on the lanes the guard lets through;
+    // elsewhere the wrapped value is one no one reads.
     if op != PrimOp::Div {
         if let (Some(a), Some(b)) = (int_view(l), int_view(r)) {
             let mut out = Vec::with_capacity(n);
             for i in 0..n {
                 let (x, y) = (a.get(i), b.get(i));
-                out.push(match op {
-                    PrimOp::Add => x + y,
-                    PrimOp::Sub => x - y,
-                    PrimOp::Mul => x * y,
+                let (v, overflow) = match op {
+                    PrimOp::Add => x.overflowing_add(y),
+                    PrimOp::Sub => x.overflowing_sub(y),
+                    PrimOp::Mul => x.overflowing_mul(y),
                     PrimOp::Div => unreachable!(),
-                });
+                };
+                if overflow && guard_true(guard, i) {
+                    return Err(NrcError::IntegerOverflow(op.symbol()).into());
+                }
+                out.push(v);
             }
             return Ok(RegVal::Ints(out));
         }
@@ -1132,27 +1228,7 @@ fn exec_prim(
         out.push(if matches!(lv, Value::Null) || matches!(rv, Value::Null) {
             Value::Null
         } else {
-            match op {
-                PrimOp::Add if matches!((&lv, &rv), (Value::Int(_), Value::Int(_))) => {
-                    Value::Int(lv.as_int()? + rv.as_int()?)
-                }
-                PrimOp::Sub if matches!((&lv, &rv), (Value::Int(_), Value::Int(_))) => {
-                    Value::Int(lv.as_int()? - rv.as_int()?)
-                }
-                PrimOp::Mul if matches!((&lv, &rv), (Value::Int(_), Value::Int(_))) => {
-                    Value::Int(lv.as_int()? * rv.as_int()?)
-                }
-                PrimOp::Add => Value::Real(lv.as_real()? + rv.as_real()?),
-                PrimOp::Sub => Value::Real(lv.as_real()? - rv.as_real()?),
-                PrimOp::Mul => Value::Real(lv.as_real()? * rv.as_real()?),
-                PrimOp::Div => {
-                    let d = rv.as_real()?;
-                    if d == 0.0 {
-                        return Err(NrcError::DivisionByZero.into());
-                    }
-                    Value::Real(lv.as_real()? / d)
-                }
-            }
+            prim_op(op, &lv, &rv)?
         });
     }
     Ok(RegVal::Values(out))
@@ -1237,7 +1313,7 @@ fn exec_is_true(cond: &RegVal, guard: Option<&[bool]>, n: usize) -> Result<Vec<b
             Ok(x) => Ok((0..n).map(|i| guard_true(guard, i) && x).collect()),
             Err(e) => {
                 // A non-bool constant errors — but only if a guarded lane
-                // exists (the interpreter never evaluates an empty gather).
+                // exists (the definition evaluates it on no row otherwise).
                 if (0..n).any(|i| guard_true(guard, i)) {
                     Err(e.into())
                 } else {
@@ -1268,8 +1344,8 @@ impl KernelProgram {
     }
 
     /// Executes the program over one batch, producing the output batch —
-    /// byte-identical to running the compiled operators one at a time
-    /// through the interpreter.
+    /// byte-identical to [`apply_by_definition`] over the compiled
+    /// operators.
     pub fn run(&self, batch: &Batch) -> Result<Batch> {
         let mut st = State {
             batch,
@@ -1293,7 +1369,7 @@ impl KernelProgram {
         };
         // Replay the `with_column` sets in operator order (replace-in-place
         // or append), memoizing per register so a register set under two
-        // names shares one column — as the interpreter's Arc sharing does.
+        // names shares one column — as the definition's Arc sharing does.
         let mut cache: HashMap<Reg, Arc<Column>> = HashMap::new();
         let sets = self.sets.iter().map(|(name, r)| {
             let col = cache
@@ -1302,30 +1378,6 @@ impl KernelProgram {
             (name.as_str(), col.clone())
         });
         Ok(out.with_columns(sets))
-    }
-
-    /// Evaluates a predicate-only program into a selection mask (the staged
-    /// `Select` path) — same semantics as `eval_mask`.
-    pub fn mask(&self, batch: &Batch) -> Result<Vec<bool>> {
-        let reg = self.mask_reg.expect("mask() requires a predicate program");
-        let mut st = State {
-            batch,
-            regs: vec![None; self.instrs.len()],
-            sel: None,
-            len: batch.rows(),
-        };
-        for (idx, instr) in self.instrs.iter().enumerate() {
-            st.step(idx, instr)?;
-        }
-        let p = st.reg(reg);
-        if let Some(b) = p.dense_bools() {
-            return Ok(b.to_vec());
-        }
-        let mut out = Vec::with_capacity(st.len);
-        for i in 0..st.len {
-            out.push(p.value_at(i).as_bool()?);
-        }
-        Ok(out)
     }
 
     /// Renders the instruction listing (shown by `--explain` and recorded in
@@ -1389,33 +1441,23 @@ impl KernelProgram {
             };
             let _ = writeln!(out, "{line}");
         }
-        if let Some(r) = self.mask_reg {
-            let _ = writeln!(out, "mask: r{r}");
-        } else {
-            let base = if self.from_input { "input" } else { "unit" };
-            let sets: Vec<String> = self
-                .sets
-                .iter()
-                .map(|(n, r)| format!("{n}:=r{r}"))
-                .collect();
-            let _ = writeln!(out, "out: {base} [{}]", sets.join(", "));
-        }
+        let base = if self.from_input { "input" } else { "unit" };
+        let sets: Vec<String> = self
+            .sets
+            .iter()
+            .map(|(n, r)| format!("{n}:=r{r}"))
+            .collect();
+        let _ = writeln!(out, "out: {base} [{}]", sets.join(", "));
         out
     }
 }
 
 /// Materializes a register as an output column, with the same column
-/// construction — and the same absent-to-NULL collapse — as the
-/// interpreter's `set_column`.
+/// construction — and the same [`absent_to_null`] collapse — as the
+/// definition's `defined_column`.
 fn materialize(rv: RegVal, len: usize) -> Arc<Column> {
     match rv {
-        RegVal::Col(c) => {
-            if c.has_absent() {
-                Arc::new(c.absent_as_null())
-            } else {
-                c
-            }
-        }
+        RegVal::Col(c) => absent_to_null(c),
         RegVal::Const(v) => Arc::new(Column::from_const(&v, len)),
         RegVal::Ints(data) => {
             let n = data.len();
@@ -1442,6 +1484,7 @@ fn materialize(rv: RegVal, len: usize) -> Arc<Column> {
 mod tests {
     use super::*;
     use trance_algebra::ScalarExpr as E;
+    use trance_nrc::Bag;
 
     fn prim(op: PrimOp, l: E, r: E) -> E {
         E::Prim {
@@ -1460,7 +1503,8 @@ mod tests {
     }
 
     /// A batch exercising every evaluation corner: dense ints, nulls,
-    /// absent attributes, mixed numeric kinds, dictionary strings, labels.
+    /// absent attributes, mixed numeric kinds, dictionary strings, labels,
+    /// a bag column with a NULL and an absent lane.
     fn mixed_batch() -> Batch {
         Batch::from_rows(&[
             Value::tuple([
@@ -1474,6 +1518,13 @@ mod tests {
                 ("f", Value::Bool(true)),
                 ("k", Value::Int(11)),
                 ("w", Value::Real(0.5)),
+                (
+                    "g",
+                    Value::Bag(Bag::new(vec![
+                        Value::tuple([("p", Value::Int(1))]),
+                        Value::tuple([("p", Value::Int(2))]),
+                    ])),
+                ),
             ]),
             Value::tuple([
                 ("a", Value::Int(-2)),
@@ -1486,8 +1537,9 @@ mod tests {
                 ("f", Value::Null),
                 ("k", Value::Int(12)),
                 ("w", Value::Real(1.5)),
+                ("g", Value::Null),
             ]),
-            // `b`, `s`, `lb`, `d` and `f` absent; `r` holds an int
+            // `b`, `s`, `lb`, `d`, `f` and `g` absent; `r` holds an int
             // (mixed-kind column); `k` and `w` are dense.
             Value::tuple([
                 ("a", Value::Int(5)),
@@ -1507,19 +1559,14 @@ mod tests {
                 ("f", Value::Bool(false)),
                 ("k", Value::Int(14)),
                 ("w", Value::Real(3.5)),
+                ("g", Value::empty_bag()),
             ]),
         ])
     }
 
-    /// The interpreter's extend of one column: `set_column` semantics.
-    fn oracle_extend(b: &Batch, name: &str, e: &E) -> Batch {
-        let col = crate::vector::eval_scalar_batch(e, b).expect("oracle eval");
-        let col = if col.has_absent() {
-            Arc::new(col.absent_as_null())
-        } else {
-            col
-        };
-        b.with_column(name, col)
+    /// What the run of operators is defined to compute.
+    fn by_definition(b: &Batch, ops: &[KernelOp]) -> Batch {
+        apply_by_definition(ops, b).expect("definition")
     }
 
     fn assert_batches_eq(got: &Batch, want: &Batch, context: &str) {
@@ -1594,6 +1641,16 @@ mod tests {
                 Box::new(E::col("s")),
                 Box::new(E::constant(Value::str("none"))),
             ),
+            // The lowering's `coalesce(bag, {})`, and the same over no column.
+            E::col("g"),
+            E::Coalesce(
+                Box::new(E::col("g")),
+                Box::new(E::constant(Value::empty_bag())),
+            ),
+            E::Coalesce(
+                Box::new(E::col("missing")),
+                Box::new(E::constant(Value::empty_bag())),
+            ),
             E::NewLabel {
                 site: 9,
                 captures: vec![
@@ -1621,12 +1678,11 @@ mod tests {
     fn extend_agrees_with_interpreter_per_expression() {
         let b = mixed_batch();
         for (i, e) in expr_corpus().into_iter().enumerate() {
-            let prog = compile_ops(&[KernelOp::Extend(vec![("out".into(), e.clone())])]);
-            let got = prog
+            let ops = [KernelOp::Extend(vec![("out".into(), e.clone())])];
+            let got = compile_ops(&ops)
                 .run(&b)
                 .unwrap_or_else(|err| panic!("expr #{i} {e:?} failed under kernels: {err}"));
-            let want = oracle_extend(&b, "out", &e);
-            assert_batches_eq(&got, &want, &format!("expr #{i} {e:?}"));
+            assert_batches_eq(&got, &by_definition(&b, &ops), &format!("expr #{i} {e:?}"));
         }
     }
 
@@ -1671,26 +1727,13 @@ mod tests {
     #[test]
     fn project_agrees_with_interpreter() {
         let b = mixed_batch();
-        let cols = vec![
+        let ops = [KernelOp::Project(vec![
             ("x".into(), prim(PrimOp::Add, E::col("a"), E::col("b"))),
             ("y".into(), E::col("s")),
             ("z".into(), E::constant(Value::str("k"))),
-        ];
-        let prog = compile_ops(&[KernelOp::Project(cols.clone())]);
-        let got = prog.run(&b).expect("kernel project");
-        // The interpreter's project: fresh unit batch, every expression
-        // evaluated against the input.
-        let mut want = Batch::unit(b.rows());
-        for (name, e) in &cols {
-            let col = crate::vector::eval_scalar_batch(e, &b).expect("oracle");
-            let col = if col.has_absent() {
-                Arc::new(col.absent_as_null())
-            } else {
-                col
-            };
-            want = want.with_column(name, col);
-        }
-        assert_batches_eq(&got, &want, "project");
+        ])];
+        let got = compile_ops(&ops).run(&b).expect("kernel project");
+        assert_batches_eq(&got, &by_definition(&b, &ops), "project");
     }
 
     #[test]
@@ -1708,67 +1751,196 @@ mod tests {
             Box::new(E::col("isred")),
             Box::new(cmp(CmpOp::Gt, E::col("sum"), E::constant(Value::Int(5)))),
         );
-        let prog = compile_ops(&[
-            KernelOp::Select(pred1.clone()),
-            KernelOp::Extend(ext.clone()),
-            KernelOp::Select(pred2.clone()),
-        ]);
-        let got = prog.run(&b).expect("fused kernel");
-        // Oracle: one operator at a time through the interpreter.
-        let mask1 = crate::vector::eval_mask(&pred1, &b).expect("mask1");
-        let mut want = b.filter(&mask1);
-        for (name, e) in &ext {
-            want = oracle_extend(&want, name, e);
-        }
-        let mask2 = crate::vector::eval_mask(&pred2, &want).expect("mask2");
-        let want = want.filter(&mask2);
-        assert_batches_eq(&got, &want, "select+extend+select");
+        let ops = [
+            KernelOp::Select(pred1),
+            KernelOp::Extend(ext),
+            KernelOp::Select(pred2),
+        ];
+        let got = compile_ops(&ops).run(&b).expect("fused kernel");
+        assert_batches_eq(&got, &by_definition(&b, &ops), "select+extend+select");
     }
 
     #[test]
     fn filter_after_project_compacts_output_registers() {
         let b = mixed_batch();
-        let proj = vec![
-            ("x".into(), E::col("a")),
-            (
-                "m".into(),
-                prim(PrimOp::Mul, E::col("a"), E::constant(Value::Int(2))),
-            ),
+        let ops = [
+            KernelOp::Project(vec![
+                ("x".into(), E::col("a")),
+                (
+                    "m".into(),
+                    prim(PrimOp::Mul, E::col("a"), E::constant(Value::Int(2))),
+                ),
+            ]),
+            KernelOp::Select(cmp(CmpOp::Gt, E::col("x"), E::constant(Value::Int(0)))),
         ];
-        let pred = cmp(CmpOp::Gt, E::col("x"), E::constant(Value::Int(0)));
-        let prog = compile_ops(&[
-            KernelOp::Project(proj.clone()),
-            KernelOp::Select(pred.clone()),
-        ]);
-        let got = prog.run(&b).expect("kernel");
-        let mut want = Batch::unit(b.rows());
-        for (name, e) in &proj {
-            let col = crate::vector::eval_scalar_batch(e, &b).expect("oracle");
-            let col = if col.has_absent() {
-                Arc::new(col.absent_as_null())
-            } else {
-                col
-            };
-            want = want.with_column(name, col);
-        }
-        let mask = crate::vector::eval_mask(&pred, &want).expect("mask");
-        let want = want.filter(&mask);
-        assert_batches_eq(&got, &want, "project+select");
+        let got = compile_ops(&ops).run(&b).expect("kernel");
+        assert_batches_eq(&got, &by_definition(&b, &ops), "project+select");
     }
 
     #[test]
-    fn mask_agrees_with_eval_mask() {
+    fn select_keeps_the_rows_the_definition_keeps() {
         let b = mixed_batch();
         for (i, e) in expr_corpus().into_iter().enumerate() {
-            let prog = compile_mask(&e);
-            let got = prog.mask(&b);
-            let want = crate::vector::eval_mask(&e, &b);
+            let ops = [KernelOp::Select(e.clone())];
+            let got = compile_ops(&ops).run(&b);
+            let want = apply_by_definition(&ops, &b);
             match (got, want) {
-                (Ok(g), Ok(w)) => assert_eq!(g, w, "mask mismatch on expr #{i} {e:?}"),
+                (Ok(g), Ok(w)) => assert_batches_eq(&g, &w, &format!("select on expr #{i} {e:?}")),
                 (Err(_), Err(_)) => {}
-                (g, w) => panic!("mask outcome mismatch on expr #{i} {e:?}: {g:?} vs {w:?}"),
+                (g, w) => panic!("select outcome mismatch on expr #{i} {e:?}: {g:?} vs {w:?}"),
             }
         }
+    }
+
+    /// The applier's two pointer-level shortcuts (a bare column reference,
+    /// `coalesce(bag column, {})`) choose a representation, never a value:
+    /// over the whole corpus a set column reads, lane for lane, what
+    /// `ScalarExpr::eval` computes on the batch's rows.
+    #[test]
+    fn the_definition_is_scalar_expr_eval_on_the_rows_of_the_batch() {
+        let b = mixed_batch();
+        let rows = b.to_rows();
+        for (i, e) in expr_corpus().into_iter().enumerate() {
+            let got = apply_by_definition(&[KernelOp::Extend(vec![("out".into(), e.clone())])], &b);
+            let want: trance_nrc::Result<Vec<Value>> = rows
+                .iter()
+                .map(|row| e.eval(row.as_tuple().expect("tuple rows")))
+                .collect();
+            match (got, want) {
+                (Ok(got), Ok(want)) => {
+                    for (lane, want) in want.into_iter().enumerate() {
+                        // `Some`: a set attribute is absent from no row.
+                        assert_eq!(
+                            got.value_at(lane, "out"),
+                            Some(want),
+                            "expr #{i} {e:?}, lane {lane}"
+                        );
+                    }
+                }
+                (Err(_), Err(_)) => {}
+                (got, want) => panic!("outcome mismatch on expr #{i} {e:?}: {got:?} vs {want:?}"),
+            }
+        }
+        // The first shortcut is a pointer copy where nothing is absent.
+        let shared = by_definition(&b, &[KernelOp::Extend(vec![("out".into(), E::col("k"))])]);
+        assert!(Arc::ptr_eq(
+            &shared.column_arc("out").unwrap(),
+            &b.column_arc("k").unwrap()
+        ));
+    }
+
+    /// `+`, `-`, `*` over two integers leave `i64` as one typed error — from
+    /// the reference evaluator, from the plan layer's definition, from the
+    /// dense integer kernel and from the row-wise lane a mixed-kind column
+    /// takes — and raise nothing on a lane a short-circuit guard removes.
+    #[test]
+    fn integer_overflow_is_one_typed_error_on_every_lane() {
+        use trance_nrc::builder as nrc;
+        // `x`/`y` are dense integer columns; `mx`/`my` hold the same integers
+        // on row 0 and a real on row 1, so they are mixed-kind columns.
+        let batch = |x: i64, y: i64| {
+            Batch::from_rows(&[
+                Value::tuple([
+                    ("x", Value::Int(x)),
+                    ("y", Value::Int(y)),
+                    ("mx", Value::Int(x)),
+                    ("my", Value::Int(y)),
+                ]),
+                Value::tuple([
+                    ("x", Value::Int(0)),
+                    ("y", Value::Int(1)),
+                    ("mx", Value::Real(0.5)),
+                    ("my", Value::Real(1.5)),
+                ]),
+            ])
+        };
+        for (op, x, y) in [
+            (PrimOp::Add, i64::MAX, 1),
+            (PrimOp::Sub, i64::MIN, 1),
+            (PrimOp::Mul, i64::MAX, 2),
+        ] {
+            let sym = op.symbol();
+            let reference = match op {
+                PrimOp::Add => nrc::add(nrc::int(x), nrc::int(y)),
+                PrimOp::Sub => nrc::sub(nrc::int(x), nrc::int(y)),
+                _ => nrc::mul(nrc::int(x), nrc::int(y)),
+            };
+            assert_eq!(
+                trance_nrc::eval(&reference, &trance_nrc::Env::new()),
+                Err(NrcError::IntegerOverflow(sym))
+            );
+            let b = batch(x, y);
+            assert!(b.column("x").unwrap().dense_ints().is_some());
+            assert!(matches!(b.column("mx").unwrap(), Column::Other { .. }));
+            for (lane, l, r) in [("dense", "x", "y"), ("mixed-kind", "mx", "my")] {
+                let e = prim(op, E::col(l), E::col(r));
+                assert_eq!(
+                    e.eval(b.to_rows()[0].as_tuple().unwrap()),
+                    Err(NrcError::IntegerOverflow(sym)),
+                    "{op:?} {lane}: ScalarExpr::eval"
+                );
+                let ops = [KernelOp::Extend(vec![("out".into(), e.clone())])];
+                for (route, got) in [
+                    ("kernel", compile_ops(&ops).run(&b)),
+                    ("definition", apply_by_definition(&ops, &b)),
+                ] {
+                    assert_eq!(
+                        got.map(|_| ()).map_err(|e| e.to_string()),
+                        Err(NrcError::IntegerOverflow(sym).to_string()),
+                        "{op:?} {lane}: {route}"
+                    );
+                }
+                // Guarded: the overflowing lane is the one the guard removes
+                // — behind `Or` and `And`, behind a `coalesce` whose first
+                // operand is not NULL, behind an earlier `Select`.
+                let safe = cmp(CmpOp::Eq, E::col("x"), E::constant(Value::Int(0)));
+                let is_zero = cmp(CmpOp::Eq, e.clone(), E::constant(Value::Int(0)));
+                let guarded = [
+                    vec![KernelOp::Select(E::Or(
+                        Box::new(E::Not(Box::new(safe.clone()))),
+                        Box::new(is_zero.clone()),
+                    ))],
+                    vec![KernelOp::Select(E::And(
+                        Box::new(safe.clone()),
+                        Box::new(is_zero.clone()),
+                    ))],
+                    vec![KernelOp::Extend(vec![(
+                        "out".into(),
+                        E::Coalesce(Box::new(E::col("x")), Box::new(e.clone())),
+                    )])],
+                    vec![
+                        KernelOp::Select(safe.clone()),
+                        KernelOp::Extend(vec![("out".into(), e.clone())]),
+                    ],
+                ];
+                for (g, ops) in guarded.iter().enumerate() {
+                    let got = compile_ops(ops)
+                        .run(&b)
+                        .unwrap_or_else(|err| panic!("{op:?} {lane}: guard #{g} raised {err}"));
+                    assert_batches_eq(&got, &by_definition(&b, ops), &format!("guard #{g}"));
+                }
+            }
+        }
+    }
+
+    /// A query that panicked while the cache's lock was held leaves the map
+    /// whole (inserts and `clear` are its only writes): the cache keeps
+    /// answering instead of panicking every later query of the engine.
+    #[test]
+    fn a_poisoned_kernel_cache_keeps_answering() {
+        let cache = KernelCache::new();
+        let ops = [KernelOp::Select(E::col("f"))];
+        assert!(cache.get_or_compile(&ops).1.is_some());
+        std::thread::scope(|scope| {
+            let poisoner =
+                scope.spawn(|| cache.under_lock(|| panic!("poisoning the kernel cache")));
+            assert!(poisoner.join().is_err());
+        });
+        assert!(cache.programs.is_poisoned());
+        assert!(cache.get_or_compile(&ops).1.is_none(), "still a hit");
+        assert_eq!((cache.len(), cache.hits(), cache.misses()), (1, 1, 1));
+        cache.clear();
+        assert!(cache.is_empty());
     }
 
     #[test]
@@ -1805,10 +1977,11 @@ mod tests {
             Box::new(cmp(CmpOp::Ne, E::col("d"), E::constant(Value::Int(0)))),
             Box::new(cmp(CmpOp::Gt, div, E::constant(Value::Real(1.0)))),
         );
-        let prog = compile_ops(&[KernelOp::Select(guarded.clone())]);
-        let got = prog.run(&b).expect("guarded division must not error");
-        let mask = crate::vector::eval_mask(&guarded, &b).expect("oracle mask");
-        assert_batches_eq(&got, &b.filter(&mask), "guarded division filter");
+        let ops = [KernelOp::Select(guarded)];
+        let got = compile_ops(&ops)
+            .run(&b)
+            .expect("guarded division must not error");
+        assert_batches_eq(&got, &by_definition(&b, &ops), "guarded division filter");
     }
 
     #[test]
@@ -1826,21 +1999,18 @@ mod tests {
             })
             .collect();
         let b = Batch::from_rows(&rows);
+        let green = E::constant(Value::str("green"));
         for op in [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Ge] {
-            let e = cmp(op, E::col("s"), E::constant(Value::str("green")));
-            let prog = compile_mask(&e);
-            assert_eq!(
-                prog.mask(&b).expect("kernel mask"),
-                crate::vector::eval_mask(&e, &b).expect("oracle mask"),
-                "dict predicate {op:?}"
-            );
-            let flipped = cmp(op, E::constant(Value::str("green")), E::col("s"));
-            let prog = compile_mask(&flipped);
-            assert_eq!(
-                prog.mask(&b).expect("kernel mask"),
-                crate::vector::eval_mask(&flipped, &b).expect("oracle mask"),
-                "flipped dict predicate {op:?}"
-            );
+            for (side, e) in [
+                ("s op const", cmp(op, E::col("s"), green.clone())),
+                ("const op s", cmp(op, green.clone(), E::col("s"))),
+            ] {
+                let ops = [KernelOp::Select(e)];
+                let got = compile_ops(&ops).run(&b).expect("kernel select");
+                let kept = by_definition(&b, &ops);
+                assert!(0 < kept.rows() && kept.rows() < b.rows());
+                assert_batches_eq(&got, &kept, &format!("dict predicate {op:?}, {side}"));
+            }
         }
     }
 
@@ -1852,11 +2022,12 @@ mod tests {
             .map(|i| Value::tuple([("a", Value::Int(i))]))
             .collect();
         let b = Batch::from_rows(&rows);
-        let e = E::constant(Value::str("tag"));
-        let prog = compile_ops(&[KernelOp::Extend(vec![("t".into(), e.clone())])]);
-        let got = prog.run(&b).expect("kernel");
-        let want = oracle_extend(&b, "t", &e);
-        assert_batches_eq(&got, &want, "lazy const");
+        let ops = [KernelOp::Extend(vec![(
+            "t".into(),
+            E::constant(Value::str("tag")),
+        )])];
+        let got = compile_ops(&ops).run(&b).expect("kernel");
+        assert_batches_eq(&got, &by_definition(&b, &ops), "lazy const");
     }
 
     #[test]

@@ -36,7 +36,7 @@
 //! [`pipeline::Strategy`] and driven by [`pipeline::run_query`] (the
 //! strategy's default options) or [`pipeline::run_query_with`] (explicit
 //! [`ExecOptions`] — how the differential suites select the staged executor
-//! or the expression interpreter as references);
+//! or by-definition expression evaluation as references);
 //! [`pipeline::explain_query`] renders the optimized plans a strategy
 //! actually executes. All of them — and the serving layer's
 //! [`prepared::prepare_and_run`] / [`prepared::run_prepared`] — execute
@@ -51,13 +51,12 @@ pub mod pipeline;
 pub mod prepared;
 pub mod store;
 pub mod unshred;
-pub mod vector;
 
 pub use columnar::{
     eval_plan_col, exact_schema_col, execute_via_plans_col, infer_catalog_col, ingest_env,
     CapturedPlans,
 };
-pub use kernel::{compile_mask, compile_ops, Instr, KernelCache, KernelOp, KernelProgram};
+pub use kernel::{compile_ops, Instr, KernelCache, KernelOp, KernelProgram};
 pub use options::ExecOptions;
 pub use pipeline::{
     collect_unshredded, explain_query, run_query, run_query_explained, run_query_with,
@@ -66,4 +65,3 @@ pub use pipeline::{
 pub use prepared::{plan_cache_key, prepare_and_run, run_prepared, PreparedQuery};
 pub use store::ResidentTables;
 pub use unshred::unshred_distributed_col;
-pub use vector::{eval_mask, eval_scalar_batch};

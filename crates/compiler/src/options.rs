@@ -11,17 +11,18 @@ use crate::kernel::KernelCache;
 /// a reference mode override single fields, e.g.
 /// `ExecOptions { pipelined: false, ..strategy_options(s, false) }`.
 ///
-/// `pipelined` × `compiled_exprs` fork `eval_plan_col` and the row-local
-/// arms of `columnar.rs`; three of the four combinations are held by a suite:
-/// on/on is the default everywhere; off/on is `scheduler_stress.rs`
-/// (byte-equal to the default), `spill_agree.rs`'s oracle and the figure
-/// bins' `--staged`; on/off is `expr_agree.rs` (compiles nothing). **Off/off
-/// is run by no test**: the `!compiled_exprs` branches of the staged
-/// `Select` / `Project` / `Extend` arms are covered only through the batch
-/// functions they share with the fused steps. `skew_aware` is read by
-/// `optimizer_config` and by the `Plan::Join` / `Plan::Nest` arms of
-/// `eval_plan_col` (an unoptimized plan has no `Skew` annotation to read,
-/// `Γ+` never has one) — unshredding is a plan and gets it there.
+/// `pipelined` chooses between fused pipelines and staged operators in
+/// `eval_plan_col`; `compiled_exprs` is read by one function, `columnar.rs`'s
+/// `expr_step`, which both executors build their `select` / `project` /
+/// `extend` steps through. All four combinations are held by a suite: on/on
+/// is the default everywhere; off/on is `scheduler_stress.rs` (byte-equal to
+/// the default), `spill_agree.rs`'s oracle and the figure bins' `--staged`;
+/// on/off is `expr_agree.rs` (compiles nothing); off/off is `expr_agree.rs`'s
+/// `staged_by_definition_runs_agree_with_the_default` and its overflow
+/// cells. `skew_aware` is read by `optimizer_config` and by the `Plan::Join`
+/// / `Plan::Nest` arms of `eval_plan_col` (an unoptimized plan has no `Skew`
+/// annotation to read, `Γ+` never has one) — unshredding is a plan and gets
+/// it there.
 #[derive(Debug, Clone)]
 pub struct ExecOptions {
     /// Run the plan optimizer (column pruning, selection pushdown, join
@@ -55,10 +56,11 @@ pub struct ExecOptions {
     /// fused `select`/`extend`/`project` run are flattened — common
     /// subexpressions shared — into one SSA program per pipeline, compiled
     /// once at plan time and executed per morsel as type-specialized
-    /// kernels over a selection vector. With this off the executor
-    /// evaluates `ScalarExpr` trees per batch through
-    /// [`crate::vector::eval_scalar_batch`] — kept selectable as the
-    /// expression-level differential oracle.
+    /// kernels over a selection vector. With this off every such run is
+    /// evaluated **by definition** ([`crate::kernel::apply_by_definition`]:
+    /// `ScalarExpr::eval` row by row) — no second engine, the written rule
+    /// the kernels are held to, kept selectable as the expression-level
+    /// differential reference.
     pub compiled_exprs: bool,
     /// A shared [`KernelCache`] to reuse compiled kernel programs across
     /// runs (`None` by default: every run compiles its own). The serving

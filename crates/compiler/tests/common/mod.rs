@@ -176,7 +176,7 @@ pub type CaseInput = (&'static str, Value, bool);
 
 /// What the reference evaluator (`nrc::eval`, the ground truth) computes for
 /// `query` over `values`, when it defines a result at all.
-fn try_reference_bag(query: &Expr, values: &[CaseInput]) -> trance_nrc::Result<Bag> {
+pub fn try_reference_bag(query: &Expr, values: &[CaseInput]) -> trance_nrc::Result<Bag> {
     let env = Env::from_bindings(values.iter().map(|(n, v, _)| (*n, v.clone())));
     eval(query, &env)?.into_bag()
 }

@@ -1,34 +1,39 @@
-//! Compiled-kernel vs interpreter differential suite: the register-based
-//! expression kernels ([`trance_compiler::kernel`]) must agree with the
-//! tree-walking interpreter ([`trance_compiler::vector`]) — **exactly**, not
-//! approximately — on a seeded corpus of expression-heavy queries over
-//! awkward inputs (NULL lanes, absent attributes, mixed-kind columns,
-//! dictionary strings), across every compilation strategy. Both modes run
-//! the same optimized plans over the same partitions, so their logical *and*
-//! physical shuffle byte accounting must also be identical: the kernels are
-//! a pure evaluation-strategy change.
+//! Compiled kernels vs the definition: the register-based expression
+//! kernels ([`trance_compiler::kernel`]) must compute what the plan layer
+//! *defines* a `select` / `project` / `extend` to compute — every expression
+//! evaluated row by row through `ScalarExpr::eval`
+//! ([`trance_compiler::kernel::apply_by_definition`]) — **exactly**, not
+//! approximately, on a seeded corpus of expression-heavy queries over awkward
+//! inputs (NULL lanes, absent attributes, mixed-kind columns, dictionary
+//! strings), across every compilation strategy. Both modes run the same
+//! optimized plans over the same partitions, so their logical *and* physical
+//! shuffle byte accounting must also be identical: the kernels are a pure
+//! evaluation-strategy change.
 //!
-//! This suite is what keeps `ExecOptions::compiled_exprs = false` alive.
-//! The guarantee nothing else checks: on NULL, absent and mixed-kind
+//! `ExecOptions::compiled_exprs = false` is the seam this suite selects its
+//! reference through; there is no second engine behind it, only the written
+//! rule. The guarantee nothing else checks: on NULL, absent and mixed-kind
 //! operands — where `nrc::eval` is no reference, because the reference
 //! evaluator rejects a projection of an absent attribute and orders NULL
 //! below every value while plans follow the outer-join convention — the
-//! compiled kernels compute bit for bit what the per-expression interpreter
-//! does. Every program of the corpus that does not read the awkward
-//! relation is held to `nrc::eval` as well.
+//! compiled kernels compute bit for bit what `ScalarExpr::eval` says. Every
+//! program of the corpus that does not read the awkward relation is held to
+//! `nrc::eval` as well.
 
 use std::time::Duration;
 use trance_compiler::{
-    run_query, run_query_with, strategy_options, ExecOptions, InputSet, QuerySpec, Strategy,
+    run_query, run_query_with, strategy_options, ExecOptions, InputSet, QuerySpec, RunResult,
+    Strategy,
 };
-use trance_dist::{ClusterConfig, DistContext};
-use trance_nrc::Bag;
+use trance_dist::{ClusterConfig, DistContext, ExecError};
+use trance_nrc::builder::{add, cmp_eq, forin, ifthen, int, mul, proj, singleton, tuple, var};
+use trance_nrc::{Bag, NrcError, Value};
 use trance_shred::ShreddedInputDecl;
 
 mod common;
 use common::{
     assert_bags_approx_eq, canonical, cop_structure, cop_value, input_set, outcome_bag, part_value,
-    random_expr_case, reference_bag, running_example, Watchdog,
+    random_expr_case, reference_bag, running_example, try_reference_bag, Watchdog,
 };
 
 fn ctx() -> DistContext {
@@ -181,5 +186,101 @@ fn compiled_runs_record_kernel_programs() {
             !prog.text.is_empty(),
             "program {label} must record its rendered listing"
         );
+    }
+}
+
+/// The two reference modes together — staged operators, each evaluated by
+/// definition — against the default (fused pipelines, compiled kernels): the
+/// same bags, the same tuples and logical bytes through the shuffles, and
+/// nothing compiled. All four `pipelined` × `compiled_exprs` cells go through
+/// one constructor of expression steps, so this is the corner furthest from
+/// the default rather than separate code.
+#[test]
+fn staged_by_definition_runs_agree_with_the_default() {
+    let _watchdog = Watchdog::arm("expr_agree::staged_by_definition", Duration::from_secs(120));
+    let spec = QuerySpec::new(
+        "running-example",
+        running_example(),
+        vec![ShreddedInputDecl::new("COP", cop_structure())],
+    );
+    let values = [("COP", cop_value(24), true), ("Part", part_value(), false)];
+    let inputs = input_set(ctx(), &values);
+    for strategy in Strategy::all() {
+        let tag = strategy.label();
+        let default = run_query(&spec, &inputs, strategy);
+        let reference = ExecOptions {
+            pipelined: false,
+            compiled_exprs: false,
+            ..strategy_options(strategy, false)
+        };
+        let staged = run_query_with(&spec, &inputs, strategy, &reference);
+        assert_eq!(
+            canonical(&outcome_bag(
+                &staged.result,
+                &format!("{tag} staged by definition")
+            )),
+            canonical(&outcome_bag(&default.result, &format!("{tag} default"))),
+            "{tag}: staged by-definition run disagrees with the default"
+        );
+        assert_eq!(
+            (staged.stats.shuffled_tuples, staged.stats.shuffled_bytes),
+            (default.stats.shuffled_tuples, default.stats.shuffled_bytes),
+            "{tag}: shuffled tuples / logical bytes diverge"
+        );
+        assert_eq!(staged.stats.expr_compiles(), 0, "{tag}: compiled something");
+        assert!(default.stats.expr_compiles() > 0, "{tag}: compiled nothing");
+    }
+}
+
+/// `Int` × `Int` arithmetic that leaves `i64` is the typed error `nrc::eval`
+/// returns — never a panic (debug builds) or a wrapped value (release builds)
+/// — under every strategy and in all four `pipelined` × `compiled_exprs`
+/// cells; behind a selection that removes the overflowing rows it is no
+/// error at all.
+#[test]
+fn integer_overflow_fails_every_strategy_with_the_reference_error() {
+    let _watchdog = Watchdog::arm("expr_agree::overflow", Duration::from_secs(120));
+    let rows = (0..40).map(|i| Value::tuple([("pk", Value::Int(i))]));
+    let values = [("L", Value::bag(rows.collect()), false)];
+    let inputs = input_set(ctx(), &values);
+    let k = |e| singleton(tuple([("k", e)]));
+    let pk = || proj(var("l"), "pk");
+    let overflowing = mul(add(pk(), int(2)), int(i64::MAX));
+    // Every strategy in all four `pipelined` × `compiled_exprs` cells.
+    let cells = || {
+        let modes = [(true, true), (true, false), (false, true), (false, false)];
+        Strategy::all().into_iter().flat_map(move |strategy| {
+            modes.map(|(pipelined, compiled_exprs)| {
+                let options = ExecOptions {
+                    pipelined,
+                    compiled_exprs,
+                    ..strategy_options(strategy, false)
+                };
+                let tag = format!(
+                    "{} pipelined={pipelined} compiled_exprs={compiled_exprs}",
+                    strategy.label()
+                );
+                (strategy, options, tag)
+            })
+        })
+    };
+
+    let spec = QuerySpec::new("overflow", forin("l", var("L"), k(overflowing)), vec![]);
+    let expected = try_reference_bag(&spec.query, &values).unwrap_err();
+    assert_eq!(expected, NrcError::IntegerOverflow("*"));
+    for (strategy, options, tag) in cells() {
+        match run_query_with(&spec, &inputs, strategy, &options).result {
+            RunResult::Failed(e) => assert_eq!(e, ExecError::Nrc(expected.clone()), "{tag}"),
+            _ => panic!("{tag}: an overflowing product came back as a value"),
+        }
+    }
+
+    let guarded = ifthen(cmp_eq(pk(), int(0)), k(mul(pk(), int(i64::MAX))));
+    let spec = QuerySpec::new("guarded-overflow", forin("l", var("L"), guarded), vec![]);
+    let expected = reference_bag(&spec.query, &values);
+    assert_eq!(expected.len(), 1);
+    for (strategy, options, tag) in cells() {
+        let got = run_query_with(&spec, &inputs, strategy, &options);
+        assert_bags_approx_eq(&expected, &outcome_bag(&got.result, &tag), &tag);
     }
 }

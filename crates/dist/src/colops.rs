@@ -6,8 +6,8 @@
 //! hold every plan to `nrc::eval`) while executing over column buffers:
 //!
 //! * projections/extensions/selections run as whole-batch transforms
-//!   ([`ColCollection::map_batches`] / [`ColCollection::filter_mask`]) whose
-//!   column expressions are evaluated vectorized by the compiler;
+//!   ([`ColCollection::map_batches`]) whose column expressions are evaluated
+//!   by the compiler's kernel programs;
 //! * scan renaming (`alias.field`) is a schema rewrite — zero data movement;
 //! * unnest gathers parent columns by fan-out index and splices the bag
 //!   column's child batch in, all offset arithmetic;
@@ -74,9 +74,8 @@
 //!   join (by its left key, unless a right attribute of the same name could
 //!   overwrite a key column with another value).
 //! * **Kept** across [`ColCollection::with_context`], spilling (a partition
-//!   is the same rows in memory or on disk), [`ColCollection::filter_mask`],
-//!   the skew split, and [`ColCollection::with_unique_id`] on another
-//!   attribute. A caller that knows what a batch transform did to the placed
+//!   is the same rows in memory or on disk), the skew split, and
+//!   [`ColCollection::with_unique_id`] on another attribute. A caller that knows what a batch transform did to the placed
 //!   columns — the compiler's per-plan-node carry rule, the only one —
 //!   re-attaches the carried placement with
 //!   [`ColCollection::with_placement`]; a rename rewrites the names.
@@ -640,21 +639,6 @@ impl ColCollection {
         F: Fn(&Batch) -> Result<Batch> + Send + Sync,
     {
         self.timed(op, || self.transform_streamed(&f))
-    }
-
-    /// Keeps the rows whose mask bit is set; `f` produces one bool per row of
-    /// the partition batch (vectorized predicate evaluation).
-    pub fn filter_mask<F>(&self, f: F) -> Result<ColCollection>
-    where
-        F: Fn(&Batch) -> Result<Vec<bool>> + Send + Sync,
-    {
-        self.timed("filter", || {
-            let kept = self.transform_streamed(&|b: &Batch| {
-                let mask = f(b)?;
-                Ok(b.filter(&mask))
-            })?;
-            Ok(kept.with_placement(self.placement.clone()))
-        })
     }
 
     /// Shared body of the row-local streaming operators: applies `f` to each
@@ -2931,8 +2915,6 @@ mod tests {
         let (known, _) = placed_and_not(&ctx, keyed_sources(50), &["k"]);
         let by_k = known.placement().cloned();
         assert!(by_k.is_some());
-        let kept = known.filter_mask(|b| Ok(vec![true; b.rows()])).unwrap();
-        assert_eq!(kept.placement().cloned(), by_k);
         assert_eq!(known.with_context(&ctx).placement().cloned(), by_k);
         assert_eq!(
             known.with_unique_id("id").unwrap().placement().cloned(),

@@ -145,10 +145,11 @@ fn map_filter_union_distinct_roundtrip() {
     let ctx = DistContext::new(ClusterConfig::new(3, 6));
     let a = load(&ctx, (0..50).map(|i| row(i % 5, i)).collect());
     let evens = a
-        .filter_mask(|b| {
-            Ok((0..b.rows())
+        .map_batches("filter", |b| {
+            let mask: Vec<bool> = (0..b.rows())
                 .map(|i| matches!(b.value_at(i, "v"), Some(Value::Int(v)) if v % 2 == 0))
-                .collect())
+                .collect();
+            Ok(b.filter(&mask))
         })
         .unwrap();
     assert_eq!(evens.len(), 25);

@@ -48,10 +48,11 @@ fn columnar_pipeline_matches_staged_chain_rows_and_order() {
         let data = col_ingest(&ctx, (0..20_000).map(|i| row(i % 50, i)).collect());
 
         let staged = data
-            .filter_mask(|b| {
-                Ok((0..b.rows())
+            .map_batches("filter", |b| {
+                let mask: Vec<bool> = (0..b.rows())
                     .map(|i| matches!(b.value_at(i, "v"), Some(Value::Int(v)) if v % 3 == 0))
-                    .collect())
+                    .collect();
+                Ok(b.filter(&mask))
             })
             .unwrap()
             .map_batches("map", |b| {
@@ -429,7 +430,9 @@ fn empty_partitions_preserve_schema_through_pipelines() {
         )
         .unwrap();
     assert_eq!(out.len(), 0);
-    let staged = data.filter_mask(|b| Ok(vec![false; b.rows()])).unwrap();
+    let staged = data
+        .map_batches("filter", |b| Ok(b.filter(&vec![false; b.rows()])))
+        .unwrap();
     let fields = |c: &ColCollection| -> Vec<Vec<String>> {
         let batches = c.batches().unwrap();
         batches

@@ -11,8 +11,8 @@
 use std::collections::{BTreeMap, HashMap};
 
 use crate::error::{NrcError, Result};
-use crate::expr::{Expr, PrimOp};
-use crate::value::{Bag, Label, Tuple, Value};
+use crate::expr::Expr;
+use crate::value::{prim_op, Bag, Label, Tuple, Value};
 
 /// A variable binding environment.
 #[derive(Debug, Clone, Default)]
@@ -147,7 +147,7 @@ impl Evaluator {
             Expr::Prim { op, left, right } => {
                 let l = self.eval(left, env)?;
                 let r = self.eval(right, env)?;
-                self.eval_prim(*op, &l, &r)
+                prim_op(*op, &l, &r)
             }
             Expr::Cmp { op, left, right } => {
                 let l = self.eval(left, env)?;
@@ -229,32 +229,6 @@ impl Evaluator {
                 union_dict_trees(&va, &vb)
             }
             Expr::BagToDict(e) => self.eval(e, env),
-        }
-    }
-
-    fn eval_prim(&self, op: PrimOp, l: &Value, r: &Value) -> Result<Value> {
-        // Integer arithmetic stays integral except for division.
-        match (op, l, r) {
-            (PrimOp::Add, Value::Int(a), Value::Int(b)) => Ok(Value::Int(a + b)),
-            (PrimOp::Sub, Value::Int(a), Value::Int(b)) => Ok(Value::Int(a - b)),
-            (PrimOp::Mul, Value::Int(a), Value::Int(b)) => Ok(Value::Int(a * b)),
-            (PrimOp::Div, _, _) => {
-                let d = r.as_real()?;
-                if d == 0.0 {
-                    return Err(NrcError::DivisionByZero);
-                }
-                Ok(Value::Real(l.as_real()? / d))
-            }
-            _ => {
-                let a = l.as_real()?;
-                let b = r.as_real()?;
-                Ok(Value::Real(match op {
-                    PrimOp::Add => a + b,
-                    PrimOp::Sub => a - b,
-                    PrimOp::Mul => a * b,
-                    PrimOp::Div => unreachable!("handled above"),
-                }))
-            }
         }
     }
 

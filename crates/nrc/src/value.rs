@@ -12,6 +12,7 @@ use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use crate::error::{NrcError, Result};
+use crate::expr::PrimOp;
 use crate::types::{ScalarType, TupleType, Type};
 
 /// A label identifies one inner bag in the shredded representation.
@@ -550,6 +551,35 @@ impl Value {
 /// `sumBy` accumulators so every route reports overflow the same way.
 pub fn checked_int_add(a: i64, b: i64) -> Result<i64> {
     a.checked_add(b).ok_or(NrcError::IntegerOverflow("sumBy"))
+}
+
+/// `l op r` over two non-NULL values — the one place scalar arithmetic is
+/// written: `nrc::eval`, the plan layer's `ScalarExpr::eval` and the kernels'
+/// row-wise lane all call it (each after its own NULL rule). Two integers
+/// stay integral under `+`, `-`, `*`, and a result that leaves `i64` is a
+/// typed [`NrcError::IntegerOverflow`] naming the operator, never a wrap or a
+/// panic; every other pairing widens to real, and `/` always does, with
+/// [`NrcError::DivisionByZero`] on a zero divisor.
+pub fn prim_op(op: PrimOp, l: &Value, r: &Value) -> Result<Value> {
+    let int = |x: Option<i64>| {
+        x.map(Value::Int)
+            .ok_or(NrcError::IntegerOverflow(op.symbol()))
+    };
+    match (op, l, r) {
+        (PrimOp::Add, Value::Int(a), Value::Int(b)) => int(a.checked_add(*b)),
+        (PrimOp::Sub, Value::Int(a), Value::Int(b)) => int(a.checked_sub(*b)),
+        (PrimOp::Mul, Value::Int(a), Value::Int(b)) => int(a.checked_mul(*b)),
+        (PrimOp::Add, _, _) => Ok(Value::Real(l.as_real()? + r.as_real()?)),
+        (PrimOp::Sub, _, _) => Ok(Value::Real(l.as_real()? - r.as_real()?)),
+        (PrimOp::Mul, _, _) => Ok(Value::Real(l.as_real()? * r.as_real()?)),
+        (PrimOp::Div, _, _) => {
+            let d = r.as_real()?;
+            if d == 0.0 {
+                return Err(NrcError::DivisionByZero);
+            }
+            Ok(Value::Real(l.as_real()? / d))
+        }
+    }
 }
 
 impl PartialEq for Value {

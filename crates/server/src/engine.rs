@@ -615,6 +615,11 @@ mod tests {
             panic!("poisoning the plan cache");
         });
         assert!(engine.inner.tables.is_poisoned() && engine.inner.plans.is_poisoned());
+        // The kernel cache compiles under its lock, so a query that panics
+        // there poisons the one cache every later query shares.
+        poison(&engine.inner.kernels, |kernels| {
+            kernels.under_lock(|| panic!("poisoning the kernel cache"));
+        });
 
         // Every entry point that takes one of the locks still answers.
         let before = engine.epoch();
