@@ -28,7 +28,7 @@
 //! [`Catalog`] (schemas plus materialized sizes) that both the optimizer and
 //! the lowering consult. [`pipelines`] is the **pipeline-breaker analysis**:
 //! it groups each plan's maximal chains of row-local operators into the
-//! fused pipelines the executors drive morsel-by-morsel
+//! fused pipelines the executor drives morsel-by-morsel
 //! ([`fuse_chain`]), and [`pretty_plan_pipelines`] renders plans with their
 //! pipeline groupings for EXPLAIN. [`placement`] is hash placement as a plan
 //! property: the one per-node rule for which columns a row-local operator

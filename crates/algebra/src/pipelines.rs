@@ -3,9 +3,9 @@
 //!
 //! A **row-local** operator (selection, projection, extension, id
 //! assignment, unnest, scan renaming) consumes each input row independently:
-//! a chain of them needs no shuffle and no barrier, so the physical
-//! executors fuse every maximal chain into one batch-at-a-time closure and
-//! drive it morsel-by-morsel over the source partitions (HyPer-style
+//! a chain of them needs no shuffle and no barrier, so the executor fuses
+//! every maximal chain into one batch-at-a-time closure and
+//! drives it morsel-by-morsel over the source partitions (HyPer-style
 //! pipelining). **Pipeline breakers** — joins, `Γ` groupings, dedup and union
 //! — end a chain: they repartition or need all rows of a group before
 //! emitting.
@@ -33,8 +33,8 @@ pub fn is_row_local(plan: &Plan) -> bool {
 
 /// True when a fused chain containing this operator must drive each
 /// partition's morsels **sequentially**: unique-id assignment needs a
-/// running per-partition row offset to reproduce the staged executor's
-/// `partition + row * stride` numbering.
+/// running per-partition row offset to number the partition's rows
+/// `partition + row * stride` in order.
 pub fn needs_sequential(plan: &Plan) -> bool {
     matches!(
         plan,
@@ -97,7 +97,7 @@ pub fn pipeline_label(ops: &[String]) -> String {
 /// Renders a plan like [`crate::pretty_plan`], additionally marking every
 /// fused-pipeline member with its pipeline id (`·p0`, `·p1`, … in execution
 /// order of the chains' *top* operators). An aliased or bare scan under a
-/// chain belongs to that chain's pipeline (the executors fuse the scan
+/// chain belongs to that chain's pipeline (the executor fuses the scan
 /// rename); breakers carry no marker — they are where the plan
 /// materializes. A breaker input the plan already puts where the breaker
 /// needs it — so that its shuffle does not run — is marked `[in place:

@@ -10,8 +10,8 @@
 //!
 //! * [`carried_column`] — the **one carry rule** per plan node: under which
 //!   name, if any, a row-local operator's output still carries an input
-//!   column unchanged. The executor applies it after every row-local
-//!   operator (fused chain or staged arm) to keep or void the placement of
+//!   column unchanged. The executor applies it after every fused chain of
+//!   row-local operators to keep or void the placement of
 //!   what it produced, the optimizer reads it to look from a `Γ` up to the
 //!   breaker that consumes it (`place_by`, see `optimize.rs`), and EXPLAIN
 //!   reads it through [`plan_placement`];

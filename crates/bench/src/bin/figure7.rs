@@ -15,7 +15,7 @@ use trance_tpch::{QueryVariant, TpchConfig};
 
 const USAGE: &str = "figure7 [--schema narrow|wide] \
     [--family flat-to-nested|nested-to-nested|nested-to-flat|all] [--scale F] \
-    [--memory-factor F] [--partitions N] [--memory BYTES] [--spill] [--staged] [--faults SPEC] \
+    [--memory-factor F] [--partitions N] [--memory BYTES] [--spill] [--faults SPEC] \
     [--explain [--depth N]]";
 
 fn main() {
@@ -72,7 +72,7 @@ fn main() {
             let cfg = TpchConfig::new(scale, 0);
             let (inputs, spec) =
                 tpch_input_set_tuned(&cfg, family, depth, variant, memory_factor, &tuning);
-            let rows = run_strategies(&spec, &inputs, &strategies, |s| tuning.options(s));
+            let rows = run_strategies(&spec, &inputs, &strategies);
             print!("{depth:>6}");
             for r in &rows {
                 print!(" | {} {}", r.time_cell(), r.shuffle_cell());

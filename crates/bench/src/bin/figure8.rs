@@ -11,7 +11,7 @@ use trance_compiler::{explain_query, Strategy};
 use trance_tpch::{QueryVariant, TpchConfig};
 
 const USAGE: &str = "figure8 [--scale F] [--memory-factor F] [--partitions N] [--memory BYTES] \
-    [--spill] [--staged] [--faults SPEC] [--explain [--skew N]]";
+    [--spill] [--faults SPEC] [--explain [--skew N]]";
 
 fn main() {
     let cli = Cli::from_env(USAGE);
@@ -63,7 +63,7 @@ fn main() {
             memory_factor,
             &tuning,
         );
-        let rows = run_strategies(&spec, &inputs, &strategies, |s| tuning.options(s));
+        let rows = run_strategies(&spec, &inputs, &strategies);
         print!("{skew:>5}");
         for r in &rows {
             print!(" | {:>18} {}", r.time_cell(), r.shuffle_cell());

@@ -9,7 +9,7 @@ use trance_biomed::BiomedConfig;
 use trance_compiler::Strategy;
 
 const USAGE: &str = "figure9 [--memory-factor F] [--scale F] [--partitions N] [--memory BYTES] \
-    [--spill] [--staged] [--faults SPEC] [--explain]";
+    [--spill] [--faults SPEC] [--explain]";
 
 fn main() {
     let cli = Cli::from_env(USAGE);

@@ -4,10 +4,7 @@ use std::collections::HashMap;
 use std::time::Duration;
 
 use trance_biomed::BiomedConfig;
-use trance_compiler::{
-    run_query_with, strategy_options, ExecOptions, InputSet, QuerySpec, RunOutcome, RunResult,
-    Strategy,
-};
+use trance_compiler::{run_query, InputSet, QuerySpec, RunOutcome, RunResult, Strategy};
 use trance_dist::{ClusterConfig, DistContext, FaultPlan, StatsSnapshot};
 use trance_nrc::{eval, Bag, Env, MemSize, Value};
 use trance_shred::ShreddedInputDecl;
@@ -106,26 +103,11 @@ pub struct ClusterTuning {
     pub memory_bytes: Option<usize>,
     /// Enables the out-of-core spill subsystem on the cluster.
     pub spill: bool,
-    /// Runs the **staged** executor (no fused pipelines, the reference the
-    /// scheduler-stress suite compares against) instead of the default
-    /// morsel-driven pipelined one.
-    pub staged: bool,
     /// The fault plan (`--faults`, e.g. `42` or
     /// `seed=42,morsel=0.02,once=spill_read@3`) arming the cluster's
     /// deterministic fault injector. When absent, `TRANCE_FAULT_SEED`
     /// supplies the plan instead; when both are absent, runs are fault-free.
     pub faults: Option<FaultPlan>,
-}
-
-impl ClusterTuning {
-    /// The execution options `strategy` runs under with this tuning: its
-    /// defaults, on the staged executor when `staged` is set.
-    pub fn options(&self, strategy: Strategy) -> ExecOptions {
-        ExecOptions {
-            pipelined: !self.staged,
-            ..strategy_options(strategy, false)
-        }
-    }
 }
 
 /// The simulated cluster every figure runs on: 4 workers, 16 shuffle
@@ -237,15 +219,14 @@ pub fn tpch_input_set_tuned(
     (inputs, spec)
 }
 
-/// Runs `spec` once per strategy, each under the options `options_for`
-/// returns for it. The table-store cells of the forms the strategies read
+/// Runs `spec` once per strategy, each under its default options. The
+/// table-store cells of the forms the strategies read
 /// are filled first, untimed: the one-time `Value` → batch conversion belongs
 /// to loading the inputs, not to whichever strategy happens to run first.
 pub fn run_strategies(
     spec: &QuerySpec,
     inputs: &InputSet,
     strategies: &[Strategy],
-    options_for: impl Fn(Strategy) -> ExecOptions,
 ) -> Vec<BenchRow> {
     for shredded in [false, true] {
         if strategies.iter().any(|s| s.is_shredded() == shredded) {
@@ -256,7 +237,7 @@ pub fn run_strategies(
     }
     strategies
         .iter()
-        .map(|&s| outcome_to_row(run_query_with(spec, inputs, s, &options_for(s))))
+        .map(|&s| outcome_to_row(run_query(spec, inputs, s)))
         .collect()
 }
 
@@ -273,7 +254,7 @@ pub fn run_tpch_query(
     let tuning = ClusterTuning::default();
     let (inputs, spec) =
         tpch_input_set_tuned(config, family, depth, variant, memory_factor, &tuning);
-    run_strategies(&spec, &inputs, strategies, |s| tuning.options(s))
+    run_strategies(&spec, &inputs, strategies)
 }
 
 // ---------------------------------------------------------------------------
@@ -340,9 +321,8 @@ pub fn run_biomed_pipeline_tuned(
     memory_factor: f64,
     tuning: &ClusterTuning,
 ) -> PipelineRow {
-    let options = tuning.options(strategy);
     observe_biomed_pipeline(config, strategy, memory_factor, tuning, |spec, inputs| {
-        run_query_with(spec, inputs, strategy, &options)
+        run_query(spec, inputs, strategy)
     })
 }
 

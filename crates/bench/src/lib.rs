@@ -119,19 +119,17 @@ impl Cli {
     /// The cluster-shape flags shared by every figure binary:
     /// `--partitions N`, `--memory BYTES` (an absolute per-worker cap
     /// overriding `--memory-factor`), `--spill` (enable the out-of-core
-    /// subsystem), `--staged` (disable fused pipelines and run the staged
-    /// one-materialization-per-operator executor) and `--faults SPEC` (arm
+    /// subsystem) and `--faults SPEC` (arm
     /// the deterministic fault injector, e.g. `--faults 42` or
     /// `--faults seed=42,morsel=0.02,once=spill_read@3`; the
     /// `TRANCE_FAULT_SEED` environment variable supplies the spec when the
-    /// flag is absent), so capped, spilling, staged and chaos runs are
+    /// flag is absent), so capped, spilling and chaos runs are
     /// reproducible from the command line.
     pub fn tuning(&self) -> ClusterTuning {
         ClusterTuning {
             partitions: self.value_with("--partitions", parse_as),
             memory_bytes: self.value_with("--memory", parse_as),
             spill: self.flag("--spill"),
-            staged: self.flag("--staged"),
             faults: self.value_with("--faults", FaultPlan::parse),
         }
     }

@@ -1,8 +1,9 @@
 //! What the figure tables must show, as assertions: the paper's FAIL cells
 //! (and their completion once spilling is on), physical against logical
 //! shuffle bytes, the optimizer against the SparkSQL-like baseline, the
-//! skew-aware shredded route against the skew-unaware one, and every step of
-//! Figure 9's pipeline against `nrc::eval`.
+//! skew-aware shredded route against the skew-unaware one, and Figure 9:
+//! every step of its pipeline against `nrc::eval`, the bytes STANDARD ships
+//! against the baseline's, and how a FAIL is reported.
 //!
 //! The cells are the depth-2 cells of `figure7` at scale 0.1 — the smallest
 //! scale whose capped Wide row reads like the one at the figures' default 0.3
@@ -10,7 +11,9 @@
 //! `figure8` at 0.2, the smallest at which a key is heavy enough for the
 //! skew-aware joins to treat it apart.
 
-use trance_bench::{observe_biomed_pipeline, tpch_input_set_tuned, ClusterTuning, Family};
+use trance_bench::{
+    observe_biomed_pipeline, run_biomed_pipeline_tuned, tpch_input_set_tuned, ClusterTuning, Family,
+};
 use trance_biomed::BiomedConfig;
 use trance_compiler::{
     collect_unshredded, run_query, run_query_explained, run_query_with, strategy_options,
@@ -360,4 +363,62 @@ fn every_step_of_the_biomedical_pipeline_equals_its_reference() {
         assert_eq!(step, 5, "{}: five steps ran", strategy.label());
         assert!(!row.failed());
     }
+}
+
+/// Figure 9 on the full dataset, uncapped so every step runs: with the
+/// optimizer on, the flattening route ships no more logical bytes over the
+/// whole pipeline than the SparkSQL-like baseline (16.77 vs 28.67 MiB at the
+/// default scale).
+#[test]
+fn full_standard_ships_no_more_than_the_baseline_over_the_biomedical_pipeline() {
+    let config = BiomedConfig::full().scaled(0.5);
+    let tuning = ClusterTuning::default();
+    let [standard, baseline] = [Strategy::Standard, Strategy::Baseline]
+        .map(|s| run_biomed_pipeline_tuned(&config, s, 0.0, &tuning));
+    assert!(
+        !standard.failed() && !baseline.failed(),
+        "an uncapped step failed"
+    );
+    assert!(
+        standard.shuffled_bytes <= baseline.shuffled_bytes,
+        "FULL STANDARD shipped {} logical bytes, SPARKSQL-LIKE {}",
+        standard.shuffled_bytes,
+        baseline.shuffled_bytes
+    );
+}
+
+/// A step after a FAIL is reported as FAIL, not as a time: it is not
+/// attempted. On the figure cluster the small dataset at memory factor 6
+/// exhausts SPARKSQL-LIKE's memory at Step2 (`figure9 --memory-factor 6`).
+#[test]
+fn a_step_after_a_fail_is_reported_as_fail() {
+    let (mut attempted, mut figure_cluster, mut failure) = (0, true, None);
+    let tuning = ClusterTuning::default();
+    let config = BiomedConfig::small();
+    let row = observe_biomed_pipeline(&config, Strategy::Baseline, 6.0, &tuning, |spec, inputs| {
+        attempted += 1;
+        figure_cluster = on_the_figure_cluster(inputs);
+        let outcome = run_query(spec, inputs, Strategy::Baseline);
+        if let RunResult::Failed(e) = &outcome.result {
+            failure = Some(e.clone());
+        }
+        outcome
+    });
+    if !figure_cluster {
+        return;
+    }
+    let failed_at = row.steps.iter().position(|(_, time)| time.is_none());
+    assert_eq!(failed_at, Some(1), "SPARKSQL-LIKE must FAIL at Step2");
+    assert!(
+        matches!(failure, Some(ExecError::MemoryExceeded { .. })),
+        "Step2 failed, and not for memory: {failure:?}"
+    );
+    assert_eq!(attempted, 2, "a step after the FAIL was run");
+    assert_eq!(row.steps.len(), 5);
+    assert!(
+        row.steps[1..].iter().all(|(_, time)| time.is_none()),
+        "a step after the FAIL reported a time: {:?}",
+        row.steps
+    );
+    assert!(row.failed());
 }

@@ -26,6 +26,7 @@ use trance_algebra::{
     PhysField, PhysType, Plan, PlanJoinKind, PlanProgram,
 };
 use trance_dist::batch::BagElems;
+use trance_dist::colops::{unique_ids_batch, unnest_batch};
 use trance_dist::{
     Batch, ColCollection, Column, DistCollection, DistContext, ExecError, FieldHint, JoinHint,
     JoinSpec, MorselCtx, Result,
@@ -397,18 +398,6 @@ fn pruned_names(columns: &[(String, trance_algebra::ScalarExpr)]) -> Option<Vec<
     (is_passthrough(columns) && distinct).then_some(names)
 }
 
-/// The opaque-batch guard every staged structural operator applies (the
-/// engine's `tuple_rows_required`) — fused id-assignment steps run it too,
-/// so the pipelined executor raises the same errors as the staged oracle.
-fn require_tuple_rows(b: &Batch) -> Result<()> {
-    if b.schema().is_opaque() && !b.is_empty() {
-        return Err(ExecError::Other(
-            "columnar operator requires tuple rows (opaque batch)".into(),
-        ));
-    }
-    Ok(())
-}
-
 /// One fused step of a columnar pipeline: batch in, batch out, with the
 /// morsel cursor supplying per-partition id state for sequential chains.
 type ColStep = Box<dyn Fn(&Batch, &mut MorselCtx) -> Result<Batch> + Send + Sync>;
@@ -425,43 +414,8 @@ struct CompiledColChain {
 }
 
 /// What compiling one kernel program cost — instruction count, elapsed time,
-/// rendered listing — for the caller to book under its own label.
+/// rendered listing — booked under the pipeline's label.
 type Compiled = (u64, std::time::Duration, String);
-
-/// A row-local run of expression operators as one batch→batch step.
-type ExprStep = Box<dyn Fn(&Batch) -> Result<Batch> + Send + Sync>;
-
-/// Turns a run of `select`/`project`/`extend` operators into one step — the
-/// one place the expression engine is chosen, and the only reader of
-/// `options.compiled_exprs`.
-///
-/// Compiled (the default): one kernel program for the whole run, taken from
-/// the shared [`KernelCache`] when one is threaded through the options. The
-/// second component is what the compilation cost; it is `None` on a cache hit
-/// — a warm replay reports zero expression-compile time — and for a lone
-/// pruning projection, which needs no program. By definition (the reference
-/// the kernels are held to): [`apply_by_definition`], compiling and booking
-/// nothing.
-fn expr_step(ops: Vec<KernelOp>, options: &ExecOptions) -> (ExprStep, Option<Compiled>) {
-    if !options.compiled_exprs {
-        return (Box::new(move |b| apply_by_definition(&ops, b)), None);
-    }
-    if let [KernelOp::Project(columns)] = ops.as_slice() {
-        if let Some(names) = pruned_names(columns) {
-            return (Box::new(move |b| Ok(b.prune_fields(&names))), None);
-        }
-    }
-    let (prog, elapsed) = match &options.kernel_cache {
-        Some(cache) => cache.get_or_compile(&ops),
-        None => {
-            let t0 = Instant::now();
-            let prog = std::sync::Arc::new(compile_ops(&ops));
-            (prog, Some(t0.elapsed()))
-        }
-    };
-    let compiled = elapsed.map(|dt| (prog.instr_count() as u64, dt, prog.render()));
-    (Box::new(move |b| prog.run(b)), compiled)
-}
 
 /// The expression payload of a `Select`/`Project`/`Extend` node; `None` for
 /// every other operator.
@@ -474,8 +428,17 @@ fn kernel_op(node: &Plan) -> Option<KernelOp> {
     }
 }
 
-/// Closes the accumulated run of expression operators into one step of the
-/// pipeline, keeping what its compilation cost for the chain's stats.
+/// Closes the accumulated run of `select`/`project`/`extend` operators into
+/// one step of the pipeline — the one place the expression engine is chosen,
+/// and the only reader of `options.compiled_exprs`.
+///
+/// Compiled (the default): one kernel program for the whole run, taken from
+/// the shared [`KernelCache`] when one is threaded through the options; what
+/// the compilation cost goes to `kernels` for the chain's stats — nothing on
+/// a cache hit (a warm replay reports zero expression-compile time) and
+/// nothing for a lone pruning projection, which needs no program. By
+/// definition (the reference the kernels are held to):
+/// [`apply_by_definition`], compiling and booking nothing.
 fn flush_kernel(
     pending: &mut Vec<KernelOp>,
     steps: &mut Vec<ColStep>,
@@ -485,9 +448,29 @@ fn flush_kernel(
     if pending.is_empty() {
         return;
     }
-    let (step, compiled) = expr_step(std::mem::take(pending), options);
-    kernels.extend(compiled);
-    steps.push(Box::new(move |b, _| step(b)));
+    let ops = std::mem::take(pending);
+    if !options.compiled_exprs {
+        steps.push(Box::new(move |b, _| apply_by_definition(&ops, b)));
+        return;
+    }
+    if let [KernelOp::Project(columns)] = ops.as_slice() {
+        if let Some(names) = pruned_names(columns) {
+            steps.push(Box::new(move |b, _| Ok(b.prune_fields(&names))));
+            return;
+        }
+    }
+    let (prog, elapsed) = match &options.kernel_cache {
+        Some(cache) => cache.get_or_compile(&ops),
+        None => {
+            let t0 = Instant::now();
+            let prog = std::sync::Arc::new(compile_ops(&ops));
+            (prog, Some(t0.elapsed()))
+        }
+    };
+    if let Some(dt) = elapsed {
+        kernels.push((prog.instr_count() as u64, dt, prog.render()));
+    }
+    steps.push(Box::new(move |b, _| prog.run(b)));
 }
 
 fn compile_chain_col(
@@ -535,11 +518,7 @@ fn compile_chain_col(
                 let attr = id_attr.clone();
                 let slot = id_slots;
                 id_slots += 1;
-                steps.push(Box::new(move |b, cx| {
-                    require_tuple_rows(b)?;
-                    let start = cx.reserve(slot, b.rows());
-                    Ok(b.with_unique_ids(&attr, cx.partition, start, cx.stride))
-                }));
+                steps.push(Box::new(move |b, cx| unique_ids_batch(b, &attr, cx, slot)));
             }
             Plan::Unnest {
                 bag_attr,
@@ -557,22 +536,13 @@ fn compile_chain_col(
                         let slot = id_slots;
                         id_slots += 1;
                         steps.push(Box::new(move |b, cx| {
-                            require_tuple_rows(b)?;
-                            let start = cx.reserve(slot, b.rows());
-                            let with_ids = b.with_unique_ids(&id, cx.partition, start, cx.stride);
-                            trance_dist::colops::unnest_batch(
-                                &with_ids,
-                                &bag_attr,
-                                alias.as_deref(),
-                                true,
-                            )
+                            let with_ids = unique_ids_batch(b, &id, cx, slot)?;
+                            unnest_batch(&with_ids, &bag_attr, alias.as_deref(), true)
                         }));
                     }
-                    _ => {
-                        steps.push(Box::new(move |b, _| {
-                            trance_dist::colops::unnest_batch(b, &bag_attr, alias.as_deref(), outer)
-                        }));
-                    }
+                    _ => steps.push(Box::new(move |b, _| {
+                        unnest_batch(b, &bag_attr, alias.as_deref(), outer)
+                    })),
                 }
             }
             other => {
@@ -600,7 +570,7 @@ fn compile_chain_col(
 /// Hands `out` — what the row-local `nodes` (source side first) made of
 /// `input`, partition for partition — the placement of `input` that survives
 /// them: each placed column followed through [`carried_column`], the one
-/// carry rule the fused chains and the staged arms share. The engine clears
+/// carry rule of the plan layer. The engine clears
 /// the placement of anything a batch closure produced; this is where the
 /// plan says what the closure did.
 fn carry_placement(input: &ColCollection, nodes: &[&Plan], out: ColCollection) -> ColCollection {
@@ -614,34 +584,29 @@ fn carry_placement(input: &ColCollection, nodes: &[&Plan], out: ColCollection) -
     out.with_placement(carried)
 }
 
-/// Attempts morsel-driven execution of `plan`'s topmost fused pipeline:
-/// splits the plan at its first breaker, evaluates the source recursively,
-/// compiles the row-local chain (and a fused scan rename) into one
-/// batch-at-a-time closure, and drives it over the source's partitions on
-/// the persistent worker pool. Returns `None` when there is nothing to fuse
-/// (the plan is a breaker or a bare scan).
-fn eval_pipelined_col(
+/// The stored or intermediate relation `name` of the environment.
+fn relation(env: &HashMap<String, ColCollection>, name: &str) -> Result<ColCollection> {
+    env.get(name)
+        .cloned()
+        .ok_or_else(|| ExecError::Other(format!("unknown input relation `{name}`")))
+}
+
+/// Morsel-driven execution of `plan`'s topmost fused pipeline: splits the
+/// plan at its first breaker, evaluates the source recursively, compiles the
+/// row-local chain (and a fused scan rename) into one batch-at-a-time
+/// closure, and drives it over the source's partitions on the persistent
+/// worker pool. `plan` is row-local or an aliased scan, so the chain has at
+/// least one member.
+fn eval_pipeline(
     plan: &Plan,
     env: &HashMap<String, ColCollection>,
     ctx: &DistContext,
     options: &ExecOptions,
-) -> Result<Option<ColCollection>> {
+) -> Result<ColCollection> {
     let (chain, source) = fuse_chain(plan);
-    let scan_alias = match source {
-        Plan::Scan {
-            alias: Some(alias), ..
-        } => Some(alias.clone()),
-        _ => None,
-    };
-    if chain.is_empty() && scan_alias.is_none() {
-        return Ok(None);
-    }
-    let src = match source {
-        Plan::Scan { name, .. } => env
-            .get(name)
-            .cloned()
-            .ok_or_else(|| ExecError::Other(format!("unknown input relation `{name}`")))?,
-        other => eval_plan_col(other, env, ctx, options)?,
+    let (src, scan_alias) = match source {
+        Plan::Scan { name, alias } => (relation(env, name)?, alias.clone()),
+        other => (eval_plan_col(other, env, ctx, options)?, None),
     };
     let compiled = compile_chain_col(scan_alias, &chain, ctx, options)?;
     let steps = compiled.steps;
@@ -660,76 +625,29 @@ fn eval_pipelined_col(
     // The fused scan rename is the first member of the chain.
     let renamed = matches!(source, Plan::Scan { .. }).then_some(source);
     let nodes: Vec<&Plan> = renamed.into_iter().chain(chain).collect();
-    Ok(Some(carry_placement(&src, &nodes, out)))
+    Ok(carry_placement(&src, &nodes, out))
 }
 
-/// Evaluates one plan tree against an environment of columnar collections.
+/// Evaluates one plan tree against an environment of columnar collections:
+/// the leaves and the pipeline breakers here, every row-local operator (and
+/// an aliased scan's rename) in a fused pipeline — a lone one is a pipeline
+/// of one member.
 pub fn eval_plan_col(
     plan: &Plan,
     env: &HashMap<String, ColCollection>,
     ctx: &DistContext,
     options: &ExecOptions,
 ) -> Result<ColCollection> {
-    if options.pipelined {
-        if let Some(out) = eval_pipelined_col(plan, env, ctx, options)? {
-            return Ok(out);
-        }
-    }
-    // Every row-local arm ends in `carry_placement`: its output sits as its
-    // input did, as far as the plan node's carry rule lets the columns through.
     match plan {
-        Plan::Scan { name, alias } => {
-            let coll = env
-                .get(name)
-                .ok_or_else(|| ExecError::Other(format!("unknown input relation `{name}`")))?;
-            let Some(alias) = alias.clone() else {
-                return Ok(coll.clone());
-            };
-            // `alias.field` renaming is a schema rewrite per batch — no
-            // per-row work at all.
-            let out = coll.map_batches("map", move |b| {
-                Ok(b.rename_fields(|f| format!("{alias}.{f}"), &format!("{alias}.__value")))
-            })?;
-            Ok(carry_placement(coll, &[plan], out))
-        }
+        Plan::Scan { name, alias: None } => relation(env, name),
         Plan::Unit => Ok(ColCollection::single(ctx, Batch::unit(1))),
         Plan::Empty => Ok(ColCollection::empty(ctx)),
-        Plan::Select { input, .. } | Plan::Project { input, .. } | Plan::Extend { input, .. } => {
-            let rows = eval_plan_col(input, env, ctx, options)?;
-            let op = kernel_op(plan).expect("an expression operator");
-            let (step, compiled) = expr_step(vec![op], options);
-            let name = pipeline_op_name(plan);
-            if let Some((instrs, dt, text)) = compiled {
-                ctx.stats()
-                    .record_expr_compile(&format!("staged:{name}"), instrs, dt, &text);
-            }
-            let timed_as = match plan {
-                Plan::Select { .. } => "filter",
-                _ => "map",
-            };
-            let out = rows.map_batches(timed_as, move |b| step(b))?;
-            Ok(carry_placement(&rows, &[plan], out))
-        }
-        Plan::AddIndex { input, id_attr } => {
-            let rows = eval_plan_col(input, env, ctx, options)?;
-            let out = rows.with_unique_id(id_attr)?;
-            Ok(carry_placement(&rows, &[plan], out))
-        }
-        Plan::Unnest {
-            input,
-            bag_attr,
-            alias,
-            outer,
-            id_attr,
-        } => {
-            let rows = eval_plan_col(input, env, ctx, options)?;
-            let with_ids = match (outer, id_attr) {
-                (true, Some(id)) => rows.with_unique_id(id)?,
-                _ => rows.clone(),
-            };
-            let out = with_ids.unnest(bag_attr, alias.as_deref(), *outer)?;
-            Ok(carry_placement(&rows, &[plan], out))
-        }
+        Plan::Scan { alias: Some(_), .. }
+        | Plan::Select { .. }
+        | Plan::Project { .. }
+        | Plan::Extend { .. }
+        | Plan::AddIndex { .. }
+        | Plan::Unnest { .. } => eval_pipeline(plan, env, ctx, options),
         Plan::Join {
             left,
             right,

@@ -42,7 +42,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use trance_algebra::ScalarExpr;
-use trance_dist::{Batch, Bitmap, Column, Result};
+use trance_dist::{Batch, Bitmap, Column, ExecError, Result};
 use trance_nrc::value::prim_op;
 use trance_nrc::{CmpOp, Label, NrcError, PrimOp, Value};
 
@@ -782,17 +782,37 @@ struct State<'a> {
     len: usize,
 }
 
+/// A broken compiler invariant — a register read before it is defined or
+/// after it was consumed, a mask register that is not dense boolean — as a
+/// typed error instead of a panic. Checked once per instruction, never per
+/// lane.
+fn invariant(what: &str) -> ExecError {
+    ExecError::Other(format!("kernel invariant: {what}"))
+}
+
 impl<'a> State<'a> {
-    fn reg(&self, r: Reg) -> &RegVal {
-        self.regs[r].as_ref().expect("register defined before use")
+    fn reg(&self, r: Reg) -> Result<&RegVal> {
+        self.regs[r]
+            .as_ref()
+            .ok_or_else(|| invariant("register defined before use"))
     }
 
-    fn guard(&self, g: Option<Reg>) -> Option<&[bool]> {
-        g.map(|r| {
-            self.reg(r)
-                .dense_bools()
-                .expect("guard registers are dense boolean")
-        })
+    /// Consumes a live register (a filter compacts it, the output script
+    /// materializes it).
+    fn take(&mut self, r: Reg) -> Result<RegVal> {
+        self.regs[r]
+            .take()
+            .ok_or_else(|| invariant("live register"))
+    }
+
+    fn mask(&self, r: Reg) -> Result<&[bool]> {
+        self.reg(r)?
+            .dense_bools()
+            .ok_or_else(|| invariant("masks are dense boolean"))
+    }
+
+    fn guard(&self, g: Option<Reg>) -> Result<Option<&[bool]>> {
+        g.map(|r| self.mask(r)).transpose()
     }
 
     fn step(&mut self, idx: usize, instr: &Instr) -> Result<()> {
@@ -814,25 +834,25 @@ impl<'a> State<'a> {
                 right,
                 guard,
             } => {
-                let g = self.guard(*guard);
+                let g = self.guard(*guard)?;
                 Some(exec_prim(
                     *op,
-                    self.reg(*left),
-                    self.reg(*right),
+                    self.reg(*left)?,
+                    self.reg(*right)?,
                     g,
                     self.len,
                 )?)
             }
             Instr::Cmp { op, left, right } => {
-                Some(exec_cmp(*op, self.reg(*left), self.reg(*right), self.len))
+                Some(exec_cmp(*op, self.reg(*left)?, self.reg(*right)?, self.len))
             }
             Instr::IsTrue { cond, guard } => {
-                let g = self.guard(*guard);
-                Some(RegVal::Bools(exec_is_true(self.reg(*cond), g, self.len)?))
+                let g = self.guard(*guard)?;
+                Some(RegVal::Bools(exec_is_true(self.reg(*cond)?, g, self.len)?))
             }
             Instr::NotMask { cond, guard } => {
-                let g = self.guard(*guard);
-                let c = self.reg(*cond);
+                let g = self.guard(*guard)?;
+                let c = self.reg(*cond)?;
                 Some(RegVal::Bools(match c.dense_bools() {
                     Some(b) => (0..self.len).map(|i| guard_true(g, i) && !b[i]).collect(),
                     None => (0..self.len)
@@ -841,8 +861,8 @@ impl<'a> State<'a> {
                 }))
             }
             Instr::NullMask { cond, guard } => {
-                let g = self.guard(*guard);
-                let c = self.reg(*cond);
+                let g = self.guard(*guard)?;
+                let c = self.reg(*cond)?;
                 Some(RegVal::Bools(
                     (0..self.len)
                         .map(|i| guard_true(g, i) && c.is_null_at(i))
@@ -850,11 +870,8 @@ impl<'a> State<'a> {
                 ))
             }
             Instr::AndMerge { taken, b } => {
-                let t = self
-                    .reg(*taken)
-                    .dense_bools()
-                    .expect("masks are dense boolean");
-                let bv = self.reg(*b);
+                let t = self.mask(*taken)?;
+                let bv = self.reg(*b)?;
                 let mut out = Vec::with_capacity(self.len);
                 if let Some(d) = bv.dense_bools() {
                     for (i, taken) in t.iter().enumerate().take(self.len) {
@@ -872,15 +889,9 @@ impl<'a> State<'a> {
                 Some(RegVal::Bools(out))
             }
             Instr::OrMerge { a_true, taken, b } => {
-                let at = self
-                    .reg(*a_true)
-                    .dense_bools()
-                    .expect("masks are dense boolean");
-                let t = self
-                    .reg(*taken)
-                    .dense_bools()
-                    .expect("masks are dense boolean");
-                let bv = self.reg(*b);
+                let at = self.mask(*a_true)?;
+                let t = self.mask(*taken)?;
+                let bv = self.reg(*b)?;
                 let mut out = Vec::with_capacity(self.len);
                 if let Some(d) = bv.dense_bools() {
                     for i in 0..self.len {
@@ -894,11 +905,8 @@ impl<'a> State<'a> {
                 Some(RegVal::Bools(out))
             }
             Instr::CoalesceMerge { a, taken, b } => {
-                let t = self
-                    .reg(*taken)
-                    .dense_bools()
-                    .expect("masks are dense boolean");
-                let (av, bv) = (self.reg(*a), self.reg(*b));
+                let t = self.mask(*taken)?;
+                let (av, bv) = (self.reg(*a)?, self.reg(*b)?);
                 if !t.iter().any(|&x| x) {
                     // No lane needed the fallback: the result is the first
                     // operand.
@@ -914,8 +922,8 @@ impl<'a> State<'a> {
                 }
             }
             Instr::Not { input, guard } => {
-                let g = self.guard(*guard);
-                let c = self.reg(*input);
+                let g = self.guard(*guard)?;
+                let c = self.reg(*input)?;
                 let mut out = Vec::with_capacity(self.len);
                 if let Some(b) = c.dense_bools() {
                     for (i, v) in b.iter().enumerate().take(self.len) {
@@ -933,13 +941,16 @@ impl<'a> State<'a> {
                 Some(RegVal::Bools(out))
             }
             Instr::IsNull { input } => {
-                let c = self.reg(*input);
+                let c = self.reg(*input)?;
                 Some(RegVal::Bools(
                     (0..self.len).map(|i| c.is_null_at(i)).collect(),
                 ))
             }
             Instr::NewLabel { site, captures } => {
-                let cols: Vec<&RegVal> = captures.iter().map(|r| self.reg(*r)).collect();
+                let cols = captures
+                    .iter()
+                    .map(|r| self.reg(*r))
+                    .collect::<Result<Vec<_>>>()?;
                 Some(RegVal::Values(
                     (0..self.len)
                         .map(|i| {
@@ -956,8 +967,8 @@ impl<'a> State<'a> {
                 index,
                 guard,
             } => {
-                let g = self.guard(*guard);
-                let c = self.reg(*label);
+                let g = self.guard(*guard)?;
+                let c = self.reg(*label)?;
                 let mut out = Vec::with_capacity(self.len);
                 for i in 0..self.len {
                     out.push(if guard_true(g, i) {
@@ -996,7 +1007,7 @@ impl<'a> State<'a> {
     /// compacts the live registers.
     fn exec_filter(&mut self, pred: Reg, live: &[Reg], live_sets: &[Reg]) -> Result<()> {
         let mask: Vec<bool> = {
-            let p = self.reg(pred);
+            let p = self.reg(pred)?;
             match p.dense_bools() {
                 Some(b) => b.to_vec(),
                 None => {
@@ -1019,15 +1030,11 @@ impl<'a> State<'a> {
         });
         self.len = keep.len();
         for &r in live {
-            let compacted = compact_positional(self.regs[r].take().expect("live register"), &keep);
+            let compacted = compact_positional(self.take(r)?, &keep);
             self.regs[r] = Some(compacted);
         }
         for &r in live_sets {
-            let compacted = compact_as_column(
-                self.regs[r].take().expect("live register"),
-                &keep,
-                mask.len(),
-            );
+            let compacted = compact_as_column(self.take(r)?, &keep, mask.len());
             self.regs[r] = Some(compacted);
         }
         Ok(())
@@ -1371,12 +1378,18 @@ impl KernelProgram {
         // or append), memoizing per register so a register set under two
         // names shares one column — as the definition's Arc sharing does.
         let mut cache: HashMap<Reg, Arc<Column>> = HashMap::new();
-        let sets = self.sets.iter().map(|(name, r)| {
-            let col = cache
-                .entry(*r)
-                .or_insert_with(|| materialize(st.regs[*r].take().expect("set register"), st.len));
-            (name.as_str(), col.clone())
-        });
+        let mut sets = Vec::with_capacity(self.sets.len());
+        for (name, r) in &self.sets {
+            let col = match cache.get(r) {
+                Some(col) => col.clone(),
+                None => {
+                    let col = materialize(st.take(*r)?, st.len);
+                    cache.insert(*r, col.clone());
+                    col
+                }
+            };
+            sets.push((name.as_str(), col));
+        }
         Ok(out.with_columns(sets))
     }
 

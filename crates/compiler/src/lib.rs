@@ -10,8 +10,9 @@
 //! * `trance_algebra::optimize` applies column pruning, selection/aggregation
 //!   pushdown and broadcast-vs-shuffle-vs-skew join strategy selection — the
 //!   SparkSQL-like baseline is this same route with the optimizer off;
-//! * the physical executor ([`columnar`]) — the only one — interprets the
-//!   optimized plans over typed batches, materializing assignment
+//! * the physical executor ([`columnar`]) — the only one, with one shape:
+//!   every row-local operator runs in a fused morsel pipeline — interprets
+//!   the optimized plans over typed batches, materializing assignment
 //!   intermediates so later plans optimize against their exact schemas and
 //!   sizes. Every strategy runs on it, so any difference between strategies
 //!   comes from the compilation route; `nrc::eval` is the reference every
@@ -35,14 +36,15 @@
 //! The strategies compared in the paper's experiments are exposed as
 //! [`pipeline::Strategy`] and driven by [`pipeline::run_query`] (the
 //! strategy's default options) or [`pipeline::run_query_with`] (explicit
-//! [`ExecOptions`] — how the differential suites select the staged executor
-//! or by-definition expression evaluation as references);
+//! [`ExecOptions`] — how the differential suites select by-definition
+//! expression evaluation, the fault-free twin or spilling off);
 //! [`pipeline::explain_query`] renders the optimized plans a strategy
 //! actually executes. All of them — and the serving layer's
 //! [`prepared::prepare_and_run`] / [`prepared::run_prepared`] — execute
 //! through one program driver in [`prepared`].
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod columnar;
 pub mod kernel;

@@ -9,20 +9,17 @@ use crate::kernel::KernelCache;
 ///
 /// [`crate::strategy_options`] gives a strategy's defaults; callers that need
 /// a reference mode override single fields, e.g.
-/// `ExecOptions { pipelined: false, ..strategy_options(s, false) }`.
+/// `ExecOptions { compiled_exprs: false, ..strategy_options(s, false) }`.
 ///
-/// `pipelined` chooses between fused pipelines and staged operators in
-/// `eval_plan_col`; `compiled_exprs` is read by one function, `columnar.rs`'s
-/// `expr_step`, which both executors build their `select` / `project` /
-/// `extend` steps through. All four combinations are held by a suite: on/on
-/// is the default everywhere; off/on is `scheduler_stress.rs` (byte-equal to
-/// the default), `spill_agree.rs`'s oracle and the figure bins' `--staged`;
-/// on/off is `expr_agree.rs` (compiles nothing); off/off is `expr_agree.rs`'s
-/// `staged_by_definition_runs_agree_with_the_default` and its overflow
-/// cells. `skew_aware` is read by `optimizer_config` and by the `Plan::Join`
-/// / `Plan::Nest` arms of `eval_plan_col` (an unoptimized plan has no `Skew`
-/// annotation to read, `Γ+` never has one) — unshredding is a plan and gets
-/// it there.
+/// There is one executor shape — every row-local operator runs in a fused
+/// pipeline — so the one execution fork is `compiled_exprs`, read by one
+/// function, `columnar.rs`'s `flush_kernel`, which builds every `select` /
+/// `project` / `extend` step. Both cells are held by a suite: on is the
+/// default everywhere; off is `expr_agree.rs` (bag-equal, equal shuffled
+/// bytes, compiles nothing) and its overflow cells. `skew_aware` is read by
+/// `optimizer_config` and by the `Plan::Join` / `Plan::Nest` arms of
+/// `eval_plan_col` (an unoptimized plan has no `Skew` annotation to read,
+/// `Γ+` never has one) — unshredding is a plan and gets it there.
 #[derive(Debug, Clone)]
 pub struct ExecOptions {
     /// Run the plan optimizer (column pruning, selection pushdown, join
@@ -39,13 +36,6 @@ pub struct ExecOptions {
     /// capped run only reproduces the paper's FAIL cells when this is turned
     /// off (or the cluster has no spill support, the default).
     pub spill: bool,
-    /// Execute maximal chains of row-local plan operators as **fused
-    /// pipelines**, morsel-by-morsel on the context's persistent worker pool
-    /// (the default). With this off, every plan operator materializes its
-    /// output before the next one runs — the **staged** executor, kept
-    /// selectable as the differential oracle the scheduler-stress suite
-    /// compares against.
-    pub pipelined: bool,
     /// Let the cluster's [`trance_dist::FaultInjector`] fire during this run
     /// (the default). Only bites on clusters configured with a
     /// [`trance_dist::FaultPlan`]; turning it off runs fault-free on the same
@@ -84,7 +74,6 @@ impl Default for ExecOptions {
             optimize: true,
             skew_aware: false,
             spill: true,
-            pipelined: true,
             faults: true,
             compiled_exprs: true,
             kernel_cache: None,

@@ -398,8 +398,8 @@ pub fn run_query(spec: &QuerySpec, inputs: &InputSet, strategy: Strategy) -> Run
 
 /// Runs `spec` under `strategy` with every execution choice spelled out in
 /// `options` — the one entry point the differential suites select their
-/// reference modes through (`pipelined: false` the staged executor,
-/// `compiled_exprs: false` expressions by definition, `faults: false` the
+/// reference modes through (`compiled_exprs: false` expressions by
+/// definition, `faults: false` the
 /// fault-free twin, `spill: false` the paper's FAIL behaviour on a capped
 /// spill-capable cluster, `deadline` a wall-clock budget). Start from
 /// [`strategy_options`] and override single fields.

@@ -251,8 +251,8 @@ fn deadline_cancellation_races_mid_spill_without_leaks_and_oracle_unaffected() {
         }
     }
 
-    // The same context stays healthy after cancellations: a fresh staged
-    // oracle run completes and matches the reference.
+    // The same context stays healthy after cancellations: a fresh
+    // fault-free run with no deadline completes and matches the reference.
     let oracle = run_enveloped(&spec, &inputs, Strategy::Standard, false, None);
     let oracle_bag = outcome_bag(&oracle.result, "post-cancel oracle");
     assert_bags_approx_eq(&expected, &oracle_bag, "post-cancel oracle vs reference");

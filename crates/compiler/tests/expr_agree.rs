@@ -189,15 +189,12 @@ fn compiled_runs_record_kernel_programs() {
     }
 }
 
-/// The two reference modes together — staged operators, each evaluated by
-/// definition — against the default (fused pipelines, compiled kernels): the
-/// same bags, the same tuples and logical bytes through the shuffles, and
-/// nothing compiled. All four `pipelined` × `compiled_exprs` cells go through
-/// one constructor of expression steps, so this is the corner furthest from
-/// the default rather than separate code.
+/// The running example evaluated by definition against the default
+/// (compiled kernels): the same bags, the same tuples and logical bytes
+/// through the shuffles, and nothing compiled.
 #[test]
-fn staged_by_definition_runs_agree_with_the_default() {
-    let _watchdog = Watchdog::arm("expr_agree::staged_by_definition", Duration::from_secs(120));
+fn by_definition_runs_agree_with_the_default() {
+    let _watchdog = Watchdog::arm("expr_agree::by_definition", Duration::from_secs(120));
     let spec = QuerySpec::new(
         "running-example",
         running_example(),
@@ -209,33 +206,31 @@ fn staged_by_definition_runs_agree_with_the_default() {
         let tag = strategy.label();
         let default = run_query(&spec, &inputs, strategy);
         let reference = ExecOptions {
-            pipelined: false,
             compiled_exprs: false,
             ..strategy_options(strategy, false)
         };
-        let staged = run_query_with(&spec, &inputs, strategy, &reference);
+        let by_def = run_query_with(&spec, &inputs, strategy, &reference);
         assert_eq!(
             canonical(&outcome_bag(
-                &staged.result,
-                &format!("{tag} staged by definition")
+                &by_def.result,
+                &format!("{tag} by definition")
             )),
             canonical(&outcome_bag(&default.result, &format!("{tag} default"))),
-            "{tag}: staged by-definition run disagrees with the default"
+            "{tag}: by-definition run disagrees with the default"
         );
         assert_eq!(
-            (staged.stats.shuffled_tuples, staged.stats.shuffled_bytes),
+            (by_def.stats.shuffled_tuples, by_def.stats.shuffled_bytes),
             (default.stats.shuffled_tuples, default.stats.shuffled_bytes),
             "{tag}: shuffled tuples / logical bytes diverge"
         );
-        assert_eq!(staged.stats.expr_compiles(), 0, "{tag}: compiled something");
+        assert_eq!(by_def.stats.expr_compiles(), 0, "{tag}: compiled something");
         assert!(default.stats.expr_compiles() > 0, "{tag}: compiled nothing");
     }
 }
 
 /// `Int` × `Int` arithmetic that leaves `i64` is the typed error `nrc::eval`
 /// returns — never a panic (debug builds) or a wrapped value (release builds)
-/// — under every strategy and in all four `pipelined` × `compiled_exprs`
-/// cells; behind a selection that removes the overflowing rows it is no
+/// — under every strategy, compiled and by definition; behind a selection that removes the overflowing rows it is no
 /// error at all.
 #[test]
 fn integer_overflow_fails_every_strategy_with_the_reference_error() {
@@ -246,20 +241,15 @@ fn integer_overflow_fails_every_strategy_with_the_reference_error() {
     let k = |e| singleton(tuple([("k", e)]));
     let pk = || proj(var("l"), "pk");
     let overflowing = mul(add(pk(), int(2)), int(i64::MAX));
-    // Every strategy in all four `pipelined` × `compiled_exprs` cells.
+    // Every strategy, compiled and by definition.
     let cells = || {
-        let modes = [(true, true), (true, false), (false, true), (false, false)];
         Strategy::all().into_iter().flat_map(move |strategy| {
-            modes.map(|(pipelined, compiled_exprs)| {
+            [true, false].map(|compiled_exprs| {
                 let options = ExecOptions {
-                    pipelined,
                     compiled_exprs,
                     ..strategy_options(strategy, false)
                 };
-                let tag = format!(
-                    "{} pipelined={pipelined} compiled_exprs={compiled_exprs}",
-                    strategy.label()
-                );
+                let tag = format!("{} compiled_exprs={compiled_exprs}", strategy.label());
                 (strategy, options, tag)
             })
         })

@@ -207,29 +207,28 @@ fn capped_string_and_two_column_keys_match_uncapped() {
 fn capped_pipelined_fail_cells_match_their_uncapped_oracles() {
     // The spill × pipeline interaction the capped benchmark cells rely on:
     // on the FAIL-cell strategies (the flattening routes that exceed the
-    // cap), a memory-capped **pipelined** run with spilling on must match
-    // the uncapped staged oracle exactly. Fused pipelines stream through
-    // the same spill-aware PartBuilder sinks as the staged operators, so
-    // going out-of-core mid-pipeline must not change a single row.
+    // cap), a memory-capped pipelined run with spilling on must match the
+    // uncapped run and `nrc::eval`. Fused pipelines stream through the same
+    // spill-aware PartBuilder sinks as the breakers, so going out-of-core
+    // mid-pipeline must not change a single row.
     let values = [("COP", cop_value(120), true), ("Part", part_value(), false)];
     let spec = QuerySpec::new(
         "running-example",
         running_example(),
         vec![ShreddedInputDecl::new("COP", cop_structure())],
     );
+    let reference = reference_bag(&spec.query, &values);
     let uncapped = input_set(uncapped_ctx(), &values);
     let capped = input_set(capped_ctx(12 * 1024), &values);
     let mut spilled_somewhere = false;
     for strategy in [Strategy::Standard, Strategy::Baseline] {
-        // Staged, uncapped: the oracle.
-        let staged = ExecOptions {
-            pipelined: false,
-            ..strategy_options(strategy, false)
-        };
-        let oracle = run_query_with(&spec, &uncapped, strategy, &staged);
-        let oracle_bag = outcome_bag(
-            &oracle.result,
-            &format!("uncapped staged {}", strategy.label()),
+        // Uncapped: the oracle, itself held to the reference evaluator.
+        let oracle = run_query(&spec, &uncapped, strategy);
+        let oracle_bag = outcome_bag(&oracle.result, &format!("uncapped {}", strategy.label()));
+        assert_bags_approx_eq(
+            &reference,
+            &oracle_bag,
+            &format!("{}: uncapped oracle vs reference", strategy.label()),
         );
         // Pipelined, capped, spilling: must complete and agree.
         let capped_run = run_query(&spec, &capped, strategy);
@@ -242,7 +241,7 @@ fn capped_pipelined_fail_cells_match_their_uncapped_oracles() {
             &oracle_bag,
             &capped_bag,
             &format!(
-                "{}: capped pipelined run vs uncapped staged oracle",
+                "{}: capped pipelined run vs uncapped oracle",
                 strategy.label()
             ),
         );

@@ -3,18 +3,23 @@
 //! `trance_shred::unshred_pieces`: empty and missing dictionaries, labels
 //! without entries three levels down, NULL and absent label attributes on one
 //! process and on three ranks, a dictionary that sits on disk, and bag
-//! attributes whose names contain `_`.
+//! attributes whose names contain `_`. One case goes end to end: every
+//! strategy, depth 4, held to `nrc::eval`.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
-use trance_compiler::{ingest_env, strategy_options, unshred_distributed_col, Strategy};
+use trance_compiler::{
+    ingest_env, run_query, strategy_options, unshred_distributed_col, InputSet, QuerySpec,
+    RunResult, Strategy,
+};
 use trance_dist::{
     owned_range, ClusterConfig, ColCollection, DistCollection, DistContext, Exchange, MemMesh,
     StatsSnapshot,
 };
-use trance_nrc::{bags_approx_equal, Bag, Value};
-use trance_shred::{shred_value, unshred_pieces, NestingStructure};
+use trance_nrc::builder::{forin, proj, singleton, tuple, var};
+use trance_nrc::{bags_approx_equal, eval, Bag, Env, Expr, Value};
+use trance_shred::{shred_value, unshred_pieces, NestingStructure, ShreddedInputDecl};
 
 const TOP: &str = "top";
 
@@ -261,4 +266,93 @@ fn a_dictionary_on_disk_unshreds_like_one_in_memory() {
     );
     let want = unshred_pieces(top, dicts, &structure).unwrap();
     assert!(bags_approx_equal(&Bag::new(rows), &want));
+}
+
+/// Four levels of bags — customers → `c_orders` → `o_parts` → `p_tags` →
+/// `t_notes` — with an empty bag at each level (a customer without orders,
+/// an order without parts, a part without tags, a tag without notes) and one
+/// NULL bag lane (the last customer's orders).
+fn four_levels(customers: i64) -> Value {
+    let bag = |n: i64, item: &dyn Fn(i64) -> Value| Value::bag((0..n).map(item).collect());
+    let notes = |n: i64| bag(n % 2, &|k| Value::tuple([("note", Value::Int(k))]));
+    let tags = |n: i64| {
+        bag(n % 3, &|t| {
+            Value::tuple([("t", Value::Int(t)), ("t_notes", notes(t + n))])
+        })
+    };
+    let parts = |n: i64| {
+        bag(n % 4, &|p| {
+            Value::tuple([("pid", Value::Int(p)), ("p_tags", tags(p + n))])
+        })
+    };
+    let orders = |n: i64| {
+        bag(n % 5, &|o| {
+            Value::tuple([("ok", Value::Int(o)), ("o_parts", parts(o + n))])
+        })
+    };
+    bag(customers, &|c| {
+        let orders = match c + 1 == customers {
+            true => Value::Null,
+            false => orders(c),
+        };
+        Value::tuple([("cid", Value::Int(c)), ("c_orders", orders)])
+    })
+}
+
+#[test]
+fn every_strategy_rebuilds_four_levels_with_empty_and_null_bags() {
+    // for c in N union {<cid, orders := for o in c.c_orders union {<ok,
+    //   parts := for p in o.o_parts union {<pid, tags := for t in p.p_tags
+    //   union {<t, notes := for k in t.t_notes union {<note>}>}>}>}>}
+    let level = |v: &str, source: Expr, key: &str, inner: Option<(&str, Expr)>| {
+        let fields = [(key, proj(var(v), key))].into_iter().chain(inner);
+        forin(v, source, singleton(tuple(fields)))
+    };
+    let notes = level("k", proj(var("t"), "t_notes"), "note", None);
+    let tags = level("t", proj(var("p"), "p_tags"), "t", Some(("notes", notes)));
+    let parts = level("p", proj(var("o"), "o_parts"), "pid", Some(("tags", tags)));
+    let orders = level(
+        "o",
+        proj(var("c"), "c_orders"),
+        "ok",
+        Some(("parts", parts)),
+    );
+    let query = level("c", var("N"), "cid", Some(("orders", orders)));
+    let structure = NestingStructure::flat().with_child(
+        "c_orders",
+        NestingStructure::flat().with_child(
+            "o_parts",
+            NestingStructure::flat().with_child(
+                "p_tags",
+                NestingStructure::flat().with_child("t_notes", NestingStructure::flat()),
+            ),
+        ),
+    );
+    let input = four_levels(30);
+    let want = eval(&query, &Env::from_bindings([("N", input.clone())]))
+        .and_then(Value::into_bag)
+        .expect("the reference evaluates the query");
+    let spec = QuerySpec::new(
+        "four-levels",
+        query,
+        vec![ShreddedInputDecl::new("N", structure)],
+    );
+    let mut inputs = InputSet::new(cluster());
+    inputs
+        .add_nested("N", input.into_bag().expect("a bag"))
+        .expect("the nested input shreds");
+    for strategy in Strategy::all() {
+        let case = strategy.label();
+        let got = match run_query(&spec, &inputs, strategy).result {
+            RunResult::Nested(rows) => rows.collect_bag(),
+            RunResult::Shredded(out) => {
+                trance_compiler::collect_unshredded(&out).expect("the output unshreds")
+            }
+            RunResult::Failed(e) => panic!("{case} failed: {e}"),
+        };
+        assert!(
+            bags_approx_equal(&got, &want),
+            "{case}:\n got {got:?}\nwant {want:?}"
+        );
+    }
 }

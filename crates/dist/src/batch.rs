@@ -2112,10 +2112,10 @@ impl Batch {
     /// Adds (or overwrites) `attr` with the engine's coordination-free
     /// unique-id numbering: row `i` of this batch gets
     /// `partition + (start + i) * stride`, where `start` is the number of
-    /// rows of the same partition already numbered. Shared by the staged
-    /// `with_unique_id` operator (where `start` advances chunk by chunk) and
-    /// fused pipelines (where a sequential morsel cursor advances it), so
-    /// both executors assign byte-identical ids.
+    /// rows of the same partition already numbered (a sequential pipeline's
+    /// morsel cursor advances it chunk by chunk, see
+    /// [`crate::colops::unique_ids_batch`]). Applied to a whole partition
+    /// with `start = 0` it is the definition of the ids that partition gets.
     pub fn with_unique_ids(&self, attr: &str, partition: usize, start: i64, stride: i64) -> Batch {
         let n = self.rows;
         let data: Vec<i64> = (0..n)

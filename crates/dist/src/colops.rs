@@ -5,12 +5,13 @@
 //! equivalent `Value` rows (the differential suites in `trance-compiler`
 //! hold every plan to `nrc::eval`) while executing over column buffers:
 //!
-//! * projections/extensions/selections run as whole-batch transforms
-//!   ([`ColCollection::map_batches`]) whose column expressions are evaluated
-//!   by the compiler's kernel programs;
-//! * scan renaming (`alias.field`) is a schema rewrite — zero data movement;
-//! * unnest gathers parent columns by fan-out index and splices the bag
-//!   column's child batch in, all offset arithmetic;
+//! * row-local operators run as fused pipelines
+//!   ([`ColCollection::run_pipeline`]) of batch-at-a-time steps: the
+//!   compiler's kernel programs for projections/extensions/selections, scan
+//!   renaming (`alias.field`, a schema rewrite — zero data movement),
+//!   [`unique_ids_batch`] and [`unnest_batch`] (parent columns gathered by
+//!   fan-out index and the bag column's child batch spliced in, all offset
+//!   arithmetic);
 //! * joins gather matched rows from both sides by index lists; the output
 //!   row is the left row with the whole right row laid over it, and a
 //!   left-outer row without a match is the left row alone — the right
@@ -74,16 +75,15 @@
 //!   join (by its left key, unless a right attribute of the same name could
 //!   overwrite a key column with another value).
 //! * **Kept** across [`ColCollection::with_context`], spilling (a partition
-//!   is the same rows in memory or on disk), the skew split, and
-//!   [`ColCollection::with_unique_id`] on another attribute. A caller that knows what a batch transform did to the placed
-//!   columns — the compiler's per-plan-node carry rule, the only one —
+//!   is the same rows in memory or on disk) and the skew split. A caller
+//!   that knows what a batch transform did to the placed columns — the
+//!   compiler's per-plan-node carry rule, the only one —
 //!   re-attaches the carried placement with
 //!   [`ColCollection::with_placement`]; a rename rewrites the names.
-//! * **Cleared** by everything else: [`ColCollection::map_batches`],
-//!   [`ColCollection::run_pipeline`] and [`ColCollection::unnest`] (an
-//!   unknown transform may overwrite a placed column),
-//!   [`ColCollection::union`], a broadcast join, [`ColCollection::distinct`],
-//!   [`ColCollection::with_unique_id`] on a placed column.
+//! * **Cleared** by everything else: [`ColCollection::map_batches`] and
+//!   [`ColCollection::run_pipeline`] (an unknown transform may overwrite a
+//!   placed column), [`ColCollection::union`], a broadcast join,
+//!   [`ColCollection::distinct`].
 //!
 //! **Rows with a NULL or absent key lane.** A grouping's shuffle ships them
 //! to the stand-in's partition, so a grouping's output is placed *totally*:
@@ -123,9 +123,9 @@
 //! * **spilling grouping** — `nest_bag` / `nest_sum` finalization over an
 //!   oversized partition sub-partitions by grouping-key hash the same way
 //!   (groups never span buckets);
-//! * row-local operators (map/filter/unnest and broadcast-join probes)
-//!   stream spilled inputs chunk by chunk and overflow their outputs back
-//!   to disk once they outgrow the partition budget.
+//! * row-local operators (fused pipelines, `map_batches` and broadcast-join
+//!   probes) stream spilled inputs chunk by chunk and overflow their outputs
+//!   back to disk once they outgrow the partition budget.
 
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashSet};
@@ -630,32 +630,25 @@ impl ColCollection {
     }
 
     /// Applies a whole-batch, row-local transform to every partition
-    /// (partition-parallel, no shuffle). The compiler's vectorized expression
-    /// evaluator drives projections and extensions through this. Spilled
-    /// partitions stream chunk by chunk; oversized outputs overflow back to
-    /// disk.
+    /// (partition-parallel, no shuffle), timed under operator name `op`: one
+    /// materialization per call, where a fused pipeline
+    /// ([`ColCollection::run_pipeline`]) runs a chain of such steps per
+    /// morsel. Spilled partitions stream chunk by chunk; oversized outputs
+    /// overflow back to disk.
     pub fn map_batches<F>(&self, op: &str, f: F) -> Result<ColCollection>
     where
         F: Fn(&Batch) -> Result<Batch> + Send + Sync,
     {
-        self.timed(op, || self.transform_streamed(&f))
-    }
-
-    /// Shared body of the row-local streaming operators: applies `f` to each
-    /// chunk of each partition, accumulating outputs through a
-    /// [`PartBuilder`].
-    fn transform_streamed<F>(&self, f: &F) -> Result<ColCollection>
-    where
-        F: Fn(&Batch) -> Result<Batch> + Send + Sync,
-    {
-        let parts = run_partitioned(&self.ctx, &self.parts, |_, part| {
-            let mut builder = PartBuilder::new(&self.ctx);
-            for chunk in part.chunks(&self.ctx)? {
-                builder.push(f(&chunk?)?)?;
-            }
-            builder.finish()
-        })?;
-        ColCollection::materialize_parts(self.ctx.clone(), parts)
+        self.timed(op, || {
+            let parts = run_partitioned(&self.ctx, &self.parts, |_, part| {
+                let mut builder = PartBuilder::new(&self.ctx);
+                for chunk in part.chunks(&self.ctx)? {
+                    builder.push(f(&chunk?)?)?;
+                }
+                builder.finish()
+            })?;
+            ColCollection::materialize_parts(self.ctx.clone(), parts)
+        })
     }
 
     /// Bag union: partitions are concatenated pairwise, no data moves.
@@ -710,49 +703,6 @@ impl ColCollection {
                 Ok(b.take(&keep))
             })?;
             ColCollection::materialize(self.ctx.clone(), parts)
-        })
-    }
-
-    /// Adds a globally unique integer id under `attr` without coordination:
-    /// row `i` of partition `p` gets `p + i * partitions`.
-    pub fn with_unique_id(&self, attr: &str) -> Result<ColCollection> {
-        self.timed("with_unique_id", || {
-            let stride = self.parts.len().max(1) as i64;
-            let parts = run_partitioned(&self.ctx, &self.parts, |p, part| {
-                let mut builder = PartBuilder::new(&self.ctx);
-                let mut offset = 0i64;
-                for chunk in part.chunks(&self.ctx)? {
-                    let b = chunk?;
-                    tuple_rows_required(&b)?;
-                    let out = b.with_unique_ids(attr, p, offset, stride);
-                    offset += b.rows() as i64;
-                    builder.push(out)?;
-                }
-                builder.finish()
-            })?;
-            let minted = |p: &Placement| p.columns.iter().any(|c| c == attr);
-            let placement = self.placement.clone().filter(|p| !minted(p));
-            Ok(
-                ColCollection::materialize_parts(self.ctx.clone(), parts)?
-                    .with_placement(placement),
-            )
-        })
-    }
-
-    /// Unnest (`µ` / outer `µ̄`) of a bag-valued attribute: parent columns are
-    /// gathered by fan-out index, the bag column's child batch is spliced in
-    /// (renamed to `alias.field` when an alias is given — a schema rewrite).
-    /// With `outer`, rows whose bag is empty/NULL keep their parent tuple and
-    /// the inner attributes stay absent. Row-local, so spilled partitions
-    /// stream and flattening blow-ups overflow straight back to disk.
-    pub fn unnest(
-        &self,
-        bag_attr: &str,
-        alias: Option<&str>,
-        outer: bool,
-    ) -> Result<ColCollection> {
-        self.timed("flat_map", || {
-            self.transform_streamed(&|b: &Batch| unnest_batch(b, bag_attr, alias, outer))
         })
     }
 
@@ -968,20 +918,20 @@ impl ColCollection {
     ///
     /// Each partition feeds its own spill-aware `PartBuilder` sink, so
     /// partition alignment is preserved for downstream breakers and
-    /// oversized outputs overflow to disk exactly like the staged operators.
+    /// oversized outputs overflow to disk exactly like a breaker's.
     /// When the partition count is too small to keep every worker busy
     /// (fewer than twice the workers), resident partitions larger than
     /// [`MORSEL_ROWS`] additionally split into row-range morsels executed as
     /// independent tasks (a reorder buffer re-assembles them in source
-    /// order, keeping the output byte-identical to the staged executor's);
+    /// order, so a split partition is row for row the unsplit one);
     /// with ample partitions the whole partition is one morsel — slicing
     /// would cost a gather without buying parallelism. Spilled partitions
     /// stream their frames inside one task either way.
     ///
     /// With `sequential` set (the chain assigns per-partition unique ids),
     /// every partition runs as a single task driving its chunks in order
-    /// through a [`MorselCtx`] whose counters reproduce the staged
-    /// numbering.
+    /// through a [`MorselCtx`] whose counters number the partition's rows
+    /// `0, 1, 2, …` however many chunks it streams in.
     ///
     /// The run is metered as one [`crate::PipelineTiming`] under `label`
     /// with the fused `ops` member list — never as individual member
@@ -1119,7 +1069,7 @@ fn lock_sink<'s, 'a>(sink: &'s Mutex<ColMorselSink<'a>>) -> MutexGuard<'s, ColMo
 /// envelope: a cancellation check at the boundary, a fault-injection draw,
 /// and bounded retry that rewinds the [`MorselCtx`] id counters before each
 /// attempt (a failed attempt must not burn ids, or retried output would
-/// diverge from the staged oracle).
+/// diverge from a fault-free run's).
 fn run_morsel<F>(ctx: &DistContext, step: &F, batch: &Batch, cx: &mut MorselCtx) -> Result<Batch>
 where
     F: Fn(&Batch, &mut MorselCtx) -> Result<Batch> + Send + Sync,
@@ -1135,8 +1085,8 @@ where
 
 /// The per-partition sink of a fused pipeline run: morsel outputs arrive in
 /// completion order, a reorder buffer releases them to the spill-aware
-/// [`PartBuilder`] in **source order**, so a pipelined partition is
-/// byte-identical to its staged twin no matter how morsels were stolen.
+/// [`PartBuilder`] in **source order**, so a partition split into morsels
+/// is row for row the unsplit one no matter how morsels were stolen.
 struct ColMorselSink<'a> {
     builder: Option<PartBuilder<'a>>,
     next: usize,
@@ -1583,9 +1533,23 @@ fn rename_child(child: &Batch, alias: Option<&str>) -> Batch {
     }
 }
 
-/// Unnests a bag-valued attribute of one batch — the batch-at-a-time kernel
-/// behind [`ColCollection::unnest`], exported so the compiler's fused
-/// pipelines can splice it into a morsel closure.
+/// Numbers the rows of one morsel of a sequential fused pipeline under `attr`
+/// — the batch-at-a-time kernel of id assignment (`AddIndex`, an outer
+/// unnest's parent ids): reserves the morsel's rows on `cx`'s counter `slot`
+/// and gives row `i` of the partition `partition + i * stride`
+/// ([`Batch::with_unique_ids`]), so ids are unique without coordination.
+pub fn unique_ids_batch(b: &Batch, attr: &str, cx: &mut MorselCtx, slot: usize) -> Result<Batch> {
+    tuple_rows_required(b)?;
+    let start = cx.reserve(slot, b.rows());
+    Ok(b.with_unique_ids(attr, cx.partition, start, cx.stride))
+}
+
+/// Unnests (`µ` / outer `µ̄`) a bag-valued attribute of one batch — the
+/// batch-at-a-time kernel the compiler's fused pipelines splice into a morsel
+/// closure. Parent columns are gathered by fan-out index, the bag column's
+/// child batch is spliced in (renamed to `alias.field` when an alias is
+/// given — a schema rewrite). With `outer`, rows whose bag is empty/NULL keep
+/// their parent tuple and the inner attributes stay absent.
 pub fn unnest_batch(b: &Batch, bag_attr: &str, alias: Option<&str>, outer: bool) -> Result<Batch> {
     tuple_rows_required(b)?;
     let parent_shape = b.without_column(bag_attr);
@@ -2916,11 +2880,8 @@ mod tests {
         let by_k = known.placement().cloned();
         assert!(by_k.is_some());
         assert_eq!(known.with_context(&ctx).placement().cloned(), by_k);
-        assert_eq!(
-            known.with_unique_id("id").unwrap().placement().cloned(),
-            by_k
-        );
-        assert_eq!(known.with_unique_id("k").unwrap().placement(), None);
+        // A batch transform or a fused pipeline may overwrite a placed
+        // column: only the plan's carry rule can hand a placement back.
         assert_eq!(
             known
                 .map_batches("map", |b| Ok(b.clone()))
@@ -2929,7 +2890,12 @@ mod tests {
             None
         );
         assert_eq!(
-            known.unnest("items", Some("i"), true).unwrap().placement(),
+            known
+                .run_pipeline("pipeline[add_index]", &[], true, |b, cx| {
+                    unique_ids_batch(b, "id", cx, 0)
+                })
+                .unwrap()
+                .placement(),
             None
         );
         assert_eq!(known.union(&known).unwrap().placement(), None);

@@ -65,8 +65,9 @@ impl PartRows for crate::batch::Batch {
 /// deterministic placement the old per-operator scoped threads used — and an
 /// idle participant steals queued partitions from busy ones.
 ///
-/// This is also the engine's **lineage-recovery boundary** for staged
-/// operators: a partition whose task failed *retryably* (an injected fault
+/// This is also the engine's **lineage-recovery boundary** for
+/// partition-at-a-time operators (fused pipelines have their own, in
+/// `run_pipeline`): a partition whose task failed *retryably* (an injected fault
 /// or transient I/O that exhausted its bounded per-task retries) is
 /// recomputed here from its still-available source partition — the
 /// superstep-recovery model: inputs are immutable within an operator, so

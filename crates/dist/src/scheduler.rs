@@ -341,8 +341,8 @@ fn worker_loop(shared: &PoolShared, slot: usize) {
 /// Per-partition mutable state threaded through a **sequential** fused
 /// pipeline: the partition index, the cluster's id stride, and one running
 /// row counter per id-assigning pipeline member (`AddIndex`, outer unnest) —
-/// so fused unique ids reproduce the staged executor's
-/// `partition + row * stride` numbering exactly.
+/// so a partition's ids are `partition + row * stride` for its rows in
+/// order, however many chunks it streams in.
 #[derive(Debug)]
 pub struct MorselCtx {
     /// Index of the partition this morsel belongs to.
@@ -364,7 +364,7 @@ impl MorselCtx {
 
     /// Snapshot of the counters, taken before a morsel attempt so bounded
     /// retry can rewind id assignment — a failed attempt must not burn ids,
-    /// or the retried output would diverge from the staged oracle.
+    /// or the retried output would diverge from a fault-free run's.
     pub fn save(&self) -> Vec<i64> {
         self.counters.clone()
     }

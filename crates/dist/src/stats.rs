@@ -308,7 +308,7 @@ impl Stats {
     }
 
     /// Records one compilation of an expression kernel program under `label`
-    /// (the fused pipeline's label, or the staged operator's name): `instrs`
+    /// (the fused pipeline's label plus `#k<i>`, its i-th program): `instrs`
     /// SSA instructions compiled in `elapsed`, with `text` the rendered
     /// instruction listing. Called once per pipeline compilation — the
     /// scheduler tests assert the compile count never scales with morsels.

@@ -1,7 +1,9 @@
 //! Engine-level tests of the persistent worker pool and the morsel-driven
 //! pipeline drivers: fused pipelines must be byte-equivalent to their staged
-//! operator chains (rows *and* order), unique-id assignment must reproduce
-//! the staged numbering under sequential morsel cursors, steal/morsel/time
+//! operator chains — one `map_batches` materialization per step — (rows
+//! *and* order), unique-id assignment under sequential morsel cursors must
+//! reproduce the staged numbering (each whole partition numbered from 0 by
+//! `Batch::with_unique_ids`), steal/morsel/time
 //! accounting must be truthful, and a morsel task that panics mid-pipeline
 //! must not leak spill files.
 
@@ -10,7 +12,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use trance_dist::colops::unnest_batch;
+use trance_dist::colops::{unique_ids_batch, unnest_batch};
 use trance_dist::{Batch, ClusterConfig, ColCollection, DistContext, FieldHint, MorselCtx};
 use trance_nrc::{Tuple, Value};
 
@@ -118,23 +120,22 @@ fn columnar_pipeline_matches_staged_chain_rows_and_order() {
 fn sequential_pipeline_reproduces_staged_unique_ids_exactly() {
     let ctx = DistContext::new(ClusterConfig::new(4, 8));
     let data = col_ingest(&ctx, (0..9_000).map(|i| row(i % 10, i)).collect());
-    let staged = data.with_unique_id("__id").unwrap();
     let fused = data
         .run_pipeline(
             "pipeline[add_index]",
             &["add_index".to_string()],
             true,
-            |b, cx: &mut MorselCtx| {
-                let start = cx.reserve(0, b.rows());
-                Ok(b.with_unique_ids("__id", cx.partition, start, cx.stride))
-            },
+            |b, cx: &mut MorselCtx| unique_ids_batch(b, "__id", cx, 0),
         )
         .unwrap();
-    let staged_rows: Vec<Vec<Value>> = staged
+    // The definition: each whole partition numbered from 0.
+    let stride = data.num_partitions() as i64;
+    let staged_rows: Vec<Vec<Value>> = data
         .batches()
         .unwrap()
         .iter()
-        .map(|b| b.to_rows())
+        .enumerate()
+        .map(|(p, b)| b.with_unique_ids("__id", p, 0, stride).to_rows())
         .collect();
     let fused_rows: Vec<Vec<Value>> = fused
         .batches()
@@ -168,7 +169,9 @@ fn fused_unnest_kernel_matches_staged_unnest() {
         ],
     )
     .unwrap();
-    let staged = data.unnest("items", Some("it"), true).unwrap();
+    let staged = data
+        .map_batches("flat_map", |b| unnest_batch(b, "items", Some("it"), true))
+        .unwrap();
     let fused = data
         .run_pipeline(
             "pipeline[outer_unnest]",

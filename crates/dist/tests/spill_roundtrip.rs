@@ -11,6 +11,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use trance_dist::colops::unnest_batch;
 use trance_dist::{Batch, ClusterConfig, ColCollection, DistContext, ExecError, JoinSpec};
 use trance_nrc::Value;
 use trance_store::{ByteReader, ByteWriter, SpillManager, Spillable};
@@ -117,11 +118,21 @@ fn canonical(v: &Value) -> Value {
     }
 }
 
+/// Unnests `bag_attr` of every partition: one row-local `map_batches` pass,
+/// streaming spilled partitions chunk by chunk.
+fn unnest(
+    data: &ColCollection,
+    bag_attr: &str,
+    alias: Option<&str>,
+) -> trance_dist::Result<ColCollection> {
+    data.map_batches("flat_map", |b| unnest_batch(b, bag_attr, alias, false))
+}
+
 /// Unnest + shuffle join + regroup over the columnar representation.
 fn columnar_pipeline(ctx: &DistContext) -> trance_dist::Result<Vec<Value>> {
     let data = ColCollection::ingest(&ctx.parallelize(wide_rows()), &[]).expect("ingest");
     let side = ColCollection::ingest(&ctx.parallelize(side_rows()), &[]).expect("ingest");
-    let flat = data.unnest("items", Some("i"), false)?;
+    let flat = unnest(&data, "items", Some("i"))?;
     let joined = flat.join(&side, &JoinSpec::inner(&["i.k"], &["k"]))?;
     let grouped = joined.nest_bag(
         &["id".to_string()],
@@ -201,9 +212,9 @@ fn spill_files_are_deleted_when_collections_drop_and_on_error_paths() {
 
     // Error path: a type error after spilling has happened.
     let data = ColCollection::ingest(&ctx.parallelize(wide_rows()), &[]).expect("ingest");
-    let flat = data.unnest("items", Some("i"), false).expect("unnest");
+    let flat = unnest(&data, "items", Some("i")).expect("unnest");
     assert!(flat.spilled_partitions() > 0, "cap should force spilling");
-    let err = flat.unnest("id", None, false);
+    let err = unnest(&flat, "id", None);
     assert!(err.is_err(), "unnesting a scalar must fail");
     drop(flat);
     drop(data);
@@ -226,7 +237,7 @@ fn spill_files_are_deleted_when_collections_drop_and_on_error_paths() {
 fn spill_files_survive_worker_panics_without_leaking() {
     let ctx = DistContext::new(capped_cluster(true));
     let data = ColCollection::ingest(&ctx.parallelize(wide_rows()), &[]).expect("ingest");
-    let flat = data.unnest("items", Some("i"), false).expect("unnest");
+    let flat = unnest(&data, "items", Some("i")).expect("unnest");
     assert!(flat.spilled_partitions() > 0);
     let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         let _ = flat.map_batches("map", |_| panic!("worker down"));
