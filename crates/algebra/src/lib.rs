@@ -36,6 +36,7 @@
 //! the optimizer and EXPLAIN's `[in place: hashed by …]` marks.
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod fingerprint;
 pub mod lower;

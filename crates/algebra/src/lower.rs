@@ -423,12 +423,13 @@ impl Lowerer<'_> {
         body: &Expr,
         stream: Option<Stream>,
     ) -> LowerResult<Lowered> {
-        match source {
+        let input = match source {
+            Expr::Var(name) => self.resolve_input(name),
+            _ => None,
+        };
+        match (source, input) {
             // Iterate an input (or let-bound / materialized) relation.
-            Expr::Var(name) if self.resolve_input(name).is_some() => {
-                let target = self
-                    .resolve_input(name)
-                    .expect("checked by the match guard");
+            (_, Some(target)) => {
                 match stream {
                     None => {
                         let s = Stream {
@@ -470,7 +471,7 @@ impl Lowerer<'_> {
                 }
             }
             // Iterate a bag-valued attribute of an enclosing variable: unnest.
-            Expr::Proj { tuple, field } => {
+            (Expr::Proj { tuple, field }, None) => {
                 let (outer_var, path) = projection_root(tuple, field)?;
                 let stream = stream.ok_or_else(|| {
                     LowerError::new(format!(
@@ -495,7 +496,7 @@ impl Lowerer<'_> {
             }
             // Iterate the result of another bag expression: materialize it
             // first, then iterate it as a relation.
-            other => {
+            (other, None) => {
                 let lowered = self.compile_bag(other, None)?;
                 let plan = self.finalize(lowered);
                 let tmp = self.materialize("sub", plan);

@@ -368,7 +368,8 @@ fn prune_node(plan: &Plan, need: &Need, catalog: &Catalog) -> (Plan, AttrSchema)
     let mut needs = needs.iter();
     let mut inputs: Vec<AttrSchema> = Vec::new();
     let mut pruned_child = |child: &Plan| {
-        let need = needs.next().expect("one need per child");
+        // One need per child; were one missing, the child would keep all.
+        let need = needs.next().unwrap_or(&None);
         let (mut child, mut schema) = prune_node(child, need, catalog);
         if breaker {
             (child, schema) = keep_needed(child, schema, need, None);
@@ -719,7 +720,7 @@ fn place_groupings(plan: &Plan, wanted: &Wanted) -> Plan {
             };
             let mut sides = [side(left_key), side(right_key)].into_iter();
             map_children(plan, |c| {
-                place_groupings(c, &sides.next().expect("a join has two children"))
+                place_groupings(c, &sides.next().unwrap_or(Wanted::Nothing))
             })
         }
         _ if is_row_local(plan) => {

@@ -3,7 +3,7 @@
 
 use std::collections::BTreeSet;
 
-use trance_nrc::value::prim_op;
+use trance_nrc::value::{cmp_op, prim_op};
 use trance_nrc::{CmpOp, Label, NrcError, PrimOp, Result, Tuple, Value};
 
 /// A scalar expression evaluated against a single row (tuple).
@@ -83,38 +83,27 @@ impl ScalarExpr {
 
     /// Evaluates the expression against `row` — **the definition** of what a
     /// plan expression means. The executor's compiled kernels are held to it
-    /// batch for batch (`trance_compiler::kernel::apply_by_definition` is
-    /// this function applied row by row), and nothing else evaluates a
-    /// `ScalarExpr`.
+    /// row by row in their unit tests, and to `nrc::eval` by the differential
+    /// suites; nothing else evaluates a `ScalarExpr`.
     ///
     /// A column absent from the row evaluates to NULL — plan streams follow
     /// the outer-join convention where missing attributes stand for NULL;
-    /// NULL propagates through arithmetic and compares false; `And`, `Or`
-    /// and `Coalesce` evaluate their right operand only where the left one
-    /// does not decide. Arithmetic over two non-NULL values is
-    /// [`trance_nrc::value::prim_op`], the reference evaluator's own.
+    /// `And`, `Or` and `Coalesce` evaluate their right operand only where the
+    /// left one does not decide. Arithmetic and comparison, NULL rule
+    /// included, are [`prim_op`] and [`cmp_op`], the reference evaluator's
+    /// own.
     pub fn eval(&self, row: &Tuple) -> Result<Value> {
         match self {
             ScalarExpr::Col(name) => Ok(row.get(name).cloned().unwrap_or(Value::Null)),
             ScalarExpr::Const(v) => Ok(v.clone()),
             ScalarExpr::Prim { op, left, right } => {
-                let l = left.eval(row)?;
-                let r = right.eval(row)?;
-                if matches!(l, Value::Null) || matches!(r, Value::Null) {
-                    return Ok(Value::Null);
-                }
-                prim_op(*op, &l, &r)
+                prim_op(*op, &left.eval(row)?, &right.eval(row)?)
             }
-            ScalarExpr::Cmp { op, left, right } => {
-                let l = left.eval(row)?;
-                let r = right.eval(row)?;
-                if matches!(l, Value::Null) || matches!(r, Value::Null) {
-                    // NULL never matches (outer-join mismatch rows must not
-                    // satisfy join/filter predicates).
-                    return Ok(Value::Bool(false));
-                }
-                Ok(Value::Bool(op.eval(l.cmp(&r))))
-            }
+            ScalarExpr::Cmp { op, left, right } => Ok(Value::Bool(cmp_op(
+                *op,
+                &left.eval(row)?,
+                &right.eval(row)?,
+            ))),
             ScalarExpr::And(a, b) => Ok(Value::Bool(
                 a.eval(row)?.as_bool()? && b.eval(row)?.as_bool()?,
             )),
@@ -254,6 +243,78 @@ mod tests {
         assert_eq!(c.eval(&row()).unwrap(), Value::Bool(false));
         let is_null = ScalarExpr::IsNull(Box::new(ScalarExpr::col("missing_val")));
         assert_eq!(is_null.eval(&row()).unwrap(), Value::Bool(true));
+    }
+
+    /// Arithmetic and comparison over a row are the reference evaluator's,
+    /// NULL rule included: on every pair of a small operand corpus — an
+    /// absent column among them — `ScalarExpr::eval`, `prim_op` / `cmp_op`
+    /// and `nrc::eval` give the same value or the same error.
+    #[test]
+    fn prim_and_cmp_are_the_reference_evaluators() {
+        use trance_nrc::builder as nrc;
+        let operands = [
+            None,
+            Some(Value::Null),
+            Some(Value::Int(3)),
+            Some(Value::Int(0)),
+            Some(Value::Real(-1.5)),
+            Some(Value::str("a")),
+        ];
+        let prims = [PrimOp::Add, PrimOp::Sub, PrimOp::Mul, PrimOp::Div];
+        let cmps = [
+            CmpOp::Eq,
+            CmpOp::Ne,
+            CmpOp::Lt,
+            CmpOp::Le,
+            CmpOp::Gt,
+            CmpOp::Ge,
+        ];
+        for l in &operands {
+            for r in &operands {
+                let row = Tuple::new(
+                    [("l", l), ("r", r)]
+                        .into_iter()
+                        .filter_map(|(n, v)| Some((n, v.clone()?))),
+                );
+                let env = trance_nrc::Env::from_bindings([("t", Value::Tuple(row.clone()))]);
+                let field = |n| nrc::proj(nrc::var("t"), n);
+                let (lv, rv) = (
+                    l.clone().unwrap_or(Value::Null),
+                    r.clone().unwrap_or(Value::Null),
+                );
+                for op in prims {
+                    let e = ScalarExpr::Prim {
+                        op,
+                        left: Box::new(ScalarExpr::col("l")),
+                        right: Box::new(ScalarExpr::col("r")),
+                    };
+                    let reference = trance_nrc::Expr::Prim {
+                        op,
+                        left: Box::new(field("l")),
+                        right: Box::new(field("r")),
+                    };
+                    let want = format!("{:?}", prim_op(op, &lv, &rv));
+                    assert_eq!(format!("{:?}", e.eval(&row)), want, "{l:?} {op:?} {r:?}");
+                    let got = trance_nrc::eval(&reference, &env);
+                    assert_eq!(format!("{got:?}"), want, "nrc::eval {l:?} {op:?} {r:?}");
+                }
+                for op in cmps {
+                    let want = Ok(Value::Bool(cmp_op(op, &lv, &rv)));
+                    let e = ScalarExpr::Cmp {
+                        op,
+                        left: Box::new(ScalarExpr::col("l")),
+                        right: Box::new(ScalarExpr::col("r")),
+                    };
+                    let reference = trance_nrc::Expr::Cmp {
+                        op,
+                        left: Box::new(field("l")),
+                        right: Box::new(field("r")),
+                    };
+                    assert_eq!(e.eval(&row), want, "{l:?} {op:?} {r:?}");
+                    assert_eq!(trance_nrc::eval(&reference, &env), want, "nrc::eval");
+                }
+            }
+        }
     }
 
     #[test]

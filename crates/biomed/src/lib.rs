@@ -382,7 +382,7 @@ pub fn pipeline_steps() -> Vec<(&'static str, &'static str, Expr)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use trance_nrc::{Env, Evaluator};
+    use trance_nrc::{eval, Env};
 
     #[test]
     fn generator_respects_cardinalities() {
@@ -407,9 +407,8 @@ mod tests {
             ("ImpactWeights", Value::Bag(d.impact_weights)),
             ("ConseqWeights", Value::Bag(d.conseq_weights)),
         ]);
-        let ev = Evaluator::default();
         for (step, output, expr) in pipeline_steps() {
-            let out = ev.eval(&expr, &env).unwrap();
+            let out = eval(&expr, &env).unwrap();
             assert!(
                 !out.as_bag().unwrap().is_empty(),
                 "{step} produced an empty result"

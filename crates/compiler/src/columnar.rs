@@ -33,7 +33,7 @@ use trance_dist::{
 };
 use trance_nrc::{Expr, Value};
 
-use crate::kernel::{apply_by_definition, compile_ops, KernelOp};
+use crate::kernel::{compile_ops, KernelOp};
 use crate::options::ExecOptions;
 
 /// Converts the plan layer's physical fields into engine field hints.
@@ -389,9 +389,8 @@ fn check_plan_agreement(ctx: &DistContext, name: &str, plan: &Plan) -> Result<()
 }
 
 /// The names a pruning projection keeps (`π` over `[a := a, …]`, each name
-/// once). Such a projection computes nothing, so the compiled route runs it
-/// as the schema-only [`Batch::prune_fields`] instead of a kernel program;
-/// the by-definition route's `Project` is its differential oracle.
+/// once). Such a projection computes nothing, so it runs as the schema-only
+/// [`Batch::prune_fields`] instead of a kernel program.
 fn pruned_names(columns: &[(String, trance_algebra::ScalarExpr)]) -> Option<Vec<String>> {
     let names: Vec<String> = columns.iter().map(|(n, _)| n.clone()).collect();
     let distinct = (1..names.len()).all(|i| !names[..i].contains(&names[i]));
@@ -429,16 +428,11 @@ fn kernel_op(node: &Plan) -> Option<KernelOp> {
 }
 
 /// Closes the accumulated run of `select`/`project`/`extend` operators into
-/// one step of the pipeline — the one place the expression engine is chosen,
-/// and the only reader of `options.compiled_exprs`.
-///
-/// Compiled (the default): one kernel program for the whole run, taken from
-/// the shared [`KernelCache`] when one is threaded through the options; what
-/// the compilation cost goes to `kernels` for the chain's stats — nothing on
-/// a cache hit (a warm replay reports zero expression-compile time) and
-/// nothing for a lone pruning projection, which needs no program. By
-/// definition (the reference the kernels are held to):
-/// [`apply_by_definition`], compiling and booking nothing.
+/// one step of the pipeline: one kernel program for the whole run, taken
+/// from the shared [`KernelCache`] when one is threaded through the options.
+/// What the compilation cost goes to `kernels` for the chain's stats —
+/// nothing on a cache hit (a warm replay reports zero expression-compile
+/// time) and nothing for a lone pruning projection, which needs no program.
 fn flush_kernel(
     pending: &mut Vec<KernelOp>,
     steps: &mut Vec<ColStep>,
@@ -449,10 +443,6 @@ fn flush_kernel(
         return;
     }
     let ops = std::mem::take(pending);
-    if !options.compiled_exprs {
-        steps.push(Box::new(move |b, _| apply_by_definition(&ops, b)));
-        return;
-    }
     if let [KernelOp::Project(columns)] = ops.as_slice() {
         if let Some(names) = pruned_names(columns) {
             steps.push(Box::new(move |b, _| Ok(b.prune_fields(&names))));
@@ -664,7 +654,7 @@ pub fn eval_plan_col(
                 PlanJoinKind::Inner => JoinSpec::inner(&lk, &rk),
                 PlanJoinKind::LeftOuter => JoinSpec::left_outer(&lk, &rk),
             };
-            if options.skew_aware || *strategy == JoinStrategy::Skew {
+            if *strategy == JoinStrategy::Skew {
                 l.skew_join(&r, &spec)
             } else {
                 let spec = match strategy {

@@ -6,18 +6,16 @@
 //! numbered column registers, compiled **once per pipeline** at plan time
 //! and executed per morsel by type-specialized vectorized kernels.
 //!
-//! What a run of operators computes is **defined** here too, by
-//! [`apply_by_definition`]: every expression evaluated row by row through
-//! `ScalarExpr::eval`, the plan layer's one written rule, every set column
-//! built by `Column::from_values`. That is the reference the kernels are
-//! held to — selectable with `ExecOptions::compiled_exprs = false` — and
-//! every kernel builds the column the definition builds, so the two routes
-//! produce **byte-identical** batches: the unit tests below compare whole
-//! batches, the expr_agree suite asserts identical logical *and* physical
-//! shuffle volumes. Arithmetic over two non-NULL values is
-//! `trance_nrc::value::prim_op` on every route; the dense `i64` / `f64`
-//! loops below are the only other place it is written, and they raise the
-//! same typed errors (integer overflow, division by zero).
+//! There is no other engine: what a run of operators computes is defined by
+//! `ScalarExpr::eval`, the plan layer's one written rule, applied row by row
+//! — the unit tests below hold every program to exactly that, on the rows of
+//! the batch — and the differential suites hold whole queries to `nrc::eval`.
+//! The row-wise lanes call `trance_nrc::value::prim_op` / `cmp_op`, where
+//! the NULL rule is written; the dense `i64` / `f64` / `bool` loops and the
+//! dictionary string predicate below are the only other places an operator
+//! is written, and they follow the same rule (NULL lanes never reach the
+//! dense loops, compare false on the dictionary path) and raise the same
+//! typed errors (integer overflow, division by zero).
 //!
 //! The executor's cost model:
 //!
@@ -43,7 +41,7 @@ use std::time::{Duration, Instant};
 
 use trance_algebra::ScalarExpr;
 use trance_dist::{Batch, Bitmap, Column, ExecError, Result};
-use trance_nrc::value::prim_op;
+use trance_nrc::value::{cmp_op, prim_op};
 use trance_nrc::{CmpOp, Label, NrcError, PrimOp, Value};
 
 /// A register: the index of the instruction that defines it.
@@ -178,12 +176,10 @@ pub enum Instr {
         guard: Option<Reg>,
     },
     /// Narrow the selection vector to the lanes where `pred` is true
-    /// (`as_bool` errors surface, as in the definition's `Select`), then
-    /// compact the
-    /// still-live registers: `live_sets` are output columns (materialized
-    /// and gathered as columns, preserving the definition's
-    /// build-then-filter bytes), `live` are scratch registers (compacted
-    /// positionally).
+    /// (`as_bool` errors surface, as a `Select` raises them), then compact
+    /// the still-live registers: `live_sets` are output columns (built, then
+    /// gathered as columns — see `compact_as_column`), `live` are scratch
+    /// registers (compacted positionally).
     Filter {
         /// The predicate register.
         pred: Reg,
@@ -195,8 +191,8 @@ pub enum Instr {
 }
 
 /// One row-local plan operator — the expression payload of a
-/// `Select`/`Project`/`Extend` plan node. [`apply_by_definition`] says what a
-/// run of them computes; [`compile_ops`] compiles the run.
+/// `Select`/`Project`/`Extend` plan node; [`compile_ops`] compiles a run of
+/// them.
 #[derive(Debug, Clone)]
 pub enum KernelOp {
     /// Keep the rows whose predicate evaluates to `true` (a non-bool is a
@@ -208,85 +204,6 @@ pub enum KernelOp {
     /// Set columns in order, each seeing the columns set before it (the
     /// `Tuple::set` contract).
     Extend(Vec<(String, ScalarExpr)>),
-}
-
-/// Runs `ops` over `batch` **by definition**: every expression is evaluated
-/// row by row through [`ScalarExpr::eval`] — the plan layer's written rule
-/// (absent reads as NULL, NULL compares false, `And`/`Or`/`Coalesce`
-/// short-circuit) — and every set column is built by
-/// [`Column::from_values`]. A [`KernelProgram`] compiled from the same run
-/// must produce this batch byte for byte; it is what
-/// `ExecOptions::compiled_exprs = false` executes.
-pub fn apply_by_definition(ops: &[KernelOp], batch: &Batch) -> Result<Batch> {
-    let mut cur = batch.clone();
-    for op in ops {
-        cur = match op {
-            KernelOp::Select(pred) => {
-                let mask = eval_rows(pred, &cur)?
-                    .iter()
-                    .map(|v| Ok(v.as_bool()?))
-                    .collect::<Result<Vec<bool>>>()?;
-                cur.filter(&mask)
-            }
-            KernelOp::Project(cols) => {
-                let sets = cols
-                    .iter()
-                    .map(|(name, e)| Ok((name.as_str(), defined_column(e, &cur)?)))
-                    .collect::<Result<Vec<_>>>()?;
-                Batch::unit(cur.rows()).with_columns(sets)
-            }
-            KernelOp::Extend(cols) => {
-                for (name, e) in cols {
-                    cur = cur.with_column(name, defined_column(e, &cur)?);
-                }
-                cur
-            }
-        };
-    }
-    Ok(cur)
-}
-
-/// `expr` evaluated on each row of `batch` (rows of the columns it reads).
-fn eval_rows(expr: &ScalarExpr, batch: &Batch) -> Result<Vec<Value>> {
-    let cols: Vec<String> = expr.referenced_columns().into_iter().collect();
-    let rows = batch.project_fields(&cols).to_rows();
-    rows.iter()
-        .map(|row| Ok(expr.eval(row.as_tuple()?)?))
-        .collect()
-}
-
-/// The column setting `expr` puts on `batch`. Two results are shared by
-/// pointer rather than rebuilt from values, because a rebuilt
-/// column holds the same values in other bytes: a bare column reference is
-/// the input column, and `coalesce(bag column, {})` is
-/// [`Column::coalesce_empty_bag`] — validity bits cleared over the shared
-/// offsets and elements, the primitive the kernels answer it with too.
-fn defined_column(expr: &ScalarExpr, batch: &Batch) -> Result<Arc<Column>> {
-    let shared = match expr {
-        ScalarExpr::Col(name) => batch.column_arc(name),
-        ScalarExpr::Coalesce(a, b) => match (a.as_ref(), b.as_ref()) {
-            (ScalarExpr::Col(name), ScalarExpr::Const(Value::Bag(bag))) if bag.is_empty() => batch
-                .column(name)
-                .and_then(|col| col.coalesce_empty_bag(&col.null_lanes()))
-                .map(Arc::new),
-            _ => None,
-        },
-        _ => None,
-    };
-    Ok(absent_to_null(match shared {
-        Some(col) => col,
-        None => Arc::new(Column::from_values(eval_rows(expr, batch)?)),
-    }))
-}
-
-/// A column as a *set* attribute: every row carries it, so absence collapses
-/// to an explicit NULL (a `Tuple::set` of a NULL).
-fn absent_to_null(col: Arc<Column>) -> Arc<Column> {
-    if col.has_absent() {
-        Arc::new(col.absent_as_null())
-    } else {
-        col
-    }
 }
 
 /// A compiled expression kernel program: SSA instructions plus the output
@@ -1059,11 +976,12 @@ impl<T: Copy> Lanes<'_, T> {
     }
 }
 
-/// The coalesce merges that need no boxed lane, each building the very
-/// column the definition builds:
+/// The coalesce merges that need no boxed lane:
 ///
-/// * `coalesce(bag column, {})` is the definition's own primitive,
-///   [`Column::coalesce_empty_bag`];
+/// * `coalesce(bag column, {})` — what the lowering puts above every outer
+///   join that re-attaches a nesting level — is
+///   [`Column::coalesce_empty_bag`]: validity bits cleared over the shared
+///   offsets and elements, no bag rebuilt;
 /// * two operands of one primitive kind (a NULL literal fits any) merge lane
 ///   by lane into the typed column `Column::from_values` would build from
 ///   the boxed lanes — data where a lane holds a value, the kind's
@@ -1154,11 +1072,11 @@ fn compact_positional(rv: RegVal, keep: &[usize]) -> RegVal {
 }
 
 /// Compaction of an output-set register. `Values` registers are built into
-/// a column **before** gathering — exactly what the definition does
-/// (the extend materializes, a later select filters) — because
-/// `Column::from_values` infers the column kind from *all* values: building
-/// from the surviving subset could infer a different (narrower) kind and
-/// break physical byte parity with the oracle.
+/// a column **before** gathering — as an extend followed by a select in
+/// another pipeline would build it — because `Column::from_values` infers
+/// the column kind from *all* values: building from the surviving subset
+/// could infer a different (narrower) kind, and the physical bytes a later
+/// shuffle ships would then depend on where a pipeline was cut.
 fn compact_as_column(rv: RegVal, keep: &[usize], _pre_len: usize) -> RegVal {
     match rv {
         RegVal::Values(x) => {
@@ -1226,16 +1144,10 @@ fn exec_prim(
     // guarded lanes, NULL elsewhere.
     let mut out = Vec::with_capacity(n);
     for i in 0..n {
-        if !guard_true(guard, i) {
-            out.push(Value::Null);
-            continue;
-        }
-        let lv = l.value_at(i);
-        let rv = r.value_at(i);
-        out.push(if matches!(lv, Value::Null) || matches!(rv, Value::Null) {
-            Value::Null
+        out.push(if guard_true(guard, i) {
+            prim_op(op, &l.value_at(i), &r.value_at(i))?
         } else {
-            prim_op(op, &lv, &rv)?
+            Value::Null
         });
     }
     Ok(RegVal::Values(out))
@@ -1294,19 +1206,10 @@ fn exec_cmp(op: CmpOp, l: &RegVal, r: &RegVal, n: usize) -> RegVal {
             return out;
         }
     }
-    // Row-wise comparison through the total `Value::cmp`; NULL on either
-    // side compares false.
+    // Row-wise comparison, NULL rule included.
     RegVal::Bools(
         (0..n)
-            .map(|i| {
-                let lv = l.value_at(i);
-                let rv = r.value_at(i);
-                if matches!(lv, Value::Null) || matches!(rv, Value::Null) {
-                    false
-                } else {
-                    op.eval(lv.cmp(&rv))
-                }
-            })
+            .map(|i| cmp_op(op, &l.value_at(i), &r.value_at(i)))
             .collect(),
     )
 }
@@ -1320,7 +1223,8 @@ fn exec_is_true(cond: &RegVal, guard: Option<&[bool]>, n: usize) -> Result<Vec<b
             Ok(x) => Ok((0..n).map(|i| guard_true(guard, i) && x).collect()),
             Err(e) => {
                 // A non-bool constant errors — but only if a guarded lane
-                // exists (the definition evaluates it on no row otherwise).
+                // exists (`ScalarExpr::eval` evaluates it on no row
+                // otherwise).
                 if (0..n).any(|i| guard_true(guard, i)) {
                     Err(e.into())
                 } else {
@@ -1350,9 +1254,9 @@ impl KernelProgram {
         self.instrs.len()
     }
 
-    /// Executes the program over one batch, producing the output batch —
-    /// byte-identical to [`apply_by_definition`] over the compiled
-    /// operators.
+    /// Executes the program over one batch, producing the output batch:
+    /// row for row, what `ScalarExpr::eval` computes for the compiled
+    /// operators on the batch's rows.
     pub fn run(&self, batch: &Batch) -> Result<Batch> {
         let mut st = State {
             batch,
@@ -1376,7 +1280,7 @@ impl KernelProgram {
         };
         // Replay the `with_column` sets in operator order (replace-in-place
         // or append), memoizing per register so a register set under two
-        // names shares one column — as the definition's Arc sharing does.
+        // names shares one column.
         let mut cache: HashMap<Reg, Arc<Column>> = HashMap::new();
         let mut sets = Vec::with_capacity(self.sets.len());
         for (name, r) in &self.sets {
@@ -1465,12 +1369,13 @@ impl KernelProgram {
     }
 }
 
-/// Materializes a register as an output column, with the same column
-/// construction — and the same [`absent_to_null`] collapse — as the
-/// definition's `defined_column`.
+/// Materializes a register as an output column — a *set* attribute: every
+/// row carries it, so absence collapses to an explicit NULL (a `Tuple::set`
+/// of a NULL).
 fn materialize(rv: RegVal, len: usize) -> Arc<Column> {
     match rv {
-        RegVal::Col(c) => absent_to_null(c),
+        RegVal::Col(c) if c.has_absent() => Arc::new(c.absent_as_null()),
+        RegVal::Col(c) => c,
         RegVal::Const(v) => Arc::new(Column::from_const(&v, len)),
         RegVal::Ints(data) => {
             let n = data.len();
@@ -1497,7 +1402,7 @@ fn materialize(rv: RegVal, len: usize) -> Arc<Column> {
 mod tests {
     use super::*;
     use trance_algebra::ScalarExpr as E;
-    use trance_nrc::Bag;
+    use trance_nrc::{Bag, Tuple};
 
     fn prim(op: PrimOp, l: E, r: E) -> E {
         E::Prim {
@@ -1577,17 +1482,58 @@ mod tests {
         ])
     }
 
-    /// What the run of operators is defined to compute.
-    fn by_definition(b: &Batch, ops: &[KernelOp]) -> Batch {
-        apply_by_definition(ops, b).expect("definition")
+    /// What the run of operators is defined to compute — the oracle every
+    /// kernel is held to: `ScalarExpr::eval` applied row by row to the
+    /// batch's rows. A `Select` keeps the rows its predicate holds on, a
+    /// `Project` builds each row from the input row, an `Extend` sets its
+    /// columns in order, each seeing the ones set before it.
+    fn by_definition(b: &Batch, ops: &[KernelOp]) -> Result<Vec<Value>> {
+        let mut rows = Vec::with_capacity(b.rows());
+        for row in b.to_rows() {
+            rows.push(row.as_tuple()?.clone());
+        }
+        for op in ops {
+            let mut out = Vec::with_capacity(rows.len());
+            for mut row in rows {
+                match op {
+                    KernelOp::Select(pred) => {
+                        if pred.eval(&row)?.as_bool()? {
+                            out.push(row);
+                        }
+                    }
+                    KernelOp::Project(cols) => {
+                        let mut projected = Tuple::empty();
+                        for (name, e) in cols {
+                            projected.set(name.clone(), e.eval(&row)?);
+                        }
+                        out.push(projected);
+                    }
+                    KernelOp::Extend(cols) => {
+                        for (name, e) in cols {
+                            let v = e.eval(&row)?;
+                            row.set(name.clone(), v);
+                        }
+                        out.push(row);
+                    }
+                }
+            }
+            rows = out;
+        }
+        Ok(rows.into_iter().map(Value::Tuple).collect())
     }
 
-    fn assert_batches_eq(got: &Batch, want: &Batch, context: &str) {
+    /// Asserts that `got` holds, row for row and value for value (an `Int`
+    /// is no `Real`), what `ops` are defined to compute on `b`; returns
+    /// those rows.
+    fn assert_defined(got: &Batch, b: &Batch, ops: &[KernelOp], context: &str) -> Vec<Value> {
+        let want = by_definition(b, ops)
+            .unwrap_or_else(|err| panic!("{context}: the definition raised {err}"));
         assert_eq!(
-            format!("{got:?}"),
+            format!("{:?}", got.to_rows()),
             format!("{want:?}"),
-            "batch mismatch: {context}"
+            "mismatch: {context}"
         );
+        want
     }
 
     fn expr_corpus() -> Vec<E> {
@@ -1695,8 +1641,16 @@ mod tests {
             let got = compile_ops(&ops)
                 .run(&b)
                 .unwrap_or_else(|err| panic!("expr #{i} {e:?} failed under kernels: {err}"));
-            assert_batches_eq(&got, &by_definition(&b, &ops), &format!("expr #{i} {e:?}"));
+            assert_defined(&got, &b, &ops, &format!("expr #{i} {e:?}"));
         }
+        // A bare column reference shares the input column where nothing is
+        // absent.
+        let ops = [KernelOp::Extend(vec![("out".into(), E::col("k"))])];
+        let shared = compile_ops(&ops).run(&b).expect("kernel");
+        assert!(Arc::ptr_eq(
+            &shared.column_arc("out").unwrap(),
+            &b.column_arc("k").unwrap()
+        ));
     }
 
     #[test]
@@ -1746,7 +1700,7 @@ mod tests {
             ("z".into(), E::constant(Value::str("k"))),
         ])];
         let got = compile_ops(&ops).run(&b).expect("kernel project");
-        assert_batches_eq(&got, &by_definition(&b, &ops), "project");
+        assert_defined(&got, &b, &ops, "project");
     }
 
     #[test]
@@ -1770,7 +1724,7 @@ mod tests {
             KernelOp::Select(pred2),
         ];
         let got = compile_ops(&ops).run(&b).expect("fused kernel");
-        assert_batches_eq(&got, &by_definition(&b, &ops), "select+extend+select");
+        assert_defined(&got, &b, &ops, "select+extend+select");
     }
 
     #[test]
@@ -1787,7 +1741,7 @@ mod tests {
             KernelOp::Select(cmp(CmpOp::Gt, E::col("x"), E::constant(Value::Int(0)))),
         ];
         let got = compile_ops(&ops).run(&b).expect("kernel");
-        assert_batches_eq(&got, &by_definition(&b, &ops), "project+select");
+        assert_defined(&got, &b, &ops, "project+select");
     }
 
     #[test]
@@ -1796,50 +1750,14 @@ mod tests {
         for (i, e) in expr_corpus().into_iter().enumerate() {
             let ops = [KernelOp::Select(e.clone())];
             let got = compile_ops(&ops).run(&b);
-            let want = apply_by_definition(&ops, &b);
-            match (got, want) {
-                (Ok(g), Ok(w)) => assert_batches_eq(&g, &w, &format!("select on expr #{i} {e:?}")),
+            match (got, by_definition(&b, &ops)) {
+                (Ok(g), Ok(_)) => {
+                    assert_defined(&g, &b, &ops, &format!("select on expr #{i} {e:?}"));
+                }
                 (Err(_), Err(_)) => {}
                 (g, w) => panic!("select outcome mismatch on expr #{i} {e:?}: {g:?} vs {w:?}"),
             }
         }
-    }
-
-    /// The applier's two pointer-level shortcuts (a bare column reference,
-    /// `coalesce(bag column, {})`) choose a representation, never a value:
-    /// over the whole corpus a set column reads, lane for lane, what
-    /// `ScalarExpr::eval` computes on the batch's rows.
-    #[test]
-    fn the_definition_is_scalar_expr_eval_on_the_rows_of_the_batch() {
-        let b = mixed_batch();
-        let rows = b.to_rows();
-        for (i, e) in expr_corpus().into_iter().enumerate() {
-            let got = apply_by_definition(&[KernelOp::Extend(vec![("out".into(), e.clone())])], &b);
-            let want: trance_nrc::Result<Vec<Value>> = rows
-                .iter()
-                .map(|row| e.eval(row.as_tuple().expect("tuple rows")))
-                .collect();
-            match (got, want) {
-                (Ok(got), Ok(want)) => {
-                    for (lane, want) in want.into_iter().enumerate() {
-                        // `Some`: a set attribute is absent from no row.
-                        assert_eq!(
-                            got.value_at(lane, "out"),
-                            Some(want),
-                            "expr #{i} {e:?}, lane {lane}"
-                        );
-                    }
-                }
-                (Err(_), Err(_)) => {}
-                (got, want) => panic!("outcome mismatch on expr #{i} {e:?}: {got:?} vs {want:?}"),
-            }
-        }
-        // The first shortcut is a pointer copy where nothing is absent.
-        let shared = by_definition(&b, &[KernelOp::Extend(vec![("out".into(), E::col("k"))])]);
-        assert!(Arc::ptr_eq(
-            &shared.column_arc("out").unwrap(),
-            &b.column_arc("k").unwrap()
-        ));
     }
 
     /// `+`, `-`, `*` over two integers leave `i64` as one typed error — from
@@ -1894,11 +1812,11 @@ mod tests {
                 );
                 let ops = [KernelOp::Extend(vec![("out".into(), e.clone())])];
                 for (route, got) in [
-                    ("kernel", compile_ops(&ops).run(&b)),
-                    ("definition", apply_by_definition(&ops, &b)),
+                    ("kernel", compile_ops(&ops).run(&b).map(|_| ())),
+                    ("definition", by_definition(&b, &ops).map(|_| ())),
                 ] {
                     assert_eq!(
-                        got.map(|_| ()).map_err(|e| e.to_string()),
+                        got.map_err(|e| e.to_string()),
                         Err(NrcError::IntegerOverflow(sym).to_string()),
                         "{op:?} {lane}: {route}"
                     );
@@ -1930,7 +1848,7 @@ mod tests {
                     let got = compile_ops(ops)
                         .run(&b)
                         .unwrap_or_else(|err| panic!("{op:?} {lane}: guard #{g} raised {err}"));
-                    assert_batches_eq(&got, &by_definition(&b, ops), &format!("guard #{g}"));
+                    assert_defined(&got, &b, ops, &format!("guard #{g}"));
                 }
             }
         }
@@ -1994,7 +1912,7 @@ mod tests {
         let got = compile_ops(&ops)
             .run(&b)
             .expect("guarded division must not error");
-        assert_batches_eq(&got, &by_definition(&b, &ops), "guarded division filter");
+        assert_defined(&got, &b, &ops, "guarded division filter");
     }
 
     #[test]
@@ -2020,9 +1938,9 @@ mod tests {
             ] {
                 let ops = [KernelOp::Select(e)];
                 let got = compile_ops(&ops).run(&b).expect("kernel select");
-                let kept = by_definition(&b, &ops);
-                assert!(0 < kept.rows() && kept.rows() < b.rows());
-                assert_batches_eq(&got, &kept, &format!("dict predicate {op:?}, {side}"));
+                let kept =
+                    assert_defined(&got, &b, &ops, &format!("dict predicate {op:?}, {side}"));
+                assert!(!kept.is_empty() && kept.len() < b.rows());
             }
         }
     }
@@ -2040,7 +1958,7 @@ mod tests {
             E::constant(Value::str("tag")),
         )])];
         let got = compile_ops(&ops).run(&b).expect("kernel");
-        assert_batches_eq(&got, &by_definition(&b, &ops), "lazy const");
+        assert_defined(&got, &b, &ops, "lazy const");
     }
 
     #[test]

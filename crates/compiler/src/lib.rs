@@ -36,8 +36,9 @@
 //! The strategies compared in the paper's experiments are exposed as
 //! [`pipeline::Strategy`] and driven by [`pipeline::run_query`] (the
 //! strategy's default options) or [`pipeline::run_query_with`] (explicit
-//! [`ExecOptions`] — how the differential suites select by-definition
-//! expression evaluation, the fault-free twin or spilling off);
+//! [`ExecOptions`] — spilling off, a deadline, a shared kernel cache; no
+//! option selects a second way to run a plan, and the one reference is
+//! `nrc::eval`);
 //! [`pipeline::explain_query`] renders the optimized plans a strategy
 //! actually executes. All of them — and the serving layer's
 //! [`prepared::prepare_and_run`] / [`prepared::run_prepared`] — execute

@@ -376,9 +376,9 @@ impl RunOutcome {
     }
 }
 
-/// The options a strategy runs under by default: morsel-driven fused
-/// pipelines, compiled expression kernels, the optimizer on for everything
-/// but the baseline. The second parameter is ignored; it is retained only
+/// The options a strategy runs under by default: the optimizer on for
+/// everything but the baseline, skew-aware operators for the `*Skew`
+/// strategies. The second parameter is ignored; it is retained only
 /// because the frozen benchmark (`benchmark/src/probes.rs`) calls
 /// `strategy_options(strategy, false)`.
 pub fn strategy_options(strategy: Strategy, _retained: bool) -> ExecOptions {
@@ -397,12 +397,12 @@ pub fn run_query(spec: &QuerySpec, inputs: &InputSet, strategy: Strategy) -> Run
 }
 
 /// Runs `spec` under `strategy` with every execution choice spelled out in
-/// `options` — the one entry point the differential suites select their
-/// reference modes through (`compiled_exprs: false` expressions by
-/// definition, `faults: false` the
-/// fault-free twin, `spill: false` the paper's FAIL behaviour on a capped
-/// spill-capable cluster, `deadline` a wall-clock budget). Start from
-/// [`strategy_options`] and override single fields.
+/// `options` (`spill: false` the paper's FAIL behaviour on a capped
+/// spill-capable cluster, `deadline` a wall-clock budget, `kernel_cache` a
+/// shared program cache). Start from [`strategy_options`] and override
+/// single fields. No option selects a reference mode: a run is held to
+/// `nrc::eval`, and a fault-free run is a run on a cluster without a
+/// `FaultPlan`.
 pub fn run_query_with(
     spec: &QuerySpec,
     inputs: &InputSet,
@@ -574,15 +574,13 @@ fn run_outcome(
 /// `run`, and disarms the deadline so it cannot fire into a later run.
 ///
 /// `spill` only bites on clusters built with `ClusterConfig::with_spill` and
-/// a memory cap (everywhere else capped runs FAIL as in the paper); `faults`
-/// only on clusters configured with a `FaultPlan`.
+/// a memory cap (everywhere else capped runs FAIL as in the paper).
 pub(crate) fn with_session<T>(
     ctx: &DistContext,
     options: &ExecOptions,
     run: impl FnOnce() -> trance_dist::Result<T>,
 ) -> trance_dist::Result<T> {
     ctx.set_spill_session(options.spill);
-    ctx.set_fault_session(options.faults);
     let cancel = ctx.cancel_token();
     cancel.set_timeout(options.deadline);
     let result = run();

@@ -1,10 +1,11 @@
 //! Chaos differential suite: under **seeded, deterministic fault injection**
 //! at every site (morsel execution, spill read/write, shuffle delivery,
-//! worker startup), every run must either match the fault-free oracle after
-//! recovery or return a **typed** error within its deadline — never a hang,
-//! never a silently wrong answer, never a leaked spill file. The fault
+//! worker startup), every run must either match the `nrc::eval` reference
+//! after recovery or return a **typed** error within its deadline — never a
+//! hang, never a silently wrong answer, never a leaked spill file. The fault
 //! schedules are pure functions of their seeds, so every failure here
-//! reproduces byte-for-byte.
+//! reproduces byte-for-byte. A cluster with a fault plan always injects; the
+//! cancellation cells run on a plan that injects nothing.
 
 use std::time::Duration;
 
@@ -54,20 +55,6 @@ fn seeded_fault_schedules_recover_or_fail_typed_on_every_strategy_and_repr() {
         let inputs = input_set(chaos_ctx(FaultPlan::seeded(seed), capped), &values);
         let ctx = inputs.context().clone();
 
-        // The fault-free oracle side: same cluster, injector suppressed for
-        // the run. It must match the sequential reference and inject nothing.
-        let oracle = run_enveloped(&spec, &inputs, Strategy::Standard, false, None);
-        assert_eq!(
-            oracle.stats.faults_injected, 0,
-            "seed {seed}: a faults-off run must not inject"
-        );
-        let oracle_bag = outcome_bag(&oracle.result, &format!("seed {seed} faults-off oracle"));
-        assert_bags_approx_eq(
-            &expected,
-            &oracle_bag,
-            &format!("seed {seed}: faults-off oracle vs sequential reference"),
-        );
-
         for strategy in Strategy::all() {
             let outcome = run_faulted(&spec, &inputs, strategy);
             recovered_runs +=
@@ -104,10 +91,8 @@ fn seeded_fault_schedules_recover_or_fail_typed_on_every_strategy_and_repr() {
             fired[site.index()] += injector.fired(site);
         }
 
-        // No spill file may survive the runs' collections (the oracle
-        // outcome holds a distributed collection, so it must go too).
+        // No spill file may survive the runs' collections.
         if let Some(dir) = ctx.spill_dir() {
-            drop(oracle);
             drop(inputs);
             assert_eq!(
                 std::fs::read_dir(&dir).map(|d| d.count()).unwrap_or(0),
@@ -137,18 +122,14 @@ fn seeded_fault_schedules_recover_or_fail_typed_on_every_strategy_and_repr() {
     );
 }
 
-/// One run with the fault-tolerance envelope spelled out:
-/// `faults = false` is the fault-free oracle side on the same cluster,
-/// `deadline` the cooperative wall-clock budget.
+/// One run under the cooperative wall-clock budget `deadline`.
 fn run_enveloped(
     spec: &QuerySpec,
     inputs: &InputSet,
     strategy: Strategy,
-    faults: bool,
     deadline: Option<Duration>,
 ) -> RunOutcome {
     let options = ExecOptions {
-        faults,
         deadline,
         ..strategy_options(strategy, false)
     };
@@ -157,7 +138,7 @@ fn run_enveloped(
 
 /// One faulted run under the chaos deadline.
 fn run_faulted(spec: &QuerySpec, inputs: &InputSet, strategy: Strategy) -> RunOutcome {
-    run_enveloped(spec, inputs, strategy, true, Some(RUN_DEADLINE))
+    run_enveloped(spec, inputs, strategy, Some(RUN_DEADLINE))
 }
 
 #[test]
@@ -190,20 +171,15 @@ fn targeted_one_shot_bursts_force_lineage_recovery_deterministically() {
 fn deadline_cancellation_races_mid_spill_without_leaks_and_oracle_unaffected() {
     let _watchdog = Watchdog::arm("chaos::cancellation", Duration::from_secs(600));
     let (spec, values, expected) = random_case(5);
-    // Quiet injector: this test is about cancellation, not faults — but the
-    // cluster is capped with spilling on so cancellation lands mid-spill.
+    // Quiet injector (it injects nothing): this test is about cancellation,
+    // not faults — but the cluster is capped with spilling on so
+    // cancellation lands mid-spill.
     let inputs = input_set(chaos_ctx(FaultPlan::quiet(0), true), &values);
     let ctx = inputs.context().clone();
 
     // A zero deadline fires at the first morsel/frame boundary check:
     // deterministic cancellation, typed error, `cancelled` stat set.
-    let outcome = run_enveloped(
-        &spec,
-        &inputs,
-        Strategy::Standard,
-        false,
-        Some(Duration::ZERO),
-    );
+    let outcome = run_enveloped(&spec, &inputs, Strategy::Standard, Some(Duration::ZERO));
     match &outcome.result {
         RunResult::Failed(e) => assert!(
             e.is_cancelled(),
@@ -224,7 +200,7 @@ fn deadline_cancellation_races_mid_spill_without_leaks_and_oracle_unaffected() {
             std::thread::sleep(Duration::from_micros(delay_us));
             token.cancel("chaos test canceller");
         });
-        let outcome = run_enveloped(&spec, &inputs, Strategy::Baseline, false, None);
+        let outcome = run_enveloped(&spec, &inputs, Strategy::Baseline, None);
         canceller.join().unwrap();
         match &outcome.result {
             RunResult::Failed(e) => assert!(
@@ -251,9 +227,9 @@ fn deadline_cancellation_races_mid_spill_without_leaks_and_oracle_unaffected() {
         }
     }
 
-    // The same context stays healthy after cancellations: a fresh
-    // fault-free run with no deadline completes and matches the reference.
-    let oracle = run_enveloped(&spec, &inputs, Strategy::Standard, false, None);
+    // The same context stays healthy after cancellations: a fresh run with
+    // no deadline completes and matches the reference.
+    let oracle = run_enveloped(&spec, &inputs, Strategy::Standard, None);
     let oracle_bag = outcome_bag(&oracle.result, "post-cancel oracle");
     assert_bags_approx_eq(&expected, &oracle_bag, "post-cancel oracle vs reference");
     assert_eq!(oracle.stats.cancelled, 0);
@@ -292,10 +268,10 @@ fn cold_and_warm_cell_runs_replay_the_same_fault_schedule() {
                 .with_faults(plan.clone());
             let inputs = input_set(DistContext::new(cfg), &values);
             if warm_cells {
-                // A faults-off run draws nothing and leaves the cells filled.
-                let warmup = run_enveloped(&spec, &inputs, strategy, false, None);
-                assert_eq!(warmup.stats.faults_injected, 0);
-                assert!(!warmup.result.is_failure());
+                // Filling the cells draws nothing.
+                inputs.resident(strategy.is_shredded()).expect("cells fill");
+                let injector = inputs.context().faults().expect("an injector");
+                assert!(FaultSite::ALL.iter().all(|&site| injector.draws(site) == 0));
             }
             run_faulted(&spec, &inputs, strategy)
         };

@@ -291,11 +291,10 @@ pub fn random_nested(rng: &mut StdRng, rows: usize, key_space: i64) -> Value {
 /// Random flat relation `RN(a, b, c, s, m)` with **awkward operands**: `b`
 /// is sometimes NULL, `s` is sometimes absent (the tuple lacks the
 /// attribute), and `m` mixes integer and real lanes so its column falls off
-/// every dense fast path. Programs that read it have no `nrc::eval`
-/// reference (see [`random_expr_case`]): the reference evaluator rejects a
-/// projection of an absent attribute and orders NULL below every value,
-/// where plans follow the outer-join convention (absent reads as NULL, a
-/// comparison with NULL is false).
+/// every dense fast path. The reference evaluator and the plans read these
+/// operands by one rule (absent reads as NULL, NULL propagates through
+/// arithmetic, a comparison with NULL is false), so programs over it are
+/// held to `nrc::eval` like any other.
 pub fn random_flat_nullable(rng: &mut StdRng, rows: usize, key_space: i64) -> Value {
     Value::bag(
         (0..rows)
@@ -561,8 +560,8 @@ pub fn random_deep_predicate(rng: &mut StdRng, var_name: &str, depth: usize) -> 
 /// One random **expression-heavy** NRC query over `RN` (awkward flat input:
 /// NULL `b` lanes, absent `s` lanes, mixed-kind `m`), `S` (clean flat) and
 /// `N` (nested). The shapes stack deep scalar/predicate nests onto
-/// select/extend/project chains so the compiled kernel route and the
-/// interpreted route disagree loudly on any semantic drift.
+/// select/extend/project chains so the compiled kernels and the reference
+/// evaluator disagree loudly on any semantic drift.
 pub fn random_expr_query(rng: &mut StdRng) -> Expr {
     match rng.gen_range(0..4u32) {
         // Deep filter + computed projection off the awkward relation.
@@ -657,13 +656,10 @@ pub fn random_expr_query(rng: &mut StdRng) -> Expr {
 }
 
 /// The seeded expression-heavy program `seed` over fresh `RN` (awkward
-/// flat), `S` (clean flat) and `N` (nested) inputs. The reference result is
-/// `Some` when the reference evaluator defines one (it rejects the programs
-/// that project `m`, which `S` lacks) and the program does not read `RN`:
-/// on NULL and absent operands the reference evaluator and the plan layer
-/// differ by design (see [`random_flat_nullable`]), so those programs are
-/// held to the expression interpreter alone.
-pub fn random_expr_case(seed: u64) -> (QuerySpec, Vec<CaseInput>, Option<Bag>) {
+/// flat), `S` (clean flat) and `N` (nested) inputs, with its reference
+/// result (a program that projects `m` off `S`, which lacks it, reads NULL
+/// there on both sides).
+pub fn random_expr_case(seed: u64) -> (QuerySpec, Vec<CaseInput>, Bag) {
     let mut rng = StdRng::seed_from_u64(0xE1_0000 + seed);
     let rn_rows = rng.gen_range(15..40usize);
     let s_rows = rng.gen_range(10..30usize);
@@ -673,9 +669,7 @@ pub fn random_expr_case(seed: u64) -> (QuerySpec, Vec<CaseInput>, Option<Bag>) {
     let n = random_nested(&mut rng, n_rows, 8);
     let query = random_expr_query(&mut rng);
     let values = vec![("RN", rn, false), ("S", s, false), ("N", n, true)];
-    let expected = try_reference_bag(&query, &values)
-        .ok()
-        .filter(|_| !query.free_vars().contains("RN"));
+    let expected = reference_bag(&query, &values);
     let spec = QuerySpec::new(
         format!("expr-{seed}"),
         query,

@@ -7,9 +7,8 @@
 //! 1. **Round-trip law**: `parse(pretty(e)) == e`, structurally.
 //! 2. **Differential execution**: the re-parsed program must behave
 //!    *identically* to the directly-built AST on every compilation
-//!    strategy — bag-equal results and identical logical shuffle volume (or
-//!    the same failure) — and, wherever the reference evaluator defines the
-//!    program's result, both must equal `nrc::eval`.
+//!    strategy — bag-equal results and identical logical shuffle volume —
+//!    and both must equal `nrc::eval`.
 //!
 //! Seeds come from `TRANCE_FUZZ_SEED` (default `0xF0D`) and the corpus
 //! size from `TRANCE_FUZZ_PROGRAMS` / `TRANCE_FUZZ_DIFF_PROGRAMS`, so CI
@@ -19,7 +18,7 @@ use std::time::Duration;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use trance_compiler::{run_query, QuerySpec, RunResult, Strategy};
+use trance_compiler::{run_query, QuerySpec, Strategy};
 use trance_dist::{ClusterConfig, DistContext};
 use trance_nrc::Program;
 use trance_shred::ShreddedInputDecl;
@@ -106,11 +105,7 @@ fn parsed_text_runs_identically_across_all_strategies_and_representations() {
             ("S", s, false),
             ("N", nv, true),
         ];
-        // `random_query` programs read only the clean relations, where the
-        // reference evaluator and the plan layer agree; `random_expr_query`
-        // programs have no `nrc::eval` reference (see
-        // `common::random_expr_case`).
-        let expected = (i % 2 == 0).then(|| reference_bag(&query, &values));
+        let expected = reference_bag(&query, &values);
         let inputs = input_set(ctx(), &values);
         let decls = vec![ShreddedInputDecl::new("N", items_structure())];
         let direct_spec = QuerySpec::new(format!("fuzz-{i}"), query, decls.clone());
@@ -120,48 +115,22 @@ fn parsed_text_runs_identically_across_all_strategies_and_representations() {
             let direct = run_query(&direct_spec, &inputs, strategy);
             let parsed = run_query(&parsed_spec, &inputs, strategy);
             let label = format!("seed {base}+{i} strategy {}", strategy.label());
-            match (&direct.result, &parsed.result) {
-                (RunResult::Failed(de), RunResult::Failed(pe)) => {
-                    // Typed failures (e.g. memory caps) must at least
-                    // agree in kind; the message carries sizes that can
-                    // legitimately differ run-to-run.
-                    assert_eq!(
-                        std::mem::discriminant(de),
-                        std::mem::discriminant(pe),
-                        "{label}: direct and parsed failed differently: {de} vs {pe}"
-                    );
-                    assert!(
-                        expected.is_none(),
-                        "{label}: failed ({de}) where the reference evaluator has a result"
-                    );
-                }
-                (RunResult::Failed(de), _) => {
-                    panic!("{label}: direct AST failed ({de}) but parsed text succeeded")
-                }
-                (_, RunResult::Failed(pe)) => {
-                    panic!("{label}: parsed text failed ({pe}) but direct AST succeeded")
-                }
-                (dr, pr) => {
-                    let db = outcome_bag(dr, &label);
-                    let pb = outcome_bag(pr, &label);
-                    assert_eq!(
-                        canonical(&db),
-                        canonical(&pb),
-                        "{label}: parsed text and direct AST disagree on results"
-                    );
-                    if let Some(expected) = &expected {
-                        assert_bags_approx_eq(
-                            expected,
-                            &db,
-                            &format!("{label}: direct AST vs reference evaluator"),
-                        );
-                    }
-                    assert_eq!(
-                        direct.stats.shuffled_bytes, parsed.stats.shuffled_bytes,
-                        "{label}: parsed text shuffled a different logical volume"
-                    );
-                }
-            }
+            let db = outcome_bag(&direct.result, &format!("{label} direct AST"));
+            let pb = outcome_bag(&parsed.result, &format!("{label} parsed text"));
+            assert_eq!(
+                canonical(&db),
+                canonical(&pb),
+                "{label}: parsed text and direct AST disagree on results"
+            );
+            assert_bags_approx_eq(
+                &expected,
+                &db,
+                &format!("{label}: direct AST vs reference evaluator"),
+            );
+            assert_eq!(
+                direct.stats.shuffled_bytes, parsed.stats.shuffled_bytes,
+                "{label}: parsed text shuffled a different logical volume"
+            );
         }
     }
 }

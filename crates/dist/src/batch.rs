@@ -965,11 +965,6 @@ impl Column {
         }
     }
 
-    /// One flag per row: is it NULL or absent ([`Column::is_null_at`])?
-    pub fn null_lanes(&self) -> Vec<bool> {
-        (0..self.len()).map(|i| self.is_null_at(i)).collect()
-    }
-
     /// `coalesce(bag, {})` without touching an element: the `taken` lanes
     /// (NULL or absent bags) become valid empty bags. A NULL or absent row
     /// of a bag column spans an empty element range — by construction in

@@ -266,13 +266,10 @@ struct CtxInner {
     /// non-spilling runs never touch the filesystem.
     spill_manager: Mutex<Option<Arc<SpillManager>>>,
     /// The seeded fault injector, present iff the config carries a
-    /// [`FaultPlan`]. `None` keeps every injection check down to one
-    /// branch.
+    /// [`FaultPlan`] — and then it always fires on schedule: a fault-free
+    /// run is a run on a context without one. `None` keeps every injection
+    /// check down to one branch.
     faults: Option<Arc<FaultInjector>>,
-    /// Per-run fault toggle, mirroring `spill_session`: lets the chaos
-    /// suite run the fault-free oracle on the *same* cluster (same
-    /// partitioning, same pool) the faulty run used.
-    fault_session: AtomicBool,
     /// The run's cancellation token; reset by the compiler at the start of
     /// each run, checked at morsel and spill-frame boundaries.
     cancel: CancelToken,
@@ -305,7 +302,6 @@ impl DistContext {
                 spill_session: AtomicBool::new(true),
                 spill_manager: Mutex::new(None),
                 faults,
-                fault_session: AtomicBool::new(true),
                 cancel: CancelToken::new(),
                 exchange: Mutex::new(None),
             }),
@@ -313,10 +309,10 @@ impl DistContext {
     }
 
     /// Derives a **session context**: a context with its own [`Stats`],
-    /// [`CancelToken`], spill scope and per-run toggles, *sharing this
+    /// [`CancelToken`], spill scope and spill toggle, *sharing this
     /// context's persistent worker pool* (and fault injector). This is what
     /// lets several queries run concurrently on one pool without racing on
-    /// each other's metrics, deadlines or spill/fault switches — the serving
+    /// each other's metrics, deadlines or spill switches — the serving
     /// layer creates one session per admitted query.
     pub fn session(&self) -> DistContext {
         self.session_with_memory(self.inner.config.worker_memory)
@@ -342,7 +338,6 @@ impl DistContext {
                 spill_session: AtomicBool::new(true),
                 spill_manager: Mutex::new(None),
                 faults: self.inner.faults.clone(),
-                fault_session: AtomicBool::new(true),
                 cancel: CancelToken::new(),
                 exchange: Mutex::new(self.exchange()),
             }),
@@ -404,21 +399,13 @@ impl DistContext {
         self.inner.faults.as_deref()
     }
 
-    /// Toggles fault injection for subsequent operators (no-op without a
-    /// [`FaultPlan`]); mirrors [`DistContext::set_spill_session`]. The
-    /// compiler sets this from `ExecOptions::faults` at the start of each
-    /// run, which is how the fault-free oracle runs on a faulty cluster.
-    pub fn set_fault_session(&self, on: bool) {
-        self.inner.fault_session.store(on, Ordering::Relaxed);
-    }
-
     /// One fault-injection draw at `site`: `Ok` to proceed,
     /// [`ExecError::Retryable`] when the plan fires. Called only at morsel,
     /// spill-frame, shuffle-pass and worker-start boundaries — with no plan
     /// installed this is a single always-false branch.
     pub fn fault_check(&self, site: FaultSite) -> error::Result<()> {
         if let Some(inj) = &self.inner.faults {
-            if self.inner.fault_session.load(Ordering::Relaxed) && inj.should_fault(site) {
+            if inj.should_fault(site) {
                 self.inner.stats.record_fault_injected();
                 return Err(ExecError::Retryable {
                     site,

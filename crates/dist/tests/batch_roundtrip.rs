@@ -268,7 +268,7 @@ fn coalescing_null_bags_to_empty_only_flips_validity() {
                 BagElems::Values(_) => values_elems += 1,
             }
             let context = format!("seed {seed}, {form}");
-            let all = col.null_lanes();
+            let all: Vec<bool> = (0..col.len()).map(|i| col.is_null_at(i)).collect();
             nulls += (0..col.len())
                 .filter(|&i| all[i] && !col.is_absent(i))
                 .count();

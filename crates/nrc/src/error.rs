@@ -23,12 +23,6 @@ pub enum NrcError {
         /// Where the mismatch happened.
         context: String,
     },
-    /// `get` was applied to a bag that is empty or has more than one element
-    /// and no default could be produced.
-    GetOnNonSingleton {
-        /// Number of elements in the bag.
-        size: usize,
-    },
     /// A label was deconstructed against a `NewLabel` site it did not come from.
     LabelSiteMismatch {
         /// The site the match expected.
@@ -62,9 +56,6 @@ impl fmt::Display for NrcError {
                 f,
                 "type mismatch in {context}: expected {expected}, found {found}"
             ),
-            NrcError::GetOnNonSingleton { size } => {
-                write!(f, "get() applied to a bag with {size} elements")
-            }
             NrcError::LabelSiteMismatch { expected, found } => {
                 write!(f, "label site mismatch: expected {expected}, found {found}")
             }

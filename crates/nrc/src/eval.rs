@@ -4,6 +4,13 @@
 //! with: integration tests compare the output of the distributed standard and
 //! shredded pipelines against this evaluator on the same inputs.
 //!
+//! **The NULL rule** is the plan layer's, and it is written once, in
+//! [`crate::value`]: projecting an attribute a tuple lacks reads as NULL
+//! (the outer-join convention), NULL propagates through arithmetic
+//! ([`prim_op`]), and NULL compares false, `NULL = NULL` included
+//! ([`cmp_op`]) — so `!(NULL = x)` holds. `sumBy` reads an absent value as
+//! NULL, which adds nothing; a group of NULLs sums to `0`.
+//!
 //! The symbolic-only constructs of NRC^{Lbl+λ} (λ-abstraction and symbolic
 //! `Lookup`) are rejected: they only exist between the shredding and
 //! materialization phases and are never executed.
@@ -12,7 +19,7 @@ use std::collections::{BTreeMap, HashMap};
 
 use crate::error::{NrcError, Result};
 use crate::expr::Expr;
-use crate::value::{prim_op, Bag, Label, Tuple, Value};
+use crate::value::{cmp_op, prim_op, Bag, Label, Tuple, Value};
 
 /// A variable binding environment.
 #[derive(Debug, Clone, Default)]
@@ -61,227 +68,209 @@ impl Env {
 
 /// Evaluates `expr` under `env`.
 pub fn eval(expr: &Expr, env: &Env) -> Result<Value> {
-    Evaluator::default().eval(expr, env)
+    match expr {
+        Expr::Const(v) => Ok(v.clone()),
+        Expr::Var(name) => env.get_or_err(name).cloned(),
+        Expr::Proj { tuple, field } => {
+            let v = eval(tuple, env)?;
+            match v {
+                // NULL propagates through projections, and an absent
+                // attribute reads as NULL (outer-join semantics).
+                Value::Null => Ok(Value::Null),
+                Value::Tuple(t) => Ok(t.get(field).cloned().unwrap_or(Value::Null)),
+                other => Err(NrcError::TypeMismatch {
+                    expected: "tuple".into(),
+                    found: other.kind().into(),
+                    context: format!("projection .{field}"),
+                }),
+            }
+        }
+        Expr::Tuple(fields) => {
+            let mut t = Tuple::empty();
+            for (n, e) in fields {
+                t.set(n.clone(), eval(e, env)?);
+            }
+            Ok(Value::Tuple(t))
+        }
+        Expr::EmptyBag(_) => Ok(Value::empty_bag()),
+        Expr::Singleton(e) => Ok(Value::Bag(Bag::singleton(eval(e, env)?))),
+        // The first item, or NULL for the empty bag.
+        Expr::Get(e) => Ok(eval(e, env)?
+            .into_bag()?
+            .into_iter()
+            .next()
+            .unwrap_or(Value::Null)),
+        Expr::For { var, source, body } => {
+            let src = eval(source, env)?.into_bag()?;
+            let mut out = Bag::empty();
+            let mut inner_env = env.clone();
+            for item in src {
+                inner_env.bind(var.clone(), item);
+                out.extend(eval(body, &inner_env)?.into_bag()?);
+            }
+            Ok(Value::Bag(out))
+        }
+        Expr::Union(a, b) => {
+            let mut left = eval(a, env)?.into_bag()?;
+            left.extend(eval(b, env)?.into_bag()?);
+            Ok(Value::Bag(left))
+        }
+        Expr::Let { var, value, body } => {
+            let v = eval(value, env)?;
+            let mut inner = env.clone();
+            inner.bind(var.clone(), v);
+            eval(body, &inner)
+        }
+        Expr::If {
+            cond,
+            then_branch,
+            else_branch,
+        } => {
+            if eval(cond, env)?.as_bool()? {
+                eval(then_branch, env)
+            } else if let Some(e) = else_branch {
+                eval(e, env)
+            } else {
+                Ok(Value::empty_bag())
+            }
+        }
+        Expr::Prim { op, left, right } => {
+            let l = eval(left, env)?;
+            let r = eval(right, env)?;
+            prim_op(*op, &l, &r)
+        }
+        Expr::Cmp { op, left, right } => {
+            let l = eval(left, env)?;
+            let r = eval(right, env)?;
+            Ok(Value::Bool(cmp_op(*op, &l, &r)))
+        }
+        Expr::And(a, b) => Ok(Value::Bool(
+            eval(a, env)?.as_bool()? && eval(b, env)?.as_bool()?,
+        )),
+        Expr::Or(a, b) => Ok(Value::Bool(
+            eval(a, env)?.as_bool()? || eval(b, env)?.as_bool()?,
+        )),
+        Expr::Not(e) => Ok(Value::Bool(!eval(e, env)?.as_bool()?)),
+        Expr::Dedup(e) => {
+            let bag = eval(e, env)?.into_bag()?;
+            let mut seen = BTreeMap::new();
+            for v in bag {
+                seen.entry(v).or_insert(());
+            }
+            Ok(Value::Bag(seen.into_keys().collect()))
+        }
+        Expr::GroupBy {
+            input,
+            key,
+            group_attr,
+        } => {
+            let bag = eval(input, env)?.into_bag()?;
+            eval_group_by(bag, key, group_attr)
+        }
+        Expr::SumBy { input, key, values } => {
+            let bag = eval(input, env)?.into_bag()?;
+            eval_sum_by(bag, key, values)
+        }
+        Expr::NewLabel { site, captures } => {
+            let mut vals = Vec::with_capacity(captures.len());
+            for (_, e) in captures {
+                vals.push(eval(e, env)?);
+            }
+            Ok(Value::Label(Label::new(*site, vals)))
+        }
+        Expr::MatchLabel {
+            label,
+            site,
+            params,
+            body,
+        } => {
+            let l = eval(label, env)?;
+            let l = l.as_label()?;
+            if l.site != *site {
+                // A label from a different construction site: the match
+                // yields the empty bag, per the NRC^{Lbl+λ} semantics.
+                return Ok(Value::empty_bag());
+            }
+            let mut inner = env.clone();
+            for (i, p) in params.iter().enumerate() {
+                inner.bind(p.clone(), l.values.get(i).cloned().unwrap_or(Value::Null));
+            }
+            eval(body, &inner)
+        }
+        Expr::Lambda { .. } => Err(NrcError::SymbolicConstruct("lambda")),
+        Expr::Lookup { .. } => Err(NrcError::SymbolicConstruct("Lookup")),
+        Expr::MatLookup { dict, label } => {
+            let dict = eval(dict, env)?.into_bag()?;
+            let target = eval(label, env)?;
+            let mut out = Bag::empty();
+            for entry in dict.iter() {
+                let t = entry.as_tuple()?;
+                if t.get_or_err("label", "MatLookup")? == &target {
+                    out.extend(t.get_or_err("value", "MatLookup")?.clone().into_bag()?);
+                }
+            }
+            Ok(Value::Bag(out))
+        }
+        Expr::DictTreeUnion(a, b) => {
+            // Dictionary trees are tuples of (a_fun, a_child) attributes;
+            // their union merges the corresponding bags attribute-wise.
+            let va = eval(a, env)?;
+            let vb = eval(b, env)?;
+            union_dict_trees(&va, &vb)
+        }
+        Expr::BagToDict(e) => eval(e, env),
+    }
 }
 
-/// The evaluator. Stateless apart from configuration; kept as a struct so
-/// evaluation options (e.g. strictness of `get`) can be added without
-/// breaking the public `eval` function.
-#[derive(Debug, Default, Clone)]
-pub struct Evaluator {
-    /// When true, `get` on a non-singleton bag is an error instead of
-    /// returning a default value.
-    pub strict_get: bool,
+fn eval_group_by(bag: Bag, key: &[String], group_attr: &str) -> Result<Value> {
+    let key_refs: Vec<&str> = key.iter().map(|s| s.as_str()).collect();
+    let mut groups: BTreeMap<Tuple, Bag> = BTreeMap::new();
+    for item in bag {
+        let t = item.as_tuple()?.clone();
+        let k = t.project(&key_refs);
+        let rest = t.project_away(&key_refs);
+        groups
+            .entry(k)
+            .or_insert_with(Bag::empty)
+            .push(Value::Tuple(rest));
+    }
+    let mut out = Bag::empty();
+    for (k, group) in groups {
+        let mut row = k;
+        row.set(group_attr.to_string(), Value::Bag(group));
+        out.push(Value::Tuple(row));
+    }
+    Ok(Value::Bag(out))
 }
 
-impl Evaluator {
-    /// Evaluates `expr` under `env`.
-    pub fn eval(&self, expr: &Expr, env: &Env) -> Result<Value> {
-        match expr {
-            Expr::Const(v) => Ok(v.clone()),
-            Expr::Var(name) => env.get_or_err(name).cloned(),
-            Expr::Proj { tuple, field } => {
-                let v = self.eval(tuple, env)?;
-                match v {
-                    // NULL propagates through projections (outer-join semantics).
-                    Value::Null => Ok(Value::Null),
-                    Value::Tuple(t) => t.get_or_err(field, "projection").cloned(),
-                    other => Err(NrcError::TypeMismatch {
-                        expected: "tuple".into(),
-                        found: other.kind().into(),
-                        context: format!("projection .{field}"),
-                    }),
-                }
-            }
-            Expr::Tuple(fields) => {
-                let mut t = Tuple::empty();
-                for (n, e) in fields {
-                    t.set(n.clone(), self.eval(e, env)?);
-                }
-                Ok(Value::Tuple(t))
-            }
-            Expr::EmptyBag(_) => Ok(Value::empty_bag()),
-            Expr::Singleton(e) => Ok(Value::Bag(Bag::singleton(self.eval(e, env)?))),
-            Expr::Get(e) => {
-                let bag = self.eval(e, env)?.into_bag()?;
-                match bag.len() {
-                    1 => Ok(bag.into_items().pop().unwrap()),
-                    n if self.strict_get => Err(NrcError::GetOnNonSingleton { size: n }),
-                    _ => Ok(bag.into_items().into_iter().next().unwrap_or(Value::Null)),
-                }
-            }
-            Expr::For { var, source, body } => {
-                let src = self.eval(source, env)?.into_bag()?;
-                let mut out = Bag::empty();
-                let mut inner_env = env.clone();
-                for item in src {
-                    inner_env.bind(var.clone(), item);
-                    out.extend(self.eval(body, &inner_env)?.into_bag()?);
-                }
-                Ok(Value::Bag(out))
-            }
-            Expr::Union(a, b) => {
-                let mut left = self.eval(a, env)?.into_bag()?;
-                left.extend(self.eval(b, env)?.into_bag()?);
-                Ok(Value::Bag(left))
-            }
-            Expr::Let { var, value, body } => {
-                let v = self.eval(value, env)?;
-                let mut inner = env.clone();
-                inner.bind(var.clone(), v);
-                self.eval(body, &inner)
-            }
-            Expr::If {
-                cond,
-                then_branch,
-                else_branch,
-            } => {
-                if self.eval(cond, env)?.as_bool()? {
-                    self.eval(then_branch, env)
-                } else if let Some(e) = else_branch {
-                    self.eval(e, env)
-                } else {
-                    Ok(Value::empty_bag())
-                }
-            }
-            Expr::Prim { op, left, right } => {
-                let l = self.eval(left, env)?;
-                let r = self.eval(right, env)?;
-                prim_op(*op, &l, &r)
-            }
-            Expr::Cmp { op, left, right } => {
-                let l = self.eval(left, env)?;
-                let r = self.eval(right, env)?;
-                Ok(Value::Bool(op.eval(l.cmp(&r))))
-            }
-            Expr::And(a, b) => Ok(Value::Bool(
-                self.eval(a, env)?.as_bool()? && self.eval(b, env)?.as_bool()?,
-            )),
-            Expr::Or(a, b) => Ok(Value::Bool(
-                self.eval(a, env)?.as_bool()? || self.eval(b, env)?.as_bool()?,
-            )),
-            Expr::Not(e) => Ok(Value::Bool(!self.eval(e, env)?.as_bool()?)),
-            Expr::Dedup(e) => {
-                let bag = self.eval(e, env)?.into_bag()?;
-                let mut seen = BTreeMap::new();
-                for v in bag {
-                    seen.entry(v).or_insert(());
-                }
-                Ok(Value::Bag(seen.into_keys().collect()))
-            }
-            Expr::GroupBy {
-                input,
-                key,
-                group_attr,
-            } => {
-                let bag = self.eval(input, env)?.into_bag()?;
-                self.eval_group_by(bag, key, group_attr)
-            }
-            Expr::SumBy { input, key, values } => {
-                let bag = self.eval(input, env)?.into_bag()?;
-                self.eval_sum_by(bag, key, values)
-            }
-            Expr::NewLabel { site, captures } => {
-                let mut vals = Vec::with_capacity(captures.len());
-                for (_, e) in captures {
-                    vals.push(self.eval(e, env)?);
-                }
-                Ok(Value::Label(Label::new(*site, vals)))
-            }
-            Expr::MatchLabel {
-                label,
-                site,
-                params,
-                body,
-            } => {
-                let l = self.eval(label, env)?;
-                let l = l.as_label()?;
-                if l.site != *site {
-                    // A label from a different construction site: the match
-                    // yields the empty bag, per the NRC^{Lbl+λ} semantics.
-                    return Ok(Value::empty_bag());
-                }
-                let mut inner = env.clone();
-                for (i, p) in params.iter().enumerate() {
-                    inner.bind(p.clone(), l.values.get(i).cloned().unwrap_or(Value::Null));
-                }
-                self.eval(body, &inner)
-            }
-            Expr::Lambda { .. } => Err(NrcError::SymbolicConstruct("lambda")),
-            Expr::Lookup { .. } => Err(NrcError::SymbolicConstruct("Lookup")),
-            Expr::MatLookup { dict, label } => {
-                let dict = self.eval(dict, env)?.into_bag()?;
-                let target = self.eval(label, env)?;
-                let mut out = Bag::empty();
-                for entry in dict.iter() {
-                    let t = entry.as_tuple()?;
-                    if t.get_or_err("label", "MatLookup")? == &target {
-                        out.extend(t.get_or_err("value", "MatLookup")?.clone().into_bag()?);
-                    }
-                }
-                Ok(Value::Bag(out))
-            }
-            Expr::DictTreeUnion(a, b) => {
-                // Dictionary trees are tuples of (a_fun, a_child) attributes;
-                // their union merges the corresponding bags attribute-wise.
-                let va = self.eval(a, env)?;
-                let vb = self.eval(b, env)?;
-                union_dict_trees(&va, &vb)
-            }
-            Expr::BagToDict(e) => self.eval(e, env),
+fn eval_sum_by(bag: Bag, key: &[String], values: &[String]) -> Result<Value> {
+    let key_refs: Vec<&str> = key.iter().map(|s| s.as_str()).collect();
+    let mut groups: BTreeMap<Tuple, Vec<Value>> = BTreeMap::new();
+    for item in bag {
+        let t = item.as_tuple()?.clone();
+        let k = t.project(&key_refs);
+        let entry = groups
+            .entry(k)
+            .or_insert_with(|| vec![Value::Null; values.len()]);
+        for (i, vname) in values.iter().enumerate() {
+            let v = t.get(vname).unwrap_or(&Value::Null);
+            entry[i] = entry[i].numeric_add(v)?;
         }
     }
-
-    fn eval_group_by(&self, bag: Bag, key: &[String], group_attr: &str) -> Result<Value> {
-        let key_refs: Vec<&str> = key.iter().map(|s| s.as_str()).collect();
-        let mut groups: BTreeMap<Tuple, Bag> = BTreeMap::new();
-        for item in bag {
-            let t = item.as_tuple()?.clone();
-            let k = t.project(&key_refs);
-            let rest = t.project_away(&key_refs);
-            groups
-                .entry(k)
-                .or_insert_with(Bag::empty)
-                .push(Value::Tuple(rest));
+    let mut out = Bag::empty();
+    for (k, sums) in groups {
+        let mut row = k;
+        for (vname, sum) in values.iter().zip(sums) {
+            let sum = if matches!(sum, Value::Null) {
+                Value::Int(0)
+            } else {
+                sum
+            };
+            row.set(vname.clone(), sum);
         }
-        let mut out = Bag::empty();
-        for (k, group) in groups {
-            let mut row = k;
-            row.set(group_attr.to_string(), Value::Bag(group));
-            out.push(Value::Tuple(row));
-        }
-        Ok(Value::Bag(out))
+        out.push(Value::Tuple(row));
     }
-
-    fn eval_sum_by(&self, bag: Bag, key: &[String], values: &[String]) -> Result<Value> {
-        let key_refs: Vec<&str> = key.iter().map(|s| s.as_str()).collect();
-        let mut groups: BTreeMap<Tuple, Vec<Value>> = BTreeMap::new();
-        for item in bag {
-            let t = item.as_tuple()?.clone();
-            let k = t.project(&key_refs);
-            let entry = groups
-                .entry(k)
-                .or_insert_with(|| vec![Value::Null; values.len()]);
-            for (i, vname) in values.iter().enumerate() {
-                let v = t.get_or_err(vname, "sumBy")?;
-                entry[i] = entry[i].numeric_add(v)?;
-            }
-        }
-        let mut out = Bag::empty();
-        for (k, sums) in groups {
-            let mut row = k;
-            for (vname, sum) in values.iter().zip(sums) {
-                let sum = if matches!(sum, Value::Null) {
-                    Value::Int(0)
-                } else {
-                    sum
-                };
-                row.set(vname.clone(), sum);
-            }
-            out.push(Value::Tuple(row));
-        }
-        Ok(Value::Bag(out))
-    }
+    Ok(Value::Bag(out))
 }
 
 fn union_dict_trees(a: &Value, b: &Value) -> Result<Value> {
@@ -451,6 +440,64 @@ mod tests {
     fn null_projection_propagates() {
         let env = Env::from_bindings([("x", Value::Null)]);
         assert_eq!(eval(&proj(var("x"), "a"), &env).unwrap(), Value::Null);
+    }
+
+    /// The NULL rule the plans follow: an absent attribute reads as NULL,
+    /// NULL propagates through `+ - * /` and compares false on either side
+    /// (`NULL = NULL` included), so the negation of such a comparison holds.
+    #[test]
+    fn absent_reads_as_null_which_propagates_and_compares_false() {
+        let row = Value::tuple([("one", Value::Int(1)), ("n", Value::Null)]);
+        let env = Env::from_bindings([("x", row)]);
+        let one = || proj(var("x"), "one");
+        let null = || proj(var("x"), "n");
+        let absent = || proj(var("x"), "missing");
+        assert_eq!(eval(&absent(), &env), Ok(Value::Null));
+        for e in [
+            add(null(), one()),
+            sub(one(), absent()),
+            mul(absent(), null()),
+            div(one(), null()),
+            div(null(), int(0)),
+        ] {
+            assert_eq!(eval(&e, &env), Ok(Value::Null), "{e:?}");
+        }
+        for e in [
+            cmp_eq(null(), null()),
+            cmp_eq(absent(), null()),
+            cmp_lt(null(), one()),
+            cmp_eq(one(), null()),
+            cmp_ne(one(), absent()),
+        ] {
+            assert_eq!(eval(&e, &env), Ok(Value::Bool(false)), "{e:?}");
+        }
+        assert_eq!(
+            eval(&not(cmp_eq(null(), one())), &env),
+            Ok(Value::Bool(true))
+        );
+    }
+
+    /// `sumBy` reads an absent value as NULL, as the plans' `Γ+` does: it
+    /// adds nothing, and a group with nothing to add sums to `0`.
+    #[test]
+    fn sum_by_reads_an_absent_value_as_null() {
+        let data = Value::bag(vec![
+            Value::tuple([("k", Value::Int(1)), ("v", Value::Int(5))]),
+            Value::tuple([("k", Value::Int(1))]),
+            Value::tuple([("k", Value::Int(2))]),
+            Value::tuple([("k", Value::Int(2)), ("v", Value::Null)]),
+        ]);
+        let env = Env::from_bindings([("R", data)]);
+        let out = eval(&sum_by(var("R"), &["k"], &["v"]), &env).unwrap();
+        let row = |k, v| Value::tuple([("k", Value::Int(k)), ("v", Value::Int(v))]);
+        assert_eq!(out, Value::bag(vec![row(1, 5), row(2, 0)]));
+    }
+
+    #[test]
+    fn get_is_the_first_item_or_null() {
+        let env = Env::from_bindings([("R", Value::bag(vec![Value::Int(4), Value::Int(5)]))]);
+        assert_eq!(eval(&get(var("R")), &env), Ok(Value::Int(4)));
+        assert_eq!(eval(&get(empty_bag()), &env), Ok(Value::Null));
     }
 
     #[test]

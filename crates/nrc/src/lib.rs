@@ -27,6 +27,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod builder;
 pub mod compare;
@@ -41,7 +42,7 @@ pub mod value;
 
 pub use compare::{approx_eq, bags_approx_equal, canonical_rows};
 pub use error::{NrcError, Result};
-pub use eval::{eval, Env, Evaluator};
+pub use eval::{eval, Env};
 pub use expr::{CmpOp, Expr, PrimOp};
 pub use program::{Assignment, Program};
 pub use typecheck::{infer, TypeEnv};

@@ -4,7 +4,7 @@
 //! dictionary-producing queries.
 
 use crate::error::Result;
-use crate::eval::{Env, Evaluator};
+use crate::eval::{eval, Env};
 use crate::expr::Expr;
 use crate::typecheck::{infer, TypeEnv};
 use crate::types::Type;
@@ -87,10 +87,9 @@ impl Program {
     /// Evaluates the whole program with the reference evaluator, returning the
     /// environment extended with every assigned variable.
     pub fn eval_all(&self, inputs: &Env) -> Result<Env> {
-        let ev = Evaluator::default();
         let mut env = inputs.clone();
         for a in &self.assignments {
-            let v = ev.eval(&a.expr, &env)?;
+            let v = eval(&a.expr, &env)?;
             env.bind(a.name.clone(), v);
         }
         Ok(env)
@@ -197,7 +196,7 @@ mod tests {
 
         let env = Env::from_bindings([("R", Value::bag(vec![Value::Int(1), Value::Int(2)]))]);
         let direct = p.eval_result(&env).unwrap();
-        let desugared = Evaluator::default().eval(&chained, &env).unwrap();
+        let desugared = eval(&chained, &env).unwrap();
         assert_eq!(direct, desugared);
         assert!(Program::new().to_let_chain().is_none());
     }

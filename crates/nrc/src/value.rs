@@ -12,7 +12,7 @@ use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use crate::error::{NrcError, Result};
-use crate::expr::PrimOp;
+use crate::expr::{CmpOp, PrimOp};
 use crate::types::{ScalarType, TupleType, Type};
 
 /// A label identifies one inner bag in the shredded representation.
@@ -553,14 +553,18 @@ pub fn checked_int_add(a: i64, b: i64) -> Result<i64> {
     a.checked_add(b).ok_or(NrcError::IntegerOverflow("sumBy"))
 }
 
-/// `l op r` over two non-NULL values — the one place scalar arithmetic is
-/// written: `nrc::eval`, the plan layer's `ScalarExpr::eval` and the kernels'
-/// row-wise lane all call it (each after its own NULL rule). Two integers
-/// stay integral under `+`, `-`, `*`, and a result that leaves `i64` is a
-/// typed [`NrcError::IntegerOverflow`] naming the operator, never a wrap or a
-/// panic; every other pairing widens to real, and `/` always does, with
-/// [`NrcError::DivisionByZero`] on a zero divisor.
+/// `l op r` — the one place scalar arithmetic and its NULL rule are written:
+/// `nrc::eval`, the plan layer's `ScalarExpr::eval` and the kernels'
+/// row-wise lane all call it. NULL on either side (an absent attribute reads
+/// as NULL) gives NULL. Two integers stay integral under `+`, `-`, `*`, and
+/// a result that leaves `i64` is a typed [`NrcError::IntegerOverflow`]
+/// naming the operator, never a wrap or a panic; every other pairing widens
+/// to real, and `/` always does, with [`NrcError::DivisionByZero`] on a zero
+/// divisor.
 pub fn prim_op(op: PrimOp, l: &Value, r: &Value) -> Result<Value> {
+    if matches!(l, Value::Null) || matches!(r, Value::Null) {
+        return Ok(Value::Null);
+    }
     let int = |x: Option<i64>| {
         x.map(Value::Int)
             .ok_or(NrcError::IntegerOverflow(op.symbol()))
@@ -580,6 +584,14 @@ pub fn prim_op(op: PrimOp, l: &Value, r: &Value) -> Result<Value> {
             Ok(Value::Real(l.as_real()? / d))
         }
     }
+}
+
+/// `l op r` as a truth value, through the total [`Value`] order — the one
+/// place a comparison's NULL rule is written, for the same callers as
+/// [`prim_op`]: NULL on either side compares false, `NULL = NULL` included,
+/// so an outer-join mismatch satisfies no join or filter predicate.
+pub fn cmp_op(op: CmpOp, l: &Value, r: &Value) -> bool {
+    !matches!(l, Value::Null) && !matches!(r, Value::Null) && op.eval(l.cmp(r))
 }
 
 impl PartialEq for Value {
