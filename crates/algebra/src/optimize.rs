@@ -763,7 +763,6 @@ fn substitute_cols(
             Box::new(substitute_cols(b, defs)?),
         ),
         ScalarExpr::Not(e) => ScalarExpr::Not(Box::new(substitute_cols(e, defs)?)),
-        ScalarExpr::IsNull(e) => ScalarExpr::IsNull(Box::new(substitute_cols(e, defs)?)),
         ScalarExpr::Coalesce(a, b) => ScalarExpr::Coalesce(
             Box::new(substitute_cols(a, defs)?),
             Box::new(substitute_cols(b, defs)?),
@@ -774,10 +773,6 @@ fn substitute_cols(
                 .iter()
                 .map(|(n, e)| substitute_cols(e, defs).map(|e| (n.clone(), e)))
                 .collect::<Option<Vec<_>>>()?,
-        },
-        ScalarExpr::LabelCapture { label, index } => ScalarExpr::LabelCapture {
-            label: Box::new(substitute_cols(label, defs)?),
-            index: *index,
         },
     })
 }
@@ -855,14 +850,10 @@ fn map_children(plan: &Plan, mut f: impl FnMut(&Plan) -> Plan) -> Plan {
             input,
             bag_attr,
             alias,
-            outer,
-            id_attr,
         } => Plan::Unnest {
             input: Box::new(f(input)),
             bag_attr: bag_attr.clone(),
             alias: alias.clone(),
-            outer: *outer,
-            id_attr: id_attr.clone(),
         },
         Plan::Nest {
             input,

@@ -36,15 +36,7 @@ pub fn is_row_local(plan: &Plan) -> bool {
 /// running per-partition row offset to number the partition's rows
 /// `partition + row * stride` in order.
 pub fn needs_sequential(plan: &Plan) -> bool {
-    matches!(
-        plan,
-        Plan::AddIndex { .. }
-            | Plan::Unnest {
-                outer: true,
-                id_attr: Some(_),
-                ..
-            }
-    )
+    matches!(plan, Plan::AddIndex { .. })
 }
 
 /// Splits `plan` at its topmost pipeline: the maximal chain of row-local
@@ -78,7 +70,6 @@ pub fn pipeline_op_name(plan: &Plan) -> &'static str {
         Plan::Project { .. } => "project",
         Plan::Extend { .. } => "extend",
         Plan::AddIndex { .. } => "add_index",
-        Plan::Unnest { outer: true, .. } => "outer_unnest",
         Plan::Unnest { .. } => "unnest",
         Plan::Unit => "unit",
         Plan::Empty => "empty",
@@ -211,8 +202,6 @@ mod tests {
     #[test]
     fn sequential_detection_flags_id_assigning_ops() {
         let p = Plan::scan("R").add_index("__id");
-        assert!(needs_sequential(fuse_chain(&p).0[0]));
-        let p = Plan::scan("R").outer_unnest("items", "__id");
         assert!(needs_sequential(fuse_chain(&p).0[0]));
         let p = Plan::scan("R").unnest("items");
         assert!(!needs_sequential(fuse_chain(&p).0[0]));

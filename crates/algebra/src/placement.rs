@@ -57,14 +57,11 @@ pub fn carried_column(node: &Plan, col: &str) -> Option<String> {
                 .all(|(name, expr)| name != col || matches!(expr, ScalarExpr::Col(c) if c == col)),
         ),
         Plan::AddIndex { id_attr, .. } => kept(id_attr != col),
-        // An unnest consumes the bag, may mint an id, and splices the
-        // element's attributes over the parent's: under an alias those are
-        // `alias.*`, without one they could be anything.
+        // An unnest consumes the bag and splices the element's attributes
+        // over the parent's: under an alias those are `alias.*`, without one
+        // they could be anything.
         Plan::Unnest {
-            bag_attr,
-            alias,
-            id_attr,
-            ..
+            bag_attr, alias, ..
         } => {
             let spliced = match alias {
                 Some(a) => col
@@ -72,7 +69,7 @@ pub fn carried_column(node: &Plan, col: &str) -> Option<String> {
                     .is_some_and(|rest| rest.starts_with('.')),
                 None => true,
             };
-            kept(col != bag_attr && id_attr.as_deref() != Some(col) && !spliced)
+            kept(col != bag_attr && !spliced)
         }
         _ => None,
     }
@@ -285,18 +282,6 @@ mod tests {
             (
                 "unnest without an alias may splice anything",
                 src().unnest("items"),
-                "k",
-                None,
-            ),
-            (
-                "outer unnest mints its id",
-                Plan::Unnest {
-                    input: Box::new(src()),
-                    bag_attr: "items".into(),
-                    alias: Some("i".into()),
-                    outer: true,
-                    id_attr: Some("k".into()),
-                },
                 "k",
                 None,
             ),

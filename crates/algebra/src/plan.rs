@@ -135,7 +135,11 @@ pub enum Plan {
         /// Physical strategy chosen by the optimizer.
         strategy: JoinStrategy,
     },
-    /// Unnest `µ` / outer-unnest `µ̄` of a bag-valued attribute.
+    /// Unnest `µ` of a bag-valued attribute: one row per element, a parent
+    /// with an empty (or NULL) bag yields none. The paper's outer-unnest
+    /// `µ̄` is not needed: the lowering mints parent ids with
+    /// [`Plan::AddIndex`] before it unnests and re-attaches each level with
+    /// [`Plan::renest`], whose outer join keeps the parents without children.
     Unnest {
         /// Input plan.
         input: Box<Plan>,
@@ -144,12 +148,6 @@ pub enum Plan {
         /// When set, fields of the flattened elements are renamed to
         /// `alias.field` (non-tuple elements become `alias.__value`).
         alias: Option<String>,
-        /// When true this is the outer variant: the parent tuple is kept even
-        /// if the bag is empty (inner attributes become NULL) and a unique
-        /// parent identifier `id_attr` is attached.
-        outer: bool,
-        /// Name of the generated parent-identifier attribute (outer variant).
-        id_attr: Option<String>,
     },
     /// Nest `Γ⊎` / `Γ+`.
     Nest {
@@ -259,14 +257,12 @@ impl Plan {
         }
     }
 
-    /// Unnests a bag-valued attribute (inner variant, no renaming).
+    /// Unnests a bag-valued attribute (no renaming).
     pub fn unnest(self, bag_attr: impl Into<String>) -> Plan {
         Plan::Unnest {
             input: Box::new(self),
             bag_attr: bag_attr.into(),
             alias: None,
-            outer: false,
-            id_attr: None,
         }
     }
 
@@ -277,20 +273,6 @@ impl Plan {
             input: Box::new(self),
             bag_attr: bag_attr.into(),
             alias: Some(alias.into()),
-            outer: false,
-            id_attr: None,
-        }
-    }
-
-    /// Outer-unnests a bag-valued attribute, attaching `id_attr` as the parent
-    /// identifier.
-    pub fn outer_unnest(self, bag_attr: impl Into<String>, id_attr: impl Into<String>) -> Plan {
-        Plan::Unnest {
-            input: Box::new(self),
-            bag_attr: bag_attr.into(),
-            alias: None,
-            outer: true,
-            id_attr: Some(id_attr.into()),
         }
     }
 
@@ -506,17 +488,11 @@ pub(crate) fn node_line(plan: &Plan, parent: Option<&Plan>) -> String {
             )
         }
         Plan::Unnest {
-            bag_attr,
-            alias,
-            outer,
-            ..
-        } => {
-            let head = if *outer { "OuterUnnest" } else { "Unnest" };
-            match alias {
-                Some(a) => format!("{head} {bag_attr} as {a}"),
-                None => format!("{head} {bag_attr}"),
-            }
-        }
+            bag_attr, alias, ..
+        } => match alias {
+            Some(a) => format!("Unnest {bag_attr} as {a}"),
+            None => format!("Unnest {bag_attr}"),
+        },
         Plan::Nest {
             key,
             values,
@@ -571,8 +547,10 @@ mod tests {
     fn example_plan() -> Plan {
         // The running example's standard plan skeleton (Figure 3).
         Plan::scan("COP")
-            .outer_unnest("corders", "copID")
-            .outer_unnest("oparts", "coID")
+            .add_index("copID")
+            .unnest("corders")
+            .add_index("coID")
+            .unnest("oparts")
             .join(
                 Plan::scan("Part"),
                 &["pid"],
@@ -601,7 +579,7 @@ mod tests {
     #[test]
     fn pretty_plan_shows_operator_tree() {
         let s = pretty_plan(&example_plan());
-        assert!(s.contains("OuterUnnest corders"));
+        assert!(s.contains("Unnest corders"));
         assert!(s.contains("NestSum"));
         assert!(s.contains("Scan COP"));
         assert!(s.contains("OuterJoin on pid = pid"));

@@ -4,7 +4,7 @@
 use std::collections::BTreeSet;
 
 use trance_nrc::value::{cmp_op, prim_op};
-use trance_nrc::{CmpOp, Label, NrcError, PrimOp, Result, Tuple, Value};
+use trance_nrc::{CmpOp, Label, PrimOp, Result, Tuple, Value};
 
 /// A scalar expression evaluated against a single row (tuple).
 #[derive(Debug, Clone, PartialEq)]
@@ -37,12 +37,10 @@ pub enum ScalarExpr {
     Or(Box<ScalarExpr>, Box<ScalarExpr>),
     /// Negation.
     Not(Box<ScalarExpr>),
-    /// True when the operand evaluates to NULL (used to filter outer-join
-    /// mismatches).
-    IsNull(Box<ScalarExpr>),
-    /// The first operand unless it evaluates to NULL, else the second. Used
-    /// by the lowering to turn the NULL a left-outer join leaves on an
-    /// unmatched nesting level into the empty bag (`Γ⊎` semantics).
+    /// The first operand unless it evaluates to NULL, else the second. The
+    /// one coalesce any plan holds is [`crate::Plan::renest`]'s
+    /// `coalesce(group, {})`, which turns the NULL a left-outer join leaves on
+    /// an unmatched nesting level into the empty bag (`Γ⊎` semantics).
     Coalesce(Box<ScalarExpr>, Box<ScalarExpr>),
     /// Construct a label capturing the named columns (shredded plans).
     NewLabel {
@@ -50,14 +48,6 @@ pub enum ScalarExpr {
         site: u32,
         /// `(capture name, column expression)` pairs.
         captures: Vec<(String, ScalarExpr)>,
-    },
-    /// Extract the `index`-th captured value out of a label-valued operand
-    /// (the plan-level counterpart of `match l = NewLabel(x…)`).
-    LabelCapture {
-        /// The label-valued operand.
-        label: Box<ScalarExpr>,
-        /// Position of the capture to extract.
-        index: usize,
     },
 }
 
@@ -111,7 +101,6 @@ impl ScalarExpr {
                 a.eval(row)?.as_bool()? || b.eval(row)?.as_bool()?,
             )),
             ScalarExpr::Not(e) => Ok(Value::Bool(!e.eval(row)?.as_bool()?)),
-            ScalarExpr::IsNull(e) => Ok(Value::Bool(matches!(e.eval(row)?, Value::Null))),
             ScalarExpr::Coalesce(a, b) => match a.eval(row)? {
                 Value::Null => b.eval(row),
                 v => Ok(v),
@@ -122,18 +111,6 @@ impl ScalarExpr {
                     vals.push(e.eval(row)?);
                 }
                 Ok(Value::Label(Label::new(*site, vals)))
-            }
-            ScalarExpr::LabelCapture { label, index } => {
-                let v = label.eval(row)?;
-                match v {
-                    Value::Null => Ok(Value::Null),
-                    Value::Label(l) => Ok(l.values.get(*index).cloned().unwrap_or(Value::Null)),
-                    other => Err(NrcError::TypeMismatch {
-                        expected: "label".into(),
-                        found: other.kind().into(),
-                        context: "LabelCapture".into(),
-                    }),
-                }
             }
         }
     }
@@ -159,13 +136,12 @@ impl ScalarExpr {
                 a.collect_columns(out);
                 b.collect_columns(out);
             }
-            ScalarExpr::Not(e) | ScalarExpr::IsNull(e) => e.collect_columns(out),
+            ScalarExpr::Not(e) => e.collect_columns(out),
             ScalarExpr::NewLabel { captures, .. } => {
                 for (_, e) in captures {
                     e.collect_columns(out);
                 }
             }
-            ScalarExpr::LabelCapture { label, .. } => label.collect_columns(out),
         }
     }
 
@@ -183,7 +159,6 @@ impl ScalarExpr {
             ScalarExpr::And(a, b) => format!("({} && {})", a.display(), b.display()),
             ScalarExpr::Or(a, b) => format!("({} || {})", a.display(), b.display()),
             ScalarExpr::Not(e) => format!("!({})", e.display()),
-            ScalarExpr::IsNull(e) => format!("isnull({})", e.display()),
             ScalarExpr::Coalesce(a, b) => {
                 format!("coalesce({}, {})", a.display(), b.display())
             }
@@ -195,9 +170,6 @@ impl ScalarExpr {
                     .collect::<Vec<_>>()
                     .join(", ")
             ),
-            ScalarExpr::LabelCapture { label, index } => {
-                format!("{}.capture[{index}]", label.display())
-            }
         }
     }
 }
@@ -241,8 +213,6 @@ mod tests {
         assert_eq!(e.eval(&row()).unwrap(), Value::Null);
         let c = ScalarExpr::col_eq("missing_val", "pid");
         assert_eq!(c.eval(&row()).unwrap(), Value::Bool(false));
-        let is_null = ScalarExpr::IsNull(Box::new(ScalarExpr::col("missing_val")));
-        assert_eq!(is_null.eval(&row()).unwrap(), Value::Bool(true));
     }
 
     /// Arithmetic and comparison over a row are the reference evaluator's,
@@ -318,28 +288,25 @@ mod tests {
     }
 
     #[test]
-    fn labels_can_be_built_and_deconstructed() {
+    fn labels_are_built_from_their_site_and_captures() {
         let mk = ScalarExpr::NewLabel {
             site: 9,
             captures: vec![("pid".into(), ScalarExpr::col("pid"))],
         };
-        let label = mk.eval(&row()).unwrap();
-        let mut r2 = row();
-        r2.set("lbl", label);
-        let cap = ScalarExpr::LabelCapture {
-            label: Box::new(ScalarExpr::col("lbl")),
-            index: 0,
-        };
-        assert_eq!(cap.eval(&r2).unwrap(), Value::Int(7));
+        assert_eq!(
+            mk.eval(&row()).unwrap(),
+            Value::Label(Label::new(9, vec![Value::Int(7)]))
+        );
     }
 
     #[test]
     fn referenced_columns_are_collected() {
         let e = ScalarExpr::And(
             Box::new(ScalarExpr::col_eq("a", "b")),
-            Box::new(ScalarExpr::Not(Box::new(ScalarExpr::IsNull(Box::new(
-                ScalarExpr::col("c"),
-            ))))),
+            Box::new(ScalarExpr::Coalesce(
+                Box::new(ScalarExpr::col("c")),
+                Box::new(ScalarExpr::constant(Value::empty_bag())),
+            )),
         );
         let cols = e.referenced_columns();
         assert_eq!(cols.len(), 3);

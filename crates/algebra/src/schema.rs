@@ -320,11 +320,7 @@ pub(crate) fn node_schema(plan: &Plan, inputs: Vec<AttrSchema>, catalog: &Catalo
             l.merge(&next())
         }
         Plan::Unnest {
-            bag_attr,
-            alias,
-            outer,
-            id_attr,
-            ..
+            bag_attr, alias, ..
         } => {
             let in_schema = next();
             let inner = in_schema
@@ -335,7 +331,7 @@ pub(crate) fn node_schema(plan: &Plan, inputs: Vec<AttrSchema>, catalog: &Catalo
                 Some(a) if !inner.attrs.is_empty() => prefix_schema(&inner, a),
                 _ => inner,
             };
-            let mut out = AttrSchema {
+            let out = AttrSchema {
                 attrs: in_schema
                     .attrs
                     .iter()
@@ -349,13 +345,7 @@ pub(crate) fn node_schema(plan: &Plan, inputs: Vec<AttrSchema>, catalog: &Catalo
                     .map(|(a, s)| (a.clone(), s.clone()))
                     .collect(),
             };
-            if *outer {
-                if let Some(id) = id_attr {
-                    out.attrs.push(id.clone());
-                }
-            }
-            out = out.merge(&inner);
-            out
+            out.merge(&inner)
         }
         Plan::Nest {
             key, values, op, ..
@@ -402,8 +392,10 @@ mod tests {
     fn schema_propagates_through_unnest_and_join() {
         let c = catalog();
         let p = Plan::scan("COP")
-            .outer_unnest("corders", "copID")
-            .outer_unnest("oparts", "coID")
+            .add_index("copID")
+            .unnest("corders")
+            .add_index("coID")
+            .unnest("oparts")
             .join(
                 Plan::scan("Part"),
                 &["pid"],
@@ -425,11 +417,10 @@ mod tests {
     #[test]
     fn nest_restores_nested_structure() {
         let c = catalog();
-        let p = Plan::scan("COP").outer_unnest("corders", "copID").nest_bag(
-            &["copID", "cname"],
-            &["odate", "oparts"],
-            "corders",
-        );
+        let p = Plan::scan("COP")
+            .add_index("copID")
+            .unnest("corders")
+            .nest_bag(&["copID", "cname"], &["odate", "oparts"], "corders");
         let s = output_schema(&p, &c);
         assert!(s.contains("corders"));
         let inner = s.nested_schema("corders").unwrap();

@@ -511,29 +511,13 @@ fn compile_chain_col(
                 steps.push(Box::new(move |b, cx| unique_ids_batch(b, &attr, cx, slot)));
             }
             Plan::Unnest {
-                bag_attr,
-                alias,
-                outer,
-                id_attr,
-                ..
+                bag_attr, alias, ..
             } => {
                 let bag_attr = bag_attr.clone();
                 let alias = alias.clone();
-                let outer = *outer;
-                match (outer, id_attr) {
-                    (true, Some(id)) => {
-                        let id = id.clone();
-                        let slot = id_slots;
-                        id_slots += 1;
-                        steps.push(Box::new(move |b, cx| {
-                            let with_ids = unique_ids_batch(b, &id, cx, slot)?;
-                            unnest_batch(&with_ids, &bag_attr, alias.as_deref(), true)
-                        }));
-                    }
-                    _ => steps.push(Box::new(move |b, _| {
-                        unnest_batch(b, &bag_attr, alias.as_deref(), outer)
-                    })),
-                }
+                steps.push(Box::new(move |b, _| {
+                    unnest_batch(b, &bag_attr, alias.as_deref())
+                }));
             }
             other => {
                 return Err(ExecError::Other(format!(

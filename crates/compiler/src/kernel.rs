@@ -50,10 +50,10 @@ pub type Reg = usize;
 /// One SSA instruction of a [`KernelProgram`].
 ///
 /// Instructions that can raise runtime errors (`Prim` division / numeric
-/// coercion, `IsTrue` / `Not` boolean coercion, `LabelCapture`) carry an
-/// optional **guard** register: errors are raised only on lanes where the
-/// guard is true, reproducing `ScalarExpr::eval`'s short-circuit contract
-/// that a guarded operand's errors never surface. Error-free instructions
+/// coercion, `IsTrue` / `Not` boolean coercion) carry an optional **guard**
+/// register: errors are raised only on lanes where the guard is true,
+/// reproducing `ScalarExpr::eval`'s short-circuit contract that a guarded
+/// operand's errors never surface. Error-free instructions
 /// carry no guard and may compute every lane (unguarded lanes are never
 /// read).
 #[derive(Debug, Clone, PartialEq)]
@@ -153,27 +153,12 @@ pub enum Instr {
         /// Error guard (see [`Instr`]).
         guard: Option<Reg>,
     },
-    /// NULL test (absence counts as NULL). Never errors.
-    IsNull {
-        /// The operand register.
-        input: Reg,
-    },
     /// Construct a label capturing the operand registers (shredded plans).
     NewLabel {
         /// Label construction site.
         site: u32,
         /// Captured value registers.
         captures: Vec<Reg>,
-    },
-    /// Extract the `index`-th capture of a label-valued operand; a
-    /// non-label guarded lane errors.
-    LabelCapture {
-        /// The label-valued operand register.
-        label: Reg,
-        /// Position of the capture.
-        index: usize,
-        /// Error guard (see [`Instr`]).
-        guard: Option<Reg>,
     },
     /// Narrow the selection vector to the lanes where `pred` is true
     /// (`as_bool` errors surface, as a `Select` raises them), then compact
@@ -319,10 +304,6 @@ impl Compiler {
                 let r = self.compile_expr(x, guard);
                 self.emit(Instr::Not { input: r, guard })
             }
-            ScalarExpr::IsNull(x) => {
-                let r = self.compile_expr(x, guard);
-                self.emit(Instr::IsNull { input: r })
-            }
             ScalarExpr::Coalesce(a, b) => {
                 let ra = self.compile_expr(a, guard);
                 let taken = self.emit(Instr::NullMask { cond: ra, guard });
@@ -341,14 +322,6 @@ impl Compiler {
                 self.emit(Instr::NewLabel {
                     site: *site,
                     captures: regs,
-                })
-            }
-            ScalarExpr::LabelCapture { label, index } => {
-                let r = self.compile_expr(label, guard);
-                self.emit(Instr::LabelCapture {
-                    label: r,
-                    index: *index,
-                    guard,
                 })
             }
         }
@@ -446,9 +419,7 @@ fn instr_reads(i: &Instr) -> Vec<Reg> {
         Instr::OrMerge { a_true, taken, b } => vec![*a_true, *taken, *b],
         Instr::CoalesceMerge { a, taken, b } => vec![*a, *taken, *b],
         Instr::Not { input, guard } => with_guard(vec![*input], guard),
-        Instr::IsNull { input } => vec![*input],
         Instr::NewLabel { captures, .. } => captures.clone(),
-        Instr::LabelCapture { label, guard, .. } => with_guard(vec![*label], guard),
         Instr::Filter { pred, .. } => vec![*pred],
     }
 }
@@ -857,12 +828,6 @@ impl<'a> State<'a> {
                 }
                 Some(RegVal::Bools(out))
             }
-            Instr::IsNull { input } => {
-                let c = self.reg(*input)?;
-                Some(RegVal::Bools(
-                    (0..self.len).map(|i| c.is_null_at(i)).collect(),
-                ))
-            }
             Instr::NewLabel { site, captures } => {
                 let cols = captures
                     .iter()
@@ -878,34 +843,6 @@ impl<'a> State<'a> {
                         })
                         .collect(),
                 ))
-            }
-            Instr::LabelCapture {
-                label,
-                index,
-                guard,
-            } => {
-                let g = self.guard(*guard)?;
-                let c = self.reg(*label)?;
-                let mut out = Vec::with_capacity(self.len);
-                for i in 0..self.len {
-                    out.push(if guard_true(g, i) {
-                        match c.value_at(i) {
-                            Value::Null => Value::Null,
-                            Value::Label(l) => l.values.get(*index).cloned().unwrap_or(Value::Null),
-                            other => {
-                                return Err(NrcError::TypeMismatch {
-                                    expected: "label".into(),
-                                    found: other.kind().into(),
-                                    context: "LabelCapture".into(),
-                                }
-                                .into())
-                            }
-                        }
-                    } else {
-                        Value::Null
-                    });
-                }
-                Some(RegVal::Values(out))
             }
             Instr::Filter {
                 pred,
@@ -958,94 +895,19 @@ impl<'a> State<'a> {
     }
 }
 
-/// One operand of a typed coalesce: lane `i` is `Some(x)`, or `None` where
-/// NULL or absent.
-enum Lanes<'a, T> {
-    Col(&'a [T], &'a Column),
-    Dense(&'a [T]),
-    Splat(Option<T>),
-}
-
-impl<T: Copy> Lanes<'_, T> {
-    fn get(&self, i: usize) -> Option<T> {
-        match self {
-            Lanes::Col(data, col) => (!col.is_null_at(i)).then(|| data[i]),
-            Lanes::Dense(data) => Some(data[i]),
-            Lanes::Splat(x) => *x,
-        }
-    }
-}
-
-/// The coalesce merges that need no boxed lane:
-///
-/// * `coalesce(bag column, {})` — what the lowering puts above every outer
-///   join that re-attaches a nesting level — is
-///   [`Column::coalesce_empty_bag`]: validity bits cleared over the shared
-///   offsets and elements, no bag rebuilt;
-/// * two operands of one primitive kind (a NULL literal fits any) merge lane
-///   by lane into the typed column `Column::from_values` would build from
-///   the boxed lanes — data where a lane holds a value, the kind's
-///   placeholder under a set `nulls` bit where it does not — provided some
-///   lane holds a value: an all-NULL result is a value column there, not a
-///   typed one.
-///
-/// `None` for everything else; the caller boxes.
+/// The one coalesce that needs no boxed lane: `coalesce(bag column, {})`,
+/// which [`trance_algebra::Plan::renest`] puts above every outer join that
+/// re-attaches a nesting level and is the only coalesce any plan holds. It
+/// is [`Column::coalesce_empty_bag`]: validity bits cleared over the shared
+/// offsets and elements, no bag rebuilt. `None` for everything else; the
+/// caller boxes.
 fn coalesce_unboxed(a: &RegVal, b: &RegVal, taken: &[bool]) -> Option<Column> {
-    if let (RegVal::Col(col), RegVal::Const(Value::Bag(bag))) = (a, b) {
-        if bag.is_empty() {
-            return col.coalesce_empty_bag(taken);
+    match (a, b) {
+        (RegVal::Col(col), RegVal::Const(Value::Bag(bag))) if bag.is_empty() => {
+            col.coalesce_empty_bag(taken)
         }
+        _ => None,
     }
-    fn merge<T: Copy>(
-        a: Lanes<'_, T>,
-        b: Lanes<'_, T>,
-        taken: &[bool],
-        placeholder: T,
-    ) -> Option<(Vec<T>, Bitmap)> {
-        let mut data = Vec::with_capacity(taken.len());
-        let mut nulls = Bitmap::zeros(taken.len());
-        for (i, taken) in taken.iter().enumerate() {
-            match if *taken { b.get(i) } else { a.get(i) } {
-                Some(x) => data.push(x),
-                None => {
-                    data.push(placeholder);
-                    nulls.set(i);
-                }
-            }
-        }
-        (nulls.count_ones() < taken.len()).then_some((data, nulls))
-    }
-    // One arm per kind: how a register of that kind shows up (a dense
-    // computed buffer, a typed column, a literal) and what its column is.
-    macro_rules! kind {
-        ($variant:ident, $t:ty, $placeholder:expr, $($dense:ident)?) => {{
-            fn lanes(rv: &RegVal) -> Option<Lanes<'_, $t>> {
-                match rv {
-                    $(RegVal::$dense(x) => Some(Lanes::Dense(x)),)?
-                    RegVal::Col(col) => match col.as_ref() {
-                        Column::$variant { data, .. } => Some(Lanes::Col(data, col)),
-                        _ => None,
-                    },
-                    RegVal::Const(Value::$variant(x)) => Some(Lanes::Splat(Some(*x))),
-                    RegVal::Const(Value::Null) => Some(Lanes::Splat(None)),
-                    _ => None,
-                }
-            }
-            if let (Some(a), Some(b)) = (lanes(a), lanes(b)) {
-                let absent = Bitmap::zeros(taken.len());
-                return merge(a, b, taken, $placeholder).map(|(data, nulls)| Column::$variant {
-                    data,
-                    nulls,
-                    absent,
-                });
-            }
-        }};
-    }
-    kind!(Int, i64, 0, Ints);
-    kind!(Real, f64, 0.0, Reals);
-    kind!(Bool, bool, false, Bools);
-    kind!(Date, i64, 0,);
-    None
 }
 
 /// Positional compaction of a scratch register (values only ever read
@@ -1329,7 +1191,6 @@ impl KernelProgram {
                     format!("r{i} = coalesce r{a} r{taken} r{b}")
                 }
                 Instr::Not { input, guard } => format!("r{i} = not r{input}{}", g(guard)),
-                Instr::IsNull { input } => format!("r{i} = is_null r{input}"),
                 Instr::NewLabel { site, captures } => format!(
                     "r{i} = new_label #{site} [{}]",
                     captures
@@ -1338,11 +1199,6 @@ impl KernelProgram {
                         .collect::<Vec<_>>()
                         .join(" ")
                 ),
-                Instr::LabelCapture {
-                    label,
-                    index,
-                    guard,
-                } => format!("r{i} = label_capture r{label}.{index}{}", g(guard)),
                 Instr::Filter {
                     pred,
                     live,
@@ -1562,15 +1418,14 @@ mod tests {
                 E::col("a"),
                 E::constant(Value::Int(5)),
             ))),
-            E::IsNull(Box::new(E::col("b"))),
-            E::IsNull(Box::new(E::col("missing"))),
             E::Coalesce(Box::new(E::col("b")), Box::new(E::col("a"))),
             E::Coalesce(
                 Box::new(E::col("missing")),
                 Box::new(E::constant(Value::Int(-1))),
             ),
-            // Typed coalesce merges: one kind on both sides, from a column,
-            // a literal or a computed buffer — NULL where both are NULL.
+            // Coalesce over scalars (boxed lanes): one kind on both sides,
+            // from a column, a literal or a computed buffer — NULL where both
+            // are NULL.
             E::Coalesce(Box::new(E::col("b")), Box::new(E::constant(Value::Int(7)))),
             E::Coalesce(Box::new(E::col("b")), Box::new(E::constant(Value::Null))),
             E::Coalesce(
@@ -1590,7 +1445,7 @@ mod tests {
                 Box::new(E::col("f")),
                 Box::new(cmp(CmpOp::Gt, E::col("a"), E::constant(Value::Int(0)))),
             ),
-            // Kinds that do not agree (or no lane holding a value) box.
+            // Kinds that do not agree, or no lane holding a value.
             E::Coalesce(Box::new(E::col("b")), Box::new(E::col("x"))),
             E::Coalesce(
                 Box::new(E::col("missing")),
@@ -1616,10 +1471,6 @@ mod tests {
                     ("x".into(), E::col("a")),
                     ("y".into(), prim(PrimOp::Add, E::col("a"), E::col("b"))),
                 ],
-            },
-            E::LabelCapture {
-                label: Box::new(E::col("lb")),
-                index: 0,
             },
             // Guarded division: the zero `r` lane is short-circuited away.
             E::And(
@@ -1653,42 +1504,34 @@ mod tests {
         ));
     }
 
+    /// The one unboxed coalesce, `coalesce(bag column, {})`, flips validity
+    /// over the shared elements and comes out as exactly the column
+    /// `Column::from_values` would build from the boxed lanes; every other
+    /// operand pair boxes.
     #[test]
     fn typed_coalesce_builds_the_column_from_values_would() {
-        use Value::{Int, Null, Real};
-        let same = |got: Option<Column>, want: Vec<Value>| {
-            let got = got.expect("operands of one kind merge typed");
-            assert_eq!(
-                format!("{got:?}"),
-                format!("{:?}", Column::from_values(want))
-            );
-        };
-        let a = RegVal::Col(Arc::new(Column::from_values(vec![Int(1), Null, Null])));
-        let taken = [false, true, true];
-        // A computed buffer, a literal, another column, the NULL literal.
-        same(
-            coalesce_unboxed(&a, &RegVal::Ints(vec![10, 20, 30]), &taken),
-            vec![Int(1), Int(20), Int(30)],
-        );
-        same(
-            coalesce_unboxed(&a, &RegVal::Const(Int(7)), &taken),
-            vec![Int(1), Int(7), Int(7)],
-        );
-        let b = RegVal::Col(Arc::new(Column::from_values(vec![Int(4), Null, Int(6)])));
-        same(coalesce_unboxed(&a, &b, &taken), vec![Int(1), Null, Int(6)]);
-        same(
-            coalesce_unboxed(&a, &RegVal::Const(Null), &taken),
-            vec![Int(1), Null, Null],
-        );
+        use Value::{Int, Null};
+        let g = || Value::bag(vec![Value::tuple([("p", Int(1))])]);
+        let bags = RegVal::Col(Arc::new(Column::from_values(vec![g(), Null, g(), Null])));
+        let empty = RegVal::Const(Value::empty_bag());
+        let got = coalesce_unboxed(&bags, &empty, &[false, true, false, true])
+            .expect("a bag column coalesced with {} stays a column");
+        let want = Column::from_values(vec![g(), Value::empty_bag(), g(), Value::empty_bag()]);
+        assert_eq!(format!("{got:?}"), format!("{want:?}"));
         // A guard can leave a NULL lane untaken: it stays NULL.
-        same(
-            coalesce_unboxed(&a, &RegVal::Const(Int(7)), &[false, true, false]),
-            vec![Int(1), Int(7), Null],
-        );
-        // Two kinds, or no lane holding a value, are not a typed column.
-        assert!(coalesce_unboxed(&a, &RegVal::Reals(vec![0.5; 3]), &taken).is_none());
-        assert!(coalesce_unboxed(&a, &RegVal::Const(Real(0.5)), &taken).is_none());
-        assert!(coalesce_unboxed(&a, &RegVal::Const(Null), &[true; 3]).is_none());
+        let got = coalesce_unboxed(&bags, &empty, &[false, true, false, false]).expect("bag");
+        let want = Column::from_values(vec![g(), Value::empty_bag(), g(), Null]);
+        assert_eq!(format!("{got:?}"), format!("{want:?}"));
+        // Anything else boxes: a scalar column, a fallback that is not `{}`.
+        let ints = RegVal::Col(Arc::new(Column::from_values(vec![
+            Int(1),
+            Null,
+            Int(3),
+            Null,
+        ])));
+        let taken = [false, true, false, true];
+        assert!(coalesce_unboxed(&ints, &RegVal::Const(Int(7)), &taken).is_none());
+        assert!(coalesce_unboxed(&bags, &RegVal::Const(Value::bag(vec![g()])), &taken).is_none());
     }
 
     #[test]

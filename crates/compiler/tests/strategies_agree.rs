@@ -325,6 +325,47 @@ fn memory_cap_produces_fail_outcomes() {
     );
 }
 
+/// Core NRC that the plan compiler rejects — `get`, and `if … else` over
+/// bags (the list is in `trance_frontend`'s crate docs) — evaluates under
+/// `nrc::eval` but ends every strategy in a failed run whose error names the
+/// construct: a typed error, never a panic.
+#[test]
+fn core_nrc_the_plan_compiler_rejects_fails_typed_on_every_strategy() {
+    let values = [("Part", part_value(), false)];
+    let inputs = input_set(ctx(), &values);
+    let first_price = forin(
+        "p",
+        var("Part"),
+        singleton(tuple([
+            ("pid", proj(var("p"), "pid")),
+            ("first", get(singleton(proj(var("p"), "price")))),
+        ])),
+    );
+    let either_branch = forin(
+        "p",
+        var("Part"),
+        ifelse(
+            cmp_gt(proj(var("p"), "price"), real(3.0)),
+            singleton(tuple([("pid", proj(var("p"), "pid"))])),
+            singleton(tuple([("pid", int(-1))])),
+        ),
+    );
+    for (query, construct) in [(first_price, "Get("), (either_branch, "if-then-else")] {
+        assert_eq!(reference_bag(&query, &values).len(), 7, "{construct}");
+        let spec = QuerySpec::new(construct, query, vec![]);
+        for strategy in Strategy::all() {
+            match run_query(&spec, &inputs, strategy).result {
+                RunResult::Failed(e) => assert!(
+                    e.to_string().contains(construct),
+                    "{}: the error must name `{construct}`: {e}",
+                    strategy.label()
+                ),
+                _ => panic!("{} ran `{construct}`", strategy.label()),
+            }
+        }
+    }
+}
+
 #[test]
 fn shredded_strategy_reports_lower_shuffle_than_baseline_for_wide_rows() {
     // Wide nested rows: the baseline drags every attribute through the

@@ -11,8 +11,8 @@
 //!
 //! Validity is tracked with two [`Bitmap`]s per column:
 //!
-//! * `nulls` — the row holds an explicit `Value::Null` (outer joins and
-//!   outer unnests produce these);
+//! * `nulls` — the row holds an explicit `Value::Null` (outer joins produce
+//!   these);
 //! * `absent` — the row's tuple did not contain the attribute at all. The
 //!   nested data model distinguishes a tuple without attribute `a` from one
 //!   with `a: NULL`, and a lossless `Value` ↔ `Batch` round trip must too.
@@ -55,8 +55,8 @@
 //! it is generic over [`GatherIndex`], so a dense index list (`&[usize]`:
 //! morsel slices, join sides without misses) runs a loop with no `Option` in
 //! it and skips the validity bitmaps of an all-valid source, while outer
-//! joins and outer unnests pass `&[Option<usize>]`, whose `None` rows come
-//! out *absent* in every column — there is one flavour of null extension. A
+//! joins pass `&[Option<usize>]`, whose `None` rows come out *absent* in
+//! every column — there is one flavour of null extension. A
 //! string gather renumbers the surviving codes in first-use order and copies
 //! their bytes once, exactly sized, so dictionaries stay shrunk to what a
 //! batch uses and the physical byte accounting stays exact. A gather that
@@ -1122,7 +1122,7 @@ impl Column {
 
     /// Gathers rows by index. Indices are dense row numbers (`usize`) or
     /// optional ones (`Option<usize>`), whose `None` entries produce an
-    /// absent row — the null extension of outer joins and outer unnests.
+    /// absent row — the null extension of outer joins.
     pub fn gather<I: GatherIndex>(&self, idx: &[I]) -> Column {
         let n = idx.len();
         let mut out_nulls = Bitmap::zeros(n);
@@ -1751,17 +1751,6 @@ impl Batch {
         Batch {
             schema,
             columns,
-            rows,
-        }
-    }
-
-    /// Builds a batch directly from columns (all of length `rows`).
-    pub fn from_columns(fields: Vec<String>, columns: Vec<Column>, rows: usize) -> Batch {
-        debug_assert_eq!(fields.len(), columns.len());
-        debug_assert!(columns.iter().all(|c| c.len() == rows));
-        Batch {
-            schema: Arc::new(Schema::new(fields)),
-            columns: columns.into_iter().map(Arc::new).collect(),
             rows,
         }
     }

@@ -1534,63 +1534,55 @@ fn rename_child(child: &Batch, alias: Option<&str>) -> Batch {
 }
 
 /// Numbers the rows of one morsel of a sequential fused pipeline under `attr`
-/// — the batch-at-a-time kernel of id assignment (`AddIndex`, an outer
-/// unnest's parent ids): reserves the morsel's rows on `cx`'s counter `slot`
-/// and gives row `i` of the partition `partition + i * stride`
-/// ([`Batch::with_unique_ids`]), so ids are unique without coordination.
+/// — the batch-at-a-time kernel of id assignment (`AddIndex`): reserves the
+/// morsel's rows on `cx`'s counter `slot` and gives row `i` of the partition
+/// `partition + i * stride` ([`Batch::with_unique_ids`]), so ids are unique
+/// without coordination.
 pub fn unique_ids_batch(b: &Batch, attr: &str, cx: &mut MorselCtx, slot: usize) -> Result<Batch> {
     tuple_rows_required(b)?;
     let start = cx.reserve(slot, b.rows());
     Ok(b.with_unique_ids(attr, cx.partition, start, cx.stride))
 }
 
-/// Unnests (`µ` / outer `µ̄`) a bag-valued attribute of one batch — the
-/// batch-at-a-time kernel the compiler's fused pipelines splice into a morsel
-/// closure. Parent columns are gathered by fan-out index, the bag column's
-/// child batch is spliced in (renamed to `alias.field` when an alias is
-/// given — a schema rewrite). With `outer`, rows whose bag is empty/NULL keep
-/// their parent tuple and the inner attributes stay absent.
-pub fn unnest_batch(b: &Batch, bag_attr: &str, alias: Option<&str>, outer: bool) -> Result<Batch> {
+/// Unnests (`µ`) a bag-valued attribute of one batch — the batch-at-a-time
+/// kernel the compiler's fused pipelines splice into a morsel closure. Parent
+/// columns are gathered by fan-out index, the bag column's child batch is
+/// spliced in (renamed to `alias.field` when an alias is given — a schema
+/// rewrite). A row whose bag is empty, NULL or absent yields no row.
+pub fn unnest_batch(b: &Batch, bag_attr: &str, alias: Option<&str>) -> Result<Batch> {
     tuple_rows_required(b)?;
     let parent_shape = b.without_column(bag_attr);
     let Some(col) = b.column(bag_attr) else {
-        // Every bag is missing → empty; the outer variant keeps the parents.
-        return Ok(if outer { parent_shape } else { Batch::empty() });
+        // Every bag is missing → empty.
+        return Ok(Batch::empty());
     };
     match col {
         Column::Bag { offsets, elems, .. } => {
             let mut parent_idx: Vec<usize> = Vec::new();
-            let mut child_idx: Vec<Option<usize>> = Vec::new();
+            let mut child_idx: Vec<usize> = Vec::new();
             for i in 0..b.rows() {
-                let (lo, hi) = (offsets[i] as usize, offsets[i + 1] as usize);
-                if lo == hi {
-                    if outer {
-                        parent_idx.push(i);
-                        child_idx.push(None);
-                    }
-                    continue;
-                }
-                for j in lo..hi {
+                for j in offsets[i] as usize..offsets[i + 1] as usize {
                     parent_idx.push(i);
-                    child_idx.push(Some(j));
+                    child_idx.push(j);
                 }
             }
             let parents = parent_shape.take(&parent_idx);
             let child = match elems {
                 crate::batch::BagElems::Rows(elem_batch) => {
-                    rename_child(elem_batch, alias).take_opt(&child_idx)
+                    rename_child(elem_batch, alias).take(&child_idx)
                 }
                 crate::batch::BagElems::Values(values) => {
                     // Mixed / non-tuple elements: fall back to per-element
                     // row merging.
                     let rows: Vec<Value> = child_idx
                         .iter()
-                        .map(|j| match j {
-                            Some(j) => values[*j].clone(),
-                            None => Value::Null,
+                        .map(|&j| {
+                            let mut t = Tuple::empty();
+                            merge_element_row(&mut t, &values[j], alias);
+                            Value::Tuple(t)
                         })
                         .collect();
-                    element_rows_to_batch(&rows, &child_idx, alias)
+                    Batch::from_rows(&rows)
                 }
             };
             Ok(parents.merge_overwrite(&child))
@@ -1613,12 +1605,6 @@ pub fn unnest_batch(b: &Batch, bag_attr: &str, alias: Option<&str>, outer: bool)
                         .into())
                     }
                 };
-                if bag.is_empty() {
-                    if outer {
-                        out_rows.push(parent);
-                    }
-                    continue;
-                }
                 let parent_t = parent.as_tuple()?.clone();
                 for elem in bag.iter() {
                     let mut row = parent_t.clone();
@@ -1629,29 +1615,6 @@ pub fn unnest_batch(b: &Batch, bag_attr: &str, alias: Option<&str>, outer: bool)
             Ok(Batch::from_rows(&out_rows))
         }
     }
-}
-
-/// Builds the child-side batch for non-tuple bag elements: tuple elements
-/// expand into (possibly aliased) fields, other values become
-/// `alias.__value`, `None` slots (outer parents) stay absent.
-fn element_rows_to_batch(
-    rows: &[Value],
-    child_idx: &[Option<usize>],
-    alias: Option<&str>,
-) -> Batch {
-    let merged: Vec<Value> = rows
-        .iter()
-        .zip(child_idx)
-        .map(|(elem, j)| {
-            if j.is_none() {
-                return Value::Tuple(Tuple::empty());
-            }
-            let mut t = Tuple::empty();
-            merge_element_row(&mut t, elem, alias);
-            Value::Tuple(t)
-        })
-        .collect();
-    Batch::from_rows(&merged)
 }
 
 /// Merges one flattened bag element into a row, renaming its fields to

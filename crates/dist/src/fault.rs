@@ -33,8 +33,8 @@ use std::time::{Duration, Instant};
 use crate::error::{ExecError, Result};
 
 /// Where a fault can be injected. Every site is a *boundary* the engine
-/// already crosses (a morsel, a spill frame, a shuffle pass, a worker
-/// startup) — injection never adds per-row work.
+/// already crosses (a morsel, a spill frame, a shuffle pass) — injection
+/// never adds per-row work.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultSite {
     /// Before a fused-pipeline morsel executes.
@@ -45,18 +45,15 @@ pub enum FaultSite {
     SpillWrite,
     /// Before a shuffle routes one source partition.
     Shuffle,
-    /// When a pool worker thread starts (or restarts after a heal).
-    WorkerStart,
 }
 
 impl FaultSite {
     /// Every injection point, in spec order.
-    pub const ALL: [FaultSite; 5] = [
+    pub const ALL: [FaultSite; 4] = [
         FaultSite::Morsel,
         FaultSite::SpillRead,
         FaultSite::SpillWrite,
         FaultSite::Shuffle,
-        FaultSite::WorkerStart,
     ];
 
     /// Position of the site in [`FaultSite::ALL`] (stable array index for
@@ -67,7 +64,6 @@ impl FaultSite {
             FaultSite::SpillRead => 1,
             FaultSite::SpillWrite => 2,
             FaultSite::Shuffle => 3,
-            FaultSite::WorkerStart => 4,
         }
     }
 
@@ -78,7 +74,6 @@ impl FaultSite {
             FaultSite::SpillRead => "spill_read",
             FaultSite::SpillWrite => "spill_write",
             FaultSite::Shuffle => "shuffle",
-            FaultSite::WorkerStart => "worker_start",
         }
     }
 
@@ -115,7 +110,7 @@ pub struct FaultPlan {
     /// Base seed of the per-site decision streams.
     pub seed: u64,
     /// Injection probability per site, indexed by [`FaultSite`] order.
-    pub rates: [f64; 5],
+    pub rates: [f64; 4],
     /// Targeted faults pinned to specific draw indices.
     pub one_shots: Vec<OneShot>,
 }
@@ -125,7 +120,7 @@ impl FaultPlan {
     pub fn quiet(seed: u64) -> FaultPlan {
         FaultPlan {
             seed,
-            rates: [0.0; 5],
+            rates: [0.0; 4],
             one_shots: Vec::new(),
         }
     }
@@ -135,7 +130,7 @@ impl FaultPlan {
     pub fn seeded(seed: u64) -> FaultPlan {
         FaultPlan {
             seed,
-            rates: [0.02, 0.05, 0.05, 0.02, 0.25],
+            rates: [0.02, 0.05, 0.05, 0.02],
             one_shots: Vec::new(),
         }
     }
@@ -164,10 +159,9 @@ impl FaultPlan {
 
     /// Parses the compact spec the CLI and environment use:
     /// comma-separated `key=value` entries where `key` is `seed`, a site
-    /// name (`morsel`, `spill_read`, `spill_write`, `shuffle`,
-    /// `worker_start`) mapping to a rate in `[0, 1]`, or `once=SITE@AT`
-    /// (optionally `once=SITE@AT` with an `xBURST` suffix). A bare integer
-    /// is shorthand for [`FaultPlan::seeded`].
+    /// name (`morsel`, `spill_read`, `spill_write`, `shuffle`) mapping to a
+    /// rate in `[0, 1]`, or `once=SITE@AT` (optionally with an `xBURST`
+    /// suffix). A bare integer is shorthand for [`FaultPlan::seeded`].
     ///
     /// Example: `seed=42,morsel=0.02,spill_read=0.1,once=morsel@5x4`.
     pub fn parse(spec: &str) -> std::result::Result<FaultPlan, String> {
@@ -244,11 +238,6 @@ impl FaultPlan {
         }
         out
     }
-
-    /// True when the plan can never fire.
-    pub fn is_quiet(&self) -> bool {
-        self.one_shots.is_empty() && self.rates.iter().all(|r| *r <= 0.0)
-    }
 }
 
 /// splitmix64 finalizer — the one-instruction-per-step mixer the engine
@@ -265,8 +254,8 @@ fn splitmix64(mut z: u64) -> u64 {
 #[derive(Debug)]
 pub struct FaultInjector {
     plan: FaultPlan,
-    draws: [AtomicU64; 5],
-    fired: [AtomicU64; 5],
+    draws: [AtomicU64; 4],
+    fired: [AtomicU64; 4],
 }
 
 impl FaultInjector {
@@ -500,6 +489,8 @@ mod tests {
             "seed=",
             "=0.5",
             "morsel",
+            "worker_start=0.25",
+            "once=worker_start@0",
         ] {
             assert!(FaultPlan::parse(junk).is_err(), "`{junk}` must be rejected");
         }

@@ -293,7 +293,7 @@ impl DistContext {
             .fault_plan
             .clone()
             .map(|plan| Arc::new(FaultInjector::new(plan)));
-        let pool = Arc::new(WorkerPool::with_faults(config.workers, faults.clone()));
+        let pool = Arc::new(WorkerPool::new(config.workers));
         DistContext {
             inner: Arc::new(CtxInner {
                 config,
@@ -342,12 +342,6 @@ impl DistContext {
                 exchange: Mutex::new(self.exchange()),
             }),
         }
-    }
-
-    /// True when `other` shares this context's worker pool (i.e. one is a
-    /// session of the other, or both are sessions of the same root).
-    pub fn shares_pool(&self, other: &DistContext) -> bool {
-        Arc::ptr_eq(&self.inner.pool, &other.inner.pool)
     }
 
     /// The cluster configuration.

@@ -42,8 +42,6 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crate::fault::{FaultInjector, FaultSite};
-
 /// A unit of scheduled work. The `bool` argument tells the task whether it
 /// was *stolen* (executed by a participant other than the slot it was
 /// assigned to), which is how per-scope steal counts stay exact.
@@ -67,10 +65,6 @@ struct PoolShared {
     shutdown: AtomicBool,
     /// Total steals performed over the pool's lifetime.
     steals: AtomicU64,
-    /// Worker threads healed over the pool's lifetime: injected startup
-    /// crashes absorbed by respawn, plus worker loops restarted after a
-    /// panic escaped onto them.
-    healed: AtomicU64,
 }
 
 impl PoolShared {
@@ -151,17 +145,10 @@ impl std::fmt::Debug for WorkerPool {
 
 impl WorkerPool {
     /// Creates a pool modelling `workers` executors: `workers - 1` persistent
-    /// threads plus the calling thread of each [`WorkerPool::run`].
+    /// threads plus the calling thread of each [`WorkerPool::run`]. A panic
+    /// that escapes onto a worker loop restarts the loop in place — a fault
+    /// kills a task, never a pool slot.
     pub fn new(workers: usize) -> WorkerPool {
-        WorkerPool::with_faults(workers, None)
-    }
-
-    /// [`WorkerPool::new`] with an optional fault injector: worker threads
-    /// draw a [`FaultSite::WorkerStart`] fault when they start, and the
-    /// pool heals every injected startup crash (and every panic that
-    /// escapes onto a worker loop) by respawning the loop in place — a
-    /// fault kills a task, never a pool slot.
-    pub fn with_faults(workers: usize, faults: Option<Arc<FaultInjector>>) -> WorkerPool {
         let participants = workers.max(1);
         let shared = Arc::new(PoolShared {
             slots: (0..participants)
@@ -172,27 +159,13 @@ impl WorkerPool {
             work_cond: Condvar::new(),
             shutdown: AtomicBool::new(false),
             steals: AtomicU64::new(0),
-            healed: AtomicU64::new(0),
         });
         let handles = (1..participants)
             .map(|slot| {
                 let shared = Arc::clone(&shared);
-                let faults = faults.clone();
                 std::thread::Builder::new()
                     .name(format!("trance-worker-{slot}"))
                     .spawn(move || {
-                        // Injected startup crashes: the thread "dies" before
-                        // reaching its loop and the pool immediately
-                        // respawns it (counted as a heal). Draws are bounded
-                        // so a rate of 1.0 cannot livelock startup.
-                        if let Some(inj) = &faults {
-                            for _ in 0..8 {
-                                if !inj.should_fault(FaultSite::WorkerStart) {
-                                    break;
-                                }
-                                shared.healed.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
                         // Self-healing loop: a panic escaping the worker
                         // loop (task panics are caught per task in `run`)
                         // restarts the loop instead of silently shrinking
@@ -202,7 +175,6 @@ impl WorkerPool {
                             {
                                 break; // clean shutdown
                             }
-                            shared.healed.fetch_add(1, Ordering::Relaxed);
                             if shared.shutdown.load(Ordering::Acquire) {
                                 break;
                             }
@@ -222,12 +194,6 @@ impl WorkerPool {
     /// Total steals performed over the pool's lifetime.
     pub fn steal_count(&self) -> u64 {
         self.shared.steals.load(Ordering::Relaxed)
-    }
-
-    /// Worker threads healed over the pool's lifetime (injected startup
-    /// crashes absorbed plus worker loops restarted after a panic).
-    pub fn healed_count(&self) -> u64 {
-        self.shared.healed.load(Ordering::Relaxed)
     }
 
     /// Runs `tasks` on the pool and blocks until all of them completed,
@@ -340,9 +306,9 @@ fn worker_loop(shared: &PoolShared, slot: usize) {
 
 /// Per-partition mutable state threaded through a **sequential** fused
 /// pipeline: the partition index, the cluster's id stride, and one running
-/// row counter per id-assigning pipeline member (`AddIndex`, outer unnest) —
-/// so a partition's ids are `partition + row * stride` for its rows in
-/// order, however many chunks it streams in.
+/// row counter per id-assigning pipeline member (`AddIndex`) — so a
+/// partition's ids are `partition + row * stride` for its rows in order,
+/// however many chunks it streams in.
 #[derive(Debug)]
 pub struct MorselCtx {
     /// Index of the partition this morsel belongs to.

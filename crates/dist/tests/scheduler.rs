@@ -170,14 +170,14 @@ fn fused_unnest_kernel_matches_staged_unnest() {
     )
     .unwrap();
     let staged = data
-        .map_batches("flat_map", |b| unnest_batch(b, "items", Some("it"), true))
+        .map_batches("flat_map", |b| unnest_batch(b, "items", Some("it")))
         .unwrap();
     let fused = data
         .run_pipeline(
-            "pipeline[outer_unnest]",
-            &["outer_unnest".to_string()],
+            "pipeline[unnest]",
+            &["unnest".to_string()],
             false,
-            |b, _| unnest_batch(b, "items", Some("it"), true),
+            |b, _| unnest_batch(b, "items", Some("it")),
         )
         .unwrap();
     let staged_rows: Vec<Vec<Value>> = staged
@@ -193,6 +193,8 @@ fn fused_unnest_kernel_matches_staged_unnest() {
         .map(|b| b.to_rows())
         .collect();
     assert_eq!(staged_rows, fused_rows);
+    // Rows with an empty bag yield none: 125 rows each of 0, 1, 2, 3 items.
+    assert_eq!(fused_rows.iter().map(Vec::len).sum::<usize>(), 750);
 }
 
 // ---------------------------------------------------------------------------

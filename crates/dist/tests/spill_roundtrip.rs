@@ -125,7 +125,7 @@ fn unnest(
     bag_attr: &str,
     alias: Option<&str>,
 ) -> trance_dist::Result<ColCollection> {
-    data.map_batches("flat_map", |b| unnest_batch(b, bag_attr, alias, false))
+    data.map_batches("flat_map", |b| unnest_batch(b, bag_attr, alias))
 }
 
 /// Unnest + shuffle join + regroup over the columnar representation.

@@ -2,8 +2,8 @@
 //!
 //! Produces a flat token stream with byte spans and 1-based line/column
 //! positions. Unicode alternates from the paper's notation (`⟨ ⟩ ∅ ⊎ ∪ ≠ ≤
-//! ≥ λ ⇐`) lex to the same tokens as their ASCII spellings; `//` starts a
-//! line comment.
+//! ≥ ⇐`) lex to the same tokens as their ASCII spellings; `//` starts a line
+//! comment.
 
 use crate::error::CompileError;
 
@@ -33,10 +33,6 @@ pub enum Tok {
     Then,
     /// `else`
     Else,
-    /// `lambda` / `λ`
-    Lambda,
-    /// `match`
-    Match,
     /// `dedup`
     Dedup,
     /// `get`
@@ -47,14 +43,6 @@ pub enum Tok {
     SumBy,
     /// `NewLabel`
     NewLabel,
-    /// `Lookup`
-    Lookup,
-    /// `MatLookup`
-    MatLookup,
-    /// `BagToDict`
-    BagToDict,
-    /// `DictTreeUnion`
-    DictTreeUnion,
     /// `true`
     True,
     /// `false`
@@ -102,8 +90,6 @@ pub enum Tok {
     Dot,
     /// `#`
     Hash,
-    /// `->`
-    Arrow,
     /// `?`
     Question,
     /// `+`
@@ -141,17 +127,11 @@ impl Tok {
             Tok::If => "'if'".into(),
             Tok::Then => "'then'".into(),
             Tok::Else => "'else'".into(),
-            Tok::Lambda => "'lambda'".into(),
-            Tok::Match => "'match'".into(),
             Tok::Dedup => "'dedup'".into(),
             Tok::Get => "'get'".into(),
             Tok::GroupBy => "'groupBy'".into(),
             Tok::SumBy => "'sumBy'".into(),
             Tok::NewLabel => "'NewLabel'".into(),
-            Tok::Lookup => "'Lookup'".into(),
-            Tok::MatLookup => "'MatLookup'".into(),
-            Tok::BagToDict => "'BagToDict'".into(),
-            Tok::DictTreeUnion => "'DictTreeUnion'".into(),
             Tok::True => "'true'".into(),
             Tok::False => "'false'".into(),
             Tok::Null => "'NULL'".into(),
@@ -175,7 +155,6 @@ impl Tok {
             Tok::Assign => "':='".into(),
             Tok::Dot => "'.'".into(),
             Tok::Hash => "'#'".into(),
-            Tok::Arrow => "'->'".into(),
             Tok::Question => "'?'".into(),
             Tok::Plus => "'+'".into(),
             Tok::Minus => "'-'".into(),
@@ -200,17 +179,11 @@ impl Tok {
                 | Tok::If
                 | Tok::Then
                 | Tok::Else
-                | Tok::Lambda
-                | Tok::Match
                 | Tok::Dedup
                 | Tok::Get
                 | Tok::GroupBy
                 | Tok::SumBy
                 | Tok::NewLabel
-                | Tok::Lookup
-                | Tok::MatLookup
-                | Tok::BagToDict
-                | Tok::DictTreeUnion
                 | Tok::True
                 | Tok::False
                 | Tok::Null
@@ -229,17 +202,11 @@ impl Tok {
             Tok::If => "if",
             Tok::Then => "then",
             Tok::Else => "else",
-            Tok::Lambda => "lambda",
-            Tok::Match => "match",
             Tok::Dedup => "dedup",
             Tok::Get => "get",
             Tok::GroupBy => "groupBy",
             Tok::SumBy => "sumBy",
             Tok::NewLabel => "NewLabel",
-            Tok::Lookup => "Lookup",
-            Tok::MatLookup => "MatLookup",
-            Tok::BagToDict => "BagToDict",
-            Tok::DictTreeUnion => "DictTreeUnion",
             Tok::True => "true",
             Tok::False => "false",
             Tok::Null => "NULL",
@@ -279,17 +246,11 @@ fn keyword(word: &str) -> Option<Tok> {
         "if" => Tok::If,
         "then" => Tok::Then,
         "else" => Tok::Else,
-        "lambda" => Tok::Lambda,
-        "match" => Tok::Match,
         "dedup" => Tok::Dedup,
         "get" => Tok::Get,
         "groupBy" => Tok::GroupBy,
         "sumBy" => Tok::SumBy,
         "NewLabel" => Tok::NewLabel,
-        "Lookup" => Tok::Lookup,
-        "MatLookup" => Tok::MatLookup,
-        "BagToDict" => Tok::BagToDict,
-        "DictTreeUnion" => Tok::DictTreeUnion,
         "true" => Tok::True,
         "false" => Tok::False,
         "NULL" => Tok::Null,
@@ -580,16 +541,8 @@ pub(crate) fn lex(src: &str) -> Result<Vec<(Tok, Span)>, CompileError> {
             '≠' => push1(&mut lx, Tok::Ne),
             '≤' => push1(&mut lx, Tok::Le),
             '≥' => push1(&mut lx, Tok::Ge),
-            'λ' => push1(&mut lx, Tok::Lambda),
             '⇐' => push1(&mut lx, Tok::Le),
-            '-' => {
-                if two(&lx) == Some('>') {
-                    lx.bump();
-                    push1(&mut lx, Tok::Arrow);
-                } else {
-                    push1(&mut lx, Tok::Minus);
-                }
-            }
+            '-' => push1(&mut lx, Tok::Minus),
             ':' => {
                 if two(&lx) == Some('=') {
                     lx.bump();

@@ -4,8 +4,30 @@
 //! recursive-descent parser that turn source text into the [`trance_nrc`]
 //! AST, with spanned [`CompileError`] diagnostics (line/column, expected
 //! token sets, a source excerpt) instead of panics. Parsed programs flow
-//! through the existing `trance_nrc::typecheck` and the existing lowering,
-//! so they execute on every compilation strategy unchanged.
+//! through `trance_nrc::typecheck` and the plan compiler
+//! (`trance_algebra::lower`), the one route every strategy executes.
+//!
+//! The language is core NRC plus `NewLabel`, and the plan compiler runs all
+//! of it except what it rejects with a typed lowering error (never a panic):
+//!
+//! * `get(e)`, in any position;
+//! * `if … then … else …` whose branches are bags (the else-less form is a
+//!   filter and compiles);
+//! * an `if` without `else` outside any `for`;
+//! * a `let` that binds a scalar or a tuple rather than a bag;
+//! * a bag variable or bag attribute used whole as a `for` body
+//!   (`for x in R union S`, `for x in R union x.items`) instead of iterated;
+//! * `groupBy` / `dedup` of a whole `let`-bound intermediate;
+//! * a `union` of a whole relation with a constructed bag;
+//! * in a scalar position, anything but constants, `+ - * /`, comparisons,
+//!   `&& || !`, `NewLabel` and (chained) projections of a variable an
+//!   enclosing `for` binds: so a bare iteration variable, a nested tuple, a
+//!   conditional, or a projection of anything else (`<a := 1>.a`).
+//!
+//! The shredded strategies also need each inner bag of the output to
+//! navigate a bag attribute of the enclosing level or to filter a flat
+//! source by equality with it (`trance_shred::query`); other shapes are a
+//! typed shredding error.
 //!
 //! The grammar is the exact language `trance_nrc::pretty` prints, which
 //! makes `parse(pretty(e)) == e` a checkable round-trip law (exercised by
@@ -19,11 +41,8 @@
 //! expr      ::= "for" ident "in" union_expr "union" expr
 //!             | "let" ident ":=" expr "in" expr
 //!             | "if" expr "then" expr [ "else" expr ]
-//!             | "lambda" ident "." expr
-//!             | "match" proj_expr "=" "NewLabel" "#" int
-//!                   "(" [ ident { "," ident } ] ")" "then" expr
 //!             | union_expr
-//! union_expr::= or_expr { ("union" | "DictTreeUnion") or_expr }
+//! union_expr::= or_expr { "union" or_expr }
 //! or_expr   ::= and_expr { "||" and_expr }
 //! and_expr  ::= not_expr { "&&" not_expr }
 //! not_expr  ::= "!" cmp_expr | cmp_expr
@@ -39,19 +58,16 @@
 //!             | "groupBy" "[" fields ";" "group" "=" field "]" "(" expr ")"
 //!             | "sumBy" "[" fields ";" fields "]" "(" expr ")"
 //!             | "NewLabel" "#" int "(" [ field ":=" expr { "," ... } ] ")"
-//!             | "Lookup" "(" expr "," expr ")"
-//!             | "MatLookup" "(" expr "," expr ")"
-//!             | "BagToDict" "(" expr ")"
 //! literal   ::= int | real | string | "true" | "false" | "NULL"
 //!             | "date" "(" int ")" | "-" (int | real)
 //! type      ::= "int" | "real" | "string" | "bool" | "date" | "?"
-//!             | "Bag" "(" type ")" | "Label" [ "->" "Bag" "(" type ")" ]
+//!             | "Bag" "(" type ")" | "Label"
 //!             | "<" [ field ":" type { "," field ":" type } ] ">"
 //! ```
 //!
 //! Notes on the fine print:
 //!
-//! * **Control forms** (`for`, `let`, `if`, `lambda`, `match`) are only
+//! * **Control forms** (`for`, `let`, `if`) are only
 //!   allowed where a full expression is expected (bodies, branches,
 //!   parenthesised/braced positions, tuple fields). As an *operand* of an
 //!   infix operator they must be parenthesised; the printer inserts those
@@ -66,8 +82,8 @@
 //!   statement is expected; use `parse_expr` (or parentheses) for a
 //!   top-level `<=` comparison.
 //! * **Unicode alternates** from the paper's notation are accepted:
-//!   `⟨` `⟩` (tuple), `∅` (empty bag), `⊎`/`∪` (union), `≠` `≤` `≥`,
-//!   `λ` (lambda) and `⇐` (assignment).
+//!   `⟨` `⟩` (tuple), `∅` (empty bag), `⊎`/`∪` (union), `≠` `≤` `≥` and
+//!   `⇐` (assignment).
 //! * `//` starts a line comment.
 //! * Nesting depth is limited (see [`MAX_DEPTH`]); exceeding it is a
 //!   [`CompileError`], not a stack overflow.
@@ -76,6 +92,7 @@
 //!   round-trips.
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 mod error;
 mod lexer;

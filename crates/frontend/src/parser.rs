@@ -1,8 +1,8 @@
 //! Recursive-descent parser turning token streams into `trance_nrc` ASTs.
 //!
-//! Precedence (loosest to tightest): control forms (`for`/`let`/`if`/
-//! `lambda`/`match`), `union`/`DictTreeUnion`, `||`, `&&`, `!`,
-//! comparisons (non-associative), `+ -`, `* /`, projection, atoms.
+//! Precedence (loosest to tightest): control forms (`for`/`let`/`if`),
+//! `union`, `||`, `&&`, `!`, comparisons (non-associative), `+ -`, `* /`,
+//! projection, atoms.
 //! Inside a tuple literal `>`/`>=` close the tuple instead of comparing;
 //! parentheses, brackets and braces restore the usual reading.
 
@@ -61,8 +61,8 @@ pub fn parse_program(src: &str) -> PResult<Program> {
     Ok(prog)
 }
 
-/// Parses a type in the surface notation (`int`, `Bag(<a: int>)`,
-/// `Label -> Bag(...)`, `<n: t, ...>`, `?`).
+/// Parses a type in the surface notation (`int`, `Bag(<a: int>)`, `Label`,
+/// `<n: t, ...>`, `?`).
 pub fn parse_type(src: &str) -> PResult<Type> {
     let mut p = Parser::new(src)?;
     let t = p.type_ann()?;
@@ -241,8 +241,6 @@ impl<'a> Parser<'a> {
                 Tok::For => return self.for_expr(),
                 Tok::Let => return self.let_expr(),
                 Tok::If => return self.if_expr(),
-                Tok::Lambda => return self.lambda_expr(),
-                Tok::Match => return self.match_expr(),
                 _ => {}
             }
         }
@@ -293,47 +291,6 @@ impl<'a> Parser<'a> {
             cond: Box::new(cond),
             then_branch: Box::new(then_branch),
             else_branch,
-        })
-    }
-
-    fn lambda_expr(&mut self) -> PResult<Expr> {
-        self.bump();
-        let param = self.binder()?;
-        self.expect(Tok::Dot)?;
-        let body = self.expr(0)?;
-        Ok(Expr::Lambda {
-            param,
-            body: Box::new(body),
-        })
-    }
-
-    fn match_expr(&mut self) -> PResult<Expr> {
-        self.bump();
-        let label = self.expr(8)?;
-        self.expect(Tok::Eq)?;
-        self.expect(Tok::NewLabel)?;
-        self.expect(Tok::Hash)?;
-        let site = self.label_site()?;
-        self.expect(Tok::LParen)?;
-        let mut params = Vec::new();
-        if !matches!(self.peek(), Tok::RParen) {
-            loop {
-                params.push(self.binder()?);
-                if matches!(self.peek(), Tok::Comma) {
-                    self.bump();
-                } else {
-                    break;
-                }
-            }
-        }
-        self.expect(Tok::RParen)?;
-        self.expect(Tok::Then)?;
-        let body = self.expr(0)?;
-        Ok(Expr::MatchLabel {
-            label: Box::new(label),
-            site,
-            params,
-            body: Box::new(body),
         })
     }
 
@@ -506,25 +463,10 @@ impl<'a> Parser<'a> {
             }
             Tok::Get => Ok(Expr::Get(Box::new(self.call1()?))),
             Tok::Dedup => Ok(Expr::Dedup(Box::new(self.call1()?))),
-            Tok::BagToDict => Ok(Expr::BagToDict(Box::new(self.call1()?))),
             Tok::GroupBy => self.group_by(),
             Tok::SumBy => self.sum_by(),
             Tok::NewLabel => self.new_label(),
-            Tok::Lookup => {
-                let (dict, label) = self.call2()?;
-                Ok(Expr::Lookup {
-                    dict: Box::new(dict),
-                    label: Box::new(label),
-                })
-            }
-            Tok::MatLookup => {
-                let (dict, label) = self.call2()?;
-                Ok(Expr::MatLookup {
-                    dict: Box::new(dict),
-                    label: Box::new(label),
-                })
-            }
-            kw @ (Tok::For | Tok::Let | Tok::If | Tok::Lambda | Tok::Match) => Err(self.err_here(
+            kw @ (Tok::For | Tok::Let | Tok::If) => Err(self.err_here(
                 format!(
                     "'{}' expression must be parenthesised in operand position",
                     kw.keyword_spelling().unwrap_or("?")
@@ -567,16 +509,6 @@ impl<'a> Parser<'a> {
         let e = self.with_gt(false, |p| p.expr(0))?;
         self.expect(Tok::RParen)?;
         Ok(e)
-    }
-
-    fn call2(&mut self) -> PResult<(Expr, Expr)> {
-        self.bump(); // keyword
-        self.expect(Tok::LParen)?;
-        let a = self.with_gt(false, |p| p.expr(0))?;
-        self.expect(Tok::Comma)?;
-        let b = self.with_gt(false, |p| p.expr(0))?;
-        self.expect(Tok::RParen)?;
-        Ok((a, b))
     }
 
     fn name_list(&mut self, terminators: &[Tok]) -> PResult<Vec<String>> {
@@ -704,29 +636,7 @@ impl<'a> Parser<'a> {
                 }
                 "Label" => {
                     self.bump();
-                    if matches!(self.peek(), Tok::Arrow) {
-                        self.bump();
-                        match self.peek().clone() {
-                            Tok::Ident(b) if b == "Bag" => {
-                                self.bump();
-                            }
-                            other => {
-                                return Err(self.err_here(
-                                    format!(
-                                        "expected 'Bag' after '->', found {}",
-                                        other.describe()
-                                    ),
-                                    vec!["'Bag'".into()],
-                                ))
-                            }
-                        }
-                        self.expect(Tok::LParen)?;
-                        let t = self.type_ann()?;
-                        self.expect(Tok::RParen)?;
-                        Ok(Type::dict(t))
-                    } else {
-                        Ok(Type::Label)
-                    }
+                    Ok(Type::Label)
                 }
                 _ => Err(self.err_here(
                     format!("unknown type name '{w}'"),
@@ -792,7 +702,7 @@ impl<'a> Parser<'a> {
 /// Infix operator level plus whether it is a (non-associative) comparison.
 fn infix_level(t: &Tok) -> Option<(u8, bool)> {
     Some(match t {
-        Tok::Union | Tok::DictTreeUnion => (1, false),
+        Tok::Union => (1, false),
         Tok::OrOr => (2, false),
         Tok::AndAnd => (3, false),
         Tok::EqEq | Tok::Ne | Tok::Lt | Tok::Le | Tok::Gt | Tok::Ge => (5, true),
@@ -806,7 +716,6 @@ fn make_binop(op: &Tok, l: Expr, r: Expr) -> Expr {
     let (l, r) = (Box::new(l), Box::new(r));
     match op {
         Tok::Union => Expr::Union(l, r),
-        Tok::DictTreeUnion => Expr::DictTreeUnion(l, r),
         Tok::OrOr => Expr::Or(l, r),
         Tok::AndAnd => Expr::And(l, r),
         Tok::EqEq => Expr::Cmp {
@@ -939,7 +848,6 @@ mod tests {
                 "items",
                 Type::bag_of([("ik", Type::int())]),
             )])),
-            Type::dict(Type::tuple([("a", Type::date())])),
             Type::Label,
             Type::Unknown,
         ] {

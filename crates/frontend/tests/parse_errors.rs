@@ -88,7 +88,13 @@ fn binder_and_field_diagnostics() {
 
 #[test]
 fn arity_and_call_diagnostics() {
-    golden("Lookup(d)", "expected ',', found ')'", 1, 9, &["','"]);
+    golden(
+        "get()",
+        "expected an expression, found ')'",
+        1,
+        5,
+        EXPR_START,
+    );
     golden("groupBy[a](R)", "expected ';', found ']'", 1, 10, &["';'"]);
     golden("dedup(a, b)", "expected ')', found ','", 1, 8, &["')'"]);
 }

@@ -20,11 +20,6 @@ pub fn var(name: impl Into<String>) -> Expr {
     Expr::Var(name.into())
 }
 
-/// A scalar constant.
-pub fn cst(v: Value) -> Expr {
-    Expr::Const(v)
-}
-
 /// An integer constant.
 pub fn int(i: i64) -> Expr {
     Expr::Const(Value::Int(i))
@@ -236,45 +231,6 @@ where
         site,
         captures: captures.into_iter().map(|(n, e)| (n.into(), e)).collect(),
     }
-}
-
-/// `match label = NewLabel(params…) then body`.
-pub fn match_label(label: Expr, site: u32, params: &[&str], body: Expr) -> Expr {
-    Expr::MatchLabel {
-        label: Box::new(label),
-        site,
-        params: params.iter().map(|s| s.to_string()).collect(),
-        body: Box::new(body),
-    }
-}
-
-/// Symbolic dictionary lookup (shredding intermediate form).
-pub fn lookup(dict: Expr, label: Expr) -> Expr {
-    Expr::Lookup {
-        dict: Box::new(dict),
-        label: Box::new(label),
-    }
-}
-
-/// Materialized dictionary lookup.
-pub fn mat_lookup(dict: Expr, label: Expr) -> Expr {
-    Expr::MatLookup {
-        dict: Box::new(dict),
-        label: Box::new(label),
-    }
-}
-
-/// λ-abstraction over a label parameter.
-pub fn lambda(param: impl Into<String>, body: Expr) -> Expr {
-    Expr::Lambda {
-        param: param.into(),
-        body: Box::new(body),
-    }
-}
-
-/// `BagToDict(e)`.
-pub fn bag_to_dict(e: Expr) -> Expr {
-    Expr::BagToDict(Box::new(e))
 }
 
 #[cfg(test)]

@@ -23,20 +23,10 @@ pub enum NrcError {
         /// Where the mismatch happened.
         context: String,
     },
-    /// A label was deconstructed against a `NewLabel` site it did not come from.
-    LabelSiteMismatch {
-        /// The site the match expected.
-        expected: u32,
-        /// The site the label was built at.
-        found: u32,
-    },
     /// Division by zero during evaluation.
     DivisionByZero,
     /// An integer result left the `i64` range (named by the operation).
     IntegerOverflow(&'static str),
-    /// A construct that only exists in the symbolic shredding phase
-    /// (λ-abstractions, symbolic `Lookup`) reached the evaluator.
-    SymbolicConstruct(&'static str),
     /// Anything else.
     Other(String),
 }
@@ -56,14 +46,8 @@ impl fmt::Display for NrcError {
                 f,
                 "type mismatch in {context}: expected {expected}, found {found}"
             ),
-            NrcError::LabelSiteMismatch { expected, found } => {
-                write!(f, "label site mismatch: expected {expected}, found {found}")
-            }
             NrcError::DivisionByZero => write!(f, "division by zero"),
             NrcError::IntegerOverflow(op) => write!(f, "integer overflow in {op}"),
-            NrcError::SymbolicConstruct(c) => {
-                write!(f, "symbolic construct `{c}` cannot be evaluated directly")
-            }
             NrcError::Other(msg) => write!(f, "{msg}"),
         }
     }

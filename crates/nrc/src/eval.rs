@@ -11,9 +11,8 @@
 //! ([`cmp_op`]) — so `!(NULL = x)` holds. `sumBy` reads an absent value as
 //! NULL, which adds nothing; a group of NULLs sums to `0`.
 //!
-//! The symbolic-only constructs of NRC^{Lbl+λ} (λ-abstraction and symbolic
-//! `Lookup`) are rejected: they only exist between the shredding and
-//! materialization phases and are never executed.
+//! The one extension of core NRC, `NewLabel`, evaluates to a [`Label`]
+//! value of its site and captured values.
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -178,47 +177,6 @@ pub fn eval(expr: &Expr, env: &Env) -> Result<Value> {
             }
             Ok(Value::Label(Label::new(*site, vals)))
         }
-        Expr::MatchLabel {
-            label,
-            site,
-            params,
-            body,
-        } => {
-            let l = eval(label, env)?;
-            let l = l.as_label()?;
-            if l.site != *site {
-                // A label from a different construction site: the match
-                // yields the empty bag, per the NRC^{Lbl+λ} semantics.
-                return Ok(Value::empty_bag());
-            }
-            let mut inner = env.clone();
-            for (i, p) in params.iter().enumerate() {
-                inner.bind(p.clone(), l.values.get(i).cloned().unwrap_or(Value::Null));
-            }
-            eval(body, &inner)
-        }
-        Expr::Lambda { .. } => Err(NrcError::SymbolicConstruct("lambda")),
-        Expr::Lookup { .. } => Err(NrcError::SymbolicConstruct("Lookup")),
-        Expr::MatLookup { dict, label } => {
-            let dict = eval(dict, env)?.into_bag()?;
-            let target = eval(label, env)?;
-            let mut out = Bag::empty();
-            for entry in dict.iter() {
-                let t = entry.as_tuple()?;
-                if t.get_or_err("label", "MatLookup")? == &target {
-                    out.extend(t.get_or_err("value", "MatLookup")?.clone().into_bag()?);
-                }
-            }
-            Ok(Value::Bag(out))
-        }
-        Expr::DictTreeUnion(a, b) => {
-            // Dictionary trees are tuples of (a_fun, a_child) attributes;
-            // their union merges the corresponding bags attribute-wise.
-            let va = eval(a, env)?;
-            let vb = eval(b, env)?;
-            union_dict_trees(&va, &vb)
-        }
-        Expr::BagToDict(e) => eval(e, env),
     }
 }
 
@@ -271,32 +229,6 @@ fn eval_sum_by(bag: Bag, key: &[String], values: &[String]) -> Result<Value> {
         out.push(Value::Tuple(row));
     }
     Ok(Value::Bag(out))
-}
-
-fn union_dict_trees(a: &Value, b: &Value) -> Result<Value> {
-    match (a, b) {
-        (Value::Tuple(ta), Value::Tuple(tb)) => {
-            let mut out = Tuple::empty();
-            for (name, va) in ta.iter() {
-                match tb.get(name) {
-                    Some(vb) => out.set(name.to_string(), union_dict_trees(va, vb)?),
-                    None => out.set(name.to_string(), va.clone()),
-                }
-            }
-            for (name, vb) in tb.iter() {
-                if ta.get(name).is_none() {
-                    out.set(name.to_string(), vb.clone());
-                }
-            }
-            Ok(Value::Tuple(out))
-        }
-        (Value::Bag(ba), Value::Bag(bb)) => {
-            let mut out = ba.clone();
-            out.extend(bb.clone());
-            Ok(Value::Bag(out))
-        }
-        _ => Ok(a.clone()),
-    }
 }
 
 #[cfg(test)]
@@ -385,55 +317,13 @@ mod tests {
     }
 
     #[test]
-    fn labels_round_trip_through_match() {
-        // let l := NewLabel(k := 7) in match l = NewLabel(k) then {<key := k>}
-        let e = letin(
-            "l",
-            new_label(3, [("k", int(7))]),
-            match_label(var("l"), 3, &["k"], singleton(tuple([("key", var("k"))]))),
-        );
-        let out = eval(&e, &Env::new()).unwrap();
+    fn new_label_is_a_label_of_its_site_and_captured_values() {
+        let env = Env::from_bindings([("x", Value::tuple([("k", Value::Int(7))]))]);
+        let e = new_label(3, [("k", proj(var("x"), "k")), ("c", string("a"))]);
         assert_eq!(
-            out,
-            Value::bag(vec![Value::tuple([("key", Value::Int(7))])])
+            eval(&e, &env).unwrap(),
+            Value::Label(Label::new(3, vec![Value::Int(7), Value::str("a")]))
         );
-        // Matching against the wrong site yields the empty bag.
-        let wrong = letin(
-            "l",
-            new_label(3, [("k", int(7))]),
-            match_label(var("l"), 4, &["k"], singleton(var("k"))),
-        );
-        assert_eq!(eval(&wrong, &Env::new()).unwrap(), Value::empty_bag());
-    }
-
-    #[test]
-    fn mat_lookup_finds_value_bag_by_label() {
-        let lbl = Value::Label(Label::new(1, vec![Value::Int(42)]));
-        let dict = Value::bag(vec![Value::tuple([
-            ("label", lbl.clone()),
-            ("value", Value::bag(vec![Value::Int(9)])),
-        ])]);
-        let env = Env::from_bindings([("D", dict), ("l", lbl)]);
-        let out = eval(&mat_lookup(var("D"), var("l")), &env).unwrap();
-        assert_eq!(out, Value::bag(vec![Value::Int(9)]));
-        // Absent label -> empty bag.
-        let env2 = Env::from_bindings([
-            ("D", Value::empty_bag()),
-            ("l", Value::Label(Label::new(1, vec![Value::Int(1)]))),
-        ]);
-        assert_eq!(
-            eval(&mat_lookup(var("D"), var("l")), &env2).unwrap(),
-            Value::empty_bag()
-        );
-    }
-
-    #[test]
-    fn symbolic_constructs_are_rejected() {
-        let e = lambda("l", singleton(var("l")));
-        assert!(matches!(
-            eval(&e, &Env::new()),
-            Err(NrcError::SymbolicConstruct(_))
-        ));
     }
 
     #[test]

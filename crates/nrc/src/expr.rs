@@ -1,6 +1,12 @@
-//! The NRC expression language (Figure 1), extended with the label and
-//! dictionary constructs of NRC^{Lbl+λ} (Section 4) used by the shredded
-//! compilation route.
+//! The NRC expression language (Figure 1), extended with the one label
+//! construct the shredded compilation route emits: `NewLabel`.
+//!
+//! The paper shreds through NRC^{Lbl+λ} (Section 4), whose other constructs
+//! — λ-dictionaries, symbolic and materialized lookups, bag-to-dictionary
+//! casts, dictionary-tree unions and label matching — are intermediate
+//! forms. The shredder here folds the symbolic and materialization phases
+//! into one pass (`trance_shred::query`), so none of them is ever built and
+//! the language does not have them.
 
 use std::collections::BTreeSet;
 
@@ -78,10 +84,8 @@ impl CmpOp {
 
 /// An NRC expression.
 ///
-/// The first group of variants is the core NRC of Figure 1; the second group
-/// (`NewLabel` onwards) is the NRC^{Lbl+λ} extension used internally by the
-/// query shredding transformation. User programs are expected to use only the
-/// core constructs; the shredder introduces the extended ones.
+/// Every variant but the last is the core NRC of Figure 1; `NewLabel` is the
+/// label constructor the query shredding transformation introduces.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Expr {
     // ----- core NRC -------------------------------------------------------
@@ -183,58 +187,16 @@ pub enum Expr {
         values: Vec<String>,
     },
 
-    // ----- NRC^{Lbl+λ} extension (shredded pipeline) -----------------------
+    // ----- label construction (shredded pipeline) ---------------------------
     /// `NewLabel(e1, …, en)`: constructs a label at construction site `site`
     /// capturing the given flat values.
     NewLabel {
         /// Identifier of this construction site (assigned by the shredder).
         site: u32,
-        /// Captured expressions together with the names under which
-        /// `MatchLabel` will rebind them.
+        /// Captured expressions, each under a name (kept for printing; a
+        /// label value holds only the captured values).
         captures: Vec<(String, Expr)>,
     },
-    /// `match l = NewLabel(x1, …, xn) then body`: deconstructs a label built
-    /// at `site`, binding its captured values to `params` inside `body`.
-    /// Yields the empty bag when the label comes from a different site.
-    MatchLabel {
-        /// The label expression being deconstructed.
-        label: Box<Expr>,
-        /// The construction site the label is matched against.
-        site: u32,
-        /// Names to which the captured values are bound.
-        params: Vec<String>,
-        /// The body (bag-typed).
-        body: Box<Expr>,
-    },
-    /// λ-abstraction over a label parameter (symbolic dictionaries only —
-    /// never evaluated, eliminated by materialization).
-    Lambda {
-        /// The label parameter.
-        param: String,
-        /// The dictionary body.
-        body: Box<Expr>,
-    },
-    /// Application of a symbolic dictionary to a label (symbolic phase only).
-    Lookup {
-        /// The dictionary expression (of function type).
-        dict: Box<Expr>,
-        /// The label to look up.
-        label: Box<Expr>,
-    },
-    /// Lookup of a label in a *materialized* dictionary, i.e. a flat bag of
-    /// `⟨label, value⟩` tuples; yields the associated `value` bag (empty when
-    /// the label is absent).
-    MatLookup {
-        /// The materialized dictionary (bag of label/value tuples).
-        dict: Box<Expr>,
-        /// The label to look up.
-        label: Box<Expr>,
-    },
-    /// Union of two dictionary trees (used when shredding bag unions).
-    DictTreeUnion(Box<Expr>, Box<Expr>),
-    /// `BagToDict(e)`: casts a bag of `⟨label, value⟩` tuples to a dictionary,
-    /// making the label-based partitioning guarantee explicit.
-    BagToDict(Box<Expr>),
 }
 
 impl Expr {
@@ -259,11 +221,9 @@ impl Expr {
                     e.collect_free_vars(bound, out);
                 }
             }
-            Expr::Singleton(e)
-            | Expr::Get(e)
-            | Expr::Not(e)
-            | Expr::Dedup(e)
-            | Expr::BagToDict(e) => e.collect_free_vars(bound, out),
+            Expr::Singleton(e) | Expr::Get(e) | Expr::Not(e) | Expr::Dedup(e) => {
+                e.collect_free_vars(bound, out)
+            }
             Expr::For { var, source, body } => {
                 source.collect_free_vars(bound, out);
                 bound.push(var.clone());
@@ -276,7 +236,7 @@ impl Expr {
                 body.collect_free_vars(bound, out);
                 bound.pop();
             }
-            Expr::Union(a, b) | Expr::And(a, b) | Expr::Or(a, b) | Expr::DictTreeUnion(a, b) => {
+            Expr::Union(a, b) | Expr::And(a, b) | Expr::Or(a, b) => {
                 a.collect_free_vars(bound, out);
                 b.collect_free_vars(bound, out);
             }
@@ -303,33 +263,12 @@ impl Expr {
                     e.collect_free_vars(bound, out);
                 }
             }
-            Expr::MatchLabel {
-                label,
-                params,
-                body,
-                ..
-            } => {
-                label.collect_free_vars(bound, out);
-                let n = bound.len();
-                bound.extend(params.iter().cloned());
-                body.collect_free_vars(bound, out);
-                bound.truncate(n);
-            }
-            Expr::Lambda { param, body } => {
-                bound.push(param.clone());
-                body.collect_free_vars(bound, out);
-                bound.pop();
-            }
-            Expr::Lookup { dict, label } | Expr::MatLookup { dict, label } => {
-                dict.collect_free_vars(bound, out);
-                label.collect_free_vars(bound, out);
-            }
         }
     }
 
     /// Replaces every free occurrence of variable `name` with `replacement`.
     ///
-    /// Bound occurrences (introduced by `for`, `let`, `match`, `λ`) shadow the
+    /// Bound occurrences (introduced by `for` and `let`) shadow the
     /// substitution as usual. No capture-avoidance is attempted beyond
     /// shadowing: callers (the shredder and optimizer) only substitute fresh
     /// or input variables, which cannot be captured.
@@ -355,7 +294,6 @@ impl Expr {
             Expr::Get(e) => Expr::Get(Box::new(recur(e))),
             Expr::Not(e) => Expr::Not(Box::new(recur(e))),
             Expr::Dedup(e) => Expr::Dedup(Box::new(recur(e))),
-            Expr::BagToDict(e) => Expr::BagToDict(Box::new(recur(e))),
             Expr::For { var, source, body } => Expr::For {
                 var: var.clone(),
                 source: Box::new(recur(source)),
@@ -377,9 +315,6 @@ impl Expr {
             Expr::Union(a, b) => Expr::Union(Box::new(recur(a)), Box::new(recur(b))),
             Expr::And(a, b) => Expr::And(Box::new(recur(a)), Box::new(recur(b))),
             Expr::Or(a, b) => Expr::Or(Box::new(recur(a)), Box::new(recur(b))),
-            Expr::DictTreeUnion(a, b) => {
-                Expr::DictTreeUnion(Box::new(recur(a)), Box::new(recur(b)))
-            }
             Expr::If {
                 cond,
                 then_branch,
@@ -420,58 +355,7 @@ impl Expr {
                     .map(|(n, e)| (n.clone(), recur(e)))
                     .collect(),
             },
-            Expr::MatchLabel {
-                label,
-                site,
-                params,
-                body,
-            } => Expr::MatchLabel {
-                label: Box::new(recur(label)),
-                site: *site,
-                params: params.clone(),
-                body: if params.iter().any(|p| p == name) {
-                    body.clone()
-                } else {
-                    Box::new(recur(body))
-                },
-            },
-            Expr::Lambda { param, body } => Expr::Lambda {
-                param: param.clone(),
-                body: if param == name {
-                    body.clone()
-                } else {
-                    Box::new(recur(body))
-                },
-            },
-            Expr::Lookup { dict, label } => Expr::Lookup {
-                dict: Box::new(recur(dict)),
-                label: Box::new(recur(label)),
-            },
-            Expr::MatLookup { dict, label } => Expr::MatLookup {
-                dict: Box::new(recur(dict)),
-                label: Box::new(recur(label)),
-            },
         }
-    }
-
-    /// True when the expression contains any NRC^{Lbl+λ} construct.
-    pub fn uses_labels(&self) -> bool {
-        let mut found = false;
-        self.visit(&mut |e| {
-            if matches!(
-                e,
-                Expr::NewLabel { .. }
-                    | Expr::MatchLabel { .. }
-                    | Expr::Lambda { .. }
-                    | Expr::Lookup { .. }
-                    | Expr::MatLookup { .. }
-                    | Expr::DictTreeUnion(..)
-                    | Expr::BagToDict(..)
-            ) {
-                found = true;
-            }
-        });
-        found
     }
 
     /// Calls `f` on this expression and every sub-expression, pre-order.
@@ -481,11 +365,7 @@ impl Expr {
             Expr::Const(_) | Expr::Var(_) | Expr::EmptyBag(_) => {}
             Expr::Proj { tuple, .. } => tuple.visit(f),
             Expr::Tuple(fields) => fields.iter().for_each(|(_, e)| e.visit(f)),
-            Expr::Singleton(e)
-            | Expr::Get(e)
-            | Expr::Not(e)
-            | Expr::Dedup(e)
-            | Expr::BagToDict(e) => e.visit(f),
+            Expr::Singleton(e) | Expr::Get(e) | Expr::Not(e) | Expr::Dedup(e) => e.visit(f),
             Expr::For { source, body, .. } => {
                 source.visit(f);
                 body.visit(f);
@@ -494,7 +374,7 @@ impl Expr {
                 value.visit(f);
                 body.visit(f);
             }
-            Expr::Union(a, b) | Expr::And(a, b) | Expr::Or(a, b) | Expr::DictTreeUnion(a, b) => {
+            Expr::Union(a, b) | Expr::And(a, b) | Expr::Or(a, b) => {
                 a.visit(f);
                 b.visit(f);
             }
@@ -515,15 +395,6 @@ impl Expr {
             }
             Expr::GroupBy { input, .. } | Expr::SumBy { input, .. } => input.visit(f),
             Expr::NewLabel { captures, .. } => captures.iter().for_each(|(_, e)| e.visit(f)),
-            Expr::MatchLabel { label, body, .. } => {
-                label.visit(f);
-                body.visit(f);
-            }
-            Expr::Lambda { body, .. } => body.visit(f),
-            Expr::Lookup { dict, label } | Expr::MatLookup { dict, label } => {
-                dict.visit(f);
-                label.visit(f);
-            }
         }
     }
 
@@ -537,7 +408,6 @@ impl Expr {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::builder::*;
 
     #[test]
@@ -565,17 +435,6 @@ mod tests {
         let s2 = e.substitute("R", &var("S"));
         assert!(s2.free_vars().contains("S"));
         assert!(!s2.free_vars().contains("R"));
-    }
-
-    #[test]
-    fn uses_labels_detects_extension_constructs() {
-        let core = forin("x", var("R"), singleton(var("x")));
-        assert!(!core.uses_labels());
-        let ext = Expr::MatLookup {
-            dict: Box::new(var("D")),
-            label: Box::new(proj(var("x"), "corders")),
-        };
-        assert!(ext.uses_labels());
     }
 
     #[test]

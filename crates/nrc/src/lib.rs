@@ -8,8 +8,8 @@
 //! * the nested data model ([`value::Value`], [`types::Type`]) shared by every
 //!   other crate in the workspace,
 //! * the NRC expression language of Figure 1 ([`expr::Expr`]) together with
-//!   the NRC^{Lbl+λ} extension (labels, dictionaries) used by the shredded
-//!   compilation route,
+//!   `NewLabel`, the one label construct the shredded compilation route
+//!   emits,
 //! * an ergonomic [`builder`] DSL for writing queries,
 //! * a structural type checker ([`typecheck`]),
 //! * a single-node reference evaluator ([`mod@eval`]) defining the semantics that

@@ -8,7 +8,7 @@
 //!
 //! * renders operands (operator arguments, call arguments, inline tuple
 //!   fields) in a fully parenthesised single-line form,
-//! * parenthesises control forms (`for`/`let`/`if`/`lambda`/`match`) and
+//! * parenthesises control forms (`for`/`let`/`if`) and
 //!   `union` chains when they appear as operands of an infix `union`,
 //! * parenthesises an `if` without `else` in the then-branch of an `if`
 //!   *with* `else` (the dangling-else rule binds `else` to the innermost
@@ -87,16 +87,12 @@ fn escape_str(s: &str) -> String {
 }
 
 /// Precedence of the *rendered block form*: only control forms and infix
-/// `union`/`DictTreeUnion` print bare in block mode — everything else is
+/// `union` print bare in block mode — everything else is
 /// rendered atom-safe by [`inline`].
 fn rendered_prec(e: &Expr) -> u8 {
     match e {
-        Expr::For { .. }
-        | Expr::Let { .. }
-        | Expr::If { .. }
-        | Expr::Lambda { .. }
-        | Expr::MatchLabel { .. } => 0,
-        Expr::Union(..) | Expr::DictTreeUnion(..) => 1,
+        Expr::For { .. } | Expr::Let { .. } | Expr::If { .. } => 0,
+        Expr::Union(..) => 1,
         _ => 9,
     }
 }
@@ -127,10 +123,7 @@ fn captures_else(e: &Expr) -> bool {
             else_branch: Some(eb),
             ..
         } => captures_else(eb),
-        Expr::For { body, .. }
-        | Expr::Let { body, .. }
-        | Expr::Lambda { body, .. }
-        | Expr::MatchLabel { body, .. } => captures_else(body),
+        Expr::For { body, .. } | Expr::Let { body, .. } => captures_else(body),
         _ => false,
     }
 }
@@ -146,8 +139,6 @@ fn write_expr(out: &mut String, expr: &Expr, level: usize) {
         | Expr::Or(..)
         | Expr::Not(..)
         | Expr::NewLabel { .. }
-        | Expr::Lookup { .. }
-        | Expr::MatLookup { .. }
         | Expr::Get(_)
         | Expr::EmptyBag(_) => {
             indent(out, level);
@@ -245,39 +236,6 @@ fn write_expr(out: &mut String, expr: &Expr, level: usize) {
             write_expr(out, input, level + 1);
             out.push(')');
         }
-        Expr::MatchLabel {
-            label,
-            site,
-            params,
-            body,
-        } => {
-            indent(out, level);
-            let _ = writeln!(
-                out,
-                "match {} = NewLabel#{site}({}) then",
-                inline(label),
-                params.join(", ")
-            );
-            write_expr(out, body, level + 1);
-        }
-        Expr::Lambda { param, body } => {
-            indent(out, level);
-            let _ = writeln!(out, "lambda {param} .");
-            write_expr(out, body, level + 1);
-        }
-        Expr::DictTreeUnion(a, b) => {
-            write_child(out, a, level, 1);
-            out.push('\n');
-            indent(out, level);
-            out.push_str("DictTreeUnion\n");
-            write_child(out, b, level, 2);
-        }
-        Expr::BagToDict(e) => {
-            indent(out, level);
-            out.push_str("BagToDict(\n");
-            write_expr(out, e, level + 1);
-            out.push(')');
-        }
     }
 }
 
@@ -304,8 +262,6 @@ fn is_inline(e: &Expr) -> bool {
             | Expr::Or(..)
             | Expr::Not(..)
             | Expr::NewLabel { .. }
-            | Expr::Lookup { .. }
-            | Expr::MatLookup { .. }
             | Expr::Get(_)
             | Expr::EmptyBag(_)
     )
@@ -382,24 +338,6 @@ fn inline(e: &Expr) -> String {
                 .collect();
             format!("NewLabel#{site}({})", caps.join(", "))
         }
-        Expr::MatchLabel {
-            label,
-            site,
-            params,
-            body,
-        } => format!(
-            "(match {} = NewLabel#{site}({}) then {})",
-            inline(label),
-            params.join(", "),
-            inline(body)
-        ),
-        Expr::Lambda { param, body } => format!("(lambda {param} . {})", inline(body)),
-        Expr::Lookup { dict, label } => format!("Lookup({}, {})", inline(dict), inline(label)),
-        Expr::MatLookup { dict, label } => {
-            format!("MatLookup({}, {})", inline(dict), inline(label))
-        }
-        Expr::DictTreeUnion(a, b) => format!("({} DictTreeUnion {})", inline(a), inline(b)),
-        Expr::BagToDict(e) => format!("BagToDict({})", inline(e)),
     }
 }
 

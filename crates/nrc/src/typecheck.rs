@@ -98,10 +98,6 @@ pub fn infer(expr: &Expr, env: &TypeEnv) -> Result<Type> {
             let src = infer(source, env)?;
             let elem = match src {
                 Type::Bag(inner) => *inner,
-                Type::Dict(inner) => Type::Tuple(TupleType::new([
-                    ("label".to_string(), Type::Label),
-                    ("value".to_string(), Type::bag(*inner)),
-                ])),
                 Type::Unknown => Type::Unknown,
                 other => {
                     return Err(NrcError::TypeMismatch {
@@ -309,88 +305,12 @@ pub fn infer(expr: &Expr, env: &TypeEnv) -> Result<Type> {
             }
         }
         Expr::NewLabel { .. } => Ok(Type::Label),
-        Expr::MatchLabel {
-            label,
-            body,
-            params,
-            ..
-        } => {
-            let lt = infer(label, env)?;
-            if !lt.compatible(&Type::Label) {
-                return Err(NrcError::TypeMismatch {
-                    expected: "Label".into(),
-                    found: lt.to_string(),
-                    context: "match label".into(),
-                });
-            }
-            // Captured values are flat but their precise types are unknown at
-            // this point; bind them as Unknown.
-            let mut inner = env.clone();
-            for p in params {
-                inner.bind(p.clone(), Type::Unknown);
-            }
-            infer(body, &inner)
-        }
-        Expr::Lambda { param, body } => {
-            let mut inner = env.clone();
-            inner.bind(param.clone(), Type::Label);
-            let bt = infer(body, &inner)?;
-            let elem = bt.bag_elem().cloned().unwrap_or(Type::Unknown);
-            Ok(Type::dict(elem))
-        }
-        Expr::Lookup { dict, label } | Expr::MatLookup { dict, label } => {
-            let lt = infer(label, env)?;
-            if !lt.compatible(&Type::Label) {
-                return Err(NrcError::TypeMismatch {
-                    expected: "Label".into(),
-                    found: lt.to_string(),
-                    context: "dictionary lookup".into(),
-                });
-            }
-            let dt = infer(dict, env)?;
-            match dt {
-                Type::Dict(inner) => Ok(Type::bag(*inner)),
-                // A materialized dictionary is a bag of ⟨label, value⟩ tuples.
-                Type::Bag(inner) => match inner.as_ref() {
-                    Type::Tuple(tt) => match tt.field("value") {
-                        Some(Type::Bag(v)) => Ok(Type::bag((**v).clone())),
-                        _ => Ok(Type::bag(Type::Unknown)),
-                    },
-                    _ => Ok(Type::bag(Type::Unknown)),
-                },
-                Type::Unknown => Ok(Type::bag(Type::Unknown)),
-                other => Err(NrcError::TypeMismatch {
-                    expected: "dictionary".into(),
-                    found: other.to_string(),
-                    context: "dictionary lookup".into(),
-                }),
-            }
-        }
-        Expr::DictTreeUnion(a, b) => {
-            let ta = infer(a, env)?;
-            let tb = infer(b, env)?;
-            Ok(ta.merge(&tb))
-        }
-        Expr::BagToDict(e) => {
-            let t = expect_bag(infer(e, env)?, "BagToDict")?;
-            match t.bag_elem() {
-                Some(Type::Tuple(tt)) => match tt.field("value") {
-                    Some(Type::Bag(v)) => Ok(Type::dict((**v).clone())),
-                    _ => Ok(Type::dict(Type::Unknown)),
-                },
-                _ => Ok(Type::dict(Type::Unknown)),
-            }
-        }
     }
 }
 
 fn expect_bag(t: Type, context: &str) -> Result<Type> {
     match t {
         Type::Bag(_) => Ok(t),
-        Type::Dict(inner) => Ok(Type::bag(Type::Tuple(TupleType::new([
-            ("label".to_string(), Type::Label),
-            ("value".to_string(), Type::bag(*inner)),
-        ])))),
         Type::Unknown => Ok(Type::bag(Type::Unknown)),
         other => Err(NrcError::TypeMismatch {
             expected: "bag".into(),

@@ -1,8 +1,8 @@
 //! The NRC type system (Figure 1 of the paper).
 //!
-//! Types are built from scalar types, tuple types and bag types, plus the two
-//! extensions used by the shredded pipeline: the atomic `Label` type and the
-//! dictionary type `Label -> Bag(F)`.
+//! Types are built from scalar types, tuple types and bag types, plus the one
+//! extension used by the shredded pipeline: the atomic `Label` type, the type
+//! of `NewLabel`.
 
 use std::fmt;
 
@@ -70,8 +70,8 @@ impl TupleType {
     }
 }
 
-/// NRC types (`T` in Figure 1), extended with `Label` and dictionary types for
-/// the shredded pipeline (NRC^{Lbl+λ}).
+/// NRC types (`T` in Figure 1), extended with `Label` for the shredded
+/// pipeline.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Type {
     /// A scalar type.
@@ -82,9 +82,6 @@ pub enum Type {
     Bag(Box<Type>),
     /// The atomic label type used by the shredded representation.
     Label,
-    /// A dictionary type `Label -> Bag(F)`; the payload is the element type of
-    /// the bag the dictionary maps each label to.
-    Dict(Box<Type>),
     /// A type that is not yet known (used during inference of empty bags).
     Unknown,
 }
@@ -129,10 +126,6 @@ impl Type {
         S: Into<String>,
     {
         Type::Tuple(TupleType::new(fields))
-    }
-    /// A dictionary mapping labels to bags of `elem`.
-    pub fn dict(elem: Type) -> Type {
-        Type::Dict(Box::new(elem))
     }
 
     /// True for scalar types.
@@ -187,7 +180,6 @@ impl Type {
             (Type::Scalar(a), Type::Scalar(b)) => a == b,
             (Type::Label, Type::Label) => true,
             (Type::Bag(a), Type::Bag(b)) => a.compatible(b),
-            (Type::Dict(a), Type::Dict(b)) => a.compatible(b),
             (Type::Tuple(a), Type::Tuple(b)) => {
                 a.fields.len() == b.fields.len()
                     && a.fields
@@ -205,7 +197,6 @@ impl Type {
             (Type::Unknown, t) => t.clone(),
             (t, Type::Unknown) => t.clone(),
             (Type::Bag(a), Type::Bag(b)) => Type::Bag(Box::new(a.merge(b))),
-            (Type::Dict(a), Type::Dict(b)) => Type::Dict(Box::new(a.merge(b))),
             (Type::Tuple(a), Type::Tuple(b)) if a.fields.len() == b.fields.len() => {
                 Type::Tuple(TupleType {
                     fields: a
@@ -237,7 +228,6 @@ impl fmt::Display for Type {
             }
             Type::Bag(e) => write!(f, "Bag({e})"),
             Type::Label => write!(f, "Label"),
-            Type::Dict(e) => write!(f, "Label -> Bag({e})"),
             Type::Unknown => write!(f, "?"),
         }
     }

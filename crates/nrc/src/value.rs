@@ -13,15 +13,14 @@ use std::sync::Arc;
 
 use crate::error::{NrcError, Result};
 use crate::expr::{CmpOp, PrimOp};
-use crate::types::{ScalarType, TupleType, Type};
+use crate::types::{TupleType, Type};
 
 /// A label identifies one inner bag in the shredded representation.
 ///
 /// Following NRC^{Lbl+λ}, a label created by `NewLabel(x1, …, xn)` records the
 /// *construction site* (each syntactic `NewLabel` occurrence gets a unique
 /// site id, assigned by the shredder) and the flat values captured at that
-/// site. `match l = NewLabel(x) then e` deconstructs a label by checking the
-/// site and binding the captured values.
+/// site. Two labels are equal when both agree.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Label {
     /// Identifier of the `NewLabel` construction site.
@@ -189,11 +188,6 @@ impl Tuple {
     pub fn is_empty(&self) -> bool {
         self.fields.is_empty()
     }
-
-    /// Consumes the tuple, returning its fields.
-    pub fn into_fields(self) -> Vec<(String, Value)> {
-        self.fields
-    }
 }
 
 impl fmt::Display for Tuple {
@@ -312,7 +306,7 @@ impl fmt::Display for Bag {
 /// A dynamically typed value of the nested data model.
 #[derive(Debug, Clone)]
 pub enum Value {
-    /// The NULL value introduced by outer joins / outer unnests.
+    /// The NULL value introduced by outer joins.
     Null,
     /// Boolean scalar.
     Bool(bool),
@@ -466,18 +460,6 @@ impl Value {
         }
     }
 
-    /// Views this value as a label.
-    pub fn as_label(&self) -> Result<&Label> {
-        match self {
-            Value::Label(l) => Ok(l),
-            other => Err(NrcError::TypeMismatch {
-                expected: "label".into(),
-                found: other.kind().into(),
-                context: "as_label".into(),
-            }),
-        }
-    }
-
     /// A short human-readable name of the value's kind.
     pub fn kind(&self) -> &'static str {
         match self {
@@ -490,18 +472,6 @@ impl Value {
             Value::Label(_) => "label",
             Value::Tuple(_) => "tuple",
             Value::Bag(_) => "bag",
-        }
-    }
-
-    /// Scalar type of this value, when it is a scalar.
-    pub fn scalar_type(&self) -> Option<ScalarType> {
-        match self {
-            Value::Bool(_) => Some(ScalarType::Bool),
-            Value::Int(_) => Some(ScalarType::Int),
-            Value::Real(_) => Some(ScalarType::Real),
-            Value::Str(_) => Some(ScalarType::Str),
-            Value::Date(_) => Some(ScalarType::Date),
-            _ => None,
         }
     }
 
@@ -523,15 +493,6 @@ impl Value {
                 Some(v) => Type::bag(v.infer_type()),
                 None => Type::bag(Type::Unknown),
             },
-        }
-    }
-
-    /// The numeric zero of the same flavour as `self` (used when casting NULL
-    /// under a `Γ+` aggregate).
-    pub fn zero_like(&self) -> Value {
-        match self {
-            Value::Real(_) => Value::Real(0.0),
-            _ => Value::Int(0),
         }
     }
 

@@ -134,11 +134,6 @@ pub enum ServeError {
 }
 
 impl ServeError {
-    /// True for the queue-full backpressure rejection.
-    pub fn is_busy(&self) -> bool {
-        matches!(self, ServeError::Busy { .. })
-    }
-
     /// True when the query was cancelled (deadline or explicit).
     pub fn is_cancelled(&self) -> bool {
         matches!(self, ServeError::Exec(e) if e.is_cancelled())

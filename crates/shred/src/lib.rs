@@ -15,6 +15,7 @@
 //!   output from the materialized dictionaries.
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod query;
 pub mod repr;

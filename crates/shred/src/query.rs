@@ -376,9 +376,7 @@ fn is_bag_expr(e: &Expr, env: &Env, st: &ShredState) -> bool {
         | Expr::Singleton(_)
         | Expr::SumBy { .. }
         | Expr::GroupBy { .. }
-        | Expr::Dedup(_)
-        | Expr::MatLookup { .. }
-        | Expr::BagToDict(_) => true,
+        | Expr::Dedup(_) => true,
         Expr::If {
             then_branch,
             else_branch,

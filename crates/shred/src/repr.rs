@@ -38,11 +38,6 @@ impl ShreddedValue {
         self.dicts.keys().map(|s| s.as_str()).collect()
     }
 
-    /// Total number of tuples across the top bag and all dictionaries.
-    pub fn total_tuples(&self) -> usize {
-        self.top.len() + self.dicts.values().map(Bag::len).sum::<usize>()
-    }
-
     /// The dictionary at `path`, or an empty bag when absent.
     pub fn dict(&self, path: &str) -> Bag {
         self.dicts.get(path).cloned().unwrap_or_else(Bag::empty)
