@@ -97,16 +97,16 @@ mod tests {
 
     #[test]
     fn equal_structures_fingerprint_identically() {
-        let a = Plan::scan("R").add_index("id").unnest("items");
-        let b = Plan::scan("R").add_index("id").unnest("items");
+        let a = Plan::scan("R").add_index("id").unnest_as("items", "i");
+        let b = Plan::scan("R").add_index("id").unnest_as("items", "i");
         assert_eq!(fingerprint(&a), fingerprint(&b));
     }
 
     #[test]
     fn any_structural_change_changes_the_digest() {
-        let base = Plan::scan("R").add_index("id").unnest("items");
-        let renamed = Plan::scan("S").add_index("id").unnest("items");
-        let attr = Plan::scan("R").add_index("id").unnest("item");
+        let base = Plan::scan("R").add_index("id").unnest_as("items", "i");
+        let renamed = Plan::scan("S").add_index("id").unnest_as("items", "i");
+        let attr = Plan::scan("R").add_index("id").unnest_as("item", "i");
         assert_ne!(fingerprint(&base), fingerprint(&renamed));
         assert_ne!(fingerprint(&base), fingerprint(&attr));
     }

@@ -6,7 +6,7 @@
 //! 1. [`lower()`] implements the unnesting algorithm (Figure 3): it translates
 //!    an NRC bag expression into a [`PlanProgram`] — materialized assignments
 //!    plus a root [`Plan`] built from selections, projections/extensions,
-//!    (cross/equi/outer) joins, unnests, nest operators `Γ⊎`/`Γ+`, duplicate
+//!    (cross/equi/re-nesting) joins, unnests, nest operators `Γ⊎`/`Γ+`, duplicate
 //!    elimination and unions. The shredded route lowers each of its flat
 //!    assignments through the same entry point. Putting a flat child stream
 //!    back under its parent is one shape, built in one place

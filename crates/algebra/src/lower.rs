@@ -16,7 +16,8 @@
 //!   ([`Plan::AddIndex`], emitted as a shared assignment so both sides of the
 //!   regrouping join read the same materialization), the inner bag is
 //!   compiled as a flat child stream, grouped by the parent id (`Γ⊎`) and
-//!   re-attached with a left-outer join, NULLs becoming empty bags;
+//!   re-attached by the re-nesting join ([`Plan::renest`]), which gives a
+//!   parent without children the empty bag;
 //! * `sumBy` / `groupBy` become `Γ+` / `Γ⊎` keyed by the enclosing parent ids
 //!   plus the user key.
 //!
@@ -812,7 +813,7 @@ pub(crate) mod tests {
                 + program.root.count(pred)
         };
         // Two unnests (corders, oparts), one value join (Part) and two
-        // regrouping outer joins, one Γ+ and two Γ⊎.
+        // re-nesting joins, one Γ+ and two Γ⊎.
         assert_eq!(all_ops(&|p| matches!(p, Plan::Unnest { .. })), 2);
         assert_eq!(all_ops(&|p| matches!(p, Plan::Join { .. })), 3);
         assert_eq!(

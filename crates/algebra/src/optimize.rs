@@ -175,7 +175,12 @@ fn push_selections(plan: &Plan, catalog: &Catalog) -> Plan {
             } => {
                 let left_schema = output_schema(left, catalog);
                 let right_schema = output_schema(right, catalog);
-                if !cols.is_empty() && left_schema.contains_all(cols.iter()) {
+                // A re-nesting join replaces the left side's `attr`.
+                let from_left = match kind {
+                    PlanJoinKind::Inner => true,
+                    PlanJoinKind::Renest { attr } => !cols.contains(attr),
+                };
+                if from_left && !cols.is_empty() && left_schema.contains_all(cols.iter()) {
                     return Plan::Join {
                         left: Box::new(push_selections(
                             &Plan::Select {
@@ -187,12 +192,12 @@ fn push_selections(plan: &Plan, catalog: &Catalog) -> Plan {
                         right: right.clone(),
                         left_key: left_key.clone(),
                         right_key: right_key.clone(),
-                        kind: *kind,
+                        kind: kind.clone(),
                         strategy: *strategy,
                     };
                 }
-                // Only inner joins admit pushing into the right side (an
-                // outer join must keep unmatched left rows).
+                // Only inner joins admit pushing into the right side (a
+                // re-nesting join keeps every left row).
                 if *kind == PlanJoinKind::Inner
                     && !cols.is_empty()
                     && right_schema.contains_all(cols.iter())
@@ -208,7 +213,7 @@ fn push_selections(plan: &Plan, catalog: &Catalog) -> Plan {
                         )),
                         left_key: left_key.clone(),
                         right_key: right_key.clone(),
-                        kind: *kind,
+                        kind: kind.clone(),
                         strategy: *strategy,
                     };
                 }
@@ -333,17 +338,35 @@ fn child_needs(plan: &Plan, need: &Need) -> (Vec<Need>, Option<Vec<(String, Scal
             return (vec![live], Some(kept));
         }
         Plan::AddIndex { .. } => vec![need.clone()],
-        // Both sides get the whole need: where they share an attribute name
-        // the join's merge decides which one surfaces, and that must not
-        // depend on pruning.
+        // Both sides of an inner join get the whole need: where they share an
+        // attribute name the join's merge decides which one surfaces, and that
+        // must not depend on pruning.
         Plan::Join {
             left_key,
             right_key,
+            kind: PlanJoinKind::Inner,
             ..
         } => vec![
             need_with(need, left_key.iter().cloned()),
             need_with(need, right_key.iter().cloned()),
         ],
+        // A re-nesting join reads the group and the key of its right side,
+        // and sets `attr` over whatever the left side held under that name.
+        Plan::Join {
+            left_key,
+            right_key,
+            kind: PlanJoinKind::Renest { attr },
+            ..
+        } => {
+            let left = need.as_ref().map(|n| {
+                let above = n.iter().filter(|c| *c != attr);
+                above.chain(left_key).cloned().collect()
+            });
+            vec![
+                left,
+                Some(right_key.iter().chain([attr]).cloned().collect()),
+            ]
+        }
         Plan::Unnest { bag_attr, .. } => vec![need_with(need, [bag_attr.clone()])],
         Plan::Nest { key, values, .. } => vec![Some(key.iter().chain(values).cloned().collect())],
         // Whole rows are compared or concatenated: everything below stays.
@@ -363,6 +386,13 @@ fn child_needs(plan: &Plan, need: &Need) -> (Vec<Need>, Option<Vec<(String, Scal
 /// attribute nobody reads, so a shuffle ships live columns only. Extension
 /// and projection outputs nobody reads are dropped with their operands.
 fn prune_node(plan: &Plan, need: &Need, catalog: &Catalog) -> (Plan, AttrSchema) {
+    // A re-nesting join whose bag nobody reads is its left side: every left
+    // row comes out exactly once.
+    if let (Plan::Join { left, kind, .. }, Some(read)) = (plan, need) {
+        if matches!(kind, PlanJoinKind::Renest { attr } if !read.contains(attr)) {
+            return prune_node(left, need, catalog);
+        }
+    }
     let (needs, kept) = child_needs(plan, need);
     let breaker = matches!(plan, Plan::Join { .. } | Plan::Nest { .. });
     let mut needs = needs.iter();
@@ -411,9 +441,8 @@ fn prune_node(plan: &Plan, need: &Need, catalog: &Catalog) -> (Plan, AttrSchema)
     // Attributes enter the stream at scans and unnests: keep the needed ones
     // right there.
     match plan {
-        Plan::Scan { alias, .. } | Plan::Unnest { alias, .. } => {
-            keep_needed(rebuilt, schema, need, alias.as_deref())
-        }
+        Plan::Scan { alias, .. } => keep_needed(rebuilt, schema, need, alias.as_deref()),
+        Plan::Unnest { alias, .. } => keep_needed(rebuilt, schema, need, Some(alias)),
         _ => (rebuilt, schema),
     }
 }
@@ -476,7 +505,7 @@ fn push_aggregation(plan: &Plan, catalog: &Catalog) -> Plan {
                         right: right.clone(),
                         left_key: left_key.clone(),
                         right_key: right_key.clone(),
-                        kind: *kind,
+                        kind: kind.clone(),
                         strategy: *strategy,
                     }),
                     key: key.clone(),
@@ -526,7 +555,7 @@ fn select_join_strategies(plan: &Plan, catalog: &Catalog, config: &OptimizerConf
                         let left_big = scan_exact_size(left, catalog)
                             .map(|l| l > limit)
                             .unwrap_or(false);
-                        if right_big && (left_big || *kind == PlanJoinKind::LeftOuter) {
+                        if right_big && (left_big || matches!(kind, PlanJoinKind::Renest { .. })) {
                             JoinStrategy::Shuffle
                         } else {
                             JoinStrategy::Auto
@@ -542,7 +571,7 @@ fn select_join_strategies(plan: &Plan, catalog: &Catalog, config: &OptimizerConf
                     right: right.clone(),
                     left_key: left_key.clone(),
                     right_key: right_key.clone(),
-                    kind: *kind,
+                    kind: kind.clone(),
                     strategy,
                 });
             }
@@ -763,10 +792,6 @@ fn substitute_cols(
             Box::new(substitute_cols(b, defs)?),
         ),
         ScalarExpr::Not(e) => ScalarExpr::Not(Box::new(substitute_cols(e, defs)?)),
-        ScalarExpr::Coalesce(a, b) => ScalarExpr::Coalesce(
-            Box::new(substitute_cols(a, defs)?),
-            Box::new(substitute_cols(b, defs)?),
-        ),
         ScalarExpr::NewLabel { site, captures } => ScalarExpr::NewLabel {
             site: *site,
             captures: captures
@@ -843,7 +868,7 @@ fn map_children(plan: &Plan, mut f: impl FnMut(&Plan) -> Plan) -> Plan {
             right: Box::new(f(right)),
             left_key: left_key.clone(),
             right_key: right_key.clone(),
-            kind: *kind,
+            kind: kind.clone(),
             strategy: *strategy,
         },
         Plan::Unnest {
@@ -969,6 +994,48 @@ mod tests {
             select_below_extend,
             "selection must commute below the extension:\n{}",
             crate::plan::pretty_plan(&opt)
+        );
+    }
+
+    /// The re-nesting join sets its bag over whatever the left side holds
+    /// under that name (unshredding's labels), so a selection on the bag
+    /// stays above the join while one on another parent column moves below
+    /// it; and a join whose bag nobody reads is its left side.
+    #[test]
+    fn a_renest_keeps_selections_on_its_bag_above_and_goes_when_the_bag_is_dead() {
+        let mut c = Catalog::new();
+        c.register("Top", AttrSchema::flat(["id", "orders", "pad"]));
+        c.register("Dict", AttrSchema::flat(["label", "odate", "note"]));
+        let renest = || {
+            let values = vec!["odate".to_string()];
+            Plan::scan("Top").renest(Plan::scan("Dict"), "orders", "label", values, "orders")
+        };
+        let cmp = |col: &str, v: Value| ScalarExpr::Cmp {
+            op: trance_nrc::CmpOp::Ne,
+            left: Box::new(ScalarExpr::col(col)),
+            right: Box::new(ScalarExpr::constant(v)),
+        };
+        let pushed = |predicate: ScalarExpr| {
+            let plan = renest()
+                .select(predicate)
+                .project_columns(&["id", "orders"]);
+            let opt = optimize_default(&plan, &c);
+            let join = find(&opt, |p| matches!(p, Plan::Join { .. }));
+            let Plan::Join { left, .. } = join else {
+                unreachable!()
+            };
+            left.count(|p| matches!(p, Plan::Select { .. })) == 1
+        };
+        assert!(!pushed(cmp("orders", Value::empty_bag())));
+        assert!(pushed(cmp("id", Value::Int(3))));
+        let dead = optimize_default(&renest().project_columns(&["id"]), &c);
+        assert_eq!(
+            dead.count(|p| matches!(p, Plan::Join { .. } | Plan::Nest { .. })),
+            0
+        );
+        assert_eq!(
+            dead.scanned_inputs().into_iter().collect::<Vec<_>>(),
+            ["Top"]
         );
     }
 
@@ -1370,7 +1437,7 @@ mod tests {
     #[test]
     fn a_grouping_is_placed_for_the_breaker_that_consumes_it() {
         let (_, plans) = optimized_running_example();
-        // Γ⊎ by the customer id feeds the outer join on it, Γ⊎ by the order
+        // Γ⊎ by the customer id feeds the re-nesting join on it, Γ⊎ by the order
         // id the join on that: each already hashes by what its join wants.
         // The Γ+ below hashes by the order id alone, so the Γ⊎ above it and
         // that Γ⊎'s join side both find their rows in place.

@@ -171,7 +171,7 @@ mod tests {
         let plan = Plan::scan_as("R", "x")
             .select(crate::ScalarExpr::col("x.a"))
             .extend(vec![("y".into(), crate::ScalarExpr::col("x.b"))])
-            .unnest("x.items")
+            .unnest_as("x.items", "it")
             .project_columns(&["x.a"]);
         let (chain, source) = fuse_chain(&plan);
         assert_eq!(
@@ -203,7 +203,7 @@ mod tests {
     fn sequential_detection_flags_id_assigning_ops() {
         let p = Plan::scan("R").add_index("__id");
         assert!(needs_sequential(fuse_chain(&p).0[0]));
-        let p = Plan::scan("R").unnest("items");
+        let p = Plan::scan("R").unnest_as("items", "i");
         assert!(!needs_sequential(fuse_chain(&p).0[0]));
         let p = Plan::scan("R").select(crate::ScalarExpr::col("a"));
         assert!(!needs_sequential(fuse_chain(&p).0[0]));
@@ -214,7 +214,7 @@ mod tests {
         let plan = Plan::scan_as("R", "x")
             .select(crate::ScalarExpr::col("x.a"))
             .join(
-                Plan::scan_as("S", "y").unnest("y.items"),
+                Plan::scan_as("S", "y").unnest_as("y.items", "it"),
                 &["x.a"],
                 &["y.a"],
                 PlanJoinKind::Inner,
@@ -226,7 +226,7 @@ mod tests {
         assert!(s.contains("Project [x.a]  ·p0"), "{s}");
         assert!(s.contains("Select x.a  ·p1"), "{s}");
         assert!(s.contains("Scan R as x  ·p1"), "{s}");
-        assert!(s.contains("Unnest y.items  ·p2"), "{s}");
+        assert!(s.contains("Unnest y.items as it  ·p2"), "{s}");
         assert!(s.contains("Scan S as y  ·p2"), "{s}");
         let join_line = s.lines().find(|l| l.contains("Join")).unwrap();
         assert!(!join_line.contains("·p"), "breakers carry no marker: {s}");

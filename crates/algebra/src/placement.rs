@@ -57,38 +57,32 @@ pub fn carried_column(node: &Plan, col: &str) -> Option<String> {
                 .all(|(name, expr)| name != col || matches!(expr, ScalarExpr::Col(c) if c == col)),
         ),
         Plan::AddIndex { id_attr, .. } => kept(id_attr != col),
-        // An unnest consumes the bag and splices the element's attributes
-        // over the parent's: under an alias those are `alias.*`, without one
-        // they could be anything.
+        // An unnest consumes the bag and splices the element's attributes,
+        // `alias.*`, over the parent's.
         Plan::Unnest {
             bag_attr, alias, ..
         } => {
-            let spliced = match alias {
-                Some(a) => col
-                    .strip_prefix(a.as_str())
-                    .is_some_and(|rest| rest.starts_with('.')),
-                None => true,
-            };
+            let spliced = col
+                .strip_prefix(alias.as_str())
+                .is_some_and(|rest| rest.starts_with('.'));
             kept(col != bag_attr && !spliced)
         }
         _ => None,
     }
 }
 
-/// What the plan alone says about where a plan's output rows sit.
+/// What the plan alone says about where a plan's output rows sit: every
+/// row, a NULL or absent lane hashed as NULL.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlanPlacement {
     /// The columns the rows are hashed by, in hash order.
     pub columns: Vec<String>,
-    /// False when only rows with a valid (non-NULL, present) key are
-    /// covered — the output of a left-outer shuffle join.
-    pub total: bool,
 }
 
 impl PlanPlacement {
     /// True when a grouping by `key` finds every group in one partition.
     pub fn serves_grouping(&self, key: &[String]) -> bool {
-        self.total && self.columns.iter().all(|c| key.contains(c))
+        self.columns.iter().all(|c| key.contains(c))
     }
 
     /// True when a shuffle join keyed by `key` on this side finds the side's
@@ -124,24 +118,29 @@ pub fn plan_placement(plan: &Plan, scans: &ScanPlacements) -> Option<PlanPlaceme
                 .filter(|p| p.serves_grouping(key))
                 .unwrap_or_else(|| PlanPlacement {
                     columns: if place_by.is_empty() { key } else { place_by }.clone(),
-                    total: true,
                 }),
         )
         .filter(|p| !p.columns.is_empty()),
-        // A shuffle join's output sits by its left key. The right side's
-        // attributes overwrite the left's of the same name, which is harmless
-        // only where that name is the matching right key (equal values on a
-        // match, absent otherwise).
+        // A shuffle join's output sits by its left key, unless the join can
+        // overwrite a key column: an inner join lays the whole right row over
+        // the left one, which is harmless only where a key's namesake is the
+        // matching right key (equal values on a match); a re-nesting join
+        // sets `attr` alone.
         Plan::Join {
             left_key,
             right_key,
             kind,
             strategy: JoinStrategy::Shuffle,
             ..
-        } if !left_key.is_empty() && left_key == right_key => Some(PlanPlacement {
-            columns: left_key.clone(),
-            total: *kind == PlanJoinKind::Inner,
-        }),
+        } if !left_key.is_empty() => {
+            let keeps_keys = match kind {
+                PlanJoinKind::Inner => left_key == right_key,
+                PlanJoinKind::Renest { attr } => !left_key.contains(attr),
+            };
+            keeps_keys.then(|| PlanPlacement {
+                columns: left_key.clone(),
+            })
+        }
         _ => None,
     }
 }
@@ -152,7 +151,6 @@ fn carry(node: &Plan, placement: Option<PlanPlacement>) -> Option<PlanPlacement>
     let carried = p.columns.iter().map(|c| carried_column(node, c));
     Some(PlanPlacement {
         columns: carried.collect::<Option<_>>()?,
-        total: p.total,
     })
 }
 
@@ -279,12 +277,6 @@ mod tests {
                 "id.k",
                 Some("id.k"),
             ),
-            (
-                "unnest without an alias may splice anything",
-                src().unnest("items"),
-                "k",
-                None,
-            ),
             ("a breaker carries nothing", src().dedup(), "k", None),
         ];
         for (what, node, input, want) in cases {
@@ -307,11 +299,10 @@ mod tests {
             op: crate::NestOp::Sum,
             place_by: cols(&["b"]),
         };
-        let placed = |columns: &[&str], total| PlanPlacement {
+        let placed = |columns: &[&str]| PlanPlacement {
             columns: cols(columns),
-            total,
         };
-        assert_eq!(plan_placement(&sum, &scans), Some(placed(&["b"], true)));
+        assert_eq!(plan_placement(&sum, &scans), Some(placed(&["b"])));
         // Through a prune and a rename the next grouping finds it in place.
         let renamed = sum.clone().project(vec![
             ("id".into(), ScalarExpr::col("b")),
@@ -322,17 +313,17 @@ mod tests {
             unreachable!()
         };
         assert_eq!(served_in_place(&bag, input, &scans), Some(cols(&["id"])));
-        assert_eq!(plan_placement(&bag, &scans), Some(placed(&["id"], true)));
+        assert_eq!(plan_placement(&bag, &scans), Some(placed(&["id"])));
         // A grouping by other columns shuffles, and says by what.
         let other = renamed.nest_bag(&["v"], &["id"], "ids");
         let Plan::Nest { input, .. } = &other else {
             unreachable!()
         };
         assert_eq!(served_in_place(&other, input, &scans), None);
-        assert_eq!(plan_placement(&other, &scans), Some(placed(&["v"], true)));
+        assert_eq!(plan_placement(&other, &scans), Some(placed(&["v"])));
         // An input scanned from an earlier unit brings that unit's placement.
         let mut scans = ScanPlacements::new();
-        scans.insert("D".into(), placed(&["label"], true));
+        scans.insert("D".into(), placed(&["label"]));
         let regroup = Plan::scan_as("D", "d").nest_bag(&["d.label"], &["d.v"], "g");
         let Plan::Nest { input, .. } = &regroup else {
             unreachable!()
@@ -344,7 +335,7 @@ mod tests {
     }
 
     #[test]
-    fn only_a_planned_shuffle_join_claims_a_placement_and_an_outer_one_not_for_groupings() {
+    fn only_a_planned_shuffle_join_claims_a_placement_covering_every_row() {
         let scans = ScanPlacements::new();
         let join = |kind, strategy| Plan::Join {
             left: Box::new(Plan::scan("L")),
@@ -354,6 +345,7 @@ mod tests {
             kind,
             strategy,
         };
+        let renest = |attr: &str| PlanJoinKind::Renest { attr: attr.into() };
         for strategy in [
             JoinStrategy::Auto,
             JoinStrategy::Skew,
@@ -363,21 +355,28 @@ mod tests {
                 plan_placement(&join(PlanJoinKind::Inner, strategy), &scans),
                 None
             );
+            assert_eq!(plan_placement(&join(renest("vs"), strategy), &scans), None);
         }
+        let id = Some(PlanPlacement {
+            columns: cols(&["id"]),
+        });
         let inner = join(PlanJoinKind::Inner, JoinStrategy::Shuffle);
-        let outer = join(PlanJoinKind::LeftOuter, JoinStrategy::Shuffle);
-        assert!(plan_placement(&inner, &scans).unwrap().total);
-        let valid_only = plan_placement(&outer, &scans).unwrap();
-        assert!(!valid_only.total);
-        assert!(valid_only.serves_join_side(&cols(&["id"])));
-        assert!(!valid_only.serves_grouping(&cols(&["id"])));
+        assert_eq!(plan_placement(&inner, &scans), id);
+        // Every row of a re-nesting join is placed, invalid keys included:
+        // a grouping by its key finds it in place.
+        let placed = plan_placement(&join(renest("vs"), JoinStrategy::Shuffle), &scans);
+        assert_eq!(placed, id);
+        assert!(placed.is_some_and(|p| p.serves_grouping(&cols(&["id", "x"]))));
+        // A re-nesting join that sets its own key column claims nothing.
+        let over_key = join(renest("id"), JoinStrategy::Shuffle);
+        assert_eq!(plan_placement(&over_key, &scans), None);
         // The grouped right side is in place unless the join broadcasts.
         for (strategy, want) in [
             (JoinStrategy::Auto, Some(cols(&["id"]))),
             (JoinStrategy::Shuffle, Some(cols(&["id"]))),
             (JoinStrategy::Broadcast, None),
         ] {
-            let j = join(PlanJoinKind::LeftOuter, strategy);
+            let j = join(renest("vs"), strategy);
             let Plan::Join { left, right, .. } = &j else {
                 unreachable!()
             };

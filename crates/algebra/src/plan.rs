@@ -5,23 +5,29 @@
 //! Plans are produced by [`crate::lower()`], rewritten by [`crate::optimize()`],
 //! and interpreted on the distributed engine by `trance-compiler`'s physical
 //! executor. Attribute names in a lowered plan follow the flattened-stream
-//! convention of the unnesting algorithm: a [`Plan::Scan`] or [`Plan::Unnest`]
-//! carrying an `alias` renames the fields it introduces to `alias.field`.
+//! convention of the unnesting algorithm: a [`Plan::Scan`] carrying an
+//! `alias`, and every [`Plan::Unnest`], rename the fields they introduce to
+//! `alias.field`.
 
 use std::collections::BTreeSet;
-
-use trance_nrc::Value;
 
 use crate::scalar::ScalarExpr;
 
 /// Join flavour at the plan level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PlanJoinKind {
-    /// Inner equi-join `⋈`.
+    /// Inner equi-join `⋈`: the left row with the whole right row laid over
+    /// it, for every matching pair.
     Inner,
-    /// Left-outer equi-join `⟕` generated when compiling at a non-root
-    /// nesting level.
-    LeftOuter,
+    /// The re-nesting join [`Plan::renest`] builds. Every left row comes out
+    /// exactly once, with `attr` set to the matching right row's `attr`; a
+    /// left row nothing matches — NULL and absent keys included — gets `{}`.
+    /// No other right attribute surfaces. The right side is a `Γ⊎` by
+    /// construction, so a key matches at most once.
+    Renest {
+        /// The bag-valued attribute set on every left row.
+        attr: String,
+    },
 }
 
 /// The physical join strategy the optimizer selected for a [`Plan::Join`].
@@ -119,8 +125,8 @@ pub enum Plan {
         /// Name of the generated identifier attribute.
         id_attr: String,
     },
-    /// Equi-join `⋈` / left-outer equi-join `⟕`. Empty key lists denote a
-    /// cross product (every pair of rows matches).
+    /// Equi-join `⋈` or re-nesting join (see [`PlanJoinKind`]). Empty key
+    /// lists denote a cross product (every pair of rows matches).
     Join {
         /// Left input.
         left: Box<Plan>,
@@ -130,7 +136,7 @@ pub enum Plan {
         left_key: Vec<String>,
         /// Join key attributes of the right input.
         right_key: Vec<String>,
-        /// Inner or left-outer.
+        /// Inner or re-nesting.
         kind: PlanJoinKind,
         /// Physical strategy chosen by the optimizer.
         strategy: JoinStrategy,
@@ -139,15 +145,15 @@ pub enum Plan {
     /// with an empty (or NULL) bag yields none. The paper's outer-unnest
     /// `µ̄` is not needed: the lowering mints parent ids with
     /// [`Plan::AddIndex`] before it unnests and re-attaches each level with
-    /// [`Plan::renest`], whose outer join keeps the parents without children.
+    /// [`Plan::renest`], which keeps the parents without children.
     Unnest {
         /// Input plan.
         input: Box<Plan>,
         /// The bag-valued attribute to flatten.
         bag_attr: String,
-        /// When set, fields of the flattened elements are renamed to
-        /// `alias.field` (non-tuple elements become `alias.__value`).
-        alias: Option<String>,
+        /// Fields of the flattened elements are renamed to `alias.field`
+        /// (non-tuple elements become `alias.__value`).
+        alias: String,
     },
     /// Nest `Γ⊎` / `Γ+`.
     Nest {
@@ -257,22 +263,13 @@ impl Plan {
         }
     }
 
-    /// Unnests a bag-valued attribute (no renaming).
-    pub fn unnest(self, bag_attr: impl Into<String>) -> Plan {
-        Plan::Unnest {
-            input: Box::new(self),
-            bag_attr: bag_attr.into(),
-            alias: None,
-        }
-    }
-
     /// Unnests a bag-valued attribute, renaming the flattened element fields
     /// to `alias.field` (the lowering's `for var in x.bag`).
     pub fn unnest_as(self, bag_attr: impl Into<String>, alias: impl Into<String>) -> Plan {
         Plan::Unnest {
             input: Box::new(self),
             bag_attr: bag_attr.into(),
-            alias: Some(alias.into()),
+            alias: alias.into(),
         }
     }
 
@@ -300,22 +297,15 @@ impl Plan {
         }
     }
 
-    /// The **re-nesting triple** `Extend [attr := coalesce(g, {})] ← OuterJoin
-    /// ← NestBag`: groups `child` by `child_key` into one bag of `values` per
-    /// key (`Γ⊎`), left-outer-joins the groups to this plan (the parent) on
-    /// `parent_key`, and sets `attr` to the group — the empty bag where a
-    /// parent row found none. Every place a flat child stream goes back
-    /// under its parent is this one shape: each nesting level the unnesting
-    /// algorithm compiles (both sides keyed by the minted parent id) and each
-    /// dictionary unshredding folds into the rows that hold its labels
-    /// (`attr` is the parent's key, the child's is `label`).
-    ///
-    /// The join lays the right row over the left one, so a name is replaced
-    /// by a helper exactly where it would collide: a child key that is not
-    /// the parent's joins as `__jk` (a dictionary's `label` must not
-    /// overwrite its parent's), and a group headed for the key attribute
-    /// itself travels as `__grp`. The helpers stay in the output; a caller
-    /// that introduced them projects them away.
+    /// The **re-nesting join** `RenestJoin on parent_key = child_key as
+    /// attr`: groups `child` by `child_key` into one bag of `values` per key
+    /// (`Γ⊎ … as attr`) and hangs each group under the rows of this plan (the
+    /// parent) whose `parent_key` matches it, as `attr` — `{}` where none
+    /// does ([`PlanJoinKind::Renest`]). Every place a flat child stream goes
+    /// back under its parent is this one node: each nesting level the
+    /// unnesting algorithm compiles (both sides keyed by the minted parent
+    /// id) and each dictionary unshredding folds into the rows that hold its
+    /// labels (`attr` is the parent's key, the child's is `label`).
     pub fn renest(
         self,
         child: Plan,
@@ -324,33 +314,19 @@ impl Plan {
         values: Vec<String>,
         attr: &str,
     ) -> Plan {
-        let join_key = if child_key == parent_key {
-            child_key
-        } else {
-            "__jk"
-        };
-        let group = if attr == parent_key { "__grp" } else { attr };
-        let mut grouped = Plan::Nest {
+        let grouped = Plan::Nest {
             input: Box::new(child),
             key: vec![child_key.to_string()],
             values,
             op: NestOp::Bag {
-                group_attr: group.to_string(),
+                group_attr: attr.to_string(),
             },
             place_by: Vec::new(),
         };
-        if join_key != child_key {
-            grouped = grouped.project(vec![
-                (join_key.to_string(), ScalarExpr::col(child_key)),
-                (group.to_string(), ScalarExpr::col(group)),
-            ]);
-        }
-        let no_group = ScalarExpr::constant(Value::empty_bag());
-        self.join(grouped, &[parent_key], &[join_key], PlanJoinKind::LeftOuter)
-            .extend(vec![(
-                attr.to_string(),
-                ScalarExpr::Coalesce(Box::new(ScalarExpr::col(group)), Box::new(no_group)),
-            )])
+        let kind = PlanJoinKind::Renest {
+            attr: attr.to_string(),
+        };
+        self.join(grouped, &[parent_key], &[child_key], kind)
     }
 
     /// Wraps this plan in duplicate elimination.
@@ -478,21 +454,17 @@ pub(crate) fn node_line(plan: &Plan, parent: Option<&Plan>) -> String {
             } else {
                 format!("on {} = {}", left_key.join(","), right_key.join(","))
             };
-            format!(
-                "{} {keys} [{}]",
-                match kind {
-                    PlanJoinKind::Inner => "Join",
-                    PlanJoinKind::LeftOuter => "OuterJoin",
-                },
-                strategy.label(),
-            )
+            let strategy = strategy.label();
+            match kind {
+                PlanJoinKind::Inner => format!("Join {keys} [{strategy}]"),
+                PlanJoinKind::Renest { attr } => {
+                    format!("RenestJoin {keys} as {attr} [{strategy}]")
+                }
+            }
         }
         Plan::Unnest {
             bag_attr, alias, ..
-        } => match alias {
-            Some(a) => format!("Unnest {bag_attr} as {a}"),
-            None => format!("Unnest {bag_attr}"),
-        },
+        } => format!("Unnest {bag_attr} as {alias}"),
         Plan::Nest {
             key,
             values,
@@ -548,14 +520,14 @@ mod tests {
         // The running example's standard plan skeleton (Figure 3).
         Plan::scan("COP")
             .add_index("copID")
-            .unnest("corders")
+            .unnest_as("corders", "co")
             .add_index("coID")
-            .unnest("oparts")
+            .unnest_as("co.oparts", "op")
             .join(
                 Plan::scan("Part"),
+                &["op.pid"],
                 &["pid"],
-                &["pid"],
-                PlanJoinKind::LeftOuter,
+                PlanJoinKind::Inner,
             )
             .nest_sum(&["copID", "coID", "cname", "odate", "pname"], &["total"])
             .nest_bag(
@@ -579,10 +551,10 @@ mod tests {
     #[test]
     fn pretty_plan_shows_operator_tree() {
         let s = pretty_plan(&example_plan());
-        assert!(s.contains("Unnest corders"));
+        assert!(s.contains("Unnest corders as co"));
         assert!(s.contains("NestSum"));
         assert!(s.contains("Scan COP"));
-        assert!(s.contains("OuterJoin on pid = pid"));
+        assert!(s.contains("Join on op.pid = pid [auto]"));
         // Children are indented deeper than parents.
         let proj_line = s.lines().next().unwrap();
         assert!(proj_line.starts_with("Project"));
@@ -617,5 +589,28 @@ mod tests {
         let s = pretty_plan(&p);
         assert!(s.contains("[broadcast]"), "{s}");
         assert!(s.contains("Scan Part as p"), "{s}");
+    }
+
+    #[test]
+    fn renest_is_one_join_over_the_grouped_child() {
+        let p = Plan::scan("Top").renest(
+            Plan::scan("Dict"),
+            "orders",
+            "label",
+            vec!["odate".into()],
+            "orders",
+        );
+        assert_eq!(p.size(), 4);
+        let s = pretty_plan(&p);
+        let lines: Vec<&str> = s.lines().map(str::trim).collect();
+        assert_eq!(
+            lines,
+            [
+                "RenestJoin on orders = label as orders [auto]",
+                "Scan Top",
+                "NestBag key=[label] values=[odate] as orders",
+                "Scan Dict",
+            ]
+        );
     }
 }

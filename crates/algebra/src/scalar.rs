@@ -37,11 +37,6 @@ pub enum ScalarExpr {
     Or(Box<ScalarExpr>, Box<ScalarExpr>),
     /// Negation.
     Not(Box<ScalarExpr>),
-    /// The first operand unless it evaluates to NULL, else the second. The
-    /// one coalesce any plan holds is [`crate::Plan::renest`]'s
-    /// `coalesce(group, {})`, which turns the NULL a left-outer join leaves on
-    /// an unmatched nesting level into the empty bag (`Γ⊎` semantics).
-    Coalesce(Box<ScalarExpr>, Box<ScalarExpr>),
     /// Construct a label capturing the named columns (shredded plans).
     NewLabel {
         /// Label construction site.
@@ -76,12 +71,10 @@ impl ScalarExpr {
     /// row by row in their unit tests, and to `nrc::eval` by the differential
     /// suites; nothing else evaluates a `ScalarExpr`.
     ///
-    /// A column absent from the row evaluates to NULL — plan streams follow
-    /// the outer-join convention where missing attributes stand for NULL;
-    /// `And`, `Or` and `Coalesce` evaluate their right operand only where the
-    /// left one does not decide. Arithmetic and comparison, NULL rule
-    /// included, are [`prim_op`] and [`cmp_op`], the reference evaluator's
-    /// own.
+    /// A column absent from the row evaluates to NULL; `And` and `Or`
+    /// evaluate their right operand only where the left one does not decide.
+    /// Arithmetic and comparison, NULL rule included, are [`prim_op`] and
+    /// [`cmp_op`], the reference evaluator's own.
     pub fn eval(&self, row: &Tuple) -> Result<Value> {
         match self {
             ScalarExpr::Col(name) => Ok(row.get(name).cloned().unwrap_or(Value::Null)),
@@ -101,10 +94,6 @@ impl ScalarExpr {
                 a.eval(row)?.as_bool()? || b.eval(row)?.as_bool()?,
             )),
             ScalarExpr::Not(e) => Ok(Value::Bool(!e.eval(row)?.as_bool()?)),
-            ScalarExpr::Coalesce(a, b) => match a.eval(row)? {
-                Value::Null => b.eval(row),
-                v => Ok(v),
-            },
             ScalarExpr::NewLabel { site, captures } => {
                 let mut vals = Vec::with_capacity(captures.len());
                 for (_, e) in captures {
@@ -132,7 +121,7 @@ impl ScalarExpr {
                 left.collect_columns(out);
                 right.collect_columns(out);
             }
-            ScalarExpr::And(a, b) | ScalarExpr::Or(a, b) | ScalarExpr::Coalesce(a, b) => {
+            ScalarExpr::And(a, b) | ScalarExpr::Or(a, b) => {
                 a.collect_columns(out);
                 b.collect_columns(out);
             }
@@ -159,9 +148,6 @@ impl ScalarExpr {
             ScalarExpr::And(a, b) => format!("({} && {})", a.display(), b.display()),
             ScalarExpr::Or(a, b) => format!("({} || {})", a.display(), b.display()),
             ScalarExpr::Not(e) => format!("!({})", e.display()),
-            ScalarExpr::Coalesce(a, b) => {
-                format!("coalesce({}, {})", a.display(), b.display())
-            }
             ScalarExpr::NewLabel { site, captures } => format!(
                 "NewLabel#{site}({})",
                 captures
@@ -303,10 +289,7 @@ mod tests {
     fn referenced_columns_are_collected() {
         let e = ScalarExpr::And(
             Box::new(ScalarExpr::col_eq("a", "b")),
-            Box::new(ScalarExpr::Coalesce(
-                Box::new(ScalarExpr::col("c")),
-                Box::new(ScalarExpr::constant(Value::empty_bag())),
-            )),
+            Box::new(ScalarExpr::Not(Box::new(ScalarExpr::col("c")))),
         );
         let cols = e.referenced_columns();
         assert_eq!(cols.len(), 3);

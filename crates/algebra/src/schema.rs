@@ -8,7 +8,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::plan::{NestOp, Plan};
+use crate::plan::{NestOp, Plan, PlanJoinKind};
 use crate::scalar::ScalarExpr;
 
 /// The attribute structure of a (possibly nested) bag of tuples.
@@ -270,17 +270,13 @@ pub(crate) fn node_schema(plan: &Plan, inputs: Vec<AttrSchema>, catalog: &Catalo
                 if !out.contains(name) {
                     out.attrs.push(name.clone());
                 }
-                // Pass-through (possibly NULL-coalesced) columns keep their
-                // nested schema; other expressions reset it.
+                // Pass-through columns keep their nested schema; other
+                // expressions reset it.
                 let source_col = match expr {
-                    ScalarExpr::Col(c) => Some(c.clone()),
-                    ScalarExpr::Coalesce(a, _) => match a.as_ref() {
-                        ScalarExpr::Col(c) => Some(c.clone()),
-                        _ => None,
-                    },
+                    ScalarExpr::Col(c) => out.nested_schema(c).cloned(),
                     _ => None,
                 };
-                match source_col.and_then(|c| out.nested_schema(&c).cloned()) {
+                match source_col {
                     Some(inner) => {
                         out.nested.insert(name.clone(), inner);
                     }
@@ -315,9 +311,30 @@ pub(crate) fn node_schema(plan: &Plan, inputs: Vec<AttrSchema>, catalog: &Catalo
             }
             out
         }
-        Plan::Join { .. } => {
+        Plan::Join {
+            kind: PlanJoinKind::Inner,
+            ..
+        } => {
             let l = next();
             l.merge(&next())
+        }
+        // The left row with `attr` set to the group.
+        Plan::Join {
+            kind: PlanJoinKind::Renest { attr },
+            ..
+        } => {
+            let (mut out, group) = (next(), next().nested_schema(attr).cloned());
+            if out.attrs.is_empty() {
+                return AttrSchema::default();
+            }
+            if !out.contains(attr) {
+                out.attrs.push(attr.clone());
+            }
+            match group {
+                Some(inner) => out.nested.insert(attr.clone(), inner),
+                None => out.nested.remove(attr),
+            };
+            out
         }
         Plan::Unnest {
             bag_attr, alias, ..
@@ -327,9 +344,9 @@ pub(crate) fn node_schema(plan: &Plan, inputs: Vec<AttrSchema>, catalog: &Catalo
                 .nested_schema(bag_attr)
                 .cloned()
                 .unwrap_or_default();
-            let inner = match alias {
-                Some(a) if !inner.attrs.is_empty() => prefix_schema(&inner, a),
-                _ => inner,
+            let inner = match inner.attrs.is_empty() {
+                true => inner,
+                false => prefix_schema(&inner, alias),
             };
             let out = AttrSchema {
                 attrs: in_schema
@@ -373,7 +390,6 @@ pub(crate) fn node_schema(plan: &Plan, inputs: Vec<AttrSchema>, catalog: &Catalo
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::PlanJoinKind;
 
     fn catalog() -> Catalog {
         let mut c = Catalog::new();
@@ -393,18 +409,18 @@ mod tests {
         let c = catalog();
         let p = Plan::scan("COP")
             .add_index("copID")
-            .unnest("corders")
+            .unnest_as("corders", "co")
             .add_index("coID")
-            .unnest("oparts")
+            .unnest_as("co.oparts", "op")
             .join(
                 Plan::scan("Part"),
+                &["op.pid"],
                 &["pid"],
-                &["pid"],
-                PlanJoinKind::LeftOuter,
+                PlanJoinKind::Inner,
             );
         let s = output_schema(&p, &c);
         for a in [
-            "cname", "copID", "odate", "coID", "pid", "qty", "pname", "price",
+            "cname", "copID", "co.odate", "coID", "op.pid", "op.qty", "pid", "pname", "price",
         ] {
             assert!(s.contains(a), "missing attribute {a}");
         }
@@ -419,13 +435,13 @@ mod tests {
         let c = catalog();
         let p = Plan::scan("COP")
             .add_index("copID")
-            .unnest("corders")
-            .nest_bag(&["copID", "cname"], &["odate", "oparts"], "corders");
+            .unnest_as("corders", "co")
+            .nest_bag(&["copID", "cname"], &["co.odate", "co.oparts"], "corders");
         let s = output_schema(&p, &c);
         assert!(s.contains("corders"));
         let inner = s.nested_schema("corders").unwrap();
-        assert!(inner.contains("odate"));
-        assert!(inner.contains("oparts"));
+        assert!(inner.contains("co.odate"));
+        assert!(inner.contains("co.oparts"));
     }
 
     #[test]

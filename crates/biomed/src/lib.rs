@@ -13,6 +13,7 @@
 //! configurable scale, which is what the pipeline's behaviour depends on.
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

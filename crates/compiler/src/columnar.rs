@@ -515,9 +515,7 @@ fn compile_chain_col(
             } => {
                 let bag_attr = bag_attr.clone();
                 let alias = alias.clone();
-                steps.push(Box::new(move |b, _| {
-                    unnest_batch(b, &bag_attr, alias.as_deref())
-                }));
+                steps.push(Box::new(move |b, _| unnest_batch(b, &bag_attr, &alias)));
             }
             other => {
                 return Err(ExecError::Other(format!(
@@ -636,7 +634,7 @@ pub fn eval_plan_col(
             let rk: Vec<&str> = right_key.iter().map(String::as_str).collect();
             let spec = match kind {
                 PlanJoinKind::Inner => JoinSpec::inner(&lk, &rk),
-                PlanJoinKind::LeftOuter => JoinSpec::left_outer(&lk, &rk),
+                PlanJoinKind::Renest { attr } => JoinSpec::renest(&lk, &rk, attr),
             };
             if *strategy == JoinStrategy::Skew {
                 l.skew_join(&r, &spec)

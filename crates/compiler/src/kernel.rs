@@ -29,7 +29,7 @@
 //! * `Filter` instructions narrow a **selection vector** of surviving row
 //!   indices, so downstream instructions evaluate only over surviving rows
 //!   and each input column is gathered at most once per morsel;
-//! * short-circuit semantics (`And`/`Or`/`Coalesce`) compile to **guard
+//! * short-circuit semantics (`And`/`Or`) compile to **guard
 //!   registers**: the right operand's instructions evaluate under a lane
 //!   mask, and raise errors only on guarded lanes — exactly the rows on
 //!   which `ScalarExpr::eval` evaluates that operand.
@@ -59,7 +59,7 @@ pub type Reg = usize;
 #[derive(Debug, Clone, PartialEq)]
 pub enum Instr {
     /// Load an input column by name (a missing column is a lazy NULL
-    /// constant, the outer-join convention).
+    /// constant: absent reads as NULL).
     Load {
         /// The column name.
         name: String,
@@ -109,14 +109,6 @@ pub enum Instr {
         /// The enclosing guard.
         guard: Option<Reg>,
     },
-    /// `guard && cond-is-NULL` (the `Coalesce` right-branch guard). Never
-    /// errors.
-    NullMask {
-        /// The register whose NULL lanes select the fallback.
-        cond: Reg,
-        /// The enclosing guard.
-        guard: Option<Reg>,
-    },
     /// `And` merge: lanes where `taken` coerce `b` to bool (errors
     /// surface there only); all other lanes are false.
     AndMerge {
@@ -133,17 +125,6 @@ pub enum Instr {
         /// The right-branch guard ([`Instr::NotMask`] output).
         taken: Reg,
         /// The right operand register.
-        b: Reg,
-    },
-    /// `Coalesce` merge: lanes where `taken` read `b`, the rest read `a`.
-    /// When no lane takes the fallback the register is `a` itself. Never
-    /// errors.
-    CoalesceMerge {
-        /// The first operand register.
-        a: Reg,
-        /// The fallback mask ([`Instr::NullMask`] output).
-        taken: Reg,
-        /// The fallback operand register.
         b: Reg,
     },
     /// Boolean negation with `as_bool` error semantics on guarded lanes.
@@ -304,16 +285,6 @@ impl Compiler {
                 let r = self.compile_expr(x, guard);
                 self.emit(Instr::Not { input: r, guard })
             }
-            ScalarExpr::Coalesce(a, b) => {
-                let ra = self.compile_expr(a, guard);
-                let taken = self.emit(Instr::NullMask { cond: ra, guard });
-                let rb = self.compile_expr(b, Some(taken));
-                self.emit(Instr::CoalesceMerge {
-                    a: ra,
-                    taken,
-                    b: rb,
-                })
-            }
             ScalarExpr::NewLabel { site, captures } => {
                 let regs: Vec<Reg> = captures
                     .iter()
@@ -414,10 +385,8 @@ fn instr_reads(i: &Instr) -> Vec<Reg> {
         Instr::Cmp { left, right, .. } => vec![*left, *right],
         Instr::IsTrue { cond, guard } => with_guard(vec![*cond], guard),
         Instr::NotMask { cond, guard } => with_guard(vec![*cond], guard),
-        Instr::NullMask { cond, guard } => with_guard(vec![*cond], guard),
         Instr::AndMerge { taken, b } => vec![*taken, *b],
         Instr::OrMerge { a_true, taken, b } => vec![*a_true, *taken, *b],
-        Instr::CoalesceMerge { a, taken, b } => vec![*a, *taken, *b],
         Instr::Not { input, guard } => with_guard(vec![*input], guard),
         Instr::NewLabel { captures, .. } => captures.clone(),
         Instr::Filter { pred, .. } => vec![*pred],
@@ -588,16 +557,6 @@ impl RegVal {
             _ => None,
         }
     }
-
-    /// NULL test without cloning values (bag lanes stay untouched).
-    fn is_null_at(&self, i: usize) -> bool {
-        match self {
-            RegVal::Col(c) => c.is_null_at(i),
-            RegVal::Const(v) => matches!(v, Value::Null),
-            RegVal::Ints(_) | RegVal::Reals(_) | RegVal::Bools(_) => false,
-            RegVal::Values(x) => matches!(x[i], Value::Null),
-        }
-    }
 }
 
 /// Dense integer operand view: a buffer or a splatted constant.
@@ -748,15 +707,6 @@ impl<'a> State<'a> {
                         .collect(),
                 }))
             }
-            Instr::NullMask { cond, guard } => {
-                let g = self.guard(*guard)?;
-                let c = self.reg(*cond)?;
-                Some(RegVal::Bools(
-                    (0..self.len)
-                        .map(|i| guard_true(g, i) && c.is_null_at(i))
-                        .collect(),
-                ))
-            }
             Instr::AndMerge { taken, b } => {
                 let t = self.mask(*taken)?;
                 let bv = self.reg(*b)?;
@@ -791,23 +741,6 @@ impl<'a> State<'a> {
                     }
                 }
                 Some(RegVal::Bools(out))
-            }
-            Instr::CoalesceMerge { a, taken, b } => {
-                let t = self.mask(*taken)?;
-                let (av, bv) = (self.reg(*a)?, self.reg(*b)?);
-                if !t.iter().any(|&x| x) {
-                    // No lane needed the fallback: the result is the first
-                    // operand.
-                    Some(av.clone())
-                } else if let Some(col) = coalesce_unboxed(av, bv, t) {
-                    Some(RegVal::Col(Arc::new(col)))
-                } else {
-                    Some(RegVal::Values(
-                        (0..self.len)
-                            .map(|i| if t[i] { bv.value_at(i) } else { av.value_at(i) })
-                            .collect(),
-                    ))
-                }
             }
             Instr::Not { input, guard } => {
                 let g = self.guard(*guard)?;
@@ -892,21 +825,6 @@ impl<'a> State<'a> {
             self.regs[r] = Some(compacted);
         }
         Ok(())
-    }
-}
-
-/// The one coalesce that needs no boxed lane: `coalesce(bag column, {})`,
-/// which [`trance_algebra::Plan::renest`] puts above every outer join that
-/// re-attaches a nesting level and is the only coalesce any plan holds. It
-/// is [`Column::coalesce_empty_bag`]: validity bits cleared over the shared
-/// offsets and elements, no bag rebuilt. `None` for everything else; the
-/// caller boxes.
-fn coalesce_unboxed(a: &RegVal, b: &RegVal, taken: &[bool]) -> Option<Column> {
-    match (a, b) {
-        (RegVal::Col(col), RegVal::Const(Value::Bag(bag))) if bag.is_empty() => {
-            col.coalesce_empty_bag(taken)
-        }
-        _ => None,
     }
 }
 
@@ -1180,15 +1098,9 @@ impl KernelProgram {
                 Instr::Cmp { op, left, right } => format!("r{i} = {op:?} r{left} r{right}"),
                 Instr::IsTrue { cond, guard } => format!("r{i} = is_true r{cond}{}", g(guard)),
                 Instr::NotMask { cond, guard } => format!("r{i} = not_mask r{cond}{}", g(guard)),
-                Instr::NullMask { cond, guard } => {
-                    format!("r{i} = null_mask r{cond}{}", g(guard))
-                }
                 Instr::AndMerge { taken, b } => format!("r{i} = and_merge r{taken} r{b}"),
                 Instr::OrMerge { a_true, taken, b } => {
                     format!("r{i} = or_merge r{a_true} r{taken} r{b}")
-                }
-                Instr::CoalesceMerge { a, taken, b } => {
-                    format!("r{i} = coalesce r{a} r{taken} r{b}")
                 }
                 Instr::Not { input, guard } => format!("r{i} = not r{input}{}", g(guard)),
                 Instr::NewLabel { site, captures } => format!(
@@ -1418,53 +1330,7 @@ mod tests {
                 E::col("a"),
                 E::constant(Value::Int(5)),
             ))),
-            E::Coalesce(Box::new(E::col("b")), Box::new(E::col("a"))),
-            E::Coalesce(
-                Box::new(E::col("missing")),
-                Box::new(E::constant(Value::Int(-1))),
-            ),
-            // Coalesce over scalars (boxed lanes): one kind on both sides,
-            // from a column, a literal or a computed buffer — NULL where both
-            // are NULL.
-            E::Coalesce(Box::new(E::col("b")), Box::new(E::constant(Value::Int(7)))),
-            E::Coalesce(Box::new(E::col("b")), Box::new(E::constant(Value::Null))),
-            E::Coalesce(
-                Box::new(E::col("b")),
-                Box::new(prim(PrimOp::Add, E::col("k"), E::constant(Value::Int(1)))),
-            ),
-            E::Coalesce(
-                Box::new(E::col("x")),
-                Box::new(prim(
-                    PrimOp::Mul,
-                    E::col("w"),
-                    E::constant(Value::Real(2.0)),
-                )),
-            ),
-            E::Coalesce(Box::new(E::col("d")), Box::new(E::constant(Value::Date(1)))),
-            E::Coalesce(
-                Box::new(E::col("f")),
-                Box::new(cmp(CmpOp::Gt, E::col("a"), E::constant(Value::Int(0)))),
-            ),
-            // Kinds that do not agree, or no lane holding a value.
-            E::Coalesce(Box::new(E::col("b")), Box::new(E::col("x"))),
-            E::Coalesce(
-                Box::new(E::col("missing")),
-                Box::new(E::constant(Value::Null)),
-            ),
-            E::Coalesce(
-                Box::new(E::col("s")),
-                Box::new(E::constant(Value::str("none"))),
-            ),
-            // The lowering's `coalesce(bag, {})`, and the same over no column.
             E::col("g"),
-            E::Coalesce(
-                Box::new(E::col("g")),
-                Box::new(E::constant(Value::empty_bag())),
-            ),
-            E::Coalesce(
-                Box::new(E::col("missing")),
-                Box::new(E::constant(Value::empty_bag())),
-            ),
             E::NewLabel {
                 site: 9,
                 captures: vec![
@@ -1502,36 +1368,6 @@ mod tests {
             &shared.column_arc("out").unwrap(),
             &b.column_arc("k").unwrap()
         ));
-    }
-
-    /// The one unboxed coalesce, `coalesce(bag column, {})`, flips validity
-    /// over the shared elements and comes out as exactly the column
-    /// `Column::from_values` would build from the boxed lanes; every other
-    /// operand pair boxes.
-    #[test]
-    fn typed_coalesce_builds_the_column_from_values_would() {
-        use Value::{Int, Null};
-        let g = || Value::bag(vec![Value::tuple([("p", Int(1))])]);
-        let bags = RegVal::Col(Arc::new(Column::from_values(vec![g(), Null, g(), Null])));
-        let empty = RegVal::Const(Value::empty_bag());
-        let got = coalesce_unboxed(&bags, &empty, &[false, true, false, true])
-            .expect("a bag column coalesced with {} stays a column");
-        let want = Column::from_values(vec![g(), Value::empty_bag(), g(), Value::empty_bag()]);
-        assert_eq!(format!("{got:?}"), format!("{want:?}"));
-        // A guard can leave a NULL lane untaken: it stays NULL.
-        let got = coalesce_unboxed(&bags, &empty, &[false, true, false, false]).expect("bag");
-        let want = Column::from_values(vec![g(), Value::empty_bag(), g(), Null]);
-        assert_eq!(format!("{got:?}"), format!("{want:?}"));
-        // Anything else boxes: a scalar column, a fallback that is not `{}`.
-        let ints = RegVal::Col(Arc::new(Column::from_values(vec![
-            Int(1),
-            Null,
-            Int(3),
-            Null,
-        ])));
-        let taken = [false, true, false, true];
-        assert!(coalesce_unboxed(&ints, &RegVal::Const(Int(7)), &taken).is_none());
-        assert!(coalesce_unboxed(&bags, &RegVal::Const(Value::bag(vec![g()])), &taken).is_none());
     }
 
     #[test]
@@ -1665,8 +1501,7 @@ mod tests {
                     );
                 }
                 // Guarded: the overflowing lane is the one the guard removes
-                // — behind `Or` and `And`, behind a `coalesce` whose first
-                // operand is not NULL, behind an earlier `Select`.
+                // — behind `Or` and `And`, behind an earlier `Select`.
                 let safe = cmp(CmpOp::Eq, E::col("x"), E::constant(Value::Int(0)));
                 let is_zero = cmp(CmpOp::Eq, e.clone(), E::constant(Value::Int(0)));
                 let guarded = [
@@ -1678,10 +1513,6 @@ mod tests {
                         Box::new(safe.clone()),
                         Box::new(is_zero.clone()),
                     ))],
-                    vec![KernelOp::Extend(vec![(
-                        "out".into(),
-                        E::Coalesce(Box::new(E::col("x")), Box::new(e.clone())),
-                    )])],
                     vec![
                         KernelOp::Select(safe.clone()),
                         KernelOp::Extend(vec![("out".into(), e.clone())]),

@@ -22,9 +22,9 @@
 //! (`trance-shred`), then lowers and executes each resulting flat assignment
 //! — one per output dictionary — through the same plan layer. Unshredding the
 //! output is one more unit of that program ([`unshred`]): a plan that folds
-//! each dictionary into the rows holding its labels with the re-nesting
-//! triple `Extend ← OuterJoin ← NestBag key=[label]`, optimized, captured,
-//! explained and replayed like every other unit. Nothing a query executes
+//! each dictionary into the rows holding its labels with one re-nesting join
+//! over `NestBag key=[label]`, optimized, captured, explained and replayed
+//! like every other unit. Nothing a query executes
 //! is outside the plan layer.
 //!
 //! Registered inputs live in the **table store** ([`store`], owned through

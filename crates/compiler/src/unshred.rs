@@ -6,18 +6,16 @@
 //! for agreement across ranks, captured for EXPLAIN and the plan cache.
 //!
 //! The tree folds children into parents bottom-up: for every dictionary of
-//! the output's [`NestingStructure`], the re-nesting triple ([`Plan::renest`],
-//! the shape the lowering emits per nesting level, here keyed by `label`)
-//! and a projection back onto the parent's attributes:
+//! the output's [`NestingStructure`], one re-nesting join ([`Plan::renest`],
+//! the node the lowering emits per nesting level, here keyed by `label`),
+//! which replaces the labels under `attr` with their entries — `{}` where
+//! the dictionary has none:
 //!
 //! ```text
-//! Project [parent's attributes]                  -- drops __jk, __grp
-//!   Extend [attr := coalesce(__grp, {})]         -- no entries: empty bag
-//!     OuterJoin on attr = __jk
-//!       <parent: the top bag, or a dictionary with its own children folded>
-//!       Project [__jk := label, __grp]
-//!         NestBag key=[label] values=[…] as __grp
-//!           <child dictionary, its own children folded>
+//! RenestJoin on attr = label as attr
+//!   <parent: the top bag, or a dictionary with its own children folded>
+//!   NestBag key=[label] values=[…] as attr
+//!     <child dictionary, its own children folded>
 //! ```
 
 use std::collections::{BTreeMap, HashMap};
@@ -78,10 +76,7 @@ fn fold(
         if !attrs.contains(attr) {
             attrs.push(attr.clone());
         }
-        let keep: Vec<&str> = attrs.iter().map(String::as_str).collect();
-        plan = plan
-            .renest(child, attr, LABEL, values, attr)
-            .project_columns(&keep);
+        plan = plan.renest(child, attr, LABEL, values, attr);
     }
     (plan, attrs)
 }
@@ -168,15 +163,17 @@ mod tests {
             }
             let by_label = plan.count(|p| {
                 matches!(p, Plan::Nest { key, op: NestOp::Bag { group_attr }, .. }
-                    if key == &[LABEL.to_string()] && group_attr == "__grp")
+                    if key == &[LABEL.to_string()] && group_attr.starts_with("a_"))
             });
-            let outer_joins = plan.count(|p| {
-                matches!(p, Plan::Join { kind: PlanJoinKind::LeftOuter, right_key, .. }
-                    if right_key == &["__jk".to_string()])
+            let renests = plan.count(|p| {
+                matches!(p, Plan::Join { kind: PlanJoinKind::Renest { attr }, left_key, right_key, .. }
+                    if right_key == &[LABEL.to_string()] && left_key == std::slice::from_ref(attr))
             });
-            let coalesced = plan.count(|p| matches!(p, Plan::Extend { .. }));
-            assert_eq!((by_label, outer_joins, coalesced), (depth, depth, depth));
+            assert_eq!((by_label, renests), (depth, depth));
             assert_eq!(plan.count(|p| matches!(p, Plan::Join { .. })), depth);
+            // Nothing else: a scan per collection, a grouping and a join per
+            // dictionary.
+            assert_eq!(plan.size(), 1 + 3 * depth);
             // Every collection is scanned once, each dictionary below the
             // collection that holds its labels.
             let mut above = scan_depth(&plan, TOP_BAG, 0).expect("the top bag is scanned");
@@ -185,12 +182,11 @@ mod tests {
                 assert!(at > above, "{name} at depth {at}, its parent at {above}");
                 above = at;
             }
-            // The root names the top bag's attributes; no helper survives.
-            let Plan::Project { columns, .. } = &plan else {
-                panic!("depth {depth}: the root must be a projection");
+            // The root re-nests the top bag's labels under their own name.
+            let Plan::Join { kind, .. } = &plan else {
+                panic!("depth {depth}: the root must be a join");
             };
-            let names: Vec<&str> = columns.iter().map(|(n, _)| n.as_str()).collect();
-            assert_eq!(names, ["id", "a_1"]);
+            assert_eq!(kind, &PlanJoinKind::Renest { attr: "a_1".into() });
         }
     }
 

@@ -123,12 +123,12 @@ fn underscored_bag_attributes_unshred_like_any_other() {
     );
 }
 
-/// Where a parent has no children the regrouped level is NULL-extended and
-/// must come back as the empty bag: `coalesce(bag, {})` on the standard
-/// route, the `attach` step of distributed unshredding on SHRED+UNSHRED and
-/// SHRED+UNSHRED-SKEW — both a validity flip on a typed bag column, and a
-/// row-wise rebuild when the dictionary below is empty and its group column
-/// is not bag-typed at all.
+/// Where a parent has no children the regrouped level must come back as the
+/// empty bag: the re-nesting join gives an unmatched parent `{}` on the
+/// standard route and in the unshredding unit of SHRED+UNSHRED and
+/// SHRED+UNSHRED-SKEW — a validity flip on a typed bag column, and a row-wise
+/// build when the dictionary below is empty and its group column is not
+/// bag-typed at all.
 #[test]
 fn childless_parents_come_back_with_empty_bags() {
     let spec = QuerySpec::new(

@@ -188,7 +188,7 @@ fn null_and_absent_labels_on_one_process_and_on_three_ranks() {
     let structure = structure();
     // A NULL label is an empty bag. A row without the attribute comes out
     // with an empty bag too, where the reference leaves the attribute out:
-    // the plan's `coalesce` reads absent as NULL, like every plan operator.
+    // the re-nesting join matches neither key, like every plan operator.
     let reference = unshred_pieces(top.clone(), dicts.clone(), &structure).unwrap();
     let want = Bag::new(
         reference

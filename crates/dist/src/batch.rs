@@ -11,8 +11,7 @@
 //!
 //! Validity is tracked with two [`Bitmap`]s per column:
 //!
-//! * `nulls` — the row holds an explicit `Value::Null` (outer joins produce
-//!   these);
+//! * `nulls` — the row holds an explicit `Value::Null`;
 //! * `absent` — the row's tuple did not contain the attribute at all. The
 //!   nested data model distinguishes a tuple without attribute `a` from one
 //!   with `a: NULL`, and a lossless `Value` ↔ `Batch` round trip must too.
@@ -50,13 +49,13 @@
 //!   downstream — least of all the next shuffle's physical bytes — can tell.
 //!   [`Batch::concat`] is the merge of every row of each batch.
 //!
-//! **gather** ([`Batch::take`] / [`Batch::take_opt`], [`Column::gather`])
-//! materializes a single selection, and is the only form that null-extends:
-//! it is generic over [`GatherIndex`], so a dense index list (`&[usize]`:
-//! morsel slices, join sides without misses) runs a loop with no `Option` in
-//! it and skips the validity bitmaps of an all-valid source, while outer
-//! joins pass `&[Option<usize>]`, whose `None` rows come out *absent* in
-//! every column — there is one flavour of null extension. A
+//! **gather** ([`Batch::take`], [`Column::gather`]) materializes a single
+//! selection, and is the only form that null-extends: [`Column::gather`] is
+//! generic over [`GatherIndex`], so a dense index list (`&[usize]`: morsel
+//! slices, join sides) runs a loop with no `Option` in it and skips the
+//! validity bitmaps of an all-valid source, while the re-nesting join passes
+//! `&[Option<usize>]`, whose `None` rows come out *absent* before it turns
+//! them into `{}` — there is one flavour of null extension. A
 //! string gather renumbers the surviving codes in first-use order and copies
 //! their bytes once, exactly sized, so dictionaries stay shrunk to what a
 //! batch uses and the physical byte accounting stays exact. A gather that
@@ -773,7 +772,7 @@ pub(crate) fn build_column(slots: &[Option<&Value>]) -> Column {
 
 /// A row index of a gather: a dense row number, or an optional one whose
 /// `None` stands for a NULL/absent output row. Generic so the dense case
-/// (`take`, shuffle pieces, join sides without misses) compiles to a loop
+/// (`take`, shuffle pieces, join sides) compiles to a loop
 /// with no `Option` in it.
 pub trait GatherIndex: Copy {
     /// The source row, if any.
@@ -965,8 +964,9 @@ impl Column {
         }
     }
 
-    /// `coalesce(bag, {})` without touching an element: the `taken` lanes
-    /// (NULL or absent bags) become valid empty bags. A NULL or absent row
+    /// The `taken` lanes (NULL or absent bags) become valid empty bags,
+    /// without touching an element — how the re-nesting join gives an
+    /// unmatched row `{}`. A NULL or absent row
     /// of a bag column spans an empty element range — by construction in
     /// `build_column`, `gather` and `concat`, and checked when a frame is
     /// decoded — so the result shares `offsets` and `elems` with `self` and
@@ -974,7 +974,7 @@ impl Column {
     /// every expression output.
     ///
     /// `None` when this is not a bag column or a taken lane spans elements;
-    /// the caller then coalesces row by row.
+    /// the caller then fills them row by row.
     pub fn coalesce_empty_bag(&self, taken: &[bool]) -> Option<Column> {
         let Column::Bag {
             offsets,
@@ -1122,7 +1122,7 @@ impl Column {
 
     /// Gathers rows by index. Indices are dense row numbers (`usize`) or
     /// optional ones (`Option<usize>`), whose `None` entries produce an
-    /// absent row — the null extension of outer joins.
+    /// absent row — the re-nesting join's unmatched lanes.
     pub fn gather<I: GatherIndex>(&self, idx: &[I]) -> Column {
         let n = idx.len();
         let mut out_nulls = Bitmap::zeros(n);
@@ -1826,21 +1826,11 @@ impl Batch {
 
     /// Gathers the given rows into a new batch.
     pub fn take(&self, idx: &[usize]) -> Batch {
-        self.gather(idx)
-    }
-
-    /// Gathers rows with optional indices: `None` rows come out all-absent —
-    /// the right-side null extension of outer joins.
-    pub fn take_opt(&self, idx: &[Option<usize>]) -> Batch {
-        self.gather(idx)
-    }
-
-    fn gather<I: GatherIndex>(&self, idx: &[I]) -> Batch {
         // Every row, in order (an all-true filter, the probe side of a
         // foreign-key join): share the columns instead of copying them.
         // Gathers and concats keep dictionaries shrunk to what a batch uses,
         // so the copy would come out identical.
-        if idx.len() == self.rows && idx.iter().enumerate().all(|(i, ix)| ix.row() == Some(i)) {
+        if idx.len() == self.rows && idx.iter().enumerate().all(|(i, ix)| *ix == i) {
             return self.clone();
         }
         let columns: Vec<Arc<Column>> = self

@@ -12,12 +12,10 @@
 //!   [`unique_ids_batch`] and [`unnest_batch`] (parent columns gathered by
 //!   fan-out index and the bag column's child batch spliced in, all offset
 //!   arithmetic);
-//! * joins gather matched rows from both sides by index lists; the output
-//!   row is the left row with the whole right row laid over it, and a
-//!   left-outer row without a match is the left row alone — the right
-//!   side's attributes are *absent* from it, the one flavour of null
-//!   extension (what reads them afterwards, `coalesce(bag, {})` first of
-//!   all, reads absent as NULL);
+//! * joins gather matched rows from both sides by index lists: an inner
+//!   join's output row is the left row with the whole right row laid over
+//!   it, a re-nesting join's is every left row once with the group it
+//!   matched — or `{}` — gathered into its bag attribute;
 //! * shuffles meter **exact physical buffer bytes** — what each (source
 //!   chunk, target) batch weighs on the wire, schema and string dictionary
 //!   counted once per such batch — next to the row-equivalent logical
@@ -36,9 +34,9 @@
 //! fallback applies (`Other` key columns such as labels; sum columns that
 //! are not `Int`/`Real`). What follows from it here:
 //!
-//! * a join's shuffle ships only valid rows — nothing is filtered into a
-//!   copy first — while a grouping's shuffle ships every row, NULL standing
-//!   in for a NULL or absent lane;
+//! * an inner join's shuffle ships only valid rows — nothing is filtered
+//!   into a copy first — while a grouping's shuffle and a re-nesting join's
+//!   left side ship every row, NULL standing in for a NULL or absent lane;
 //! * a shuffle builds no (source, target) piece: a source routes each chunk
 //!   into per-target row lists with one counting sort over its hash vector
 //!   and meters those *selections* in place, and each target builds its
@@ -72,8 +70,8 @@
 //!   [`ColCollection::nest_bag`] (by the columns the shuffle hashed by — the
 //!   key, or the `place_by` subset of the `*_placed` variants; a grouping
 //!   that found its input in place passes that placement on) and the shuffle
-//!   join (by its left key, unless a right attribute of the same name could
-//!   overwrite a key column with another value).
+//!   join (by its left key, unless the join could overwrite a key column
+//!   with another value).
 //! * **Kept** across [`ColCollection::with_context`], spilling (a partition
 //!   is the same rows in memory or on disk) and the skew split. A caller
 //!   that knows what a batch transform did to the placed columns — the
@@ -85,17 +83,12 @@
 //!   placed column), [`ColCollection::union`], a broadcast join,
 //!   [`ColCollection::distinct`].
 //!
-//! **Rows with a NULL or absent key lane.** A grouping's shuffle ships them
-//! to the stand-in's partition, so a grouping's output is placed *totally*:
-//! every row is covered. A join's shuffle does not ship them at all — an
-//! inner join drops them, and the left-outer join emits its left rows with an
-//! invalid key unmatched from wherever they were, parked in the first
-//! partition this process holds. So an inner shuffle join's output is total
-//! (every output row matched on a valid key) while a left-outer one's covers
-//! *valid rows only*. A join side may consume either strength, because it
-//! never routes an invalid-key row anyway: the in-place pass drops those
-//! rows (or hands them to the outer join as unmatched) exactly as the
-//! shuffle's routing pass does. A grouping requires a total placement.
+//! **Rows with a NULL or absent key lane.** A grouping's shuffle and a
+//! re-nesting join's left side ship them to the stand-in's partition; an
+//! inner join's shuffle drops them, since they can never match. Either way a
+//! placement covers *every* row of the collection, and a side found in place
+//! keeps its invalid-key rows: the probe matches none of them, so an inner
+//! join drops them there and a re-nesting join gives them `{}`.
 //!
 //! **Rank safety.** Skipping a shuffle skips a cluster collective, so every
 //! rank must skip the same ones. A placement therefore derives only from the
@@ -329,28 +322,20 @@ impl<'a> PartBuilder<'a> {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Placement {
     columns: Vec<String>,
-    total: bool,
 }
 
 impl Placement {
     /// Rows hashed by `columns`; `None` for an empty list (one partition
     /// holds everything, which no breaker is planned around).
-    fn hashed_by(columns: &[String], total: bool) -> Option<Placement> {
+    fn hashed_by(columns: &[String]) -> Option<Placement> {
         (!columns.is_empty()).then(|| Placement {
             columns: columns.to_vec(),
-            total,
         })
     }
 
     /// The columns the rows are hashed by, in hash order.
     pub fn columns(&self) -> &[String] {
         &self.columns
-    }
-
-    /// False when only rows whose placed lanes are all valid are covered
-    /// (the output of a left-outer shuffle join).
-    pub fn is_total(&self) -> bool {
-        self.total
     }
 
     /// The placement after a row-local transform under which input column
@@ -362,10 +347,7 @@ impl Placement {
             .iter()
             .map(|c| carry(c))
             .collect::<Option<_>>()?;
-        Some(Placement {
-            columns,
-            total: self.total,
-        })
+        Some(Placement { columns })
     }
 }
 
@@ -503,19 +485,18 @@ impl ColCollection {
 
     /// Books one shuffle answered in place under the operator's context
     /// `ctx` — rows hashed by `columns` stay where they are — and, in debug
-    /// builds, checks every row the claim covers (`every_row`: a grouping's;
-    /// otherwise rows with a valid key).
-    fn stays_in_place(&self, ctx: &DistContext, columns: &[String], every_row: bool) -> Result<()> {
+    /// builds, checks every row.
+    fn stays_in_place(&self, ctx: &DistContext, columns: &[String]) -> Result<()> {
         ctx.stats().record_shuffle_in_place();
         if cfg!(debug_assertions) {
-            self.assert_placed(columns, every_row)?;
+            self.assert_placed(columns)?;
         }
         Ok(())
     }
 
-    /// Panics unless `hash(columns) mod partitions == p` for every covered
-    /// row of every partition `p`.
-    fn assert_placed(&self, columns: &[String], every_row: bool) -> Result<()> {
+    /// Panics unless `hash(columns) mod partitions == p` for every row of
+    /// every partition `p`.
+    fn assert_placed(&self, columns: &[String]) -> Result<()> {
         let nparts = self.parts.len() as u64;
         for (p, part) in self.parts.iter().enumerate() {
             for chunk in part.chunks(&self.ctx)? {
@@ -523,7 +504,7 @@ impl ColCollection {
                 let keys = KeyCols::resolve(&chunk, columns).hashes();
                 for (i, h) in keys.hashes.iter().enumerate() {
                     assert!(
-                        h % nparts == p as u64 || !(every_row || keys.is_valid(i)),
+                        h % nparts == p as u64,
                         "a shuffle was skipped for rows claimed to be hashed by {columns:?}, \
                          but row {i} of partition {p} hashes to partition {}: {:?}",
                         h % nparts,
@@ -788,10 +769,10 @@ impl ColCollection {
         }
         let in_place = self
             .usable_placement()
-            .filter(|p| p.total && p.columns.iter().all(|c| key.contains(c)));
+            .filter(|p| p.columns.iter().all(|c| key.contains(c)));
         let (parts, placement) = match in_place {
             Some(p) => {
-                self.stays_in_place(&self.ctx, &p.columns, true)?;
+                self.stays_in_place(&self.ctx, &p.columns)?;
                 (parts, Some(p.clone()))
             }
             None => (
@@ -800,7 +781,7 @@ impl ColCollection {
                     &parts,
                     route_all_rows(place_by),
                 )?),
-                Placement::hashed_by(place_by, true),
+                Placement::hashed_by(place_by),
             ),
         };
         let parts = run_partitioned(&self.ctx, &parts, |_, part| {
@@ -837,8 +818,8 @@ impl ColCollection {
     /// Distributed equi-join following `spec`. Planning: a hinted strategy
     /// is taken as given; otherwise a side that fits under the cluster
     /// broadcast limit (by logical size) is replicated to every worker and
-    /// joined in place — the right side for outer joins, since only the
-    /// probe side may stay partitioned — and failing that both sides
+    /// joined in place — only the right side for a re-nesting join, whose
+    /// every left row must be probed once — and failing that both sides
     /// shuffle by key hash and each partition pair hash-joins.
     pub fn join(&self, right: &ColCollection, spec: &JoinSpec) -> Result<ColCollection> {
         let path = match spec.hint() {
@@ -1179,9 +1160,9 @@ fn enforce_memory_col(ctx: &DistContext, parts: &[ColPart]) -> Result<()> {
     Ok(())
 }
 
-/// Shuffle routing of a join side: rows hash by key, and only rows whose key
-/// is valid (no NULL or absent lane — such rows can never satisfy an
-/// equality) are shipped.
+/// Shuffle routing of an inner join's sides: rows hash by key, and only rows
+/// whose key is valid (no NULL or absent lane — such rows can never satisfy
+/// an equality) are shipped.
 fn route_valid_keys(cols: &[String]) -> impl Fn(&Batch) -> Result<KeyHashes> + Send + Sync + '_ {
     move |b| {
         tuple_rows_required(b)?;
@@ -1189,8 +1170,9 @@ fn route_valid_keys(cols: &[String]) -> impl Fn(&Batch) -> Result<KeyHashes> + S
     }
 }
 
-/// Shuffle routing of a grouping: every row ships, NULL standing in for a
-/// NULL or absent key lane (a stable stand-in is enough to route).
+/// Shuffle routing of a grouping and of a re-nesting join's sides: every row
+/// ships, NULL standing in for a NULL or absent key lane (a stable stand-in
+/// is enough to route).
 fn route_all_rows(cols: &[String]) -> impl Fn(&Batch) -> Result<KeyHashes> + Send + Sync + '_ {
     move |b| {
         Ok(KeyHashes {
@@ -1314,22 +1296,6 @@ fn shuffle_batches<F>(ctx: &DistContext, parts: &[ColPart], route: F) -> Result<
 where
     F: Fn(&Batch) -> Result<KeyHashes> + Send + Sync,
 {
-    Ok(shuffle_keeping(ctx, parts, route, false)?.0)
-}
-
-/// [`shuffle_batches`] that, with `keep_unrouted`, also hands back the rows
-/// `route`'s validity mask cleared — gathered by the routing pass that finds
-/// them, in (source partition, chunk, row) order — instead of dropping them:
-/// the left-outer join's unmatched rows.
-fn shuffle_keeping<F>(
-    ctx: &DistContext,
-    parts: &[ColPart],
-    route: F,
-    keep_unrouted: bool,
-) -> Result<(Vec<ColPart>, Vec<Batch>)>
-where
-    F: Fn(&Batch) -> Result<KeyHashes> + Send + Sync,
-{
     let nparts = ctx.config().partitions.max(1);
     let sources = run_partitioned(ctx, parts, |_, part| {
         // The shuffle-delivery injection point: a fault fails this source
@@ -1338,15 +1304,11 @@ where
         with_retry(ctx, || {
             ctx.fault_check(FaultSite::Shuffle)?;
             let mut routed: Vec<Routed> = Vec::new();
-            let mut unrouted: Vec<Batch> = Vec::new();
             let mut scratch = SelScratch::default();
             let (mut rows, mut logical, mut physical) = (0u64, 0u64, 0u64);
             for chunk in part.chunks(ctx)? {
                 let chunk = chunk?;
                 let keys = route(&chunk)?;
-                if let Some(valid) = keys.valid.as_ref().filter(|_| keep_unrouted) {
-                    unrouted.push(chunk.filter(&inverted(valid)));
-                }
                 let lists = RowLists::route(&keys, nparts, |h| h);
                 let mut logical_of = vec![0usize; nparts];
                 for (target, weight) in logical_of.iter_mut().enumerate() {
@@ -1365,18 +1327,16 @@ where
                     logical: logical_of,
                 });
             }
-            Ok((routed, unrouted, rows, logical, physical))
+            Ok((routed, rows, logical, physical))
         })
     })?;
     let (mut tuples, mut logical, mut physical) = (0u64, 0u64, 0u64);
     let mut routed: Vec<Vec<Routed>> = Vec::with_capacity(sources.len());
-    let mut unrouted: Vec<Batch> = Vec::new();
-    for (chunks, kept, t, l, p) in sources {
+    for (chunks, t, l, p) in sources {
         tuples += t;
         logical += l;
         physical += p;
         routed.push(chunks);
-        unrouted.extend(kept);
     }
     let (owned, remote) = match ctx.exchange() {
         Some(ex) => (
@@ -1415,7 +1375,7 @@ where
             arrivals
         })
         .collect();
-    let merged = run_partitioned(ctx, &arrivals, |_, arrivals| {
+    run_partitioned(ctx, &arrivals, |_, arrivals| {
         let total = || -> usize { arrivals.iter().map(Arrival::logical_bytes).sum() };
         if ctx.spill_active() && total() > part_budget(ctx) {
             let mut builder = PartBuilder::new(ctx);
@@ -1427,12 +1387,7 @@ where
         let selections: Vec<(&Batch, RowSel<'_>)> =
             arrivals.iter().map(|a| (a.batch, a.rows)).collect();
         Ok(ColPart::Mem(Batch::merge(&selections)))
-    })?;
-    Ok((merged, unrouted))
-}
-
-fn inverted(mask: &[bool]) -> Vec<bool> {
-    mask.iter().map(|b| !b).collect()
+    })
 }
 
 /// The chunks of one source partition that send rows to target `t`, numbered
@@ -1526,13 +1481,6 @@ fn exchange_remote(
 // unnest
 // ---------------------------------------------------------------------------
 
-fn rename_child(child: &Batch, alias: Option<&str>) -> Batch {
-    match alias {
-        Some(a) => child.rename_fields(|f| format!("{a}.{f}"), &format!("{a}.__value")),
-        None => child.rename_fields(|f| f.to_string(), "__value"),
-    }
-}
-
 /// Numbers the rows of one morsel of a sequential fused pipeline under `attr`
 /// — the batch-at-a-time kernel of id assignment (`AddIndex`): reserves the
 /// morsel's rows on `cx`'s counter `slot` and gives row `i` of the partition
@@ -1547,9 +1495,9 @@ pub fn unique_ids_batch(b: &Batch, attr: &str, cx: &mut MorselCtx, slot: usize) 
 /// Unnests (`µ`) a bag-valued attribute of one batch — the batch-at-a-time
 /// kernel the compiler's fused pipelines splice into a morsel closure. Parent
 /// columns are gathered by fan-out index, the bag column's child batch is
-/// spliced in (renamed to `alias.field` when an alias is given — a schema
-/// rewrite). A row whose bag is empty, NULL or absent yields no row.
-pub fn unnest_batch(b: &Batch, bag_attr: &str, alias: Option<&str>) -> Result<Batch> {
+/// spliced in, renamed to `alias.field` (a schema rewrite). A row whose bag
+/// is empty, NULL or absent yields no row.
+pub fn unnest_batch(b: &Batch, bag_attr: &str, alias: &str) -> Result<Batch> {
     tuple_rows_required(b)?;
     let parent_shape = b.without_column(bag_attr);
     let Some(col) = b.column(bag_attr) else {
@@ -1569,7 +1517,11 @@ pub fn unnest_batch(b: &Batch, bag_attr: &str, alias: Option<&str>) -> Result<Ba
             let parents = parent_shape.take(&parent_idx);
             let child = match elems {
                 crate::batch::BagElems::Rows(elem_batch) => {
-                    rename_child(elem_batch, alias).take(&child_idx)
+                    let renamed = |f: &str| format!("{alias}.{f}");
+                    let value_name = format!("{alias}.__value");
+                    elem_batch
+                        .rename_fields(renamed, &value_name)
+                        .take(&child_idx)
                 }
                 crate::batch::BagElems::Values(values) => {
                     // Mixed / non-tuple elements: fall back to per-element
@@ -1618,21 +1570,15 @@ pub fn unnest_batch(b: &Batch, bag_attr: &str, alias: Option<&str>) -> Result<Ba
 }
 
 /// Merges one flattened bag element into a row, renaming its fields to
-/// `alias.field` when an alias is present.
-fn merge_element_row(row: &mut Tuple, elem: &Value, alias: Option<&str>) {
-    match (elem, alias) {
-        (Value::Tuple(et), Some(alias)) => {
+/// `alias.field`.
+fn merge_element_row(row: &mut Tuple, elem: &Value, alias: &str) {
+    match elem {
+        Value::Tuple(et) => {
             for (f, v) in et.iter() {
                 row.set(format!("{alias}.{f}"), v.clone());
             }
         }
-        (Value::Tuple(et), None) => {
-            for (f, v) in et.iter() {
-                row.set(f.to_string(), v.clone());
-            }
-        }
-        (other, Some(alias)) => row.set(format!("{alias}.__value"), other.clone()),
-        (other, None) => row.set("__value".to_string(), other.clone()),
+        other => row.set(format!("{alias}.__value"), other.clone()),
     }
 }
 
@@ -1896,7 +1842,7 @@ fn join_impl_col(
         ColJoinPath::Auto => {
             if right.planning_bytes()? <= limit {
                 broadcast_right_col(left, right, spec, false)
-            } else if spec.kind() == JoinKind::Inner && left.planning_bytes()? <= limit {
+            } else if *spec.kind() == JoinKind::Inner && left.planning_bytes()? <= limit {
                 broadcast_left_col(left, right, spec)
             } else {
                 shuffle_join_col(left, right, spec, false)
@@ -1991,30 +1937,54 @@ impl<'a> BuildSide<'a> {
     }
 }
 
-/// Gathers one joined partition: matched pairs (and, for left-outer joins,
-/// unmatched left rows, the right side's attributes absent from them) in
-/// left-row order.
+/// Gathers one joined partition in left-row order: every matching pair of an
+/// inner join; every left row of a re-nesting join once, with its match's
+/// group.
 fn gather_joined(lbatch: &Batch, build: &BuildSide<'_>, spec: &JoinSpec) -> Result<Batch> {
     tuple_rows_required(lbatch)?;
     let lkeys = KeyCols::resolve(lbatch, spec.left_keys());
     let lhashes = lkeys.hashes();
-    let outer = spec.kind() == JoinKind::LeftOuter;
+    if let JoinKind::Renest { attr } = spec.kind() {
+        let matched: Vec<Option<usize>> = (0..lbatch.rows())
+            .map(|i| {
+                let mut first = None;
+                build.matches(&lkeys, &lhashes, i, |r| first = first.or(Some(r)));
+                first
+            })
+            .collect();
+        let groups = renested(build.batch.column(attr), &matched);
+        return Ok(lbatch.with_column(attr, Arc::new(groups)));
+    }
     let mut lidx: Vec<usize> = Vec::new();
-    let mut ridx: Vec<Option<usize>> = Vec::new();
+    let mut ridx: Vec<usize> = Vec::new();
     for i in 0..lbatch.rows() {
-        let before = ridx.len();
         build.matches(&lkeys, &lhashes, i, |r| {
             lidx.push(i);
-            ridx.push(Some(r));
+            ridx.push(r);
         });
-        if outer && ridx.len() == before {
-            lidx.push(i);
-            ridx.push(None);
-        }
     }
     let left_side = lbatch.take(&lidx);
-    let right_side = build.batch.take_opt(&ridx);
+    let right_side = build.batch.take(&ridx);
     Ok(left_side.merge_overwrite(&right_side))
+}
+
+/// A re-nesting join's bag column: lane `i` is row `matched[i]` of the right
+/// side's `group` column, `{}` where nothing matched. It is decided by the
+/// lanes, never by the right side's schema: a partition without rows may
+/// have no `group` column, or one that is not bag-typed.
+fn renested(group: Option<&Column>, matched: &[Option<usize>]) -> Column {
+    let unmatched: Vec<bool> = matched.iter().map(Option::is_none).collect();
+    if let Some(bags) = group.and_then(|g| g.gather(matched).coalesce_empty_bag(&unmatched)) {
+        return bags;
+    }
+    let slots: Vec<Value> = matched
+        .iter()
+        .map(|m| match m {
+            Some(r) => group.and_then(|g| g.value_at(*r)).unwrap_or(Value::Null),
+            None => Value::empty_bag(),
+        })
+        .collect();
+    Column::from_values(slots)
 }
 
 fn broadcast_right_col(
@@ -2118,12 +2088,9 @@ fn shuffle_join_col(
     } else {
         JoinStrategy::Shuffle
     });
-    // Left rows with NULL/missing keys can never match: inner joins drop
-    // them, outer joins emit them unmatched without shuffling them at all.
-    let outer = spec.kind() == JoinKind::LeftOuter;
-    let (lparts, unmatched) = join_side(&ctx, left, spec.left_keys(), outer)?;
-    let (rparts, _) = join_side(&ctx, right, spec.right_keys(), false)?;
-    let mut parts = run_partitioned(&ctx, &lparts, |p, lpart| {
+    let lparts = join_side(&ctx, left, spec.left_keys(), spec)?;
+    let rparts = join_side(&ctx, right, spec.right_keys(), spec)?;
+    let parts = run_partitioned(&ctx, &lparts, |p, lpart| {
         let rpart = &rparts[p];
         if ctx.spill_active() && lpart.logical_bytes() + rpart.logical_bytes() > op_budget(&ctx) {
             return grace_join_partition(&ctx, lpart, rpart, spec);
@@ -2136,91 +2103,40 @@ fn shuffle_join_col(
         }
         builder.finish()
     })?;
-    if !unmatched.is_empty() {
-        // Unmatched as they are: the right side's attributes are absent.
-        let unmatched = Batch::concat(&unmatched);
-        match parts.first_mut() {
-            Some(ColPart::Mem(first)) => {
-                *first = Batch::concat(&[std::mem::take(first), unmatched]);
-            }
-            Some(slot) => {
-                let mut builder = PartBuilder::new(&ctx);
-                for chunk in slot.chunks(&ctx)? {
-                    builder.push(chunk?)?;
-                }
-                builder.push(unmatched)?;
-                *slot = builder.finish()?;
-            }
-            None => parts.push(ColPart::Mem(unmatched)),
-        }
-    }
     Ok(ColCollection::materialize_parts(ctx, parts)?.with_placement(joined_placement(spec)))
 }
 
-/// Where a shuffle join leaves its output: hashed by the left key — for
-/// valid rows only when it is left-outer, whose invalid-key rows are parked.
-/// The right side's attributes overwrite the left's of the same name, so the
-/// claim stands only where no right attribute can change a key column: a key
-/// column's namesake must be the matching right key (equal on a match, absent
-/// otherwise). Decided from the spec alone, never from the schemas a rank
-/// happens to see.
+/// Where a shuffle join leaves its output: hashed by the left key, unless the
+/// join can change a key column. An inner join lays the whole right row over
+/// the left one, so a key column's namesake must be the matching right key
+/// (equal on a match); a re-nesting join sets `attr` alone. Decided from the
+/// spec alone, never from the schemas a rank happens to see.
 fn joined_placement(spec: &JoinSpec) -> Option<Placement> {
-    if spec.left_keys() != spec.right_keys() {
-        return None;
-    }
-    Placement::hashed_by(spec.left_keys(), spec.kind() == JoinKind::Inner)
+    let keeps_keys = match spec.kind() {
+        JoinKind::Inner => spec.left_keys() == spec.right_keys(),
+        JoinKind::Renest { attr } => !spec.left_keys().contains(attr),
+    };
+    keeps_keys.then(|| Placement::hashed_by(spec.left_keys()))?
 }
 
 /// One side of a shuffle join where the join needs it: partitioned by the
-/// hash of `keys`, without the rows whose key has a NULL or absent lane —
-/// which come back separately, in (partition, chunk, row) order, when
-/// `keep_invalid` asks for them. A side already placed by `keys` is not
-/// shuffled: its partitions pass through as they are, and one whose bitmaps
-/// show an invalid key is filtered the way the routing pass would have.
+/// hash of `keys`. An inner join ships only the rows whose key is valid; a
+/// re-nesting join ships every row. A side already placed by `keys` is not
+/// shuffled: its partitions pass through as they are.
 fn join_side(
     ctx: &DistContext,
     side: &ColCollection,
     keys: &[String],
-    keep_invalid: bool,
-) -> Result<(Vec<ColPart>, Vec<Batch>)> {
-    let in_place = side.usable_placement().is_some_and(|p| p.columns == keys);
-    if !in_place {
-        return shuffle_keeping(ctx, &side.parts, route_valid_keys(keys), keep_invalid);
+    spec: &JoinSpec,
+) -> Result<Vec<ColPart>> {
+    if side.usable_placement().is_some_and(|p| p.columns == keys) {
+        side.stays_in_place(ctx, keys)?;
+        return Ok(side.parts.to_vec());
     }
-    side.stays_in_place(ctx, keys, false)?;
-    let invalid_rows = |b: &Batch| -> Result<Option<Vec<bool>>> {
-        tuple_rows_required(b)?;
-        Ok(KeyCols::resolve(b, keys).invalid_rows())
-    };
-    let passed = run_partitioned(ctx, &side.parts, |_, part| {
-        let mut clean = true;
-        for chunk in part.chunks(ctx)? {
-            if invalid_rows(&chunk?)?.is_some() {
-                clean = false;
-                break;
-            }
-        }
-        if clean {
-            return Ok((part.clone(), Vec::new()));
-        }
-        let mut builder = PartBuilder::new(ctx);
-        let mut invalid: Vec<Batch> = Vec::new();
-        for chunk in part.chunks(ctx)? {
-            let b = chunk?;
-            match invalid_rows(&b)? {
-                None => builder.push(b)?,
-                Some(mask) => {
-                    builder.push(b.filter(&inverted(&mask)))?;
-                    if keep_invalid {
-                        invalid.push(b.filter(&mask));
-                    }
-                }
-            }
-        }
-        Ok((builder.finish()?, invalid))
-    })?;
-    let (parts, invalid): (Vec<ColPart>, Vec<Vec<Batch>>) = passed.into_iter().unzip();
-    Ok((parts, invalid.into_iter().flatten().collect()))
+    match spec.kind() {
+        JoinKind::Inner => shuffle_batches(ctx, &side.parts, route_valid_keys(keys)),
+        JoinKind::Renest { .. } => shuffle_batches(ctx, &side.parts, route_all_rows(keys)),
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -2618,31 +2534,32 @@ mod tests {
         assert!(resident.rows() > 0);
         parts[2] = ColPart::Spilled(Arc::new(spill_batch(ctx, &resident).unwrap()));
         let plain = ColCollection::from_col_parts(ctx.clone(), parts);
-        let known = plain
-            .clone()
-            .with_placement(Placement::hashed_by(&placed, true));
+        let known = plain.clone().with_placement(Placement::hashed_by(&placed));
         ctx.stats().reset();
         (known, plain)
     }
 
     /// The right side of the test joins: one row per key — as a grouping
-    /// leaves it — plus a NULL and an absent key per partition, the key under
-    /// the name the left side has it under (the shape of the plan's id
-    /// joins, and the one whose output stays placed).
+    /// leaves it, `rss` its group — plus a NULL and an absent key per
+    /// partition, the key under the name the left side has it under (the
+    /// shape of the plan's id joins, and the one whose output stays placed).
     fn right_sources() -> Vec<Batch> {
+        let row = |k: Option<Value>, rs: String| {
+            let group = Value::bag(vec![Value::tuple([("rs", Value::str(rs.clone()))])]);
+            let mut t = Tuple::new([("rs", Value::str(rs)), ("rss", group)]);
+            if let Some(k) = k {
+                t.set("k", k);
+            }
+            Value::Tuple(t)
+        };
         (0..6)
             .map(|p| {
                 let mut rows: Vec<Value> = (0..101)
                     .filter(|k| k % 6 == p)
-                    .map(|k| {
-                        Value::tuple([("k", Value::Int(k)), ("rs", Value::str(format!("r-{k}")))])
-                    })
+                    .map(|k| row(Some(Value::Int(k)), format!("r-{k}")))
                     .collect();
-                rows.push(Value::tuple([
-                    ("k", Value::Null),
-                    ("rs", Value::str("null")),
-                ]));
-                rows.push(Value::tuple([("rs", Value::str("absent"))]));
+                rows.push(row(Some(Value::Null), "null".into()));
+                rows.push(row(None, "absent".into()));
                 Batch::from_rows(&rows)
             })
             .collect()
@@ -2757,20 +2674,20 @@ mod tests {
         let ctx = roomy();
         let (left, left_plain) = placed_and_not(&ctx, keyed_sources(700), &["k"]);
         let (right, right_plain) = placed_and_not(&ctx, right_sources(), &["k"]);
+        let rows = |c: &ColCollection| rows_per_partition(c).concat();
         let invalid = |c: &ColCollection, col: &str| -> usize {
-            rows_per_partition(c)
+            rows(c)
                 .iter()
-                .flatten()
                 .filter(|r| matches!(r.as_tuple().unwrap().get(col), None | Some(Value::Null)))
                 .count()
         };
         assert!(invalid(&left, "k") > 0 && invalid(&right, "k") > 0);
-        for kind in [JoinKind::Inner, JoinKind::LeftOuter] {
-            let spec = match kind {
-                JoinKind::Inner => JoinSpec::inner(&["k"], &["k"]),
-                JoinKind::LeftOuter => JoinSpec::left_outer(&["k"], &["k"]),
-            }
-            .with_hint(JoinHint::Shuffle);
+        for spec in [
+            JoinSpec::inner(&["k"], &["k"]),
+            JoinSpec::renest(&["k"], &["k"], "rss"),
+        ] {
+            let spec = spec.with_hint(JoinHint::Shuffle);
+            let renest = *spec.kind() != JoinKind::Inner;
             let both = assert_same_in_place(&ctx, "both sides", 2, false, |placed| {
                 if placed {
                     left.join(&right, &spec)
@@ -2786,25 +2703,26 @@ mod tests {
                 let r = if placed { &right } else { &right_plain };
                 left_plain.join(r, &spec)
             });
-            // The output sits by the left key: every row for the inner join,
-            // rows with a valid key for the outer one — whose invalid-key
-            // left rows are parked, unmatched, in the first partition.
+            // The inner join drops the invalid-key rows; the re-nesting join
+            // keeps every left row once, `{}` where nothing matched.
+            let kept = if renest { invalid(&left, "k") } else { 0 };
+            assert_eq!(invalid(&both, "k"), kept);
+            if renest {
+                assert_eq!(rows(&both).len(), rows(&left).len());
+                let empty = rows(&both)
+                    .iter()
+                    .filter(|r| r.as_tuple().unwrap().get("rss") == Some(&Value::empty_bag()))
+                    .count();
+                assert!(
+                    empty >= kept,
+                    "{empty} empty groups for {kept} invalid keys"
+                );
+            }
+            // Either way the output sits by the left key, every row of it, so
+            // a join side and a grouping both find it in place.
             let placed = both.placement().unwrap();
             assert_eq!(placed.columns(), names(&["k"]));
-            assert_eq!(placed.is_total(), kind == JoinKind::Inner);
-            let parked = if kind == JoinKind::Inner {
-                0
-            } else {
-                invalid(&left, "k")
-            };
-            assert_eq!(invalid(&both, "k"), parked);
-            let first = &rows_per_partition(&both)[0];
-            let tail = &first[first.len() - parked..];
-            assert!(tail
-                .iter()
-                .all(|r| matches!(r.as_tuple().unwrap().get("k"), None | Some(Value::Null))));
-            // A join side may consume the outer join's valid-rows-only
-            // placement, a grouping may not.
+            both.assert_placed(placed.columns()).unwrap();
             let again = assert_same_in_place(&ctx, "joined again", 2, false, |placed| {
                 let l = if placed {
                     both.clone()
@@ -2814,11 +2732,10 @@ mod tests {
                 let r = if placed { &right } else { &right_plain };
                 l.join(r, &spec)
             });
-            assert_eq!(invalid(&again, "k"), parked);
+            assert_eq!(invalid(&again, "k"), kept);
             ctx.stats().reset();
             both.nest_bag(&names(&["k"]), &names(&["s"]), "g").unwrap();
-            let in_place = ctx.stats().snapshot().shuffles_in_place;
-            assert_eq!(in_place, u64::from(kind == JoinKind::Inner));
+            assert_eq!(ctx.stats().snapshot().shuffles_in_place, 1);
         }
     }
 
@@ -2834,6 +2751,12 @@ mod tests {
         assert_eq!(placed(JoinSpec::inner(&["a"], &["b"])), None);
         assert_eq!(placed(JoinSpec::inner(&["a", "b"], &["a", "c"])), None);
         assert_eq!(placed(JoinSpec::inner(&[], &[])), None);
+        // A re-nesting join sets its bag alone: placed unless the bag takes
+        // a key column's name.
+        let renest = JoinSpec::renest;
+        assert_eq!(placed(renest(&["id"], &["id"], "g")), Some(names(&["id"])));
+        assert_eq!(placed(renest(&["a"], &["label"], "g")), Some(names(&["a"])));
+        assert_eq!(placed(renest(&["a"], &["label"], "a")), None);
     }
 
     #[test]
@@ -2890,16 +2813,17 @@ mod tests {
                 });
                 ColCollection::from_parts(ctx.clone(), parts.collect())
             };
-            let spec = JoinSpec::left_outer(&["k"], &["k"]).with_hint(JoinHint::Shuffle);
+            let spec = JoinSpec::renest(&["k"], &["k"], "rss").with_hint(JoinHint::Shuffle);
             let grouped = local(&rights)
                 .nest_bag_placed(&names(&["k", "rs"]), &[], "none", &names(&["k"]))
                 .unwrap()
                 .nest_bag(&names(&["k"]), &names(&["rs"]), "rss")
                 .unwrap();
             let joined = local(&sources).join(&grouped, &spec).unwrap();
-            // Left side in place (valid rows only), right side in place.
+            // Left side in place, right side in place.
             let twice = joined.join(&grouped, &spec).unwrap();
-            // The outer join's output covers valid keys only: this shuffles.
+            // Every row of the output is placed, NULL and absent keys
+            // included: the grouping stays in place too.
             let regrouped = twice
                 .nest_bag(&names(&["k"]), &names(&["s", "v"]), "g")
                 .unwrap();
@@ -2911,8 +2835,9 @@ mod tests {
         let canonical = |rows: Vec<Value>| trance_nrc::canonical_rows(&Bag::new(rows));
         let config = ClusterConfig::new(2, 6);
         let (want, single) = run(&DistContext::new(config.clone()), 0..6);
-        // nest_bag, right side of both joins, left side of the second.
-        assert_eq!(single.shuffles_in_place, 4);
+        // nest_bag, right side of both joins, left side of the second, the
+        // regrouping.
+        assert_eq!(single.shuffles_in_place, 5);
         let ranks = 3;
         let per_rank: Vec<(Vec<Value>, crate::StatsSnapshot)> = std::thread::scope(|s| {
             let handles: Vec<_> = MemMesh::cluster(ranks)

@@ -2,14 +2,21 @@
 //! [`crate::ColCollection::skew_join`] are asked to compute — key columns,
 //! join kind and the planner's strategy hint.
 
-/// Inner or left-outer equi-join.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Inner or re-nesting equi-join.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum JoinKind {
-    /// Emit only matching pairs.
+    /// Emit every matching pair: the left row with the whole right row laid
+    /// over it.
     Inner,
-    /// Additionally emit unmatched left rows; the right side's attributes
-    /// are absent from them.
-    LeftOuter,
+    /// Re-nest: every left row comes out exactly once, with `attr` set to
+    /// the matching right row's `attr`; a left row nothing matches — NULL and
+    /// absent keys included — gets `{}`. No other right attribute surfaces.
+    /// The right side is a `Γ⊎` by construction, so a key matches at most
+    /// once.
+    Renest {
+        /// The bag-valued attribute set on every left row.
+        attr: String,
+    },
 }
 
 /// A physical strategy requested by the planner for one join execution.
@@ -31,8 +38,7 @@ pub enum JoinHint {
 }
 
 /// Specification of a distributed equi-join: key columns on each side, the
-/// join kind and the planner's strategy hint. The output row is the left row
-/// with the whole right row laid over it.
+/// join kind and the planner's strategy hint.
 #[derive(Debug, Clone)]
 pub struct JoinSpec {
     left_keys: Vec<String>,
@@ -52,10 +58,13 @@ impl JoinSpec {
         }
     }
 
-    /// A left-outer equi-join on `left_keys` = `right_keys` (positionally).
-    pub fn left_outer(left_keys: &[&str], right_keys: &[&str]) -> JoinSpec {
+    /// A re-nesting join on `left_keys` = `right_keys` (positionally) that
+    /// sets `attr` on every left row (see [`JoinKind::Renest`]).
+    pub fn renest(left_keys: &[&str], right_keys: &[&str], attr: &str) -> JoinSpec {
         JoinSpec {
-            kind: JoinKind::LeftOuter,
+            kind: JoinKind::Renest {
+                attr: attr.to_string(),
+            },
             ..JoinSpec::inner(left_keys, right_keys)
         }
     }
@@ -71,8 +80,8 @@ impl JoinSpec {
     }
 
     /// The join kind.
-    pub fn kind(&self) -> JoinKind {
-        self.kind
+    pub fn kind(&self) -> &JoinKind {
+        &self.kind
     }
 
     /// Requests a physical strategy chosen by the planner instead of the

@@ -231,20 +231,6 @@ impl<'a> KeyCols<'a> {
         self.cols.iter().all(|col| lane(*col, i).is_valid())
     }
 
-    /// Marks the rows with a NULL or absent key lane; `None` when there are
-    /// none, decided from the columns' validity bitmaps without a row scan.
-    pub(crate) fn invalid_rows(&self) -> Option<Vec<bool>> {
-        if self.rows == 0
-            || self
-                .cols
-                .iter()
-                .all(|col| col.is_some_and(Column::all_valid))
-        {
-            return None;
-        }
-        Some((0..self.rows).map(|i| !self.row_valid(i)).collect())
-    }
-
     /// Hashes every row. Single-column keys (the planned shape of every
     /// benchmark join and most groupings) run dense loops over the typed
     /// buffer, strings hashing once per dictionary entry; multi-column keys

@@ -313,28 +313,33 @@ fn skew_join_on_zipf_input_equals_nested_loop_join() {
 }
 
 #[test]
-fn skew_left_outer_join_preserves_unmatched_rows() {
-    // Dimension covers only half the keys; unmatched facts must survive as
-    // they are — the right side's attributes absent — identically on both
-    // paths.
-    let facts = skewed_rows(2000, 20, 0.5);
-    let dims = dim_rows(10);
+fn skew_renest_join_gives_unmatched_rows_the_empty_bag() {
+    // The groups cover only half the keys, and some facts have a NULL or no
+    // key at all: every fact comes out once, its group or `{}` under
+    // `names`, identically on both paths.
+    let mut facts = skewed_rows(2000, 20, 0.5);
+    facts.push(Value::tuple([("k", Value::Null), ("v", Value::Int(-1))]));
+    facts.push(Value::tuple([("v", Value::Int(-2))]));
     let expected: Bag = facts
         .iter()
         .map(|f| {
             let mut t = f.as_tuple().unwrap().clone();
-            let k = t.get("k").unwrap().as_int().unwrap();
-            if k < 10 {
-                t.set("dk", Value::Int(k));
-                t.set("name", Value::str(format!("key{k}")));
-            }
+            let names = match t.get("k") {
+                Some(Value::Int(k)) if *k < 10 => {
+                    vec![Value::tuple([("name", Value::str(format!("key{k}")))])]
+                }
+                _ => Vec::new(),
+            };
+            t.set("names", Value::bag(names));
             Value::Tuple(t)
         })
         .collect();
     let ctx = DistContext::new(ClusterConfig::new(3, 8).with_broadcast_limit(8 * 1024));
     let left = load(&ctx, facts);
-    let right = load(&ctx, dims);
-    let spec = JoinSpec::left_outer(&["k"], &["dk"]);
+    let right = load(&ctx, dim_rows(10))
+        .nest_bag(&["dk".into()], &["name".into()], "names")
+        .unwrap();
+    let spec = JoinSpec::renest(&["k"], &["dk"], "names");
     let standard = left.join(&right, &spec).unwrap();
     let skewed = left.skew_join(&right, &spec).unwrap();
     assert!(ctx.stats().snapshot().skew_broadcast_joins >= 1);

@@ -170,14 +170,14 @@ fn fused_unnest_kernel_matches_staged_unnest() {
     )
     .unwrap();
     let staged = data
-        .map_batches("flat_map", |b| unnest_batch(b, "items", Some("it")))
+        .map_batches("flat_map", |b| unnest_batch(b, "items", "it"))
         .unwrap();
     let fused = data
         .run_pipeline(
             "pipeline[unnest]",
             &["unnest".to_string()],
             false,
-            |b, _| unnest_batch(b, "items", Some("it")),
+            |b, _| unnest_batch(b, "items", "it"),
         )
         .unwrap();
     let staged_rows: Vec<Vec<Value>> = staged

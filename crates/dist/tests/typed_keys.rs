@@ -2,11 +2,12 @@
 //! (`ColCollection`) must equal the `Value` definition written out here on
 //! join keys that are equal only under `Value::cmp` (Int vs Real, NaN, signed zero), on `i64` keys whose
 //! hashes collide, on NULL vs absent grouping keys, on empty and all-absent
-//! key columns, on mixed Int/Real sums, and on `sumBy` overflow.
+//! key columns, on mixed Int/Real sums, and on `sumBy` overflow — and the
+//! re-nesting join equal to its definition on every path the engine takes.
 
 use trance_dist::{ClusterConfig, ColCollection, DistContext, ExecError, JoinHint, JoinSpec};
 use trance_nrc::builder::{sum_by, var};
-use trance_nrc::{eval, Env, Label, NrcError, Tuple, Value};
+use trance_nrc::{canonical_rows, eval, Bag, Env, Label, NrcError, Tuple, Value};
 
 const BIG: i64 = 1 << 53;
 
@@ -38,50 +39,75 @@ fn columnar(ctx: &DistContext, rows: &[Value]) -> ColCollection {
     ColCollection::ingest(&ctx.parallelize(rows.to_vec()), &[]).unwrap()
 }
 
-/// The `Value` definition of an equi-join on `k = dk`: NULL and absent keys
-/// never match, everything else matches under `Value`'s equality.
-fn join_definition(left: &[Value], right: &[Value], outer: bool) -> Vec<Value> {
+/// Whether left row `l` and right row `r` match on `k = dk`: NULL and absent
+/// keys never match, everything else matches under `Value`'s equality.
+fn matches(l: &Value, r: &Value) -> bool {
+    let (lt, rt) = (l.as_tuple().unwrap(), r.as_tuple().unwrap());
+    match (lt.get("k"), rt.get("dk")) {
+        (Some(a), Some(b)) => *a != Value::Null && a == b,
+        _ => false,
+    }
+}
+
+/// The `Value` definition of the inner equi-join on `k = dk`.
+fn join_definition(left: &[Value], right: &[Value]) -> Vec<Value> {
     let mut out = Vec::new();
     for l in left {
-        let lt = l.as_tuple().unwrap();
-        let mut matched = false;
-        for r in right {
+        for r in right.iter().filter(|r| matches(l, r)) {
             let rt = r.as_tuple().unwrap();
-            if let (Some(a), Some(b)) = (lt.get("k"), rt.get("dk")) {
-                if *a != Value::Null && a == b {
-                    out.push(Value::Tuple(lt.concat(rt)));
-                    matched = true;
-                }
-            }
-        }
-        if outer && !matched {
-            out.push(l.clone());
+            out.push(Value::Tuple(l.as_tuple().unwrap().concat(rt)));
         }
     }
     sorted(out)
+}
+
+/// The `Value` definition of the re-nesting join on `k = dk` of `left` and
+/// `right` grouped by `dk`: every left row once, `g` the bag of the
+/// `dk_id`s of the right rows it matches — `{}` when there are none.
+fn renest_definition(left: &[Value], right: &[Value]) -> Vec<Value> {
+    let rows = left.iter().map(|l| {
+        let group = right.iter().filter(|r| matches(l, r)).map(|r| {
+            let id = r.as_tuple().unwrap().get("dk_id").unwrap().clone();
+            Value::tuple([("dk_id", id)])
+        });
+        let mut t = l.as_tuple().unwrap().clone();
+        t.set("g", Value::bag(group.collect()));
+        Value::Tuple(t)
+    });
+    canonical_rows(&Bag::new(rows.collect()))
+}
+
+/// `right` grouped by `dk` into `g`, as the plans' `Γ⊎` leaves the right
+/// side of every re-nesting join.
+fn grouped(right: &ColCollection) -> ColCollection {
+    let (key, values) = (["dk".to_string()], ["dk_id".to_string()]);
+    right.nest_bag(&key, &values, "g").unwrap()
 }
 
 fn assert_joins_agree(name: &str, left_keys: &[Option<Value>], right_keys: &[Option<Value>]) {
     let ctx = ctx();
     let left = rows_of("k", left_keys);
     let right = rows_of("dk", right_keys);
-    for outer in [false, true] {
-        let want = join_definition(&left, &right, outer);
-        for hint in [JoinHint::Shuffle, JoinHint::BroadcastRight] {
-            let spec = if outer {
-                JoinSpec::left_outer(&["k"], &["dk"])
-            } else {
-                JoinSpec::inner(&["k"], &["dk"])
-            }
-            .with_hint(hint);
-            let typed = columnar(&ctx, &left)
-                .join(&columnar(&ctx, &right), &spec)
-                .unwrap()
-                .collect_bag()
-                .unwrap();
-            let case = format!("{name}, outer={outer}, {hint:?}");
-            assert_eq!(sorted(typed.into_items()), want, "typed path, {case}");
-        }
+    for hint in [JoinHint::Shuffle, JoinHint::BroadcastRight] {
+        let spec = JoinSpec::inner(&["k"], &["dk"]).with_hint(hint);
+        let typed = columnar(&ctx, &left)
+            .join(&columnar(&ctx, &right), &spec)
+            .unwrap()
+            .collect_bag()
+            .unwrap();
+        let case = format!("{name}, inner, {hint:?}");
+        let want = join_definition(&left, &right);
+        assert_eq!(sorted(typed.into_items()), want, "typed path, {case}");
+
+        let spec = JoinSpec::renest(&["k"], &["dk"], "g").with_hint(hint);
+        let typed = columnar(&ctx, &left)
+            .join(&grouped(&columnar(&ctx, &right)), &spec)
+            .unwrap()
+            .collect_bag()
+            .unwrap();
+        let case = format!("{name}, renest, {hint:?}");
+        let want = renest_definition(&left, &right);
+        assert_eq!(canonical_rows(&typed), want, "typed path, {case}");
     }
 }
 
@@ -163,6 +189,65 @@ fn join_keys_follow_value_equality_not_hash_equality() {
     );
     assert_joins_agree("empty sides", &[], &[int(1)]);
     assert_joins_agree("all-absent key column", &[None, None], &[int(1), None]);
+}
+
+/// The law of the re-nesting join, held on every path the engine can take:
+/// both sides in place, shuffled, the right side broadcast, skew-aware with
+/// a heavy key, and Grace-style under a memory cap. The left side has NULL
+/// and absent keys; the right side has groups for a few keys only, so some
+/// of its partitions hold no rows; and a right side with no rows at all
+/// gives every left row `{}`.
+#[test]
+fn renest_equals_its_definition_on_every_path() {
+    // Key 1 owns half of the left rows, keys 2..=10 the rest; one row in ten
+    // has a NULL or no key.
+    let keys: Vec<Option<Value>> = (0..400)
+        .map(|i| match i % 20 {
+            0 => Some(Value::Null),
+            10 => None,
+            _ if i % 2 == 0 => int(1),
+            _ => int(2 + i % 9),
+        })
+        .collect();
+    let left_rows = rows_of("k", &keys);
+    let right_rows = rows_of("dk", &[int(1), int(3), int(3), Some(Value::Null), int(40)]);
+    let spec = JoinSpec::renest(&["k"], &["dk"], "g");
+    let check = |path: &str, ctx: &DistContext, left: &ColCollection, right: &[Value]| {
+        let grouped = grouped(&columnar(ctx, right));
+        ctx.stats().reset();
+        let got = match path {
+            "skew" => left.skew_join(&grouped, &spec),
+            "broadcast" => left.join(&grouped, &spec.clone().with_hint(JoinHint::BroadcastRight)),
+            _ => left.join(&grouped, &spec.clone().with_hint(JoinHint::Shuffle)),
+        };
+        let got = got.unwrap().collect_bag().unwrap();
+        let left = left.collect_bag().unwrap().into_items();
+        let want = renest_definition(&left, right);
+        assert_eq!(canonical_rows(&got), want, "{path}");
+        ctx.stats().snapshot()
+    };
+    let ctx = DistContext::new(ClusterConfig::new(2, 4).with_broadcast_limit(1 << 20));
+    let left = columnar(&ctx, &left_rows);
+    for right in [&right_rows[..], &[]] {
+        check("shuffle", &ctx, &left, right);
+        check("broadcast", &ctx, &left, right);
+        let stats = check("skew", &ctx, &left, right);
+        assert_eq!(stats.skew_broadcast_joins, 1, "key 1 is heavy");
+        // Placed by its key the way a grouping leaves it, every row — the
+        // invalid-key ones included — where the join would send it.
+        let (key, place_by) = (strings(&["k", "k_id"]), strings(&["k"]));
+        let placed = left.nest_bag_placed(&key, &[], "none", &place_by).unwrap();
+        let stats = check("in place", &ctx, &placed, right);
+        assert_eq!((stats.shuffles_in_place, stats.shuffled_bytes), (2, 0));
+    }
+    let capped = DistContext::new(
+        ClusterConfig::new(2, 4)
+            .with_broadcast_limit(64)
+            .with_worker_memory(2048)
+            .with_spill(),
+    );
+    let left = columnar(&capped, &left_rows);
+    assert!(check("grace", &capped, &left, &right_rows).spill_files > 0);
 }
 
 /// The `Value` definition of `Γ+`: group by the projected key tuple (a NULL

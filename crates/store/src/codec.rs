@@ -3,9 +3,8 @@
 //!
 //! Frames are written through a [`ByteWriter`] and decoded through a
 //! [`ByteReader`]; anything that can cross the memory/disk boundary
-//! implements [`Spillable`]. Row chunks (`Vec<Value>`) are encoded here; the
-//! columnar batch layout is encoded by `trance-dist` (which owns the batch
-//! type) on top of the same primitives.
+//! implements [`Spillable`]. The columnar batch layout is encoded by
+//! `trance-dist` (which owns the batch type) on top of these primitives.
 //!
 //! Every length written into a frame goes through [`ByteWriter::len_u32`]:
 //! a collection too large for the `u32` length prefix fails with a typed
@@ -327,26 +326,6 @@ pub fn decode_value(r: &mut ByteReader<'_>) -> io::Result<Value> {
     })
 }
 
-/// Row chunks spill as a count followed by the encoded rows.
-impl Spillable for Vec<Value> {
-    fn encode(&self, w: &mut ByteWriter) -> io::Result<()> {
-        w.len_u32(self.len(), "row chunk")?;
-        for v in self {
-            encode_value(v, w)?;
-        }
-        Ok(())
-    }
-
-    fn decode(r: &mut ByteReader<'_>) -> io::Result<Vec<Value>> {
-        let n = r.u32()? as usize;
-        let mut out = Vec::with_capacity(r.bounded_capacity(n));
-        for _ in 0..n {
-            out.push(decode_value(r)?);
-        }
-        Ok(out)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -388,16 +367,6 @@ mod tests {
                 _ => assert_eq!(*v, back),
             }
         }
-    }
-
-    #[test]
-    fn row_chunks_round_trip() {
-        let rows = vec![Value::Int(1), Value::str("x"), Value::Null];
-        let mut w = ByteWriter::new();
-        rows.encode(&mut w).unwrap();
-        let bytes = w.into_bytes();
-        let back = Vec::<Value>::decode(&mut ByteReader::new(&bytes)).unwrap();
-        assert_eq!(rows, back);
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //!
 //! * **Spill files** ([`SpillFile`] / [`SpillHandle`] / [`SpillReader`]) —
 //!   length-prefixed binary frames on disk. A frame is one encoded chunk
-//!   (`trance-dist` encodes columnar `Batch` chunks and row-value chunks
-//!   through the [`Spillable`] trait); the reader streams frames back one at
+//!   (`trance-dist` encodes columnar `Batch` chunks through the
+//!   [`Spillable`] trait); the reader streams frames back one at
 //!   a time, so a spilled partition is never materialized wholesale just to
 //!   be scanned. Every handle deletes its file on drop, and every file lives
 //!   inside a scoped [`SpillManager`] directory that is removed when the run's
@@ -35,7 +35,7 @@
 #![warn(missing_docs)]
 // I/O paths must surface typed errors, never panic: a corrupt or truncated
 // spill file is a recoverable fault, not a bug. Tests may still unwrap.
-#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod codec;
 pub mod file;

@@ -11,6 +11,7 @@
 //! top-level tuples shrinks as depth grows.
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod generator;
 pub mod queries;
