@@ -320,14 +320,15 @@ fn groupings_are_placed_for_their_consumers_and_those_shuffles_do_not_run() {
     );
 }
 
-/// Figure 9 on the small dataset: every step of the biomedical pipeline, fed
-/// the previous step's output in the form that step produced it, equals
-/// `nrc::eval` of the step over the reference's own intermediate — under
-/// STANDARD (nested collections handed on), SHRED (each step reads the
-/// dictionaries the previous one wrote) and SHRED+UNSHRED.
+/// Figure 9 on the full dataset at half scale (the one the byte pin below
+/// builds): every step of the biomedical pipeline, fed the previous step's
+/// output in the form that step produced it, equals `nrc::eval` of the step
+/// over the reference's own intermediate — under STANDARD (nested
+/// collections handed on), SHRED (each step reads the dictionaries the
+/// previous one wrote) and SHRED+UNSHRED.
 #[test]
 fn every_step_of_the_biomedical_pipeline_equals_its_reference() {
-    let config = BiomedConfig::small().scaled(0.3);
+    let config = BiomedConfig::full().scaled(0.5);
     let data = trance_biomed::generate(&config);
     let mut env = Env::from_bindings([
         ("Occurrences", Value::Bag(data.occurrences)),

@@ -21,6 +21,8 @@
 //! | 5    | type error                                |
 //! | 6    | execution failure (memory cap, faults)    |
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use std::process::ExitCode;
 
 use trance_compiler::{
@@ -427,11 +429,10 @@ fn run(opts: &Options) -> Result<(), CliError> {
 
     let ctx = DistContext::new(cluster_config(opts)?);
     let mut inputs = InputSet::new(ctx);
-    for t in &tables {
+    for (t, (_, structure)) in tables.iter().zip(&structures) {
         if !used.contains(&t.name) {
             continue;
         }
-        let structure = &structures.iter().find(|(n, _)| n == &t.name).unwrap().1;
         let loaded = if structure.children.is_empty() {
             inputs.add_flat(&t.name, t.rows.clone())
         } else {

@@ -180,27 +180,6 @@ fn line_items(rows: i64) -> Value {
     Value::bag((0..rows).map(item).collect())
 }
 
-/// What `for l in L union {<lk := l.lk, qty := l.qty, parts := for p in Part
-/// if p.pid == l.pid union {<pname := p.pname, price := p.price>}>}` is over
-/// [`line_items`]: each item nests the one part it references. Written out
-/// because `nrc::eval` clones its environment, the whole of `L` included, at
-/// every inner `for`.
-fn line_item_parts(rows: i64) -> Bag {
-    let nested = |i: i64| {
-        let pid = i % 7;
-        let part = Value::tuple([
-            ("pname", Value::str(format!("part{pid}"))),
-            ("price", Value::Real(0.5 + pid as f64)),
-        ]);
-        Value::tuple([
-            ("lk", Value::Int(i)),
-            ("qty", Value::Real((i % 5) as f64)),
-            ("parts", Value::bag(vec![part])),
-        ])
-    };
-    Bag::new((0..rows).map(nested).collect())
-}
-
 /// The reorder buffer at work. 36,000 line items each nest the part they
 /// reference, so the plans' pipelines run over partitions of 4,500 rows and
 /// more: 7 workers over 8 partitions split such a partition into a full
@@ -209,7 +188,7 @@ fn line_item_parts(rows: i64) -> Bag {
 /// some pipeline drives more morsels than it has partitions, where the
 /// 2-worker run drives exactly one per partition — and equal the 2-worker
 /// run row for row, minted ids included, and in its exact shuffle counters,
-/// and equal what the query means ([`line_item_parts`]).
+/// and equal `nrc::eval` of the same query.
 #[test]
 fn split_morsels_reassemble_row_for_row() {
     let _watchdog = Watchdog::arm(
@@ -239,12 +218,12 @@ fn split_morsels_reassemble_row_for_row() {
             ("parts", parts),
         ])),
     );
-    let spec = QuerySpec::new("line-item-parts", query, vec![]);
     let values = [
         ("L", line_items(ROWS), false),
         ("Part", part_value(), false),
     ];
-    let expected = line_item_parts(ROWS);
+    let expected = reference_bag(&query, &values);
+    let spec = QuerySpec::new("line-item-parts", query, vec![]);
     let unsplit = input_set(ctx(2, PARTITIONS as usize), &values);
     let split = input_set(ctx(7, PARTITIONS as usize), &values);
     let splits = |outcome: &RunOutcome| {
@@ -274,7 +253,7 @@ fn split_morsels_reassemble_row_for_row() {
         assert_bags_approx_eq(
             &expected,
             &outcome_bag(&sliced.result, tag),
-            &format!("{tag}: split run vs the query's meaning"),
+            &format!("{tag}: split run vs nrc::eval"),
         );
     }
 }

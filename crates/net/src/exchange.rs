@@ -316,7 +316,9 @@ impl NetExchange {
                 return Err(net_err(d));
             }
             if ready(round) {
-                return Ok(inner.rounds.remove(&seq).expect("round just observed"));
+                return inner.rounds.remove(&seq).ok_or_else(|| {
+                    ExecError::Other(format!("exchange round {seq} vanished under its lock"))
+                });
             }
             for peer in 0..ranks {
                 if peer == self.rank || !missing(round, peer) {

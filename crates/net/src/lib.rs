@@ -21,6 +21,7 @@
 //! - [`testkit`]: self-spawning multi-process clusters for the test suites.
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod coordinator;
 pub mod exchange;

@@ -4,17 +4,26 @@
 //! with: integration tests compare the output of the distributed standard and
 //! shredded pipelines against this evaluator on the same inputs.
 //!
+//! It is the literal reading of NRC, nested loops by design (no hash join,
+//! no plan, no cache), and it copies nothing it only reads: a `for` item or
+//! `let` value is bound by reference in a `Scope` on the stack, looked up
+//! innermost-first, and the inputs in [`Env`] are borrowed. A variable, a
+//! projection of a borrowed tuple and the `get` of a borrowed bag evaluate
+//! to a borrow; loops, comparisons and groupings read by reference.
+//!
 //! **The NULL rule** is the plan layer's, and it is written once, in
 //! [`crate::value`]: projecting an attribute a tuple lacks reads as NULL
 //! (the outer-join convention), NULL propagates through arithmetic
 //! ([`prim_op`]), and NULL compares false, `NULL = NULL` included
 //! ([`cmp_op`]) — so `!(NULL = x)` holds. `sumBy` reads an absent value as
-//! NULL, which adds nothing; a group of NULLs sums to `0`.
+//! NULL, which adds nothing; a group of NULLs sums to `0`. Where a bag is
+//! expected, NULL reads as `{}`.
 //!
 //! The one extension of core NRC, `NewLabel`, evaluates to a [`Label`]
 //! value of its site and captured values.
 
-use std::collections::{BTreeMap, HashMap};
+use std::borrow::Cow;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use crate::error::{NrcError, Result};
 use crate::expr::Expr;
@@ -58,139 +67,174 @@ impl Env {
         self.get(name)
             .ok_or_else(|| NrcError::UnboundVariable(name.to_string()))
     }
+}
 
-    /// Names bound in this environment.
-    pub fn names(&self) -> impl Iterator<Item = &str> {
-        self.bindings.keys().map(|s| s.as_str())
+/// The bindings in force: the inputs, then one `Bind(name, value, outer)`
+/// frame per enclosing `for` or `let`, each borrowing its value.
+enum Scope<'a> {
+    Root(&'a Env),
+    Bind(&'a str, &'a Value, &'a Scope<'a>),
+}
+
+impl<'a> Scope<'a> {
+    /// The innermost binding of `name`.
+    fn get(&self, name: &str) -> Result<&'a Value> {
+        match self {
+            Scope::Root(env) => env.get_or_err(name),
+            Scope::Bind(n, value, _) if *n == name => Ok(value),
+            Scope::Bind(_, _, outer) => outer.get(name),
+        }
     }
 }
 
 /// Evaluates `expr` under `env`.
 pub fn eval(expr: &Expr, env: &Env) -> Result<Value> {
+    eval_in(expr, &Scope::Root(env)).map(Cow::into_owned)
+}
+
+/// Evaluates `expr` in `scope`, borrowing from the scope (or from `expr`'s
+/// constants) whatever is read rather than built.
+fn eval_in<'a>(expr: &'a Expr, scope: &Scope<'a>) -> Result<Cow<'a, Value>> {
+    let owned = |v| Ok(Cow::Owned(v));
     match expr {
-        Expr::Const(v) => Ok(v.clone()),
-        Expr::Var(name) => env.get_or_err(name).cloned(),
-        Expr::Proj { tuple, field } => {
-            let v = eval(tuple, env)?;
-            match v {
-                // NULL propagates through projections, and an absent
-                // attribute reads as NULL (outer-join semantics).
-                Value::Null => Ok(Value::Null),
-                Value::Tuple(t) => Ok(t.get(field).cloned().unwrap_or(Value::Null)),
-                other => Err(NrcError::TypeMismatch {
-                    expected: "tuple".into(),
-                    found: other.kind().into(),
-                    context: format!("projection .{field}"),
-                }),
-            }
-        }
+        Expr::Const(v) => Ok(Cow::Borrowed(v)),
+        Expr::Var(name) => scope.get(name).map(Cow::Borrowed),
+        // NULL propagates through projections, and an absent attribute
+        // reads as NULL (outer-join semantics).
+        Expr::Proj { tuple, field } => part(eval_in(tuple, scope)?, |v| match v {
+            Value::Null => Ok(&Value::Null),
+            Value::Tuple(t) => Ok(t.get(field).unwrap_or(&Value::Null)),
+            other => Err(NrcError::TypeMismatch {
+                expected: "tuple".into(),
+                found: other.kind().into(),
+                context: format!("projection .{field}"),
+            }),
+        }),
         Expr::Tuple(fields) => {
             let mut t = Tuple::empty();
             for (n, e) in fields {
-                t.set(n.clone(), eval(e, env)?);
+                t.set(n.clone(), eval_in(e, scope)?.into_owned());
             }
-            Ok(Value::Tuple(t))
+            owned(Value::Tuple(t))
         }
-        Expr::EmptyBag(_) => Ok(Value::empty_bag()),
-        Expr::Singleton(e) => Ok(Value::Bag(Bag::singleton(eval(e, env)?))),
+        Expr::EmptyBag(_) => owned(Value::empty_bag()),
+        Expr::Singleton(e) => owned(Value::Bag(Bag::singleton(eval_in(e, scope)?.into_owned()))),
         // The first item, or NULL for the empty bag.
-        Expr::Get(e) => Ok(eval(e, env)?
-            .into_bag()?
-            .into_iter()
-            .next()
-            .unwrap_or(Value::Null)),
+        Expr::Get(e) => part(eval_in(e, scope)?, |v| {
+            Ok(items(v)?.first().unwrap_or(&Value::Null))
+        }),
         Expr::For { var, source, body } => {
-            let src = eval(source, env)?.into_bag()?;
-            let mut out = Bag::empty();
-            let mut inner_env = env.clone();
-            for item in src {
-                inner_env.bind(var.clone(), item);
-                out.extend(eval(body, &inner_env)?.into_bag()?);
+            let src = eval_in(source, scope)?;
+            let mut out = Vec::new();
+            for item in items(&src)? {
+                append(&mut out, eval_in(body, &Scope::Bind(var, item, scope))?)?;
             }
-            Ok(Value::Bag(out))
+            owned(Value::bag(out))
         }
         Expr::Union(a, b) => {
-            let mut left = eval(a, env)?.into_bag()?;
-            left.extend(eval(b, env)?.into_bag()?);
-            Ok(Value::Bag(left))
+            let mut out = Vec::new();
+            append(&mut out, eval_in(a, scope)?)?;
+            append(&mut out, eval_in(b, scope)?)?;
+            owned(Value::bag(out))
         }
+        // The result may borrow the bound value, which dies here.
         Expr::Let { var, value, body } => {
-            let v = eval(value, env)?;
-            let mut inner = env.clone();
-            inner.bind(var.clone(), v);
-            eval(body, &inner)
+            let value = eval_in(value, scope)?;
+            owned(eval_in(body, &Scope::Bind(var, &value, scope))?.into_owned())
         }
         Expr::If {
             cond,
             then_branch,
             else_branch,
         } => {
-            if eval(cond, env)?.as_bool()? {
-                eval(then_branch, env)
+            if eval_in(cond, scope)?.as_bool()? {
+                eval_in(then_branch, scope)
             } else if let Some(e) = else_branch {
-                eval(e, env)
+                eval_in(e, scope)
             } else {
-                Ok(Value::empty_bag())
+                owned(Value::empty_bag())
             }
         }
         Expr::Prim { op, left, right } => {
-            let l = eval(left, env)?;
-            let r = eval(right, env)?;
-            prim_op(*op, &l, &r)
+            let l = eval_in(left, scope)?;
+            owned(prim_op(*op, &l, &*eval_in(right, scope)?)?)
         }
         Expr::Cmp { op, left, right } => {
-            let l = eval(left, env)?;
-            let r = eval(right, env)?;
-            Ok(Value::Bool(cmp_op(*op, &l, &r)))
+            let l = eval_in(left, scope)?;
+            owned(Value::Bool(cmp_op(*op, &l, &*eval_in(right, scope)?)))
         }
-        Expr::And(a, b) => Ok(Value::Bool(
-            eval(a, env)?.as_bool()? && eval(b, env)?.as_bool()?,
+        Expr::And(a, b) => owned(Value::Bool(
+            eval_in(a, scope)?.as_bool()? && eval_in(b, scope)?.as_bool()?,
         )),
-        Expr::Or(a, b) => Ok(Value::Bool(
-            eval(a, env)?.as_bool()? || eval(b, env)?.as_bool()?,
+        Expr::Or(a, b) => owned(Value::Bool(
+            eval_in(a, scope)?.as_bool()? || eval_in(b, scope)?.as_bool()?,
         )),
-        Expr::Not(e) => Ok(Value::Bool(!eval(e, env)?.as_bool()?)),
+        Expr::Not(e) => owned(Value::Bool(!eval_in(e, scope)?.as_bool()?)),
         Expr::Dedup(e) => {
-            let bag = eval(e, env)?.into_bag()?;
-            let mut seen = BTreeMap::new();
-            for v in bag {
-                seen.entry(v).or_insert(());
-            }
-            Ok(Value::Bag(seen.into_keys().collect()))
+            let bag = eval_in(e, scope)?;
+            let seen: BTreeSet<&Value> = items(&bag)?.iter().collect();
+            owned(Value::bag(seen.into_iter().cloned().collect()))
         }
         Expr::GroupBy {
             input,
             key,
             group_attr,
-        } => {
-            let bag = eval(input, env)?.into_bag()?;
-            eval_group_by(bag, key, group_attr)
-        }
+        } => owned(eval_group_by(&*eval_in(input, scope)?, key, group_attr)?),
         Expr::SumBy { input, key, values } => {
-            let bag = eval(input, env)?.into_bag()?;
-            eval_sum_by(bag, key, values)
+            owned(eval_sum_by(&*eval_in(input, scope)?, key, values)?)
         }
         Expr::NewLabel { site, captures } => {
             let mut vals = Vec::with_capacity(captures.len());
             for (_, e) in captures {
-                vals.push(eval(e, env)?);
+                vals.push(eval_in(e, scope)?.into_owned());
             }
-            Ok(Value::Label(Label::new(*site, vals)))
+            owned(Value::Label(Label::new(*site, vals)))
         }
     }
 }
 
-fn eval_group_by(bag: Bag, key: &[String], group_attr: &str) -> Result<Value> {
+/// The part of `v` that `pick` selects: borrowed when `v` is, cloned out of
+/// `v` when it was built.
+fn part<'a>(v: Cow<'a, Value>, pick: impl Fn(&Value) -> Result<&Value>) -> Result<Cow<'a, Value>> {
+    match v {
+        Cow::Borrowed(v) => pick(v).map(Cow::Borrowed),
+        Cow::Owned(v) => pick(&v).map(|p| Cow::Owned(p.clone())),
+    }
+}
+
+/// The items of a bag-valued result, NULL read as `{}` — what
+/// [`Value::into_bag`] does, by reference.
+fn items(v: &Value) -> Result<&[Value]> {
+    match v {
+        Value::Bag(b) => Ok(b.items()),
+        Value::Null => Ok(&[]),
+        other => Err(NrcError::TypeMismatch {
+            expected: "bag".into(),
+            found: other.kind().into(),
+            context: "into_bag".into(),
+        }),
+    }
+}
+
+/// Appends the items of the bag-valued `v` to `out`, moving them when `v`
+/// was built and cloning them when it is borrowed.
+fn append(out: &mut Vec<Value>, v: Cow<'_, Value>) -> Result<()> {
+    match v {
+        Cow::Borrowed(v) => out.extend_from_slice(items(v)?),
+        Cow::Owned(v) => out.extend(v.into_bag()?),
+    }
+    Ok(())
+}
+
+fn eval_group_by(bag: &Value, key: &[String], group_attr: &str) -> Result<Value> {
     let key_refs: Vec<&str> = key.iter().map(|s| s.as_str()).collect();
     let mut groups: BTreeMap<Tuple, Bag> = BTreeMap::new();
-    for item in bag {
-        let t = item.as_tuple()?.clone();
-        let k = t.project(&key_refs);
-        let rest = t.project_away(&key_refs);
+    for item in items(bag)? {
+        let t = item.as_tuple()?;
         groups
-            .entry(k)
+            .entry(t.project(&key_refs))
             .or_insert_with(Bag::empty)
-            .push(Value::Tuple(rest));
+            .push(Value::Tuple(t.project_away(&key_refs)));
     }
     let mut out = Bag::empty();
     for (k, group) in groups {
@@ -201,14 +245,13 @@ fn eval_group_by(bag: Bag, key: &[String], group_attr: &str) -> Result<Value> {
     Ok(Value::Bag(out))
 }
 
-fn eval_sum_by(bag: Bag, key: &[String], values: &[String]) -> Result<Value> {
+fn eval_sum_by(bag: &Value, key: &[String], values: &[String]) -> Result<Value> {
     let key_refs: Vec<&str> = key.iter().map(|s| s.as_str()).collect();
     let mut groups: BTreeMap<Tuple, Vec<Value>> = BTreeMap::new();
-    for item in bag {
-        let t = item.as_tuple()?.clone();
-        let k = t.project(&key_refs);
+    for item in items(bag)? {
+        let t = item.as_tuple()?;
         let entry = groups
-            .entry(k)
+            .entry(t.project(&key_refs))
             .or_insert_with(|| vec![Value::Null; values.len()]);
         for (i, vname) in values.iter().enumerate() {
             let v = t.get(vname).unwrap_or(&Value::Null);
@@ -381,6 +424,93 @@ mod tests {
         let out = eval(&sum_by(var("R"), &["k"], &["v"]), &env).unwrap();
         let row = |k, v| Value::tuple([("k", Value::Int(k)), ("v", Value::Int(v))]);
         assert_eq!(out, Value::bag(vec![row(1, 5), row(2, 0)]));
+    }
+
+    /// Lookup is innermost-first: an inner `for x` hides an outer `x` only
+    /// inside its body, and a `let` hides an input of the same name.
+    #[test]
+    fn inner_bindings_shadow_outer_ones_and_inputs() {
+        let ints = |xs: &[i64]| Value::bag(xs.iter().map(|&i| Value::Int(i)).collect());
+        let env = Env::from_bindings([("R", ints(&[1, 2])), ("S", ints(&[10, 20]))]);
+        let e = forin(
+            "x",
+            var("R"),
+            union(
+                forin("x", var("S"), singleton(var("x"))),
+                singleton(var("x")),
+            ),
+        );
+        assert_eq!(eval(&e, &env), Ok(ints(&[10, 20, 1, 10, 20, 2])));
+        let e = letin("R", singleton(int(7)), union(var("R"), var("S")));
+        assert_eq!(eval(&e, &env), Ok(ints(&[7, 10, 20])));
+        let e = letin("x", int(1), letin("x", int(2), var("x")));
+        assert_eq!(eval(&e, &env), Ok(Value::Int(2)));
+    }
+
+    /// NULL where a bag is expected reads as `{}`: a `for` over it yields
+    /// nothing and `get` of it is NULL, whether the NULL is an input, an
+    /// absent attribute or a computed value.
+    #[test]
+    fn null_sources_read_as_the_empty_bag() {
+        let env = Env::from_bindings([
+            ("n", Value::Null),
+            ("t", Value::tuple([("a", Value::Int(1))])),
+        ]);
+        for source in [var("n"), proj(var("t"), "missing"), get(empty_bag())] {
+            let e = forin("y", source.clone(), singleton(var("y")));
+            assert_eq!(eval(&e, &env), Ok(Value::empty_bag()), "{source:?}");
+            assert_eq!(eval(&get(source.clone()), &env), Ok(Value::Null));
+        }
+    }
+
+    /// An absent attribute reads as NULL, and so does any projection of it.
+    #[test]
+    fn projecting_an_absent_attribute_gives_null() {
+        let row = Value::tuple([("a", Value::Int(1))]);
+        let env = Env::from_bindings([("R", Value::bag(vec![row.clone()])), ("t", row)]);
+        assert_eq!(eval(&proj(var("t"), "b"), &env), Ok(Value::Null));
+        assert_eq!(eval(&proj(proj(var("t"), "b"), "c"), &env), Ok(Value::Null));
+        let e = forin("r", var("R"), singleton(proj(var("r"), "b")));
+        assert_eq!(eval(&e, &env), Ok(Value::bag(vec![Value::Null])));
+    }
+
+    /// A `for` over a non-bag and an unbound variable are typed errors, the
+    /// same whether the value is an input or computed.
+    #[test]
+    fn non_bag_sources_and_unbound_names_are_typed_errors() {
+        let env = Env::from_bindings([
+            ("i", Value::Int(3)),
+            ("t", Value::tuple([("a", Value::Int(1))])),
+        ]);
+        let not_a_bag = |found: &str| {
+            Err(NrcError::TypeMismatch {
+                expected: "bag".into(),
+                found: found.into(),
+                context: "into_bag".into(),
+            })
+        };
+        for (source, found) in [(var("i"), "int"), (int(3), "int"), (var("t"), "tuple")] {
+            let e = forin("y", source.clone(), singleton(var("y")));
+            assert_eq!(eval(&e, &env), not_a_bag(found), "{source:?}");
+            assert_eq!(eval(&get(source), &env), not_a_bag(found));
+        }
+        assert_eq!(
+            eval(&proj(var("i"), "a"), &env),
+            Err(NrcError::TypeMismatch {
+                expected: "tuple".into(),
+                found: "int".into(),
+                context: "projection .a".into(),
+            })
+        );
+        let unbound = Err(NrcError::UnboundVariable("nope".into()));
+        assert_eq!(eval(&var("nope"), &env), unbound);
+        let e = forin("y", var("t"), singleton(var("nope")));
+        assert_eq!(
+            eval(&e, &Env::new()),
+            Err(NrcError::UnboundVariable("t".into()))
+        );
+        let e = letin("y", int(1), proj(var("nope"), "a"));
+        assert_eq!(eval(&e, &env), unbound);
     }
 
     #[test]

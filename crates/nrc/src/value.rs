@@ -433,8 +433,8 @@ impl Value {
         }
     }
 
-    /// Views this value as a bag. NULL is viewed as the empty bag, matching
-    /// the paper's treatment of NULLs produced by outer operators.
+    /// Views this value as a bag. Anything else, NULL included, is a
+    /// [`NrcError::TypeMismatch`]; [`Value::into_bag`] reads NULL as `{}`.
     pub fn as_bag(&self) -> Result<&Bag> {
         match self {
             Value::Bag(b) => Ok(b),
