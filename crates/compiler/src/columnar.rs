@@ -7,10 +7,10 @@
 //! write-once cell ([`crate::store`]; batches are typed from the plan-layer
 //! schemas via `trance_algebra::physical_fields`). Every operator
 //! — including materialized assignment intermediates — runs over batches,
-//! and rows are only rebuilt at the **collect** boundary
-//! (`ColCollection::to_rows` / `collect_bag`). With optimization disabled
-//! the same interpreter reproduces the SparkSQL-like baseline: wide rows
-//! travel through every shuffle.
+//! and a result leaves as its batches at the **collect** boundary
+//! (`ColCollection::to_rows`): rows are built once, only when asked for.
+//! With optimization disabled the same interpreter reproduces the
+//! SparkSQL-like baseline: wide rows travel through every shuffle.
 //!
 //! Catalog inference is *exact and free* here: a batch already carries its
 //! attribute schema (nested bag columns included), so intermediates register

@@ -28,6 +28,12 @@
 //! times on a warm set is compilation and execution alone, as in the
 //! paper's Section 6.
 //!
+//! A result stays columnar: the program driver hands each output over as
+//! its batches (`ColCollection::to_rows`), and rows are built once, only
+//! when a caller asks for them — `collect` / `collect_bag` straight into
+//! the one output vector. SHRED's top bag and dictionaries are never
+//! reassembled, or even read, for the query to be done.
+//!
 //! [`run_query`] runs a strategy with its default options and
 //! [`run_query_with`] with explicit [`ExecOptions`]; both go through the one
 //! program driver in [`crate::prepared`]. [`explain_query`] renders the
@@ -318,7 +324,8 @@ impl InputSet {
 }
 
 /// The shredded output of a query: the flat top bag plus one collection per
-/// output dictionary path.
+/// output dictionary path, each held as its batches until its rows are
+/// asked for.
 #[derive(Debug, Clone)]
 pub struct ShreddedOutput {
     /// The flat top-level bag.
@@ -329,7 +336,8 @@ pub struct ShreddedOutput {
     pub structure: NestingStructure,
 }
 
-/// What a strategy produced.
+/// What a strategy produced. Outputs are held as their batches; rows are
+/// built once, on demand ([`DistCollection::collect_bag`]).
 #[derive(Debug, Clone)]
 pub enum RunResult {
     /// Nested output rows (Standard, Baseline, ShredUnshred).
@@ -593,8 +601,8 @@ pub(crate) fn with_session<T>(
 
 /// One run: look the strategy's resident batches up in the table store (the
 /// first query over a form fills them), run the program driver
-/// ([`crate::prepared`]) — unshredding included — over batches, and cross
-/// back to rows once at the collect boundary.
+/// ([`crate::prepared`]) — unshredding included — over batches, and hand
+/// the outputs back as their batches at the collect boundary.
 fn run_strategy(
     spec: &QuerySpec,
     inputs: &InputSet,

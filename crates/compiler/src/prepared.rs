@@ -141,10 +141,11 @@ fn dict_sources(shredded: &ShreddedQuery) -> Vec<(String, String)> {
 /// **The** program driver: executes the units in order over an
 /// accumulating environment that starts as the resident batches of `tables`
 /// (recording each compiled unit's optimized plans when `capture` is given),
-/// then crosses back to rows the way `output` asks — the last unit's rows
-/// ([`RESULT`], or [`UNSHRED`]: unshredding is a unit like any other), or
-/// the shredded collections as they are. Every run — one-shot, explained,
-/// prepared cold, prepared warm — goes through here.
+/// then hands the outputs back the way `output` asks — the last unit's
+/// result ([`RESULT`], or [`UNSHRED`]: unshredding is a unit like any
+/// other), or the shredded collections as they are — each as its batches,
+/// whose rows are built only when a caller asks for them. Every run —
+/// one-shot, explained, prepared cold, prepared warm — goes through here.
 ///
 /// Compiled units optimize against one catalog carried across the program:
 /// seeded from the store's memoised schemas and sizes at the first compiled
@@ -212,15 +213,15 @@ fn run_program<'a>(
             let top = env
                 .get(TOP_BAG)
                 .ok_or_else(|| ExecError::Other("shredded program produced no TopBag".into()))?;
-            let mut row_dicts = BTreeMap::new();
+            let mut dicts = BTreeMap::new();
             for (path, name) in dict_sources {
                 if let Some(dict) = env.get(name) {
-                    row_dicts.insert(path.clone(), dict.to_rows()?);
+                    dicts.insert(path.clone(), dict.to_rows()?);
                 }
             }
             Ok(RunResult::Shredded(ShreddedOutput {
                 top: top.to_rows()?,
-                dicts: row_dicts,
+                dicts,
                 structure: structure.clone(),
             }))
         }

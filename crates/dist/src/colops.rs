@@ -467,10 +467,19 @@ impl ColCollection {
     /// The same partitions under `placement`. The caller vouches for it: the
     /// rows were produced partition for partition from a collection placed
     /// that way, by a transform that left the placed columns' values alone
-    /// ([`Placement::carried`]). Debug builds check the claim at the shuffle
-    /// it saves.
+    /// ([`Placement::carried`]). Debug builds check every row of a claim
+    /// that speaks of this context's partition count here, where it is
+    /// made, and the panic names the caller's source line.
+    #[track_caller]
     pub fn with_placement(mut self, placement: Option<Placement>) -> ColCollection {
         self.placement = placement;
+        if cfg!(debug_assertions) {
+            if let Some(claim) = self.usable_placement() {
+                // A spilled partition that cannot be read back is the
+                // consuming operator's error to report.
+                let _ = self.assert_placed(claim.columns());
+            }
+        }
         self
     }
 
@@ -496,6 +505,7 @@ impl ColCollection {
 
     /// Panics unless `hash(columns) mod partitions == p` for every row of
     /// every partition `p`.
+    #[track_caller]
     fn assert_placed(&self, columns: &[String]) -> Result<()> {
         let nparts = self.parts.len() as u64;
         for (p, part) in self.parts.iter().enumerate() {
@@ -505,8 +515,8 @@ impl ColCollection {
                 for (i, h) in keys.hashes.iter().enumerate() {
                     assert!(
                         h % nparts == p as u64,
-                        "a shuffle was skipped for rows claimed to be hashed by {columns:?}, \
-                         but row {i} of partition {p} hashes to partition {}: {:?}",
+                        "rows claimed to be hashed by {columns:?} are not: \
+                         row {i} of partition {p} hashes to partition {}: {:?}",
                         h % nparts,
                         chunk.row_value(i),
                     );
@@ -578,17 +588,17 @@ impl ColCollection {
         self.parts.iter().map(ColPart::physical_bytes).sum()
     }
 
-    /// Materializes every partition back into the row representation — the
-    /// **collect** boundary, through the same unmetered partition-parallel
-    /// helper as [`ColCollection::ingest`].
+    /// Hands the result over at the **collect** boundary: a result is its
+    /// batches, and its rows are built once, on demand, by the returned
+    /// [`DistCollection`]. Resident partitions are pointer copies; spilled
+    /// ones are read back here, through the same unmetered
+    /// partition-parallel helper as [`ColCollection::ingest`], so every
+    /// fallible read happens where its error can be returned.
     pub fn to_rows(&self) -> Result<DistCollection> {
-        let parts = run_partitioned_unmetered(&self.ctx, &self.parts, |_, part| {
-            Ok(part.batch(&self.ctx)?.to_rows())
+        let batches = run_partitioned_unmetered(&self.ctx, &self.parts, |_, part| {
+            Ok(part.batch(&self.ctx)?.into_owned())
         })?;
-        Ok(DistCollection::from_partitioned_rows(
-            self.ctx.clone(),
-            parts,
-        ))
+        Ok(DistCollection::from_batches(self.ctx.clone(), batches))
     }
 
     /// Gathers every row into a [`Bag`].
@@ -2757,6 +2767,27 @@ mod tests {
         assert_eq!(placed(renest(&["id"], &["id"], "g")), Some(names(&["id"])));
         assert_eq!(placed(renest(&["a"], &["label"], "g")), Some(names(&["a"])));
         assert_eq!(placed(renest(&["a"], &["label"], "a")), None);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    fn a_wrong_placement_claim_fails_where_it_is_made() {
+        let ctx = roomy();
+        let (_, plain) = placed_and_not(&ctx, keyed_sources(50), &["k"]);
+        let right = plain
+            .clone()
+            .with_placement(Placement::hashed_by(&names(&["k"])));
+        assert_eq!(right.placement().unwrap().columns(), names(&["k"]));
+        // The rows are hashed by `k`, not by `s`: no operator has to rely
+        // on the claim for it to fail.
+        let wrong = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            plain
+                .clone()
+                .with_placement(Placement::hashed_by(&names(&["s"])))
+        }))
+        .expect_err("a wrong claim panics in debug builds");
+        let msg = wrong.downcast_ref::<String>().cloned().unwrap_or_default();
+        assert!(msg.contains(r#"claimed to be hashed by ["s"]"#), "{msg}");
     }
 
     #[test]

@@ -10,9 +10,10 @@
 //!   participants with work-stealing deques — no per-operator thread spawn)
 //!   and the shared [`Stats`] counters (shuffled rows/bytes, broadcast
 //!   volume, join strategies taken, per-operator timings).
-//! * [`DistCollection`] — a plain partitioned container of `Value` rows:
-//!   how rows are loaded into the engine and handed back at the collect
-//!   boundary. Nothing executes on it.
+//! * [`DistCollection`] — the partitioned row-side container: how rows are
+//!   loaded into the engine, and how a result is handed back at the collect
+//!   boundary — as its batches, whose rows are built once, on demand.
+//!   Nothing executes on it.
 //! * [`Batch`] / [`ColCollection`] — the **columnar representation** every
 //!   operator runs on. A batch holds one
 //!   partition's rows as `Arc<Schema>` (attribute names once per batch) plus

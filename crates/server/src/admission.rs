@@ -11,7 +11,7 @@
 //! [`crate::ServeError::Busy`]) instead of buffering without bound.
 
 use std::collections::{BTreeMap, HashSet, VecDeque};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// A successful admission: how long the submission waited in the queue.
@@ -62,7 +62,7 @@ impl AdmissionQueue {
     /// exactly one [`release`](AdmissionQueue::release).
     pub fn acquire(&self, client: &str) -> Result<Admitted, Rejected> {
         let t0 = Instant::now();
-        let mut st = self.state.lock().unwrap();
+        let mut st = self.lock();
         // Fast path only when nobody is waiting — a free slot with waiters
         // present belongs to the head of the round-robin, not to us.
         if st.in_flight < self.max_in_flight && st.queued == 0 {
@@ -91,7 +91,7 @@ impl AdmissionQueue {
         st.queued += 1;
         self.grant_locked(&mut st);
         while !st.granted.remove(&ticket) {
-            st = self.cv.wait(st).unwrap();
+            st = self.cv.wait(st).unwrap_or_else(PoisonError::into_inner);
         }
         Ok(Admitted {
             queue_wait: t0.elapsed(),
@@ -101,7 +101,7 @@ impl AdmissionQueue {
     /// Returns an execution slot, granting it to the next waiter (fair
     /// round-robin across clients).
     pub fn release(&self) {
-        let mut st = self.state.lock().unwrap();
+        let mut st = self.lock();
         debug_assert!(st.in_flight > 0, "release without a matching acquire");
         st.in_flight -= 1;
         self.grant_locked(&mut st);
@@ -109,19 +109,31 @@ impl AdmissionQueue {
 
     /// Current load: `(in_flight, queued)`.
     pub fn depth(&self) -> (usize, usize) {
-        let st = self.state.lock().unwrap();
+        let st = self.lock();
         (st.in_flight, st.queued)
+    }
+
+    /// The state lock, recovered from poison as the engine's registry and
+    /// plan-cache locks are: nothing here panics between two updates of the
+    /// state, so a holder that panicked left it consistent.
+    fn lock(&self) -> MutexGuard<'_, AdmState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     fn grant_locked(&self, st: &mut AdmState) {
         let mut granted_any = false;
         while st.in_flight < self.max_in_flight && st.queued > 0 {
-            let client = st.rr.pop_front().expect("queued > 0 implies rr nonempty");
-            let q = st
-                .waiters
-                .get_mut(&client)
-                .expect("rr client has a waiter queue");
-            let ticket = q.pop_front().expect("rr client queue nonempty");
+            // `rr` holds exactly the clients with waiters; the `else` arms
+            // only guard that invariant.
+            let Some(client) = st.rr.pop_front() else {
+                break;
+            };
+            let Some(q) = st.waiters.get_mut(&client) else {
+                continue;
+            };
+            let Some(ticket) = q.pop_front() else {
+                continue;
+            };
             if q.is_empty() {
                 st.waiters.remove(&client);
             } else {
@@ -190,5 +202,33 @@ mod tests {
         }
         let order = order.lock().unwrap().clone();
         assert_eq!(order, vec!["a", "b", "a"]);
+    }
+
+    #[test]
+    fn admits_after_a_holder_of_the_state_lock_panicked() {
+        let q = Arc::new(AdmissionQueue::new(1, 4));
+        let poisoner = q.clone();
+        let panicked = std::thread::spawn(move || {
+            let _guard = poisoner.state.lock().unwrap();
+            panic!("panic while holding the admission state lock");
+        })
+        .join();
+        assert!(panicked.is_err());
+        assert!(q.state.is_poisoned());
+        assert!(q.acquire("a").is_ok());
+        assert_eq!(q.depth(), (1, 0));
+        // A waiter is still granted the slot a release frees.
+        let waiter = {
+            let q = q.clone();
+            std::thread::spawn(move || q.acquire("b").is_ok())
+        };
+        while q.depth().1 == 0 {
+            std::thread::yield_now();
+        }
+        q.release();
+        assert!(waiter.join().unwrap());
+        assert_eq!(q.depth(), (1, 0));
+        q.release();
+        assert_eq!(q.depth(), (0, 0));
     }
 }

@@ -30,6 +30,7 @@
 //!    on the same pool run uncapped.
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 mod admission;
 mod cache;
