@@ -47,6 +47,8 @@
 //! * `Γ+` accumulates into typed `i64`/`f64` slots with `numeric_add`'s
 //!   semantics and, like `Γ⊎`, emits `take(first row of each group)` for the
 //!   key columns next to directly built sum / bag columns;
+//! * skew handling samples, merges and splits by the routing hash alone
+//!   (`keys.rs`, "Heavy keys are hashes"), so a key always splits whole;
 //! * partition assignment, logical and physical shuffle bytes and output
 //!   row order are exactly those of the boxed definition.
 //!
@@ -93,7 +95,7 @@
 //! **Rank safety.** Skipping a shuffle skips a cluster collective, so every
 //! rank must skip the same ones. A placement therefore derives only from the
 //! plan (operator kinds, key lists, the [`JoinSpec`]) and from facts every
-//! rank agrees on (the cluster-wide broadcast decision, the merged heavy-key
+//! rank agrees on (the cluster-wide broadcast decision, the merged heavy-hash
 //! sample) — never from rank-local data such as an empty partition, a schema
 //! only this rank saw, or "no NULL key arrived here".
 //!
@@ -121,7 +123,7 @@
 //!   back to disk once they outgrow the partition budget.
 
 use std::borrow::Cow;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
@@ -134,7 +136,7 @@ use crate::error::{ExecError, Result};
 use crate::exchange::{allgather_u64, owned_range, owner_of_partition, Exchange};
 use crate::fault::{with_retry, FaultSite};
 use crate::join::{JoinKind, JoinSpec};
-use crate::keys::{group_rows, KeyCols, KeyCounts, KeyHashes, RowTable};
+use crate::keys::{group_rows, KeyCols, KeyHashes, RowTable};
 use crate::ops::DistCollection;
 use crate::partition::{hash_value, run_partitioned, run_partitioned_unmetered, PartRows};
 use crate::scheduler::MorselCtx;
@@ -841,9 +843,9 @@ impl ColCollection {
     }
 
     /// Skew-aware equi-join (Section 5) over batches: samples the left side's
-    /// key frequencies, shuffle-joins the light keys and broadcast-joins the
-    /// heavy keys (falling back to a shuffle when the matching right rows
-    /// exceed the broadcast limit).
+    /// key-hash frequencies, shuffle-joins the rows of light hashes and
+    /// broadcast-joins those of heavy hashes (falling back to a shuffle when
+    /// the matching right rows exceed the broadcast limit).
     pub fn skew_join(&self, right: &ColCollection, spec: &JoinSpec) -> Result<ColCollection> {
         self.timed("skew_join", || {
             let heavy = detect_heavy_keys_col(self, spec.left_keys())?;
@@ -1079,7 +1081,7 @@ where
 /// [`PartBuilder`] in **source order**, so a partition split into morsels
 /// is row for row the unsplit one no matter how morsels were stolen.
 struct ColMorselSink<'a> {
-    builder: Option<PartBuilder<'a>>,
+    builder: PartBuilder<'a>,
     next: usize,
     parked: BTreeMap<usize, Batch>,
     error: Option<ExecError>,
@@ -1088,7 +1090,7 @@ struct ColMorselSink<'a> {
 impl<'a> ColMorselSink<'a> {
     fn new(ctx: &'a DistContext) -> ColMorselSink<'a> {
         ColMorselSink {
-            builder: Some(PartBuilder::new(ctx)),
+            builder: PartBuilder::new(ctx),
             next: 0,
             parked: BTreeMap::new(),
             error: None,
@@ -1101,11 +1103,7 @@ impl<'a> ColMorselSink<'a> {
         }
         self.parked.insert(idx, batch);
         while let Some(batch) = self.parked.remove(&self.next) {
-            let builder = self
-                .builder
-                .as_mut()
-                .expect("sink builder present until finish");
-            if let Err(e) = builder.push(batch) {
+            if let Err(e) = self.builder.push(batch) {
                 self.error = Some(e);
                 self.parked.clear();
                 return;
@@ -1127,7 +1125,7 @@ impl<'a> ColMorselSink<'a> {
             return Err(e);
         }
         debug_assert!(self.parked.is_empty(), "morsel indices must be contiguous");
-        self.builder.take().expect("sink finished once").finish()
+        self.builder.finish()
     }
 }
 
@@ -2156,21 +2154,25 @@ fn join_side(
 /// Rows sampled per collection for heavy-key detection.
 const SKEW_SAMPLE: u64 = 1024;
 
-/// Samples key frequencies over batches and returns the keys whose sampled
-/// share reaches the cluster's heavy-key threshold (by default
-/// `1 / partitions`: the share at which one partition would hold more than
-/// its fair slice). Sampling is deterministic — every `stride`-th row up to
-/// [`SKEW_SAMPLE`] rows — so repeated runs agree on the split.
-/// Only the sampled rows are hashed; a key is boxed once, when first sampled.
-fn detect_heavy_keys_col(data: &ColCollection, key_cols: &[String]) -> Result<KeyCounts> {
-    let config = data.ctx.config();
+/// The sampled share at which a key hash is heavy: `1 / partitions`, the
+/// share at which one partition would hold more than its fair slice.
+fn heavy_share(partitions: usize) -> f64 {
+    1.0 / partitions.max(1) as f64
+}
+
+/// Samples key-hash frequencies over batches and returns the hashes whose
+/// sampled share reaches [`heavy_share`]. Sampling is deterministic — every
+/// `stride`-th row up to [`SKEW_SAMPLE`] rows — so repeated runs agree on
+/// the split. Only the sampled rows are hashed, and no key is boxed: a heavy
+/// key *is* its routing hash (`keys.rs`, "Heavy keys are hashes").
+fn detect_heavy_keys_col(data: &ColCollection, key_cols: &[String]) -> Result<HashSet<u64>> {
     let ex = data.ctx.exchange();
     // Under an exchange, the sample must be the *cluster-wide* one the
     // single-process engine would draw: the global row count sizes the
     // stride, and each rank walks the same global row numbering (its owned
     // partitions are a contiguous block, so its rows start after every
     // lower rank's). The per-rank partial counts are then merged, so every
-    // rank derives the identical heavy-key set and the light/heavy splits
+    // rank derives the identical heavy-hash set and the light/heavy splits
     // stay rank-aligned.
     let local_rows = data.len() as u64;
     let (total, start) = match &ex {
@@ -2182,10 +2184,10 @@ fn detect_heavy_keys_col(data: &ColCollection, key_cols: &[String]) -> Result<Ke
         None => (local_rows, 0u64),
     };
     if total == 0 {
-        return Ok(KeyCounts::default());
+        return Ok(HashSet::new());
     }
     let stride = (total / SKEW_SAMPLE).max(1);
-    let mut counts = KeyCounts::default();
+    let mut counts: HashMap<u64, u64> = HashMap::new();
     let mut sampled = 0u64;
     let mut global = start;
     for part in data.parts.iter() {
@@ -2198,67 +2200,57 @@ fn detect_heavy_keys_col(data: &ColCollection, key_cols: &[String]) -> Result<Ke
             for i in (first as usize..b.rows()).step_by(stride as usize) {
                 sampled += 1;
                 if keys.row_valid(i) {
-                    counts.count_row(&keys, i);
+                    *counts.entry(keys.hash_row(i)).or_default() += 1;
                 }
             }
             global += b.rows() as u64;
         }
     }
     if let Some(ex) = &ex {
-        (sampled, counts) = merge_sampled_counts(ex.as_ref(), sampled, counts)?;
+        (sampled, counts) = merge_sampled_counts(ex.as_ref(), sampled, &counts)?;
     }
-    if sampled == 0 {
-        return Ok(KeyCounts::default());
-    }
-    let threshold = config.heavy_key_threshold();
-    let min_count = (threshold * sampled as f64).max(2.0);
-    Ok(counts.at_least(min_count))
+    let min_count = (heavy_share(data.ctx.config().partitions) * sampled as f64).max(2.0);
+    Ok(counts
+        .into_iter()
+        .filter(|(_, n)| *n as f64 >= min_count)
+        .map(|(hash, _)| hash)
+        .collect())
 }
 
-/// Allgathers each rank's `(sampled, key → count)` partial sample and merges
-/// them additively; every rank returns the same totals.
+/// Allgathers each rank's partial sample — `sampled`, then `(hash, count)`
+/// pairs, all plain `u64`s — and merges them additively; every rank returns
+/// the same totals. A truncated frame is an error.
 fn merge_sampled_counts(
     ex: &dyn Exchange,
     sampled: u64,
-    counts: KeyCounts,
-) -> Result<(u64, KeyCounts)> {
+    counts: &HashMap<u64, u64>,
+) -> Result<(u64, HashMap<u64, u64>)> {
     let mut w = ByteWriter::new();
     w.u64(sampled);
-    w.len_u32(counts.len(), "sampled keys")?;
-    for (key, count) in counts.iter() {
-        w.u64(count as u64);
-        w.len_u32(key.len(), "sampled key values")?;
-        for v in key {
-            trance_store::encode_value(v, &mut w)?;
-        }
+    for (hash, count) in counts {
+        w.u64(*hash);
+        w.u64(*count);
     }
-    let gathered = ex.allgather(w.into_bytes())?;
     let mut total_sampled = 0u64;
-    let mut merged = KeyCounts::default();
-    for bytes in &gathered {
+    let mut merged: HashMap<u64, u64> = HashMap::new();
+    for bytes in &ex.allgather(w.into_bytes())? {
         let mut r = ByteReader::new(bytes);
         total_sampled += r.u64()?;
-        let entries = r.u32()? as usize;
-        for _ in 0..entries {
-            let count = r.u64()? as usize;
-            let klen = r.u32()? as usize;
-            let mut key = Vec::with_capacity(r.bounded_capacity(klen));
-            for _ in 0..klen {
-                key.push(trance_store::decode_value(&mut r)?);
-            }
-            merged.count_key(key, count);
+        while r.remaining() > 0 {
+            let hash = r.u64()?;
+            *merged.entry(hash).or_default() += r.u64()?;
         }
     }
     Ok((total_sampled, merged))
 }
 
-/// Splits a collection into (keys not in `heavy`, keys in `heavy`) without
-/// moving rows between partitions: each chunk is hashed and looked up once,
-/// and both sides are gathered from that one pass.
+/// Splits a collection into (rows whose key hash is not in `heavy`, rows
+/// whose key hash is) without moving rows between partitions: each chunk is
+/// hashed once, and both sides are gathered from that one pass.
 fn split_by_keys_col(
     data: &ColCollection,
     key_cols: &[String],
-    heavy: &KeyCounts,
+    heavy: &HashSet<u64>,
 ) -> Result<(ColCollection, ColCollection)> {
     let ctx = &data.ctx;
     let split = run_partitioned(ctx, &data.parts, |_, part| {
@@ -2267,11 +2259,9 @@ fn split_by_keys_col(
         for chunk in part.chunks(ctx)? {
             let b = chunk?;
             tuple_rows_required(&b)?;
-            let keys = KeyCols::resolve(&b, key_cols);
-            let hashes = keys.hashes();
-            let (hit_rows, light_rows): (Vec<usize>, Vec<usize>) = (0..b.rows()).partition(|&i| {
-                hashes.is_valid(i) && heavy.contains_row(&keys, i, hashes.hashes[i])
-            });
+            let hashes = KeyCols::resolve(&b, key_cols).hashes();
+            let (hit_rows, light_rows): (Vec<usize>, Vec<usize>) = (0..b.rows())
+                .partition(|&i| hashes.is_valid(i) && heavy.contains(&hashes.hashes[i]));
             light.push(b.take(&light_rows))?;
             hit.push(b.take(&hit_rows))?;
         }
@@ -2290,6 +2280,7 @@ fn split_by_keys_col(
 mod tests {
     use super::*;
     use crate::{ClusterConfig, MemMesh};
+    use std::ops::Range;
 
     type Metered = (u64, u64, u64);
 
@@ -2468,28 +2459,15 @@ mod tests {
         let (config, parts, expect, expect_metered, reference) = capped_case();
         let key = vec!["k".to_string()];
         for ranks in [2usize, 3] {
-            let per_rank: Vec<(Vec<ColPart>, Metered, DistContext)> = std::thread::scope(|s| {
-                let handles: Vec<_> = MemMesh::cluster(ranks)
-                    .into_iter()
-                    .map(|mesh| {
-                        let (config, parts, key) = (&config, &parts, &key);
-                        s.spawn(move || {
-                            let owned = owned_range(mesh.rank(), parts.len(), ranks);
-                            let ctx = DistContext::new(config.clone());
-                            ctx.set_exchange(Some(Arc::new(mesh)));
-                            let local: Vec<ColPart> = (0..parts.len())
-                                .map(|p| match owned.contains(&p) {
-                                    true => parts[p].clone(),
-                                    false => ColPart::Mem(Batch::empty()),
-                                })
-                                .collect();
-                            let got = shuffle_batches(&ctx, &local, route_valid_keys(key)).unwrap();
-                            let metered = metered(&ctx);
-                            (got, metered, ctx)
-                        })
+            let per_rank = on_ranks(ranks, &config, &|ctx, owned| {
+                let local: Vec<ColPart> = (0..parts.len())
+                    .map(|p| match owned.contains(&p) {
+                        true => parts[p].clone(),
+                        false => ColPart::Mem(Batch::empty()),
                     })
                     .collect();
-                handles.into_iter().map(|h| h.join().unwrap()).collect()
+                let got = shuffle_batches(ctx, &local, route_valid_keys(&key)).unwrap();
+                (got, metered(ctx), ctx.clone())
             });
             let mut summed = (0u64, 0u64, 0u64);
             for (rank, (got, metered, ctx)) in per_rank.iter().enumerate() {
@@ -2827,6 +2805,81 @@ mod tests {
         assert_eq!(known.join(&small, &spec).unwrap().placement(), None);
     }
 
+    /// The partitions of `all` that `owned` covers, the rest empty: one
+    /// rank's share of a cluster-wide input.
+    fn owned_share(ctx: &DistContext, all: &[Batch], owned: &Range<usize>) -> ColCollection {
+        let parts = (0..all.len()).map(|p| match owned.contains(&p) {
+            true => all[p].clone(),
+            false => Batch::empty(),
+        });
+        ColCollection::from_parts(ctx.clone(), parts.collect())
+    }
+
+    /// Runs `run` once per rank of a `ranks`-process [`MemMesh`] cluster
+    /// over `config.partitions` partitions, each rank on its own context.
+    fn on_ranks<T: Send>(
+        ranks: usize,
+        config: &ClusterConfig,
+        run: &(dyn Fn(&DistContext, Range<usize>) -> T + Sync),
+    ) -> Vec<T> {
+        std::thread::scope(|s| {
+            let handles: Vec<_> = MemMesh::cluster(ranks)
+                .into_iter()
+                .map(|mesh| {
+                    s.spawn(move || {
+                        let owned = owned_range(mesh.rank(), config.partitions, ranks);
+                        let ctx = DistContext::new(config.clone());
+                        ctx.set_exchange(Some(Arc::new(mesh)));
+                        run(&ctx, owned)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        })
+    }
+
+    /// Bags compare as multisets: a group's members arrive in rank order.
+    fn canonical(rows: Vec<Value>) -> Vec<Value> {
+        trance_nrc::canonical_rows(&Bag::new(rows))
+    }
+
+    /// An exchange whose every allgather answers with the same frames.
+    #[derive(Debug)]
+    struct Canned(Vec<Vec<u8>>);
+
+    impl Exchange for Canned {
+        fn rank(&self) -> usize {
+            0
+        }
+        fn ranks(&self) -> usize {
+            self.0.len()
+        }
+        fn shuffle(&self, _: Vec<(usize, Vec<u8>)>) -> Result<Vec<Vec<u8>>> {
+            Ok(Vec::new())
+        }
+        fn allgather(&self, _: Vec<u8>) -> Result<Vec<Vec<u8>>> {
+            Ok(self.0.clone())
+        }
+    }
+
+    #[test]
+    fn sample_frames_merge_additively_and_a_truncated_one_is_an_error() {
+        let frame =
+            |words: &[u64]| -> Vec<u8> { words.iter().flat_map(|w| w.to_le_bytes()).collect() };
+        let whole = Canned(vec![frame(&[10, 7, 3]), frame(&[5, 7, 2, 9, 1])]);
+        let (sampled, counts) = merge_sampled_counts(&whole, 0, &HashMap::new()).unwrap();
+        assert_eq!(sampled, 15);
+        assert_eq!(counts, HashMap::from([(7, 5), (9, 1)]));
+        let full = frame(&[10, 7, 3]);
+        for cut in [4, 16, 19] {
+            let truncated = Canned(vec![frame(&[5]), full[..cut].to_vec()]);
+            assert!(
+                merge_sampled_counts(&truncated, 0, &HashMap::new()).is_err(),
+                "a frame cut to {cut} bytes"
+            );
+        }
+    }
+
     /// A grouping placed for its consumer, regrouped in place, joined in
     /// place twice and regrouped again — on one process and on 3 ranks, over
     /// keys a fifth of which are NULL or absent. Every rank must skip the
@@ -2836,21 +2889,16 @@ mod tests {
     fn ranks_agree_on_what_stays_in_place_with_null_and_absent_keys() {
         let sources = keyed_sources(300);
         let rights = right_sources();
-        let run = |ctx: &DistContext, owned: std::ops::Range<usize>| {
-            let local = |all: &[Batch]| {
-                let parts = (0..all.len()).map(|p| match owned.contains(&p) {
-                    true => all[p].clone(),
-                    false => Batch::empty(),
-                });
-                ColCollection::from_parts(ctx.clone(), parts.collect())
-            };
+        let run = |ctx: &DistContext, owned: Range<usize>| {
             let spec = JoinSpec::renest(&["k"], &["k"], "rss").with_hint(JoinHint::Shuffle);
-            let grouped = local(&rights)
+            let grouped = owned_share(ctx, &rights, &owned)
                 .nest_bag_placed(&names(&["k", "rs"]), &[], "none", &names(&["k"]))
                 .unwrap()
                 .nest_bag(&names(&["k"]), &names(&["rs"]), "rss")
                 .unwrap();
-            let joined = local(&sources).join(&grouped, &spec).unwrap();
+            let joined = owned_share(ctx, &sources, &owned)
+                .join(&grouped, &spec)
+                .unwrap();
             // Left side in place, right side in place.
             let twice = joined.join(&grouped, &spec).unwrap();
             // Every row of the output is placed, NULL and absent keys
@@ -2862,32 +2910,14 @@ mod tests {
             rows.extend(rows_per_partition(&twice).concat());
             (rows, ctx.stats().snapshot())
         };
-        // Bags compare as multisets: a group's members arrive in rank order.
-        let canonical = |rows: Vec<Value>| trance_nrc::canonical_rows(&Bag::new(rows));
         let config = ClusterConfig::new(2, 6);
         let (want, single) = run(&DistContext::new(config.clone()), 0..6);
         // nest_bag, right side of both joins, left side of the second, the
         // regrouping.
         assert_eq!(single.shuffles_in_place, 5);
-        let ranks = 3;
-        let per_rank: Vec<(Vec<Value>, crate::StatsSnapshot)> = std::thread::scope(|s| {
-            let handles: Vec<_> = MemMesh::cluster(ranks)
-                .into_iter()
-                .map(|mesh| {
-                    let (config, run) = (&config, &run);
-                    s.spawn(move || {
-                        let owned = owned_range(mesh.rank(), 6, ranks);
-                        let ctx = DistContext::new(config.clone());
-                        ctx.set_exchange(Some(Arc::new(mesh)));
-                        run(&ctx, owned)
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
         let mut got: Vec<Value> = Vec::new();
         let mut shuffled = (0u64, 0u64);
-        for (rows, stats) in per_rank {
+        for (rows, stats) in on_ranks(3, &config, &run) {
             got.extend(rows);
             shuffled = (
                 shuffled.0 + stats.shuffled_tuples,
@@ -2897,5 +2927,50 @@ mod tests {
         }
         assert_eq!(canonical(got), canonical(want));
         assert_eq!(shuffled, (single.shuffled_tuples, single.shuffled_bytes));
+    }
+
+    /// Skew handling on 2 and 3 ranks: every rank derives the same heavy
+    /// hashes from the merged `(hash, count)` sample, so `skew_join` and
+    /// `nest_sum_skew` give the single process's rows, shuffle meters and
+    /// skew broadcasts. Key 7 holds 30 % of the rows, spread evenly over
+    /// the partitions: no rank's own count reaches the cluster-wide share,
+    /// only the merged count does.
+    #[test]
+    fn ranks_agree_on_the_heavy_hashes() {
+        let sources = keyed_sources(300);
+        let rights = right_sources();
+        let run = |ctx: &DistContext, owned: Range<usize>| {
+            let left = owned_share(ctx, &sources, &owned);
+            let spec = JoinSpec::inner(&["k"], &["k"]).with_hint(JoinHint::Shuffle);
+            let joined = left
+                .skew_join(&owned_share(ctx, &rights, &owned), &spec)
+                .unwrap();
+            let summed = left.nest_sum_skew(&names(&["k"]), &names(&["v"])).unwrap();
+            let mut rows: Vec<Value> = rows_per_partition(&joined).concat();
+            rows.extend(rows_per_partition(&summed).concat());
+            (rows, ctx.stats().snapshot())
+        };
+        let config = ClusterConfig::new(2, 6);
+        let (want, single) = run(&DistContext::new(config.clone()), 0..6);
+        assert_eq!(single.skew_broadcast_joins, 1, "{single:?}");
+        for ranks in [2, 3] {
+            let mut got: Vec<Value> = Vec::new();
+            let mut shuffled = (0u64, 0u64);
+            for (rows, stats) in on_ranks(ranks, &config, &run) {
+                got.extend(rows);
+                shuffled = (
+                    shuffled.0 + stats.shuffled_tuples,
+                    shuffled.1 + stats.shuffled_bytes,
+                );
+                assert_eq!(stats.skew_broadcast_joins, 1, "{ranks} ranks");
+                assert_eq!(stats.skew_fallback_joins, 0, "{ranks} ranks");
+            }
+            assert_eq!(canonical(got), canonical(want.clone()), "{ranks} ranks");
+            assert_eq!(
+                shuffled,
+                (single.shuffled_tuples, single.shuffled_bytes),
+                "{ranks} ranks"
+            );
+        }
     }
 }

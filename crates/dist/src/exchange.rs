@@ -209,9 +209,13 @@ impl MemMesh {
                 .wait(rounds)
                 .unwrap_or_else(|e| e.into_inner());
         }
-        let round = rounds
-            .get_mut(&seq)
-            .expect("round present until all collect");
+        // A round is removed only once every rank collected it.
+        let Some(round) = rounds.get_mut(&seq) else {
+            return Err(ExecError::Other(format!(
+                "exchange invariant: round {seq} vanished before rank {} collected it",
+                self.rank
+            )));
+        };
         let out = collect(round)?;
         round.collected += 1;
         if round.collected == ranks {

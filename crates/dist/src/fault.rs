@@ -31,6 +31,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::error::{ExecError, Result};
+use crate::stats::lock;
 
 /// Where a fault can be injected. Every site is a *boundary* the engine
 /// already crosses (a morsel, a spill frame, a shuffle pass) — injection
@@ -390,7 +391,7 @@ impl CancelToken {
     /// first reason wins.
     pub fn cancel(&self, reason: &str) {
         {
-            let mut slot = self.state.reason.lock().unwrap();
+            let mut slot = lock(&self.state.reason);
             if slot.is_none() {
                 *slot = Some(reason.to_string());
             }
@@ -418,7 +419,7 @@ impl CancelToken {
         self.state
             .deadline_nanos
             .store(DEADLINE_UNSET, Ordering::Release);
-        *self.state.reason.lock().unwrap() = None;
+        *lock(&self.state.reason) = None;
     }
 
     /// True once cancellation was requested (does not evaluate the
@@ -431,11 +432,7 @@ impl CancelToken {
     /// [`ExecError::Cancelled`] once cancelled or past the deadline.
     pub fn check(&self) -> Result<()> {
         if self.state.cancelled.load(Ordering::Acquire) {
-            let reason = self
-                .state
-                .reason
-                .lock()
-                .unwrap()
+            let reason = lock(&self.state.reason)
                 .clone()
                 .unwrap_or_else(|| "cancelled".to_string());
             return Err(ExecError::Cancelled { reason });

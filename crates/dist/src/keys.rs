@@ -16,8 +16,9 @@
 //! ## The key-hash / validity contract
 //!
 //! The hash of a row is **defined** as the engine's partition hash of its
-//! boxed key — [`hash_key`] over the key columns' values in key order, with
-//! `Value::Null` standing in for a NULL *or absent* lane. The typed loops
+//! boxed key — `partition::hash_key` (test-only: it is the definition) over
+//! the key columns' values in key order, with `Value::Null` standing in for
+//! a NULL *or absent* lane. The typed loops
 //! write exactly what `impl Hash for Value` writes (they share
 //! `trance_nrc::value::hash_scalar`), so partition assignment, shuffle bytes
 //! and output row order are those of the boxed definition; a unit law below
@@ -33,6 +34,22 @@
 //! normalised real, NaN equals NaN, `-0.0` equals `0.0`, and two distinct
 //! `i64` whose `f64` images coincide (equal hashes) are **not** equal.
 //!
+//! ## Heavy keys are hashes
+//!
+//! A partition is overloaded by `hash mod partitions`, not by a key's value,
+//! so skew handling (Section 5) counts, merges and splits by the hash alone:
+//! the sample is a `hash → count` map over [`KeyCols::hash_row`], ranks
+//! allgather `(hash, count)` pairs, and a row goes to the heavy side when
+//! its key is valid and its hash is in the heavy set. No key is boxed.
+//!
+//! Equal keys have equal hashes, so both join sides and both `Γ+` halves
+//! always split each key whole and results cannot change. A light key whose
+//! hash equals a heavy key's goes to the heavy side with it — its rows are
+//! broadcast instead of shuffled, nothing more: `2^53` and `2^53 + 1`, which
+//! [`KeyCols::lanes_equal`] keeps apart, are such a pair. Ranks agree on the
+//! heavy set because they run the same binary, which the shuffle already
+//! relies on to route rows across processes.
+//!
 //! ## The by-reference fallback
 //!
 //! `Int`/`Real`/`Date`/`Bool`/`Str` key columns are read from their typed
@@ -43,7 +60,6 @@
 //! the column's variant, never by an option.
 
 use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 
 use trance_nrc::value::{hash_scalar, normalize_real};
@@ -51,7 +67,7 @@ use trance_nrc::Value;
 
 use crate::batch::{Batch, Column};
 use crate::error::{ExecError, Result};
-use crate::partition::{hash_key, hash_value};
+use crate::partition::hash_value;
 
 /// One key lane of one row, viewed without boxing.
 enum Lane<'a> {
@@ -120,19 +136,6 @@ impl Lane<'_> {
             Lane::Str(s) => matches!(v, Value::Str(t) if t == s),
             Lane::Ref(a) => *a == v,
             Lane::Owned(a) => a == v,
-        }
-    }
-
-    fn to_value(&self) -> Value {
-        match self {
-            Lane::Absent | Lane::Null => Value::Null,
-            Lane::Bool(b) => Value::Bool(*b),
-            Lane::Int(i) => Value::Int(*i),
-            Lane::Real(r) => Value::Real(*r),
-            Lane::Date(d) => Value::Date(*d),
-            Lane::Str(s) => Value::str(*s),
-            Lane::Ref(v) => (*v).clone(),
-            Lane::Owned(v) => v.clone(),
         }
     }
 }
@@ -272,22 +275,6 @@ impl<'a> KeyCols<'a> {
                 _ => lane(*a, i).equals(&lane(*b, j)),
             }
         })
-    }
-
-    /// True when row `i` carries exactly the (all non-NULL) key `key`.
-    pub(crate) fn row_equals_values(&self, i: usize, key: &[Value]) -> bool {
-        self.cols
-            .iter()
-            .zip(key)
-            .all(|(col, v)| lane(*col, i).equals_value(v))
-    }
-
-    /// Row `i`'s key, boxed (NULL for a NULL or absent lane).
-    pub(crate) fn row_values(&self, i: usize) -> Vec<Value> {
-        self.cols
-            .iter()
-            .map(|col| lane(*col, i).to_value())
-            .collect()
     }
 }
 
@@ -462,88 +449,10 @@ pub(crate) fn group_rows(keys: &KeyCols<'_>, hashes: &[u64]) -> Result<Groups> {
     })
 }
 
-// ---------------------------------------------------------------------------
-// counted key sets (heavy-key sampling)
-// ---------------------------------------------------------------------------
-
-/// A small set of boxed keys with counts, indexed by key hash: the sample of
-/// heavy-key detection and the heavy-key set itself. Rows are looked up from
-/// their typed lanes; a key is boxed once, when first seen.
-#[derive(Default)]
-pub(crate) struct KeyCounts {
-    entries: Vec<(Vec<Value>, usize)>,
-    by_hash: HashMap<u64, Vec<u32>>,
-}
-
-impl KeyCounts {
-    fn find(&self, hash: u64, eq: impl Fn(&[Value]) -> bool) -> Option<usize> {
-        let ids = self.by_hash.get(&hash)?;
-        ids.iter()
-            .map(|id| *id as usize)
-            .find(|id| eq(&self.entries[*id].0))
-    }
-
-    fn add(&mut self, hash: u64, at: Option<usize>, key: impl FnOnce() -> Vec<Value>, n: usize) {
-        match at {
-            Some(id) => self.entries[id].1 += n,
-            None => {
-                self.by_hash
-                    .entry(hash)
-                    .or_default()
-                    .push(self.entries.len() as u32);
-                self.entries.push((key(), n));
-            }
-        }
-    }
-
-    /// Counts one (valid) sampled row.
-    pub(crate) fn count_row(&mut self, keys: &KeyCols<'_>, i: usize) {
-        let hash = keys.hash_row(i);
-        let at = self.find(hash, |k| keys.row_equals_values(i, k));
-        self.add(hash, at, || keys.row_values(i), 1);
-    }
-
-    /// Adds `n` occurrences of a boxed key (merging another rank's sample).
-    pub(crate) fn count_key(&mut self, key: Vec<Value>, n: usize) {
-        let hash = hash_key(&key);
-        let at = self.find(hash, |k| k == key.as_slice());
-        self.add(hash, at, || key, n);
-    }
-
-    /// True when row `i` (with hash `hash`) carries one of the keys.
-    pub(crate) fn contains_row(&self, keys: &KeyCols<'_>, i: usize, hash: u64) -> bool {
-        self.find(hash, |k| keys.row_equals_values(i, k)).is_some()
-    }
-
-    /// Number of distinct keys.
-    pub(crate) fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// The keys and their counts.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (&[Value], usize)> {
-        self.entries.iter().map(|(k, n)| (k.as_slice(), *n))
-    }
-
-    /// The subset of keys counted at least `min` times.
-    pub(crate) fn at_least(self, min: f64) -> KeyCounts {
-        let mut out = KeyCounts::default();
-        for (key, n) in self.entries {
-            if n as f64 >= min {
-                out.count_key(key, n);
-            }
-        }
-        out
-    }
-
-    pub(crate) fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::partition::hash_key;
     use trance_nrc::Label;
 
     /// A batch with one column of every variant, each with a NULL and an
@@ -686,11 +595,6 @@ mod tests {
                         boxed == boxed_key(&b, j, cols),
                         "equality {cols:?} rows {i},{j}"
                     );
-                }
-                if boxed_valid(&boxed) {
-                    let key = keys.row_values(i);
-                    assert_eq!(key, boxed.into_iter().flatten().collect::<Vec<_>>());
-                    assert!(keys.row_equals_values(i, &key));
                 }
             }
         }

@@ -53,6 +53,7 @@
 //! [`StatsSnapshot::spilled_bytes`] / `spill_files` / `spill_micros`.
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -60,6 +61,8 @@ use std::sync::{Arc, Mutex};
 
 use trance_nrc::Value;
 use trance_store::SpillManager;
+
+use crate::stats::lock;
 
 pub mod batch;
 pub mod colops;
@@ -99,9 +102,6 @@ pub struct ClusterConfig {
     /// Simulated per-worker memory cap in bytes; operators fail with
     /// [`ExecError::MemoryExceeded`] when an output overloads a worker.
     pub worker_memory: Option<usize>,
-    /// Sampled frequency share at which a key counts as heavy; defaults to
-    /// `1 / partitions` when unset.
-    pub skew_threshold: Option<f64>,
     /// Whether the spill subsystem is available: with this set (and a
     /// [`ClusterConfig::worker_memory`] cap configured), operators whose
     /// materialized output overloads a worker spill victim partitions to
@@ -119,15 +119,13 @@ pub struct ClusterConfig {
 
 impl ClusterConfig {
     /// A cluster of `workers` workers over `partitions` hash partitions, with
-    /// an 8 MiB broadcast limit, no memory cap, and the default heavy-key
-    /// threshold.
+    /// an 8 MiB broadcast limit and no memory cap.
     pub fn new(workers: usize, partitions: usize) -> ClusterConfig {
         ClusterConfig {
             workers: workers.max(1),
             partitions: partitions.max(1),
             broadcast_limit: 8 * 1024 * 1024,
             worker_memory: None,
-            skew_threshold: None,
             spill: false,
             spill_dir: None,
             fault_plan: None,
@@ -160,19 +158,6 @@ impl ClusterConfig {
         self.spill = true;
         self.spill_dir = Some(dir.into());
         self
-    }
-
-    /// Overrides the heavy-key frequency threshold (a share in `(0, 1]`).
-    pub fn with_skew_threshold(mut self, share: f64) -> ClusterConfig {
-        self.skew_threshold = Some(share);
-        self
-    }
-
-    /// The effective heavy-key threshold: the configured share, or
-    /// `1 / partitions` — the share at which one key overloads its partition.
-    pub fn heavy_key_threshold(&self) -> f64 {
-        self.skew_threshold
-            .unwrap_or(1.0 / self.partitions.max(1) as f64)
     }
 
     /// Sets an explicit worker count.
@@ -463,17 +448,14 @@ impl DistContext {
     /// The run's scoped spill directory, if any spill has happened yet.
     /// Tests assert it drains back to empty once spilled collections drop.
     pub fn spill_dir(&self) -> Option<PathBuf> {
-        self.inner
-            .spill_manager
-            .lock()
-            .unwrap()
+        lock(&self.inner.spill_manager)
             .as_ref()
             .map(|m| m.dir().to_path_buf())
     }
 
     /// The spill manager, created on first use.
     pub(crate) fn spill_manager(&self) -> error::Result<Arc<SpillManager>> {
-        let mut slot = self.inner.spill_manager.lock().unwrap();
+        let mut slot = lock(&self.inner.spill_manager);
         if let Some(m) = slot.as_ref() {
             return Ok(m.clone());
         }

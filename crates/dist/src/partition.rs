@@ -171,6 +171,7 @@ pub(crate) fn hash_value(v: &Value) -> u64 {
 
 /// Hash of a multi-column key — the definition the typed key hashes of
 /// `keys.rs` are proven equal to.
+#[cfg(test)]
 pub(crate) fn hash_key(key: &[Value]) -> u64 {
     let mut h = DefaultHasher::new();
     for v in key {

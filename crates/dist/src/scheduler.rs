@@ -160,8 +160,11 @@ impl WorkerPool {
             shutdown: AtomicBool::new(false),
             steals: AtomicU64::new(0),
         });
+        // A worker thread the OS refuses to spawn leaves its slot to the
+        // stealers: every `run` caller drains all slots until its scope
+        // settles, so the pool stays correct, only narrower.
         let handles = (1..participants)
-            .map(|slot| {
+            .filter_map(|slot| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("trance-worker-{slot}"))
@@ -180,7 +183,7 @@ impl WorkerPool {
                             }
                         }
                     })
-                    .expect("failed to spawn pool worker")
+                    .ok()
             })
             .collect();
         WorkerPool { shared, handles }

@@ -13,12 +13,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
-/// Locks one of the label-keyed maps, recovering the guard when a worker
-/// panicked while holding it: every update is a few independent counter
-/// additions on one entry, so the map is valid at every step, and a resident
-/// engine must survive one query's panic instead of panicking again at the
-/// next query's [`Stats::reset`].
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+/// Locks a mutex, recovering the guard when a worker panicked while holding
+/// it. Every state the engine guards this way — the label-keyed maps here (a
+/// few independent counter additions on one entry), a cancel reason, the
+/// spill-manager slot — is valid at every step, and a resident engine must
+/// survive one query's panic instead of panicking again at the next query's
+/// [`Stats::reset`].
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 

@@ -263,15 +263,16 @@ fn heavy_keys_joined(config: ClusterConfig, facts: Vec<Value>, keys: i64) -> u64
 
 #[test]
 fn heavy_key_detection_respects_threshold() {
-    // Key 0: 50% of rows; keys 1–10: 5% each — only key 0 crosses the 25%
-    // threshold.
+    // The threshold is `1 / partitions`. Key 0: 50% of rows; keys 1–10: 5%
+    // each — at 4 partitions (25%) only key 0 is heavy.
     let facts = skewed_rows(2000, 11, 0.5);
-    let quarter = ClusterConfig::new(2, 4).with_skew_threshold(0.25);
-    assert_eq!(heavy_keys_joined(quarter, facts.clone(), 11), 1);
+    assert_eq!(
+        heavy_keys_joined(ClusterConfig::new(2, 4), facts.clone(), 11),
+        1
+    );
 
-    // With a 1% threshold every key (each ≥ 5% of rows) is heavy.
-    let low = ClusterConfig::new(2, 4).with_skew_threshold(0.01);
-    assert_eq!(heavy_keys_joined(low, facts, 11), 11);
+    // At 32 partitions (3.125%) every key (each ≥ 5% of rows) is heavy.
+    assert_eq!(heavy_keys_joined(ClusterConfig::new(2, 32), facts, 11), 11);
 
     // A uniform distribution over many keys has no heavy keys at the default
     // (1/partitions) threshold.
@@ -395,6 +396,60 @@ fn skew_nest_sum_equals_standard_nest_sum() {
     let values = vec!["v".to_string()];
     let standard = data.nest_sum(&key, &values).unwrap();
     let skewed = data.nest_sum_skew(&key, &values).unwrap();
+    assert_eq!(
+        canonical(&expected),
+        canonical(&standard.collect_bag().unwrap())
+    );
+    assert_eq!(
+        canonical(&expected),
+        canonical(&skewed.collect_bag().unwrap())
+    );
+}
+
+/// Heavy keys are hashes: `2^53` and `2^53 + 1` hash equally (their `f64`
+/// images coincide) but are different keys. `2^53` is heavy; `2^53 + 1` is
+/// light by count, so its rows take the heavy side only because its hash is
+/// heavy — and there they still match only their own key.
+#[test]
+fn colliding_keys_take_the_heavy_side_together_and_stay_apart() {
+    let big = 1i64 << 53;
+    let facts: Vec<Value> = (0..2000)
+        .map(|i| match i % 100 {
+            1 => row(big + 1, i),
+            _ if i % 2 == 0 => row(big, i),
+            _ => row(i % 7, i),
+        })
+        .collect();
+    let dims: Vec<Value> = [big, big + 1, 0, 1, 2, 3, 4, 5, 6]
+        .iter()
+        .map(|k| Value::tuple([("dk", Value::Int(*k)), ("name", Value::str(k.to_string()))]))
+        .collect();
+    let ctx = DistContext::new(ClusterConfig::new(2, 4));
+    let (left, right) = (load(&ctx, facts.clone()), load(&ctx, dims.clone()));
+    let spec = JoinSpec::inner(&["k"], &["dk"]).with_hint(JoinHint::Shuffle);
+    let joined = left.skew_join(&right, &spec).unwrap();
+    assert_eq!(
+        canonical(&nested_loop_join(&facts, &dims)),
+        canonical(&joined.collect_bag().unwrap())
+    );
+    // One heavy hash, and both keys' dimension rows were broadcast under it.
+    let snap = ctx.stats().snapshot();
+    assert_eq!(snap.skew_broadcast_joins, 1, "{snap:?}");
+    assert_eq!(snap.broadcast_tuples, 2 * ctx.config().workers as u64);
+
+    let mut sums = std::collections::BTreeMap::new();
+    for f in &facts {
+        let t = f.as_tuple().unwrap();
+        let k = t.get("k").unwrap().as_int().unwrap();
+        *sums.entry(k).or_insert(0) += t.get("v").unwrap().as_int().unwrap();
+    }
+    assert!(sums.contains_key(&(big + 1)));
+    let expected: Bag = sums.into_iter().map(|(k, v)| row(k, v)).collect();
+    let (key, values) = (vec!["k".to_string()], vec!["v".to_string()]);
+    let standard = left.nest_sum(&key, &values).unwrap();
+    let skewed = left.nest_sum_skew(&key, &values).unwrap();
+    // The union of a light and a heavy aggregation is not placed.
+    assert!(standard.placement().is_some() && skewed.placement().is_none());
     assert_eq!(
         canonical(&expected),
         canonical(&standard.collect_bag().unwrap())

@@ -15,8 +15,17 @@ use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// A successful admission: how long the submission waited in the queue.
-pub(crate) struct Admitted {
+/// It holds its execution slot until it is dropped — also when the query
+/// it admitted panics — so a slot is returned exactly once.
+pub(crate) struct Admitted<'a> {
+    queue: &'a AdmissionQueue,
     pub queue_wait: Duration,
+}
+
+impl Drop for Admitted<'_> {
+    fn drop(&mut self) {
+        self.queue.release();
+    }
 }
 
 /// The queue-full rejection: the load observed at rejection time.
@@ -58,9 +67,9 @@ impl AdmissionQueue {
 
     /// Acquires an execution slot for `client`, blocking fairly while the
     /// engine is saturated. Returns the typed rejection without blocking
-    /// when the wait queue is already full. Every `Ok` must be paired with
-    /// exactly one [`release`](AdmissionQueue::release).
-    pub fn acquire(&self, client: &str) -> Result<Admitted, Rejected> {
+    /// when the wait queue is already full. The slot is returned when the
+    /// [`Admitted`] is dropped.
+    pub fn acquire(&self, client: &str) -> Result<Admitted<'_>, Rejected> {
         let t0 = Instant::now();
         let mut st = self.lock();
         // Fast path only when nobody is waiting — a free slot with waiters
@@ -68,6 +77,7 @@ impl AdmissionQueue {
         if st.in_flight < self.max_in_flight && st.queued == 0 {
             st.in_flight += 1;
             return Ok(Admitted {
+                queue: self,
                 queue_wait: t0.elapsed(),
             });
         }
@@ -94,13 +104,14 @@ impl AdmissionQueue {
             st = self.cv.wait(st).unwrap_or_else(PoisonError::into_inner);
         }
         Ok(Admitted {
+            queue: self,
             queue_wait: t0.elapsed(),
         })
     }
 
     /// Returns an execution slot, granting it to the next waiter (fair
-    /// round-robin across clients).
-    pub fn release(&self) {
+    /// round-robin across clients). Called only by [`Admitted`]'s `drop`.
+    fn release(&self) {
         let mut st = self.lock();
         debug_assert!(st.in_flight > 0, "release without a matching acquire");
         st.in_flight -= 1;
@@ -158,22 +169,22 @@ mod tests {
     #[test]
     fn fast_path_grants_up_to_max() {
         let q = AdmissionQueue::new(2, 4);
-        assert!(q.acquire("a").is_ok());
-        assert!(q.acquire("b").is_ok());
+        let a = q.acquire("a").ok();
+        let b = q.acquire("b").ok();
+        assert!(a.is_some() && b.is_some());
         assert_eq!(q.depth(), (2, 0));
-        q.release();
-        q.release();
+        drop((a, b));
         assert_eq!(q.depth(), (0, 0));
     }
 
     #[test]
     fn queue_full_rejects_immediately() {
         let q = Arc::new(AdmissionQueue::new(1, 0));
-        assert!(q.acquire("a").is_ok());
+        let held = q.acquire("a").ok();
+        assert!(held.is_some());
         let err = q.acquire("b").err().expect("zero-capacity queue rejects");
         assert_eq!(err.in_flight, 1);
         assert_eq!(err.queued, 0);
-        q.release();
     }
 
     #[test]
@@ -181,7 +192,8 @@ mod tests {
         // One slot; client `a` floods, client `b` submits one. `b`'s query
         // must be granted before `a`'s *second*, despite arriving after it.
         let q = Arc::new(AdmissionQueue::new(1, 8));
-        assert!(q.acquire("hold").is_ok());
+        let held = q.acquire("hold").ok();
+        assert!(held.is_some());
         let order = Arc::new(Mutex::new(Vec::new()));
         let mut handles = Vec::new();
         for (client, delay_ms) in [("a", 0u64), ("a", 20), ("b", 40)] {
@@ -189,14 +201,13 @@ mod tests {
             let order = order.clone();
             handles.push(std::thread::spawn(move || {
                 std::thread::sleep(Duration::from_millis(delay_ms));
-                q.acquire(client).unwrap();
+                let _slot = q.acquire(client).unwrap();
                 order.lock().unwrap().push(client);
-                q.release();
             }));
         }
         // Let all three enqueue behind the held slot, then free it.
         std::thread::sleep(Duration::from_millis(200));
-        q.release();
+        drop(held);
         for h in handles {
             h.join().unwrap();
         }
@@ -215,20 +226,39 @@ mod tests {
         .join();
         assert!(panicked.is_err());
         assert!(q.state.is_poisoned());
-        assert!(q.acquire("a").is_ok());
+        let held = q.acquire("a").ok();
+        assert!(held.is_some());
         assert_eq!(q.depth(), (1, 0));
         // A waiter is still granted the slot a release frees.
         let waiter = {
             let q = q.clone();
-            std::thread::spawn(move || q.acquire("b").is_ok())
+            std::thread::spawn(move || {
+                let slot = q.acquire("b").ok();
+                (slot.is_some(), q.depth())
+            })
         };
         while q.depth().1 == 0 {
             std::thread::yield_now();
         }
-        q.release();
-        assert!(waiter.join().unwrap());
-        assert_eq!(q.depth(), (1, 0));
-        q.release();
+        drop(held);
+        assert_eq!(waiter.join().unwrap(), (true, (1, 0)));
         assert_eq!(q.depth(), (0, 0));
+    }
+
+    #[test]
+    fn a_query_that_panics_returns_its_slot() {
+        // One slot and no queue: a slot that was never returned would make
+        // the next `acquire` a rejection, not a wait.
+        let q = Arc::new(AdmissionQueue::new(1, 0));
+        let holder = q.clone();
+        let panicked = std::thread::spawn(move || {
+            let _slot = holder.acquire("a").ok();
+            panic!("a query panics while admitted");
+        })
+        .join();
+        assert!(panicked.is_err());
+        assert_eq!(q.depth(), (0, 0));
+        let next = q.acquire("b");
+        assert!(next.is_ok(), "the panicked query's slot was not returned");
     }
 }

@@ -405,7 +405,7 @@ impl Engine {
         };
         self.inner.admitted.fetch_add(1, Ordering::Relaxed);
         let out = self.run_admitted(req, admitted.queue_wait);
-        self.inner.admission.release();
+        drop(admitted);
         match &out {
             Ok(_) => self.inner.completed.fetch_add(1, Ordering::Relaxed),
             Err(_) => self.inner.failed.fetch_add(1, Ordering::Relaxed),
