@@ -9,7 +9,9 @@
 //! With `--explain` the binary prints, instead of the timing table, the
 //! optimized plans each strategy executes at `--depth` (default 2).
 
-use trance_bench::{run_strategies, tpch_input_set_tuned, Cli, Family};
+use std::process::ExitCode;
+
+use trance_bench::{exit_code, run_strategies, tpch_input_set_tuned, Cli, Family};
 use trance_compiler::{explain_query, Strategy};
 use trance_tpch::{QueryVariant, TpchConfig};
 
@@ -18,8 +20,11 @@ const USAGE: &str = "figure7 [--schema narrow|wide] \
     [--memory-factor F] [--partitions N] [--memory BYTES] [--spill] [--faults SPEC] \
     [--explain [--depth N]]";
 
-fn main() {
-    let cli = Cli::from_env(USAGE);
+fn main() -> ExitCode {
+    exit_code(run(&Cli::from_env(USAGE)))
+}
+
+fn run(cli: &Cli) -> trance_dist::Result<()> {
     let (schema, variant) = cli
         .value_with("--schema", |raw| match raw {
             "narrow" => Ok(("narrow", QueryVariant::Narrow)),
@@ -49,7 +54,7 @@ fn main() {
         let cfg = TpchConfig::new(scale, 0);
         for family in families {
             let (inputs, spec) =
-                tpch_input_set_tuned(&cfg, family, depth, variant, memory_factor, &tuning);
+                tpch_input_set_tuned(&cfg, family, depth, variant, memory_factor, &tuning)?;
             for s in &strategies {
                 match explain_query(&spec, &inputs, *s) {
                     Ok(text) => println!("{text}\n"),
@@ -57,7 +62,7 @@ fn main() {
                 }
             }
         }
-        return;
+        return Ok(());
     }
     println!("Figure 7 ({schema} schema), scale {scale}, memory factor {memory_factor}");
     println!("runtimes in ms, shuffle in MiB; FAIL = simulated worker memory exhausted\n");
@@ -71,7 +76,7 @@ fn main() {
         for depth in 0..=4usize {
             let cfg = TpchConfig::new(scale, 0);
             let (inputs, spec) =
-                tpch_input_set_tuned(&cfg, family, depth, variant, memory_factor, &tuning);
+                tpch_input_set_tuned(&cfg, family, depth, variant, memory_factor, &tuning)?;
             let rows = run_strategies(&spec, &inputs, &strategies);
             print!("{depth:>6}");
             for r in &rows {
@@ -81,4 +86,5 @@ fn main() {
         }
         println!();
     }
+    Ok(())
 }

@@ -6,15 +6,20 @@
 //! optimized plans each strategy executes at skew factor `--skew` (default 3)
 //! — including the `[skew]` join annotations the skew-aware strategies get.
 
-use trance_bench::{run_strategies, tpch_input_set_tuned, Cli, Family};
+use std::process::ExitCode;
+
+use trance_bench::{exit_code, run_strategies, tpch_input_set_tuned, Cli, Family};
 use trance_compiler::{explain_query, Strategy};
 use trance_tpch::{QueryVariant, TpchConfig};
 
 const USAGE: &str = "figure8 [--scale F] [--memory-factor F] [--partitions N] [--memory BYTES] \
     [--spill] [--faults SPEC] [--explain [--skew N]]";
 
-fn main() {
-    let cli = Cli::from_env(USAGE);
+fn main() -> ExitCode {
+    exit_code(run(&Cli::from_env(USAGE)))
+}
+
+fn run(cli: &Cli) -> trance_dist::Result<()> {
     let scale: f64 = cli.value("--scale", 0.3);
     let memory_factor: f64 = cli.value("--memory-factor", 3.0);
     let tuning = cli.tuning();
@@ -37,14 +42,14 @@ fn main() {
             QueryVariant::Narrow,
             memory_factor,
             &tuning,
-        );
+        )?;
         for s in &strategies {
             match explain_query(&spec, &inputs, *s) {
                 Ok(text) => println!("{text}\n"),
                 Err(e) => println!("== {} · {} == run failed: {e}\n", spec.name, s.label()),
             }
         }
-        return;
+        return Ok(());
     }
     println!("Figure 8: nested-to-nested narrow, depth 2, skew factors 0-4 (scale {scale})");
     println!("runtimes in ms, shuffle in MiB; FAIL = simulated worker memory exhausted\n");
@@ -62,7 +67,7 @@ fn main() {
             QueryVariant::Narrow,
             memory_factor,
             &tuning,
-        );
+        )?;
         let rows = run_strategies(&spec, &inputs, &strategies);
         print!("{skew:>5}");
         for r in &rows {
@@ -70,4 +75,5 @@ fn main() {
         }
         println!();
     }
+    Ok(())
 }

@@ -4,15 +4,20 @@
 //! With `--explain` the binary prints, instead of the timing table, the
 //! optimized plans each pipeline step executes per strategy (small dataset).
 
-use trance_bench::{explain_biomed_pipeline, run_biomed_pipeline_tuned, Cli};
+use std::process::ExitCode;
+
+use trance_bench::{exit_code, explain_biomed_pipeline, run_biomed_pipeline_tuned, Cli};
 use trance_biomed::BiomedConfig;
 use trance_compiler::Strategy;
 
 const USAGE: &str = "figure9 [--memory-factor F] [--scale F] [--partitions N] [--memory BYTES] \
     [--spill] [--faults SPEC] [--explain]";
 
-fn main() {
-    let cli = Cli::from_env(USAGE);
+fn main() -> ExitCode {
+    exit_code(run(&Cli::from_env(USAGE)))
+}
+
+fn run(cli: &Cli) -> trance_dist::Result<()> {
     let memory_factor: f64 = cli.value("--memory-factor", 12.0);
     let scale: f64 = cli.value("--scale", 1.0);
     let tuning = cli.tuning();
@@ -20,12 +25,12 @@ fn main() {
     if cli.flag("--explain") {
         let cfg = BiomedConfig::small().scaled(scale);
         for strategy in strategies {
-            for (step, text) in explain_biomed_pipeline(&cfg, strategy, memory_factor) {
+            for (step, text) in explain_biomed_pipeline(&cfg, strategy, memory_factor)? {
                 println!("### step {step} ({})", strategy.label());
                 println!("{text}\n");
             }
         }
-        return;
+        return Ok(());
     }
     for (label, cfg) in [
         ("SMALL DATASET", BiomedConfig::small().scaled(scale)),
@@ -33,7 +38,7 @@ fn main() {
     ] {
         println!("== Figure 9: E2E pipeline, {label} ==");
         for strategy in strategies {
-            let row = run_biomed_pipeline_tuned(&cfg, strategy, memory_factor, &tuning);
+            let row = run_biomed_pipeline_tuned(&cfg, strategy, memory_factor, &tuning)?;
             print!("{:>14}:", strategy.label());
             for (step, d) in &row.steps {
                 match d {
@@ -50,4 +55,5 @@ fn main() {
         }
         println!();
     }
+    Ok(())
 }

@@ -5,7 +5,7 @@ use std::time::Duration;
 
 use trance_biomed::BiomedConfig;
 use trance_compiler::{run_query, InputSet, QuerySpec, RunOutcome, RunResult, Strategy};
-use trance_dist::{ClusterConfig, DistContext, FaultPlan, StatsSnapshot};
+use trance_dist::{ClusterConfig, DistContext, FaultPlan, Result, StatsSnapshot};
 use trance_nrc::{eval, Bag, Env, MemSize, Value};
 use trance_shred::ShreddedInputDecl;
 use trance_tpch::{
@@ -160,7 +160,8 @@ fn tpch_tables(config: &TpchConfig) -> [(&'static str, Bag); 6] {
 /// Builds the [`InputSet`] and query of one TPC-H experiment cell on the
 /// figure cluster with `tuning` applied. The nested input of the nested-to-*
 /// families is the flat-to-nested output at `depth`, materialized before
-/// anything is measured, exactly as in the paper.
+/// anything is measured, exactly as in the paper. The error is the
+/// materialization's or a table's registration's.
 pub fn tpch_input_set_tuned(
     config: &TpchConfig,
     family: Family,
@@ -168,7 +169,7 @@ pub fn tpch_input_set_tuned(
     variant: QueryVariant,
     memory_factor: f64,
     tuning: &ClusterTuning,
-) -> (InputSet, QuerySpec) {
+) -> Result<(InputSet, QuerySpec)> {
     let tables = tpch_tables(config);
     let (query, nested) = match family {
         Family::FlatToNested => (flat_to_nested(depth, variant), None),
@@ -178,10 +179,7 @@ pub fn tpch_input_set_tuned(
                     .iter()
                     .map(|(name, bag)| (*name, Value::Bag(bag.clone()))),
             );
-            let nested = eval(&flat_to_nested(depth, variant), &env)
-                .expect("flat-to-nested materialization")
-                .into_bag()
-                .expect("bag result");
+            let nested = eval(&flat_to_nested(depth, variant), &env)?.into_bag()?;
             let query = match family {
                 Family::NestedToNested => nested_to_nested(depth, variant),
                 _ => nested_to_flat(depth, variant),
@@ -193,18 +191,14 @@ pub fn tpch_input_set_tuned(
         + nested.as_ref().map_or(0, bag_bytes);
     let mut inputs = InputSet::new(cluster(input_bytes, memory_factor, tuning));
     for (name, bag) in tables {
-        inputs.add_flat(name, bag).expect("a flat table loads");
+        inputs.add_flat(name, bag)?;
     }
     let mut nested_decls = vec![];
     if let Some(nested) = nested {
         if depth == 0 {
-            inputs
-                .add_flat("Nested", nested)
-                .expect("a flat table loads");
+            inputs.add_flat("Nested", nested)?;
         } else {
-            inputs
-                .add_nested("Nested", nested)
-                .expect("the generated nested input shreds");
+            inputs.add_nested("Nested", nested)?;
             nested_decls.push(ShreddedInputDecl::new(
                 "Nested",
                 nesting_structure_for_depth(depth),
@@ -216,7 +210,7 @@ pub fn tpch_input_set_tuned(
         query,
         nested_decls,
     );
-    (inputs, spec)
+    Ok((inputs, spec))
 }
 
 /// Runs `spec` once per strategy, each under its default options. The
@@ -242,7 +236,8 @@ pub fn run_strategies(
 }
 
 /// Runs one TPC-H experiment cell on the untuned figure cluster for each
-/// requested strategy under the strategy's default options.
+/// requested strategy under the strategy's default options. The error is
+/// the cell's setup's ([`tpch_input_set_tuned`]); a failed run is a row.
 pub fn run_tpch_query(
     config: &TpchConfig,
     family: Family,
@@ -250,11 +245,11 @@ pub fn run_tpch_query(
     variant: QueryVariant,
     strategies: &[Strategy],
     memory_factor: f64,
-) -> Vec<BenchRow> {
+) -> Result<Vec<BenchRow>> {
     let tuning = ClusterTuning::default();
     let (inputs, spec) =
-        tpch_input_set_tuned(config, family, depth, variant, memory_factor, &tuning);
-    run_strategies(&spec, &inputs, strategies)
+        tpch_input_set_tuned(config, family, depth, variant, memory_factor, &tuning)?;
+    Ok(run_strategies(&spec, &inputs, strategies))
 }
 
 // ---------------------------------------------------------------------------
@@ -287,7 +282,11 @@ impl PipelineRow {
 
 /// Builds the distributed input set of the biomedical benchmark on the
 /// figure cluster with `tuning` applied.
-fn biomed_input_set(config: &BiomedConfig, memory_factor: f64, tuning: &ClusterTuning) -> InputSet {
+fn biomed_input_set(
+    config: &BiomedConfig,
+    memory_factor: f64,
+    tuning: &ClusterTuning,
+) -> Result<InputSet> {
     let data = trance_biomed::generate(config);
     let nested = [("Occurrences", data.occurrences), ("Network", data.network)];
     let flat = [
@@ -302,14 +301,12 @@ fn biomed_input_set(config: &BiomedConfig, memory_factor: f64, tuning: &ClusterT
         .sum();
     let mut inputs = InputSet::new(cluster(bytes, memory_factor, tuning));
     for (name, bag) in nested {
-        inputs
-            .add_nested(name, bag)
-            .expect("the generated nested input shreds");
+        inputs.add_nested(name, bag)?;
     }
     for (name, bag) in flat {
-        inputs.add_flat(name, bag).expect("a flat table loads");
+        inputs.add_flat(name, bag)?;
     }
-    inputs
+    Ok(inputs)
 }
 
 /// Runs the five-step E2E pipeline under one strategy on a CLI-tuned
@@ -320,7 +317,7 @@ pub fn run_biomed_pipeline_tuned(
     strategy: Strategy,
     memory_factor: f64,
     tuning: &ClusterTuning,
-) -> PipelineRow {
+) -> Result<PipelineRow> {
     observe_biomed_pipeline(config, strategy, memory_factor, tuning, |spec, inputs| {
         run_query(spec, inputs, strategy)
     })
@@ -333,15 +330,15 @@ pub fn explain_biomed_pipeline(
     config: &BiomedConfig,
     strategy: Strategy,
     memory_factor: f64,
-) -> Vec<(String, String)> {
+) -> Result<Vec<(String, String)>> {
     let mut explains = Vec::new();
     let tuning = ClusterTuning::default();
     observe_biomed_pipeline(config, strategy, memory_factor, &tuning, |spec, inputs| {
         let (outcome, text) = trance_compiler::run_query_explained(spec, inputs, strategy);
         explains.push((spec.name.clone(), text));
         outcome
-    });
-    explains
+    })?;
+    Ok(explains)
 }
 
 /// The pipeline driver: runs each step through `run_step` (which sees the
@@ -359,15 +356,17 @@ pub fn explain_biomed_pipeline(
 ///
 /// The table-store cells of the form the strategy reads are filled before
 /// each step runs, untimed, as [`run_strategies`] does. A step after a
-/// failed one is not attempted and reported failed, as in the paper.
+/// failed one is not attempted and reported failed, as in the paper. The
+/// error is a registration's: of the generated inputs, or of a step's
+/// output as the next step's input.
 pub fn observe_biomed_pipeline(
     config: &BiomedConfig,
     strategy: Strategy,
     memory_factor: f64,
     tuning: &ClusterTuning,
     mut run_step: impl FnMut(&QuerySpec, &InputSet) -> RunOutcome,
-) -> PipelineRow {
-    let mut inputs = biomed_input_set(config, memory_factor, tuning);
+) -> Result<PipelineRow> {
+    let mut inputs = biomed_input_set(config, memory_factor, tuning)?;
     let structures: HashMap<&str, trance_shred::NestingStructure> = HashMap::from([
         ("Occurrences", trance_biomed::occurrences_structure()),
         ("Network", trance_biomed::network_structure()),
@@ -406,19 +405,18 @@ pub fn observe_biomed_pipeline(
             }
             RunResult::Nested(d) => {
                 let rows = d.collect_bag();
-                let loaded = match structures.contains_key(output_name) {
-                    true => inputs.add_nested(output_name, rows),
-                    false => inputs.add_flat(output_name, rows),
-                };
-                loaded.expect("a step's output loads as the next step's input");
+                match structures.contains_key(output_name) {
+                    true => inputs.add_nested(output_name, rows)?,
+                    false => inputs.add_flat(output_name, rows)?,
+                }
             }
         }
         let elapsed = (!failed).then_some(outcome.elapsed);
         steps.push((step_name.to_string(), elapsed));
     }
-    PipelineRow {
+    Ok(PipelineRow {
         strategy,
         steps,
         shuffled_bytes: shuffled,
-    }
+    })
 }

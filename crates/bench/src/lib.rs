@@ -23,8 +23,10 @@
 //! per-layer probes.
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use std::fmt::Display;
+use std::process::ExitCode;
 use std::str::FromStr;
 
 use trance_dist::FaultPlan;
@@ -131,6 +133,20 @@ impl Cli {
             memory_bytes: self.value_with("--memory", parse_as),
             spill: self.flag("--spill"),
             faults: self.value_with("--faults", FaultPlan::parse),
+        }
+    }
+}
+
+/// The exit status of a figure binary whose run ended in `result`. A cell
+/// that could not be set up (its input did not materialize or register)
+/// puts the error on stderr and exits with status 1; usage errors exit
+/// with 2 (see [`Cli`]).
+pub fn exit_code(result: trance_dist::Result<()>) -> ExitCode {
+    match result {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("error: {e}");
+            ExitCode::FAILURE
         }
     }
 }

@@ -6,8 +6,9 @@
 //!
 //! `benchmark/` is its own workspace and not a dependency, so its constants
 //! are copied; each names where it comes from (`benchmark/src/workload.rs`).
-//! The TCP workload's shape lives beside `dist_agree` in `crates/net/tests`,
-//! because its workers re-execute the test binary.
+//! The TCP workload's shape lives beside `dist_agree` in `crates/net/tests`
+//! (`skew_ranks`), because its ranks are `trance-net`'s `trance-worker`
+//! binary.
 
 use trance_compiler::{collect_unshredded, run_query, InputSet, QuerySpec, RunResult, Strategy};
 use trance_dist::{ClusterConfig, DistContext, StatsSnapshot};

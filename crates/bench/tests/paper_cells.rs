@@ -66,6 +66,7 @@ fn cell(
         ..ClusterTuning::default()
     };
     tpch_input_set_tuned(&config, family, 2, variant, memory_factor, &tuning)
+        .expect("the cell's inputs load")
 }
 
 /// An uncapped cell: where bytes are compared, the cap is not the subject.
@@ -363,7 +364,8 @@ fn every_step_of_the_biomedical_pipeline_equals_its_reference() {
             );
             step += 1;
             outcome
-        });
+        })
+        .expect("the pipeline's inputs load");
         assert_eq!(step, 5, "{}: five steps ran", strategy.label());
         assert!(!row.failed());
     }
@@ -378,7 +380,7 @@ fn full_standard_ships_no_more_than_the_baseline_over_the_biomedical_pipeline() 
     let config = BiomedConfig::full().scaled(0.5);
     let tuning = ClusterTuning::default();
     let [standard, baseline] = [Strategy::Standard, Strategy::Baseline]
-        .map(|s| run_biomed_pipeline_tuned(&config, s, 0.0, &tuning));
+        .map(|s| run_biomed_pipeline_tuned(&config, s, 0.0, &tuning).expect("the inputs load"));
     assert!(
         !standard.failed() && !baseline.failed(),
         "an uncapped step failed"
@@ -407,7 +409,8 @@ fn a_step_after_a_fail_is_reported_as_fail() {
             failure = Some(e.clone());
         }
         outcome
-    });
+    })
+    .expect("the pipeline's inputs load");
     if !figure_cluster {
         return;
     }

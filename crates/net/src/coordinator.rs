@@ -239,7 +239,7 @@ impl Coordinator {
                     }
                     ErrKind::Retryable => {
                         eprintln!(
-                            "trance-coordinator: job {job} attempt {attempt} failed \
+                            "coordinator: job {job} attempt {attempt} failed \
                              ({detail}); retrying on a fresh mesh"
                         );
                         last_detail = detail;

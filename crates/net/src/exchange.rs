@@ -341,11 +341,6 @@ impl NetExchange {
         }
     }
 
-    /// Collective rounds this rank has issued on the mesh so far.
-    pub fn rounds_issued(&self) -> u64 {
-        self.seq.load(Ordering::Relaxed)
-    }
-
     /// Tears the mesh down: half-closes every link. Called by the worker
     /// after each attempt — on failure the EOF
     /// this sends is what cascades to peers so nobody waits on a rank that

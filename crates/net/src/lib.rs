@@ -4,21 +4,20 @@
 //! every rank and funnels all cross-partition movement through the
 //! `Exchange` collectives. This crate supplies the network backend:
 //!
-//! - [`msg`]: the control protocol between `trance-coordinator` and
-//!   `trance-worker`, riding the hardened spill wire format (magic,
-//!   version, CRC-32, bounded lengths) so corrupt frames surface as typed
-//!   errors, never panics or over-allocation.
+//! - [`msg`]: the control protocol between the [`Coordinator`] and the
+//!   `trance-worker` processes, riding the hardened spill wire format
+//!   (magic, version, CRC-32, bounded lengths) so corrupt frames surface as
+//!   typed errors, never panics or over-allocation.
 //! - [`exchange`]: the async TCP data plane — one connection per worker
 //!   pair, per-link credit-based backpressure, reorder-tolerant collective
 //!   rounds, and typed `Retryable` errors on connection loss that feed the
 //!   engine's retry/lineage recovery and the coordinator's global retry.
-//! - [`coordinator`] / [`worker`]: the binary pair — the coordinator
-//!   partitions the catalog across worker processes, drives jobs attempt by
-//!   attempt, and merges per-rank rows back into one bag in partition
-//!   order.
-//! - [`smoke`]: the differential smoke suite proving TCP runs bag-identical
-//!   to the in-process thread oracle (which stays the single-node oracle).
-//! - [`testkit`]: self-spawning multi-process clusters for the test suites.
+//! - [`coordinator`]: a library — it partitions the catalog across worker
+//!   processes, drives jobs attempt by attempt, and merges per-rank rows
+//!   back into one bag in partition order.
+//! - [`worker`]: one rank's serve loop, the body of the crate's one binary,
+//!   `trance-worker --connect HOST:PORT`.
+//! - [`testkit`]: multi-process clusters, one worker process per rank.
 
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
@@ -27,7 +26,6 @@ pub mod coordinator;
 pub mod exchange;
 pub mod link;
 pub mod msg;
-pub mod smoke;
 pub mod testkit;
 pub mod worker;
 
@@ -35,5 +33,4 @@ pub use coordinator::{Coordinator, CoordinatorListener, JobReport, JobSpec, MAX_
 pub use exchange::{DataPlane, NetExchange, CREDIT_WINDOW};
 pub use link::FramedConn;
 pub use msg::{ClusterParams, Ctrl, DropSpec, ErrKind, LoadKind, NetStats, Outcome};
-pub use smoke::{run_smoke, SmokeOutcome};
-pub use testkit::{spawn_self_cluster, LocalCluster};
+pub use testkit::{spawn_cluster, spawn_self_cluster, LocalCluster};

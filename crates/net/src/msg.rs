@@ -1,4 +1,4 @@
-//! The control-plane protocol between `trance-coordinator` and
+//! The control-plane protocol between the coordinator and the
 //! `trance-worker` processes, plus the frame-kind constants shared with the
 //! worker⇄worker data plane.
 //!

@@ -242,17 +242,6 @@ fn run_one(
     *lock(cancel_slot) = None;
     mesh.set_cancel(None);
     mesh.close();
-    if std::env::var_os("TRANCE_NET_DEBUG").is_some() {
-        eprintln!(
-            "trance-worker[{rank}]: {} collective rounds, result {}",
-            mesh.rounds_issued(),
-            match &outcome.result {
-                RunResult::Nested(_) => "nested".to_string(),
-                RunResult::Shredded(_) => "shredded".to_string(),
-                RunResult::Failed(e) => format!("failed: {e}"),
-            }
-        );
-    }
 
     match outcome.result {
         RunResult::Nested(coll) => {

@@ -1,13 +1,13 @@
 //! The multi-process differential suite: a real coordinator plus three
-//! worker **processes** (re-executions of this test binary) on localhost
+//! worker **processes** — the shipped `trance-worker` binary — on localhost
 //! TCP, checked bag-for-bag — and logical-shuffle-byte-for-byte — against
 //! the in-process thread backend, which stays the single-node oracle.
 //!
-//! Runs as a harness-less main so the same binary can serve as the worker
-//! executable: the coordinator spawns `current_exe()` with
-//! `TRANCE_NET_WORKER` set, and those children divert into
-//! `worker::serve` before any test code runs.
+//! Runs as a harness-less main: one cluster serves every cell in order, so
+//! the cells share the ranks' loaded tables and the suite starts three
+//! processes in all.
 
+use std::path::Path;
 use std::time::Duration;
 
 use rand::rngs::StdRng;
@@ -16,7 +16,7 @@ use trance_compiler::{run_query, InputSet, QuerySpec, RunResult, Strategy};
 use trance_dist::{ClusterConfig, DistContext, ExecError};
 use trance_net::coordinator::{Coordinator, JobSpec};
 use trance_net::msg::{ClusterParams, DropSpec};
-use trance_net::testkit::spawn_self_cluster;
+use trance_net::testkit::spawn_cluster;
 use trance_nrc::Bag;
 use trance_shred::ShreddedInputDecl;
 
@@ -27,7 +27,6 @@ use common::{
     random_nested, random_query, running_example, Watchdog,
 };
 
-const WORKER_ENV: &str = "TRANCE_NET_WORKER";
 const RANKS: usize = 3;
 
 fn params() -> ClusterParams {
@@ -333,22 +332,13 @@ fn shredded_result_rejected(coord: &mut Coordinator) {
 }
 
 fn main() {
-    // Worker mode: the coordinator spawned us with the control address.
-    if let Ok(addr) = std::env::var(WORKER_ENV) {
-        if let Err(e) = trance_net::worker::serve(&addr) {
-            eprintln!("dist_agree worker: {e}");
-            std::process::exit(1);
-        }
-        return;
-    }
-
     let _watchdog = Watchdog::arm("dist_agree", Duration::from_secs(600));
     let seed = env_u64("TRANCE_DIST_SEED", 0xD157);
     let programs = env_u64("TRANCE_DIST_PROGRAMS", 6);
     println!("dist_agree: {RANKS} worker processes, seed {seed}, {programs} random programs");
 
-    let mut cluster =
-        spawn_self_cluster(WORKER_ENV, RANKS, params()).expect("spawning worker processes");
+    let worker = Path::new(env!("CARGO_BIN_EXE_trance-worker"));
+    let mut cluster = spawn_cluster(worker, RANKS, params()).expect("spawning worker processes");
     let coord = &mut cluster.coordinator;
 
     running_example_agrees(coord);

@@ -1,25 +1,26 @@
 //! The benchmark's TCP shape on skewed data: a coordinator and two worker
-//! **processes** (re-executions of this test binary) on localhost TCP, with
-//! the benchmark's cluster (16 partitions, a 4 KiB broadcast limit) and the
-//! `skew_n2n_narrow` data and query (skew 4, nested-to-nested Narrow, depth
-//! 2) at its oracle scale. The two skew-aware strategies the TCP route
-//! serves must equal `nrc::eval`, ship the in-process oracle's logical
-//! bytes, and split heavy keys off on every rank: the ranks agree on the
-//! heavy hashes through the `(hash, count)` sample allgather.
+//! **processes** on localhost TCP, with the benchmark's cluster (16
+//! partitions, a 4 KiB broadcast limit) and the `skew_n2n_narrow` data and
+//! query (skew 4, nested-to-nested Narrow, depth 2) at its oracle scale. The
+//! two skew-aware strategies the TCP route serves must equal `nrc::eval`,
+//! ship the in-process oracle's logical bytes, and split heavy keys off on
+//! every rank: the ranks agree on the heavy hashes through the `(hash,
+//! count)` sample allgather.
 //!
 //! The constants are copied from `benchmark/src/workload.rs`, which is not
 //! a dependency.
 //!
-//! Runs as a harness-less main so the same binary can serve as the worker
-//! executable.
+//! The ranks are the shipped `trance-worker` binary. Runs as a harness-less
+//! main, with one cluster for both strategies.
 
+use std::path::Path;
 use std::time::Duration;
 
 use trance_compiler::{run_query, InputSet, QuerySpec, RunResult, Strategy};
 use trance_dist::{ClusterConfig, DistContext};
 use trance_net::coordinator::JobSpec;
 use trance_net::msg::ClusterParams;
-use trance_net::testkit::spawn_self_cluster;
+use trance_net::testkit::spawn_cluster;
 use trance_nrc::{eval, Env, Value};
 use trance_shred::ShreddedInputDecl;
 use trance_tpch::{
@@ -31,7 +32,6 @@ use trance_tpch::{
 mod common;
 use common::{assert_bags_approx_eq, Watchdog};
 
-const WORKER_ENV: &str = "TRANCE_NET_WORKER";
 /// `WORKERS`: the TCP workload's worker processes.
 const RANKS: usize = 2;
 /// `PARTITIONS` and `BROADCAST_LIMIT`.
@@ -44,14 +44,6 @@ const SKEW: u32 = 4;
 const SEED: u64 = 1;
 
 fn main() {
-    // Worker mode: the coordinator spawned us with the control address.
-    if let Ok(addr) = std::env::var(WORKER_ENV) {
-        if let Err(e) = trance_net::worker::serve(&addr) {
-            eprintln!("skew_ranks worker: {e}");
-            std::process::exit(1);
-        }
-        return;
-    }
     let _watchdog = Watchdog::arm("skew_ranks", Duration::from_secs(300));
 
     let data = generate(&TpchConfig {
@@ -82,8 +74,8 @@ fn main() {
         threads: 1,
         broadcast_limit: BROADCAST_LIMIT as u64,
     };
-    let mut cluster =
-        spawn_self_cluster(WORKER_ENV, RANKS, params).expect("spawning worker processes");
+    let worker = Path::new(env!("CARGO_BIN_EXE_trance-worker"));
+    let mut cluster = spawn_cluster(worker, RANKS, params).expect("spawning worker processes");
     let coord = &mut cluster.coordinator;
     for (name, bag) in tables {
         coord.load_flat(name, bag.items().to_vec()).unwrap();

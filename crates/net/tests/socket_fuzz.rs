@@ -2,16 +2,21 @@
 //! round-trip through localhost TCP, and fuzzed / bit-flipped / truncated /
 //! length-forged frames arriving from the network must surface as typed
 //! `InvalidData` errors — never a panic, never an allocation driven by a
-//! forged length prefix.
+//! forged length prefix. A worker process that dies before it registers
+//! fails the cluster spawn instead of hanging it.
 
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
+use std::path::Path;
+use std::process::Stdio;
 use std::thread;
+use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use trance_net::link::FramedConn;
 use trance_net::msg::{ClusterParams, Ctrl, DropSpec, LoadKind, MAX_NET_FRAME};
+use trance_net::testkit::spawn_cluster_with;
 use trance_nrc::Value;
 use trance_store::wire;
 
@@ -209,4 +214,29 @@ fn data_frame_corruption_marks_link_not_process() {
     let err = deliver(&frame).unwrap_err();
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     assert!(err.to_string().contains("expected control frame"));
+}
+
+#[test]
+fn a_worker_that_exits_before_registering_fails_the_spawn() {
+    let params = ClusterParams {
+        partitions: 4,
+        threads: 1,
+        broadcast_limit: 64,
+    };
+    let started = Instant::now();
+    let worker = Path::new(env!("CARGO_BIN_EXE_trance-worker"));
+    let spawned = spawn_cluster_with(worker, 2, params, |rank, _| {
+        rank.arg("--bogus").stderr(Stdio::null());
+    });
+    let err = spawned.expect_err("a rejected argument must fail the spawn");
+    assert!(
+        started.elapsed() < Duration::from_secs(10),
+        "the spawn took {:?} to fail",
+        started.elapsed()
+    );
+    let detail = err.to_string();
+    assert!(
+        detail.contains("exited before the cluster formed") && detail.contains("exit status"),
+        "unexpected spawn error: {detail}"
+    );
 }

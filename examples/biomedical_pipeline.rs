@@ -8,10 +8,10 @@ use trance::biomed::BiomedConfig;
 use trance::compiler::Strategy;
 use trance_bench::{run_biomed_pipeline_tuned, ClusterTuning};
 
-fn main() {
+fn main() -> trance::dist::Result<()> {
     let cfg = BiomedConfig::small();
     for strategy in [Strategy::Shred, Strategy::Standard] {
-        let row = run_biomed_pipeline_tuned(&cfg, strategy, 0.0, &ClusterTuning::default());
+        let row = run_biomed_pipeline_tuned(&cfg, strategy, 0.0, &ClusterTuning::default())?;
         println!("== {} ==", strategy.label());
         for (step, d) in &row.steps {
             match d {
@@ -25,4 +25,5 @@ fn main() {
             row.shuffled_bytes as f64 / (1024.0 * 1024.0)
         );
     }
+    Ok(())
 }

@@ -8,7 +8,7 @@ use trance::compiler::Strategy;
 use trance::tpch::{QueryVariant, TpchConfig};
 use trance_bench::{run_tpch_query, Family};
 
-fn main() {
+fn main() -> trance::dist::Result<()> {
     println!("Nested-to-nested narrow, depth 2, skew factors 0-4 (scale 0.2)\n");
     for skew in 0..=4u32 {
         let cfg = TpchConfig::new(0.2, skew);
@@ -19,7 +19,7 @@ fn main() {
             QueryVariant::Narrow,
             &[Strategy::Shred, Strategy::ShredSkew, Strategy::Standard],
             0.0,
-        );
+        )?;
         println!(
             "skew {skew}: shred={} ms ({:.2} MiB)  shred-skew={} ms ({:.2} MiB)  standard={} ms ({:.2} MiB)",
             rows[0].time_cell().trim(), rows[0].stats.shuffled_mib(),
@@ -27,4 +27,5 @@ fn main() {
             rows[2].time_cell().trim(), rows[2].stats.shuffled_mib(),
         );
     }
+    Ok(())
 }

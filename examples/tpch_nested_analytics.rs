@@ -9,7 +9,7 @@ use trance::compiler::Strategy;
 use trance::tpch::{QueryVariant, TpchConfig};
 use trance_bench::{run_tpch_query, Family};
 
-fn main() {
+fn main() -> trance::dist::Result<()> {
     let cfg = TpchConfig::new(0.2, 0);
     println!("TPC-H nested-to-nested (depth 2, narrow), scale 0.2\n");
     let strategies = [
@@ -25,7 +25,7 @@ fn main() {
         QueryVariant::Narrow,
         &strategies,
         0.0,
-    );
+    )?;
     for r in rows {
         println!(
             "{:>16}: {} ms   shuffled {} tuples ({:.2} MiB)",
@@ -35,4 +35,5 @@ fn main() {
             r.stats.shuffled_mib()
         );
     }
+    Ok(())
 }
