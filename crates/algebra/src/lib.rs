@@ -15,7 +15,7 @@
 //! 2. [`optimize()`] is the single place optimization lives: selection
 //!    pushdown, liveness-based column pruning (above scans and unnests and
 //!    below every join and `Γ` input), aggregation
-//!    pushdown, broadcast-vs-shuffle-vs-skew join strategy selection
+//!    pushdown, broadcast-vs-shuffle join strategy selection
 //!    annotated on [`Plan::Join`] nodes, and the `place_by` of every
 //!    [`Plan::Nest`] — the subset of its key that hashes its output to where
 //!    the next breaker up needs it. Running a lowered program without this

@@ -28,9 +28,10 @@
 //!    left input and the grouping key covers the join key (the partial-sum
 //!    example discussed with Figure 3).
 //! 4. **Join strategy selection** — every [`Plan::Join`] is annotated with a
-//!    physical strategy: `Skew` when the pipeline requests skew-aware
-//!    execution, `Broadcast`/`Shuffle` when the catalog's size information
-//!    proves the choice, and `Auto` (runtime size check) otherwise.
+//!    physical strategy: `Broadcast`/`Shuffle` when the catalog's size
+//!    information proves the choice, and `Auto` (runtime size check)
+//!    otherwise. Skew-aware runs get the same plans: skew handling is how
+//!    the executor runs a join, not an annotation.
 //! 5. **Grouping placement** — a `Γ` may hash its shuffle by any non-empty
 //!    subset of its key, so every [`Plan::Nest`] is annotated with the
 //!    `place_by` that puts its output where the next breaker up needs it:
@@ -59,8 +60,6 @@ pub struct OptimizerConfig {
     pub pushdown_aggregation: bool,
     /// Annotate every join with a physical strategy.
     pub select_join_strategies: bool,
-    /// Request skew-aware joins (Section 5) — every join is annotated `Skew`.
-    pub skew_joins: bool,
     /// The engine's broadcast limit in bytes; required for provable
     /// `Broadcast`/`Shuffle` annotations (without it joins stay `Auto`).
     pub broadcast_limit: Option<usize>,
@@ -73,7 +72,6 @@ impl Default for OptimizerConfig {
             prune_columns: true,
             pushdown_aggregation: true,
             select_join_strategies: true,
-            skew_joins: false,
             broadcast_limit: None,
         }
     }
@@ -539,9 +537,7 @@ fn select_join_strategies(plan: &Plan, catalog: &Catalog, config: &OptimizerConf
             strategy: JoinStrategy::Auto,
         } = p
         {
-            let strategy = if config.skew_joins {
-                JoinStrategy::Skew
-            } else if let Some(limit) = config.broadcast_limit {
+            let strategy = if let Some(limit) = config.broadcast_limit {
                 let right_bound = size_upper_bound(right, catalog);
                 let left_bound = size_upper_bound(left, catalog);
                 match (right_bound, left_bound) {
@@ -1210,20 +1206,6 @@ mod tests {
             }
         });
         assert_eq!(strategy2, Some(JoinStrategy::Shuffle));
-
-        // Skew-aware pipelines annotate every join Skew.
-        let skew_cfg = OptimizerConfig {
-            skew_joins: true,
-            ..OptimizerConfig::default()
-        };
-        let opt3 = optimize(&plan2, &c, &skew_cfg);
-        let mut strategy3 = None;
-        opt3.visit(&mut |p| {
-            if let Plan::Join { strategy: s, .. } = p {
-                strategy3 = Some(*s);
-            }
-        });
-        assert_eq!(strategy3, Some(JoinStrategy::Skew));
     }
 
     /// The paper's running example (nested-to-nested: navigate `COP`, join

@@ -17,12 +17,12 @@
 //!   reads it through [`plan_placement`];
 //! * [`plan_placement`] / [`served_in_place`] — the static mirror of the
 //!   engine's rules, for EXPLAIN's `[in place: hashed by …]` marks. It is
-//!   conservative: a join whose strategy is decided at run time (`auto`,
-//!   `skew`) or that broadcasts claims nothing for its output, so the run
-//!   may find more in place than the marks say. Two run-time decisions can
-//!   find less: an `auto` join that broadcasts moves neither side by key
-//!   (its inputs are marked `unless broadcast`), and a skew-aware `Γ+` that
-//!   finds heavy keys unions two aggregations, whose output is unplaced.
+//!   conservative: a join whose strategy is decided at run time (`auto`) or
+//!   that broadcasts claims nothing for its output, so the run may find more
+//!   in place than the marks say. Two run-time decisions can find less: an
+//!   `auto` join that broadcasts moves neither side by key (its inputs are
+//!   marked `unless broadcast`), and a skew-aware `shuffle` join that finds
+//!   heavy keys unions a light and a heavy half, whose output is unplaced.
 //!   The run's own count is the `shuffles_in_place` counter.
 
 use std::collections::BTreeMap;
@@ -346,11 +346,7 @@ mod tests {
             strategy,
         };
         let renest = |attr: &str| PlanJoinKind::Renest { attr: attr.into() };
-        for strategy in [
-            JoinStrategy::Auto,
-            JoinStrategy::Skew,
-            JoinStrategy::Broadcast,
-        ] {
+        for strategy in [JoinStrategy::Auto, JoinStrategy::Broadcast] {
             assert_eq!(
                 plan_placement(&join(PlanJoinKind::Inner, strategy), &scans),
                 None

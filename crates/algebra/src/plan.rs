@@ -34,8 +34,9 @@ pub enum PlanJoinKind {
 ///
 /// `Auto` defers the broadcast-vs-shuffle decision to the engine's runtime
 /// size check; the optimizer upgrades it to `Broadcast` / `Shuffle` when the
-/// catalog's size information makes the choice provable, and to `Skew` when
-/// the pipeline requests skew-aware execution (Section 5).
+/// catalog's size information makes the choice provable. Skew-aware execution
+/// (Section 5) is not a strategy: it is how the executor runs whichever one
+/// the plan names.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum JoinStrategy {
     /// Decide broadcast vs. shuffle from actual side sizes at runtime.
@@ -46,9 +47,6 @@ pub enum JoinStrategy {
     Broadcast,
     /// Shuffle both sides by key hash (provably neither side fits).
     Shuffle,
-    /// Skew-aware execution: sampled heavy keys broadcast, light keys
-    /// shuffled.
-    Skew,
 }
 
 impl JoinStrategy {
@@ -58,7 +56,6 @@ impl JoinStrategy {
             JoinStrategy::Auto => "auto",
             JoinStrategy::Broadcast => "broadcast",
             JoinStrategy::Shuffle => "shuffle",
-            JoinStrategy::Skew => "skew",
         }
     }
 }

@@ -4,7 +4,8 @@
 //!
 //! With `--explain` the binary prints, instead of the timing table, the
 //! optimized plans each strategy executes at skew factor `--skew` (default 3)
-//! — including the `[skew]` join annotations the skew-aware strategies get.
+//! — a skew-aware strategy's plans are its plain twin's, and its `-- shuffle`
+//! line counts the heavy-key broadcasts.
 
 use std::process::ExitCode;
 

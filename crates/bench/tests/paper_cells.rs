@@ -254,6 +254,52 @@ fn skew_aware_shredding_ships_fewer_bytes_on_skewed_data() {
     );
 }
 
+/// The tightest cap, as a multiple of a worker's share of the input, at
+/// which SHRED exhausts worker memory on Figure 8's data: its busiest worker
+/// needs 137,218 bytes and the cap is 134,644 (at 1.4 it completes).
+const SKEW_CAP_FACTOR: f64 = 1.3;
+
+/// Figure 8's FAIL shape: at the tightest cap where the plain shredded route
+/// exhausts worker memory on skewed data, the skew-aware one completes —
+/// the heavy keys' rows stay where they are and their matches are
+/// broadcast, instead of all landing on the partition their hash picks —
+/// and its result is the uncapped one.
+#[test]
+fn skew_aware_shredding_completes_where_shredding_exhausts_memory() {
+    let narrow = |cap| cell(figure8_data(), Family::NestedToNested, Narrow, cap, false);
+    let (capped, spec) = narrow(SKEW_CAP_FACTOR);
+    if !on_the_figure_cluster(&capped) {
+        return;
+    }
+    let shred = run_query(&spec, &capped, Strategy::Shred);
+    assert!(
+        matches!(
+            shred.result,
+            RunResult::Failed(ExecError::MemoryExceeded { .. })
+        ),
+        "capped skew-3 SHRED must exhaust worker memory, got {:?}",
+        shred.result
+    );
+    let unshredded = |outcome: &RunOutcome, case: &str| {
+        completed(outcome, case);
+        let RunResult::Shredded(out) = &outcome.result else {
+            panic!("{case} must produce a shredded result");
+        };
+        collect_unshredded(out).expect("the output unshreds")
+    };
+    let skew = run_query(&spec, &capped, Strategy::ShredSkew);
+    let produced = unshredded(&skew, "capped skew-3 SHRED-SKEW");
+    let (oracle, _) = narrow(0.0);
+    let expected = unshredded(
+        &run_query(&spec, &oracle, Strategy::ShredSkew),
+        "uncapped skew-3 SHRED-SKEW",
+    );
+    assert!(
+        bags_approx_equal(&expected, &produced),
+        "capped skew-3 SHRED-SKEW diverged from its uncapped result"
+    );
+}
+
 /// Which shuffles run on the headline cell. The optimizer places each `Γ`
 /// for the breaker that consumes it, so STANDARD answers three of its seven
 /// shuffles in place (the `Γ⊎` above the `Γ+` and the grouped side of both

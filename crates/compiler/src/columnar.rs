@@ -358,7 +358,6 @@ fn optimizer_config(options: &ExecOptions, ctx: &DistContext) -> Option<Optimize
         return None;
     }
     Some(OptimizerConfig {
-        skew_joins: options.skew_aware,
         broadcast_limit: Some(ctx.config().broadcast_limit),
         ..OptimizerConfig::default()
     })
@@ -636,23 +635,21 @@ pub fn eval_plan_col(
                 PlanJoinKind::Inner => JoinSpec::inner(&lk, &rk),
                 PlanJoinKind::Renest { attr } => JoinSpec::renest(&lk, &rk, attr),
             };
-            if *strategy == JoinStrategy::Skew {
+            let spec = match strategy {
+                // The planner's size bound predates the `var.field`
+                // renaming, which inflates per-row bytes; force the
+                // broadcast only when the materialized side really fits
+                // (cluster-wide under a multi-process exchange), otherwise
+                // fall back to the runtime decision.
+                JoinStrategy::Broadcast if r.planning_bytes()? <= ctx.config().broadcast_limit => {
+                    spec.with_hint(JoinHint::BroadcastRight)
+                }
+                JoinStrategy::Shuffle => spec.with_hint(JoinHint::Shuffle),
+                _ => spec,
+            };
+            if options.skew_aware {
                 l.skew_join(&r, &spec)
             } else {
-                let spec = match strategy {
-                    // The planner's size bound predates the `var.field`
-                    // renaming, which inflates per-row bytes; force the
-                    // broadcast only when the materialized side really fits
-                    // (cluster-wide under a multi-process exchange),
-                    // otherwise fall back to the runtime decision.
-                    JoinStrategy::Broadcast
-                        if r.planning_bytes()? <= ctx.config().broadcast_limit =>
-                    {
-                        spec.with_hint(JoinHint::BroadcastRight)
-                    }
-                    JoinStrategy::Shuffle => spec.with_hint(JoinHint::Shuffle),
-                    _ => spec,
-                };
                 l.join(&r, &spec)
             }
         }
@@ -666,9 +663,6 @@ pub fn eval_plan_col(
             let rows = eval_plan_col(input, env, ctx, options)?;
             let place_by = if place_by.is_empty() { key } else { place_by };
             match op {
-                NestOp::Sum if options.skew_aware => {
-                    rows.nest_sum_skew_placed(key, values, place_by)
-                }
                 NestOp::Sum => rows.nest_sum_placed(key, values, place_by),
                 NestOp::Bag { group_attr } => {
                     rows.nest_bag_placed(key, values, group_attr, place_by)

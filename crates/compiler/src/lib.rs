@@ -8,7 +8,7 @@
 //! * the unnesting algorithm (`trance_algebra::lower`, Figure 3) reifies the
 //!   query as a `PlanProgram`;
 //! * `trance_algebra::optimize` applies column pruning, selection/aggregation
-//!   pushdown and broadcast-vs-shuffle-vs-skew join strategy selection — the
+//!   pushdown and broadcast-vs-shuffle join strategy selection — the
 //!   SparkSQL-like baseline is this same route with the optimizer off;
 //! * the physical executor ([`columnar`]) — the only one, with one shape:
 //!   every row-local operator runs in a fused morsel pipeline — interprets

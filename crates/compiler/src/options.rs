@@ -17,10 +17,10 @@ use crate::kernel::KernelCache;
 /// plan. `spill` is the one mode boolean. Fault injection is not an option
 /// but a property of the cluster: one built with a `FaultPlan` always
 /// injects, and a fault-free run is a run on a cluster without one.
-/// `skew_aware` is read by `optimizer_config`, which then annotates every
-/// join `Skew` (unshredding's label joins included — unshredding is a
-/// plan), and by the `Plan::Nest` arm of `eval_plan_col`, because `Γ+`
-/// carries no annotation; a join's strategy is read off the plan alone.
+/// `skew_aware` is read by the `Plan::Join` arm of `eval_plan_col` alone:
+/// a skew-aware run executes the plain run's plans, and every join
+/// (unshredding's label joins included — unshredding is a plan) goes
+/// through `skew_join` with the strategy its plan names.
 #[derive(Debug, Clone)]
 pub struct ExecOptions {
     /// Run the plan optimizer (column pruning, selection pushdown, join
@@ -28,7 +28,8 @@ pub struct ExecOptions {
     /// baseline is the same compilation route with the optimizer off, not a
     /// separate code path.
     pub optimize: bool,
-    /// Use skew-aware joins (Section 5).
+    /// Run every join skew-aware (Section 5): heavy keys stay put and their
+    /// matches are broadcast.
     pub skew_aware: bool,
     /// Allow out-of-core execution: on clusters with the spill subsystem
     /// enabled (`ClusterConfig::with_spill`) and a worker memory cap set,

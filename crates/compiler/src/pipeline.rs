@@ -17,9 +17,8 @@
 //! * **ShredUnshred** — shredded route plus distributed unshredding of the
 //!   final nested output: the program's last unit, a plan of label joins
 //!   built by [`crate::unshred`].
-//! * `*Skew` variants run every join with the skew-aware operators of
-//!   Section 5 (the optimizer annotates every `Plan::Join` with `Skew` —
-//!   unshredding's label joins included).
+//! * `*Skew` variants run their plain twin's plans, every join (unshredding's
+//!   label joins included) through the skew-aware join of Section 5.
 //!
 //! Inputs are registered in an [`InputSet`], a view of the table store
 //! ([`crate::store`]): each table is kept as rows plus a write-once cell of

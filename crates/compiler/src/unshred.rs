@@ -2,8 +2,9 @@
 //! top bag plus one dictionary per nested attribute; putting them back
 //! together is one more unit of the program, built here as a single
 //! [`Plan`] tree and run like every other unit — optimized (`place_by`,
-//! pruning, `JoinStrategy::Skew` under the skew-aware strategies), checked
-//! for agreement across ranks, captured for EXPLAIN and the plan cache.
+//! pruning, join strategies), run skew-aware under the skew-aware
+//! strategies, checked for agreement across ranks, captured for EXPLAIN and
+//! the plan cache.
 //!
 //! The tree folds children into parents bottom-up: for every dictionary of
 //! the output's [`NestingStructure`], one re-nesting join ([`Plan::renest`],

@@ -9,8 +9,8 @@
 use std::collections::BTreeMap;
 
 use trance_compiler::{
-    prepare_and_run, run_prepared, run_query, strategy_options, InputSet, QuerySpec, RunResult,
-    Strategy,
+    prepare_and_run, run_prepared, run_query, run_query_explained, strategy_options, InputSet,
+    QuerySpec, RunResult, Strategy,
 };
 use trance_dist::{ClusterConfig, DistContext, StatsSnapshot};
 use trance_nrc::builder::*;
@@ -103,6 +103,49 @@ fn running_example_all_strategies_agree() {
         &spec,
         &[("COP", cop_value(12), true), ("Part", part_value(), false)],
     );
+}
+
+/// Skew-awareness is how the executor runs a join, not a plan: on the
+/// running example a skew twin's EXPLAIN plan lines are its plain twin's
+/// (the run's timings and counters, below the plans, are not compared).
+#[test]
+fn a_skew_twin_runs_its_plain_twins_plans() {
+    let spec = QuerySpec::new(
+        "running-example",
+        running_example(),
+        vec![ShreddedInputDecl::new("COP", cop_structure())],
+    );
+    let inputs = input_set(
+        ctx(),
+        &[("COP", cop_value(12), true), ("Part", part_value(), false)],
+    );
+    let plan_lines = |strategy: Strategy| -> Vec<String> {
+        let (outcome, text) = run_query_explained(&spec, &inputs, strategy);
+        outcome_bag(&outcome.result, strategy.label());
+        text.lines()
+            .skip(1)
+            .take_while(|l| !(l.starts_with("-- ") && l.contains(": ")))
+            .map(str::to_string)
+            .collect()
+    };
+    for (plain, skew) in [
+        (Strategy::Standard, Strategy::StandardSkew),
+        (Strategy::ShredUnshred, Strategy::ShredUnshredSkew),
+    ] {
+        let plain_lines = plan_lines(plain);
+        assert!(
+            plain_lines.iter().any(|l| l.contains("Join on ")),
+            "{} explains no join: {plain_lines:#?}",
+            plain.label()
+        );
+        assert_eq!(
+            plain_lines,
+            plan_lines(skew),
+            "{} and {} run different plans",
+            plain.label(),
+            skew.label()
+        );
+    }
 }
 
 /// Dictionary paths join attribute names with `_`, so an output bag

@@ -843,9 +843,11 @@ impl ColCollection {
     }
 
     /// Skew-aware equi-join (Section 5) over batches: samples the left side's
-    /// key-hash frequencies, shuffle-joins the rows of light hashes and
-    /// broadcast-joins those of heavy hashes (falling back to a shuffle when
-    /// the matching right rows exceed the broadcast limit).
+    /// key-hash frequencies, joins the rows of light hashes as
+    /// [`ColCollection::join`] would (the hint included) and broadcast-joins
+    /// those of heavy hashes (falling back to a shuffle when the matching
+    /// right rows exceed the broadcast limit). With no heavy hash it is
+    /// `join`.
     pub fn skew_join(&self, right: &ColCollection, spec: &JoinSpec) -> Result<ColCollection> {
         self.timed("skew_join", || {
             let heavy = detect_heavy_keys_col(self, spec.left_keys())?;
@@ -875,33 +877,13 @@ impl ColCollection {
         })
     }
 
-    /// Skew-aware `Γ+`: heavy grouping keys aggregate separately from the
-    /// light ones, so a dominant key cannot overload the partition its hash
-    /// lands on. Both parts pre-aggregate map-side, so the heavy shuffle
-    /// moves at most one partial row per source partition per heavy key.
+    /// Skew-aware `Γ+`: [`ColCollection::nest_sum`] itself. Its map-side
+    /// partial aggregation already ships at most one row per source
+    /// partition per key, so a heavy key cannot overload the partition its
+    /// hash lands on, and splitting heavy keys off would only add a sample,
+    /// a second aggregation and an unplaced union.
     pub fn nest_sum_skew(&self, key: &[String], values: &[String]) -> Result<ColCollection> {
-        self.nest_sum_skew_placed(key, values, key)
-    }
-
-    /// [`ColCollection::nest_sum_skew`] whose shuffles hash by `place_by`
-    /// (see [`ColCollection::nest_sum_placed`]). The output is placed when
-    /// no key is heavy; the union of a light and a heavy aggregation is not.
-    pub fn nest_sum_skew_placed(
-        &self,
-        key: &[String],
-        values: &[String],
-        place_by: &[String],
-    ) -> Result<ColCollection> {
-        self.timed("skew_nest_sum", || {
-            let heavy = detect_heavy_keys_col(self, key)?;
-            if heavy.is_empty() {
-                return self.nest_sum_placed(key, values, place_by);
-            }
-            let (light, heavy) = split_by_keys_col(self, key, &heavy)?;
-            light
-                .nest_sum_placed(key, values, place_by)?
-                .union(&heavy.nest_sum_placed(key, values, place_by)?)
-        })
+        self.nest_sum(key, values)
     }
 
     /// Runs a **fused operator pipeline** morsel-by-morsel on the context's

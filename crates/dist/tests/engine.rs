@@ -380,30 +380,53 @@ fn skew_join_falls_back_to_shuffle_over_broadcast_limit() {
     assert_eq!(snap.skew_broadcast_joins, 0);
 }
 
+/// `Γ+` is skew-proof by partial aggregation: on 70 %-heavy rows `nest_sum`
+/// ships at most one partial row per source partition per distinct key, and
+/// `nest_sum_skew` ships exactly what `nest_sum` ships and keeps its
+/// placement.
 #[test]
-fn skew_nest_sum_equals_standard_nest_sum() {
-    let rows = skewed_rows(3000, 25, 0.7);
-    let mut expected = [0i64; 25];
+fn nest_sum_is_skew_proof_by_partial_aggregation() {
+    let (n, keys) = (3000, 25);
+    let rows = skewed_rows(n, keys, 0.7);
+    let mut expected = vec![0i64; keys as usize];
     for r in &rows {
         let t = r.as_tuple().unwrap();
         let k = t.get("k").unwrap().as_int().unwrap();
         expected[k as usize] += t.get("v").unwrap().as_int().unwrap();
     }
-    let expected: Bag = (0..25).map(|k| row(k, expected[k as usize])).collect();
-    let ctx = DistContext::new(ClusterConfig::new(4, 8));
-    let data = load(&ctx, rows);
+    let expected: Bag = (0..keys).map(|k| row(k, expected[k as usize])).collect();
     let key = vec!["k".to_string()];
     let values = vec!["v".to_string()];
-    let standard = data.nest_sum(&key, &values).unwrap();
-    let skewed = data.nest_sum_skew(&key, &values).unwrap();
-    assert_eq!(
-        canonical(&expected),
-        canonical(&standard.collect_bag().unwrap())
+    let config = ClusterConfig::new(4, 8);
+    let run = |skew: bool| {
+        let ctx = DistContext::new(config.clone());
+        let data = load(&ctx, rows.clone());
+        let out = if skew {
+            data.nest_sum_skew(&key, &values)
+        } else {
+            data.nest_sum(&key, &values)
+        }
+        .unwrap();
+        let snap = ctx.stats().snapshot();
+        let placement = out.placement().cloned();
+        (
+            out.collect_bag().unwrap(),
+            placement,
+            (snap.shuffled_tuples, snap.shuffled_bytes),
+        )
+    };
+    let (standard, standard_placed, standard_shipped) = run(false);
+    let (skewed, skewed_placed, skewed_shipped) = run(true);
+    assert_eq!(canonical(&expected), canonical(&standard));
+    assert_eq!(canonical(&expected), canonical(&skewed));
+    let bound = (config.partitions * keys as usize) as u64;
+    assert!(
+        standard_shipped.0 <= bound,
+        "{standard_shipped:?} tuples over {bound}"
     );
-    assert_eq!(
-        canonical(&expected),
-        canonical(&skewed.collect_bag().unwrap())
-    );
+    assert_eq!(skewed_shipped, standard_shipped);
+    assert!(standard_placed.is_some());
+    assert_eq!(skewed_placed, standard_placed);
 }
 
 /// Heavy keys are hashes: `2^53` and `2^53 + 1` hash equally (their `f64`
@@ -448,8 +471,9 @@ fn colliding_keys_take_the_heavy_side_together_and_stay_apart() {
     let (key, values) = (vec!["k".to_string()], vec!["v".to_string()]);
     let standard = left.nest_sum(&key, &values).unwrap();
     let skewed = left.nest_sum_skew(&key, &values).unwrap();
-    // The union of a light and a heavy aggregation is not placed.
-    assert!(standard.placement().is_some() && skewed.placement().is_none());
+    // The skew-aware `Γ+` is the plain one, placement included.
+    assert!(standard.placement().is_some());
+    assert_eq!(skewed.placement(), standard.placement());
     assert_eq!(
         canonical(&expected),
         canonical(&standard.collect_bag().unwrap())

@@ -141,11 +141,6 @@ pub struct Coordinator {
 }
 
 impl Coordinator {
-    /// Number of worker processes.
-    pub fn ranks(&self) -> usize {
-        self.workers.len()
-    }
-
     /// Round-robin partitions `rows` and ships each rank the full-length
     /// partition vector with only its owned contiguous slots populated —
     /// exactly the layout the in-process engine builds, so plans and

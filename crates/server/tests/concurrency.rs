@@ -1,7 +1,8 @@
 //! **Concurrency differential**: N queries submitted concurrently from
-//! client threads must produce bag-identical results — and, for the
-//! deterministic (non-skew) strategies, identical logical shuffle bytes —
-//! to the same queries submitted serially. Runs at workers {1, 2, 7}.
+//! client threads must produce bag-identical results — and identical
+//! logical shuffle bytes, the skew-aware strategies included (their heavy-key
+//! sample is every `stride`-th row in global order) — to the same queries
+//! submitted serially. Runs at workers {1, 2, 7}.
 //!
 //! The serial pass doubles as the oracle pass: every result is also checked
 //! against the sequential NRC reference evaluator. The serial pass warms
@@ -170,18 +171,13 @@ fn concurrent_submissions_match_serial() {
                 cache_hit,
                 "workers={workers} query {i}: concurrent pass must hit the warm plan cache"
             );
-            // Skew-aware joins depend on sampled heavy-hitter statistics;
-            // the deterministic strategies must meter byte-identical
-            // logical shuffle volume under concurrency.
-            if !case.req.strategy.skew_aware() {
-                assert_eq!(
-                    serial_bytes,
-                    conc_bytes,
-                    "workers={workers} query {i} ({}): logical shuffle bytes drifted \
-                     between serial and concurrent execution",
-                    case.req.strategy.label()
-                );
-            }
+            assert_eq!(
+                serial_bytes,
+                conc_bytes,
+                "workers={workers} query {i} ({}): logical shuffle bytes drifted \
+                 between serial and concurrent execution",
+                case.req.strategy.label()
+            );
         }
     }
 }
