@@ -17,7 +17,7 @@ use trance_tpch::{QueryVariant, TpchConfig};
 
 const USAGE: &str = "figure7 [--schema narrow|wide] \
     [--family flat-to-nested|nested-to-nested|nested-to-flat|all] [--scale F] \
-    [--memory-factor F] [--partitions N] [--memory BYTES] [--spill] [--faults SPEC] \
+    [--memory-factor F] [--partitions N] [--memory BYTES] [--spill] \
     [--explain [--depth N]]";
 
 fn main() -> ExitCode {

@@ -14,7 +14,7 @@ use trance_compiler::{explain_query, Strategy};
 use trance_tpch::{QueryVariant, TpchConfig};
 
 const USAGE: &str = "figure8 [--scale F] [--memory-factor F] [--partitions N] [--memory BYTES] \
-    [--spill] [--faults SPEC] [--explain [--skew N]]";
+    [--spill] [--explain [--skew N]]";
 
 fn main() -> ExitCode {
     exit_code(run(&Cli::from_env(USAGE)))

@@ -11,7 +11,7 @@ use trance_biomed::BiomedConfig;
 use trance_compiler::Strategy;
 
 const USAGE: &str = "figure9 [--memory-factor F] [--scale F] [--partitions N] [--memory BYTES] \
-    [--spill] [--faults SPEC] [--explain]";
+    [--spill] [--explain]";
 
 fn main() -> ExitCode {
     exit_code(run(&Cli::from_env(USAGE)))

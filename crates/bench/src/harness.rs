@@ -5,7 +5,7 @@ use std::time::Duration;
 
 use trance_biomed::BiomedConfig;
 use trance_compiler::{run_query, InputSet, QuerySpec, RunOutcome, RunResult, Strategy};
-use trance_dist::{ClusterConfig, DistContext, FaultPlan, Result, StatsSnapshot};
+use trance_dist::{ClusterConfig, DistContext, Result, StatsSnapshot};
 use trance_nrc::{eval, Bag, Env, MemSize, Value};
 use trance_shred::ShreddedInputDecl;
 use trance_tpch::{
@@ -103,11 +103,6 @@ pub struct ClusterTuning {
     pub memory_bytes: Option<usize>,
     /// Enables the out-of-core spill subsystem on the cluster.
     pub spill: bool,
-    /// The fault plan (`--faults`, e.g. `42` or
-    /// `seed=42,morsel=0.02,once=spill_read@3`) arming the cluster's
-    /// deterministic fault injector. When absent, `TRANCE_FAULT_SEED`
-    /// supplies the plan instead; when both are absent, runs are fault-free.
-    pub faults: Option<FaultPlan>,
 }
 
 /// The simulated cluster every figure runs on: 4 workers, 16 shuffle
@@ -132,11 +127,6 @@ fn cluster(input_bytes: usize, memory_factor: f64, tuning: &ClusterTuning) -> Di
     if tuning.spill {
         cfg = cfg.with_spill();
     }
-    cfg = match &tuning.faults {
-        // `--faults` beats the `TRANCE_FAULT_SEED` environment knob.
-        Some(plan) => cfg.with_faults(plan.clone()),
-        None => cfg.with_env_faults(),
-    };
     DistContext::new(cfg)
 }
 

@@ -29,8 +29,6 @@ use std::fmt::Display;
 use std::process::ExitCode;
 use std::str::FromStr;
 
-use trance_dist::FaultPlan;
-
 pub mod harness;
 
 pub use harness::{
@@ -51,7 +49,8 @@ pub struct Cli {
 impl Cli {
     /// The process's command line. `usage` is the binary's usage line; it
     /// doubles as the list of flags the binary knows, so a `--flag` it does
-    /// not mention is rejected (`--fault 42` must not run fault-free).
+    /// not mention is rejected (`--sclae 2` must not run at the default
+    /// scale).
     pub fn from_env(usage: &'static str) -> Cli {
         let cli = Cli {
             usage,
@@ -120,19 +119,14 @@ impl Cli {
 
     /// The cluster-shape flags shared by every figure binary:
     /// `--partitions N`, `--memory BYTES` (an absolute per-worker cap
-    /// overriding `--memory-factor`), `--spill` (enable the out-of-core
-    /// subsystem) and `--faults SPEC` (arm
-    /// the deterministic fault injector, e.g. `--faults 42` or
-    /// `--faults seed=42,morsel=0.02,once=spill_read@3`; the
-    /// `TRANCE_FAULT_SEED` environment variable supplies the spec when the
-    /// flag is absent), so capped, spilling and chaos runs are
-    /// reproducible from the command line.
+    /// overriding `--memory-factor`) and `--spill` (enable the out-of-core
+    /// subsystem), so capped and spilling runs are reproducible from the
+    /// command line.
     pub fn tuning(&self) -> ClusterTuning {
         ClusterTuning {
             partitions: self.value_with("--partitions", parse_as),
             memory_bytes: self.value_with("--memory", parse_as),
             spill: self.flag("--spill"),
-            faults: self.value_with("--faults", FaultPlan::parse),
         }
     }
 }

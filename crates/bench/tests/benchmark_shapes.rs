@@ -138,8 +138,21 @@ impl Shape {
     }
 }
 
+/// Top-level output rows: `Output::rows` (`benchmark/src/workload.rs`).
+fn output_rows(result: &RunResult) -> usize {
+    match result {
+        RunResult::Nested(d) => d.len(),
+        RunResult::Shredded(s) => s.top.len(),
+        RunResult::Failed(_) => 0,
+    }
+}
+
 /// Runs every strategy of an in-process (`Threads`) cell against
-/// `nrc::eval` and returns each strategy's counters.
+/// `nrc::eval` and returns each strategy's counters. Each strategy runs twice
+/// on the same inputs, as the benchmark's warm-up sweep and its timed ops
+/// do: the first run fills the table-store cells the second finds resident,
+/// and the second must repeat the first's output rows and logical shuffle
+/// bytes exactly (`WarmUp::repeats`, `benchmark/src/run.rs`).
 fn threads_cell(
     label: &str,
     shape: &Shape,
@@ -154,18 +167,27 @@ fn threads_cell(
     Strategy::all()
         .into_iter()
         .map(|strategy| {
-            let outcome = run_query(&spec, &inputs, strategy);
-            let got = match &outcome.result {
-                RunResult::Nested(d) => d.collect_bag(),
-                RunResult::Shredded(s) => collect_unshredded(s).unwrap(),
-                RunResult::Failed(e) => panic!("{label} {}: {e}", strategy.label()),
-            };
-            assert!(
-                bags_approx_equal(&got, &want),
-                "{label} {}: differs from nrc::eval",
+            let [first, second] = [0, 1].map(|run| {
+                let outcome = run_query(&spec, &inputs, strategy);
+                let got = match &outcome.result {
+                    RunResult::Nested(d) => d.collect_bag(),
+                    RunResult::Shredded(s) => collect_unshredded(s).unwrap(),
+                    RunResult::Failed(e) => panic!("{label} {} run {run}: {e}", strategy.label()),
+                };
+                assert!(
+                    bags_approx_equal(&got, &want),
+                    "{label} {} run {run}: differs from nrc::eval",
+                    strategy.label()
+                );
+                outcome
+            });
+            assert_eq!(
+                (output_rows(&first.result), first.stats.shuffled_bytes),
+                (output_rows(&second.result), second.stats.shuffled_bytes),
+                "{label} {}: the repeat's output rows and logical shuffle bytes differ",
                 strategy.label()
             );
-            (strategy, outcome.stats)
+            (strategy, first.stats)
         })
         .collect()
 }

@@ -19,7 +19,7 @@
 //! | 3    | I/O error (query file, CSV catalog)       |
 //! | 4    | parse error (spanned diagnostic printed)  |
 //! | 5    | type error                                |
-//! | 6    | execution failure (memory cap, faults)    |
+//! | 6    | execution failure (memory cap, overflow)  |
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
@@ -28,7 +28,7 @@ use std::process::ExitCode;
 use trance_compiler::{
     collect_unshredded, explain_query, run_query, InputSet, QuerySpec, RunResult, Strategy,
 };
-use trance_dist::{ClusterConfig, DistContext, FaultPlan};
+use trance_dist::{ClusterConfig, DistContext};
 use trance_nrc::{Bag, ScalarType, Type, TypeEnv, Value};
 use trance_shred::{nesting_structure, NestingStructure, ShreddedInputDecl};
 
@@ -50,8 +50,6 @@ OPTIONS:
     --explain           print the optimized plan(s) instead of executing
     --workers N         simulated worker count (default 4)
     --memory BYTES      per-worker memory cap; runs exceeding it FAIL
-    --faults SPEC       fault-injection plan, e.g. `42` or
-                        `seed=42,morsel=0.02,once=spill_read@3`
     --limit N           print at most N result rows (default 20, 0 = all)
     --help              this text
 
@@ -107,7 +105,6 @@ struct Options {
     explain: bool,
     workers: Option<usize>,
     memory: Option<usize>,
-    faults: Option<String>,
     limit: usize,
 }
 
@@ -146,7 +143,6 @@ fn parse_args(args: &[String]) -> Result<Options, CliError> {
         explain: false,
         workers: None,
         memory: None,
-        faults: None,
         limit: 20,
     };
     let mut it = args.iter();
@@ -183,7 +179,6 @@ fn parse_args(args: &[String]) -> Result<Options, CliError> {
                     CliError::usage(format!("--memory expects a byte count, got `{v}`"))
                 })?);
             }
-            "--faults" => opts.faults = Some(value("--faults")?),
             "--limit" => {
                 let v = value("--limit")?;
                 opts.limit = v.trim().parse().map_err(|_| {
@@ -373,22 +368,15 @@ fn parse_csv_field(table: &str, col: &str, ty: &Type, raw: &str) -> Result<Value
     }
 }
 
-fn cluster_config(opts: &Options) -> Result<ClusterConfig, CliError> {
-    let mut config = ClusterConfig::new(4, 16)
-        .with_env_workers()
-        .with_env_faults();
+fn cluster_config(opts: &Options) -> ClusterConfig {
+    let mut config = ClusterConfig::new(4, 16).with_env_workers();
     if let Some(w) = opts.workers {
         config = config.with_workers(w);
     }
     if let Some(bytes) = opts.memory {
         config = config.with_worker_memory(bytes);
     }
-    if let Some(spec) = &opts.faults {
-        let plan = FaultPlan::parse(spec)
-            .map_err(|e| CliError::usage(format!("bad --faults spec: {e}")))?;
-        config = config.with_faults(plan);
-    }
-    Ok(config)
+    config
 }
 
 fn run(opts: &Options) -> Result<(), CliError> {
@@ -427,7 +415,7 @@ fn run(opts: &Options) -> Result<(), CliError> {
         .map(|(name, s)| ShreddedInputDecl::new(name, s.clone()))
         .collect();
 
-    let ctx = DistContext::new(cluster_config(opts)?);
+    let ctx = DistContext::new(cluster_config(opts));
     let mut inputs = InputSet::new(ctx);
     for (t, (_, structure)) in tables.iter().zip(&structures) {
         if !used.contains(&t.name) {

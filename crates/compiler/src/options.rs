@@ -14,10 +14,7 @@ use crate::kernel::KernelCache;
 /// There is one executor shape — every row-local operator runs in a fused
 /// pipeline over compiled expression kernels — and one reference, the
 /// differential suites' `nrc::eval`; no field selects a second way to run a
-/// plan. `spill` is the one mode boolean. Fault injection is not an option
-/// but a property of the cluster: one built with a `FaultPlan` always
-/// injects, and a fault-free run is a run on a cluster without one.
-/// `skew_aware` is read by the `Plan::Join` arm of `eval_plan_col` alone:
+/// plan. `spill` is the one mode boolean. `skew_aware` is read by the `Plan::Join` arm of `eval_plan_col` alone:
 /// a skew-aware run executes the plain run's plans, and every join
 /// (unshredding's label joins included — unshredding is a plan) goes
 /// through `skew_join` with the strategy its plan names.

@@ -408,8 +408,7 @@ pub fn run_query(spec: &QuerySpec, inputs: &InputSet, strategy: Strategy) -> Run
 /// spill-capable cluster, `deadline` a wall-clock budget, `kernel_cache` a
 /// shared program cache). Start from [`strategy_options`] and override
 /// single fields. No option selects a reference mode: a run is held to
-/// `nrc::eval`, and a fault-free run is a run on a cluster without a
-/// `FaultPlan`.
+/// `nrc::eval`.
 pub fn run_query_with(
     spec: &QuerySpec,
     inputs: &InputSet,
@@ -518,15 +517,6 @@ pub fn run_query_explained(
             outcome.stats.spilled_bytes,
             outcome.stats.spill_files,
             outcome.stats.spill_ms(),
-        );
-    }
-    if outcome.stats.faults_injected > 0 {
-        let _ = writeln!(
-            out,
-            "-- faults: {} injected, {} retries, {} partitions recovered --",
-            outcome.stats.faults_injected,
-            outcome.stats.retries,
-            outcome.stats.recovered_partitions,
         );
     }
     if outcome.stats.cancelled > 0 {

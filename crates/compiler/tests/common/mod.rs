@@ -1,6 +1,6 @@
 //! Helpers shared by the differential test suites (`strategies_agree.rs`,
-//! `spill_agree.rs`, `scheduler_stress.rs`, `chaos.rs`, `expr_agree.rs` and
-//! `frontend_roundtrip.rs`): the paper's running example, the seeded-random
+//! `spill_agree.rs`, `scheduler_stress.rs`, `cancellation.rs`,
+//! `expr_agree.rs` and `frontend_roundtrip.rs`): the paper's running example, the seeded-random
 //! NRC program generators and the cases built from them — each with its
 //! `nrc::eval` reference bag, the one oracle every suite holds the engine
 //! to — the (float-tolerant) canonical bag comparison, and the wall-clock
@@ -25,9 +25,9 @@ use trance_shred::{NestingStructure, ShreddedInputDecl};
 /// A wall-clock watchdog for the long differential suites: if the owning
 /// test has not disarmed it (by dropping it) within `limit`, the process
 /// aborts with a message naming the suite — a hang becomes a loud, fast CI
-/// failure instead of a silent timeout an hour later. The fault-tolerance
+/// failure instead of a silent timeout an hour later. The cancellation
 /// contract is "typed error or matching result, never a hang", so the
-/// watchdog is itself part of what the chaos suite proves.
+/// watchdog is itself part of what the cancellation suite proves.
 pub struct Watchdog {
     armed: Arc<AtomicBool>,
 }
@@ -49,8 +49,8 @@ impl Watchdog {
             }
             if flag.load(Ordering::Relaxed) {
                 eprintln!(
-                    "watchdog: `{label}` still running after {:.0}s — aborting (a fault-tolerance \
-                     bug that hangs must fail loudly, not eat the CI timeout)",
+                    "watchdog: `{label}` still running after {:.0}s — aborting (a bug that \
+                     hangs must fail loudly, not eat the CI timeout)",
                     limit.as_secs_f64()
                 );
                 std::process::abort();

@@ -134,7 +134,6 @@ use trance_store::{ByteReader, ByteWriter, MemoryGovernor, Spillable};
 use crate::batch::{Batch, Bitmap, Column, FieldHint, RowSel, SelScratch};
 use crate::error::{ExecError, Result};
 use crate::exchange::{allgather_u64, owned_range, owner_of_partition, Exchange};
-use crate::fault::{with_retry, FaultSite};
 use crate::join::{JoinKind, JoinSpec};
 use crate::keys::{group_rows, KeyCols, KeyHashes, RowTable};
 use crate::ops::DistCollection;
@@ -413,7 +412,7 @@ impl ColCollection {
     /// and keeps the result resident in a write-once cell; no query path
     /// re-runs it. `hints` come from the plan-layer schema and type columns
     /// the sampled values alone could not. Ingest is unmetered — no operator
-    /// timing, steal count, retry or fault draw — matching the paper's
+    /// timing or steal count — matching the paper's
     /// exclusion of input loading, so a run's counters do not depend on
     /// whether it found its inputs already converted.
     pub fn ingest(coll: &DistCollection, hints: &[FieldHint]) -> Result<ColCollection> {
@@ -1005,26 +1004,7 @@ impl ColCollection {
             let sink = sink.into_inner().map_err(|_| {
                 ExecError::Other(format!("pipeline sink of partition {p} was poisoned"))
             })?;
-            match sink.finish() {
-                Ok(part) => parts.push(part),
-                // Lineage recovery: a partition whose morsel outputs were
-                // lost to a retry-exhausted transient fault re-runs the
-                // whole fused chain over its still-available source
-                // partition (fresh draws, fresh sink). A failure here is
-                // final and propagates typed.
-                Err(e) if e.is_retryable() => {
-                    ctx.check_cancel()?;
-                    ctx.stats().record_recovered_partition();
-                    let mut cx = MorselCtx::new(p, stride);
-                    let mut builder = PartBuilder::new(ctx);
-                    for chunk in self.parts[p].chunks(ctx)? {
-                        morsels.fetch_add(1, Ordering::Relaxed);
-                        builder.push(run_morsel(ctx, &step, &chunk?, &mut cx)?)?;
-                    }
-                    parts.push(builder.finish()?);
-                }
-                Err(e) => return Err(e),
-            }
+            parts.push(sink.finish()?);
         }
         ctx.stats()
             .record_pipeline(label, ops, morsels.load(Ordering::Relaxed), start.elapsed());
@@ -1040,22 +1020,14 @@ fn lock_sink<'s, 'a>(sink: &'s Mutex<ColMorselSink<'a>>) -> MutexGuard<'s, ColMo
     sink.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Executes one morsel of a fused pipeline with the fault-tolerance
-/// envelope: a cancellation check at the boundary, a fault-injection draw,
-/// and bounded retry that rewinds the [`MorselCtx`] id counters before each
-/// attempt (a failed attempt must not burn ids, or retried output would
-/// diverge from a fault-free run's).
+/// Executes one morsel of a fused pipeline after a cancellation check at
+/// the morsel boundary.
 fn run_morsel<F>(ctx: &DistContext, step: &F, batch: &Batch, cx: &mut MorselCtx) -> Result<Batch>
 where
     F: Fn(&Batch, &mut MorselCtx) -> Result<Batch> + Send + Sync,
 {
     ctx.check_cancel()?;
-    let saved = cx.save();
-    with_retry(ctx, || {
-        cx.restore(saved.clone());
-        ctx.fault_check(FaultSite::Morsel)?;
-        step(batch, cx)
-    })
+    step(batch, cx)
 }
 
 /// The per-partition sink of a fused pipeline run: morsel outputs arrive in
@@ -1288,37 +1260,31 @@ where
 {
     let nparts = ctx.config().partitions.max(1);
     let sources = run_partitioned(ctx, parts, |_, part| {
-        // The shuffle-delivery injection point: a fault fails this source
-        // partition's whole routing pass before anything is handed on, so a
-        // retry rebuilds the delivery from scratch (no partial double send).
-        with_retry(ctx, || {
-            ctx.fault_check(FaultSite::Shuffle)?;
-            let mut routed: Vec<Routed> = Vec::new();
-            let mut scratch = SelScratch::default();
-            let (mut rows, mut logical, mut physical) = (0u64, 0u64, 0u64);
-            for chunk in part.chunks(ctx)? {
-                let chunk = chunk?;
-                let keys = route(&chunk)?;
-                let lists = RowLists::route(&keys, nparts, |h| h);
-                let mut logical_of = vec![0usize; nparts];
-                for (target, weight) in logical_of.iter_mut().enumerate() {
-                    let sel = lists.of(target);
-                    if sel.is_empty() {
-                        continue;
-                    }
-                    *weight = chunk.logical_bytes_of(Some(sel), &mut scratch);
-                    rows += sel.len() as u64;
-                    logical += *weight as u64;
-                    physical += chunk.physical_bytes_of(Some(sel), &mut scratch) as u64;
+        let mut routed: Vec<Routed> = Vec::new();
+        let mut scratch = SelScratch::default();
+        let (mut rows, mut logical, mut physical) = (0u64, 0u64, 0u64);
+        for chunk in part.chunks(ctx)? {
+            let chunk = chunk?;
+            let keys = route(&chunk)?;
+            let lists = RowLists::route(&keys, nparts, |h| h);
+            let mut logical_of = vec![0usize; nparts];
+            for (target, weight) in logical_of.iter_mut().enumerate() {
+                let sel = lists.of(target);
+                if sel.is_empty() {
+                    continue;
                 }
-                routed.push(Routed {
-                    chunk,
-                    lists,
-                    logical: logical_of,
-                });
+                *weight = chunk.logical_bytes_of(Some(sel), &mut scratch);
+                rows += sel.len() as u64;
+                logical += *weight as u64;
+                physical += chunk.physical_bytes_of(Some(sel), &mut scratch) as u64;
             }
-            Ok((routed, rows, logical, physical))
-        })
+            routed.push(Routed {
+                chunk,
+                lists,
+                logical: logical_of,
+            });
+        }
+        Ok((routed, rows, logical, physical))
     })?;
     let (mut tuples, mut logical, mut physical) = (0u64, 0u64, 0u64);
     let mut routed: Vec<Vec<Routed>> = Vec::with_capacity(sources.len());

@@ -1,11 +1,11 @@
 //! The typed error taxonomy shared by every engine operator.
 //!
-//! Failures fall into four classes, and every recovery decision in the
-//! engine keys off them:
+//! Failures fall into four classes:
 //!
-//! * **retryable** ([`ExecError::Retryable`]) — transient faults (injected
-//!   by a [`crate::FaultPlan`] or a flaky I/O) that bounded per-task retry
-//!   and partition recompute are allowed to absorb;
+//! * **retryable** ([`ExecError::Retryable`]) — a lost link or peer of a
+//!   multi-process run (raised by the cluster [`crate::Exchange`]s and the
+//!   coordinator). No operator retries it: the coordinator reruns the whole
+//!   job on a fresh mesh;
 //! * **cancelled** ([`ExecError::Cancelled`]) — the run's
 //!   [`crate::CancelToken`] fired (explicit cancel or deadline); never
 //!   retried, unwinds cooperatively at the next boundary;
@@ -17,8 +17,6 @@
 use std::fmt;
 
 use trance_nrc::NrcError;
-
-use crate::fault::FaultSite;
 
 /// Errors raised by the distributed engine.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -41,14 +39,11 @@ pub enum ExecError {
     /// partial write, corrupt spill frame). Carries the rendered error so
     /// `ExecError` stays `Clone + PartialEq`.
     Spill(String),
-    /// A transient failure at a fault-injection site: safe to retry, because
-    /// it fired *before* any side effect of the operation. Bounded per-task
-    /// retry absorbs these; a retry budget exhausted escalates to partition
-    /// recompute, and only then to the caller.
+    /// A transient failure of a multi-process run: a link or peer was lost
+    /// mid-exchange. The job as a whole may be rerun on a fresh mesh; the
+    /// failed run's partial state is discarded.
     Retryable {
-        /// The boundary the fault fired at.
-        site: FaultSite,
-        /// Human-readable description of the fault.
+        /// Human-readable description of the failure.
         detail: String,
     },
     /// The run was cancelled — explicitly through its
@@ -64,12 +59,11 @@ pub enum ExecError {
 }
 
 /// The engine-wide error name used by the compiler and harness layers; one
-/// taxonomy, two names (`ExecError` predates the fault-tolerance layer).
+/// taxonomy, two names.
 pub type EngineError = ExecError;
 
 impl ExecError {
-    /// True for transient failures that bounded retry / partition recompute
-    /// may absorb.
+    /// True for transient failures a whole-job rerun may absorb.
     pub fn is_retryable(&self) -> bool {
         matches!(self, ExecError::Retryable { .. })
     }
@@ -77,12 +71,6 @@ impl ExecError {
     /// True when the run was cancelled (explicitly or by deadline).
     pub fn is_cancelled(&self) -> bool {
         matches!(self, ExecError::Cancelled { .. })
-    }
-
-    /// True for errors no recovery layer is allowed to absorb: wrong data,
-    /// deterministic memory FAILs, cancellation, corrupt spill state.
-    pub fn is_fatal(&self) -> bool {
-        !self.is_retryable()
     }
 }
 
@@ -100,9 +88,7 @@ impl fmt::Display for ExecError {
             ),
             ExecError::Nrc(e) => write!(f, "{e}"),
             ExecError::Spill(msg) => write!(f, "spill failure: {msg}"),
-            ExecError::Retryable { site, detail } => {
-                write!(f, "transient {site} fault: {detail}")
-            }
+            ExecError::Retryable { detail } => write!(f, "transient fault: {detail}"),
             ExecError::Cancelled { reason } => write!(f, "query cancelled: {reason}"),
             ExecError::Other(msg) => write!(f, "{msg}"),
         }

@@ -33,7 +33,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use trance_nrc::Value;
 
 use crate::error::Result;
-use crate::{ExecError, FaultSite};
+use crate::ExecError;
 
 /// A connection to the other ranks of a multi-process run. Implementations
 /// must be usable from the driving thread of a query; the engine only calls
@@ -93,7 +93,6 @@ pub fn allgather_u64(ex: &dyn Exchange, local: u64) -> Result<Vec<u64>> {
                 .as_slice()
                 .try_into()
                 .map_err(|_| ExecError::Retryable {
-                    site: FaultSite::Shuffle,
                     detail: format!("malformed u64 allgather payload ({} bytes)", bytes.len()),
                 })?;
             Ok(u64::from_le_bytes(arr))
@@ -192,7 +191,6 @@ impl MemMesh {
         });
         if round.kind != kind {
             return Err(ExecError::Retryable {
-                site: FaultSite::Shuffle,
                 detail: format!(
                     "exchange desync: rank {} sent op {kind} at round {seq}, peers sent {}",
                     self.rank, round.kind
@@ -258,7 +256,6 @@ impl Exchange for MemMesh {
                     .iter()
                     .map(|g| {
                         g.clone().ok_or_else(|| ExecError::Retryable {
-                            site: FaultSite::Shuffle,
                             detail: "allgather contribution missing".into(),
                         })
                     })

@@ -83,7 +83,7 @@ pub use batch::{
 pub use colops::{ColCollection, Placement};
 pub use error::{EngineError, ExecError, Result};
 pub use exchange::{allgather_u64, global_sum, owned_range, owner_of_partition, Exchange, MemMesh};
-pub use fault::{CancelToken, FaultInjector, FaultPlan, FaultSite};
+pub use fault::CancelToken;
 pub use join::{JoinHint, JoinKind, JoinSpec};
 pub use ops::DistCollection;
 pub use scheduler::{MorselCtx, WorkerPool};
@@ -111,10 +111,6 @@ pub struct ClusterConfig {
     /// Base directory for the run's scoped spill directory (the system temp
     /// directory when unset).
     pub spill_dir: Option<PathBuf>,
-    /// Seeded fault-injection schedule ([`FaultPlan`]); `None` (the
-    /// default) compiles every injection check down to a branch on a
-    /// resident `Option`, so fault-free runs pay nothing measurable.
-    pub fault_plan: Option<FaultPlan>,
 }
 
 impl ClusterConfig {
@@ -128,7 +124,6 @@ impl ClusterConfig {
             worker_memory: None,
             spill: false,
             spill_dir: None,
-            fault_plan: None,
         }
     }
 
@@ -174,34 +169,6 @@ impl ClusterConfig {
     pub fn with_env_workers(mut self) -> ClusterConfig {
         if let Some(workers) = env_workers() {
             self.workers = workers.max(1);
-        }
-        self
-    }
-
-    /// Installs a seeded fault-injection schedule: every context created
-    /// from this config draws its injected failures from `plan`.
-    pub fn with_faults(mut self, plan: FaultPlan) -> ClusterConfig {
-        self.fault_plan = Some(plan);
-        self
-    }
-
-    /// Applies the `TRANCE_FAULT_SEED` environment override, when set: a
-    /// bare seed turns on the default chaos mix ([`FaultPlan::seeded`]), a
-    /// full spec is parsed as [`FaultPlan::parse`]. Invalid specs warn and
-    /// leave the config unchanged — a typo must not silently run fault-free
-    /// *or* crash the harness.
-    pub fn with_env_faults(mut self) -> ClusterConfig {
-        if let Ok(spec) = std::env::var("TRANCE_FAULT_SEED") {
-            match FaultPlan::parse(&spec) {
-                Ok(plan) => self.fault_plan = Some(plan),
-                Err(e) => {
-                    // The variable is process-wide and this builder runs per
-                    // cluster construction: warn once, not per query.
-                    static WARNED: std::sync::Once = std::sync::Once::new();
-                    WARNED
-                        .call_once(|| eprintln!("warning: ignoring TRANCE_FAULT_SEED={spec}: {e}"));
-                }
-            }
         }
         self
     }
@@ -251,11 +218,6 @@ struct CtxInner {
     /// The scoped spill directory, created lazily on the first spill so
     /// non-spilling runs never touch the filesystem.
     spill_manager: Mutex<Option<Arc<SpillManager>>>,
-    /// The seeded fault injector, present iff the config carries a
-    /// [`FaultPlan`] — and then it always fires on schedule: a fault-free
-    /// run is a run on a context without one. `None` keeps every injection
-    /// check down to one branch.
-    faults: Option<Arc<FaultInjector>>,
     /// The run's cancellation token; reset by the compiler at the start of
     /// each run, checked at morsel and spill-frame boundaries.
     cancel: CancelToken,
@@ -275,10 +237,6 @@ pub struct DistContext {
 impl DistContext {
     /// Creates a context for `config`.
     pub fn new(config: ClusterConfig) -> DistContext {
-        let faults = config
-            .fault_plan
-            .clone()
-            .map(|plan| Arc::new(FaultInjector::new(plan)));
         let pool = Arc::new(WorkerPool::new(config.workers));
         DistContext {
             inner: Arc::new(CtxInner {
@@ -287,7 +245,6 @@ impl DistContext {
                 pool,
                 spill_session: AtomicBool::new(true),
                 spill_manager: Mutex::new(None),
-                faults,
                 cancel: CancelToken::new(),
                 exchange: Mutex::new(None),
             }),
@@ -296,10 +253,10 @@ impl DistContext {
 
     /// Derives a **session context**: a context with its own [`Stats`],
     /// [`CancelToken`], spill scope and spill toggle, *sharing this
-    /// context's persistent worker pool* (and fault injector). This is what
-    /// lets several queries run concurrently on one pool without racing on
-    /// each other's metrics, deadlines or spill switches — the serving
-    /// layer creates one session per admitted query.
+    /// context's persistent worker pool*. This is what lets several queries
+    /// run concurrently on one pool without racing on each other's metrics,
+    /// deadlines or spill switches — the serving layer creates one session
+    /// per admitted query.
     pub fn session(&self) -> DistContext {
         self.session_with_memory(self.inner.config.worker_memory)
     }
@@ -323,7 +280,6 @@ impl DistContext {
                 pool: self.inner.pool.clone(),
                 spill_session: AtomicBool::new(true),
                 spill_manager: Mutex::new(None),
-                faults: self.inner.faults.clone(),
                 cancel: CancelToken::new(),
                 exchange: Mutex::new(self.exchange()),
             }),
@@ -370,30 +326,6 @@ impl DistContext {
     /// from `ExecOptions::spill` at the start of each run.
     pub fn set_spill_session(&self, on: bool) {
         self.inner.spill_session.store(on, Ordering::Relaxed);
-    }
-
-    /// The context's fault injector, when the config carries a
-    /// [`FaultPlan`]. The chaos suite reads its per-site counters to assert
-    /// schedule coverage.
-    pub fn faults(&self) -> Option<&FaultInjector> {
-        self.inner.faults.as_deref()
-    }
-
-    /// One fault-injection draw at `site`: `Ok` to proceed,
-    /// [`ExecError::Retryable`] when the plan fires. Called only at morsel,
-    /// spill-frame, shuffle-pass and worker-start boundaries — with no plan
-    /// installed this is a single always-false branch.
-    pub fn fault_check(&self, site: FaultSite) -> error::Result<()> {
-        if let Some(inj) = &self.inner.faults {
-            if inj.should_fault(site) {
-                self.inner.stats.record_fault_injected();
-                return Err(ExecError::Retryable {
-                    site,
-                    detail: format!("injected {site} fault"),
-                });
-            }
-        }
-        Ok(())
     }
 
     /// The run's cancellation token. Cheap to clone; callers cancel (or arm

@@ -10,8 +10,8 @@
 //! output vector, and [`DistCollection::partitions`] converts once into a
 //! write-once cell. A row collection is always memory-resident, unmetered
 //! and uncapped, matching the paper's exclusion of input loading and result
-//! collection from measured runs; building its rows draws no fault and
-//! observes no cancellation.
+//! collection from measured runs; building its rows observes no
+//! cancellation.
 
 use std::sync::{Arc, OnceLock};
 

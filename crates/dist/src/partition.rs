@@ -15,7 +15,6 @@ use std::sync::Mutex;
 use trance_nrc::Value;
 
 use crate::error::{ExecError, Result};
-use crate::fault::with_retry;
 use crate::DistContext;
 
 /// Below this many total rows an operator runs on the calling thread: the
@@ -65,15 +64,8 @@ impl PartRows for crate::batch::Batch {
 /// deterministic placement the old per-operator scoped threads used — and an
 /// idle participant steals queued partitions from busy ones.
 ///
-/// This is also the engine's **lineage-recovery boundary** for
-/// partition-at-a-time operators (fused pipelines have their own, in
-/// `run_pipeline`): a partition whose task failed *retryably* (an injected fault
-/// or transient I/O that exhausted its bounded per-task retries) is
-/// recomputed here from its still-available source partition — the
-/// superstep-recovery model: inputs are immutable within an operator, so
-/// re-running `f` on the source reproduces the lost output exactly.
-/// Cancellation is checked once per partition on the caller before tasks
-/// fan out, and re-checked when recovery would otherwise retry.
+/// Cancellation is checked once per partition on the inline path and once
+/// before tasks fan out on the pool path.
 pub(crate) fn run_partitioned<P, T, F>(ctx: &DistContext, parts: &[P], f: F) -> Result<Vec<T>>
 where
     P: PartRows + Sync,
@@ -85,11 +77,8 @@ where
 
 /// [`run_partitioned`] for the two `Value`↔`Batch` boundaries (scan ingest
 /// and collect), which the paper's measurements exclude: the same
-/// placement and fan-out, but **unmetered** — no steal counts, no retry and
-/// no lineage recovery (so nothing is booked under `retries` /
-/// `recovered_partitions`), and the closures passed here draw no faults.
-/// A run's deterministic counters are therefore the same whether or not it
-/// had to convert its inputs first. Cancellation is still observed.
+/// placement and fan-out, but **unmetered** — no steal counts. Cancellation
+/// is still observed.
 pub(crate) fn run_partitioned_unmetered<P, T, F>(
     ctx: &DistContext,
     parts: &[P],
@@ -109,24 +98,13 @@ where
     F: Fn(usize, &P) -> Result<T> + Send + Sync,
     T: Send,
 {
-    let recover = |i: usize, part: &P, e: ExecError| -> Result<T> {
-        if !metered || !e.is_retryable() {
-            return Err(e);
-        }
-        ctx.check_cancel()?;
-        ctx.stats().record_recovered_partition();
-        with_retry(ctx, || f(i, part))
-    };
     let workers = ctx.config().workers.max(1);
     let total_rows: usize = parts.iter().map(PartRows::part_rows).sum();
     if workers == 1 || parts.len() <= 1 || total_rows < PARALLEL_THRESHOLD {
         let mut out = Vec::with_capacity(parts.len());
         for (i, p) in parts.iter().enumerate() {
             ctx.check_cancel()?;
-            match f(i, p) {
-                Ok(v) => out.push(v),
-                Err(e) => out.push(recover(i, p, e)?),
-            }
+            out.push(f(i, p)?);
         }
         return Ok(out);
     }
@@ -152,10 +130,9 @@ where
         ctx.pool().run(tasks);
     }
     let mut out = Vec::with_capacity(parts.len());
-    for (i, slot) in slots.into_iter().enumerate() {
+    for slot in slots {
         match slot.into_inner().unwrap_or_else(|e| e.into_inner()) {
-            Some(Ok(v)) => out.push(v),
-            Some(Err(e)) => out.push(recover(i, &parts[i], e)?),
+            Some(result) => out.push(result?),
             None => return Err(ExecError::Other("partition task did not run".into())),
         }
     }

@@ -331,18 +331,6 @@ impl MorselCtx {
         }
     }
 
-    /// Snapshot of the counters, taken before a morsel attempt so bounded
-    /// retry can rewind id assignment — a failed attempt must not burn ids,
-    /// or the retried output would diverge from a fault-free run's.
-    pub fn save(&self) -> Vec<i64> {
-        self.counters.clone()
-    }
-
-    /// Rewinds the counters to a [`MorselCtx::save`] snapshot.
-    pub fn restore(&mut self, saved: Vec<i64>) {
-        self.counters = saved;
-    }
-
     /// Reserves `n` consecutive per-partition row indices on counter `slot`
     /// (one slot per id-assigning pipeline member), returning the first.
     pub fn reserve(&mut self, slot: usize, n: usize) -> i64 {

@@ -24,7 +24,6 @@ use trance_store::{
 
 use crate::batch::{BagElems, Batch, Bitmap, Column, Schema, StrDict};
 use crate::error::Result;
-use crate::fault::{with_retry, FaultSite};
 use crate::DistContext;
 
 /// Maximum rows per spill frame: bounds the memory a streaming reader needs
@@ -463,11 +462,8 @@ impl SpillChunkWriter {
         if batch_is_void(batch) {
             return Ok(());
         }
-        // Frame-boundary checks: cancellation fires even mid-spill, and
-        // injected write faults draw *before* any byte is appended (so a
-        // retry re-draws against a clean file state).
+        // Frame-boundary check: cancellation fires even mid-spill.
         ctx.check_cancel()?;
-        with_retry(ctx, || ctx.fault_check(FaultSite::SpillWrite))?;
         let start = Instant::now();
         let file = match self.file.as_mut() {
             Some(file) => file,
@@ -524,13 +520,9 @@ impl Iterator for BatchFrames<'_> {
 
     fn next(&mut self) -> Option<Result<Batch>> {
         if self.reader.is_some() {
-            // Frame-boundary checks mirror the write side: cancellation
-            // stops a half-read partition, injected read faults draw before
-            // the frame is consumed so a retry re-reads cleanly.
+            // The frame-boundary check mirrors the write side: cancellation
+            // stops a half-read partition.
             if let Err(e) = self.ctx.check_cancel() {
-                return Some(Err(e));
-            }
-            if let Err(e) = with_retry(self.ctx, || self.ctx.fault_check(FaultSite::SpillRead)) {
                 return Some(Err(e));
             }
         }

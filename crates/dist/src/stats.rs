@@ -174,14 +174,11 @@ counters! {
     /// Tasks executed by a pool participant other than the one they were
     /// assigned to (work-stealing events).
     steal_count,
-    /// Faults fired by the run's [`crate::FaultInjector`] (0 without a
-    /// [`crate::FaultPlan`]).
-    faults_injected,
-    /// Bounded-retry attempts that absorbed retryable failures.
+    /// Always 0: no operator retries in process. A multi-process job that
+    /// is rerun on a fresh mesh reports its attempts as the coordinator's
+    /// `JobReport::attempts`. Kept because the benchmark reads it as
+    /// `dist.retries`.
     retries,
-    /// Partitions whose lost outputs were recomputed from their sources
-    /// (lineage recovery).
-    recovered_partitions,
     /// 1 when the run was cancelled (explicitly or by deadline), else 0.
     cancelled,
     /// Wall-clock microseconds spent compiling expression kernel programs
@@ -261,22 +258,6 @@ impl Stats {
     /// Counts work-stealing events of the persistent worker pool.
     pub fn record_steals(&self, steals: u64) {
         self.steal_count.fetch_add(steals, Ordering::Relaxed);
-    }
-
-    /// Counts one fault fired by the run's [`crate::FaultInjector`].
-    pub fn record_fault_injected(&self) {
-        self.faults_injected.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one bounded-retry attempt absorbing a retryable failure.
-    pub fn record_retry(&self) {
-        self.retries.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one partition whose output was lost to a fault and recomputed
-    /// from its source (lineage recovery).
-    pub fn record_recovered_partition(&self) {
-        self.recovered_partitions.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records that the run was cancelled (explicitly or by deadline).

@@ -2,19 +2,17 @@
 //! processes, drives jobs attempt by attempt, and merges per-rank results
 //! back into one bag.
 //!
-//! Recovery model: any rank reporting a [`ErrKind::Retryable`] outcome
-//! (connection loss, injected fault the worker's own retry/lineage layers
-//! could not absorb) aborts the attempt, and the whole job reruns on a
-//! fresh mesh epoch — SPMD plans are deterministic, so a rerun is
-//! bag-identical. Cancellation and deterministic failures are never
-//! retried.
+//! Recovery model: this is the engine's one recovery layer. Any rank
+//! reporting a [`ErrKind::Retryable`] outcome (a lost link or peer) aborts
+//! the attempt, and the whole job reruns on a fresh mesh epoch — SPMD plans
+//! are deterministic, so a rerun is bag-identical. Cancellation and
+//! deterministic failures are never retried.
 
 use std::io;
 use std::net::{TcpListener, ToSocketAddrs};
 
 use trance_dist::exchange::{owned_range, split_rows_round_robin};
 use trance_dist::ExecError;
-use trance_dist::FaultSite;
 use trance_nrc::pretty::pretty;
 use trance_nrc::{Bag, Expr, Value};
 use trance_shred::{flat_input_name, input_dict_name, shred_value, NestingStructure};
@@ -243,7 +241,6 @@ impl Coordinator {
             }
         }
         Err(ExecError::Retryable {
-            site: FaultSite::Shuffle,
             detail: format!("job {job} failed after {MAX_JOB_ATTEMPTS} attempts: {last_detail}"),
         })
     }

@@ -26,9 +26,8 @@
 //! owed to it are why [`NetExchange::close`] keeps reading). So a send fails
 //! only when the *target* link is broken, and a collective wait fails only
 //! when a broken-link peer's contribution to *that round* is still missing —
-//! in which case it returns a typed [`ExecError::Retryable`] (shuffle site),
-//! the same error class the engine's retry and lineage-recovery layers
-//! already handle and the signal the coordinator's global retry acts on.
+//! in which case it returns a typed [`ExecError::Retryable`], the signal the
+//! coordinator's whole-job retry acts on.
 //! Out-of-order deliveries are fine by construction: shuffle payloads carry
 //! their source tags, and the engine's reorder-buffer sinks restore the
 //! single-process merge order.
@@ -41,7 +40,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use trance_dist::{CancelToken, Exchange, ExecError, FaultSite};
+use trance_dist::{CancelToken, Exchange, ExecError};
 use trance_store::wire;
 use trance_store::{ByteReader, ByteWriter};
 
@@ -71,7 +70,6 @@ const OP_SHUFFLE_DONE: u8 = 3;
 
 fn net_err(detail: impl Into<String>) -> ExecError {
     ExecError::Retryable {
-        site: FaultSite::Shuffle,
         detail: detail.into(),
     }
 }

@@ -11,7 +11,7 @@
 //! - [`exchange`]: the async TCP data plane — one connection per worker
 //!   pair, per-link credit-based backpressure, reorder-tolerant collective
 //!   rounds, and typed `Retryable` errors on connection loss that feed the
-//!   engine's retry/lineage recovery and the coordinator's global retry.
+//!   coordinator's whole-job retry.
 //! - [`coordinator`]: a library — it partitions the catalog across worker
 //!   processes, drives jobs attempt by attempt, and merges per-rank rows
 //!   back into one bag in partition order.

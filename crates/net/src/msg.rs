@@ -81,8 +81,8 @@ pub struct DropSpec {
 /// How a worker's run ended, classified for the coordinator's retry loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ErrKind {
-    /// Transient (connection loss, injected fault): the coordinator retries
-    /// the whole job on a fresh mesh.
+    /// Transient (a lost link or peer): the coordinator retries the whole
+    /// job on a fresh mesh.
     Retryable,
     /// The run was cancelled (explicitly or by deadline): never retried.
     Cancelled,
@@ -94,7 +94,9 @@ pub enum ErrKind {
 /// Declares [`NetStats`], once: each name is a [`StatsSnapshot`] counter a
 /// rank reports. The public field (documented by a link to that counter), its
 /// saturating sum and its slot on the wire all expand from this table, whose
-/// order *is* the `Ctrl::Result` wire order — append, never reorder.
+/// order *is* the `Ctrl::Result` wire order. The coordinator and its ranks
+/// always come from one build (`spawn_cluster` / `spawn_self_cluster`), so
+/// the table may change freely between builds.
 macro_rules! net_stats {
     ($($name:ident,)*) => {
         /// The per-rank counters a worker ships with its result; the coordinator
@@ -145,9 +147,6 @@ net_stats! {
     skew_fallback_joins,
     spilled_bytes,
     spill_files,
-    faults_injected,
-    retries,
-    recovered_partitions,
     cancelled,
 }
 
@@ -605,7 +604,7 @@ mod tests {
             attempt: 1,
             outcome: Outcome::Ok(NetStats {
                 shuffled_bytes: 123,
-                retries: 1,
+                spill_files: 1,
                 ..NetStats::default()
             }),
         });
@@ -653,8 +652,8 @@ mod tests {
         assert!(Ctrl::decode(&forged).is_err());
     }
 
-    /// The sixteen counters ride `Ctrl::Result` as little-endian `u64`s in
-    /// this order; a rank of another build decodes them by position.
+    /// The thirteen counters ride `Ctrl::Result` as little-endian `u64`s in
+    /// table order; the coordinator decodes them by position.
     #[test]
     fn stats_wire_order_is_pinned() {
         let stats = NetStats {
@@ -670,10 +669,7 @@ mod tests {
             skew_fallback_joins: 10,
             spilled_bytes: 11,
             spill_files: 12,
-            faults_injected: 13,
-            retries: 14,
-            recovered_partitions: 15,
-            cancelled: 16,
+            cancelled: 13,
         };
         let bytes = Ctrl::Result {
             job: 0,
@@ -684,7 +680,7 @@ mod tests {
         .unwrap();
         // tag, job, attempt and the outcome tag precede the counters.
         let counters = &bytes[1 + 8 + 4 + 1..];
-        let expected: Vec<u8> = (1..=16u64).flat_map(u64::to_le_bytes).collect();
+        let expected: Vec<u8> = (1..=13u64).flat_map(u64::to_le_bytes).collect();
         assert_eq!(counters, expected);
     }
 
@@ -696,10 +692,10 @@ mod tests {
         };
         a.absorb(&NetStats {
             shuffled_bytes: 10,
-            retries: 2,
+            spill_files: 2,
             ..NetStats::default()
         });
         assert_eq!(a.shuffled_bytes, u64::MAX);
-        assert_eq!(a.retries, 2);
+        assert_eq!(a.spill_files, 2);
     }
 }

@@ -283,8 +283,8 @@ mod tests {
         let mut file = manager.create().unwrap();
         file.append(b"partial").unwrap();
         assert_eq!(manager.live_files().unwrap(), 1);
-        // Dropped without finish(): a spill aborted mid-write (error or
-        // injected fault) must clean up immediately, not at directory
+        // Dropped without finish(): a spill aborted mid-write (an error or
+        // a cancellation) must clean up immediately, not at directory
         // teardown.
         drop(file);
         assert_eq!(
