@@ -204,21 +204,13 @@ pub fn tpch_input_set_tuned(
 }
 
 /// Runs `spec` once per strategy, each under its default options. The
-/// table-store cells of the forms the strategies read
-/// are filled first, untimed: the one-time `Value` → batch conversion belongs
-/// to loading the inputs, not to whichever strategy happens to run first.
+/// one-time `Value` → batch conversion happened when the inputs were
+/// registered, so no strategy pays it.
 pub fn run_strategies(
     spec: &QuerySpec,
     inputs: &InputSet,
     strategies: &[Strategy],
 ) -> Vec<BenchRow> {
-    for shredded in [false, true] {
-        if strategies.iter().any(|s| s.is_shredded() == shredded) {
-            // A conversion that fails here fails again inside the first
-            // timed run, which reports it as that cell's FAIL.
-            let _ = inputs.resident(shredded);
-        }
-    }
     strategies
         .iter()
         .map(|&s| outcome_to_row(run_query(spec, inputs, s)))
@@ -344,9 +336,8 @@ pub fn explain_biomed_pipeline(
 ///   family's next step reads shredded ones, so this arm alone converts: the
 ///   rows are registered as a nested input, which shreds them.
 ///
-/// The table-store cells of the form the strategy reads are filled before
-/// each step runs, untimed, as [`run_strategies`] does. A step after a
-/// failed one is not attempted and reported failed, as in the paper. The
+/// Registering converts, so no step pays for its input's conversion. A step
+/// after a failed one is not attempted and reported failed, as in the paper. The
 /// error is a registration's: of the generated inputs, or of a step's
 /// output as the next step's input.
 pub fn observe_biomed_pipeline(
@@ -382,16 +373,13 @@ pub fn observe_biomed_pipeline(
             })
             .collect();
         let spec = QuerySpec::new(step_name, expr, decls);
-        // A conversion that fails here fails again inside the timed run,
-        // which reports it as this step's FAIL.
-        let _ = inputs.resident(strategy.is_shredded());
         let outcome = run_step(&spec, &inputs);
         shuffled += outcome.stats.shuffled_bytes;
         match &outcome.result {
             RunResult::Failed(_) => failed = true,
-            RunResult::Shredded(out) => inputs.add_shredded(output_name, out),
+            RunResult::Shredded(out) => inputs.add_shredded(output_name, out)?,
             RunResult::Nested(d) if !strategy.is_shredded() => {
-                inputs.add_nested_collection(output_name, d.clone());
+                inputs.add_nested_collection(output_name, d.clone())?;
             }
             RunResult::Nested(d) => {
                 let rows = d.collect_bag();

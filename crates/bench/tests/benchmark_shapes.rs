@@ -4,11 +4,21 @@
 //! a benchmark cell fails here first, in a debug build, where placement
 //! claims are checked where they are made.
 //!
+//! The benchmark also checks its workloads at their own scale, where
+//! `nrc::eval` is too slow: all seven strategies must agree, and each
+//! output's leaf sum must equal a linear hash-map reference (its warm-up,
+//! `benchmark/src/run.rs`). The `*_at_scale` cells repeat those checks for
+//! `n2n_wide` and `skew_n2n_narrow` at the workloads' own scales: the
+//! largest fraction of the scale that fits a debug build's budget is the
+//! whole, at about 2.3 s per cell on a 2-core machine.
+//!
 //! `benchmark/` is its own workspace and not a dependency, so its constants
 //! are copied; each names where it comes from (`benchmark/src/workload.rs`).
 //! The TCP workload's shape lives beside `dist_agree` in `crates/net/tests`
 //! (`skew_ranks`), because its ranks are `trance-net`'s `trance-worker`
 //! binary.
+
+use std::collections::HashMap;
 
 use trance_compiler::{collect_unshredded, run_query, InputSet, QuerySpec, RunResult, Strategy};
 use trance_dist::{ClusterConfig, DistContext, StatsSnapshot};
@@ -43,6 +53,10 @@ const SPILL_BYTES_PER_SCALE: f64 = 1_000_000.0;
 
 /// `small_cold` / `small_warm`'s scale (under the oracle scale).
 const SMALL_SCALE: f64 = 0.02;
+
+/// `n2n_wide`'s and `skew_n2n_narrow`'s scales.
+const N2N_WIDE_SCALE: f64 = 2.0;
+const SKEW_N2N_NARROW_SCALE: f64 = 4.0;
 
 #[derive(Clone, Copy, Debug)]
 enum Family {
@@ -138,6 +152,113 @@ impl Shape {
     }
 }
 
+/// `reference_sum` (`benchmark/src/workload.rs`) for the nested-input
+/// families: every lineitem joins exactly one order, customer and part, so
+/// their outputs total Σ `l_quantity` · `p_retailprice`, computed straight
+/// from the flat tables in O(n) with one hash map.
+fn reference_sum(data: &TpchData) -> f64 {
+    let field = |row: &Value, attr: &str| row.as_tuple().unwrap().get(attr).unwrap().clone();
+    let price: HashMap<i64, f64> = data
+        .part
+        .iter()
+        .map(|p| {
+            let key = field(p, "p_partkey").as_int().unwrap();
+            (key, field(p, "p_retailprice").as_real().unwrap())
+        })
+        .collect();
+    data.lineitem
+        .iter()
+        .map(|l| {
+            let qty = field(l, "l_quantity").as_real().unwrap();
+            qty * price[&field(l, "l_partkey").as_int().unwrap()]
+        })
+        .sum()
+}
+
+/// `leaf_sum` (`benchmark/src/workload.rs`): `field` summed over every tuple
+/// at any depth of `bag`.
+fn leaf_sum(bag: &Bag, field: &str) -> f64 {
+    fn walk(v: &Value, field: &str, acc: &mut f64) {
+        match v {
+            Value::Tuple(t) => {
+                for (name, value) in t.iter() {
+                    match value {
+                        Value::Real(x) if name == field => *acc += x,
+                        Value::Int(x) if name == field => *acc += *x as f64,
+                        Value::Bag(_) => walk(value, field, acc),
+                        _ => {}
+                    }
+                }
+            }
+            Value::Bag(b) => b.iter().for_each(|item| walk(item, field, acc)),
+            _ => {}
+        }
+    }
+    let mut acc = 0.0;
+    bag.iter().for_each(|item| walk(item, field, &mut acc));
+    acc
+}
+
+/// The warm-up's checks (`warm_up`, `benchmark/src/run.rs`) on a
+/// nested-to-nested workload at `scale`: the nested input materialised as
+/// `Bench::build` does, then every strategy's output agrees with the first
+/// strategy's (`bags_approx_equal`) and its leaf sum of `total` equals
+/// [`reference_sum`] up to summation order (`sum_matches`). Returns each
+/// strategy's counters.
+fn scaled_cell(
+    label: &str,
+    scale: f64,
+    skew: u32,
+    variant: QueryVariant,
+) -> Vec<(Strategy, StatsSnapshot)> {
+    assert!(
+        scale > ORACLE_SCALE,
+        "{label}: at the oracle's scale already"
+    );
+    let data = generate(&TpchConfig {
+        scale,
+        skew,
+        seed: SEED,
+    });
+    let mut inputs = flat_inputs(cluster(PARTITIONS), &data);
+    let f2n = query(Family::FlatToNested, variant);
+    let nested = run_query(&f2n, &inputs, Strategy::ShredUnshred)
+        .result
+        .nested_bag()
+        .expect("materialising the nested input");
+    inputs.add_nested("Nested", nested).unwrap();
+    let spec = query(Family::NestedToNested, variant);
+    let reference = reference_sum(&data);
+    let mut first: Option<Bag> = None;
+    Strategy::all()
+        .into_iter()
+        .map(|strategy| {
+            let outcome = run_query(&spec, &inputs, strategy);
+            let got = match &outcome.result {
+                RunResult::Nested(d) => d.collect_bag(),
+                RunResult::Shredded(s) => collect_unshredded(s).unwrap(),
+                RunResult::Failed(e) => panic!("{label} {}: {e}", strategy.label()),
+            };
+            let sum = leaf_sum(&got, "total");
+            assert!(
+                (sum - reference).abs() <= 1e-9 * reference.abs().max(1.0),
+                "{label} {}: leaf sum {sum} differs from the reference {reference}",
+                strategy.label()
+            );
+            match &first {
+                Some(base) => assert!(
+                    bags_approx_equal(base, &got),
+                    "{label} {}: differs from {}",
+                    strategy.label(),
+                    Strategy::Standard.label()
+                ),
+                None => first = Some(got),
+            }
+            (strategy, outcome.stats)
+        })
+        .collect()
+}
+
 /// Top-level output rows: `Output::rows` (`benchmark/src/workload.rs`).
 fn output_rows(result: &RunResult) -> usize {
     match result {
@@ -150,9 +271,8 @@ fn output_rows(result: &RunResult) -> usize {
 /// Runs every strategy of an in-process (`Threads`) cell against
 /// `nrc::eval` and returns each strategy's counters. Each strategy runs twice
 /// on the same inputs, as the benchmark's warm-up sweep and its timed ops
-/// do: the first run fills the table-store cells the second finds resident,
-/// and the second must repeat the first's output rows and logical shuffle
-/// bytes exactly (`WarmUp::repeats`, `benchmark/src/run.rs`).
+/// do, and the second run must repeat the first's output rows and logical
+/// shuffle bytes exactly (`WarmUp::repeats`, `benchmark/src/run.rs`).
 fn threads_cell(
     label: &str,
     shape: &Shape,
@@ -229,6 +349,29 @@ fn skew_n2n_narrow_equals_the_reference_and_splits_heavy_keys_on_16_and_17_parti
                     strategy.label()
                 );
             }
+        }
+    }
+}
+
+/// `n2n_wide` at its own scale, 2.0 (forty times the oracle's).
+#[test]
+fn n2n_wide_at_scale_agrees_across_strategies_and_with_the_reference_sum() {
+    scaled_cell("n2n_wide/2.0", N2N_WIDE_SCALE, 0, QueryVariant::Wide);
+}
+
+/// `skew_n2n_narrow` at its own scale, 4.0: the skew-aware strategies must
+/// still split heavy keys off.
+#[test]
+fn skew_n2n_narrow_at_scale_agrees_across_strategies_and_with_the_reference_sum() {
+    let label = "skew_n2n_narrow/4.0";
+    let stats = scaled_cell(label, SKEW_N2N_NARROW_SCALE, 4, QueryVariant::Narrow);
+    for (strategy, stats) in stats {
+        if strategy.skew_aware() {
+            assert!(
+                stats.skew_broadcast_joins > 0,
+                "{label} {}: no heavy key was split off",
+                strategy.label()
+            );
         }
     }
 }

@@ -3,9 +3,9 @@
 //!
 //! This is the last stage of **NRC → Plan → optimize → execute**, and the
 //! only executor: a stored table crosses the row/column boundary exactly
-//! once, at **scan ingest** — on its first use, into the table store's
-//! write-once cell ([`crate::store`]; batches are typed from the plan-layer
-//! schemas via `trance_algebra::physical_fields`). Every operator
+//! once, at **scan ingest** — when it is registered in the table store
+//! ([`crate::store`]; batches are typed from the plan-layer schemas via
+//! `trance_algebra::physical_fields`). Every operator
 //! — including materialized assignment intermediates — runs over batches,
 //! and a result leaves as its batches at the **collect** boundary
 //! (`ColCollection::to_rows`): rows are built once, only when asked for.
@@ -14,8 +14,8 @@
 //!
 //! Catalog inference is *exact and free* here: a batch already carries its
 //! attribute schema (nested bag columns included), so intermediates register
-//! their true schemas without scanning a single row. Only a row input's
-//! scan hints are sampled, once, when its cell is filled.
+//! their true schemas without scanning a single row. Only a stored table's
+//! scan hints are sampled, once, when it is registered.
 
 use std::collections::HashMap;
 use std::time::Instant;
@@ -52,53 +52,71 @@ fn field_hints(fields: &[PhysField]) -> Vec<FieldHint> {
 /// columns even when the sampled rows hold only empty bags. Under a
 /// multi-process exchange the sample is a cluster collective.
 pub(crate) fn scan_hints(coll: &DistCollection) -> Result<Vec<FieldHint>> {
-    let schema = infer_schema(coll)?;
-    Ok(field_hints(&physical_fields(&schema)))
-}
-
-/// Infers the attribute schema of a row collection from a small row sample
-/// (recursively into bag-valued attributes). Empty collections (or non-tuple
-/// rows) yield the empty schema, which the optimizer treats as "unknown —
-/// don't touch".
-fn infer_schema(coll: &DistCollection) -> Result<AttrSchema> {
-    if let Some(ex) = coll.context().exchange() {
-        return infer_schema_global(coll, ex.as_ref());
+    match coll.context().exchange() {
+        Some(ex) => gathered_hints(ex.as_ref(), encoded_sample(coll)?),
+        None => Ok(local_hints(coll)),
     }
-    let sample: Vec<&Value> = coll
-        .partitions()
-        .iter()
-        .flat_map(|rows| rows.iter().take(8))
-        .take(64)
-        .collect();
-    Ok(schema_of_rows(&sample))
 }
 
-/// [`infer_schema`] under a cluster exchange: reconstructs the exact sample
-/// the single-process engine draws. Each rank gathers the first ≤8 rows of
-/// every partition slot (non-owned slots are empty), the per-partition
-/// samples are merged element-wise across ranks (only the owner contributes
-/// to a slot), and the partition-ordered row sequence is truncated at the
-/// same 64-row budget — so every rank derives the identical schema, and it
-/// is the schema the in-process oracle infers.
-fn infer_schema_global(
-    coll: &DistCollection,
-    ex: &dyn trance_dist::Exchange,
-) -> Result<AttrSchema> {
-    let parts = coll.partitions();
+/// [`scan_hints`] from this process's partitions alone, never a collective:
+/// what a loader types a table from. Batches a loader typed carry the hints
+/// of this very sample.
+pub(crate) fn local_hints(coll: &DistCollection) -> Vec<FieldHint> {
+    match coll.typed_hints() {
+        Some(hints) => hints.to_vec(),
+        None => sample_hints(&coll.head_rows(SAMPLE_PER_PARTITION)),
+    }
+}
+
+/// Rows sampled per partition, and in all, to infer a schema.
+const SAMPLE_PER_PARTITION: usize = 8;
+const SAMPLE_ROWS: usize = 64;
+
+/// The hints of the attribute schema (recursively into bag-valued
+/// attributes) of a per-partition sample, its rows truncated at
+/// [`SAMPLE_ROWS`]. An empty sample (or non-tuple rows) yields the empty
+/// schema, which the optimizer treats as "unknown — don't touch".
+fn sample_hints<S: AsRef<[Value]>>(sample: &[S]) -> Vec<FieldHint> {
+    let rows: Vec<&Value> = sample
+        .iter()
+        .flat_map(AsRef::as_ref)
+        .take(SAMPLE_ROWS)
+        .collect();
+    field_hints(&physical_fields(&schema_of_rows(&rows)))
+}
+
+/// This process's sample of `coll`, encoded for [`gathered_hints`]: the
+/// first ≤8 rows of every partition slot (non-owned slots are empty).
+pub(crate) fn encoded_sample(coll: &DistCollection) -> Result<Vec<u8>> {
+    let parts = coll.head_rows(SAMPLE_PER_PARTITION);
     let mut w = trance_store::ByteWriter::new();
     w.len_u32(parts.len(), "sampled partitions")?;
-    for rows in parts {
-        let sampled = &rows[..rows.len().min(8)];
+    for sampled in &parts {
         w.len_u32(sampled.len(), "sampled rows")?;
-        for row in sampled {
+        for row in sampled.iter() {
             trance_store::encode_value(row, &mut w)?;
         }
     }
-    let gathered = ex.allgather(w.into_bytes())?;
-    let mut merged: Vec<Vec<Value>> = vec![Vec::new(); parts.len()];
-    for bytes in &gathered {
+    Ok(w.into_bytes())
+}
+
+/// [`scan_hints`] under a cluster exchange, from this rank's
+/// [`encoded_sample`] `local`: reconstructs the exact sample the
+/// single-process engine draws. The per-partition samples are merged
+/// element-wise across ranks (only the owner contributes to a slot) — so
+/// every rank derives the identical schema, and it is the schema the
+/// in-process oracle infers.
+pub(crate) fn gathered_hints(
+    ex: &dyn trance_dist::Exchange,
+    local: Vec<u8>,
+) -> Result<Vec<FieldHint>> {
+    let mut merged: Vec<Vec<Value>> = Vec::new();
+    for bytes in &ex.allgather(local)? {
         let mut r = trance_store::ByteReader::new(bytes);
         let nparts = r.u32()? as usize;
+        if merged.is_empty() {
+            merged.resize(nparts, Vec::new());
+        }
         if nparts != merged.len() {
             return Err(ExecError::Other(format!(
                 "schema sample partition count mismatch across ranks ({nparts} vs {})",
@@ -112,8 +130,7 @@ fn infer_schema_global(
             }
         }
     }
-    let sample: Vec<&Value> = merged.iter().flatten().take(64).collect();
-    Ok(schema_of_rows(&sample))
+    Ok(sample_hints(&merged))
 }
 
 fn schema_of_rows(rows: &[&Value]) -> AttrSchema {
@@ -138,10 +155,11 @@ fn schema_of_rows(rows: &[&Value]) -> AttrSchema {
 
 /// Ingests row inputs into columnar collections — the scan-ingest boundary,
 /// as a standalone conversion. No query path calls this: `run_query`, the
-/// TCP worker and the serving engine read the resident batches of the table
-/// store ([`crate::store`]), which converts each stored table once. It stays
-/// public for callers that hold bare row collections (and as the
-/// benchmark's ingest probe).
+/// TCP worker and the serving engine read the batches of the table store
+/// ([`crate::store`]), which converts each table once, at registration. A
+/// stored table's collection (`InputSet::nested_inputs`) comes back as a
+/// pointer copy of those batches. It stays public for callers that hold
+/// bare row collections (and as the benchmark's ingest probe).
 pub fn ingest_env(
     inputs: &HashMap<String, DistCollection>,
 ) -> Result<HashMap<String, ColCollection>> {

@@ -28,10 +28,10 @@
 //! is outside the plan layer.
 //!
 //! Registered inputs live in the **table store** ([`store`], owned through
-//! [`pipeline::InputSet`]): rows (a plain `DistCollection` container) plus a
-//! write-once cell of resident batches per table, converted on first use and
-//! shared by every clone — the one catalog behind `run_query`, the TCP
-//! worker and the serving engine.
+//! [`pipeline::InputSet`]): every table is its batches, converted once at
+//! registration and shared by every clone, and a nested input's shredded
+//! form is derived from its nested batches partition by partition — the one
+//! catalog behind `run_query`, the TCP worker and the serving engine.
 //!
 //! The strategies compared in the paper's experiments are exposed as
 //! [`pipeline::Strategy`] and driven by [`pipeline::run_query`] (the
@@ -52,6 +52,7 @@ pub mod kernel;
 pub mod options;
 pub mod pipeline;
 pub mod prepared;
+mod shredder;
 pub mod store;
 pub mod unshred;
 

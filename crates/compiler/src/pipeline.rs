@@ -21,11 +21,10 @@
 //!   label joins included) through the skew-aware join of Section 5.
 //!
 //! Inputs are registered in an [`InputSet`], a view of the table store
-//! ([`crate::store`]): each table is kept as rows plus a write-once cell of
-//! its columnar form, filled by the first query that reads the table's form
-//! and only looked up afterwards. No run re-ingests; what [`RunOutcome`]
-//! times on a warm set is compilation and execution alone, as in the
-//! paper's Section 6.
+//! ([`crate::store`]): each table is its batches, converted when it is
+//! registered, and a nested input's shredded form is derived from its
+//! nested batches on the spot. No run ingests; what [`RunOutcome`] times is
+//! compilation and execution alone, as in the paper's Section 6.
 //!
 //! A result stays columnar: the program driver hands each output over as
 //! its batches (`ColCollection::to_rows`), and rows are built once, only
@@ -44,14 +43,16 @@ use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
+use std::sync::Arc;
+
+use trance_dist::exchange::split_rows_round_robin;
 use trance_dist::{DistCollection, DistContext, ExecError, StatsSnapshot};
 use trance_nrc::{Bag, Expr, Value};
-use trance_shred::{
-    flat_input_name, input_dict_name, shred_value, NestingStructure, ShreddedInputDecl,
-};
+use trance_shred::{flat_input_name, input_dict_name, NestingStructure, ShreddedInputDecl};
 
 use crate::options::ExecOptions;
 use crate::prepared::{run_spec, CapturedUnits};
+use crate::shredder::shred_partitions;
 use crate::store::{ResidentTables, Table, TableStore};
 
 /// The evaluation strategies of the paper's experiments.
@@ -162,14 +163,13 @@ impl QuerySpec {
 /// flattening strategies) and its shredded form (for the shredded
 /// strategies), held in the table store ([`crate::store`]).
 ///
-/// Each stored table is its row collection plus a write-once cell of its
-/// columnar form. The first query that reads a form converts that form's
-/// tables to batches — in parallel on the worker pool — and every later
-/// query over this set *or any clone of it* only looks them up: filling the
-/// cells is the input caching the paper excludes from reported runtimes.
-/// Re-adding a name replaces the entry with fresh rows and an empty cell;
-/// clones taken earlier keep the old table. The `CLI`, the TCP worker and
-/// the serving engine all hold one of these and differ only in who owns it.
+/// Each table is its batches, converted once, when it is added — in
+/// parallel on the worker pool, typed from this process's sample — and
+/// shared by every clone of the set. A nested input's shredded form is
+/// derived from its nested batches, partition by partition. Re-adding a
+/// name replaces the entry; clones taken earlier keep the old table. The
+/// `CLI`, the TCP worker and the serving engine all hold one of these and
+/// differ only in who owns it.
 #[derive(Debug, Clone)]
 pub struct InputSet {
     ctx: DistContext,
@@ -192,36 +192,31 @@ impl InputSet {
         &self.ctx
     }
 
-    /// A flat relation is its own shredded form: one table (one cell) under
-    /// the same name in both stores.
-    fn insert_flat(&mut self, name: &str, coll: DistCollection) {
-        let table = Table::new(coll);
+    /// Rows split round-robin over the context's partitions, as every
+    /// loader splits them.
+    fn split(&self, rows: Bag) -> Vec<Vec<Value>> {
+        split_rows_round_robin(rows.into_items(), self.ctx.config().partitions)
+    }
+
+    /// A flat relation is its own shredded form: one table under the same
+    /// name in both stores.
+    fn insert_flat(&mut self, name: &str, coll: &DistCollection) -> trance_dist::Result<()> {
+        let table = Arc::new(Table::ingest(coll)?);
         self.nested.insert(name, table.clone());
         self.shredded.insert(name, table);
+        Ok(())
     }
 
     /// Registers a flat input relation.
     pub fn add_flat(&mut self, name: &str, rows: Bag) -> trance_dist::Result<()> {
-        let coll = self.ctx.parallelize(rows.into_items());
-        self.insert_flat(name, coll);
-        Ok(())
+        self.add_flat_partitioned(name, self.split(rows))
     }
 
-    /// Registers a nested input relation, loading both its nested form and its
-    /// shredded form (flat top bag plus one collection per dictionary path).
+    /// Registers a nested input relation: its nested form, and its shredded
+    /// form (flat top bag plus one table per dictionary path) derived from
+    /// it.
     pub fn add_nested(&mut self, name: &str, rows: Bag) -> trance_dist::Result<()> {
-        let shredded = shred_value(&rows)?;
-        let nested = self.ctx.parallelize(rows.into_items());
-        self.nested.insert(name, Table::new(nested));
-        let top = self.ctx.parallelize(shredded.top.into_items());
-        self.shredded
-            .insert(&flat_input_name(name), Table::new(top));
-        for (path, bag) in shredded.dicts {
-            let dict = self.ctx.parallelize(bag.into_items());
-            self.shredded
-                .insert(&input_dict_name(name, &path), Table::new(dict));
-        }
-        Ok(())
+        self.add_nested_partitioned(name, self.split(rows))
     }
 
     /// Registers a flat input from explicitly partitioned rows — the
@@ -229,49 +224,66 @@ impl InputSet {
     /// partition slots its rank owns and empty vectors elsewhere, so every
     /// rank sees the same full-length partition vector the coordinator
     /// round-robin split.
-    pub fn add_flat_partitioned(&mut self, name: &str, parts: Vec<Vec<Value>>) {
+    pub fn add_flat_partitioned(
+        &mut self,
+        name: &str,
+        parts: Vec<Vec<Value>>,
+    ) -> trance_dist::Result<()> {
         let coll = DistCollection::from_partitioned_rows(self.ctx.clone(), parts);
-        self.insert_flat(name, coll);
+        self.insert_flat(name, &coll)
     }
 
-    /// Registers the **nested form** of a nested input from explicitly
-    /// partitioned rows (multi-node loading; the shredded forms arrive
-    /// separately through [`InputSet::add_shredded_partitioned`] under their
-    /// `flat_input_name` / `input_dict_name` names).
-    pub fn add_nested_partitioned(&mut self, name: &str, parts: Vec<Vec<Value>>) {
-        let coll = DistCollection::from_partitioned_rows(self.ctx.clone(), parts);
-        self.nested.insert(name, Table::new(coll));
-    }
-
-    /// Registers one shredded collection (a flat top bag or a dictionary)
-    /// from explicitly partitioned rows under its exact shredded name
-    /// (multi-node loading counterpart of [`InputSet::add_shredded`]).
-    pub fn add_shredded_partitioned(&mut self, name: &str, parts: Vec<Vec<Value>>) {
-        let coll = DistCollection::from_partitioned_rows(self.ctx.clone(), parts);
-        self.shredded.insert(name, Table::new(coll));
+    /// Registers a nested input from explicitly partitioned rows (multi-node
+    /// loading, as [`InputSet::add_flat_partitioned`]): the nested form, and
+    /// the shredded form derived from it partition by partition — so a rank
+    /// shreds the partitions it owns and mints the labels one process mints
+    /// for them.
+    pub fn add_nested_partitioned(
+        &mut self,
+        name: &str,
+        parts: Vec<Vec<Value>>,
+    ) -> trance_dist::Result<()> {
+        let nested = Table::ingest(&DistCollection::from_partitioned_rows(
+            self.ctx.clone(),
+            parts,
+        ))?;
+        let (top, dicts) = shred_partitions(&nested.batches().batches()?);
+        let top = Table::derived(&self.ctx, top)?;
+        self.shredded.insert(&flat_input_name(name), top);
+        for (path, parts) in dicts {
+            let dict = Table::derived(&self.ctx, parts)?;
+            self.shredded.insert(&input_dict_name(name, &path), dict);
+        }
+        self.nested.insert(name, nested);
+        Ok(())
     }
 
     /// Registers an already-shredded input under its shredded names. Useful
     /// when a shredded query output feeds the next query of a pipeline. An
     /// output without dictionaries is a flat relation — its own shredded
     /// form — and is registered as one, under `name` itself.
-    pub fn add_shredded(&mut self, name: &str, output: &ShreddedOutput) {
+    pub fn add_shredded(&mut self, name: &str, output: &ShreddedOutput) -> trance_dist::Result<()> {
         if output.structure.children.is_empty() {
-            self.insert_flat(name, output.top.clone());
-            return;
+            return self.insert_flat(name, &output.top);
         }
-        self.shredded
-            .insert(&flat_input_name(name), Table::new(output.top.clone()));
+        let top = Table::ingest(&output.top)?;
+        self.shredded.insert(&flat_input_name(name), top);
         for (path, coll) in &output.dicts {
-            self.shredded
-                .insert(&input_dict_name(name, path), Table::new(coll.clone()));
+            let dict = Table::ingest(coll)?;
+            self.shredded.insert(&input_dict_name(name, path), dict);
         }
+        Ok(())
     }
 
     /// Registers an already-distributed nested collection (e.g. the output of
     /// a previous standard-route query).
-    pub fn add_nested_collection(&mut self, name: &str, coll: DistCollection) {
-        self.nested.insert(name, Table::new(coll));
+    pub fn add_nested_collection(
+        &mut self,
+        name: &str,
+        coll: DistCollection,
+    ) -> trance_dist::Result<()> {
+        self.nested.insert(name, Table::ingest(&coll)?);
+        Ok(())
     }
 
     /// Drops whatever is stored under the **physical** name `name` in either
@@ -282,42 +294,31 @@ impl InputSet {
         self.shredded.remove(name);
     }
 
-    /// Converts whatever is not resident yet and then drops the row
-    /// collections, so every table is held once, as batches — what a
-    /// long-lived owner (the serving engine) wants. The set keeps answering
-    /// queries; [`InputSet::nested_inputs`] / [`InputSet::shredded_inputs`]
-    /// come back empty.
-    pub fn seal(&mut self) -> trance_dist::Result<()> {
-        self.nested.seal()?;
-        self.shredded.seal()
-    }
-
-    /// Moves every table of `other` into this set, resident batches
-    /// included — how the serving engine installs a table it staged (and
-    /// converted) outside its registry lock.
+    /// Moves every table of `other` into this set — how the serving engine
+    /// installs a table it staged (and converted) outside its registry lock.
     pub fn extend(&mut self, other: InputSet) {
         self.nested.extend(other.nested);
         self.shredded.extend(other.shredded);
     }
 
-    /// The nested (standard-route) collections, as rows.
+    /// The nested (standard-route) collections, batch-backed: their rows
+    /// are built on first read, and ingesting one is a pointer copy.
     pub fn nested_inputs(&self) -> &HashMap<String, DistCollection> {
         self.nested.rows()
     }
 
-    /// The shredded collections, as rows.
+    /// The shredded collections, batch-backed like
+    /// [`InputSet::nested_inputs`].
     pub fn shredded_inputs(&self) -> &HashMap<String, DistCollection> {
         self.shredded.rows()
     }
 
-    /// The resident columnar form of the shredded (`shredded: true`) or
-    /// nested form's tables, converting on first use whatever no earlier
-    /// query over this set or a clone of it has converted yet.
+    /// The batches of the shredded (`shredded: true`) or nested form's
+    /// tables, as a run reads them.
     pub fn resident(&self, shredded: bool) -> trance_dist::Result<ResidentTables> {
-        if shredded {
-            self.shredded.resident()
-        } else {
-            self.nested.resident()
+        match shredded {
+            true => self.shredded.resident(&self.ctx),
+            false => self.nested.resident(&self.ctx),
         }
     }
 }
@@ -588,8 +589,8 @@ pub(crate) fn with_session<T>(
     result
 }
 
-/// One run: look the strategy's resident batches up in the table store (the
-/// first query over a form fills them), run the program driver
+/// One run: look the strategy's batches up in the table store, run the
+/// program driver
 /// ([`crate::prepared`]) — unshredding included — over batches, and hand
 /// the outputs back as their batches at the collect boundary.
 fn run_strategy(

@@ -6,13 +6,13 @@
 //! reference — on every query/strategy pair too. A seeded random NRC program
 //! generator widens the net beyond the hand-written queries.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 use trance_compiler::{
     prepare_and_run, run_prepared, run_query, run_query_explained, strategy_options, InputSet,
     QuerySpec, RunResult, Strategy,
 };
-use trance_dist::{ClusterConfig, DistContext, StatsSnapshot};
+use trance_dist::{ClusterConfig, DistCollection, DistContext, StatsSnapshot};
 use trance_nrc::builder::*;
 use trance_nrc::Value;
 use trance_shred::ShreddedInputDecl;
@@ -716,8 +716,8 @@ fn repriced_parts() -> Value {
     )
 }
 
-/// The table store's write-once rule, end to end: the first run over a form
-/// fills its cells and counts exactly like the warm run after it; re-adding
+/// The table store's replacement rule, end to end: the first run over a set
+/// counts exactly like the run after it; re-adding
 /// a name (`add_flat` and `add_nested`) replaces the table, so every
 /// strategy answers over the new rows; a clone taken before the replacement
 /// keeps answering over the old ones.
@@ -758,28 +758,29 @@ fn replaced_tables_are_seen_by_every_strategy_and_earlier_clones_keep_the_old_on
     load(&mut inputs, &old_cop, &old_part);
 
     for strategy in Strategy::all() {
-        // A fresh set per strategy, so each strategy gets a cold-cell run:
-        // conversion is unmetered, so cold and warm count identically.
+        // A fresh set per strategy, so each strategy gets a first run over
+        // it: registering converted, so the first and second run count
+        // identically.
         let mut fresh = InputSet::new(ctx());
         load(&mut fresh, &old_cop, &old_part);
-        let cold = run_query(&spec, &fresh, strategy);
-        let warm = run_query(&spec, &fresh, strategy);
+        let first = run_query(&spec, &fresh, strategy);
+        let second = run_query(&spec, &fresh, strategy);
         assert_eq!(
-            deterministic_counters(&cold.stats),
-            deterministic_counters(&warm.stats),
-            "{}: the cold-cell and the warm-cell run count differently",
+            deterministic_counters(&first.stats),
+            deterministic_counters(&second.stats),
+            "{}: the first and the second run count differently",
             strategy.label()
         );
-        for (cells, outcome) in [("cold", &cold), ("warm", &warm)] {
+        for (run, outcome) in [("first", &first), ("second", &second)] {
             assert_eq!(
                 canonical(&expected_old),
                 canonical(&outcome_bag(&outcome.result, strategy.label())),
-                "{} ({cells} cells) disagrees with the reference evaluator",
+                "{} ({run} run) disagrees with the reference evaluator",
                 strategy.label()
             );
         }
-        // Warm the shared set's cells too, so the replacement below has
-        // resident batches of the old tables to get wrong.
+        // Run the shared set too, so the replacement below has old tables
+        // that served runs to get wrong.
         let first = run_query(&spec, &inputs, strategy);
         assert_eq!(
             canonical(&expected_old),
@@ -807,11 +808,12 @@ fn replaced_tables_are_seen_by_every_strategy_and_earlier_clones_keep_the_old_on
     }
 }
 
-/// A sealed set holds each table once, as batches: the rows are gone, every
-/// strategy still answers, and a name re-added afterwards is an ordinary
-/// (row-backed, cold) table again.
+/// A registered table is its batches: every strategy answers from them, the
+/// row accessors read back exactly the registered rows (a flat table in both
+/// forms, a nested one in its nested form beside its shredded pieces), and a
+/// name re-added afterwards replaces the table in both forms.
 #[test]
-fn a_sealed_set_answers_from_its_resident_batches_alone() {
+fn a_set_answers_from_its_batches_and_reads_back_the_registered_rows() {
     let spec = QuerySpec::new(
         "running-example",
         running_example(),
@@ -825,19 +827,27 @@ fn a_sealed_set_answers_from_its_resident_batches_alone() {
     inputs
         .add_flat("Part", part.as_bag().unwrap().clone())
         .unwrap();
-    inputs.seal().unwrap();
-    assert!(inputs.nested_inputs().is_empty() && inputs.shredded_inputs().is_empty());
+    let read =
+        |form: &HashMap<String, DistCollection>, name: &str| canonical(&form[name].collect_bag());
+    assert_eq!(
+        read(inputs.nested_inputs(), "COP"),
+        canonical(cop.as_bag().unwrap())
+    );
+    for form in [inputs.nested_inputs(), inputs.shredded_inputs()] {
+        assert_eq!(read(form, "Part"), canonical(part.as_bag().unwrap()));
+    }
+    assert!(inputs.shredded_inputs().contains_key("COP__F"));
 
     let expected = reference_bag(
         &spec.query,
         &[("COP", cop.clone(), true), ("Part", part, false)],
     );
     for strategy in Strategy::all() {
-        let sealed = run_query(&spec, &inputs, strategy);
+        let outcome = run_query(&spec, &inputs, strategy);
         assert_eq!(
             canonical(&expected),
-            canonical(&outcome_bag(&sealed.result, strategy.label())),
-            "{} over a sealed set disagrees with the reference evaluator",
+            canonical(&outcome_bag(&outcome.result, strategy.label())),
+            "{} over the registered batches disagrees with the reference evaluator",
             strategy.label()
         );
     }
@@ -846,17 +856,19 @@ fn a_sealed_set_answers_from_its_resident_batches_alone() {
     inputs
         .add_flat("Part", repriced.as_bag().unwrap().clone())
         .unwrap();
-    assert_eq!(inputs.nested_inputs().len(), 1);
+    for form in [inputs.nested_inputs(), inputs.shredded_inputs()] {
+        assert_eq!(read(form, "Part"), canonical(repriced.as_bag().unwrap()));
+    }
     let expected = reference_bag(
         &spec.query,
         &[("COP", cop, true), ("Part", repriced, false)],
     );
     for strategy in Strategy::all() {
-        let mixed = run_query(&spec, &inputs, strategy);
+        let outcome = run_query(&spec, &inputs, strategy);
         assert_eq!(
             canonical(&expected),
-            canonical(&outcome_bag(&mixed.result, strategy.label())),
-            "{} over a sealed set with one re-added table disagrees with the reference",
+            canonical(&outcome_bag(&outcome.result, strategy.label())),
+            "{} over a re-added table disagrees with the reference",
             strategy.label()
         );
     }

@@ -1724,8 +1724,14 @@ impl Batch {
         let mut slots: Vec<Vec<Option<&Value>>> = vec![vec![None; rows.len()]; fields.len()];
         for (r, row) in rows.iter().enumerate() {
             if let Value::Tuple(t) = row {
-                for (name, value) in t.fields() {
-                    slots[index[name.as_str()]][r] = Some(value);
+                for (i, (name, value)) in t.fields().iter().enumerate() {
+                    // Rows overwhelmingly carry the schema's order: try the
+                    // field's own position before hashing its name.
+                    let c = match fields.get(i) {
+                        Some(f) if f == name => i,
+                        _ => index[name.as_str()],
+                    };
+                    slots[c][r] = Some(value);
                 }
             }
         }
@@ -2189,7 +2195,15 @@ fn merge_field_order(rows: &[&Value], hints: &[FieldHint]) -> Vec<String> {
     let mut seen: std::collections::HashSet<Vec<&str>> = std::collections::HashSet::new();
     for row in rows {
         if let Value::Tuple(t) = row {
-            let names: Vec<&str> = t.fields().iter().map(|(n, _)| n.as_str()).collect();
+            let fields = t.fields();
+            // A row repeating the last new sequence needs no lookup.
+            let repeats = seqs.last().is_some_and(|last| {
+                last.len() == fields.len() && last.iter().zip(fields).all(|(a, (b, _))| a == b)
+            });
+            if repeats {
+                continue;
+            }
+            let names: Vec<&str> = fields.iter().map(|(n, _)| n.as_str()).collect();
             if seen.insert(names.clone()) {
                 seqs.push(names);
             }

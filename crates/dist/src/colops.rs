@@ -408,19 +408,26 @@ impl ColCollection {
     /// Converts a row collection into batches, partition-parallel on the
     /// worker pool — the **scan ingest** boundary, one of the two places
     /// (with [`ColCollection::to_rows`]) where the columnar route touches row
-    /// values. The compiler's table store calls it **once per stored table**
-    /// and keeps the result resident in a write-once cell; no query path
-    /// re-runs it. `hints` come from the plan-layer schema and type columns
-    /// the sampled values alone could not. Ingest is unmetered — no operator
-    /// timing or steal count — matching the paper's
-    /// exclusion of input loading, so a run's counters do not depend on
-    /// whether it found its inputs already converted.
+    /// values. The compiler's table store calls it **once per stored table**,
+    /// at registration. `hints` come from the plan-layer schema and type
+    /// columns the sampled values alone could not. Batches typed from `hints`
+    /// ([`DistCollection::from_batches`]) are a pointer copy; other
+    /// batches are re-typed, their rows built for the conversion alone.
+    /// Ingest is unmetered — no operator timing or steal count — matching
+    /// the paper's exclusion of input loading.
     pub fn ingest(coll: &DistCollection, hints: &[FieldHint]) -> Result<ColCollection> {
         let ctx = coll.context();
-        let parts = run_partitioned_unmetered(ctx, coll.partitions(), |_, rows| {
+        let hinted = |rows: &[Value]| {
             let refs: Vec<&Value> = rows.iter().collect();
             Ok(Batch::from_row_refs_hinted(&refs, hints))
-        })?;
+        };
+        let parts = match coll.batches() {
+            Some((batches, Some(typed))) if typed == hints => batches.to_vec(),
+            Some((batches, _)) => {
+                run_partitioned_unmetered(ctx, batches, |_, b| hinted(&b.to_rows()))?
+            }
+            None => run_partitioned_unmetered(ctx, coll.partitions(), |_, rows| hinted(rows))?,
+        };
         Ok(ColCollection::from_parts(ctx.clone(), parts))
     }
 
@@ -596,10 +603,11 @@ impl ColCollection {
     /// partition-parallel helper as [`ColCollection::ingest`], so every
     /// fallible read happens where its error can be returned.
     pub fn to_rows(&self) -> Result<DistCollection> {
+        self.ctx.check_cancel()?;
         let batches = run_partitioned_unmetered(&self.ctx, &self.parts, |_, part| {
             Ok(part.batch(&self.ctx)?.into_owned())
         })?;
-        Ok(DistCollection::from_batches(self.ctx.clone(), batches))
+        Ok(DistCollection::from_batches(&self.ctx, batches, None))
     }
 
     /// Gathers every row into a [`Bag`].

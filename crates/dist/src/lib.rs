@@ -65,10 +65,10 @@ use trance_store::SpillManager;
 use crate::stats::lock;
 
 pub mod batch;
+pub mod cancel;
 pub mod colops;
 pub mod error;
 pub mod exchange;
-pub mod fault;
 pub mod join;
 mod keys;
 pub mod ops;
@@ -80,10 +80,10 @@ pub mod stats;
 pub use batch::{
     Batch, Bitmap, Column, FieldHint, GatherIndex, RowSel, Schema, SelScratch, StrDict,
 };
+pub use cancel::CancelToken;
 pub use colops::{ColCollection, Placement};
 pub use error::{EngineError, ExecError, Result};
 pub use exchange::{allgather_u64, global_sum, owned_range, owner_of_partition, Exchange, MemMesh};
-pub use fault::CancelToken;
 pub use join::{JoinHint, JoinKind, JoinSpec};
 pub use ops::DistCollection;
 pub use scheduler::{MorselCtx, WorkerPool};

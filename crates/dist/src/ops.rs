@@ -8,16 +8,17 @@
 //! [`crate::colops`]. A result is its batches: its rows are built once, on
 //! demand — [`DistCollection::collect`] converts straight into the one
 //! output vector, and [`DistCollection::partitions`] converts once into a
-//! write-once cell. A row collection is always memory-resident, unmetered
-//! and uncapped, matching the paper's exclusion of input loading and result
-//! collection from measured runs; building its rows observes no
-//! cancellation.
+//! write-once cell; so is a stored table. A row collection is always
+//! memory-resident, unmetered and uncapped, matching the paper's exclusion
+//! of input loading and result collection from measured runs; building its
+//! rows observes no cancellation.
 
+use std::borrow::Cow;
 use std::sync::{Arc, OnceLock};
 
 use trance_nrc::{Bag, Value};
 
-use crate::batch::Batch;
+use crate::batch::{Batch, FieldHint};
 use crate::partition::split_round_robin;
 use crate::DistContext;
 
@@ -29,11 +30,16 @@ pub struct DistCollection {
     parts: Arc<Parts>,
 }
 
-/// What a collection holds: loaded rows, or a result's batches plus their
-/// rows once [`DistCollection::partitions`] asked for them.
+/// What a collection holds: loaded rows, or batches (and the hints a loader
+/// typed them from) plus their rows once [`DistCollection::partitions`]
+/// asked for them.
 enum Parts {
     Rows(Vec<Vec<Value>>),
-    Batches(Vec<Batch>, OnceLock<Vec<Vec<Value>>>),
+    Batches(
+        Vec<Batch>,
+        Option<Arc<[FieldHint]>>,
+        OnceLock<Vec<Vec<Value>>>,
+    ),
 }
 
 impl std::fmt::Debug for DistCollection {
@@ -59,16 +65,32 @@ impl DistCollection {
         }
     }
 
-    /// Wraps a result's batches, one per partition, padded like
-    /// [`DistCollection::from_partitioned_rows`]. No row is built here.
-    pub(crate) fn from_batches(ctx: DistContext, mut batches: Vec<Batch>) -> Self {
+    /// Wraps batches, one per partition, padded like
+    /// [`DistCollection::from_partitioned_rows`]. No row is built here. With
+    /// `typed`, a loader vouches that re-typing their rows from those hints
+    /// would rebuild the same rows, so [`crate::ColCollection::ingest`] under
+    /// them is a pointer copy.
+    pub fn from_batches(
+        ctx: &DistContext,
+        mut batches: Vec<Batch>,
+        typed: Option<&[FieldHint]>,
+    ) -> Self {
         batches.resize(
             ctx.config().partitions.max(1).max(batches.len()),
             Batch::empty(),
         );
+        let typed = typed.map(Arc::from);
         DistCollection {
-            ctx,
-            parts: Arc::new(Parts::Batches(batches, OnceLock::new())),
+            ctx: ctx.clone(),
+            parts: Arc::new(Parts::Batches(batches, typed, OnceLock::new())),
+        }
+    }
+
+    /// The batches and the hints they were typed from; `None` for rows.
+    pub(crate) fn batches(&self) -> Option<(&[Batch], Option<&[FieldHint]>)> {
+        match &*self.parts {
+            Parts::Rows(_) => None,
+            Parts::Batches(batches, typed, _) => Some((batches, typed.as_deref())),
         }
     }
 
@@ -88,16 +110,36 @@ impl DistCollection {
     pub fn partitions(&self) -> &[Vec<Value>] {
         match &*self.parts {
             Parts::Rows(rows) => rows,
-            Parts::Batches(batches, rows) => {
+            Parts::Batches(batches, _, rows) => {
                 rows.get_or_init(|| batches.iter().map(Batch::to_rows).collect())
             }
         }
     }
 
+    /// The first `n` rows of every partition — a sample that builds no other
+    /// row.
+    pub fn head_rows(&self, n: usize) -> Vec<Cow<'_, [Value]>> {
+        match &*self.parts {
+            Parts::Rows(rows) => rows
+                .iter()
+                .map(|p| Cow::from(&p[..p.len().min(n)]))
+                .collect(),
+            Parts::Batches(batches, ..) => batches
+                .iter()
+                .map(|b| (0..b.rows().min(n)).map(|i| b.row_value(i)).collect())
+                .collect(),
+        }
+    }
+
+    /// The hints a loader typed the batches from, if it did.
+    pub fn typed_hints(&self) -> Option<&[FieldHint]> {
+        self.batches().and_then(|(_, typed)| typed)
+    }
+
     fn num_partitions(&self) -> usize {
         match &*self.parts {
             Parts::Rows(rows) => rows.len(),
-            Parts::Batches(batches, _) => batches.len(),
+            Parts::Batches(batches, ..) => batches.len(),
         }
     }
 
@@ -105,7 +147,7 @@ impl DistCollection {
     pub fn len(&self) -> usize {
         match &*self.parts {
             Parts::Rows(rows) => rows.iter().map(Vec::len).sum(),
-            Parts::Batches(batches, _) => batches.iter().map(Batch::rows).sum(),
+            Parts::Batches(batches, ..) => batches.iter().map(Batch::rows).sum(),
         }
     }
 
@@ -120,7 +162,7 @@ impl DistCollection {
         let mut out = Vec::with_capacity(self.len());
         match &*self.parts {
             Parts::Rows(rows) => rows.iter().for_each(|part| out.extend_from_slice(part)),
-            Parts::Batches(batches, _) => {
+            Parts::Batches(batches, ..) => {
                 for batch in batches {
                     out.extend((0..batch.rows()).map(|i| batch.row_value(i)));
                 }

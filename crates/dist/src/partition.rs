@@ -77,8 +77,8 @@ where
 
 /// [`run_partitioned`] for the two `Value`↔`Batch` boundaries (scan ingest
 /// and collect), which the paper's measurements exclude: the same
-/// placement and fan-out, but **unmetered** — no steal counts. Cancellation
-/// is still observed.
+/// placement and fan-out, but **unmetered** — no steal counts — and
+/// observing no cancellation: a table converted at registration is no run.
 pub(crate) fn run_partitioned_unmetered<P, T, F>(
     ctx: &DistContext,
     parts: &[P],
@@ -100,15 +100,16 @@ where
 {
     let workers = ctx.config().workers.max(1);
     let total_rows: usize = parts.iter().map(PartRows::part_rows).sum();
+    let check_cancel = || if metered { ctx.check_cancel() } else { Ok(()) };
     if workers == 1 || parts.len() <= 1 || total_rows < PARALLEL_THRESHOLD {
         let mut out = Vec::with_capacity(parts.len());
         for (i, p) in parts.iter().enumerate() {
-            ctx.check_cancel()?;
+            check_cancel()?;
             out.push(f(i, p)?);
         }
         return Ok(out);
     }
-    ctx.check_cancel()?;
+    check_cancel()?;
     let slots: Vec<Mutex<Option<Result<T>>>> = parts.iter().map(|_| Mutex::new(None)).collect();
     let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = parts
         .iter()

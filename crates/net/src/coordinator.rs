@@ -1,6 +1,7 @@
 //! The coordinator: owns the catalog, partitions it across worker
 //! processes, drives jobs attempt by attempt, and merges per-rank results
-//! back into one bag.
+//! back into one bag. A nested input travels in its nested form only: each
+//! rank converts the partitions it owns and shreds them where they live.
 //!
 //! Recovery model: this is the engine's one recovery layer. Any rank
 //! reporting a [`ErrKind::Retryable`] outcome (a lost link or peer) aborts
@@ -15,7 +16,7 @@ use trance_dist::exchange::{owned_range, split_rows_round_robin};
 use trance_dist::ExecError;
 use trance_nrc::pretty::pretty;
 use trance_nrc::{Bag, Expr, Value};
-use trance_shred::{flat_input_name, input_dict_name, shred_value, NestingStructure};
+use trance_shred::NestingStructure;
 
 use trance_compiler::Strategy;
 
@@ -165,25 +166,12 @@ impl Coordinator {
         self.ship(LoadKind::Flat, name, rows)
     }
 
-    /// Loads a nested relation: the nested form for the standard routes and
-    /// the shredded form (top bag + dictionaries) for the shredded routes.
+    /// Loads a nested relation. Only the nested form travels: each rank
+    /// derives the shredded form (top bag + dictionaries) for the shredded
+    /// routes from the partitions it owns, minting the labels the
+    /// in-process engine mints for them.
     pub fn load_nested(&self, name: &str, rows: Bag) -> io::Result<()> {
-        let shredded =
-            shred_value(&rows).map_err(|e| io::Error::other(format!("shredding {name}: {e}")))?;
-        self.ship(LoadKind::Nested, name, rows.into_items())?;
-        self.ship(
-            LoadKind::Shredded,
-            &flat_input_name(name),
-            shredded.top.into_items(),
-        )?;
-        for (path, bag) in shredded.dicts {
-            self.ship(
-                LoadKind::Shredded,
-                &input_dict_name(name, &path),
-                bag.into_items(),
-            )?;
-        }
-        Ok(())
+        self.ship(LoadKind::Nested, name, rows.into_items())
     }
 
     /// Runs one job to completion, retrying transient failures on fresh

@@ -60,11 +60,9 @@ pub struct ClusterParams {
 pub enum LoadKind {
     /// A flat relation (registered for both the nested and shredded routes).
     Flat,
-    /// The nested form of a nested relation.
+    /// A nested relation: the rank registers its nested form and shreds
+    /// the partitions it owns.
     Nested,
-    /// One shredded collection (flat top bag or dictionary) under its exact
-    /// shredded name.
-    Shredded,
 }
 
 /// A seeded chaos instruction: the victim rank severs one of its data links
@@ -356,7 +354,6 @@ impl Ctrl {
                 w.u8(match kind {
                     LoadKind::Flat => 0,
                     LoadKind::Nested => 1,
-                    LoadKind::Shredded => 2,
                 });
                 w.str(name)?;
                 encode_parts(&mut w, parts)?;
@@ -462,7 +459,8 @@ impl Ctrl {
                 let kind = match r.u8()? {
                     0 => LoadKind::Flat,
                     1 => LoadKind::Nested,
-                    2 => LoadKind::Shredded,
+                    // 2 was a coordinator-shredded piece; ranks shred their
+                    // own partitions now.
                     other => return Err(invalid(format!("bad load kind {other}"))),
                 };
                 let name = r.str()?;
@@ -650,6 +648,23 @@ mod tests {
         forged.extend_from_slice(&0u32.to_le_bytes());
         forged.extend_from_slice(&u32::MAX.to_le_bytes()); // "4 billion rows"
         assert!(Ctrl::decode(&forged).is_err());
+    }
+
+    /// Load kind 2 carried a coordinator-shredded piece; ranks shred their
+    /// own partitions now, so the tag is a typed error, not a third kind.
+    #[test]
+    fn the_retired_shredded_load_kind_is_invalid_data() {
+        let mut bytes = Ctrl::Load {
+            kind: LoadKind::Nested,
+            name: "COP__F".into(),
+            parts: vec![vec![Value::Int(1)]],
+        }
+        .encode()
+        .unwrap();
+        assert_eq!(bytes[1], 1, "the kind byte follows the tag");
+        bytes[1] = 2;
+        let err = Ctrl::decode(&bytes).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
     }
 
     /// The thirteen counters ride `Ctrl::Result` as little-endian `u64`s in

@@ -126,11 +126,15 @@ pub fn serve(coordinator_addr: &str) -> io::Result<()> {
 
     while let Some(msg) = queue.pop() {
         match msg {
-            Ctrl::Load { kind, name, parts } => match kind {
-                LoadKind::Flat => inputs.add_flat_partitioned(&name, parts),
-                LoadKind::Nested => inputs.add_nested_partitioned(&name, parts),
-                LoadKind::Shredded => inputs.add_shredded_partitioned(&name, parts),
-            },
+            Ctrl::Load { kind, name, parts } => {
+                // A rank shreds the nested partitions it owns itself. `Load`
+                // has no reply, so a rank that cannot hold a table leaves.
+                match kind {
+                    LoadKind::Flat => inputs.add_flat_partitioned(&name, parts),
+                    LoadKind::Nested => inputs.add_nested_partitioned(&name, parts),
+                }
+                .map_err(|e| io::Error::other(format!("loading {name}: {e}")))?;
+            }
             Ctrl::Run {
                 epoch,
                 job,

@@ -204,12 +204,14 @@ fn deadline_cancels(coord: &mut Coordinator) {
     }
 }
 
-/// Cold-cell rank divergence. Every rank memoises the columnar form of a
-/// loaded table in a write-once cell, filled by the first run that reads it —
-/// and under the exchange filling is interleaved with collectives (schema
-/// sample, schema merge, size sum). A first run that dies there leaves the
-/// ranks' cells in different states; the next run must still reach every
-/// collective in the same order on every rank, whatever its own cells hold.
+/// Rank divergence around the load-time conversion. Every rank converts a
+/// loaded table at `Load`, typed from its own partitions' sample, and every
+/// run walks the union of the ranks' table names and gathers each table's
+/// sample (cluster collectives, beside the schema merge and size sum),
+/// re-typing for that run a table whose gathered hints differ from its own.
+/// A run that dies in those collectives, or is cancelled, must leave nothing
+/// that makes a later run reach them in another order on some rank, and a
+/// `Load` after a cancelled run must still convert.
 fn cold_cell_failures_do_not_desync_the_ranks(coord: &mut Coordinator, seed: u64) {
     let spec = QuerySpec::new(
         "running-example",
@@ -226,10 +228,11 @@ fn cold_cell_failures_do_not_desync_the_ranks(coord: &mut Coordinator, seed: u64
     let part = part_value().as_bag().unwrap().clone();
 
     // The worker's store also holds the random programs' R, S and N, so a
-    // standard-family run makes 5 sample allgathers (2 frames each per
-    // rank) before anything else: all three cut points land inside ingest.
+    // standard-family run makes a table-name allgather and 5 sample
+    // allgathers (2 frames each per rank) before anything else: all three
+    // cut points land inside them.
     for (i, after_frames) in [1u64, 4, 7].into_iter().enumerate() {
-        // Loading replaces the entries on every rank: fresh, cold cells.
+        // Loading replaces the entries on every rank, converted at `Load`.
         let cop = cop_value(30 + i).as_bag().unwrap().clone();
         coord.load_nested("COP", cop.clone()).unwrap();
         coord.load_flat("Part", part.items().to_vec()).unwrap();
@@ -237,14 +240,15 @@ fn cold_cell_failures_do_not_desync_the_ranks(coord: &mut Coordinator, seed: u64
         inputs.add_nested("COP", cop).unwrap();
         inputs.add_flat("Part", part.clone()).unwrap();
 
-        // The first run over the cold cells is cancelled by a zero deadline …
+        // The first run over the new tables is cancelled by a zero deadline
+        // (and the next iteration's `Load` converts all the same) …
         let mut job = plain(Strategy::Standard);
         job.deadline_ms = Some(0);
         match coord.run(&job) {
             Err(ExecError::Cancelled { .. }) => {}
             other => panic!("cold cells: expected Cancelled from a zero deadline, got {other:?}"),
         }
-        // … the next loses a data link mid-ingest; its retry — the same job,
+        // … the next loses a data link mid-sample; its retry — the same job,
         // run normally — and a clean run after it must match the oracle.
         let (oracle_bag, oracle_shuffled) = oracle_run(&spec, &inputs, Strategy::Standard);
         let mut job = plain(Strategy::Standard);
@@ -263,7 +267,7 @@ fn cold_cell_failures_do_not_desync_the_ranks(coord: &mut Coordinator, seed: u64
             oracle_shuffled,
         );
         assert_eq!(attempts, 1, "{label}: the clean rerun needed retries");
-        // The shredded form's cells are still cold on every rank.
+        // The shredded form's tables have served no run yet.
         let (oracle_bag, oracle_shuffled) = oracle_run(&spec, &inputs, Strategy::ShredUnshred);
         let mut job = plain(Strategy::ShredUnshred);
         job.chaos = Some(DropSpec {
@@ -276,8 +280,8 @@ fn cold_cell_failures_do_not_desync_the_ranks(coord: &mut Coordinator, seed: u64
         println!("ok cold cells: zero deadline, then a drop after {after_frames} frames");
     }
 
-    // Re-loading a table under an existing name replaces warm cells: the next
-    // run answers over the new rows on every strategy family.
+    // Re-loading a table under an existing name replaces a table that served
+    // runs: the next run answers over the new rows on every strategy family.
     let repriced: Vec<_> = part
         .items()
         .iter()

@@ -306,19 +306,17 @@ impl Engine {
         self.install(name, ty, structure, staged)
     }
 
-    /// Installs the one logical table `staged` holds. It is sealed here,
-    /// outside the registry lock: unlike a one-shot `InputSet`, which
-    /// converts on first use and keeps its rows, the engine's catalog needs every schema now and nothing here ever reads
-    /// rows again, so only the resident batches move into the registry.
+    /// Installs the one logical table `staged` holds. Registering converted
+    /// it already, outside the registry lock; here its catalog entries are
+    /// read off the batches and the tables move into the registry.
     fn install(
         &self,
         name: &str,
         ty: Type,
         structure: NestingStructure,
-        mut staged: InputSet,
+        staged: InputSet,
     ) -> trance_dist::Result<()> {
         let ctx = &self.inner.ctx;
-        staged.seal()?;
         let nested = staged.resident(false)?.catalog(ctx)?;
         let shredded = staged.resident(true)?.catalog(ctx)?;
         let mut t = write_lock(&self.inner.tables);
