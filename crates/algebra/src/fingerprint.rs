@@ -14,7 +14,8 @@
 //! string is ever materialized. This is *not* `std::hash::Hash` (whose
 //! output is explicitly unstable across releases) and not a cryptographic
 //! hash: collisions are possible in principle, and the cache treats a
-//! fingerprint match as an identity only together with the catalog epoch.
+//! fingerprint match as an identity only together with the table
+//! registry's epoch.
 
 use std::fmt::{self, Debug, Write};
 

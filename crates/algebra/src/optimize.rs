@@ -38,7 +38,11 @@
 //!    the join key of the side it feeds, or what the grouping above is
 //!    itself placed by. The engine then finds that breaker's input in place
 //!    and does not shuffle it ([`crate::placement`]). This is an annotation,
-//!    not a rewrite, and has no switch: no plan wants the second shuffle.
+//!    not a rewrite.
+//!
+//! No rewrite has a switch: every plan gets all of them.
+//! [`OptimizerConfig`] carries only what the optimizer knows of the engine,
+//! its broadcast limit.
 
 use std::collections::BTreeSet;
 
@@ -48,59 +52,30 @@ use crate::plan::{is_passthrough, JoinStrategy, NestOp, Plan, PlanJoinKind};
 use crate::scalar::ScalarExpr;
 use crate::schema::{node_schema, output_schema, AttrSchema, Catalog};
 
-/// Which rewrites [`optimize`] applies.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// What [`optimize`] knows of the engine it plans for. Every rewrite always
+/// runs.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct OptimizerConfig {
-    /// Enable selection pushdown.
-    pub pushdown_selections: bool,
-    /// Enable column pruning: only live attributes leave a scan or an
-    /// unnest or enter a join or `Γ`.
-    pub prune_columns: bool,
-    /// Enable pushing `Γ+` below joins.
-    pub pushdown_aggregation: bool,
-    /// Annotate every join with a physical strategy.
-    pub select_join_strategies: bool,
     /// The engine's broadcast limit in bytes; required for provable
     /// `Broadcast`/`Shuffle` annotations (without it joins stay `Auto`).
     pub broadcast_limit: Option<usize>,
 }
 
-impl Default for OptimizerConfig {
-    fn default() -> Self {
-        OptimizerConfig {
-            pushdown_selections: true,
-            prune_columns: true,
-            pushdown_aggregation: true,
-            select_join_strategies: true,
-            broadcast_limit: None,
-        }
-    }
-}
-
-/// Applies the enabled rewrites until a fixpoint (bounded by a small number of
+/// Applies the rewrites until a fixpoint (bounded by a small number of
 /// passes; each rule is individually terminating).
 pub fn optimize(plan: &Plan, catalog: &Catalog, config: &OptimizerConfig) -> Plan {
     let mut current = plan.clone();
     for _ in 0..4 {
-        let mut next = current.clone();
-        if config.pushdown_selections {
-            next = push_selections(&next, catalog);
-        }
-        if config.pushdown_aggregation {
-            next = push_aggregation(&next, catalog);
-        }
-        if config.prune_columns {
-            next = prune_columns(&next, catalog);
-        }
-        next = collapse_projections(&next);
+        let next = push_selections(&current, catalog);
+        let next = push_aggregation(&next, catalog);
+        let next = prune_columns(&next, catalog);
+        let next = collapse_projections(&next);
         if next == current {
             break;
         }
         current = next;
     }
-    if config.select_join_strategies {
-        current = select_join_strategies(&current, catalog, config);
-    }
+    current = select_join_strategies(&current, catalog, config);
     place_groupings(&current, &Wanted::dictionary_output())
 }
 
@@ -1127,14 +1102,7 @@ mod tests {
                 PlanJoinKind::Inner,
             )
             .nest_sum(&["l_orderkey", "p_name"], &["l_quantity"]);
-        let opt = optimize(
-            &plan,
-            &c,
-            &OptimizerConfig {
-                prune_columns: false,
-                ..OptimizerConfig::default()
-            },
-        );
+        let opt = optimize_default(&plan, &c);
         // There must now be a NestSum below the join (partial sums).
         let mut partial_below_join = false;
         opt.visit(&mut |p| {
@@ -1172,7 +1140,6 @@ mod tests {
             .project_columns(&["l_orderkey", "p_name"]);
         let cfg = OptimizerConfig {
             broadcast_limit: Some(4096),
-            ..OptimizerConfig::default()
         };
         let opt = optimize(&plan, &c, &cfg);
         let mut strategy = None;
@@ -1183,22 +1150,17 @@ mod tests {
         });
         assert_eq!(strategy, Some(JoinStrategy::Broadcast));
 
-        // Both sides provably over the limit: shuffle.
+        // Both sides provably over the limit: shuffle. The join is the root
+        // and reads every attribute, so pruning leaves its sides bare scans,
+        // whose sizes the catalog knows.
         c.set_size("Part", 1_000_000);
-        let plan2 = Plan::scan("Lineitem")
-            .join(
-                Plan::scan("Part"),
-                &["l_partkey"],
-                &["p_partkey"],
-                PlanJoinKind::Inner,
-            )
-            .project_columns(&["l_orderkey", "p_name"]);
-        let cfg2 = OptimizerConfig {
-            broadcast_limit: Some(4096),
-            prune_columns: false,
-            ..OptimizerConfig::default()
-        };
-        let opt2 = optimize(&plan2, &c, &cfg2);
+        let plan2 = Plan::scan("Lineitem").join(
+            Plan::scan("Part"),
+            &["l_partkey"],
+            &["p_partkey"],
+            PlanJoinKind::Inner,
+        );
+        let opt2 = optimize(&plan2, &c, &cfg);
         let mut strategy2 = None;
         opt2.visit(&mut |p| {
             if let Plan::Join { strategy: s, .. } = p {
@@ -1473,7 +1435,6 @@ mod tests {
         c.set_size("Part", 1_000_000);
         let cfg = OptimizerConfig {
             broadcast_limit: Some(4096),
-            ..OptimizerConfig::default()
         };
         let sums =
             || Plan::scan("Lineitem").nest_sum(&["l_partkey", "l_orderkey"], &["l_quantity"]);

@@ -130,17 +130,10 @@ pub fn physical_fields(schema: &AttrSchema) -> Vec<PhysField> {
 
 /// Maps input (scan) names to their schemas and, when known, their
 /// materialized sizes (used for the optimizer's join strategy selection).
-///
-/// The catalog also carries a monotonically increasing **epoch**: every
-/// mutation (schema registration, size update, removal) bumps it. Long-lived
-/// holders — the serving layer's table registry — key their compiled-plan
-/// caches on the epoch, so *any* catalog change conservatively invalidates
-/// every plan optimized against the previous state.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Catalog {
     inputs: BTreeMap<String, AttrSchema>,
     sizes: BTreeMap<String, usize>,
-    epoch: u64,
 }
 
 impl Catalog {
@@ -149,49 +142,23 @@ impl Catalog {
         Catalog::default()
     }
 
-    /// Registers an input schema (bumps the epoch).
+    /// Registers an input schema.
     pub fn register(&mut self, name: impl Into<String>, schema: AttrSchema) -> &mut Self {
         self.inputs.insert(name.into(), schema);
-        self.epoch += 1;
         self
     }
 
-    /// Records the materialized size in bytes of an input (bumps the epoch).
+    /// Records the materialized size in bytes of an input.
     pub fn set_size(&mut self, name: impl Into<String>, bytes: usize) -> &mut Self {
         self.sizes.insert(name.into(), bytes);
-        self.epoch += 1;
         self
     }
 
-    /// Registers every input and recorded size of `other`, replacing
-    /// same-named entries (bumps the epoch once per entry, like registering
-    /// them one by one).
-    pub fn merge(&mut self, other: &Catalog) -> &mut Self {
-        for (name, schema) in &other.inputs {
-            self.register(name.clone(), schema.clone());
-        }
-        for (name, bytes) in &other.sizes {
-            self.set_size(name.clone(), *bytes);
-        }
-        self
-    }
-
-    /// Removes an input and its recorded size (bumps the epoch when the
-    /// input existed).
+    /// Removes an input and its recorded size.
     pub fn remove(&mut self, name: &str) -> &mut Self {
-        let had = self.inputs.remove(name).is_some() | self.sizes.remove(name).is_some();
-        if had {
-            self.epoch += 1;
-        }
+        self.inputs.remove(name);
+        self.sizes.remove(name);
         self
-    }
-
-    /// The catalog's mutation epoch: strictly increases with every
-    /// registration, size update or removal. Two equal epochs from the same
-    /// catalog instance imply no mutation happened in between — the
-    /// invariant compiled-plan caches key on.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
     }
 
     /// The recorded size in bytes of an input, when known.

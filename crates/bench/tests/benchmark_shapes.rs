@@ -1,8 +1,9 @@
 //! The repo benchmark's in-process shapes in tier-1: each workload's cluster,
 //! data and query family rebuilt here, every (query, strategy) held to
-//! `nrc::eval` at the benchmark's oracle scale. A routing change that breaks
-//! a benchmark cell fails here first, in a debug build, where placement
-//! claims are checked where they are made.
+//! `nrc::eval` at the benchmark's oracle scale (the skew shape at 0.2, the
+//! smallest at which its skew-aware joins have heavy keys to hold back). A
+//! routing change that breaks a benchmark cell fails here first, in a debug
+//! build, where placement claims are checked where they are made.
 //!
 //! The benchmark also checks its workloads at their own scale, where
 //! `nrc::eval` is too slow: all seven strategies must agree, and each
@@ -31,8 +32,10 @@ use trance_tpch::{
 };
 
 /// `WORKERS`, `PARTITIONS` and `BROADCAST_LIMIT`: 2 workers over 16
-/// partitions, and a 4 KiB broadcast limit so that even the small dimension
-/// tables shuffle and only heavy-key subsets broadcast.
+/// partitions, and a 4 KiB broadcast limit, which the right rows of a
+/// skew-aware join's heavy keys fit. The dimension tables outgrow it with
+/// the scale: `Part` fits at `ORACLE_SCALE` and is joined by a broadcast,
+/// and from scale 0.2 it shuffles.
 const WORKERS: usize = 2;
 const PARTITIONS: usize = 16;
 const BROADCAST_LIMIT: usize = 4 * 1024;
@@ -43,6 +46,13 @@ const DEPTH: usize = 2;
 /// `ORACLE_SCALE`: the largest scale the benchmark checks against
 /// `nrc::eval`; every workload's oracle check runs at `min(scale, 0.05)`.
 const ORACLE_SCALE: f64 = 0.05;
+
+/// The skew cell's scale: the smallest at which `skew_n2n_narrow`'s
+/// `Lineitem ⋈ Part` joins shuffle, so that the skew-aware strategies have
+/// heavy keys to hold back. At `ORACLE_SCALE`, `Part` is 10 rows, about
+/// 1.2 KB, and fits `BROADCAST_LIMIT`; a broadcast join moves no left row
+/// and is never skew-handled.
+const SKEW_ORACLE_SCALE: f64 = 0.2;
 
 /// `run.sh`'s default seed.
 const SEED: u64 = 1;
@@ -325,15 +335,16 @@ fn n2n_wide_equals_the_reference_on_every_strategy() {
     );
 }
 
-/// `skew_n2n_narrow`: nested-to-nested, Narrow, skew 4 — on the benchmark's
-/// 16 partitions and on 17, since a placement or a heavy hash means
-/// something only relative to the partition count. Every skew-aware
-/// strategy must really take the heavy path.
+/// `skew_n2n_narrow`: nested-to-nested, Narrow, skew 4, at
+/// [`SKEW_ORACLE_SCALE`] — on the benchmark's 16 partitions and on 17, since
+/// a placement or a heavy hash means something only relative to the
+/// partition count. Every skew-aware strategy must really take the heavy
+/// path.
 #[test]
 fn skew_n2n_narrow_equals_the_reference_and_splits_heavy_keys_on_16_and_17_partitions() {
     for partitions in [PARTITIONS, PARTITIONS + 1] {
         let label = format!("skew_n2n_narrow/{partitions}");
-        let shape = Shape::build(ORACLE_SCALE, 4, QueryVariant::Narrow, partitions);
+        let shape = Shape::build(SKEW_ORACLE_SCALE, 4, QueryVariant::Narrow, partitions);
         let stats = threads_cell(
             &label,
             &shape,

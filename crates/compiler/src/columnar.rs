@@ -377,7 +377,6 @@ fn optimizer_config(options: &ExecOptions, ctx: &DistContext) -> Option<Optimize
     }
     Some(OptimizerConfig {
         broadcast_limit: Some(ctx.config().broadcast_limit),
-        ..OptimizerConfig::default()
     })
 }
 

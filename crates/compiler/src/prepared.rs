@@ -20,7 +20,7 @@
 //! grown — is re-checked at runtime by the columnar executor's broadcast
 //! guard, which falls back to a shuffle join when the side no longer fits
 //! under `broadcast_limit`. Staleness is bounded by the serving layer's
-//! cache key, which includes the table catalog's epoch: any re-registration
+//! cache key, which includes the table registry's epoch: any re-registration
 //! invalidates the entry and the next submission re-prepares.
 //!
 //! This module also holds the one **program driver**
@@ -348,9 +348,9 @@ fn replay_plans(
 }
 
 /// The serving layer's plan-cache key for `spec` under `strategy` at a
-/// given catalog `epoch`: structural fingerprints of the NRC program and
+/// given table-registry `epoch`: structural fingerprints of the NRC program and
 /// the nested-input declarations, combined with the strategy and the epoch.
-/// Any catalog mutation bumps the epoch, so every cached plan compiled
+/// Any registration bumps the epoch, so every cached plan compiled
 /// against the old tables misses and re-prepares.
 pub fn plan_cache_key(spec: &QuerySpec, strategy: Strategy, epoch: u64) -> u64 {
     trance_algebra::combine_fingerprints(&[

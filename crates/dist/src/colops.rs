@@ -24,7 +24,7 @@
 //! ## Keys
 //!
 //! The breakers never box a key per row. Shuffle routing, Grace salting,
-//! join build/probe, `Γ+`, `Γ⊎` and heavy-key detection/split all go through
+//! join build/probe, `Γ+`, `Γ⊎` and heavy-key counting all go through
 //! `keys.rs`: the key columns are resolved once per batch and hashed
 //! into one `Vec<u64>` plus a validity mask, and chained index tables over
 //! row numbers do the matching and grouping with typed, column-wise equality
@@ -47,8 +47,8 @@
 //! * `Γ+` accumulates into typed `i64`/`f64` slots with `numeric_add`'s
 //!   semantics and, like `Γ⊎`, emits `take(first row of each group)` for the
 //!   key columns next to directly built sum / bag columns;
-//! * skew handling samples, merges and splits by the routing hash alone
-//!   (`keys.rs`, "Heavy keys are hashes"), so a key always splits whole;
+//! * skew handling counts and holds back by the routing hash alone (`keys.rs`,
+//!   "Heavy keys are hashes"), so a key is always held back whole;
 //! * partition assignment, logical and physical shuffle bytes and output
 //!   row order are exactly those of the boxed definition.
 //!
@@ -74,16 +74,16 @@
 //!   that found its input in place passes that placement on) and the shuffle
 //!   join (by its left key, unless the join could overwrite a key column
 //!   with another value).
-//! * **Kept** across [`ColCollection::with_context`], spilling (a partition
-//!   is the same rows in memory or on disk) and the skew split. A caller
+//! * **Kept** across [`ColCollection::with_context`] and spilling (a partition
+//!   is the same rows in memory or on disk). A caller
 //!   that knows what a batch transform did to the placed columns — the
 //!   compiler's per-plan-node carry rule, the only one —
 //!   re-attaches the carried placement with
 //!   [`ColCollection::with_placement`]; a rename rewrites the names.
 //! * **Cleared** by everything else: [`ColCollection::map_batches`] and
 //!   [`ColCollection::run_pipeline`] (an unknown transform may overwrite a
-//!   placed column), [`ColCollection::union`], a broadcast join,
-//!   [`ColCollection::distinct`].
+//!   placed column), [`ColCollection::union`], a broadcast join, a
+//!   skew-aware join that held rows back, [`ColCollection::distinct`].
 //!
 //! **Rows with a NULL or absent key lane.** A grouping's shuffle and a
 //! re-nesting join's left side ship them to the stand-in's partition; an
@@ -95,9 +95,9 @@
 //! **Rank safety.** Skipping a shuffle skips a cluster collective, so every
 //! rank must skip the same ones. A placement therefore derives only from the
 //! plan (operator kinds, key lists, the [`JoinSpec`]) and from facts every
-//! rank agrees on (the cluster-wide broadcast decision, the merged heavy-hash
-//! sample) — never from rank-local data such as an empty partition, a schema
-//! only this rank saw, or "no NULL key arrived here".
+//! rank agrees on (the cluster-wide broadcast decision, the merged loads and
+//! heavy-hash counts) — never from rank-local data such as an empty
+//! partition, a schema only this rank saw, or "no NULL key arrived here".
 //!
 //! ## Out-of-core execution
 //!
@@ -133,7 +133,7 @@ use trance_store::{ByteReader, ByteWriter, MemoryGovernor, Spillable};
 
 use crate::batch::{Batch, Bitmap, Column, FieldHint, RowSel, SelScratch};
 use crate::error::{ExecError, Result};
-use crate::exchange::{allgather_u64, owned_range, owner_of_partition, Exchange};
+use crate::exchange::{owned_range, owner_of_partition, Exchange};
 use crate::join::{JoinKind, JoinSpec};
 use crate::keys::{group_rows, KeyCols, KeyHashes, RowTable};
 use crate::ops::DistCollection;
@@ -500,6 +500,11 @@ impl ColCollection {
             .filter(|_| self.parts.len() == nparts)
     }
 
+    /// True when a shuffle by `keys` would move no row.
+    fn placed_by(&self, keys: &[String]) -> bool {
+        self.usable_placement().is_some_and(|p| p.columns == keys)
+    }
+
     /// Books one shuffle answered in place under the operator's context
     /// `ctx` — rows hashed by `columns` stay where they are — and, in debug
     /// builds, checks every row.
@@ -798,7 +803,7 @@ impl ColCollection {
                 Cow::Owned(shuffle_batches(
                     &self.ctx,
                     &parts,
-                    route_all_rows(place_by),
+                    route_by(place_by, true),
                 )?),
                 Placement::hashed_by(place_by),
             ),
@@ -841,47 +846,17 @@ impl ColCollection {
     /// every left row must be probed once — and failing that both sides
     /// shuffle by key hash and each partition pair hash-joins.
     pub fn join(&self, right: &ColCollection, spec: &JoinSpec) -> Result<ColCollection> {
-        let path = match spec.hint() {
-            JoinHint::Auto => ColJoinPath::Auto,
-            JoinHint::BroadcastRight => ColJoinPath::BroadcastRight { skew: false },
-            JoinHint::Shuffle => ColJoinPath::Shuffle { skew: false },
-        };
-        self.timed("join", || join_impl_col(self, right, spec, path))
+        self.timed("join", || join_impl_col(self, right, spec, false))
     }
 
-    /// Skew-aware equi-join (Section 5) over batches: samples the left side's
-    /// key-hash frequencies, joins the rows of light hashes as
-    /// [`ColCollection::join`] would (the hint included) and broadcast-joins
-    /// those of heavy hashes (falling back to a shuffle when the matching
-    /// right rows exceed the broadcast limit). With no heavy hash it is
-    /// `join`.
+    /// Skew-aware equi-join (Section 5): [`ColCollection::join`] with the
+    /// heavy rows of its shuffle held back — their left rows stay in their
+    /// partitions and the matching right rows are broadcast to them (every
+    /// row ships, as a skew fallback, if those exceed the broadcast limit).
+    /// A broadcast join, or a left side placed by the key, moves no left row
+    /// and runs as `join`.
     pub fn skew_join(&self, right: &ColCollection, spec: &JoinSpec) -> Result<ColCollection> {
-        self.timed("skew_join", || {
-            let heavy = detect_heavy_keys_col(self, spec.left_keys())?;
-            if heavy.is_empty() {
-                return self.join(right, spec);
-            }
-            let (left_light, left_heavy) = split_by_keys_col(self, spec.left_keys(), &heavy)?;
-            let (right_light, right_heavy) = split_by_keys_col(right, spec.right_keys(), &heavy)?;
-            let light = left_light.join(&right_light, spec)?;
-            let limit = self.ctx.config().broadcast_limit;
-            let heavy = if right_heavy.planning_bytes()? <= limit {
-                join_impl_col(
-                    &left_heavy,
-                    &right_heavy,
-                    spec,
-                    ColJoinPath::BroadcastRight { skew: true },
-                )?
-            } else {
-                join_impl_col(
-                    &left_heavy,
-                    &right_heavy,
-                    spec,
-                    ColJoinPath::Shuffle { skew: true },
-                )?
-            };
-            light.union(&heavy)
-        })
+        self.timed("skew_join", || join_impl_col(self, right, spec, true))
     }
 
     /// Skew-aware `Γ+`: [`ColCollection::nest_sum`] itself. Its map-side
@@ -1130,25 +1105,20 @@ fn enforce_memory_col(ctx: &DistContext, parts: &[ColPart]) -> Result<()> {
     Ok(())
 }
 
-/// Shuffle routing of an inner join's sides: rows hash by key, and only rows
-/// whose key is valid (no NULL or absent lane — such rows can never satisfy
-/// an equality) are shipped.
-fn route_valid_keys(cols: &[String]) -> impl Fn(&Batch) -> Result<KeyHashes> + Send + Sync + '_ {
+/// Shuffle routing by the hash of `cols`: every row (a grouping, a
+/// re-nesting join), NULL standing in for a NULL or absent lane, or only
+/// the rows whose key is valid (an inner join: no other can match).
+fn route_by(
+    cols: &[String],
+    every_row: bool,
+) -> impl Fn(&Batch) -> Result<KeyHashes> + Send + Sync + '_ {
     move |b| {
-        tuple_rows_required(b)?;
-        Ok(KeyCols::resolve(b, cols).hashes())
-    }
-}
-
-/// Shuffle routing of a grouping and of a re-nesting join's sides: every row
-/// ships, NULL standing in for a NULL or absent key lane (a stable stand-in
-/// is enough to route).
-fn route_all_rows(cols: &[String]) -> impl Fn(&Batch) -> Result<KeyHashes> + Send + Sync + '_ {
-    move |b| {
-        Ok(KeyHashes {
-            valid: None,
-            ..KeyCols::resolve(b, cols).hashes()
-        })
+        if !every_row {
+            tuple_rows_required(b)?;
+        }
+        let keys = KeyCols::resolve(b, cols).hashes();
+        let valid = keys.valid.filter(|_| !every_row);
+        Ok(KeyHashes { valid, ..keys })
     }
 }
 
@@ -1226,7 +1196,7 @@ fn spill_split(
         .collect::<Result<_>>()?;
     for chunk in part.chunks(ctx)? {
         let b = chunk?;
-        let lists = RowLists::route(&route_all_rows(cols)(&b)?, fanout, salted);
+        let lists = RowLists::route(&route_by(cols, true)(&b)?, fanout, salted);
         for (f, writer) in writers.iter_mut().enumerate() {
             if !lists.of(f).is_empty() {
                 writer.push(ctx, &b.take(lists.of(f)))?;
@@ -1236,26 +1206,47 @@ fn spill_split(
     writers.into_iter().map(|w| w.finish(ctx)).collect()
 }
 
-/// One routed chunk of a shuffle's source partition: the chunk itself (its
-/// columns `Arc`-shared with the source), the rows it sends to each target,
-/// and what each of those selections weighs in row-equivalent bytes.
+/// One routed chunk of a shuffle's source partition: the chunk (its columns
+/// `Arc`-shared with the source), its key hashes, the rows it sends to each
+/// target, each selection's row-equivalent bytes, and their physical total.
 struct Routed {
     chunk: Batch,
+    hashes: Vec<u64>,
     lists: RowLists,
     logical: Vec<usize>,
+    physical: usize,
+}
+
+impl Routed {
+    /// Meters every selection of `lists` in place: the bytes its
+    /// [`Batch::take`] would weigh, which is what a piece on the wire weighs.
+    fn new(chunk: Batch, hashes: Vec<u64>, lists: RowLists, scratch: &mut SelScratch) -> Routed {
+        let (mut logical, mut physical) = (Vec::with_capacity(lists.bounds.len()), 0);
+        for t in 0..lists.bounds.len() - 1 {
+            let sel = Some(lists.of(t)).filter(|sel| !sel.is_empty());
+            logical.push(sel.map_or(0, |sel| chunk.logical_bytes_of(Some(sel), scratch)));
+            physical += sel.map_or(0, |sel| chunk.physical_bytes_of(Some(sel), scratch));
+        }
+        Routed {
+            chunk,
+            hashes,
+            lists,
+            logical,
+            physical,
+        }
+    }
 }
 
 /// Repartitions batch rows by `route`'s hash vector (rows its validity mask
 /// clears are not shipped), metering the move as a shuffle with both logical
-/// (row-equivalent) and exact physical buffer bytes.
+/// (row-equivalent) and exact physical buffer bytes: [`route_batches`], then
+/// [`deliver`].
 ///
 /// No (source, target) piece is built for a target this process holds. A
 /// source task routes each of its chunks into per-target row lists and meters
-/// every such *selection* in place — the bytes its [`Batch::take`] would
-/// weigh, which is what a piece on the wire weighs; a target task then builds
-/// its partition straight from the selections addressed to it, in (source
-/// partition, chunk) order, with one n-way [`Batch::merge`]. Both sides run
-/// on the worker pool.
+/// every such *selection* in place; a target task then builds its partition
+/// straight from the selections addressed to it, in (source partition, chunk)
+/// order, with one n-way [`Batch::merge`]. Both sides run on the worker pool.
 ///
 /// This is also the **spilling shuffle writer**: spilled sources stream chunk
 /// by chunk, and a receiving partition whose selections exceed its budget
@@ -1266,42 +1257,42 @@ fn shuffle_batches<F>(ctx: &DistContext, parts: &[ColPart], route: F) -> Result<
 where
     F: Fn(&Batch) -> Result<KeyHashes> + Send + Sync,
 {
+    deliver(ctx, route_batches(ctx, parts, route)?)
+}
+
+/// A shuffle's route phase: every source chunk routed and metered. Nothing
+/// moves yet: a caller may read the loads and withhold rows.
+fn route_batches<F>(ctx: &DistContext, parts: &[ColPart], route: F) -> Result<Vec<Vec<Routed>>>
+where
+    F: Fn(&Batch) -> Result<KeyHashes> + Send + Sync,
+{
     let nparts = ctx.config().partitions.max(1);
-    let sources = run_partitioned(ctx, parts, |_, part| {
-        let mut routed: Vec<Routed> = Vec::new();
+    run_partitioned(ctx, parts, |_, part| {
         let mut scratch = SelScratch::default();
-        let (mut rows, mut logical, mut physical) = (0u64, 0u64, 0u64);
+        let mut routed = Vec::new();
         for chunk in part.chunks(ctx)? {
             let chunk = chunk?;
             let keys = route(&chunk)?;
             let lists = RowLists::route(&keys, nparts, |h| h);
-            let mut logical_of = vec![0usize; nparts];
-            for (target, weight) in logical_of.iter_mut().enumerate() {
-                let sel = lists.of(target);
-                if sel.is_empty() {
-                    continue;
-                }
-                *weight = chunk.logical_bytes_of(Some(sel), &mut scratch);
-                rows += sel.len() as u64;
-                logical += *weight as u64;
-                physical += chunk.physical_bytes_of(Some(sel), &mut scratch) as u64;
-            }
-            routed.push(Routed {
-                chunk,
-                lists,
-                logical: logical_of,
-            });
+            routed.push(Routed::new(chunk, keys.hashes, lists, &mut scratch));
         }
-        Ok((routed, rows, logical, physical))
-    })?;
-    let (mut tuples, mut logical, mut physical) = (0u64, 0u64, 0u64);
-    let mut routed: Vec<Vec<Routed>> = Vec::with_capacity(sources.len());
-    for (chunks, t, l, p) in sources {
-        tuples += t;
-        logical += l;
-        physical += p;
-        routed.push(chunks);
+        Ok(routed)
+    })
+}
+
+/// A shuffle's delivery phase: books, exchanges and merges what is routed.
+fn deliver(ctx: &DistContext, mut routed: Vec<Vec<Routed>>) -> Result<Vec<ColPart>> {
+    let nparts = ctx.config().partitions.max(1);
+    // Routing is done: the hash vectors need not outlive it.
+    for r in routed.iter_mut().flatten() {
+        r.hashes = Vec::new();
     }
+    // Per-rank metering: each rank counts the rows/bytes its own sources
+    // routed, so the rank-summed counters equal the single-process totals.
+    let sum = |f: fn(&Routed) -> usize| routed.iter().flatten().map(f).sum::<usize>() as u64;
+    let (rows, logical) = (sum(|r| r.lists.rows.len()), sum(|r| r.logical.iter().sum()));
+    let physical = sum(|r| r.physical);
+    ctx.stats().record_shuffle(rows, logical, physical);
     let (owned, remote) = match ctx.exchange() {
         Some(ex) => (
             owned_range(ex.rank(), nparts, ex.ranks()),
@@ -1309,9 +1300,6 @@ where
         ),
         None => (0..nparts, (0..nparts).map(|_| Vec::new()).collect()),
     };
-    // Per-rank metering: each rank counts the rows/bytes its own sources
-    // routed, so the rank-summed counters equal the single-process totals.
-    ctx.stats().record_shuffle(tuples, logical, physical);
     // What each target merges: the local selections addressed to it and the
     // batches other ranks sent it, in the single-process merge order. Network
     // delivery is unordered, and ranks own contiguous blocks of source
@@ -1785,33 +1773,26 @@ fn nest_bag_batch(
 // joins
 // ---------------------------------------------------------------------------
 
-/// Which physical plan a join takes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ColJoinPath {
-    Auto,
-    Shuffle { skew: bool },
-    BroadcastRight { skew: bool },
-}
-
+/// Plans a join and runs it: the hint, else broadcast-right if the right
+/// side fits the broadcast limit, else broadcast-left for an inner join,
+/// else shuffle, skew-aware with `skew` when the left side moves.
 fn join_impl_col(
     left: &ColCollection,
     right: &ColCollection,
     spec: &JoinSpec,
-    path: ColJoinPath,
+    skew: bool,
 ) -> Result<ColCollection> {
     let limit = left.ctx.config().broadcast_limit;
-    match path {
-        ColJoinPath::BroadcastRight { skew } => broadcast_right_col(left, right, spec, skew),
-        ColJoinPath::Shuffle { skew } => shuffle_join_col(left, right, spec, skew),
-        ColJoinPath::Auto => {
-            if right.planning_bytes()? <= limit {
-                broadcast_right_col(left, right, spec, false)
-            } else if *spec.kind() == JoinKind::Inner && left.planning_bytes()? <= limit {
-                broadcast_left_col(left, right, spec)
-            } else {
-                shuffle_join_col(left, right, spec, false)
-            }
-        }
+    let auto = matches!(spec.hint(), JoinHint::Auto);
+    let inner = *spec.kind() == JoinKind::Inner;
+    if matches!(spec.hint(), JoinHint::BroadcastRight) || auto && right.planning_bytes()? <= limit {
+        broadcast_right_col(left, right, spec)
+    } else if auto && inner && left.planning_bytes()? <= limit {
+        broadcast_left_col(left, right, spec)
+    } else if skew && !left.placed_by(spec.left_keys()) {
+        skew_shuffle_join(left, right, spec)
+    } else {
+        shuffle_join_col(left, right, spec)
     }
 }
 
@@ -1843,18 +1824,14 @@ fn gather_side_batch(ctx: &DistContext, side: &ColCollection) -> Result<Batch> {
     }
 }
 
-fn meter_broadcast_col(ctx: &DistContext, side: &ColCollection, skew: bool) {
+fn meter_broadcast_col(ctx: &DistContext, side: &ColCollection, strategy: JoinStrategy) {
     let workers = ctx.config().workers.max(1) as u64;
     ctx.stats().record_broadcast(
         side.len() as u64 * workers,
         side.logical_bytes() as u64 * workers,
         side.physical_bytes() as u64 * workers,
     );
-    ctx.stats().record_join(if skew {
-        JoinStrategy::SkewBroadcast
-    } else {
-        JoinStrategy::Broadcast
-    });
+    ctx.stats().record_join(strategy);
 }
 
 /// The build side of a hash join: the build batch, its key columns, their
@@ -1955,14 +1932,12 @@ fn broadcast_right_col(
     left: &ColCollection,
     right: &ColCollection,
     spec: &JoinSpec,
-    skew: bool,
 ) -> Result<ColCollection> {
     let ctx = left.ctx.clone();
-    meter_broadcast_col(&ctx, right, skew);
+    meter_broadcast_col(&ctx, right, JoinStrategy::Broadcast);
     // The broadcast side fits under the broadcast limit by construction:
     // concatenate it resident (cluster-wide under an exchange).
     let rbatch = gather_side_batch(&ctx, right)?;
-    tuple_rows_required(&rbatch)?;
     let build = BuildSide::new(&rbatch, spec.right_keys())?;
     let parts = run_partitioned(&ctx, &left.parts, |_, part| {
         let mut builder = PartBuilder::new(&ctx);
@@ -1982,7 +1957,7 @@ fn broadcast_left_col(
     spec: &JoinSpec,
 ) -> Result<ColCollection> {
     let ctx = left.ctx.clone();
-    meter_broadcast_col(&ctx, left, false);
+    meter_broadcast_col(&ctx, left, JoinStrategy::Broadcast);
     let lbatch = gather_side_batch(&ctx, left)?;
     let build = BuildSide::new(&lbatch, spec.left_keys())?;
     let parts = run_partitioned(&ctx, &right.parts, |_, part| {
@@ -2019,14 +1994,14 @@ fn grace_join_partition(
     lpart: &ColPart,
     rpart: &ColPart,
     spec: &JoinSpec,
-) -> Result<ColPart> {
+    builder: &mut PartBuilder<'_>,
+) -> Result<()> {
     // Both sides must use the same fan-out for bucket pairs to align; size
     // it from the larger side.
     let joint = lpart.logical_bytes().max(rpart.logical_bytes());
     let fanout = grace_fanout(joint, op_budget(ctx));
     let lbuckets = spill_split(ctx, lpart, fanout, spec.left_keys())?;
     let rbuckets = spill_split(ctx, rpart, fanout, spec.right_keys())?;
-    let mut builder = PartBuilder::new(ctx);
     for (lb, rb) in lbuckets.iter().zip(&rbuckets) {
         if lb.rows() == 0 {
             continue;
@@ -2037,37 +2012,54 @@ fn grace_join_partition(
             builder.push(gather_joined(&chunk?, &build, spec)?)?;
         }
     }
-    builder.finish()
+    Ok(())
 }
 
 fn shuffle_join_col(
     left: &ColCollection,
     right: &ColCollection,
     spec: &JoinSpec,
-    skew: bool,
 ) -> Result<ColCollection> {
-    let ctx = left.ctx.clone();
-    ctx.stats().record_join(if skew {
-        JoinStrategy::SkewFallback
-    } else {
-        JoinStrategy::Shuffle
-    });
-    let lparts = join_side(&ctx, left, spec.left_keys(), spec)?;
-    let rparts = join_side(&ctx, right, spec.right_keys(), spec)?;
-    let parts = run_partitioned(&ctx, &lparts, |p, lpart| {
+    let ctx = &left.ctx;
+    let lparts = join_side(ctx, left, spec.left_keys(), spec)?;
+    let rparts = join_side(ctx, right, spec.right_keys(), spec)?;
+    ctx.stats().record_join(JoinStrategy::Shuffle);
+    join_partitions(ctx, &lparts, &rparts, spec, None)
+}
+
+/// Hash-joins co-partitioned sides partition by partition, Grace-style
+/// where a pair exceeds the operator budget. `held` is a skew-aware join's
+/// held-back left rows, per partition, with the build side of their
+/// broadcast matches: each partition probes its held rows after its pair,
+/// and the output is then not placed.
+fn join_partitions(
+    ctx: &DistContext,
+    lparts: &[ColPart],
+    rparts: &[ColPart],
+    spec: &JoinSpec,
+    held: Option<(&[ColPart], &BuildSide<'_>)>,
+) -> Result<ColCollection> {
+    let parts = run_partitioned(ctx, lparts, |p, lpart| {
         let rpart = &rparts[p];
-        if ctx.spill_active() && lpart.logical_bytes() + rpart.logical_bytes() > op_budget(&ctx) {
-            return grace_join_partition(&ctx, lpart, rpart, spec);
+        let mut builder = PartBuilder::new(ctx);
+        if ctx.spill_active() && lpart.logical_bytes() + rpart.logical_bytes() > op_budget(ctx) {
+            grace_join_partition(ctx, lpart, rpart, spec, &mut builder)?;
+        } else {
+            let rbatch = rpart.batch(ctx)?;
+            let build = BuildSide::new(&rbatch, spec.right_keys())?;
+            for chunk in lpart.chunks(ctx)? {
+                builder.push(gather_joined(&chunk?, &build, spec)?)?;
+            }
         }
-        let rbatch = rpart.batch(&ctx)?;
-        let build = BuildSide::new(&rbatch, spec.right_keys())?;
-        let mut builder = PartBuilder::new(&ctx);
-        for chunk in lpart.chunks(&ctx)? {
-            builder.push(gather_joined(&chunk?, &build, spec)?)?;
+        if let Some((held, build)) = held {
+            for chunk in held[p].chunks(ctx)? {
+                builder.push(gather_joined(&chunk?, build, spec)?)?;
+            }
         }
         builder.finish()
     })?;
-    Ok(ColCollection::materialize_parts(ctx, parts)?.with_placement(joined_placement(spec)))
+    let placement = held.is_none().then(|| joined_placement(spec)).flatten();
+    Ok(ColCollection::materialize_parts(ctx.clone(), parts)?.with_placement(placement))
 }
 
 /// Where a shuffle join leaves its output: hashed by the left key, unless the
@@ -2084,152 +2076,173 @@ fn joined_placement(spec: &JoinSpec) -> Option<Placement> {
 }
 
 /// One side of a shuffle join where the join needs it: partitioned by the
-/// hash of `keys`. An inner join ships only the rows whose key is valid; a
-/// re-nesting join ships every row. A side already placed by `keys` is not
-/// shuffled: its partitions pass through as they are.
+/// hash of `keys`. A side already placed by `keys` is not shuffled: its
+/// partitions pass through as they are.
 fn join_side(
     ctx: &DistContext,
     side: &ColCollection,
     keys: &[String],
     spec: &JoinSpec,
 ) -> Result<Vec<ColPart>> {
-    if side.usable_placement().is_some_and(|p| p.columns == keys) {
+    if side.placed_by(keys) {
         side.stays_in_place(ctx, keys)?;
         return Ok(side.parts.to_vec());
     }
-    match spec.kind() {
-        JoinKind::Inner => shuffle_batches(ctx, &side.parts, route_valid_keys(keys)),
-        JoinKind::Renest { .. } => shuffle_batches(ctx, &side.parts, route_all_rows(keys)),
-    }
+    let every_row = matches!(spec.kind(), JoinKind::Renest { .. });
+    shuffle_batches(ctx, &side.parts, route_by(keys, every_row))
 }
 
 // ---------------------------------------------------------------------------
-// skew helpers
+// skew handling
 // ---------------------------------------------------------------------------
 
-/// Rows sampled per collection for heavy-key detection.
-const SKEW_SAMPLE: u64 = 1024;
+/// A target is *overloaded* past `OVERLOAD` times the mean load: hashing
+/// keeps light keys near the mean (within 1.6 times it in every id and label
+/// join of `skew_n2n_narrow`), so past twice it a few keys carry the target.
+const OVERLOAD: u64 = 2;
 
-/// The sampled share at which a key hash is heavy: `1 / partitions`, the
-/// share at which one partition would hold more than its fair slice.
-fn heavy_share(partitions: usize) -> f64 {
-    1.0 / partitions.max(1) as f64
-}
-
-/// Samples key-hash frequencies over batches and returns the hashes whose
-/// sampled share reaches [`heavy_share`]. Sampling is deterministic — every
-/// `stride`-th row up to [`SKEW_SAMPLE`] rows — so repeated runs agree on
-/// the split. Only the sampled rows are hashed, and no key is boxed: a heavy
-/// key *is* its routing hash (`keys.rs`, "Heavy keys are hashes").
-fn detect_heavy_keys_col(data: &ColCollection, key_cols: &[String]) -> Result<HashSet<u64>> {
-    let ex = data.ctx.exchange();
-    // Under an exchange, the sample must be the *cluster-wide* one the
-    // single-process engine would draw: the global row count sizes the
-    // stride, and each rank walks the same global row numbering (its owned
-    // partitions are a contiguous block, so its rows start after every
-    // lower rank's). The per-rank partial counts are then merged, so every
-    // rank derives the identical heavy-hash set and the light/heavy splits
-    // stay rank-aligned.
-    let local_rows = data.len() as u64;
-    let (total, start) = match &ex {
-        Some(ex) => {
-            let rows = allgather_u64(ex.as_ref(), local_rows)?;
-            let start: u64 = rows.iter().take(ex.rank()).sum();
-            (rows.iter().sum::<u64>(), start)
-        }
-        None => (local_rows, 0u64),
+/// The shuffle join of [`ColCollection::skew_join`]. The rows of
+/// [`heavy_hashes`] are held back from both sides' deliveries: the left ones
+/// stay in their partitions and probe the right ones, broadcast. A right
+/// side in place keeps its heavy rows (no light left row matches them).
+fn skew_shuffle_join(
+    left: &ColCollection,
+    right: &ColCollection,
+    spec: &JoinSpec,
+) -> Result<ColCollection> {
+    let ctx = &left.ctx;
+    let (lkeys, rkeys) = (spec.left_keys(), spec.right_keys());
+    let every_row = matches!(spec.kind(), JoinKind::Renest { .. });
+    let mut lrouted = route_batches(ctx, &left.parts, route_by(lkeys, every_row))?;
+    let heavy = heavy_hashes(ctx, &lrouted)?;
+    let right_in_place = right.placed_by(rkeys);
+    let mut rrouted = match right_in_place && heavy.is_empty() {
+        true => Vec::new(),
+        false => route_batches(ctx, &right.parts, route_by(rkeys, every_row))?,
     };
-    if total == 0 {
-        return Ok(HashSet::new());
-    }
-    let stride = (total / SKEW_SAMPLE).max(1);
-    let mut counts: HashMap<u64, u64> = HashMap::new();
-    let mut sampled = 0u64;
-    let mut global = start;
-    for part in data.parts.iter() {
-        for chunk in part.chunks(&data.ctx)? {
-            let b = chunk?;
-            tuple_rows_required(&b)?;
-            let keys = KeyCols::resolve(&b, key_cols);
-            // First row of this chunk on the global sampling stride.
-            let first = (stride - global % stride) % stride;
-            for i in (first as usize..b.rows()).step_by(stride as usize) {
-                sampled += 1;
-                if keys.row_valid(i) {
-                    *counts.entry(keys.hash_row(i)).or_default() += 1;
-                }
-            }
-            global += b.rows() as u64;
+    let mut held = None;
+    if !heavy.is_empty() {
+        let (rkept, rheld) = withhold(right, &rrouted, &heavy)?;
+        let rheld = ColCollection::materialize_parts(ctx.clone(), rheld)?;
+        if rheld.planning_bytes()? <= ctx.config().broadcast_limit {
+            let (lkept, lheld) = withhold(left, &lrouted, &heavy)?;
+            (lrouted, rrouted) = (lkept, rkept);
+            held = Some((ColCollection::materialize_parts(ctx.clone(), lheld)?, rheld));
         }
     }
-    if let Some(ex) = &ex {
-        (sampled, counts) = merge_sampled_counts(ex.as_ref(), sampled, &counts)?;
-    }
-    let min_count = (heavy_share(data.ctx.config().partitions) * sampled as f64).max(2.0);
-    Ok(counts
-        .into_iter()
-        .filter(|(_, n)| *n as f64 >= min_count)
-        .map(|(hash, _)| hash)
-        .collect())
+    let lparts = deliver(ctx, lrouted)?;
+    let rparts = match right_in_place {
+        true => {
+            right.stays_in_place(ctx, rkeys)?;
+            right.parts.to_vec()
+        }
+        false => deliver(ctx, rrouted)?,
+    };
+    let Some((lheld, rheld)) = held else {
+        ctx.stats().record_join(match heavy.is_empty() {
+            true => JoinStrategy::Shuffle,
+            false => JoinStrategy::SkewFallback,
+        });
+        return join_partitions(ctx, &lparts, &rparts, spec, None);
+    };
+    ctx.stats().record_join(JoinStrategy::Shuffle);
+    meter_broadcast_col(ctx, &rheld, JoinStrategy::SkewBroadcast);
+    let rbatch = gather_side_batch(ctx, &rheld)?;
+    let build = BuildSide::new(&rbatch, rkeys)?;
+    join_partitions(ctx, &lparts, &rparts, spec, Some((&lheld.parts, &build)))
 }
 
-/// Allgathers each rank's partial sample — `sampled`, then `(hash, count)`
-/// pairs, all plain `u64`s — and merges them additively; every rank returns
-/// the same totals. A truncated frame is an error.
-fn merge_sampled_counts(
-    ex: &dyn Exchange,
-    sampled: u64,
-    counts: &HashMap<u64, u64>,
-) -> Result<(u64, HashMap<u64, u64>)> {
+/// The heavy key hashes of a routed side, sorted. The loads are the row
+/// lists' lengths; only overloaded targets ([`OVERLOAD`]) have their hashes
+/// counted, and a hash is heavy when its count reaches `max(mean, 2)`. Ranks
+/// merge loads and counts, so all derive the same set.
+fn heavy_hashes(ctx: &DistContext, routed: &[Vec<Routed>]) -> Result<Vec<u64>> {
+    let nparts = ctx.config().partitions.max(1);
+    let mut load = HashMap::new();
+    for r in routed.iter().flatten() {
+        for t in 0..nparts {
+            *load.entry(t as u64).or_default() += r.lists.of(t).len() as u64;
+        }
+    }
+    let load = merge_counts(ctx, load)?;
+    let total: u64 = load.values().sum();
+    let share = |n: u64| n * nparts as u64;
+    let overloaded: Vec<usize> = (0..nparts)
+        .filter(|t| share(load.get(&(*t as u64)).copied().unwrap_or(0)) > OVERLOAD * total)
+        .collect();
+    if overloaded.is_empty() {
+        return Ok(Vec::new());
+    }
+    let mut counts = HashMap::new();
+    for r in routed.iter().flatten() {
+        for &i in overloaded.iter().flat_map(|&t| r.lists.of(t)) {
+            *counts.entry(r.hashes[i]).or_default() += 1;
+        }
+    }
+    let mut heavy: Vec<u64> = merge_counts(ctx, counts)?
+        .into_iter()
+        .filter(|&(_, n)| n >= 2 && share(n) >= total)
+        .map(|(hash, _)| hash)
+        .collect();
+    heavy.sort_unstable();
+    Ok(heavy)
+}
+
+/// Under an exchange, allgathers each rank's `(key, count)` pairs as plain
+/// `u64`s and sums them per key. A truncated frame is an error.
+fn merge_counts(ctx: &DistContext, counts: HashMap<u64, u64>) -> Result<HashMap<u64, u64>> {
+    let Some(ex) = ctx.exchange() else {
+        return Ok(counts);
+    };
     let mut w = ByteWriter::new();
-    w.u64(sampled);
-    for (hash, count) in counts {
-        w.u64(*hash);
+    for (key, count) in &counts {
+        w.u64(*key);
         w.u64(*count);
     }
-    let mut total_sampled = 0u64;
     let mut merged: HashMap<u64, u64> = HashMap::new();
     for bytes in &ex.allgather(w.into_bytes())? {
         let mut r = ByteReader::new(bytes);
-        total_sampled += r.u64()?;
         while r.remaining() > 0 {
-            let hash = r.u64()?;
-            *merged.entry(hash).or_default() += r.u64()?;
+            let key = r.u64()?;
+            *merged.entry(key).or_default() += r.u64()?;
         }
     }
-    Ok((total_sampled, merged))
+    Ok(merged)
 }
 
-/// Splits a collection into (rows whose key hash is not in `heavy`, rows
-/// whose key hash is) without moving rows between partitions: each chunk is
-/// hashed once, and both sides are gathered from that one pass.
-fn split_by_keys_col(
-    data: &ColCollection,
-    key_cols: &[String],
-    heavy: &HashSet<u64>,
-) -> Result<(ColCollection, ColCollection)> {
-    let ctx = &data.ctx;
-    let split = run_partitioned(ctx, &data.parts, |_, part| {
-        let mut light = PartBuilder::new(ctx);
-        let mut hit = PartBuilder::new(ctx);
-        for chunk in part.chunks(ctx)? {
-            let b = chunk?;
-            tuple_rows_required(&b)?;
-            let hashes = KeyCols::resolve(&b, key_cols).hashes();
-            let (hit_rows, light_rows): (Vec<usize>, Vec<usize>) = (0..b.rows())
-                .partition(|&i| hashes.is_valid(i) && heavy.contains(&hashes.hashes[i]));
-            light.push(b.take(&light_rows))?;
-            hit.push(b.take(&hit_rows))?;
+/// Takes the rows whose hash is in `heavy` (sorted) out of `side`'s routing:
+/// returns it without them, metered again, and each source's held rows.
+fn withhold(
+    side: &ColCollection,
+    routed: &[Vec<Routed>],
+    heavy: &[u64],
+) -> Result<(Vec<Vec<Routed>>, Vec<ColPart>)> {
+    let ctx = &side.ctx;
+    let split = run_partitioned(ctx, &side.parts, |p, _| {
+        let chunks = &routed[p];
+        let mut scratch = SelScratch::default();
+        let (mut kept, mut held) = (Vec::with_capacity(chunks.len()), PartBuilder::new(ctx));
+        for r in chunks {
+            let (mut rows, mut bounds, mut held_rows) = (Vec::new(), vec![0], Vec::new());
+            for t in 0..r.logical.len() {
+                for &i in r.lists.of(t) {
+                    match heavy.binary_search(&r.hashes[i]) {
+                        Ok(_) => held_rows.push(i),
+                        Err(_) => rows.push(i),
+                    }
+                }
+                bounds.push(rows.len());
+            }
+            if !held_rows.is_empty() {
+                held_rows.sort_unstable();
+                held.push(r.chunk.take(&held_rows))?;
+            }
+            let (chunk, lists) = (r.chunk.clone(), RowLists { rows, bounds });
+            kept.push(Routed::new(chunk, Vec::new(), lists, &mut scratch));
         }
-        Ok((light.finish()?, hit.finish()?))
+        Ok((kept, held.finish()?))
     })?;
-    let (light, hit) = split.into_iter().unzip();
-    // Rows only leave: both halves sit as the whole did.
-    let placed = |parts| -> Result<ColCollection> {
-        Ok(ColCollection::materialize_parts(ctx.clone(), parts)?
-            .with_placement(data.placement.clone()))
-    };
-    Ok((placed(light)?, placed(hit)?))
+    Ok(split.into_iter().unzip())
 }
 
 #[cfg(test)]
@@ -2358,7 +2371,7 @@ mod tests {
         let open = DistContext::new(ClusterConfig::new(2, 6));
         let resident: Vec<ColPart> = sources.iter().cloned().map(ColPart::Mem).collect();
         let key = vec!["k".to_string()];
-        let (uncapped, _) = shuffle_by_pieces(&open, &resident, &route_valid_keys(&key)).unwrap();
+        let (uncapped, _) = shuffle_by_pieces(&open, &resident, &route_by(&key, false)).unwrap();
         let sizes: Vec<usize> = uncapped.iter().map(ColPart::logical_bytes).collect();
         let budget = (sizes.iter().min().unwrap() + sizes.iter().max().unwrap()) / 2;
         let config = ClusterConfig::new(2, 6)
@@ -2369,7 +2382,7 @@ mod tests {
         let mut parts = resident;
         parts[2] = ColPart::Spilled(Arc::new(spill_batch(&ctx, &sources[2]).unwrap()));
         let (expect, expect_metered) =
-            shuffle_by_pieces(&ctx, &parts, &route_valid_keys(&key)).unwrap();
+            shuffle_by_pieces(&ctx, &parts, &route_by(&key, false)).unwrap();
         let spilled = expect
             .iter()
             .filter(|p| matches!(p, ColPart::Spilled(_)))
@@ -2389,7 +2402,7 @@ mod tests {
         let (config, parts, expect, expect_metered, reference) = capped_case();
         let key = vec!["k".to_string()];
         let ctx = DistContext::new(config);
-        let got = shuffle_batches(&ctx, &parts, route_valid_keys(&key)).unwrap();
+        let got = shuffle_batches(&ctx, &parts, route_by(&key, false)).unwrap();
         assert_eq!(metered(&ctx), expect_metered);
         assert_eq!(got.len(), expect.len());
         for (t, (got, want)) in got.iter().zip(&expect).enumerate() {
@@ -2400,9 +2413,9 @@ mod tests {
         let open = DistContext::new(ClusterConfig::new(2, 6));
         let resident: Vec<ColPart> = keyed_sources(300).into_iter().map(ColPart::Mem).collect();
         let (expect, expect_metered) =
-            shuffle_by_pieces(&open, &resident, &route_all_rows(&key)).unwrap();
+            shuffle_by_pieces(&open, &resident, &route_by(&key, true)).unwrap();
         let ctx = DistContext::new(ClusterConfig::new(2, 6));
-        let got = shuffle_batches(&ctx, &resident, route_all_rows(&key)).unwrap();
+        let got = shuffle_batches(&ctx, &resident, route_by(&key, true)).unwrap();
         assert_eq!(metered(&ctx), expect_metered);
         assert_eq!(expect_metered.0, 6 * 300);
         for (t, (got, want)) in got.iter().zip(&expect).enumerate() {
@@ -2422,7 +2435,7 @@ mod tests {
                         false => ColPart::Mem(Batch::empty()),
                     })
                     .collect();
-                let got = shuffle_batches(ctx, &local, route_valid_keys(&key)).unwrap();
+                let got = shuffle_batches(ctx, &local, route_by(&key, false)).unwrap();
                 (got, metered(ctx), ctx.clone())
             });
             let mut summed = (0u64, 0u64, 0u64);
@@ -2473,7 +2486,7 @@ mod tests {
     ) -> (ColCollection, ColCollection) {
         let placed = names(placed);
         let sources: Vec<ColPart> = sources.into_iter().map(ColPart::Mem).collect();
-        let mut parts = shuffle_batches(ctx, &sources, route_all_rows(&placed)).unwrap();
+        let mut parts = shuffle_batches(ctx, &sources, route_by(&placed, true)).unwrap();
         let resident = parts[2].batch(ctx).unwrap().into_owned();
         assert!(resident.rows() > 0);
         parts[2] = ColPart::Spilled(Arc::new(spill_batch(ctx, &resident).unwrap()));
@@ -2819,20 +2832,20 @@ mod tests {
     }
 
     #[test]
-    fn sample_frames_merge_additively_and_a_truncated_one_is_an_error() {
+    fn count_frames_merge_additively_and_a_truncated_one_is_an_error() {
         let frame =
             |words: &[u64]| -> Vec<u8> { words.iter().flat_map(|w| w.to_le_bytes()).collect() };
-        let whole = Canned(vec![frame(&[10, 7, 3]), frame(&[5, 7, 2, 9, 1])]);
-        let (sampled, counts) = merge_sampled_counts(&whole, 0, &HashMap::new()).unwrap();
-        assert_eq!(sampled, 15);
-        assert_eq!(counts, HashMap::from([(7, 5), (9, 1)]));
-        let full = frame(&[10, 7, 3]);
-        for cut in [4, 16, 19] {
-            let truncated = Canned(vec![frame(&[5]), full[..cut].to_vec()]);
-            assert!(
-                merge_sampled_counts(&truncated, 0, &HashMap::new()).is_err(),
-                "a frame cut to {cut} bytes"
-            );
+        let merged = |frames: Vec<Vec<u8>>| {
+            let ctx = DistContext::new(ClusterConfig::new(1, 2));
+            ctx.set_exchange(Some(Arc::new(Canned(frames))));
+            merge_counts(&ctx, HashMap::new())
+        };
+        let whole = vec![frame(&[7, 3]), frame(&[7, 2, 9, 1]), frame(&[])];
+        assert_eq!(merged(whole).unwrap(), HashMap::from([(7, 5), (9, 1)]));
+        let full = frame(&[7, 3]);
+        for cut in [4, 8, 12] {
+            let truncated = vec![frame(&[9, 1]), full[..cut].to_vec()];
+            assert!(merged(truncated).is_err(), "a frame cut to {cut} bytes");
         }
     }
 
@@ -2886,11 +2899,11 @@ mod tests {
     }
 
     /// Skew handling on 2 and 3 ranks: every rank derives the same heavy
-    /// hashes from the merged `(hash, count)` sample, so `skew_join` and
-    /// `nest_sum_skew` give the single process's rows, shuffle meters and
-    /// skew broadcasts. Key 7 holds 30 % of the rows, spread evenly over
-    /// the partitions: no rank's own count reaches the cluster-wide share,
-    /// only the merged count does.
+    /// hashes from the merged per-target loads and the merged counts of the
+    /// overloaded target, so `skew_join` and `nest_sum_skew` give the single
+    /// process's rows, shuffle meters and skew broadcasts. Key 7 holds 30 %
+    /// of the rows, spread evenly over the partitions: its target receives
+    /// about three times the mean load, and a rank sees only its share.
     #[test]
     fn ranks_agree_on_the_heavy_hashes() {
         let sources = keyed_sources(300);

@@ -1,10 +1,10 @@
 //! Typed keys for the columnar breakers: one hash vector per batch, typed
 //! lane equality, and index tables over row numbers.
 //!
-//! Every operator that moves or matches rows by key — shuffle routing, Grace
-//! salting, join build/probe, `Γ+`, `Γ⊎`, heavy-key detection and split —
-//! reads the same three things from here instead of boxing a `Vec<Value>`
-//! per row:
+//! Every operator that moves or matches rows by key — shuffle routing (and
+//! the heavy-key counts of its route phase), Grace salting, join
+//! build/probe, `Γ+`, `Γ⊎` — reads the same three things from here instead
+//! of boxing a `Vec<Value>` per row:
 //!
 //! * [`KeyCols::hashes`] — the key columns resolved to column references
 //!   **once per batch**, hashed into one `Vec<u64>` plus a validity mask;
@@ -37,15 +37,15 @@
 //! ## Heavy keys are hashes
 //!
 //! A partition is overloaded by `hash mod partitions`, not by a key's value,
-//! so skew handling (Section 5) counts, merges and splits by the hash alone:
-//! the sample is a `hash → count` map over [`KeyCols::hash_row`], ranks
-//! allgather `(hash, count)` pairs, and a row goes to the heavy side when
-//! its key is valid and its hash is in the heavy set. No key is boxed.
+//! so skew handling (Section 5) counts and holds back by the hash the
+//! shuffle routed the row by: `hash → count` over the rows routed to an
+//! overloaded target, merged across ranks as plain `(hash, count)` pairs.
+//! No key is boxed.
 //!
-//! Equal keys have equal hashes, so both join sides and both `Γ+` halves
-//! always split each key whole and results cannot change. A light key whose
-//! hash equals a heavy key's goes to the heavy side with it — its rows are
-//! broadcast instead of shuffled, nothing more: `2^53` and `2^53 + 1`, which
+//! Equal keys have equal hashes, so both join sides always hold each key
+//! back whole and results cannot change. A light key whose hash equals a
+//! heavy key's is held back with it — its rows are broadcast instead of
+//! shuffled, nothing more: `2^53` and `2^53 + 1`, which
 //! [`KeyCols::lanes_equal`] keeps apart, are such a pair. Ranks agree on the
 //! heavy set because they run the same binary, which the shuffle already
 //! relies on to route rows across processes.
@@ -218,20 +218,6 @@ impl<'a> KeyCols<'a> {
             cols: names.iter().map(|n| b.column(n)).collect(),
             rows: b.rows(),
         }
-    }
-
-    /// The hash of row `i` alone (sampling reads a few rows per batch).
-    pub(crate) fn hash_row(&self, i: usize) -> u64 {
-        let mut h = DefaultHasher::new();
-        for col in &self.cols {
-            lane(*col, i).feed(&mut h);
-        }
-        h.finish()
-    }
-
-    /// True when no key lane of row `i` is NULL or absent.
-    pub(crate) fn row_valid(&self, i: usize) -> bool {
-        self.cols.iter().all(|col| lane(*col, i).is_valid())
     }
 
     /// Hashes every row. Single-column keys (the planned shape of every
@@ -575,19 +561,9 @@ mod tests {
                     "hash {cols:?} row {i}"
                 );
                 assert_eq!(
-                    keys.hash_row(i),
-                    boxed_hash(&boxed),
-                    "row hash {cols:?} row {i}"
-                );
-                assert_eq!(
                     hashed.is_valid(i),
                     boxed_valid(&boxed),
                     "valid {cols:?} row {i}"
-                );
-                assert_eq!(
-                    keys.row_valid(i),
-                    boxed_valid(&boxed),
-                    "row valid {cols:?} row {i}"
                 );
                 for j in 0..b.rows() {
                     assert_eq!(

@@ -34,9 +34,9 @@
 //!   plan operators that produce them — the same plans `--explain` renders.
 //! * [`JoinSpec`] — equi-join specs executed as partitioned hash joins with
 //!   automatic small-side broadcast ([`ColCollection::join`]), or skew-aware
-//!   as in Section 5 ([`ColCollection::skew_join`]): sampled heavy-key
-//!   detection, light/heavy splitting, a shuffle join for the light part and
-//!   a heavy-key broadcast join under [`ClusterConfig::with_broadcast_limit`].
+//!   as in Section 5 ([`ColCollection::skew_join`]): a shuffle join holds
+//!   back the rows of the heavy keys its route phase counts and joins them
+//!   by a broadcast under [`ClusterConfig::with_broadcast_limit`].
 //!
 //! The engine also simulates the paper's FAIL runs: when a per-worker memory
 //! cap is configured ([`ClusterConfig::with_worker_memory`]), operators whose

@@ -33,8 +33,8 @@ pub enum JoinStrategy {
     /// Skew path: heavy keys joined by broadcasting the matching rows of the
     /// other side (Section 5).
     SkewBroadcast,
-    /// Skew path: the heavy-key side exceeded the broadcast limit, so the
-    /// engine fell back to a shuffle join for the heavy part.
+    /// Skew path: the heavy keys' matching rows exceeded the broadcast
+    /// limit, so every row shipped in one plain shuffle join.
     SkewFallback,
 }
 
@@ -163,7 +163,7 @@ counters! {
     broadcast_joins,
     /// Skew-aware joins whose heavy part used the broadcast strategy.
     skew_broadcast_joins,
-    /// Skew-aware joins whose heavy part fell back to a shuffle.
+    /// Skew-aware joins that fell back to one plain shuffle join.
     skew_fallback_joins,
     /// Bytes written to spill files (frame payloads plus prefixes).
     spilled_bytes,

@@ -33,12 +33,12 @@ fn map_rows(b: &Batch, f: impl Fn(&Tuple) -> Value) -> Batch {
     Batch::from_rows(&rows)
 }
 
-/// A deterministic Zipf-flavoured fact table: key 0 owns `heavy_share` of the
+/// A deterministic Zipf-flavoured fact table: key 0 owns `hot_share` of the
 /// rows, the rest spread over `keys` distinct keys.
-fn skewed_rows(n: usize, keys: i64, heavy_share: f64) -> Vec<Value> {
+fn skewed_rows(n: usize, keys: i64, hot_share: f64) -> Vec<Value> {
     (0..n)
         .map(|i| {
-            let k = if (i as f64 / n as f64) < heavy_share {
+            let k = if (i as f64 / n as f64) < hot_share {
                 0
             } else {
                 1 + (i as i64 % (keys - 1))
@@ -263,19 +263,22 @@ fn heavy_keys_joined(config: ClusterConfig, facts: Vec<Value>, keys: i64) -> u64
 
 #[test]
 fn heavy_key_detection_respects_threshold() {
-    // The threshold is `1 / partitions`. Key 0: 50% of rows; keys 1–10: 5%
-    // each — at 4 partitions (25%) only key 0 is heavy.
+    // A key is heavy when the shuffle target its hash routes to receives
+    // more than twice the mean load and the key alone holds at least the
+    // mean. Key 0: 50% of rows; keys 1–10: 5% each — at 4 partitions (mean
+    // 25%) only key 0 is heavy.
     let facts = skewed_rows(2000, 11, 0.5);
     assert_eq!(
         heavy_keys_joined(ClusterConfig::new(2, 4), facts.clone(), 11),
         1
     );
 
-    // At 32 partitions (3.125%) every key (each ≥ 5% of rows) is heavy.
-    assert_eq!(heavy_keys_joined(ClusterConfig::new(2, 32), facts, 11), 11);
+    // At 32 partitions (mean 3.125%) key 0 holds 16 times the mean. Keys
+    // 1–10 hold 1.6 times it each: alone none overloads a target, and none
+    // shares one with key 0 or another light key, so only key 0 is heavy.
+    assert_eq!(heavy_keys_joined(ClusterConfig::new(2, 32), facts, 11), 1);
 
-    // A uniform distribution over many keys has no heavy keys at the default
-    // (1/partitions) threshold.
+    // A uniform distribution over many keys overloads no target.
     let uniform: Vec<Value> = (0..2000).map(|i| row(i % 100, i)).collect();
     assert_eq!(heavy_keys_joined(ClusterConfig::new(2, 4), uniform, 100), 0);
 }
@@ -289,7 +292,9 @@ fn skew_join_on_zipf_input_equals_nested_loop_join() {
     let ctx = DistContext::new(ClusterConfig::new(4, 16).with_broadcast_limit(16 * 1024));
     let left = load(&ctx, facts);
     let right = load(&ctx, dims);
-    let spec = JoinSpec::inner(&["k"], &["dk"]);
+    // The dimension fits the broadcast limit; only a shuffle join is
+    // skew-aware.
+    let spec = JoinSpec::inner(&["k"], &["dk"]).with_hint(JoinHint::Shuffle);
 
     let standard = left.join(&right, &spec).unwrap();
     assert_eq!(ctx.stats().snapshot().skew_broadcast_joins, 0);
@@ -340,7 +345,9 @@ fn skew_renest_join_gives_unmatched_rows_the_empty_bag() {
     let right = load(&ctx, dim_rows(10))
         .nest_bag(&["dk".into()], &["name".into()], "names")
         .unwrap();
-    let spec = JoinSpec::renest(&["k"], &["dk"], "names");
+    // The groups fit the broadcast limit; only a shuffle join is
+    // skew-aware. They are placed by `dk`, so the right side stays in place.
+    let spec = JoinSpec::renest(&["k"], &["dk"], "names").with_hint(JoinHint::Shuffle);
     let standard = left.join(&right, &spec).unwrap();
     let skewed = left.skew_join(&right, &spec).unwrap();
     assert!(ctx.stats().snapshot().skew_broadcast_joins >= 1);

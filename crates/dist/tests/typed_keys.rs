@@ -216,7 +216,9 @@ fn renest_equals_its_definition_on_every_path() {
         let grouped = grouped(&columnar(ctx, right));
         ctx.stats().reset();
         let got = match path {
-            "skew" => left.skew_join(&grouped, &spec),
+            // The groups fit the broadcast limit; only a shuffle join is
+            // skew-aware.
+            "skew" => left.skew_join(&grouped, &spec.clone().with_hint(JoinHint::Shuffle)),
             "broadcast" => left.join(&grouped, &spec.clone().with_hint(JoinHint::BroadcastRight)),
             _ => left.join(&grouped, &spec.clone().with_hint(JoinHint::Shuffle)),
         };

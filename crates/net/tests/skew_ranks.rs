@@ -1,11 +1,16 @@
 //! The benchmark's TCP shape on skewed data: a coordinator and two worker
 //! **processes** on localhost TCP, with the benchmark's cluster (16
 //! partitions, a 4 KiB broadcast limit) and the `skew_n2n_narrow` data and
-//! query (skew 4, nested-to-nested Narrow, depth 2) at its oracle scale. The
-//! two skew-aware strategies the TCP route serves must equal `nrc::eval`,
-//! ship the in-process oracle's logical bytes, and split heavy keys off on
-//! every rank: the ranks agree on the heavy hashes through the `(hash,
-//! count)` sample allgather.
+//! query (skew 4, nested-to-nested Narrow, depth 2) at scale 0.2, the
+//! smallest at which its `Lineitem ⋈ Part` joins shuffle (at the oracle
+//! scale, 0.05, `Part` fits the broadcast limit, and a broadcast join is
+//! never skew-handled). The two skew-aware strategies the TCP route serves
+//! must equal `nrc::eval`, ship the in-process oracle's logical bytes, and
+//! hold heavy keys back on every rank: the ranks agree on the heavy hashes
+//! through the allgathered per-target loads and key-hash counts of each
+//! join's route phase. Each job runs twice on the one cluster, and the
+//! repeat must return the same rows, logical shuffle bytes and skew
+//! broadcasts.
 //!
 //! The constants are copied from `benchmark/src/workload.rs`, which is not
 //! a dependency.
@@ -21,7 +26,7 @@ use trance_dist::{ClusterConfig, DistContext};
 use trance_net::coordinator::JobSpec;
 use trance_net::msg::ClusterParams;
 use trance_net::testkit::spawn_cluster;
-use trance_nrc::{eval, Env, Value};
+use trance_nrc::{canonical_rows, eval, Env, Value};
 use trance_shred::ShreddedInputDecl;
 use trance_tpch::{
     flat_to_nested, generate, nested_to_nested, nesting_structure_for_depth, QueryVariant,
@@ -37,9 +42,10 @@ const RANKS: usize = 2;
 /// `PARTITIONS` and `BROADCAST_LIMIT`.
 const PARTITIONS: usize = 16;
 const BROADCAST_LIMIT: usize = 4 * 1024;
-/// `DEPTH`, `ORACLE_SCALE`, `skew_n2n_narrow`'s skew and `run.sh`'s seed.
+/// `DEPTH`, `skew_n2n_narrow`'s skew and `run.sh`'s seed; the scale is the
+/// smallest at which a skew-aware join has heavy keys to hold back.
 const DEPTH: usize = 2;
-const ORACLE_SCALE: f64 = 0.05;
+const SCALE: f64 = 0.2;
 const SKEW: u32 = 4;
 const SEED: u64 = 1;
 
@@ -47,7 +53,7 @@ fn main() {
     let _watchdog = Watchdog::arm("skew_ranks", Duration::from_secs(300));
 
     let data = generate(&TpchConfig {
-        scale: ORACLE_SCALE,
+        scale: SCALE,
         skew: SKEW,
         seed: SEED,
     });
@@ -102,9 +108,24 @@ fn main() {
             vec![("Nested".to_string(), structure.clone())],
             strategy,
         );
-        let report = coord
-            .run(&job)
-            .unwrap_or_else(|e| panic!("{label}: distributed run failed: {e}"));
+        let [report, repeat] = [0, 1].map(|run| {
+            coord
+                .run(&job)
+                .unwrap_or_else(|e| panic!("{label} run {run}: distributed run failed: {e}"))
+        });
+        assert_eq!(
+            (
+                canonical_rows(&report.rows),
+                report.stats.shuffled_bytes,
+                report.stats.skew_broadcast_joins
+            ),
+            (
+                canonical_rows(&repeat.rows),
+                repeat.stats.shuffled_bytes,
+                repeat.stats.skew_broadcast_joins
+            ),
+            "{label}: the repeat's rows, logical shuffle bytes or skew broadcasts differ"
+        );
         assert_bags_approx_eq(&want, &report.rows, &label);
         assert_eq!(
             report.stats.shuffled_bytes, oracle.stats.shuffled_bytes,

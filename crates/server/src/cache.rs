@@ -2,7 +2,7 @@
 //! [`trance_compiler::plan_cache_key`] to the [`PreparedQuery`] a cold run
 //! captured.
 //!
-//! The key already folds in the table catalog's epoch, so invalidation is
+//! The key already folds in the table registry's epoch, so invalidation is
 //! free: any registration bumps the epoch, every old key stops being
 //! looked up, and the stale entries age out of the LRU bound. The capacity
 //! caps resident memory (prepared plans are plan trees, not data, but an

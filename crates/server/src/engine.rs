@@ -6,7 +6,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
 
-use trance_algebra::Catalog;
 use trance_compiler::{
     collect_unshredded, plan_cache_key, prepare_and_run, run_prepared, strategy_options,
     ExecOptions, InputSet, KernelCache, QuerySpec, RunResult, Strategy,
@@ -178,7 +177,7 @@ pub struct EngineStats {
     pub completed: u64,
     /// Queries that failed while executing.
     pub failed: u64,
-    /// The table catalog's current epoch.
+    /// The table registry's current epoch.
     pub epoch: u64,
 }
 
@@ -198,7 +197,7 @@ impl EngineStats {
 /// and shredded form, rows plus resident batches — the same [`InputSet`] a
 /// one-shot `run_query` or a TCP worker holds), plus what only a serving
 /// catalog needs: the types textual submissions check against and the
-/// catalog whose **epoch** keys the plan cache.
+/// **epoch** that keys the plan cache.
 struct TableRegistry {
     inputs: InputSet,
     /// Logical table → every physical name it registered (nested name,
@@ -210,7 +209,9 @@ struct TableRegistry {
     /// Logical table → its nesting structure; non-empty structures become
     /// the shredded-input declarations of textual submissions.
     structures: HashMap<String, NestingStructure>,
-    catalog: Catalog,
+    /// Bumped by every install and by every unregister of a table that
+    /// existed, so a plan cached under an older epoch never matches again.
+    epoch: u64,
 }
 
 impl TableRegistry {
@@ -218,10 +219,10 @@ impl TableRegistry {
         if let Some(physical) = self.physical.remove(name) {
             for phys in physical {
                 self.inputs.remove(&phys);
-                self.catalog.remove(&phys);
             }
             self.types.remove(name);
             self.structures.remove(name);
+            self.epoch += 1;
         }
     }
 }
@@ -266,7 +267,7 @@ impl Engine {
                     physical: HashMap::new(),
                     types: HashMap::new(),
                     structures: HashMap::new(),
-                    catalog: Catalog::new(),
+                    epoch: 0,
                 }),
                 ctx,
                 plans,
@@ -286,8 +287,8 @@ impl Engine {
     }
 
     /// Registers (or replaces) a **flat** table. Converts it to columnar
-    /// form once, resident for every later query; bumps the catalog epoch, so
-    /// every cached plan compiled against the old catalog stops matching.
+    /// form once, resident for every later query; bumps the registry epoch,
+    /// so every cached plan compiled against the old tables stops matching.
     pub fn register_flat(&self, name: &str, rows: Bag) -> trance_dist::Result<()> {
         let ty = table_type(&rows);
         let mut staged = InputSet::new(self.inner.ctx.clone());
@@ -297,7 +298,7 @@ impl Engine {
 
     /// Registers (or replaces) a **nested** table: loads both its nested
     /// form and its shredded form (flat top bag plus one collection per
-    /// dictionary path), all columnar-resident. Bumps the catalog epoch.
+    /// dictionary path), all columnar-resident. Bumps the registry epoch.
     pub fn register_nested(&self, name: &str, rows: Bag) -> trance_dist::Result<()> {
         let ty = table_type(&rows);
         let structure = nesting_structure(&ty).map_err(ExecError::from)?;
@@ -307,8 +308,8 @@ impl Engine {
     }
 
     /// Installs the one logical table `staged` holds. Registering converted
-    /// it already, outside the registry lock; here its catalog entries are
-    /// read off the batches and the tables move into the registry.
+    /// it already, outside the registry lock; here the tables move into the
+    /// registry under the physical names they were staged with.
     fn install(
         &self,
         name: &str,
@@ -316,22 +317,16 @@ impl Engine {
         structure: NestingStructure,
         staged: InputSet,
     ) -> trance_dist::Result<()> {
-        let ctx = &self.inner.ctx;
-        let nested = staged.resident(false)?.catalog(ctx)?;
-        let shredded = staged.resident(true)?.catalog(ctx)?;
+        // A flat table is one physical table present in both forms.
+        let mut physical: Vec<String> = staged.nested_inputs().keys().cloned().collect();
+        physical.extend(staged.shredded_inputs().keys().cloned());
+        physical.sort_unstable();
+        physical.dedup();
         let mut t = write_lock(&self.inner.tables);
         t.unregister(name);
         t.inputs.extend(staged);
-        // A flat table is one physical table present in both forms.
-        let mut physical = nested.input_names();
-        physical.extend(shredded.input_names());
-        physical.sort_unstable();
-        physical.dedup();
-        t.physical.insert(
-            name.to_string(),
-            physical.into_iter().map(String::from).collect(),
-        );
-        t.catalog.merge(&nested).merge(&shredded);
+        t.physical.insert(name.to_string(), physical);
+        t.epoch += 1;
         t.types.insert(name.to_string(), ty);
         t.structures.insert(name.to_string(), structure);
         Ok(())
@@ -342,9 +337,9 @@ impl Engine {
         write_lock(&self.inner.tables).unregister(name);
     }
 
-    /// The table catalog's current epoch (every registration bumps it).
+    /// The table registry's current epoch (every registration bumps it).
     pub fn epoch(&self) -> u64 {
-        read_lock(&self.inner.tables).catalog.epoch()
+        read_lock(&self.inner.tables).epoch
     }
 
     /// Empties the compiled-plan cache *and* the kernel-program cache —
@@ -369,7 +364,7 @@ impl Engine {
             rejected: self.inner.rejected.load(Ordering::Relaxed),
             completed: self.inner.completed.load(Ordering::Relaxed),
             failed: self.inner.failed.load(Ordering::Relaxed),
-            epoch: read_lock(&self.inner.tables).catalog.epoch(),
+            epoch: read_lock(&self.inner.tables).epoch,
         }
     }
 
@@ -388,7 +383,7 @@ impl Engine {
     /// the engine's deadline), and — when `memory_budget` is set — its own
     /// worker-memory cap with spilling forced on. The compiled-plan cache
     /// is consulted under the key *(query structure, input declarations,
-    /// strategy, catalog epoch)*: a hit replays the captured optimized
+    /// strategy, registry epoch)*: a hit replays the captured optimized
     /// plans verbatim and reuses the cold run's kernel programs.
     pub fn submit(&self, req: &QueryRequest) -> Result<QueryResponse, ServeError> {
         let admitted = match self.inner.admission.acquire(&req.client) {
@@ -488,7 +483,7 @@ impl Engine {
         // epoch) or fully follows it.
         let (inputs, epoch) = {
             let t = read_lock(&self.inner.tables);
-            (t.inputs.clone(), t.catalog.epoch())
+            (t.inputs.clone(), t.epoch)
         };
         // A fresh session on the shared pool: per-query stats, cancellation
         // scope, and (when budgeted) worker-memory cap with spill forced on.

@@ -12,7 +12,7 @@
 //!    kernel-program compilation. The engine caches what that work
 //!    produces ([`trance_compiler::PreparedQuery`] + the kernel programs)
 //!    keyed by the *structural fingerprint* of the NRC program and input
-//!    declarations, the strategy, and the table catalog's **epoch**. Any
+//!    declarations, the strategy, and the table registry's **epoch**. Any
 //!    registration bumps the epoch, so stale plans can never serve; an LRU
 //!    bound caps resident memory. A warm hit replays the captured
 //!    optimized plans verbatim and books **zero** plan/kernel compile

@@ -102,14 +102,14 @@ fn zipf_key(rng: &mut StdRng, n: usize, skew: SkewFactor) -> i64 {
     // Like the skewed TPC-H generator, skew is produced by duplicating a small
     // set of heavy key values: the share of rows carrying a heavy key grows
     // with the skew factor, while the remaining rows stay uniform.
-    let heavy_share = match skew {
+    let hot_share = match skew {
         1 => 0.30,
         2 => 0.50,
         3 => 0.70,
         _ => 0.85,
     };
     let heavy_keys = 5.min(n);
-    if rng.gen_bool(heavy_share) {
+    if rng.gen_bool(hot_share) {
         rng.gen_range(0..heavy_keys) as i64
     } else {
         rng.gen_range(0..n) as i64

@@ -87,7 +87,6 @@ fn main() {
 
     let config = OptimizerConfig {
         broadcast_limit: Some(8 * 1024),
-        ..OptimizerConfig::default()
     };
     println!("=== After optimization ===\n");
     for assignment in &program.assignments {
