@@ -1385,12 +1385,20 @@ struct Sent {
     batch: Batch,
 }
 
+/// The size past which a coalesced shuffle payload closes and the next piece
+/// for its rank opens a new one. It keeps a payload — one transport frame —
+/// far under the TCP data plane's 64 MiB frame cap while a peer still
+/// receives few, large frames; a piece that alone passes it ships alone.
+const SHUFFLE_PAYLOAD_BYTES: usize = 4 << 20;
+
 /// The cross-rank half of a shuffle pass through the cluster [`Exchange`].
 /// Selections addressed to partitions this rank owns stay selections; the
-/// rest are gathered here and ship to the owning rank as `(source, target,
-/// index, batch)` frames — the frames, and the bytes, a piece-per-target
-/// shuffle put on the wire. Returns, per target, the batches other ranks
-/// sent.
+/// rest are gathered here as `(source, target, index, batch)` pieces and
+/// coalesced: the pieces bound for one rank are encoded back to back into
+/// one payload (a new one past [`SHUFFLE_PAYLOAD_BYTES`]), so a shuffle hands
+/// the transport about one payload per peer, not one per piece. The receiver
+/// decodes pieces until each payload ends. Returns, per target, the batches
+/// other ranks sent.
 fn exchange_remote(
     ctx: &DistContext,
     ex: &dyn Exchange,
@@ -1399,32 +1407,43 @@ fn exchange_remote(
     let nparts = ctx.config().partitions.max(1);
     let (rank, ranks) = (ex.rank(), ex.ranks());
     let owned = owned_range(rank, nparts, ranks);
+    let mut open: Vec<ByteWriter> = (0..ranks).map(|_| ByteWriter::new()).collect();
     let mut outgoing: Vec<(usize, Vec<u8>)> = Vec::new();
     for (s, chunks) in routed.iter().enumerate() {
         for t in (0..nparts).filter(|t| !owned.contains(t)) {
+            let owner = owner_of_partition(t, nparts, ranks);
             for (i, r) in sent_to(chunks, t) {
-                let mut w = ByteWriter::new();
+                let w = &mut open[owner];
                 w.u32(s as u32);
                 w.u32(t as u32);
                 w.u32(i);
-                r.chunk.take(r.lists.of(t)).encode(&mut w)?;
-                outgoing.push((owner_of_partition(t, nparts, ranks), w.into_bytes()));
+                r.chunk.take(r.lists.of(t)).encode(w)?;
+                if w.len() >= SHUFFLE_PAYLOAD_BYTES {
+                    outgoing.push((owner, std::mem::take(w).into_bytes()));
+                }
             }
+        }
+    }
+    for (owner, w) in open.into_iter().enumerate() {
+        if !w.is_empty() {
+            outgoing.push((owner, w.into_bytes()));
         }
     }
     let mut incoming: Vec<Vec<Sent>> = (0..nparts).map(|_| Vec::new()).collect();
     for payload in ex.shuffle(outgoing)? {
         let mut r = ByteReader::new(&payload);
-        let s = r.u32()?;
-        let t = r.u32()? as usize;
-        let order = (s, r.u32()?);
-        let batch = Batch::decode(&mut r)?;
-        if !owned.contains(&t) {
-            return Err(ExecError::Other(format!(
-                "rank {rank} received a shuffle piece for partition {t} it does not own"
-            )));
+        while r.remaining() > 0 {
+            let s = r.u32()?;
+            let t = r.u32()? as usize;
+            let order = (s, r.u32()?);
+            let batch = Batch::decode(&mut r)?;
+            if !owned.contains(&t) {
+                return Err(ExecError::Other(format!(
+                    "rank {rank} received a shuffle piece for partition {t} it does not own"
+                )));
+            }
+            incoming[t].push(Sent { order, batch });
         }
-        incoming[t].push(Sent { order, batch });
     }
     Ok(incoming)
 }
@@ -2812,7 +2831,8 @@ mod tests {
         trance_nrc::canonical_rows(&Bag::new(rows))
     }
 
-    /// An exchange whose every allgather answers with the same frames.
+    /// Rank 0 of an exchange whose every collective answers with the same
+    /// payloads, one per rank.
     #[derive(Debug)]
     struct Canned(Vec<Vec<u8>>);
 
@@ -2824,7 +2844,7 @@ mod tests {
             self.0.len()
         }
         fn shuffle(&self, _: Vec<(usize, Vec<u8>)>) -> Result<Vec<Vec<u8>>> {
-            Ok(Vec::new())
+            Ok(self.0.clone())
         }
         fn allgather(&self, _: Vec<u8>) -> Result<Vec<Vec<u8>>> {
             Ok(self.0.clone())
@@ -2847,6 +2867,160 @@ mod tests {
             let truncated = vec![frame(&[9, 1]), full[..cut].to_vec()];
             assert!(merged(truncated).is_err(), "a frame cut to {cut} bytes");
         }
+    }
+
+    /// An exchange that records, per shuffle, the rank and size of each
+    /// payload it hands over, and passes every collective on.
+    #[derive(Debug)]
+    struct Recording {
+        inner: Arc<dyn Exchange>,
+        shuffles: Mutex<Vec<Vec<(usize, usize)>>>,
+    }
+
+    impl Recording {
+        /// Wraps `ctx`'s exchange in a recorder.
+        fn install(ctx: &DistContext) -> Arc<Recording> {
+            let recording = Arc::new(Recording {
+                inner: ctx.exchange().unwrap(),
+                shuffles: Mutex::default(),
+            });
+            ctx.set_exchange(Some(recording.clone()));
+            recording
+        }
+
+        fn shuffles(&self) -> Vec<Vec<(usize, usize)>> {
+            self.shuffles.lock().unwrap().clone()
+        }
+    }
+
+    impl Exchange for Recording {
+        fn rank(&self) -> usize {
+            self.inner.rank()
+        }
+        fn ranks(&self) -> usize {
+            self.inner.ranks()
+        }
+        fn shuffle(&self, outgoing: Vec<(usize, Vec<u8>)>) -> Result<Vec<Vec<u8>>> {
+            let sent = outgoing.iter().map(|(t, p)| (*t, p.len())).collect();
+            self.shuffles.lock().unwrap().push(sent);
+            self.inner.shuffle(outgoing)
+        }
+        fn allgather(&self, payload: Vec<u8>) -> Result<Vec<Vec<u8>>> {
+            self.inner.allgather(payload)
+        }
+    }
+
+    /// The partitions of `all` that `owned` covers, the rest empty.
+    fn owned_parts(all: &[Batch], owned: &Range<usize>) -> Vec<ColPart> {
+        let part = |p: usize| match owned.contains(&p) {
+            true => all[p].clone(),
+            false => Batch::empty(),
+        };
+        (0..all.len()).map(|p| ColPart::Mem(part(p))).collect()
+    }
+
+    #[test]
+    fn a_shuffle_hands_each_peer_rank_one_payload() {
+        let sources = keyed_sources(300);
+        let key = vec!["k".to_string()];
+        for ranks in [2usize, 3] {
+            let per_rank = on_ranks(ranks, &ClusterConfig::new(2, 6), &|ctx, owned| {
+                let recording = Recording::install(ctx);
+                shuffle_batches(ctx, &owned_parts(&sources, &owned), route_by(&key, true)).unwrap();
+                recording.shuffles()
+            });
+            for (rank, shuffles) in per_rank.iter().enumerate() {
+                assert_eq!(shuffles.len(), 1, "{ranks} ranks, rank {rank}");
+                let mut targets: Vec<usize> = shuffles[0].iter().map(|(t, _)| *t).collect();
+                targets.sort_unstable();
+                let peers: Vec<usize> = (0..ranks).filter(|r| *r != rank).collect();
+                assert_eq!(targets, peers, "{ranks} ranks, rank {rank}");
+                let bytes: usize = shuffles[0].iter().map(|(_, b)| b).sum();
+                assert!(bytes < SHUFFLE_PAYLOAD_BYTES, "{bytes} bytes");
+            }
+        }
+    }
+
+    #[test]
+    fn a_shuffle_past_the_payload_bound_ships_several_and_equals_one_process() {
+        // Rows with distinct 8 KiB strings, held by rank 0 alone: about half
+        // of them, some 5 MiB, route to rank 1's partitions.
+        let sources: Vec<Batch> = (0..6)
+            .map(|p| {
+                let rows: Vec<Value> = (0..if p < 3 { 420 } else { 0 })
+                    .map(|i| {
+                        let n = p * 1000 + i;
+                        let wide = Value::str(format!("{n:0>8192}"));
+                        Value::tuple([("k", Value::Int(n as i64)), ("w", wide)])
+                    })
+                    .collect();
+                Batch::from_rows(&rows)
+            })
+            .collect();
+        let key = vec!["k".to_string()];
+        let config = ClusterConfig::new(2, 6);
+        let single = DistContext::new(config.clone());
+        let resident: Vec<ColPart> = sources.iter().cloned().map(ColPart::Mem).collect();
+        let expect = shuffle_batches(&single, &resident, route_by(&key, true)).unwrap();
+        let per_rank = on_ranks(2, &config, &|ctx, owned| {
+            let recording = Recording::install(ctx);
+            let got =
+                shuffle_batches(ctx, &owned_parts(&sources, &owned), route_by(&key, true)).unwrap();
+            (got, metered(ctx), ctx.clone(), recording.shuffles())
+        });
+        let payloads: Vec<usize> = per_rank[0].3[0].iter().map(|(_, b)| *b).collect();
+        assert!(payloads.len() >= 2, "{payloads:?}");
+        let (closed, last) = payloads.split_at(payloads.len() - 1);
+        assert!(
+            closed.iter().all(|b| *b >= SHUFFLE_PAYLOAD_BYTES),
+            "{payloads:?}"
+        );
+        assert!(last[0] > 0, "{payloads:?}");
+        assert!(per_rank[1].3[0].is_empty(), "rank 1 holds no rows");
+        let mut summed = (0u64, 0u64, 0u64);
+        for (rank, (got, metered, ctx, _)) in per_rank.iter().enumerate() {
+            summed = (
+                summed.0 + metered.0,
+                summed.1 + metered.1,
+                summed.2 + metered.2,
+            );
+            for t in owned_range(rank, 6, 2) {
+                assert_eq!(
+                    image(ctx, &got[t]),
+                    image(&single, &expect[t]),
+                    "target {t}"
+                );
+            }
+        }
+        assert_eq!(summed, metered(&single));
+    }
+
+    #[test]
+    fn a_shuffle_payload_cut_short_or_misaddressed_is_an_error() {
+        // Rank 0 of two owns partitions 0 and 1 of 4.
+        let ctx = DistContext::new(ClusterConfig::new(1, 4));
+        let rows = |n: i64| Batch::from_rows(&[Value::tuple([("k", Value::Int(n))])]);
+        let piece = |s: u32, t: u32, batch: &Batch| {
+            let mut w = ByteWriter::new();
+            w.u32(s);
+            w.u32(t);
+            w.u32(0);
+            batch.encode(&mut w).unwrap();
+            w.into_bytes()
+        };
+        let first = piece(2, 1, &rows(1));
+        let whole = [first.clone(), piece(3, 0, &rows(2))].concat();
+        let answer = |payload: Vec<u8>| exchange_remote(&ctx, &Canned(vec![payload, vec![]]), &[]);
+        let got = answer(whole.clone()).unwrap();
+        let sizes: Vec<usize> = got.iter().map(Vec::len).collect();
+        assert_eq!(sizes, [1, 1, 0, 0]);
+        assert_eq!(got[0][0].order, (3, 0));
+        for cut in first.len() + 1..whole.len() {
+            assert!(answer(whole[..cut].to_vec()).is_err(), "cut to {cut} bytes");
+        }
+        let misaddressed = [first, piece(3, 2, &rows(2))].concat();
+        let err = answer(misaddressed).err().unwrap();
+        assert!(err.to_string().contains("does not own"), "{err}");
     }
 
     /// A grouping placed for its consumer, regrouped in place, joined in

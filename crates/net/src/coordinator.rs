@@ -145,12 +145,13 @@ impl Coordinator {
     /// exactly the layout the in-process engine builds, so plans and
     /// shuffles agree byte for byte.
     fn ship(&self, kind: LoadKind, name: &str, rows: Vec<Value>) -> io::Result<()> {
-        let parts = split_rows_round_robin(rows, self.partitions);
+        let mut parts = split_rows_round_robin(rows, self.partitions);
         let ranks = self.workers.len();
         for (rank, conn) in self.workers.iter().enumerate() {
+            // Each slot has one owner: its rows move there, uncloned.
             let mut owned: Vec<Vec<Value>> = vec![Vec::new(); self.partitions];
             for slot in owned_range(rank, self.partitions, ranks) {
-                owned[slot] = parts[slot].clone();
+                owned[slot] = std::mem::take(&mut parts[slot]);
             }
             conn.send(&Ctrl::Load {
                 kind,

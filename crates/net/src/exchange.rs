@@ -9,7 +9,15 @@
 //! from an aborted attempt can never join the wrong mesh.
 //!
 //! Per link, per direction, the transport is length-prefixed
-//! [`trance_store::wire`] frames under **credit-based backpressure**: a
+//! [`trance_store::wire`] frames, one per payload a collective hands over.
+//! The engine coalesces a shuffle's pieces per target rank, so a collective
+//! costs about one frame per peer (a shuffle adds one empty "done" frame per
+//! peer). Framing copies no payload: a data frame's `(seq, op)` prefix and
+//! payload are checksummed and written as parts of one frame
+//! ([`wire::write_frame_parts`]), and the receiver strips the prefix from
+//! the buffer it read in place.
+//!
+//! Frames flow under **credit-based backpressure**: a
 //! sender starts with [`CREDIT_WINDOW`] credits, every data frame consumes
 //! one, and the receiver's reader thread grants one back per frame it
 //! ingests — bounding the frames in flight on any link. Senders blocked on
@@ -63,6 +71,9 @@ const DIAL_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// How long mesh formation waits for an expected inbound link.
 const ACCEPT_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// The `(seq, op)` prefix of every data frame's payload.
+const DATA_PREFIX: usize = 9;
 
 const OP_SHUFFLE: u8 = 1;
 const OP_GATHER: u8 = 2;
@@ -245,10 +256,9 @@ impl NetExchange {
         let link = self.links[peer]
             .as_ref()
             .ok_or_else(|| ExecError::Other("no data link to own rank".into()))?;
-        let mut buf = Vec::with_capacity(9 + payload.len());
-        buf.extend_from_slice(&seq.to_le_bytes());
-        buf.push(op);
-        buf.extend_from_slice(payload);
+        let mut prefix = [0u8; DATA_PREFIX];
+        prefix[..8].copy_from_slice(&seq.to_le_bytes());
+        prefix[8] = op;
 
         // Acquire one credit, waking periodically to observe cancellation
         // and failure of the target link (a broken link elsewhere in the
@@ -283,7 +293,8 @@ impl NetExchange {
 
         let result = {
             let mut w = lock(&link.writer);
-            wire::write_frame(&mut *w, FRAME_DATA, &buf).and_then(|_| w.flush())
+            wire::write_frame_parts(&mut *w, FRAME_DATA, &[&prefix, payload])
+                .and_then(|_| w.flush())
         };
         if let Err(e) = result {
             let detail = format!("data link to rank {} failed: {e}", link.peer);
@@ -456,17 +467,14 @@ fn reader_loop(mut stream: TcpStream, link: Arc<Link>, shared: Arc<Shared>) {
                     link.credit_cond.notify_all();
                 }
                 FRAME_DATA => {
-                    let mut r = ByteReader::new(&payload);
-                    let parsed = (|| -> io::Result<(u64, u8, Vec<u8>)> {
-                        let seq = r.u64()?;
-                        let op = r.u8()?;
-                        let rest = r.raw(r.remaining())?.to_vec();
-                        Ok((seq, op, rest))
-                    })();
-                    let Ok((seq, op, rest)) = parsed else {
+                    let mut rest = payload;
+                    let mut r = ByteReader::new(&rest);
+                    let (Ok(seq), Ok(op)) = (r.u64(), r.u8()) else {
                         link.mark_broken(&shared, format!("malformed data frame from rank {peer}"));
                         return;
                     };
+                    // The frame's payload becomes the collective's, in place.
+                    rest.drain(..DATA_PREFIX);
                     {
                         let ranks = shared.ranks;
                         let mut inner = lock(&shared.inner);

@@ -156,11 +156,17 @@ pub fn serve(coordinator_addr: &str) -> io::Result<()> {
                 let outcome =
                     match run_one(&plane, rank, &data_addrs, &ctx, &inputs, &cancel_slot, run) {
                         Ok((rows, stats)) => {
-                            for chunk in rows.chunks(ROWS_PER_CHUNK.max(1)) {
+                            let mut rows = rows.into_iter();
+                            loop {
+                                let chunk: Vec<_> =
+                                    rows.by_ref().take(ROWS_PER_CHUNK.max(1)).collect();
+                                if chunk.is_empty() {
+                                    break;
+                                }
                                 conn.send(&Ctrl::Rows {
                                     job,
                                     attempt,
-                                    rows: chunk.to_vec(),
+                                    rows: chunk,
                                 })?;
                             }
                             Outcome::Ok(stats)

@@ -23,7 +23,7 @@
 //! (`Read::take` + `read_to_end`), so a forged length cannot balloon memory
 //! beyond what the peer really sends.
 
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 
 /// The leading frame magic.
 pub const WIRE_MAGIC: [u8; 4] = *b"TRNC";
@@ -61,62 +61,117 @@ impl FrameHeader {
     }
 }
 
-/// CRC-32 (IEEE 802.3 polynomial, reflected), table-driven. `std` ships no
-/// checksum and the workspace takes no external crates, so the table is
-/// built once at first use.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut table = [0u32; 256];
-        for (i, slot) in table.iter_mut().enumerate() {
-            let mut crc = i as u32;
-            for _ in 0..8 {
-                crc = if crc & 1 != 0 {
-                    (crc >> 1) ^ 0xEDB8_8320
-                } else {
-                    crc >> 1
-                };
-            }
-            *slot = crc;
+/// The slicing-by-8 tables of the IEEE 802.3 polynomial (reflected):
+/// `TABLES[0]` is the classic byte-at-a-time table, and `TABLES[k][b]` is the
+/// CRC of byte `b` followed by `k` zero bytes, so eight table lookups fold
+/// eight input bytes at once. Built at compile time: `std` ships no checksum
+/// and the workspace takes no external crates.
+static TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = if crc & 1 != 0 {
+                (crc >> 1) ^ 0xEDB8_8320
+            } else {
+                crc >> 1
+            };
+            bit += 1;
         }
-        table
-    });
-    let mut crc = !0u32;
-    for &b in bytes {
-        crc = (crc >> 8) ^ table[((crc ^ u32::from(b)) & 0xFF) as usize];
+        tables[0][i] = crc;
+        i += 1;
     }
-    !crc
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
+}
+
+/// Folds `bytes` into a running (pre-inverted) CRC-32 state, eight bytes at
+/// a time, then byte by byte.
+fn crc32_update(mut crc: u32, bytes: &[u8]) -> u32 {
+    let t = &TABLES;
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xFF) as usize];
+    }
+    crc
+}
+
+/// CRC-32 (IEEE 802.3 polynomial, reflected) of `bytes`, slicing-by-8.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    !crc32_update(!0, bytes)
 }
 
 fn invalid(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
 
-/// Encodes the 16-byte header for a frame of `kind` carrying `payload`.
-/// Fails when the payload exceeds the format's `u32` length field.
-pub fn encode_header(kind: u8, payload: &[u8]) -> io::Result<[u8; HEADER_LEN]> {
-    let len = u32::try_from(payload.len()).map_err(|_| {
-        invalid(format!(
-            "frame payload of {} bytes exceeds u32",
-            payload.len()
-        ))
-    })?;
+/// Writes one frame (header + payload), returning the total bytes written.
+pub fn write_frame(w: &mut impl Write, kind: u8, payload: &[u8]) -> io::Result<u64> {
+    write_frame_parts(w, kind, &[payload])
+}
+
+/// Writes one frame whose payload is the concatenation of `parts`, without
+/// building that concatenation: the checksum runs across the parts, and the
+/// header and parts go out as one vectored write (one `writev` on a socket).
+/// The bytes are those of [`write_frame`] of the concatenated payload.
+/// Returns the total bytes written.
+pub fn write_frame_parts(w: &mut impl Write, kind: u8, parts: &[&[u8]]) -> io::Result<u64> {
+    let len: usize = parts.iter().map(|p| p.len()).sum();
+    let crc = !parts.iter().fold(!0, |crc, p| crc32_update(crc, p));
+    let len32 = u32::try_from(len)
+        .map_err(|_| invalid(format!("frame payload of {len} bytes exceeds u32")))?;
     let mut header = [0u8; HEADER_LEN];
     header[0..4].copy_from_slice(&WIRE_MAGIC);
     header[4..6].copy_from_slice(&WIRE_VERSION.to_le_bytes());
     header[6] = kind;
     header[7] = 0;
-    header[8..12].copy_from_slice(&len.to_le_bytes());
-    header[12..16].copy_from_slice(&crc32(payload).to_le_bytes());
-    Ok(header)
-}
-
-/// Writes one frame (header + payload), returning the total bytes written.
-pub fn write_frame(w: &mut impl Write, kind: u8, payload: &[u8]) -> io::Result<u64> {
-    let header = encode_header(kind, payload)?;
-    w.write_all(&header)?;
-    w.write_all(payload)?;
-    Ok(HEADER_LEN as u64 + payload.len() as u64)
+    header[8..12].copy_from_slice(&len32.to_le_bytes());
+    header[12..16].copy_from_slice(&crc.to_le_bytes());
+    let mut slices: Vec<IoSlice<'_>> = std::iter::once(&header[..])
+        .chain(parts.iter().copied())
+        .filter(|p| !p.is_empty())
+        .map(IoSlice::new)
+        .collect();
+    let mut pending = &mut slices[..];
+    while !pending.is_empty() {
+        match w.write_vectored(pending) {
+            Ok(0) => {
+                return Err(io::Error::new(
+                    io::ErrorKind::WriteZero,
+                    "frame write stalled",
+                ))
+            }
+            Ok(n) => IoSlice::advance_slices(&mut pending, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(HEADER_LEN as u64 + len as u64)
 }
 
 /// Parses and validates a frame header against the caller's payload cap and
@@ -213,11 +268,112 @@ mod tests {
     use super::*;
     use std::io::Cursor;
 
+    /// The byte-at-a-time CRC the slicing-by-8 kernel must agree with.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &b in bytes {
+            crc = (crc >> 8) ^ TABLES[0][((crc ^ u32::from(b)) & 0xFF) as usize];
+        }
+        !crc
+    }
+
+    /// Deterministic bytes that are not periodic in 8.
+    fn noise(len: usize) -> Vec<u8> {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        (0..len)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 24) as u8
+            })
+            .collect()
+    }
+
     #[test]
     fn crc32_matches_known_vectors() {
         // IEEE CRC-32 check value for "123456789".
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn slicing_by_8_equals_the_bytewise_reference() {
+        let buf = noise(64 + 8);
+        for start in 0..8 {
+            for len in 0..=64 {
+                let bytes = &buf[start..start + len];
+                assert_eq!(
+                    crc32(bytes),
+                    crc32_bytewise(bytes),
+                    "start {start}, len {len}"
+                );
+            }
+        }
+        let big = noise(1 << 20);
+        assert_eq!(crc32(&big), crc32_bytewise(&big));
+    }
+
+    #[test]
+    fn a_frame_written_in_parts_is_the_frame_of_the_whole() {
+        let payload = noise(300);
+        let mut whole = Vec::new();
+        write_frame(&mut whole, 0x21, &payload).unwrap();
+        let splits: [&[usize]; 5] = [&[], &[0], &[300], &[9], &[1, 8, 9, 150, 299]];
+        for cuts in splits {
+            let mut bounds = vec![0];
+            bounds.extend_from_slice(cuts);
+            bounds.push(payload.len());
+            let parts: Vec<&[u8]> = bounds.windows(2).map(|w| &payload[w[0]..w[1]]).collect();
+            let mut framed = Vec::new();
+            let written = write_frame_parts(&mut framed, 0x21, &parts).unwrap();
+            assert_eq!(framed, whole, "cut at {cuts:?}");
+            assert_eq!(written, whole.len() as u64);
+        }
+        let mut empty = Vec::new();
+        write_frame(&mut empty, 3, b"").unwrap();
+        let mut no_parts = Vec::new();
+        write_frame_parts(&mut no_parts, 3, &[]).unwrap();
+        assert_eq!(no_parts, empty);
+    }
+
+    /// A writer that takes at most `step` bytes per call and is interrupted
+    /// every other call: the frame still goes out whole and in order.
+    struct Trickle {
+        out: Vec<u8>,
+        step: usize,
+        calls: usize,
+    }
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.calls += 1;
+            if self.calls.is_multiple_of(2) {
+                return Err(io::ErrorKind::Interrupted.into());
+            }
+            let n = buf.len().min(self.step);
+            self.out.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_in_parts_survives_short_and_interrupted_writes() {
+        let payload = noise(100);
+        let mut whole = Vec::new();
+        write_frame(&mut whole, 5, &payload).unwrap();
+        for step in [1, 7, 16, 64] {
+            let mut w = Trickle {
+                out: Vec::new(),
+                step,
+                calls: 0,
+            };
+            write_frame_parts(&mut w, 5, &[&payload[..9], &payload[9..]]).unwrap();
+            assert_eq!(w.out, whole, "step {step}");
+        }
     }
 
     #[test]
